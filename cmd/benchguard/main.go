@@ -17,6 +17,14 @@
 // are gated upward like allocs/op: the wire may not quietly bloat past
 // the committed bytes-per-task. ns/op and B/op are recorded in the
 // baseline for reference but not gated.
+//
+// A benchmark that appears several times on stdin (go test -count N) is
+// folded to one result, against the direction of its gate: -write keeps
+// the least favourable sample of each metric (most allocs/op, lowest
+// speedup) and -check the most favourable. Deterministic metrics are
+// unaffected; a wall-time ratio measured on a noisy machine fails the
+// gate only when no repetition reaches what every baseline repetition
+// showed.
 package main
 
 import (
@@ -24,6 +32,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -68,7 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	got, err := parseBenchOutput(os.Stdin)
+	got, err := parseBenchOutput(os.Stdin, *check != "")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
@@ -151,10 +160,28 @@ func main() {
 	}
 }
 
+// fold merges a repeated sample of one benchmark into the result so
+// far: the most favourable value of each metric when favourable is set
+// (fewest allocs, highest speedup), the least favourable otherwise.
+func fold(have, next result, favourable bool) result {
+	cost, gain := math.Max, math.Min // least favourable: highest cost, lowest gain
+	if favourable {
+		cost, gain = math.Min, math.Max
+	}
+	return result{
+		NsOp:         cost(have.NsOp, next.NsOp),
+		BytesOp:      cost(have.BytesOp, next.BytesOp),
+		AllocsOp:     cost(have.AllocsOp, next.AllocsOp),
+		Speedup:      gain(have.Speedup, next.Speedup),
+		BytesPerTask: cost(have.BytesPerTask, next.BytesPerTask),
+	}
+}
+
 // parseBenchOutput extracts per-benchmark metrics from `go test -bench`
-// output. Benchmark names have their -GOMAXPROCS suffix stripped so
-// baselines are portable across machines with different core counts.
-func parseBenchOutput(f *os.File) (map[string]result, error) {
+// output, folding repeated samples of a benchmark (see fold). Benchmark
+// names have their -GOMAXPROCS suffix stripped so baselines are portable
+// across machines with different core counts.
+func parseBenchOutput(f *os.File, favourable bool) (map[string]result, error) {
 	out := make(map[string]result)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -187,6 +214,9 @@ func parseBenchOutput(f *os.File) (map[string]result, error) {
 			case "bytes/task":
 				r.BytesPerTask = v
 			}
+		}
+		if have, ok := out[name]; ok {
+			r = fold(have, r, favourable)
 		}
 		out[name] = r
 	}

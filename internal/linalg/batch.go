@@ -4,17 +4,11 @@ package linalg
 // routine applies the corresponding per-matrix kernel to each element of a
 // batch — typically views into one contiguous Panel — in batch order.
 //
-// The batched forms route each element through the vectorized kernel
-// backend (panelkernels.go) rather than fusing arithmetic across the
-// batch: element j of a batched call computes the exact expression tree
-// of the looped reference call on the same operands — the AVX
-// microkernels are constructed operation-for-operation from the scalar
-// loops (veckernels.go) — so results and reported flops are
+// The batched forms call the same kernels as the looped path rather than
+// fusing arithmetic across the batch, so results and reported flops are
 // bitwise-identical to the width-1 path by construction (DESIGN.md §14).
-// What the batch layer adds on top of the vector backend is memory
-// behavior — panel-packed operands, workspace-pooled factors and pivots,
-// zero per-element allocation — which is where the profile of the looped
-// path spends its non-arithmetic time.
+// What the batch layer adds is memory behavior — panel-packed operands,
+// workspace-pooled factors and pivots, zero per-element allocation.
 
 // BatchGemmInto applies dst[j] = alpha·opA(a[j])·opB(b[j]) + beta·dst[j]
 // for every batch element. The three slices must have equal length; shape
@@ -24,7 +18,7 @@ func BatchGemmInto(dst []*Matrix, alpha complex128, a []*Matrix, opA Op, b []*Ma
 		panic("linalg: batch width mismatch in BatchGemmInto")
 	}
 	for j := range dst {
-		VecGemmInto(dst[j], alpha, a[j], opA, b[j], opB, beta)
+		GemmInto(dst[j], alpha, a[j], opA, b[j], opB, beta)
 	}
 }
 
@@ -35,7 +29,7 @@ func BatchMul3Into(dst []*Matrix, a []*Matrix, opA Op, b []*Matrix, opB Op, c []
 		panic("linalg: batch width mismatch in BatchMul3Into")
 	}
 	for j := range dst {
-		VecMul3Into(dst[j], a[j], opA, b[j], opB, c[j], opC, ws)
+		Mul3Into(dst[j], a[j], opA, b[j], opB, c[j], opC, ws)
 	}
 }
 
@@ -47,7 +41,7 @@ func BatchShiftedNegInto(dst []*Matrix, m *Matrix, zs []complex128) {
 		panic("linalg: batch width mismatch in BatchShiftedNegInto")
 	}
 	for j := range dst {
-		VecShiftedNegInto(dst[j], m, zs[j])
+		ShiftedNegInto(dst[j], m, zs[j])
 	}
 }
 
@@ -55,7 +49,7 @@ func BatchShiftedNegInto(dst []*Matrix, m *Matrix, zs []complex128) {
 // the shared block b once per batch.
 func BatchAddScaled(dst []*Matrix, b *Matrix, s complex128) {
 	for j := range dst {
-		VecAddScaled(dst[j], b, s)
+		dst[j].AddScaled(b, s)
 	}
 }
 
@@ -97,7 +91,7 @@ func BatchFactorInPlace(as []*Matrix, ws *Workspace) (lus []LU, errs []error) {
 			continue
 		}
 		piv := ws.GetInts(a.Rows)
-		sign, err := factorInPlaceVec(a, piv)
+		sign, err := factorInPlace(a, piv)
 		if err != nil {
 			ws.PutInts(piv)
 			errs[j] = err
@@ -131,7 +125,7 @@ func BatchSolveInto(fs []LU, dst, b []*Matrix) {
 		if fs[j].lu == nil {
 			continue
 		}
-		fs[j].VecSolveInto(dst[j], b[j])
+		fs[j].SolveInto(dst[j], b[j])
 	}
 }
 
@@ -147,7 +141,7 @@ func BatchInverseInto(dst, a []*Matrix, ws *Workspace) (errs []error) {
 		if a[j] == nil {
 			continue
 		}
-		errs[j] = VecInverseInto(dst[j], a[j], ws)
+		errs[j] = InverseInto(dst[j], a[j], ws)
 	}
 	return errs
 }

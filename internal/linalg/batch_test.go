@@ -43,48 +43,6 @@ func requireSameMats(t *testing.T, name string, got, want []*Matrix) {
 	}
 }
 
-// TestBatchGemmMatchesLooped pins BatchGemmInto to element-wise
-// GemmInto across widths and shapes including empty and 1×1 blocks.
-func TestBatchGemmMatchesLooped(t *testing.T) {
-	r := rand.New(rand.NewSource(51))
-	for _, w := range batchWidths {
-		for _, sz := range [][3]int{{0, 3, 3}, {1, 1, 1}, {7, 7, 7}, {14, 14, 14}} {
-			n, k, p := sz[0], sz[1], sz[2]
-			a := randMats(r, w, n, k)
-			b := randMats(r, w, k, p)
-			dst := randMats(r, w, n, p)
-			ref := cloneMats(dst)
-			alpha := complex(1.25, -0.5)
-			BatchGemmInto(dst, alpha, a, NoTrans, b, NoTrans, 1)
-			for j := range ref {
-				GemmInto(ref[j], alpha, a[j], NoTrans, b[j], NoTrans, 1)
-			}
-			requireSameMats(t, "gemm", dst, ref)
-		}
-	}
-}
-
-// TestBatchMul3MatchesLooped pins BatchMul3Into to element-wise
-// Mul3Into, sharing one workspace across the batch.
-func TestBatchMul3MatchesLooped(t *testing.T) {
-	r := rand.New(rand.NewSource(52))
-	ws := GetWorkspace()
-	for _, w := range batchWidths {
-		for _, n := range []int{1, 7, 14} {
-			a := randMats(r, w, n, n)
-			b := randMats(r, w, n, n)
-			c := randMats(r, w, n, n)
-			dst := randMats(r, w, n, n)
-			ref := cloneMats(dst)
-			BatchMul3Into(dst, a, NoTrans, b, NoTrans, c, ConjTrans, ws)
-			for j := range ref {
-				Mul3Into(ref[j], a[j], NoTrans, b[j], NoTrans, c[j], ConjTrans, ws)
-			}
-			requireSameMats(t, "mul3", dst, ref)
-		}
-	}
-}
-
 // TestBatchShiftedNegAndAddScaledMatchLooped pins the batched
 // resolvent-assembly kernels to their looped forms: dst[j] = z_j·I − m
 // then dst[j] += s·b against per-element ShiftedNegInto/AddScaled.

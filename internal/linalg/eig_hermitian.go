@@ -20,11 +20,18 @@ type EigenH struct {
 // maxQLIterations bounds the implicit-QL sweeps per eigenvalue.
 const maxQLIterations = 64
 
+// ErrNoConvergence is returned by EigH when the QL iteration exhausts
+// maxQLIterations sweeps on one eigenvalue.
+var ErrNoConvergence = errors.New("linalg: QL iteration failed to converge")
+
 // EigH computes all eigenvalues and eigenvectors of the Hermitian matrix a.
 // Only the lower triangle is referenced; the input is not modified.
 // The algorithm is Householder reduction to real symmetric tridiagonal form
 // followed by the implicit-shift QL iteration, accumulating the complex
-// unitary transformation throughout.
+// unitary transformation throughout. The transformation is accumulated
+// transposed (row j of qt is column j of Q), so every Householder update
+// and every QL plane rotation streams contiguous rows; one transpose,
+// fused with the eigenvalue sort, produces the column eigenvectors.
 func EigH(a *Matrix) (*EigenH, error) {
 	if a.Rows != a.Cols {
 		return nil, errors.New("linalg: EigH requires a square matrix")
@@ -34,22 +41,25 @@ func EigH(a *Matrix) (*EigenH, error) {
 		return &EigenH{Values: nil, Vectors: New(0, 0)}, nil
 	}
 	w := a.Clone() // working copy, reduced in place
-	q := Identity(n)
+	wd := w.Data
+	qt := Identity(n)
 
 	// Householder reduction to Hermitian tridiagonal form.
 	v := make([]complex128, n)
 	hv := make([]complex128, n)
+	qv := make([]complex128, n) // Q·v of the accumulation step
 	for k := 0; k < n-2; k++ {
 		// Vector to eliminate: w[k+1:n, k].
 		var norm float64
 		for i := k + 1; i < n; i++ {
-			norm += real(w.At(i, k))*real(w.At(i, k)) + imag(w.At(i, k))*imag(w.At(i, k))
+			x := wd[i*n+k]
+			norm += real(x)*real(x) + imag(x)*imag(x)
 		}
 		norm = math.Sqrt(norm)
 		if norm == 0 {
 			continue
 		}
-		x0 := w.At(k+1, k)
+		x0 := wd[(k+1)*n+k]
 		var alpha complex128
 		if x0 == 0 {
 			alpha = complex(-norm, 0)
@@ -59,7 +69,7 @@ func EigH(a *Matrix) (*EigenH, error) {
 		// v = x − alpha·e1, normalized.
 		var vnorm float64
 		for i := k + 1; i < n; i++ {
-			vi := w.At(i, k)
+			vi := wd[i*n+k]
 			if i == k+1 {
 				vi -= alpha
 			}
@@ -77,9 +87,10 @@ func EigH(a *Matrix) (*EigenH, error) {
 		// H = I − 2vv†;  w ← H·w·H = w − 2vw† − 2wv† + 4(v†w)vv†
 		// where wv = w·v restricted to the active block.
 		for i := k; i < n; i++ {
+			wRow := wd[i*n : (i+1)*n]
 			var s complex128
 			for j := k + 1; j < n; j++ {
-				s += w.At(i, j) * v[j]
+				s += wRow[j] * v[j]
 			}
 			hv[i] = s
 		}
@@ -92,23 +103,32 @@ func EigH(a *Matrix) (*EigenH, error) {
 			if i > k {
 				vi = v[i]
 			}
+			wRow := wd[i*n : (i+1)*n]
 			for j := k; j < n; j++ {
 				vj := complex128(0)
 				if j > k {
 					vj = v[j]
 				}
 				d := -2*vi*cmplx.Conj(hv[j]) - 2*hv[i]*cmplx.Conj(vj) + 4*c*vi*cmplx.Conj(vj)
-				w.Set(i, j, w.At(i, j)+d)
+				wRow[j] = wRow[j] + d
 			}
 		}
-		// Accumulate Q ← Q·H = Q − 2(Q·v)v†.
-		for i := 0; i < n; i++ {
-			var s complex128
-			for j := k + 1; j < n; j++ {
-				s += q.At(i, j) * v[j]
+		// Accumulate Q ← Q·H = Q − 2(Q·v)v† on the transposed storage:
+		// qv[i] sums over j in the same ascending order as a row dot.
+		for i := range qv {
+			qv[i] = 0
+		}
+		for j := k + 1; j < n; j++ {
+			vj := v[j]
+			for i, x := range qt.Data[j*n : (j+1)*n] {
+				qv[i] += x * vj
 			}
-			for j := k + 1; j < n; j++ {
-				q.Set(i, j, q.At(i, j)-2*s*cmplx.Conj(v[j]))
+		}
+		for j := k + 1; j < n; j++ {
+			cj := cmplx.Conj(v[j])
+			qRow := qt.Data[j*n : (j+1)*n]
+			for i, x := range qRow {
+				qRow[i] = x - 2*qv[i]*cj
 			}
 		}
 	}
@@ -120,10 +140,10 @@ func EigH(a *Matrix) (*EigenH, error) {
 	phase := make([]complex128, n)
 	phase[0] = 1
 	for i := 0; i < n; i++ {
-		d[i] = real(w.At(i, i))
+		d[i] = real(wd[i*n+i])
 	}
 	for i := 0; i < n-1; i++ {
-		t := w.At(i+1, i)
+		t := wd[(i+1)*n+i]
 		at := cmplx.Abs(t)
 		e[i] = at
 		if at > 0 {
@@ -136,17 +156,18 @@ func EigH(a *Matrix) (*EigenH, error) {
 		if phase[j] == 1 {
 			continue
 		}
-		for i := 0; i < n; i++ {
-			q.Set(i, j, q.At(i, j)*phase[j])
+		qRow := qt.Data[j*n : (j+1)*n]
+		for i, x := range qRow {
+			qRow[i] = x * phase[j]
 		}
 	}
 
-	if err := tql2(d, e, q); err != nil {
+	if err := tql2(d, e, qt); err != nil {
 		return nil, err
 	}
 	perf.AddFlops(6 * int64(n) * int64(n) * int64(n)) // QL vector accumulation, leading order
 
-	// Sort ascending, permuting eigenvector columns to match.
+	// Sort ascending; row p of qt becomes eigenvector column j.
 	idx := make([]int, n)
 	for i := range idx {
 		idx[i] = i
@@ -156,8 +177,8 @@ func EigH(a *Matrix) (*EigenH, error) {
 	vecs := New(n, n)
 	for j, p := range idx {
 		vals[j] = d[p]
-		for i := 0; i < n; i++ {
-			vecs.Set(i, j, q.At(i, p))
+		for i, x := range qt.Data[p*n : (p+1)*n] {
+			vecs.Data[i*n+j] = x
 		}
 	}
 	return &EigenH{Values: vals, Vectors: vecs}, nil
@@ -174,8 +195,10 @@ func EigHValues(a *Matrix) ([]float64, error) {
 
 // tql2 runs the implicit-shift QL iteration on the real symmetric
 // tridiagonal matrix (diagonal d, subdiagonal e with e[i] coupling i and
-// i+1), applying every plane rotation to the columns of z.
-func tql2(d, e []float64, z *Matrix) error {
+// i+1), applying every plane rotation to rows i and i+1 of zt, the
+// transposed eigenvector matrix. ErrNoConvergence reports an eigenvalue
+// that did not settle within maxQLIterations sweeps.
+func tql2(d, e []float64, zt *Matrix) error {
 	n := len(d)
 	if n <= 1 {
 		return nil
@@ -197,7 +220,7 @@ func tql2(d, e []float64, z *Matrix) error {
 			}
 			iter++
 			if iter > maxQLIterations {
-				return errors.New("linalg: QL iteration failed to converge")
+				return ErrNoConvergence
 			}
 			// Wilkinson shift from the leading 2×2.
 			g := (d[l+1] - d[l]) / (2 * e[l])
@@ -222,11 +245,13 @@ func tql2(d, e []float64, z *Matrix) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				// Rotate eigenvector columns i and i+1.
-				for k := 0; k < n; k++ {
-					fk := z.At(k, i+1)
-					z.Set(k, i+1, complex(s, 0)*z.At(k, i)+complex(c, 0)*fk)
-					z.Set(k, i, complex(c, 0)*z.At(k, i)-complex(s, 0)*fk)
+				// Rotate eigenvectors i and i+1.
+				zi := zt.Data[i*n : (i+1)*n]
+				zi1 := zt.Data[(i+1)*n : (i+2)*n]
+				zi = zi[:len(zi1)]
+				for k, fk := range zi1 {
+					zi1[k] = complex(s, 0)*zi[k] + complex(c, 0)*fk
+					zi[k] = complex(c, 0)*zi[k] - complex(s, 0)*fk
 				}
 			}
 			if r == 0 && m-1 >= l {

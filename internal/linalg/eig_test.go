@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -284,5 +285,15 @@ func TestEigGeneralUnitCircle(t *testing.T) {
 		if cmplx.Abs(w-1) > 1e-6 {
 			t.Fatalf("eigenvalue %v is not an %d-th root of unity", v, n)
 		}
+	}
+}
+
+// TestEigHNoConvergenceIsTyped drives the QL iteration past its sweep
+// bound (a NaN off-diagonal never passes the deflation test) and
+// requires the exported sentinel.
+func TestEigHNoConvergenceIsTyped(t *testing.T) {
+	a := FromRows([][]complex128{{1, complex(math.NaN(), 0)}, {complex(math.NaN(), 0), 2}})
+	if _, err := EigH(a); !errors.Is(err, ErrNoConvergence) {
+		t.Fatalf("EigH returned %v, want ErrNoConvergence", err)
 	}
 }

@@ -80,11 +80,10 @@ func DiagMulConj(x, g *Matrix) []complex128 {
 }
 
 // AddScaled sets m = m + s·b without materializing the scaled copy.
+// There is no short-circuit on s: 0·x is not a no-op in IEEE arithmetic.
 func (m *Matrix) AddScaled(b *Matrix, s complex128) {
 	checkSameShape(m, b, "AddScaled")
-	for i, v := range b.Data {
-		m.Data[i] += s * v
-	}
+	axpyAddTo(m.Data, b.Data, s)
 	perf.AddFlops(int64(len(m.Data)) * perf.FlopsCMulAdd)
 }
 
@@ -102,9 +101,7 @@ func AddInto(dst, a, b *Matrix) {
 func SubInto(dst, a, b *Matrix) {
 	checkSameShape(a, b, "SubInto")
 	checkSameShape(dst, a, "SubInto")
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
-	}
+	subTo(dst.Data, a.Data, b.Data)
 	perf.AddFlops(int64(len(a.Data)) * perf.FlopsCAdd)
 }
 
@@ -134,13 +131,9 @@ func ShiftedNegInto(dst, m *Matrix, z complex128) {
 	}
 	checkSameShape(dst, m, "ShiftedNegInto")
 	n := m.Rows
+	negTo(dst.Data, m.Data)
 	for i := 0; i < n; i++ {
-		dstRow := dst.Data[i*n : (i+1)*n]
-		mRow := m.Data[i*n : (i+1)*n]
-		for j, v := range mRow {
-			dstRow[j] = -v
-		}
-		dstRow[i] += z
+		dst.Data[i*n+i] += z
 	}
 	perf.AddFlops(int64(n) * int64(n) * perf.FlopsCAdd)
 }

@@ -57,6 +57,12 @@ func MulInto(dst *Matrix, a *Matrix, opA Op, b *Matrix, opB Op) {
 // ConjTrans operands are read in place — no adjoint is ever materialized.
 // dst must not alias a or b. Flop accounting and cache blocking live here
 // so every product routine reports identically.
+//
+// The elementwise inner loops (opB == NoTrans) run the AVX microkernels
+// where the CPU has them and the row segment is at least vecMinLen wide;
+// the scalar loop next to each dispatch is the fallback and computes the
+// same bits. The dot-product shapes (opB == ConjTrans) stay scalar: vector
+// lanes would reassociate their partial sums.
 func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128) {
 	if dst == a || dst == b {
 		panic("linalg: GemmInto output aliases an operand")
@@ -72,24 +78,32 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 	if beta == 0 {
 		dst.Zero()
 	} else if beta != 1 {
-		for i := range dst.Data {
-			dst.Data[i] *= beta
-		}
+		scaleTo(dst.Data, beta)
 		perf.AddFlops(int64(len(dst.Data)) * perf.FlopsCMul)
 	}
 	n, k, p := ra, ca, cb
 	switch {
 	case opA == NoTrans && opB == NoTrans:
 		// i-k-j loop order with row-slice inner loops: the innermost loop
-		// streams contiguously through b and dst, which is what matters for
-		// a pure-Go kernel without SIMD intrinsics. Blocked over k and j
-		// for cache reuse on large operands; unrolled two-deep over k so
-		// each dst row segment is read and written half as often.
+		// streams contiguously through b and dst. Blocked over k and j for
+		// cache reuse on large operands; unrolled two-deep over k so each
+		// dst row segment is read and written half as often. The zero skips
+		// test the unscaled multipliers, before alpha — 0·x is not a no-op
+		// in IEEE arithmetic — and avxGemmTileNN keeps them there. The
+		// vector/scalar choice is hoisted out of the inner loops: the
+		// row-segment width is fixed per column block.
 		for jj := 0; jj < p; jj += gemmBlock {
 			jEnd := min(jj+gemmBlock, p)
+			vec := hasAVX && jEnd-jj >= vecMinLen
 			for kk := 0; kk < k; kk += gemmBlock {
 				kEnd := min(kk+gemmBlock, k)
 				for i := 0; i < n; i++ {
+					if vec {
+						// One fused call runs the whole l-loop of this
+						// tile: pair skips, alpha scaling, updates, tail.
+						avxGemmTileNN(&dst.Data[i*p+jj], &a.Data[i*k+kk], &b.Data[kk*p+jj], kEnd-kk, p, jEnd-jj, alpha)
+						continue
+					}
 					dstRow := dst.Data[i*p+jj : i*p+jEnd]
 					aRow := a.Data[i*k : (i+1)*k]
 					l := kk
@@ -145,6 +159,8 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 	case opA == ConjTrans && opB == NoTrans:
 		// dst[i,j] += alpha·Σ_l conj(a[l,i])·b[l,j]: stream rows of a and
 		// b together (l outer), accumulating rank-1 updates into dst rows.
+		pEven := p &^ 1
+		vec := hasAVX && p >= vecMinLen
 		for l := 0; l < k; l++ {
 			aRow := a.Data[l*n : (l+1)*n]
 			bRow := b.Data[l*p : (l+1)*p]
@@ -155,6 +171,13 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 				}
 				av = alpha * cmplx.Conj(av)
 				dstRow := dst.Data[i*p : (i+1)*p]
+				if vec {
+					avxAxpyAdd(&dstRow[0], &bRow[0], pEven, av)
+					if pEven < p {
+						dstRow[pEven] += av * bRow[pEven]
+					}
+					continue
+				}
 				for j := 0; j < p; j++ {
 					dstRow[j] += av * bRow[j]
 				}
@@ -177,30 +200,6 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 		}
 	}
 	perf.AddFlops(perf.GemmFlops(n, k, p))
-}
-
-// MulAdd returns a·b + c as a new matrix.
-//
-// Deprecated: MulAdd allocates a fresh result per call. Hot paths use
-// GemmInto(dst, 1, a, NoTrans, b, NoTrans, 1) on workspace storage; new
-// uses outside tests are flagged by `make check`.
-func MulAdd(a, b, c *Matrix) *Matrix {
-	out := c.Clone()
-	GemmInto(out, 1, a, NoTrans, b, NoTrans, 1)
-	return out
-}
-
-// Mul3 returns the triple product a·b·c, associating to minimize work.
-//
-// Deprecated: Mul3 allocates its result and a private workspace per call.
-// Hot paths use Mul3Into with a per-solve workspace; new uses outside
-// tests are flagged by `make check`.
-func Mul3(a, b, c *Matrix) *Matrix {
-	ws := GetWorkspace()
-	defer ws.Release()
-	out := New(a.Rows, c.Cols)
-	Mul3Into(out, a, NoTrans, b, NoTrans, c, NoTrans, ws)
-	return out
 }
 
 // Mul3Into sets dst = opA(a)·opB(b)·opC(c), associating to minimize work.

@@ -55,7 +55,9 @@ func FactorInPlace(a *Matrix) (*LU, error) {
 // factorInPlace runs the partial-pivoting LU loop on lu's storage,
 // recording row swaps in piv (len n). It returns the permutation sign.
 // This is the single factorization code path shared by Factor and the
-// workspace variants, so flop accounting lives in one place.
+// workspace variants, so flop accounting lives in one place. Trailing
+// blocks at least vecMinLen wide eliminate through avxFactorColUpdate;
+// the scalar loop is the fallback and computes the same bits.
 func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	n := m.Rows
 	lu := m.Data
@@ -81,6 +83,12 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			sign = -sign
 		}
 		pivInv := 1 / lu[k*n+k]
+		if rl := n - k - 1; hasAVX && rl >= vecMinLen {
+			// One fused call scales the whole column by pivInv and
+			// applies every surviving row update (zero skips included).
+			avxFactorColUpdate(&lu[(k+1)*n+k], &lu[k*n+k+1], rl, n, pivInv)
+			continue
+		}
 		for i := k + 1; i < n; i++ {
 			m := lu[i*n+k] * pivInv
 			lu[i*n+k] = m
@@ -101,18 +109,6 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 // N returns the order of the factorized matrix.
 func (f *LU) N() int { return f.lu.Rows }
 
-// Solve returns X solving A·X = B for a block right-hand side B.
-// B is not modified.
-//
-// Deprecated: Solve clones B on every call. Hot paths use SolveInto (or
-// SolveInPlace) on workspace storage; new uses outside tests are flagged
-// by `make check`.
-func (f *LU) Solve(b *Matrix) *Matrix {
-	x := b.Clone()
-	f.SolveInPlace(x)
-	return x
-}
-
 // SolveInPlace overwrites b with the solution of A·X = B.
 func (f *LU) SolveInPlace(b *Matrix) {
 	luSolveInPlace(f.lu, f.piv, b)
@@ -128,7 +124,9 @@ func (f *LU) SolveInto(dst, b *Matrix) {
 }
 
 // luSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization to a
-// block right-hand side.
+// block right-hand side. Right-hand sides at least vecMinLen wide
+// substitute through avxLuRowUpdate; the scalar loops below are the
+// fallback and compute the same bits.
 func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	n := f.Rows
 	if b.Rows != n {
@@ -145,6 +143,27 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
 		}
+	}
+	if hasAVX && nrhs >= vecMinLen {
+		// Each row's whole forward or backward update — k paired
+		// two-deep, zero skips included — is one fused assembly call.
+		rEven := nrhs &^ 1
+		for i := 1; i < n; i++ {
+			avxLuRowUpdate(&b.Data[i*nrhs], &b.Data[0], &lu[i*n], i, nrhs)
+		}
+		for i := n - 1; i >= 0; i-- {
+			if cnt := n - i - 1; cnt > 0 {
+				avxLuRowUpdate(&b.Data[i*nrhs], &b.Data[(i+1)*nrhs], &lu[i*n+i+1], cnt, nrhs)
+			}
+			rowI := b.Data[i*nrhs : (i+1)*nrhs]
+			dInv := 1 / lu[i*n+i]
+			avxScale(&rowI[0], rEven, dInv)
+			if rEven < nrhs {
+				rowI[rEven] *= dInv
+			}
+		}
+		perf.AddFlops(perf.SolveFlops(n, nrhs))
+		return
 	}
 	// Forward substitution with unit lower triangular L, i-outer so the
 	// multipliers of row i are read contiguously, unrolled two-deep over k
@@ -227,17 +246,6 @@ func (f *LU) Det() complex128 {
 	return d
 }
 
-// Inverse returns A⁻¹ computed from the factorization.
-//
-// Deprecated: Inverse materializes an identity and a fresh result per
-// call. Hot paths use InverseInto with a per-solve workspace; new uses
-// outside tests are flagged by `make check`.
-func (f *LU) Inverse() *Matrix {
-	x := Identity(f.lu.Rows)
-	f.SolveInPlace(x)
-	return x
-}
-
 // InverseInto writes a⁻¹ into dst, factoring into workspace scratch so
 // the whole inversion allocates nothing. a is not modified; dst must be
 // square like a and must not alias it.
@@ -266,26 +274,4 @@ func InverseInto(dst, a *Matrix, ws *Workspace) error {
 	}
 	luSolveInPlace(lu, piv, dst)
 	return nil
-}
-
-// Solve is a convenience wrapper: factorize a and solve A·X = B.
-func Solve(a, b *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	x := New(b.Rows, b.Cols)
-	f.SolveInto(x, b)
-	return x, nil
-}
-
-// Inverse is a convenience wrapper returning a⁻¹.
-func Inverse(a *Matrix) (*Matrix, error) {
-	f, err := Factor(a)
-	if err != nil {
-		return nil, err
-	}
-	x := Identity(f.lu.Rows)
-	f.SolveInPlace(x)
-	return x, nil
 }

@@ -7,6 +7,28 @@ import (
 	"testing"
 )
 
+// solve factorizes a and returns X with A·X = B.
+func solve(a, b *Matrix) (*Matrix, error) {
+	f, err := Factor(a)
+	if err != nil {
+		return nil, err
+	}
+	x := New(b.Rows, b.Cols)
+	f.SolveInto(x, b)
+	return x, nil
+}
+
+// inverse returns a⁻¹ as a fresh matrix.
+func inverse(a *Matrix) (*Matrix, error) {
+	ws := GetWorkspace()
+	defer ws.Release()
+	inv := New(a.Rows, a.Cols)
+	if err := InverseInto(inv, a, ws); err != nil {
+		return nil, err
+	}
+	return inv, nil
+}
+
 func TestLUSolveRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	for _, n := range []int{1, 2, 5, 17, 40} {
@@ -16,7 +38,7 @@ func TestLUSolveRoundTrip(t *testing.T) {
 			a.Set(i, i, a.At(i, i)+complex(float64(n), 0))
 		}
 		b := randMatrix(rng, n, 3)
-		x, err := Solve(a, b)
+		x, err := solve(a, b)
 		if err != nil {
 			t.Fatalf("n=%d: Solve failed: %v", n, err)
 		}
@@ -34,7 +56,7 @@ func TestLUInverse(t *testing.T) {
 	for i := 0; i < n; i++ {
 		a.Set(i, i, a.At(i, i)+10)
 	}
-	inv, err := Inverse(a)
+	inv, err := inverse(a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +115,7 @@ func TestLUPivotingStability(t *testing.T) {
 	// Without pivoting this system loses all accuracy: tiny leading pivot.
 	a := FromRows([][]complex128{{1e-20, 1}, {1, 1}})
 	b := FromRows([][]complex128{{1}, {2}})
-	x, err := Solve(a, b)
+	x, err := solve(a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +138,11 @@ func TestLUSolveManyRHS(t *testing.T) {
 	}
 	// Solving column-by-column must agree with the block solve.
 	b := randMatrix(rng, n, 7)
-	block := f.Solve(b)
+	block := New(n, 7)
+	f.SolveInto(block, b)
 	for j := 0; j < 7; j++ {
-		col := b.Submatrix(0, j, n, 1)
-		xj := f.Solve(col)
+		xj := b.Submatrix(0, j, n, 1)
+		f.SolveInPlace(xj)
 		if !xj.Equal(block.Submatrix(0, j, n, 1), 1e-11) {
 			t.Fatalf("column %d of block solve disagrees with single solve", j)
 		}

@@ -227,10 +227,13 @@ func TestMul3Associativity(t *testing.T) {
 	a := randMatrix(rng, 3, 7)
 	b := randMatrix(rng, 7, 2)
 	c := randMatrix(rng, 2, 5)
-	got := Mul3(a, b, c)
+	ws := GetWorkspace()
+	defer ws.Release()
+	got := New(3, 5)
+	Mul3Into(got, a, NoTrans, b, NoTrans, c, NoTrans, ws)
 	want := a.Mul(b).Mul(c)
 	if !got.Equal(want, 1e-12) {
-		t.Fatal("Mul3 disagrees with left association")
+		t.Fatal("Mul3Into disagrees with left association")
 	}
 }
 

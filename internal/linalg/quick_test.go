@@ -41,7 +41,7 @@ func TestQuickLURoundTrip(t *testing.T) {
 		for i := 0; i < n; i++ {
 			a.Set(i, i, a.At(i, i)+complex(float64(2*n), 0))
 		}
-		inv, err := Inverse(a)
+		inv, err := inverse(a)
 		if err != nil {
 			return false
 		}

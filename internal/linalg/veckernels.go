@@ -1,23 +1,20 @@
 package linalg
 
-// Vectorized complex axpy/scale microkernels for the batched (panel)
-// solve backend. Each helper computes exactly the expression tree of the
-// scalar reference loop next to it — one correctly-rounded multiply or
-// add per scalar operation, no fused multiply-add — so the AVX path is
-// bitwise-identical to the portable loop on every element, and the
-// batched kernels built on top stay bitwise-identical to the looped
-// PR 3 reference kernels. The batched kernels dispatch here; the
-// per-matrix reference kernels (GemmInto, factorInPlace,
-// luSolveInPlace) deliberately do not, so they remain the independent
-// scalar baseline the property tests compare the panel backend against.
+// Elementwise microkernel dispatch for the linalg kernels. Each helper
+// computes exactly the expression tree of the scalar loop next to it —
+// one correctly-rounded multiply or add per scalar operation, no fused
+// multiply-add — so the AVX path is bitwise-identical to the portable
+// loop on every element, and every kernel built on top produces the same
+// bits whichever engine runs it (the property tests in bitwise_test.go
+// hold both engines to the scalar loops of reference_test.go).
 //
-// hasAVX is set once at init by a CPUID probe (amd64 only); every
-// helper falls back to the scalar loop below a small length threshold,
-// where the call overhead of a non-inlinable assembly routine exceeds
-// the vector win. The scalar fallbacks live in separate *Scalar
-// functions so the dispatch wrappers stay under the inlining budget —
-// the row lengths of the solvers are small enough that a non-inlined
-// wrapper call per row update is measurable.
+// hasAVX is set once at init by a CPUID probe (amd64 without the purego
+// build tag); every helper falls back to the scalar loop below a small
+// length threshold, where the call overhead of a non-inlinable assembly
+// routine exceeds the vector win. The helpers are not inlinable, so
+// they serve whole-matrix calls; GemmInto, factorInPlace and
+// luSolveInPlace hoist the same dispatch out of their inner loops and
+// call the assembly kernels directly.
 
 // vecMinLen is the slice length below which the scalar loop beats the
 // assembly call overhead.
@@ -37,77 +34,9 @@ func axpyAddTo(y, x []complex128, m complex128) {
 		}
 		return
 	}
-	axpyAddScalar(y, x, m)
-}
-
-func axpyAddScalar(y, x []complex128, m complex128) {
 	x = x[:len(y)]
 	for j := range y {
 		y[j] += m * x[j]
-	}
-}
-
-// axpySubTo computes y[j] -= m*x[j].
-func axpySubTo(y, x []complex128, m complex128) {
-	if hasAVX && len(y) >= vecMinLen {
-		n := len(y) &^ 1
-		avxAxpySub(&y[0], &x[0], n, m)
-		if n < len(y) {
-			y[n] -= m * x[n]
-		}
-		return
-	}
-	axpySubScalar(y, x, m)
-}
-
-func axpySubScalar(y, x []complex128, m complex128) {
-	x = x[:len(y)]
-	for j := range y {
-		y[j] -= m * x[j]
-	}
-}
-
-// axpy2AddTo computes y[j] += m0*x0[j] + m1*x1[j], the two-deep unrolled
-// update of the reference GEMM inner loop.
-func axpy2AddTo(y, x0, x1 []complex128, m0, m1 complex128) {
-	if hasAVX && len(y) >= vecMinLen {
-		n := len(y) &^ 1
-		avxAxpy2Add(&y[0], &x0[0], &x1[0], n, m0, m1)
-		if n < len(y) {
-			y[n] += m0*x0[n] + m1*x1[n]
-		}
-		return
-	}
-	axpy2AddScalar(y, x0, x1, m0, m1)
-}
-
-func axpy2AddScalar(y, x0, x1 []complex128, m0, m1 complex128) {
-	x0 = x0[:len(y)]
-	x1 = x1[:len(y)]
-	for j := range y {
-		y[j] += m0*x0[j] + m1*x1[j]
-	}
-}
-
-// axpy2SubTo computes y[j] -= m0*x0[j] + m1*x1[j], the two-deep unrolled
-// update of the reference triangular-solve inner loop.
-func axpy2SubTo(y, x0, x1 []complex128, m0, m1 complex128) {
-	if hasAVX && len(y) >= vecMinLen {
-		n := len(y) &^ 1
-		avxAxpy2Sub(&y[0], &x0[0], &x1[0], n, m0, m1)
-		if n < len(y) {
-			y[n] -= m0*x0[n] + m1*x1[n]
-		}
-		return
-	}
-	axpy2SubScalar(y, x0, x1, m0, m1)
-}
-
-func axpy2SubScalar(y, x0, x1 []complex128, m0, m1 complex128) {
-	x0 = x0[:len(y)]
-	x1 = x1[:len(y)]
-	for j := range y {
-		y[j] -= m0*x0[j] + m1*x1[j]
 	}
 }
 
@@ -121,10 +50,6 @@ func scaleTo(y []complex128, d complex128) {
 		}
 		return
 	}
-	scaleScalar(y, d)
-}
-
-func scaleScalar(y []complex128, d complex128) {
 	for j := range y {
 		y[j] *= d
 	}
@@ -141,10 +66,6 @@ func negTo(dst, src []complex128) {
 		}
 		return
 	}
-	negScalar(dst, src)
-}
-
-func negScalar(dst, src []complex128) {
 	src = src[:len(dst)]
 	for j := range dst {
 		dst[j] = -src[j]
@@ -161,10 +82,6 @@ func subTo(dst, a, b []complex128) {
 		}
 		return
 	}
-	subScalar(dst, a, b)
-}
-
-func subScalar(dst, a, b []complex128) {
 	a = a[:len(dst)]
 	b = b[:len(dst)]
 	for j := range dst {

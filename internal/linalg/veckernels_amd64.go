@@ -1,10 +1,11 @@
-//go:build amd64
+//go:build amd64 && !purego
 
 package linalg
 
 // hasAVX reports whether the CPU and OS support AVX ymm arithmetic
 // (CPUID OSXSAVE+AVX and XCR0 xmm+ymm state). The probe runs once at
-// package init; tests flip the variable to force the scalar fallback.
+// package init; tests flip the variable to run both engines in-process,
+// and the purego build tag (veckernels_other.go) pins it false.
 var hasAVX = cpuHasAVX()
 
 // cpuHasAVX is the CPUID/XGETBV feature probe (veckernels_amd64.s).
@@ -15,15 +16,6 @@ func cpuHasAVX() bool
 
 //go:noescape
 func avxAxpyAdd(y, x *complex128, n int, m complex128)
-
-//go:noescape
-func avxAxpySub(y, x *complex128, n int, m complex128)
-
-//go:noescape
-func avxAxpy2Add(y, x0, x1 *complex128, n int, m0, m1 complex128)
-
-//go:noescape
-func avxAxpy2Sub(y, x0, x1 *complex128, n int, m0, m1 complex128)
 
 //go:noescape
 func avxScale(y *complex128, n int, d complex128)

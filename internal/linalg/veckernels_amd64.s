@@ -1,4 +1,6 @@
-// AVX microkernels for the batched solve backend. Every lane computes
+//go:build amd64 && !purego
+
+// AVX microkernels of the linalg kernel set. Every lane computes
 // the exact scalar expression tree of the portable loops in
 // veckernels.go: a complex product m*x is one VMULPD against the
 // broadcast real part, one VMULPD of the lane-swapped input against the
@@ -84,197 +86,6 @@ add2:
 	VMOVUPD   Y4, (DI)
 
 adddone:
-	VZEROUPPER
-	RET
-
-// func avxAxpySub(y, x *complex128, n int, m complex128)
-// y[0:n] -= m*x[0:n]
-TEXT ·avxAxpySub(SB), NOSPLIT, $0-40
-	MOVQ         y+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VBROADCASTSD m_real+24(FP), Y0
-	VBROADCASTSD m_imag+32(FP), Y1
-
-sub4:
-	CMPQ      CX, $4
-	JL        sub2
-	VMOVUPD   (SI), Y2
-	VMOVUPD   32(SI), Y5
-	VPERMILPD $0x5, Y2, Y3
-	VPERMILPD $0x5, Y5, Y6
-	VMULPD    Y0, Y2, Y2
-	VMULPD    Y0, Y5, Y5
-	VMULPD    Y1, Y3, Y3
-	VMULPD    Y1, Y6, Y6
-	VADDSUBPD Y3, Y2, Y2
-	VADDSUBPD Y6, Y5, Y5
-	VMOVUPD   (DI), Y4
-	VMOVUPD   32(DI), Y7
-	VSUBPD    Y2, Y4, Y4
-	VSUBPD    Y5, Y7, Y7
-	VMOVUPD   Y4, (DI)
-	VMOVUPD   Y7, 32(DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	SUBQ      $4, CX
-	JMP       sub4
-
-sub2:
-	TESTQ     CX, CX
-	JLE       subdone
-	VMOVUPD   (SI), Y2
-	VPERMILPD $0x5, Y2, Y3
-	VMULPD    Y0, Y2, Y2
-	VMULPD    Y1, Y3, Y3
-	VADDSUBPD Y3, Y2, Y2
-	VMOVUPD   (DI), Y4
-	VSUBPD    Y2, Y4, Y4
-	VMOVUPD   Y4, (DI)
-
-subdone:
-	VZEROUPPER
-	RET
-
-// func avxAxpy2Add(y, x0, x1 *complex128, n int, m0, m1 complex128)
-// y[0:n] += m0*x0[0:n] + m1*x1[0:n]
-TEXT ·avxAxpy2Add(SB), NOSPLIT, $0-64
-	MOVQ         y+0(FP), DI
-	MOVQ         x0+8(FP), SI
-	MOVQ         x1+16(FP), R8
-	MOVQ         n+24(FP), CX
-	VBROADCASTSD m0_real+32(FP), Y0
-	VBROADCASTSD m0_imag+40(FP), Y1
-	VBROADCASTSD m1_real+48(FP), Y2
-	VBROADCASTSD m1_imag+56(FP), Y3
-
-add24:
-	CMPQ      CX, $4
-	JL        add22
-	VMOVUPD   (SI), Y4
-	VMOVUPD   32(SI), Y9
-	VPERMILPD $0x5, Y4, Y5
-	VPERMILPD $0x5, Y9, Y10
-	VMULPD    Y0, Y4, Y4
-	VMULPD    Y0, Y9, Y9
-	VMULPD    Y1, Y5, Y5
-	VMULPD    Y1, Y10, Y10
-	VADDSUBPD Y5, Y4, Y4
-	VADDSUBPD Y10, Y9, Y9
-	VMOVUPD   (R8), Y6
-	VMOVUPD   32(R8), Y11
-	VPERMILPD $0x5, Y6, Y7
-	VPERMILPD $0x5, Y11, Y12
-	VMULPD    Y2, Y6, Y6
-	VMULPD    Y2, Y11, Y11
-	VMULPD    Y3, Y7, Y7
-	VMULPD    Y3, Y12, Y12
-	VADDSUBPD Y7, Y6, Y6
-	VADDSUBPD Y12, Y11, Y11
-	VADDPD    Y6, Y4, Y4
-	VADDPD    Y11, Y9, Y9
-	VMOVUPD   (DI), Y8
-	VMOVUPD   32(DI), Y13
-	VADDPD    Y4, Y8, Y8
-	VADDPD    Y9, Y13, Y13
-	VMOVUPD   Y8, (DI)
-	VMOVUPD   Y13, 32(DI)
-	ADDQ      $64, SI
-	ADDQ      $64, R8
-	ADDQ      $64, DI
-	SUBQ      $4, CX
-	JMP       add24
-
-add22:
-	TESTQ     CX, CX
-	JLE       add2done
-	VMOVUPD   (SI), Y4
-	VPERMILPD $0x5, Y4, Y5
-	VMULPD    Y0, Y4, Y4
-	VMULPD    Y1, Y5, Y5
-	VADDSUBPD Y5, Y4, Y4
-	VMOVUPD   (R8), Y6
-	VPERMILPD $0x5, Y6, Y7
-	VMULPD    Y2, Y6, Y6
-	VMULPD    Y3, Y7, Y7
-	VADDSUBPD Y7, Y6, Y6
-	VADDPD    Y6, Y4, Y4
-	VMOVUPD   (DI), Y8
-	VADDPD    Y4, Y8, Y8
-	VMOVUPD   Y8, (DI)
-
-add2done:
-	VZEROUPPER
-	RET
-
-// func avxAxpy2Sub(y, x0, x1 *complex128, n int, m0, m1 complex128)
-// y[0:n] -= m0*x0[0:n] + m1*x1[0:n]
-TEXT ·avxAxpy2Sub(SB), NOSPLIT, $0-64
-	MOVQ         y+0(FP), DI
-	MOVQ         x0+8(FP), SI
-	MOVQ         x1+16(FP), R8
-	MOVQ         n+24(FP), CX
-	VBROADCASTSD m0_real+32(FP), Y0
-	VBROADCASTSD m0_imag+40(FP), Y1
-	VBROADCASTSD m1_real+48(FP), Y2
-	VBROADCASTSD m1_imag+56(FP), Y3
-
-sub24:
-	CMPQ      CX, $4
-	JL        sub22
-	VMOVUPD   (SI), Y4
-	VMOVUPD   32(SI), Y9
-	VPERMILPD $0x5, Y4, Y5
-	VPERMILPD $0x5, Y9, Y10
-	VMULPD    Y0, Y4, Y4
-	VMULPD    Y0, Y9, Y9
-	VMULPD    Y1, Y5, Y5
-	VMULPD    Y1, Y10, Y10
-	VADDSUBPD Y5, Y4, Y4
-	VADDSUBPD Y10, Y9, Y9
-	VMOVUPD   (R8), Y6
-	VMOVUPD   32(R8), Y11
-	VPERMILPD $0x5, Y6, Y7
-	VPERMILPD $0x5, Y11, Y12
-	VMULPD    Y2, Y6, Y6
-	VMULPD    Y2, Y11, Y11
-	VMULPD    Y3, Y7, Y7
-	VMULPD    Y3, Y12, Y12
-	VADDSUBPD Y7, Y6, Y6
-	VADDSUBPD Y12, Y11, Y11
-	VADDPD    Y6, Y4, Y4
-	VADDPD    Y11, Y9, Y9
-	VMOVUPD   (DI), Y8
-	VMOVUPD   32(DI), Y13
-	VSUBPD    Y4, Y8, Y8
-	VSUBPD    Y9, Y13, Y13
-	VMOVUPD   Y8, (DI)
-	VMOVUPD   Y13, 32(DI)
-	ADDQ      $64, SI
-	ADDQ      $64, R8
-	ADDQ      $64, DI
-	SUBQ      $4, CX
-	JMP       sub24
-
-sub22:
-	TESTQ     CX, CX
-	JLE       sub2done
-	VMOVUPD   (SI), Y4
-	VPERMILPD $0x5, Y4, Y5
-	VMULPD    Y0, Y4, Y4
-	VMULPD    Y1, Y5, Y5
-	VADDSUBPD Y5, Y4, Y4
-	VMOVUPD   (R8), Y6
-	VPERMILPD $0x5, Y6, Y7
-	VMULPD    Y2, Y6, Y6
-	VMULPD    Y3, Y7, Y7
-	VADDSUBPD Y7, Y6, Y6
-	VADDPD    Y6, Y4, Y4
-	VMOVUPD   (DI), Y8
-	VSUBPD    Y4, Y8, Y8
-	VMOVUPD   Y8, (DI)
-
-sub2done:
 	VZEROUPPER
 	RET
 

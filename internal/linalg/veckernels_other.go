@@ -1,24 +1,17 @@
-//go:build !amd64
+//go:build !amd64 || purego
 
 package linalg
 
-// Non-amd64 builds always take the scalar loops; the stubs below are
-// never reached (hasAVX is constant false) but keep the dispatch code
-// building unmodified.
+// Builds without the assembly (non-amd64, or any build with the purego
+// tag) always take the scalar loops; the stubs below are never reached
+// (hasAVX stays false) but keep the dispatch code building unmodified.
 
 var hasAVX = false
 
 func avxAxpyAdd(y, x *complex128, n int, m complex128) { panic("linalg: no vector kernel") }
-func avxAxpySub(y, x *complex128, n int, m complex128) { panic("linalg: no vector kernel") }
-func avxAxpy2Add(y, x0, x1 *complex128, n int, m0, m1 complex128) {
-	panic("linalg: no vector kernel")
-}
-func avxAxpy2Sub(y, x0, x1 *complex128, n int, m0, m1 complex128) {
-	panic("linalg: no vector kernel")
-}
-func avxScale(y *complex128, n int, d complex128) { panic("linalg: no vector kernel") }
-func avxNeg(dst, src *complex128, n int)          { panic("linalg: no vector kernel") }
-func avxSub(dst, a, b *complex128, n int)         { panic("linalg: no vector kernel") }
+func avxScale(y *complex128, n int, d complex128)      { panic("linalg: no vector kernel") }
+func avxNeg(dst, src *complex128, n int)               { panic("linalg: no vector kernel") }
+func avxSub(dst, a, b *complex128, n int)              { panic("linalg: no vector kernel") }
 
 func avxLuRowUpdate(y, rows, ms *complex128, cnt, nrhs int) { panic("linalg: no vector kernel") }
 func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex128) {

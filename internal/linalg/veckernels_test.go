@@ -18,165 +18,43 @@ func randVecZ(r *rand.Rand, n int) []complex128 {
 	return v
 }
 
-// TestVecMicrokernelsBitwise pins every axpy/scale dispatch helper to
-// the scalar loop it vectorizes, element for element, across lengths
-// spanning the vecMinLen threshold and odd tails.
+// TestVecMicrokernelsBitwise pins every elementwise dispatch helper to
+// the scalar loops of reference_test.go on both engines, element for
+// element, across lengths spanning the vecMinLen threshold and odd tails.
 func TestVecMicrokernelsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for _, n := range []int{0, 1, 2, 3, 5, 6, 7, 8, 13, 14, 64, 65} {
-		m0 := complex(r.NormFloat64(), r.NormFloat64())
-		m1 := complex(r.NormFloat64(), r.NormFloat64())
-		x0 := randVecZ(r, n)
-		x1 := randVecZ(r, n)
-		base := randVecZ(r, n)
-		dup := func() (a, b []complex128) {
-			return append([]complex128(nil), base...), append([]complex128(nil), base...)
-		}
-		check := func(name string, got, want []complex128) {
-			t.Helper()
-			for j := range want {
-				if got[j] != want[j] {
-					t.Fatalf("%s: n=%d j=%d got %v want %v", name, n, j, got[j], want[j])
-				}
-			}
-		}
+		m := complex(r.NormFloat64(), r.NormFloat64())
+		x0 := &Matrix{Rows: 1, Cols: n, Data: randVecZ(r, n)}
+		x1 := &Matrix{Rows: 1, Cols: n, Data: randVecZ(r, n)}
+		base := &Matrix{Rows: 1, Cols: n, Data: randVecZ(r, n)}
 
-		g, w := dup()
-		axpyAddTo(g, x0, m0)
-		axpyAddScalar(w, x0, m0)
-		check("axpyAdd", g, w)
-
-		g, w = dup()
-		axpySubTo(g, x0, m0)
-		axpySubScalar(w, x0, m0)
-		check("axpySub", g, w)
-
-		g, w = dup()
-		axpy2AddTo(g, x0, x1, m0, m1)
-		axpy2AddScalar(w, x0, x1, m0, m1)
-		check("axpy2Add", g, w)
-
-		g, w = dup()
-		axpy2SubTo(g, x0, x1, m0, m1)
-		axpy2SubScalar(w, x0, x1, m0, m1)
-		check("axpy2Sub", g, w)
-
-		g, w = dup()
-		scaleTo(g, m0)
-		scaleScalar(w, m0)
-		check("scale", g, w)
-
-		g, w = dup()
-		negTo(g, x0[:n])
-		negScalar(w, x0[:n])
-		check("neg", g, w)
-
-		g, w = dup()
-		subTo(g, x0, x1)
-		subScalar(w, x0, x1)
-		check("sub", g, w)
-	}
-}
-
-// TestFusedGemmBitwise pins VecGemmInto (and with it the fused
-// avxGemmTileNN tile kernel) to the scalar reference GemmInto across
-// shapes with empty, 1×1, sub-threshold, odd and multi-tile extents.
-func TestFusedGemmBitwise(t *testing.T) {
-	r := rand.New(rand.NewSource(42))
-	shapes := [][3]int{
-		{0, 4, 4}, {4, 0, 4}, {4, 4, 0}, {1, 1, 1},
-		{14, 14, 14}, {7, 13, 9}, {64, 65, 67}, {1, 6, 6},
-		{6, 1, 6}, {3, 70, 70}, {5, 5, 5},
-	}
-	for _, opB := range []Op{NoTrans, ConjTrans} {
-		for _, opA := range []Op{NoTrans, ConjTrans} {
-			for _, sz := range shapes {
-				n, k, p := sz[0], sz[1], sz[2]
-				a := &Matrix{Rows: n, Cols: k, Data: randVecZ(r, n*k)}
-				b := &Matrix{Rows: k, Cols: p, Data: randVecZ(r, k*p)}
-				if opA == ConjTrans {
-					a = &Matrix{Rows: k, Cols: n, Data: randVecZ(r, n*k)}
-				}
-				if opB == ConjTrans {
-					b = &Matrix{Rows: p, Cols: k, Data: randVecZ(r, k*p)}
-				}
-				for _, beta := range []complex128{0, 1, complex(0.5, -2)} {
-					alpha := complex(r.NormFloat64(), r.NormFloat64())
-					want := New(n, p)
-					got := New(n, p)
-					seed := randVecZ(r, n*p)
-					copy(want.Data, seed)
-					copy(got.Data, seed)
-					GemmInto(want, alpha, a, opA, b, opB, beta)
-					VecGemmInto(got, alpha, a, opA, b, opB, beta)
-					for i := range want.Data {
-						if want.Data[i] != got.Data[i] {
-							t.Fatalf("opA=%d opB=%d %v beta=%v: idx %d got %v want %v",
-								opA, opB, sz, beta, i, got.Data[i], want.Data[i])
-						}
-					}
-				}
-			}
+		wantAxpy := base.Clone()
+		refAddScaled(wantAxpy, x0, m)
+		wantScale := base.Clone()
+		for j := range wantScale.Data {
+			wantScale.Data[j] *= m
 		}
-	}
-}
+		wantNeg := New(1, n)
+		for j, v := range x0.Data {
+			wantNeg.Data[j] = -v
+		}
+		wantSub := New(1, n)
+		refSubInto(wantSub, x0, x1)
 
-// TestFusedFactorBitwise pins factorInPlaceVec (and the fused
-// avxFactorColUpdate kernel) to the scalar reference factorization.
-func TestFusedFactorBitwise(t *testing.T) {
-	r := rand.New(rand.NewSource(43))
-	for _, n := range []int{0, 1, 2, 5, 6, 7, 14, 33, 64} {
-		d := randVecZ(r, n*n)
-		for i := 0; i < n; i++ {
-			d[i*n+i] += complex(float64(n), 0.5)
-		}
-		m1 := &Matrix{Rows: n, Cols: n, Data: append([]complex128(nil), d...)}
-		m2 := &Matrix{Rows: n, Cols: n, Data: append([]complex128(nil), d...)}
-		p1 := make([]int, n)
-		p2 := make([]int, n)
-		s1, e1 := factorInPlace(m1, p1)
-		s2, e2 := factorInPlaceVec(m2, p2)
-		if s1 != s2 || (e1 == nil) != (e2 == nil) {
-			t.Fatalf("n=%d: sign/err mismatch (%d,%v) vs (%d,%v)", n, s1, e1, s2, e2)
-		}
-		for i := range p1 {
-			if p1[i] != p2[i] {
-				t.Fatalf("n=%d: pivot %d differs", n, i)
-			}
-		}
-		for i := range m1.Data {
-			if m1.Data[i] != m2.Data[i] {
-				t.Fatalf("n=%d idx %d: got %v want %v", n, i, m2.Data[i], m1.Data[i])
-			}
-		}
-	}
-}
-
-// TestFusedSolveBitwise pins luSolveInPlaceVec (and the fused
-// avxLuRowUpdate kernel) to the scalar reference substitution across
-// wide, narrow (sub-threshold) and odd right-hand-side counts.
-func TestFusedSolveBitwise(t *testing.T) {
-	r := rand.New(rand.NewSource(44))
-	for _, sz := range [][2]int{{1, 6}, {5, 7}, {14, 14}, {14, 6}, {33, 9}, {64, 64}, {7, 1}, {7, 5}, {6, 0}} {
-		n, nrhs := sz[0], sz[1]
-		d := randVecZ(r, n*n)
-		for i := 0; i < n; i++ {
-			d[i*n+i] += complex(float64(n), 0.5)
-		}
-		f := &Matrix{Rows: n, Cols: n, Data: d}
-		piv := make([]int, n)
-		if _, err := factorInPlace(f, piv); err != nil {
-			t.Fatal(err)
-		}
-		bd := randVecZ(r, n*nrhs)
-		b1 := &Matrix{Rows: n, Cols: nrhs, Data: append([]complex128(nil), bd...)}
-		b2 := &Matrix{Rows: n, Cols: nrhs, Data: append([]complex128(nil), bd...)}
-		luSolveInPlace(f, piv, b1)
-		luSolveInPlaceVec(f, piv, b2)
-		for i := range b1.Data {
-			if b1.Data[i] != b2.Data[i] {
-				t.Fatalf("n=%d nrhs=%d idx %d: got %v want %v", n, nrhs, i, b2.Data[i], b1.Data[i])
-			}
-		}
+		eachEngine(t, func(engine string) {
+			got := base.Clone()
+			axpyAddTo(got.Data, x0.Data, m)
+			requireBits(t, engine+" axpyAdd", got.Data, wantAxpy.Data)
+			got = base.Clone()
+			scaleTo(got.Data, m)
+			requireBits(t, engine+" scale", got.Data, wantScale.Data)
+			got = base.Clone()
+			negTo(got.Data, x0.Data)
+			requireBits(t, engine+" neg", got.Data, wantNeg.Data)
+			got = base.Clone()
+			subTo(got.Data, x0.Data, x1.Data)
+			requireBits(t, engine+" sub", got.Data, wantSub.Data)
+		})
 	}
 }

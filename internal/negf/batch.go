@@ -140,7 +140,7 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 	gLft[0] = ws.GetPanel(w, n0, n0)
 	countPanel(w)
 	for b := 0; b < w; b++ {
-		if err := linalg.VecInverseInto(gLft[0].Block(b), as[b].Diag[0], ws); err != nil {
+		if err := linalg.InverseInto(gLft[0].Block(b), as[b].Diag[0], ws); err != nil {
 			fail(b, fmt.Errorf("negf: RGF forward block 0: %w", err))
 		}
 	}
@@ -153,9 +153,9 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 			if !alive[b] {
 				continue
 			}
-			linalg.VecMul3Into(m, as[b].Lower[i-1], linalg.NoTrans, gLft[i-1].Block(b), linalg.NoTrans, as[b].Upper[i-1], linalg.NoTrans, ws)
-			linalg.VecSubInto(m, as[b].Diag[i], m)
-			if err := linalg.VecInverseInto(gLft[i].Block(b), m, ws); err != nil {
+			linalg.Mul3Into(m, as[b].Lower[i-1], linalg.NoTrans, gLft[i-1].Block(b), linalg.NoTrans, as[b].Upper[i-1], linalg.NoTrans, ws)
+			linalg.SubInto(m, as[b].Diag[i], m)
+			if err := linalg.InverseInto(gLft[i].Block(b), m, ws); err != nil {
 				fail(b, fmt.Errorf("negf: RGF forward block %d: %w", i, err))
 			}
 		}
@@ -180,13 +180,13 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 			if !alive[b] {
 				continue
 			}
-			linalg.VecMulInto(gu, gLft[i].Block(b), linalg.NoTrans, as[b].Upper[i], linalg.NoTrans)
+			linalg.MulInto(gu, gLft[i].Block(b), linalg.NoTrans, as[b].Upper[i], linalg.NoTrans)
 			// G_ii = g_i + (g_i·U_i·G_{i+1,i+1}·L_i)·g_i
-			linalg.VecMul3Into(t, gu, linalg.NoTrans, gDiagB[i+1][b], linalg.NoTrans, as[b].Lower[i], linalg.NoTrans, ws)
+			linalg.Mul3Into(t, gu, linalg.NoTrans, gDiagB[i+1][b], linalg.NoTrans, as[b].Lower[i], linalg.NoTrans, ws)
 			d := gDiagP.Block(b)
 			d.CopyFrom(gLft[i].Block(b))
-			linalg.VecGemmInto(d, 1, t, linalg.NoTrans, gLft[i].Block(b), linalg.NoTrans, 1)
-			linalg.VecGemmInto(gColRP.Block(b), -1, gu, linalg.NoTrans, gColRB[i+1][b], linalg.NoTrans, 0)
+			linalg.GemmInto(d, 1, t, linalg.NoTrans, gLft[i].Block(b), linalg.NoTrans, 1)
+			linalg.GemmInto(gColRP.Block(b), -1, gu, linalg.NoTrans, gColRB[i+1][b], linalg.NoTrans, 0)
 		}
 		ws.Put(t)
 		ws.Put(gu)
@@ -203,7 +203,7 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 			continue
 		}
 		r := &Result{E: es[idxs[b]]}
-		linalg.VecMul3Into(tns, gamLP.Block(b), linalg.NoTrans, gColRB[0][b], linalg.NoTrans, gamRP.Block(b), linalg.NoTrans, ws)
+		linalg.Mul3Into(tns, gamLP.Block(b), linalg.NoTrans, gColRB[0][b], linalg.NoTrans, gamRP.Block(b), linalg.NoTrans, ws)
 		r.T = real(linalg.TraceMulConj(tns, gColRB[0][b]))
 		r.DOS = make([]float64, s.H.N())
 		for i := 0; i < nl; i++ {
@@ -225,7 +225,7 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 			if !alive[b] {
 				continue
 			}
-			if err := linalg.VecInverseInto(gRgtP.Block(b), as[b].Diag[nl-1], ws); err != nil {
+			if err := linalg.InverseInto(gRgtP.Block(b), as[b].Diag[nl-1], ws); err != nil {
 				fail(b, fmt.Errorf("negf: RGF backward block %d: %w", nl-1, err))
 			}
 		}
@@ -239,9 +239,9 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 				if !alive[b] {
 					continue
 				}
-				linalg.VecMul3Into(m, as[b].Upper[i], linalg.NoTrans, gRgtB[i+1][b], linalg.NoTrans, as[b].Lower[i], linalg.NoTrans, ws)
-				linalg.VecSubInto(m, as[b].Diag[i], m)
-				if err := linalg.VecInverseInto(p.Block(b), m, ws); err != nil {
+				linalg.Mul3Into(m, as[b].Upper[i], linalg.NoTrans, gRgtB[i+1][b], linalg.NoTrans, as[b].Lower[i], linalg.NoTrans, ws)
+				linalg.SubInto(m, as[b].Diag[i], m)
+				if err := linalg.InverseInto(p.Block(b), m, ws); err != nil {
 					fail(b, fmt.Errorf("negf: RGF backward block %d: %w", i, err))
 				}
 			}
@@ -259,8 +259,8 @@ func (s *Solver) solveBatchWithSigma(es []float64, zs []complex128, idxs []int, 
 				if !alive[b] {
 					continue
 				}
-				linalg.VecMulInto(t, as[b].Lower[i-1], linalg.NoTrans, gColLB[i-1][b], linalg.NoTrans)
-				linalg.VecGemmInto(p.Block(b), -1, gRgtB[i][b], linalg.NoTrans, t, linalg.NoTrans, 0)
+				linalg.MulInto(t, as[b].Lower[i-1], linalg.NoTrans, gColLB[i-1][b], linalg.NoTrans)
+				linalg.GemmInto(p.Block(b), -1, gRgtB[i][b], linalg.NoTrans, t, linalg.NoTrans, 0)
 			}
 			ws.Put(t)
 			gColLB[i] = p.Blocks()

@@ -237,8 +237,10 @@ func (s *Solver) DenseReference(e float64) (*Result, error) {
 	nl := a.Layers()
 	a.AddScaledToDiagBlock(0, sigL, -1)
 	a.AddScaledToDiagBlock(nl-1, sigR, -1)
-	g, err := linalg.Inverse(a.Dense())
-	if err != nil {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	g := linalg.New(s.H.N(), s.H.N())
+	if err := linalg.InverseInto(g, a.Dense(), ws); err != nil {
 		return nil, err
 	}
 	off := s.H.Offsets()
@@ -247,11 +249,9 @@ func (s *Solver) DenseReference(e float64) (*Result, error) {
 	g0N := g.Submatrix(0, off[nl-1], n0, nN)
 	gamL := Broadening(sigL)
 	gamR := Broadening(sigR)
-	ws := linalg.GetWorkspace()
 	tns := ws.Get(n0, nN)
 	linalg.Mul3Into(tns, gamL, linalg.NoTrans, g0N, linalg.NoTrans, gamR, linalg.NoTrans, ws)
 	t := linalg.TraceMulConj(tns, g0N)
-	ws.Release()
 	res := &Result{E: e, T: real(t), DOS: make([]float64, s.H.N())}
 	for i := 0; i < g.Rows; i++ {
 		res.DOS[i] = -imag(g.At(i, i)) / math.Pi

@@ -154,7 +154,7 @@ func SolveBlocksBatchWS(as []*BlockTridiag, rhss [][]*linalg.Matrix, ws *linalg.
 			blk := facPanels[i].Block(j)
 			blk.CopyFrom(as[j].Diag[i])
 			if i > 0 {
-				linalg.VecGemmInto(blk, -1, as[j].Lower[i-1], linalg.NoTrans,
+				linalg.GemmInto(blk, -1, as[j].Lower[i-1], linalg.NoTrans,
 					dUPanels[i-1].Block(j), linalg.NoTrans, 1)
 			}
 			sel[j] = blk
@@ -179,7 +179,7 @@ func SolveBlocksBatchWS(as []*BlockTridiag, rhss [][]*linalg.Matrix, ws *linalg.
 				continue
 			}
 			du := dUPanels[i-1].Block(j)
-			luAll[i-1][j].VecSolveInto(du, as[j].Upper[i-1]) // d̃_{i-1}⁻¹·U_{i-1}
+			luAll[i-1][j].SolveInto(du, as[j].Upper[i-1]) // d̃_{i-1}⁻¹·U_{i-1}
 		}
 		factorLayer(i)
 	}
@@ -217,7 +217,7 @@ func SolveBlocksBatchWS(as []*BlockTridiag, rhss [][]*linalg.Matrix, ws *linalg.
 		}
 		xs[j] = make([]*linalg.Matrix, l)
 		x0 := ws.Get(as[j].LayerSize(0), ks[j])
-		luAll[0][j].VecSolveInto(x0, rhss[j][0])
+		luAll[0][j].SolveInto(x0, rhss[j][0])
 		xs[j][0] = x0
 	}
 	for i := 1; i < l; i++ {
@@ -227,8 +227,8 @@ func SolveBlocksBatchWS(as []*BlockTridiag, rhss [][]*linalg.Matrix, ws *linalg.
 			}
 			xi := ws.Get(as[j].LayerSize(i), ks[j])
 			xi.CopyFrom(rhss[j][i])
-			linalg.VecGemmInto(xi, -1, as[j].Lower[i-1], linalg.NoTrans, xs[j][i-1], linalg.NoTrans, 1)
-			luAll[i][j].VecSolveInto(xi, xi)
+			linalg.GemmInto(xi, -1, as[j].Lower[i-1], linalg.NoTrans, xs[j][i-1], linalg.NoTrans, 1)
+			luAll[i][j].SolveInto(xi, xi)
 			xs[j][i] = xi
 		}
 	}
@@ -238,7 +238,7 @@ func SolveBlocksBatchWS(as []*BlockTridiag, rhss [][]*linalg.Matrix, ws *linalg.
 			if !alive[j] {
 				continue
 			}
-			linalg.VecGemmInto(xs[j][i], -1, dUPanels[i].Block(j), linalg.NoTrans, xs[j][i+1], linalg.NoTrans, 1)
+			linalg.GemmInto(xs[j][i], -1, dUPanels[i].Block(j), linalg.NoTrans, xs[j][i+1], linalg.NoTrans, 1)
 		}
 	}
 	for j := 0; j < w; j++ {

@@ -187,7 +187,7 @@ func (s *Solver) SolveBatchCtx(ctx context.Context, es []float64, density bool) 
 			copy(gwL.Data[k*wL.Cols:(k+1)*wL.Cols], x[nl-1].Data[k*width:k*width+wL.Cols])
 		}
 		ggw := ws.Get(nN, wL.Cols)
-		linalg.VecMulInto(ggw, gamR, linalg.NoTrans, gwL, linalg.NoTrans)
+		linalg.MulInto(ggw, gamR, linalg.NoTrans, gwL, linalg.NoTrans)
 		res.T = real(linalg.TraceMulConj(ggw, gwL))
 		ws.Put(ggw)
 		ws.Put(gwL)

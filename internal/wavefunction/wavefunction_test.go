@@ -1,9 +1,11 @@
 package wavefunction
 
 import (
+	"errors"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/lattice"
@@ -240,10 +242,12 @@ func TestSolveBlocksMatchesDense(t *testing.T) {
 	for i := range rhs {
 		bAll.SetSubmatrix(off[i], 0, rhs[i])
 	}
-	want, err := linalg.Solve(dense, bAll)
+	f, err := linalg.FactorInPlace(dense)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := bAll
+	f.SolveInPlace(want)
 	for i := range x {
 		if !x[i].Equal(want.Submatrix(off[i], 0, sizes[i], 2), 1e-9) {
 			t.Fatalf("block-Thomas block %d disagrees with dense solve", i)
@@ -385,5 +389,33 @@ func TestComplexBandsGNRGapMatchesTunneling(t *testing.T) {
 	got := math.Log(t8/t12) / (2 * 4 * period)
 	if math.Abs(got-kappa) > 0.15*kappa {
 		t.Fatalf("tunneling decay %g 1/nm vs complex-band κ %g 1/nm", got, kappa)
+	}
+}
+
+// TestInjectionNonConvergenceIsTyped pins the error chain of the one
+// known contact-mode eigensolver failure (ROADMAP item 4: AGNR-7, task
+// 163 of the 1500-point window starting at -2.995625728 eV, which the
+// benchmark's offset pool rejects): the sweep layers match it with
+// errors.Is against the linalg sentinel through the injection wrapping.
+func TestInjectionNonConvergenceIsTyped(t *testing.T) {
+	s, err := lattice.NewArmchairGNR(7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := tb.Assemble(s, tb.Graphene(), tb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wf, err := NewSolver(h, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lo, hi := -2.995625728, 3.004374272
+	_, err = wf.Solve(lo+(hi-lo)*163/1499, false)
+	if !errors.Is(err, linalg.ErrNoConvergence) {
+		t.Fatalf("Solve returned %v, want an error wrapping linalg.ErrNoConvergence", err)
+	}
+	if !strings.HasPrefix(err.Error(), "wavefunction: left injection: ") {
+		t.Fatalf("error %q lost the injection wrapping", err)
 	}
 }
