@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden test race race-batched portable-kernels faults drill-dist drill-failover drill-serve bench bench-baseline bench-check ci clean
+.PHONY: build fmt-check vet check spec-check spec-golden test race portable-kernels faults drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The two T2 solves draw
 # their workspaces from sync.Pools, where a P migration mid-run refills a
@@ -11,7 +11,7 @@ GOFMT ?= gofmt
 # thousands of objects per op; pool refills move those by well under 1%,
 # inside the 10% gate. A regression therefore means a real change in the
 # solve's memory discipline, not machine noise.
-BENCH_GUARDED = BenchmarkT2_KernelCost|BenchmarkF1_GateSweep_CacheReuse|BenchmarkF1_BatchedSweep|BenchmarkW1_Wire
+BENCH_GUARDED = BenchmarkT2_KernelCost|BenchmarkF1_GateSweep_CacheReuse|BenchmarkW1_Wire
 BENCH_BASELINE = BENCH_kernels.json
 
 build:
@@ -47,13 +47,6 @@ test:
 
 race:
 	$(GO) test -race ./...
-
-# The batched F1 gate sweep under the race detector, one small pass:
-# the benchmark itself asserts the batched currents are bitwise equal
-# to the looped ones, so this doubles as a concurrency check on the
-# panel workspaces and the batch scheduler.
-race-batched:
-	$(GO) test -race -run '^$$' -bench BenchmarkF1_BatchedSweep -benchtime 1x .
 
 # The portable fallback of the linalg kernels, engine-wide: the purego
 # build tag compiles the AVX assembly out, the kernel and solver packages
@@ -113,20 +106,25 @@ bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' ./internal/...
 
 # Refresh the committed allocation baseline for the guarded benchmarks.
-# Three repetitions: the F1 speedup is a wall-time ratio that moves by
-# several percent from run to run on a shared machine, and benchguard
-# keeps the least favourable repetition as the baseline and judges a
-# check by its most favourable one.
 bench-baseline:
-	$(GO) test -run '^$$' -bench '$(BENCH_GUARDED)' -benchmem -benchtime 3x -count 3 . \
+	$(GO) test -run '^$$' -bench '$(BENCH_GUARDED)' -benchmem -benchtime 3x . \
 		| $(GO) run ./cmd/benchguard -write $(BENCH_BASELINE)
 
 # Fail if allocs/op of any guarded benchmark regressed >10% vs baseline.
 bench-check:
-	$(GO) test -run '^$$' -bench '$(BENCH_GUARDED)' -benchmem -benchtime 3x -count 3 . \
+	$(GO) test -run '^$$' -bench '$(BENCH_GUARDED)' -benchmem -benchtime 3x . \
 		| $(GO) run ./cmd/benchguard -check $(BENCH_BASELINE) -tolerance 0.10
 
-ci: check build race
+# The perf ledger under bench/ is a module of its own that the root
+# build and tests never see, and its traced build (tag layertrace) pins
+# exported signatures of the engine's packages: vet both builds and run
+# its tests, so a refactor that breaks a pinned symbol fails here.
+bench-vet:
+	$(GO) -C bench vet ./...
+	$(GO) -C bench vet -tags layertrace ./...
+	$(GO) -C bench test ./...
+
+ci: check build race bench-vet
 
 clean:
 	$(GO) clean ./...

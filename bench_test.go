@@ -17,7 +17,6 @@ import (
 	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/alloy"
 	"repro/internal/cluster"
@@ -278,74 +277,6 @@ func BenchmarkF1_GateSweep_CacheReuse(b *testing.B) {
 		fmt.Printf("F1\tgate sweep Σ-cache reuse: %.0f hits, %.0f misses per sweep (%.1f×)\n",
 			float64(hits)/float64(b.N), float64(misses)/float64(b.N),
 			float64(hits+misses)/float64(misses))
-	})
-}
-
-// BenchmarkF1_BatchedSweep compares the two executors of the per-energy
-// solve (DESIGN.md §14): the same cold gate sweep run point by point and
-// through width-2 interleaved batches. The batched sweep must reproduce
-// the looped one bit for bit — batching is an executor choice, not an
-// observable one — so the only thing allowed to differ is the wall time,
-// reported as the gated speedup metric. Both executors run the same
-// linalg kernels, so the ratio measures what the batch layer itself adds:
-// panel-packed operands and pooled factors against the looped path's
-// per-point allocations and the allocator and GC contention they cause
-// between workers.
-func BenchmarkF1_BatchedSweep(b *testing.B) {
-	mkFET := func(batch int) *core.FET {
-		sim, err := core.New(device.Description{
-			Name: "AGNR-7 FET", Kind: device.ArmchairGNR, CellsX: 12, CellsY: 7,
-		}, transport.Config{SolveBatch: batch})
-		if err != nil {
-			b.Fatal(err)
-		}
-		fet, err := core.NewFET(sim)
-		if err != nil {
-			b.Fatal(err)
-		}
-		fet.Lambda = 1.2
-		fet.SourceDoping = 0.1
-		fet.GateStart, fet.GateEnd = 0.3, 0.7
-		fet.NE = 64
-		return fet
-	}
-	looped, batched := mkFET(0), mkFET(2)
-	vgs := []float64{-0.4, -0.1, 0.2, 0.5}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var tLoop, tBatch time.Duration
-	var pl, pb []core.IVPoint
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		looped.Cache = negf.NewSelfEnergyCache() // cold sweeps, like F1cache
-		batched.Cache = negf.NewSelfEnergyCache()
-		b.StartTimer()
-		var err error
-		start := time.Now()
-		pl, err = looped.GateSweep(context.Background(), vgs, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tLoop += time.Since(start)
-		start = time.Now()
-		pb, err = batched.GateSweep(context.Background(), vgs, 0.2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		tBatch += time.Since(start)
-	}
-	b.StopTimer()
-	for i := range pl {
-		if pl[i].Current != pb[i].Current {
-			b.Fatalf("batched sweep diverged at Vg=%+.2f: Id=%g, looped Id=%g",
-				pb[i].VGate, pb[i].Current, pl[i].Current)
-		}
-	}
-	speedup := tLoop.Seconds() / tBatch.Seconds()
-	b.ReportMetric(speedup, "speedup")
-	once("F1batch", func() {
-		fmt.Printf("F1\tbatched gate sweep: %.3fs looped, %.3fs batched (%.2f× speedup, bitwise-identical)\n",
-			tLoop.Seconds()/float64(b.N), tBatch.Seconds()/float64(b.N), speedup)
 	})
 }
 

@@ -9,22 +9,10 @@
 // unlike wall time on shared CI machines — and fails (exit 1) when any
 // benchmark regresses by more than -tolerance relative to the baseline,
 // or when a baselined benchmark is missing from the input. Benchmarks
-// that report a "speedup" custom metric (the batched-vs-looped sweep)
-// are additionally gated downward: the measured speedup must stay
-// within -tolerance of the committed baseline, so the batched path
-// cannot quietly decay back toward the looped one. Benchmarks that
-// report a "bytes/task" custom metric (the distributed wire economy)
+// that report a "bytes/task" custom metric (the distributed wire economy)
 // are gated upward like allocs/op: the wire may not quietly bloat past
 // the committed bytes-per-task. ns/op and B/op are recorded in the
 // baseline for reference but not gated.
-//
-// A benchmark that appears several times on stdin (go test -count N) is
-// folded to one result, against the direction of its gate: -write keeps
-// the least favourable sample of each metric (most allocs/op, lowest
-// speedup) and -check the most favourable. Deterministic metrics are
-// unaffected; a wall-time ratio measured on a noisy machine fails the
-// gate only when no repetition reaches what every baseline repetition
-// showed.
 package main
 
 import (
@@ -32,7 +20,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -46,9 +33,6 @@ type result struct {
 	NsOp     float64 `json:"ns_op"`
 	BytesOp  float64 `json:"b_op"`
 	AllocsOp float64 `json:"allocs_op"`
-	// Speedup is the benchmark's "speedup" custom metric (0 when the
-	// benchmark does not report one). Gated as a lower bound.
-	Speedup float64 `json:"speedup,omitempty"`
 	// BytesPerTask is the benchmark's "bytes/task" custom metric (0 when
 	// the benchmark does not report one). Gated as an upper bound, like
 	// allocs/op: wire traffic is deterministic, so growth is a regression.
@@ -77,7 +61,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	got, err := parseBenchOutput(os.Stdin, *check != "")
+	got, err := parseBenchOutput(os.Stdin)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchguard:", err)
 		os.Exit(2)
@@ -134,16 +118,6 @@ func main() {
 		}
 		fmt.Printf("%s\t%s: allocs/op %.0f vs baseline %.0f (limit %.0f)\n",
 			status, name, have.AllocsOp, want.AllocsOp, limit)
-		if want.Speedup > 0 {
-			floor := want.Speedup * (1 - *tolerance)
-			status := "ok"
-			if have.Speedup < floor {
-				status = "FAIL"
-				failed = true
-			}
-			fmt.Printf("%s\t%s: speedup %.3f vs baseline %.3f (floor %.3f)\n",
-				status, name, have.Speedup, want.Speedup, floor)
-		}
 		if want.BytesPerTask > 0 {
 			ceil := want.BytesPerTask * (1 + *tolerance)
 			status := "ok"
@@ -160,28 +134,10 @@ func main() {
 	}
 }
 
-// fold merges a repeated sample of one benchmark into the result so
-// far: the most favourable value of each metric when favourable is set
-// (fewest allocs, highest speedup), the least favourable otherwise.
-func fold(have, next result, favourable bool) result {
-	cost, gain := math.Max, math.Min // least favourable: highest cost, lowest gain
-	if favourable {
-		cost, gain = math.Min, math.Max
-	}
-	return result{
-		NsOp:         cost(have.NsOp, next.NsOp),
-		BytesOp:      cost(have.BytesOp, next.BytesOp),
-		AllocsOp:     cost(have.AllocsOp, next.AllocsOp),
-		Speedup:      gain(have.Speedup, next.Speedup),
-		BytesPerTask: cost(have.BytesPerTask, next.BytesPerTask),
-	}
-}
-
 // parseBenchOutput extracts per-benchmark metrics from `go test -bench`
-// output, folding repeated samples of a benchmark (see fold). Benchmark
-// names have their -GOMAXPROCS suffix stripped so baselines are portable
-// across machines with different core counts.
-func parseBenchOutput(f *os.File, favourable bool) (map[string]result, error) {
+// output. Benchmark names have their -GOMAXPROCS suffix stripped so
+// baselines are portable across machines with different core counts.
+func parseBenchOutput(f *os.File) (map[string]result, error) {
 	out := make(map[string]result)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -209,14 +165,9 @@ func parseBenchOutput(f *os.File, favourable bool) (map[string]result, error) {
 				r.BytesOp = v
 			case "allocs/op":
 				r.AllocsOp = v
-			case "speedup":
-				r.Speedup = v
 			case "bytes/task":
 				r.BytesPerTask = v
 			}
-		}
-		if have, ok := out[name]; ok {
-			r = fold(have, r, favourable)
 		}
 		out[name] = r
 	}

@@ -184,7 +184,9 @@ func runServeMode(ctx context.Context, b *spec.Built, addr string, shardHold tim
 // journaled, so the coordinator restarts in place (same address, bumped
 // epoch) and the sweep continues with whatever workers rejoin. Context
 // cancellation, graceful drains, and journal-less runs pass straight
-// through: without a journal a restart would silently redo work.
+// through: without a journal a restart would silently redo work. So does
+// a failed task (distrib.ErrTaskFailed): it is the sweep's verdict, the
+// workers have been dismissed, and a restart would wait on them for ever.
 func superviseServe(ctx context.Context, lis net.Listener, liveAddr string, nBias, nK, nE int, j *cluster.FileJournal, opts distrib.Options) (*distrib.Report, error) {
 	const maxRestarts = 3
 	for attempt := 0; ; attempt++ {
@@ -197,7 +199,7 @@ func superviseServe(ctx context.Context, lis net.Listener, liveAddr string, nBia
 		switch {
 		case err == nil:
 			return rep, nil
-		case errors.Is(err, distrib.ErrDrained):
+		case errors.Is(err, distrib.ErrDrained), errors.Is(err, distrib.ErrTaskFailed):
 			return rep, err
 		case ctx.Err() != nil || j == nil || attempt >= maxRestarts:
 			return rep, err

@@ -87,8 +87,6 @@ func main() {
 		cellsX    = flag.Int("cellsx", 0, "override transport cells")
 		workers   = flag.Int("workers", def.Exec.Workers, "total worker budget across all parallel levels (0: GOMAXPROCS); with -serve: worker processes to self-spawn (0: wait for external -worker processes)")
 
-		solveBatch = flag.Int("solve-batch", def.Exec.SolveBatch, "energies solved per batched kernel call (0 or 1: solve one energy at a time); a pure executor knob that never changes results")
-
 		serveAddr    = flag.String("serve", "", "run as distributed-sweep coordinator listening on this TCP address (transmission mode); workers connect with -worker")
 		workerAddr   = flag.String("worker", "", "run as distributed-sweep worker dialing the coordinator at this TCP address (transmission mode)")
 		leaseTimeout = flag.Duration("lease-timeout", def.Exec.LeaseTimeout.Std(), "coordinator: how long a worker may hold a task lease before it is re-dispatched")
@@ -166,8 +164,6 @@ func main() {
 			s.Device.CellsX = *cellsX
 		case "workers":
 			s.Exec.Workers = *workers
-		case "solve-batch":
-			s.Exec.SolveBatch = *solveBatch
 		case "lease-timeout":
 			s.Exec.LeaseTimeout = spec.Duration(*leaseTimeout)
 		case "rejoin-window":

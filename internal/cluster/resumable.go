@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -24,13 +23,6 @@ type SweepFunc func(ctx context.Context, t Task) ([]byte, error)
 // RestoreFunc reinstates a completed task's result from its journaled
 // payload. It runs serially before the sweep starts.
 type RestoreFunc func(t Task, payload []byte) error
-
-// BatchFunc solves a group of same-(bias,k) tasks in one batched call,
-// returning payloads and errors positionally: payloads[i] is valid exactly
-// where errs[i] is nil. Each element must be the deterministic result the
-// SweepFunc would have produced for ts[i] alone — batching is an executor
-// choice, not an observable one.
-type BatchFunc func(ctx context.Context, ts []Task) ([][]byte, []error)
 
 // SweepOptions configures RunTasksResumable. The zero value degrades to
 // plain RunTasks semantics: no journal, no retries, no injection, fail on
@@ -62,16 +54,6 @@ type SweepOptions struct {
 	// restored and newly finished tasks. It must be cheap and
 	// thread-safe; quarantined tasks count as done.
 	OnProgress func(done, total int)
-	// BatchWidth groups runs of consecutive unfinished same-(bias,k) tasks
-	// into batches of up to this width and hands each group to Batch for a
-	// single first attempt. ≤ 1 (or a nil Batch) schedules per task —
-	// exactly the classic path.
-	BatchWidth int
-	// Batch, with BatchWidth > 1, is the batched first-attempt solver.
-	// Retries of failed elements fall back to the per-task SweepFunc, so
-	// every fault-tolerance guarantee (injection, retry classification,
-	// quarantine, journaling) is per task regardless of batching.
-	Batch BatchFunc
 }
 
 // SweepReport summarizes a resumable sweep.
@@ -106,29 +88,12 @@ func taskAt(idx, nK, nE int) Task {
 	return Task{Bias: idx / (nK * nE), K: (idx / nE) % nK, E: idx % nE}
 }
 
-// groupTaskError pins a failure inside a batched group to its member's
-// flat task index: the scheduler's own task index counts groups, not
-// tasks, when the sweep runs batched.
-type groupTaskError struct {
-	idx int
-	err error
-}
-
-func (e *groupTaskError) Error() string { return e.err.Error() }
-
-func (e *groupTaskError) Unwrap() error { return e.err }
-
 // wrapTaskErr rewrites a sched.TaskError into sweep coordinates.
 func wrapTaskErr(err error, nK, nE int) error {
 	if te, ok := sched.AsTaskError(err); ok {
-		idx, inner := te.Index, te.Err
-		var ge *groupTaskError
-		if errors.As(te.Err, &ge) {
-			idx, inner = ge.idx, ge.err
-		}
-		t := taskAt(idx, nK, nE)
+		t := taskAt(te.Index, nK, nE)
 		return fmt.Errorf("cluster: task %d (bias %d, k %d, E %d): %w",
-			idx, t.Bias, t.K, t.E, inner)
+			te.Index, t.Bias, t.K, t.E, te.Err)
 	}
 	return err
 }
@@ -211,9 +176,29 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 		}
 	}
 
-	// finish is the shared task epilogue of both scheduling modes: journal
-	// the payload on success, otherwise quarantine or surface the error.
-	finish := func(ctx context.Context, idx int, payload []byte, runErr error) error {
+	err := pool.ForEach(ctx, "sweep", total, func(ctx context.Context, idx int) error {
+		if done[idx] {
+			return nil
+		}
+		t := taskAt(idx, nK, nE)
+		var payload []byte
+		attempt := 0
+		runErr := opts.Retry.Do(ctx, func(actx context.Context) error {
+			a := attempt
+			attempt++
+			if a > 0 {
+				retries.Add(1)
+			}
+			if err := opts.Injector.Trip(actx, idx, a); err != nil {
+				return err
+			}
+			b, err := fn(actx, t)
+			if err != nil {
+				return err
+			}
+			payload = b
+			return nil
+		})
 		if runErr == nil {
 			if opts.Journal != nil {
 				if err := opts.Journal.Append(TaskRecord{Index: idx, Payload: payload, Digest: digestOf(payload)}); err != nil {
@@ -241,38 +226,7 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 			return nil
 		}
 		return runErr
-	}
-
-	var err error
-	if opts.Batch != nil && opts.BatchWidth > 1 {
-		err = runBatched(ctx, pool, done, total, nK, nE, opts, fn, &retries, finish)
-	} else {
-		err = pool.ForEach(ctx, "sweep", total, func(ctx context.Context, idx int) error {
-			if done[idx] {
-				return nil
-			}
-			t := taskAt(idx, nK, nE)
-			var payload []byte
-			attempt := 0
-			runErr := opts.Retry.Do(ctx, func(actx context.Context) error {
-				a := attempt
-				attempt++
-				if a > 0 {
-					retries.Add(1)
-				}
-				if err := opts.Injector.Trip(actx, idx, a); err != nil {
-					return err
-				}
-				b, err := fn(actx, t)
-				if err != nil {
-					return err
-				}
-				payload = b
-				return nil
-			})
-			return finish(ctx, idx, payload, runErr)
-		})
-	}
+	})
 
 	rep.Completed = int(completed.Load())
 	rep.Retries = int(retries.Load())
@@ -284,124 +238,6 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 		return rep, wrapTaskErr(err, nK, nE)
 	}
 	return rep, nil
-}
-
-// batchGroups cuts the unfinished tasks into runs of consecutive
-// same-(bias,k) flat indices of length ≤ width. Batches never span a
-// (bias, k) row: the batched solvers share one device Hamiltonian and one
-// momentum per call, so only the energy coordinate varies inside a group.
-func batchGroups(done []bool, total, nE, width int) [][]int {
-	var groups [][]int
-	for start := 0; start < total; {
-		if done[start] {
-			start++
-			continue
-		}
-		row := start / nE
-		g := []int{start}
-		next := start + 1
-		for next < total && len(g) < width && next/nE == row && !done[next] {
-			g = append(g, next)
-			next++
-		}
-		groups = append(groups, g)
-		start = next
-	}
-	return groups
-}
-
-// runBatched is the grouped scheduling mode of RunTasksResumable: each
-// group's first attempts run as one batched solve, and every per-task
-// guarantee — injected faults, retry classification, backoff, quarantine,
-// journaling — is preserved by feeding the recorded batched outcome
-// through the same retry policy as the classic path, with failed elements
-// retried solo through fn.
-func runBatched(ctx context.Context, pool *sched.Pool, done []bool, total, nK, nE int, opts SweepOptions, fn SweepFunc, retries *atomic.Int64, finish func(context.Context, int, []byte, error) error) error {
-	groups := batchGroups(done, total, nE, opts.BatchWidth)
-	return pool.ForEach(ctx, "sweep", len(groups), func(ctx context.Context, g int) error {
-		idxs := groups[g]
-		w := len(idxs)
-		ts := make([]Task, w)
-		for i, idx := range idxs {
-			ts[i] = taskAt(idx, nK, nE)
-		}
-		// First attempts, batched: screen each member's injected fault the
-		// way its solo attempt 0 would see it, then solve the survivors in
-		// one call. A panic or attempt timeout inside the batched solve
-		// fails every live member's first attempt; those members are
-		// retried solo below. Tripped or screened-out members never enter
-		// the batched call, so they burn no solver work — exactly like the
-		// classic path.
-		a0Err := make([]error, w)
-		a0Payload := make([][]byte, w)
-		live := make([]int, 0, w)
-		for i, idx := range idxs {
-			tripIdx := idx
-			if err := opts.Retry.Attempt(ctx, func(actx context.Context) error {
-				return opts.Injector.Trip(actx, tripIdx, 0)
-			}); err != nil {
-				a0Err[i] = err
-				continue
-			}
-			live = append(live, i)
-		}
-		if len(live) > 0 {
-			liveTasks := make([]Task, len(live))
-			for li, i := range live {
-				liveTasks[li] = ts[i]
-			}
-			var payloads [][]byte
-			var berrs []error
-			if err := opts.Retry.Attempt(ctx, func(actx context.Context) error {
-				payloads, berrs = opts.Batch(actx, liveTasks)
-				return nil
-			}); err != nil {
-				for _, i := range live {
-					a0Err[i] = err
-				}
-			} else {
-				for li, i := range live {
-					if berrs[li] != nil {
-						a0Err[i] = berrs[li]
-					} else {
-						a0Payload[i] = payloads[li]
-					}
-				}
-			}
-		}
-		// Per-task retry loop, identical to the classic path except that
-		// attempt 0 replays the recorded batched outcome.
-		for i, idx := range idxs {
-			t := ts[i]
-			var payload []byte
-			attempt := 0
-			runErr := opts.Retry.Do(ctx, func(actx context.Context) error {
-				a := attempt
-				attempt++
-				if a == 0 {
-					if a0Err[i] != nil {
-						return a0Err[i]
-					}
-					payload = a0Payload[i]
-					return nil
-				}
-				retries.Add(1)
-				if err := opts.Injector.Trip(actx, idx, a); err != nil {
-					return err
-				}
-				b, err := fn(actx, t)
-				if err != nil {
-					return err
-				}
-				payload = b
-				return nil
-			})
-			if err := finish(ctx, idx, payload, runErr); err != nil {
-				return &groupTaskError{idx: idx, err: err}
-			}
-		}
-		return nil
-	})
 }
 
 // CompletedTasks returns how many tasks the report accounts for: restored,

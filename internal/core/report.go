@@ -3,9 +3,6 @@ package core
 import (
 	"fmt"
 	"io"
-	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/perf"
@@ -38,14 +35,13 @@ func WriteSweepComments(w io.Writer, rep *cluster.SweepReport) {
 	}
 }
 
-// WriteCounters emits the flop total and the sigma-cache/batch counter
-// comment lines for one run's perf delta. A run whose cache or batch
-// scheduler never engaged prints no line for it, keeping its output
-// byte-identical to runs from before those subsystems existed.
+// WriteCounters emits the flop total and the sigma-cache counter comment
+// lines for one run's perf delta. A run whose cache never engaged prints
+// no line for it, keeping its output byte-identical to runs from before
+// the cache existed.
 func WriteCounters(w io.Writer, d perf.Snapshot) {
 	fmt.Fprintf(w, "# flops\t%d\n", d.Flops)
 	writeSigmaCache(w, d.Counters)
-	writeBatch(w, d.Counters)
 }
 
 // writeSigmaCache emits the self-energy cache counters as a comment
@@ -59,33 +55,6 @@ func writeSigmaCache(w io.Writer, counters map[string]int64) {
 		counters["sigma-hits"], counters["sigma-misses"], counters["sigma-coalesced"],
 		counters["sigma-evictions"], counters["sigma-decimations"],
 		counters["sigma-seeded"], counters["sigma-seed-fallbacks"])
-}
-
-// writeBatch emits the batched-solve counters as a comment line next to
-// the sigma-cache one: a histogram of batch widths actually executed
-// plus the panel load/reuse totals.
-func writeBatch(w io.Writer, counters map[string]int64) {
-	var widths []int
-	for name := range counters {
-		if s, ok := strings.CutPrefix(name, "batch-width-"); ok {
-			if n, err := strconv.Atoi(s); err == nil && counters[name] > 0 {
-				widths = append(widths, n)
-			}
-		}
-	}
-	if len(widths) == 0 {
-		return
-	}
-	sort.Ints(widths)
-	fmt.Fprintf(w, "# batch\twidths=")
-	for i, n := range widths {
-		if i > 0 {
-			fmt.Fprintf(w, ",")
-		}
-		fmt.Fprintf(w, "%d:%d", n, counters[fmt.Sprintf("batch-width-%d", n)])
-	}
-	fmt.Fprintf(w, " panel-loads=%d panel-reuses=%d\n",
-		counters["panel-loads"], counters["panel-reuses"])
 }
 
 // WriteSweep renders the complete text report of a finished transmission

@@ -124,51 +124,6 @@ func (p *TransmissionPlan) Run(ctx context.Context, t cluster.Task) ([]byte, err
 	return b[:], nil
 }
 
-// RunBatch executes a group of same-k tasks through the engine's batched
-// solver and returns payloads and errors positionally — the
-// cluster.BatchFunc face of the plan. Each element is the deterministic
-// 8-byte payload Run would have produced alone (the batched solve is
-// bitwise-identical per energy), deposited locally like Run's. Groups that
-// span momentum points are split per k defensively; the scheduler never
-// builds them.
-func (p *TransmissionPlan) RunBatch(ctx context.Context, ts []cluster.Task) ([][]byte, []error) {
-	payloads := make([][]byte, len(ts))
-	errs := make([]error, len(ts))
-	for lo := 0; lo < len(ts); {
-		hi := lo + 1
-		for hi < len(ts) && ts[hi].K == ts[lo].K {
-			hi++
-		}
-		group := ts[lo:hi]
-		eng, err := p.engineFor(group[0].K)
-		if err != nil {
-			for i := lo; i < hi; i++ {
-				errs[i] = err
-			}
-			lo = hi
-			continue
-		}
-		es := make([]float64, len(group))
-		for i, t := range group {
-			es[i] = p.energies[t.E]
-		}
-		rs, rerrs := eng.SolveBatch(ctx, es, false)
-		for i, t := range group {
-			if rerrs[i] != nil {
-				errs[lo+i] = rerrs[i]
-				continue
-			}
-			tv := rs[i].T
-			p.perK[t.K][t.E] = tv
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(tv))
-			payloads[lo+i] = b[:]
-		}
-		lo = hi
-	}
-	return payloads, errs
-}
-
 // Restore reinstates one task's journaled (or wire-delivered) payload.
 func (p *TransmissionPlan) Restore(t cluster.Task, payload []byte) error {
 	if len(payload) != 8 {
@@ -225,10 +180,6 @@ func (s *Simulator) TransmissionResumable(ctx context.Context, energies, potenti
 		opts.Pool = plan.Pool()
 	}
 	opts.Restore = plan.Restore
-	if opts.Batch == nil && plan.cfg.SolveBatch > 1 {
-		opts.BatchWidth = plan.cfg.SolveBatch
-		opts.Batch = plan.RunBatch
-	}
 	nBias, nk, ne := plan.Dims()
 	rep, err := cluster.RunTasksResumable(ctx, nBias, nk, ne, opts, plan.Run)
 	if err != nil {

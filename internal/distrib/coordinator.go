@@ -21,6 +21,14 @@ import (
 // the journal, and a later -resume finishes the remainder.
 var ErrDrained = errors.New("distrib: sweep drained before completion")
 
+// ErrTaskFailed is wrapped by the error Serve returns when the sweep was
+// given up because of a task, not because of the coordinator: a worker
+// reported a task failed past its retry budget and quarantine is off, or
+// the quarantine budget is spent. The failure is the task's own, so a
+// restarted coordinator would only meet it again; supervisors pass it
+// through instead of restarting.
+var ErrTaskFailed = errors.New("distrib: task failed")
+
 // Options configures Serve. The zero value is usable: 30 s leases,
 // heartbeats at a quarter of that, no journal, fail on the first
 // unsalvageable task.
@@ -916,13 +924,13 @@ func (c *coordinator) applyResult(w *workerState, res resultMsg) error {
 	if res.Failed {
 		if !c.opts.Quarantine {
 			c.mu.Unlock()
-			return fmt.Errorf("distrib: task %d (bias %d, k %d, E %d) failed on worker %s: %s",
-				res.Task, task.Bias, task.K, task.E, w.id, res.Error)
+			return fmt.Errorf("%w: task %d (bias %d, k %d, E %d) on worker %s: %s",
+				ErrTaskFailed, res.Task, task.Bias, task.K, task.E, w.id, res.Error)
 		}
 		if len(c.quarantined) >= c.maxQuarantine {
 			c.mu.Unlock()
-			return fmt.Errorf("distrib: quarantine budget (%d tasks) exceeded: task %d failed on worker %s: %s",
-				c.maxQuarantine, res.Task, w.id, res.Error)
+			return fmt.Errorf("%w: quarantine budget (%d tasks) exceeded by task %d on worker %s: %s",
+				ErrTaskFailed, c.maxQuarantine, res.Task, w.id, res.Error)
 		}
 		s.phase = stateQuarantined
 		s.worker = w.id

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -512,6 +513,61 @@ func TestQuarantineDistributed(t *testing.T) {
 		t.Fatalf("quarantined task %d, want 3", got)
 	}
 	checkValues(t, res, map[int]bool{3: true})
+}
+
+// TestFailedTaskIsErrTaskFailed: when the sweep is given up over a task —
+// a failed task with quarantine off, or one failure more than the
+// quarantine budget holds — Serve's error wraps ErrTaskFailed and names
+// the task, so a crash supervisor can tell the verdict from a coordinator
+// fault and not restart into a sweep whose workers have gone home.
+func TestFailedTaskIsErrTaskFailed(t *testing.T) {
+	const nBias, nK, nE = 1, 1, 8
+	cases := []struct {
+		name string
+		opts Options
+		bad  map[int]bool
+		want string // the task the error must name
+	}{
+		{"quarantine off", Options{}, map[int]bool{5: true}, "task 5 "},
+		// A budget of one task (0.1 of 8, rounded up) and two failures.
+		{"budget exceeded", Options{Quarantine: true, MaxQuarantineFrac: 0.1}, map[int]bool{2: true, 5: true}, "task 5 "},
+	}
+	for _, c := range cases {
+		lb := comms.NewLoopback()
+		lis, err := lb.Listen("coord")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := serveAsync(context.Background(), lis, nBias, nK, nE, c.opts)
+		bad := c.bad
+		done := make(chan struct{})
+		conn := dial(t, lb, "coord")
+		go func() {
+			defer close(done)
+			// The coordinator hangs up on the verdict; the worker's own
+			// error is not what this test is about.
+			_ = RunWorker(context.Background(), conn, nBias, nK, nE, WorkerOptions{Pool: sched.New(1)},
+				workerFn(nK, nE, nil, func(idx int) error {
+					if bad[idx] {
+						return resilience.MarkPermanent(errors.New("non-finite observable"))
+					}
+					return nil
+				}))
+		}()
+		var r serveResult
+		select {
+		case r = <-ch:
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: Serve did not finish", c.name)
+		}
+		<-done
+		if !errors.Is(r.err, ErrTaskFailed) {
+			t.Fatalf("%s: Serve = %v, want an error wrapping ErrTaskFailed", c.name, r.err)
+		}
+		if !strings.Contains(r.err.Error(), c.want) || !strings.Contains(r.err.Error(), "non-finite observable") {
+			t.Fatalf("%s: error %q does not name %sand its cause", c.name, r.err, c.want)
+		}
+	}
 }
 
 // TestResumeFromJournal seeds the coordinator's journal with a partial

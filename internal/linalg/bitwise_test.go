@@ -121,11 +121,12 @@ func randDim(r *rand.Rand) int {
 // scalar reference loops of reference_test.go bit for bit — on random
 // shapes spanning every dispatch edge and on operands carrying signed
 // zeros, infinities and NaNs — and report the same flops on both
-// engines. The product kernels are driven through their Batch* entry
-// points, so the batch layer is held to the looped reference as well.
+// engines.
 func TestKernelsBitwiseAcrossEngines(t *testing.T) {
 	ops := []Op{NoTrans, ConjTrans}
 	scalars := []complex128{0, 1, -1, complex(0.5, -2), complex(math.Copysign(0, -1), 0)}
+	// Independent operand sets drawn per random shape of the product tests.
+	operandSets := [3]int{1, 2, 7}
 
 	t.Run("gemm", func(t *testing.T) {
 		r := rand.New(rand.NewSource(61))
@@ -138,28 +139,24 @@ func TestKernelsBitwiseAcrossEngines(t *testing.T) {
 				alpha = complex(r.NormFloat64(), r.NormFloat64())
 			}
 			beta := scalars[r.Intn(len(scalars))]
-			w := batchWidths[it%3]
-			as, bs, seeds, want := make([]*Matrix, w), make([]*Matrix, w), make([]*Matrix, w), make([]*Matrix, w)
-			for j := 0; j < w; j++ {
-				as[j] = specialMat(r, n, k, class)
+			for j := operandSets[it%3]; j > 0; j-- {
+				a := specialMat(r, n, k, class)
 				if opA == ConjTrans {
-					as[j].Rows, as[j].Cols = k, n
+					a.Rows, a.Cols = k, n
 				}
-				bs[j] = specialMat(r, k, p, class)
+				b := specialMat(r, k, p, class)
 				if opB == ConjTrans {
-					bs[j].Rows, bs[j].Cols = p, k
+					b.Rows, b.Cols = p, k
 				}
-				seeds[j] = specialMat(r, n, p, class)
-				want[j] = seeds[j].Clone()
-				refGemmInto(want[j], alpha, as[j], opA, bs[j], opB, beta)
+				seed := specialMat(r, n, p, class)
+				want := seed.Clone()
+				refGemmInto(want, alpha, a, opA, b, opB, beta)
+				eachEngine(t, func(engine string) {
+					got := seed.Clone()
+					GemmInto(got, alpha, a, opA, b, opB, beta)
+					requireBits(t, engine+" gemm", got.Data, want.Data)
+				})
 			}
-			eachEngine(t, func(engine string) {
-				got := cloneMats(seeds)
-				BatchGemmInto(got, alpha, as, opA, bs, opB, beta)
-				for j := range got {
-					requireBits(t, engine+" gemm", got[j].Data, want[j].Data)
-				}
-			})
 		}
 	})
 
@@ -171,28 +168,21 @@ func TestKernelsBitwiseAcrossEngines(t *testing.T) {
 			class := operandClasses[it%len(operandClasses)]
 			n, k, m, p := randDim(r), randDim(r), randDim(r), randDim(r)
 			opC := ops[r.Intn(2)]
-			w := batchWidths[it%3]
-			as, bs, cs, want := make([]*Matrix, w), make([]*Matrix, w), make([]*Matrix, w), make([]*Matrix, w)
-			for j := 0; j < w; j++ {
-				as[j] = specialMat(r, n, k, class)
-				bs[j] = specialMat(r, k, m, class)
-				cs[j] = specialMat(r, m, p, class)
+			for j := operandSets[it%3]; j > 0; j-- {
+				a := specialMat(r, n, k, class)
+				b := specialMat(r, k, m, class)
+				c := specialMat(r, m, p, class)
 				if opC == ConjTrans {
-					cs[j].Rows, cs[j].Cols = p, m
+					c.Rows, c.Cols = p, m
 				}
-				want[j] = New(n, p)
-				refMul3Into(want[j], as[j], NoTrans, bs[j], NoTrans, cs[j], opC)
+				want := New(n, p)
+				refMul3Into(want, a, NoTrans, b, NoTrans, c, opC)
+				eachEngine(t, func(engine string) {
+					got := specialMat(r, n, p, class) // stale content Mul3Into must overwrite
+					Mul3Into(got, a, NoTrans, b, NoTrans, c, opC, ws)
+					requireBits(t, engine+" mul3", got.Data, want.Data)
+				})
 			}
-			eachEngine(t, func(engine string) {
-				got := make([]*Matrix, w)
-				for j := range got {
-					got[j] = specialMat(r, n, p, class) // stale content Mul3Into must overwrite
-				}
-				BatchMul3Into(got, as, NoTrans, bs, NoTrans, cs, opC, ws)
-				for j := range got {
-					requireBits(t, engine+" mul3", got[j].Data, want[j].Data)
-				}
-			})
 		}
 	})
 

@@ -35,21 +35,24 @@ func Factor(a *Matrix) (*LU, error) {
 	return f, nil
 }
 
-// FactorInPlace computes the LU factorization of the square matrix a,
-// taking ownership of a's storage for the packed factors (a is destroyed).
-// It saves the defensive clone of Factor when the caller has already
-// materialized a matrix it no longer needs.
-func FactorInPlace(a *Matrix) (*LU, error) {
+// FactorInPlace computes the LU factorization of the square matrix a in
+// caller-owned storage: a becomes the packed factors (it is destroyed) and
+// piv, of length a.Rows, receives the row swaps. Nothing is allocated, so a
+// per-energy solve can keep its factors in Workspace blocks and its pivots
+// in Workspace.GetInts scratch; the returned LU is valid for as long as
+// both are.
+func FactorInPlace(a *Matrix, piv []int) (LU, error) {
 	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: FactorInPlace requires a square matrix")
+		return LU{}, errors.New("linalg: FactorInPlace requires a square matrix")
 	}
-	f := &LU{lu: a, piv: make([]int, a.Rows), sign: 1}
-	var err error
-	f.sign, err = factorInPlace(f.lu, f.piv)
+	if len(piv) != a.Rows {
+		return LU{}, errors.New("linalg: FactorInPlace pivot slice length does not match the matrix order")
+	}
+	sign, err := factorInPlace(a, piv)
 	if err != nil {
-		return nil, err
+		return LU{}, err
 	}
-	return f, nil
+	return LU{lu: a, piv: piv, sign: sign}, nil
 }
 
 // factorInPlace runs the partial-pivoting LU loop on lu's storage,

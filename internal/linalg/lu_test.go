@@ -148,3 +148,60 @@ func TestLUSolveManyRHS(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorInPlaceMatchesFactor pins the in-place factorization on
+// workspace storage — the block-Thomas solve's form — to Factor: the same
+// packed factors, pivots, determinant and solutions bit for bit, the same
+// ErrSingular, and the input really used as the factor storage.
+func TestFactorInPlaceMatchesFactor(t *testing.T) {
+	rng := rand.New(rand.NewSource(55))
+	ws := GetWorkspace()
+	defer ws.Release()
+	for _, n := range []int{0, 1, 7, 14} {
+		a := randMatrix(rng, n, n)
+		for i := 0; i < n; i++ {
+			a.Set(i, i, a.At(i, i)+complex(float64(n), 0.5))
+		}
+		b := randMatrix(rng, n, 5)
+		want, err := Factor(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantX := New(n, 5)
+		want.SolveInto(wantX, b)
+
+		lu := ws.Get(n, n)
+		lu.CopyFrom(a)
+		piv := ws.GetInts(n)
+		got, err := FactorInPlace(lu, piv)
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if got.lu != lu {
+			t.Fatalf("n=%d: FactorInPlace did not factor into its argument", n)
+		}
+		requireBits(t, "packed factors", lu.Data, want.lu.Data)
+		for k := range piv {
+			if piv[k] != want.piv[k] {
+				t.Fatalf("n=%d: pivot %d is row %d, Factor chose %d", n, k, piv[k], want.piv[k])
+			}
+		}
+		gotX := ws.Get(n, 5)
+		got.SolveInto(gotX, b)
+		requireBits(t, "solution", gotX.Data, wantX.Data)
+		if !sameBits(got.Det(), want.Det()) {
+			t.Fatalf("n=%d: det %v, Factor's %v", n, got.Det(), want.Det())
+		}
+		ws.PutInts(piv)
+	}
+
+	if _, err := FactorInPlace(ws.Get(3, 3), ws.GetInts(3)); !errors.Is(err, ErrSingular) {
+		t.Fatalf("FactorInPlace of the zero matrix returned %v, want ErrSingular", err)
+	}
+	if _, err := FactorInPlace(New(2, 3), make([]int, 2)); err == nil {
+		t.Fatal("FactorInPlace accepted a non-square matrix")
+	}
+	if _, err := FactorInPlace(New(3, 3), make([]int, 2)); err == nil {
+		t.Fatal("FactorInPlace accepted a pivot slice shorter than the matrix order")
+	}
+}

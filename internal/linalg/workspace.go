@@ -16,7 +16,9 @@ import "sync"
 //     points would race on it.
 //   - Matrices obtained from Get are scratch. They must never escape the
 //     solve that checked them out (not into results, caches, or other
-//     goroutines); Release recycles every outstanding buffer.
+//     goroutines); Release recycles every outstanding buffer. A
+//     per-energy solve keeps every temporary here, block-Thomas factors
+//     and their pivots (GetInts) included.
 //   - Put panics on a double return and on a matrix the workspace did not
 //     hand out, so ownership bugs fail loudly in tests instead of
 //     corrupting a neighbouring solve.
@@ -28,10 +30,6 @@ type Workspace struct {
 	out map[*Matrix]int
 	// ints is a free list of pivot-index scratch slices.
 	ints [][]int
-	// panelFree and panelOut are the free/checked-out sets of the batched
-	// path's Panels, bucketed like free/out by total capacity class.
-	panelFree map[int][]*Panel
-	panelOut  map[*Panel]int
 }
 
 // workspacePool recycles whole Workspaces across solves. sync.Pool's
@@ -39,10 +37,8 @@ type Workspace struct {
 // reusing the same warm buffers for consecutive energy points.
 var workspacePool = sync.Pool{New: func() any {
 	return &Workspace{
-		free:      make(map[int][]*Matrix),
-		out:       make(map[*Matrix]int),
-		panelFree: make(map[int][]*Panel),
-		panelOut:  make(map[*Panel]int),
+		free: make(map[int][]*Matrix),
+		out:  make(map[*Matrix]int),
 	}
 }}
 
@@ -56,10 +52,6 @@ func (w *Workspace) Release() {
 	for m, class := range w.out {
 		delete(w.out, m)
 		w.free[class] = append(w.free[class], m)
-	}
-	for p, class := range w.panelOut {
-		delete(w.panelOut, p)
-		w.panelFree[class] = append(w.panelFree[class], p)
 	}
 	workspacePool.Put(w)
 }

@@ -11,7 +11,7 @@ import (
 // service. Output is deterministic (phases and counters sorted by name)
 // so scrapes and tests see a stable page. Counter names pass through a
 // label rather than the metric name: engine counters ("sigma-hits",
-// "batch-width-8") are an open set, and label values need no sanitizing.
+// "lease-grants") are an open set, and label values need no sanitizing.
 func (s Snapshot) WritePrometheus(w io.Writer, prefix string) {
 	fmt.Fprintf(w, "# TYPE %s_flops_total counter\n", prefix)
 	fmt.Fprintf(w, "%s_flops_total %d\n", prefix, s.Flops)

@@ -17,8 +17,8 @@ func TestWritePrometheus(t *testing.T) {
 			"assemble": {Calls: 1, Wall: time.Second, Flops: 7},
 		},
 		Counters: map[string]int64{
-			"sigma-hits":    9,
-			"batch-width-8": 3,
+			"sigma-hits":   9,
+			"lease-grants": 3,
 		},
 	}
 	var b strings.Builder
@@ -31,18 +31,18 @@ func TestWritePrometheus(t *testing.T) {
 		`omend_phase_calls_total{phase="assemble"} 1` + "\n",
 		`omend_phase_wall_seconds_total{phase="rgf"} 1.5` + "\n",
 		`omend_phase_flops_total{phase="rgf"} 100` + "\n",
-		`omend_counter_total{name="batch-width-8"} 3` + "\n",
+		`omend_counter_total{name="lease-grants"} 3` + "\n",
 		`omend_counter_total{name="sigma-hits"} 9` + "\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("exposition missing %q:\n%s", want, got)
 		}
 	}
-	// Sorted: "assemble" before "rgf", "batch-width-8" before "sigma-hits".
+	// Sorted: "assemble" before "rgf", "lease-grants" before "sigma-hits".
 	if strings.Index(got, `phase="assemble"`) > strings.Index(got, `phase="rgf"`) {
 		t.Error("phases not sorted — the page is not deterministic")
 	}
-	if strings.Index(got, "batch-width-8") > strings.Index(got, "sigma-hits") {
+	if strings.Index(got, "lease-grants") > strings.Index(got, "sigma-hits") {
 		t.Error("counters not sorted — the page is not deterministic")
 	}
 

@@ -265,16 +265,6 @@ func (p Policy) Do(ctx context.Context, fn func(context.Context) error) error {
 	return &ExhaustedError{Attempts: n, Err: last}
 }
 
-// Attempt runs one bounded, panic-contained invocation of fn under the
-// policy's per-attempt semantics — AttemptTimeout, panic containment into
-// *PanicError, attempt-local deadline expiry marked Transient — without
-// the retry loop around it. It is the building block for callers that
-// schedule the first attempts of several tasks jointly (the batched sweep
-// runner) and feed each outcome back through Do as a recorded attempt.
-func (p Policy) Attempt(ctx context.Context, fn func(context.Context) error) error {
-	return p.attempt(ctx, fn)
-}
-
 // attempt runs one bounded, panic-contained invocation of fn.
 func (p Policy) attempt(ctx context.Context, fn func(context.Context) error) (err error) {
 	actx := ctx

@@ -40,7 +40,6 @@ type counterEvent struct {
 	Flops     int64 `json:"flops"`
 	SigmaHits int64 `json:"sigmaHits,omitempty"`
 	SigmaMiss int64 `json:"sigmaMisses,omitempty"`
-	Batched   int64 `json:"batchedSolves,omitempty"`
 }
 
 // stream follows a job live over SSE: an initial `job` snapshot, a
@@ -118,20 +117,11 @@ func (a *API) stream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if fresh > 0 {
-			// Batched solves: the batch-width-N histogram weighted by N.
-			var batched int64
-			for name, n := range agg.Counters {
-				var width int64
-				if _, err := fmt.Sscanf(name, "batch-width-%d", &width); err == nil {
-					batched += width * n
-				}
-			}
 			writeEvent(w, fl, "counters", counterEvent{
 				Points:    len(seen),
 				Flops:     agg.Flops,
 				SigmaHits: agg.Counters["sigma-hits"],
 				SigmaMiss: agg.Counters["sigma-misses"],
-				Batched:   batched,
 			})
 		}
 		return true

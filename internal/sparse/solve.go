@@ -21,6 +21,23 @@ func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, erro
 	return f.SolveBlocks(rhs)
 }
 
+// SolveBlocksWS is SolveBlocks for the per-energy solves of a sweep: the
+// factorization is used once and thrown away, so its pivots, the d̃ᵢ
+// factors, the d̃ᵢ⁻¹·Uᵢ couplings and the solution blocks are all ws
+// scratch and the solve allocates only three layer-count slices. It runs
+// the recurrence of FactorBTD and BTDFactor.SolveBlocks itself, so
+// solutions, flop counts and errors are theirs bit for bit. The returned
+// blocks are valid until ws is released.
+func (m *BlockTridiag) SolveBlocksWS(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
+	piv := ws.GetInts(m.N())
+	defer ws.PutInts(piv)
+	var f BTDFactor
+	if err := f.factor(m, ws.Get, piv); err != nil {
+		return nil, err
+	}
+	return f.solve(rhs, ws.Get)
+}
+
 // BTDFactor is a reusable block-Thomas factorization of a block-
 // tridiagonal matrix: the per-layer pivot factorizations and the
 // eliminated coupling products are computed once, after which every
@@ -29,34 +46,49 @@ func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, erro
 // transport drivers.
 type BTDFactor struct {
 	m    *BlockTridiag
-	facs []*linalg.LU
+	facs []linalg.LU
 	// dU[i] caches d̃_i⁻¹·U_i for the forward elimination of the RHS.
 	dU []*linalg.Matrix
 }
 
-// FactorBTD computes the reusable factorization.
+// FactorBTD computes the reusable factorization in heap storage it owns.
 func (m *BlockTridiag) FactorBTD() (*BTDFactor, error) {
-	l := m.Layers()
-	f := &BTDFactor{m: m, facs: make([]*linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
-	var err error
-	f.facs[0], err = linalg.Factor(m.Diag[0])
-	if err != nil {
-		return nil, fmt.Errorf("sparse: block Thomas pivot 0: %w", err)
-	}
-	for i := 1; i < l; i++ {
-		// dU_{i-1} = d̃_{i-1}⁻¹·U_{i-1}
-		f.dU[i-1] = linalg.New(m.Upper[i-1].Rows, m.Upper[i-1].Cols)
-		f.facs[i-1].SolveInto(f.dU[i-1], m.Upper[i-1])
-		// d̃_i = D_i − L_{i-1}·d̃_{i-1}⁻¹·U_{i-1}, accumulated straight into
-		// the buffer that becomes the packed factor.
-		di := m.Diag[i].Clone()
-		linalg.GemmInto(di, -1, m.Lower[i-1], linalg.NoTrans, f.dU[i-1], linalg.NoTrans, 1)
-		f.facs[i], err = linalg.FactorInPlace(di)
-		if err != nil {
-			return nil, fmt.Errorf("sparse: block Thomas pivot %d: %w", i, err)
-		}
+	f := new(BTDFactor)
+	if err := f.factor(m, linalg.New, make([]int, m.N())); err != nil {
+		return nil, err
 	}
 	return f, nil
+}
+
+// factor runs the block-Thomas factorization of m into f. newBlock
+// supplies the zeroed blocks the factor keeps (the packed d̃ᵢ and the
+// couplings) and piv, of length m.N(), the pivot rows of all layers: heap
+// storage for a BTDFactor that outlives the call, workspace scratch for
+// SolveBlocksWS.
+func (f *BTDFactor) factor(m *BlockTridiag, newBlock func(rows, cols int) *linalg.Matrix, piv []int) error {
+	l := m.Layers()
+	*f = BTDFactor{m: m, facs: make([]linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
+	for i := 0; i < l; i++ {
+		n := m.LayerSize(i)
+		d := newBlock(n, n)
+		d.CopyFrom(m.Diag[i])
+		if i > 0 {
+			// dU_{i-1} = d̃_{i-1}⁻¹·U_{i-1}
+			u := m.Upper[i-1]
+			f.dU[i-1] = newBlock(u.Rows, u.Cols)
+			f.facs[i-1].SolveInto(f.dU[i-1], u)
+			// d̃_i = D_i − L_{i-1}·d̃_{i-1}⁻¹·U_{i-1}, accumulated straight
+			// into the buffer that becomes the packed factor.
+			linalg.GemmInto(d, -1, m.Lower[i-1], linalg.NoTrans, f.dU[i-1], linalg.NoTrans, 1)
+		}
+		var err error
+		f.facs[i], err = linalg.FactorInPlace(d, piv[:n])
+		if err != nil {
+			return fmt.Errorf("sparse: block Thomas pivot %d: %w", i, err)
+		}
+		piv = piv[n:]
+	}
+	return nil
 }
 
 // SolveBlocks solves M·X = B against the stored factorization. The
@@ -64,6 +96,11 @@ func (m *BlockTridiag) FactorBTD() (*BTDFactor, error) {
 // temporaries (forward elimination and back substitution accumulate
 // directly into the output blocks through the fused GEMM kernel).
 func (f *BTDFactor) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
+	return f.solve(rhs, linalg.New)
+}
+
+// solve is SolveBlocks with the solution blocks drawn from newBlock.
+func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *linalg.Matrix) ([]*linalg.Matrix, error) {
 	m := f.m
 	l := m.Layers()
 	if len(rhs) != l {
@@ -79,12 +116,12 @@ func (f *BTDFactor) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, error) 
 	// Forward elimination, with the eliminated RHS solved layer by layer:
 	// y_i = d̃_i⁻¹·(b_i − L_{i-1}·y_{i-1}), held in the output slot.
 	x := make([]*linalg.Matrix, l)
-	x[0] = linalg.New(m.LayerSize(0), k)
-	f.facs[0].SolveInto(x[0], rhs[0])
-	for i := 1; i < l; i++ {
-		x[i] = linalg.New(m.LayerSize(i), k)
+	for i := 0; i < l; i++ {
+		x[i] = newBlock(m.LayerSize(i), k)
 		x[i].CopyFrom(rhs[i])
-		linalg.GemmInto(x[i], -1, m.Lower[i-1], linalg.NoTrans, x[i-1], linalg.NoTrans, 1)
+		if i > 0 {
+			linalg.GemmInto(x[i], -1, m.Lower[i-1], linalg.NoTrans, x[i-1], linalg.NoTrans, 1)
+		}
 		f.facs[i].SolveInPlace(x[i])
 	}
 	// Back substitution: x_i = y_i − d̃_i⁻¹·U_i·x_{i+1}.

@@ -66,10 +66,9 @@ func Build(s RunSpec) (*Built, error) {
 		SeedDist: s.Solver.SeedRefine,
 	})
 	cfg := transport.Config{
-		Domains:    s.Solver.Domains,
-		Pool:       b.Pool,
-		Cache:      b.Cache,
-		SolveBatch: s.Exec.SolveBatch,
+		Domains: s.Solver.Domains,
+		Pool:    b.Pool,
+		Cache:   b.Cache,
 	}
 	switch s.Solver.Formalism {
 	case "wf":

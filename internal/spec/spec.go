@@ -188,12 +188,6 @@ type ExecSpec struct {
 	// Workers is the worker budget: pool width locally, self-spawned
 	// worker processes for a coordinator (0: GOMAXPROCS / external only).
 	Workers int `json:"workers"`
-	// SolveBatch groups same-(bias,k) energy points into batches of up to
-	// this width for the panel-packed batched solvers (≤ 1: solve each
-	// energy independently, the historical path). Each batch element is
-	// bitwise-identical to its width-1 solve, so this is a pure executor
-	// knob — deliberately unhashed like the rest of ExecSpec.
-	SolveBatch int `json:"solveBatch"`
 	// LeaseTimeout is how long a distributed worker may hold a task.
 	LeaseTimeout Duration `json:"leaseTimeout"`
 	// RejoinWindow is how long a worker keeps re-dialing a crashed
@@ -571,9 +565,6 @@ func (s RunSpec) Validate() error {
 	}
 	if s.Exec.Workers < 0 {
 		return fmt.Errorf("spec: -workers must be ≥ 0, got %d", s.Exec.Workers)
-	}
-	if s.Exec.SolveBatch < 0 {
-		return fmt.Errorf("spec: -solve-batch must be ≥ 0, got %d", s.Exec.SolveBatch)
 	}
 	if s.Exec.LeaseTimeout < 0 {
 		return fmt.Errorf("spec: -lease-timeout must be ≥ 0, got %s", s.Exec.LeaseTimeout.Std())

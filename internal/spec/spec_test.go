@@ -1,6 +1,7 @@
 package spec
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -152,6 +153,42 @@ func TestParseLayersOverDefaults(t *testing.T) {
 
 	if _, err := Parse([]byte(`{"devcie":{"name":"sinw"}}`)); err == nil {
 		t.Error("Parse accepted a typoed key — silent flag drift is back")
+	}
+}
+
+// TestRemovedSolveBatchField: exec.solveBatch went with the batched
+// solvers. A spec handed to Parse — a -spec file, a POST body — that still
+// sets it is refused by name, never silently ignored. A spec already
+// stored with it (journal headers, omend store entries) is re-read with
+// plain json.Unmarshal and must keep loading under the hashes it was
+// filed under: the field was never hashed.
+func TestRemovedSolveBatchField(t *testing.T) {
+	_, err := Parse([]byte(`{"device":{"name":"sinw"},"exec":{"solveBatch":8}}`))
+	if err == nil || !strings.Contains(err.Error(), "solveBatch") {
+		t.Errorf("Parse of a body with exec.solveBatch returned %v, want an error naming the field", err)
+	}
+
+	want := Default()
+	want.Device.Name = "sinw"
+	want.Exec.Workers = 3
+	canon, err := want.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := strings.Replace(string(canon), `"workers":3,`, `"workers":3,"solveBatch":8,`, 1)
+	if stored == string(canon) {
+		t.Fatalf("could not plant solveBatch in %s", canon)
+	}
+	var got RunSpec
+	if err := json.Unmarshal([]byte(stored), &got); err != nil {
+		t.Fatalf("stored spec with solveBatch no longer loads: %v", err)
+	}
+	if got != want {
+		t.Errorf("stored spec loaded as %+v, want %+v", got, want)
+	}
+	if got.SpecHash() != want.SpecHash() || got.DeviceHash() != want.DeviceHash() ||
+		got.GridHash() != want.GridHash() || got.SolverHash() != want.SolverHash() {
+		t.Error("a stored spec carrying solveBatch hashes differently from the same spec without it")
 	}
 }
 

@@ -46,7 +46,7 @@ func (s *stubSolver) SolveCtx(ctx context.Context, e float64, density bool) (*ne
 }
 
 func stubEngine(workers int, s *stubSolver) *Engine {
-	return &Engine{cfg: Config{Workers: workers}, solver: s, pool: sched.New(workers)}
+	return &Engine{solver: s, pool: sched.New(workers)}
 }
 
 func TestSpectrumGoroutineCountStaysBounded(t *testing.T) {

@@ -12,7 +12,6 @@ package transport
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -104,13 +103,6 @@ type Config struct {
 	// spatial-domain levels combined (0: GOMAXPROCS). Ignored when Pool is
 	// set.
 	Workers int
-	// SolveBatch groups energy points into batches of up to this width for
-	// the batched per-energy solvers (panel-packed RGF and block-Thomas
-	// passes that advance a whole batch one block-column at a time). Each
-	// batch element is bitwise-identical to its width-1 solve, so this is a
-	// pure executor knob — observables and flop totals do not depend on it.
-	// ≤ 1 solves each energy independently, exactly the historical path.
-	SolveBatch int
 	// Pool optionally shares a worker budget with other engines (e.g. all
 	// bias points of an I-V sweep drawing from one machine-wide pool). Nil
 	// creates a private pool of Workers size.
@@ -138,17 +130,9 @@ type pointSolver interface {
 	SolveCtx(ctx context.Context, e float64, density bool) (*negf.Result, error)
 }
 
-// batchPointSolver is the batched surface both formalisms also implement:
-// one call solves a whole batch of energies with positional results and
-// errors, each element bitwise-identical to its width-1 solve.
-type batchPointSolver interface {
-	SolveBatchCtx(ctx context.Context, es []float64, density bool) ([]*negf.Result, []error)
-}
-
 // Engine evaluates energy-resolved transport quantities for one device
 // Hamiltonian (one bias/momentum point).
 type Engine struct {
-	cfg    Config
 	solver pointSolver
 	pool   *sched.Pool
 }
@@ -186,7 +170,7 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("transport: unknown formalism %d", cfg.Formalism)
 	}
-	return &Engine{cfg: cfg, solver: solver, pool: pool}, nil
+	return &Engine{solver: solver, pool: pool}, nil
 }
 
 // Pool returns the worker pool the engine schedules on, for callers that
@@ -208,32 +192,6 @@ func (e *Engine) SolveAt(ctx context.Context, energy float64, density bool) (*ne
 	return r, nil
 }
 
-// SolveBatch solves a batch of energies in one interleaved pass of the
-// configured formalism, with the same per-point NaN/Inf quarantine check
-// as SolveAt. Results and errors are positional: results[j] is nil exactly
-// where errs[j] is set, and every element matches its width-1 SolveAt
-// bitwise. A solver without a batched path degrades to looping SolveAt.
-func (e *Engine) SolveBatch(ctx context.Context, energies []float64, density bool) ([]*negf.Result, []error) {
-	bs, ok := e.solver.(batchPointSolver)
-	if !ok {
-		results := make([]*negf.Result, len(energies))
-		errs := make([]error, len(energies))
-		for j, en := range energies {
-			results[j], errs[j] = e.SolveAt(ctx, en, density)
-		}
-		return results, errs
-	}
-	results, errs := bs.SolveBatchCtx(ctx, energies, density)
-	for j := range results {
-		if errs[j] == nil && results[j] != nil {
-			if err := checkFinite(energies[j], results[j]); err != nil {
-				results[j], errs[j] = nil, err
-			}
-		}
-	}
-	return results, errs
-}
-
 // TransmissionAt evaluates T at a single energy — the per-(bias,k,E) task
 // granule of a resumable sweep — with the same NaN/Inf quarantine check
 // as Spectrum.
@@ -251,9 +209,6 @@ func (e *Engine) TransmissionAt(ctx context.Context, energy float64) (float64, e
 // On failure the in-flight sibling energies are canceled and the error of
 // the lowest-index failing grid point is returned.
 func (e *Engine) Spectrum(ctx context.Context, energies []float64, density bool) ([]*negf.Result, error) {
-	if e.cfg.SolveBatch > 1 && len(energies) > 1 {
-		return e.spectrumBatched(ctx, energies, density)
-	}
 	results, err := sched.Map(ctx, e.pool, "energy", len(energies),
 		func(ctx context.Context, i int) (*negf.Result, error) {
 			r, err := e.solver.SolveCtx(ctx, energies[i], density)
@@ -270,56 +225,6 @@ func (e *Engine) Spectrum(ctx context.Context, energies []float64, density bool)
 			return nil, fmt.Errorf("transport: E=%g: %w", energies[te.Index], te.Err)
 		}
 		return nil, err
-	}
-	return results, nil
-}
-
-// energyError carries the energy of the batch element that failed, so the
-// batched Spectrum reports the same "transport: E=…" error as the looped
-// one even though the scheduler's task index names a batch, not a point.
-type energyError struct {
-	e   float64
-	err error
-}
-
-func (e *energyError) Error() string { return fmt.Sprintf("E=%g: %v", e.e, e.err) }
-
-func (e *energyError) Unwrap() error { return e.err }
-
-// spectrumBatched is the batched executor behind Spectrum: the energy grid
-// is cut into ⌈n/W⌉ contiguous batches of width ≤ W, and the batches run
-// on the engine's pool with one interleaved solver pass each. Failure
-// semantics match the looped path: in-flight sibling batches are canceled
-// and the error of the lowest failing grid point is returned.
-func (e *Engine) spectrumBatched(ctx context.Context, energies []float64, density bool) ([]*negf.Result, error) {
-	w := e.cfg.SolveBatch
-	ng := (len(energies) + w - 1) / w
-	groups, err := sched.Map(ctx, e.pool, "energy-batch", ng,
-		func(ctx context.Context, g int) ([]*negf.Result, error) {
-			lo := g * w
-			hi := min(lo+w, len(energies))
-			es := energies[lo:hi]
-			rs, errs := e.SolveBatch(ctx, es, density)
-			for j, err := range errs {
-				if err != nil {
-					return nil, &energyError{e: es[j], err: err}
-				}
-			}
-			return rs, nil
-		})
-	if err != nil {
-		if te, ok := sched.AsTaskError(err); ok {
-			var ee *energyError
-			if errors.As(te.Err, &ee) {
-				return nil, fmt.Errorf("transport: E=%g: %w", ee.e, ee.err)
-			}
-			return nil, fmt.Errorf("transport: E=%g: %w", energies[te.Index*w], te.Err)
-		}
-		return nil, err
-	}
-	results := make([]*negf.Result, 0, len(energies))
-	for _, g := range groups {
-		results = append(results, g...)
 	}
 	return results, nil
 }

@@ -70,9 +70,10 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err != nil {
 		return nil, err
 	}
-	// Per-solve workspace for the broadenings and the transmission
-	// contraction; the shifted system matrix also lives here since the
-	// solve strategies only read it.
+	// Per-solve workspace for the broadenings, the injection columns, the
+	// block-Thomas factors and solution, and the transmission contraction;
+	// the shifted system matrix also lives here since the solve strategies
+	// only read it.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	a := sparse.ShiftedFromHermitianWS(s.H, z, ws)
@@ -115,7 +116,7 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	nN := s.H.LayerSize(nl - 1)
 	rhs := make([]*linalg.Matrix, nl)
 	for i := 0; i < nl; i++ {
-		rhs[i] = linalg.New(s.H.LayerSize(i), width)
+		rhs[i] = ws.Get(s.H.LayerSize(i), width)
 	}
 	for k := 0; k < n0; k++ {
 		for j := 0; j < wL.Cols; j++ {
@@ -132,14 +133,13 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	solve := s.SolveStrategy
-	if solve == nil {
-		solve = func(_ context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
-			return a.SolveBlocks(rhs)
-		}
-	}
+	var x []*linalg.Matrix
 	stop := perf.StartPhase("wf-solve")
-	x, err := solve(ctx, a, rhs)
+	if s.SolveStrategy != nil {
+		x, err = s.SolveStrategy(ctx, a, rhs)
+	} else {
+		x, err = a.SolveBlocksWS(rhs, ws)
+	}
 	stop()
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: open-boundary solve: %w", err)

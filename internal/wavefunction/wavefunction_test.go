@@ -1,6 +1,7 @@
 package wavefunction
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/cmplx"
@@ -242,7 +243,7 @@ func TestSolveBlocksMatchesDense(t *testing.T) {
 	for i := range rhs {
 		bAll.SetSubmatrix(off[i], 0, rhs[i])
 	}
-	f, err := linalg.FactorInPlace(dense)
+	f, err := linalg.Factor(dense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,5 +418,92 @@ func TestInjectionNonConvergenceIsTyped(t *testing.T) {
 	}
 	if !strings.HasPrefix(err.Error(), "wavefunction: left injection: ") {
 		t.Fatalf("error %q lost the injection wrapping", err)
+	}
+}
+
+// TestWorkspaceSolveMatchesHeapSolve holds the default solve — block
+// Thomas on the solve's own workspace — to the heap-owned reference
+// factorization reached through a SolveStrategy: transmission, density of
+// states, both spectral functions and the flop count must agree bit for
+// bit, with the density on and off, on a disordered wire and on the
+// ribbon; an energy with no channel at all returns zeros before either
+// solve runs, and the one known injection failure fails alike.
+func TestWorkspaceSolveMatchesHeapSolve(t *testing.T) {
+	s, err := lattice.NewArmchairGNR(7, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ribbon, err := tb.Assemble(s, tb.Graphene(), tb.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		noChannel     = 1e160                       // Γ underflows to exactly zero
+		noConvergence = -2.995625728 + 6*163.0/1499 // TestInjectionNonConvergenceIsTyped
+	)
+	devices := []struct {
+		name     string
+		h        *sparse.BlockTridiag
+		energies []float64
+	}{
+		{"wire", buildDisorderedWire(t), []float64{1.1, 1.7, 2.9}},
+		{"ribbon", ribbon, []float64{-1.3, 0.05, 2.2, noChannel, noConvergence}},
+	}
+	for _, d := range devices {
+		ws, err := NewSolver(d.h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heap, err := NewSolver(d.h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		heapSolves := 0
+		heap.SolveStrategy = func(_ context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
+			heapSolves++
+			return a.SolveBlocks(rhs)
+		}
+		for _, e := range d.energies {
+			for _, density := range []bool{false, true} {
+				heapSolves = 0
+				perf.ResetFlops()
+				want, wantErr := heap.Solve(e, density)
+				wantFlops := perf.ResetFlops()
+				got, gotErr := ws.Solve(e, density)
+				gotFlops := perf.ResetFlops()
+				if gotFlops != wantFlops {
+					t.Errorf("%s E=%g density=%v: %d flops on the workspace, %d on the heap", d.name, e, density, gotFlops, wantFlops)
+				}
+				if e == noConvergence {
+					if !errors.Is(gotErr, linalg.ErrNoConvergence) || wantErr == nil || gotErr.Error() != wantErr.Error() {
+						t.Errorf("%s E=%g: workspace error %v, heap error %v; want the same ErrNoConvergence", d.name, e, gotErr, wantErr)
+					}
+					continue
+				}
+				if gotErr != nil || wantErr != nil {
+					t.Fatalf("%s E=%g density=%v: workspace error %v, heap error %v", d.name, e, density, gotErr, wantErr)
+				}
+				if (heapSolves == 0) != (e == noChannel) {
+					t.Errorf("%s E=%g density=%v: %d open-boundary solves", d.name, e, density, heapSolves)
+				}
+				if math.Float64bits(got.T) != math.Float64bits(want.T) {
+					t.Errorf("%s E=%g density=%v: T %v on the workspace, %v on the heap", d.name, e, density, got.T, want.T)
+				}
+				for name, pair := range map[string][2][]float64{
+					"DOS":       {got.DOS, want.DOS},
+					"SpectralL": {got.SpectralL, want.SpectralL},
+					"SpectralR": {got.SpectralR, want.SpectralR},
+				} {
+					if len(pair[0]) != len(pair[1]) || (density && len(pair[0]) != d.h.N()) {
+						t.Fatalf("%s E=%g density=%v: %s has %d entries, heap %d", d.name, e, density, name, len(pair[0]), len(pair[1]))
+					}
+					for i := range pair[0] {
+						if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
+							t.Fatalf("%s E=%g density=%v: %s[%d] %v on the workspace, %v on the heap", d.name, e, density, name, i, pair[0][i], pair[1][i])
+						}
+					}
+				}
+			}
+		}
 	}
 }
