@@ -26,17 +26,14 @@ vet:
 
 check: fmt-check vet spec-check
 
-# The -dump-spec output of both CLIs is pinned to the spec package's
-# golden files: canonical JSON plus all four content hashes. A diff here
-# means the encoding (and with it every content-addressed hash) drifted.
+# The -dump-spec output of omen is pinned to the spec package's golden
+# files: canonical JSON plus all four content hashes. A diff here means
+# the encoding (and with it every content-addressed hash) drifted.
 # Regenerate deliberately with `make spec-golden`.
 spec-check:
 	$(GO) build -o bin/omen ./cmd/omen
-	$(GO) build -o bin/scaling ./cmd/scaling
 	bin/omen -dump-spec | diff internal/spec/testdata/agnr7.golden - \
 		|| { echo "omen -dump-spec drifted from internal/spec/testdata/agnr7.golden"; exit 1; }
-	bin/scaling -dump-spec | diff internal/spec/testdata/study-strong.golden - \
-		|| { echo "scaling -dump-spec drifted from internal/spec/testdata/study-strong.golden"; exit 1; }
 
 # Refresh the golden spec files after a deliberate encoding change.
 spec-golden:
@@ -76,7 +73,8 @@ faults:
 
 # The distributed kill drill: coordinator + 4 workers under 10% fault
 # injection, one worker SIGKILLed mid-run. Passes only if observables
-# and the merged flop count are byte-identical to a serial run.
+# and the merged flop count are byte-identical to a serial run, and a
+# -resume over the finished journal replays it without starting a worker.
 drill-dist:
 	$(GO) build -o bin/omen ./cmd/omen
 	sh scripts/drill_dist.sh bin/omen

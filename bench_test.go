@@ -19,13 +19,13 @@ import (
 	"testing"
 
 	"repro/internal/alloy"
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/dephasing"
 	"repro/internal/device"
 	"repro/internal/lanczos"
 	"repro/internal/lattice"
 	"repro/internal/linalg"
+	"repro/internal/machine"
 	"repro/internal/negf"
 	"repro/internal/perf"
 	"repro/internal/phonon"
@@ -315,7 +315,7 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 			// Modeled parallel wall time of this decomposition (critical
 			// domain path + serial reduced system) on one Jaguar core per
 			// domain — the series whose minimum is the F3 crossover.
-			w := cluster.Workload{
+			w := machine.Workload{
 				NBias: 1, NK: 1, NE: 1,
 				NLayers: a.Layers(), BlockSize: a.LayerSize(0), RHSWidth: 8,
 				SelfEnergyIterations: 30,
@@ -325,7 +325,7 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			rate := cluster.Jaguar().SustainedFlopsPerCore()
+			rate := machine.Jaguar().SustainedFlopsPerCore()
 			modeled := (float64(ss.CriticalFlops) + float64(ss.ReducedFlops)) / rate
 			b.ReportMetric(modeled*1e3, "modeled-ms")
 			once(fmt.Sprintf("F3:%d", p), func() {
@@ -338,21 +338,19 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 
 // --- F4: strong scaling on the machine model --------------------------------
 
-func flagshipWorkload() cluster.Workload {
-	return cluster.Workload{
-		NBias: 16, NK: 21, NE: 1316,
-		NLayers: 140, BlockSize: 480, RHSWidth: 480,
-		SelfEnergyIterations: 30,
-		EnergyCostCV:         0.1,
-		CouplingRank:         120,
-	}
+// flagshipWorkload is the machine model's flagship with the energy grid
+// tuned to divide the energy groups evenly at full machine size.
+func flagshipWorkload() machine.Workload {
+	w := machine.Flagship()
+	w.NE = 1316
+	return w
 }
 
 func BenchmarkF4_StrongScaling(b *testing.B) {
-	m := cluster.Jaguar()
+	m := machine.Jaguar()
 	w := flagshipWorkload()
 	counts := []int{1344, 5376, 21504, 86016, 172032, 221400}
-	var reports []cluster.Report
+	var reports []machine.Report
 	var err error
 	for i := 0; i < b.N; i++ {
 		reports, err = m.StrongScaling(w, counts)
@@ -376,17 +374,17 @@ func BenchmarkF4_StrongScaling(b *testing.B) {
 // --- F5: weak scaling with growing cross-section ----------------------------
 
 func BenchmarkF5_WeakScaling(b *testing.B) {
-	m := cluster.Jaguar()
+	m := machine.Jaguar()
 	type step struct{ cores, block, layers int }
 	steps := []step{
 		{2688, 120, 100}, {10752, 190, 110}, {43008, 300, 120},
 		{120000, 420, 130}, {221400, 480, 140},
 	}
-	var rows []cluster.Report
+	var rows []machine.Report
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		for _, s := range steps {
-			w := cluster.Workload{
+			w := machine.Workload{
 				NBias: 16, NK: 21, NE: 1316,
 				NLayers: s.layers, BlockSize: s.block, RHSWidth: s.block,
 				SelfEnergyIterations: 30, EnergyCostCV: 0.1,
@@ -412,9 +410,9 @@ func BenchmarkF5_WeakScaling(b *testing.B) {
 // --- T3: phase breakdown -----------------------------------------------------
 
 func BenchmarkT3_PhaseBreakdown(b *testing.B) {
-	m := cluster.Jaguar()
+	m := machine.Jaguar()
 	w := flagshipWorkload()
-	var rows []cluster.Report
+	var rows []machine.Report
 	for i := 0; i < b.N; i++ {
 		rows = rows[:0]
 		for _, c := range []int{5376, 43008, 221400} {
@@ -438,7 +436,7 @@ func BenchmarkT3_PhaseBreakdown(b *testing.B) {
 // --- F6: per-level parallel efficiency ---------------------------------------
 
 func BenchmarkF6_LevelEfficiency(b *testing.B) {
-	m := cluster.Jaguar()
+	m := machine.Jaguar()
 	w := flagshipWorkload()
 	type row struct {
 		level string
@@ -448,20 +446,20 @@ func BenchmarkF6_LevelEfficiency(b *testing.B) {
 	var rows []row
 	mk := []struct {
 		name string
-		d    func(n int) cluster.Decomposition
+		d    func(n int) machine.Decomposition
 		max  int
 	}{
-		{"bias", func(n int) cluster.Decomposition {
-			return cluster.Decomposition{Bias: n, Momentum: 1, Energy: 1, Domains: 1}
+		{"bias", func(n int) machine.Decomposition {
+			return machine.Decomposition{Bias: n, Momentum: 1, Energy: 1, Domains: 1}
 		}, w.NBias},
-		{"momentum", func(n int) cluster.Decomposition {
-			return cluster.Decomposition{Bias: 1, Momentum: n, Energy: 1, Domains: 1}
+		{"momentum", func(n int) machine.Decomposition {
+			return machine.Decomposition{Bias: 1, Momentum: n, Energy: 1, Domains: 1}
 		}, w.NK},
-		{"energy", func(n int) cluster.Decomposition {
-			return cluster.Decomposition{Bias: 1, Momentum: 1, Energy: n, Domains: 1}
+		{"energy", func(n int) machine.Decomposition {
+			return machine.Decomposition{Bias: 1, Momentum: 1, Energy: n, Domains: 1}
 		}, w.NE},
-		{"domains", func(n int) cluster.Decomposition {
-			return cluster.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: n}
+		{"domains", func(n int) machine.Decomposition {
+			return machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: n}
 		}, w.NLayers},
 	}
 	for i := 0; i < b.N; i++ {

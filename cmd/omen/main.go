@@ -44,12 +44,16 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 
 	"repro/internal/buildinfo"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/distrib"
 	"repro/internal/perf"
+	"repro/internal/run"
 	"repro/internal/sched"
 	"repro/internal/spec"
 )
@@ -229,6 +233,16 @@ func main() {
 	defer stop()
 	var prog progress
 
+	if *workerAddr != "" {
+		// One worker of a distributed run: the harness builds the spec,
+		// dials, and pulls leases until the coordinator dismisses it.
+		fmt.Fprintf(os.Stderr, "omen: %s — worker dialing %s\n", s.Summary(), *workerAddr)
+		if err := run.Work(ctx, s, *workerAddr); err != nil {
+			fatal(ctx, &prog, err)
+		}
+		return
+	}
+
 	b, err := spec.Build(s)
 	if err != nil {
 		fatal(ctx, &prog, err)
@@ -242,16 +256,8 @@ func main() {
 		fmt.Printf("matrix order\t%d\nlayer block\t%d\nlength\t%.2f nm\n",
 			st.MatrixOrder, st.BlockSize, st.TransportLen)
 	case spec.ModeTransmission:
-		if *workerAddr != "" {
-			if err := runWorkerMode(ctx, b, *workerAddr); err != nil {
-				fatal(ctx, &prog, err)
-			}
-			return
-		}
 		if *serveAddr != "" {
-			if err := runServeMode(ctx, b, *serveAddr, *shardHold, &prog); err != nil {
-				fatal(ctx, &prog, err)
-			}
+			coordinate(ctx, b, *serveAddr, *shardHold, &prog)
 			return
 		}
 		opts, closeJournal, err := sweepOptions(b, &prog)
@@ -304,6 +310,57 @@ func main() {
 	}
 }
 
+// coordinate runs the transmission sweep as the coordinator of a
+// distributed run through the shared harness (internal/run), which owns
+// the journal, the run identity, the worker fleet and the crash
+// supervisor. What is omen's own: SIGTERM as the graceful-drain signal
+// (SIGINT stays the hard cooperative cancel), workers re-exec'ed from
+// this binary, stderr as the log, and exit status 143 for a drained —
+// deliberately resumable — run.
+func coordinate(ctx context.Context, b *spec.Built, addr string, shardHold time.Duration, prog *progress) {
+	drain := make(chan struct{})
+	sigC := make(chan os.Signal, 1)
+	signal.Notify(sigC, syscall.SIGTERM)
+	defer signal.Stop(sigC)
+	go func() {
+		<-sigC
+		fmt.Fprintf(os.Stderr, "omen: SIGTERM — draining (accepting in-flight results for up to %v)\n",
+			b.Spec.Exec.DrainTimeout.Std())
+		close(drain)
+	}()
+
+	out, err := run.Coordinate(ctx, b, run.Hooks{
+		Addr:       addr,
+		Spawn:      run.ReExec,
+		Drain:      drain,
+		OnProgress: prog.set,
+		ShardHold:  shardHold,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, "omen: "+format+"\n", args...)
+		},
+	})
+	if errors.Is(err, distrib.ErrDrained) {
+		// Every committed result is journaled (the harness has closed the
+		// journal), and 143 (128+SIGTERM) tells the supervisor upstream
+		// this was the graceful path, not a crash. os.Exit skips the
+		// deferred profile flush, so do it here.
+		stopProfiles()
+		fmt.Fprintf(os.Stderr, "omen: drained — completed %d/%d tasks; rerun with -resume to finish\n",
+			prog.done.Load(), prog.total.Load())
+		os.Exit(143)
+	}
+	if err != nil {
+		fatal(ctx, prog, err)
+	}
+	extra := []string{fmt.Sprintf("# cluster: %d workers, %d leases re-dispatched", out.Workers, out.Redispatched)}
+	if out.Shards > 1 {
+		// Only sharded runs print the line, so single-shard drill output
+		// stays byte-identical across this feature's introduction.
+		extra = append(extra, fmt.Sprintf("# shards: %d, steals: %d", out.Shards, out.Steals))
+	}
+	core.WriteSweep(os.Stdout, out.Sweep, out.Perf, extra...)
+}
+
 // printSpec emits the resolved canonical spec and its content hashes —
 // the -dump-spec output the golden check in `make check` pins.
 func printSpec(s spec.RunSpec) {
@@ -318,38 +375,25 @@ func printSpec(s spec.RunSpec) {
 	fmt.Printf("# spec-hash\t%s\n", s.SpecHash())
 }
 
-// openJournal opens the spec's checkpoint journal through
+// sweepOptions assembles the serial sweep's fault-tolerance configuration
+// from the built spec, opening its checkpoint journal through
 // spec.OpenJournal (fresh journals get a spec-hash header; resumed ones
-// are verified against it). Returns a no-op cleanup when the spec has no
-// checkpoint.
-func openJournal(s spec.RunSpec, jopts ...cluster.JournalOption) (*cluster.FileJournal, func(), error) {
-	warn := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "omen: warning: "+format+"\n", args...)
-	}
-	j, err := spec.OpenJournal(s, warn, jopts...)
-	if err != nil {
-		return nil, nil, err
-	}
-	if j == nil {
-		return nil, func() {}, nil
-	}
-	return j, func() { j.Close() }, nil
-}
-
-// sweepOptions assembles the fault-tolerance configuration from the
-// built spec. The returned cleanup closes the journal (a no-op without
-// one).
+// are verified against it). The returned cleanup closes the journal (a
+// no-op without one).
 func sweepOptions(b *spec.Built, prog *progress) (cluster.SweepOptions, func(), error) {
 	opts := b.SweepOptions()
 	opts.OnProgress = prog.set
-	j, closeJournal, err := openJournal(b.Spec)
+	j, err := spec.OpenJournal(b.Spec, func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "omen: warning: "+format+"\n", args...)
+	})
 	if err != nil {
 		return opts, nil, err
 	}
-	if j != nil {
-		opts.Journal = j
+	if j == nil {
+		return opts, func() {}, nil
 	}
-	return opts, closeJournal, nil
+	opts.Journal = j
+	return opts, func() { j.Close() }, nil
 }
 
 // stopProfiles flushes any active CPU/heap profiles. It is safe to call

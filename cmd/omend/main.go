@@ -38,12 +38,12 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
 	"syscall"
 	"time"
 
 	"repro/internal/buildinfo"
+	"repro/internal/run"
 	"repro/internal/server"
 	"repro/internal/spec"
 )
@@ -59,9 +59,10 @@ func main() {
 		drainTimeout   = flag.Duration("drain-timeout", 30*time.Second, "SIGTERM: wait this long for running jobs to drain before exiting")
 		version        = flag.Bool("version", false, "print the build version (module version plus VCS revision) and exit")
 
-		// Hidden worker mode: the daemon re-execs itself into one worker
-		// per job slot, exactly like `omen -worker` (process isolation —
-		// a crashing worker loses a lease, not the service).
+		// Hidden worker mode: the run harness re-execs the daemon into one
+		// worker per job slot (run.ReExec), exactly like `omen -worker` —
+		// process isolation: a crashing worker loses a lease, not the
+		// service.
 		workerAddr = flag.String("worker", "", "internal: run as a sweep worker dialing this address")
 		specJSON   = flag.String("spec-json", "", "internal: inline JSON spec for -worker")
 	)
@@ -73,7 +74,15 @@ func main() {
 	}
 
 	if *workerAddr != "" {
-		runWorker(*workerAddr, *specJSON)
+		s, err := spec.Parse([]byte(*specJSON))
+		if err != nil {
+			fatal(err)
+		}
+		ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+		defer stop()
+		if err := run.Work(ctx, s, *workerAddr); err != nil {
+			fatal(err)
+		}
 		return
 	}
 
@@ -86,7 +95,7 @@ func main() {
 		MaxQueued:      *maxQueue,
 		ClientQuota:    *quota,
 		DefaultWorkers: *defaultWorkers,
-		SpawnWorker:    spawnWorkerProcess,
+		SpawnWorker:    run.ReExec,
 		Logf:           logf,
 	})
 	if err != nil {
@@ -132,35 +141,6 @@ func main() {
 			srv.Close()
 		}
 		logf("drained — journals in %s are resumable by re-submission", *dataDir)
-	}
-}
-
-// spawnWorkerProcess launches one worker as a re-exec of this binary,
-// mirroring omen's self-spawn: the worker is handed the serialized
-// worker-variant spec itself, so it cannot drift from the job.
-func spawnWorkerProcess(ctx context.Context, addr string, ws spec.RunSpec) error {
-	wj, err := ws.Canonical()
-	if err != nil {
-		return err
-	}
-	cmd := exec.CommandContext(ctx, os.Args[0], "-worker", addr, "-spec-json", string(wj))
-	cmd.Stderr = os.Stderr
-	return cmd.Run()
-}
-
-// runWorker is the hidden -worker mode.
-func runWorker(addr, specJSON string) {
-	s, err := spec.Parse([]byte(specJSON))
-	if err != nil {
-		fatal(err)
-	}
-	if err := s.ValidateFor(spec.RoleWorker); err != nil {
-		fatal(err)
-	}
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if err := server.WorkerMain(ctx, s, addr); err != nil {
-		fatal(err)
 	}
 }
 

@@ -1,530 +1,168 @@
-// Command scaling reproduces the paper-style parallel-performance studies
-// on the calibrated machine model (see DESIGN.md for the Jaguar
-// substitution): strong scaling of a fixed workload, weak scaling with
-// growing device cross-sections, per-level efficiency, and the phase
+// Command scaling prints the paper-style parallel-performance studies of
+// the calibrated machine model (internal/machine; see DESIGN.md for the
+// Jaguar substitution): strong scaling of a fixed workload, weak scaling
+// with growing device cross-sections, per-level efficiency, and the phase
 // breakdown table.
 //
-// Like omen, every run is described by one serializable spec.RunSpec
-// (mode "study-strong", "study-weak", …); the flags are a thin parser
-// over spec.StudyDefault(), -spec/-dump-spec work the same way, and
-// distributed strong-study workers are launched with the serialized spec
-// itself, handshake-checked by content hash.
-//
-// The strong study runs through the fault-tolerant sweep engine, so long
-// parameter scans can be checkpointed (-checkpoint/-resume), retried
-// (-max-retries, -task-timeout), and drilled with deterministic fault
-// injection (-fault-rate/-fault-seed). All studies exit non-zero on
-// SIGINT after printing a partial-progress summary.
+// It is a printer of closed-form model evaluations — microseconds each —
+// and nothing more: it builds no device, runs no sweep, and takes no run
+// spec. Its two flags are -study and -version.
 //
 // Examples:
 //
 //	scaling -study strong
-//	scaling -study strong -checkpoint strong.journal -fault-rate 0.2 -max-retries 3
 //	scaling -study weak
 //	scaling -study levels
 //	scaling -study phases
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
-	"os/signal"
-	"strings"
-	"sync"
-	"sync/atomic"
-	"syscall"
-	"time"
 
 	"repro/internal/buildinfo"
-	"repro/internal/cluster"
-	"repro/internal/comms"
-	"repro/internal/distrib"
-	"repro/internal/resilience"
-	"repro/internal/sched"
-	"repro/internal/spec"
+	"repro/internal/machine"
 )
 
-// flagshipWorkload mirrors the paper's production scenario: a full I-V
-// sweep (16 bias points) of a large spin-resolved sp3d5s* nanowire FET
-// with 21 momentum points and ~1000 energy points per bias.
-func flagshipWorkload() cluster.Workload {
-	return cluster.Workload{
-		NBias: 16, NK: 21, NE: 1024,
-		NLayers: 140, BlockSize: 480, RHSWidth: 480,
-		SelfEnergyIterations: 30,
-		EnergyCostCV:         0.1,
-		CouplingRank:         120,
-	}
-}
-
-// strongCounts are the core counts of the strong-scaling study — the
-// paper's machine sizes from two racks up to the full system. Their
-// number is the study's task-grid NE, which the spec records (and
-// hashes) so distributed workers verifiably agree on the grid.
-var strongCounts = []int{672, 1344, 2688, 5376, 10752, 21504, 43008, 86016, 172032, 221400}
-
-// steps tracks study progress for the interrupt summary.
-type steps struct {
-	done, total atomic.Int64
-}
-
-func (s *steps) set(done, total int) {
-	s.done.Store(int64(done))
-	s.total.Store(int64(total))
-}
-
 func main() {
-	def := spec.StudyDefault()
-	var (
-		specPath = flag.String("spec", "", "load the run spec from this JSON file; flags set on the command line override its fields")
-		specJSON = flag.String("spec-json", "", "inline JSON run spec (how a coordinator launches self-spawned workers); mutually exclusive with -spec")
-		dumpSpec = flag.Bool("dump-spec", false, "print the fully resolved run spec (canonical JSON plus content hashes) and exit")
-
-		study       = flag.String("study", "strong", "study: strong, weak, levels, phases")
-		checkpoint  = flag.String("checkpoint", def.Resilience.Checkpoint, "journal file for checkpoint/restart (strong study)")
-		resume      = flag.Bool("resume", def.Resilience.Resume, "resume from an existing -checkpoint journal")
-		maxRetries  = flag.Int("max-retries", def.Resilience.MaxRetries, "retries per study step after the first attempt")
-		taskTimeout = flag.Duration("task-timeout", def.Resilience.TaskTimeout.Std(), "per-attempt deadline for one study step (0: none)")
-		faultRate   = flag.Float64("fault-rate", def.Resilience.FaultRate, "fault-injection drill: fraction of steps failing their first attempt")
-		faultSeed   = flag.Uint64("fault-seed", def.Resilience.FaultSeed, "seed for deterministic fault injection and retry jitter")
-
-		serveAddr    = flag.String("serve", "", "run the strong study as distributed-sweep coordinator on this TCP address")
-		workerAddr   = flag.String("worker", "", "run as distributed-sweep worker dialing the coordinator at this TCP address (strong study)")
-		workersN     = flag.Int("workers", def.Exec.Workers, "with -serve: worker processes to self-spawn from this binary (0: wait for external -worker processes)")
-		leaseTimeout = flag.Duration("lease-timeout", def.Exec.LeaseTimeout.Std(), "coordinator: how long a worker may hold a task lease before it is re-dispatched")
-		rejoinWindow = flag.Duration("rejoin-window", def.Exec.RejoinWindow.Std(), "worker: keep re-dialing for this long after losing the coordinator mid-study before giving up (0: a coordinator crash ends the worker)")
-		drainTimeout = flag.Duration("drain-timeout", def.Exec.DrainTimeout.Std(), "coordinator: on SIGTERM, stop granting leases and accept in-flight results for up to this long before exiting with a resumable journal")
-		shards       = flag.Int("shards", def.Exec.Shards, "coordinator: partition the study's task grid across this many scheduling shards with work-stealing (0 or 1: single queue)")
-		wireFormat   = flag.String("wire", def.Exec.WireFormat, "coordinator/worker wire format for hot messages: binary (compact, default) or json (v3-compatible)")
-		version      = flag.Bool("version", false, "print the build version (module version plus VCS revision) and exit")
-	)
+	study := flag.String("study", "strong", "study: strong, weak, levels, phases")
+	version := flag.Bool("version", false, "print the build version (module version plus VCS revision) and exit")
 	flag.Parse()
 	if *version {
 		fmt.Printf("scaling %s\n", buildinfo.Version())
 		return
 	}
 
-	s := def
-	switch {
-	case *specPath != "" && *specJSON != "":
-		usageErr(errors.New("-spec and -spec-json are mutually exclusive"))
-	case *specPath != "":
-		b, err := os.ReadFile(*specPath)
-		if err != nil {
-			usageErr(err)
-		}
-		if s, err = spec.ParseInto(def, b); err != nil {
-			usageErr(fmt.Errorf("%s: %w", *specPath, err))
-		}
-	case *specJSON != "":
-		var err error
-		if s, err = spec.ParseInto(def, []byte(*specJSON)); err != nil {
-			usageErr(err)
-		}
-	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "study":
-			s.Mode = "study-" + *study
-		case "checkpoint":
-			s.Resilience.Checkpoint = *checkpoint
-		case "resume":
-			s.Resilience.Resume = *resume
-		case "max-retries":
-			s.Resilience.MaxRetries = *maxRetries
-		case "task-timeout":
-			s.Resilience.TaskTimeout = spec.Duration(*taskTimeout)
-		case "fault-rate":
-			s.Resilience.FaultRate = *faultRate
-		case "fault-seed":
-			s.Resilience.FaultSeed = *faultSeed
-		case "workers":
-			s.Exec.Workers = *workersN
-		case "lease-timeout":
-			s.Exec.LeaseTimeout = spec.Duration(*leaseTimeout)
-		case "rejoin-window":
-			s.Exec.RejoinWindow = spec.Duration(*rejoinWindow)
-		case "drain-timeout":
-			s.Exec.DrainTimeout = spec.Duration(*drainTimeout)
-		case "shards":
-			s.Exec.Shards = *shards
-		case "wire":
-			s.Exec.WireFormat = *wireFormat
-		}
-	})
-	// The strong study's task grid is its hardcoded core-count list; pin
-	// the spec's grid to it so the content hash describes the real run
-	// (and a stale grid in a spec file cannot lie about it).
-	if s.Mode == spec.ModeStudyStrong {
-		s.Grid = spec.GridSpec{NE: len(strongCounts), NK: 1}
-	}
-
-	if *dumpSpec {
-		if err := s.Validate(); err != nil {
-			usageErr(err)
-		}
-		b, err := s.CanonicalIndent()
-		if err != nil {
-			usageErr(err)
-		}
-		fmt.Printf("%s\n", b)
-		fmt.Printf("# device-hash\t%s\n", s.DeviceHash())
-		fmt.Printf("# grid-hash\t%s\n", s.GridHash())
-		fmt.Printf("# solver-hash\t%s\n", s.SolverHash())
-		fmt.Printf("# spec-hash\t%s\n", s.SpecHash())
-		return
-	}
-
-	if *serveAddr != "" && *workerAddr != "" {
-		usageErr(errors.New("-serve and -worker are mutually exclusive"))
-	}
-	role := spec.RoleLocal
-	switch {
-	case *serveAddr != "":
-		role = spec.RoleCoordinator
-	case *workerAddr != "":
-		role = spec.RoleWorker
-	}
-	if err := s.ValidateFor(role); err != nil {
-		usageErr(err)
-	}
-
-	m := cluster.Jaguar()
-
-	// An interrupt stops the sweep at the next study step; model
-	// evaluations themselves are fast enough not to need finer checks.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	var prog steps
-
-	switch s.Mode {
-	case spec.ModeStudyStrong:
-		w := flagshipWorkload()
-		counts := strongCounts
-		reports := make([]cluster.Report, len(counts))
-
-		retry := resilience.Policy{
-			MaxAttempts:    s.Resilience.MaxRetries + 1,
-			AttemptTimeout: s.Resilience.TaskTimeout.Std(),
-			JitterFrac:     0.2,
-			Seed:           s.Resilience.FaultSeed,
-		}
-		var injector *resilience.Injector
-		if s.Resilience.FaultRate > 0 {
-			injector = &resilience.Injector{Seed: s.Resilience.FaultSeed, Rate: s.Resilience.FaultRate}
-		}
-		opts := cluster.SweepOptions{
-			Retry:      retry,
-			Injector:   injector,
-			OnProgress: prog.set,
-			Restore: func(t cluster.Task, payload []byte) error {
-				return json.Unmarshal(payload, &reports[t.E])
-			},
-		}
-		fn := func(_ context.Context, t cluster.Task) ([]byte, error) {
-			r, err := m.PredictAuto(w, counts[t.E])
-			if err != nil {
-				return nil, resilience.MarkPermanent(fmt.Errorf("cluster: %d cores: %w", counts[t.E], err))
-			}
-			reports[t.E] = r
-			return json.Marshal(r)
-		}
-
-		if *workerAddr != "" {
-			conn, err := comms.DialRetry(ctx, comms.TCP{}, *workerAddr, 30*time.Second)
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-			host, _ := os.Hostname()
-			rejoin := s.Exec.RejoinWindow.Std()
-			err = distrib.RunWorker(ctx, conn, 1, 1, len(counts), distrib.WorkerOptions{
-				ID:           fmt.Sprintf("%s-%d", host, os.Getpid()),
-				Pool:         sched.New(1),
-				Capacity:     distrib.DefaultLeaseBatch,
-				WireFormat:   s.Exec.WireFormat,
-				Retry:        retry,
-				Injector:     injector,
-				SpecHash:     s.SpecHash(),
-				RejoinWindow: rejoin,
-				Dial: func(ctx context.Context) (net.Conn, error) {
-					return comms.DialRetry(ctx, comms.TCP{}, *workerAddr, rejoin)
-				},
-			}, fn)
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-			return
-		}
-
-		// The coordinator's journal is the cluster's source of truth, so
-		// it syncs every acknowledged record to stable storage.
-		var jopts []cluster.JournalOption
-		if *serveAddr != "" {
-			jopts = append(jopts, cluster.WithFsync())
-		}
-		warn := func(format string, args ...any) {
-			fmt.Fprintf(os.Stderr, "scaling: warning: "+format+"\n", args...)
-		}
-		j, err := spec.OpenJournal(s, warn, jopts...)
-		if err != nil {
-			fatal(ctx, &prog, err)
-		}
-		if j != nil {
-			defer j.Close()
-			opts.Journal = j
-		}
-
-		var rep *cluster.SweepReport
-		var clusterLine string
-		if *serveAddr != "" {
-			lis, err := comms.TCP{}.Listen(*serveAddr)
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-			fmt.Fprintf(os.Stderr, "scaling: coordinating %d steps on %s\n", len(counts), lis.Addr())
-			if s.Exec.Workers == 0 {
-				fmt.Fprintf(os.Stderr, "scaling: no self-spawned workers (-workers 0); waiting for external `scaling -study strong -worker %s` processes to connect\n",
-					comms.DialableAddr(lis.Addr()))
-			}
-			wj, err := s.WorkerVariant().Canonical()
-			if err != nil {
-				lis.Close()
-				fatal(ctx, &prog, err)
-			}
-			var children sync.WaitGroup
-			for i := 0; i < s.Exec.Workers; i++ {
-				// One serialized spec is the whole worker configuration —
-				// no per-flag argv mirroring to drift.
-				cmd := exec.CommandContext(ctx, os.Args[0],
-					"-worker", comms.DialableAddr(lis.Addr()),
-					"-spec-json", string(wj))
-				cmd.Stderr = os.Stderr
-				if err := cmd.Start(); err != nil {
-					lis.Close()
-					fatal(ctx, &prog, fmt.Errorf("spawn worker: %w", err))
-				}
-				children.Add(1)
-				go func(cmd *exec.Cmd, i int) {
-					defer children.Done()
-					if err := cmd.Wait(); err != nil {
-						fmt.Fprintf(os.Stderr, "scaling: worker %d exited: %v\n", i, err)
-					}
-				}(cmd, i)
-			}
-			dopts := distrib.Options{
-				LeaseTimeout: s.Exec.LeaseTimeout.Std(),
-				DrainTimeout: s.Exec.DrainTimeout.Std(),
-				Shards:       s.Exec.Shards,
-				WireFormat:   s.Exec.WireFormat,
-				Journal:      opts.Journal,
-				Restore:      opts.Restore,
-				OnProgress:   prog.set,
-				SpecHash:     s.SpecHash(),
-			}
-			if j != nil {
-				// Same failover fencing identity as omen's serve mode: the
-				// RunID pins rejoining workers to this run instance, a
-				// resumed journal bumps the epoch to fence out results from
-				// the incarnation it replaces.
-				if h, herr := j.ReadHeader(); herr == nil && h != nil {
-					dopts.RunID = h.RunID
-				}
-				epoch, eerr := j.LatestEpoch()
-				if s.Resilience.Resume {
-					epoch, eerr = j.BumpEpoch()
-				}
-				if eerr != nil {
-					fatal(ctx, &prog, eerr)
-				}
-				dopts.Epoch = epoch
-			}
-			// SIGTERM drains gracefully: no new leases, in-flight results
-			// accepted for -drain-timeout, resumable exit with 143.
-			drain := make(chan struct{})
-			sigC := make(chan os.Signal, 1)
-			signal.Notify(sigC, syscall.SIGTERM)
-			go func() {
-				<-sigC
-				fmt.Fprintf(os.Stderr, "scaling: SIGTERM — draining (accepting in-flight results for up to %v)\n",
-					dopts.DrainTimeout)
-				close(drain)
-			}()
-			dopts.Drain = drain
-			drep, err := distrib.Serve(ctx, lis, 1, 1, len(counts), dopts)
-			signal.Stop(sigC)
-			children.Wait()
-			if errors.Is(err, distrib.ErrDrained) {
-				if j != nil {
-					j.Close()
-				}
-				fmt.Fprintf(os.Stderr, "scaling: drained — completed %d/%d steps; rerun with -resume to finish\n",
-					prog.done.Load(), prog.total.Load())
-				os.Exit(143)
-			}
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-			rep = drep.Sweep
-			clusterLine = fmt.Sprintf("# cluster: %d workers, %d leases re-dispatched",
-				drep.Workers, drep.Redispatched)
-		} else {
-			var err error
-			rep, err = cluster.RunTasksResumable(ctx, 1, 1, len(counts), opts, fn)
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-		}
-		base := reports[0]
-		fmt.Printf("# strong scaling on %s — workload: %d tasks, device %d layers × %d orbitals\n",
-			m.Name, w.Tasks(), w.NLayers, w.BlockSize)
-		if clusterLine != "" {
-			fmt.Println(clusterLine)
-		}
-		if rep.Restored > 0 {
-			fmt.Printf("# resumed: %d/%d steps restored from checkpoint\n", rep.Restored, rep.Total)
-		}
-		if rep.Retries > 0 {
-			fmt.Printf("# retries: %d extra attempts\n", rep.Retries)
-		}
-		fmt.Println("# cores\tdecomposition\twall(s)\tspeedup\tTFlop/s\tefficiency")
-		for _, r := range reports {
-			fmt.Printf("%d\t%s\t%.1f\t%.1f\t%.1f\t%.3f\n",
-				r.CoresUsed, r.Decomposition, r.WallTime, r.Speedup(base),
-				r.SustainedFlops/1e12, r.Efficiency)
-		}
-		// Flagship point: at full machine size the energy grid is chosen
-		// to divide the groups evenly (production practice), which is
-		// where the sustained petaflop headline comes from.
-		tuned := w
-		tuned.NE = 1316 // 2 clean rounds over 658 energy groups
-		rT, err := m.PredictAuto(tuned, 221400)
-		if err != nil {
-			fatal(ctx, &prog, err)
-		}
-		fmt.Printf("# tuned flagship: %d cores, %s → %.2f PFlop/s sustained (eff %.3f)\n",
-			rT.CoresUsed, rT.Decomposition, rT.SustainedFlops/1e15, rT.Efficiency)
-	case spec.ModeStudyWeak:
-		// Cross-section grows with the machine: block size doubles per
-		// step (wire diameter sweep), keeping work per core roughly fixed.
-		fmt.Printf("# weak scaling on %s — device grows with the machine\n", m.Name)
-		fmt.Println("# cores\tblock\tlayers\twall(s)\tPFlop/s\tefficiency")
-		type step struct {
-			cores, block, layers int
-		}
-		steps := []step{
-			{2688, 120, 100},
-			{10752, 190, 110},
-			{43008, 300, 120},
-			{120000, 420, 130},
-			{221400, 480, 140},
-		}
-		prog.set(0, len(steps))
-		for i, st := range steps {
-			if err := ctx.Err(); err != nil {
-				fatal(ctx, &prog, err)
-			}
-			w := cluster.Workload{
-				NBias: 16, NK: 21, NE: 1024,
-				NLayers: st.layers, BlockSize: st.block, RHSWidth: st.block,
-				SelfEnergyIterations: 30, EnergyCostCV: 0.1,
-				CouplingRank: st.block / 4,
-			}
-			r, err := m.PredictAuto(w, st.cores)
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-			fmt.Printf("%d\t%d\t%d\t%.1f\t%.3f\t%.3f\n",
-				r.CoresUsed, st.block, st.layers, r.WallTime,
-				r.SustainedFlops/1e15, r.Efficiency)
-			prog.set(i+1, len(steps))
-		}
-	case spec.ModeStudyLevels:
-		// Each parallelism level exercised in isolation.
-		w := flagshipWorkload()
-		fmt.Printf("# per-level efficiency on %s\n", m.Name)
-		fmt.Println("# level\tgroups\tcores\tefficiency")
-		type lvl struct {
-			name string
-			d    func(n int) cluster.Decomposition
-			max  int
-		}
-		levels := []lvl{
-			{"bias", func(n int) cluster.Decomposition {
-				return cluster.Decomposition{Bias: n, Momentum: 1, Energy: 1, Domains: 1}
-			}, w.NBias},
-			{"momentum", func(n int) cluster.Decomposition {
-				return cluster.Decomposition{Bias: 1, Momentum: n, Energy: 1, Domains: 1}
-			}, w.NK},
-			{"energy", func(n int) cluster.Decomposition {
-				return cluster.Decomposition{Bias: 1, Momentum: 1, Energy: n, Domains: 1}
-			}, w.NE},
-			{"domains", func(n int) cluster.Decomposition {
-				return cluster.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: n}
-			}, w.NLayers},
-		}
-		prog.set(0, len(levels))
-		for i, l := range levels {
-			if err := ctx.Err(); err != nil {
-				fatal(ctx, &prog, err)
-			}
-			for _, n := range []int{2, 4, 8, 16, 32, 64, 128} {
-				if n > l.max {
-					break
-				}
-				r, err := m.Predict(w, l.d(n))
-				if err != nil {
-					fatal(ctx, &prog, err)
-				}
-				fmt.Printf("%s\t%d\t%d\t%.3f\n", l.name, n, r.CoresUsed, r.Efficiency)
-			}
-			prog.set(i+1, len(levels))
-		}
-	case spec.ModeStudyPhases:
-		w := flagshipWorkload()
-		fmt.Printf("# phase breakdown on %s\n", m.Name)
-		fmt.Println("# cores\tselfE(s)\tsolve(s)\treduced(s)\tcomm(s)\timbalance(s)\ttotal(s)")
-		counts := []int{5376, 43008, 221400}
-		prog.set(0, len(counts))
-		for i, c := range counts {
-			if err := ctx.Err(); err != nil {
-				fatal(ctx, &prog, err)
-			}
-			r, err := m.PredictAuto(w, c)
-			if err != nil {
-				fatal(ctx, &prog, err)
-			}
-			b := r.Breakdown
-			fmt.Printf("%d\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%.1f\n",
-				r.CoresUsed, b.SelfEnergy, b.Solve, b.Reduced,
-				b.Communication, b.Imbalance, r.WallTime)
-			prog.set(i+1, len(counts))
-		}
+	m := machine.Jaguar()
+	var err error
+	switch *study {
+	case "strong":
+		err = strong(m)
+	case "weak":
+		err = weak(m)
+	case "levels":
+		err = levels(m)
+	case "phases":
+		err = phases(m)
 	default:
-		usageErr(fmt.Errorf("unknown study %q", strings.TrimPrefix(s.Mode, "study-")))
+		fmt.Fprintf(os.Stderr, "scaling: unknown study %q\n", *study)
+		os.Exit(2)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "scaling:", err)
+		os.Exit(1)
 	}
 }
 
-// usageErr reports a configuration error and exits with the
-// conventional usage status.
-func usageErr(err error) {
-	fmt.Fprintln(os.Stderr, "scaling:", err)
-	os.Exit(2)
+// strong is the strong-scaling study: the flagship workload on the
+// paper's machine sizes, from two racks up to the full system.
+func strong(m machine.MachineModel) error {
+	w := machine.Flagship()
+	reports, err := m.StrongScaling(w, machine.StrongCounts)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("# strong scaling on %s — workload: %d tasks, device %d layers × %d orbitals\n",
+		m.Name, w.Tasks(), w.NLayers, w.BlockSize)
+	fmt.Println("# cores\tdecomposition\twall(s)\tspeedup\tTFlop/s\tefficiency")
+	for _, r := range reports {
+		fmt.Printf("%d\t%s\t%.1f\t%.1f\t%.1f\t%.3f\n",
+			r.CoresUsed, r.Decomposition, r.WallTime, r.Speedup(reports[0]),
+			r.SustainedFlops/1e12, r.Efficiency)
+	}
+	// Flagship point: at full machine size the energy grid is chosen
+	// to divide the groups evenly (production practice), which is
+	// where the sustained petaflop headline comes from.
+	tuned := w
+	tuned.NE = 1316 // 2 clean rounds over 658 energy groups
+	rT, err := m.PredictAuto(tuned, 221400)
+	if err != nil {
+		return err
+	}
+	fmt.Printf("# tuned flagship: %d cores, %s → %.2f PFlop/s sustained (eff %.3f)\n",
+		rT.CoresUsed, rT.Decomposition, rT.SustainedFlops/1e15, rT.Efficiency)
+	return nil
 }
 
-// fatal reports err and exits non-zero; an interrupt gets the 128+SIGINT
-// code plus a partial-progress summary.
-func fatal(ctx context.Context, prog *steps, err error) {
-	if ctx.Err() != nil {
-		fmt.Fprintf(os.Stderr, "scaling: interrupted — completed %d/%d steps\n",
-			prog.done.Load(), prog.total.Load())
-		os.Exit(130)
+// weak is the weak-scaling study. Cross-section grows with the machine:
+// block size doubles per step (wire diameter sweep), keeping work per
+// core roughly fixed.
+func weak(m machine.MachineModel) error {
+	fmt.Printf("# weak scaling on %s — device grows with the machine\n", m.Name)
+	fmt.Println("# cores\tblock\tlayers\twall(s)\tPFlop/s\tefficiency")
+	steps := []struct{ cores, block, layers int }{
+		{2688, 120, 100},
+		{10752, 190, 110},
+		{43008, 300, 120},
+		{120000, 420, 130},
+		{221400, 480, 140},
 	}
-	fmt.Fprintln(os.Stderr, "scaling:", err)
-	os.Exit(1)
+	for _, st := range steps {
+		w := machine.Workload{
+			NBias: 16, NK: 21, NE: 1024,
+			NLayers: st.layers, BlockSize: st.block, RHSWidth: st.block,
+			SelfEnergyIterations: 30, EnergyCostCV: 0.1,
+			CouplingRank: st.block / 4,
+		}
+		r, err := m.PredictAuto(w, st.cores)
+		if err != nil {
+			return err
+		}
+		fmt.Printf("%d\t%d\t%d\t%.1f\t%.3f\t%.3f\n",
+			r.CoresUsed, st.block, st.layers, r.WallTime,
+			r.SustainedFlops/1e15, r.Efficiency)
+	}
+	return nil
+}
+
+// levels exercises each parallelism level in isolation.
+func levels(m machine.MachineModel) error {
+	w := machine.Flagship()
+	fmt.Printf("# per-level efficiency on %s\n", m.Name)
+	fmt.Println("# level\tgroups\tcores\tefficiency")
+	one := machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 1}
+	levels := []struct {
+		name string
+		set  func(d *machine.Decomposition, n int)
+		max  int
+	}{
+		{"bias", func(d *machine.Decomposition, n int) { d.Bias = n }, w.NBias},
+		{"momentum", func(d *machine.Decomposition, n int) { d.Momentum = n }, w.NK},
+		{"energy", func(d *machine.Decomposition, n int) { d.Energy = n }, w.NE},
+		{"domains", func(d *machine.Decomposition, n int) { d.Domains = n }, w.NLayers},
+	}
+	for _, l := range levels {
+		for _, n := range []int{2, 4, 8, 16, 32, 64, 128} {
+			if n > l.max {
+				break
+			}
+			d := one
+			l.set(&d, n)
+			r, err := m.Predict(w, d)
+			if err != nil {
+				return err
+			}
+			fmt.Printf("%s\t%d\t%d\t%.3f\n", l.name, n, r.CoresUsed, r.Efficiency)
+		}
+	}
+	return nil
+}
+
+// phases prints where the predicted wall time goes at three machine sizes.
+func phases(m machine.MachineModel) error {
+	w := machine.Flagship()
+	fmt.Printf("# phase breakdown on %s\n", m.Name)
+	fmt.Println("# cores\tselfE(s)\tsolve(s)\treduced(s)\tcomm(s)\timbalance(s)\ttotal(s)")
+	for _, c := range []int{5376, 43008, 221400} {
+		r, err := m.PredictAuto(w, c)
+		if err != nil {
+			return err
+		}
+		b := r.Breakdown
+		fmt.Printf("%d\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\t%.1f\n",
+			r.CoresUsed, b.SelfEnergy, b.Solve, b.Reduced,
+			b.Communication, b.Imbalance, r.WallTime)
+	}
+	return nil
 }

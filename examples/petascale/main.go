@@ -15,9 +15,9 @@ import (
 	"log"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
+	"repro/internal/machine"
 	"repro/internal/transport"
 )
 
@@ -37,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	measured, err := cluster.CalibrateBlockSolve(func() error {
+	measured, err := machine.CalibrateBlockSolve(func() error {
 		_, err := sim.Transmission(context.Background(), []float64{ec + 0.3}, nil)
 		return err
 	})
@@ -50,7 +50,7 @@ func main() {
 	fmt.Printf("measured: %.3g flops per energy point in %s → %.2f GFlop/s on this core\n",
 		float64(measured), elapsed.Round(time.Millisecond), localRate/1e9)
 
-	w := cluster.Workload{
+	w := machine.Workload{
 		NBias: 1, NK: 1, NE: 1,
 		NLayers: st.Layers, BlockSize: st.BlockSize, RHSWidth: st.BlockSize,
 		SelfEnergyIterations: 30,
@@ -60,14 +60,9 @@ func main() {
 		float64(analytic), float64(analytic)/float64(measured))
 
 	// 2. The flagship workload at Jaguar scale.
-	flagship := cluster.Workload{
-		NBias: 16, NK: 21, NE: 1316,
-		NLayers: 140, BlockSize: 480, RHSWidth: 480,
-		SelfEnergyIterations: 30,
-		EnergyCostCV:         0.1,
-		CouplingRank:         120,
-	}
-	m := cluster.Jaguar()
+	flagship := machine.Flagship()
+	flagship.NE = 1316 // 2 clean rounds over 658 energy groups
+	m := machine.Jaguar()
 	fmt.Printf("\nflagship workload: %d independent solves on a %d-layer, %d-orbital/layer device\n",
 		flagship.Tasks(), flagship.NLayers, flagship.BlockSize)
 	fmt.Printf("useful work: %.3g flops per sweep\n", float64(flagship.UsefulFlops()))

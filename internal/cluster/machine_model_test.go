@@ -1,28 +1,18 @@
-package cluster
+// The machine-model tests. The model they exercise moved to
+// internal/machine; the tests stay in this directory (as an external test
+// package) so their names in the suite do not change.
+package cluster_test
 
 import (
-	"context"
 	"math"
-	"repro/internal/sched"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/machine"
 )
 
-// flagship is a Jaguar-scale workload: a full I-V sweep of a large
-// nanowire FET (the paper's production scenario).
-func flagship() Workload {
-	return Workload{
-		NBias: 16, NK: 21, NE: 1024,
-		NLayers: 140, BlockSize: 480, RHSWidth: 480,
-		SelfEnergyIterations: 30,
-		EnergyCostCV:         0.1,
-		CouplingRank:         120,
-	}
-}
-
-func small() Workload {
-	return Workload{
+func small() machine.Workload {
+	return machine.Workload{
 		NBias: 2, NK: 3, NE: 16,
 		NLayers: 12, BlockSize: 8, RHSWidth: 8,
 		SelfEnergyIterations: 20,
@@ -48,7 +38,7 @@ func TestWorkloadValidate(t *testing.T) {
 
 func TestAutoDecomposeSaturatesLevels(t *testing.T) {
 	w := small() // 2×3×16 tasks, 12 layers
-	d, err := AutoDecompose(2*3*16, w)
+	d, err := machine.AutoDecompose(2*3*16, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +46,7 @@ func TestAutoDecomposeSaturatesLevels(t *testing.T) {
 		t.Fatalf("decomposition %v did not saturate the cheap levels first", d)
 	}
 	// With more cores than tasks, spatial domains absorb the rest.
-	d2, err := AutoDecompose(2*3*16*4, w)
+	d2, err := machine.AutoDecompose(2*3*16*4, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +60,8 @@ func TestAutoDecomposeSaturatesLevels(t *testing.T) {
 }
 
 func TestPredictBasicInvariants(t *testing.T) {
-	m := Jaguar()
-	w := flagship()
+	m := machine.Jaguar()
+	w := machine.Flagship()
 	for _, cores := range []int{12, 1200, 12000, 120000} {
 		r, err := m.PredictAuto(w, cores)
 		if err != nil {
@@ -95,8 +85,8 @@ func TestPredictBasicInvariants(t *testing.T) {
 }
 
 func TestStrongScalingShape(t *testing.T) {
-	m := Jaguar()
-	w := flagship()
+	m := machine.Jaguar()
+	w := machine.Flagship()
 	counts := []int{1344, 5376, 21504, 86016, 221400}
 	reports, err := m.StrongScaling(w, counts)
 	if err != nil {
@@ -125,10 +115,10 @@ func TestStrongScalingShape(t *testing.T) {
 func TestDomainsOnlyAmdahl(t *testing.T) {
 	// With a single (bias,k,E) task, all parallelism must come from
 	// domains, whose reduced system caps the speedup (Amdahl).
-	m := Jaguar()
-	w := flagship()
+	m := machine.Jaguar()
+	w := machine.Flagship()
 	w.NBias, w.NK, w.NE = 1, 1, 1
-	base, err := m.Predict(w, Decomposition{1, 1, 1, 1})
+	base, err := m.Predict(w, machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +128,7 @@ func TestDomainsOnlyAmdahl(t *testing.T) {
 		if p > w.NLayers {
 			break
 		}
-		r, err := m.Predict(w, Decomposition{1, 1, 1, p})
+		r, err := m.Predict(w, machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: p})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,7 +139,7 @@ func TestDomainsOnlyAmdahl(t *testing.T) {
 		prevSpeedup = s
 	}
 	// Speedup at the largest domain count must be visibly sublinear.
-	rMax, err := m.Predict(w, Decomposition{1, 1, 1, 128})
+	rMax, err := m.Predict(w, machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,13 +152,13 @@ func TestDomainsOnlyAmdahl(t *testing.T) {
 func TestCommunicationMatters(t *testing.T) {
 	// A zero-latency, infinite-bandwidth machine must predict a shorter
 	// wall time for a domain-decomposed run.
-	w := flagship()
+	w := machine.Flagship()
 	w.NBias, w.NK, w.NE = 1, 1, 4
-	m := Jaguar()
+	m := machine.Jaguar()
 	fast := m
 	fast.Latency = 0
 	fast.Bandwidth = 1e15
-	d := Decomposition{1, 1, 4, 16}
+	d := machine.Decomposition{Bias: 1, Momentum: 1, Energy: 4, Domains: 16}
 	slow, err := m.Predict(w, d)
 	if err != nil {
 		t.Fatal(err)
@@ -186,18 +176,18 @@ func TestCommunicationMatters(t *testing.T) {
 }
 
 func TestPredictValidation(t *testing.T) {
-	m := Jaguar()
+	m := machine.Jaguar()
 	w := small()
-	if _, err := m.Predict(w, Decomposition{0, 1, 1, 1}); err == nil {
+	if _, err := m.Predict(w, machine.Decomposition{Bias: 0, Momentum: 1, Energy: 1, Domains: 1}); err == nil {
 		t.Fatal("accepted zero-level decomposition")
 	}
-	if _, err := m.Predict(w, Decomposition{3, 1, 1, 1}); err == nil {
+	if _, err := m.Predict(w, machine.Decomposition{Bias: 3, Momentum: 1, Energy: 1, Domains: 1}); err == nil {
 		t.Fatal("accepted bias level above task count")
 	}
-	if _, err := m.Predict(w, Decomposition{1, 1, 1, 20}); err == nil {
+	if _, err := m.Predict(w, machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 20}); err == nil {
 		t.Fatal("accepted more domains than layers")
 	}
-	huge := Decomposition{2, 3, 16, 12}
+	huge := machine.Decomposition{Bias: 2, Momentum: 3, Energy: 16, Domains: 12}
 	m2 := m
 	m2.TotalCores = 100
 	if _, err := m2.Predict(w, huge); err == nil {
@@ -208,8 +198,8 @@ func TestPredictValidation(t *testing.T) {
 func TestSplitSolveCostCrossover(t *testing.T) {
 	// The reduced-system cost grows as P³; past some P it dominates and
 	// per-solve time rises again — the crossover the F3 experiment shows.
-	w := flagship()
-	m := Jaguar()
+	w := machine.Flagship()
+	m := machine.Jaguar()
 	rate := m.SustainedFlopsPerCore()
 	timeAt := func(p int) float64 {
 		ss, err := w.SplitSolve(p)
@@ -229,54 +219,11 @@ func TestSplitSolveCostCrossover(t *testing.T) {
 	}
 }
 
-func TestRunTasksCoversAllAndIsOrdered(t *testing.T) {
-	const nb, nk, ne = 2, 3, 5
-	var count atomic.Int64
-	seen := make([]atomic.Bool, nb*nk*ne)
-	err := RunTasks(context.Background(), nb, nk, ne, sched.New(4), func(_ context.Context, task Task) error {
-		idx := (task.Bias*nk+task.K)*ne + task.E
-		if seen[idx].Swap(true) {
-			t.Errorf("task %v executed twice", task)
-		}
-		count.Add(1)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != nb*nk*ne {
-		t.Fatalf("executed %d tasks, want %d", count.Load(), nb*nk*ne)
-	}
-	for i := range seen {
-		if !seen[i].Load() {
-			t.Fatalf("task %d never executed", i)
-		}
-	}
-}
-
-func TestRunTasksPropagatesError(t *testing.T) {
-	err := RunTasks(context.Background(), 1, 1, 4, sched.New(2), func(_ context.Context, task Task) error {
-		if task.E == 2 {
-			return errTest
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error not propagated")
-	}
-}
-
-var errTest = errDummy{}
-
-type errDummy struct{}
-
-func (errDummy) Error() string { return "dummy" }
-
 func TestQuickAutoDecomposeBudget(t *testing.T) {
-	w := flagship()
+	w := machine.Flagship()
 	f := func(coresRaw uint32) bool {
 		cores := int(coresRaw%500000) + 1
-		d, err := AutoDecompose(cores, w)
+		d, err := machine.AutoDecompose(cores, w)
 		if err != nil {
 			return false
 		}
@@ -288,7 +235,7 @@ func TestQuickAutoDecomposeBudget(t *testing.T) {
 }
 
 func TestCalibrateBlockSolve(t *testing.T) {
-	n, err := CalibrateBlockSolve(func() error { return nil })
+	n, err := machine.CalibrateBlockSolve(func() error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +245,12 @@ func TestCalibrateBlockSolve(t *testing.T) {
 }
 
 func TestAutoDecomposeSingleCore(t *testing.T) {
-	w := Workload{NBias: 4, NK: 3, NE: 16, NLayers: 10, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
-	d, err := AutoDecompose(1, w)
+	w := machine.Workload{NBias: 4, NK: 3, NE: 16, NLayers: 10, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
+	d, err := machine.AutoDecompose(1, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d != (Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 1}) {
+	if d != (machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 1}) {
 		t.Fatalf("cores=1 gave %v, want all-serial", d)
 	}
 	if d.Cores() != 1 {
@@ -312,14 +259,14 @@ func TestAutoDecomposeSingleCore(t *testing.T) {
 }
 
 func TestAutoDecomposeCoresExceedTasks(t *testing.T) {
-	w := Workload{NBias: 2, NK: 3, NE: 4, NLayers: 5, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
+	w := machine.Workload{NBias: 2, NK: 3, NE: 4, NLayers: 5, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
 	// Far more cores than bias×k×E×layers: every level must saturate at
 	// its task count and never exceed it.
-	d, err := AutoDecompose(1_000_000, w)
+	d, err := machine.AutoDecompose(1_000_000, w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Decomposition{Bias: 2, Momentum: 3, Energy: 4, Domains: 5}
+	want := machine.Decomposition{Bias: 2, Momentum: 3, Energy: 4, Domains: 5}
 	if d != want {
 		t.Fatalf("got %v, want fully saturated %v", d, want)
 	}
@@ -329,9 +276,9 @@ func TestAutoDecomposeCoresExceedTasks(t *testing.T) {
 }
 
 func TestAutoDecomposeNonDivisibleCores(t *testing.T) {
-	w := Workload{NBias: 2, NK: 2, NE: 100, NLayers: 20, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
+	w := machine.Workload{NBias: 2, NK: 2, NE: 100, NLayers: 20, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
 	for _, cores := range []int{3, 7, 11, 13, 97} {
-		d, err := AutoDecompose(cores, w)
+		d, err := machine.AutoDecompose(cores, w)
 		if err != nil {
 			t.Fatalf("cores=%d: %v", cores, err)
 		}
@@ -343,7 +290,7 @@ func TestAutoDecomposeNonDivisibleCores(t *testing.T) {
 		}
 	}
 	// A prime budget smaller than NBias goes entirely to the bias level.
-	d, err := AutoDecompose(7, Workload{NBias: 16, NK: 2, NE: 4, NLayers: 5, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5})
+	d, err := machine.AutoDecompose(7, machine.Workload{NBias: 16, NK: 2, NE: 4, NLayers: 5, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,25 +300,25 @@ func TestAutoDecomposeNonDivisibleCores(t *testing.T) {
 }
 
 func TestAutoDecomposeInvalidInputs(t *testing.T) {
-	w := Workload{NBias: 2, NK: 2, NE: 4, NLayers: 5, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
-	if _, err := AutoDecompose(0, w); err == nil {
+	w := machine.Workload{NBias: 2, NK: 2, NE: 4, NLayers: 5, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
+	if _, err := machine.AutoDecompose(0, w); err == nil {
 		t.Fatal("cores=0 accepted")
 	}
-	if _, err := AutoDecompose(-5, w); err == nil {
+	if _, err := machine.AutoDecompose(-5, w); err == nil {
 		t.Fatal("negative cores accepted")
 	}
-	if _, err := AutoDecompose(4, Workload{}); err == nil {
+	if _, err := machine.AutoDecompose(4, machine.Workload{}); err == nil {
 		t.Fatal("invalid workload accepted")
 	}
 }
 
 func TestPredictEnergyImbalance(t *testing.T) {
-	base := Workload{
+	base := machine.Workload{
 		NBias: 2, NK: 2, NE: 64, NLayers: 12, BlockSize: 16, RHSWidth: 16,
 		SelfEnergyIterations: 5,
 	}
-	m := Jaguar()
-	d := Decomposition{Bias: 2, Momentum: 2, Energy: 16, Domains: 1}
+	m := machine.Jaguar()
+	d := machine.Decomposition{Bias: 2, Momentum: 2, Energy: 16, Domains: 1}
 
 	uniform, err := m.Predict(base, d)
 	if err != nil {
@@ -400,7 +347,7 @@ func TestPredictEnergyImbalance(t *testing.T) {
 	}
 
 	// CV only bites when the energy level is actually split (g > 1).
-	serial := Decomposition{Bias: 2, Momentum: 2, Energy: 1, Domains: 1}
+	serial := machine.Decomposition{Bias: 2, Momentum: 2, Energy: 1, Domains: 1}
 	su, err := m.Predict(base, serial)
 	if err != nil {
 		t.Fatal(err)

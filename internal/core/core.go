@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/device"
+	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/tb"
@@ -166,17 +167,17 @@ func (s *Simulator) LayerVolume() float64 {
 
 // PredictScaling exposes the calibrated Jaguar machine model for this
 // device's workload shape: nBias × nK × nE solves over the device's layer
-// structure (see internal/cluster and DESIGN.md for the substitution).
-func (s *Simulator) PredictScaling(nBias, nK, nE int, coreCounts []int) ([]cluster.Report, error) {
+// structure (see internal/machine and DESIGN.md for the substitution).
+func (s *Simulator) PredictScaling(nBias, nK, nE int, coreCounts []int) ([]machine.Report, error) {
 	st := s.Stats()
-	w := cluster.Workload{
+	w := machine.Workload{
 		NBias: nBias, NK: nK, NE: nE,
 		NLayers:              st.Layers,
 		BlockSize:            st.BlockSize,
 		RHSWidth:             st.BlockSize,
 		SelfEnergyIterations: 30,
 	}
-	return cluster.Jaguar().StrongScaling(w, coreCounts)
+	return machine.Jaguar().StrongScaling(w, coreCounts)
 }
 
 // KT re-exports the thermal energy helper for drivers.

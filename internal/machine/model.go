@@ -1,20 +1,22 @@
-// Package cluster models the parallel execution of the simulator on a
-// large distributed-memory machine — the substitution for the Cray XT5
-// "Jaguar" of the paper (see DESIGN.md).
+// Package machine is the analytic performance model of a large
+// distributed-memory machine — the substitution for the Cray XT5
+// "Jaguar" of the paper (see DESIGN.md §2/§3).
 //
 // Correctness-level parallelism (worker pools over bias, momentum, and
 // energy points; goroutine-parallel SplitSolve domains) lives in the
-// physics packages and runs on real cores. This package supplies the
-// *performance* dimension: an analytic machine model calibrated against
-// the exact flop counts reported by the numerical kernels, a multi-level
-// decomposition scheduler (bias × momentum × energy × spatial domains, the
-// paper's four levels), and predicted wall times, sustained Flop/s, and
-// parallel efficiencies for core counts up to the full 221,400-core
-// machine. The scaling *shapes* — where each level saturates, where the
-// SplitSolve reduced system bites, where communication flattens the curve
-// — emerge from the same algorithmic quantities that governed the real
-// machine.
-package cluster
+// physics packages and runs on real cores, and the code that executes,
+// journals and ships a sweep lives in internal/cluster and
+// internal/distrib. This package is only the *projection*: a machine
+// model calibrated against the exact flop counts reported by the
+// numerical kernels, a multi-level decomposition scheduler (bias ×
+// momentum × energy × spatial domains, the paper's four levels), and
+// predicted wall times, sustained Flop/s, and parallel efficiencies for
+// core counts up to the full 221,400-core machine. The scaling *shapes* —
+// where each level saturates, where the SplitSolve reduced system bites,
+// where communication flattens the curve — emerge from the same
+// algorithmic quantities that governed the real machine. It journals
+// nothing and opens no socket.
+package machine
 
 import "fmt"
 
@@ -71,13 +73,13 @@ func Laptop() MachineModel {
 // Validate reports configuration errors.
 func (m MachineModel) Validate() error {
 	if m.TotalCores < 1 || m.CoresPerNode < 1 {
-		return fmt.Errorf("cluster: machine needs positive core counts")
+		return fmt.Errorf("machine: machine needs positive core counts")
 	}
 	if m.PeakFlopsPerCore <= 0 || m.KernelEfficiency <= 0 || m.KernelEfficiency > 1 {
-		return fmt.Errorf("cluster: invalid flop rates")
+		return fmt.Errorf("machine: invalid flop rates")
 	}
 	if m.Latency < 0 || m.Bandwidth <= 0 {
-		return fmt.Errorf("cluster: invalid network parameters")
+		return fmt.Errorf("machine: invalid network parameters")
 	}
 	return nil
 }

@@ -1,4 +1,4 @@
-package cluster
+package machine
 
 import (
 	"fmt"
@@ -24,14 +24,14 @@ func (d Decomposition) String() string {
 // Validate reports structural errors against a workload.
 func (d Decomposition) Validate(w Workload) error {
 	if d.Bias < 1 || d.Momentum < 1 || d.Energy < 1 || d.Domains < 1 {
-		return fmt.Errorf("cluster: decomposition levels must be positive, got %v", d)
+		return fmt.Errorf("machine: decomposition levels must be positive, got %v", d)
 	}
 	if d.Bias > w.NBias || d.Momentum > w.NK || d.Energy > w.NE {
-		return fmt.Errorf("cluster: decomposition %v exceeds workload task counts (%d, %d, %d)",
+		return fmt.Errorf("machine: decomposition %v exceeds workload task counts (%d, %d, %d)",
 			d, w.NBias, w.NK, w.NE)
 	}
 	if d.Domains > w.NLayers {
-		return fmt.Errorf("cluster: %d domains exceed %d layers", d.Domains, w.NLayers)
+		return fmt.Errorf("machine: %d domains exceed %d layers", d.Domains, w.NLayers)
 	}
 	return nil
 }
@@ -47,7 +47,7 @@ func AutoDecompose(cores int, w Workload) (Decomposition, error) {
 		return Decomposition{}, err
 	}
 	if cores < 1 {
-		return Decomposition{}, fmt.Errorf("cluster: need at least one core")
+		return Decomposition{}, fmt.Errorf("machine: need at least one core")
 	}
 	d := Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: 1}
 	rem := cores
@@ -117,7 +117,7 @@ func (m MachineModel) Predict(w Workload, d Decomposition) (Report, error) {
 		return Report{}, err
 	}
 	if d.Cores() > m.TotalCores {
-		return Report{}, fmt.Errorf("cluster: %v exceeds the %d cores of %s", d, m.TotalCores, m.Name)
+		return Report{}, fmt.Errorf("machine: %v exceeds the %d cores of %s", d, m.TotalCores, m.Name)
 	}
 	rate := m.SustainedFlopsPerCore()
 
@@ -193,7 +193,7 @@ func (m MachineModel) StrongScaling(w Workload, coreCounts []int) ([]Report, err
 	for _, c := range coreCounts {
 		r, err := m.PredictAuto(w, c)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: %d cores: %w", c, err)
+			return nil, fmt.Errorf("machine: %d cores: %w", c, err)
 		}
 		reports = append(reports, r)
 	}

@@ -1,4 +1,4 @@
-package cluster
+package machine
 
 import (
 	"fmt"
@@ -32,16 +32,33 @@ type Workload struct {
 	EnergyCostCV float64
 }
 
+// Flagship mirrors the paper's production scenario: a full I-V sweep (16
+// bias points) of a large spin-resolved sp3d5s* nanowire FET with 21
+// momentum points and ~1000 energy points per bias.
+func Flagship() Workload {
+	return Workload{
+		NBias: 16, NK: 21, NE: 1024,
+		NLayers: 140, BlockSize: 480, RHSWidth: 480,
+		SelfEnergyIterations: 30,
+		EnergyCostCV:         0.1,
+		CouplingRank:         120,
+	}
+}
+
+// StrongCounts are the core counts of the strong-scaling study — the
+// paper's machine sizes from two racks up to the full system.
+var StrongCounts = []int{672, 1344, 2688, 5376, 10752, 21504, 43008, 86016, 172032, 221400}
+
 // Validate reports parameter errors.
 func (w Workload) Validate() error {
 	if w.NBias < 1 || w.NK < 1 || w.NE < 1 {
-		return fmt.Errorf("cluster: task counts must be positive")
+		return fmt.Errorf("machine: task counts must be positive")
 	}
 	if w.NLayers < 2 || w.BlockSize < 1 || w.RHSWidth < 1 {
-		return fmt.Errorf("cluster: device dimensions invalid")
+		return fmt.Errorf("machine: device dimensions invalid")
 	}
 	if w.SelfEnergyIterations < 1 {
-		return fmt.Errorf("cluster: self-energy iteration count must be positive")
+		return fmt.Errorf("machine: self-energy iteration count must be positive")
 	}
 	return nil
 }
@@ -99,7 +116,7 @@ type SplitSolveCost struct {
 // internal/splitsolve); each interface exchanges its boundary blocks.
 func (w Workload) SplitSolve(p int) (SplitSolveCost, error) {
 	if p < 1 || p > w.NLayers {
-		return SplitSolveCost{}, fmt.Errorf("cluster: %d domains invalid for %d layers", p, w.NLayers)
+		return SplitSolveCost{}, fmt.Errorf("machine: %d domains invalid for %d layers", p, w.NLayers)
 	}
 	n := int64(w.BlockSize)
 	if p == 1 {

@@ -1,0 +1,381 @@
+// Package run is the one run harness of the distributed sweep: the
+// coordinator lifecycle and the worker lifecycle that `omen -serve`,
+// `omen -worker`, the `omend` job manager and its worker processes all
+// share. It owns the composition around distrib.Serve and
+// distrib.RunWorker — journal, run identity, replay, epoch, listener,
+// worker fleet, crash supervision, assembly — exactly once; callers
+// supply only what differs between them, through Hooks (DESIGN.md, "Run
+// lifecycle").
+package run
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"os"
+	"os/exec"
+	"sync"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/comms"
+	"repro/internal/core"
+	"repro/internal/distrib"
+	"repro/internal/perf"
+	"repro/internal/resilience"
+	"repro/internal/spec"
+)
+
+// SpawnFunc launches one worker (a process, or a goroutine calling Work)
+// that dials addr and serves the given worker-variant spec until it is
+// dismissed. It must respect ctx and return when the worker exits.
+type SpawnFunc func(ctx context.Context, addr string, ws spec.RunSpec) error
+
+// Hooks is everything a caller of Coordinate decides for itself.
+type Hooks struct {
+	// Addr is the TCP address the coordinator listens on (port 0 picks
+	// a free one).
+	Addr string
+	// Spawn launches each of the spec's Exec.Workers self-spawned
+	// workers. It may be nil when Exec.Workers is 0 (external fleet) —
+	// and is never called on a replay.
+	Spawn SpawnFunc
+	// Drain, when it becomes receivable, drains the run gracefully:
+	// Coordinate then returns distrib.ErrDrained with the journal
+	// resumable (SIGTERM for omen, Job.requestDrain for the service).
+	Drain <-chan struct{}
+	// OnIdentity observes the journal-derived run identity once it is
+	// settled: the RunID of the header and this incarnation's epoch.
+	OnIdentity func(runID string, epoch uint64)
+	// OnProgress and OnResult are distrib.Options' observers; OnProgress
+	// additionally fires with (0, total) as soon as the grid is planned.
+	OnProgress func(done, total int)
+	OnResult   func(task cluster.Task, payload []byte)
+	// Logf receives the operator-facing lines (default: discard).
+	Logf func(format string, args ...any)
+	// ShardHold is distrib.Options.ShardHold, the steal drill's knob.
+	ShardHold time.Duration
+}
+
+// Outcome is what a coordinated run produced. Coordinate returns it
+// non-nil even with an error, describing how far the run got.
+type Outcome struct {
+	// Sweep is the assembled result; nil unless the run finished.
+	Sweep *core.TransmissionSweep
+	// Report is the task accounting (nil if the engine never started).
+	Report *cluster.SweepReport
+	// Perf is the exact merge of the per-task perf deltas.
+	Perf perf.Snapshot
+	// Workers, Redispatched, Shards and Steals are distrib.Report's.
+	Workers, Redispatched, Shards, Steals int
+	// RunID and Epoch are the journal-derived identity ("" and 0
+	// without a journal).
+	RunID string
+	Epoch uint64
+	// Replayed reports that the journal already covered the grid: the
+	// result was restored from disk with no listener, worker or write.
+	Replayed bool
+}
+
+// serve is distrib.Serve, behind a seam the supervisor's tests replace.
+var serve = distrib.Serve
+
+// maxRestarts bounds the in-place restarts of one Coordinate call.
+const maxRestarts = 3
+
+// Coordinate runs the built spec's transmission sweep as the coordinator
+// of a distributed run, start to finish:
+//
+//  1. open the spec's journal with fsync — the coordinator's journal is
+//     the cluster's source of truth;
+//  2. take the RunID from its header;
+//  3. on resume, replay: a journal that already covers the grid is
+//     restored and assembled, and nothing else happens;
+//  4. read the epoch, or bump it on resume — the incarnation a resume
+//     replaces is dead by definition, and its in-flight results must be
+//     fenced out, not double-counted;
+//  5. listen;
+//  6. spawn the self-spawned workers;
+//  7. serve under the crash supervisor (see supervise);
+//  8. wait for the spawned workers;
+//  9. assemble.
+func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
+	s := b.Spec
+	logf := h.Logf
+	if logf == nil {
+		logf = func(string, ...any) {}
+	}
+	out := &Outcome{}
+	plan, err := b.Sim.PlanTransmission(b.Grid, nil)
+	if err != nil {
+		return out, err
+	}
+	nBias, nK, nE := plan.Dims()
+	total := nBias * nK * nE
+	if h.OnProgress != nil {
+		h.OnProgress(0, total)
+	}
+
+	opts := distrib.Options{
+		LeaseTimeout: s.Exec.LeaseTimeout.Std(),
+		DrainTimeout: s.Exec.DrainTimeout.Std(),
+		Shards:       s.Exec.Shards,
+		WireFormat:   s.Exec.WireFormat,
+		ShardHold:    h.ShardHold,
+		Restore:      plan.Restore,
+		Quarantine:   s.Resilience.Quarantine,
+		OnProgress:   h.OnProgress,
+		OnResult:     h.OnResult,
+		SpecHash:     s.SpecHash(),
+		Drain:        h.Drain,
+	}
+	j, err := spec.OpenJournal(s, func(format string, args ...any) {
+		logf("warning: "+format, args...)
+	}, cluster.WithFsync())
+	if err != nil {
+		return out, err
+	}
+	if j != nil {
+		defer j.Close()
+		opts.Journal = j
+		if hd, herr := j.ReadHeader(); herr == nil && hd != nil {
+			out.RunID = hd.RunID
+		}
+		if s.Resilience.Resume {
+			if err := replay(j, plan, total, out); err != nil {
+				return out, err
+			}
+		}
+		switch {
+		case out.Replayed, !s.Resilience.Resume:
+			out.Epoch, err = j.LatestEpoch()
+		default:
+			out.Epoch, err = j.BumpEpoch()
+		}
+		if err != nil {
+			return out, err
+		}
+		if h.OnIdentity != nil {
+			h.OnIdentity(out.RunID, out.Epoch)
+		}
+		if out.Replayed {
+			logf("journal %s covers all %d tasks — replayed, no workers started", s.Resilience.Checkpoint, total)
+			return out, nil
+		}
+		opts.RunID, opts.Epoch = out.RunID, out.Epoch
+		logf("run %s epoch %d", out.RunID, out.Epoch)
+	}
+	if s.Exec.Workers > 0 && h.Spawn == nil {
+		return out, errors.New("run: the spec asks for self-spawned workers but no spawn function is configured")
+	}
+
+	lis, err := comms.TCP{}.Listen(h.Addr)
+	if err != nil {
+		return out, err
+	}
+	// The concrete dialable address is captured once: a restarted
+	// incarnation must come back on the address the workers' rejoin
+	// loops are re-dialing (Addr may carry port 0).
+	addr := comms.DialableAddr(lis.Addr())
+	logf("%s — coordinating %d tasks on %s", s.Summary(), total, lis.Addr())
+	if s.Exec.Workers == 0 {
+		// Zero self-spawned workers is a legitimate deployment, but
+		// without this notice a bare `omen -serve` looks hung.
+		logf("no self-spawned workers (-workers 0); waiting for external `omen -worker %s` processes to connect", addr)
+	}
+
+	wctx, stopWorkers := context.WithCancel(ctx)
+	defer stopWorkers()
+	var children sync.WaitGroup
+	ws := s.WorkerVariant()
+	for i := 0; i < s.Exec.Workers; i++ {
+		children.Add(1)
+		go func(i int) {
+			defer children.Done()
+			if werr := h.Spawn(wctx, addr, ws); werr != nil && wctx.Err() == nil {
+				// A dead worker is tolerated: its leases re-dispatch.
+				logf("worker %d exited: %v", i, werr)
+			}
+		}(i)
+	}
+
+	// In-place restarts need a fleet that comes back: external workers
+	// are the operator's to restart, self-spawned ones return only if
+	// they rejoin. With -rejoin-window 0 they have already exited with
+	// "lost coordinator", and a new incarnation would wait for ever.
+	restartable := j != nil && (s.Exec.Workers == 0 || s.Exec.RejoinWindow > 0)
+	rep, err := supervise(ctx, lis, addr, nBias, nK, nE, j, &opts, restartable, logf)
+	if opts.Epoch != out.Epoch {
+		out.Epoch = opts.Epoch // restarted in place
+		if h.OnIdentity != nil {
+			h.OnIdentity(out.RunID, out.Epoch)
+		}
+	}
+	if err != nil && !errors.Is(err, distrib.ErrDrained) {
+		// Nobody dismissed the fleet; do not sit out its dial and
+		// rejoin patience.
+		stopWorkers()
+	}
+	children.Wait()
+	if rep != nil {
+		out.Report, out.Perf = rep.Sweep, rep.Perf
+		out.Workers, out.Redispatched = rep.Workers, rep.Redispatched
+		out.Shards, out.Steals = rep.Shards, rep.Steals
+	}
+	if err != nil {
+		return out, err
+	}
+	out.Sweep = plan.Assemble(rep.Sweep)
+	return out, nil
+}
+
+// replay serves a run entirely from its journal when that already holds
+// a verified result for every task: one record per task restored into
+// the plan and assembled, the flop total re-summed from the journaled
+// per-task perf deltas — zero new solves, no listener, no worker, no
+// write. It leaves out.Replayed false when the journal does not cover
+// the grid (the caller falls through to a live run).
+func replay(j *cluster.FileJournal, plan *core.TransmissionPlan, total int, out *Outcome) error {
+	recs, err := j.Load()
+	if err != nil {
+		return err
+	}
+	first := make(map[int]cluster.TaskRecord, len(recs))
+	for _, rec := range recs {
+		if rec.Index < 0 || rec.Index >= total {
+			continue
+		}
+		if _, dup := first[rec.Index]; !dup {
+			first[rec.Index] = rec
+		}
+	}
+	if len(first) < total {
+		return nil
+	}
+	_, nK, nE := plan.Dims()
+	var d perf.Snapshot
+	for idx := 0; idx < total; idx++ {
+		rec := first[idx]
+		if err := plan.Restore(cluster.TaskAt(idx, nK, nE), rec.Payload); err != nil {
+			return fmt.Errorf("replay task %d: %w", idx, err)
+		}
+		if rec.Perf != nil {
+			d.Add(*rec.Perf)
+		}
+	}
+	out.Report = &cluster.SweepReport{Total: total, Restored: total}
+	out.Sweep = plan.Assemble(out.Report)
+	out.Perf = d
+	out.Replayed = true
+	return nil
+}
+
+// supervise runs the serve seam under a crash supervisor. With a journal
+// on disk a coordinator failure — a panic in the serve path or an
+// unexpected error — is survivable: every committed result is already
+// journaled, so a restartable run comes back in place (same address,
+// epoch bumped by one) and continues with whatever workers rejoin.
+// Context cancellation, graceful drains, and journal-less runs pass
+// straight through: without a journal a restart would silently redo
+// work. So does a failed task (distrib.ErrTaskFailed): it is the sweep's
+// verdict, the workers have been dismissed, and a restart would wait on
+// them for ever.
+func supervise(ctx context.Context, lis net.Listener, addr string, nBias, nK, nE int, j *cluster.FileJournal, opts *distrib.Options, restartable bool, logf func(string, ...any)) (*distrib.Report, error) {
+	for attempt := 0; ; attempt++ {
+		var rep *distrib.Report
+		err := resilience.Call(ctx, func(ctx context.Context) error {
+			var serr error
+			rep, serr = serve(ctx, lis, nBias, nK, nE, *opts)
+			return serr
+		})
+		if err == nil || errors.Is(err, distrib.ErrDrained) || errors.Is(err, distrib.ErrTaskFailed) ||
+			ctx.Err() != nil || !restartable || attempt >= maxRestarts {
+			return rep, err
+		}
+		logf("coordinator failed (%v); restarting in place (%d/%d)", err, attempt+1, maxRestarts)
+		// Serve closed the listener on its way down; reopen the captured
+		// address so the workers' rejoin dials land on the incarnation
+		// replacing the one that died, and bump the epoch so any result
+		// still in flight from the dead incarnation is fenced out. The
+		// restarted Serve re-seeds its done set (and re-sums the flop
+		// deltas) from the journal.
+		lis.Close()
+		nl, lerr := comms.TCP{}.Listen(addr)
+		if lerr != nil {
+			return rep, fmt.Errorf("restart after %v: %w", err, lerr)
+		}
+		lis = nl
+		epoch, eerr := j.BumpEpoch()
+		if eerr != nil {
+			lis.Close()
+			return rep, fmt.Errorf("restart after %v: %w", err, eerr)
+		}
+		opts.Epoch = epoch
+	}
+}
+
+// Work runs one worker of a distributed run: build the spec, dial the
+// coordinator (with patience — workers often start first), pull task
+// leases, solve them on the local pool, report results. It returns nil
+// only when the coordinator dismisses it with an explicit done; a hangup
+// before that means the coordinator crashed, and with the spec's
+// RejoinWindow set the worker re-dials the same address, re-handshakes
+// under the pinned run ID, and resumes under the replacement's epoch. A
+// coordinator running a different spec rejects it at the handshake.
+func Work(ctx context.Context, s spec.RunSpec, addr string) error {
+	if err := s.ValidateFor(spec.RoleWorker); err != nil {
+		return err
+	}
+	b, err := spec.Build(s)
+	if err != nil {
+		return err
+	}
+	plan, err := b.Sim.PlanTransmission(b.Grid, nil)
+	if err != nil {
+		return err
+	}
+	nBias, nK, nE := plan.Dims()
+	conn, err := comms.DialRetry(ctx, comms.TCP{}, addr, 30*time.Second)
+	if err != nil {
+		return err
+	}
+	host, _ := os.Hostname()
+	rejoin := s.Exec.RejoinWindow.Std()
+	return distrib.RunWorker(ctx, conn, nBias, nK, nE, distrib.WorkerOptions{
+		ID:   fmt.Sprintf("%s-%d", host, os.Getpid()),
+		Pool: plan.Pool(),
+		// Batched leases amortize the request/grant round-trip over
+		// several tasks per width-1 pool; the coalesced uploads piggyback
+		// on the same batch size.
+		Capacity:     distrib.DefaultLeaseBatch,
+		WireFormat:   s.Exec.WireFormat,
+		Retry:        b.RetryPolicy(),
+		Injector:     b.Injector(),
+		SpecHash:     s.SpecHash(),
+		RejoinWindow: rejoin,
+		Dial: func(ctx context.Context) (net.Conn, error) {
+			return comms.DialRetry(ctx, comms.TCP{}, addr, rejoin)
+		},
+		// Everything computed under the dead epoch is fenced out by the
+		// new coordinator, and a warm σ-cache would let the re-dispatched
+		// twins of that work skip the decimation flops the serial run
+		// counts — reset so the merged flop total stays exact.
+		OnRejoin: b.Cache.Reset,
+	}, plan.Run)
+}
+
+// ReExec is the one re-exec SpawnFunc: it runs a worker as a child
+// process of this binary, `os.Args[0] -worker ADDR -spec-json SPEC`. The
+// one serialized spec is the worker's whole configuration — no per-flag
+// argv mirroring to drift — and every binary that coordinates (omen,
+// omend) answers that command line by calling Work.
+func ReExec(ctx context.Context, addr string, ws spec.RunSpec) error {
+	wj, err := ws.Canonical()
+	if err != nil {
+		return err
+	}
+	cmd := exec.CommandContext(ctx, os.Args[0], "-worker", addr, "-spec-json", string(wj))
+	cmd.Stderr = os.Stderr
+	return cmd.Run()
+}

@@ -1,0 +1,365 @@
+package run
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"flag"
+	"fmt"
+	"net"
+	"os"
+	"path/filepath"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/distrib"
+	"repro/internal/perf"
+	"repro/internal/spec"
+)
+
+// The test binary answers the re-exec spawner's command line the way omen
+// and omend do, so the lifecycle tests run real worker processes through
+// ReExec. In-process workers would share this process's perf counters,
+// their per-task deltas would overlap, and `# flops` could not be exact.
+var (
+	workerAddr = flag.String("worker", "", "internal: run as a sweep worker dialing this address")
+	specJSON   = flag.String("spec-json", "", "internal: inline JSON spec for -worker")
+)
+
+func TestMain(m *testing.M) {
+	flag.Parse()
+	if *workerAddr != "" {
+		s, err := spec.Parse([]byte(*specJSON))
+		if err == nil {
+			err = Work(context.Background(), s, *workerAddr)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "run.test worker:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// testSpec is `omen -device agnr7 -cellsx 6 -ne 64` with the given
+// self-spawned worker count and journal.
+func testSpec(workers int, journal string, resume bool) spec.RunSpec {
+	s := spec.Default()
+	s.Device.CellsX = 6
+	s.Grid.NE = 64
+	s.Exec.Workers = workers
+	s.Resilience.Checkpoint = journal
+	s.Resilience.Resume = resume
+	return s
+}
+
+func build(t *testing.T, s spec.RunSpec) *spec.Built {
+	t.Helper()
+	b, err := spec.Build(s)
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	return b
+}
+
+// serialText is the serial engine's complete report of the test spec:
+// rows, `# flops` and `# sigma-cache`.
+func serialText(t *testing.T) string {
+	t.Helper()
+	b := build(t, testSpec(1, "", false))
+	before := perf.TakeSnapshot()
+	sweep, err := b.Sim.TransmissionResumable(context.Background(), b.Grid, nil, b.SweepOptions())
+	if err != nil {
+		t.Fatalf("serial sweep: %v", err)
+	}
+	var buf bytes.Buffer
+	core.WriteSweep(&buf, sweep, perf.TakeSnapshot().Diff(before))
+	return buf.String()
+}
+
+func outcomeText(out *Outcome) string {
+	var buf bytes.Buffer
+	core.WriteSweep(&buf, out.Sweep, out.Perf)
+	return buf.String()
+}
+
+// countingSpawn wraps ReExec with a call counter.
+func countingSpawn(n *atomic.Int32) SpawnFunc {
+	return func(ctx context.Context, addr string, ws spec.RunSpec) error {
+		n.Add(1)
+		return ReExec(ctx, addr, ws)
+	}
+}
+
+// journalState reads what a finished run left on disk: the file size,
+// the latest epoch, and how many records each task has.
+func journalState(t *testing.T, path string) (size int64, epoch uint64, perTask map[int]int) {
+	t.Helper()
+	fi, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := cluster.OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if epoch, err = j.LatestEpoch(); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := j.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	perTask = make(map[int]int)
+	for _, rec := range recs {
+		perTask[rec.Index]++
+	}
+	return fi.Size(), epoch, perTask
+}
+
+// TestCoordinateFreshThenReplay: a fresh 2-worker run over TCP prints
+// the serial engine's bytes, `# flops` included; a second Coordinate over
+// the finished journal replays it — no worker, no write, same sweep and
+// perf.
+func TestCoordinateFreshThenReplay(t *testing.T) {
+	want := serialText(t)
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	var spawned atomic.Int32
+	hooks := Hooks{Addr: "127.0.0.1:0", Spawn: countingSpawn(&spawned), Logf: t.Logf}
+
+	fresh, err := Coordinate(context.Background(), build(t, testSpec(2, path, false)), hooks)
+	if err != nil {
+		t.Fatalf("fresh run: %v", err)
+	}
+	if got := outcomeText(fresh); got != want {
+		t.Fatalf("fresh distributed output differs from serial:\n got:\n%s\nwant:\n%s", got, want)
+	}
+	if fresh.Replayed || fresh.Workers != 2 || spawned.Load() != 2 || fresh.Epoch != 1 || fresh.RunID == "" {
+		t.Fatalf("fresh outcome %+v after %d spawns, want 2 workers at epoch 1 with a RunID", fresh, spawned.Load())
+	}
+	size, epoch, _ := journalState(t, path)
+
+	again, err := Coordinate(context.Background(), build(t, testSpec(2, path, true)), hooks)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if !again.Replayed || again.Workers != 0 || spawned.Load() != 2 {
+		t.Fatalf("second run: replayed=%v workers=%d spawns=%d, want a replay with no new worker",
+			again.Replayed, again.Workers, spawned.Load())
+	}
+	if again.RunID != fresh.RunID || again.Epoch != fresh.Epoch {
+		t.Errorf("replay identity %s/%d, want the journal's %s/%d", again.RunID, again.Epoch, fresh.RunID, fresh.Epoch)
+	}
+	if size2, epoch2, _ := journalState(t, path); size2 != size || epoch2 != epoch {
+		t.Errorf("replay touched the journal: %d bytes epoch %d, was %d bytes epoch %d", size2, epoch2, size, epoch)
+	}
+	wantReplay := "# resumed: 64/64 tasks restored from checkpoint\n" + want
+	if got := outcomeText(again); got != wantReplay {
+		t.Errorf("replayed output:\n%s\nwant:\n%s", got, wantReplay)
+	}
+	if again.Perf.Flops != fresh.Perf.Flops {
+		t.Errorf("replayed flops %d != live flops %d", again.Perf.Flops, fresh.Perf.Flops)
+	}
+}
+
+// TestCoordinateDrainThenResume: a drain that lands mid-run returns
+// distrib.ErrDrained with a resumable journal, and the resumed run
+// finishes to the serial bytes with exactly one record per task.
+func TestCoordinateDrainThenResume(t *testing.T) {
+	want := serialText(t)
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	drain := make(chan struct{})
+	var once sync.Once
+	out, err := Coordinate(context.Background(), build(t, testSpec(2, path, false)), Hooks{
+		Addr: "127.0.0.1:0", Spawn: ReExec, Drain: drain, Logf: t.Logf,
+		// The first committed result pulls the drain: 48 or more tasks
+		// are still unleased then.
+		OnResult: func(cluster.Task, []byte) { once.Do(func() { close(drain) }) },
+	})
+	if !errors.Is(err, distrib.ErrDrained) {
+		t.Fatalf("drained run returned %v, want distrib.ErrDrained", err)
+	}
+	if out.Sweep != nil || out.Report == nil || out.Report.Completed == 0 || out.Report.Completed >= 64 {
+		t.Fatalf("drained outcome %+v (report %+v), want a partial run with no sweep", out, out.Report)
+	}
+
+	out, err = Coordinate(context.Background(), build(t, testSpec(2, path, true)), Hooks{
+		Addr: "127.0.0.1:0", Spawn: ReExec, Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if out.Replayed || out.Epoch != 2 || out.Report.Restored == 0 {
+		t.Fatalf("resumed outcome %+v (report %+v), want a live run at epoch 2 with restored tasks", out, out.Report)
+	}
+	got := outcomeText(out)
+	resumed, rest, _ := strings.Cut(got, "\n")
+	if !strings.HasPrefix(resumed, "# resumed: ") || rest != want {
+		t.Fatalf("resumed output differs from serial:\n got:\n%s\nwant (after the # resumed line):\n%s", got, want)
+	}
+	_, _, perTask := journalState(t, path)
+	if len(perTask) != 64 {
+		t.Fatalf("journal covers %d tasks, want 64", len(perTask))
+	}
+	for idx, n := range perTask {
+		if n != 1 {
+			t.Errorf("task %d has %d journal records, want exactly 1", idx, n)
+		}
+	}
+}
+
+// serveCall is what one invocation of the serve seam saw.
+type serveCall struct {
+	addr  string
+	epoch uint64
+}
+
+// scriptServe replaces the serve seam with one that fails per script
+// (nil = finish the sweep) and records each call. Like distrib.Serve it
+// closes the listener before returning.
+func scriptServe(t *testing.T, script ...func() error) *[]serveCall {
+	t.Helper()
+	calls := new([]serveCall)
+	real := serve
+	t.Cleanup(func() { serve = real })
+	serve = func(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts distrib.Options) (*distrib.Report, error) {
+		n := len(*calls)
+		*calls = append(*calls, serveCall{lis.Addr().String(), opts.Epoch})
+		lis.Close()
+		total := nBias * nK * nE
+		if n >= len(script) {
+			t.Errorf("serve called %d times, script has %d", n+1, len(script))
+			return nil, errors.New("unscripted serve call")
+		}
+		if err := script[n](); err != nil {
+			return &distrib.Report{Sweep: &cluster.SweepReport{Total: total}}, err
+		}
+		return &distrib.Report{Sweep: &cluster.SweepReport{Total: total, Completed: total}}, nil
+	}
+	return calls
+}
+
+var errBoom = errors.New("boom")
+
+func boom() error { return errBoom }
+
+// stubFleet stands in for worker processes: each stays until the
+// coordinator dismisses the fleet (the returned func, for a script's
+// successful step) or the harness stops it.
+func stubFleet() (SpawnFunc, func() error) {
+	dismissed := make(chan struct{})
+	spawn := func(ctx context.Context, addr string, ws spec.RunSpec) error {
+		select {
+		case <-dismissed:
+			return nil
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+	}
+	return spawn, func() error { close(dismissed); return nil }
+}
+
+// TestSuperviseRestartsInPlace: with a journal and a fleet that can come
+// back — external workers, or self-spawned ones with a rejoin window — one
+// serve failure restarts the coordinator on the same address with the
+// epoch bumped by exactly one.
+func TestSuperviseRestartsInPlace(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		rejoin  time.Duration
+	}{
+		{"external fleet", 0, 0},
+		{"self-spawned with a rejoin window", 1, time.Minute},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "sweep.journal")
+			s := testSpec(tc.workers, path, false)
+			s.Exec.RejoinWindow = spec.Duration(tc.rejoin)
+			spawn, dismiss := stubFleet()
+			calls := scriptServe(t, boom, dismiss)
+			var epochs []uint64
+			out, err := Coordinate(context.Background(), build(t, s), Hooks{
+				Addr: "127.0.0.1:0", Spawn: spawn, Logf: t.Logf,
+				OnIdentity: func(_ string, epoch uint64) { epochs = append(epochs, epoch) },
+			})
+			if err != nil {
+				t.Fatalf("supervised run: %v", err)
+			}
+			c := *calls
+			if len(c) != 2 || c[0].addr != c[1].addr || c[0].epoch != 1 || c[1].epoch != 2 {
+				t.Fatalf("serve calls %+v, want two on one address at epochs 1 and 2", c)
+			}
+			if _, epoch, _ := journalState(t, path); epoch != 2 || out.Epoch != 2 {
+				t.Errorf("journal epoch %d, outcome epoch %d, want 2 and 2", epoch, out.Epoch)
+			}
+			if len(epochs) != 2 || epochs[0] != 1 || epochs[1] != 2 {
+				t.Errorf("OnIdentity saw epochs %v, want [1 2]", epochs)
+			}
+		})
+	}
+}
+
+// TestSupervisePassesThrough: a drain, a failed task, a cancelled context
+// and a journal-less run are never restarted; neither is a journaled run
+// whose self-spawned workers cannot rejoin (-rejoin-window 0) — it
+// returns the error with the journal resumable at its epoch instead of
+// waiting for a fleet that has exited.
+func TestSupervisePassesThrough(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	taskFailed := fmt.Errorf("%w: task 3", distrib.ErrTaskFailed)
+	for _, tc := range []struct {
+		name    string
+		journal bool
+		workers int
+		fail    func() error
+		want    error
+	}{
+		{"drained", true, 0, func() error { return distrib.ErrDrained }, distrib.ErrDrained},
+		{"task failed", true, 0, func() error { return taskFailed }, distrib.ErrTaskFailed},
+		{"no journal", false, 0, boom, errBoom},
+		{"self-spawned workers, no rejoin window", true, 1, boom, errBoom},
+		{"cancelled", true, 0, func() error { cancel(); return ctx.Err() }, context.Canceled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := ""
+			if tc.journal {
+				path = filepath.Join(t.TempDir(), "sweep.journal")
+			}
+			calls := scriptServe(t, tc.fail)
+			spawn, _ := stubFleet()
+			b := build(t, testSpec(tc.workers, path, false))
+			done := make(chan error, 1)
+			go func() {
+				_, err := Coordinate(ctx, b, Hooks{
+					Addr: "127.0.0.1:0", Spawn: spawn, Logf: t.Logf,
+				})
+				done <- err
+			}()
+			select {
+			case err := <-done:
+				if !errors.Is(err, tc.want) {
+					t.Fatalf("Coordinate returned %v, want %v", err, tc.want)
+				}
+			case <-time.After(30 * time.Second):
+				t.Fatal("Coordinate hangs instead of returning the serve error")
+			}
+			if len(*calls) != 1 {
+				t.Fatalf("serve ran %d times, want once", len(*calls))
+			}
+			if tc.journal {
+				if _, epoch, _ := journalState(t, path); epoch != 1 {
+					t.Errorf("journal epoch %d after a pass-through, want 1", epoch)
+				}
+			}
+		})
+	}
+}

@@ -19,9 +19,9 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perf"
+	"repro/internal/run"
 	"repro/internal/spec"
 )
 
@@ -80,7 +80,6 @@ type Job struct {
 	redispatched int
 	perf         perf.Snapshot
 	sweep        *core.TransmissionSweep
-	report       *cluster.SweepReport
 
 	cancel    context.CancelFunc
 	drain     chan struct{}
@@ -142,14 +141,6 @@ func (j *Job) requestDrain() {
 	j.drainOnce.Do(func() { close(drain) })
 }
 
-// setTotal records the task-grid size once the plan is built.
-func (j *Job) setTotal(total int) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.total = total
-	j.pingLocked()
-}
-
 // setIdentity records the journal-derived run identity.
 func (j *Job) setIdentity(runID string, epoch uint64) {
 	j.mu.Lock()
@@ -158,7 +149,7 @@ func (j *Job) setIdentity(runID string, epoch uint64) {
 	j.epoch = epoch
 }
 
-// setProgress is the distrib.Options.OnProgress observer.
+// setProgress is the run harness's OnProgress observer.
 func (j *Job) setProgress(done, total int) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -166,22 +157,21 @@ func (j *Job) setProgress(done, total int) {
 	j.pingLocked()
 }
 
-// finish lands the job in a terminal state with its result (sweep may be
-// nil for failed/canceled/drained ends).
-func (j *Job) finish(st State, errMsg string, sweep *core.TransmissionSweep, rep *cluster.SweepReport, d perf.Snapshot, workers, redispatched, restored int, replayed bool, now time.Time) {
+// finish lands the job in a terminal state with the harness's outcome
+// (its sweep is nil for failed/canceled/drained ends).
+func (j *Job) finish(st State, errMsg string, out *run.Outcome, now time.Time) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.state = st
 	j.err = errMsg
 	j.finished = now
-	j.sweep = sweep
-	j.report = rep
-	j.perf = d
-	j.workers = workers
-	j.redispatched = redispatched
-	j.restored = restored
-	j.replayed = replayed
-	if rep != nil {
+	j.sweep = out.Sweep
+	j.perf = out.Perf
+	j.workers = out.Workers
+	j.redispatched = out.Redispatched
+	j.replayed = out.Replayed
+	if rep := out.Report; rep != nil {
+		j.restored = rep.Restored
 		j.done = rep.Restored + rep.Completed + len(rep.Quarantined)
 		j.total = rep.Total
 	}

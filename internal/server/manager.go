@@ -10,10 +10,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/comms"
-	"repro/internal/core"
 	"repro/internal/distrib"
 	"repro/internal/perf"
+	"repro/internal/run"
 	"repro/internal/spec"
 )
 
@@ -30,9 +29,19 @@ var (
 )
 
 // SpawnFunc launches one worker process (or goroutine) that dials addr
-// and serves the given worker-variant spec until dismissed. It must
-// respect ctx and return when the worker exits.
-type SpawnFunc func(ctx context.Context, addr string, ws spec.RunSpec) error
+// and serves the given worker-variant spec until dismissed — the run
+// harness's spawn function. cmd/omend passes run.ReExec.
+type SpawnFunc = run.SpawnFunc
+
+// InProcessSpawner returns a SpawnFunc that runs workers as goroutines
+// of this process — test and single-binary deployments. Production
+// daemons re-exec themselves instead (process isolation: a crashing
+// worker loses a lease, not the service).
+func InProcessSpawner() SpawnFunc {
+	return func(ctx context.Context, addr string, ws spec.RunSpec) error {
+		return run.Work(ctx, ws, addr)
+	}
+}
 
 // Config sizes the manager.
 type Config struct {
@@ -369,197 +378,62 @@ func (m *Manager) execute(j *Job) {
 	j.begin(cancel, time.Now())
 	m.cfg.Logf("server: running %s (%s)", shortID(j.ID), j.Summary)
 
-	sweep, rep, d, workers, redisp, restored, replayed, err := m.run(ctx, j)
+	out, err := m.run(ctx, j)
 	now := time.Now()
 	switch {
 	case err == nil:
-		m.finishAggregate(d)
-		j.finish(StateDone, "", sweep, rep, d, workers, redisp, restored, replayed, now)
+		m.mu.Lock()
+		m.aggregate.Add(out.Perf)
+		m.mu.Unlock()
+		j.finish(StateDone, "", out, now)
 		m.cfg.Logf("server: done %s (%d/%d tasks, %d restored, replayed=%v)",
-			shortID(j.ID), rep.Restored+rep.Completed, rep.Total, rep.Restored, replayed)
+			shortID(j.ID), out.Report.Restored+out.Report.Completed, out.Report.Total, out.Report.Restored, out.Replayed)
 	case errors.Is(err, distrib.ErrDrained):
-		j.finish(StateDrained, err.Error(), nil, rep, d, workers, redisp, restored, false, now)
+		j.finish(StateDrained, err.Error(), out, now)
 		m.cfg.Logf("server: drained %s — journal resumable", shortID(j.ID))
 	case ctx.Err() != nil:
-		j.finish(StateCanceled, "canceled", nil, rep, d, workers, redisp, restored, false, now)
+		j.finish(StateCanceled, "canceled", out, now)
 		m.cfg.Logf("server: canceled %s", shortID(j.ID))
 	default:
-		j.finish(StateFailed, err.Error(), nil, rep, d, workers, redisp, restored, false, now)
+		j.finish(StateFailed, err.Error(), out, now)
 		m.cfg.Logf("server: failed %s: %v", shortID(j.ID), err)
 	}
 }
 
-func (m *Manager) finishAggregate(d perf.Snapshot) {
-	m.mu.Lock()
-	m.aggregate.Add(d)
-	m.mu.Unlock()
-}
-
-// run executes the job's sweep: journal replay when the journal already
-// covers every task (zero new solves), the distributed engine otherwise.
-func (m *Manager) run(ctx context.Context, j *Job) (sweep *core.TransmissionSweep, rep *cluster.SweepReport, d perf.Snapshot, workers, redisp, restored int, replayed bool, err error) {
-	// The server's copy of the spec: journal pinned by content hash,
-	// resume implied by its existence, worker count defaulted.
+// run executes the job's sweep through the shared run harness
+// (internal/run): journal replay when the journal already covers every
+// task — which is what makes re-submitting a completed spec free — and
+// the distributed engine otherwise. What is the service's own: the
+// journal pinned by content hash with resume implied by its existence,
+// the worker count defaulted, a loopback listener, the job's drain
+// channel, and the job as the observer of identity, progress and
+// committed results.
+func (m *Manager) run(ctx context.Context, j *Job) (*run.Outcome, error) {
 	s := j.Spec
-	path := m.JournalPath(j.ID)
-	s.Resilience.Checkpoint = path
-	if _, serr := os.Stat(path); serr == nil {
+	s.Resilience.Checkpoint = m.JournalPath(j.ID)
+	if _, serr := os.Stat(s.Resilience.Checkpoint); serr == nil {
 		s.Resilience.Resume = true
 	}
 	if s.Exec.Workers == 0 {
 		s.Exec.Workers = m.cfg.DefaultWorkers
 	}
-
 	b, err := spec.Build(s)
 	if err != nil {
-		return nil, nil, d, 0, 0, 0, false, err
+		return &run.Outcome{}, err
 	}
-	plan, err := b.Sim.PlanTransmission(b.Grid, nil)
-	if err != nil {
-		return nil, nil, d, 0, 0, 0, false, err
-	}
-	nBias, nK, nE := plan.Dims()
-	total := nBias * nK * nE
-	j.setTotal(total)
-
-	jnl, err := spec.OpenJournal(s, func(format string, args ...any) {
-		m.cfg.Logf("server: %s: "+format, append([]any{shortID(j.ID)}, args...)...)
-	}, cluster.WithFsync())
-	if err != nil {
-		return nil, nil, d, 0, 0, 0, false, err
-	}
-	defer jnl.Close()
-
-	runID := ""
-	if h, herr := jnl.ReadHeader(); herr == nil && h != nil {
-		runID = h.RunID
-	}
-
-	if s.Resilience.Resume {
-		// Replay short-circuit: when the journal already holds a verified
-		// result for every task, the job is served from disk — restore,
-		// assemble, zero new solves, flop total re-summed from the
-		// journaled per-task perf deltas. This is what makes re-submitting
-		// a completed spec free.
-		if sweep, d, ok, rerr := m.replay(jnl, plan, total); rerr != nil {
-			return nil, nil, d, 0, 0, 0, false, rerr
-		} else if ok {
-			epoch, eerr := jnl.LatestEpoch()
-			if eerr != nil {
-				return nil, nil, d, 0, 0, 0, false, eerr
-			}
-			j.setIdentity(runID, epoch)
-			rep := &cluster.SweepReport{Total: total, Restored: total}
-			return sweep, rep, d, 0, 0, total, true, nil
-		}
-	}
-
-	epoch, err := jnl.LatestEpoch()
-	if s.Resilience.Resume {
-		epoch, err = jnl.BumpEpoch()
-	}
-	if err != nil {
-		return nil, nil, d, 0, 0, 0, false, err
-	}
-	j.setIdentity(runID, epoch)
-
-	if m.cfg.SpawnWorker == nil {
-		return nil, nil, d, 0, 0, 0, false, errors.New("server: no SpawnWorker configured")
-	}
-
-	lis, err := comms.TCP{}.Listen("127.0.0.1:0")
-	if err != nil {
-		return nil, nil, d, 0, 0, 0, false, err
-	}
-	addr := comms.DialableAddr(lis.Addr())
-	m.cfg.Logf("server: %s coordinating %d tasks on %s (run %s epoch %d)",
-		shortID(j.ID), total, addr, runID, epoch)
-
-	var children sync.WaitGroup
-	ws := s.WorkerVariant()
-	for i := 0; i < s.Exec.Workers; i++ {
-		children.Add(1)
-		go func(i int) {
-			defer children.Done()
-			if werr := m.cfg.SpawnWorker(ctx, addr, ws); werr != nil && ctx.Err() == nil {
-				// A dead worker is tolerated: its leases re-dispatch.
-				m.cfg.Logf("server: %s worker %d exited: %v", shortID(j.ID), i, werr)
-			}
-		}(i)
-	}
-
-	report, err := distrib.Serve(ctx, lis, nBias, nK, nE, distrib.Options{
-		LeaseTimeout: s.Exec.LeaseTimeout.Std(),
-		DrainTimeout: s.Exec.DrainTimeout.Std(),
-		Shards:       s.Exec.Shards,
-		WireFormat:   s.Exec.WireFormat,
-		Journal:      jnl,
-		Restore:      plan.Restore,
-		Quarantine:   s.Resilience.Quarantine,
-		OnProgress:   j.setProgress,
+	return run.Coordinate(ctx, b, run.Hooks{
+		Addr:       "127.0.0.1:0",
+		Spawn:      m.cfg.SpawnWorker,
+		Drain:      j.drain, // armed by begin, on this goroutine
+		OnIdentity: j.setIdentity,
+		OnProgress: j.setProgress,
 		// OnResult wakes streams the moment a result commits to the
 		// journal — the SSE tail polls on this signal instead of a timer.
 		OnResult: func(cluster.Task, []byte) { j.ping() },
-		SpecHash: s.SpecHash(),
-		RunID:    runID,
-		Epoch:    epoch,
-		Drain:    j.drainChan(),
+		Logf: func(format string, args ...any) {
+			m.cfg.Logf("server: %s: "+format, append([]any{shortID(j.ID)}, args...)...)
+		},
 	})
-	children.Wait()
-	if report != nil {
-		d = report.Perf
-		workers, redisp = report.Workers, report.Redispatched
-		if report.Sweep != nil {
-			rep = report.Sweep
-			restored = report.Sweep.Restored
-		}
-	}
-	if err != nil {
-		return nil, rep, d, workers, redisp, restored, false, err
-	}
-	return plan.Assemble(report.Sweep), report.Sweep, d, workers, redisp, restored, false, nil
-}
-
-// drainChan exposes the job's drain channel to distrib.Options.
-func (j *Job) drainChan() <-chan struct{} {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.drain
-}
-
-// replay serves a job entirely from its journal: one verified record
-// per task, restored into the plan and assembled, flop totals re-summed
-// from the journaled per-task perf deltas. ok is false when the journal
-// does not cover the grid (the caller falls through to a live run).
-func (m *Manager) replay(jnl *cluster.FileJournal, plan *core.TransmissionPlan, total int) (sweep *core.TransmissionSweep, d perf.Snapshot, ok bool, err error) {
-	recs, err := jnl.Load()
-	if err != nil {
-		return nil, d, false, err
-	}
-	first := make(map[int]cluster.TaskRecord, len(recs))
-	for _, rec := range recs {
-		if rec.Index < 0 || rec.Index >= total {
-			continue
-		}
-		if _, dup := first[rec.Index]; !dup {
-			first[rec.Index] = rec
-		}
-	}
-	if len(first) < total {
-		return nil, d, false, nil
-	}
-	_, nK, nE := plan.Dims()
-	for idx := 0; idx < total; idx++ {
-		rec := first[idx]
-		if rerr := plan.Restore(cluster.TaskAt(idx, nK, nE), rec.Payload); rerr != nil {
-			return nil, d, false, fmt.Errorf("replay task %d: %w", idx, rerr)
-		}
-		if rec.Perf != nil {
-			d.Add(*rec.Perf)
-		}
-	}
-	rep := &cluster.SweepReport{Total: total, Restored: total}
-	return plan.Assemble(rep), d, true, nil
 }
 
 // shortID abbreviates a job ID for logs.

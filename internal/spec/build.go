@@ -13,17 +13,16 @@ import (
 )
 
 // Built is the runnable realization of a RunSpec: the constructed
-// simulator (device modes only), the shared scheduler pool, the sampling
+// simulator, the shared scheduler pool, the sampling
 // grids, and accessors for the resilience machinery — everything the
 // CLIs used to assemble by hand from flags.
 type Built struct {
 	// Spec is the validated spec this was built from.
 	Spec RunSpec
-	// Sim is the device simulator (nil for the scaling-study modes,
-	// which drive the calibrated machine model instead).
+	// Sim is the device simulator.
 	Sim *core.Simulator
 	// Cache is the contact self-energy cache shared by every engine of
-	// the run (nil for study modes).
+	// the run.
 	Cache *negf.SelfEnergyCache
 	// Pool is the worker pool every parallel level draws from.
 	Pool *sched.Pool
@@ -42,9 +41,6 @@ func Build(s RunSpec) (*Built, error) {
 		return nil, err
 	}
 	b := &Built{Spec: s, Pool: sched.New(s.Exec.Workers)}
-	if !deviceModes[s.Mode] {
-		return b, nil
-	}
 
 	desc, ok := device.Lookup(s.Device.Name)
 	if !ok {

@@ -43,16 +43,12 @@ import (
 // Version is the RunSpec schema version this package reads and writes.
 const Version = 1
 
-// Run modes. The transmission and strong-study modes drive the sweep
-// engine (and may run distributed); the others are single-process.
+// Run modes. Every mode builds a device; the transmission mode drives the
+// sweep engine (and may run distributed), the others are single-process.
 const (
 	ModeTransmission = "transmission" // momentum-averaged T(E) sweep
 	ModeIV           = "iv"           // self-consistent gate sweep
 	ModeStats        = "stats"        // device bookkeeping table
-	ModeStudyStrong  = "study-strong" // scaling: strong-scaling study
-	ModeStudyWeak    = "study-weak"   // scaling: weak-scaling study
-	ModeStudyLevels  = "study-levels" // scaling: per-level efficiency
-	ModeStudyPhases  = "study-phases" // scaling: phase breakdown
 )
 
 // Role distinguishes how a process participates in a run; some spec
@@ -251,35 +247,12 @@ func Default() RunSpec {
 	}
 }
 
-// StudyDefault returns the base spec for the scaling-study CLI: the
-// strong study on the calibrated machine model. Study modes build no
-// device and run no single-energy solver, so those sections are empty
-// (Validate rejects a device name in a study spec).
-func StudyDefault() RunSpec {
-	return RunSpec{
-		Version:    Version,
-		Mode:       ModeStudyStrong,
-		Resilience: ResilienceSpec{FaultSeed: 1},
-		Exec: ExecSpec{
-			LeaseTimeout: Duration(30 * time.Second),
-			DrainTimeout: Duration(10 * time.Second),
-		},
-	}
-}
-
 // Parse decodes a spec from JSON, layered over Default() so a partial
 // file ({"device":{"name":"sinw"}}) inherits every other default.
 // Unknown fields are rejected — a spec is a contract, and a typoed key
 // silently ignored would be the flag-drift problem all over again.
 func Parse(b []byte) (RunSpec, error) {
-	return ParseInto(Default(), b)
-}
-
-// ParseInto decodes a spec from JSON layered over the given base —
-// the CLIs pass their own defaults (Default for omen, StudyDefault for
-// scaling) so partial files inherit the right ones.
-func ParseInto(base RunSpec, b []byte) (RunSpec, error) {
-	s := base
+	s := Default()
 	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&s); err != nil {
@@ -391,11 +364,8 @@ func (s RunSpec) Summary() string {
 		return fmt.Sprintf("%s %s %s 1×%d×%d [%s]", s.Mode, s.Device.Name, s.Solver.Formalism, s.Grid.NK, s.Grid.NE, h)
 	case ModeIV:
 		return fmt.Sprintf("%s %s %s %d×%d×%d [%s]", s.Mode, s.Device.Name, s.Solver.Formalism, s.Grid.NVG, s.Grid.NK, s.Grid.NE, h)
-	case ModeStats:
-		return fmt.Sprintf("%s %s [%s]", s.Mode, s.Device.Name, h)
 	default:
-		// Study modes build no device and sample no physical grid.
-		return fmt.Sprintf("%s [%s]", s.Mode, h)
+		return fmt.Sprintf("%s %s [%s]", s.Mode, s.Device.Name, h)
 	}
 }
 
@@ -436,28 +406,10 @@ func (s RunSpec) WorkerVariant() RunSpec {
 	return w
 }
 
-// sweepModes are the modes driven by the fault-tolerant sweep engine;
-// only they may carry resilience options or run distributed.
-var sweepModes = map[string]bool{
-	ModeTransmission: true,
-	ModeStudyStrong:  true,
-}
-
-// deviceModes are the modes that build an atomistic device.
-var deviceModes = map[string]bool{
-	ModeTransmission: true,
-	ModeIV:           true,
-	ModeStats:        true,
-}
-
 var knownModes = map[string]bool{
 	ModeTransmission: true,
 	ModeIV:           true,
 	ModeStats:        true,
-	ModeStudyStrong:  true,
-	ModeStudyWeak:    true,
-	ModeStudyLevels:  true,
-	ModeStudyPhases:  true,
 }
 
 // Validate checks internal consistency: known names, sane grids, and —
@@ -472,15 +424,11 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("spec: unknown mode %q", s.Mode)
 	}
 
-	if deviceModes[s.Mode] {
-		if _, ok := device.Lookup(s.Device.Name); !ok {
-			return fmt.Errorf("spec: unknown device %q (known: %s)", s.Device.Name, strings.Join(device.Names(), ", "))
-		}
-		if s.Device.CellsX < 0 || s.Device.CellsY < 0 || s.Device.CellsZ < 0 {
-			return fmt.Errorf("spec: negative cell-count override for device %q", s.Device.Name)
-		}
-	} else if s.Device.Name != "" {
-		return fmt.Errorf("spec: -device is not applicable to mode %q (scaling studies use the calibrated machine model, not a built device)", s.Mode)
+	if _, ok := device.Lookup(s.Device.Name); !ok {
+		return fmt.Errorf("spec: unknown device %q (known: %s)", s.Device.Name, strings.Join(device.Names(), ", "))
+	}
+	if s.Device.CellsX < 0 || s.Device.CellsY < 0 || s.Device.CellsZ < 0 {
+		return fmt.Errorf("spec: negative cell-count override for device %q", s.Device.Name)
 	}
 
 	switch s.Mode {
@@ -509,26 +457,24 @@ func (s RunSpec) Validate() error {
 		}
 	}
 
-	if deviceModes[s.Mode] {
-		switch s.Solver.Formalism {
-		case "wf", "negf":
-		default:
-			return fmt.Errorf("spec: unknown formalism %q (want wf or negf)", s.Solver.Formalism)
-		}
-		if s.Solver.Domains < 0 {
-			return fmt.Errorf("spec: -domains must be ≥ 0, got %d", s.Solver.Domains)
-		}
-		if s.Solver.SigmaCacheCap < 0 {
-			return fmt.Errorf("spec: -sigma-cache-cap must be ≥ 0, got %d", s.Solver.SigmaCacheCap)
-		}
-		if s.Solver.SeedRefine < 0 {
-			return fmt.Errorf("spec: -seed-refine must be ≥ 0, got %g", s.Solver.SeedRefine)
-		}
+	switch s.Solver.Formalism {
+	case "wf", "negf":
+	default:
+		return fmt.Errorf("spec: unknown formalism %q (want wf or negf)", s.Solver.Formalism)
+	}
+	if s.Solver.Domains < 0 {
+		return fmt.Errorf("spec: -domains must be ≥ 0, got %d", s.Solver.Domains)
+	}
+	if s.Solver.SigmaCacheCap < 0 {
+		return fmt.Errorf("spec: -sigma-cache-cap must be ≥ 0, got %d", s.Solver.SigmaCacheCap)
+	}
+	if s.Solver.SeedRefine < 0 {
+		return fmt.Errorf("spec: -seed-refine must be ≥ 0, got %g", s.Solver.SeedRefine)
 	}
 
 	// Per-mode applicability of the sweep-engine options. Before specs,
 	// `omen -mode iv -checkpoint x -resume` silently ignored all of it.
-	if !sweepModes[s.Mode] {
+	if s.Mode != ModeTransmission {
 		r := s.Resilience
 		var offending string
 		switch {
@@ -547,7 +493,7 @@ func (s RunSpec) Validate() error {
 		}
 		if offending != "" {
 			return fmt.Errorf("spec: %s is not applicable to mode %q (the fault-tolerant sweep engine drives only %s); it would have been silently ignored",
-				offending, s.Mode, strings.Join([]string{ModeTransmission, ModeStudyStrong}, " and "))
+				offending, s.Mode, ModeTransmission)
 		}
 	}
 
@@ -592,7 +538,7 @@ func (s RunSpec) Validate() error {
 }
 
 // ValidateFor checks the spec for one process role. Beyond Validate:
-// distributed roles exist only for sweep-engine modes, and a worker may
+// distributed roles exist only for the sweep-engine mode, and a worker may
 // not journal — -checkpoint/-resume belong to the coordinator, whose
 // journal is the cluster's source of truth.
 func (s RunSpec) ValidateFor(role Role) error {
@@ -600,9 +546,9 @@ func (s RunSpec) ValidateFor(role Role) error {
 		return err
 	}
 	if role == RoleCoordinator || role == RoleWorker {
-		if !sweepModes[s.Mode] {
-			return fmt.Errorf("spec: mode %q cannot run distributed (only %s and %s shard over workers)",
-				s.Mode, ModeTransmission, ModeStudyStrong)
+		if s.Mode != ModeTransmission {
+			return fmt.Errorf("spec: mode %q cannot run distributed (only %s shards over workers)",
+				s.Mode, ModeTransmission)
 		}
 	}
 	if role == RoleWorker {

@@ -30,8 +30,7 @@ func dumpString(t *testing.T, s RunSpec) string {
 }
 
 // TestGoldenSpecs pins the canonical encoding and all four content
-// hashes of the default spec for every built-in device preset, plus the
-// scaling CLI's strong-study base spec. Any drift in field order, JSON
+// hashes of the default spec for every built-in device preset. Any drift in field order, JSON
 // tags, defaults, or hash inputs shows up as a golden diff — which is
 // the point: a silent encoding change would silently re-key every
 // content-addressed artifact. Regenerate deliberately with
@@ -43,10 +42,6 @@ func TestGoldenSpecs(t *testing.T) {
 		s.Device.Name = name
 		cases[name] = s
 	}
-	study := StudyDefault()
-	study.Grid = GridSpec{NE: 10, NK: 1} // as cmd/scaling pins it for study-strong
-	cases["study-strong"] = study
-
 	for name, s := range cases {
 		t.Run(name, func(t *testing.T) {
 			if err := s.Validate(); err != nil {
@@ -100,7 +95,7 @@ func fullyNonDefault() RunSpec {
 // for the defaults, a fully non-default spec, and every device preset.
 // RunSpec is a comparable value type, so == is exact field equality.
 func TestRoundTrip(t *testing.T) {
-	specs := []RunSpec{Default(), StudyDefault(), fullyNonDefault()}
+	specs := []RunSpec{Default(), fullyNonDefault()}
 	for _, name := range device.Names() {
 		s := Default()
 		s.Device.Name = name
@@ -327,8 +322,6 @@ func TestValidateRejections(t *testing.T) {
 			[]string{"version 99"}},
 		{"empty energy window", func(s *RunSpec) { s.Grid.EMin, s.Grid.EMax = 1, -1 }, RoleLocal,
 			[]string{"energy window"}},
-		{"device in study mode", func(s *RunSpec) { s.Mode = ModeStudyWeak }, RoleLocal,
-			[]string{"-device", `"study-weak"`}},
 		{"fault rate out of range", func(s *RunSpec) { s.Resilience.FaultRate = 1.5 }, RoleLocal,
 			[]string{"-fault-rate"}},
 		{"unknown priority", func(s *RunSpec) { s.Exec.Priority = "urgent" }, RoleLocal,
@@ -360,12 +353,25 @@ func TestValidateRejections(t *testing.T) {
 		})
 	}
 
-	// And the specs every CLI starts from must of course be valid.
+	// And the spec every CLI starts from must of course be valid.
 	if err := Default().Validate(); err != nil {
 		t.Errorf("Default() invalid: %v", err)
 	}
-	if err := StudyDefault().Validate(); err != nil {
-		t.Errorf("StudyDefault() invalid: %v", err)
+}
+
+// TestStudyModesRejected: the scaling studies left the spec — cmd/scaling
+// prints the machine model directly — so a spec naming one of the old
+// study modes is an unknown mode like any other typo, for every role.
+func TestStudyModesRejected(t *testing.T) {
+	s, err := Parse([]byte(`{"mode":"study-strong"}`))
+	if err != nil {
+		t.Fatalf("Parse: %v (mode is checked by Validate, not the decoder)", err)
+	}
+	for _, role := range []Role{RoleLocal, RoleCoordinator, RoleWorker, RoleServer} {
+		err := s.ValidateFor(role)
+		if err == nil || !strings.Contains(err.Error(), `unknown mode "study-strong"`) {
+			t.Errorf("ValidateFor(%v) = %v, want unknown mode \"study-strong\"", role, err)
+		}
 	}
 }
 
@@ -476,9 +482,10 @@ func TestSummary(t *testing.T) {
 			t.Errorf("Summary %q missing %q", ivSum, part)
 		}
 	}
-	study := StudyDefault()
-	if sSum := study.Summary(); !strings.Contains(sSum, "study-strong") || !strings.Contains(sSum, study.SpecHash()[:12]) {
-		t.Errorf("study Summary %q missing mode or hash", sSum)
+	stats := Default()
+	stats.Mode = ModeStats
+	if sSum := stats.Summary(); !strings.Contains(sSum, "stats agnr7") || !strings.Contains(sSum, stats.SpecHash()[:12]) {
+		t.Errorf("stats Summary %q missing mode, device or hash", sSum)
 	}
 }
 

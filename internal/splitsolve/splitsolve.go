@@ -302,7 +302,7 @@ func Strategy(domains int, pool *sched.Pool) func(context.Context, *sparse.Block
 
 // InterfaceRank returns the largest coupling-column count between
 // adjacent layers of a — the effective spike width of a split solve, used
-// to parameterize the performance model (cluster.Workload.CouplingRank).
+// to parameterize the performance model (machine.Workload.CouplingRank).
 func InterfaceRank(a *sparse.BlockTridiag) int {
 	r := 0
 	for _, u := range a.Upper {

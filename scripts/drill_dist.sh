@@ -8,6 +8,11 @@
 # despite losing a worker, produces byte-identical observables AND the
 # exact same merged flop count as the serial run.
 #
+# The distributed run journals, and a replay leg reruns its coordinator
+# with -resume -workers 2 over the finished journal: that must print the
+# same rows and flop count from disk without opening a listener, starting
+# a worker or writing a byte to the journal.
+#
 # Two negative drills ride along, exercising the run-spec content hash:
 # a worker launched with a perturbed spec (same grid dimensions, so only
 # the hash can catch it) must be rejected at the handshake, and a
@@ -33,6 +38,7 @@ PORT=$((20000 + $$ % 20000))
 echo "drill-dist: distributed run on 127.0.0.1:$PORT (3 spawned workers + 1 victim)"
 # shellcheck disable=SC2086
 "$OMEN" $ARGS $FAULTS -serve "127.0.0.1:$PORT" -workers 3 -lease-timeout 2s \
+	-checkpoint "$WORKDIR/dist.journal" \
 	> "$WORKDIR/dist.txt" 2> "$WORKDIR/dist.err" &
 COORD=$!
 
@@ -87,6 +93,49 @@ fi
 
 grep '^# cluster' "$WORKDIR/dist.txt"
 echo "drill-dist: PASS — observables byte-identical, $SERIAL_FLOPS exact across the kill"
+
+# Replay leg: the journal of the run above holds every task, so rerunning
+# the coordinator with -resume has nothing left to compute. It must serve
+# the sweep from disk — same rows, same flop count, all 3000 tasks
+# restored — and leave no trace of a fleet: no worker spawned (they would
+# die with "lost coordinator" against a coordinator that is already done)
+# and not one byte appended to the journal (no epoch bump).
+echo "drill-dist: replay leg (-resume -workers 2 over the finished journal)"
+JBYTES=$(wc -c < "$WORKDIR/dist.journal")
+# shellcheck disable=SC2086
+if ! "$OMEN" $ARGS $FAULTS -serve "127.0.0.1:$PORT" -workers 2 \
+	-checkpoint "$WORKDIR/dist.journal" -resume \
+	> "$WORKDIR/replay.txt" 2> "$WORKDIR/replay.err"; then
+	echo "drill-dist: FAIL — replay of the finished journal exited non-zero" >&2
+	cat "$WORKDIR/replay.err" >&2
+	exit 1
+fi
+grep -v '^#' "$WORKDIR/replay.txt" > "$WORKDIR/replay_obs.txt"
+if ! diff "$WORKDIR/serial_obs.txt" "$WORKDIR/replay_obs.txt" > /dev/null; then
+	echo "drill-dist: FAIL — replayed observables differ from the serial run" >&2
+	diff "$WORKDIR/serial_obs.txt" "$WORKDIR/replay_obs.txt" | head -20 >&2
+	exit 1
+fi
+REPLAY_FLOPS=$(grep '^# flops' "$WORKDIR/replay.txt")
+if [ "$SERIAL_FLOPS" != "$REPLAY_FLOPS" ]; then
+	echo "drill-dist: FAIL — replayed flop count differs: '$REPLAY_FLOPS' vs '$SERIAL_FLOPS'" >&2
+	exit 1
+fi
+if ! grep -q '^# resumed: 3000/3000' "$WORKDIR/replay.txt"; then
+	echo "drill-dist: FAIL — replay did not restore all 3000 tasks:" >&2
+	grep '^#' "$WORKDIR/replay.txt" >&2 || true
+	exit 1
+fi
+if grep -q 'lost coordinator\|worker .* exited' "$WORKDIR/replay.err"; then
+	echo "drill-dist: FAIL — replay started workers that had nothing to do:" >&2
+	cat "$WORKDIR/replay.err" >&2
+	exit 1
+fi
+if [ "$(wc -c < "$WORKDIR/dist.journal")" != "$JBYTES" ]; then
+	echo "drill-dist: FAIL — replay wrote to the finished journal ($JBYTES bytes before, $(wc -c < "$WORKDIR/dist.journal") after)" >&2
+	exit 1
+fi
+echo "drill-dist: PASS — finished journal replayed: 3000/3000 restored, no worker started, journal untouched at $JBYTES bytes"
 
 # Sharded work-stealing leg: the same sweep on 2 coordinator shards with
 # the v3-compatible JSON wire. -shard-hold 60s freezes every shard-0-homed
