@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden test race portable-kernels faults drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check spec-check spec-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The two T2 solves draw
 # their workspaces from sync.Pools, where a P migration mid-run refills a
@@ -70,6 +70,20 @@ portable-kernels:
 faults:
 	$(GO) test -race -run 'Fault|Drill|Resum|Quarantine|Panic|Journal|Injector|Retr|Backoff|Classify|Timeout' \
 		./internal/resilience/ ./internal/sched/ ./internal/cluster/ ./internal/transport/ ./internal/core/
+
+# Every fuzz target in the repo, five seconds each. `go test -fuzz`
+# accepts one target of one package per run, so the targets are
+# discovered with -list — a new Fuzz function is picked up without
+# touching this file — and fuzzed one invocation at a time. A package
+# whose tests do not compile fails the target instead of being skipped.
+fuzz-smoke:
+	@for pkg in $$($(GO) list ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || { echo "$$list"; echo "fuzz-smoke: cannot list the tests of $$pkg"; exit 1; }; \
+		for target in $$(echo "$$list" | grep '^Fuzz'); do \
+			echo "fuzz-smoke: $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime 5s $$pkg || exit 1; \
+		done; \
+	done
 
 # The distributed kill drill: coordinator + 4 workers under 10% fault
 # injection, one worker SIGKILLed mid-run. Passes only if observables

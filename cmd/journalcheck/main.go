@@ -21,6 +21,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/buildinfo"
@@ -43,24 +44,29 @@ func main() {
 		fmt.Fprintln(os.Stderr, "journalcheck: -journal and a positive -total are required")
 		os.Exit(2)
 	}
-	if _, err := os.Stat(*path); err != nil {
-		fail("%v", err)
-	}
-	j, err := cluster.OpenFileJournal(*path)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer j.Close()
+	os.Exit(audit(*path, *total, *minEpoch, os.Stdout, os.Stderr))
+}
 
-	recs, err := j.Load()
-	if err != nil {
-		fail("%v", err)
+// audit checks the journal at path in one read-only pass — the auditor
+// must not edit the evidence, so it never opens the file for writing (a
+// torn tail stays torn) — and returns the exit status.
+func audit(path string, total int, minEpoch uint64, stdout, stderr io.Writer) int {
+	// A missing file is an empty journal to ReadJournal; to an audit it
+	// is an error.
+	var c cluster.Contents
+	_, err := os.Stat(path)
+	if err == nil {
+		c, err = cluster.ReadJournal(path)
 	}
-	counts := make([]int, *total)
+	if err != nil {
+		fmt.Fprintf(stderr, "journalcheck: %v\n", err)
+		return 1
+	}
+	counts := make([]int, total)
 	bad := 0
 	var outOfRange []int
-	for _, rec := range recs {
-		if rec.Index < 0 || rec.Index >= *total {
+	for _, rec := range c.Records {
+		if rec.Index < 0 || rec.Index >= total {
 			outOfRange = append(outOfRange, rec.Index)
 			continue
 		}
@@ -77,33 +83,30 @@ func main() {
 	}
 	if len(outOfRange) > 0 {
 		bad++
-		fmt.Fprintf(os.Stderr, "journalcheck: %d records outside [0,%d): %v\n",
-			len(outOfRange), *total, clip(outOfRange))
+		fmt.Fprintf(stderr, "journalcheck: %d records outside [0,%d): %v\n",
+			len(outOfRange), total, clip(outOfRange))
 	}
 	if len(missing) > 0 {
 		bad++
-		fmt.Fprintf(os.Stderr, "journalcheck: %d tasks have no record: %v\n",
+		fmt.Fprintf(stderr, "journalcheck: %d tasks have no record: %v\n",
 			len(missing), clip(missing))
 	}
 	if len(dup) > 0 {
 		bad++
-		fmt.Fprintf(os.Stderr, "journalcheck: %d tasks recorded more than once (epoch fence breach): %v\n",
+		fmt.Fprintf(stderr, "journalcheck: %d tasks recorded more than once (epoch fence breach): %v\n",
 			len(dup), clip(dup))
 	}
-	epoch, err := j.LatestEpoch()
-	if err != nil {
-		fail("%v", err)
-	}
-	if *minEpoch > 0 && epoch < *minEpoch {
+	if minEpoch > 0 && c.Epoch < minEpoch {
 		bad++
-		fmt.Fprintf(os.Stderr, "journalcheck: latest epoch %d < required %d — no coordinator restart recorded\n",
-			epoch, *minEpoch)
+		fmt.Fprintf(stderr, "journalcheck: latest epoch %d < required %d — no coordinator restart recorded\n",
+			c.Epoch, minEpoch)
 	}
 	if bad > 0 {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Printf("journalcheck: OK — %d records, exactly one per task, latest epoch %d\n",
-		len(recs), epoch)
+	fmt.Fprintf(stdout, "journalcheck: OK — %d records, exactly one per task, latest epoch %d\n",
+		len(c.Records), c.Epoch)
+	return 0
 }
 
 // clip bounds a violation list so a badly broken journal stays readable.
@@ -112,9 +115,4 @@ func clip(idx []int) []int {
 		return idx[:10]
 	}
 	return idx
-}
-
-func fail(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "journalcheck: "+format+"\n", args...)
-	os.Exit(1)
 }

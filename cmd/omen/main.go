@@ -68,138 +68,136 @@ func (p *progress) set(done, total int) {
 	p.total.Store(int64(total))
 }
 
+// options are the flags that steer this invocation rather than describe
+// the run: they have no RunSpec field.
+type options struct {
+	specPath, specJSON     string
+	dumpSpec, version      bool
+	serveAddr, workerAddr  string
+	shardHold              time.Duration
+	cpuprofile, memprofile string
+}
+
+// specFlags is the table of spec-backed flags: each is declared once,
+// together with the RunSpec field it sets. The flags are registered on
+// the fields of a scratch spec seeded from spec.Default() — which is
+// where their defaults come from — and overlay copies the ones set on
+// the command line onto the resolved base.
+type specFlags struct {
+	fs      *flag.FlagSet
+	scratch spec.RunSpec
+	apply   map[string]func(dst *spec.RunSpec)
+}
+
+// bind registers flag name on the spec field that field selects.
+func bind[T any](sf *specFlags, name string, field func(*spec.RunSpec) *T, usage string) {
+	switch p := any(field(&sf.scratch)).(type) {
+	case *string:
+		sf.fs.StringVar(p, name, *p, usage)
+	case *bool:
+		sf.fs.BoolVar(p, name, *p, usage)
+	case *int:
+		sf.fs.IntVar(p, name, *p, usage)
+	case *uint64:
+		sf.fs.Uint64Var(p, name, *p, usage)
+	case *float64:
+		sf.fs.Float64Var(p, name, *p, usage)
+	case *spec.Duration:
+		sf.fs.DurationVar((*time.Duration)(p), name, p.Std(), usage)
+	default:
+		panic(fmt.Sprintf("omen: flag -%s: no flag type for %T", name, p))
+	}
+	sf.apply[name] = func(dst *spec.RunSpec) { *field(dst) = *field(&sf.scratch) }
+}
+
+// bindSpecFlags declares every spec-backed flag of omen on fs.
+func bindSpecFlags(fs *flag.FlagSet) *specFlags {
+	sf := &specFlags{fs: fs, scratch: spec.Default(), apply: make(map[string]func(*spec.RunSpec))}
+
+	bind(sf, "device", func(s *spec.RunSpec) *string { return &s.Device.Name }, "device: "+strings.Join(device.Names(), ", "))
+	bind(sf, "mode", func(s *spec.RunSpec) *string { return &s.Mode }, "mode: transmission, iv, stats")
+	bind(sf, "formalism", func(s *spec.RunSpec) *string { return &s.Solver.Formalism }, "single-energy solver: wf, negf")
+	bind(sf, "domains", func(s *spec.RunSpec) *int { return &s.Solver.Domains }, "SplitSolve spatial domains (wf only)")
+	bind(sf, "nk", func(s *spec.RunSpec) *int { return &s.Grid.NK }, "transverse momentum points (periodic devices)")
+	bind(sf, "emin", func(s *spec.RunSpec) *float64 { return &s.Grid.EMin }, "spectrum lower bound (eV)")
+	bind(sf, "emax", func(s *spec.RunSpec) *float64 { return &s.Grid.EMax }, "spectrum upper bound (eV)")
+	bind(sf, "ne", func(s *spec.RunSpec) *int { return &s.Grid.NE }, "energy points")
+	bind(sf, "vd", func(s *spec.RunSpec) *float64 { return &s.Grid.VDrain }, "drain bias (V) for iv mode")
+	bind(sf, "vgmin", func(s *spec.RunSpec) *float64 { return &s.Grid.VGMin }, "gate sweep start (V)")
+	bind(sf, "vgmax", func(s *spec.RunSpec) *float64 { return &s.Grid.VGMax }, "gate sweep end (V)")
+	bind(sf, "nvg", func(s *spec.RunSpec) *int { return &s.Grid.NVG }, "gate sweep points")
+	bind(sf, "cellsx", func(s *spec.RunSpec) *int { return &s.Device.CellsX }, "override transport cells")
+	bind(sf, "workers", func(s *spec.RunSpec) *int { return &s.Exec.Workers }, "total worker budget across all parallel levels (0: GOMAXPROCS); with -serve: worker processes to self-spawn (0: wait for external -worker processes)")
+
+	bind(sf, "lease-timeout", func(s *spec.RunSpec) *spec.Duration { return &s.Exec.LeaseTimeout }, "coordinator: how long a worker may hold a task lease before it is re-dispatched")
+	bind(sf, "rejoin-window", func(s *spec.RunSpec) *spec.Duration { return &s.Exec.RejoinWindow }, "worker: keep re-dialing for this long after losing the coordinator mid-sweep before giving up (0: a coordinator crash ends the worker)")
+	bind(sf, "drain-timeout", func(s *spec.RunSpec) *spec.Duration { return &s.Exec.DrainTimeout }, "coordinator: on SIGTERM, stop granting leases and accept in-flight results for up to this long before exiting with a resumable journal")
+	bind(sf, "shards", func(s *spec.RunSpec) *int { return &s.Exec.Shards }, "coordinator: partition the task grid across this many scheduling shards; idle shards steal capacity-sized batches from loaded ones (0 or 1: single queue)")
+	bind(sf, "wire", func(s *spec.RunSpec) *string { return &s.Exec.WireFormat }, "coordinator/worker wire format for hot messages: binary (compact, default) or json (v3-compatible); pure transport knob, results are bitwise identical")
+
+	bind(sf, "checkpoint", func(s *spec.RunSpec) *string { return &s.Resilience.Checkpoint }, "sweep journal file for checkpoint/restart (transmission mode)")
+	bind(sf, "resume", func(s *spec.RunSpec) *bool { return &s.Resilience.Resume }, "resume from an existing -checkpoint journal, rerunning only unfinished tasks")
+	bind(sf, "max-retries", func(s *spec.RunSpec) *int { return &s.Resilience.MaxRetries }, "retries per task after the first attempt (exponential backoff)")
+	bind(sf, "task-timeout", func(s *spec.RunSpec) *spec.Duration { return &s.Resilience.TaskTimeout }, "per-attempt deadline for one task (0: none)")
+	bind(sf, "quarantine", func(s *spec.RunSpec) *bool { return &s.Resilience.Quarantine }, "after retries are exhausted, drop the failed point and renormalize instead of failing the sweep")
+	bind(sf, "fault-rate", func(s *spec.RunSpec) *float64 { return &s.Resilience.FaultRate }, "fault-injection drill: fraction of tasks that fail (mixed errors and panics) on their first attempt")
+	bind(sf, "fault-seed", func(s *spec.RunSpec) *uint64 { return &s.Resilience.FaultSeed }, "seed for deterministic fault injection and retry jitter")
+
+	bind(sf, "sigma-cache-cap", func(s *spec.RunSpec) *int { return &s.Solver.SigmaCacheCap }, "self-energy cache capacity in entries, one per (lead, shifted energy); 0: unbounded")
+	bind(sf, "seed-refine", func(s *spec.RunSpec) *float64 { return &s.Solver.SeedRefine }, "seed the surface-GF fixed point from a cached neighbor within this energy distance (eV) instead of decimating; 0 disables and keeps results bitwise reproducible")
+	return sf
+}
+
+// resolveSpec parses args on fs and resolves the run spec: the base
+// (the built-in defaults, or the -spec file, or -spec-json), then every
+// spec-backed flag explicitly set on the command line laid over it.
+func resolveSpec(fs *flag.FlagSet, args []string) (spec.RunSpec, options, error) {
+	var o options
+	fs.StringVar(&o.specPath, "spec", "", "load the run spec from this JSON file; flags set on the command line override its fields")
+	fs.StringVar(&o.specJSON, "spec-json", "", "inline JSON run spec (how a coordinator launches self-spawned workers); mutually exclusive with -spec")
+	fs.BoolVar(&o.dumpSpec, "dump-spec", false, "print the fully resolved run spec (canonical JSON plus content hashes) and exit")
+	fs.BoolVar(&o.version, "version", false, "print the build version (module version plus VCS revision) and exit")
+	fs.StringVar(&o.serveAddr, "serve", "", "run as distributed-sweep coordinator listening on this TCP address (transmission mode); workers connect with -worker")
+	fs.StringVar(&o.workerAddr, "worker", "", "run as distributed-sweep worker dialing the coordinator at this TCP address (transmission mode)")
+	fs.DurationVar(&o.shardHold, "shard-hold", 0, "coordinator failure drill: freeze shard-0-homed workers for this long after startup so other shards demonstrably steal their work (requires -shards >= 2)")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile (pprof format) to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (pprof format) to this file on exit")
+	sf := bindSpecFlags(fs)
+	if err := fs.Parse(args); err != nil {
+		return spec.RunSpec{}, o, err
+	}
+
+	s := spec.Default()
+	var err error
+	switch {
+	case o.specPath != "" && o.specJSON != "":
+		err = errors.New("-spec and -spec-json are mutually exclusive")
+	case o.specPath != "":
+		s, err = spec.LoadFile(o.specPath)
+	case o.specJSON != "":
+		s, err = spec.Parse([]byte(o.specJSON))
+	}
+	if err != nil {
+		return s, o, err
+	}
+	fs.Visit(func(f *flag.Flag) {
+		if set, ok := sf.apply[f.Name]; ok {
+			set(&s)
+		}
+	})
+	return s, o, nil
+}
+
 func main() {
-	def := spec.Default()
-	var (
-		specPath = flag.String("spec", "", "load the run spec from this JSON file; flags set on the command line override its fields")
-		specJSON = flag.String("spec-json", "", "inline JSON run spec (how a coordinator launches self-spawned workers); mutually exclusive with -spec")
-		dumpSpec = flag.Bool("dump-spec", false, "print the fully resolved run spec (canonical JSON plus content hashes) and exit")
-		version  = flag.Bool("version", false, "print the build version (module version plus VCS revision) and exit")
-
-		devName   = flag.String("device", def.Device.Name, "device: "+strings.Join(device.Names(), ", "))
-		mode      = flag.String("mode", def.Mode, "mode: transmission, iv, stats")
-		formalism = flag.String("formalism", def.Solver.Formalism, "single-energy solver: wf, negf")
-		domains   = flag.Int("domains", def.Solver.Domains, "SplitSolve spatial domains (wf only)")
-		nk        = flag.Int("nk", def.Grid.NK, "transverse momentum points (periodic devices)")
-		emin      = flag.Float64("emin", def.Grid.EMin, "spectrum lower bound (eV)")
-		emax      = flag.Float64("emax", def.Grid.EMax, "spectrum upper bound (eV)")
-		ne        = flag.Int("ne", def.Grid.NE, "energy points")
-		vd        = flag.Float64("vd", def.Grid.VDrain, "drain bias (V) for iv mode")
-		vgMin     = flag.Float64("vgmin", def.Grid.VGMin, "gate sweep start (V)")
-		vgMax     = flag.Float64("vgmax", def.Grid.VGMax, "gate sweep end (V)")
-		nvg       = flag.Int("nvg", def.Grid.NVG, "gate sweep points")
-		cellsX    = flag.Int("cellsx", 0, "override transport cells")
-		workers   = flag.Int("workers", def.Exec.Workers, "total worker budget across all parallel levels (0: GOMAXPROCS); with -serve: worker processes to self-spawn (0: wait for external -worker processes)")
-
-		serveAddr    = flag.String("serve", "", "run as distributed-sweep coordinator listening on this TCP address (transmission mode); workers connect with -worker")
-		workerAddr   = flag.String("worker", "", "run as distributed-sweep worker dialing the coordinator at this TCP address (transmission mode)")
-		leaseTimeout = flag.Duration("lease-timeout", def.Exec.LeaseTimeout.Std(), "coordinator: how long a worker may hold a task lease before it is re-dispatched")
-		rejoinWindow = flag.Duration("rejoin-window", def.Exec.RejoinWindow.Std(), "worker: keep re-dialing for this long after losing the coordinator mid-sweep before giving up (0: a coordinator crash ends the worker)")
-		drainTimeout = flag.Duration("drain-timeout", def.Exec.DrainTimeout.Std(), "coordinator: on SIGTERM, stop granting leases and accept in-flight results for up to this long before exiting with a resumable journal")
-		shards       = flag.Int("shards", def.Exec.Shards, "coordinator: partition the task grid across this many scheduling shards; idle shards steal capacity-sized batches from loaded ones (0 or 1: single queue)")
-		wireFormat   = flag.String("wire", def.Exec.WireFormat, "coordinator/worker wire format for hot messages: binary (compact, default) or json (v3-compatible); pure transport knob, results are bitwise identical")
-		shardHold    = flag.Duration("shard-hold", 0, "coordinator failure drill: freeze shard-0-homed workers for this long after startup so other shards demonstrably steal their work (requires -shards >= 2)")
-
-		checkpoint  = flag.String("checkpoint", def.Resilience.Checkpoint, "sweep journal file for checkpoint/restart (transmission mode)")
-		resume      = flag.Bool("resume", def.Resilience.Resume, "resume from an existing -checkpoint journal, rerunning only unfinished tasks")
-		maxRetries  = flag.Int("max-retries", def.Resilience.MaxRetries, "retries per task after the first attempt (exponential backoff)")
-		taskTimeout = flag.Duration("task-timeout", def.Resilience.TaskTimeout.Std(), "per-attempt deadline for one task (0: none)")
-		quarantine  = flag.Bool("quarantine", def.Resilience.Quarantine, "after retries are exhausted, drop the failed point and renormalize instead of failing the sweep")
-		faultRate   = flag.Float64("fault-rate", def.Resilience.FaultRate, "fault-injection drill: fraction of tasks that fail (mixed errors and panics) on their first attempt")
-		faultSeed   = flag.Uint64("fault-seed", def.Resilience.FaultSeed, "seed for deterministic fault injection and retry jitter")
-
-		cacheCap   = flag.Int("sigma-cache-cap", def.Solver.SigmaCacheCap, "self-energy cache capacity in entries, one per (lead, shifted energy); 0: unbounded")
-		seedRefine = flag.Float64("seed-refine", def.Solver.SeedRefine, "seed the surface-GF fixed point from a cached neighbor within this energy distance (eV) instead of decimating; 0 disables and keeps results bitwise reproducible")
-
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile (pprof format) to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile (pprof format) to this file on exit")
-	)
-	flag.Parse()
-
-	if *version {
+	s, o, err := resolveSpec(flag.CommandLine, os.Args[1:])
+	if o.version {
 		fmt.Printf("omen %s\n", buildinfo.Version())
 		return
 	}
-
-	// Resolve the run spec: base (defaults or -spec file or -spec-json),
-	// then overlay every flag explicitly set on the command line.
-	s := def
-	switch {
-	case *specPath != "" && *specJSON != "":
-		usageErr(errors.New("-spec and -spec-json are mutually exclusive"))
-	case *specPath != "":
-		var err error
-		if s, err = spec.LoadFile(*specPath); err != nil {
-			usageErr(err)
-		}
-	case *specJSON != "":
-		var err error
-		if s, err = spec.Parse([]byte(*specJSON)); err != nil {
-			usageErr(err)
-		}
+	if err != nil {
+		usageErr(err)
 	}
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "device":
-			s.Device.Name = *devName
-		case "mode":
-			s.Mode = *mode
-		case "formalism":
-			s.Solver.Formalism = *formalism
-		case "domains":
-			s.Solver.Domains = *domains
-		case "nk":
-			s.Grid.NK = *nk
-		case "emin":
-			s.Grid.EMin = *emin
-		case "emax":
-			s.Grid.EMax = *emax
-		case "ne":
-			s.Grid.NE = *ne
-		case "vd":
-			s.Grid.VDrain = *vd
-		case "vgmin":
-			s.Grid.VGMin = *vgMin
-		case "vgmax":
-			s.Grid.VGMax = *vgMax
-		case "nvg":
-			s.Grid.NVG = *nvg
-		case "cellsx":
-			s.Device.CellsX = *cellsX
-		case "workers":
-			s.Exec.Workers = *workers
-		case "lease-timeout":
-			s.Exec.LeaseTimeout = spec.Duration(*leaseTimeout)
-		case "rejoin-window":
-			s.Exec.RejoinWindow = spec.Duration(*rejoinWindow)
-		case "drain-timeout":
-			s.Exec.DrainTimeout = spec.Duration(*drainTimeout)
-		case "shards":
-			s.Exec.Shards = *shards
-		case "wire":
-			s.Exec.WireFormat = *wireFormat
-		case "checkpoint":
-			s.Resilience.Checkpoint = *checkpoint
-		case "resume":
-			s.Resilience.Resume = *resume
-		case "max-retries":
-			s.Resilience.MaxRetries = *maxRetries
-		case "task-timeout":
-			s.Resilience.TaskTimeout = spec.Duration(*taskTimeout)
-		case "quarantine":
-			s.Resilience.Quarantine = *quarantine
-		case "fault-rate":
-			s.Resilience.FaultRate = *faultRate
-		case "fault-seed":
-			s.Resilience.FaultSeed = *faultSeed
-		case "sigma-cache-cap":
-			s.Solver.SigmaCacheCap = *cacheCap
-		case "seed-refine":
-			s.Solver.SeedRefine = *seedRefine
-		}
-	})
-
-	if *dumpSpec {
+	if o.dumpSpec {
 		if err := s.Validate(); err != nil {
 			usageErr(err)
 		}
@@ -207,21 +205,21 @@ func main() {
 		return
 	}
 
-	if *serveAddr != "" && *workerAddr != "" {
+	if o.serveAddr != "" && o.workerAddr != "" {
 		usageErr(errors.New("-serve and -worker are mutually exclusive"))
 	}
 	role := spec.RoleLocal
 	switch {
-	case *serveAddr != "":
+	case o.serveAddr != "":
 		role = spec.RoleCoordinator
-	case *workerAddr != "":
+	case o.workerAddr != "":
 		role = spec.RoleWorker
 	}
 	if err := s.ValidateFor(role); err != nil {
 		usageErr(err)
 	}
 
-	if err := startProfiles(*cpuprofile, *memprofile); err != nil {
+	if err := startProfiles(o.cpuprofile, o.memprofile); err != nil {
 		fmt.Fprintln(os.Stderr, "omen:", err)
 		os.Exit(1)
 	}
@@ -233,11 +231,11 @@ func main() {
 	defer stop()
 	var prog progress
 
-	if *workerAddr != "" {
+	if o.workerAddr != "" {
 		// One worker of a distributed run: the harness builds the spec,
 		// dials, and pulls leases until the coordinator dismisses it.
-		fmt.Fprintf(os.Stderr, "omen: %s — worker dialing %s\n", s.Summary(), *workerAddr)
-		if err := run.Work(ctx, s, *workerAddr); err != nil {
+		fmt.Fprintf(os.Stderr, "omen: %s — worker dialing %s\n", s.Summary(), o.workerAddr)
+		if err := run.Work(ctx, s, o.workerAddr); err != nil {
 			fatal(ctx, &prog, err)
 		}
 		return
@@ -256,8 +254,8 @@ func main() {
 		fmt.Printf("matrix order\t%d\nlayer block\t%d\nlength\t%.2f nm\n",
 			st.MatrixOrder, st.BlockSize, st.TransportLen)
 	case spec.ModeTransmission:
-		if *serveAddr != "" {
-			coordinate(ctx, b, *serveAddr, *shardHold, &prog)
+		if o.serveAddr != "" {
+			coordinate(ctx, b, o.serveAddr, o.shardHold, &prog)
 			return
 		}
 		opts, closeJournal, err := sweepOptions(b, &prog)

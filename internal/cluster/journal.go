@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"sync"
 
@@ -19,7 +21,7 @@ import (
 // corrupt or truncated record is simply treated as "not done" and the
 // task reruns.
 type TaskRecord struct {
-	// Index is the flat task index (see RunTasks for the layout).
+	// Index is the flat task index (see TaskAt for the layout).
 	Index int `json:"idx"`
 	// Payload is the task's serialized result, restored on resume.
 	Payload []byte `json:"payload,omitempty"`
@@ -69,9 +71,9 @@ type Header struct {
 
 // headerRecord is the on-disk line shape of a Header. The "header"
 // field doubles as a format version and as the discriminator that keeps
-// header lines out of Load's task records. (Old readers skip header
-// lines too, without knowing about them: unmarshaled as a TaskRecord
-// the line has no digest, so Verify rejects it.)
+// header lines out of the task records. (Old readers skip header lines
+// too, without knowing about them: unmarshaled as a TaskRecord the line
+// has no digest, so Verify rejects it.)
 type headerRecord struct {
 	Header   int             `json:"header"`
 	SpecHash string          `json:"specHash,omitempty"`
@@ -92,6 +94,117 @@ type epochRecord struct {
 
 // Verify reports whether the record's digest matches its payload.
 func (r TaskRecord) Verify() bool { return r.Digest == digestOf(r.Payload) }
+
+// line is the union of the three on-disk line shapes, so that one
+// decode reads whichever of them a journal line is. The
+// discriminators: a non-zero "header" makes it the header; otherwise a
+// digest that matches the payload makes it a task record; "epoch" is
+// read off any line that carries one. Everything else is garbage.
+type line struct {
+	headerRecord
+	epochRecord
+	TaskRecord
+}
+
+// Contents is what a journal holds, folded from its lines in one pass.
+type Contents struct {
+	// Header is the first header line (later ones are ignored); nil for
+	// an empty journal or one written before headers existed.
+	Header *Header
+	// Epoch is the highest epoch mark, 1 when there is none.
+	Epoch uint64
+	// Records are the digest-valid task records in file order, echoes
+	// and out-of-range indices included — see Seed.
+	Records []TaskRecord
+}
+
+// fold classifies one journal line (with or without its newline) into c.
+// Blank lines, lines that are not JSON — a torn tail after repair,
+// foreign garbage — and records whose digest does not match are dropped:
+// their tasks simply rerun.
+func (c *Contents) fold(b []byte) {
+	b = bytes.TrimSuffix(b, []byte{'\n'})
+	if len(b) == 0 {
+		return
+	}
+	var l line
+	if err := json.Unmarshal(b, &l); err != nil {
+		return
+	}
+	if l.Epoch > c.Epoch {
+		c.Epoch = l.Epoch
+	}
+	switch {
+	case l.Header != 0:
+		if c.Header == nil {
+			c.Header = &Header{SpecHash: l.SpecHash, RunID: l.RunID, Spec: l.Spec}
+		}
+	case l.TaskRecord.Verify():
+		c.Records = append(c.Records, l.TaskRecord)
+	}
+}
+
+// scanMode says what kind of reader is scanning.
+type scanMode int
+
+const (
+	// scanWhole reads a file at rest, start to end.
+	scanWhole scanMode = iota
+	// scanHeader reads a file at rest up to its first header line.
+	scanHeader
+	// scanFollow reads what a live file gained since the last scan.
+	scanFollow
+)
+
+// scan is the one loop over journal lines: it folds the lines of r into
+// c and returns how many bytes it consumed. The modes differ in how they
+// treat a final line with no newline:
+//
+//   - A reader of a file at rest takes it. If it verifies, the writer was
+//     killed between the record and its newline; OpenFileJournal's tail
+//     repair will terminate it and every later reader will see it, so
+//     skipping it now would rerun the task and record it twice.
+//   - A follower leaves it and does not count its bytes: the writer is
+//     mid-append, and the line is read whole once it is finished.
+func scan(r *bufio.Reader, c *Contents, mode scanMode) (int64, error) {
+	var n int64
+	for {
+		b, err := r.ReadBytes('\n')
+		if err != nil && err != io.EOF {
+			return n, fmt.Errorf("cluster: scan journal: %w", err)
+		}
+		if err == io.EOF && mode == scanFollow {
+			return n, nil
+		}
+		n += int64(len(b))
+		c.fold(b)
+		if err == io.EOF || (mode == scanHeader && c.Header != nil) {
+			return n, nil
+		}
+	}
+}
+
+// readFile scans the journal at path without opening it for writing. A
+// missing file is an empty journal at epoch 1.
+func readFile(path string, mode scanMode) (Contents, error) {
+	c := Contents{Epoch: 1}
+	f, err := os.Open(path)
+	if err != nil {
+		if os.IsNotExist(err) {
+			return c, nil
+		}
+		return c, fmt.Errorf("cluster: read journal: %w", err)
+	}
+	defer f.Close()
+	_, err = scan(bufio.NewReaderSize(f, 1<<16), &c, mode)
+	return c, err
+}
+
+// ReadJournal reads the journal at path in one pass, read-only: unlike
+// OpenFileJournal it neither creates the file nor repairs a torn tail,
+// so it is what every consumer that does not append uses — the job
+// store, the audit tool. A missing file is an empty journal at epoch 1.
+func ReadJournal(path string) (Contents, error) { return readFile(path, scanWhole) }
 
 // Checkpointer persists completed-task records of a sweep so an
 // interrupted run can resume without redoing finished work. Append must be
@@ -122,6 +235,9 @@ type FileJournal struct {
 	mu sync.Mutex
 	f  *os.File
 	w  *bufio.Writer
+	// epoch is the highest epoch this handle has read or written (0:
+	// none yet) — a journal's one appender need not rescan for it.
+	epoch uint64
 }
 
 // JournalOption configures OpenFileJournal.
@@ -184,13 +300,9 @@ func (j *FileJournal) repairTail() error {
 	return nil
 }
 
-// Path returns the journal file path.
-func (j *FileJournal) Path() string { return j.path }
-
 // WriteHeader appends the typed header record identifying the run spec
 // this journal belongs to. Call it once, right after creating a fresh
-// journal; resumed journals already carry theirs. Like Append, the
-// record is flushed (and fsync'd when configured) before returning.
+// journal; resumed journals already carry theirs.
 func (j *FileJournal) WriteHeader(h Header) error {
 	line, err := json.Marshal(headerRecord{Header: headerVersion, SpecHash: h.SpecHash, RunID: h.RunID, Spec: h.Spec})
 	if err != nil {
@@ -199,8 +311,8 @@ func (j *FileJournal) WriteHeader(h Header) error {
 	return j.appendLine(line, "header")
 }
 
-// appendLine writes one pre-marshaled metadata line under the journal
-// lock with the same flush/fsync discipline as Append.
+// appendLine writes one marshaled line under the journal lock, flushed
+// to the OS (and fsync'd when configured) before it returns.
 func (j *FileJournal) appendLine(line []byte, what string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -225,44 +337,24 @@ func (j *FileJournal) appendLine(line []byte, what string) error {
 // in the journal, or 1 when none is — a journal with no epoch records
 // was written by a single (first) incarnation.
 func (j *FileJournal) LatestEpoch() (uint64, error) {
-	f, err := os.Open(j.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 1, nil
-		}
-		return 0, fmt.Errorf("cluster: read journal: %w", err)
-	}
-	defer f.Close()
-	latest := uint64(1)
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var er epochRecord
-		if err := json.Unmarshal(line, &er); err == nil && er.Epoch > latest {
-			latest = er.Epoch
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("cluster: scan journal: %w", err)
-	}
-	return latest, nil
+	c, err := j.Read()
+	return c.Epoch, err
 }
 
 // BumpEpoch persists the start of a new coordinator incarnation and
 // returns its epoch number (latest recorded + 1; the first bump on a
 // fresh journal therefore returns 2 — epoch 1 is the implicit first
-// incarnation). The record is fsync'd under WithFsync, so a worker can
-// never be welcomed into an epoch the journal might forget.
+// incarnation). The latest epoch is the one this handle's last Read or
+// BumpEpoch saw; the file is scanned only when there was neither. The
+// record is fsync'd under WithFsync, so a worker can never be welcomed
+// into an epoch the journal might forget.
 func (j *FileJournal) BumpEpoch() (uint64, error) {
-	latest, err := j.LatestEpoch()
-	if err != nil {
-		return 0, err
+	if j.noteEpoch(0) == 0 {
+		if _, err := j.Read(); err != nil {
+			return 0, err
+		}
 	}
-	next := latest + 1
+	next := j.noteEpoch(0) + 1
 	line, err := json.Marshal(epochRecord{Epoch: next})
 	if err != nil {
 		return 0, fmt.Errorf("cluster: journal epoch marshal: %w", err)
@@ -270,39 +362,27 @@ func (j *FileJournal) BumpEpoch() (uint64, error) {
 	if err := j.appendLine(line, "epoch"); err != nil {
 		return 0, err
 	}
-	return next, nil
+	return j.noteEpoch(next), nil
+}
+
+// noteEpoch raises the remembered epoch to e and returns it (never
+// lowers: a Read that overlapped a BumpEpoch comes back with the older).
+func (j *FileJournal) noteEpoch(e uint64) uint64 {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if e > j.epoch {
+		j.epoch = e
+	}
+	return j.epoch
 }
 
 // ReadHeader returns the journal's header record, or nil when the file
 // has none — either an empty fresh journal or one written before
-// headers existed. Malformed lines are skipped the same way Load skips
-// them.
+// headers existed. The scan stops at the first header, so checking a
+// resumed journal's identity does not cost a pass over its records.
 func (j *FileJournal) ReadHeader() (*Header, error) {
-	f, err := os.Open(j.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("cluster: read journal: %w", err)
-	}
-	defer f.Close()
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var hr headerRecord
-		if err := json.Unmarshal(line, &hr); err != nil || hr.Header == 0 {
-			continue
-		}
-		return &Header{SpecHash: hr.SpecHash, RunID: hr.RunID, Spec: hr.Spec}, nil
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: scan journal: %w", err)
-	}
-	return nil, nil
+	c, err := readFile(j.path, scanHeader)
+	return c.Header, err
 }
 
 // CheckHeader verifies that the journal was written by the run spec
@@ -329,7 +409,7 @@ func (j *FileJournal) CheckHeader(specHash string, warnf func(format string, arg
 	return nil
 }
 
-// / Append implements Checkpointer: one JSON line per record, flushed to the
+// Append implements Checkpointer: one JSON line per record, flushed to the
 // OS before returning so a process crash cannot lose an acknowledged
 // record (an OS crash can lose the unsynced tail; affected tasks rerun).
 func (j *FileJournal) Append(rec TaskRecord) error {
@@ -340,62 +420,25 @@ func (j *FileJournal) Append(rec TaskRecord) error {
 	if err != nil {
 		return fmt.Errorf("cluster: journal marshal: %w", err)
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if j.f == nil {
-		return fmt.Errorf("cluster: journal %s is closed", j.path)
-	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("cluster: journal append: %w", err)
-	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("cluster: journal flush: %w", err)
-	}
-	if j.sync {
-		if err := j.f.Sync(); err != nil {
-			return fmt.Errorf("cluster: journal fsync: %w", err)
-		}
-	}
-	return nil
+	return j.appendLine(line, "append")
 }
 
 // Load implements Checkpointer: it reads every well-formed, digest-valid
 // record from the file, silently dropping malformed lines (the torn tail
 // of a killed writer) and records whose digest does not match.
 func (j *FileJournal) Load() ([]TaskRecord, error) {
-	f, err := os.Open(j.path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, fmt.Errorf("cluster: read journal: %w", err)
+	c, err := j.Read()
+	return c.Records, err
+}
+
+// Read returns everything the journal holds — header, latest epoch, task
+// records — in one pass, and remembers the epoch for BumpEpoch.
+func (j *FileJournal) Read() (Contents, error) {
+	c, err := ReadJournal(j.path)
+	if err == nil {
+		j.noteEpoch(c.Epoch)
 	}
-	defer f.Close()
-	var recs []TaskRecord
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 64<<20)
-	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
-		}
-		var hr headerRecord
-		if err := json.Unmarshal(line, &hr); err == nil && hr.Header != 0 {
-			continue // the header is metadata, not a task
-		}
-		var rec TaskRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // torn tail or foreign garbage: rerun those tasks
-		}
-		if !rec.Verify() {
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("cluster: scan journal: %w", err)
-	}
-	return recs, nil
+	return c, err
 }
 
 // Close implements Checkpointer.

@@ -312,6 +312,47 @@ func TestJournalEpochLifecycle(t *testing.T) {
 	}
 }
 
+// TestBumpEpochDoesNotRescan: after a Read the handle knows the latest
+// epoch, so BumpEpoch appends without another pass over the file — a
+// resumed coordinated run walks its journal twice, harness and engine.
+// The file is moved aside between the two (the handle keeps appending to
+// it); a BumpEpoch that scanned the path again would find no journal and
+// start over at 2.
+func TestBumpEpochDoesNotRescan(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	j, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatalf("OpenFileJournal: %v", err)
+	}
+	for want := uint64(2); want <= 3; want++ {
+		if e, err := j.BumpEpoch(); err != nil || e != want {
+			t.Fatalf("BumpEpoch = %d, %v; want %d", e, err, want)
+		}
+	}
+	j.Close()
+
+	j, err = OpenFileJournal(path)
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer j.Close()
+	if c, err := j.Read(); err != nil || c.Epoch != 3 {
+		t.Fatalf("Read epoch = %d, %v; want 3", c.Epoch, err)
+	}
+	moved := path + ".moved"
+	if err := os.Rename(path, moved); err != nil {
+		t.Fatal(err)
+	}
+	for want := uint64(4); want <= 5; want++ {
+		if e, err := j.BumpEpoch(); err != nil || e != want {
+			t.Fatalf("BumpEpoch after Read = %d, %v; want %d without a rescan", e, err, want)
+		}
+	}
+	if c, err := ReadJournal(moved); err != nil || c.Epoch != 5 {
+		t.Fatalf("journal epoch = %d, %v; want 5", c.Epoch, err)
+	}
+}
+
 // TestJournalRunIDRoundTrip: the header's run ID survives reopen and is
 // absent (not invented) on journals written without one.
 func TestJournalRunIDRoundTrip(t *testing.T) {

@@ -24,9 +24,8 @@ type SweepFunc func(ctx context.Context, t Task) ([]byte, error)
 // payload. It runs serially before the sweep starts.
 type RestoreFunc func(t Task, payload []byte) error
 
-// SweepOptions configures RunTasksResumable. The zero value degrades to
-// plain RunTasks semantics: no journal, no retries, no injection, fail on
-// first error.
+// SweepOptions configures RunTasksResumable. The zero value is the plain
+// sweep: no journal, no retries, no injection, fail on first error.
 type SweepOptions struct {
 	// Pool supplies the worker budget (nil: a private GOMAXPROCS pool).
 	Pool *sched.Pool
@@ -73,7 +72,7 @@ type SweepReport struct {
 }
 
 // QuarantinedSet returns the quarantined tasks keyed by flat index
-// (bias·nK·nE + k·nE + E layout, matching RunTasks).
+// (bias·nK·nE + k·nE + E layout, see TaskAt).
 func (r *SweepReport) QuarantinedSet(nK, nE int) map[int]bool {
 	set := make(map[int]bool, len(r.Quarantined))
 	for _, t := range r.Quarantined {
@@ -82,8 +81,7 @@ func (r *SweepReport) QuarantinedSet(nK, nE int) map[int]bool {
 	return set
 }
 
-// taskAt maps a flat index to sweep coordinates (inverse of the RunTasks
-// layout).
+// taskAt maps a flat index to sweep coordinates (see TaskAt).
 func taskAt(idx, nK, nE int) Task {
 	return Task{Bias: idx / (nK * nE), K: (idx / nE) % nK, E: idx % nE}
 }
@@ -98,15 +96,90 @@ func wrapTaskErr(err error, nK, nE int) error {
 	return err
 }
 
-// RunTasksResumable is the fault-tolerant sweep engine: RunTasks plus
+// Seed folds a journal's records into a sweep's done set — the one
+// place that decides what a journal covers. The first record of each
+// index in [0, total) wins and is handed to visit (nil: none) in file
+// order; later records of the same index are echoes of it (a task
+// re-dispatched before its first result landed) and out-of-range
+// indices belong to no task, so both are skipped. A visit error stops
+// the fold and comes back naming the index. n counts the indices done.
+func Seed(recs []TaskRecord, total int, visit func(TaskRecord) error) (done []bool, n int, err error) {
+	done = make([]bool, total)
+	for _, rec := range recs {
+		if rec.Index < 0 || rec.Index >= total || done[rec.Index] {
+			continue
+		}
+		if visit != nil {
+			if err := visit(rec); err != nil {
+				return done, n, fmt.Errorf("task %d: %w", rec.Index, err)
+			}
+		}
+		done[rec.Index] = true
+		n++
+	}
+	return done, n, nil
+}
+
+// Attempt runs one task to its verdict: under the retry policy, each
+// attempt first trips the injector (the failure drill) and then runs fn.
+// It returns the successful attempt's payload, the number of attempts
+// spent beyond the first, and the policy's error when none succeeded.
+// What happens to the verdict — journal append here, an upload over the
+// wire in internal/distrib — is the caller's.
+func Attempt(ctx context.Context, retry resilience.Policy, inj *resilience.Injector, idx int, t Task, fn SweepFunc) (payload []byte, retries int, err error) {
+	attempts := 0
+	err = retry.Do(ctx, func(actx context.Context) error {
+		a := attempts
+		attempts++
+		if err := inj.Trip(actx, idx, a); err != nil {
+			return err
+		}
+		b, err := fn(actx, t)
+		if err != nil {
+			return err
+		}
+		payload = b
+		return nil
+	})
+	if attempts > 1 {
+		retries = attempts - 1
+	}
+	return payload, retries, err
+}
+
+// QuarantineBudget returns how many tasks of a sweep may be quarantined
+// before the run fails: frac of total (<= 0 means 0.25; at least one
+// task; >= 1 means all of them). Without quarantine nothing is ever set
+// aside, and the budget is the whole sweep.
+func QuarantineBudget(quarantine bool, frac float64, total int) int {
+	if !quarantine {
+		return total
+	}
+	if frac <= 0 {
+		frac = 0.25
+	}
+	if frac >= 1 {
+		return total
+	}
+	if n := int(frac * float64(total)); n >= 1 {
+		return n
+	}
+	return 1
+}
+
+// RunTasksResumable is the local sweep engine: it executes fn for every
+// task of the nBias × nK × nE grid on a scheduler pool, with
 // checkpoint/restart, per-task retry with backoff, panic isolation,
 // deterministic fault injection, and optional quarantine of unsalvageable
-// points.
+// points. Each task must write only to its own output slot. Without
+// quarantine the first error (by task order, so failures are
+// deterministic) cancels the in-flight siblings through ctx and is
+// returned after all running tasks have drained.
 //
-// Execution of one task: injected fault (if drilling) → fn → journal
-// append, all under the retry policy; a panic anywhere inside is recovered
-// into a *resilience.PanicError and retried like an ordinary transient
-// error. On startup every verified journal record marks its task done and
+// Execution of one task: Attempt, then the journal append; a panic
+// anywhere inside an attempt is recovered into a *resilience.PanicError
+// and retried like an ordinary transient error. On startup the journal
+// is seeded (Seed): every verified record marks its task done and
 // replays its payload through Restore, so a rerun after a crash performs
 // only the unfinished work — and because payloads capture the results
 // exactly, the resumed observables are bitwise-identical to an
@@ -121,39 +194,24 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 	total := nBias * nK * nE
 	rep := &SweepReport{Total: total}
 
-	done := make([]bool, total)
+	var recs []TaskRecord
 	if opts.Journal != nil {
-		recs, err := opts.Journal.Load()
-		if err != nil {
+		var err error
+		if recs, err = opts.Journal.Load(); err != nil {
 			return rep, fmt.Errorf("cluster: resume: %w", err)
 		}
-		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= total || done[rec.Index] {
-				continue
-			}
-			if opts.Restore != nil {
-				if err := opts.Restore(taskAt(rec.Index, nK, nE), rec.Payload); err != nil {
-					return rep, fmt.Errorf("cluster: restore task %d: %w", rec.Index, err)
-				}
-			}
-			done[rec.Index] = true
-			rep.Restored++
-		}
 	}
-
-	maxQuarantine := total
-	if opts.Quarantine {
-		frac := opts.MaxQuarantineFrac
-		if frac <= 0 {
-			frac = 0.25
+	done, restored, err := Seed(recs, total, func(rec TaskRecord) error {
+		if opts.Restore == nil {
+			return nil
 		}
-		if frac < 1 {
-			maxQuarantine = int(frac * float64(total))
-			if maxQuarantine < 1 {
-				maxQuarantine = 1
-			}
-		}
+		return opts.Restore(taskAt(rec.Index, nK, nE), rec.Payload)
+	})
+	rep.Restored = restored
+	if err != nil {
+		return rep, fmt.Errorf("cluster: restore %w", err)
 	}
+	maxQuarantine := QuarantineBudget(opts.Quarantine, opts.MaxQuarantineFrac, total)
 
 	pool := opts.Pool
 	if pool == nil {
@@ -176,29 +234,12 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 		}
 	}
 
-	err := pool.ForEach(ctx, "sweep", total, func(ctx context.Context, idx int) error {
+	err = pool.ForEach(ctx, "sweep", total, func(ctx context.Context, idx int) error {
 		if done[idx] {
 			return nil
 		}
-		t := taskAt(idx, nK, nE)
-		var payload []byte
-		attempt := 0
-		runErr := opts.Retry.Do(ctx, func(actx context.Context) error {
-			a := attempt
-			attempt++
-			if a > 0 {
-				retries.Add(1)
-			}
-			if err := opts.Injector.Trip(actx, idx, a); err != nil {
-				return err
-			}
-			b, err := fn(actx, t)
-			if err != nil {
-				return err
-			}
-			payload = b
-			return nil
-		})
+		payload, r, runErr := Attempt(ctx, opts.Retry, opts.Injector, idx, taskAt(idx, nK, nE), fn)
+		retries.Add(int64(r))
 		if runErr == nil {
 			if opts.Journal != nil {
 				if err := opts.Journal.Append(TaskRecord{Index: idx, Payload: payload, Digest: digestOf(payload)}); err != nil {

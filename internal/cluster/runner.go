@@ -1,31 +1,27 @@
-// Package cluster is the durable sweep log and the task runner of the
-// multi-level sweep — and nothing else.
+// Package cluster is the sweep-engine core and the durable sweep log of
+// the multi-level sweep — and nothing else.
 //
-// The runner executes an nBias × nK × nE task grid on a scheduler pool
-// (Task, TaskAt, RunTasks), and fault-tolerantly with per-task retries,
-// fault injection, quarantine and checkpoint/restart
-// (RunTasksResumable, SweepFunc, SweepOptions, SweepReport). The log is
-// the append-only journal a sweep commits its results to: self-verifying
-// TaskRecords behind the Checkpointer interface, the on-disk FileJournal
-// (OpenFileJournal, WithFsync) with its header and epoch records, and
-// Tail/NewTail, the incremental reader the job service streams from.
-// The distributed engine (internal/distrib) and the run harness
-// (internal/run) are built on exactly these names.
+// The core is what both engines mean by a sweep: Task/TaskAt (the
+// nBias × nK × nE grid and its flat layout), Attempt (one task under
+// retry and fault injection), QuarantineBudget (how many tasks may be
+// given up on), Seed (what a journal already covers: the first record
+// per task wins) and Contents/Read/ReadJournal (a journal parsed in one
+// pass, read-only). RunTasksResumable, the local engine, adds a
+// sched.Pool loop and the journal append around them; the distributed
+// engine (internal/distrib) adds leases and a wire between the attempt,
+// which runs on a worker, and the commit, which runs on the coordinator.
+//
+// The log is the append-only journal a sweep commits its results to:
+// self-verifying TaskRecords behind the Checkpointer interface, the
+// on-disk FileJournal (OpenFileJournal, WithFsync — for code that
+// appends) with its header and epoch records, and Tail/NewTail, the
+// follower the job service streams from. DESIGN.md §7, "Sweep log",
+// has the format and the reader rules.
 //
 // The analytic model of the paper's machine — what this package was
 // named after — lives in internal/machine; nothing here predicts
 // anything.
 package cluster
-
-import (
-	"context"
-	"fmt"
-
-	"repro/internal/sched"
-)
-
-// See resumable.go for the fault-tolerant variant (RunTasksResumable) with
-// checkpoint/restart, retries, and quarantine.
 
 // Task identifies one independent work item of the multi-level sweep.
 type Task struct {
@@ -35,28 +31,7 @@ type Task struct {
 }
 
 // TaskAt maps a flat task index to sweep coordinates — the inverse of the
-// bias·nK·nE + k·nE + E layout RunTasks iterates in. Exported so the
-// distributed engine (internal/distrib), which ships flat indices over
-// the wire, reconstructs the same coordinates the local runner uses.
+// bias·nK·nE + k·nE + E layout both engines iterate in. The distributed
+// engine (internal/distrib), which ships flat indices over the wire,
+// reconstructs with it the same coordinates the local runner uses.
 func TaskAt(idx, nK, nE int) Task { return taskAt(idx, nK, nE) }
-
-// RunTasks executes fn for every (bias, k, E) task on the given worker
-// pool — the real (shared-memory) counterpart of the distributed
-// decomposition internal/machine models. Each task must write only to
-// its own output slot. A nil pool runs on a private GOMAXPROCS-sized
-// one. The first error (by task order, so failures are deterministic)
-// cancels the in-flight siblings through ctx and is returned after all
-// running tasks have drained.
-func RunTasks(ctx context.Context, nBias, nK, nE int, pool *sched.Pool, fn func(context.Context, Task) error) error {
-	if nBias < 1 || nK < 1 || nE < 1 {
-		return fmt.Errorf("cluster: task counts must be positive")
-	}
-	if pool == nil {
-		pool = sched.New(0)
-	}
-	total := nBias * nK * nE
-	err := pool.ForEach(ctx, "sweep", total, func(ctx context.Context, idx int) error {
-		return fn(ctx, taskAt(idx, nK, nE))
-	})
-	return wrapTaskErr(err, nK, nE)
-}

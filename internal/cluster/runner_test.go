@@ -12,13 +12,13 @@ func TestRunTasksCoversAllAndIsOrdered(t *testing.T) {
 	const nb, nk, ne = 2, 3, 5
 	var count atomic.Int64
 	seen := make([]atomic.Bool, nb*nk*ne)
-	err := RunTasks(context.Background(), nb, nk, ne, sched.New(4), func(_ context.Context, task Task) error {
+	_, err := RunTasksResumable(context.Background(), nb, nk, ne, SweepOptions{Pool: sched.New(4)}, func(_ context.Context, task Task) ([]byte, error) {
 		idx := (task.Bias*nk+task.K)*ne + task.E
 		if seen[idx].Swap(true) {
 			t.Errorf("task %v executed twice", task)
 		}
 		count.Add(1)
-		return nil
+		return nil, nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -34,11 +34,11 @@ func TestRunTasksCoversAllAndIsOrdered(t *testing.T) {
 }
 
 func TestRunTasksPropagatesError(t *testing.T) {
-	err := RunTasks(context.Background(), 1, 1, 4, sched.New(2), func(_ context.Context, task Task) error {
+	_, err := RunTasksResumable(context.Background(), 1, 1, 4, SweepOptions{Pool: sched.New(2)}, func(_ context.Context, task Task) ([]byte, error) {
 		if task.E == 2 {
-			return errTest
+			return nil, errTest
 		}
-		return nil
+		return nil, nil
 	})
 	if err == nil {
 		t.Fatal("error not propagated")

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
 	"os"
@@ -11,8 +10,9 @@ import (
 // Tail incrementally reads the task records of a journal file as they
 // are appended — the streaming face of FileJournal that the job
 // service's SSE endpoint follows. Each Poll returns the digest-valid
-// records appended since the previous Poll, in file order, skipping
-// header/epoch metadata and malformed lines exactly like Load.
+// records appended since the previous Poll, in file order, through the
+// same scan as a whole-file read (see scan), so header/epoch metadata
+// and malformed lines are skipped exactly like Load skips them.
 //
 // The reader is deliberately stateless about the writer: it reopens the
 // file on every Poll (cheap at streaming cadence, and immune to the
@@ -52,41 +52,13 @@ func (t *Tail) Poll() ([]TaskRecord, error) {
 	if _, err := f.Seek(t.off, io.SeekStart); err != nil {
 		return nil, fmt.Errorf("cluster: tail seek: %w", err)
 	}
-
-	var recs []TaskRecord
 	if t.r == nil {
 		t.r = bufio.NewReaderSize(f, 1<<16)
 	} else {
 		t.r.Reset(f)
 	}
-	r := t.r
-	for {
-		line, err := r.ReadBytes('\n')
-		if err != nil {
-			// A partial line without its newline is the writer's in-flight
-			// append (or a torn tail a resume will repair); leave the offset
-			// at its start so the completed line is read next time.
-			if err == io.EOF {
-				return recs, nil
-			}
-			return recs, fmt.Errorf("cluster: tail read: %w", err)
-		}
-		t.off += int64(len(line))
-		line = line[:len(line)-1] // strip '\n'
-		if len(line) == 0 {
-			continue
-		}
-		var hr headerRecord
-		if err := json.Unmarshal(line, &hr); err == nil && hr.Header != 0 {
-			continue // header metadata, not a task
-		}
-		var rec TaskRecord
-		if err := json.Unmarshal(line, &rec); err != nil {
-			continue // epoch record, repaired torn tail, or foreign garbage
-		}
-		if !rec.Verify() {
-			continue
-		}
-		recs = append(recs, rec)
-	}
+	var c Contents
+	n, err := scan(t.r, &c, scanFollow)
+	t.off += n
+	return c.Records, err
 }

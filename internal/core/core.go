@@ -15,7 +15,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/device"
 	"repro/internal/machine"
-	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/tb"
 	"repro/internal/transport"
@@ -79,43 +78,14 @@ func (s *Simulator) Bands(nk int) (*tb.BandStructure, error) {
 }
 
 // Transmission returns the momentum-averaged transmission T(E) over the
-// energy grid, with the per-k solves distributed over the worker pool (the
-// momentum × energy levels of the paper's parallel scheme). Both levels —
-// and SplitSolve domains below them — draw helpers from one shared pool,
-// so total concurrency stays bounded by its worker budget.
+// energy grid: the plain form of TransmissionResumable — the same (k, E)
+// sweep with no journal, no retries and no quarantine.
 func (s *Simulator) Transmission(ctx context.Context, energies []float64, potential []float64) ([]float64, error) {
-	ks := s.kPoints()
-	cfg := s.Transport
-	if cfg.Pool == nil {
-		cfg.Pool = sched.New(cfg.Workers)
-	}
-	perK := make([][]float64, len(ks))
-	err := cluster.RunTasks(ctx, 1, len(ks), 1, cfg.Pool, func(ctx context.Context, task cluster.Task) error {
-		h, err := s.Hamiltonian(potential, ks[task.K])
-		if err != nil {
-			return err
-		}
-		eng, err := transport.NewEngine(h, cfg)
-		if err != nil {
-			return err
-		}
-		t, err := eng.Transmissions(ctx, energies)
-		if err != nil {
-			return err
-		}
-		perK[task.K] = t
-		return nil
-	})
+	sweep, err := s.TransmissionResumable(ctx, energies, potential, cluster.SweepOptions{})
 	if err != nil {
 		return nil, err
 	}
-	avg := make([]float64, len(energies))
-	for _, tk := range perK {
-		for i, v := range tk {
-			avg[i] += v / float64(len(ks))
-		}
-	}
-	return avg, nil
+	return sweep.T, nil
 }
 
 // Stats reports the device bookkeeping numbers.

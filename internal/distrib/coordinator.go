@@ -297,7 +297,7 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 		opts:  opts,
 		nBias: nBias, nK: nK, nE: nE,
 		total:         total,
-		maxQuarantine: quarantineBudget(opts, total),
+		maxQuarantine: cluster.QuarantineBudget(opts.Quarantine, opts.MaxQuarantineFrac, total),
 		st:            make([]taskState, total),
 		shards:        make([][]int, nShards),
 		start:         time.Now(),
@@ -306,21 +306,18 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 	}
 	rep := &Report{Sweep: &cluster.SweepReport{Total: total}}
 
-	// Seed the done set from the journal, exactly like the local engine.
+	// Seed the done set from the journal, exactly like the local engine;
+	// what a coordinator adds is the flop ledger.
 	if opts.Journal != nil {
 		recs, err := opts.Journal.Load()
 		if err != nil {
 			lis.Close()
 			return rep, fmt.Errorf("distrib: resume: %w", err)
 		}
-		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= total || c.st[rec.Index].phase == stateDone {
-				continue
-			}
+		_, c.restored, err = cluster.Seed(recs, total, func(rec cluster.TaskRecord) error {
 			if opts.Restore != nil {
 				if err := opts.Restore(cluster.TaskAt(rec.Index, nK, nE), rec.Payload); err != nil {
-					lis.Close()
-					return rep, fmt.Errorf("distrib: restore task %d: %w", rec.Index, err)
+					return err
 				}
 			}
 			if rec.Perf != nil {
@@ -330,7 +327,11 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 				c.perf.Add(*rec.Perf)
 			}
 			c.st[rec.Index].phase = stateDone
-			c.restored++
+			return nil
+		})
+		if err != nil {
+			lis.Close()
+			return rep, fmt.Errorf("distrib: restore %w", err)
 		}
 	}
 	c.remaining = 0
@@ -467,25 +468,6 @@ func (c *coordinator) finishDrainLocked() {
 	c.finished = true
 	c.drained = true
 	close(c.done)
-}
-
-// quarantineBudget mirrors cluster.RunTasksResumable's budget arithmetic.
-func quarantineBudget(opts Options, total int) int {
-	if !opts.Quarantine {
-		return 0
-	}
-	frac := opts.MaxQuarantineFrac
-	if frac <= 0 {
-		frac = 0.25
-	}
-	if frac >= 1 {
-		return total
-	}
-	n := int(frac * float64(total))
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // fill writes the coordinator's accounting into rep. Callers hold mu or

@@ -448,26 +448,11 @@ func (w *worker) runLease(ctx context.Context, cd *comms.Codec, lease leaseMsg) 
 	tasks := lease.Tasks
 	err := w.pool.ForEach(ctx, "distrib-lease", len(tasks), func(ctx context.Context, i int) error {
 		idx := tasks[i]
-		t := cluster.TaskAt(idx, w.nK, w.nE)
-		var payload []byte
-		attempt := 0
-		runErr := w.retry.Do(ctx, func(actx context.Context) error {
-			a := attempt
-			attempt++
-			if err := w.injector.Trip(actx, idx, a); err != nil {
-				return err
-			}
-			b, err := w.fn(actx, t)
-			if err != nil {
-				return err
-			}
-			payload = b
-			return nil
-		})
+		payload, retries, runErr := cluster.Attempt(ctx, w.retry, w.injector, idx, cluster.TaskAt(idx, w.nK, w.nE), w.fn)
 		if runErr != nil && ctx.Err() != nil {
 			return runErr // canceled mid-task: nothing to report
 		}
-		res := resultMsg{Task: idx, Retries: attempt - 1, Perf: w.perfDelta(), Epoch: w.epoch}
+		res := resultMsg{Task: idx, Retries: retries, Perf: w.perfDelta(), Epoch: w.epoch}
 		if runErr != nil {
 			res.Failed = true
 			res.Error = runErr.Error()

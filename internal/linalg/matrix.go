@@ -157,17 +157,6 @@ func (m *Matrix) ConjTranspose() *Matrix {
 	return out
 }
 
-// Transpose returns mᵀ (no conjugation) as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = m.Data[i*m.Cols+j]
-		}
-	}
-	return out
-}
-
 // Trace returns the sum of the diagonal entries of a square matrix.
 func (m *Matrix) Trace() complex128 {
 	if m.Rows != m.Cols {

@@ -56,20 +56,6 @@ func Jaguar() MachineModel {
 	}
 }
 
-// Laptop returns a model of a single-node commodity machine, used to
-// cross-check predictions against locally measured kernel rates.
-func Laptop() MachineModel {
-	return MachineModel{
-		Name:             "single-node reference",
-		TotalCores:       8,
-		CoresPerNode:     8,
-		PeakFlopsPerCore: 3.0e9 * 4,
-		KernelEfficiency: 0.10, // pure-Go complex kernels without SIMD
-		Latency:          1e-7,
-		Bandwidth:        2.0e10,
-	}
-}
-
 // Validate reports configuration errors.
 func (m MachineModel) Validate() error {
 	if m.TotalCores < 1 || m.CoresPerNode < 1 {

@@ -87,15 +87,6 @@ func (w Workload) WFSolveFlops() int64 {
 	return int64(l) * perLayer
 }
 
-// RGFSolveFlops returns the flops of one recursive Green's function solve
-// (transmission-only): per layer one inversion (LU + N-column solve) and
-// roughly six block products for the connected recursions.
-func (w Workload) RGFSolveFlops() int64 {
-	n, l := w.BlockSize, w.NLayers
-	perLayer := perf.LUFlops(n) + perf.SolveFlops(n, n) + 6*perf.GemmFlops(n, n, n)
-	return int64(l) * perLayer
-}
-
 // SplitSolveCost describes the parallel cost structure of one SplitSolve
 // execution over P spatial domains.
 type SplitSolveCost struct {

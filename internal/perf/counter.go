@@ -26,8 +26,7 @@ var counters sync.Map
 
 // GetCounter returns the process-global counter registered under name,
 // creating it on first use. The pointer is stable for the life of the
-// process (modulo ResetCounters), so hot call sites should resolve it
-// once and keep it.
+// process, so hot call sites should resolve it once and keep it.
 func GetCounter(name string) *Counter {
 	if c, ok := counters.Load(name); ok {
 		return c.(*Counter)
@@ -49,14 +48,4 @@ func CounterSnapshot() map[string]int64 {
 		return true
 	})
 	return out
-}
-
-// ResetCounters zeroes all named counters. Counters are zeroed in place
-// rather than deleted, so pointers handed out by GetCounter stay valid
-// across a reset (long-lived caches resolve their counters once).
-func ResetCounters() {
-	counters.Range(func(_, v any) bool {
-		v.(*Counter).v.Store(0)
-		return true
-	})
 }

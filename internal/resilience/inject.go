@@ -131,17 +131,6 @@ func (inj *Injector) Trip(ctx context.Context, i, attempt int) error {
 	return nil
 }
 
-// Wrap decorates fn so every invocation first runs the task's injected
-// fault for the given attempt, then the real work.
-func (inj *Injector) Wrap(i, attempt int, fn func(context.Context) error) func(context.Context) error {
-	return func(ctx context.Context) error {
-		if err := inj.Trip(ctx, i, attempt); err != nil {
-			return err
-		}
-		return fn(ctx)
-	}
-}
-
 // hash2 mixes two words with the splitmix64 finalizer — the deterministic
 // core behind fault assignment and backoff jitter.
 func hash2(a, b uint64) uint64 {

@@ -89,10 +89,10 @@ const maxRestarts = 3
 //
 //  1. open the spec's journal with fsync — the coordinator's journal is
 //     the cluster's source of truth;
-//  2. take the RunID from its header;
+//  2. read the journal once: RunID, epoch, replay decision;
 //  3. on resume, replay: a journal that already covers the grid is
 //     restored and assembled, and nothing else happens;
-//  4. read the epoch, or bump it on resume — the incarnation a resume
+//  4. otherwise bump the epoch on resume — the incarnation a resume
 //     replaces is dead by definition, and its in-flight results must be
 //     fenced out, not double-counted;
 //  5. listen;
@@ -139,22 +139,24 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 	if j != nil {
 		defer j.Close()
 		opts.Journal = j
-		if hd, herr := j.ReadHeader(); herr == nil && hd != nil {
-			out.RunID = hd.RunID
-		}
-		if s.Resilience.Resume {
-			if err := replay(j, plan, total, out); err != nil {
-				return out, err
-			}
-		}
-		switch {
-		case out.Replayed, !s.Resilience.Resume:
-			out.Epoch, err = j.LatestEpoch()
-		default:
-			out.Epoch, err = j.BumpEpoch()
-		}
+		// Read the journal once: RunID, epoch, replay decision.
+		c, err := j.Read()
 		if err != nil {
 			return out, err
+		}
+		if c.Header != nil {
+			out.RunID = c.Header.RunID
+		}
+		out.Epoch = c.Epoch
+		if s.Resilience.Resume {
+			if err := replay(c.Records, plan, total, out); err != nil {
+				return out, err
+			}
+			if !out.Replayed {
+				if out.Epoch, err = j.BumpEpoch(); err != nil {
+					return out, err
+				}
+			}
 		}
 		if h.OnIdentity != nil {
 			h.OnIdentity(out.RunID, out.Epoch)
@@ -236,33 +238,22 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 // per-task perf deltas — zero new solves, no listener, no worker, no
 // write. It leaves out.Replayed false when the journal does not cover
 // the grid (the caller falls through to a live run).
-func replay(j *cluster.FileJournal, plan *core.TransmissionPlan, total int, out *Outcome) error {
-	recs, err := j.Load()
-	if err != nil {
-		return err
-	}
-	first := make(map[int]cluster.TaskRecord, len(recs))
-	for _, rec := range recs {
-		if rec.Index < 0 || rec.Index >= total {
-			continue
-		}
-		if _, dup := first[rec.Index]; !dup {
-			first[rec.Index] = rec
-		}
-	}
-	if len(first) < total {
-		return nil
-	}
+func replay(recs []cluster.TaskRecord, plan *core.TransmissionPlan, total int, out *Outcome) error {
 	_, nK, nE := plan.Dims()
 	var d perf.Snapshot
-	for idx := 0; idx < total; idx++ {
-		rec := first[idx]
-		if err := plan.Restore(cluster.TaskAt(idx, nK, nE), rec.Payload); err != nil {
-			return fmt.Errorf("replay task %d: %w", idx, err)
-		}
+	_, n, err := cluster.Seed(recs, total, func(rec cluster.TaskRecord) error {
 		if rec.Perf != nil {
 			d.Add(*rec.Perf)
 		}
+		return plan.Restore(cluster.TaskAt(rec.Index, nK, nE), rec.Payload)
+	})
+	if err != nil {
+		return fmt.Errorf("replay %w", err)
+	}
+	if n < total {
+		// Not covered: the live run that follows restores these records
+		// again, into the same slots.
+		return nil
 	}
 	out.Report = &cluster.SweepReport{Total: total, Restored: total}
 	out.Sweep = plan.Assemble(out.Report)

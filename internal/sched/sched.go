@@ -23,8 +23,7 @@
 //   - fault containment: a panic in a task is recovered on the worker,
 //     converted to a *resilience.PanicError with the captured stack, and
 //     reported with ordinary task-error semantics (siblings canceled,
-//     lowest failing index wins) instead of crashing the process; an
-//     optional per-task deadline (Pool.TaskTimeout) bounds runaway solves.
+//     lowest failing index wins) instead of crashing the process.
 //
 // The nesting rule mirrors the paper's four-level parallel hierarchy
 // (bias × momentum × energy × spatial domains): outer levels grab workers
@@ -58,13 +57,6 @@ type Pool struct {
 	// Hook, if set before the pool is used, observes every completed task.
 	// It runs on the worker goroutine and must be cheap and thread-safe.
 	Hook func(TaskEvent)
-
-	// TaskTimeout, if set before the pool is used, bounds each task's wall
-	// time: the task's context is canceled with context.DeadlineExceeded
-	// once the deadline passes, and a task that returns the deadline error
-	// fails with ordinary task-error semantics (siblings canceled, lowest
-	// index reported). Zero means no per-task deadline.
-	TaskTimeout time.Duration
 }
 
 // TaskEvent describes one completed (or failed) task for the Hook.
@@ -196,7 +188,11 @@ func (p *Pool) ForEach(ctx context.Context, phase string, n int, fn func(context
 				return
 			}
 			start := time.Now()
-			err := p.runTask(ctx2, i, fn)
+			// The panic boundary: a panicking task becomes an ordinary
+			// *resilience.PanicError — carrying the panic value and the
+			// worker's stack — so one bad energy point cancels its siblings
+			// like any failing task instead of killing the process.
+			err := resilience.Call(ctx2, func(ctx context.Context) error { return fn(ctx, i) })
 			wall := time.Since(start)
 			if phase != "" {
 				perf.RecordPhase(phase, wall, 0)
@@ -255,20 +251,6 @@ acquire:
 		return err
 	}
 	return context.Canceled
-}
-
-// runTask executes one task with the pool's safety envelope: an optional
-// per-task deadline and a panic boundary. A panicking task becomes an
-// ordinary *resilience.PanicError — carrying the panic value and the
-// worker's stack — so one bad energy point cancels its siblings like any
-// failing task instead of killing the process.
-func (p *Pool) runTask(ctx context.Context, i int, fn func(context.Context, int) error) error {
-	if p.TaskTimeout > 0 {
-		tctx, cancel := context.WithTimeout(ctx, p.TaskTimeout)
-		defer cancel()
-		ctx = tctx
-	}
-	return resilience.Call(ctx, func(ctx context.Context) error { return fn(ctx, i) })
 }
 
 // Map runs fn(ctx, i) for i in [0, n) on the pool and collects the results

@@ -305,42 +305,3 @@ func TestPanicInNestedLevelContained(t *testing.T) {
 		t.Fatalf("outer attribution wrong: %v", err)
 	}
 }
-
-func TestTaskTimeoutFailsSlowTask(t *testing.T) {
-	p := New(4)
-	p.TaskTimeout = 10 * time.Millisecond
-	err := p.ForEach(context.Background(), "", 8, func(ctx context.Context, i int) error {
-		if i == 2 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(2 * time.Second):
-				return errors.New("deadline never fired")
-			}
-		}
-		return nil
-	})
-	te, ok := AsTaskError(err)
-	if !ok || te.Index != 2 {
-		t.Fatalf("got %v, want the timed-out task 2", err)
-	}
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("timeout error is %v, want DeadlineExceeded in chain", err)
-	}
-}
-
-func TestTaskTimeoutLeavesFastTasksAlone(t *testing.T) {
-	p := New(4)
-	p.TaskTimeout = time.Second
-	var n atomic.Int64
-	err := p.ForEach(context.Background(), "", 50, func(ctx context.Context, i int) error {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		n.Add(1)
-		return nil
-	})
-	if err != nil || n.Load() != 50 {
-		t.Fatalf("fast tasks under a generous deadline: err=%v done=%d", err, n.Load())
-	}
-}

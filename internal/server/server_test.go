@@ -4,15 +4,20 @@ import (
 	"bufio"
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/spec"
@@ -513,5 +518,190 @@ func TestCancelRunning(t *testing.T) {
 	// Canceling again reports conflict.
 	if ok, _ := m.Cancel(j.ID); ok {
 		t.Fatal("second cancel should refuse a finished job")
+	}
+}
+
+// finishedJournal runs a job to completion in a throwaway manager and
+// returns its ID and journal path: a historical job for the store.
+func finishedJournal(t *testing.T, dir string, s spec.RunSpec) (id, path string) {
+	t.Helper()
+	m := newTestManager(t, dir, nil)
+	j, _, err := m.Submit(s, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j); st != StateDone {
+		t.Fatalf("job landed %s (%s)", st, j.view(true).Error)
+	}
+	m.Close()
+	return j.ID, m.JournalPath(j.ID)
+}
+
+// TestStoreNeverWritesToJournals: the store is a reader. A journal cut
+// mid-record — what a killed coordinator leaves — must come out of List
+// and Lookup byte for byte as it went in (the parent's store opened it
+// for appending and "repaired" the tail), with the torn record reported
+// missing.
+func TestStoreNeverWritesToJournals(t *testing.T) {
+	dir := t.TempDir()
+	id, path := finishedJournal(t, dir, testSpec(8))
+	whole, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	torn := whole[:len(whole)-9] // inside the last record
+	if err := os.WriteFile(path, torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := NewStore(dir)
+	list := st.List()
+	sj, ok := st.Lookup(id)
+	if len(list) != 1 || !ok {
+		t.Fatalf("List = %+v, Lookup ok = %v; want the one job from both", list, ok)
+	}
+	for _, got := range []StoredJob{list[0], sj} {
+		if got.ID != id || got.Done != 7 || got.Total != 8 || got.Complete {
+			t.Errorf("stored job = %+v, want 7/8 done, incomplete: the torn record is missing", got)
+		}
+	}
+	if after, _ := os.ReadFile(path); !bytes.Equal(after, torn) {
+		t.Fatalf("the store changed the journal: %d bytes, was %d", len(after), len(torn))
+	}
+
+	// A header whose grid no run could have had — the spec is read off
+	// the disk, and its hash matches because the hash covers the bad grid
+	// too — is skipped, not a panic that fails the whole listing.
+	for name, grid := range map[string][2]int{
+		"negative":    {1, -8},
+		"zero":        {0, 8},
+		"overflowing": {1<<62 + 2, 4}, // wraps to 8
+	} {
+		bad := testSpec(8)
+		bad.Grid.NK, bad.Grid.NE = grid[0], grid[1]
+		canon, err := bad.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		j, err := cluster.OpenFileJournal(filepath.Join(dir, bad.SpecHash()+".journal"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.WriteHeader(cluster.Header{SpecHash: bad.SpecHash(), Spec: canon}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		if _, ok := st.Lookup(bad.SpecHash()); ok {
+			t.Errorf("%s grid %v: Lookup took it for a job", name, grid)
+		}
+	}
+	if list := st.List(); len(list) != 1 || list[0].ID != id {
+		t.Fatalf("List beside bad-grid journals = %+v, want only job %s", list, id)
+	}
+}
+
+// TestListLeavesRunningJournalAlone: GET /v1/jobs reads the journal of a
+// job whose coordinator, in the same manager, has it open for appending.
+// A read that lands between the two halves of an append — played here by
+// the test, on top of what the coordinator itself wrote — must not put a
+// byte between them: the file ends up as exactly those writes, and the
+// record survives.
+func TestListLeavesRunningJournalAlone(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), func(c *Config) {
+		c.SpawnWorker = func(ctx context.Context, addr string, ws spec.RunSpec) error {
+			<-ctx.Done() // never connects: the job stays running
+			return ctx.Err()
+		}
+	})
+	j, _, err := m.Submit(testSpec(4), "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j.State() == StateQueued {
+		<-j.changed()
+	}
+	path := m.JournalPath(j.ID)
+	var written []byte // the coordinator's own bytes: header, no results yet
+	for deadline := time.Now().Add(10 * time.Second); len(written) == 0; {
+		if written, _ = os.ReadFile(path); time.Now().After(deadline) {
+			t.Fatal("the running job never wrote its journal header")
+		}
+	}
+
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	payload := []byte("12345678")
+	sum := sha256.Sum256(payload)
+	line, _ := json.Marshal(cluster.TaskRecord{Index: 2, Payload: payload, Digest: hex.EncodeToString(sum[:])})
+	line = append(line, '\n')
+	for _, half := range [][]byte{line[:len(line)/2], line[len(line)/2:]} {
+		if _, err := f.Write(half); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.store.List(); len(got) != 1 || got[0].ID != j.ID {
+			t.Fatalf("List = %+v, want the running job", got)
+		}
+	}
+
+	after, _ := os.ReadFile(path)
+	if want := append(append([]byte(nil), written...), line...); !bytes.Equal(after, want) {
+		t.Fatalf("journal holds bytes nobody appended:\n got %q\nwant %q", after, want)
+	}
+	if sj, _ := m.store.Lookup(j.ID); sj.Done != 1 {
+		t.Fatalf("store sees %d/4 done, want the one appended record", sj.Done)
+	}
+}
+
+// tripWriter is a flushing ResponseWriter that runs a hook on each write.
+type tripWriter struct {
+	*httptest.ResponseRecorder
+	onWrite func(frame []byte)
+}
+
+func (w *tripWriter) Write(b []byte) (int, error) {
+	n, err := w.ResponseRecorder.Write(b)
+	w.onWrite(b)
+	return n, err
+}
+
+// TestHistoricalStreamLooksUpOnce: streaming a stored job reads its
+// journal summary once. The journal disappears right after the `job`
+// event; the `done` event must still be that job's view (the parent
+// looked the job up again and streamed a zero-valued one).
+func TestHistoricalStreamLooksUpOnce(t *testing.T) {
+	dir := t.TempDir()
+	id, path := finishedJournal(t, dir, testSpec(6))
+	m := newTestManager(t, dir, func(c *Config) { c.SpawnWorker = nil })
+
+	w := &tripWriter{ResponseRecorder: httptest.NewRecorder()}
+	w.onWrite = func(frame []byte) {
+		if bytes.HasPrefix(frame, []byte("event: job\n")) {
+			os.Remove(path)
+		}
+	}
+	(&API{M: m}).Handler().ServeHTTP(w, httptest.NewRequest("GET", "/v1/jobs/"+id+"/stream", nil))
+
+	views := make(map[string]JobView)
+	event := ""
+	for _, line := range strings.Split(w.Body.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "event: "); ok {
+			event = rest
+		} else if data, ok := strings.CutPrefix(line, "data: "); ok && (event == "job" || event == "done") {
+			var v JobView
+			if err := json.Unmarshal([]byte(data), &v); err != nil {
+				t.Fatalf("%s event: %v", event, err)
+			}
+			views[event] = v
+		}
+	}
+	job, done := views["job"], views["done"]
+	if job.ID != id || job.State != StateDone || job.Total != 6 {
+		t.Fatalf("job event = %+v, want the stored job, done, 6 tasks", job)
+	}
+	if done != job {
+		t.Fatalf("done event = %+v, want the job event's view %+v", done, job)
 	}
 }

@@ -58,18 +58,23 @@ func (a *API) stream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A historical job is looked up once: its `job` and `done` events
+	// are the same view of one read of the journal, whatever happens to
+	// the file in between.
 	j, live := a.M.Job(id)
-	var s spec.RunSpec
-	switch {
-	case live:
-		s = j.Spec
-	default:
-		sj, stored := a.M.store.Lookup(id)
-		if !stored {
+	var (
+		s    spec.RunSpec
+		view JobView
+	)
+	if live {
+		s, view = j.Spec, j.view(false)
+	} else {
+		sj, ok := a.M.store.Lookup(id)
+		if !ok {
 			jsonError(w, http.StatusNotFound, "unknown job %s", id)
 			return
 		}
-		s = sj.Spec
+		s, view = sj.Spec, sj.View()
 	}
 
 	w.Header().Set("Content-Type", "text/event-stream")
@@ -77,12 +82,7 @@ func (a *API) stream(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
 
-	if live {
-		writeEvent(w, fl, "job", j.view(false))
-	} else {
-		sj, _ := a.M.store.Lookup(id)
-		writeEvent(w, fl, "job", sj.View())
-	}
+	writeEvent(w, fl, "job", view)
 
 	grid := transport.UniformGrid(s.Grid.EMin, s.Grid.EMax, s.Grid.NE)
 	nK, nE := s.Grid.NK, s.Grid.NE
@@ -130,8 +130,7 @@ func (a *API) stream(w http.ResponseWriter, r *http.Request) {
 	if !live {
 		// Historical job: replay what the journal holds, then close.
 		if emit() {
-			sj, _ := a.M.store.Lookup(id)
-			writeEvent(w, fl, "done", sj.View())
+			writeEvent(w, fl, "done", view)
 		}
 		return
 	}

@@ -2,7 +2,6 @@ package server
 
 import (
 	"encoding/json"
-	"os"
 	"path/filepath"
 	"strings"
 
@@ -56,18 +55,13 @@ func (st *Store) List() []StoredJob {
 	return out
 }
 
-// read parses one journal into a StoredJob.
+// read parses one journal into a StoredJob, in one read-only pass: the
+// store never opens a journal for writing, so listing jobs cannot touch
+// a file some coordinator is appending to (DESIGN.md §7, "Sweep log").
 func (st *Store) read(path string) (StoredJob, bool) {
 	id := strings.TrimSuffix(filepath.Base(path), ".journal")
-	if _, err := os.Stat(path); err != nil {
-		return StoredJob{}, false
-	}
-	j, err := cluster.OpenFileJournal(path)
-	if err != nil {
-		return StoredJob{}, false
-	}
-	defer j.Close()
-	h, err := j.ReadHeader()
+	c, err := cluster.ReadJournal(path)
+	h := c.Header
 	if err != nil || h == nil || len(h.Spec) == 0 {
 		return StoredJob{}, false
 	}
@@ -80,20 +74,16 @@ func (st *Store) read(path string) (StoredJob, bool) {
 	if s.SpecHash() != id || h.SpecHash != id {
 		return StoredJob{}, false
 	}
+	// The grid comes off the disk too: one that no run could have had
+	// (non-positive, or a product that overflows) is not a job.
 	total := s.Grid.NK * s.Grid.NE
-	recs, err := j.Load()
-	if err != nil {
+	if s.Validate() != nil || total < 1 || total/s.Grid.NK != s.Grid.NE {
 		return StoredJob{}, false
 	}
-	covered := make(map[int]bool, len(recs))
-	for _, rec := range recs {
-		if rec.Index >= 0 && rec.Index < total {
-			covered[rec.Index] = true
-		}
-	}
+	_, done, _ := cluster.Seed(c.Records, total, nil)
 	return StoredJob{
 		ID: id, Spec: s, Summary: s.Summary(), RunID: h.RunID,
-		Done: len(covered), Total: total, Complete: len(covered) == total,
+		Done: done, Total: total, Complete: done == total,
 	}, true
 }
 

@@ -198,12 +198,6 @@ func ShiftedFromHermitianWS(h *BlockTridiag, z complex128, ws *linalg.Workspace)
 	return a
 }
 
-// AddToDiagBlock accumulates s into diagonal block i (used to subtract
-// contact self-energies in place).
-func (m *BlockTridiag) AddToDiagBlock(i int, s *linalg.Matrix) {
-	m.Diag[i].AddInPlace(s)
-}
-
 // AddScaledToDiagBlock accumulates scale·s into diagonal block i without
 // materializing the scaled copy — the self-energy subtraction pattern
 // AddScaledToDiagBlock(i, sigma, -1) of the open-system assembly.

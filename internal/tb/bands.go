@@ -111,19 +111,3 @@ func (b *BandStructure) GapAround(eLo, eHi float64) (evTop, ecBottom float64, ok
 	}
 	return evTop, ecBottom, ok
 }
-
-// MinMax returns the global spectral extent over all bands and k-points.
-func (b *BandStructure) MinMax() (lo, hi float64) {
-	lo, hi = math.Inf(1), math.Inf(-1)
-	for _, e := range b.Energies {
-		for _, v := range e {
-			if v < lo {
-				lo = v
-			}
-			if v > hi {
-				hi = v
-			}
-		}
-	}
-	return lo, hi
-}
