@@ -2,7 +2,8 @@ package repro
 
 // W1: distributed-wire economy. Two loopback sweeps over the same task
 // grid measure the bytes the coordinator/worker protocol moves per task:
-// the v3 shape (JSON frames, one task per lease, one result per frame)
+// the per-frame shape (JSON payloads, one task per lease, one result per
+// frame)
 // against the lean fabric (binary payloads, capacity-8 lease batches,
 // coalesced result uploads). The "bytes/task" metric is deterministic —
 // same grid, same protocol, same bytes — so benchguard gates it as an
@@ -80,8 +81,8 @@ func runWireSweep(b *testing.B, coord distrib.Options, work distrib.WorkerOption
 	return r.rep.Perf.Counters["wire-bytes-sent"] + r.rep.Perf.Counters["wire-bytes-recv"]
 }
 
-// BenchmarkW1_WireJSONPerFrame is the v3 baseline shape: JSON wire, one
-// task per lease, one result per frame.
+// BenchmarkW1_WireJSONPerFrame is the baseline shape: JSON wire, one
+// task per lease, one result (a batch of one) per frame.
 func BenchmarkW1_WireJSONPerFrame(b *testing.B) {
 	total := float64(wireBenchNK * wireBenchNE)
 	var bytes int64

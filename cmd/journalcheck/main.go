@@ -8,17 +8,21 @@
 //
 // Usage:
 //
-//	journalcheck -journal sweep.journal -total 192 [-min-epoch 2]
+//	journalcheck -journal sweep.journal [-total 192] [-min-epoch 2]
 //
-// Exits 0 and prints a one-line summary when the journal holds exactly
-// -total records, one per task index in [0, total); exits 1 with a
-// description of every violation class otherwise. -min-epoch
+// The task count is the sweep shape of the spec embedded in the journal's
+// header; -total overrides it, and is required for a journal without
+// one. Exits 0 and prints a one-line summary when the journal holds
+// exactly that many records, one per task index in [0, total); exits 1
+// with a description of every violation class otherwise, 2 when the task
+// count cannot be determined. -min-epoch
 // additionally requires the journal's latest recorded coordinator
 // incarnation to be at least that value — proof a restart actually
 // happened during the drill.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -26,12 +30,13 @@ import (
 
 	"repro/internal/buildinfo"
 	"repro/internal/cluster"
+	"repro/internal/spec"
 )
 
 func main() {
 	var (
 		path     = flag.String("journal", "", "journal file to audit")
-		total    = flag.Int("total", 0, "expected task count: the journal must hold exactly one record per index in [0, total)")
+		total    = flag.Int("total", 0, "expected task count: the journal must hold exactly one record per index in [0, total) (0: take it from the spec in the journal's header)")
 		minEpoch = flag.Uint64("min-epoch", 0, "require the journal's latest epoch to be at least this (0: don't check)")
 		version  = flag.Bool("version", false, "print the build version (module version plus VCS revision) and exit")
 	)
@@ -40,8 +45,8 @@ func main() {
 		fmt.Printf("journalcheck %s\n", buildinfo.Version())
 		return
 	}
-	if *path == "" || *total < 1 {
-		fmt.Fprintln(os.Stderr, "journalcheck: -journal and a positive -total are required")
+	if *path == "" || *total < 0 {
+		fmt.Fprintln(os.Stderr, "journalcheck: -journal is required, and -total must not be negative")
 		os.Exit(2)
 	}
 	os.Exit(audit(*path, *total, *minEpoch, os.Stdout, os.Stderr))
@@ -61,6 +66,12 @@ func audit(path string, total int, minEpoch uint64, stdout, stderr io.Writer) in
 	if err != nil {
 		fmt.Fprintf(stderr, "journalcheck: %v\n", err)
 		return 1
+	}
+	if total == 0 {
+		if total, err = specTotal(c.Header); err != nil {
+			fmt.Fprintf(stderr, "journalcheck: %v; pass -total\n", err)
+			return 2
+		}
 	}
 	counts := make([]int, total)
 	bad := 0
@@ -107,6 +118,23 @@ func audit(path string, total int, minEpoch uint64, stdout, stderr io.Writer) in
 	fmt.Fprintf(stdout, "journalcheck: OK — %d records, exactly one per task, latest epoch %d\n",
 		len(c.Records), c.Epoch)
 	return 0
+}
+
+// specTotal returns the task count of the sweep that wrote the journal,
+// from the spec its header embeds.
+func specTotal(h *cluster.Header) (int, error) {
+	if h == nil || len(h.Spec) == 0 {
+		return 0, errors.New("the journal's header carries no spec to take the task count from")
+	}
+	s, err := spec.Parse(h.Spec)
+	if err == nil {
+		err = s.Validate()
+	}
+	if err != nil {
+		return 0, fmt.Errorf("the spec in the journal's header is unusable: %w", err)
+	}
+	nBias, nK, nE := s.Dims()
+	return nBias * nK * nE, nil
 }
 
 // clip bounds a violation list so a badly broken journal stays readable.

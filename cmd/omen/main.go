@@ -74,7 +74,6 @@ type options struct {
 	specPath, specJSON     string
 	dumpSpec, version      bool
 	serveAddr, workerAddr  string
-	shardHold              time.Duration
 	cpuprofile, memprofile string
 }
 
@@ -118,7 +117,7 @@ func bindSpecFlags(fs *flag.FlagSet) *specFlags {
 	bind(sf, "mode", func(s *spec.RunSpec) *string { return &s.Mode }, "mode: transmission, iv, stats")
 	bind(sf, "formalism", func(s *spec.RunSpec) *string { return &s.Solver.Formalism }, "single-energy solver: wf, negf")
 	bind(sf, "domains", func(s *spec.RunSpec) *int { return &s.Solver.Domains }, "SplitSolve spatial domains (wf only)")
-	bind(sf, "nk", func(s *spec.RunSpec) *int { return &s.Grid.NK }, "transverse momentum points (periodic devices)")
+	bind(sf, "nk", func(s *spec.RunSpec) *int { return &s.Grid.NK }, "transverse momentum points (y-periodic devices only; rejected elsewhere)")
 	bind(sf, "emin", func(s *spec.RunSpec) *float64 { return &s.Grid.EMin }, "spectrum lower bound (eV)")
 	bind(sf, "emax", func(s *spec.RunSpec) *float64 { return &s.Grid.EMax }, "spectrum upper bound (eV)")
 	bind(sf, "ne", func(s *spec.RunSpec) *int { return &s.Grid.NE }, "energy points")
@@ -133,7 +132,7 @@ func bindSpecFlags(fs *flag.FlagSet) *specFlags {
 	bind(sf, "rejoin-window", func(s *spec.RunSpec) *spec.Duration { return &s.Exec.RejoinWindow }, "worker: keep re-dialing for this long after losing the coordinator mid-sweep before giving up (0: a coordinator crash ends the worker)")
 	bind(sf, "drain-timeout", func(s *spec.RunSpec) *spec.Duration { return &s.Exec.DrainTimeout }, "coordinator: on SIGTERM, stop granting leases and accept in-flight results for up to this long before exiting with a resumable journal")
 	bind(sf, "shards", func(s *spec.RunSpec) *int { return &s.Exec.Shards }, "coordinator: partition the task grid across this many scheduling shards; idle shards steal capacity-sized batches from loaded ones (0 or 1: single queue)")
-	bind(sf, "wire", func(s *spec.RunSpec) *string { return &s.Exec.WireFormat }, "coordinator/worker wire format for hot messages: binary (compact, default) or json (v3-compatible); pure transport knob, results are bitwise identical")
+	bind(sf, "wire", func(s *spec.RunSpec) *string { return &s.Exec.WireFormat }, "coordinator/worker wire format for hot messages: binary (compact, default) or json (same messages, JSON payloads); pure transport knob, results are bitwise identical")
 
 	bind(sf, "checkpoint", func(s *spec.RunSpec) *string { return &s.Resilience.Checkpoint }, "sweep journal file for checkpoint/restart (transmission mode)")
 	bind(sf, "resume", func(s *spec.RunSpec) *bool { return &s.Resilience.Resume }, "resume from an existing -checkpoint journal, rerunning only unfinished tasks")
@@ -159,7 +158,6 @@ func resolveSpec(fs *flag.FlagSet, args []string) (spec.RunSpec, options, error)
 	fs.BoolVar(&o.version, "version", false, "print the build version (module version plus VCS revision) and exit")
 	fs.StringVar(&o.serveAddr, "serve", "", "run as distributed-sweep coordinator listening on this TCP address (transmission mode); workers connect with -worker")
 	fs.StringVar(&o.workerAddr, "worker", "", "run as distributed-sweep worker dialing the coordinator at this TCP address (transmission mode)")
-	fs.DurationVar(&o.shardHold, "shard-hold", 0, "coordinator failure drill: freeze shard-0-homed workers for this long after startup so other shards demonstrably steal their work (requires -shards >= 2)")
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile (pprof format) to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (pprof format) to this file on exit")
 	sf := bindSpecFlags(fs)
@@ -255,7 +253,7 @@ func main() {
 			st.MatrixOrder, st.BlockSize, st.TransportLen)
 	case spec.ModeTransmission:
 		if o.serveAddr != "" {
-			coordinate(ctx, b, o.serveAddr, o.shardHold, &prog)
+			coordinate(ctx, b, o.serveAddr, &prog)
 			return
 		}
 		opts, closeJournal, err := sweepOptions(b, &prog)
@@ -269,7 +267,10 @@ func main() {
 		if err != nil {
 			fatal(ctx, &prog, err)
 		}
+		// What this process spent, plus what the journal says the restored
+		// tasks cost the runs before it.
 		d := perf.TakeSnapshot().Diff(before)
+		d.Add(sweep.Report.Perf)
 		core.WriteSweep(os.Stdout, sweep, d)
 	case spec.ModeIV:
 		fmt.Fprintf(os.Stderr, "omen: %s\n", s.Summary())
@@ -315,7 +316,7 @@ func main() {
 // (SIGINT stays the hard cooperative cancel), workers re-exec'ed from
 // this binary, stderr as the log, and exit status 143 for a drained —
 // deliberately resumable — run.
-func coordinate(ctx context.Context, b *spec.Built, addr string, shardHold time.Duration, prog *progress) {
+func coordinate(ctx context.Context, b *spec.Built, addr string, prog *progress) {
 	drain := make(chan struct{})
 	sigC := make(chan os.Signal, 1)
 	signal.Notify(sigC, syscall.SIGTERM)
@@ -332,7 +333,6 @@ func coordinate(ctx context.Context, b *spec.Built, addr string, shardHold time.
 		Spawn:      run.ReExec,
 		Drain:      drain,
 		OnProgress: prog.set,
-		ShardHold:  shardHold,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "omen: "+format+"\n", args...)
 		},
@@ -350,13 +350,7 @@ func coordinate(ctx context.Context, b *spec.Built, addr string, shardHold time.
 	if err != nil {
 		fatal(ctx, prog, err)
 	}
-	extra := []string{fmt.Sprintf("# cluster: %d workers, %d leases re-dispatched", out.Workers, out.Redispatched)}
-	if out.Shards > 1 {
-		// Only sharded runs print the line, so single-shard drill output
-		// stays byte-identical across this feature's introduction.
-		extra = append(extra, fmt.Sprintf("# shards: %d, steals: %d", out.Shards, out.Steals))
-	}
-	core.WriteSweep(os.Stdout, out.Sweep, out.Perf, extra...)
+	core.WriteSweep(os.Stdout, out.Sweep, out.Perf, out.ClusterLines()...)
 }
 
 // printSpec emits the resolved canonical spec and its content hashes —

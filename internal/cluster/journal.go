@@ -27,12 +27,11 @@ type TaskRecord struct {
 	Payload []byte `json:"payload,omitempty"`
 	// Digest is the lowercase hex SHA-256 of Payload.
 	Digest string `json:"sha,omitempty"`
-	// Perf optionally records the perf delta the task's execution cost
-	// (distributed coordinators persist it so a restarted coordinator's
-	// merged flop total stays exactly equal to the serial run's; serial
-	// journals leave it nil). It rides outside Digest, which keeps old
-	// journals valid — a damaged Perf at worst skews counters, never
-	// observables.
+	// Perf records the perf delta the task's execution cost (see Meter).
+	// Both engines persist it, and Seed re-sums it, so a resumed or
+	// replayed run's flop total stays exactly an uninterrupted run's. It
+	// rides outside Digest, which keeps journals from before it existed
+	// valid — a damaged Perf at worst skews counters, never observables.
 	Perf *perf.Snapshot `json:"perf,omitempty"`
 	// Shard records which coordinator scheduling shard owned the task when
 	// the result was committed (sharded coordinators only; zero for serial

@@ -11,6 +11,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/perf"
 )
 
 // recLine renders one task record as the writer would, without newline.
@@ -152,42 +154,53 @@ func TestJournalReadersAgree(t *testing.T) {
 	}
 }
 
-// TestSeed pins the one definition of what a journal covers.
+// TestSeed pins the one definition of what a journal covers, and of
+// what it cost: the perf sum counts the first record of an index, never
+// its echo, and a record without a delta adds nothing.
 func TestSeed(t *testing.T) {
-	rec := func(idx int, p string) TaskRecord { return TaskRecord{Index: idx, Payload: []byte(p)} }
-	recs := []TaskRecord{rec(2, "first"), rec(-1, "below"), rec(0, "zero"), rec(2, "echo"), rec(4, "beyond"), rec(3, "three")}
+	rec := func(idx int, p string, flops int64) TaskRecord {
+		r := TaskRecord{Index: idx, Payload: []byte(p)}
+		if flops != 0 {
+			r.Perf = &perf.Snapshot{Flops: flops, Counters: map[string]int64{"solves": 1}}
+		}
+		return r
+	}
+	recs := []TaskRecord{rec(2, "first", 100), rec(-1, "below", 1000), rec(0, "zero", 0), rec(2, "echo", 7), rec(4, "beyond", 1000), rec(3, "three", 20)}
 
 	var visited []string
-	done, n, err := Seed(recs, 4, func(r TaskRecord) error {
-		visited = append(visited, fmt.Sprintf("%d:%s", r.Index, r.Payload))
+	done, n, sum, err := Seed(recs, 1, 2, 2, func(t Task, payload []byte) error {
+		visited = append(visited, fmt.Sprintf("%d:%s", t.K*2+t.E, payload))
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []string{"2:first", "0:zero", "3:three"}; !reflect.DeepEqual(visited, want) {
-		t.Errorf("visited %v, want %v (first record per index, in file order, in range only)", visited, want)
+		t.Errorf("restored %v, want %v (first record per index, in file order, in range only)", visited, want)
 	}
 	if want := []bool{true, false, true, true}; !reflect.DeepEqual(done, want) || n != 3 {
 		t.Errorf("done %v n %d, want %v and 3", done, n, want)
 	}
+	if sum.Flops != 120 || sum.Counters["solves"] != 2 {
+		t.Errorf("perf sum %+v, want 120 flops over 2 solves (first record wins; the echo's 7 and the out-of-range 1000s are not added)", sum)
+	}
 
-	if _, n, err := Seed(recs, 4, nil); err != nil || n != 3 {
-		t.Errorf("nil visit: n %d err %v, want 3, nil", n, err)
+	if _, n, sum, err := Seed(recs, 1, 2, 2, nil); err != nil || n != 3 || sum.Flops != 120 {
+		t.Errorf("nil restore: n %d flops %d err %v, want 3, 120, nil", n, sum.Flops, err)
 	}
 
 	boom := errors.New("boom")
-	done, n, err = Seed(recs, 4, func(r TaskRecord) error {
-		if r.Index == 0 {
+	done, n, _, err = Seed(recs, 1, 2, 2, func(t Task, _ []byte) error {
+		if t == (Task{}) {
 			return boom
 		}
 		return nil
 	})
 	if !errors.Is(err, boom) || !strings.Contains(err.Error(), "task 0") {
-		t.Errorf("visit error = %v, want boom naming task 0", err)
+		t.Errorf("restore error = %v, want boom naming task 0", err)
 	}
 	if want := []bool{false, false, true, false}; !reflect.DeepEqual(done, want) || n != 1 {
-		t.Errorf("after a visit error done %v n %d, want %v and 1 (the failed task is not done)", done, n, want)
+		t.Errorf("after a restore error done %v n %d, want %v and 1 (the failed task is not done)", done, n, want)
 	}
 }
 

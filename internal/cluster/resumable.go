@@ -7,6 +7,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/perf"
 	"repro/internal/resilience"
 	"repro/internal/sched"
 )
@@ -69,6 +70,10 @@ type SweepReport struct {
 	// Quarantined lists the tasks abandoned after exhausting retries,
 	// sorted by flat index. Empty unless SweepOptions.Quarantine is set.
 	Quarantined []Task
+	// Perf is what the restored tasks cost the runs that journaled them
+	// (Seed's sum): add it to this invocation's own perf delta for the
+	// sweep's total.
+	Perf perf.Snapshot
 }
 
 // QuarantinedSet returns the quarantined tasks keyed by flat index
@@ -81,43 +86,45 @@ func (r *SweepReport) QuarantinedSet(nK, nE int) map[int]bool {
 	return set
 }
 
-// taskAt maps a flat index to sweep coordinates (see TaskAt).
-func taskAt(idx, nK, nE int) Task {
-	return Task{Bias: idx / (nK * nE), K: (idx / nE) % nK, E: idx % nE}
-}
-
 // wrapTaskErr rewrites a sched.TaskError into sweep coordinates.
 func wrapTaskErr(err error, nK, nE int) error {
 	if te, ok := sched.AsTaskError(err); ok {
-		t := taskAt(te.Index, nK, nE)
+		t := TaskAt(te.Index, nK, nE)
 		return fmt.Errorf("cluster: task %d (bias %d, k %d, E %d): %w",
 			te.Index, t.Bias, t.K, t.E, te.Err)
 	}
 	return err
 }
 
-// Seed folds a journal's records into a sweep's done set — the one
-// place that decides what a journal covers. The first record of each
-// index in [0, total) wins and is handed to visit (nil: none) in file
-// order; later records of the same index are echoes of it (a task
-// re-dispatched before its first result landed) and out-of-range
-// indices belong to no task, so both are skipped. A visit error stops
-// the fold and comes back naming the index. n counts the indices done.
-func Seed(recs []TaskRecord, total int, visit func(TaskRecord) error) (done []bool, n int, err error) {
-	done = make([]bool, total)
+// Seed folds a journal's records into the done set of an
+// nBias × nK × nE sweep — the one place that decides what a journal
+// covers. The first record of each index in the grid wins and its
+// payload is handed to restore (nil: none) in file order; later records
+// of the same index are echoes of it (a task re-dispatched before its
+// first result landed) and out-of-range indices belong to no task, so
+// both are skipped. A restore error stops the fold and comes back naming
+// the index. n counts the indices done, and sum re-adds their records'
+// perf deltas — what the runs that wrote the journal spent on the tasks
+// it covers (see Meter), so a resumed or replayed run reports the flop
+// total of an uninterrupted one.
+func Seed(recs []TaskRecord, nBias, nK, nE int, restore RestoreFunc) (done []bool, n int, sum perf.Snapshot, err error) {
+	done = make([]bool, nBias*nK*nE)
 	for _, rec := range recs {
-		if rec.Index < 0 || rec.Index >= total || done[rec.Index] {
+		if rec.Index < 0 || rec.Index >= len(done) || done[rec.Index] {
 			continue
 		}
-		if visit != nil {
-			if err := visit(rec); err != nil {
-				return done, n, fmt.Errorf("task %d: %w", rec.Index, err)
+		if restore != nil {
+			if err := restore(TaskAt(rec.Index, nK, nE), rec.Payload); err != nil {
+				return done, n, sum, fmt.Errorf("task %d: %w", rec.Index, err)
 			}
 		}
 		done[rec.Index] = true
 		n++
+		if rec.Perf != nil {
+			sum.Add(*rec.Perf)
+		}
 	}
-	return done, n, nil
+	return done, n, sum, nil
 }
 
 // Attempt runs one task to its verdict: under the retry policy, each
@@ -176,7 +183,8 @@ func QuarantineBudget(quarantine bool, frac float64, total int) int {
 // deterministic) cancels the in-flight siblings through ctx and is
 // returned after all running tasks have drained.
 //
-// Execution of one task: Attempt, then the journal append; a panic
+// Execution of one task: Attempt, then the journal append (the payload
+// and the task's perf delta, see Meter); a panic
 // anywhere inside an attempt is recovered into a *resilience.PanicError
 // and retried like an ordinary transient error. On startup the journal
 // is seeded (Seed): every verified record marks its task done and
@@ -194,20 +202,19 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 	total := nBias * nK * nE
 	rep := &SweepReport{Total: total}
 
+	// A journaled task's record carries what it cost, like the
+	// coordinator's; a sweep without a journal takes no snapshots.
 	var recs []TaskRecord
+	var meter *Meter
 	if opts.Journal != nil {
 		var err error
 		if recs, err = opts.Journal.Load(); err != nil {
 			return rep, fmt.Errorf("cluster: resume: %w", err)
 		}
+		meter = NewMeter(nil)
 	}
-	done, restored, err := Seed(recs, total, func(rec TaskRecord) error {
-		if opts.Restore == nil {
-			return nil
-		}
-		return opts.Restore(taskAt(rec.Index, nK, nE), rec.Payload)
-	})
-	rep.Restored = restored
+	done, restored, sum, err := Seed(recs, nBias, nK, nE, opts.Restore)
+	rep.Restored, rep.Perf = restored, sum
 	if err != nil {
 		return rep, fmt.Errorf("cluster: restore %w", err)
 	}
@@ -238,11 +245,12 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 		if done[idx] {
 			return nil
 		}
-		payload, r, runErr := Attempt(ctx, opts.Retry, opts.Injector, idx, taskAt(idx, nK, nE), fn)
+		payload, r, runErr := Attempt(ctx, opts.Retry, opts.Injector, idx, TaskAt(idx, nK, nE), fn)
 		retries.Add(int64(r))
 		if runErr == nil {
-			if opts.Journal != nil {
-				if err := opts.Journal.Append(TaskRecord{Index: idx, Payload: payload, Digest: digestOf(payload)}); err != nil {
+			if meter != nil {
+				delta := meter.Delta()
+				if err := opts.Journal.Append(TaskRecord{Index: idx, Payload: payload, Perf: &delta}); err != nil {
 					return err
 				}
 			}
@@ -273,7 +281,7 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 	rep.Retries = int(retries.Load())
 	sort.Ints(quarantined)
 	for _, idx := range quarantined {
-		rep.Quarantined = append(rep.Quarantined, taskAt(idx, nK, nE))
+		rep.Quarantined = append(rep.Quarantined, TaskAt(idx, nK, nE))
 	}
 	if err != nil {
 		return rep, wrapTaskErr(err, nK, nE)

@@ -215,7 +215,7 @@ func TestQuarantineDegradesGracefully(t *testing.T) {
 		if want[i] {
 			continue
 		}
-		if f.results[i] != f.value(taskAt(i, nK, nE)) {
+		if f.results[i] != f.value(TaskAt(i, nK, nE)) {
 			t.Fatalf("surviving observable %d corrupted", i)
 		}
 	}

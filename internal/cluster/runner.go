@@ -34,4 +34,6 @@ type Task struct {
 // bias·nK·nE + k·nE + E layout both engines iterate in. The distributed
 // engine (internal/distrib), which ships flat indices over the wire,
 // reconstructs with it the same coordinates the local runner uses.
-func TaskAt(idx, nK, nE int) Task { return taskAt(idx, nK, nE) }
+func TaskAt(idx, nK, nE int) Task {
+	return Task{Bias: idx / (nK * nE), K: (idx / nE) % nK, E: idx % nE}
+}

@@ -124,13 +124,20 @@ func (p *TransmissionPlan) Run(ctx context.Context, t cluster.Task) ([]byte, err
 	return b[:], nil
 }
 
-// Restore reinstates one task's journaled (or wire-delivered) payload.
-func (p *TransmissionPlan) Restore(t cluster.Task, payload []byte) error {
+// TransmissionValue decodes a task payload — Run's encoding, which
+// every reader of a journaled or wire-delivered result goes through.
+func TransmissionValue(payload []byte) (float64, error) {
 	if len(payload) != 8 {
-		return fmt.Errorf("core: task (k %d, E %d): payload is %d bytes, want 8", t.K, t.E, len(payload))
+		return 0, fmt.Errorf("core: transmission payload is %d bytes, want 8", len(payload))
 	}
-	p.perK[t.K][t.E] = math.Float64frombits(binary.LittleEndian.Uint64(payload))
-	return nil
+	return math.Float64frombits(binary.LittleEndian.Uint64(payload)), nil
+}
+
+// Restore reinstates one task's journaled (or wire-delivered) payload.
+// Its callers name the task in the error.
+func (p *TransmissionPlan) Restore(t cluster.Task, payload []byte) (err error) {
+	p.perK[t.K][t.E], err = TransmissionValue(payload)
+	return err
 }
 
 // Assemble folds the accumulated per-(k,E) values into the

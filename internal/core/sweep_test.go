@@ -7,7 +7,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/device"
+	"repro/internal/perf"
 	"repro/internal/resilience"
+	"repro/internal/sched"
 	"repro/internal/transport"
 )
 
@@ -159,5 +161,63 @@ func TestTransmissionResumableQuarantine(t *testing.T) {
 		if sweep.T[i] != ref[e] {
 			t.Fatalf("surviving point E=%g corrupted: %v != %v", e, sweep.T[i], ref[e])
 		}
+	}
+}
+
+// TestSerialResumeFlopsExact: the local engine journals each task's perf
+// delta like the coordinator does, so on a width-1 pool a sweep killed
+// part-way and resumed reports — as its own delta plus the journal's
+// (Report.Perf) — exactly the flops of an uninterrupted run, and a
+// second resume, which replays every task, the same total from zero new
+// solves.
+func TestSerialResumeFlopsExact(t *testing.T) {
+	grid := transport.UniformGrid(-1.8, 1.8, 40)
+	run := func(ctx context.Context, j cluster.Checkpointer, onProgress func(done, total int)) (*cluster.SweepReport, int64, error) {
+		sim := chainSim(t, 10)
+		before := perf.TakeSnapshot()
+		sweep, err := sim.TransmissionResumable(ctx, grid, nil, cluster.SweepOptions{
+			Pool: sched.New(1), Journal: j, OnProgress: onProgress,
+		})
+		d := perf.TakeSnapshot().Diff(before)
+		d.Add(sweep.Report.Perf)
+		return sweep.Report, d.Flops, err
+	}
+
+	_, want, err := run(context.Background(), nil, nil)
+	if err != nil || want == 0 {
+		t.Fatalf("uninterrupted run: %d flops, err %v", want, err)
+	}
+
+	j := &cluster.MemJournal{}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if _, _, err := run(ctx, j, func(done, total int) {
+		if done >= total/3 {
+			cancel()
+		}
+	}); err == nil {
+		t.Fatal("killed run reported success")
+	}
+
+	rep, got, err := run(context.Background(), j, nil)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if rep.Restored == 0 || rep.Completed == 0 {
+		t.Fatalf("resume did not split work: %+v", rep)
+	}
+	if got != want {
+		t.Fatalf("resumed run reports %d flops (%d of them from the journal), the uninterrupted run %d", got, rep.Perf.Flops, want)
+	}
+
+	rep, got, err = run(context.Background(), j, nil)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if rep.Completed != 0 || rep.Restored != len(grid) {
+		t.Fatalf("second resume solved again: %+v", rep)
+	}
+	if got != want {
+		t.Fatalf("replay reports %d flops, the uninterrupted run %d", got, want)
 	}
 }

@@ -59,6 +59,10 @@ func (k Kind) String() string {
 	}
 }
 
+// PeriodicY reports whether the family's structures are Bloch-periodic
+// in y, and so take a transverse momentum grid.
+func (k Kind) PeriodicY() bool { return k == SiUTB }
+
 // Description parameterizes a device build.
 type Description struct {
 	Name string

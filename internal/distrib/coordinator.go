@@ -96,17 +96,10 @@ type Options struct {
 	// the single-shard engine — the wire, not the lock, is what caps
 	// scaling at fleet sizes.
 	Shards int
-	// WireFormat picks the wire for the hot messages: "" or "binary"
-	// offers the compact binary payloads to v4 workers that advertise
-	// them; "json" forces the v3 JSON wire for every worker. Pure
-	// transport knob — results are bitwise identical either way.
+	// WireFormat picks the hot messages' wire: "json" keeps their payloads
+	// JSON, anything else offers workers that advertise them the binary
+	// ones. Pure transport knob — results are bitwise identical either way.
 	WireFormat string
-	// ShardHold is a failure-drill knob (CLI -shard-hold): for this long
-	// after startup, workers homed on shard 0 are told to back off
-	// instead of being granted leases, so other shards drain their own
-	// partitions and then demonstrably steal shard 0's. Zero (the
-	// default, and anything with Shards < 2) disables it.
-	ShardHold time.Duration
 	// Drain, when non-nil, triggers a graceful drain when it becomes
 	// receivable (close it): the coordinator stops granting leases,
 	// dismisses workers with done as they ask for more work, keeps
@@ -144,16 +137,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// binWire reports whether the coordinator offers the binary wire.
-func (o Options) binWire() bool {
-	switch o.WireFormat {
-	case "", "binary", wireBin:
-		return true
-	default:
-		return false
-	}
-}
-
 // Report summarizes a distributed sweep: the familiar per-task accounting
 // plus the cluster-level quantities only the coordinator can see.
 type Report struct {
@@ -167,20 +150,15 @@ type Report struct {
 	Redispatched int
 	// Perf is the cluster-wide merge of the per-task performance deltas
 	// of every accepted result: total flops and per-phase wall/flop
-	// attribution across all workers. When each worker executes its tasks
-	// serially (a 1-wide pool — the CLIs' self-spawn default), the flop
-	// total is exact: each delta is then the exact cost of its own task,
-	// so summing only winning results reproduces the single-process
-	// count. With a wider pool, deltas smear concurrently running tasks
-	// together, and discarding a duplicate's delta also discards flops
-	// that belong to winning tasks — the total then undercounts whenever
-	// a lease was re-dispatched, and is approximate in general.
+	// attribution across all workers. The flop total equals the
+	// single-process count when every worker runs a 1-wide pool (see
+	// cluster.Meter for what a wider one does to it).
 	//
 	// Across coordinator restarts exactness additionally relies on the
 	// journal persisting each record's perf delta (TaskRecord.Perf,
-	// re-summed at seed time) and on rejoining workers resetting their
-	// perf baseline and σ-cache, so work discarded with a dead epoch
-	// neither leaks into nor is shaved off later deltas.
+	// re-summed by cluster.Seed) and on rejoining workers resetting their
+	// meter and σ-cache, so work discarded with a dead epoch neither
+	// leaks into nor is shaved off later deltas.
 	Perf perf.Snapshot
 	// StaleEpoch counts results discarded by the epoch fence — reported
 	// by a worker that computed them under a previous coordinator
@@ -240,7 +218,6 @@ type coordinator struct {
 	// is the classic single queue.
 	shards       [][]int
 	nextHome     int // round-robin cursor for homing new workers
-	start        time.Time
 	steals       int // grants served from another shard's queue
 	grants       int // non-empty lease grants
 	batchedGrant int // grants carrying more than one task
@@ -300,47 +277,35 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 		maxQuarantine: cluster.QuarantineBudget(opts.Quarantine, opts.MaxQuarantineFrac, total),
 		st:            make([]taskState, total),
 		shards:        make([][]int, nShards),
-		start:         time.Now(),
 		workers:       make(map[string]*workerState),
 		done:          make(chan struct{}),
 	}
 	rep := &Report{Sweep: &cluster.SweepReport{Total: total}}
 
-	// Seed the done set from the journal, exactly like the local engine;
-	// what a coordinator adds is the flop ledger.
+	// Seed the done set and the flop ledger from the journal, exactly
+	// like the local engine.
+	var recs []cluster.TaskRecord
 	if opts.Journal != nil {
-		recs, err := opts.Journal.Load()
-		if err != nil {
+		var err error
+		if recs, err = opts.Journal.Load(); err != nil {
 			lis.Close()
 			return rep, fmt.Errorf("distrib: resume: %w", err)
 		}
-		_, c.restored, err = cluster.Seed(recs, total, func(rec cluster.TaskRecord) error {
-			if opts.Restore != nil {
-				if err := opts.Restore(cluster.TaskAt(rec.Index, nK, nE), rec.Payload); err != nil {
-					return err
-				}
-			}
-			if rec.Perf != nil {
-				// Re-sum the persisted per-task perf deltas so a restarted
-				// coordinator's merged flop total stays exactly the serial
-				// count (see Report.Perf).
-				c.perf.Add(*rec.Perf)
-			}
-			c.st[rec.Index].phase = stateDone
-			return nil
-		})
-		if err != nil {
-			lis.Close()
-			return rep, fmt.Errorf("distrib: restore %w", err)
-		}
 	}
-	c.remaining = 0
-	for i := 0; i < total; i++ {
-		if c.st[i].phase == statePending {
-			sh := c.shardOf(i)
-			c.shards[sh] = append(c.shards[sh], i)
-			c.remaining++
+	done, restored, sum, err := cluster.Seed(recs, nBias, nK, nE, opts.Restore)
+	if err != nil {
+		lis.Close()
+		return rep, fmt.Errorf("distrib: restore %w", err)
+	}
+	c.restored, c.perf = restored, sum
+	for i, d := range done {
+		if d {
+			c.st[i].phase = stateDone
+			continue
 		}
+		sh := c.shardOf(i)
+		c.shards[sh] = append(c.shards[sh], i)
+		c.remaining++
 	}
 	c.progress()
 	if c.remaining == 0 {
@@ -379,8 +344,8 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 	// On a clean finish (drain included), give connected workers a moment
 	// to pick up their explicit done dismissal and sign off — without it,
 	// a worker whose lease request races the teardown sees a hangup,
-	// which since protocol v3 means "coordinator crashed" and would send
-	// it into its rejoin loop for nothing.
+	// which means "coordinator crashed" and would send it into its rejoin
+	// loop for nothing.
 	if c.cleanSoFar() {
 		c.awaitGoodbyes(2 * time.Second)
 	}
@@ -553,10 +518,10 @@ func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 	if decode(t, payload, &hello) != nil {
 		return
 	}
-	if hello.Proto < ProtoVersionMin || hello.Proto > ProtoVersion {
+	if hello.Proto != ProtoVersion {
 		cd.Send(msgError, errorMsg{Reason: fmt.Sprintf(
-			"protocol version mismatch: worker speaks %d, coordinator accepts %d–%d",
-			hello.Proto, ProtoVersionMin, ProtoVersion)})
+			"protocol version mismatch: worker speaks %d, coordinator speaks %d (start the worker from the coordinator's build)",
+			hello.Proto, ProtoVersion)})
 		return
 	}
 	if hello.NBias != c.nBias || hello.NK != c.nK || hello.NE != c.nE {
@@ -572,11 +537,10 @@ func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 		return
 	}
 
-	// Wire negotiation: binary only when the worker advertised it (which
-	// implies v4) and this coordinator offers it; everything else — v3
-	// workers in particular — gets the JSON wire.
+	// Wire negotiation: binary only when the worker advertised it and
+	// this coordinator offers it.
 	wire := wireJSON
-	if hello.Proto >= 4 && hello.Wire == wireBin && c.opts.binWire() {
+	if hello.Wire == wireBin && c.opts.WireFormat != wireJSON {
 		wire = wireBin
 	}
 	w := c.register(cd, hello.ID, wire)
@@ -630,19 +594,15 @@ func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 			if err != nil {
 				return
 			}
-		case msgResult:
-			var res resultMsg
-			if decode(t, payload, &res) != nil {
-				return
-			}
-			if err := c.applyResult(w, res); err != nil {
-				c.fail(err)
-				return
-			}
-		case msgResultBatch:
+		case msgResultBatch, msgResultBatchBin:
 			var batch resultBatchMsg
-			if decode(t, payload, &batch) != nil {
-				return
+			if t == msgResultBatch {
+				err = decode(t, payload, &batch)
+			} else {
+				batch.Results, err = decodeResultBatchBin(payload)
+			}
+			if err != nil {
+				return // malformed frame: drop the worker, leases re-dispatch
 			}
 			for _, res := range batch.Results {
 				if err := c.applyResult(w, res); err != nil {
@@ -650,18 +610,7 @@ func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 					return
 				}
 			}
-		case msgResultBatchBin:
-			batch, err := decodeResultBatchBin(payload)
-			if err != nil {
-				return // malformed frame: drop the worker, leases re-dispatch
-			}
-			for _, res := range batch {
-				if err := c.applyResult(w, res); err != nil {
-					c.fail(err)
-					return
-				}
-			}
-		case msgHeartbeat, msgHeartbeatBin:
+		case msgHeartbeat:
 			// The deadline refresh above is the entire effect.
 		case msgBye:
 			return
@@ -727,12 +676,6 @@ func (c *coordinator) grant(w *workerState, capacity int) (lease leaseMsg, over 
 	if c.finished || c.failure != nil || c.remaining == 0 || c.draining {
 		return leaseMsg{}, true
 	}
-	if c.heldLocked(w) {
-		// Failure-drill hold: this worker's home shard is frozen, and it
-		// may neither drain it nor steal — the other shards must come get
-		// its work.
-		return leaseMsg{RetryAfter: c.opts.RetryAfter}, false
-	}
 	tasks, stolen := c.popShardedLocked(w.home, capacity)
 	if len(tasks) == 0 {
 		// Everything pending is leased elsewhere; reclaim stragglers
@@ -756,13 +699,6 @@ func (c *coordinator) grant(w *workerState, capacity int) (lease leaseMsg, over 
 		w.leased[idx] = true
 	}
 	return leaseMsg{Tasks: tasks, TTL: c.opts.LeaseTimeout}, false
-}
-
-// heldLocked reports whether the failure-drill shard hold currently
-// freezes this worker's grants (see Options.ShardHold).
-func (c *coordinator) heldLocked(w *workerState) bool {
-	return c.opts.ShardHold > 0 && len(c.shards) > 1 && w.home == 0 &&
-		time.Since(c.start) < c.opts.ShardHold
 }
 
 // popShardedLocked pops up to n tasks for a worker homed on shard home:
@@ -872,8 +808,8 @@ func (c *coordinator) reap(ctx context.Context) {
 // applyResult commits one worker-reported result. Duplicates (a task the
 // first responder already finished, or is committing right now) are
 // discarded along with their perf delta, so re-dispatched stragglers can
-// never double-count a task — note the flop-exactness caveat on
-// Report.Perf about what discarding a delta means for concurrent pools.
+// never double-count a task — cluster.Meter says what discarding a delta
+// means for concurrent pools.
 // The first-wins decision is made under c.mu, but the journal append
 // (fsync'd in coordinator deployments) and the Restore call happen
 // outside it, under commitMu, so result I/O never stalls lease grants,

@@ -281,7 +281,7 @@ func TestWorkerCrashRedispatch(t *testing.T) {
 		err := RunWorker(context.Background(), victimConn, nBias, nK, nE, WorkerOptions{
 			ID: "victim", Pool: sched.New(1), Capacity: 6, PerfNow: victimMeter.now,
 		}, workerFn(nK, nE, victimMeter, victimHook))
-		// Since protocol v3 a hang-up before the explicit done message is a
+		// A hang-up before the explicit done message is a
 		// crash, not a clean exit: the victim must come back with an error
 		// (its own severed connection), never nil.
 		if err == nil {
@@ -698,8 +698,10 @@ func TestRejectGridMismatch(t *testing.T) {
 	checkValues(t, res, nil)
 }
 
-// TestRejectProtoMismatch speaks a wrong protocol version at the raw
-// codec level and expects a typed rejection frame.
+// TestRejectProtoMismatch speaks a wrong protocol version — one above
+// and one below the coordinator's, there is no compatibility range — at
+// the raw codec level and expects a typed rejection frame naming both
+// versions.
 func TestRejectProtoMismatch(t *testing.T) {
 	const nBias, nK, nE = 1, 1, 2
 	lb := comms.NewLoopback()
@@ -710,25 +712,29 @@ func TestRejectProtoMismatch(t *testing.T) {
 	res := newResults(nBias, nK, nE)
 	ch := serveAsync(context.Background(), lis, nBias, nK, nE, Options{Restore: res.restore})
 
-	cd := comms.NewCodec(dial(t, lb, "coord"))
-	if err := cd.Send(msgHello, helloMsg{ID: "old", Proto: ProtoVersion + 1, NBias: nBias, NK: nK, NE: nE}); err != nil {
-		t.Fatal(err)
+	for _, proto := range []int{ProtoVersion + 1, ProtoVersion - 1} {
+		cd := comms.NewCodec(dial(t, lb, "coord"))
+		if err := cd.Send(msgHello, helloMsg{ID: "other", Proto: proto, NBias: nBias, NK: nK, NE: nE}); err != nil {
+			t.Fatal(err)
+		}
+		mt, payload, err := cd.Recv()
+		if err != nil {
+			t.Fatalf("proto %d: Recv: %v", proto, err)
+		}
+		if mt != msgError {
+			t.Fatalf("proto %d: reply type = %d, want msgError", proto, mt)
+		}
+		var e errorMsg
+		if err := decode(mt, payload, &e); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{"version", fmt.Sprintf("worker speaks %d", proto), fmt.Sprintf("coordinator speaks %d", ProtoVersion)} {
+			if !strings.Contains(e.Reason, want) {
+				t.Fatalf("proto %d: rejection reason %q does not contain %q", proto, e.Reason, want)
+			}
+		}
+		cd.Close()
 	}
-	mt, payload, err := cd.Recv()
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	if mt != msgError {
-		t.Fatalf("reply type = %d, want msgError", mt)
-	}
-	var e errorMsg
-	if err := decode(mt, payload, &e); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains([]byte(e.Reason), []byte("version")) {
-		t.Fatalf("rejection reason %q does not mention the version", e.Reason)
-	}
-	cd.Close()
 
 	goodConn := dial(t, lb, "coord")
 	var wg sync.WaitGroup

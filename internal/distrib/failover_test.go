@@ -48,7 +48,7 @@ func TestIsHangupTable(t *testing.T) {
 	}
 }
 
-// TestPreDoneHangupIsCrash pins the protocol v3 semantic the done message
+// TestPreDoneHangupIsCrash pins the semantic the done message
 // exists for: a coordinator that hangs up before sending done crashed,
 // and a worker without a rejoin window must surface that as an error —
 // under v2 the same hangup was indistinguishable from completion and the

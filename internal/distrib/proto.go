@@ -33,21 +33,12 @@ import (
 	"repro/internal/perf"
 )
 
-// ProtoVersion is the distrib message-schema version, checked in the
-// hello exchange (the comms frame layer has its own, lower-level version
-// byte). Version 2 added the run-spec hash to the handshake. Version 3
-// added epoch fencing (run ID + incarnation epoch in the welcome, epoch
-// tags on results) and made sweep completion an explicit done message —
-// before, "coordinator hung up" was the completion signal, which made a
-// coordinator crash indistinguishable from a finished sweep. Version 4
-// added wire-format negotiation (binary payloads for the hot message
-// types) and batched result uploads; the coordinator still accepts
-// ProtoVersionMin workers, which simply get the v3 wire — JSON frames,
-// one result per frame.
-const (
-	ProtoVersion    = 4
-	ProtoVersionMin = 3
-)
+// ProtoVersion is the distrib message-schema version, compared for
+// equality in the hello exchange (the comms frame layer has its own,
+// lower-level version byte). Every worker is started from the
+// coordinator's own binary or checkout, so there is one version and no
+// compatibility range; DESIGN.md §10 has the frame table.
+const ProtoVersion = 5
 
 // Negotiated wire formats. The handshake (hello/welcome) is always
 // JSON — negotiation must precede the thing it negotiates — and every
@@ -58,24 +49,21 @@ const (
 	wireBin  = "bin"
 )
 
-// Frame types of the coordinator/worker protocol. Types 1–9 are the v3
-// protocol (JSON payloads); 10+ are the v4 additions — the binary
-// variants of the hot messages plus batched result uploads in both
-// formats.
+// Frame types of the coordinator/worker protocol. The two wires carry
+// the same messages; the hot ones — lease grants and result uploads —
+// have a binary-payload twin next to the JSON one.
 const (
 	msgHello comms.MsgType = iota + 1
 	msgWelcome
 	msgError
 	msgLeaseRequest
-	msgLease
-	msgResult
-	msgHeartbeat
-	msgBye
-	msgDone
+	msgLease          // lease grant, JSON payload
 	msgLeaseBin       // lease grant, binary payload
 	msgResultBatch    // coalesced result upload, JSON payload
 	msgResultBatchBin // coalesced result upload, binary payload
-	msgHeartbeatBin   // liveness beacon, binary payload
+	msgHeartbeat      // liveness beacon, empty payload on either wire
+	msgBye
+	msgDone
 )
 
 // helloMsg is the worker's opening frame: its identity, protocol version,
@@ -97,9 +85,9 @@ type helloMsg struct {
 	// check is then skipped on that side).
 	SpecHash string `json:"specHash,omitempty"`
 	// Wire is the wire format the worker supports and prefers for the
-	// hot messages: "bin" or "json" ("" — as every v3 worker sends —
-	// means json). The coordinator confirms the session's format in the
-	// welcome; binary is used only when both sides offer it.
+	// hot messages: "bin", or "" for json. The coordinator confirms the
+	// session's format in the welcome; binary is used only when both
+	// sides offer it.
 	Wire string `json:"wire,omitempty"`
 }
 
@@ -121,9 +109,9 @@ type welcomeMsg struct {
 	HeartbeatEvery time.Duration `json:"heartbeatEvery"`
 	LeaseTimeout   time.Duration `json:"leaseTimeout"`
 	// Wire is the coordinator's choice of wire format for this session:
-	// "bin" commits both sides to the binary hot-message variants, ""
-	// or "json" to the v3 JSON wire. v3 workers ignore the field and
-	// are never offered "bin" (they did not advertise it).
+	// "bin" commits both sides to the binary hot-message variants,
+	// "json" to the JSON ones. A worker that did not advertise "bin" is
+	// never offered it.
 	Wire string `json:"wire,omitempty"`
 }
 
@@ -174,19 +162,14 @@ type resultMsg struct {
 	Epoch uint64 `json:"epoch,omitempty"`
 }
 
-// resultBatchMsg is the v4 coalesced result upload: every result the
-// worker finished since the last flush, each carrying its own epoch tag
-// (a batch can in principle straddle a rejoin) and its own perf delta
-// (already delta-compressed: Snapshot.Diff omits unchanged phases and
-// counters). One frame per batch is what cuts frames/task below one.
+// resultBatchMsg is the coalesced result upload, the only way a result
+// travels: every result the worker finished since the last flush (a
+// batch of one is a batch), each carrying its own epoch tag (a batch can
+// in principle straddle a rejoin) and its own perf delta (already
+// delta-compressed: Snapshot.Diff omits unchanged phases and counters).
+// One frame per batch is what cuts frames/task below one.
 type resultBatchMsg struct {
 	Results []resultMsg `json:"results"`
-}
-
-// heartbeatMsg is the worker's periodic liveness beacon, carrying the
-// number of tasks it is currently executing (diagnostic only).
-type heartbeatMsg struct {
-	Running int `json:"running,omitempty"`
 }
 
 // byeMsg is the worker's clean sign-off.

@@ -9,8 +9,8 @@ import (
 )
 
 // This file defines the binary payload encodings of the hot protocol
-// messages — lease grants, coalesced result uploads, heartbeats — on
-// top of the comms.BinWriter/BinReader primitives. The handshake and
+// messages — lease grants and coalesced result uploads — on top of the
+// comms.BinWriter/BinReader primitives. The handshake and
 // every cold message stay JSON (negotiation precedes format choice, and
 // debuggability of rare frames is worth more than their bytes).
 //
@@ -116,25 +116,6 @@ func decodeLeaseBin(p []byte) (leaseMsg, error) {
 		return leaseMsg{}, err
 	}
 	return l, nil
-}
-
-// appendHeartbeatBin encodes a liveness beacon.
-func appendHeartbeatBin(w *comms.BinWriter, h heartbeatMsg) {
-	w.Byte(binFormat)
-	w.Uvarint(uint64(h.Running))
-}
-
-// decodeHeartbeatBin decodes a msgHeartbeatBin payload.
-func decodeHeartbeatBin(p []byte) (heartbeatMsg, error) {
-	r := comms.NewBinReader(p)
-	if err := checkBinFormat(r, "heartbeat"); err != nil {
-		return heartbeatMsg{}, err
-	}
-	h := heartbeatMsg{Running: r.Int()}
-	if err := r.Finish(); err != nil {
-		return heartbeatMsg{}, err
-	}
-	return h, nil
 }
 
 // result flag bits.

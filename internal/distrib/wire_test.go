@@ -40,17 +40,6 @@ func TestWireRoundTrips(t *testing.T) {
 			}
 		}
 	})
-	t.Run("heartbeat", func(t *testing.T) {
-		var w comms.BinWriter
-		appendHeartbeatBin(&w, heartbeatMsg{Running: 5})
-		got, err := decodeHeartbeatBin(w.Bytes())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Running != 5 {
-			t.Fatalf("Running = %d", got.Running)
-		}
-	})
 	t.Run("resultBatch", func(t *testing.T) {
 		want := []resultMsg{
 			{Task: 3, Payload: []byte{1, 2, 3, 4}, Epoch: 2, Perf: perf.Snapshot{Flops: 42}},
@@ -177,7 +166,7 @@ func runSweep(t *testing.T, nBias, nK, nE, nWorkers int, opts Options, wopts fun
 	return rep, res, journal
 }
 
-// TestBinaryWireSweepExact is the v4 baseline: a binary-wire batched
+// TestBinaryWireSweepExact is the baseline: a binary-wire batched
 // sweep must reproduce the serial observables bitwise, append exactly
 // one record per task, and merge deltas to the exact serial flop total —
 // the wire format must be invisible to every number that matters.
@@ -204,17 +193,18 @@ func TestBinaryWireSweepExact(t *testing.T) {
 	}
 }
 
-// TestV3WorkerJSONFallback pins backward compatibility: a fleet mixing a
-// legacy v3 worker (JSON wire, one result per frame — simulated via
-// forceProto) with a current binary-wire worker must complete the sweep
-// with bitwise-identical observables, exactly one record per task, and
-// the exact flop total. The v3 worker must actually be granted work.
-func TestV3WorkerJSONFallback(t *testing.T) {
+// TestJSONWorkerSingleUploads pins per-session negotiation and the
+// batch of one: a fleet mixing a JSON-wire worker that uploads one
+// result per frame with a binary-wire worker, against a default
+// (binary-offering) coordinator, must complete the sweep with
+// bitwise-identical observables, exactly one record per task, and the
+// exact flop total.
+func TestJSONWorkerSingleUploads(t *testing.T) {
 	const nBias, nK, nE = 2, 3, 8
 	total := nBias * nK * nE
 	rep, res, journal := runSweep(t, nBias, nK, nE, 2, Options{}, func(i int) WorkerOptions {
 		if i == 0 {
-			return WorkerOptions{forceProto: ProtoVersionMin, Capacity: 2}
+			return WorkerOptions{WireFormat: "json", UploadBatch: 1, Capacity: 2}
 		}
 		return WorkerOptions{Capacity: 2}
 	})
@@ -249,19 +239,14 @@ func TestForcedJSONWire(t *testing.T) {
 }
 
 // TestShardedStealCompletes drives the sharded scheduler through its
-// failure drill: two shards, every worker homed on shard 0 frozen by
-// ShardHold, so shard-1 workers must drain their own partition and then
-// demonstrably steal shard 0's. The sweep must stay bitwise exact, every
-// journal record must carry its shard tag, and at least one steal must
-// be observed.
+// steal path with no knob: two shards and one worker, which is homed on
+// shard 0, drains it, and must then steal all of shard 1. The sweep must
+// stay bitwise exact, every journal record must carry its shard tag, and
+// at least one steal must be observed.
 func TestShardedStealCompletes(t *testing.T) {
 	const nBias, nK, nE = 2, 3, 8
 	total := nBias * nK * nE
-	rep, res, journal := runSweep(t, nBias, nK, nE, 2, Options{
-		Shards:     2,
-		ShardHold:  2 * time.Second,
-		RetryAfter: 5 * time.Millisecond,
-	}, func(i int) WorkerOptions {
+	rep, res, journal := runSweep(t, nBias, nK, nE, 1, Options{Shards: 2}, func(i int) WorkerOptions {
 		return WorkerOptions{Capacity: 4}
 	})
 	checkValues(t, res, nil)
@@ -272,7 +257,7 @@ func TestShardedStealCompletes(t *testing.T) {
 		t.Fatalf("report shards = %d, want 2", rep.Shards)
 	}
 	if rep.Steals == 0 {
-		t.Fatal("no steals observed despite shard 0 being held")
+		t.Fatal("no steals observed though the only worker is homed on shard 0")
 	}
 	if rep.Perf.Counters["shard-steals"] != int64(rep.Steals) {
 		t.Fatalf("shard-steals counter %d != report steals %d", rep.Perf.Counters["shard-steals"], rep.Steals)
@@ -326,8 +311,8 @@ func wireBytes(rep *Report) int64 {
 
 // TestWireBytesPerTaskRatio is the headline economy claim: the lean
 // fabric (binary wire, capacity-8 lease batches, coalesced uploads) must
-// move at least 4× fewer bytes per task than the v3 shape (JSON wire,
-// one task per lease, one result per frame). Heartbeats are pushed out
+// move at least 4× fewer bytes per task than the per-frame shape (JSON
+// wire, one task per lease, one result per frame). Heartbeats are pushed out
 // of the window so the comparison is pure protocol.
 func TestWireBytesPerTaskRatio(t *testing.T) {
 	const nBias, nK, nE = 1, 4, 16

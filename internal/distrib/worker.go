@@ -27,15 +27,9 @@ type WorkerOptions struct {
 	// ID names the worker in coordinator-side diagnostics ("" lets the
 	// coordinator assign one).
 	ID string
-	// Pool executes leased tasks (nil: a private GOMAXPROCS pool). A
-	// one-worker pool makes each per-task perf delta the exact cost of
-	// its own task, which is what lets the coordinator's merge reproduce
-	// the single-process flop total: duplicates of re-dispatched tasks
-	// are discarded delta and all, and with a serial pool a discarded
-	// delta holds only the duplicate's own flops. A wider pool smears
-	// concurrently running tasks into every delta, so once a duplicate
-	// is discarded the cluster flop total undercounts — use width 1
-	// whenever exact merged flop accounting matters.
+	// Pool executes leased tasks (nil: a private GOMAXPROCS pool). Use
+	// width 1 whenever exact merged flop accounting matters (see
+	// cluster.Meter).
 	Pool *sched.Pool
 	// Capacity is how many tasks to request per lease (default: the
 	// pool's worker count). Production CLIs ask for several tasks per
@@ -46,14 +40,12 @@ type WorkerOptions struct {
 	// UploadBatch is how many finished results to coalesce into one
 	// upload frame (default: the lease capacity; minimum 1). A batch is
 	// flushed when it reaches this size, when its oldest result has
-	// waited a quarter of the lease TTL, and at lease end. With
-	// UploadBatch 1 on the JSON wire the worker sends the v3
-	// one-result-per-frame messages — the compatibility (and benchmark
-	// baseline) shape.
+	// waited a quarter of the lease TTL, and at lease end. UploadBatch 1
+	// sends one result per frame (the benchmark baseline shape).
 	UploadBatch int
-	// WireFormat is the worker's wire preference: "" or "binary"
-	// advertises the compact binary payloads for hot messages (used only
-	// when the coordinator accepts), "json" forces the v3 JSON wire.
+	// WireFormat is the worker's wire preference: "json" keeps the hot
+	// messages' payloads JSON, anything else advertises the compact
+	// binary payloads (used only when the coordinator accepts).
 	WireFormat string
 	// Retry is the per-task retry policy, identical in semantics to
 	// cluster.SweepOptions.Retry (zero value: single attempt).
@@ -96,11 +88,6 @@ type WorkerOptions struct {
 	// attempts, epoch changes (default: standard error). Set to a no-op
 	// to silence.
 	Logf func(format string, args ...any)
-
-	// forceProto, when non-zero, pins the protocol version announced in
-	// the hello — in-package tests use it to simulate a legacy v3 worker
-	// (JSON wire, one result per frame) against a v4 coordinator.
-	forceProto int
 }
 
 // DefaultLeaseBatch is the lease capacity the CLIs request per width-1
@@ -111,12 +98,11 @@ const DefaultLeaseBatch = 8
 
 // RunWorker speaks the worker side of the protocol until the coordinator
 // dismisses it with an explicit done message (returns nil) or ctx is
-// canceled. Since protocol v3 a hangup is never a clean exit: losing the
-// connection before done means the coordinator crashed. With a
-// RejoinWindow the worker then re-dials (jittered backoff via Dial),
-// re-handshakes, verifies it rejoined the same run (pinned RunID),
-// adopts the new epoch, and resumes pulling leases; without one the
-// crash is surfaced as an error.
+// canceled. A hangup is never a clean exit: losing the connection before
+// done means the coordinator crashed. With a RejoinWindow the worker then
+// re-dials (jittered backoff via Dial), re-handshakes, verifies it
+// rejoined the same run (pinned RunID), adopts the new epoch, and resumes
+// pulling leases; without one the crash is surfaced as an error.
 //
 // Each leased task runs under the retry policy and fault injector with
 // exactly the attempt semantics of cluster.RunTasksResumable; a task that
@@ -131,10 +117,6 @@ func RunWorker(ctx context.Context, conn net.Conn, nBias, nK, nE int, opts Worke
 	if capacity < 1 {
 		capacity = pool.Workers()
 	}
-	perfNow := opts.PerfNow
-	if perfNow == nil {
-		perfNow = perf.TakeSnapshot
-	}
 	logf := opts.Logf
 	if logf == nil {
 		logf = func(format string, args ...any) {
@@ -146,26 +128,11 @@ func RunWorker(ctx context.Context, conn net.Conn, nBias, nK, nE int, opts Worke
 	if uploadBatch < 1 {
 		uploadBatch = capacity
 	}
-	wantBin := true
-	switch opts.WireFormat {
-	case "", "binary", wireBin:
-	case wireJSON:
-		wantBin = false
-	}
-	proto := ProtoVersion
-	if opts.forceProto != 0 {
-		proto = opts.forceProto
-	}
-	if proto < ProtoVersion {
-		wantBin = false // pre-v4 wire: JSON frames, one result per frame
-	}
-
 	w := &worker{
 		pool: pool, capacity: capacity, uploadBatch: uploadBatch,
-		proto: proto, wantBin: wantBin,
-		nBias: nBias, nK: nK, nE: nE,
-		retry: opts.Retry, injector: opts.Injector,
-		perfNow: perfNow, fn: fn,
+		wantBin: opts.WireFormat != wireJSON,
+		nBias:   nBias, nK: nK, nE: nE,
+		meter: cluster.NewMeter(opts.PerfNow), fn: fn,
 		opts: opts, logf: logf,
 	}
 
@@ -206,20 +173,13 @@ type worker struct {
 	pool          *sched.Pool
 	capacity      int
 	uploadBatch   int
-	proto         int
-	wantBin       bool   // advertise the binary wire in the hello
-	wire          string // the current session's negotiated wire format
+	wantBin       bool // advertise the binary wire in the hello
+	bin           bool // the current session negotiated the binary wire
 	nBias, nK, nE int
-	retry         resilience.Policy
-	injector      *resilience.Injector
 	fn            cluster.SweepFunc
 	opts          WorkerOptions
 	logf          func(format string, args ...any)
-	running       atomic.Int64
-
-	perfNow func() perf.Snapshot
-	perfMu  sync.Mutex
-	last    perf.Snapshot
+	meter         *cluster.Meter // cuts the per-task deltas results carry
 
 	// runID pins the run across sessions; epoch tracks the coordinator
 	// incarnation the current session was welcomed into.
@@ -258,7 +218,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 	defer scancel()
 	var hbFailed atomic.Bool
 
-	hello := helloMsg{ID: w.opts.ID, Proto: w.proto, NBias: w.nBias, NK: w.nK, NE: w.nE, SpecHash: w.opts.SpecHash}
+	hello := helloMsg{ID: w.opts.ID, Proto: ProtoVersion, NBias: w.nBias, NK: w.nK, NE: w.nE, SpecHash: w.opts.SpecHash}
 	if w.wantBin {
 		hello.Wire = wireBin
 	}
@@ -300,10 +260,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 		// only if we offered binary — a coordinator cannot talk a JSON
 		// worker into a format it never advertised. Each session (rejoins
 		// included) renegotiates, so mixed-format failover works.
-		w.wire = wireJSON
-		if w.wantBin && welcome.Wire == wireBin {
-			w.wire = wireBin
-		}
+		w.bin = w.wantBin && welcome.Wire == wireBin
 	case msgDone:
 		// The sweep finished before this worker arrived (or got back).
 		cd.Send(msgBye, byeMsg{})
@@ -322,9 +279,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 	// dead epoch was discarded by everyone (fence on the coordinator,
 	// re-dispatch from the journal), so its flops must not leak into the
 	// first delta of the new epoch.
-	w.perfMu.Lock()
-	w.last = w.perfNow()
-	w.perfMu.Unlock()
+	w.meter.Reset()
 
 	// Heartbeats: periodic liveness beacons on their own goroutine. A
 	// send failure cancels the session — the connection is wedged or
@@ -346,14 +301,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 			case <-sctx.Done():
 				return
 			case <-tick.C:
-				hb := heartbeatMsg{Running: int(w.running.Load())}
-				var err error
-				if w.wire == wireBin {
-					err = cd.SendBin(msgHeartbeatBin, func(bw *comms.BinWriter) { appendHeartbeatBin(bw, hb) })
-				} else {
-					err = cd.Send(msgHeartbeat, hb)
-				}
-				if err != nil {
+				if err := cd.SendBin(msgHeartbeat, func(*comms.BinWriter) {}); err != nil {
 					hbFailed.Store(true)
 					scancel()
 					return
@@ -430,10 +378,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 			}
 			continue
 		}
-		w.running.Store(int64(len(lease.Tasks)))
-		err = w.runLease(sctx, cd, lease)
-		w.running.Store(0)
-		if err != nil {
+		if err := w.runLease(sctx, cd, lease); err != nil {
 			return failed(err)
 		}
 	}
@@ -444,15 +389,15 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 // session's epoch and coalesced into batched uploads (see uploader).
 // Only transport-level send failures end the lease early.
 func (w *worker) runLease(ctx context.Context, cd *comms.Codec, lease leaseMsg) error {
-	up := newUploader(cd, w.wire, w.proto, w.uploadBatch, lease.TTL)
+	up := newUploader(cd, w.bin, w.uploadBatch, lease.TTL)
 	tasks := lease.Tasks
 	err := w.pool.ForEach(ctx, "distrib-lease", len(tasks), func(ctx context.Context, i int) error {
 		idx := tasks[i]
-		payload, retries, runErr := cluster.Attempt(ctx, w.retry, w.injector, idx, cluster.TaskAt(idx, w.nK, w.nE), w.fn)
+		payload, retries, runErr := cluster.Attempt(ctx, w.opts.Retry, w.opts.Injector, idx, cluster.TaskAt(idx, w.nK, w.nE), w.fn)
 		if runErr != nil && ctx.Err() != nil {
 			return runErr // canceled mid-task: nothing to report
 		}
-		res := resultMsg{Task: idx, Retries: retries, Perf: w.perfDelta(), Epoch: w.epoch}
+		res := resultMsg{Task: idx, Retries: retries, Perf: w.meter.Delta(), Epoch: w.epoch}
 		if runErr != nil {
 			res.Failed = true
 			res.Error = runErr.Error()
@@ -479,13 +424,10 @@ func (w *worker) runLease(ctx context.Context, cd *comms.Codec, lease leaseMsg) 
 // uploader coalesces finished results into batched upload frames: one
 // frame per UploadBatch results instead of one per task. A batch also
 // flushes when its oldest result has waited a quarter of the lease TTL,
-// so a batch can never age a lease into expiry, and at lease end. On
-// the JSON wire with batch size 1 it degrades to exactly the v3
-// one-result-per-frame messages (what a v3 coordinator understands).
+// so a batch can never age a lease into expiry, and at lease end.
 type uploader struct {
 	cd         *comms.Codec
-	wire       string
-	proto      int
+	bin        bool
 	max        int
 	flushAfter time.Duration
 
@@ -495,15 +437,12 @@ type uploader struct {
 }
 
 // newUploader sizes an uploader for one lease.
-func newUploader(cd *comms.Codec, wire string, proto, max int, ttl time.Duration) *uploader {
-	if max < 1 {
-		max = 1
-	}
+func newUploader(cd *comms.Codec, bin bool, max int, ttl time.Duration) *uploader {
 	flushAfter := ttl / 4
 	if flushAfter <= 0 {
 		flushAfter = time.Second
 	}
-	return &uploader{cd: cd, wire: wire, proto: proto, max: max, flushAfter: flushAfter}
+	return &uploader{cd: cd, bin: bin, max: max, flushAfter: flushAfter}
 }
 
 // add queues one result, flushing when the batch is full or overdue.
@@ -527,55 +466,27 @@ func (u *uploader) flush() error {
 	return u.flushLocked()
 }
 
-// flushLocked sends the buffered batch as one frame (or, pre-v4 or for
-// a single JSON result, as v3 singles). Callers hold mu; the send is
-// serialized by the codec anyway, and holding mu keeps batch order
-// deterministic.
+// flushLocked sends the buffered batch as one frame. Callers hold mu;
+// the send is serialized by the codec anyway, and holding mu keeps batch
+// order deterministic.
 func (u *uploader) flushLocked() error {
 	if len(u.buf) == 0 {
 		return nil
 	}
 	batch := u.buf
 	u.buf = u.buf[:0]
-	switch {
-	case u.wire == wireBin:
+	if u.bin {
 		return u.cd.SendBin(msgResultBatchBin, func(bw *comms.BinWriter) {
 			appendResultBatchBin(bw, batch)
 		})
-	case u.proto < ProtoVersion || len(batch) == 1:
-		// v3 compatibility (and the minimal shape for a lone result): one
-		// resultMsg frame per task.
-		for i := range batch {
-			if err := u.cd.Send(msgResult, batch[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return u.cd.Send(msgResultBatch, resultBatchMsg{Results: batch})
 	}
-}
-
-// perfDelta returns the counters accrued since the previous delta (or
-// since the session began). Successive deltas partition this worker's
-// counters exactly, with no overlap and no gap — but the coordinator
-// discards the deltas of duplicate results, so its sum equals the
-// worker's true total only when every delta it keeps is self-contained. A
-// serial pool guarantees that: each delta is then the exact cost of its
-// own task (see WorkerOptions.Pool for the concurrent-pool caveat).
-func (w *worker) perfDelta() perf.Snapshot {
-	w.perfMu.Lock()
-	defer w.perfMu.Unlock()
-	now := w.perfNow()
-	d := now.Diff(w.last)
-	w.last = now
-	return d
+	return u.cd.Send(msgResultBatch, resultBatchMsg{Results: batch})
 }
 
 // isHangup reports whether err means the peer closed the connection.
-// Since protocol v3 this is never a clean dismissal — done is explicit —
-// so a hangup classifies the session as crashed and (when a rejoin
-// window is configured) re-joinable.
+// That is never a clean dismissal — done is explicit — so a hangup
+// classifies the session as crashed and (when a rejoin window is
+// configured) re-joinable.
 func isHangup(err error) bool {
 	return errors.Is(err, io.EOF) ||
 		errors.Is(err, io.ErrClosedPipe) ||

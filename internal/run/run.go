@@ -54,8 +54,6 @@ type Hooks struct {
 	OnResult   func(task cluster.Task, payload []byte)
 	// Logf receives the operator-facing lines (default: discard).
 	Logf func(format string, args ...any)
-	// ShardHold is distrib.Options.ShardHold, the steal drill's knob.
-	ShardHold time.Duration
 }
 
 // Outcome is what a coordinated run produced. Coordinate returns it
@@ -76,6 +74,18 @@ type Outcome struct {
 	// Replayed reports that the journal already covered the grid: the
 	// result was restored from disk with no listener, worker or write.
 	Replayed bool
+}
+
+// ClusterLines returns the comment lines a coordinated run's text report
+// carries ahead of its counters (core.WriteSweep's extra lines).
+func (o *Outcome) ClusterLines() []string {
+	lines := []string{fmt.Sprintf("# cluster: %d workers, %d leases re-dispatched", o.Workers, o.Redispatched)}
+	if o.Shards > 1 {
+		// Only sharded runs print the line, so single-shard output stays
+		// byte-identical to what it was before shards existed.
+		lines = append(lines, fmt.Sprintf("# shards: %d, steals: %d", o.Shards, o.Steals))
+	}
+	return lines
 }
 
 // serve is distrib.Serve, behind a seam the supervisor's tests replace.
@@ -122,7 +132,6 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 		DrainTimeout: s.Exec.DrainTimeout.Std(),
 		Shards:       s.Exec.Shards,
 		WireFormat:   s.Exec.WireFormat,
-		ShardHold:    h.ShardHold,
 		Restore:      plan.Restore,
 		Quarantine:   s.Resilience.Quarantine,
 		OnProgress:   h.OnProgress,
@@ -149,7 +158,7 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 		}
 		out.Epoch = c.Epoch
 		if s.Resilience.Resume {
-			if err := replay(c.Records, plan, total, out); err != nil {
+			if err := replay(c.Records, plan, out); err != nil {
 				return out, err
 			}
 			if !out.Replayed {
@@ -234,30 +243,24 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 
 // replay serves a run entirely from its journal when that already holds
 // a verified result for every task: one record per task restored into
-// the plan and assembled, the flop total re-summed from the journaled
-// per-task perf deltas — zero new solves, no listener, no worker, no
-// write. It leaves out.Replayed false when the journal does not cover
-// the grid (the caller falls through to a live run).
-func replay(recs []cluster.TaskRecord, plan *core.TransmissionPlan, total int, out *Outcome) error {
-	_, nK, nE := plan.Dims()
-	var d perf.Snapshot
-	_, n, err := cluster.Seed(recs, total, func(rec cluster.TaskRecord) error {
-		if rec.Perf != nil {
-			d.Add(*rec.Perf)
-		}
-		return plan.Restore(cluster.TaskAt(rec.Index, nK, nE), rec.Payload)
-	})
+// the plan and assembled, the flop total the sum cluster.Seed makes of
+// the journaled per-task perf deltas — zero new solves, no listener, no
+// worker, no write. It leaves out.Replayed false when the journal does
+// not cover the grid (the caller falls through to a live run).
+func replay(recs []cluster.TaskRecord, plan *core.TransmissionPlan, out *Outcome) error {
+	nBias, nK, nE := plan.Dims()
+	done, n, sum, err := cluster.Seed(recs, nBias, nK, nE, plan.Restore)
 	if err != nil {
 		return fmt.Errorf("replay %w", err)
 	}
-	if n < total {
+	if n < len(done) {
 		// Not covered: the live run that follows restores these records
 		// again, into the same slots.
 		return nil
 	}
-	out.Report = &cluster.SweepReport{Total: total, Restored: total}
+	out.Report = &cluster.SweepReport{Total: n, Restored: n}
 	out.Sweep = plan.Assemble(out.Report)
-	out.Perf = d
+	out.Perf = sum
 	out.Replayed = true
 	return nil
 }

@@ -167,14 +167,13 @@ func (a *API) result(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusNotFound, "unknown job %s", id)
 		return
 	}
-	sweep, d, workers, redisp, done := j.Result()
+	out, done := j.Result()
 	if !done {
 		jsonError(w, http.StatusConflict, "job %s is %s; result available when done", id, j.State())
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	core.WriteSweep(w, sweep, d,
-		fmt.Sprintf("# cluster: %d workers, %d leases re-dispatched", workers, redisp))
+	core.WriteSweep(w, out.Sweep, out.Perf, out.ClusterLines()...)
 }
 
 // cancel cancels a queued or running job. DELETE /v1/jobs/{id}.

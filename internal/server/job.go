@@ -19,7 +19,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/run"
 	"repro/internal/spec"
@@ -65,21 +64,17 @@ type Job struct {
 	Summary   string
 	Submitted time.Time
 
-	mu           sync.Mutex
-	state        State
-	err          string
-	started      time.Time
-	finished     time.Time
-	done         int // completed+restored+quarantined tasks
-	total        int
-	restored     int // tasks restored from the journal at start
-	replayed     bool
-	runID        string
-	epoch        uint64
-	workers      int
-	redispatched int
-	perf         perf.Snapshot
-	sweep        *core.TransmissionSweep
+	mu       sync.Mutex
+	state    State
+	err      string
+	started  time.Time
+	finished time.Time
+	done     int // completed+restored+quarantined tasks
+	total    int
+	restored int // tasks restored from the journal at start
+	runID    string
+	epoch    uint64
+	out      run.Outcome // the harness's outcome; zero until finish
 
 	cancel    context.CancelFunc
 	drain     chan struct{}
@@ -90,10 +85,12 @@ type Job struct {
 }
 
 func newJob(id string, s spec.RunSpec, client string, class int, now time.Time) *Job {
+	nBias, nK, nE := s.Dims()
 	return &Job{
 		ID: id, Spec: s, Client: client, Class: class,
 		Summary: s.Summary(), Submitted: now,
 		state:  StateQueued,
+		total:  nBias * nK * nE,
 		change: make(chan struct{}),
 	}
 }
@@ -165,11 +162,7 @@ func (j *Job) finish(st State, errMsg string, out *run.Outcome, now time.Time) {
 	j.state = st
 	j.err = errMsg
 	j.finished = now
-	j.sweep = out.Sweep
-	j.perf = out.Perf
-	j.workers = out.Workers
-	j.redispatched = out.Redispatched
-	j.replayed = out.Replayed
+	j.out = *out
 	if rep := out.Report; rep != nil {
 		j.restored = rep.Restored
 		j.done = rep.Restored + rep.Completed + len(rep.Quarantined)
@@ -201,15 +194,12 @@ func (j *Job) State() State {
 	return j.state
 }
 
-// Result returns the finished sweep, its perf delta, and the cluster
-// accounting; ok is false until the job is done.
-func (j *Job) Result() (sweep *core.TransmissionSweep, d perf.Snapshot, workers, redispatched int, ok bool) {
+// Result returns the harness's outcome of a finished job — sweep, perf
+// delta, cluster accounting; ok is false until the job is done.
+func (j *Job) Result() (out run.Outcome, ok bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if j.state != StateDone || j.sweep == nil {
-		return nil, perf.Snapshot{}, 0, 0, false
-	}
-	return j.sweep, j.perf, j.workers, j.redispatched, true
+	return j.out, j.state == StateDone && j.out.Sweep != nil
 }
 
 // JobView is the JSON shape of a job in every API response.
@@ -246,10 +236,10 @@ func (j *Job) view(detail bool) JobView {
 		Client: j.Client, Priority: className(j.Class),
 		Submitted: j.Submitted,
 		Done:      j.done, Total: j.total,
-		Restored: j.restored, Replayed: j.replayed,
+		Restored: j.restored, Replayed: j.out.Replayed,
 		RunID: j.runID, Epoch: j.epoch,
-		Workers: j.workers, Redispatched: j.redispatched,
-		Flops: j.perf.Flops, Error: j.err,
+		Workers: j.out.Workers, Redispatched: j.out.Redispatched,
+		Flops: j.out.Perf.Flops, Error: j.err,
 	}
 	if !j.started.IsZero() {
 		t := j.started
@@ -260,7 +250,7 @@ func (j *Job) view(detail bool) JobView {
 		v.Finished = &t
 	}
 	if detail {
-		p := j.perf
+		p := j.out.Perf
 		v.Perf = &p
 	}
 	return v

@@ -322,6 +322,42 @@ func TestDedupAndReplay(t *testing.T) {
 	}
 }
 
+// TestStoredTotalMatchesRun: the store and the engine take a sweep's
+// shape from one place, so a job with a real momentum grid (the
+// y-periodic device, nK = 3) reads back from a restarted daemon's store
+// as the complete job the run reported — not as one for ever short of a
+// total the engine never planned.
+func TestStoredTotalMatchesRun(t *testing.T) {
+	s := spec.Default()
+	s.Device.Name = "utb"
+	s.Device.CellsX = 2
+	s.Grid.NE, s.Grid.NK = 4, 3
+	dir := t.TempDir()
+
+	m1 := newTestManager(t, dir, nil)
+	j, _, err := m1.Submit(s, "alice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, j); st != StateDone {
+		t.Fatalf("run landed %s (%s)", st, j.view(true).Error)
+	}
+	out, _ := j.Result()
+	if out.Report.Total != 12 {
+		t.Fatalf("the run planned %d tasks, want 3 k × 4 E = 12", out.Report.Total)
+	}
+	m1.Close()
+
+	m2 := newTestManager(t, dir, nil)
+	sj, ok := m2.store.Lookup(j.ID)
+	if !ok || sj.Total != out.Report.Total || sj.Done != sj.Total || !sj.Complete {
+		t.Fatalf("stored job = %+v ok=%v, want the run's %d tasks, all done", sj, ok, out.Report.Total)
+	}
+	if v := sj.View(); v.State != StateDone {
+		t.Fatalf("stored view state %s, want done", v.State)
+	}
+}
+
 // TestSubmitValidation: the HTTP layer rejects non-job specs with 400s.
 func TestSubmitValidation(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), func(c *Config) { c.MaxRunning = -1 })
@@ -338,6 +374,7 @@ func TestSubmitValidation(t *testing.T) {
 		{"iv mode", `{"mode":"iv"}`, http.StatusBadRequest, "job"},
 		{"checkpoint set", `{"resilience":{"checkpoint":"x.journal"}}`, http.StatusBadRequest, "server"},
 		{"bad priority", `{"exec":{"priority":"urgent"}}`, http.StatusBadRequest, "priority"},
+		{"momentum grid on a ribbon", `{"grid":{"nE":20,"nK":3}}`, http.StatusBadRequest, "-nk 3"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -402,6 +439,9 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	var v1 JobView
 	json.Unmarshal([]byte(body), &v1)
+	if v1.State != StateQueued || v1.Total != 10 {
+		t.Fatalf("queued view = %+v, want its 10-task total known at submission", v1)
+	}
 
 	// Alice is at quota.
 	if code, body = read(submit("alice", 11)); code != http.StatusTooManyRequests || !strings.Contains(body, "quota") {
@@ -480,12 +520,12 @@ func TestDrainAndResume(t *testing.T) {
 	if st := waitTerminal(t, j2); st != StateDone {
 		t.Fatalf("resumed job landed %s (%s)", st, j2.view(true).Error)
 	}
-	sweep, d, _, _, ok := j2.Result()
+	out, ok := j2.Result()
 	if !ok {
 		t.Fatal("resumed job has no result")
 	}
 	var buf bytes.Buffer
-	core.WriteSweep(&buf, sweep, d)
+	core.WriteSweep(&buf, out.Sweep, out.Perf)
 	if got := observableRows(buf.String()); !equalLines(got, wantObs) {
 		t.Fatalf("resumed observables differ from serial:\n got %v\nwant %v", got, wantObs)
 	}

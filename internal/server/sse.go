@@ -1,17 +1,15 @@
 package server
 
 import (
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"math"
 	"net/http"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/perf"
 	"repro/internal/spec"
-	"repro/internal/transport"
 )
 
 // streamEvent is one SSE frame: event name plus JSON data.
@@ -84,8 +82,8 @@ func (a *API) stream(w http.ResponseWriter, r *http.Request) {
 
 	writeEvent(w, fl, "job", view)
 
-	grid := transport.UniformGrid(s.Grid.EMin, s.Grid.EMax, s.Grid.NE)
-	nK, nE := s.Grid.NK, s.Grid.NE
+	grid := s.EnergyGrid()
+	nBias, nK, nE := s.Dims()
 	tail := cluster.NewTail(a.M.JournalPath(id))
 	seen := make(map[int]bool)
 	var agg perf.Snapshot
@@ -98,20 +96,16 @@ func (a *API) stream(w http.ResponseWriter, r *http.Request) {
 		}
 		fresh := 0
 		for _, rec := range recs {
-			if rec.Index < 0 || rec.Index >= nK*nE || seen[rec.Index] {
+			if rec.Index < 0 || rec.Index >= nBias*nK*nE || seen[rec.Index] {
 				continue
 			}
 			seen[rec.Index] = true
 			fresh++
 			t := cluster.TaskAt(rec.Index, nK, nE)
-			ev := pointEvent{Index: rec.Index, K: t.K, E: t.E}
-			if t.E < len(grid) {
-				ev.Energy = grid[t.E]
-			}
-			if len(rec.Payload) >= 8 {
-				ev.T = math.Float64frombits(binary.LittleEndian.Uint64(rec.Payload))
-			}
-			writeEvent(w, fl, "point", ev)
+			// A payload that is not a transmission value streams as T = 0;
+			// the run that reads the journal back is what rejects it.
+			tv, _ := core.TransmissionValue(rec.Payload)
+			writeEvent(w, fl, "point", pointEvent{Index: rec.Index, K: t.K, E: t.E, Energy: grid[t.E], T: tv})
 			if rec.Perf != nil {
 				agg.Add(*rec.Perf)
 			}

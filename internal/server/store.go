@@ -2,6 +2,7 @@ package server
 
 import (
 	"encoding/json"
+	"math"
 	"path/filepath"
 	"strings"
 
@@ -76,14 +77,14 @@ func (st *Store) read(path string) (StoredJob, bool) {
 	}
 	// The grid comes off the disk too: one that no run could have had
 	// (non-positive, or a product that overflows) is not a job.
-	total := s.Grid.NK * s.Grid.NE
-	if s.Validate() != nil || total < 1 || total/s.Grid.NK != s.Grid.NE {
+	nBias, nK, nE := s.Dims()
+	if s.Validate() != nil || nK < 1 || nE < 1 || nK > math.MaxInt/nE {
 		return StoredJob{}, false
 	}
-	_, done, _ := cluster.Seed(c.Records, total, nil)
+	done, n, _, _ := cluster.Seed(c.Records, nBias, nK, nE, nil)
 	return StoredJob{
 		ID: id, Spec: s, Summary: s.Summary(), RunID: h.RunID,
-		Done: done, Total: total, Complete: done == total,
+		Done: n, Total: len(done), Complete: n == len(done),
 	}, true
 }
 

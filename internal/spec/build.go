@@ -81,7 +81,7 @@ func Build(s RunSpec) (*Built, error) {
 
 	switch s.Mode {
 	case ModeTransmission:
-		b.Grid = transport.UniformGrid(s.Grid.EMin, s.Grid.EMax, s.Grid.NE)
+		b.Grid = s.EnergyGrid()
 	case ModeIV:
 		b.GateGrid = transport.UniformGrid(s.Grid.VGMin, s.Grid.VGMax, s.Grid.NVG)
 	}

@@ -33,11 +33,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"math"
 	"os"
 	"strings"
 	"time"
 
 	"repro/internal/device"
+	"repro/internal/transport"
 )
 
 // Version is the RunSpec schema version this package reads and writes.
@@ -209,7 +211,7 @@ type ExecSpec struct {
 	Shards int `json:"shards,omitempty"`
 	// WireFormat picks the coordinator/worker wire for hot messages:
 	// "" or "binary" negotiates the compact binary payloads, "json"
-	// forces the v3 JSON wire. A pure transport knob — results are
+	// keeps the same messages' payloads JSON. A pure transport knob — results are
 	// bitwise identical either way — so unhashed, and omitempty keeps
 	// older canonical specs byte-stable.
 	WireFormat string `json:"wireFormat,omitempty"`
@@ -350,6 +352,18 @@ func (s RunSpec) SpecHash() string {
 	return hex.EncodeToString(sum[:])
 }
 
+// Dims returns the task grid (nBias, nK, nE) of the spec's transmission
+// sweep: what core.PlanTransmission plans for it, and where every reader
+// of a journal or a job takes the sweep's shape from. Validate refuses a
+// momentum grid the engine would not sample, so nothing is shrunk here.
+func (s RunSpec) Dims() (nBias, nK, nE int) { return 1, s.Grid.NK, s.Grid.NE }
+
+// EnergyGrid returns the transmission sweep's energy grid, Dims' nE
+// points.
+func (s RunSpec) EnergyGrid() []float64 {
+	return transport.UniformGrid(s.Grid.EMin, s.Grid.EMax, s.Grid.NE)
+}
+
 // Summary returns a compact one-line human description of the spec —
 // mode, device, formalism, grid dimensions, and a spec-hash prefix —
 // for startup logs and job listings. It is descriptive, not canonical:
@@ -424,7 +438,8 @@ func (s RunSpec) Validate() error {
 		return fmt.Errorf("spec: unknown mode %q", s.Mode)
 	}
 
-	if _, ok := device.Lookup(s.Device.Name); !ok {
+	desc, ok := device.Lookup(s.Device.Name)
+	if !ok {
 		return fmt.Errorf("spec: unknown device %q (known: %s)", s.Device.Name, strings.Join(device.Names(), ", "))
 	}
 	if s.Device.CellsX < 0 || s.Device.CellsY < 0 || s.Device.CellsZ < 0 {
@@ -433,14 +448,8 @@ func (s RunSpec) Validate() error {
 
 	switch s.Mode {
 	case ModeTransmission:
-		if s.Grid.NE < 1 {
-			return fmt.Errorf("spec: -ne must be ≥ 1, got %d", s.Grid.NE)
-		}
 		if s.Grid.NE > 1 && s.Grid.EMax <= s.Grid.EMin {
 			return fmt.Errorf("spec: empty energy window [-emin %g, -emax %g]", s.Grid.EMin, s.Grid.EMax)
-		}
-		if s.Grid.NK < 1 {
-			return fmt.Errorf("spec: -nk must be ≥ 1, got %d", s.Grid.NK)
 		}
 	case ModeIV:
 		if s.Grid.NVG < 1 {
@@ -449,11 +458,25 @@ func (s RunSpec) Validate() error {
 		if s.Grid.NVG > 1 && s.Grid.VGMax <= s.Grid.VGMin {
 			return fmt.Errorf("spec: empty gate window [-vgmin %g, -vgmax %g]", s.Grid.VGMin, s.Grid.VGMax)
 		}
+	}
+	if s.Mode != ModeStats {
 		if s.Grid.NE < 1 {
 			return fmt.Errorf("spec: -ne must be ≥ 1, got %d", s.Grid.NE)
 		}
 		if s.Grid.NK < 1 {
 			return fmt.Errorf("spec: -nk must be ≥ 1, got %d", s.Grid.NK)
+		}
+	}
+	// The engine samples transverse momenta only where the structure is
+	// Bloch-periodic in y, and every reader takes the sweep's shape from
+	// Dims: a momentum grid the engine would collapse to Γ is refused.
+	if s.Grid.NK > 1 {
+		if !desc.Kind.PeriodicY() {
+			return fmt.Errorf("spec: -nk %d is not applicable to device %q (%s is not periodic in y, only Γ is sampled); it would have been silently ignored",
+				s.Grid.NK, s.Device.Name, desc.Kind)
+		}
+		if s.Grid.NE > math.MaxInt/s.Grid.NK {
+			return fmt.Errorf("spec: -nk %d × -ne %d overflows the task grid", s.Grid.NK, s.Grid.NE)
 		}
 	}
 

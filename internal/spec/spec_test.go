@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -72,7 +73,7 @@ func fullyNonDefault() RunSpec {
 	return RunSpec{
 		Version: Version,
 		Mode:    ModeIV,
-		Device:  DeviceSpec{Name: "sinw-full", CellsX: 12, CellsY: 2, CellsZ: 3},
+		Device:  DeviceSpec{Name: "utb", CellsX: 12, CellsY: 2, CellsZ: 3},
 		Grid: GridSpec{
 			EMin: -1.5, EMax: 2.5, NE: 77, NK: 5,
 			VDrain: 0.3, VGMin: -0.2, VGMax: 0.8, NVG: 9,
@@ -322,6 +323,10 @@ func TestValidateRejections(t *testing.T) {
 			[]string{"version 99"}},
 		{"empty energy window", func(s *RunSpec) { s.Grid.EMin, s.Grid.EMax = 1, -1 }, RoleLocal,
 			[]string{"energy window"}},
+		{"momentum grid on a device not periodic in y", func(s *RunSpec) { s.Grid.NK = 3 }, RoleServer,
+			[]string{"-nk 3", `"agnr7"`, "silently ignored"}},
+		{"task grid overflow", func(s *RunSpec) { s.Device.Name = "utb"; s.Grid.NK = 1 << 40; s.Grid.NE = 1 << 40 }, RoleLocal,
+			[]string{"-nk", "-ne", "overflows"}},
 		{"fault rate out of range", func(s *RunSpec) { s.Resilience.FaultRate = 1.5 }, RoleLocal,
 			[]string{"-fault-rate"}},
 		{"unknown priority", func(s *RunSpec) { s.Exec.Priority = "urgent" }, RoleLocal,
@@ -357,6 +362,78 @@ func TestValidateRejections(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Errorf("Default() invalid: %v", err)
 	}
+}
+
+// TestPlanDimsMatchSpec: the shape a reader takes from the spec is the
+// shape the engine plans, for every registry device — the y-periodic one
+// with a real momentum grid included.
+func TestPlanDimsMatchSpec(t *testing.T) {
+	for _, name := range device.Names() {
+		s := Default()
+		s.Device.Name = name
+		s.Grid.NE = 7
+		if d, _ := device.Lookup(name); d.Kind.PeriodicY() {
+			s.Grid.NK = 3
+		}
+		b, err := Build(s)
+		if err != nil {
+			t.Fatalf("%s: Build: %v", name, err)
+		}
+		plan, err := b.Sim.PlanTransmission(b.Grid, nil)
+		if err != nil {
+			t.Fatalf("%s: PlanTransmission: %v", name, err)
+		}
+		pb, pk, pe := plan.Dims()
+		sb, sk, se := s.Dims()
+		if pb != sb || pk != sk || pe != se {
+			t.Errorf("%s: plan dims %d×%d×%d, spec dims %d×%d×%d", name, pb, pk, pe, sb, sk, se)
+		}
+		if got := len(s.EnergyGrid()); got != se {
+			t.Errorf("%s: EnergyGrid has %d points, Dims says %d", name, got, se)
+		}
+	}
+}
+
+// FuzzSpecParse: Parse never panics on arbitrary bytes, and a spec that
+// parses and validates survives its own canonical encoding — equal value,
+// equal SpecHash — with a sweep shape readers can multiply out.
+func FuzzSpecParse(f *testing.F) {
+	goldens, err := filepath.Glob(filepath.Join("testdata", "*.golden"))
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no golden specs to seed from: %v", err)
+	}
+	for _, path := range goldens {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b) // Parse reads the leading JSON value; the hash lines trail it
+	}
+	f.Add([]byte(`{"device":{"name":"utb"},"grid":{"nK":3,"nE":20}}`))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := Parse(b)
+		if err != nil || s.Validate() != nil {
+			return
+		}
+		c, err := s.Canonical()
+		if err != nil {
+			t.Fatalf("Canonical of a valid spec: %v", err)
+		}
+		got, err := Parse(c)
+		if err != nil {
+			t.Fatalf("Parse(Canonical) = %v\n%s", err, c)
+		}
+		if got != s || got.SpecHash() != s.SpecHash() {
+			t.Fatalf("canonical round trip changed the spec:\n in: %+v\nout: %+v", s, got)
+		}
+		if s.Mode == ModeStats {
+			return // no sweep, and its grid fields are not validated
+		}
+		nBias, nK, nE := s.Dims()
+		if nBias < 1 || nK < 1 || nE < 1 || nK > math.MaxInt/nE {
+			t.Fatalf("valid spec with unusable dims %d×%d×%d", nBias, nK, nE)
+		}
+	})
 }
 
 // TestStudyModesRejected: the scaling studies left the spec — cmd/scaling
@@ -467,17 +544,18 @@ func TestDurationJSONEdges(t *testing.T) {
 // job service shows in listings.
 func TestSummary(t *testing.T) {
 	s := Default()
+	s.Device.Name = "utb"
 	s.Grid.NK = 4
 	s.Grid.NE = 256
 	sum := s.Summary()
-	for _, part := range []string{"transmission", "agnr7", "wf", "1×4×256", s.SpecHash()[:12]} {
+	for _, part := range []string{"transmission", "utb", "wf", "1×4×256", s.SpecHash()[:12]} {
 		if !strings.Contains(sum, part) {
 			t.Errorf("Summary %q missing %q", sum, part)
 		}
 	}
 	iv := fullyNonDefault()
 	ivSum := iv.Summary()
-	for _, part := range []string{"iv", "sinw-full", "negf", "9×5×77", iv.SpecHash()[:12]} {
+	for _, part := range []string{"iv", "utb", "negf", "9×5×77", iv.SpecHash()[:12]} {
 		if !strings.Contains(ivSum, part) {
 			t.Errorf("Summary %q missing %q", ivSum, part)
 		}

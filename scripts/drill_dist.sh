@@ -138,18 +138,17 @@ fi
 echo "drill-dist: PASS — finished journal replayed: 3000/3000 restored, no worker started, journal untouched at $JBYTES bytes"
 
 # Sharded work-stealing leg: the same sweep on 2 coordinator shards with
-# the v3-compatible JSON wire. -shard-hold 60s freezes every shard-0-homed
-# worker for longer than the run, so the shard-1 worker must drain its own
-# half of the grid and then steal the entirety of shard 0's — the drill
-# proves stealing is load-bearing, not decorative. Sharding and the wire
-# format are pure scheduling/transport knobs: observables must stay
+# the JSON wire and one worker. The worker is homed on shard 0, drains it,
+# and must then steal the entirety of shard 1's half of the grid — the
+# drill proves stealing is load-bearing, not decorative. Sharding and the
+# wire format are pure scheduling/transport knobs: observables must stay
 # byte-identical to the serial reference with the exact flop total
 # (DESIGN.md §16).
 SPORT=$((PORT + 1))
-echo "drill-dist: sharded run on 127.0.0.1:$SPORT (-shards 2 -shard-hold 60s -wire json)"
+echo "drill-dist: sharded run on 127.0.0.1:$SPORT (-workers 1 -shards 2 -wire json)"
 # shellcheck disable=SC2086
-"$OMEN" $ARGS $FAULTS -serve "127.0.0.1:$SPORT" -workers 3 \
-	-shards 2 -shard-hold 60s -wire json \
+"$OMEN" $ARGS $FAULTS -serve "127.0.0.1:$SPORT" -workers 1 \
+	-shards 2 -wire json \
 	> "$WORKDIR/shard.txt" 2> "$WORKDIR/shard.err"
 grep -v '^#' "$WORKDIR/shard.txt" > "$WORKDIR/shard_obs.txt"
 if ! diff "$WORKDIR/serial_obs.txt" "$WORKDIR/shard_obs.txt" > /dev/null; then
