@@ -3,15 +3,16 @@ GOFMT ?= gofmt
 
 .PHONY: build fmt-check vet check spec-check spec-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
 
-# The benchmarks gated by the allocation baseline. The two T2 solves draw
-# their workspaces from sync.Pools, where a P migration mid-run refills a
-# workspace and moves allocs/op by whole multiples, so they run under
+# The benchmarks gated by the allocation baseline. The T2 solves and the
+# cold self-energy miss draw their workspaces from sync.Pools, where a P
+# migration mid-run refills a workspace and moves allocs/op by whole
+# multiples, so they run under
 # steadyAllocs (bench_test.go: one P, pools warmed) and their allocs/op
 # repeats exactly. The sweeps and the wire runs allocate hundreds of
 # thousands of objects per op; pool refills move those by well under 1%,
 # inside the 10% gate. A regression therefore means a real change in the
 # solve's memory discipline, not machine noise.
-BENCH_GUARDED = BenchmarkT2_KernelCost|BenchmarkF1_GateSweep_CacheReuse|BenchmarkW1_Wire
+BENCH_GUARDED = BenchmarkT2_KernelCost|BenchmarkT2_SigmaMiss|BenchmarkF1_GateSweep_CacheReuse|BenchmarkW1_Wire
 BENCH_BASELINE = BENCH_kernels.json
 
 build:

@@ -142,6 +142,48 @@ func BenchmarkT2_KernelCost_NEGF(b *testing.B) {
 	once("T2negf", func() { fmt.Printf("T2\tNEGF solve\t%.3g flops per (E,k) point\n", fl) })
 }
 
+// BenchmarkT2_SigmaMiss is the boundary-condition half of a T2 point: one
+// cold SelfEnergyCache.SelfEnergies — registration, one paired decimation,
+// two projections — on the leads of the ledger's two sweep devices. The
+// energies sit inside a band of each lead, where the decimation runs its
+// usual ~25 doublings.
+func BenchmarkT2_SigmaMiss(b *testing.B) {
+	for _, tc := range []struct {
+		device string
+		e      float64
+	}{{"sinw", 6.5}, {"agnr7", 1.5}} {
+		b.Run(tc.device, func(b *testing.B) {
+			desc, _ := device.Lookup(tc.device)
+			built, err := desc.Build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			h, err := tb.Assemble(built.Structure, built.Material, built.Options)
+			if err != nil {
+				b.Fatal(err)
+			}
+			leads, err := negf.LeadsFromDevice(h)
+			if err != nil {
+				b.Fatal(err)
+			}
+			miss := func() {
+				if _, _, err := negf.NewSelfEnergyCache().SelfEnergies(leads, complex(tc.e, 1e-6)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			defer steadyAllocs(miss)()
+			perf.ResetFlops()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				miss()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(perf.ResetFlops())/float64(b.N), "flops/miss")
+		})
+	}
+}
+
 // --- F1: transmission/DOS spectrum with cross-formalism validation ---------
 
 func BenchmarkF1_Transmission(b *testing.B) {

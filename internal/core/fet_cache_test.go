@@ -25,11 +25,14 @@ func cacheFET(t *testing.T) *FET {
 }
 
 // TestGateSweepOneDecimationPerKey is the acceptance criterion of the
-// sweep-scale cache: a 5-point gate sweep at fixed Vd runs the full
-// Sancho-Rubio decimation at most once per (lead, shifted-energy) key —
-// across all gate points, SCF iterations, AND the dense final current
-// grids — because every grid snaps to one shared lattice and the drain
-// lead's keys are bias-shifted onto the source's canonical axis.
+// sweep-scale cache: a 5-point gate sweep at fixed Vd runs the
+// Sancho-Rubio kernel at most once per (block family, shifted-energy)
+// key — across all gate points, SCF iterations, AND the dense final
+// current grids — because every grid snaps to one shared lattice and the
+// drain lead's keys are bias-shifted onto the source's canonical axis.
+// Source and drain continue the same ribbon cell, so they are one block
+// family; at Vd ≠ 0 they ask for it at different canonical energies, one
+// side per lookup, and each record is computed once with both surfaces.
 func TestGateSweepOneDecimationPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-consistent FET sweep in -short mode")
@@ -44,8 +47,8 @@ func TestGateSweepOneDecimationPerKey(t *testing.T) {
 
 	st := fet.Cache.Stats()
 	t.Logf("cache stats after sweep: %+v, entries %d", st, fet.Cache.Len())
-	// Every miss ran exactly one decimation and created exactly one
-	// distinct retained entry: at most one decimation per key, ever.
+	// Every miss ran exactly one kernel and created exactly one distinct
+	// retained record: at most one kernel run per key, ever.
 	if st.Decimations != st.Misses {
 		t.Fatalf("%d decimations for %d misses — recomputation slipped through", st.Decimations, st.Misses)
 	}
@@ -59,7 +62,8 @@ func TestGateSweepOneDecimationPerKey(t *testing.T) {
 	// Pin the key population exactly: the union of every grid the sweep
 	// evaluated, × 2 leads (the right lead's keys are shifted by +vd onto
 	// the canonical axis — a pure relabeling that cannot create or merge
-	// energies at fixed vd).
+	// energies at fixed vd, and in floating point lands on no key of the
+	// left lead's).
 	lattice := make(map[float64]bool)
 	scfOnly := make(map[float64]bool)
 	var finalPts, finalShared int

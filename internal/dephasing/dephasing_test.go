@@ -170,7 +170,7 @@ func TestDOSPositiveUnderDephasing(t *testing.T) {
 // TestCachedSelfEnergies: an SCBA solver routed through the shared
 // sweep-scale cache reproduces the uncached solver to 1e-12 and actually
 // exercises the cache (repeat energies hit; the decimation runs once per
-// lead per energy).
+// energy, serving both leads of the uniform chain).
 func TestCachedSelfEnergies(t *testing.T) {
 	h := chainH(t, 6, []float64{0, 0, 0.3, 0.3, 0, 0})
 	plain, err := NewSolver(h, 1e-6, 0.01)
@@ -203,8 +203,8 @@ func TestCachedSelfEnergies(t *testing.T) {
 		}
 	}
 	st := cached.Cache.Stats()
-	if want := int64(2 * len(energies)); st.Misses != want || st.Decimations != want {
-		t.Fatalf("stats = %+v; want %d misses and decimations", st, want)
+	if want := int64(len(energies)); st.Misses != 2*want || st.Decimations != want {
+		t.Fatalf("stats = %+v; want %d misses served by %d decimations", st, 2*want, want)
 	}
 	if st.Hits != int64(2*len(energies)) {
 		t.Fatalf("second pass should hit every energy: %+v", st)

@@ -219,11 +219,13 @@ func (m *Matrix) IsHermitian(tol float64) bool {
 	return true
 }
 
-// MaxAbs returns the largest entrywise modulus of m.
+// MaxAbs returns the largest entrywise modulus of m. It propagates NaN: a
+// matrix with a NaN element has no largest modulus, and reporting the
+// largest of the rest would let a convergence test pass on garbage.
 func (m *Matrix) MaxAbs() float64 {
 	var mx float64
 	for _, v := range m.Data {
-		if a := cmplx.Abs(v); a > mx {
+		if a := cmplx.Abs(v); a > mx || a != a {
 			mx = a
 		}
 	}

@@ -1,6 +1,7 @@
 package linalg
 
 import (
+	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -219,6 +220,25 @@ func TestNorms(t *testing.T) {
 	}
 	if d := m.FrobeniusNorm() - 5; d > 1e-14 || d < -1e-14 {
 		t.Fatalf("FrobeniusNorm = %v", m.FrobeniusNorm())
+	}
+}
+
+// TestMaxAbsPropagatesNaN: a NaN anywhere — first, last, in either part,
+// all of them — makes the norm NaN, so no "norm < tol" test passes on it;
+// an overflowed element reads +Inf.
+func TestMaxAbsPropagatesNaN(t *testing.T) {
+	nan := math.NaN()
+	for _, m := range []*Matrix{
+		FromRows([][]complex128{{complex(nan, 0), 1}, {2, 3}}),
+		FromRows([][]complex128{{1, 2}, {3, complex(0, nan)}}),
+		FromRows([][]complex128{{complex(nan, nan), complex(nan, nan)}}),
+	} {
+		if got := m.MaxAbs(); !math.IsNaN(got) {
+			t.Fatalf("MaxAbs(%v) = %v, want NaN", m, got)
+		}
+	}
+	if got := FromRows([][]complex128{{1, complex(math.Inf(-1), 0)}}).MaxAbs(); !math.IsInf(got, 1) {
+		t.Fatalf("MaxAbs with an infinite element = %v, want +Inf", got)
 	}
 }
 

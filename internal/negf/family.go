@@ -1,0 +1,188 @@
+package negf
+
+import (
+	"fmt"
+	"math"
+	"sync"
+
+	"repro/internal/linalg"
+)
+
+// familyTol bounds how far a lead's blocks may sit from a block family's
+// canon (after removing the declared shift) and still be the same contact:
+// within it a new lead adopts the canon, beyond it a lead claiming a
+// declared family is refused. Rounding from applying and removing a bias
+// shift is ~1e-16·|H| and the two ends of one assembled wire differ by
+// ~1e-14; anything near this tolerance means the caller's pinned-contact
+// assumption is broken.
+const familyTol = 1e-8
+
+// blockFamily is the canonical periodic lead every contact continuing the
+// same cell shares: the principal-layer block with the registering lead's
+// shift removed, the coupling h01 to the next layer along +x, and its
+// adjoint h10 materialised once so both products of a projection run the
+// vector NoTrans·NoTrans kernel. Computing from the canon — never from the
+// requesting caller's own blocks — makes a self-energy a pure function of
+// (block family, shifted energy), independent of which side, bias point or
+// distributed worker asked first.
+type blockFamily struct {
+	id            int
+	h00, h01, h10 *linalg.Matrix
+	// sides is fixed at registration: both when the registering device's
+	// two contacts continue this cell (a mirrored family — one kernel run
+	// serves both surfaces), else the registering lead's side alone.
+	sides sideSet
+}
+
+func newBlockFamily(id int, spec leadSpec) *blockFamily {
+	b := &blockFamily{id: id, sides: 1 << spec.side, h00: spec.h00.Clone(), h01: spec.h01.Clone()}
+	// Remove the registering lead's shift from the diagonal: the canon is
+	// the zero-bias contact the whole family shares.
+	if sh := complex(spec.shift, 0); sh != 0 {
+		n := b.h00.Rows
+		for i := 0; i < n; i++ {
+			b.h00.Data[i*n+i] -= sh
+		}
+	}
+	b.h10 = linalg.New(spec.h01.Cols, spec.h01.Rows)
+	linalg.ConjTransposeInto(b.h10, spec.h01)
+	return b
+}
+
+// drift is the max-abs distance of a lead's blocks from the canon plus the
+// lead's declared rigid shift; +Inf when the shapes differ.
+func (b *blockFamily) drift(spec leadSpec) float64 {
+	n := b.h00.Rows
+	if spec.h00.Rows != n || spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
+		return math.Inf(1)
+	}
+	mx := maxAbsDiff(spec.h01, b.h01)
+	sh := complex(spec.shift, 0)
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			want := b.h00.Data[i*n+j]
+			if i == j {
+				want += sh
+			}
+			d := spec.h00.Data[i*n+j] - want
+			mx = max(mx, math.Abs(real(d)), math.Abs(imag(d)))
+		}
+	}
+	return mx
+}
+
+// selfEnergies runs the kernel at the canonical energy zc and projects the
+// surfaces asked for: the uncached miss path.
+func (b *blockFamily) selfEnergies(zc complex128, want sideSet) ([2]*linalg.Matrix, error) {
+	g, err := decimate(b.h00, b.h01, b.h10, zc, want)
+	if err != nil {
+		return [2]*linalg.Matrix{}, err
+	}
+	return b.project(g), nil
+}
+
+// project returns the self-energy of every surface function given — the
+// one place a self-energy is made.
+func (b *blockFamily) project(g [2]*linalg.Matrix) (sig [2]*linalg.Matrix) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	for s, gs := range g {
+		if gs != nil {
+			// The self-energy escapes (and may be cached): fresh storage.
+			sig[s] = linalg.New(gs.Rows, gs.Rows)
+			b.projectInto(sig[s], side(s), gs, ws)
+		}
+	}
+	return sig
+}
+
+// projectInto writes Σ = h·g·h† into dst, h being the coupling from the
+// device's end layer into the lead: h01 on the right, h10 on the left.
+func (b *blockFamily) projectInto(dst *linalg.Matrix, s side, g *linalg.Matrix, ws *linalg.Workspace) {
+	in, out := b.h01, b.h10
+	if s == left {
+		in, out = b.h10, b.h01
+	}
+	linalg.Mul3Into(dst, in, linalg.NoTrans, g, linalg.NoTrans, out, linalg.NoTrans, ws)
+}
+
+// leadFamily binds a declared (or fingerprinted) lead key to its side and
+// to the block family its first lead adopted.
+type leadFamily struct {
+	side   side
+	blocks *blockFamily
+	// The blocks last checked against the canon, so steady-state lookups
+	// skip the O(n²) compare.
+	verH00, verH01 *linalg.Matrix
+}
+
+// registry resolves leads to block families: lead families by key, block
+// families in registration order (the order adoption searches them in).
+// A SelfEnergyCache keeps one for every lead it is shown; a Leads value
+// keeps a private one for the uncached path. The zero value is ready.
+type registry struct {
+	mu     sync.Mutex
+	fams   map[string]*leadFamily
+	blocks []*blockFamily
+}
+
+// resolve maps both contacts to their block families, registering on first
+// sight and verifying repeat visitors against the canon. The left lead
+// registers before the right under one lock hold, so when a device's two
+// contacts continue the same cell it is the left one's blocks that become
+// the canon — a fixed rule, not a race.
+func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.fams == nil {
+		r.fams = make(map[string]*leadFamily)
+	}
+	specs := [2]leadSpec{l.spec(left), l.spec(right)}
+	for _, s := range [2]side{left, right} {
+		if fams[s], err = r.family(l.key(s), specs[s], specs[1-s]); err != nil {
+			return fams, err
+		}
+	}
+	return fams, nil
+}
+
+// family returns the block family of a lead key: on first sight the first
+// registered one that has the lead's side and matches its shift-removed
+// blocks within familyTol — or, when none does, a new one with those
+// blocks as canon, mirrored if mate, the device's other contact, matches
+// them too — and after that the same one, provided the lead still matches
+// it. The last-verified block pointers short-circuit the steady-state case
+// where a solver presents the same Leads value every energy. Caller holds
+// r.mu.
+func (r *registry) family(key string, spec, mate leadSpec) (*blockFamily, error) {
+	if n := spec.h00.Rows; spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
+		return nil, fmt.Errorf("negf: %s lead blocks must be square and same-sized", sideNames[spec.side])
+	}
+	fam := r.fams[key]
+	if fam == nil {
+		fam = &leadFamily{side: spec.side}
+		for _, b := range r.blocks {
+			if b.sides.has(spec.side) && b.drift(spec) <= familyTol {
+				fam.blocks = b
+				break
+			}
+		}
+		if fam.blocks == nil {
+			fam.blocks = newBlockFamily(len(r.blocks), spec)
+			if fam.blocks.drift(mate) <= familyTol {
+				fam.blocks.sides = bothSides
+			}
+			r.blocks = append(r.blocks, fam.blocks)
+		}
+		r.fams[key] = fam
+	} else if spec.h00 != fam.verH00 || spec.h01 != fam.verH01 {
+		if spec.side != fam.side {
+			return nil, fmt.Errorf("negf: cache: lead family %q used for both sides", key)
+		}
+		if d := fam.blocks.drift(spec); !(d <= familyTol) { // NaN blocks are refused too
+			return nil, fmt.Errorf("negf: cache: lead family %q differs from canon+shift by %g (pinned-contact assumption broken)", key, d)
+		}
+	}
+	fam.verH00, fam.verH01 = spec.h00, spec.h01
+	return fam.blocks, nil
+}

@@ -1,7 +1,9 @@
 package negf
 
 import (
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/lattice"
@@ -66,11 +68,36 @@ func TestSurfaceGFOutsideBand(t *testing.T) {
 
 func TestSurfaceGFValidation(t *testing.T) {
 	id := linalg.Identity(2)
-	if _, err := SurfaceGF(id, linalg.New(3, 3), complex(0, 1e-6)); err == nil {
-		t.Fatal("accepted mismatched lead blocks")
+	for name, get := range map[string]func(*Leads, complex128) (*linalg.Matrix, *linalg.Matrix, error){
+		"uncached": (*Leads).SelfEnergies,
+		"cached": func(l *Leads, z complex128) (*linalg.Matrix, *linalg.Matrix, error) {
+			return NewSelfEnergyCache().SelfEnergies(l, z)
+		},
+	} {
+		if _, _, err := get(&Leads{L00: id, L01: linalg.New(3, 3), R00: id, R01: id}, complex(0, 1e-6)); err == nil {
+			t.Fatalf("%s: accepted mismatched lead blocks", name)
+		}
+		if _, _, err := get(&Leads{L00: id, L01: id, R00: id, R01: id}, complex(0, -1e-6)); err == nil {
+			t.Fatalf("%s: accepted non-positive broadening", name)
+		}
 	}
-	if _, err := SurfaceGF(id, id, complex(0, -1e-6)); err == nil {
-		t.Fatal("accepted non-positive broadening")
+}
+
+// TestOverflowingLeadIsTypedError feeds the RGF path contacts whose
+// decimation leaves the finite numbers — a 1e200 hopping squares to +Inf
+// in the first ε-update — and requires the typed error, cached or not,
+// never a T: no Σ, g or T with a NaN or an Inf comes back with a nil error.
+func TestOverflowingLeadIsTypedError(t *testing.T) {
+	for _, cache := range []*SelfEnergyCache{nil, NewSelfEnergyCache()} {
+		sol := chainSolver(t, 4, 0, 1e200, nil, 1e-6)
+		sol.Cache = cache
+		res, err := sol.Solve(0.3, false)
+		if !errors.Is(err, ErrNoConvergence) {
+			t.Fatalf("cache %v: Solve returned (%v, %v), want an error wrapping ErrNoConvergence", cache != nil, res, err)
+		}
+		if !strings.Contains(err.Error(), "iteration 1") {
+			t.Fatalf("cache %v: error %q does not name the iteration", cache != nil, err)
+		}
 	}
 }
 

@@ -22,7 +22,7 @@ import (
 	"repro/internal/sparse"
 )
 
-// surfaceTol is the convergence threshold on the decimated coupling norm.
+// surfaceTol is the convergence threshold on the decimation's ε-updates.
 const surfaceTol = 1e-12
 
 // surfaceMaxIter bounds the decimation; each iteration doubles the
@@ -30,68 +30,116 @@ const surfaceTol = 1e-12
 const surfaceMaxIter = 60
 
 // ErrNoConvergence is returned when the surface Green's function decimation
-// fails to converge, which happens when the energy lies exactly on a band
-// edge with no imaginary part.
+// fails to converge — the energy lies exactly on a band edge with no
+// imaginary part — or leaves the finite numbers on the way.
 var ErrNoConvergence = errors.New("negf: surface Green's function did not converge (add imaginary broadening)")
 
-// SurfaceGF computes the retarded surface Green's function of a
-// semi-infinite periodic lead by Sancho-Rubio decimation. h00 is the
-// principal-layer block, hInto the coupling from a lead layer to the next
-// layer deeper into the lead, and z the complex energy (Im z > 0 for the
-// retarded function).
-func SurfaceGF(h00, hInto *linalg.Matrix, z complex128) (*linalg.Matrix, error) {
+// side names a contact: the left one is the half-chain extending to −x,
+// the right one the half-chain extending to +x.
+type side uint8
+
+const (
+	left side = iota
+	right
+)
+
+var sideNames = [2]string{"left", "right"}
+
+// sideSet is a bit set of sides.
+type sideSet uint8
+
+const bothSides = sideSet(1<<left | 1<<right)
+
+func (ss sideSet) has(s side) bool { return ss&(1<<s) != 0 }
+
+// finite reports whether a max-abs norm is a number: maxAbs propagates NaN
+// and an overflowed element reads +Inf.
+func finite(norm float64) bool { return !math.IsNaN(norm) && !math.IsInf(norm, 0) }
+
+// decimate runs the Sancho-Rubio recursion of the periodic lead with
+// principal-layer block h00 and coupling h01 to the next layer along +x
+// (h10 its materialised adjoint) at complex energy z and returns the
+// retarded surface Green's functions asked for: surf[right] of the
+// half-chain extending to +x, surf[left] of the one extending to −x. Both
+// come out of one recursion: with α = h01, β = h10 every iteration forms
+// α·g·β and β·g·α for the bulk block anyway, and the two surface blocks
+// differ only in which of the pair they accumulate. Nothing before the
+// finish depends on want, so a side finished alone equals the same side
+// finished in a pair bit for bit.
+//
+// Convergence is judged on what enters the result — both ε-updates below
+// surfaceTol — before α and β are squared. Judging the squared couplings
+// is unsafe: where β underflows to 0 while α overflows to +Inf, 0·Inf
+// turns every block NaN, and a NaN fails no "<" test cleanly. A non-finite
+// update or surface function is ErrNoConvergence at once.
+func decimate(h00, h01, h10 *linalg.Matrix, z complex128, want sideSet) (surf [2]*linalg.Matrix, err error) {
 	n := h00.Rows
-	if h00.Cols != n || hInto.Rows != n || hInto.Cols != n {
-		return nil, fmt.Errorf("negf: lead blocks must be square and same-sized")
-	}
 	if imag(z) <= 0 {
-		return nil, fmt.Errorf("negf: surface GF needs Im(z) > 0, got %g", imag(z))
+		return surf, fmt.Errorf("negf: surface GF needs Im(z) > 0, got %g", imag(z))
 	}
-	// The decimation loop runs entirely on workspace scratch: every
-	// iteration reuses the same eight n×n buffers, so the ~tens of
-	// iterations per lead cost zero allocations.
+	// The loop runs entirely on workspace scratch: every iteration reuses
+	// the same n×n buffers, so the ~tens of iterations per lead cost zero
+	// allocations.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	epsS := ws.Get(n, n)
-	epsS.CopyFrom(h00)
-	eps := ws.Get(n, n)
-	eps.CopyFrom(h00)
+	eps, epsS := ws.Get(n, n), [2]*linalg.Matrix{ws.Get(n, n), ws.Get(n, n)}
+	for _, m := range []*linalg.Matrix{eps, epsS[left], epsS[right]} {
+		m.CopyFrom(h00)
+	}
 	alpha := ws.Get(n, n)
-	alpha.CopyFrom(hInto)
+	alpha.CopyFrom(h01)
 	beta := ws.Get(n, n)
-	linalg.ConjTransposeInto(beta, hInto)
-	tmp := ws.Get(n, n)
-	g := ws.Get(n, n)
-	agb := ws.Get(n, n)
-	bga := ws.Get(n, n)
-	alphaNew := ws.Get(n, n)
-	betaNew := ws.Get(n, n)
+	beta.CopyFrom(h10)
+	tmp, g := ws.Get(n, n), ws.Get(n, n)
+	ag, bg := ws.Get(n, n), ws.Get(n, n)
+	agb, bga := ws.Get(n, n), ws.Get(n, n)
+	alphaNew, betaNew := ws.Get(n, n), ws.Get(n, n)
 
-	for iter := 0; iter < surfaceMaxIter; iter++ {
+	for iter := 1; ; iter++ {
 		linalg.ShiftedNegInto(tmp, eps, z)
 		if err := linalg.InverseInto(g, tmp, ws); err != nil {
-			return nil, fmt.Errorf("negf: decimation inversion failed: %w", err)
+			return surf, fmt.Errorf("negf: decimation inversion failed: %w", err)
 		}
-		linalg.Mul3Into(agb, alpha, linalg.NoTrans, g, linalg.NoTrans, beta, linalg.NoTrans, ws)
-		linalg.Mul3Into(bga, beta, linalg.NoTrans, g, linalg.NoTrans, alpha, linalg.NoTrans, ws)
-		epsS.AddInPlace(agb)
+		// α·g and β·g are shared by the ε-updates and the squarings.
+		linalg.MulInto(ag, alpha, linalg.NoTrans, g, linalg.NoTrans)
+		linalg.MulInto(bg, beta, linalg.NoTrans, g, linalg.NoTrans)
+		linalg.MulInto(agb, ag, linalg.NoTrans, beta, linalg.NoTrans)
+		linalg.MulInto(bga, bg, linalg.NoTrans, alpha, linalg.NoTrans)
+		// A non-finite g shows in the updates it enters: no scan of its own.
+		update := max(maxAbs(agb), maxAbs(bga))
+		if !finite(update) {
+			return surf, fmt.Errorf("%w: non-finite block at iteration %d", ErrNoConvergence, iter)
+		}
+		epsS[right].AddInPlace(agb)
+		epsS[left].AddInPlace(bga)
+		if update < surfaceTol {
+			break
+		}
+		if iter == surfaceMaxIter {
+			return surf, fmt.Errorf("%w: %d iterations", ErrNoConvergence, iter)
+		}
 		eps.AddInPlace(agb)
 		eps.AddInPlace(bga)
-		linalg.Mul3Into(alphaNew, alpha, linalg.NoTrans, g, linalg.NoTrans, alpha, linalg.NoTrans, ws)
-		linalg.Mul3Into(betaNew, beta, linalg.NoTrans, g, linalg.NoTrans, beta, linalg.NoTrans, ws)
+		linalg.MulInto(alphaNew, ag, linalg.NoTrans, alpha, linalg.NoTrans)
+		linalg.MulInto(betaNew, bg, linalg.NoTrans, beta, linalg.NoTrans)
 		alpha, alphaNew = alphaNew, alpha
 		beta, betaNew = betaNew, beta
-		if alpha.MaxAbs() < surfaceTol && beta.MaxAbs() < surfaceTol {
-			// The result escapes the workspace, so it gets fresh storage.
-			out := linalg.New(n, n)
-			linalg.ShiftedNegInto(tmp, epsS, z)
-			if err := linalg.InverseInto(out, tmp, ws); err != nil {
-				return nil, fmt.Errorf("negf: surface inversion failed: %w", err)
-			}
-			return out, nil
+	}
+	for _, s := range [2]side{left, right} {
+		if !want.has(s) {
+			continue
+		}
+		// The result escapes the workspace, so it gets fresh storage.
+		surf[s] = linalg.New(n, n)
+		linalg.ShiftedNegInto(tmp, epsS[s], z)
+		if err := linalg.InverseInto(surf[s], tmp, ws); err != nil {
+			return surf, fmt.Errorf("negf: surface inversion failed: %w", err)
+		}
+		if !finite(maxAbs(surf[s])) {
+			return surf, fmt.Errorf("%w: non-finite %s surface function", ErrNoConvergence, sideNames[s])
 		}
 	}
-	return nil, ErrNoConvergence
+	return surf, nil
 }
 
 // Leads bundles the two semi-infinite contacts of a device. L01 and R01
@@ -119,6 +167,9 @@ type Leads struct {
 
 	fpOnce   sync.Once
 	fpL, fpR string
+	// own is the registry of the uncached path: this value's canon, never
+	// shared with another Leads.
+	own registry
 }
 
 // LeadMeta carries the cache-identity declarations of a device's two
@@ -159,33 +210,43 @@ func LeadsFromDevice(h *sparse.BlockTridiag) (*Leads, error) {
 // SelfEnergies computes the retarded contact self-energies at complex
 // energy z, projected onto the first and last device layers:
 // Σ_L = L01†·g_L·L01 with g_L the left surface GF, and
-// Σ_R = R01·g_R·R01† with g_R the right surface GF.
+// Σ_R = R01·g_R·R01† with g_R the right surface GF. It is the cache's miss
+// path without the record store: the same canon rule, kernel and
+// projection, so a fresh SelfEnergyCache returns the same bits.
 func (l *Leads) SelfEnergies(z complex128) (sigL, sigR *linalg.Matrix, err error) {
 	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
 	// below dominates per-energy cost when the cache misses, and the phase
 	// breakdown of the paper's Table is reconstructed from this timer.
 	defer perf.StartPhase("self-energy")()
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	// Left lead grows toward −x: coupling into the bulk is L01†.
-	l10 := ws.Get(l.L01.Cols, l.L01.Rows)
-	linalg.ConjTransposeInto(l10, l.L01)
-	gL, err := SurfaceGF(l.L00, l10, z)
+	fams, err := l.own.resolve(l)
 	if err != nil {
-		return nil, nil, fmt.Errorf("negf: left lead: %w", err)
+		return nil, nil, err
 	}
-	// Right lead grows toward +x: coupling into the bulk is R01.
-	gR, err := SurfaceGF(l.R00, l.R01, z)
-	if err != nil {
-		return nil, nil, fmt.Errorf("negf: right lead: %w", err)
+	return l.selfEnergies(fams, z, (*blockFamily).selfEnergies)
+}
+
+// selfEnergies routes one request to its units of work: contacts that
+// continue the same cell at the same canonical energy z − qV are one
+// request for both sides, anything else is one request per side. get is
+// the cache lookup or, uncached, the kernel itself.
+func (l *Leads) selfEnergies(fams [2]*blockFamily, z complex128, get func(*blockFamily, complex128, sideSet) ([2]*linalg.Matrix, error)) (sigL, sigR *linalg.Matrix, err error) {
+	zc := [2]complex128{z - complex(l.ShiftL, 0), z - complex(l.ShiftR, 0)}
+	if fams[left] == fams[right] && zc[left] == zc[right] {
+		sig, err := get(fams[left], zc[left], bothSides)
+		if err != nil {
+			return nil, nil, fmt.Errorf("negf: leads: %w", err)
+		}
+		return sig[left], sig[right], nil
 	}
-	// The self-energies escape (and may be cached), so they get fresh
-	// storage; the conjugate couplings are read in place by the fused GEMM.
-	sigL = linalg.New(l.L01.Cols, l.L01.Cols)
-	linalg.Mul3Into(sigL, l.L01, linalg.ConjTrans, gL, linalg.NoTrans, l.L01, linalg.NoTrans, ws)
-	sigR = linalg.New(l.R01.Rows, l.R01.Rows)
-	linalg.Mul3Into(sigR, l.R01, linalg.NoTrans, gR, linalg.NoTrans, l.R01, linalg.ConjTrans, ws)
-	return sigL, sigR, nil
+	var sig [2]*linalg.Matrix
+	for _, s := range [2]side{left, right} {
+		one, err := get(fams[s], zc[s], 1<<s)
+		if err != nil {
+			return nil, nil, fmt.Errorf("negf: %s lead: %w", sideNames[s], err)
+		}
+		sig[s] = one[s]
+	}
+	return sig[left], sig[right], nil
 }
 
 // Broadening returns Γ = i(Σ − Σ†), the contact broadening matrix.
@@ -221,34 +282,34 @@ func BroadeningInto(dst, sigma *linalg.Matrix) {
 }
 
 // leadSpec is one contact viewed through the cache's eyes: the raw blocks
-// as built, which side they sit on (the two sides project Σ differently),
-// and the resolved family identity.
+// as built (both couplings are oriented along +x), the declared shift, and
+// which side they sit on.
 type leadSpec struct {
-	key   string
+	side  side
 	shift float64
 	h00   *linalg.Matrix // principal-layer block, as built (shift included)
-	h01   *linalg.Matrix // raw off-diagonal block (L01 or R01 orientation)
-	left  bool
+	h01   *linalg.Matrix // coupling to the next layer along +x (L01 or R01)
 }
 
-// leftSpec and rightSpec resolve each contact's family key, falling back
-// to the memoized raw-bits fingerprint when the caller declared none.
-func (l *Leads) leftSpec() leadSpec {
-	key := l.KeyL
-	if key == "" {
-		l.fingerprints()
-		key = l.fpL
+func (l *Leads) spec(s side) leadSpec {
+	if s == left {
+		return leadSpec{side: left, shift: l.ShiftL, h00: l.L00, h01: l.L01}
 	}
-	return leadSpec{key: key, shift: l.ShiftL, h00: l.L00, h01: l.L01, left: true}
+	return leadSpec{side: right, shift: l.ShiftR, h00: l.R00, h01: l.R01}
 }
 
-func (l *Leads) rightSpec() leadSpec {
-	key := l.KeyR
+// key resolves a contact's family key, falling back to the memoized
+// raw-bits fingerprint when the caller declared none.
+func (l *Leads) key(s side) string {
+	key, fp := l.KeyL, &l.fpL
+	if s == right {
+		key, fp = l.KeyR, &l.fpR
+	}
 	if key == "" {
 		l.fingerprints()
-		key = l.fpR
+		key = *fp
 	}
-	return leadSpec{key: key, shift: l.ShiftR, h00: l.R00, h01: l.R01, left: false}
+	return key
 }
 
 // fingerprints memoizes the fallback family keys: an FNV-1a hash over the
