@@ -67,10 +67,11 @@ portable-kernels:
 	done
 
 # The fault-injection suite: panic isolation, retry/backoff, journal
-# resume, and quarantine drills, under the race detector.
+# resume, torn group commits, the coordinator's commit pipeline and
+# quarantine drills, under the race detector.
 faults:
-	$(GO) test -race -run 'Fault|Drill|Resum|Quarantine|Panic|Journal|Injector|Retr|Backoff|Classify|Timeout' \
-		./internal/resilience/ ./internal/sched/ ./internal/cluster/ ./internal/transport/ ./internal/core/
+	$(GO) test -race -run 'Fault|Drill|Resum|Quarantine|Panic|Journal|Injector|Retr|Backoff|Classify|Timeout|Commit|Torn|Drain' \
+		./internal/resilience/ ./internal/sched/ ./internal/cluster/ ./internal/transport/ ./internal/core/ ./internal/distrib/
 
 # Every fuzz target in the repo, five seconds each. `go test -fuzz`
 # accepts one target of one package per run, so the targets are

@@ -206,14 +206,18 @@ func readFile(path string, mode scanMode) (Contents, error) {
 func ReadJournal(path string) (Contents, error) { return readFile(path, scanWhole) }
 
 // Checkpointer persists completed-task records of a sweep so an
-// interrupted run can resume without redoing finished work. Append must be
-// safe for concurrent use from many workers and must not return until the
-// record is handed to the underlying medium (a crashed process loses at
-// most what the OS had not flushed; those tasks rerun on resume, which is
-// always safe because records are idempotent).
+// interrupted run can resume without redoing finished work. The appends
+// must be safe for concurrent use from many workers and must not return
+// until their records are handed to the underlying medium (a crashed
+// process loses at most what the OS had not flushed; those tasks rerun on
+// resume, which is always safe because records are idempotent).
 type Checkpointer interface {
-	// Append records one completed task.
+	// Append records one completed task: AppendBatch of one record.
 	Append(rec TaskRecord) error
+	// AppendBatch records a group of completed tasks at the cost of one:
+	// one write, and one fsync where the journal syncs at all. Not atomic —
+	// a crash inside the call can keep any prefix of the group.
+	AppendBatch(recs []TaskRecord) error
 	// Load returns the records persisted so far, tolerating a corrupt or
 	// truncated tail (such records are dropped, not errors).
 	Load() ([]TaskRecord, error)
@@ -224,16 +228,19 @@ type Checkpointer interface {
 // FileJournal is an append-only JSON-lines checkpoint file: one TaskRecord
 // per line. The format is deliberately dumb — append-only, self-verifying
 // per record, order-insensitive, duplicate-tolerant — so that a process
-// killed mid-write leaves at worst one garbage tail line, which Load
-// skips. It is the single-node stand-in for the parallel checkpoint
-// streams extreme-scale transport codes write per communicator.
+// killed mid-write, of one record or of a batch, leaves at worst one
+// garbage tail line, which Load skips. It is the single-node stand-in for
+// the parallel checkpoint streams extreme-scale transport codes write per
+// communicator.
 type FileJournal struct {
 	path string
 	sync bool
+	// afterWrite, when non-nil, runs between an append's write and its
+	// fsync: where the crash tests kill the writer.
+	afterWrite func()
 
 	mu sync.Mutex
 	f  *os.File
-	w  *bufio.Writer
 	// epoch is the highest epoch this handle has read or written (0:
 	// none yet) — a journal's one appender need not rescan for it.
 	epoch uint64
@@ -242,8 +249,9 @@ type FileJournal struct {
 // JournalOption configures OpenFileJournal.
 type JournalOption func(*FileJournal)
 
-// WithFsync makes every Append force the record to stable storage
-// (fsync) before returning. The default (flush-to-OS only) survives a
+// WithFsync makes every append — a record, a batch, the header, an epoch
+// mark — force what it wrote to stable storage with one fsync before
+// returning. The default (hand-to-OS only) survives a
 // process crash but can lose the unsynced tail on an OS or power crash —
 // acceptable for a worker, whose lost tasks simply rerun, but not for a
 // distributed coordinator, whose journal is the cluster-wide source of
@@ -263,7 +271,7 @@ func OpenFileJournal(path string, opts ...JournalOption) (*FileJournal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster: open journal: %w", err)
 	}
-	j := &FileJournal{path: path, f: f, w: bufio.NewWriter(f)}
+	j := &FileJournal{path: path, f: f}
 	for _, o := range opts {
 		o(j)
 	}
@@ -307,22 +315,23 @@ func (j *FileJournal) WriteHeader(h Header) error {
 	if err != nil {
 		return fmt.Errorf("cluster: journal header marshal: %w", err)
 	}
-	return j.appendLine(line, "header")
+	return j.appendLines(append(line, '\n'), "header")
 }
 
-// appendLine writes one marshaled line under the journal lock, flushed
-// to the OS (and fsync'd when configured) before it returns.
-func (j *FileJournal) appendLine(line []byte, what string) error {
+// appendLines is the journal's one write path: newline-terminated lines go
+// to the OS in a single write under the journal lock (and are fsync'd,
+// once, when configured) before it returns.
+func (j *FileJournal) appendLines(lines []byte, what string) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.f == nil {
 		return fmt.Errorf("cluster: journal %s is closed", j.path)
 	}
-	if _, err := j.w.Write(append(line, '\n')); err != nil {
+	if _, err := j.f.Write(lines); err != nil {
 		return fmt.Errorf("cluster: journal %s: %w", what, err)
 	}
-	if err := j.w.Flush(); err != nil {
-		return fmt.Errorf("cluster: journal flush: %w", err)
+	if j.afterWrite != nil {
+		j.afterWrite()
 	}
 	if j.sync {
 		if err := j.f.Sync(); err != nil {
@@ -358,7 +367,7 @@ func (j *FileJournal) BumpEpoch() (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("cluster: journal epoch marshal: %w", err)
 	}
-	if err := j.appendLine(line, "epoch"); err != nil {
+	if err := j.appendLines(append(line, '\n'), "epoch"); err != nil {
 		return 0, err
 	}
 	return j.noteEpoch(next), nil
@@ -408,18 +417,24 @@ func (j *FileJournal) CheckHeader(specHash string, warnf func(format string, arg
 	return nil
 }
 
-// Append implements Checkpointer: one JSON line per record, flushed to the
-// OS before returning so a process crash cannot lose an acknowledged
+// Append implements Checkpointer.
+func (j *FileJournal) Append(rec TaskRecord) error { return j.AppendBatch([]TaskRecord{rec}) }
+
+// AppendBatch implements Checkpointer: one JSON line per record, handed to
+// the OS before returning so a process crash cannot lose an acknowledged
 // record (an OS crash can lose the unsynced tail; affected tasks rerun).
-func (j *FileJournal) Append(rec TaskRecord) error {
-	if rec.Digest == "" {
-		rec.Digest = digestOf(rec.Payload)
+func (j *FileJournal) AppendBatch(recs []TaskRecord) error {
+	var lines bytes.Buffer
+	enc := json.NewEncoder(&lines) // Encode writes Marshal's bytes and a newline
+	for _, rec := range recs {
+		if rec.Digest == "" {
+			rec.Digest = digestOf(rec.Payload)
+		}
+		if err := enc.Encode(rec); err != nil {
+			return fmt.Errorf("cluster: journal marshal: %w", err)
+		}
 	}
-	line, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("cluster: journal marshal: %w", err)
-	}
-	return j.appendLine(line, "append")
+	return j.appendLines(lines.Bytes(), "append")
 }
 
 // Load implements Checkpointer: it reads every well-formed, digest-valid
@@ -447,13 +462,9 @@ func (j *FileJournal) Close() error {
 	if j.f == nil {
 		return nil
 	}
-	ferr := j.w.Flush()
-	cerr := j.f.Close()
-	j.f, j.w = nil, nil
-	if ferr != nil {
-		return ferr
-	}
-	return cerr
+	err := j.f.Close()
+	j.f = nil
+	return err
 }
 
 // MemJournal is an in-memory Checkpointer for tests and for callers that
@@ -464,13 +475,18 @@ type MemJournal struct {
 }
 
 // Append implements Checkpointer.
-func (j *MemJournal) Append(rec TaskRecord) error {
-	if rec.Digest == "" {
-		rec.Digest = digestOf(rec.Payload)
-	}
+func (j *MemJournal) Append(rec TaskRecord) error { return j.AppendBatch([]TaskRecord{rec}) }
+
+// AppendBatch implements Checkpointer.
+func (j *MemJournal) AppendBatch(recs []TaskRecord) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.recs = append(j.recs, rec)
+	for _, rec := range recs {
+		if rec.Digest == "" {
+			rec.Digest = digestOf(rec.Payload)
+		}
+		j.recs = append(j.recs, rec)
+	}
 	return nil
 }
 

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/perf"
@@ -122,6 +124,194 @@ func TestJournalTornTailEveryCut(t *testing.T) {
 				t.Fatalf("cut %d: recovered %v, want %v", cut, got, want)
 			}
 		}
+	}
+}
+
+// batchRecords builds records lo..hi-1 as a coordinator's committer would:
+// recognizable payloads, a perf delta each.
+func batchRecords(lo, hi int) []TaskRecord {
+	var recs []TaskRecord
+	for i := lo; i < hi; i++ {
+		recs = append(recs, TaskRecord{
+			Index: i, Payload: []byte(fmt.Sprintf("payload-%d", i)), Perf: &perf.Snapshot{Flops: int64(100 + i)},
+		})
+	}
+	return recs
+}
+
+// batchJournal writes a header and one AppendBatch of records 0..n-1 and
+// returns the file's bytes, the offset the batch starts at and, per
+// record, the offset just past its newline.
+func batchJournal(t *testing.T, n int) (data []byte, start int, ends []int) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "batch.journal")
+	j, err := OpenFileJournal(path, WithFsync())
+	if err != nil {
+		t.Fatalf("OpenFileJournal: %v", err)
+	}
+	if err := j.WriteHeader(Header{SpecHash: "cafe", RunID: "cafe-1"}); err != nil {
+		t.Fatalf("WriteHeader: %v", err)
+	}
+	if err := j.AppendBatch(batchRecords(0, n)); err != nil {
+		t.Fatalf("AppendBatch: %v", err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if data, err = os.ReadFile(path); err != nil {
+		t.Fatalf("ReadFile: %v", err)
+	}
+	start = bytes.IndexByte(data, '\n') + 1
+	for off := start; off < len(data); off++ {
+		if data[off] == '\n' {
+			ends = append(ends, off+1)
+		}
+	}
+	if len(ends) != n {
+		t.Fatalf("batch of %d records wrote %d lines after the header", n, len(ends))
+	}
+	return data, start, ends
+}
+
+// TestJournalTornBatchEveryCut is the group commit's crash contract: a
+// batch is one write, so a crash can cut the file at any byte of it. For
+// every cut, a reader sees exactly the records that end before it (a
+// record missing only its newline still verifies), reopening repairs the
+// tail, and the batch a resumed run appends next never merges into the
+// torn line.
+func TestJournalTornBatchEveryCut(t *testing.T) {
+	const n = 5
+	data, start, ends := batchJournal(t, n)
+	dir := t.TempDir()
+	for cut := start; cut <= len(data); cut++ {
+		var want []int
+		for i, end := range ends {
+			if end-1 <= cut {
+				want = append(want, i)
+			}
+		}
+		path := filepath.Join(dir, fmt.Sprintf("cut-%d.journal", cut))
+		if err := os.WriteFile(path, data[:cut], 0o644); err != nil {
+			t.Fatalf("WriteFile: %v", err)
+		}
+		c, err := ReadJournal(path)
+		if err != nil {
+			t.Fatalf("cut %d: ReadJournal: %v", cut, err)
+		}
+		if got := indices(c.Records); !reflect.DeepEqual(got, want) {
+			t.Fatalf("cut %d: read %v, want %v", cut, got, want)
+		}
+		if c.Header == nil || c.Header.RunID != "cafe-1" {
+			t.Fatalf("cut %d: header lost: %+v", cut, c.Header)
+		}
+
+		j, err := OpenFileJournal(path, WithFsync())
+		if err != nil {
+			t.Fatalf("cut %d: reopen: %v", cut, err)
+		}
+		if repaired, _ := os.ReadFile(path); repaired[len(repaired)-1] != '\n' {
+			t.Fatalf("cut %d: reopening left an unterminated tail", cut)
+		}
+		if err := j.AppendBatch(batchRecords(n, n+2)); err != nil {
+			t.Fatalf("cut %d: resumed AppendBatch: %v", cut, err)
+		}
+		recs, err := j.Load()
+		j.Close()
+		if err != nil {
+			t.Fatalf("cut %d: Load: %v", cut, err)
+		}
+		if got := indices(recs); !reflect.DeepEqual(got, append(want, n, n+1)) {
+			t.Fatalf("cut %d: after the resumed batch loaded %v, want %v", cut, got, append(want, n, n+1))
+		}
+	}
+}
+
+// TestJournalCommitKilledBeforeSync kills the writer in the window a group
+// commit opens: the batch is written, the fsync has not returned, nobody
+// has been told the tasks are done. A process kill leaves the whole batch
+// with the OS; a power cut leaves any prefix of it. Either way the synced
+// batch before it survives whole, and reopening and resuming the sweep
+// ends with exactly one verified record per task — what journalcheck
+// audits.
+func TestJournalCommitKilledBeforeSync(t *testing.T) {
+	const total, synced, unsynced = 12, 4, 5
+	for _, tc := range []struct {
+		name string
+		// keep says how much of the file survives, given its size before
+		// and after the unsynced batch's write.
+		keep                     func(before, after int) int
+		minRestored, maxRestored int
+	}{
+		{"process kill", func(_, after int) int { return after }, synced + unsynced, synced + unsynced},
+		{"power cut mid-batch", func(before, after int) int { return (before + after) / 2 }, synced, synced + unsynced - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path, crashed := filepath.Join(dir, "live.journal"), filepath.Join(dir, "crashed.journal")
+			j, err := OpenFileJournal(path, WithFsync())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer j.Close()
+			if err := j.WriteHeader(Header{SpecHash: "cafe"}); err != nil {
+				t.Fatal(err)
+			}
+			if err := j.AppendBatch(batchRecords(0, synced)); err != nil {
+				t.Fatal(err)
+			}
+			before, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The kill: what the next incarnation finds is the file as it
+			// stood between the write and the fsync, cut where the crash
+			// model says. Nothing this handle does after the hook counts.
+			j.afterWrite = func() {
+				after, err := os.ReadFile(path)
+				if err != nil {
+					t.Errorf("snapshot: %v", err)
+					return
+				}
+				if err := os.WriteFile(crashed, after[:tc.keep(len(before), len(after))], 0o644); err != nil {
+					t.Errorf("snapshot: %v", err)
+				}
+			}
+			if err := j.AppendBatch(batchRecords(synced, synced+unsynced)); err != nil {
+				t.Fatal(err)
+			}
+
+			next, err := OpenFileJournal(crashed, WithFsync())
+			if err != nil {
+				t.Fatalf("reopen: %v", err)
+			}
+			defer next.Close()
+			rep, err := RunTasksResumable(context.Background(), 1, 1, total, SweepOptions{
+				Journal: next,
+				Restore: func(Task, []byte) error { return nil },
+			}, func(_ context.Context, task Task) ([]byte, error) {
+				return []byte(fmt.Sprintf("payload-%d", task.E)), nil
+			})
+			if err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if rep.Restored < tc.minRestored || rep.Restored > tc.maxRestored || rep.Restored+rep.Completed != total {
+				t.Fatalf("resume restored %d and completed %d of %d, want %d..%d restored",
+					rep.Restored, rep.Completed, total, tc.minRestored, tc.maxRestored)
+			}
+			c, err := ReadJournal(crashed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counts := make([]int, total)
+			for _, rec := range c.Records {
+				counts[rec.Index]++
+			}
+			for idx, n := range counts {
+				if n != 1 {
+					t.Fatalf("task %d has %d verified records after the resume, want exactly 1 (%v)", idx, n, indices(c.Records))
+				}
+			}
+		})
 	}
 }
 

@@ -64,6 +64,12 @@ func journalCases() []journalCase {
 		// will terminate it); a follower leaves it for the writer.
 		{name: "unterminated record", data: mixed + recLine(2, "payload-2"), header: hdr, epoch: 3,
 			whole: []int{0, 1, 1, 99, 3, 2}, follow: []int{0, 1, 1, 99, 3}},
+		// A group commit is one write of several lines, so a crash can cut
+		// it between two records or inside one.
+		{name: "batch cut at a record boundary", data: mixed + recLine(2, "payload-2") + "\n" + recLine(4, "payload-4") + "\n", header: hdr, epoch: 3,
+			whole: []int{0, 1, 1, 99, 3, 2, 4}, follow: []int{0, 1, 1, 99, 3, 2, 4}},
+		{name: "batch cut mid-record", data: mixed + recLine(2, "payload-2") + "\n" + recLine(4, "payload-4") + "\n" + recLine(5, "payload-5")[:31], header: hdr, epoch: 3,
+			whole: []int{0, 1, 1, 99, 3, 2, 4}, follow: []int{0, 1, 1, 99, 3, 2, 4}},
 		{name: "headerless", data: recLine(0, "p") + "\n" + recLine(1, "q") + "\n", epoch: 1,
 			whole: []int{0, 1}, follow: []int{0, 1}},
 	}

@@ -41,8 +41,9 @@ type Options struct {
 	// (default LeaseTimeout/4, clamped to [100ms, 5s]). A worker silent
 	// for three intervals is declared dead and its leases re-dispatched.
 	HeartbeatEvery time.Duration
-	// RetryAfter is the back-off told to an idle worker when every
-	// remaining task is leased elsewhere (default 50ms).
+	// RetryAfter is how long a lease request is parked when every remaining
+	// task is leased elsewhere, and the back-off told to the worker when
+	// nothing turned up by then (default 50ms).
 	RetryAfter time.Duration
 	// Journal, when non-nil, records every accepted result and seeds the
 	// done set on startup — the same checkpoint/restart contract as
@@ -60,11 +61,11 @@ type Options struct {
 	// OnProgress observes completion (restored + completed + quarantined,
 	// total). Must be cheap and thread-safe.
 	OnProgress func(done, total int)
-	// OnResult observes each committed result — after the journal append
-	// and Restore, so an observer that reads the journal on the callback
-	// is guaranteed to see the record. Duplicates and epoch-stale results
-	// never reach it. Must be cheap and thread-safe; it runs on the
-	// worker-connection goroutine that delivered the result.
+	// OnResult observes each committed result — after the fsync covering
+	// its journal record and after Restore, so an observer that reads the
+	// journal on the callback is guaranteed to see the record. Duplicates
+	// and epoch-stale results never reach it. Must be cheap; it runs on
+	// the committer goroutine, one call at a time.
 	OnResult func(task cluster.Task, payload []byte)
 	// SpecHash, when non-empty, is the content hash of the run spec this
 	// coordinator executes (spec.RunSpec.SpecHash). A worker whose hello
@@ -195,7 +196,19 @@ type workerState struct {
 	leased map[int]bool
 	wire   string // negotiated wire format for this connection
 	home   int    // scheduling shard this worker is homed on
+	// queued counts its result frames the committer has yet to apply.
+	queued sync.WaitGroup
 }
+
+// upload is one decoded result frame on its way to the committer.
+type upload struct {
+	w       *workerState
+	results []resultMsg
+}
+
+// uploadQueue bounds the frames waiting for the committer (about one per
+// worker while a group syncs); when full, only uploading connections block.
+const uploadQueue = 64
 
 // coordinator owns the lease table of one sweep.
 type coordinator struct {
@@ -204,14 +217,15 @@ type coordinator struct {
 	total         int
 	maxQuarantine int
 
-	mu sync.Mutex
-	st []taskState
-	// commitMu serializes journal appends and Restore calls for accepted
-	// results. It is separate from mu so that lease grants, heartbeats,
-	// and the reaper never wait behind a journal fsync, while Restore
-	// keeps the same never-called-concurrently contract the local
-	// engine's replay gives it.
-	commitMu sync.Mutex
+	// uploads feeds commitLoop, the one goroutine that journals, restores
+	// and finishes tasks — outside mu, so grants, heartbeats and the reaper
+	// never wait behind an fsync, and Restore is never called concurrently.
+	uploads chan upload
+	left    chan struct{} // "a worker unregistered", for awaitGoodbyes
+
+	mu   sync.Mutex
+	st   []taskState
+	wake chan struct{} // non-nil: lease requests are parked on it (see lease)
 	// shards holds the per-shard pending FIFOs: contiguous blocks of the
 	// flat grid, so shard 0 owns the lowest (bias,k,E) indices. Queues
 	// may hold stale entries (see popPendingLocked). With Shards 1 this
@@ -227,6 +241,8 @@ type coordinator struct {
 	completed    int
 	retries      int
 	redispatched int
+	journalRecs  int // records the committer journaled
+	journalSyncs int // AppendBatch calls (one fsync each) that carried them
 	workersSeen  int
 	workers      map[string]*workerState
 	perf         perf.Snapshot
@@ -279,6 +295,8 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 		shards:        make([][]int, nShards),
 		workers:       make(map[string]*workerState),
 		done:          make(chan struct{}),
+		uploads:       make(chan upload, uploadQueue),
+		left:          make(chan struct{}, 1),
 	}
 	rep := &Report{Sweep: &cluster.SweepReport{Total: total}}
 
@@ -333,6 +351,8 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 			c.drainWatch(ctx2)
 		}()
 	}
+	committed := make(chan struct{})
+	go func() { defer close(committed); c.commitLoop() }()
 
 	select {
 	case <-c.done:
@@ -351,6 +371,8 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 	}
 	c.closeConns()
 	wg.Wait()
+	close(c.uploads) // the senders, the connection goroutines, are gone
+	<-committed
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -371,15 +393,20 @@ func (c *coordinator) cleanSoFar() bool {
 // awaitGoodbyes waits (bounded by grace) for every connected worker to
 // receive its done dismissal and disconnect.
 func (c *coordinator) awaitGoodbyes(grace time.Duration) {
-	deadline := time.Now().Add(grace)
+	timer := time.NewTimer(grace)
+	defer timer.Stop()
 	for {
 		c.mu.Lock()
 		n := len(c.workers)
 		c.mu.Unlock()
-		if n == 0 || time.Now().After(deadline) {
+		if n == 0 {
 			return
 		}
-		time.Sleep(10 * time.Millisecond)
+		select {
+		case <-c.left:
+		case <-timer.C:
+			return
+		}
 	}
 }
 
@@ -466,6 +493,8 @@ func (c *coordinator) fill(rep *Report) {
 		"shard-steals":     int64(c.steals),
 		"batched-grants":   int64(c.batchedGrant),
 		"lease-grants":     int64(c.grants),
+		"journal-records":  int64(c.journalRecs),
+		"journal-syncs":    int64(c.journalSyncs),
 	}
 	merged := make(map[string]int64, len(c.perf.Counters)+len(extra))
 	for k, v := range c.perf.Counters {
@@ -497,8 +526,10 @@ func (c *coordinator) acceptLoop(ctx context.Context, lis net.Listener, wg *sync
 }
 
 // handle speaks the protocol with one worker for the life of its
-// connection. On any exit — clean bye, crash, protocol violation — the
-// worker's outstanding leases go back to the pending queue.
+// connection. Result frames go on the committer's queue, so the lease
+// request behind a frame is granted while the frame syncs. On any exit —
+// clean bye, crash, protocol violation — the worker's outstanding leases go
+// back to the pending queue.
 func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 	cd := comms.NewCodec(conn)
 	defer cd.Close()
@@ -579,7 +610,7 @@ func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 			if decode(t, payload, &req) != nil {
 				return
 			}
-			lease, over := c.grant(w, req.Capacity)
+			lease, over := c.lease(w, req.Capacity)
 			if over {
 				if err := cd.Send(msgDone, doneMsg{Epoch: c.opts.Epoch}); err != nil {
 					return
@@ -604,12 +635,8 @@ func (c *coordinator) handle(ctx context.Context, conn net.Conn) {
 			if err != nil {
 				return // malformed frame: drop the worker, leases re-dispatch
 			}
-			for _, res := range batch.Results {
-				if err := c.applyResult(w, res); err != nil {
-					c.fail(err)
-					return
-				}
-			}
+			w.queued.Add(1)
+			c.uploads <- upload{w: w, results: batch.Results}
 		case msgHeartbeat:
 			// The deadline refresh above is the entire effect.
 		case msgBye:
@@ -643,11 +670,18 @@ func (c *coordinator) register(cd *comms.Codec, id, wire string) *workerState {
 }
 
 // unregister removes a worker and returns its unfinished leases to the
-// pending queue — the immediate re-dispatch path for crashed workers.
+// pending queue — the immediate re-dispatch path for crashed workers —
+// once the committer has applied the frames the connection queued: what the
+// worker did report is not re-dispatched, and a drain sees it committed.
 func (c *coordinator) unregister(w *workerState) {
+	w.queued.Wait()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	delete(c.workers, w.id)
+	select {
+	case c.left <- struct{}{}:
+	default: // a goodbye is already signaled; awaitGoodbyes recounts
+	}
 	for idx := range w.leased {
 		delete(w.leased, idx)
 		if c.st[idx].phase == stateLeased && c.st[idx].worker == w.id {
@@ -660,21 +694,43 @@ func (c *coordinator) unregister(w *workerState) {
 	c.maybeFinishDrainLocked()
 }
 
-// grant answers one lease request; over=true means the worker should be
-// dismissed with done — the sweep is complete, failed, or draining (a
-// draining coordinator grants nothing new; a dismissed worker has by
-// construction no results in flight, since it only asks after finishing
-// its previous batch). The grant comes from the worker's home shard
-// when it has pending work, and is stolen from the most loaded shard
-// otherwise.
-func (c *coordinator) grant(w *workerState, capacity int) (lease leaseMsg, over bool) {
+// lease answers one lease request. One that finds every remaining task
+// leased elsewhere parks here: it is answered the moment a task is requeued
+// or the run ends, and empty-handed after RetryAfter at the latest.
+func (c *coordinator) lease(w *workerState, capacity int) (leaseMsg, bool) {
+	var expired <-chan time.Time
+	for {
+		lease, over, wake := c.grant(w, capacity)
+		if wake == nil {
+			return lease, over
+		}
+		if expired == nil {
+			expired = time.After(c.opts.RetryAfter)
+		}
+		select {
+		case <-wake:
+		case <-c.done:
+		case <-expired:
+			return lease, false
+		}
+	}
+}
+
+// grant makes one attempt at a lease request; over=true means the worker
+// should be dismissed with done — the sweep is complete, failed, or
+// draining (a draining coordinator grants nothing new; what a dismissed
+// worker uploaded before asking is applied before unregister judges its
+// leases). The grant comes from the worker's home shard when it has
+// pending work, and is stolen from the most loaded shard otherwise. With
+// nothing to hand out, wake is the channel the next requeue closes.
+func (c *coordinator) grant(w *workerState, capacity int) (lease leaseMsg, over bool, wake <-chan struct{}) {
 	if capacity < 1 {
 		capacity = 1
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.finished || c.failure != nil || c.remaining == 0 || c.draining {
-		return leaseMsg{}, true
+		return leaseMsg{}, true, nil
 	}
 	tasks, stolen := c.popShardedLocked(w.home, capacity)
 	if len(tasks) == 0 {
@@ -684,7 +740,10 @@ func (c *coordinator) grant(w *workerState, capacity int) (lease leaseMsg, over 
 		tasks, stolen = c.popShardedLocked(w.home, capacity)
 	}
 	if len(tasks) == 0 {
-		return leaseMsg{RetryAfter: c.opts.RetryAfter}, false
+		if c.wake == nil {
+			c.wake = make(chan struct{})
+		}
+		return leaseMsg{RetryAfter: c.opts.RetryAfter}, false, c.wake
 	}
 	if stolen {
 		c.steals++
@@ -698,7 +757,7 @@ func (c *coordinator) grant(w *workerState, capacity int) (lease leaseMsg, over 
 		c.st[idx] = taskState{phase: stateLeased, worker: w.id, deadline: deadline}
 		w.leased[idx] = true
 	}
-	return leaseMsg{Tasks: tasks, TTL: c.opts.LeaseTimeout}, false
+	return leaseMsg{Tasks: tasks, TTL: c.opts.LeaseTimeout}, false, nil
 }
 
 // popShardedLocked pops up to n tasks for a worker homed on shard home:
@@ -730,7 +789,7 @@ func (c *coordinator) popShardedLocked(home, n int) (tasks []int, stolen bool) {
 // popPendingLocked removes up to n indices from the head of one shard's
 // queue, returning only those still pending. A queue entry can go stale:
 // when a reclaimed task's original holder reports before the
-// re-dispatched copy is granted, applyResult accepts the straggler's
+// re-dispatched copy is granted, the committer accepts the straggler's
 // result directly from statePending and the re-queued index now names a
 // finished task. Handing such an index out again would overwrite
 // stateDone with stateLeased and let a second result be accepted — a
@@ -751,10 +810,15 @@ func (c *coordinator) popPendingLocked(sh, n int) []int {
 	return tasks
 }
 
-// requeueLocked returns a reclaimed task to its home shard's queue.
+// requeueLocked returns a reclaimed task to its home shard's queue and
+// wakes the lease requests parked for one.
 func (c *coordinator) requeueLocked(idx int) {
 	sh := c.shardOf(idx)
 	c.shards[sh] = append(c.shards[sh], idx)
+	if c.wake != nil {
+		close(c.wake)
+		c.wake = nil
+	}
 }
 
 // reclaimExpiredLocked returns every lease past its deadline to the
@@ -805,21 +869,99 @@ func (c *coordinator) reap(ctx context.Context) {
 	}
 }
 
-// applyResult commits one worker-reported result. Duplicates (a task the
-// first responder already finished, or is committing right now) are
-// discarded along with their perf delta, so re-dispatched stragglers can
-// never double-count a task — cluster.Meter says what discarding a delta
-// means for concurrent pools.
-// The first-wins decision is made under c.mu, but the journal append
-// (fsync'd in coordinator deployments) and the Restore call happen
-// outside it, under commitMu, so result I/O never stalls lease grants,
-// heartbeat handling, or the reaper. The returned error, if any, is
-// fatal to the whole run.
-func (c *coordinator) applyResult(w *workerState, res resultMsg) error {
+// commitLoop is the coordinator's one committer, the only caller of the
+// journal and of Restore. Each turn commits everything queued — whatever
+// the workers uploaded while the previous group synced — as one group.
+func (c *coordinator) commitLoop() {
+	for u := range c.uploads {
+		group := []upload{u}
+		for n := len(c.uploads); n > 0; n-- {
+			group = append(group, <-c.uploads)
+		}
+		c.commit(group)
+		for _, u := range group {
+			u.w.queued.Done()
+		}
+	}
+}
+
+// commit applies one group of uploaded results (DESIGN.md §10): decided
+// under c.mu, the winners journaled with one AppendBatch — one fsync —
+// then restored, and only then marked done, counted and announced. A fatal
+// verdict fails the run and turns the rest of the group and every later one
+// away; what won before it is still journaled, for the resume. After a
+// journal or Restore error the group stays stateCommitting: never re-leased.
+func (c *coordinator) commit(group []upload) {
+	n := 0
+	for _, u := range group {
+		n += len(u.results)
+	}
+	won := make([]resultMsg, 0, n)
 	c.mu.Lock()
+	for _, u := range group {
+		for _, res := range u.results {
+			if c.failure == nil && c.claimLocked(u.w, res) {
+				won = append(won, res)
+			}
+		}
+	}
+	c.mu.Unlock()
+
+	var recs []cluster.TaskRecord
+	if c.opts.Journal != nil && len(won) > 0 {
+		// The perf delta lets a restarted coordinator re-sum exactly what
+		// this one counted; the shard tag is provenance. Both sit outside
+		// the digest.
+		recs = make([]cluster.TaskRecord, len(won))
+		for i, res := range won {
+			recs[i] = cluster.TaskRecord{Index: res.Task, Payload: res.Payload, Perf: &won[i].Perf, Shard: c.shardOf(res.Task)}
+		}
+		if err := c.opts.Journal.AppendBatch(recs); err != nil {
+			c.fail(fmt.Errorf("distrib: journal: %w", err))
+			return
+		}
+	}
+	if c.opts.Restore != nil {
+		for _, res := range won {
+			if err := c.opts.Restore(cluster.TaskAt(res.Task, c.nK, c.nE), res.Payload); err != nil {
+				// A committing cell is the committer's alone: no lock to read it.
+				c.fail(fmt.Errorf("distrib: restore task %d from worker %s: %w", res.Task, c.st[res.Task].worker, err))
+				return
+			}
+		}
+	}
+
+	c.mu.Lock()
+	for _, res := range won {
+		c.st[res.Task].phase = stateDone
+		c.completed++
+		c.perf.Add(res.Perf)
+		c.noteDoneLocked()
+	}
+	c.journalRecs += len(recs)
+	if len(recs) > 0 {
+		c.journalSyncs++
+	}
+	c.maybeFinishDrainLocked()
+	c.mu.Unlock()
+	if c.opts.OnResult != nil {
+		for _, res := range won {
+			c.opts.OnResult(cluster.TaskAt(res.Task, c.nK, c.nE), res.Payload)
+		}
+	}
+	c.progress()
+}
+
+// claimLocked decides one uploaded result: true means it won its task,
+// now stateCommitting. Duplicates (a task the first responder finished or
+// is committing, in this group or another) are discarded with their perf
+// delta, so re-dispatched stragglers never double-count a task — see
+// cluster.Meter. A reported failure is quarantined within the budget, and
+// fails the run beyond it.
+func (c *coordinator) claimLocked(w *workerState, res resultMsg) bool {
 	if res.Task < 0 || res.Task >= c.total {
-		c.mu.Unlock()
-		return fmt.Errorf("distrib: worker %s reported task %d outside the %d-task grid", w.id, res.Task, c.total)
+		c.failLocked(fmt.Errorf("distrib: worker %s reported task %d outside the %d-task grid", w.id, res.Task, c.total))
+		return false
 	}
 	if res.Epoch != 0 && c.opts.Epoch != 0 && res.Epoch != c.opts.Epoch {
 		// Epoch fence: the worker computed this under a previous
@@ -827,83 +969,37 @@ func (c *coordinator) applyResult(w *workerState, res resultMsg) error {
 		// lease table from the journal, so the task is either already done
 		// or owned by a fresh lease — either way this result is stale.
 		c.staleEpoch++
-		c.mu.Unlock()
-		return nil
+		return false
 	}
 	delete(w.leased, res.Task)
 	s := &c.st[res.Task]
 	if s.phase == stateCommitting || s.phase == stateDone || s.phase == stateQuarantined {
-		c.mu.Unlock() // first result won; this one is a re-dispatch echo
-		return nil
+		return false // first result won; this one is a re-dispatch echo
 	}
 	c.retries += res.Retries
-	task := cluster.TaskAt(res.Task, c.nK, c.nE)
-
-	if res.Failed {
-		if !c.opts.Quarantine {
-			c.mu.Unlock()
-			return fmt.Errorf("%w: task %d (bias %d, k %d, E %d) on worker %s: %s",
-				ErrTaskFailed, res.Task, task.Bias, task.K, task.E, w.id, res.Error)
-		}
-		if len(c.quarantined) >= c.maxQuarantine {
-			c.mu.Unlock()
-			return fmt.Errorf("%w: quarantine budget (%d tasks) exceeded by task %d on worker %s: %s",
-				ErrTaskFailed, c.maxQuarantine, res.Task, w.id, res.Error)
-		}
-		s.phase = stateQuarantined
+	if !res.Failed {
+		s.phase = stateCommitting
 		s.worker = w.id
-		c.quarantined = append(c.quarantined, res.Task)
-		c.perf.Add(res.Perf)
-		c.noteDoneLocked()
-		c.maybeFinishDrainLocked()
-		c.mu.Unlock()
-		c.progress()
-		return nil
+		return true
 	}
-
-	// Claim the task so concurrent duplicates are turned away, then do
-	// the I/O without blocking the rest of the coordinator. On error the
-	// task stays in stateCommitting — harmless, because the caller fails
-	// the whole run and stateCommitting is never re-dispatched.
-	s.phase = stateCommitting
+	if !c.opts.Quarantine {
+		task := cluster.TaskAt(res.Task, c.nK, c.nE)
+		c.failLocked(fmt.Errorf("%w: task %d (bias %d, k %d, E %d) on worker %s: %s",
+			ErrTaskFailed, res.Task, task.Bias, task.K, task.E, w.id, res.Error))
+		return false
+	}
+	if len(c.quarantined) >= c.maxQuarantine {
+		c.failLocked(fmt.Errorf("%w: quarantine budget (%d tasks) exceeded by task %d on worker %s: %s",
+			ErrTaskFailed, c.maxQuarantine, res.Task, w.id, res.Error))
+		return false
+	}
+	s.phase = stateQuarantined
 	s.worker = w.id
-	c.mu.Unlock()
-
-	c.commitMu.Lock()
-	if c.opts.Journal != nil {
-		// Persist the perf delta alongside the payload so a restarted
-		// coordinator can re-sum exactly what this incarnation counted.
-		// The shard tag (which scheduling shard owns the task) is pure
-		// provenance — outside the digest, like the perf delta, so old
-		// journals and single-shard runs are unaffected.
-		delta := res.Perf
-		if err := c.opts.Journal.Append(cluster.TaskRecord{
-			Index: res.Task, Payload: res.Payload, Perf: &delta, Shard: c.shardOf(res.Task),
-		}); err != nil {
-			c.commitMu.Unlock()
-			return fmt.Errorf("distrib: journal: %w", err)
-		}
-	}
-	if c.opts.Restore != nil {
-		if err := c.opts.Restore(task, res.Payload); err != nil {
-			c.commitMu.Unlock()
-			return fmt.Errorf("distrib: restore task %d from worker %s: %w", res.Task, w.id, err)
-		}
-	}
-	c.commitMu.Unlock()
-
-	c.mu.Lock()
-	s.phase = stateDone
-	c.completed++
+	c.quarantined = append(c.quarantined, res.Task)
 	c.perf.Add(res.Perf)
 	c.noteDoneLocked()
 	c.maybeFinishDrainLocked()
-	c.mu.Unlock()
-	if c.opts.OnResult != nil {
-		c.opts.OnResult(task, res.Payload)
-	}
-	c.progress()
-	return nil
+	return false
 }
 
 // noteDoneLocked retires one task and completes the run when it was the
@@ -930,13 +1026,16 @@ func (c *coordinator) progress() {
 // fail records the first fatal error and tears the run down.
 func (c *coordinator) fail(err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.failLocked(err)
+}
+
+func (c *coordinator) failLocked(err error) {
 	if c.failure == nil {
 		c.failure = err
 	}
-	already := c.finished
-	c.finished = true
-	c.mu.Unlock()
-	if !already {
+	if !c.finished {
+		c.finished = true
 		close(c.done)
 	}
 }

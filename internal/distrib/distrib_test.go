@@ -160,6 +160,15 @@ func serialFlops(total int, skip map[int]bool) int64 {
 	return sum
 }
 
+// commitOne runs one result through the committer as a group of its own
+// and returns the failure it recorded, if any.
+func commitOne(c *coordinator, w *workerState, res resultMsg) error {
+	c.commit([]upload{{w: w, results: []resultMsg{res}}})
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.failure
+}
+
 // TestDistributedMatchesLocal is the baseline: a fault-free 3-worker run
 // must reproduce the serial observables bitwise, append exactly one
 // journal record per task, and merge the per-worker flop deltas to the
@@ -412,7 +421,7 @@ func TestStaleQueueEntryNotRegranted(t *testing.T) {
 	c.workers[straggler.id] = straggler
 	c.workers[fresh.id] = fresh
 
-	lease, over := c.grant(straggler, 2)
+	lease, over, _ := c.grant(straggler, 2)
 	if over {
 		t.Fatal("grant dismissed the straggler with tasks still pending")
 	}
@@ -424,12 +433,12 @@ func TestStaleQueueEntryNotRegranted(t *testing.T) {
 	c.reclaimExpiredLocked(time.Now().Add(2 * c.opts.LeaseTimeout))
 	c.mu.Unlock()
 	// The straggler reports task 0 anyway, and its result wins.
-	if err := c.applyResult(straggler, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
+	if err := commitOne(c, straggler, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
 		t.Fatalf("straggler result: %v", err)
 	}
 	// A fresh worker asks for everything: it must get tasks 2 and 1, never
 	// the finished task 0 whose queue entry is now stale.
-	lease, over = c.grant(fresh, total)
+	lease, over, _ = c.grant(fresh, total)
 	if over {
 		t.Fatal("grant dismissed the fresh worker with tasks still pending")
 	}
@@ -451,7 +460,7 @@ func TestStaleQueueEntryNotRegranted(t *testing.T) {
 	c.mu.Unlock()
 	// A late duplicate for task 0 (say the re-dispatch raced after all)
 	// must be a no-op: no extra journal record, no remaining decrement.
-	if err := c.applyResult(fresh, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
+	if err := commitOne(c, fresh, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
 		t.Fatalf("duplicate result: %v", err)
 	}
 	if journal.Len() != 1 {

@@ -280,7 +280,7 @@ func TestGracefulDrain(t *testing.T) {
 	}
 }
 
-// TestEpochFenceDiscardsStaleResults drives applyResult directly with the
+// TestEpochFenceDiscardsStaleResults drives the committer directly with the
 // interleaving the fence exists for: a result computed under coordinator
 // incarnation 1 arrives at incarnation 2, whose lease table was re-seeded
 // from the journal. Accepting it would race the re-dispatched twin for a
@@ -302,13 +302,13 @@ func TestEpochFenceDiscardsStaleResults(t *testing.T) {
 	c.opts.Journal = journal
 	w := &workerState{id: "ghost", leased: make(map[int]bool)}
 	c.workers[w.id] = w
-	lease, over := c.grant(w, total)
+	lease, over, _ := c.grant(w, total)
 	if over || len(lease.Tasks) != total {
 		t.Fatalf("grant = %v over=%v, want both tasks", lease.Tasks, over)
 	}
 
 	// Stale: tagged with the dead incarnation.
-	if err := c.applyResult(w, resultMsg{Task: 0, Payload: encodeVal(valFor(0)), Epoch: 1}); err != nil {
+	if err := commitOne(c, w, resultMsg{Task: 0, Payload: encodeVal(valFor(0)), Epoch: 1}); err != nil {
 		t.Fatalf("stale result: %v", err)
 	}
 	if journal.Len() != 0 {
@@ -323,7 +323,7 @@ func TestEpochFenceDiscardsStaleResults(t *testing.T) {
 
 	// Current-epoch results are accepted as usual.
 	for idx := 0; idx < total; idx++ {
-		if err := c.applyResult(w, resultMsg{Task: idx, Payload: encodeVal(valFor(idx)), Epoch: 2}); err != nil {
+		if err := commitOne(c, w, resultMsg{Task: idx, Payload: encodeVal(valFor(idx)), Epoch: 2}); err != nil {
 			t.Fatalf("current result %d: %v", idx, err)
 		}
 	}

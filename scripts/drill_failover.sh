@@ -54,7 +54,12 @@ for i in 1 2 3; do
 	WPIDS="$WPIDS $!"
 done
 
-sleep 1.0
+# Kill once a tenth of the sweep is journaled: a fixed sleep lands after
+# the end of the run on a box (or a fabric) fast enough.
+for _ in $(seq 1 200); do
+	[ -f "$JOURNAL" ] && [ "$(wc -l < "$JOURNAL")" -ge $((TOTAL / 10)) ] && break
+	sleep 0.05
+done
 echo "drill-failover: SIGKILL coordinator pid $COORD1 mid-sweep"
 kill -9 "$COORD1" 2>/dev/null || true
 wait "$COORD1" 2>/dev/null || true
