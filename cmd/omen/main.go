@@ -142,8 +142,7 @@ func bindSpecFlags(fs *flag.FlagSet) *specFlags {
 	bind(sf, "fault-rate", func(s *spec.RunSpec) *float64 { return &s.Resilience.FaultRate }, "fault-injection drill: fraction of tasks that fail (mixed errors and panics) on their first attempt")
 	bind(sf, "fault-seed", func(s *spec.RunSpec) *uint64 { return &s.Resilience.FaultSeed }, "seed for deterministic fault injection and retry jitter")
 
-	bind(sf, "sigma-cache-cap", func(s *spec.RunSpec) *int { return &s.Solver.SigmaCacheCap }, "self-energy cache capacity in records, one per (block family, shifted energy); 0: unbounded")
-	bind(sf, "seed-refine", func(s *spec.RunSpec) *float64 { return &s.Solver.SeedRefine }, "seed the surface-GF fixed point from a cached neighbor within this energy distance (eV) instead of decimating; 0 disables and keeps results bitwise reproducible")
+	bind(sf, "sigma-cache-cap", func(s *spec.RunSpec) *int { return &s.Exec.SigmaCacheCap }, "self-energy cache capacity in records, one per (block family, shifted energy); 0: unbounded (a memory bound, outside the content hash)")
 	return sf
 }
 

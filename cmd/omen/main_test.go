@@ -1,16 +1,50 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"regexp"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/spec"
 )
+
+// runMainEnv makes the test binary behave as omen itself, so the CLI-level
+// tests below see real exit codes and real stderr.
+const runMainEnv = "OMEN_TEST_RUN_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(runMainEnv) != "" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// omen runs the command line through main in a child process.
+func omen(t *testing.T, args ...string) (exit int, stdout, stderr string) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), runMainEnv+"=1")
+	var out, errb bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errb
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatalf("omen %q: %v", args, err)
+	}
+	return cmd.ProcessState.ExitCode(), out.String(), errb.String()
+}
 
 // resolve runs resolveSpec on a fresh, silent flag set.
 func resolve(t *testing.T, args ...string) spec.RunSpec {
@@ -97,8 +131,8 @@ func twoValues(t *testing.T, f *flag.Flag) (base, line string) {
 func TestEveryBoundFlagSetsItsField(t *testing.T) {
 	fs := flag.NewFlagSet("omen", flag.ContinueOnError)
 	sf := bindSpecFlags(fs)
-	if len(sf.apply) != 28 {
-		t.Errorf("%d spec-backed flags bound, want 28", len(sf.apply))
+	if len(sf.apply) != 27 {
+		t.Errorf("%d spec-backed flags bound, want 27", len(sf.apply))
 	}
 
 	var baseArgs []string
@@ -141,6 +175,70 @@ func TestEveryBoundFlagSetsItsField(t *testing.T) {
 		over := leaves(t, resolve(t, "-spec-json", string(baseJSON), arg))
 		if moved := diff(base, over); len(moved) != 1 || moved[0] != path {
 			t.Errorf("%s over a -spec-json base moved %v, want only %s", arg, moved, path)
+		}
+	}
+}
+
+// TestRefusedCommandLines: what the command line gets wrong is refused by
+// name — never a panic, never a run. A non-finite float parses as a flag
+// value but no spec can hold it, and a removed flag is an unknown flag:
+// usage errors, exit 2. A journal written under the previous hash contract
+// is another spec's journal: exit 1, file untouched.
+func TestRefusedCommandLines(t *testing.T) {
+	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "spec", "testdata", "pr23.journal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	journal := filepath.Join(t.TempDir(), "pr23.journal")
+	if err := os.WriteFile(journal, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		exit int
+		want string // substring of stderr
+	}{
+		{[]string{"-device", "agnr7", "-ne", "4", "-emin", "NaN"}, 2, "-emin must be finite"},
+		{[]string{"-device", "agnr7", "-ne", "4", "-emax", "+Inf"}, 2, "-emax must be finite"},
+		{[]string{"-mode", "iv", "-vd", "NaN"}, 2, "-vd must be finite"},
+		{[]string{"-dump-spec", "-fault-rate", "NaN"}, 2, "-fault-rate must be finite"},
+		{[]string{"-seed-refine", "0.01"}, 2, "flag provided but not defined: -seed-refine"},
+		// The fixture's own command line, resumed: same flags, other hash.
+		{[]string{"-device", "agnr7", "-cellsx", "6", "-ne", "4", "-checkpoint", journal, "-resume"}, 1, "written by a different run spec"},
+	} {
+		exit, stdout, stderr := omen(t, tc.args...)
+		if exit != tc.exit || !strings.Contains(stderr, tc.want) || strings.Contains(stderr, "panic:") {
+			t.Errorf("omen %q: exit %d, stderr %q; want exit %d naming %q", tc.args, exit, stderr, tc.exit, tc.want)
+		}
+		if strings.Contains(stdout, "E(eV)") {
+			t.Errorf("omen %q printed a sweep:\n%s", tc.args, stdout)
+		}
+	}
+	if after, _ := os.ReadFile(journal); !bytes.Equal(after, old) {
+		t.Error("a refused -resume changed the journal")
+	}
+}
+
+// TestReadmeFlagRowsAreFlags: every `| `-name …` |` row of README.md's
+// flag tables names a flag omen registers, so removing a flag without its
+// row fails here. (The converse — a row for every flag — is not required.)
+func TestReadmeFlagRowsAreFlags(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := flag.NewFlagSet("omen", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	if _, _, err := resolveSpec(fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	rows := regexp.MustCompile("(?m)^\\| `-([a-z-]+)[ `]").FindAllSubmatch(readme, -1)
+	if len(rows) < 10 {
+		t.Fatalf("found %d flag rows in README.md; the tables moved or the pattern rotted", len(rows))
+	}
+	for _, row := range rows {
+		if name := string(row[1]); fs.Lookup(name) == nil {
+			t.Errorf("README.md documents -%s, which omen does not register", name)
 		}
 	}
 }

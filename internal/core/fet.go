@@ -47,8 +47,8 @@ type FET struct {
 	// (source at 0, drain at −Vd), so each lead's surface physics is a
 	// pure function of the shifted energy z − qV_lead — one decimation per
 	// (lead, shifted energy) serves the entire sweep. NewFET installs an
-	// unbounded, unseeded cache; replace it via NewSelfEnergyCacheWith to
-	// bound memory or enable neighbor seeding, or set nil to disable.
+	// unbounded cache; replace it via NewSelfEnergyCacheCap to bound
+	// memory, or set nil to disable.
 	Cache *negf.SelfEnergyCache
 	// EStep is the spacing (eV) of the shared energy lattice every grid of
 	// this FET snaps to, so the SCF grids and the final dense current grid

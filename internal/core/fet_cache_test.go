@@ -4,8 +4,6 @@ import (
 	"context"
 	"math"
 	"testing"
-
-	"repro/internal/negf"
 )
 
 // cacheFET is a small FET for cache-accounting tests: big enough that the
@@ -130,46 +128,6 @@ func TestGateSweepCachedMatchesPerBias(t *testing.T) {
 		}
 		if points[i].Iterations != rp.Iterations {
 			t.Fatalf("Vg=%g: iteration counts diverged (%d vs %d)", vg, points[i].Iterations, rp.Iterations)
-		}
-	}
-}
-
-// TestGateSweepSeededRefinement runs the sweep with neighbor seeding
-// enabled: refinement must be attempted, and the currents must stay
-// within 1e-8 of the exact (unseeded) sweep — the relaxed tolerance the
-// drill documents for seeded runs.
-func TestGateSweepSeededRefinement(t *testing.T) {
-	if testing.Short() {
-		t.Skip("self-consistent FET sweeps in -short mode")
-	}
-	vgs := []float64{-0.3, 0.0, 0.3}
-	const vd = 0.15
-
-	exact := cacheFET(t)
-	want, err := exact.GateSweep(context.Background(), vgs, vd)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	seeded := cacheFET(t)
-	seeded.sweepLattice(vgs, vd)
-	seeded.Cache = negf.NewSelfEnergyCacheWith(negf.CacheConfig{SeedDist: 1.1 * seeded.EStep})
-	got, err := seeded.GateSweep(context.Background(), vgs, vd)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	st := seeded.Cache.Stats()
-	if st.SeededRefinements+st.SeedFallbacks == 0 {
-		t.Fatal("seeding enabled but never attempted")
-	}
-	t.Logf("seeded sweep: %d refinements converged, %d fell back to decimation",
-		st.SeededRefinements, st.SeedFallbacks)
-	for i := range vgs {
-		denom := math.Max(math.Abs(want[i].Current), 1e-300)
-		if rel := math.Abs(got[i].Current-want[i].Current) / denom; rel > 1e-8 {
-			t.Fatalf("Vg=%g: seeded current %g vs exact %g (rel %g)",
-				vgs[i], got[i].Current, want[i].Current, rel)
 		}
 	}
 }

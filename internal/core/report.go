@@ -51,10 +51,9 @@ func writeSigmaCache(w io.Writer, counters map[string]int64) {
 	if counters["sigma-hits"] == 0 && counters["sigma-misses"] == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# sigma-cache\thits=%d misses=%d coalesced=%d evictions=%d decimations=%d seeded=%d seed-fallbacks=%d\n",
+	fmt.Fprintf(w, "# sigma-cache\thits=%d misses=%d coalesced=%d evictions=%d decimations=%d\n",
 		counters["sigma-hits"], counters["sigma-misses"], counters["sigma-coalesced"],
-		counters["sigma-evictions"], counters["sigma-decimations"],
-		counters["sigma-seeded"], counters["sigma-seed-fallbacks"])
+		counters["sigma-evictions"], counters["sigma-decimations"])
 }
 
 // WriteSweep renders the complete text report of a finished transmission

@@ -17,32 +17,6 @@ import (
 // disjoint locks.
 const cacheShards = 16
 
-// refineMaxIter bounds the neighbor-seeded Dyson fixed-point iteration.
-// The fixed point g ← (z − h00 − α·g·α†)⁻¹ contracts fast for evanescent
-// energies but is only marginally stable inside a band at small η, so the
-// budget is deliberately small: when the seed is good it converges in a
-// handful of iterations, and when it is not, full decimation is cheaper
-// than a long doomed iteration.
-const refineMaxIter = 24
-
-// CacheConfig tunes a SelfEnergyCache.
-type CacheConfig struct {
-	// Capacity bounds the number of cached records, one per (block family,
-	// shifted energy) — a mirrored family's record holds both sides. 0
-	// means unbounded. The bound is approximate: it is enforced per shard,
-	// rounded up, so the cache may hold up to cacheShards−1 records more
-	// than requested.
-	Capacity int
-	// SeedDist enables neighbor-seeded refinement: a miss whose family has
-	// a cached surface function within this energy distance (eV, along the
-	// real axis at equal broadening) seeds the Dyson fixed point from it
-	// instead of running the full Sancho-Rubio decimation, falling back to
-	// decimation when the iteration fails to reach surfaceTol. 0 disables
-	// seeding — and with it the extra storage of surface functions — which
-	// keeps results bitwise independent of cache history.
-	SeedDist float64
-}
-
 // CacheStats is a consistent-enough view of the cache's event counters
 // (each counter is individually atomic; the struct is not a single cut).
 type CacheStats struct {
@@ -53,11 +27,8 @@ type CacheStats struct {
 	// Evictions counts LRU evictions under a capacity bound.
 	Evictions int64
 	// Decimations counts runs of the Sancho-Rubio kernel — one per missed
-	// record, whether it finished one surface or both; SeededRefinements
-	// counts surfaces served by neighbor-seeded iteration instead, and
-	// SeedFallbacks counts refinement attempts that gave up and decimated
-	// (those count under Decimations too).
-	Decimations, SeededRefinements, SeedFallbacks int64
+	// record, whether it finished one surface or both.
+	Decimations int64
 }
 
 // sigmaKey identifies one cached record — the unit of work of the cache,
@@ -73,11 +44,8 @@ type sigmaKey struct {
 // sigmaEntry is one cached record — the self-energy of every side its
 // family has — linked into its shard's LRU list.
 type sigmaEntry struct {
-	key   sigmaKey
-	sigma [2]*linalg.Matrix
-	// g holds the surface Green's functions the sigmas were projected
-	// from, kept only when seeding is enabled (dead weight otherwise).
-	g          [2]*linalg.Matrix
+	key        sigmaKey
+	sigma      [2]*linalg.Matrix
 	prev, next *sigmaEntry
 }
 
@@ -109,7 +77,6 @@ type sigmaShard struct {
 // lookups on distinct keys take sharded locks, and an optional LRU bound
 // caps memory. Safe for concurrent use.
 type SelfEnergyCache struct {
-	cfg         CacheConfig
 	perShardCap int
 	shards      [cacheShards]sigmaShard
 
@@ -117,33 +84,31 @@ type SelfEnergyCache struct {
 
 	hits, misses, coalesced     atomic.Int64
 	evictions, decimations      atomic.Int64
-	seeded, seedFallbacks       atomic.Int64
 	ctrHits, ctrMisses, ctrCoal *perf.Counter
 	ctrEvict, ctrDecim          *perf.Counter
-	ctrSeeded, ctrSeedFall      *perf.Counter
 }
 
-// NewSelfEnergyCache returns an unbounded cache with seeding disabled —
-// the configuration whose results are bitwise independent of lookup
-// order, which the distributed drill's exactness story relies on.
+// NewSelfEnergyCache returns an unbounded cache.
 func NewSelfEnergyCache() *SelfEnergyCache {
-	return NewSelfEnergyCacheWith(CacheConfig{})
+	return NewSelfEnergyCacheCap(0)
 }
 
-// NewSelfEnergyCacheWith returns a cache tuned by cfg.
-func NewSelfEnergyCacheWith(cfg CacheConfig) *SelfEnergyCache {
+// NewSelfEnergyCacheCap returns a cache bounded to capacity records, one
+// per (block family, shifted energy) — a mirrored family's record holds
+// both sides; 0 means unbounded. The bound is approximate: it is enforced
+// per shard, rounded up, so the cache may hold up to cacheShards−1 records
+// more than requested. It bounds memory only: an evicted record recomputes
+// to the same bits, so results do not depend on it.
+func NewSelfEnergyCacheCap(capacity int) *SelfEnergyCache {
 	c := &SelfEnergyCache{
-		cfg:         cfg,
-		ctrHits:     perf.GetCounter("sigma-hits"),
-		ctrMisses:   perf.GetCounter("sigma-misses"),
-		ctrCoal:     perf.GetCounter("sigma-coalesced"),
-		ctrEvict:    perf.GetCounter("sigma-evictions"),
-		ctrDecim:    perf.GetCounter("sigma-decimations"),
-		ctrSeeded:   perf.GetCounter("sigma-seeded"),
-		ctrSeedFall: perf.GetCounter("sigma-seed-fallbacks"),
+		ctrHits:   perf.GetCounter("sigma-hits"),
+		ctrMisses: perf.GetCounter("sigma-misses"),
+		ctrCoal:   perf.GetCounter("sigma-coalesced"),
+		ctrEvict:  perf.GetCounter("sigma-evictions"),
+		ctrDecim:  perf.GetCounter("sigma-decimations"),
 	}
-	if cfg.Capacity > 0 {
-		c.perShardCap = (cfg.Capacity + cacheShards - 1) / cacheShards
+	if capacity > 0 {
+		c.perShardCap = (capacity + cacheShards - 1) / cacheShards
 	}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[sigmaKey]*sigmaEntry)
@@ -176,13 +141,11 @@ func (c *SelfEnergyCache) SelfEnergies(leads *Leads, z complex128) (sigL, sigR *
 // Stats returns the cache's event counters.
 func (c *SelfEnergyCache) Stats() CacheStats {
 	return CacheStats{
-		Hits:              c.hits.Load(),
-		Misses:            c.misses.Load(),
-		CoalescedWaits:    c.coalesced.Load(),
-		Evictions:         c.evictions.Load(),
-		Decimations:       c.decimations.Load(),
-		SeededRefinements: c.seeded.Load(),
-		SeedFallbacks:     c.seedFallbacks.Load(),
+		Hits:           c.hits.Load(),
+		Misses:         c.misses.Load(),
+		CoalescedWaits: c.coalesced.Load(),
+		Evictions:      c.evictions.Load(),
+		Decimations:    c.decimations.Load(),
 	}
 }
 
@@ -249,12 +212,12 @@ func (c *SelfEnergyCache) lookup(fam *blockFamily, zc complex128, want sideSet) 
 	c.misses.Add(lookups)
 	c.ctrMisses.Add(lookups)
 
-	sigma, g, err := c.compute(fam, zc)
+	sigma, err := c.compute(fam, zc)
 
 	sh.mu.Lock()
 	delete(sh.inflight, key)
 	if err == nil {
-		c.insert(sh, &sigmaEntry{key: key, sigma: sigma, g: g})
+		c.insert(sh, &sigmaEntry{key: key, sigma: sigma})
 	}
 	sh.mu.Unlock()
 	call.sigma, call.err = sigma, err
@@ -263,47 +226,16 @@ func (c *SelfEnergyCache) lookup(fam *blockFamily, zc complex128, want sideSet) 
 }
 
 // compute produces a record — every side the family has — at the family's
-// canonical, shift-removed energy zc. All block inputs come from the
-// family canon, so the result does not depend on which caller missed, nor
-// on which side it wanted.
-func (c *SelfEnergyCache) compute(fam *blockFamily, zc complex128) (sigma, g [2]*linalg.Matrix, err error) {
-	defer perf.StartPhase("self-energy")()
-	decimated := fam.sides
-	for _, s := range [2]side{left, right} {
-		if c.cfg.SeedDist <= 0 || !fam.sides.has(s) {
-			continue
-		}
-		seed := c.nearestSurface(fam, s, zc)
-		if seed == nil {
-			continue
-		}
-		if g[s] = refineSurface(fam, s, zc, seed); g[s] != nil {
-			c.seeded.Add(1)
-			c.ctrSeeded.Add(1)
-			decimated &^= 1 << s
-		} else {
-			c.seedFallbacks.Add(1)
-			c.ctrSeedFall.Add(1)
-		}
-	}
-	if decimated != 0 {
-		gd, err := decimate(fam.h00, fam.h01, fam.h10, zc, decimated)
-		if err != nil {
-			return sigma, g, err
-		}
+// canonical, shift-removed energy zc: the uncached miss, counted. All block
+// inputs come from the family canon, so the result does not depend on which
+// caller missed, nor on which side it wanted.
+func (c *SelfEnergyCache) compute(fam *blockFamily, zc complex128) ([2]*linalg.Matrix, error) {
+	sigma, err := fam.selfEnergies(zc, fam.sides)
+	if err == nil {
 		c.decimations.Add(1)
 		c.ctrDecim.Add(1)
-		for _, s := range [2]side{left, right} {
-			if decimated.has(s) {
-				g[s] = gd[s]
-			}
-		}
 	}
-	sigma = fam.project(g)
-	if c.cfg.SeedDist <= 0 {
-		g = [2]*linalg.Matrix{} // not stored; let them go
-	}
-	return sigma, g, nil
+	return sigma, err
 }
 
 // insert links a fresh entry at the LRU head, evicting the shard's tail
@@ -318,79 +250,6 @@ func (c *SelfEnergyCache) insert(sh *sigmaShard, e *sigmaEntry) {
 		c.evictions.Add(1)
 		c.ctrEvict.Add(1)
 	}
-}
-
-// nearestSurface scans for the family's cached surface function of side s
-// closest to zc along the real energy axis, within SeedDist and at the
-// same broadening. The scan walks every shard (entries of one family
-// spread across shards by energy) but runs only on the miss path, where
-// its cost vanishes against the decimation it is trying to avoid.
-func (c *SelfEnergyCache) nearestSurface(fam *blockFamily, s side, zc complex128) *linalg.Matrix {
-	var best *linalg.Matrix
-	bestDist := c.cfg.SeedDist
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if e.g[s] == nil || k.fam != fam.id || imag(k.z) != imag(zc) {
-				continue
-			}
-			if d := math.Abs(real(k.z) - real(zc)); d <= bestDist {
-				best, bestDist = e.g[s], d
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return best
-}
-
-// refineSurface iterates the Dyson fixed point g ← (z − h00 − h·g·h†)⁻¹
-// of side s (h its coupling into the lead, the projection's) from the
-// seed, returning the converged surface function or nil when the
-// iteration stalls, diverges, or hits a singular system — the caller then
-// falls back to full decimation. Convergence requires two consecutive
-// steps below surfaceTol, since a single small step can be a plateau of
-// the marginally-stable in-band iteration rather than the fixed point.
-func refineSurface(fam *blockFamily, s side, z complex128, seed *linalg.Matrix) *linalg.Matrix {
-	n := fam.h00.Rows
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	g := linalg.New(n, n) // escapes into the cache on success
-	g.CopyFrom(seed)
-	prev := ws.Get(n, n)
-	m := ws.Get(n, n)
-	prevDelta := math.Inf(1)
-	worse := 0
-	confirmed := false
-	for iter := 0; iter < refineMaxIter; iter++ {
-		prev.CopyFrom(g)
-		fam.projectInto(m, s, prev, ws)
-		m.AddInPlace(fam.h00)
-		linalg.ShiftedNegInto(m, m, z)
-		if err := linalg.InverseInto(g, m, ws); err != nil {
-			return nil
-		}
-		delta := maxAbsDiff(g, prev)
-		if delta <= surfaceTol {
-			if confirmed {
-				return g
-			}
-			confirmed = true
-		} else {
-			confirmed = false
-		}
-		// Bail early when the error stops shrinking: in-band at small η the
-		// iteration rotates the error instead of contracting it.
-		if delta >= prevDelta {
-			if worse++; worse >= 2 {
-				return nil
-			}
-		} else {
-			worse = 0
-		}
-		prevDelta = delta
-	}
-	return nil
 }
 
 // maxAbs returns max over elements of max(|re|, |im|) — the norm of this

@@ -149,11 +149,11 @@ func TestCacheCoalescing(t *testing.T) {
 
 // TestCacheLRUEvictionRecomputeBitwise bounds the cache, floods it past
 // capacity, and checks that recomputing an evicted entry reproduces the
-// evicted Σ bit for bit (seeding disabled, so results cannot depend on
-// cache history).
+// evicted Σ bit for bit: results cannot depend on cache history, which is
+// what keeps the capacity out of the spec's content hash.
 func TestCacheLRUEvictionRecomputeBitwise(t *testing.T) {
 	leads := chainLeads(t, -1, 0, "", "")
-	c := NewSelfEnergyCacheWith(CacheConfig{Capacity: 16}) // 1 per shard
+	c := NewSelfEnergyCacheCap(16) // 1 per shard
 	z0 := complex(0.17, 1e-6)
 
 	firstL, firstR, err := c.SelfEnergies(leads, z0)
@@ -194,73 +194,6 @@ func TestCacheLRUEvictionRecomputeBitwise(t *testing.T) {
 		if v != keepR.Data[i] {
 			t.Fatalf("recomputed Σ_R differs bitwise at %d: %v vs %v", i, v, keepR.Data[i])
 		}
-	}
-}
-
-// TestCacheSeededRefinement enables neighbor seeding and checks both
-// paths: a nearby evanescent neighbor converges the Dyson fixed point
-// (a decimation is saved), and whichever path serves the request, the
-// result stays within 1e-10 of the direct computation.
-func TestCacheSeededRefinement(t *testing.T) {
-	leads := chainLeads(t, -1, 0, "", "")
-	c := NewSelfEnergyCacheWith(CacheConfig{SeedDist: 0.01})
-
-	// Outside the band (|E| > 2|t|) the fixed point is strongly
-	// contracting, so the neighbor seed must converge.
-	for _, e := range []float64{2.5, 2.502} {
-		z := complex(e, 1e-6)
-		gotL, gotR, err := c.SelfEnergies(leads, z)
-		if err != nil {
-			t.Fatalf("E=%g: %v", e, err)
-		}
-		wantL, wantR, err := leads.SelfEnergies(z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiffT(t, gotL, wantL); d > 1e-10 {
-			t.Fatalf("E=%g: seeded Σ_L off by %g", e, d)
-		}
-		if d := maxAbsDiffT(t, gotR, wantR); d > 1e-10 {
-			t.Fatalf("E=%g: seeded Σ_R off by %g", e, d)
-		}
-	}
-	st := c.Stats()
-	if st.SeededRefinements != 2 {
-		t.Fatalf("evanescent neighbor: %d seeded refinements, want 2 (one per surface)", st.SeededRefinements)
-	}
-	if st.Decimations != 1 {
-		t.Fatalf("%d decimations, want 1 (only the first energy)", st.Decimations)
-	}
-
-	// In-band at tiny η the iteration is marginal: whether it converges
-	// or falls back, the served result must match the direct computation
-	// to 1e-10, every surface of the seeded miss must be accounted as
-	// refined or fallen back, and the surfaces that fell back share one
-	// kernel run.
-	for _, e := range []float64{0.5, 0.5004} {
-		z := complex(e, 1e-6)
-		gotL, _, err := c.SelfEnergies(leads, z)
-		if err != nil {
-			t.Fatalf("E=%g: %v", e, err)
-		}
-		wantL, _, err := leads.SelfEnergies(z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiffT(t, gotL, wantL); d > 1e-10 {
-			t.Fatalf("E=%g: in-band Σ_L off by %g", e, d)
-		}
-	}
-	st = c.Stats()
-	if st.SeededRefinements+st.SeedFallbacks != 4 {
-		t.Fatalf("stats don't balance: %+v (2 seeded misses × 2 surfaces ≠ seeded + fallbacks)", st)
-	}
-	want := int64(2) // the two energies with no neighbor to seed from
-	if st.SeedFallbacks > 0 {
-		want++
-	}
-	if st.Decimations != want {
-		t.Fatalf("stats don't balance: %+v (want %d decimations)", st, want)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"repro/internal/linalg"
+	"repro/internal/perf"
 )
 
 // familyTol bounds how far a lead's blocks may sit from a block family's
@@ -72,38 +73,33 @@ func (b *blockFamily) drift(spec leadSpec) float64 {
 }
 
 // selfEnergies runs the kernel at the canonical energy zc and projects the
-// surfaces asked for: the uncached miss path.
-func (b *blockFamily) selfEnergies(zc complex128, want sideSet) ([2]*linalg.Matrix, error) {
+// surfaces asked for, Σ = h·g·h† with h the coupling from the device's end
+// layer into the lead (h01 on the right, h10 on the left): the one place a
+// self-energy is made, a cache's miss and the uncached path alike.
+func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.Matrix, err error) {
+	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
+	// dominates per-energy cost when the cache misses, and the phase
+	// breakdown of the paper's Table is reconstructed from this timer.
+	defer perf.StartPhase("self-energy")()
 	g, err := decimate(b.h00, b.h01, b.h10, zc, want)
 	if err != nil {
-		return [2]*linalg.Matrix{}, err
+		return sig, err
 	}
-	return b.project(g), nil
-}
-
-// project returns the self-energy of every surface function given — the
-// one place a self-energy is made.
-func (b *blockFamily) project(g [2]*linalg.Matrix) (sig [2]*linalg.Matrix) {
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	for s, gs := range g {
-		if gs != nil {
-			// The self-energy escapes (and may be cached): fresh storage.
-			sig[s] = linalg.New(gs.Rows, gs.Rows)
-			b.projectInto(sig[s], side(s), gs, ws)
+		if gs == nil {
+			continue
 		}
+		in, out := b.h01, b.h10
+		if side(s) == left {
+			in, out = b.h10, b.h01
+		}
+		// The self-energy escapes (and may be cached): fresh storage.
+		sig[s] = linalg.New(gs.Rows, gs.Rows)
+		linalg.Mul3Into(sig[s], in, linalg.NoTrans, gs, linalg.NoTrans, out, linalg.NoTrans, ws)
 	}
-	return sig
-}
-
-// projectInto writes Σ = h·g·h† into dst, h being the coupling from the
-// device's end layer into the lead: h01 on the right, h10 on the left.
-func (b *blockFamily) projectInto(dst *linalg.Matrix, s side, g *linalg.Matrix, ws *linalg.Workspace) {
-	in, out := b.h01, b.h10
-	if s == left {
-		in, out = b.h10, b.h01
-	}
-	linalg.Mul3Into(dst, in, linalg.NoTrans, g, linalg.NoTrans, out, linalg.NoTrans, ws)
+	return sig, nil
 }
 
 // leadFamily binds a declared (or fingerprinted) lead key to its side and

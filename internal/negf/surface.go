@@ -214,10 +214,6 @@ func LeadsFromDevice(h *sparse.BlockTridiag) (*Leads, error) {
 // path without the record store: the same canon rule, kernel and
 // projection, so a fresh SelfEnergyCache returns the same bits.
 func (l *Leads) SelfEnergies(z complex128) (sigL, sigR *linalg.Matrix, err error) {
-	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
-	// below dominates per-energy cost when the cache misses, and the phase
-	// breakdown of the paper's Table is reconstructed from this timer.
-	defer perf.StartPhase("self-energy")()
 	fams, err := l.own.resolve(l)
 	if err != nil {
 		return nil, nil, err

@@ -6,7 +6,7 @@ import (
 )
 
 // Counter is a named monotonically-increasing event counter (cache hits,
-// evictions, seeded refinements, …). Unlike the flop counter it is not
+// evictions, decimations, …). Unlike the flop counter it is not
 // sharded: counter increments sit on slow paths (a cache miss costs a
 // Sancho-Rubio decimation, an eviction a map delete), so a single atomic
 // is plenty. Counters travel with Snapshot the same way phases do, which

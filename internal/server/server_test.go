@@ -322,6 +322,45 @@ func TestDedupAndReplay(t *testing.T) {
 	}
 }
 
+// TestCacheCapIsOneJob: two POSTs that differ only in exec.sigmaCacheCap
+// describe the same physics, so they are the same job — the second is a
+// 200 dedup hit on the first, not a second run.
+func TestCacheCapIsOneJob(t *testing.T) {
+	m := newTestManager(t, t.TempDir(), nil)
+	ts := httptest.NewServer((&API{M: m}).Handler())
+	defer ts.Close()
+
+	post := func(cacheCap int) (int, JobView) {
+		s := testSpec(8)
+		s.Exec.SigmaCacheCap = cacheCap
+		body, err := s.Canonical()
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var v JobView
+		if err := json.NewDecoder(resp.Body).Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, v
+	}
+	code1, v1 := post(4096)
+	if code1 != http.StatusAccepted {
+		t.Fatalf("first submit status = %d, want 202 (%+v)", code1, v1)
+	}
+	code2, v2 := post(16)
+	if code2 != http.StatusOK || v2.ID != v1.ID {
+		t.Fatalf("submit with another cache bound: status %d, job %s; want 200 and job %s", code2, v2.ID, v1.ID)
+	}
+	if n := len(m.Jobs()); n != 1 {
+		t.Fatalf("%d jobs after two submissions of one physics, want 1", n)
+	}
+}
+
 // TestStoredTotalMatchesRun: the store and the engine take a sweep's
 // shape from one place, so a job with a real momentum grid (the
 // y-periodic device, nK = 3) reads back from a restarted daemon's store
@@ -375,6 +414,8 @@ func TestSubmitValidation(t *testing.T) {
 		{"checkpoint set", `{"resilience":{"checkpoint":"x.journal"}}`, http.StatusBadRequest, "server"},
 		{"bad priority", `{"exec":{"priority":"urgent"}}`, http.StatusBadRequest, "priority"},
 		{"momentum grid on a ribbon", `{"grid":{"nE":20,"nK":3}}`, http.StatusBadRequest, "-nk 3"},
+		{"removed seedRefine", `{"solver":{"seedRefine":0.01}}`, http.StatusBadRequest, "seedRefine"},
+		{"sigmaCacheCap at its old location", `{"solver":{"sigmaCacheCap":128}}`, http.StatusBadRequest, "sigmaCacheCap"},
 	}
 	for _, tc := range cases {
 		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(tc.body))
@@ -637,6 +678,33 @@ func TestStoreNeverWritesToJournals(t *testing.T) {
 	}
 	if list := st.List(); len(list) != 1 || list[0].ID != id {
 		t.Fatalf("List beside bad-grid journals = %+v, want only job %s", list, id)
+	}
+
+	// A journal an earlier build wrote (PR 23's, when solver.seedRefine and
+	// solver.sigmaCacheCap were hashed fields): its header spec still
+	// unmarshals, but hashes to a name this build never computes, so it is
+	// not a job — neither adopted nor touched.
+	fixture := filepath.Join("..", "spec", "testdata", "pr23.journal")
+	h, err := cluster.ReadJournal(fixture)
+	if err != nil || h.Header == nil || len(h.Records) != 4 {
+		t.Fatalf("the parent-format fixture does not read as a header + 4 records: %v", err)
+	}
+	old, err := os.ReadFile(fixture)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldPath := filepath.Join(dir, h.Header.SpecHash+".journal")
+	if err := os.WriteFile(oldPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := st.Lookup(h.Header.SpecHash); ok {
+		t.Error("Lookup adopted a journal written under the previous hash contract")
+	}
+	if list := st.List(); len(list) != 1 || list[0].ID != id {
+		t.Fatalf("List beside a parent-format journal = %+v, want only job %s", list, id)
+	}
+	if after, _ := os.ReadFile(oldPath); !bytes.Equal(after, old) {
+		t.Fatal("the store changed a journal it does not own")
 	}
 }
 

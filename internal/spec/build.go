@@ -57,10 +57,7 @@ func Build(s RunSpec) (*Built, error) {
 		desc.CellsZ = s.Device.CellsZ
 	}
 
-	b.Cache = negf.NewSelfEnergyCacheWith(negf.CacheConfig{
-		Capacity: s.Solver.SigmaCacheCap,
-		SeedDist: s.Solver.SeedRefine,
-	})
+	b.Cache = negf.NewSelfEnergyCacheCap(s.Exec.SigmaCacheCap)
 	cfg := transport.Config{
 		Domains: s.Solver.Domains,
 		Pool:    b.Pool,

@@ -1,11 +1,11 @@
 // Package spec defines RunSpec, the one serializable description of a
 // simulation run that every entry point shares. A RunSpec names the
 // device (registry preset plus overrides), the energy/momentum/bias
-// grids, the formalism and solver knobs, the resilience policy, and the
-// execution shape — everything `cmd/omen`'s flags used to carry as 29
-// loose variables. It round-trips through a canonical deterministic JSON
-// encoding and is content-addressed at four granularities (DeviceHash,
-// GridHash, SolverHash, SpecHash), which is what lets
+// grids, the formalism, the resilience policy, and the execution shape —
+// everything `cmd/omen`'s flags used to carry as loose variables. It
+// round-trips through a canonical deterministic JSON encoding and is
+// content-addressed at four granularities (DeviceHash, GridHash,
+// SolverHash, SpecHash), which is what lets
 //
 //   - the coordinator launch worker children with one serialized spec
 //     instead of a hand-maintained argv mirror,
@@ -19,10 +19,10 @@
 // The hashes deliberately cover only the result-determining sections
 // (version, mode, device, grid, solver). Resilience and execution
 // fields — checkpoint paths, retry budgets, fault drills, worker
-// counts, lease timeouts — change how a run executes, not what it
-// computes: the engine's determinism guarantees (see DESIGN.md §7, §10)
-// make observables independent of them, so two runs with equal SpecHash
-// produce bitwise-identical results.
+// counts, lease timeouts, the self-energy cache's memory bound — change
+// how a run executes, not what it computes: the engine's determinism
+// guarantees (see DESIGN.md §7, §10, §11) make observables independent of
+// them, so two runs with equal SpecHash produce bitwise-identical results.
 package spec
 
 import (
@@ -145,17 +145,14 @@ type GridSpec struct {
 	NVG    int     `json:"nVG"`
 }
 
-// SolverSpec selects the single-energy formalism and its numerics.
+// SolverSpec selects the single-energy formalism and its decomposition —
+// the only solver choices that determine a result's bits, so the only ones
+// the content hashes cover.
 type SolverSpec struct {
 	// Formalism is "wf" (wave function) or "negf" (NEGF/RGF).
 	Formalism string `json:"formalism"`
 	// Domains is the SplitSolve spatial decomposition (wf only; ≤1 serial).
 	Domains int `json:"domains"`
-	// SigmaCacheCap bounds the self-energy cache (entries; 0 unbounded).
-	SigmaCacheCap int `json:"sigmaCacheCap"`
-	// SeedRefine enables neighbor-seeded surface-GF refinement within
-	// this energy distance (eV); 0 keeps runs bitwise reproducible.
-	SeedRefine float64 `json:"seedRefine"`
 }
 
 // ResilienceSpec is the fault-tolerance policy of the sweep engine.
@@ -179,13 +176,18 @@ type ResilienceSpec struct {
 	FaultSeed uint64  `json:"faultSeed"`
 }
 
-// ExecSpec shapes execution: how wide, and (distributed) how patient.
-// Like everything here it is outside the content hashes — failover
-// patience changes how a run survives, never what it computes.
+// ExecSpec shapes execution: how wide, how much memory, and (distributed)
+// how patient. Like everything here it is outside the content hashes —
+// a cache bound or failover patience changes how a run executes and
+// survives, never what it computes.
 type ExecSpec struct {
 	// Workers is the worker budget: pool width locally, self-spawned
 	// worker processes for a coordinator (0: GOMAXPROCS / external only).
 	Workers int `json:"workers"`
+	// SigmaCacheCap bounds the self-energy cache (records; 0 unbounded).
+	// An evicted record recomputes to the same bits, so the bound moves
+	// memory and flop totals, never observables.
+	SigmaCacheCap int `json:"sigmaCacheCap"`
 	// LeaseTimeout is how long a distributed worker may hold a task.
 	LeaseTimeout Duration `json:"leaseTimeout"`
 	// RejoinWindow is how long a worker keeps re-dialing a crashed
@@ -240,11 +242,12 @@ func Default() RunSpec {
 			EMin: -3, EMax: 3, NE: 101, NK: 1,
 			VDrain: 0.2, VGMin: -0.4, VGMax: 0.6, NVG: 6,
 		},
-		Solver:     SolverSpec{Formalism: "wf", Domains: 1, SigmaCacheCap: 4096},
+		Solver:     SolverSpec{Formalism: "wf", Domains: 1},
 		Resilience: ResilienceSpec{FaultSeed: 1},
 		Exec: ExecSpec{
-			LeaseTimeout: Duration(30 * time.Second),
-			DrainTimeout: Duration(10 * time.Second),
+			SigmaCacheCap: 4096,
+			LeaseTimeout:  Duration(30 * time.Second),
+			DrainTimeout:  Duration(10 * time.Second),
 		},
 	}
 }
@@ -315,8 +318,9 @@ func fnvHex(b []byte) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// mustJSON marshals a hash input; the spec structs contain no values
-// encoding/json can fail on.
+// mustJSON marshals a hash input. The one thing in the spec structs that
+// encoding/json fails on is a non-finite float, which Validate refuses —
+// no JSON text decodes to one, only a flag can carry it in.
 func mustJSON(v any) []byte {
 	b, err := json.Marshal(v)
 	if err != nil {
@@ -332,7 +336,7 @@ func (s RunSpec) DeviceHash() string { return fnvHex(mustJSON(s.Device)) }
 // GridHash content-addresses the sampling grids (FNV-1a 64, hex).
 func (s RunSpec) GridHash() string { return fnvHex(mustJSON(s.Grid)) }
 
-// SolverHash content-addresses the formalism and solver knobs
+// SolverHash content-addresses the formalism and its decomposition
 // (FNV-1a 64, hex).
 func (s RunSpec) SolverHash() string { return fnvHex(mustJSON(s.Solver)) }
 
@@ -437,6 +441,19 @@ func (s RunSpec) Validate() error {
 	if !knownModes[s.Mode] {
 		return fmt.Errorf("spec: unknown mode %q", s.Mode)
 	}
+	// flag.Float64Var parses "NaN" and "Inf", every comparison below is
+	// false on NaN, and the canonical encoding cannot carry either.
+	for _, f := range []struct {
+		flag string
+		v    float64
+	}{
+		{"-emin", s.Grid.EMin}, {"-emax", s.Grid.EMax}, {"-vd", s.Grid.VDrain},
+		{"-vgmin", s.Grid.VGMin}, {"-vgmax", s.Grid.VGMax}, {"-fault-rate", s.Resilience.FaultRate},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("spec: %s must be finite, got %g", f.flag, f.v)
+		}
+	}
 
 	desc, ok := device.Lookup(s.Device.Name)
 	if !ok {
@@ -488,12 +505,6 @@ func (s RunSpec) Validate() error {
 	if s.Solver.Domains < 0 {
 		return fmt.Errorf("spec: -domains must be ≥ 0, got %d", s.Solver.Domains)
 	}
-	if s.Solver.SigmaCacheCap < 0 {
-		return fmt.Errorf("spec: -sigma-cache-cap must be ≥ 0, got %d", s.Solver.SigmaCacheCap)
-	}
-	if s.Solver.SeedRefine < 0 {
-		return fmt.Errorf("spec: -seed-refine must be ≥ 0, got %g", s.Solver.SeedRefine)
-	}
 
 	// Per-mode applicability of the sweep-engine options. Before specs,
 	// `omen -mode iv -checkpoint x -resume` silently ignored all of it.
@@ -534,6 +545,9 @@ func (s RunSpec) Validate() error {
 	}
 	if s.Exec.Workers < 0 {
 		return fmt.Errorf("spec: -workers must be ≥ 0, got %d", s.Exec.Workers)
+	}
+	if s.Exec.SigmaCacheCap < 0 {
+		return fmt.Errorf("spec: -sigma-cache-cap must be ≥ 0, got %d", s.Exec.SigmaCacheCap)
 	}
 	if s.Exec.LeaseTimeout < 0 {
 		return fmt.Errorf("spec: -lease-timeout must be ≥ 0, got %s", s.Exec.LeaseTimeout.Std())

@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -78,14 +79,14 @@ func fullyNonDefault() RunSpec {
 			EMin: -1.5, EMax: 2.5, NE: 77, NK: 5,
 			VDrain: 0.3, VGMin: -0.2, VGMax: 0.8, NVG: 9,
 		},
-		Solver: SolverSpec{Formalism: "negf", Domains: 4, SigmaCacheCap: 128, SeedRefine: 0.01},
+		Solver: SolverSpec{Formalism: "negf", Domains: 4},
 		Resilience: ResilienceSpec{
 			Checkpoint: "x.journal", Resume: true, MaxRetries: 3,
 			TaskTimeout: Duration(45 * time.Second), Quarantine: true,
 			FaultRate: 0.25, FaultSeed: 99,
 		},
 		Exec: ExecSpec{
-			Workers: 7, LeaseTimeout: Duration(90 * time.Second),
+			Workers: 7, SigmaCacheCap: 128, LeaseTimeout: Duration(90 * time.Second),
 			RejoinWindow: Duration(2 * time.Minute), DrainTimeout: Duration(20 * time.Second),
 			Priority: "high", Shards: 2, WireFormat: "binary",
 		},
@@ -152,18 +153,20 @@ func TestParseLayersOverDefaults(t *testing.T) {
 	}
 }
 
-// TestRemovedSolveBatchField: exec.solveBatch went with the batched
-// solvers. A spec handed to Parse — a -spec file, a POST body — that still
-// sets it is refused by name, never silently ignored. A spec already
-// stored with it (journal headers, omend store entries) is re-read with
-// plain json.Unmarshal and must keep loading under the hashes it was
-// filed under: the field was never hashed.
+// TestRemovedSolveBatchField is the removed-field contract, one row per
+// field a spec no longer has: exec.solveBatch went with the batched
+// solvers, solver.seedRefine with neighbour-seeded refinement, and
+// solver.sigmaCacheCap moved to exec. A spec handed to Parse — a -spec
+// file, a POST body — that still sets one is refused by name, never
+// silently ignored. A spec already stored with one (journal headers, omend
+// store entries) is re-read with plain json.Unmarshal and still loads as
+// the spec without it; whether it hashes as filed depends on whether the
+// field sat in a hashed section. solveBatch never did, so those artefacts
+// stay addressable. The two solver fields did: the hash moved with them, so
+// an artefact that carries either is filed under a name this build never
+// computes — -resume reports a spec-hash mismatch and omend's store skips
+// the file (TestStoreNeverWritesToJournals) instead of adopting it.
 func TestRemovedSolveBatchField(t *testing.T) {
-	_, err := Parse([]byte(`{"device":{"name":"sinw"},"exec":{"solveBatch":8}}`))
-	if err == nil || !strings.Contains(err.Error(), "solveBatch") {
-		t.Errorf("Parse of a body with exec.solveBatch returned %v, want an error naming the field", err)
-	}
-
 	want := Default()
 	want.Device.Name = "sinw"
 	want.Exec.Workers = 3
@@ -171,20 +174,44 @@ func TestRemovedSolveBatchField(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := strings.Replace(string(canon), `"workers":3,`, `"workers":3,"solveBatch":8,`, 1)
-	if stored == string(canon) {
-		t.Fatalf("could not plant solveBatch in %s", canon)
-	}
-	var got RunSpec
-	if err := json.Unmarshal([]byte(stored), &got); err != nil {
-		t.Fatalf("stored spec with solveBatch no longer loads: %v", err)
-	}
-	if got != want {
-		t.Errorf("stored spec loaded as %+v, want %+v", got, want)
-	}
-	if got.SpecHash() != want.SpecHash() || got.DeviceHash() != want.DeviceHash() ||
-		got.GridHash() != want.GridHash() || got.SolverHash() != want.SolverHash() {
-		t.Error("a stored spec carrying solveBatch hashes differently from the same spec without it")
+	// The SpecHash the last build that had the two solver fields computed
+	// for this spec (its sinw golden): the name its artefacts are filed under.
+	const filedUnder = "2a23afbfbd2387336f1e5e9e09cb27608c7b52db7abcedaf9526ef31f04b9bc2"
+	for _, tc := range []struct {
+		field, body   string // the field, and a Parse input that sets it
+		anchor, plant string // where a stored spec carried it
+		hashed        bool   // it sat in a hashed section
+	}{
+		{"solveBatch", `{"device":{"name":"sinw"},"exec":{"solveBatch":8}}`,
+			`"workers":3,`, `"workers":3,"solveBatch":8,`, false},
+		{"seedRefine", `{"device":{"name":"sinw"},"solver":{"seedRefine":0.01}}`,
+			`"domains":1`, `"domains":1,"seedRefine":0`, true},
+		{"sigmaCacheCap", `{"device":{"name":"sinw"},"solver":{"sigmaCacheCap":128}}`,
+			`"domains":1`, `"domains":1,"sigmaCacheCap":4096`, true},
+	} {
+		t.Run(tc.field, func(t *testing.T) {
+			if _, err := Parse([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("Parse of %s returned %v, want an error naming %s", tc.body, err, tc.field)
+			}
+			stored := strings.Replace(string(canon), tc.anchor, tc.plant, 1)
+			if stored == string(canon) {
+				t.Fatalf("could not plant %s in %s", tc.field, canon)
+			}
+			var got RunSpec
+			if err := json.Unmarshal([]byte(stored), &got); err != nil {
+				t.Fatalf("stored spec with %s no longer loads: %v", tc.field, err)
+			}
+			if got != want {
+				t.Errorf("stored spec loaded as %+v, want %+v", got, want)
+			}
+			if got.SpecHash() != want.SpecHash() || got.DeviceHash() != want.DeviceHash() ||
+				got.GridHash() != want.GridHash() || got.SolverHash() != want.SolverHash() {
+				t.Errorf("a stored spec carrying %s hashes differently from the same spec without it", tc.field)
+			}
+			if tc.hashed && got.SpecHash() == filedUnder {
+				t.Errorf("a stored spec carrying %s still hashes to the name it was filed under; its artefacts would be adopted", tc.field)
+			}
+		})
 	}
 }
 
@@ -220,8 +247,6 @@ func TestHashSensitivity(t *testing.T) {
 
 		{"Solver.Formalism", "solver", true, func(s *RunSpec) { s.Solver.Formalism = "wf" }},
 		{"Solver.Domains", "solver", true, func(s *RunSpec) { s.Solver.Domains++ }},
-		{"Solver.SigmaCacheCap", "solver", true, func(s *RunSpec) { s.Solver.SigmaCacheCap++ }},
-		{"Solver.SeedRefine", "solver", true, func(s *RunSpec) { s.Solver.SeedRefine += 0.01 }},
 
 		{"Resilience.Checkpoint", "", false, func(s *RunSpec) { s.Resilience.Checkpoint = "y.journal" }},
 		{"Resilience.Resume", "", false, func(s *RunSpec) { s.Resilience.Resume = !s.Resilience.Resume }},
@@ -232,6 +257,7 @@ func TestHashSensitivity(t *testing.T) {
 		{"Resilience.FaultSeed", "", false, func(s *RunSpec) { s.Resilience.FaultSeed++ }},
 
 		{"Exec.Workers", "", false, func(s *RunSpec) { s.Exec.Workers++ }},
+		{"Exec.SigmaCacheCap", "", false, func(s *RunSpec) { s.Exec.SigmaCacheCap++ }},
 		{"Exec.LeaseTimeout", "", false, func(s *RunSpec) { s.Exec.LeaseTimeout += Duration(time.Second) }},
 		{"Exec.RejoinWindow", "", false, func(s *RunSpec) { s.Exec.RejoinWindow += Duration(time.Second) }},
 		{"Exec.DrainTimeout", "", false, func(s *RunSpec) { s.Exec.DrainTimeout += Duration(time.Second) }},
@@ -362,6 +388,55 @@ func TestValidateRejections(t *testing.T) {
 	if err := Default().Validate(); err != nil {
 		t.Errorf("Default() invalid: %v", err)
 	}
+}
+
+// TestValidateRejectsNonFinite: every float leaf of a spec, set to NaN or
+// an infinity (flag.Float64Var accepts all three spellings), is refused by
+// the name of its flag — every ordering test in Validate is false on NaN,
+// and the hashes cannot encode one.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	leaves := []struct {
+		flag  string
+		field func(*RunSpec) *float64
+	}{
+		{"-emin", func(s *RunSpec) *float64 { return &s.Grid.EMin }},
+		{"-emax", func(s *RunSpec) *float64 { return &s.Grid.EMax }},
+		{"-vd", func(s *RunSpec) *float64 { return &s.Grid.VDrain }},
+		{"-vgmin", func(s *RunSpec) *float64 { return &s.Grid.VGMin }},
+		{"-vgmax", func(s *RunSpec) *float64 { return &s.Grid.VGMax }},
+		{"-fault-rate", func(s *RunSpec) *float64 { return &s.Resilience.FaultRate }},
+	}
+	// The table must be every float64 leaf of RunSpec: a float field added
+	// without a row here would reopen the hole.
+	if n := countFloatLeaves(reflect.TypeOf(RunSpec{})); n != len(leaves) {
+		t.Fatalf("RunSpec has %d float64 leaves, the table covers %d", n, len(leaves))
+	}
+	for _, leaf := range leaves {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			for _, mode := range []string{ModeTransmission, ModeIV, ModeStats} {
+				s := Default()
+				s.Mode = mode
+				*leaf.field(&s) = v
+				err := s.Validate()
+				if err == nil || !strings.Contains(err.Error(), leaf.flag+" ") {
+					t.Errorf("mode %s, %s = %g: Validate returned %v, want an error naming the flag", mode, leaf.flag, v, err)
+				}
+			}
+		}
+	}
+}
+
+func countFloatLeaves(t reflect.Type) int {
+	n := 0
+	for i := 0; i < t.NumField(); i++ {
+		switch f := t.Field(i).Type; f.Kind() {
+		case reflect.Struct:
+			n += countFloatLeaves(f)
+		case reflect.Float64:
+			n++
+		}
+	}
+	return n
 }
 
 // TestPlanDimsMatchSpec: the shape a reader takes from the spec is the

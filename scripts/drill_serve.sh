@@ -38,14 +38,14 @@ BASE="http://127.0.0.1:$PORT"
 # timeout keeps re-dispatch after the worker kill fast; exec knobs are
 # not part of the content hash, so the serial references below (default
 # exec) are the same jobs.
-SPEC1='{"device":{"name":"agnr7","cellsX":40},"grid":{"eMin":-2.5,"eMax":2.5,"nE":3600,"nK":1},"exec":{"leaseTimeout":"2s"}}'
-SPEC2='{"device":{"name":"agnr7","cellsX":40},"grid":{"eMin":-2.5,"eMax":2.4,"nE":2000,"nK":1},"exec":{"leaseTimeout":"2s"}}'
-NE1=3600
-NE2=2000
+SPEC1='{"device":{"name":"agnr7","cellsX":40},"grid":{"eMin":-2.5,"eMax":2.5,"nE":12000,"nK":1},"exec":{"leaseTimeout":"2s"}}'
+SPEC2='{"device":{"name":"agnr7","cellsX":40},"grid":{"eMin":-2.5,"eMax":2.4,"nE":8000,"nK":1},"exec":{"leaseTimeout":"2s"}}'
+NE1=12000
+NE2=8000
 
 echo "drill-serve: serial reference runs"
-"$OMEN" -device agnr7 -cellsx 40 -ne 3600 -emin -2.5 -emax 2.5 > "$WORKDIR/serial1.txt"
-"$OMEN" -device agnr7 -cellsx 40 -ne 2000 -emin -2.5 -emax 2.4 > "$WORKDIR/serial2.txt"
+"$OMEN" -device agnr7 -cellsx 40 -ne "$NE1" -emin -2.5 -emax 2.5 > "$WORKDIR/serial1.txt"
+"$OMEN" -device agnr7 -cellsx 40 -ne "$NE2" -emin -2.5 -emax 2.4 > "$WORKDIR/serial2.txt"
 
 start_daemon() {
 	"$OMEND" -addr "127.0.0.1:$PORT" -data "$DATA" -default-workers 2 \
@@ -118,7 +118,7 @@ curl -sN --max-time 600 "$BASE/v1/jobs/$ID1/stream" > "$WORKDIR/stream1.txt" &
 STREAM=$!
 
 wait_state "$ID1" running 100
-sleep 1.2
+sleep 0.3
 VICTIM=$(pgrep -f "omend -worker" | head -1 || true)
 if [ -z "$VICTIM" ]; then
 	echo "drill-serve: FAIL — no spawned worker process found to kill" >&2
