@@ -48,13 +48,15 @@ race:
 
 # The portable fallback of the linalg kernels, engine-wide: the purego
 # build tag compiles the AVX assembly out, the kernel and solver packages
-# must pass their tests on the scalar loops alone, and an omen built that
-# way must print the AVX build's observables and flop total byte for byte
-# on a wave-function sweep and a self-consistent NEGF I-V run.
+# must pass their tests on the scalar loops alone — cmd/omen's with them,
+# so the committed goldens are held on the scalar kernels too — and an
+# omen built that way must print the AVX build's observables and flop
+# total byte for byte on a wave-function sweep and a self-consistent NEGF
+# I-V run.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
 portable-kernels:
-	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/
+	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/ ./cmd/omen/
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -tags purego -o bin/omen-purego ./cmd/omen
 	@for run in "$(PORTABLE_WF)" "$(PORTABLE_IV)"; do \

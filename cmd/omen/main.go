@@ -281,8 +281,9 @@ func main() {
 		fet.Lambda = 1.2
 		fet.SourceDoping = 0.1
 		fet.GateStart, fet.GateEnd = 0.3, 0.7
-		// One cache spans the whole sweep: the FET's lead keys and bias
-		// shifts make every gate point address the same entries.
+		// One cache spans the whole sweep: the FET's pinned contacts and
+		// declared bias shifts make every gate point address the same
+		// entries.
 		fet.Cache = b.Cache
 		vgs := b.GateGrid
 		// Count finished bias points so an interrupt can report progress.

@@ -11,6 +11,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -18,6 +19,8 @@ import (
 
 	"repro/internal/spec"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/*.golden from this build's output")
 
 // runMainEnv makes the test binary behave as omen itself, so the CLI-level
 // tests below see real exit codes and real stderr.
@@ -239,6 +242,51 @@ func TestReadmeFlagRowsAreFlags(t *testing.T) {
 	for _, row := range rows {
 		if name := string(row[1]); fs.Lookup(name) == nil {
 			t.Errorf("README.md documents -%s, which omen does not register", name)
+		}
+	}
+}
+
+// TestGoldenObservables holds three tiny runs — one per formalism and
+// sweep shape — to the bytes a build of an earlier commit printed: the
+// data rows and the `# flops` line, i.e. every observable and the exact
+// operation count (the `# sigma-cache` line's hit/coalesced split is
+// timing, the `# E(eV)` header is prose). A PR that means to keep the
+// numbers commits the goldens unchanged; one that means to move them runs
+// `go test ./cmd/omen/ -run TestGoldenObservables -update` and says by how
+// much in CHANGES.md.
+func TestGoldenObservables(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("goldens were written on amd64; the %s compiler may fuse multiply-adds and move last bits", runtime.GOARCH)
+	}
+	for name, line := range map[string]string{
+		"sinw_wf":       "-device sinw -formalism wf -ne 8",
+		"agnr7_negf_iv": "-device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8",
+		"utb_nk2":       "-device utb -nk 2 -ne 6",
+	} {
+		exit, stdout, stderr := omen(t, strings.Fields(line)...)
+		if exit != 0 {
+			t.Errorf("omen %s: exit %d: %s", line, exit, stderr)
+			continue
+		}
+		var got strings.Builder
+		for _, row := range strings.SplitAfter(stdout, "\n") {
+			if !strings.HasPrefix(row, "#") || strings.HasPrefix(row, "# flops") {
+				got.WriteString(row)
+			}
+		}
+		golden := filepath.Join("testdata", name+".golden")
+		if *update {
+			if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != string(want) {
+			t.Errorf("omen %s moved off %s:\n--- got\n%s--- want\n%s", line, golden, got.String(), want)
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/negf"
 	"repro/internal/poisson"
@@ -45,9 +44,10 @@ type FET struct {
 	// every gate/drain point, every SCF iteration, and the final dense
 	// current grid share it. The FET's contacts are flat-band and pinned
 	// (source at 0, drain at −Vd), so each lead's surface physics is a
-	// pure function of the shifted energy z − qV_lead — one decimation per
-	// (lead, shifted energy) serves the entire sweep. NewFET installs an
-	// unbounded cache; replace it via NewSelfEnergyCacheCap to bound
+	// pure function of (block family, z − qV_lead) — one decimation per
+	// such pair serves the entire sweep, and FETs handed one cache share
+	// records exactly where their contacts' blocks match. NewFET installs
+	// an unbounded cache; replace it via NewSelfEnergyCacheCap to bound
 	// memory, or set nil to disable.
 	Cache *negf.SelfEnergyCache
 	// EStep is the spacing (eV) of the shared energy lattice every grid of
@@ -61,14 +61,8 @@ type FET struct {
 	// gap was located in.
 	ev, ec float64
 
-	stepOnce   sync.Once
-	keyL, keyR string
+	stepOnce sync.Once
 }
-
-// fetSeq distinguishes the lead families of distinct FET instances: two
-// different devices must never share cache entries even if they collide
-// on a shared cache.
-var fetSeq atomic.Int64
 
 // NewFET builds a self-consistent FET driver around a simulator with
 // production-style defaults. The device must be semiconducting.
@@ -94,9 +88,6 @@ func NewFET(sim *Simulator) (*FET, error) {
 	}
 	f.ev, f.ec = ev, ec
 	f.Cache = negf.NewSelfEnergyCache()
-	id := fetSeq.Add(1)
-	f.keyL = fmt.Sprintf("fet%d/L", id)
-	f.keyR = fmt.Sprintf("fet%d/R", id)
 	return f, nil
 }
 
@@ -252,7 +243,7 @@ func (f *FET) pool() *sched.Pool {
 	if p := f.Sim.Transport.Pool; p != nil {
 		return p
 	}
-	return sched.New(f.Sim.Transport.Workers)
+	return sched.New(0)
 }
 
 // SolveBias runs the self-consistent loop at one (VGate, VDrain) point.
@@ -290,12 +281,12 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	// The contacts are flat-band and pinned (source at 0, drain at −vd),
 	// so the expensive Sancho-Rubio surface functions depend only on the
 	// shifted energy: share the FET's sweep-wide cache across all
-	// iterations and bias points, declaring each lead's family and rigid
-	// shift so the cache can key shift-invariantly (the production
-	// optimization of the paper's code, extended to the whole I-V surface).
+	// iterations and bias points, declaring the drain's rigid shift so the
+	// cache can key shift-invariantly (the production optimization of the
+	// paper's code, extended to the whole I-V surface).
 	cfg := f.Sim.Transport
 	cfg.Cache = f.Cache
-	cfg.LeadMeta = &negf.LeadMeta{KeyL: f.keyL, KeyR: f.keyR, ShiftR: -vd}
+	cfg.ShiftL, cfg.ShiftR = 0, -vd
 	// All iterations (and, in a GateSweep, all bias points) draw their
 	// energy- and domain-level helpers from the same pool.
 	cfg.Pool = pool

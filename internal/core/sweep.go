@@ -60,7 +60,7 @@ func (s *Simulator) PlanTransmission(energies, potential []float64) (*Transmissi
 	nk := len(ks)
 	cfg := s.Transport
 	if cfg.Pool == nil {
-		cfg.Pool = sched.New(cfg.Workers)
+		cfg.Pool = sched.New(0)
 	}
 	p := &TransmissionPlan{
 		sim:       s,

@@ -17,7 +17,7 @@ func chainSim(t *testing.T, cells int) *Simulator {
 	t.Helper()
 	sim, err := New(device.Description{
 		Name: "chain", Kind: device.Chain, CellsX: cells,
-	}, transport.Config{Workers: 4})
+	}, transport.Config{Pool: sched.New(4)})
 	if err != nil {
 		t.Fatal(err)
 	}

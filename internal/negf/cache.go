@@ -150,7 +150,7 @@ func (c *SelfEnergyCache) Stats() CacheStats {
 }
 
 // Reset discards every cached self-energy while keeping the registered
-// lead families and the event counters. Distributed workers call it when
+// block families and the event counters. Distributed workers call it when
 // rejoining after a coordinator crash: work executed under the dead epoch
 // is discarded by everyone else (the epoch fence coordinator-side, the
 // journal-seeded re-dispatch), so a cache warmed by that work would let

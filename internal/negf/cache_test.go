@@ -3,6 +3,7 @@ package negf
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,8 +15,8 @@ import (
 
 // chainLeads builds the leads of a uniform single-band chain whose every
 // site sits at potential energy shift (a rigid contact shift, as a pinned
-// bias produces), declaring the given cache identity.
-func chainLeads(t *testing.T, hop, shift float64, keyL, keyR string) *Leads {
+// bias produces), declared on both contacts.
+func chainLeads(t *testing.T, hop, shift float64) *Leads {
 	t.Helper()
 	s, err := lattice.NewLinearChain(0.5, 4)
 	if err != nil {
@@ -36,7 +37,6 @@ func chainLeads(t *testing.T, hop, shift float64, keyL, keyR string) *Leads {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leads.KeyL, leads.KeyR = keyL, keyR
 	leads.ShiftL, leads.ShiftR = shift, shift
 	return leads
 }
@@ -55,8 +55,8 @@ func maxAbsDiffT(t *testing.T, a, b *linalg.Matrix) float64 {
 // through the cache, where the two requests must resolve to one entry.
 func TestShiftInvariantSigma(t *testing.T) {
 	const hop, v = -1.0, 0.35
-	base := chainLeads(t, hop, 0, "chain/L", "chain/R")
-	shifted := chainLeads(t, hop, v, "chain/L", "chain/R")
+	base := chainLeads(t, hop, 0)
+	shifted := chainLeads(t, hop, v)
 
 	for _, e := range []float64{-1.2, 0.0, 0.7, 2.6} {
 		z := complex(e, 1e-6)
@@ -106,7 +106,7 @@ func TestShiftInvariantSigma(t *testing.T) {
 // -race): exactly one kernel run may happen — it serves both leads — and
 // everyone shares its result.
 func TestCacheCoalescing(t *testing.T) {
-	leads := chainLeads(t, -1, 0, "", "")
+	leads := chainLeads(t, -1, 0)
 	c := NewSelfEnergyCache()
 	z := complex(0.3, 1e-6)
 	const workers = 32
@@ -152,7 +152,7 @@ func TestCacheCoalescing(t *testing.T) {
 // evicted Σ bit for bit: results cannot depend on cache history, which is
 // what keeps the capacity out of the spec's content hash.
 func TestCacheLRUEvictionRecomputeBitwise(t *testing.T) {
-	leads := chainLeads(t, -1, 0, "", "")
+	leads := chainLeads(t, -1, 0)
 	c := NewSelfEnergyCacheCap(16) // 1 per shard
 	z0 := complex(0.17, 1e-6)
 
@@ -197,39 +197,60 @@ func TestCacheLRUEvictionRecomputeBitwise(t *testing.T) {
 	}
 }
 
-// TestCacheFamilyVerification: two leads claiming one family key with
-// genuinely different blocks (beyond a rigid shift) must be rejected —
-// silently sharing their self-energies would corrupt the physics.
+// TestCacheFamilyVerification: the blocks are the identity. Leads whose
+// blocks differ beyond a rigid shift never share a record — each gets the Σ
+// its own uncached Leads.SelfEnergies returns, bit for bit, whatever the
+// cache saw first — while a rigidly shifted twin with the matching
+// declaration shares the very pointers.
 func TestCacheFamilyVerification(t *testing.T) {
-	a := chainLeads(t, -1.0, 0, "fam/L", "fam/R")
-	b := chainLeads(t, -1.3, 0, "fam/L", "fam/R") // different hopping
+	a := chainLeads(t, -1.0, 0)
+	b := chainLeads(t, -1.3, 0) // different hopping
 	c := NewSelfEnergyCache()
-	z := complex(0.2, 1e-6)
-	if _, _, err := c.SelfEnergies(a, z); err != nil {
+	z := complex(0.25, 1e-6)
+	aL, aR, err := c.SelfEnergies(a, z)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.SelfEnergies(b, z); err == nil {
-		t.Fatal("mismatched lead accepted into family")
+	bL, bR, err := c.SelfEnergies(b, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if aL == bL || aR == bR || c.Len() != 2 {
+		t.Fatalf("leads with different hopping shared a record (%d records, want 2)", c.Len())
+	}
+	for name, tc := range map[string]struct {
+		leads      *Leads
+		gotL, gotR *linalg.Matrix
+	}{"hop −1.0": {a, aL, aR}, "hop −1.3": {b, bL, bR}} {
+		wantL, wantR, err := tc.leads.SelfEnergies(z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(tc.gotL, wantL) || !sameBits(tc.gotR, wantR) {
+			t.Errorf("%s: cached Σ differs from its own uncached Σ", name)
+		}
 	}
 
-	// A rigid shift with the matching declaration is not a mismatch.
-	shifted := chainLeads(t, -1.0, 0.25, "fam/L", "fam/R")
-	if _, _, err := c.SelfEnergies(shifted, z); err != nil {
-		t.Fatalf("rigidly shifted lead rejected: %v", err)
+	// A rigid shift with the matching declaration is the same contact: the
+	// dyadic shift is removed exactly, so z + shift addresses z's record.
+	shifted := chainLeads(t, -1.0, 0.25)
+	sL, sR, err := c.SelfEnergies(shifted, z+0.25)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Reusing one family key across sides is rejected too.
-	cross := chainLeads(t, -1.0, 0, "fam/R", "fam/L")
-	if _, _, err := c.SelfEnergies(cross, z); err == nil {
-		t.Fatal("left lead accepted into a right-side family")
+	if sL != aL || sR != aR {
+		t.Fatal("rigidly shifted twin did not share its family's record")
+	}
+	if st := c.Stats(); st.Decimations != 2 || c.Len() != 2 {
+		t.Fatalf("stats %+v, %d records; want 2 kernel runs for 2 families", st, c.Len())
 	}
 }
 
-// TestFingerprintFallback: identical leads with no declared keys coalesce
-// by raw-bits fingerprint; the two sides never collide.
-func TestFingerprintFallback(t *testing.T) {
-	a := chainLeads(t, -1, 0, "", "")
-	b := chainLeads(t, -1, 0, "", "")
+// TestEqualBlocksShareFamily: distinct Leads values with bitwise-equal
+// blocks are one contact and share one family; the two sides never collide.
+func TestEqualBlocksShareFamily(t *testing.T) {
+	a := chainLeads(t, -1, 0)
+	b := chainLeads(t, -1, 0)
 	c := NewSelfEnergyCache()
 	z := complex(0.6, 1e-6)
 	aL, aR, err := c.SelfEnergies(a, z)
@@ -240,8 +261,8 @@ func TestFingerprintFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if aL != bL || aR != bR {
-		t.Fatal("bitwise-identical leads did not share fingerprint families")
+	if aL != bL || aR != bR || len(c.families.blocks) != 1 {
+		t.Fatalf("bitwise-identical leads did not share a family (%d registered)", len(c.families.blocks))
 	}
 	// For this symmetric chain Σ_L = Σ_R numerically, but the sides must
 	// still be distinct matrices (projection formulas differ in general).
@@ -253,12 +274,186 @@ func TestFingerprintFallback(t *testing.T) {
 	}
 }
 
+// TestManyLeadsOneFamily (run it under -race): N goroutines each bring
+// their own Leads value of equal blocks to one cache, over a few energies.
+// Resolution is by blocks under one lock, so exactly one family registers
+// and each energy is decimated once — no per-value identity to thrash.
+func TestManyLeadsOneFamily(t *testing.T) {
+	const workers = 16
+	energies := []float64{-0.5, 0.1, 0.8}
+	all := make([]*Leads, workers)
+	for i := range all {
+		all[i] = chainLeads(t, -1, 0)
+	}
+	c := NewSelfEnergyCache()
+	got := make([][]*linalg.Matrix, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range all {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			for _, e := range energies {
+				sL, sR, err := c.SelfEnergies(all[i], complex(e, 1e-6))
+				if err != nil {
+					errs[i] = err
+					return
+				}
+				got[i] = append(got[i], sL, sR)
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range all {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		for j, m := range got[i] {
+			if m != got[0][j] {
+				t.Fatalf("goroutine %d, matrix %d: not the shared record", i, j)
+			}
+		}
+	}
+	if n := len(c.families.blocks); n != 1 {
+		t.Fatalf("%d block families registered, want 1", n)
+	}
+	if st := c.Stats(); st.Decimations != int64(len(energies)) || c.Len() != len(energies) {
+		t.Fatalf("stats %+v, %d records; want one kernel run per energy (%d)", st, c.Len(), len(energies))
+	}
+}
+
+// TestRegistrationOrderIndependence: which lead a cache sees first decides
+// whose blocks become the canon, and must decide nothing else. A and its
+// shifted twin B have bitwise-equal shift-removed blocks (the shift is
+// dyadic on a zero onsite), so A-then-B and B-then-A serve the same bits.
+func TestRegistrationOrderIndependence(t *testing.T) {
+	const v = 0.25
+	z := complex(0.5, 1e-6)
+	run := func(order [2]int) (out [4]*linalg.Matrix) {
+		c := NewSelfEnergyCache()
+		asks := [2]struct {
+			leads *Leads
+			z     complex128
+		}{{chainLeads(t, -1, 0), z}, {chainLeads(t, -1, v), z + v + 0.5}} // two records of one family
+		for _, i := range order {
+			var err error
+			if out[2*i], out[2*i+1], err = c.SelfEnergies(asks[i].leads, asks[i].z); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if n := len(c.families.blocks); n != 1 {
+			t.Fatalf("%d block families registered, want 1", n)
+		}
+		return out
+	}
+	ab, ba := run([2]int{0, 1}), run([2]int{1, 0})
+	for i := range ab {
+		if !sameBits(ab[i], ba[i]) {
+			t.Errorf("Σ %d differs between A-then-B and B-then-A by %g", i, maxAbsDiffT(t, ab[i], ba[i]))
+		}
+	}
+}
+
+// TestLeadsMemoInvalidation: a Leads value remembers its last resolution
+// only for the blocks and shifts it showed. Swapping a block pointer or a
+// shift resolves again, to what a fresh value of the same fields gets.
+func TestLeadsMemoInvalidation(t *testing.T) {
+	z := complex(0.3, 1e-6)
+	fresh := func(l *Leads) (*linalg.Matrix, *linalg.Matrix) {
+		t.Helper()
+		twin := &Leads{L00: l.L00, L01: l.L01, R00: l.R00, R01: l.R01, ShiftL: l.ShiftL, ShiftR: l.ShiftR}
+		sL, sR, err := twin.SelfEnergies(z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sL, sR
+	}
+	l := chainLeads(t, -1, 0)
+	c := NewSelfEnergyCache()
+	step := func(how string, families int) {
+		t.Helper()
+		for pass := 0; pass < 2; pass++ { // resolved, then from the memo
+			gotL, gotR, err := c.SelfEnergies(l, z)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantL, wantR := fresh(l)
+			if !sameBits(gotL, wantL) || !sameBits(gotR, wantR) {
+				t.Fatalf("%s, pass %d: Σ is not that of the fields as they stand", how, pass)
+			}
+		}
+		if n := len(c.families.blocks); n != families {
+			t.Fatalf("%s: %d block families registered, want %d", how, n, families)
+		}
+	}
+	step("as built", 1)
+
+	// A stiffer right coupling is another contact.
+	l.R01 = l.R01.Scale(1.25)
+	step("R01 swapped", 2)
+
+	// A right contact lifted by 0.25 eV, declared: the first family again,
+	// asked at z − 0.25.
+	l.R01 = l.L01
+	l.R00 = l.R00.Clone()
+	for i := 0; i < l.R00.Rows; i++ {
+		l.R00.Data[i*l.R00.Rows+i] += 0.25
+	}
+	l.ShiftR = 0.25
+	step("R00 lifted, shift declared", 2)
+
+	// The declaration withdrawn while the blocks stay lifted: the lift is
+	// now part of the contact, a third canon.
+	l.ShiftR = 0
+	step("shift withdrawn", 3)
+}
+
+// TestNonFiniteLeadRefused: a NaN or ±Inf anywhere in a contact's blocks is
+// refused by name before anything registers, on the cached and the
+// uncached path, first visit and every visit after.
+func TestNonFiniteLeadRefused(t *testing.T) {
+	z := complex(0.3, 1e-6)
+	for _, block := range []string{"L00", "L01", "R00", "R01"} {
+		for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			l := chainLeads(t, -1, 0)
+			field := map[string]**linalg.Matrix{"L00": &l.L00, "L01": &l.L01, "R00": &l.R00, "R01": &l.R01}[block]
+			*field = (*field).Clone()
+			(*field).Data[0] = complex(real((*field).Data[0]), bad)
+			wantSide := map[byte]string{'L': "left", 'R': "right"}[block[0]]
+			c := NewSelfEnergyCache()
+			for visit := 0; visit < 2; visit++ {
+				for how, call := range map[string]func() error{
+					"cached":   func() error { _, _, err := c.SelfEnergies(l, z); return err },
+					"uncached": func() error { _, _, err := l.SelfEnergies(z); return err },
+				} {
+					err := call()
+					if err == nil || !strings.Contains(err.Error(), wantSide+" lead") || !strings.Contains(err.Error(), "non-finite") {
+						t.Errorf("%v in %s, %s visit %d: err = %v, want a non-finite %s lead refused", bad, block, how, visit, err, wantSide)
+					}
+				}
+			}
+			if n := len(c.families.blocks) + len(l.own.blocks); n != 0 {
+				t.Errorf("%v in %s: %d families registered by a refused lead", bad, block, n)
+			}
+		}
+	}
+	// A non-finite declared shift would poison the canon the same way.
+	l := chainLeads(t, -1, 0)
+	l.ShiftR = math.NaN()
+	if _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); err == nil || !strings.Contains(err.Error(), "right lead") {
+		t.Errorf("NaN ShiftR: err = %v, want the right lead refused", err)
+	}
+}
+
 // TestCacheReset pins the rejoin contract: Reset empties every shard (the
 // next lookup recomputes, bitwise identically) while families and event
 // counters survive, so post-reset traffic still verifies against the same
 // canonical contact blocks.
 func TestCacheReset(t *testing.T) {
-	leads := chainLeads(t, -1.0, 0, "chain/L", "chain/R")
+	leads := chainLeads(t, -1.0, 0)
 	c := NewSelfEnergyCache()
 	z := complex(0.4, 1e-6)
 	s1L, s1R, err := c.SelfEnergies(leads, z)

@@ -11,11 +11,11 @@ import (
 
 // familyTol bounds how far a lead's blocks may sit from a block family's
 // canon (after removing the declared shift) and still be the same contact:
-// within it a new lead adopts the canon, beyond it a lead claiming a
-// declared family is refused. Rounding from applying and removing a bias
-// shift is ~1e-16·|H| and the two ends of one assembled wire differ by
-// ~1e-14; anything near this tolerance means the caller's pinned-contact
-// assumption is broken.
+// within it a lead adopts the canon, beyond it the lead is another contact
+// with a canon of its own. Rounding from applying and removing a bias shift
+// is ~1e-16·|H| and the two ends of one assembled wire differ by ~1e-14;
+// anything near this tolerance means the caller's pinned-contact assumption
+// is broken.
 const familyTol = 1e-8
 
 // blockFamily is the canonical periodic lead every contact continuing the
@@ -102,83 +102,63 @@ func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.
 	return sig, nil
 }
 
-// leadFamily binds a declared (or fingerprinted) lead key to its side and
-// to the block family its first lead adopted.
-type leadFamily struct {
-	side   side
-	blocks *blockFamily
-	// The blocks last checked against the canon, so steady-state lookups
-	// skip the O(n²) compare.
-	verH00, verH01 *linalg.Matrix
-}
-
-// registry resolves leads to block families: lead families by key, block
-// families in registration order (the order adoption searches them in).
-// A SelfEnergyCache keeps one for every lead it is shown; a Leads value
-// keeps a private one for the uncached path. The zero value is ready.
+// registry resolves leads to block families, kept in registration order —
+// the order adoption searches them in. A SelfEnergyCache keeps one for
+// every lead it is shown; a Leads value keeps a private one for the
+// uncached path. The zero value is ready.
 type registry struct {
 	mu     sync.Mutex
-	fams   map[string]*leadFamily
 	blocks []*blockFamily
 }
 
-// resolve maps both contacts to their block families, registering on first
-// sight and verifying repeat visitors against the canon. The left lead
-// registers before the right under one lock hold, so when a device's two
-// contacts continue the same cell it is the left one's blocks that become
-// the canon — a fixed rule, not a race.
+// resolve maps both contacts to their block families from their blocks and
+// declared shifts alone. The Leads value remembers the answer, so only a
+// first visit — or a swapped block or shift — reaches the registry. There
+// the left lead registers before the right under one lock hold, so when a
+// device's two contacts continue the same cell it is the left one's blocks
+// that become the canon — a fixed rule, not a race.
 func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.fams == nil {
-		r.fams = make(map[string]*leadFamily)
-	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
 	specs := [2]leadSpec{l.spec(left), l.spec(right)}
-	for _, s := range [2]side{left, right} {
-		if fams[s], err = r.family(l.key(s), specs[s], specs[1-s]); err != nil {
-			return fams, err
+	if l.seenBy == r && l.seen == specs {
+		return l.fams, nil
+	}
+	// Both contacts are vetted before either registers. A NaN matches no
+	// family, its own included: every visit would register one more canon.
+	for _, spec := range specs {
+		if n := spec.h00.Rows; spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
+			return fams, fmt.Errorf("negf: %s lead blocks must be square and same-sized", sideNames[spec.side])
+		}
+		if !finite(spec.shift) || !finite(maxAbs(spec.h00)) || !finite(maxAbs(spec.h01)) {
+			return fams, fmt.Errorf("negf: %s lead has non-finite blocks or shift", sideNames[spec.side])
 		}
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for _, s := range [2]side{left, right} {
+		fams[s] = r.family(specs[s], specs[1-s])
+	}
+	l.seenBy, l.seen, l.fams = r, specs, fams
 	return fams, nil
 }
 
-// family returns the block family of a lead key: on first sight the first
-// registered one that has the lead's side and matches its shift-removed
-// blocks within familyTol — or, when none does, a new one with those
-// blocks as canon, mirrored if mate, the device's other contact, matches
-// them too — and after that the same one, provided the lead still matches
-// it. The last-verified block pointers short-circuit the steady-state case
-// where a solver presents the same Leads value every energy. Caller holds
-// r.mu.
-func (r *registry) family(key string, spec, mate leadSpec) (*blockFamily, error) {
-	if n := spec.h00.Rows; spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
-		return nil, fmt.Errorf("negf: %s lead blocks must be square and same-sized", sideNames[spec.side])
-	}
-	fam := r.fams[key]
-	if fam == nil {
-		fam = &leadFamily{side: spec.side}
-		for _, b := range r.blocks {
-			if b.sides.has(spec.side) && b.drift(spec) <= familyTol {
-				fam.blocks = b
-				break
-			}
-		}
-		if fam.blocks == nil {
-			fam.blocks = newBlockFamily(len(r.blocks), spec)
-			if fam.blocks.drift(mate) <= familyTol {
-				fam.blocks.sides = bothSides
-			}
-			r.blocks = append(r.blocks, fam.blocks)
-		}
-		r.fams[key] = fam
-	} else if spec.h00 != fam.verH00 || spec.h01 != fam.verH01 {
-		if spec.side != fam.side {
-			return nil, fmt.Errorf("negf: cache: lead family %q used for both sides", key)
-		}
-		if d := fam.blocks.drift(spec); !(d <= familyTol) { // NaN blocks are refused too
-			return nil, fmt.Errorf("negf: cache: lead family %q differs from canon+shift by %g (pinned-contact assumption broken)", key, d)
+// family returns a lead's block family: the first registered one that has
+// the lead's side and matches its shift-removed blocks within familyTol —
+// or, when none does, a new one with those blocks as canon, mirrored if
+// mate, the device's other contact, matches them too. A wrongly declared
+// shift needs no guard: removed from h00 here and from z in selfEnergies,
+// it cancels, and the lead merely has a family of its own. Caller holds r.mu.
+func (r *registry) family(spec, mate leadSpec) *blockFamily {
+	for _, b := range r.blocks {
+		if b.sides.has(spec.side) && b.drift(spec) <= familyTol {
+			return b
 		}
 	}
-	fam.verH00, fam.verH01 = spec.h00, spec.h01
-	return fam.blocks, nil
+	b := newBlockFamily(len(r.blocks), spec)
+	if b.drift(mate) <= familyTol {
+		b.sides = bothSides
+	}
+	r.blocks = append(r.blocks, b)
+	return b
 }

@@ -9,10 +9,8 @@
 package negf
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/cmplx"
 	"sync"
@@ -145,19 +143,13 @@ func decimate(h00, h01, h10 *linalg.Matrix, z complex128, want sideSet) (surf [2
 // Leads bundles the two semi-infinite contacts of a device. L01 and R01
 // are oriented along +x: L01 couples a left-lead layer to the next layer
 // toward the device; R01 couples a right-lead layer to the next layer away
-// from the device.
+// from the device. A contact's only identity is the block family its
+// blocks match once the declared shift is removed (family.go): two Leads
+// values share self-energies exactly when their blocks say they may.
 type Leads struct {
 	L00, L01 *linalg.Matrix
 	R00, R01 *linalg.Matrix
 
-	// KeyL and KeyR name each lead's family for the sweep-scale
-	// SelfEnergyCache: two Leads values declaring the same key and
-	// side-specific shift below are asserting their blocks describe the
-	// same physical contact, so their self-energies may be shared. Empty
-	// keys fall back to a fingerprint of the raw block bits, which still
-	// coalesces bitwise-identical leads (e.g. all SCF iterations of one
-	// bias point) but cannot see across a bias shift.
-	KeyL, KeyR string
 	// ShiftL and ShiftR declare the rigid diagonal potential-energy shift
 	// (eV) of each contact relative to its family's canonical band
 	// structure — qV of the pinned flat-band contact. A shifted lead
@@ -165,30 +157,17 @@ type Leads struct {
 	// every bias point of an I-V surface.
 	ShiftL, ShiftR float64
 
-	fpOnce   sync.Once
-	fpL, fpR string
+	// mu guards the memo of the last resolution — the registry that asked,
+	// the blocks and shifts it was shown, the families they resolved to —
+	// so a solver presenting the same value every energy pays a pointer
+	// compare, not an O(n²) block compare.
+	mu     sync.Mutex
+	seenBy *registry
+	seen   [2]leadSpec
+	fams   [2]*blockFamily
 	// own is the registry of the uncached path: this value's canon, never
 	// shared with another Leads.
 	own registry
-}
-
-// LeadMeta carries the cache-identity declarations of a device's two
-// contacts — family keys and bias shifts — from the driver that knows the
-// electrostatics (core.FET) down to the solvers that build Leads from the
-// assembled Hamiltonian.
-type LeadMeta struct {
-	KeyL, KeyR     string
-	ShiftL, ShiftR float64
-}
-
-// ApplyMeta installs the declarations onto the leads. Call before the
-// first solve (the fingerprint fallback is memoized on first use).
-func (l *Leads) ApplyMeta(m *LeadMeta) {
-	if m == nil {
-		return
-	}
-	l.KeyL, l.KeyR = m.KeyL, m.KeyR
-	l.ShiftL, l.ShiftR = m.ShiftL, m.ShiftR
 }
 
 // LeadsFromDevice derives flat-band contacts from the end layers of a
@@ -292,49 +271,4 @@ func (l *Leads) spec(s side) leadSpec {
 		return leadSpec{side: left, shift: l.ShiftL, h00: l.L00, h01: l.L01}
 	}
 	return leadSpec{side: right, shift: l.ShiftR, h00: l.R00, h01: l.R01}
-}
-
-// key resolves a contact's family key, falling back to the memoized
-// raw-bits fingerprint when the caller declared none.
-func (l *Leads) key(s side) string {
-	key, fp := l.KeyL, &l.fpL
-	if s == right {
-		key, fp = l.KeyR, &l.fpR
-	}
-	if key == "" {
-		l.fingerprints()
-		key = *fp
-	}
-	return key
-}
-
-// fingerprints memoizes the fallback family keys: an FNV-1a hash over the
-// side tag, block dimensions, declared shift, and the raw bits of both
-// blocks. Bitwise-identical leads (the common pinned-contact case) land in
-// the same family without any declaration.
-func (l *Leads) fingerprints() {
-	l.fpOnce.Do(func() {
-		l.fpL = fingerprintLead('L', l.ShiftL, l.L00, l.L01)
-		l.fpR = fingerprintLead('R', l.ShiftR, l.R00, l.R01)
-	})
-}
-
-func fingerprintLead(side byte, shift float64, h00, h01 *linalg.Matrix) string {
-	h := fnv.New64a()
-	var b [8]byte
-	b[0] = side
-	h.Write(b[:1])
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(shift))
-	h.Write(b[:])
-	for _, m := range []*linalg.Matrix{h00, h01} {
-		binary.LittleEndian.PutUint64(b[:], uint64(m.Rows)<<32|uint64(m.Cols))
-		h.Write(b[:])
-		for _, v := range m.Data {
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(real(v)))
-			h.Write(b[:])
-			binary.LittleEndian.PutUint64(b[:], math.Float64bits(imag(v)))
-			h.Write(b[:])
-		}
-	}
-	return fmt.Sprintf("fp:%016x", h.Sum64())
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/negf"
 	"repro/internal/resilience"
+	"repro/internal/sched"
 )
 
 func TestCheckFiniteNamesQuantityAndEnergy(t *testing.T) {
@@ -56,7 +57,7 @@ func TestNonFiniteErrorIsPermanent(t *testing.T) {
 
 func TestTransmissionAtMatchesSpectrum(t *testing.T) {
 	h := chainH(t, 6, 0, -1, nil)
-	eng, err := NewEngine(h, Config{Workers: 1})
+	eng, err := NewEngine(h, Config{Pool: sched.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -99,23 +99,20 @@ type Config struct {
 	// Domains selects SplitSolve spatial decomposition for the WF
 	// formalism (≤ 1 means the serial block-Thomas solve).
 	Domains int
-	// Workers bounds the engine's total concurrency across the energy and
-	// spatial-domain levels combined (0: GOMAXPROCS). Ignored when Pool is
-	// set.
-	Workers int
-	// Pool optionally shares a worker budget with other engines (e.g. all
-	// bias points of an I-V sweep drawing from one machine-wide pool). Nil
-	// creates a private pool of Workers size.
+	// Pool bounds the engine's total concurrency across the energy and
+	// spatial-domain levels combined, shared with whatever other engines
+	// hold it (e.g. all bias points of an I-V sweep). Nil: a private
+	// GOMAXPROCS-sized pool.
 	Pool *sched.Pool
 	// Cache optionally shares memoized contact self-energies across
-	// engines — within a self-consistent loop, and (with LeadMeta
-	// declaring the bias shifts) across every bias point of a sweep.
+	// engines: contacts whose blocks match once the shifts below are
+	// removed share records, within an SCF loop and across bias points.
 	Cache *negf.SelfEnergyCache
-	// LeadMeta optionally declares the contacts' cache identity (family
-	// keys and rigid bias shifts) so Cache can key self-energies
-	// shift-invariantly. Nil leaves the fingerprint fallback, which only
-	// coalesces bitwise-identical leads.
-	LeadMeta *negf.LeadMeta
+	// ShiftL and ShiftR declare each pinned flat-band contact's rigid
+	// potential-energy shift (eV) from its zero-bias band structure; they
+	// become negf.Leads.ShiftL/ShiftR. Undeclared (0) is always correct —
+	// a biased contact then just has records of its own.
+	ShiftL, ShiftR float64
 }
 
 func (c Config) withDefaults() Config {
@@ -142,7 +139,7 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	pool := cfg.Pool
 	if pool == nil {
-		pool = sched.New(cfg.Workers)
+		pool = sched.New(0)
 	}
 	var solver pointSolver
 	switch cfg.Formalism {
@@ -157,7 +154,7 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 			wf.SolveStrategy = splitsolve.Strategy(cfg.Domains, pool)
 		}
 		wf.Cache = cfg.Cache
-		wf.Leads.ApplyMeta(cfg.LeadMeta)
+		wf.Leads.ShiftL, wf.Leads.ShiftR = cfg.ShiftL, cfg.ShiftR
 		solver = wf
 	case NEGFRGF:
 		gf, err := negf.NewSolver(h, cfg.Eta)
@@ -165,7 +162,7 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		gf.Cache = cfg.Cache
-		gf.Leads.ApplyMeta(cfg.LeadMeta)
+		gf.Leads.ShiftL, gf.Leads.ShiftR = cfg.ShiftL, cfg.ShiftR
 		solver = gf
 	default:
 		return nil, fmt.Errorf("transport: unknown formalism %d", cfg.Formalism)

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/tb"
 	"repro/internal/units"
@@ -55,11 +56,11 @@ func TestEngineFormalismsAgree(t *testing.T) {
 func TestSpectrumDeterministicUnderParallelism(t *testing.T) {
 	h := chainH(t, 8, 0, -1, []float64{0, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0})
 	grid := UniformGrid(-1.8, 1.8, 33)
-	e1, err := NewEngine(h, Config{Workers: 1})
+	e1, err := NewEngine(h, Config{Pool: sched.New(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	e8, err := NewEngine(h, Config{Workers: 8})
+	e8, err := NewEngine(h, Config{Pool: sched.New(8)})
 	if err != nil {
 		t.Fatal(err)
 	}
