@@ -43,6 +43,9 @@ spec-golden:
 test:
 	$(GO) test ./...
 
+# Under the race detector the whole suite runs in full — negf's adversarial
+# energies (every interior level of every T1 family; -short trims the grid)
+# and a concurrent first visit to one block family among them.
 race:
 	$(GO) test -race ./...
 

@@ -97,7 +97,7 @@ func (s *Solver) Solve(e, fL, fR float64) (*Result, error) {
 	nl := s.H.Layers()
 
 	// Base open-system matrix without the scattering self-energy.
-	base := sparse.ShiftedFromHermitianWS(s.H, z, ws)
+	base := sparse.NewShiftedSystem(s.H).At(z, ws)
 	base.AddScaledToDiagBlock(0, sigL, -1)
 	base.AddScaledToDiagBlock(nl-1, sigR, -1)
 	baseDense := ws.Get(n, n)

@@ -508,75 +508,51 @@ func suiteLeads(t *testing.T) map[string]*Leads {
 	return out
 }
 
-// parentSigma is the miss path this package had before the paired kernel,
-// kept verbatim as the reference of the stop rule: one recursion per side,
-// convergence judged on the squared couplings after the update, and
-// Σ = hInto·g·hInto† with the adjoint read in place. hInto is the coupling
-// one layer deeper into the lead (L01† on the left, R01 on the right).
-func parentSigma(h00, hInto *linalg.Matrix, z complex128) (*linalg.Matrix, error) {
-	n := h00.Rows
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	epsS := ws.Get(n, n)
-	epsS.CopyFrom(h00)
-	eps := ws.Get(n, n)
-	eps.CopyFrom(h00)
-	alpha := ws.Get(n, n)
-	alpha.CopyFrom(hInto)
-	beta := ws.Get(n, n)
-	linalg.ConjTransposeInto(beta, hInto)
-	tmp := ws.Get(n, n)
-	g := ws.Get(n, n)
-	agb := ws.Get(n, n)
-	bga := ws.Get(n, n)
-	alphaNew := ws.Get(n, n)
-	betaNew := ws.Get(n, n)
-	for iter := 0; iter < surfaceMaxIter; iter++ {
-		linalg.ShiftedNegInto(tmp, eps, z)
-		if err := linalg.InverseInto(g, tmp, ws); err != nil {
-			return nil, err
-		}
-		linalg.Mul3Into(agb, alpha, linalg.NoTrans, g, linalg.NoTrans, beta, linalg.NoTrans, ws)
-		linalg.Mul3Into(bga, beta, linalg.NoTrans, g, linalg.NoTrans, alpha, linalg.NoTrans, ws)
-		epsS.AddInPlace(agb)
-		eps.AddInPlace(agb)
-		eps.AddInPlace(bga)
-		linalg.Mul3Into(alphaNew, alpha, linalg.NoTrans, g, linalg.NoTrans, alpha, linalg.NoTrans, ws)
-		linalg.Mul3Into(betaNew, beta, linalg.NoTrans, g, linalg.NoTrans, beta, linalg.NoTrans, ws)
-		alpha, alphaNew = alphaNew, alpha
-		beta, betaNew = betaNew, beta
-		// The parent's MaxAbs skipped NaN, so its test passed on an all-NaN
-		// block; this copy runs on the propagating MaxAbs and must say so.
-		a, b := alpha.MaxAbs(), beta.MaxAbs()
-		if a != a || b != b {
-			return nil, ErrNoConvergence
-		}
-		if a < surfaceTol && b < surfaceTol {
-			linalg.ShiftedNegInto(tmp, epsS, z)
-			if err := linalg.InverseInto(g, tmp, ws); err != nil {
-				return nil, err
-			}
-			sigma := linalg.New(n, n)
-			linalg.Mul3Into(sigma, hInto, linalg.NoTrans, g, linalg.NoTrans, hInto, linalg.ConjTrans, ws)
-			return sigma, nil
-		}
-	}
-	return nil, ErrNoConvergence
+// denseTwin is fam running every energy on its empty-interior partition: the
+// dense Sancho-Rubio recursion, the reference the support-space kernel is
+// held to. Same kernel, so it moves with it — it is a twin, not a fossil.
+func denseTwin(fam *blockFamily) *blockFamily {
+	d := *fam
+	d.part = d.dense
+	return &d
 }
 
-// TestUpdateStopTracksParentStop holds the kernel's stop rule — both
-// ε-updates below surfaceTol — to the parent's rule on the squared
-// couplings: over every T1 device family and 200 energies each (a uniform
-// sweep through bands and gaps plus the k = 0 and k = π band edges of the
-// lead itself) the two self-energies never differ by more than 1e-10, and
-// the kernel solves every energy the parent solved. Each side runs on its
-// own blocks, as the parent did — at a band edge Σ amplifies the 1e-15
-// between a wire's two ends by up to 1e8, which is the canon's doing, not
-// the stop rule's. The two families with blocks beyond 40 orbitals get
-// 200·(40/n)³ energies, the same second and a half as the others.
-func TestUpdateStopTracksParentStop(t *testing.T) {
+// dysonResidual is how far sigma sits from satisfying its own defining
+// equation, ‖Σ − h·(z − h00 − Σ)⁻¹·h†‖ in the max-abs norm, with h the
+// coupling from the device's end layer into the lead — a check that reads
+// nothing of how Σ was computed.
+func dysonResidual(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.Matrix, s side) float64 {
+	t.Helper()
+	n := fam.h00.Rows
+	open := linalg.New(n, n)
+	linalg.ShiftedNegInto(open, fam.h00, z)
+	open.AddScaled(sigma, -1)
+	f, err := linalg.Factor(open)
+	if err != nil {
+		t.Fatalf("z − h00 − Σ at z=%v: %v", z, err)
+	}
+	h, hd := fam.h01, fam.h01.ConjTranspose()
+	if s == left {
+		h, hd = hd, h
+	}
+	gh := linalg.New(n, n)
+	f.SolveInto(gh, hd)
+	return maxAbsDiffT(t, h.Mul(gh), sigma)
+}
+
+// TestDysonResidual holds the kernel to the equation it solves rather than
+// to an earlier version of itself: over every T1 device family and 200
+// energies each — a uniform sweep through bands and gaps plus the k = 0 and
+// k = π band edges of the lead itself — both self-energies satisfy
+// Σ = h·(z − h00 − Σ)⁻¹·h† to 1e-9·max(1, ‖Σ‖). At a band edge, and at the
+// few sweep energies that fall within a meV of one, Σ is a square-root
+// singularity and no recursion stopped at surfaceTol does better than ~1e-4
+// there; those energies must instead score no worse than 4× the residual of
+// the empty-interior partition at the same energy. The two families with
+// blocks beyond 40 orbitals get 200·(40/n)³ energies, the same second as
+// the others.
+func TestDysonResidual(t *testing.T) {
 	const eta = 1e-6
-	var worst float64
 	for name, leads := range suiteLeads(t) {
 		n := leads.R00.Rows
 		budget := 200
@@ -605,33 +581,35 @@ func TestUpdateStopTracksParentStop(t *testing.T) {
 				}
 			}
 		}
-		l10 := leads.L01.ConjTranspose()
-		own := [2]*blockFamily{newBlockFamily(0, leads.spec(left)), newBlockFamily(1, leads.spec(right))}
-		var devWorst float64
-		var solved int
+		fam := newBlockFamily(0, leads.spec(left))
+		dense := denseTwin(fam)
+		var worst, worstHard float64
+		var hard int
 		for _, e := range energies {
 			z := complex(e, eta)
-			wantL, errL := parentSigma(leads.L00, l10, z)
-			wantR, errR := parentSigma(leads.R00, leads.R01, z)
-			gotL, gotErrL := own[left].selfEnergies(z, 1<<left)
-			gotR, gotErrR := own[right].selfEnergies(z, 1<<right)
-			if errL != nil || errR != nil {
-				continue
+			got, err := fam.selfEnergies(z, bothSides)
+			if err != nil {
+				t.Fatalf("%s E=%.15g: %v", name, e, err)
 			}
-			if gotErrL != nil || gotErrR != nil {
-				t.Fatalf("%s E=%.15g: parent solved, kernel: %v, %v", name, e, gotErrL, gotErrR)
+			for _, s := range [2]side{left, right} {
+				res := dysonResidual(t, fam, z, got[s], s)
+				if res <= 1e-9*math.Max(1, maxAbs(got[s])) {
+					worst = math.Max(worst, res)
+					continue
+				}
+				want, err := dense.selfEnergies(z, 1<<s)
+				if err != nil {
+					t.Fatalf("%s E=%.15g, empty interior: %v", name, e, err)
+				}
+				hard++
+				worstHard = math.Max(worstHard, res)
+				if ref := dysonResidual(t, fam, z, want[s], s); res > 4*ref {
+					t.Errorf("%s E=%.15g %s: Dyson residual %.3g, the empty-interior partition scores %.3g", name, e, sideNames[s], res, ref)
+				}
 			}
-			solved++
-			devWorst = math.Max(devWorst, math.Max(maxAbsDiffT(t, gotL[left], wantL), maxAbsDiffT(t, gotR[right], wantR)))
 		}
-		t.Logf("%-14s n=%-3d %d of %d energies solved by both: max |ΔΣ| = %.3g", name, n, solved, len(energies), devWorst)
-		if solved < len(energies)/2 {
-			t.Fatalf("%s: only %d of %d energies solved by the parent rule; the comparison is vacuous", name, solved, len(energies))
-		}
-		worst = math.Max(worst, devWorst)
-	}
-	if worst > 1e-10 {
-		t.Fatalf("update-based stop lands %g from the parent's stop, want ≤ 1e-10", worst)
+		t.Logf("%-14s n=%-3d s=%-3d %d energies: max residual %.3g; %d ill-conditioned (edge) self-energies, max %.3g",
+			name, n, fam.part.hSS.Rows, len(energies), worst, hard, worstHard)
 	}
 }
 

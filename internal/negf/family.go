@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
+	"repro/internal/sparse"
 )
 
 // familyTol bounds how far a lead's blocks may sit from a block family's
@@ -20,15 +21,24 @@ const familyTol = 1e-8
 
 // blockFamily is the canonical periodic lead every contact continuing the
 // same cell shares: the principal-layer block with the registering lead's
-// shift removed, the coupling h01 to the next layer along +x, and its
-// adjoint h10 materialised once so both products of a projection run the
-// vector NoTrans·NoTrans kernel. Computing from the canon — never from the
-// requesting caller's own blocks — makes a self-energy a pure function of
-// (block family, shifted energy), independent of which side, bias point or
-// distributed worker asked first.
+// shift removed and the coupling h01 to the next layer along +x. Computing
+// from the canon — never from the requesting caller's own blocks — makes a
+// self-energy a pure function of (block family, shifted energy),
+// independent of which side, bias point or distributed worker asked first.
+//
+// Everything the kernel needs of the canon is laid out here, once, under the
+// registry's lock: the coupling's row and column supports R and C, the
+// block a = h01[R,C] with its adjoint materialised so both products of a
+// projection run the vector NoTrans·NoTrans kernel, and the two partitions
+// of h00 an energy can run on — part, with S = R ∪ C and the interior
+// eliminated, and dense, with no interior (the same when S is everything).
 type blockFamily struct {
-	id            int
-	h00, h01, h10 *linalg.Matrix
+	id         int
+	h00, h01   *linalg.Matrix
+	rows, cols []int
+	a, ad      linalg.Matrix
+	part       partition
+	dense      partition
 	// sides is fixed at registration: both when the registering device's
 	// two contacts continue this cell (a mirrored family — one kernel run
 	// serves both surfaces), else the registering lead's side alone.
@@ -39,14 +49,57 @@ func newBlockFamily(id int, spec leadSpec) *blockFamily {
 	b := &blockFamily{id: id, sides: 1 << spec.side, h00: spec.h00.Clone(), h01: spec.h01.Clone()}
 	// Remove the registering lead's shift from the diagonal: the canon is
 	// the zero-bias contact the whole family shares.
+	n := b.h00.Rows
 	if sh := complex(spec.shift, 0); sh != 0 {
-		n := b.h00.Rows
 		for i := 0; i < n; i++ {
 			b.h00.Data[i*n+i] -= sh
 		}
 	}
-	b.h10 = linalg.New(spec.h01.Cols, spec.h01.Rows)
-	linalg.ConjTransposeInto(b.h10, spec.h01)
+	b.rows, b.cols = sparse.RowSupport(b.h01), sparse.ColumnSupport(b.h01)
+	r, c := len(b.rows), len(b.cols)
+	// Registration is part of a cache's first miss, so the layout lives in
+	// two slabs, one of indices and one of entries. order lists the orbitals
+	// S first, then I, each ascending; rank[i] is where orbital i sits in it.
+	idx := make([]int, 2*n+r+c)
+	order, rank, posR, posC := idx[:n], idx[n:2*n], idx[2*n:2*n+r], idx[2*n+r:]
+	s := 0
+	for _, touched := range [2][]int{b.rows, b.cols} {
+		for _, i := range touched {
+			if rank[i] == 0 {
+				rank[i], s = -1, s+1
+			}
+		}
+	}
+	next := [2]int{0, s} // the next slot of S, of I
+	for i := range rank {
+		k := 1 + rank[i] // 0 for an orbital of S
+		order[next[k]], rank[i] = i, next[k]
+		next[k]++
+	}
+	for i, o := range b.rows {
+		posR[i] = rank[o]
+	}
+	for j, o := range b.cols {
+		posC[j] = rank[o]
+	}
+	sup, in := order[:s], order[s:]
+	slab := make([]complex128, 2*r*c+n*n)
+	block := func(src *linalg.Matrix, rows, cols []int) linalg.Matrix {
+		m := linalg.Matrix{Rows: len(rows), Cols: len(cols), Data: slab[:len(rows)*len(cols)]}
+		slab = slab[len(m.Data):]
+		sparse.Gather(&m, src, rows, cols)
+		return m
+	}
+	b.a = block(b.h01, b.rows, b.cols)
+	b.ad = linalg.Matrix{Rows: c, Cols: r, Data: slab[:r*c]}
+	slab = slab[r*c:]
+	linalg.ConjTransposeInto(&b.ad, &b.a)
+	b.part = partition{
+		posR: posR, posC: posC,
+		hSS: block(b.h00, sup, sup), hSI: block(b.h00, sup, in),
+		hIS: block(b.h00, in, sup), hII: block(b.h00, in, in),
+	}
+	b.dense = partition{posR: b.rows, posC: b.cols, hSS: *b.h00}
 	return b
 }
 
@@ -74,30 +127,33 @@ func (b *blockFamily) drift(spec leadSpec) float64 {
 
 // selfEnergies runs the kernel at the canonical energy zc and projects the
 // surfaces asked for, Σ = h·g·h† with h the coupling from the device's end
-// layer into the lead (h01 on the right, h10 on the left): the one place a
-// self-energy is made, a cache's miss and the uncached path alike.
+// layer into the lead: Σ_R = a·g_R[C,C]·a† lands on R×R, Σ_L = a†·g_L[R,R]·a
+// on C×C, each scattered into an n×n block that is zero elsewhere. The one
+// place a self-energy is made, a cache's miss and the uncached path alike.
 func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.Matrix, err error) {
 	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
 	// dominates per-energy cost when the cache misses, and the phase
 	// breakdown of the paper's Table is reconstructed from this timer.
 	defer perf.StartPhase("self-energy")()
-	g, err := decimate(b.h00, b.h01, b.h10, zc, want)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	g, err := b.decimate(zc, want, ws)
 	if err != nil {
 		return sig, err
 	}
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
 	for s, gs := range g {
 		if gs == nil {
 			continue
 		}
-		in, out := b.h01, b.h10
+		in, out, on := &b.a, &b.ad, b.rows
 		if side(s) == left {
-			in, out = b.h10, b.h01
+			in, out, on = &b.ad, &b.a, b.cols
 		}
+		block := ws.Get(len(on), len(on))
+		linalg.Mul3Into(block, in, linalg.NoTrans, gs, linalg.NoTrans, out, linalg.NoTrans, ws)
 		// The self-energy escapes (and may be cached): fresh storage.
-		sig[s] = linalg.New(gs.Rows, gs.Rows)
-		linalg.Mul3Into(sig[s], in, linalg.NoTrans, gs, linalg.NoTrans, out, linalg.NoTrans, ws)
+		sig[s] = linalg.New(b.h00.Rows, b.h00.Rows)
+		sparse.ScatterAdd(sig[s], block, on, on)
 	}
 	return sig, nil
 }

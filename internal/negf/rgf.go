@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
@@ -12,7 +13,8 @@ import (
 
 // Solver runs ballistic NEGF calculations on a fixed device Hamiltonian.
 type Solver struct {
-	// H is the Hermitian device Hamiltonian in block-tridiagonal layer form.
+	// H is the Hermitian device Hamiltonian in block-tridiagonal layer form,
+	// fixed once the first energy is solved.
 	H *sparse.BlockTridiag
 	// Leads are the semi-infinite contacts.
 	Leads *Leads
@@ -23,6 +25,10 @@ type Solver struct {
 	// (valid while the lead blocks stay fixed, e.g. within a
 	// self-consistent loop with pinned contacts).
 	Cache *SelfEnergyCache
+
+	// open is the z-independent part of z − H, built by the first solve.
+	openOnce sync.Once
+	open     *sparse.ShiftedSystem
 }
 
 // NewSolver builds a Solver with flat-band leads continued from the device
@@ -93,7 +99,8 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	// points never share buffers.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	a := sparse.ShiftedFromHermitianWS(s.H, z, ws)
+	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
+	a := s.open.At(z, ws)
 	nl := a.Layers()
 	a.AddScaledToDiagBlock(0, sigL, -1)
 	a.AddScaledToDiagBlock(nl-1, sigR, -1)

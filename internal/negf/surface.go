@@ -54,87 +54,161 @@ func (ss sideSet) has(s side) bool { return ss&(1<<s) != 0 }
 // and an overflowed element reads +Inf.
 func finite(norm float64) bool { return !math.IsNaN(norm) && !math.IsInf(norm, 0) }
 
-// decimate runs the Sancho-Rubio recursion of the periodic lead with
-// principal-layer block h00 and coupling h01 to the next layer along +x
-// (h10 its materialised adjoint) at complex energy z and returns the
-// retarded surface Green's functions asked for: surf[right] of the
-// half-chain extending to +x, surf[left] of the one extending to −x. Both
-// come out of one recursion: with α = h01, β = h10 every iteration forms
-// α·g·β and β·g·α for the bulk block anyway, and the two surface blocks
-// differ only in which of the pair they accumulate. Nothing before the
-// finish depends on want, so a side finished alone equals the same side
-// finished in a pair bit for bit.
+// interiorGuard is the smallest pivot ratio min|u_ii| / max|u_ii| of the
+// factored interior block z − h00[I,I] at which an energy still runs on the
+// interior-eliminated layer. Eliminating the interior divides by the
+// distance δ from Re z to an interior level: the effective layer carries a
+// pole of size 1/δ and an absolute error of ε/δ², so within ~√ε of a level
+// the support-space Σ loses the digits the dense recursion keeps. Below the
+// guard that energy runs with an empty interior instead — same kernel, and
+// the choice is a function of (block family, z) alone. The constant is set
+// by TestAdversarialEnergies, which parks Re z on every interior level.
+const interiorGuard = 1e-3
+
+// partition splits a lead's orbitals by what its coupling touches: S = R ∪ C,
+// the rows and columns of h01 that hold a nonzero, and the interior I the
+// coupling never reads. posR and posC are where R and C sit inside S, and
+// the h blocks are h00 gathered on the split (hSS is s×s). With an empty
+// interior the recursion below is the dense Sancho-Rubio recursion.
+type partition struct {
+	posR, posC         []int
+	hSS, hSI, hIS, hII linalg.Matrix
+}
+
+// effectiveLayer returns M(z) = (z − h00)_SS − h00_SI·(z − h00_II)⁻¹·h00_IS
+// as workspace scratch — the layer a recursion that only ever reads g[S,S]
+// sees, built once per energy — or nil when the interior factor is singular
+// or its pivot ratio is below interiorGuard.
+func (p *partition) effectiveLayer(z complex128, ws *linalg.Workspace) *linalg.Matrix {
+	s, ni := p.hSS.Rows, p.hII.Rows
+	m := ws.Get(s, s)
+	linalg.ShiftedNegInto(m, &p.hSS, z)
+	if ni == 0 {
+		return m
+	}
+	lu := ws.Get(ni, ni)
+	linalg.ShiftedNegInto(lu, &p.hII, z)
+	piv := ws.GetInts(ni)
+	defer ws.PutInts(piv)
+	fac, err := linalg.FactorInPlace(lu, piv)
+	if err != nil {
+		return nil
+	}
+	lo, hi := math.Inf(1), 0.0
+	for i := 0; i < ni; i++ {
+		u := cmplx.Abs(lu.Data[i*ni+i])
+		lo, hi = min(lo, u), max(hi, u)
+	}
+	if !(lo >= interiorGuard*hi) {
+		return nil
+	}
+	x := ws.Get(ni, s)
+	fac.SolveInto(x, &p.hIS)
+	linalg.GemmInto(m, -1, &p.hSI, linalg.NoTrans, x, linalg.NoTrans, 1)
+	ws.Put(x)
+	ws.Put(lu)
+	return m
+}
+
+// decimate runs the Sancho-Rubio recursion of the family's periodic lead at
+// complex energy z in the coupling's support space and returns, as ws
+// scratch, the blocks of the retarded surface Green's functions the
+// self-energies read: surf[right] = g_R[C,C] of the half-chain extending to
+// +x, surf[left] = g_L[R,R] of the one extending to −x.
+//
+// The couplings keep their shape under the recursion — α_i is nonzero only
+// on R×C, β_i on C×R — so every product needs only blocks of g[S,S], every
+// ε-update lives on S×S (the right surface's on R×R, the left's on C×C),
+// and g[S,S] = (M(z) − Δ)⁻¹ with M the effective layer and Δ the
+// accumulated update: an iteration is one s×s inverse plus r-sized
+// products. An energy whose interior factor fails the guard runs on the
+// family's empty-interior partition — the same loop with s = n.
+//
+// Both surfaces come out of one recursion: every iteration forms α·g·β and
+// β·g·α for the bulk block anyway, and the two surfaces differ only in which
+// of the pair they accumulate. Nothing before the finish depends on want, so
+// a side finished alone equals the same side finished in a pair bit for bit.
 //
 // Convergence is judged on what enters the result — both ε-updates below
 // surfaceTol — before α and β are squared. Judging the squared couplings
 // is unsafe: where β underflows to 0 while α overflows to +Inf, 0·Inf
 // turns every block NaN, and a NaN fails no "<" test cleanly. A non-finite
 // update or surface function is ErrNoConvergence at once.
-func decimate(h00, h01, h10 *linalg.Matrix, z complex128, want sideSet) (surf [2]*linalg.Matrix, err error) {
-	n := h00.Rows
+func (b *blockFamily) decimate(z complex128, want sideSet, ws *linalg.Workspace) (surf [2]*linalg.Matrix, err error) {
 	if imag(z) <= 0 {
 		return surf, fmt.Errorf("negf: surface GF needs Im(z) > 0, got %g", imag(z))
 	}
-	// The loop runs entirely on workspace scratch: every iteration reuses
-	// the same n×n buffers, so the ~tens of iterations per lead cost zero
-	// allocations.
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	eps, epsS := ws.Get(n, n), [2]*linalg.Matrix{ws.Get(n, n), ws.Get(n, n)}
-	for _, m := range []*linalg.Matrix{eps, epsS[left], epsS[right]} {
-		m.CopyFrom(h00)
+	p := &b.part
+	layer := p.effectiveLayer(z, ws)
+	if layer == nil {
+		p = &b.dense
+		layer = p.effectiveLayer(z, ws)
 	}
-	alpha := ws.Get(n, n)
-	alpha.CopyFrom(h01)
-	beta := ws.Get(n, n)
-	beta.CopyFrom(h10)
-	tmp, g := ws.Get(n, n), ws.Get(n, n)
-	ag, bg := ws.Get(n, n), ws.Get(n, n)
-	agb, bga := ws.Get(n, n), ws.Get(n, n)
-	alphaNew, betaNew := ws.Get(n, n), ws.Get(n, n)
+	s, r, c := p.hSS.Rows, len(b.rows), len(b.cols)
+	bulk := ws.Get(s, s) // z − ε on S
+	bulk.CopyFrom(layer)
+	// The surfaces' own sums of −α·g·β (right, on R×R) and −β·g·α (left, on
+	// C×C), and where each lands in S.
+	upd := [2]*linalg.Matrix{left: ws.Get(c, c), right: ws.Get(r, r)}
+	pos := [2][]int{left: p.posC, right: p.posR}
+	alpha, beta, alphaNew, betaNew := ws.Get(r, c), ws.Get(c, r), ws.Get(r, c), ws.Get(c, r)
+	alpha.CopyFrom(&b.a)
+	beta.CopyFrom(&b.ad)
+	g := ws.Get(s, s)
+	gCC, gCR, gRR, gRC := ws.Get(c, c), ws.Get(c, r), ws.Get(r, r), ws.Get(r, c)
+	agC, agR, bgR, bgC := ws.Get(r, c), ws.Get(r, r), ws.Get(c, r), ws.Get(c, c)
+	agb, bga := ws.Get(r, r), ws.Get(c, c) // −α·g·β and −β·g·α
 
 	for iter := 1; ; iter++ {
-		linalg.ShiftedNegInto(tmp, eps, z)
-		if err := linalg.InverseInto(g, tmp, ws); err != nil {
+		if err := linalg.InverseInto(g, bulk, ws); err != nil {
 			return surf, fmt.Errorf("negf: decimation inversion failed: %w", err)
 		}
-		// α·g and β·g are shared by the ε-updates and the squarings.
-		linalg.MulInto(ag, alpha, linalg.NoTrans, g, linalg.NoTrans)
-		linalg.MulInto(bg, beta, linalg.NoTrans, g, linalg.NoTrans)
-		linalg.MulInto(agb, ag, linalg.NoTrans, beta, linalg.NoTrans)
-		linalg.MulInto(bga, bg, linalg.NoTrans, alpha, linalg.NoTrans)
+		sparse.Gather(gCC, g, p.posC, p.posC)
+		sparse.Gather(gRR, g, p.posR, p.posR)
+		linalg.MulInto(agC, alpha, linalg.NoTrans, gCC, linalg.NoTrans)
+		linalg.MulInto(bgR, beta, linalg.NoTrans, gRR, linalg.NoTrans)
+		linalg.GemmInto(agb, -1, agC, linalg.NoTrans, beta, linalg.NoTrans, 0)
+		linalg.GemmInto(bga, -1, bgR, linalg.NoTrans, alpha, linalg.NoTrans, 0)
 		// A non-finite g shows in the updates it enters: no scan of its own.
 		update := max(maxAbs(agb), maxAbs(bga))
 		if !finite(update) {
 			return surf, fmt.Errorf("%w: non-finite block at iteration %d", ErrNoConvergence, iter)
 		}
-		epsS[right].AddInPlace(agb)
-		epsS[left].AddInPlace(bga)
+		upd[right].AddInPlace(agb)
+		upd[left].AddInPlace(bga)
 		if update < surfaceTol {
 			break
 		}
 		if iter == surfaceMaxIter {
 			return surf, fmt.Errorf("%w: %d iterations", ErrNoConvergence, iter)
 		}
-		eps.AddInPlace(agb)
-		eps.AddInPlace(bga)
-		linalg.MulInto(alphaNew, ag, linalg.NoTrans, alpha, linalg.NoTrans)
-		linalg.MulInto(betaNew, bg, linalg.NoTrans, beta, linalg.NoTrans)
+		sparse.ScatterAdd(bulk, agb, p.posR, p.posR)
+		sparse.ScatterAdd(bulk, bga, p.posC, p.posC)
+		sparse.Gather(gCR, g, p.posC, p.posR)
+		sparse.Gather(gRC, g, p.posR, p.posC)
+		linalg.MulInto(agR, alpha, linalg.NoTrans, gCR, linalg.NoTrans)
+		linalg.MulInto(bgC, beta, linalg.NoTrans, gRC, linalg.NoTrans)
+		linalg.MulInto(alphaNew, agR, linalg.NoTrans, alpha, linalg.NoTrans)
+		linalg.MulInto(betaNew, bgC, linalg.NoTrans, beta, linalg.NoTrans)
 		alpha, alphaNew = alphaNew, alpha
 		beta, betaNew = betaNew, beta
 	}
-	for _, s := range [2]side{left, right} {
-		if !want.has(s) {
+	for _, sd := range [2]side{left, right} {
+		if !want.has(sd) {
 			continue
 		}
-		// The result escapes the workspace, so it gets fresh storage.
-		surf[s] = linalg.New(n, n)
-		linalg.ShiftedNegInto(tmp, epsS[s], z)
-		if err := linalg.InverseInto(surf[s], tmp, ws); err != nil {
+		bulk.CopyFrom(layer) // the loop is done with it: z − ε_s of this surface
+		sparse.ScatterAdd(bulk, upd[sd], pos[sd], pos[sd])
+		if err := linalg.InverseInto(g, bulk, ws); err != nil {
 			return surf, fmt.Errorf("negf: surface inversion failed: %w", err)
 		}
-		if !finite(maxAbs(surf[s])) {
-			return surf, fmt.Errorf("%w: non-finite %s surface function", ErrNoConvergence, sideNames[s])
+		// Σ reads the surface function on the other support: the right
+		// contact's through h01's columns, the left's through its rows.
+		read := pos[1-sd]
+		surf[sd] = ws.Get(len(read), len(read))
+		sparse.Gather(surf[sd], g, read, read)
+		if !finite(maxAbs(surf[sd])) {
+			return surf, fmt.Errorf("%w: non-finite %s surface function", ErrNoConvergence, sideNames[sd])
 		}
 	}
 	return surf, nil

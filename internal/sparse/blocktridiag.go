@@ -173,27 +173,42 @@ func ShiftedFromHermitian(h *BlockTridiag, z complex128) *BlockTridiag {
 	return a
 }
 
-// ShiftedFromHermitianWS is ShiftedFromHermitian with every block checked
-// out of ws: the per-solve open-system matrix of the transport kernels,
-// valid only until ws is released. Callers mutate the diagonal blocks
-// (self-energy subtraction) but must not let them escape the solve.
-func ShiftedFromHermitianWS(h *BlockTridiag, z complex128, ws *linalg.Workspace) *BlockTridiag {
-	a := &BlockTridiag{
-		Diag:  make([]*linalg.Matrix, len(h.Diag)),
-		Upper: make([]*linalg.Matrix, len(h.Upper)),
-		Lower: make([]*linalg.Matrix, len(h.Lower)),
+// ShiftedSystem builds the per-energy open-system matrices A(z) = z·I − H
+// of one fixed Hermitian H for the transport kernels. The couplings of A,
+// −U_i and −L_i, do not depend on z: they are negated once, here, and every
+// matrix At returns shares them read-only, so an energy point rebuilds only
+// the diagonal blocks. H must not change once the system is built.
+type ShiftedSystem struct {
+	h            *BlockTridiag
+	upper, lower []*linalg.Matrix
+}
+
+// NewShiftedSystem negates the couplings of h.
+func NewShiftedSystem(h *BlockTridiag) *ShiftedSystem {
+	// 0 − v, not −v: the bits of the 0 + (−1)·v the couplings were built by
+	// when every energy negated its own copy — a structural zero stays +0.
+	negate := func(blocks []*linalg.Matrix) []*linalg.Matrix {
+		out := make([]*linalg.Matrix, len(blocks))
+		for i, b := range blocks {
+			out[i] = linalg.New(b.Rows, b.Cols)
+			for j, v := range b.Data {
+				out[i].Data[j] = 0 - v
+			}
+		}
+		return out
 	}
-	for i, d := range h.Diag {
-		blk := ws.Get(d.Rows, d.Cols)
-		linalg.ShiftedNegInto(blk, d, z)
-		a.Diag[i] = blk
-	}
-	for i := range h.Upper {
-		u, l := h.Upper[i], h.Lower[i]
-		a.Upper[i] = ws.Get(u.Rows, u.Cols)
-		a.Upper[i].AddScaled(u, -1)
-		a.Lower[i] = ws.Get(l.Rows, l.Cols)
-		a.Lower[i].AddScaled(l, -1)
+	return &ShiftedSystem{h: h, upper: negate(h.Upper), lower: negate(h.Lower)}
+}
+
+// At returns A = z·I − H with its diagonal blocks checked out of ws: the
+// per-solve system matrix, valid only until ws is released. Callers mutate
+// the diagonal blocks (self-energy subtraction) but must not let them
+// escape the solve, and must not write to the shared couplings.
+func (s *ShiftedSystem) At(z complex128, ws *linalg.Workspace) *BlockTridiag {
+	a := &BlockTridiag{Diag: make([]*linalg.Matrix, len(s.h.Diag)), Upper: s.upper, Lower: s.lower}
+	for i, d := range s.h.Diag {
+		a.Diag[i] = ws.Get(d.Rows, d.Cols)
+		linalg.ShiftedNegInto(a.Diag[i], d, z)
 	}
 	return a
 }

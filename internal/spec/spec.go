@@ -505,6 +505,12 @@ func (s RunSpec) Validate() error {
 	if s.Solver.Domains < 0 {
 		return fmt.Errorf("spec: -domains must be ≥ 0, got %d", s.Solver.Domains)
 	}
+	// RGF has no domain level and the field is hashed: accepted, it would
+	// name one set of bits with two spec hashes.
+	if s.Solver.Formalism == "negf" && s.Solver.Domains > 1 {
+		return fmt.Errorf("spec: -domains %d is not applicable to -formalism negf (SplitSolve decomposes the wf solve only); it would have been silently ignored",
+			s.Solver.Domains)
+	}
 
 	// Per-mode applicability of the sweep-engine options. Before specs,
 	// `omen -mode iv -checkpoint x -resume` silently ignored all of it.

@@ -294,6 +294,7 @@ func TestHashSensitivity(t *testing.T) {
 func TestWorkerVariant(t *testing.T) {
 	s := fullyNonDefault()
 	s.Mode = ModeTransmission
+	s.Solver.Formalism = "wf" // the spec must validate: -domains is wf-only
 	w := s.WorkerVariant()
 	if w.Resilience.Checkpoint != "" || w.Resilience.Resume || w.Resilience.Quarantine {
 		t.Errorf("worker variant kept coordinator-only resilience fields: %+v", w.Resilience)
@@ -345,6 +346,8 @@ func TestValidateRejections(t *testing.T) {
 			[]string{`"bands"`}},
 		{"unknown formalism", func(s *RunSpec) { s.Solver.Formalism = "dft" }, RoleLocal,
 			[]string{`"dft"`}},
+		{"domains under negf", func(s *RunSpec) { s.Solver.Formalism = "negf"; s.Solver.Domains = 4 }, RoleLocal,
+			[]string{"-domains 4", "-formalism negf", "silently ignored"}},
 		{"wrong version", func(s *RunSpec) { s.Version = 99 }, RoleLocal,
 			[]string{"version 99"}},
 		{"empty energy window", func(s *RunSpec) { s.Grid.EMin, s.Grid.EMax = 1, -1 }, RoleLocal,

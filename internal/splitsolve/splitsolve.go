@@ -75,9 +75,10 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 
 	type domainResult struct {
 		g []*linalg.Matrix // A_p⁻¹·B_p
-		// v and w are the right/left spikes restricted to the nonzero
-		// coupling columns listed in supV/supW: v[i] is
-		// (A_p⁻¹·Ê_p)[layer i][:, supV].
+		// v and w are the right/left spikes restricted to the column
+		// supports of the couplings: v[i] is (A_p⁻¹·Ê_p)[layer i][:, supV].
+		// supV and supW index the neighbour's interface group [ξ^f; ξ^l] of
+		// the reduced system — supW already past the group's first half.
 		v, w       []*linalg.Matrix
 		supV, supW []int
 	}
@@ -93,10 +94,10 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		k := rhs[0].Cols
 		var supV, supW []int
 		if d < p-1 {
-			supV = columnSupport(a.Upper[hi-1])
+			supV = sparse.ColumnSupport(a.Upper[hi-1])
 		}
 		if d > 0 {
-			supW = columnSupport(a.Lower[lo-1])
+			supW = sparse.ColumnSupport(a.Lower[lo-1])
 		}
 		width := k + len(supV) + len(supW)
 		stacked := make([]*linalg.Matrix, nLoc)
@@ -134,6 +135,12 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 			w:    make([]*linalg.Matrix, nLoc),
 			supV: supV,
 			supW: supW,
+		}
+		if d > 0 {
+			// ξ_{d-1}^l sits after ξ_{d-1}^f in its group.
+			for j := range res.supW {
+				res.supW[j] += a.LayerSize(bounds[d-1])
+			}
 		}
 		for i := 0; i < nLoc; i++ {
 			ni := a.LayerSize(lo + i)
@@ -174,15 +181,6 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		sizeF[d] = a.LayerSize(lo)
 		sizeL[d] = a.LayerSize(hi - 1)
 	}
-	// scatter writes a support-restricted spike block into the reduced
-	// coupling matrix at the given row/column offsets.
-	scatter := func(dst *linalg.Matrix, rowOff, colOff int, blk *linalg.Matrix, support []int) {
-		for j, col := range support {
-			for i := 0; i < blk.Rows; i++ {
-				dst.Set(rowOff+i, colOff+col, blk.At(i, j))
-			}
-		}
-	}
 	for d := 0; d < p; d++ {
 		nLoc := bounds[d+1] - bounds[d]
 		r := results[d]
@@ -211,18 +209,18 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		if d < p-1 {
 			// Coupling of u_d's equations to ξ_{d+1}^f (first half of u_{d+1}).
 			up := linalg.New(tot, sizeF[d+1]+sizeL[d+1])
-			scatter(up, 0, 0, r.v[0], r.supV)
+			sparse.ScatterAdd(up, r.v[0], sparse.Range(0, nf), r.supV)
 			if nLoc > 1 {
-				scatter(up, nf, 0, r.v[nLoc-1], r.supV)
+				sparse.ScatterAdd(up, r.v[nLoc-1], sparse.Range(nf, tot), r.supV)
 			}
 			redUpper[d] = up
 		}
 		if d > 0 {
 			// Coupling of u_d's equations to ξ_{d-1}^l (second half of u_{d-1}).
 			lowBlk := linalg.New(tot, sizeF[d-1]+sizeL[d-1])
-			scatter(lowBlk, 0, sizeF[d-1], r.w[0], r.supW)
+			sparse.ScatterAdd(lowBlk, r.w[0], sparse.Range(0, nf), r.supW)
 			if nLoc > 1 {
-				scatter(lowBlk, nf, sizeF[d-1], r.w[nLoc-1], r.supW)
+				sparse.ScatterAdd(lowBlk, r.w[nLoc-1], sparse.Range(nf, tot), r.supW)
 			}
 			redLower[d-1] = lowBlk
 		}
@@ -255,10 +253,12 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		r := results[d]
 		var xiNext, xiPrev *linalg.Matrix
 		if d < p-1 {
-			xiNext = gatherRows(xiBlocks[d+1], r.supV, 0, k)
+			xiNext = linalg.New(len(r.supV), k)
+			sparse.Gather(xiNext, xiBlocks[d+1], r.supV, sparse.Range(0, k))
 		}
 		if d > 0 {
-			xiPrev = gatherRows(xiBlocks[d-1], r.supW, sizeF[d-1], k)
+			xiPrev = linalg.New(len(r.supW), k)
+			sparse.Gather(xiPrev, xiBlocks[d-1], r.supW, sparse.Range(0, k))
 		}
 		for i := lo; i < hi; i++ {
 			// x = g − V·ξ_next − W·ξ_prev, accumulated in place through the
@@ -305,44 +305,10 @@ func Strategy(domains int, pool *sched.Pool) func(context.Context, *sparse.Block
 // to parameterize the performance model (machine.Workload.CouplingRank).
 func InterfaceRank(a *sparse.BlockTridiag) int {
 	r := 0
-	for _, u := range a.Upper {
-		if n := len(columnSupport(u)); n > r {
-			r = n
-		}
-	}
-	for _, l := range a.Lower {
-		if n := len(columnSupport(l)); n > r {
-			r = n
-		}
+	for i := range a.Upper {
+		r = max(r, len(sparse.ColumnSupport(a.Upper[i])), len(sparse.ColumnSupport(a.Lower[i])))
 	}
 	return r
-}
-
-// columnSupport returns the indices of columns of m with any nonzero
-// entry — the effective rank structure of a tight-binding coupling block.
-func columnSupport(m *linalg.Matrix) []int {
-	sup := make([]int, 0, m.Cols)
-	for j := 0; j < m.Cols; j++ {
-		for i := 0; i < m.Rows; i++ {
-			if m.At(i, j) != 0 {
-				sup = append(sup, j)
-				break
-			}
-		}
-	}
-	return sup
-}
-
-// gatherRows extracts rows rowOff+support[j] of src into a dense
-// len(support)×k matrix.
-func gatherRows(src *linalg.Matrix, support []int, rowOff, k int) *linalg.Matrix {
-	out := linalg.New(len(support), k)
-	for j, row := range support {
-		for c := 0; c < k; c++ {
-			out.Set(j, c, src.At(rowOff+row, c))
-		}
-	}
-	return out
 }
 
 // partition splits n layers into p contiguous chunks whose sizes differ by

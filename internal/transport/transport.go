@@ -14,7 +14,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/negf"
 	"repro/internal/sched"
@@ -378,74 +377,4 @@ func UniformGrid(lo, hi float64, n int) []float64 {
 		g[i] = lo + (hi-lo)*float64(i)/float64(n-1)
 	}
 	return g
-}
-
-// AdaptiveGrid refines a transmission grid: starting from a coarse uniform
-// grid, intervals where T changes by more than tol are bisected until no
-// interval exceeds tol or the budget of maxPoints is exhausted. Refinement
-// proceeds in rounds: every interval currently above tol is bisected
-// (worst first, capped to the remaining budget) and the batch of midpoints
-// is evaluated in one parallel sweep over the engine's pool — so the
-// refinement stays load-balanced instead of solving one energy at a time.
-// It returns the refined energies and transmissions in ascending order.
-// This mirrors the adaptive energy meshes production quantum-transport
-// codes use near resonances and band edges.
-func (e *Engine) AdaptiveGrid(ctx context.Context, lo, hi float64, nInit, maxPoints int, tol float64) ([]float64, []float64, error) {
-	if nInit < 2 {
-		nInit = 2
-	}
-	energies := UniformGrid(lo, hi, nInit)
-	ts, err := e.Transmissions(ctx, energies)
-	if err != nil {
-		return nil, nil, err
-	}
-	for len(energies) < maxPoints {
-		// Collect every interval whose |ΔT| exceeds tol, worst first.
-		type interval struct {
-			left int // index of the interval's left endpoint
-			jump float64
-		}
-		var frontier []interval
-		for i := 0; i+1 < len(energies); i++ {
-			d := ts[i+1] - ts[i]
-			if d < 0 {
-				d = -d
-			}
-			if d > tol {
-				frontier = append(frontier, interval{left: i, jump: d})
-			}
-		}
-		if len(frontier) == 0 {
-			break
-		}
-		sort.Slice(frontier, func(a, b int) bool { return frontier[a].jump > frontier[b].jump })
-		if budget := maxPoints - len(energies); len(frontier) > budget {
-			frontier = frontier[:budget]
-		}
-		mids := make([]float64, len(frontier))
-		for j, iv := range frontier {
-			mids[j] = 0.5 * (energies[iv.left] + energies[iv.left+1])
-		}
-		tm, err := e.Transmissions(ctx, mids)
-		if err != nil {
-			return nil, nil, err
-		}
-		// Merge the evaluated midpoints back in ascending energy order.
-		midAfter := make(map[int]int, len(frontier)) // left index → frontier slot
-		for j, iv := range frontier {
-			midAfter[iv.left] = j
-		}
-		merged := make([]float64, 0, len(energies)+len(mids))
-		mergedT := make([]float64, 0, len(energies)+len(mids))
-		for i := range energies {
-			merged = append(merged, energies[i])
-			mergedT = append(mergedT, ts[i])
-			if j, ok := midAfter[i]; ok {
-				merged = append(merged, mids[j])
-				mergedT = append(mergedT, tm[j])
-			}
-		}
-		energies, ts = merged, mergedT
-	}
-	return energies, ts, nil
 }

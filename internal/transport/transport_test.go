@@ -3,7 +3,6 @@ package transport
 import (
 	"context"
 	"math"
-	"sort"
 	"testing"
 
 	"repro/internal/lattice"
@@ -203,45 +202,6 @@ func TestUniformGrid(t *testing.T) {
 		if math.Abs(g[i]-want[i]) > 1e-15 {
 			t.Fatalf("UniformGrid = %v", g)
 		}
-	}
-}
-
-func TestAdaptiveGridRefinesStep(t *testing.T) {
-	// A potential step creates a sharp transmission onset; the adaptive
-	// grid must concentrate points near it.
-	pot := []float64{0, 0, 0.8, 0.8, 0.8, 0, 0}
-	h := chainH(t, 7, 0, -1, pot)
-	eng, err := NewEngine(h, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	energies, ts, err := eng.AdaptiveGrid(context.Background(), -1.5, 1.5, 9, 60, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(energies) != len(ts) {
-		t.Fatal("grid/value length mismatch")
-	}
-	if len(energies) <= 9 {
-		t.Fatal("adaptive grid did not refine a sharp feature")
-	}
-	if !sort.Float64sAreSorted(energies) {
-		t.Fatal("adaptive grid not sorted")
-	}
-	// The barrier shifts the local band bottom to −2|t| + V = −1.2 eV, so
-	// the sharp tunneling onset sits near there; refinement density in
-	// that window must exceed the flat region deep in the band.
-	count := func(lo, hi float64) int {
-		c := 0
-		for _, e := range energies {
-			if e >= lo && e <= hi {
-				c++
-			}
-		}
-		return c
-	}
-	if count(-1.45, -0.6) <= count(0.7, 1.5) {
-		t.Fatalf("adaptive grid did not concentrate near the transmission onset: %v", energies)
 	}
 }
 

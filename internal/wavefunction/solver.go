@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/negf"
@@ -19,7 +20,8 @@ import (
 // the RGF algorithm. Results agree to solver precision; cost does not,
 // which is the point.
 type Solver struct {
-	// H is the Hermitian device Hamiltonian in block-tridiagonal layer form.
+	// H is the Hermitian device Hamiltonian in block-tridiagonal layer form,
+	// fixed once the first energy is solved.
 	H *sparse.BlockTridiag
 	// Leads are the semi-infinite contacts.
 	Leads *negf.Leads
@@ -33,6 +35,10 @@ type Solver struct {
 	// Cache optionally memoizes the contact self-energies across solves
 	// (valid while the lead blocks stay fixed).
 	Cache *negf.SelfEnergyCache
+
+	// open is the z-independent part of z − H, built by the first solve.
+	openOnce sync.Once
+	open     *sparse.ShiftedSystem
 }
 
 // NewSolver builds a wave-function solver with flat-band leads continued
@@ -76,7 +82,8 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	// only read it.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	a := sparse.ShiftedFromHermitianWS(s.H, z, ws)
+	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
+	a := s.open.At(z, ws)
 	nl := a.Layers()
 	a.AddScaledToDiagBlock(0, sigL, -1)
 	a.AddScaledToDiagBlock(nl-1, sigR, -1)
@@ -91,14 +98,14 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	// significant wᵢ. Solving the open system against those few columns —
 	// instead of full contact blocks — is the cost advantage of the
 	// wave-function formalism that the paper exploits.
-	wL, err := injectionVectors(gamL)
+	wL, err := injectionVectors(gamL, ws)
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: left injection: %w", err)
 	}
 	var wR *linalg.Matrix
 	width := wL.Cols
 	if density {
-		wR, err = injectionVectors(gamR)
+		wR, err = injectionVectors(gamR, ws)
 		if err != nil {
 			return nil, fmt.Errorf("wavefunction: right injection: %w", err)
 		}
@@ -191,20 +198,28 @@ const injectionRankCutoff = 1e-12
 
 // injectionVectors spectrally factorizes a broadening matrix,
 // Γ = Σᵢ λᵢvᵢvᵢ†, and returns the weighted columns wᵢ = √λᵢ·vᵢ above the
-// rank cutoff, so that Γ ≈ W·W†.
-func injectionVectors(gamma *linalg.Matrix) (*linalg.Matrix, error) {
-	eig, err := linalg.EigH(gamma)
+// rank cutoff, so that Γ ≈ W·W†. Γ = i(Σ − Σ†) is nonzero only on the
+// orbitals the contact couples to — the support of Σ — so the eigenproblem
+// is solved on that r×r block and the vectors scattered back into
+// layer-sized columns that are zero elsewhere; a Γ that is zero everywhere
+// injects nothing.
+func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace) (*linalg.Matrix, error) {
+	n := gamma.Rows
+	sup := sparse.RowSupport(gamma) // Γ is Hermitian: its rows and columns share a support
+	block := ws.Get(len(sup), len(sup))
+	defer ws.Put(block)
+	sparse.Gather(block, gamma, sup, sup)
+	eig, err := linalg.EigH(block)
 	if err != nil {
 		return nil, err
 	}
-	n := gamma.Rows
 	var maxLam float64
 	for _, l := range eig.Values {
 		if l > maxLam {
 			maxLam = l
 		}
 	}
-	cols := make([]int, 0, n)
+	cols := make([]int, 0, len(sup))
 	for j, l := range eig.Values {
 		if l > injectionRankCutoff*maxLam && l > 0 {
 			cols = append(cols, j)
@@ -213,8 +228,8 @@ func injectionVectors(gamma *linalg.Matrix) (*linalg.Matrix, error) {
 	w := linalg.New(n, len(cols))
 	for jj, j := range cols {
 		s := complex(math.Sqrt(eig.Values[j]), 0)
-		for i := 0; i < n; i++ {
-			w.Set(i, jj, s*eig.Vectors.At(i, j))
+		for i, row := range sup {
+			w.Set(row, jj, s*eig.Vectors.At(i, j))
 		}
 	}
 	return w, nil
