@@ -1,6 +1,9 @@
 package linalg
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
 // Workspace is a size-bucketed scratch allocator for the dense kernels.
 // Hot solver loops (RGF sweeps, Sancho-Rubio decimation, SCBA iterations)
@@ -23,10 +26,11 @@ import "sync"
 //     hand out, so ownership bugs fail loudly in tests instead of
 //     corrupting a neighbouring solve.
 type Workspace struct {
-	// free holds returned matrices keyed by their power-of-two capacity
-	// class (in complex128 elements).
-	free map[int][]*Matrix
-	// out tracks checked-out matrices and their capacity class.
+	// free holds returned matrices by the exponent of their power-of-two
+	// capacity class (in complex128 elements): an array, not a map — around
+	// an r-sized product a Get/Put pair must cost less than the product.
+	free [bits.UintSize][]*Matrix
+	// out tracks checked-out matrices and their class exponent.
 	out map[*Matrix]int
 	// ints is a free list of pivot-index scratch slices.
 	ints [][]int
@@ -36,10 +40,7 @@ type Workspace struct {
 // per-P fast path means a worker goroutine pinned to a processor keeps
 // reusing the same warm buffers for consecutive energy points.
 var workspacePool = sync.Pool{New: func() any {
-	return &Workspace{
-		free: make(map[int][]*Matrix),
-		out:  make(map[*Matrix]int),
-	}
+	return &Workspace{out: make(map[*Matrix]int)}
 }}
 
 // GetWorkspace checks a Workspace out of the shared pool.
@@ -56,15 +57,14 @@ func (w *Workspace) Release() {
 	workspacePool.Put(w)
 }
 
-// capClass returns the smallest power of two ≥ n (minimum 1), the bucket
-// granularity of the free lists. Rounding up lets one buffer serve every
-// nearby block size a solve cycles through.
-func capClass(n int) int {
-	c := 1
-	for c < n {
-		c <<= 1
+// classExp returns the exponent of the smallest power of two ≥ n (minimum
+// 2⁰), the bucket granularity of the free lists. Rounding up lets one buffer
+// serve every nearby block size a solve cycles through.
+func classExp(n int) int {
+	if n <= 1 {
+		return 0
 	}
-	return c
+	return bits.Len(uint(n - 1))
 }
 
 // Get checks out a zeroed rows×cols scratch matrix.
@@ -73,7 +73,7 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 		panic("linalg: negative matrix dimension in Workspace.Get")
 	}
 	n := rows * cols
-	class := capClass(n)
+	class := classExp(n)
 	var m *Matrix
 	if list := w.free[class]; len(list) > 0 {
 		m = list[len(list)-1]
@@ -82,7 +82,7 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 		m.Data = m.Data[:n]
 		m.Zero()
 	} else {
-		m = &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, n, class)}
+		m = &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, n, 1<<class)}
 	}
 	w.out[m] = class
 	return m
@@ -108,7 +108,7 @@ func (w *Workspace) GetInts(n int) []int {
 			return s[:n]
 		}
 	}
-	return make([]int, n, capClass(n))
+	return make([]int, n, 1<<classExp(n))
 }
 
 // PutInts returns an int slice obtained from GetInts.

@@ -180,7 +180,7 @@ func TestRGFMatchesDenseReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
-		dense, err := sol.DenseReference(e)
+		dense, err := sol.DenseReference(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}

@@ -173,14 +173,26 @@ func ShiftedFromHermitian(h *BlockTridiag, z complex128) *BlockTridiag {
 	return a
 }
 
+// Coupling is one nearest-neighbour coupling of A = z·I − H in its support
+// space. A_{i,i+1} = −U_i is nonzero only on Rows × Cols (Rows in layer i,
+// Cols in layer i+1) and, H being Hermitian, A_{i+1,i} = −U_i† only on
+// Cols × Rows; U and L are those two blocks, gathered.
+type Coupling struct {
+	Rows, Cols []int
+	U, L       *linalg.Matrix
+}
+
 // ShiftedSystem builds the per-energy open-system matrices A(z) = z·I − H
 // of one fixed Hermitian H for the transport kernels. The couplings of A,
-// −U_i and −L_i, do not depend on z: they are negated once, here, and every
-// matrix At returns shares them read-only, so an energy point rebuilds only
-// the diagonal blocks. H must not change once the system is built.
+// −U_i and −L_i, do not depend on z: they are negated once, here, whole and
+// compressed to their supports, and every energy shares them read-only, so
+// an energy point rebuilds only the diagonal blocks. H must not change once
+// the system is built.
 type ShiftedSystem struct {
 	h            *BlockTridiag
 	upper, lower []*linalg.Matrix
+	couplings    []Coupling
+	axis         []int
 }
 
 // NewShiftedSystem negates the couplings of h.
@@ -197,18 +209,48 @@ func NewShiftedSystem(h *BlockTridiag) *ShiftedSystem {
 		}
 		return out
 	}
-	return &ShiftedSystem{h: h, upper: negate(h.Upper), lower: negate(h.Lower)}
+	s := &ShiftedSystem{h: h, upper: negate(h.Upper), lower: negate(h.Lower), couplings: make([]Coupling, len(h.Upper))}
+	for i, u := range s.upper {
+		c := Coupling{Rows: RowSupport(u), Cols: ColumnSupport(u)}
+		c.U = linalg.New(len(c.Rows), len(c.Cols))
+		Gather(c.U, u, c.Rows, c.Cols)
+		c.L = linalg.New(len(c.Cols), len(c.Rows))
+		Gather(c.L, s.lower[i], c.Cols, c.Rows)
+		s.couplings[i] = c
+	}
+	var widest int
+	for _, d := range h.Diag {
+		widest = max(widest, d.Rows)
+	}
+	s.axis = Range(0, widest)
+	return s
+}
+
+// Coupling returns the compressed coupling between layers i and i+1. It is
+// shared by every energy: read-only.
+func (s *ShiftedSystem) Coupling(i int) *Coupling { return &s.couplings[i] }
+
+// Axis returns 0, 1, …, n−1 for n up to the widest layer: the index list of
+// an axis Gather takes whole. Shared and read-only, like the couplings.
+func (s *ShiftedSystem) Axis(n int) []int { return s.axis[:n] }
+
+// Diag returns the diagonal block z·I − H_ii checked out of ws. Callers
+// mutate it (self-energy subtraction, the folded-in neighbour layer) but must
+// not let it escape the solve.
+func (s *ShiftedSystem) Diag(i int, z complex128, ws *linalg.Workspace) *linalg.Matrix {
+	d := s.h.Diag[i]
+	m := ws.Get(d.Rows, d.Cols)
+	linalg.ShiftedNegInto(m, d, z)
+	return m
 }
 
 // At returns A = z·I − H with its diagonal blocks checked out of ws: the
-// per-solve system matrix, valid only until ws is released. Callers mutate
-// the diagonal blocks (self-energy subtraction) but must not let them
-// escape the solve, and must not write to the shared couplings.
+// per-solve system matrix, valid only until ws is released. Callers must not
+// write to the shared couplings.
 func (s *ShiftedSystem) At(z complex128, ws *linalg.Workspace) *BlockTridiag {
 	a := &BlockTridiag{Diag: make([]*linalg.Matrix, len(s.h.Diag)), Upper: s.upper, Lower: s.lower}
-	for i, d := range s.h.Diag {
-		a.Diag[i] = ws.Get(d.Rows, d.Cols)
-		linalg.ShiftedNegInto(a.Diag[i], d, z)
+	for i := range a.Diag {
+		a.Diag[i] = s.Diag(i, z, ws)
 	}
 	return a
 }
