@@ -59,10 +59,11 @@ func MulInto(dst *Matrix, a *Matrix, opA Op, b *Matrix, opB Op) {
 // so every product routine reports identically.
 //
 // The elementwise inner loops (opB == NoTrans) run the AVX microkernels
-// where the CPU has them and the row segment is at least vecMinLen wide;
-// the scalar loop next to each dispatch is the fallback and computes the
-// same bits. The dot-product shapes (opB == ConjTrans) stay scalar: vector
-// lanes would reassociate their partial sums.
+// where the CPU has them and the row segment is wide enough — fusedMinWidth
+// for the fused NoTrans·NoTrans tile, vecMinLen for the per-segment axpy of
+// ConjTrans·NoTrans; the scalar loop next to each dispatch is the fallback
+// and computes the same bits. The dot-product shapes (opB == ConjTrans)
+// stay scalar: vector lanes would reassociate their partial sums.
 func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128) {
 	if dst == a || dst == b {
 		panic("linalg: GemmInto output aliases an operand")
@@ -94,7 +95,7 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 		// row-segment width is fixed per column block.
 		for jj := 0; jj < p; jj += gemmBlock {
 			jEnd := min(jj+gemmBlock, p)
-			vec := hasAVX && jEnd-jj >= vecMinLen
+			vec := hasAVX && jEnd-jj >= fusedMinWidth
 			for kk := 0; kk < k; kk += gemmBlock {
 				kEnd := min(kk+gemmBlock, k)
 				for i := 0; i < n; i++ {

@@ -59,7 +59,7 @@ func FactorInPlace(a *Matrix, piv []int) (LU, error) {
 // recording row swaps in piv (len n). It returns the permutation sign.
 // This is the single factorization code path shared by Factor and the
 // workspace variants, so flop accounting lives in one place. Trailing
-// blocks at least vecMinLen wide eliminate through avxFactorColUpdate;
+// blocks at least fusedMinWidth wide eliminate through avxFactorColUpdate;
 // the scalar loop is the fallback and computes the same bits.
 func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	n := m.Rows
@@ -86,7 +86,7 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			sign = -sign
 		}
 		pivInv := 1 / lu[k*n+k]
-		if rl := n - k - 1; hasAVX && rl >= vecMinLen {
+		if rl := n - k - 1; hasAVX && rl >= fusedMinWidth {
 			// One fused call scales the whole column by pivInv and
 			// applies every surviving row update (zero skips included).
 			avxFactorColUpdate(&lu[(k+1)*n+k], &lu[k*n+k+1], rl, n, pivInv)
@@ -127,7 +127,7 @@ func (f *LU) SolveInto(dst, b *Matrix) {
 }
 
 // luSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization to a
-// block right-hand side. Right-hand sides at least vecMinLen wide
+// block right-hand side. Right-hand sides at least fusedMinWidth wide
 // substitute through avxLuRowUpdate; the scalar loops below are the
 // fallback and compute the same bits.
 func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
@@ -147,7 +147,7 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 			}
 		}
 	}
-	if hasAVX && nrhs >= vecMinLen {
+	if hasAVX && nrhs >= fusedMinWidth {
 		// Each row's whole forward or backward update — k paired
 		// two-deep, zero skips included — is one fused assembly call.
 		rEven := nrhs &^ 1

@@ -1,0 +1,139 @@
+package linalg
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+)
+
+// TestNarrowOperandsBitwise walks the widths the support-space solvers
+// hand the fused kernels — every right-hand-side and product width 1…8,
+// against factors and left operands of order 1, 2, 6, 14 and 40 — on
+// operands carrying zero multipliers, signed zeros, infinities and NaNs:
+// the zero-skip semantics live inside avxLuRowUpdate and avxGemmTileNN, and
+// from fusedMinWidth up it is they, not the scalar loops, that must
+// reproduce the reference bits.
+func TestNarrowOperandsBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(66))
+	for _, n := range []int{1, 2, 6, 14, 40} {
+		for w := 1; w <= 8; w++ {
+			for it, class := range operandClasses {
+				what := fmt.Sprintf("n=%d width=%d %s", n, w, class)
+				// A packed factor is any square matrix with a nonzero
+				// diagonal and in-range pivots; raw special operands put
+				// zero, ±0 and non-finite multipliers in L and U.
+				lu := specialMat(r, n, n, class)
+				piv := make([]int, n)
+				for i := range piv {
+					lu.Data[i*n+i] += complex(float64(n), 0.5)
+					piv[i] = i + r.Intn(n-i)
+				}
+				b := specialMat(r, n, w, class)
+				wantX := b.Clone()
+				refLuSolveInPlace(lu, piv, wantX)
+				// The product shapes of the block-Thomas and RGF kernels:
+				// n×k·k×w with k narrow too, accumulated (beta = 1) and
+				// overwritten (beta = 0), alpha = ±1.
+				k := []int{w, n, 3}[it]
+				a := specialMat(r, n, k, class)
+				c := specialMat(r, k, w, class)
+				seed := specialMat(r, n, w, class)
+				alpha, beta := complex(float64(1-2*(it%2)), 0), complex(float64(it%2), 0)
+				wantP := seed.Clone()
+				refGemmInto(wantP, alpha, a, NoTrans, c, NoTrans, beta)
+				// Orders 1…8 leave trailing blocks of every width below
+				// vecMinLen to avxFactorColUpdate.
+				sq := specialMat(r, w, w, class)
+				wantLU, wantPiv := sq.Clone(), make([]int, w)
+				_, wantErr := refFactorInPlace(wantLU, wantPiv)
+				eachEngine(t, func(engine string) {
+					gotLU, gotPiv := sq.Clone(), make([]int, w)
+					if _, err := factorInPlace(gotLU, gotPiv); !errors.Is(err, wantErr) {
+						t.Fatalf("%s factor %s: err %v, want %v", engine, what, err, wantErr)
+					}
+					if wantErr == nil {
+						requireBits(t, engine+" factor "+what, gotLU.Data, wantLU.Data)
+					}
+					x := b.Clone()
+					luSolveInPlace(lu, piv, x)
+					requireBits(t, engine+" solve "+what, x.Data, wantX.Data)
+					got := seed.Clone()
+					GemmInto(got, alpha, a, NoTrans, c, NoTrans, beta)
+					requireBits(t, engine+" gemm "+what, got.Data, wantP.Data)
+				})
+			}
+		}
+	}
+}
+
+// benchEngines runs fn once per engine this build has, as sub-benchmarks.
+func benchEngines(b *testing.B, fn func(b *testing.B)) {
+	defer func(old bool) { hasAVX = old }(hasAVX)
+	hasAVX = false
+	b.Run("scalar", fn)
+	if avxAvailable {
+		hasAVX = true
+		b.Run("fused", fn)
+	}
+}
+
+// BenchmarkNarrowSolve regenerates the evidence behind fusedMinWidth for
+// luSolveInPlace: factors of the layer orders the devices have, against the
+// right-hand-side widths the support-space solvers produce.
+func BenchmarkNarrowSolve(b *testing.B) {
+	r := rand.New(rand.NewSource(67))
+	for _, n := range []int{2, 6, 14, 40} {
+		f, err := Factor(randMatrix(r, n, n))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, k := range []int{1, 2, 3, 4, 5, 6} {
+			rhs, dst := randMatrix(r, n, k), New(n, k)
+			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+				benchEngines(b, func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						f.SolveInto(dst, rhs)
+					}
+				})
+			})
+		}
+	}
+}
+
+// BenchmarkNarrowFactor is the same for avxFactorColUpdate. Up to order 6
+// every trailing block is narrower than vecMinLen, so scalar against fused
+// there is the old dispatch floor against the new one on the last pivots of
+// any factorization.
+func BenchmarkNarrowFactor(b *testing.B) {
+	r := rand.New(rand.NewSource(69))
+	for _, n := range []int{3, 4, 5, 6} {
+		a, lu, piv := randMatrix(r, n, n), New(n, n), make([]int, n)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchEngines(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					lu.CopyFrom(a)
+					if _, err := factorInPlace(lu, piv); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// BenchmarkNarrowGemm is the same for GemmInto's NoTrans·NoTrans tile, on
+// the n×k·k×w shapes of the r-sized coupling products.
+func BenchmarkNarrowGemm(b *testing.B) {
+	r := rand.New(rand.NewSource(68))
+	for _, s := range [][3]int{{14, 3, 4}, {14, 4, 4}, {3, 4, 4}, {14, 4, 2}, {40, 5, 3}, {40, 10, 5}, {40, 40, 2}, {40, 40, 5}} {
+		a, c, dst := randMatrix(r, s[0], s[1]), randMatrix(r, s[1], s[2]), New(s[0], s[2])
+		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
+			benchEngines(b, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					GemmInto(dst, 1, a, NoTrans, c, NoTrans, 0)
+				}
+			})
+		})
+	}
+}

@@ -9,16 +9,34 @@ package linalg
 // hold both engines to the scalar loops of reference_test.go).
 //
 // hasAVX is set once at init by a CPUID probe (amd64 without the purego
-// build tag); every helper falls back to the scalar loop below a small
-// length threshold, where the call overhead of a non-inlinable assembly
-// routine exceeds the vector win. The helpers are not inlinable, so
-// they serve whole-matrix calls; GemmInto, factorInPlace and
-// luSolveInPlace hoist the same dispatch out of their inner loops and
-// call the assembly kernels directly.
+// build tag). The helpers below pay one non-inlinable assembly call per row
+// segment and serve whole-matrix calls; GemmInto, factorInPlace and
+// luSolveInPlace call the fused kernels, which run a whole inner loop per
+// call. Each kind has its own dispatch floor.
 
 // vecMinLen is the slice length below which the scalar loop beats the
-// assembly call overhead.
+// assembly call overhead of the helpers below.
 const vecMinLen = 6
+
+// fusedMinWidth is the row-segment width from which luSolveInPlace,
+// GemmInto's NoTrans·NoTrans tile and factorInPlace dispatch to the fused
+// kernels (avxLuRowUpdate, avxGemmTileNN, avxFactorColUpdate): the minimum
+// their assembly documents. A fused call is amortised over count·width work,
+// and since the transport solvers moved into the couplings' support space
+// most operands are 2 to 10 wide. Measured (ns per call, scalar loop → fused
+// kernel, one core; BenchmarkNarrowSolve/Gemm/Factor regenerate it):
+//
+//	LU solve, n×n factor, k columns     k=2          k=3          k=4          k=5
+//	  n = 6                           174 → 120    203 → 144    253 → 150    283 → 182
+//	  n = 14                          659 → 366    819 → 514   1123 → 557   1513 → 675
+//	  n = 40                         5387 → 2132  5982 → 3141  7603 → 3238  9487 → 4391
+//	GEMM n×k·k×w   14×3×4 301 → 167   14×4×2 254 → 156   3×4×4 80 → 52
+//	               40×5×3 1039 → 654  40×10×5 2888 → 1507  40×40×2 5298 → 2670
+//	LU factor, every trailing block narrower than 6:  n = 5  215 → 200   n = 6  300 → 240
+//
+// Width 1 and everything at n ≤ 4 are ties; width 1 stays scalar. On n = 14
+// only the factor's last five pivots change hands: 1228 → 1183.
+const fusedMinWidth = 2
 
 // axpyAddTo computes y[j] += m*x[j]. Note there is deliberately no
 // m==0 short-circuit here: the reference kernels skip on the *unscaled*

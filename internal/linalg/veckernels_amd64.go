@@ -29,7 +29,7 @@ func avxSub(dst, a, b *complex128, n int)
 // The fused kernels below move a whole solver inner loop — zero checks,
 // multiplier scaling, row updates, odd tails — into one assembly call,
 // amortizing the ABI0 call overhead over O(n·nrhs) work instead of one
-// row segment. They require the row length >= vecMinLen; odd lengths are
+// row segment. They require the row length >= fusedMinWidth; odd lengths are
 // handled inside.
 
 // avxLuRowUpdate applies y[j] -= Σ_k ms[k]·rows[k·nrhs+j] for k in

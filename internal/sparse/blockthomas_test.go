@@ -1,0 +1,335 @@
+package sparse_test
+
+import (
+	"math"
+	"math/cmplx"
+	"math/rand"
+	"sync"
+	"testing"
+
+	"repro/internal/device"
+	"repro/internal/linalg"
+	"repro/internal/perf"
+	"repro/internal/sparse"
+	"repro/internal/tb"
+)
+
+// window is the rows×cols block one coupling is nonzero on; nil axes mean
+// the whole block.
+type window struct{ rows, cols []int }
+
+// randBlock fills an r×c block on win with seeded complex entries;
+// everything else stays exactly zero.
+func randBlock(rng *rand.Rand, r, c int, win window) *linalg.Matrix {
+	if win.rows == nil {
+		win.rows = sparse.Range(0, r)
+	}
+	if win.cols == nil {
+		win.cols = sparse.Range(0, c)
+	}
+	m := linalg.New(r, c)
+	for _, i := range win.rows {
+		for _, j := range win.cols {
+			m.Set(i, j, complex(rng.Float64()-0.5, rng.Float64()-0.5))
+		}
+	}
+	return m
+}
+
+// randSystem builds a seeded, diagonally dominant block-tridiagonal matrix
+// with the given layer sizes: Upper[i] nonzero exactly on up[i], Lower[i] on
+// low[i] (in its own n_{i+1}×n_i frame) — nothing Hermitian about it.
+func randSystem(seed int64, sizes []int, up, low []window) *sparse.BlockTridiag {
+	rng := rand.New(rand.NewSource(seed))
+	nl := len(sizes)
+	diag := make([]*linalg.Matrix, nl)
+	upper, lower := make([]*linalg.Matrix, nl-1), make([]*linalg.Matrix, nl-1)
+	for i, n := range sizes {
+		diag[i] = randBlock(rng, n, n, window{})
+		for a := 0; a < n; a++ {
+			diag[i].Set(a, a, diag[i].At(a, a)+complex(float64(n)+2, 1))
+		}
+	}
+	for i := range upper {
+		upper[i] = randBlock(rng, sizes[i], sizes[i+1], up[i])
+		lower[i] = randBlock(rng, sizes[i+1], sizes[i], low[i])
+	}
+	m, err := sparse.NewBlockTridiag(diag, upper, lower)
+	if err != nil {
+		panic(err)
+	}
+	return m
+}
+
+// transposed is the window of L = U† when U lives on w.
+func transposed(ws []window) []window {
+	out := make([]window, len(ws))
+	for i, w := range ws {
+		out[i] = window{w.cols, w.rows}
+	}
+	return out
+}
+
+// deviceSystem assembles a device description at transverse momentum ky
+// and returns z·I − H as the transport solvers see it: couplings handed
+// over, compressed, by the ShiftedSystem.
+func deviceSystem(t *testing.T, d device.Description, ky float64, z complex128, ws *linalg.Workspace) *sparse.BlockTridiag {
+	t.Helper()
+	b, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Options.Ky = ky
+	h, err := tb.Assemble(b.Structure, b.Material, b.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sparse.NewShiftedSystem(h).At(z, ws)
+}
+
+// rhsOn returns a width-k right-hand side, random in the listed layers and
+// zero elsewhere.
+func rhsOn(rng *rand.Rand, m *sparse.BlockTridiag, k int, layers ...int) []*linalg.Matrix {
+	rhs := make([]*linalg.Matrix, m.Layers())
+	for i := range rhs {
+		rhs[i] = linalg.New(m.LayerSize(i), k)
+	}
+	for _, i := range layers {
+		rhs[i] = randBlock(rng, m.LayerSize(i), k, window{})
+	}
+	return rhs
+}
+
+// denseSolve is the oracle: Dense() and one dense LU, sharing nothing with
+// the block recurrence.
+func denseSolve(t *testing.T, m *sparse.BlockTridiag, rhs []*linalg.Matrix) []*linalg.Matrix {
+	t.Helper()
+	off := m.Offsets()
+	k := rhs[0].Cols
+	b := linalg.New(m.N(), k)
+	for i, blk := range rhs {
+		b.SetSubmatrix(off[i], 0, blk)
+	}
+	f, err := linalg.Factor(m.Dense())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SolveInPlace(b)
+	x := make([]*linalg.Matrix, len(rhs))
+	for i := range x {
+		x[i] = b.Submatrix(off[i], 0, off[i+1]-off[i], k)
+	}
+	return x
+}
+
+// TestBlockThomasAdversarialShapes holds the support-space block-Thomas
+// kernel to Dense() + dense LU on the shapes its index arithmetic has to get
+// right at the corners, mirroring negf's TestRGFAdversarialShapes: each
+// matrix against right-hand sides living in the first layer only, the last
+// only, everywhere, and with no column at all, through the heap factor and
+// the workspace solve.
+func TestBlockThomasAdversarialShapes(t *testing.T) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	// -nk 2 samples ky = ±π/(2·PeriodY): the wrapped bonds carry e^{±iπ/2}.
+	utbDesc := device.Description{Name: "utb", Kind: device.SiUTB, CellsX: 4, CellsY: 1, CellsZ: 1}
+	utbBuilt, err := utbDesc.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	utb := deviceSystem(t, utbDesc, math.Pi/(2*utbBuilt.Structure.PeriodY), complex(0.3, 0.05), ws)
+	var phased bool
+	for _, v := range utb.Upper[0].Data {
+		phased = phased || imag(v) != 0
+	}
+	if !phased {
+		t.Fatal("utb at ky = π/2b has real couplings; the Bloch-phased case is vacuous")
+	}
+	ragged := []window{{[]int{0, 2}, []int{1}}, {}, {[]int{1, 2, 3}, []int{0, 2}}}
+	cut := []window{{}, {rows: []int{}, cols: []int{}}, {}}
+	cases := []struct {
+		name  string
+		m     *sparse.BlockTridiag
+		check func(t *testing.T, rhsName string, x []*linalg.Matrix)
+	}{
+		{name: "nl = 1", m: randSystem(1, []int{5}, nil, nil)},
+		{name: "nl = 2", m: randSystem(2, []int{4, 4}, []window{{[]int{1, 3}, []int{0}}}, []window{{[]int{0}, []int{1, 3}}})},
+		{name: "n = 1 chain", m: randSystem(3, []int{1, 1, 1, 1, 1, 1}, make([]window, 5), make([]window, 5))},
+		{name: "unequal layers, rectangular couplings", m: randSystem(4, []int{3, 2, 4, 3}, ragged, transposed(ragged))},
+		{name: "dense couplings (r = n)", m: randSystem(5, []int{4, 4, 4, 4}, make([]window, 3), make([]window, 3))},
+		{name: "all-zero interior coupling", m: randSystem(6, []int{3, 3, 3, 3}, cut, cut),
+			check: func(t *testing.T, rhsName string, x []*linalg.Matrix) {
+				// The halves decouple: a source on one side of the cut
+				// leaves the other side exactly zero.
+				far := map[string][]int{"first layer": {2, 3}, "last layer": {0, 1}}[rhsName]
+				for _, i := range far {
+					if x[i].MaxAbs() != 0 {
+						t.Errorf("%s: layer %d across the cut holds %g, want exactly 0", rhsName, i, x[i].MaxAbs())
+					}
+				}
+			}},
+		// U_0 lives on {0,2}×{1}, L_0 on {0,3}×{1} of its own frame: R_0 must
+		// take column 1 of L_0 … and C_0 rows 0 and 3 of it, which U_0 alone
+		// would not name.
+		{name: "U and L on different supports", m: randSystem(7, []int{3, 4, 3},
+			[]window{{[]int{0, 2}, []int{1}}, {[]int{3}, []int{0, 1}}},
+			[]window{{[]int{0, 3}, []int{1}}, {[]int{2}, []int{0, 1, 2}}})},
+		{name: "utb -nk 2 (L = U† ≠ Uᵀ)", m: utb},
+	}
+	rng := rand.New(rand.NewSource(28))
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			last := tc.m.Layers() - 1
+			every := sparse.Range(0, last+1)
+			for _, rc := range []struct {
+				name string
+				rhs  []*linalg.Matrix
+			}{
+				{"first layer", rhsOn(rng, tc.m, 3, 0)},
+				{"last layer", rhsOn(rng, tc.m, 2, last)},
+				{"every layer", rhsOn(rng, tc.m, 5, every...)},
+				{"zero width", rhsOn(rng, tc.m, 0, every...)},
+			} {
+				want := denseSolve(t, tc.m, rc.rhs)
+				heap, err := tc.m.SolveBlocks(rc.rhs)
+				if err != nil {
+					t.Fatalf("%s: SolveBlocks: %v", rc.name, err)
+				}
+				scratch, err := tc.m.SolveBlocksWS(rc.rhs, ws)
+				if err != nil {
+					t.Fatalf("%s: SolveBlocksWS: %v", rc.name, err)
+				}
+				for path, x := range map[string][]*linalg.Matrix{"heap": heap, "workspace": scratch} {
+					for i := range want {
+						if x[i].Rows != want[i].Rows || x[i].Cols != want[i].Cols {
+							t.Fatalf("%s, %s: layer %d is %d×%d, want %d×%d", rc.name, path, i, x[i].Rows, x[i].Cols, want[i].Rows, want[i].Cols)
+						}
+						for j, w := range want[i].Data {
+							if d := cmplx.Abs(x[i].Data[j] - w); !(d <= 1e-10*math.Max(1, cmplx.Abs(w))) {
+								t.Fatalf("%s, %s: layer %d element %d = %v, dense LU gives %v", rc.name, path, i, j, x[i].Data[j], w)
+							}
+						}
+					}
+				}
+				if tc.check != nil {
+					tc.check(t, rc.name, heap)
+				}
+			}
+		})
+	}
+}
+
+// TestConcurrentFirstFactor (run it under -race): 8 goroutines bring the
+// first factorizations to one fresh matrix at once. Its compressed couplings
+// are built exactly once — every goroutine reads the same ones — and each
+// solution carries the bits of a serial factor of a copy.
+func TestConcurrentFirstFactor(t *testing.T) {
+	sup := []window{{[]int{0, 2, 5}, []int{1, 4}}, {}, {[]int{3}, []int{0, 1, 2}}, {[]int{1, 2}, []int{5}}}
+	shared := randSystem(8, []int{6, 6, 6, 6, 6}, sup, transposed(sup))
+	serial := shared.Clone()
+	rhs := rhsOn(rand.New(rand.NewSource(29)), shared, 3, 0, 4)
+	want, err := serial.SolveBlocks(rhs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 8
+	got := make([][]*linalg.Matrix, workers)
+	seen := make([]*sparse.Coupling, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			var f *sparse.BTDFactor
+			if f, errs[i] = shared.FactorBTD(); errs[i] == nil {
+				got[i], errs[i] = f.SolveBlocks(rhs)
+			}
+			seen[i] = shared.Coupling(0)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, x := range got {
+		if errs[i] != nil {
+			t.Fatalf("goroutine %d: %v", i, errs[i])
+		}
+		if seen[i] != seen[0] {
+			t.Errorf("goroutine %d read couplings of its own: they were built more than once", i)
+		}
+		for l := range want {
+			for j, w := range want[l].Data {
+				v := x[l].Data[j]
+				if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+					t.Fatalf("goroutine %d: a concurrent first factor moved bits against a serial one (layer %d element %d)", i, l, j)
+				}
+			}
+		}
+	}
+}
+
+// TestBlockThomasFlopCount is the "flop totals exact" contract stated for
+// this kernel, the twin of negf's TestRGFFlopCount: the counted flops of one
+// SolveBlocksWS equal a closed form in the layer sizes n_i, the coupling
+// supports |R_i| × |C_i|, the right-hand-side width k and the layer count —
+// per layer one n×n LU and solves and products with an r-, c- or k-sized
+// dimension, nothing cubic in n beside the LU.
+func TestBlockThomasFlopCount(t *testing.T) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	ragged := []window{{[]int{0, 2}, []int{1}}, {}, {[]int{1, 2, 3}, []int{0, 2}}}
+	systems := map[string]*sparse.BlockTridiag{
+		"sinw":      deviceSystem(t, device.Description{Name: "sinw", Kind: device.SiNanowire, CellsX: 5, CellsY: 1, CellsZ: 1}, 0, complex(1.8, 0.1), ws),
+		"ragged":    randSystem(9, []int{3, 2, 4, 3}, ragged, transposed(ragged)),
+		"one layer": randSystem(10, []int{5}, nil, nil),
+	}
+	distinct := func(lists ...[]int) int {
+		set := map[int]bool{}
+		for _, l := range lists {
+			for _, v := range l {
+				set[v] = true
+			}
+		}
+		return len(set)
+	}
+	rng := rand.New(rand.NewSource(30))
+	for name, m := range systems {
+		nl := m.Layers()
+		rows, cols := make([]int, nl-1), make([]int, nl-1)
+		for i := range rows {
+			rows[i] = distinct(sparse.RowSupport(m.Upper[i]), sparse.ColumnSupport(m.Lower[i]))
+			cols[i] = distinct(sparse.ColumnSupport(m.Upper[i]), sparse.RowSupport(m.Lower[i]))
+		}
+		if name == "sinw" && !(rows[0] > 0 && rows[0] < m.LayerSize(0) && cols[0] > 0 && cols[0] < rows[0]) {
+			t.Fatalf("sinw couples %d rows to %d columns of %d; the compressed case is vacuous", rows[0], cols[0], m.LayerSize(0))
+		}
+		for _, k := range []int{0, 1, 5} {
+			var want int64
+			for i := 0; i < nl; i++ {
+				n := m.LayerSize(i)
+				// The LU of d̃_i and its solve against the k columns.
+				want += perf.LUFlops(n) + perf.SolveFlops(n, k)
+				if i > 0 {
+					// d̃_{i-1}⁻¹·U[:, C]; the fold onto C × C; the forward
+					// elimination of the right-hand side.
+					r, c := rows[i-1], cols[i-1]
+					want += perf.SolveFlops(m.LayerSize(i-1), c) + perf.GemmFlops(c, r, c) + int64(c*c)*perf.FlopsCAdd +
+						perf.GemmFlops(c, r, k)
+				}
+				if i < nl-1 {
+					want += perf.GemmFlops(n, cols[i], k) // back substitution
+				}
+			}
+			rhs := rhsOn(rng, m, k, sparse.Range(0, nl)...)
+			perf.ResetFlops()
+			if _, err := m.SolveBlocksWS(rhs, ws); err != nil {
+				t.Fatal(err)
+			}
+			if got := perf.ResetFlops(); got != want {
+				t.Errorf("%s, k = %d: one solve counted %d flops, the closed form gives %d", name, k, got, want)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/linalg"
 )
@@ -17,10 +18,43 @@ import (
 //	⎣         L2  D3   ⎦
 //
 // Diag[i] is n_i×n_i, Upper[i] is n_i×n_{i+1}, Lower[i] is n_{i+1}×n_i.
+//
+// A matrix carries its couplings compressed to their supports (Coupling): a
+// view made by ShiftedSystem.At or Window shares its parent's, any other
+// matrix builds them on first use. Upper and Lower must not change after.
 type BlockTridiag struct {
 	Diag  []*linalg.Matrix
 	Upper []*linalg.Matrix
 	Lower []*linalg.Matrix
+
+	cpOnce sync.Once
+	cps    []Coupling
+}
+
+// view wraps blocks a parent matrix owns, with the parent's couplings.
+func view(diag, upper, lower []*linalg.Matrix, cps []Coupling) *BlockTridiag {
+	v := &BlockTridiag{Diag: diag, Upper: upper, Lower: lower}
+	v.cpOnce.Do(func() { v.cps = cps })
+	return v
+}
+
+// Window returns layers [lo, hi) of m, lo < hi, as a matrix of its own that
+// shares m's blocks and its compressed couplings — a SplitSolve domain.
+func (m *BlockTridiag) Window(lo, hi int) *BlockTridiag {
+	return view(m.Diag[lo:hi], m.Upper[lo:hi-1], m.Lower[lo:hi-1], m.couplings()[lo:hi-1])
+}
+
+// Coupling returns the compressed coupling between layers i and i+1, read-only.
+func (m *BlockTridiag) Coupling(i int) *Coupling { return &m.couplings()[i] }
+
+func (m *BlockTridiag) couplings() []Coupling {
+	m.cpOnce.Do(func() {
+		m.cps = make([]Coupling, len(m.Upper))
+		for i, u := range m.Upper {
+			m.cps[i] = newCoupling(u, m.Lower[i])
+		}
+	})
+	return m.cps
 }
 
 // NewBlockTridiag validates the block shapes and wraps them. Upper and
@@ -173,13 +207,24 @@ func ShiftedFromHermitian(h *BlockTridiag, z complex128) *BlockTridiag {
 	return a
 }
 
-// Coupling is one nearest-neighbour coupling of A = z·I − H in its support
-// space. A_{i,i+1} = −U_i is nonzero only on Rows × Cols (Rows in layer i,
-// Cols in layer i+1) and, H being Hermitian, A_{i+1,i} = −U_i† only on
-// Cols × Rows; U and L are those two blocks, gathered.
+// Coupling is one nearest-neighbour coupling of a block-tridiagonal matrix
+// in its support space: A_{i,i+1} is nonzero only on Rows × Cols (Rows in
+// layer i, Cols in layer i+1) and A_{i+1,i} only on Cols × Rows; U and L are
+// those two blocks, gathered. Rows and Cols are unions over both blocks, so
+// A_{i+1,i} ≠ A_{i,i+1}† is covered; for A = z·I − H, H Hermitian, they are
+// the row and column support of U.
 type Coupling struct {
 	Rows, Cols []int
 	U, L       *linalg.Matrix
+}
+
+func newCoupling(u, l *linalg.Matrix) Coupling {
+	c := Coupling{Rows: union(RowSupport(u), ColumnSupport(l)), Cols: union(ColumnSupport(u), RowSupport(l))}
+	c.U = linalg.New(len(c.Rows), len(c.Cols))
+	Gather(c.U, u, c.Rows, c.Cols)
+	c.L = linalg.New(len(c.Cols), len(c.Rows))
+	Gather(c.L, l, c.Cols, c.Rows)
+	return c
 }
 
 // ShiftedSystem builds the per-energy open-system matrices A(z) = z·I − H
@@ -189,10 +234,9 @@ type Coupling struct {
 // an energy point rebuilds only the diagonal blocks. H must not change once
 // the system is built.
 type ShiftedSystem struct {
-	h            *BlockTridiag
-	upper, lower []*linalg.Matrix
-	couplings    []Coupling
-	axis         []int
+	h    *BlockTridiag
+	neg  *BlockTridiag // −U_i, −L_i and their compressed forms; no diagonal
+	axis []int
 }
 
 // NewShiftedSystem negates the couplings of h.
@@ -209,15 +253,8 @@ func NewShiftedSystem(h *BlockTridiag) *ShiftedSystem {
 		}
 		return out
 	}
-	s := &ShiftedSystem{h: h, upper: negate(h.Upper), lower: negate(h.Lower), couplings: make([]Coupling, len(h.Upper))}
-	for i, u := range s.upper {
-		c := Coupling{Rows: RowSupport(u), Cols: ColumnSupport(u)}
-		c.U = linalg.New(len(c.Rows), len(c.Cols))
-		Gather(c.U, u, c.Rows, c.Cols)
-		c.L = linalg.New(len(c.Cols), len(c.Rows))
-		Gather(c.L, s.lower[i], c.Cols, c.Rows)
-		s.couplings[i] = c
-	}
+	s := &ShiftedSystem{h: h, neg: &BlockTridiag{Upper: negate(h.Upper), Lower: negate(h.Lower)}}
+	s.neg.couplings() // compressed here, outside every task's meter
 	var widest int
 	for _, d := range h.Diag {
 		widest = max(widest, d.Rows)
@@ -228,7 +265,7 @@ func NewShiftedSystem(h *BlockTridiag) *ShiftedSystem {
 
 // Coupling returns the compressed coupling between layers i and i+1. It is
 // shared by every energy: read-only.
-func (s *ShiftedSystem) Coupling(i int) *Coupling { return &s.couplings[i] }
+func (s *ShiftedSystem) Coupling(i int) *Coupling { return s.neg.Coupling(i) }
 
 // Axis returns 0, 1, …, n−1 for n up to the widest layer: the index list of
 // an axis Gather takes whole. Shared and read-only, like the couplings.
@@ -245,10 +282,10 @@ func (s *ShiftedSystem) Diag(i int, z complex128, ws *linalg.Workspace) *linalg.
 }
 
 // At returns A = z·I − H with its diagonal blocks checked out of ws: the
-// per-solve system matrix, valid only until ws is released. Callers must not
-// write to the shared couplings.
+// per-solve system matrix, valid only until ws is released. It carries the
+// system's compressed couplings; callers must not write to the shared ones.
 func (s *ShiftedSystem) At(z complex128, ws *linalg.Workspace) *BlockTridiag {
-	a := &BlockTridiag{Diag: make([]*linalg.Matrix, len(s.h.Diag)), Upper: s.upper, Lower: s.lower}
+	a := view(make([]*linalg.Matrix, len(s.h.Diag)), s.neg.Upper, s.neg.Lower, s.neg.couplings())
 	for i := range a.Diag {
 		a.Diag[i] = s.Diag(i, z, ws)
 	}

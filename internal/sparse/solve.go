@@ -32,10 +32,10 @@ func (m *BlockTridiag) SolveBlocksWS(rhs []*linalg.Matrix, ws *linalg.Workspace)
 	piv := ws.GetInts(m.N())
 	defer ws.PutInts(piv)
 	var f BTDFactor
-	if err := f.factor(m, ws.Get, piv); err != nil {
+	if err := f.factor(m, ws.Get, piv, ws); err != nil {
 		return nil, err
 	}
-	return f.solve(rhs, ws.Get)
+	return f.solve(rhs, ws.Get, ws)
 }
 
 // BTDFactor is a reusable block-Thomas factorization of a block-
@@ -44,17 +44,22 @@ func (m *BlockTridiag) SolveBlocksWS(rhs []*linalg.Matrix, ws *linalg.Workspace)
 // SolveBlocks call costs only triangular solves and block products —
 // the pattern behind shift-invert eigensolvers and repeated-RHS
 // transport drivers.
+// The recurrence runs in the couplings' support space (DESIGN.md §11): the
+// LU of d̃_i is a layer's one n×n operation, and a dense coupling is the
+// same code with its supports the whole layers.
 type BTDFactor struct {
 	m    *BlockTridiag
 	facs []linalg.LU
-	// dU[i] caches d̃_i⁻¹·U_i for the forward elimination of the RHS.
+	// dU[i] caches d̃_i⁻¹·U_i[:, C_i], n_i × |C_i|, for the back substitution.
 	dU []*linalg.Matrix
 }
 
 // FactorBTD computes the reusable factorization in heap storage it owns.
 func (m *BlockTridiag) FactorBTD() (*BTDFactor, error) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
 	f := new(BTDFactor)
-	if err := f.factor(m, linalg.New, make([]int, m.N())); err != nil {
+	if err := f.factor(m, linalg.New, make([]int, m.N()), ws); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -64,22 +69,32 @@ func (m *BlockTridiag) FactorBTD() (*BTDFactor, error) {
 // supplies the zeroed blocks the factor keeps (the packed d̃ᵢ and the
 // couplings) and piv, of length m.N(), the pivot rows of all layers: heap
 // storage for a BTDFactor that outlives the call, workspace scratch for
-// SolveBlocksWS.
-func (f *BTDFactor) factor(m *BlockTridiag, newBlock func(rows, cols int) *linalg.Matrix, piv []int) error {
+// SolveBlocksWS. A layer's r-sized temporaries come from ws and go back to it.
+func (f *BTDFactor) factor(m *BlockTridiag, newBlock func(rows, cols int) *linalg.Matrix, piv []int, ws *linalg.Workspace) error {
 	l := m.Layers()
+	cps := m.couplings()
 	*f = BTDFactor{m: m, facs: make([]linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
 	for i := 0; i < l; i++ {
 		n := m.LayerSize(i)
 		d := newBlock(n, n)
 		d.CopyFrom(m.Diag[i])
 		if i > 0 {
-			// dU_{i-1} = d̃_{i-1}⁻¹·U_{i-1}
-			u := m.Upper[i-1]
-			f.dU[i-1] = newBlock(u.Rows, u.Cols)
-			f.facs[i-1].SolveInto(f.dU[i-1], u)
-			// d̃_i = D_i − L_{i-1}·d̃_{i-1}⁻¹·U_{i-1}, accumulated straight
-			// into the buffer that becomes the packed factor.
-			linalg.GemmInto(d, -1, m.Lower[i-1], linalg.NoTrans, f.dU[i-1], linalg.NoTrans, 1)
+			// dU_{i-1} = d̃_{i-1}⁻¹·U_{i-1}[:, C]: the nonzero columns of
+			// the coupling, laid out in the block that is solved in place.
+			c := &cps[i-1]
+			dU := newBlock(m.LayerSize(i-1), len(c.Cols))
+			ScatterRows(dU, c.U, c.Rows)
+			f.facs[i-1].SolveInPlace(dU)
+			f.dU[i-1] = dU
+			// d̃_i = D_i − L_{i-1}·d̃_{i-1}⁻¹·U_{i-1}, whose second term
+			// lives on C × C and reads only the rows R of dU.
+			dUR := ws.Get(len(c.Rows), len(c.Cols))
+			GatherRows(dUR, dU, c.Rows)
+			fold := ws.Get(len(c.Cols), len(c.Cols))
+			linalg.GemmInto(fold, -1, c.L, linalg.NoTrans, dUR, linalg.NoTrans, 0)
+			ScatterAdd(d, fold, c.Cols, c.Cols)
+			ws.Put(fold)
+			ws.Put(dUR)
 		}
 		var err error
 		f.facs[i], err = linalg.FactorInPlace(d, piv[:n])
@@ -92,15 +107,16 @@ func (f *BTDFactor) factor(m *BlockTridiag, newBlock func(rows, cols int) *linal
 }
 
 // SolveBlocks solves M·X = B against the stored factorization. The
-// returned blocks are freshly allocated; the solve itself runs without
-// temporaries (forward elimination and back substitution accumulate
-// directly into the output blocks through the fused GEMM kernel).
+// returned blocks are freshly allocated; forward elimination and back
+// substitution accumulate directly into them through the fused GEMM kernel.
 func (f *BTDFactor) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
-	return f.solve(rhs, linalg.New)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	return f.solve(rhs, linalg.New, ws)
 }
 
-// solve is SolveBlocks with the solution blocks drawn from newBlock.
-func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *linalg.Matrix) ([]*linalg.Matrix, error) {
+// solve is SolveBlocks with its blocks drawn from newBlock, temporaries from ws.
+func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
 	m := f.m
 	l := m.Layers()
 	if len(rhs) != l {
@@ -113,20 +129,33 @@ func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *l
 				i, b.Rows, b.Cols, m.LayerSize(i), k)
 		}
 	}
+	cps := m.couplings()
 	// Forward elimination, with the eliminated RHS solved layer by layer:
-	// y_i = d̃_i⁻¹·(b_i − L_{i-1}·y_{i-1}), held in the output slot.
+	// y_i = d̃_i⁻¹·(b_i − L_{i-1}·y_{i-1}), held in the output slot; the
+	// product touches rows C of b_i and reads rows R of y_{i-1}.
 	x := make([]*linalg.Matrix, l)
 	for i := 0; i < l; i++ {
 		x[i] = newBlock(m.LayerSize(i), k)
 		x[i].CopyFrom(rhs[i])
 		if i > 0 {
-			linalg.GemmInto(x[i], -1, m.Lower[i-1], linalg.NoTrans, x[i-1], linalg.NoTrans, 1)
+			c := &cps[i-1]
+			yR := ws.Get(len(c.Rows), k)
+			GatherRows(yR, x[i-1], c.Rows)
+			bC := ws.Get(len(c.Cols), k)
+			GatherRows(bC, x[i], c.Cols)
+			linalg.GemmInto(bC, -1, c.L, linalg.NoTrans, yR, linalg.NoTrans, 1)
+			ScatterRows(x[i], bC, c.Cols)
+			ws.Put(bC)
+			ws.Put(yR)
 		}
 		f.facs[i].SolveInPlace(x[i])
 	}
-	// Back substitution: x_i = y_i − d̃_i⁻¹·U_i·x_{i+1}.
+	// Back substitution: x_i = y_i − d̃_i⁻¹·U_i[:, C]·x_{i+1}[C, :].
 	for i := l - 2; i >= 0; i-- {
-		linalg.GemmInto(x[i], -1, f.dU[i], linalg.NoTrans, x[i+1], linalg.NoTrans, 1)
+		xC := ws.Get(len(cps[i].Cols), k)
+		GatherRows(xC, x[i+1], cps[i].Cols)
+		linalg.GemmInto(x[i], -1, f.dU[i], linalg.NoTrans, xC, linalg.NoTrans, 1)
+		ws.Put(xC)
 	}
 	return x, nil
 }

@@ -1,6 +1,8 @@
 package sparse
 
 import (
+	"slices"
+
 	"repro/internal/linalg"
 	"repro/internal/perf"
 )
@@ -38,6 +40,13 @@ func ColumnSupport(m *linalg.Matrix) []int {
 	return sup
 }
 
+// union merges two ascending index lists into one.
+func union(a, b []int) []int {
+	out := append(slices.Clone(a), b...)
+	slices.Sort(out)
+	return slices.Compact(out)
+}
+
 // Range returns lo, lo+1, …, hi−1: the index list of an axis taken whole, or
 // of a contiguous window of one.
 func Range(lo, hi int) []int {
@@ -60,6 +69,26 @@ func Gather(dst, src *linalg.Matrix, rows, cols []int) {
 		for j, c := range cols {
 			dstRow[j] = srcRow[c]
 		}
+	}
+}
+
+// GatherRows writes the rows src[rows, :] into dst, len(rows)×src.Cols.
+func GatherRows(dst, src *linalg.Matrix, rows []int) {
+	if dst.Rows != len(rows) || dst.Cols != src.Cols {
+		panic("sparse: dimension mismatch in GatherRows")
+	}
+	for i, r := range rows {
+		copy(dst.Data[i*dst.Cols:(i+1)*dst.Cols], src.Data[r*src.Cols:(r+1)*src.Cols])
+	}
+}
+
+// ScatterRows is the inverse of GatherRows: dst[rows[i], :] = src[i, :].
+func ScatterRows(dst, src *linalg.Matrix, rows []int) {
+	if src.Rows != len(rows) || src.Cols != dst.Cols {
+		panic("sparse: dimension mismatch in ScatterRows")
+	}
+	for i, r := range rows {
+		copy(dst.Data[r*dst.Cols:(r+1)*dst.Cols], src.Data[i*src.Cols:(i+1)*src.Cols])
 	}
 }
 

@@ -89,15 +89,18 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 	// rather than multiplies with — the enclosing energy level.
 	err := pool.ForEach(ctx, "splitsolve", p, func(_ context.Context, d int) error {
 		lo, hi := bounds[d], bounds[d+1] // layers [lo, hi)
-		local := subMatrix(a, lo, hi)
+		local := a.Window(lo, hi)
 		nLoc := hi - lo
 		k := rhs[0].Cols
 		var supV, supW []int
 		if d < p-1 {
-			supV = sparse.ColumnSupport(a.Upper[hi-1])
+			supV = a.Coupling(hi - 1).Cols
 		}
 		if d > 0 {
-			supW = sparse.ColumnSupport(a.Lower[lo-1])
+			// ξ_{d-1}^l sits after ξ_{d-1}^f in its group.
+			for _, row := range a.Coupling(lo - 1).Rows {
+				supW = append(supW, a.LayerSize(bounds[d-1])+row)
+			}
 		}
 		width := k + len(supV) + len(supW)
 		stacked := make([]*linalg.Matrix, nLoc)
@@ -119,7 +122,7 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 			// F̂: the supported columns of L_{lo-1} in the first local
 			// layer-row.
 			l := a.Lower[lo-1]
-			for j, col := range supW {
+			for j, col := range a.Coupling(lo - 1).Rows {
 				for i := 0; i < l.Rows; i++ {
 					stacked[0].Set(i, k+len(supV)+j, l.At(i, col))
 				}
@@ -135,12 +138,6 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 			w:    make([]*linalg.Matrix, nLoc),
 			supV: supV,
 			supW: supW,
-		}
-		if d > 0 {
-			// ξ_{d-1}^l sits after ξ_{d-1}^f in its group.
-			for j := range res.supW {
-				res.supW[j] += a.LayerSize(bounds[d-1])
-			}
 		}
 		for i := 0; i < nLoc; i++ {
 			ni := a.LayerSize(lo + i)
@@ -306,7 +303,7 @@ func Strategy(domains int, pool *sched.Pool) func(context.Context, *sparse.Block
 func InterfaceRank(a *sparse.BlockTridiag) int {
 	r := 0
 	for i := range a.Upper {
-		r = max(r, len(sparse.ColumnSupport(a.Upper[i])), len(sparse.ColumnSupport(a.Lower[i])))
+		r = max(r, len(a.Coupling(i).Cols), len(a.Coupling(i).Rows))
 	}
 	return r
 }
@@ -324,25 +321,4 @@ func partition(n, p int) []int {
 		bounds[d+1] = bounds[d] + sz
 	}
 	return bounds
-}
-
-// subMatrix extracts the local block-tridiagonal matrix of layers [lo, hi).
-func subMatrix(a *sparse.BlockTridiag, lo, hi int) *sparse.BlockTridiag {
-	n := hi - lo
-	diag := make([]*linalg.Matrix, n)
-	upper := make([]*linalg.Matrix, n-1)
-	lower := make([]*linalg.Matrix, n-1)
-	for i := 0; i < n; i++ {
-		diag[i] = a.Diag[lo+i]
-	}
-	for i := 0; i < n-1; i++ {
-		upper[i] = a.Upper[lo+i]
-		lower[i] = a.Lower[lo+i]
-	}
-	m, err := sparse.NewBlockTridiag(diag, upper, lower)
-	if err != nil {
-		// The blocks come from a validated matrix; failure is impossible.
-		panic(err)
-	}
-	return m
 }

@@ -170,6 +170,34 @@ func TestWFMatchesNEGF(t *testing.T) {
 	}
 }
 
+// TestWFCheaperThanRGF pins the cost claim of the formalism: for the same
+// device and energy, the wave-function transmission solve must execute
+// fewer flops than the RGF solve.
+func TestWFCheaperThanRGF(t *testing.T) {
+	h := buildDisorderedWire(t)
+	wf, err := NewSolver(h, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gf, err := negf.NewSolver(h, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const e = 1.8
+	perf.ResetFlops()
+	if _, err := wf.Solve(e, false); err != nil {
+		t.Fatal(err)
+	}
+	wfFlops := perf.ResetFlops()
+	if _, err := gf.Solve(e, false); err != nil {
+		t.Fatal(err)
+	}
+	rgfFlops := perf.ResetFlops()
+	if wfFlops >= rgfFlops {
+		t.Fatalf("WF solve cost %d flops, RGF %d — WF should be cheaper", wfFlops, rgfFlops)
+	}
+}
+
 func TestSolveBlocksMatchesDense(t *testing.T) {
 	// Block-Thomas on a random non-Hermitian shifted system vs dense LU.
 	rng := rand.New(rand.NewSource(55))
