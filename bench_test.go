@@ -347,7 +347,7 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 		b.Run(fmt.Sprintf("domains=%d", p), func(b *testing.B) {
 			perf.ResetFlops()
 			for i := 0; i < b.N; i++ {
-				if _, err := splitsolve.Solve(context.Background(), a, rhs, splitsolve.Options{Domains: p}); err != nil {
+				if _, err := splitsolve.Solve(context.Background(), a, rhs, p, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

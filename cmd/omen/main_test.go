@@ -246,8 +246,10 @@ func TestReadmeFlagRowsAreFlags(t *testing.T) {
 	}
 }
 
-// TestGoldenObservables holds three tiny runs — one per formalism and
-// sweep shape — to the bytes a build of an earlier commit printed: the
+// TestGoldenObservables holds four tiny runs — one per formalism and
+// sweep shape, plus the wave-function sweep on SplitSolve's domain path
+// (`sinw_domains`, whose data rows equal `sinw_wf`'s) — to the bytes a
+// build of an earlier commit printed: the
 // data rows and the `# flops` line, i.e. every observable and the exact
 // operation count (the `# sigma-cache` line's hit/coalesced split is
 // timing, the `# E(eV)` header is prose). A PR that means to keep the
@@ -260,6 +262,7 @@ func TestGoldenObservables(t *testing.T) {
 	}
 	for name, line := range map[string]string{
 		"sinw_wf":       "-device sinw -formalism wf -ne 8",
+		"sinw_domains":  "-device sinw -formalism wf -domains 3 -ne 8",
 		"agnr7_negf_iv": "-device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8",
 		"utb_nk2":       "-device utb -nk 2 -ne 6",
 	} {

@@ -336,17 +336,17 @@ func norm(v []complex128) float64 {
 // for band-edge states of large confined structures (NEMO-3D-style
 // quantum dots).
 func NearTarget(h *sparse.BlockTridiag, sigma float64, k int, tol float64, maxIter int, rng *rand.Rand) (*Result, error) {
-	shifted := sparse.ShiftedFromHermitian(h, complex(sigma, 0)) // σ·I − H
-	fac, err := shifted.FactorBTD()
+	// The factor and every solve live on one workspace for the whole run.
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	op, err := newShiftInvertOp(sparse.ShiftedFromHermitian(h, complex(sigma, 0)), ws) // σ·I − H
 	if err != nil {
 		// σ sits (numerically) on an eigenvalue; nudge and retry once.
-		shifted = sparse.ShiftedFromHermitian(h, complex(sigma*(1+1e-9)+1e-12, 0))
-		fac, err = shifted.FactorBTD()
+		op, err = newShiftInvertOp(sparse.ShiftedFromHermitian(h, complex(sigma*(1+1e-9)+1e-12, 0)), ws)
 		if err != nil {
 			return nil, fmt.Errorf("lanczos: shift-invert factorization: %w", err)
 		}
 	}
-	op := &shiftInvertOp{fac: fac, n: h.N()}
 	res, err := LargestMagnitude(op, k, tol, maxIter, rng)
 	if err != nil {
 		return nil, err
@@ -362,21 +362,47 @@ func NearTarget(h *sparse.BlockTridiag, sigma float64, k int, tol float64, maxIt
 	return res, nil
 }
 
-// shiftInvertOp applies (σ·I − H)⁻¹ through the cached factorization.
+// shiftInvertOp applies (σ·I − H)⁻¹ through the cached factorization. The
+// factor, the per-layer right-hand side and every solution are scratch of
+// ws, which the caller holds for the operator's life.
 type shiftInvertOp struct {
 	fac *sparse.BTDFactor
+	rhs []*linalg.Matrix // one column per layer
+	ws  *linalg.Workspace
 	n   int
 }
 
-// Apply implements Operator.
-func (o *shiftInvertOp) Apply(x, y []complex128) {
-	sol, err := o.fac.SolveVec(x)
+// newShiftInvertOp factors a on ws.
+func newShiftInvertOp(a *sparse.BlockTridiag, ws *linalg.Workspace) (*shiftInvertOp, error) {
+	fac, err := a.Factor(ws)
 	if err != nil {
-		// The factorization was validated at construction; a failure here
-		// means a caller-size mismatch, which Dim() prevents.
+		return nil, err
+	}
+	rhs := make([]*linalg.Matrix, a.Layers())
+	for i := range rhs {
+		rhs[i] = ws.Get(a.LayerSize(i), 1)
+	}
+	return &shiftInvertOp{fac: fac, rhs: rhs, ws: ws, n: a.N()}, nil
+}
+
+// Apply implements Operator: x is copied into the layer columns in order,
+// solved, and the solution copied out to y the same way.
+func (o *shiftInvertOp) Apply(x, y []complex128) {
+	off := 0
+	for _, b := range o.rhs {
+		off += copy(b.Data, x[off:])
+	}
+	sol, err := o.fac.Solve(o.rhs, o.ws)
+	if err != nil {
+		// The factorization was validated at construction and the
+		// right-hand side is built to its shapes.
 		panic(err)
 	}
-	copy(y, sol)
+	off = 0
+	for _, blk := range sol {
+		off += copy(y[off:], blk.Data)
+		o.ws.Put(blk)
+	}
 }
 
 // Dim implements Operator.

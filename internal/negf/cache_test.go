@@ -581,7 +581,7 @@ func TestDysonResidual(t *testing.T) {
 				}
 			}
 		}
-		fam := newBlockFamily(0, leads.spec(left))
+		fam := newFamily(0, leads.spec(left))
 		dense := denseTwin(fam)
 		var worst, worstHard float64
 		var hard int
@@ -673,7 +673,7 @@ func TestMirrorPurity(t *testing.T) {
 		gotL, gotR, err := flat.SelfEnergies(z)
 		check("uncached", gotL, gotR, err)
 
-		canon := newBlockFamily(0, flat.spec(left))
+		canon := newFamily(0, flat.spec(left))
 		oneL, err := canon.selfEnergies(z, 1<<left)
 		check("left finished alone", oneL[left], nil, err)
 		oneR, err := canon.selfEnergies(z, 1<<right)
@@ -745,7 +745,7 @@ func TestMirrorPurity(t *testing.T) {
 // blocks and its own run.
 func TestMirrorAdoption(t *testing.T) {
 	wire := suiteLeads(t)["SiNW-sp3s*"]
-	d := newBlockFamily(0, wire.spec(left)).drift(wire.spec(right))
+	d := newFamily(0, wire.spec(left)).drift(wire.spec(right))
 	if d == 0 || d > 1e-12 {
 		t.Fatalf("sinw's ends differ by %g; the test wants assembly rounding, neither bitwise equality nor a real difference", d)
 	}

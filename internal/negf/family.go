@@ -45,7 +45,7 @@ type blockFamily struct {
 	sides sideSet
 }
 
-func newBlockFamily(id int, spec leadSpec) *blockFamily {
+func newFamily(id int, spec leadSpec) *blockFamily {
 	b := &blockFamily{id: id, sides: 1 << spec.side, h00: spec.h00.Clone(), h01: spec.h01.Clone()}
 	// Remove the registering lead's shift from the diagonal: the canon is
 	// the zero-bias contact the whole family shares.
@@ -211,7 +211,7 @@ func (r *registry) family(spec, mate leadSpec) *blockFamily {
 			return b
 		}
 	}
-	b := newBlockFamily(len(r.blocks), spec)
+	b := newFamily(len(r.blocks), spec)
 	if b.drift(mate) <= familyTol {
 		b.sides = bothSides
 	}

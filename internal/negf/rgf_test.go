@@ -120,7 +120,7 @@ func sigmaSound(t *testing.T, name string, sol *Solver, e float64) bool {
 		t.Fatalf("%s E=%v: %v", name, e, err)
 	}
 	for s, sig := range [2]*linalg.Matrix{left: sigL, right: sigR} {
-		fam := newBlockFamily(0, sol.Leads.spec(side(s)))
+		fam := newFamily(0, sol.Leads.spec(side(s)))
 		if res := dysonResidual(t, fam, z, sig, side(s)); !(res <= 1e-6*math.Max(1, maxAbs(sig))) {
 			t.Logf("%s E=%v: SKIPPED — Σ_%s fails its Dyson precondition: residual %.3g, ‖Σ‖ = %.3g", name, e, sideNames[s], res, maxAbs(sig))
 			return false

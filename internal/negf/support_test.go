@@ -75,7 +75,7 @@ func TestAdversarialEnergies(t *testing.T) {
 	coarse := []float64{0, 1e-6, -1e-4, 1e-2}
 	var guarded int
 	for name, leads := range suiteLeads(t) {
-		fam := newBlockFamily(0, leads.spec(left))
+		fam := newFamily(0, leads.spec(left))
 		if fam.part.hII.Rows == 0 {
 			t.Errorf("%s: a T1 family without an interior; the table wants one", name)
 			continue
@@ -189,7 +189,7 @@ func TestAdversarialShapes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			fam := newBlockFamily(0, tc.spec)
+			fam := newFamily(0, tc.spec)
 			if got, in := fam.part.hSS.Rows, fam.part.hII.Rows; got != tc.sup || in != tc.in {
 				t.Fatalf("partition has |S| = %d, |I| = %d; want %d and %d", got, in, tc.sup, tc.in)
 			}
@@ -244,7 +244,7 @@ func TestAdversarialShapes(t *testing.T) {
 // wave-function injection factorise Γ on an r×r block.
 func TestSelfEnergySupport(t *testing.T) {
 	for name, leads := range suiteLeads(t) {
-		fam := newBlockFamily(0, leads.spec(left))
+		fam := newFamily(0, leads.spec(left))
 		sig, err := fam.selfEnergies(complex(0.5, 1e-6), bothSides)
 		if err != nil {
 			t.Fatal(err)

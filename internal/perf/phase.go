@@ -18,7 +18,7 @@ type PhaseStats struct {
 	// the per-level efficiency accounting needs.
 	Wall time.Duration
 	// Flops is the operation count explicitly attributed to the phase by
-	// the call sites that know it (RecordPhase/AddPhaseFlops). Wall time
+	// the call sites that know it (RecordPhase). Wall time
 	// is measured automatically by the sched layer and the instrumented
 	// solvers; flop attribution is explicit because the kernel-level
 	// counter (AddFlops) is global and cannot know which phase its caller
@@ -62,13 +62,6 @@ func RecordPhase(name string, wall time.Duration, flops int64) {
 func StartPhase(name string) func() {
 	start := time.Now()
 	return func() { RecordPhase(name, time.Since(start), 0) }
-}
-
-// AddPhaseFlops attributes n flops to the named phase without recording a
-// call (used when the flop count of an already-timed phase is computed
-// separately, e.g. the SplitSolve reduced interface system).
-func AddPhaseFlops(name string, n int64) {
-	phase(name).flops.Add(n)
 }
 
 // PhaseSnapshot returns a copy of every phase's accumulated statistics.

@@ -126,8 +126,7 @@ func denseSolve(t *testing.T, m *sparse.BlockTridiag, rhs []*linalg.Matrix) []*l
 // kernel to Dense() + dense LU on the shapes its index arithmetic has to get
 // right at the corners, mirroring negf's TestRGFAdversarialShapes: each
 // matrix against right-hand sides living in the first layer only, the last
-// only, everywhere, and with no column at all, through the heap factor and
-// the workspace solve.
+// only, everywhere, and with no column at all.
 func TestBlockThomasAdversarialShapes(t *testing.T) {
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
@@ -191,28 +190,22 @@ func TestBlockThomasAdversarialShapes(t *testing.T) {
 				{"zero width", rhsOn(rng, tc.m, 0, every...)},
 			} {
 				want := denseSolve(t, tc.m, rc.rhs)
-				heap, err := tc.m.SolveBlocks(rc.rhs)
+				x, err := tc.m.SolveBlocks(rc.rhs, ws)
 				if err != nil {
 					t.Fatalf("%s: SolveBlocks: %v", rc.name, err)
 				}
-				scratch, err := tc.m.SolveBlocksWS(rc.rhs, ws)
-				if err != nil {
-					t.Fatalf("%s: SolveBlocksWS: %v", rc.name, err)
-				}
-				for path, x := range map[string][]*linalg.Matrix{"heap": heap, "workspace": scratch} {
-					for i := range want {
-						if x[i].Rows != want[i].Rows || x[i].Cols != want[i].Cols {
-							t.Fatalf("%s, %s: layer %d is %d×%d, want %d×%d", rc.name, path, i, x[i].Rows, x[i].Cols, want[i].Rows, want[i].Cols)
-						}
-						for j, w := range want[i].Data {
-							if d := cmplx.Abs(x[i].Data[j] - w); !(d <= 1e-10*math.Max(1, cmplx.Abs(w))) {
-								t.Fatalf("%s, %s: layer %d element %d = %v, dense LU gives %v", rc.name, path, i, j, x[i].Data[j], w)
-							}
+				for i := range want {
+					if x[i].Rows != want[i].Rows || x[i].Cols != want[i].Cols {
+						t.Fatalf("%s: layer %d is %d×%d, want %d×%d", rc.name, i, x[i].Rows, x[i].Cols, want[i].Rows, want[i].Cols)
+					}
+					for j, w := range want[i].Data {
+						if d := cmplx.Abs(x[i].Data[j] - w); !(d <= 1e-10*math.Max(1, cmplx.Abs(w))) {
+							t.Fatalf("%s: layer %d element %d = %v, dense LU gives %v", rc.name, i, j, x[i].Data[j], w)
 						}
 					}
 				}
 				if tc.check != nil {
-					tc.check(t, rc.name, heap)
+					tc.check(t, rc.name, x)
 				}
 			}
 		})
@@ -228,7 +221,9 @@ func TestConcurrentFirstFactor(t *testing.T) {
 	shared := randSystem(8, []int{6, 6, 6, 6, 6}, sup, transposed(sup))
 	serial := shared.Clone()
 	rhs := rhsOn(rand.New(rand.NewSource(29)), shared, 3, 0, 4)
-	want, err := serial.SolveBlocks(rhs)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	want, err := serial.SolveBlocks(rhs, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,9 +238,15 @@ func TestConcurrentFirstFactor(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
+			ws := linalg.GetWorkspace()
+			defer ws.Release()
 			var f *sparse.BTDFactor
-			if f, errs[i] = shared.FactorBTD(); errs[i] == nil {
-				got[i], errs[i] = f.SolveBlocks(rhs)
+			var x []*linalg.Matrix
+			if f, errs[i] = shared.Factor(ws); errs[i] == nil {
+				x, errs[i] = f.Solve(rhs, ws)
+			}
+			for _, blk := range x {
+				got[i] = append(got[i], blk.Clone())
 			}
 			seen[i] = shared.Coupling(0)
 		}(i)
@@ -272,7 +273,7 @@ func TestConcurrentFirstFactor(t *testing.T) {
 
 // TestBlockThomasFlopCount is the "flop totals exact" contract stated for
 // this kernel, the twin of negf's TestRGFFlopCount: the counted flops of one
-// SolveBlocksWS equal a closed form in the layer sizes n_i, the coupling
+// SolveBlocks equal a closed form in the layer sizes n_i, the coupling
 // supports |R_i| × |C_i|, the right-hand-side width k and the layer count —
 // per layer one n×n LU and solves and products with an r-, c- or k-sized
 // dimension, nothing cubic in n beside the LU.
@@ -324,7 +325,7 @@ func TestBlockThomasFlopCount(t *testing.T) {
 			}
 			rhs := rhsOn(rng, m, k, sparse.Range(0, nl)...)
 			perf.ResetFlops()
-			if _, err := m.SolveBlocksWS(rhs, ws); err != nil {
+			if _, err := m.SolveBlocks(rhs, ws); err != nil {
 				t.Fatal(err)
 			}
 			if got := perf.ResetFlops(); got != want {

@@ -12,38 +12,25 @@ import (
 // substitution. This is the serial direct solver at the heart of the
 // wave-function formalism; its cost is one block LU plus a handful of
 // block products per layer, against the several products per layer of the
-// full RGF pass.
-func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
-	f, err := m.FactorBTD()
-	if err != nil {
-		return nil, err
-	}
-	return f.SolveBlocks(rhs)
-}
-
-// SolveBlocksWS is SolveBlocks for the per-energy solves of a sweep: the
-// factorization is used once and thrown away, so its pivots, the d̃ᵢ
-// factors, the d̃ᵢ⁻¹·Uᵢ couplings and the solution blocks are all ws
-// scratch and the solve allocates only three layer-count slices. It runs
-// the recurrence of FactorBTD and BTDFactor.SolveBlocks itself, so
-// solutions, flop counts and errors are theirs bit for bit. The returned
-// blocks are valid until ws is released.
-func (m *BlockTridiag) SolveBlocksWS(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
+// full RGF pass. The factorization is used once and thrown away: its
+// pivots, the d̃ᵢ factors, the d̃ᵢ⁻¹·Uᵢ couplings and the solution blocks
+// are all ws scratch, and the solve allocates only three layer-count
+// slices. The returned blocks are valid until ws is released.
+func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
 	piv := ws.GetInts(m.N())
 	defer ws.PutInts(piv)
 	var f BTDFactor
-	if err := f.factor(m, ws.Get, piv, ws); err != nil {
+	if err := f.factor(m, piv, ws); err != nil {
 		return nil, err
 	}
-	return f.solve(rhs, ws.Get, ws)
+	return f.Solve(rhs, ws)
 }
 
 // BTDFactor is a reusable block-Thomas factorization of a block-
 // tridiagonal matrix: the per-layer pivot factorizations and the
 // eliminated coupling products are computed once, after which every
-// SolveBlocks call costs only triangular solves and block products —
-// the pattern behind shift-invert eigensolvers and repeated-RHS
-// transport drivers.
+// Solve costs only triangular solves and block products — the pattern
+// behind shift-invert eigensolvers.
 // The recurrence runs in the couplings' support space (DESIGN.md §11): the
 // LU of d̃_i is a layer's one n×n operation, and a dense coupling is the
 // same code with its supports the whole layers.
@@ -54,35 +41,32 @@ type BTDFactor struct {
 	dU []*linalg.Matrix
 }
 
-// FactorBTD computes the reusable factorization in heap storage it owns.
-func (m *BlockTridiag) FactorBTD() (*BTDFactor, error) {
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
+// Factor computes the reusable factorization of m on ws: the d̃ᵢ, the
+// d̃ᵢ⁻¹·Uᵢ couplings and the pivots are ws scratch, so the factor is valid
+// until ws is released.
+func (m *BlockTridiag) Factor(ws *linalg.Workspace) (*BTDFactor, error) {
 	f := new(BTDFactor)
-	if err := f.factor(m, linalg.New, make([]int, m.N()), ws); err != nil {
+	if err := f.factor(m, ws.GetInts(m.N()), ws); err != nil {
 		return nil, err
 	}
 	return f, nil
 }
 
-// factor runs the block-Thomas factorization of m into f. newBlock
-// supplies the zeroed blocks the factor keeps (the packed d̃ᵢ and the
-// couplings) and piv, of length m.N(), the pivot rows of all layers: heap
-// storage for a BTDFactor that outlives the call, workspace scratch for
-// SolveBlocksWS. A layer's r-sized temporaries come from ws and go back to it.
-func (f *BTDFactor) factor(m *BlockTridiag, newBlock func(rows, cols int) *linalg.Matrix, piv []int, ws *linalg.Workspace) error {
+// factor runs the block-Thomas factorization of m into f. piv, of length
+// m.N(), receives the pivot rows of all layers; every block comes from ws.
+func (f *BTDFactor) factor(m *BlockTridiag, piv []int, ws *linalg.Workspace) error {
 	l := m.Layers()
 	cps := m.couplings()
 	*f = BTDFactor{m: m, facs: make([]linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
 	for i := 0; i < l; i++ {
 		n := m.LayerSize(i)
-		d := newBlock(n, n)
+		d := ws.Get(n, n)
 		d.CopyFrom(m.Diag[i])
 		if i > 0 {
 			// dU_{i-1} = d̃_{i-1}⁻¹·U_{i-1}[:, C]: the nonzero columns of
 			// the coupling, laid out in the block that is solved in place.
 			c := &cps[i-1]
-			dU := newBlock(m.LayerSize(i-1), len(c.Cols))
+			dU := ws.Get(m.LayerSize(i-1), len(c.Cols))
 			ScatterRows(dU, c.U, c.Rows)
 			f.facs[i-1].SolveInPlace(dU)
 			f.dU[i-1] = dU
@@ -106,17 +90,11 @@ func (f *BTDFactor) factor(m *BlockTridiag, newBlock func(rows, cols int) *linal
 	return nil
 }
 
-// SolveBlocks solves M·X = B against the stored factorization. The
-// returned blocks are freshly allocated; forward elimination and back
-// substitution accumulate directly into them through the fused GEMM kernel.
-func (f *BTDFactor) SolveBlocks(rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	return f.solve(rhs, linalg.New, ws)
-}
-
-// solve is SolveBlocks with its blocks drawn from newBlock, temporaries from ws.
-func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
+// Solve solves M·X = B against the stored factorization. The returned
+// blocks are ws scratch, valid until ws is released; forward elimination
+// and back substitution accumulate directly into them through the fused
+// GEMM kernel.
+func (f *BTDFactor) Solve(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
 	m := f.m
 	l := m.Layers()
 	if len(rhs) != l {
@@ -135,7 +113,7 @@ func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *l
 	// product touches rows C of b_i and reads rows R of y_{i-1}.
 	x := make([]*linalg.Matrix, l)
 	for i := 0; i < l; i++ {
-		x[i] = newBlock(m.LayerSize(i), k)
+		x[i] = ws.Get(m.LayerSize(i), k)
 		x[i].CopyFrom(rhs[i])
 		if i > 0 {
 			c := &cps[i-1]
@@ -158,28 +136,4 @@ func (f *BTDFactor) solve(rhs []*linalg.Matrix, newBlock func(rows, cols int) *l
 		ws.Put(xC)
 	}
 	return x, nil
-}
-
-// SolveVec solves M·x = b for a single flat vector in layer order.
-func (f *BTDFactor) SolveVec(b []complex128) ([]complex128, error) {
-	m := f.m
-	off := m.Offsets()
-	if len(b) != off[len(off)-1] {
-		return nil, fmt.Errorf("sparse: SolveVec got %d entries for order %d", len(b), off[len(off)-1])
-	}
-	rhs := make([]*linalg.Matrix, m.Layers())
-	for i := 0; i < m.Layers(); i++ {
-		blk := linalg.New(m.LayerSize(i), 1)
-		copy(blk.Data, b[off[i]:off[i+1]])
-		rhs[i] = blk
-	}
-	x, err := f.SolveBlocks(rhs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]complex128, len(b))
-	for i := range x {
-		copy(out[off[i]:off[i+1]], x[i].Data)
-	}
-	return out, nil
 }

@@ -14,6 +14,12 @@
 // factorization work plus the reduced-system overhead — exactly the
 // trade-off the paper's strong-scaling curves exercise.
 //
+// Every factorization here — each domain's and the reduced system's — is
+// the one block-Thomas kernel of the serial solve, sparse.BlockTridiag.
+// SolveBlocks, on a workspace the solving goroutine checks out for itself
+// (DESIGN.md §8); only the pieces that cross into another stage are
+// copied to the heap.
+//
 // A structural property of nearest-neighbor tight-binding keeps the
 // overhead small: the inter-layer coupling blocks are low-rank (only the
 // boundary atomic planes of adjacent layers touch), so the spike solves
@@ -24,7 +30,6 @@ package splitsolve
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
@@ -32,27 +37,17 @@ import (
 	"repro/internal/sparse"
 )
 
-// Options configures a split solve.
-type Options struct {
-	// Domains is the number of spatial sub-domains P (≥ 1). Values larger
-	// than the layer count are rejected.
-	Domains int
-	// Workers bounds the number of concurrent domain solves; 0 means
-	// runtime.GOMAXPROCS(0). Ignored when Pool is set.
-	Workers int
-	// Pool optionally provides the worker pool the domain stages run on,
-	// sharing its budget with the enclosing parallelism levels (energy
-	// points). Nil creates a private pool of Workers.
-	Pool *sched.Pool
-}
-
-// Solve solves A·X = B by spatial domain decomposition. rhs is given per
-// layer (layer i block is LayerSize(i)×k); the solution is returned in the
-// same layout. With Domains == 1 it reduces to the serial block-Thomas
-// solve. Cancelling ctx aborts the parallel stages between domain solves.
-func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, opt Options) ([]*linalg.Matrix, error) {
+// Solve solves A·X = B by spatial decomposition into domains (≥ 1, at
+// most the layer count) contiguous sub-domains. rhs is given per layer
+// (layer i block is LayerSize(i)×k); the solution is returned in the same
+// layout, on the heap. With one domain it reduces to the serial
+// block-Thomas solve. The domain stages fan out on pool, sharing its budget
+// with the enclosing parallelism levels (energy points); nil creates a
+// private GOMAXPROCS-sized one. a is only read, by every domain at once.
+// Cancelling ctx aborts the parallel stages between domain solves.
+func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, domains int, pool *sched.Pool) ([]*linalg.Matrix, error) {
 	nl := a.Layers()
-	p := opt.Domains
+	p := domains
 	if p < 1 {
 		return nil, fmt.Errorf("splitsolve: need at least one domain, got %d", p)
 	}
@@ -62,16 +57,13 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 	if len(rhs) != nl {
 		return nil, fmt.Errorf("splitsolve: got %d RHS blocks for %d layers", len(rhs), nl)
 	}
-	if p == 1 {
-		return a.SolveBlocks(rhs)
-	}
-	pool := opt.Pool
 	if pool == nil {
-		pool = sched.New(opt.Workers)
+		pool = sched.New(0)
 	}
 
 	// Partition layers into contiguous domains as evenly as possible.
 	bounds := partition(nl, p)
+	k := rhs[0].Cols
 
 	type domainResult struct {
 		g []*linalg.Matrix // A_p⁻¹·B_p
@@ -91,7 +83,6 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		lo, hi := bounds[d], bounds[d+1] // layers [lo, hi)
 		local := a.Window(lo, hi)
 		nLoc := hi - lo
-		k := rhs[0].Cols
 		var supV, supW []int
 		if d < p-1 {
 			supV = a.Coupling(hi - 1).Cols
@@ -102,36 +93,36 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 				supW = append(supW, a.LayerSize(bounds[d-1])+row)
 			}
 		}
+		ws := linalg.GetWorkspace()
+		defer ws.Release()
 		width := k + len(supV) + len(supW)
 		stacked := make([]*linalg.Matrix, nLoc)
 		for i := 0; i < nLoc; i++ {
-			stacked[i] = linalg.New(a.LayerSize(lo+i), width)
+			stacked[i] = ws.Get(a.LayerSize(lo+i), width)
 			stacked[i].SetSubmatrix(0, 0, rhs[lo+i])
 		}
 		if d < p-1 {
-			// Ê: the supported columns of U_{hi-1} in the last local
+			// Ê: U_{hi-1} on its supported columns, in the last local
 			// layer-row.
-			u := a.Upper[hi-1]
-			for j, col := range supV {
-				for i := 0; i < u.Rows; i++ {
-					stacked[nLoc-1].Set(i, k+j, u.At(i, col))
-				}
-			}
+			c := a.Coupling(hi - 1)
+			e := ws.Get(a.LayerSize(hi-1), len(c.Cols))
+			sparse.ScatterRows(e, c.U, c.Rows)
+			stacked[nLoc-1].SetSubmatrix(0, k, e)
 		}
 		if d > 0 {
-			// F̂: the supported columns of L_{lo-1} in the first local
+			// F̂: L_{lo-1} on its supported columns, in the first local
 			// layer-row.
-			l := a.Lower[lo-1]
-			for j, col := range a.Coupling(lo - 1).Rows {
-				for i := 0; i < l.Rows; i++ {
-					stacked[0].Set(i, k+len(supV)+j, l.At(i, col))
-				}
-			}
+			c := a.Coupling(lo - 1)
+			f := ws.Get(a.LayerSize(lo), len(c.Rows))
+			sparse.ScatterRows(f, c.L, c.Cols)
+			stacked[0].SetSubmatrix(0, k+len(supV), f)
 		}
-		x, err := local.SolveBlocks(stacked)
+		x, err := local.SolveBlocks(stacked, ws)
 		if err != nil {
 			return fmt.Errorf("splitsolve: domain %d: %w", d, err)
 		}
+		// g, v and w leave ws for the heap: stages 2 and 3 read them on
+		// other goroutines.
 		res := domainResult{
 			g:    make([]*linalg.Matrix, nLoc),
 			v:    make([]*linalg.Matrix, nLoc),
@@ -155,6 +146,9 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 	if err != nil {
 		return nil, unwrapTask(err)
 	}
+	if p == 1 {
+		return results[0].g, nil
+	}
 
 	// Stage 2 (serial critical path): reduced interface system. Unknowns:
 	// for each domain, its first-layer block ξ_d^f and last-layer block
@@ -164,30 +158,28 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 	// O(P·n³) like the paper's banded interface solver, not O((P·n)³) —
 	// so it is solved with the same block-Thomas kernel. Single-layer
 	// domains keep both slots with an explicit ξ_d^l = ξ_d^f constraint
-	// row so every group has uniform size.
-	redStart := time.Now()
-	k := rhs[0].Cols
+	// row so every group has uniform size. The counted flops are the
+	// kernel's own; the phase records wall time only.
+	stop := perf.StartPhase("splitsolve-reduced")
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
 	redDiag := make([]*linalg.Matrix, p)
 	redUpper := make([]*linalg.Matrix, p-1)
 	redLower := make([]*linalg.Matrix, p-1)
 	redRHS := make([]*linalg.Matrix, p)
-	sizeF := make([]int, p) // first-layer block size per domain
-	sizeL := make([]int, p) // last-layer block size per domain
-	for d := 0; d < p; d++ {
-		lo, hi := bounds[d], bounds[d+1]
-		sizeF[d] = a.LayerSize(lo)
-		sizeL[d] = a.LayerSize(hi - 1)
-	}
+	// first and last are the sizes of ξ_d^f and ξ_d^l.
+	first := func(d int) int { return a.LayerSize(bounds[d]) }
+	last := func(d int) int { return a.LayerSize(bounds[d+1] - 1) }
 	for d := 0; d < p; d++ {
 		nLoc := bounds[d+1] - bounds[d]
 		r := results[d]
-		nf, nlst := sizeF[d], sizeL[d]
+		nf, nlst := first(d), last(d)
 		tot := nf + nlst
-		diag := linalg.New(tot, tot)
+		diag := ws.Get(tot, tot)
 		for i := 0; i < nf; i++ {
 			diag.Set(i, i, 1)
 		}
-		b := linalg.New(tot, k)
+		b := ws.Get(tot, k)
 		b.SetSubmatrix(0, 0, r.g[0])
 		if nLoc == 1 {
 			// Constraint rows: ξ_d^l − ξ_d^f = 0.
@@ -205,7 +197,7 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		redRHS[d] = b
 		if d < p-1 {
 			// Coupling of u_d's equations to ξ_{d+1}^f (first half of u_{d+1}).
-			up := linalg.New(tot, sizeF[d+1]+sizeL[d+1])
+			up := ws.Get(tot, first(d+1)+last(d+1))
 			sparse.ScatterAdd(up, r.v[0], sparse.Range(0, nf), r.supV)
 			if nLoc > 1 {
 				sparse.ScatterAdd(up, r.v[nLoc-1], sparse.Range(nf, tot), r.supV)
@@ -214,7 +206,7 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 		}
 		if d > 0 {
 			// Coupling of u_d's equations to ξ_{d-1}^l (second half of u_{d-1}).
-			lowBlk := linalg.New(tot, sizeF[d-1]+sizeL[d-1])
+			lowBlk := ws.Get(tot, first(d-1)+last(d-1))
 			sparse.ScatterAdd(lowBlk, r.w[0], sparse.Range(0, nf), r.supW)
 			if nLoc > 1 {
 				sparse.ScatterAdd(lowBlk, r.w[nLoc-1], sparse.Range(nf, tot), r.supW)
@@ -226,21 +218,25 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 	if err != nil {
 		return nil, fmt.Errorf("splitsolve: reduced interface assembly: %w", err)
 	}
-	xiBlocks, err := reduced.SolveBlocks(redRHS)
+	xiBlocks, err := reduced.SolveBlocks(redRHS, ws)
 	if err != nil {
 		return nil, fmt.Errorf("splitsolve: reduced interface system: %w", err)
 	}
-	// Attribute the serial critical path to its own phase, with the flop
-	// count of the reduced block-Thomas solve from the repo's standard
-	// cost formulas (one LU, coupled triangular solves, and the two
-	// coupling products per domain group).
-	var redFlops int64
-	for d := 0; d < p; d++ {
-		tot := sizeF[d] + sizeL[d]
-		redFlops += perf.LUFlops(tot) + perf.SolveFlops(tot, tot+k) +
-			2*perf.GemmFlops(tot, tot, tot)
+	// ξ_{d+1}^f[supV] and ξ_{d-1}^l[supW] per domain, gathered to the heap
+	// for stage 3's goroutines.
+	xiNext := make([]*linalg.Matrix, p)
+	xiPrev := make([]*linalg.Matrix, p)
+	for d, r := range results {
+		if d < p-1 {
+			xiNext[d] = linalg.New(len(r.supV), k)
+			sparse.Gather(xiNext[d], xiBlocks[d+1], r.supV, sparse.Range(0, k))
+		}
+		if d > 0 {
+			xiPrev[d] = linalg.New(len(r.supW), k)
+			sparse.Gather(xiPrev[d], xiBlocks[d-1], r.supW, sparse.Range(0, k))
+		}
 	}
-	perf.RecordPhase("splitsolve-reduced", time.Since(redStart), redFlops)
+	stop()
 
 	// Stage 3 (parallel): interior reconstruction,
 	// X_d = G_d − V_d·ξ_{d+1}^f[supV] − W_d·ξ_{d-1}^l[supW].
@@ -248,24 +244,15 @@ func Solve(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix, op
 	err = pool.ForEach(ctx, "splitsolve", p, func(_ context.Context, d int) error {
 		lo, hi := bounds[d], bounds[d+1]
 		r := results[d]
-		var xiNext, xiPrev *linalg.Matrix
-		if d < p-1 {
-			xiNext = linalg.New(len(r.supV), k)
-			sparse.Gather(xiNext, xiBlocks[d+1], r.supV, sparse.Range(0, k))
-		}
-		if d > 0 {
-			xiPrev = linalg.New(len(r.supW), k)
-			sparse.Gather(xiPrev, xiBlocks[d-1], r.supW, sparse.Range(0, k))
-		}
 		for i := lo; i < hi; i++ {
 			// x = g − V·ξ_next − W·ξ_prev, accumulated in place through the
 			// fused GEMM so no product is materialized.
-			x := r.g[i-lo].Clone()
-			if xiNext != nil {
-				linalg.GemmInto(x, -1, r.v[i-lo], linalg.NoTrans, xiNext, linalg.NoTrans, 1)
+			x := r.g[i-lo]
+			if xiNext[d] != nil {
+				linalg.GemmInto(x, -1, r.v[i-lo], linalg.NoTrans, xiNext[d], linalg.NoTrans, 1)
 			}
-			if xiPrev != nil {
-				linalg.GemmInto(x, -1, r.w[i-lo], linalg.NoTrans, xiPrev, linalg.NoTrans, 1)
+			if xiPrev[d] != nil {
+				linalg.GemmInto(x, -1, r.w[i-lo], linalg.NoTrans, xiPrev[d], linalg.NoTrans, 1)
 			}
 			out[i] = x
 		}
@@ -284,17 +271,6 @@ func unwrapTask(err error) error {
 		return te.Err
 	}
 	return err
-}
-
-// Strategy returns a solve function with the given decomposition baked in,
-// suitable for plugging into the wave-function solver. The pool (nil: a
-// private GOMAXPROCS-sized one) bounds the domain fan-out; passing the
-// enclosing energy-level pool makes the two levels share one worker
-// budget.
-func Strategy(domains int, pool *sched.Pool) func(context.Context, *sparse.BlockTridiag, []*linalg.Matrix) ([]*linalg.Matrix, error) {
-	return func(ctx context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
-		return Solve(ctx, a, rhs, Options{Domains: domains, Pool: pool})
-	}
 }
 
 // InterfaceRank returns the largest coupling-column count between

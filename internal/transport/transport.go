@@ -18,7 +18,6 @@ import (
 	"repro/internal/negf"
 	"repro/internal/sched"
 	"repro/internal/sparse"
-	"repro/internal/splitsolve"
 	"repro/internal/units"
 	"repro/internal/wavefunction"
 )
@@ -147,11 +146,9 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cfg.Domains > 1 {
-			// SplitSolve borrows helpers from the same pool that runs the
-			// energy level, so nested parallelism stays within one budget.
-			wf.SolveStrategy = splitsolve.Strategy(cfg.Domains, pool)
-		}
+		// SplitSolve borrows helpers from the same pool that runs the
+		// energy level, so nested parallelism stays within one budget.
+		wf.Domains, wf.Pool = cfg.Domains, pool
 		wf.Cache = cfg.Cache
 		wf.Leads.ShiftL, wf.Leads.ShiftR = cfg.ShiftL, cfg.ShiftR
 		solver = wf

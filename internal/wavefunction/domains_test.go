@@ -1,0 +1,89 @@
+package wavefunction
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/device"
+	"repro/internal/negf"
+	"repro/internal/sched"
+	"repro/internal/tb"
+)
+
+// TestDomainsMatchSerialEveryFamily is ROADMAP (3)'s acceptance property
+// `-domains P ≡ P = 1`: every T1 device family, under the sinusoidal
+// potential negf's oracle tests use (different contacts at the two ends,
+// every interior layer its own block), solved at seeded energies with P ∈
+// {2, 3, nl} domains returns T, DOS, A_L and A_R within 1e-9·max(1, |x|) of
+// the serial solve. The domain solvers share the serial one's Σ cache, so
+// the comparison isolates the open-boundary solve. It catches, for example,
+// supW indexing ξ_{d-1}^l without the offset of ξ_{d-1}^f in its interface
+// group: every family fails at P = 2 and 3 (at P = nl the constraint rows
+// make the two halves equal, and the mutation is invisible).
+func TestDomainsMatchSerialEveryFamily(t *testing.T) {
+	pool := sched.New(2)
+	for _, d := range device.BenchmarkSuite() {
+		b, err := d.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		nl := d.CellsX
+		b.Options.Potential = make([]float64, b.Structure.NAtoms())
+		for i, a := range b.Structure.Atoms {
+			b.Options.Potential[i] = 0.15 * math.Sin(2*math.Pi*(float64(a.Layer)+0.5)/float64(nl))
+		}
+		h, err := tb.Assemble(b.Structure, b.Material, b.Options)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial, err := NewSolver(h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial.Cache = negf.NewSelfEnergyCache()
+		count := 8
+		if testing.Short() {
+			count = 2
+		}
+		rng := rand.New(rand.NewSource(29))
+		energies := make([]float64, count)
+		for k := range energies {
+			energies[k] = -2 + 5*rng.Float64()
+		}
+		var held int
+		for _, p := range []int{2, 3, h.Layers()} {
+			split, err := NewSolver(h, 1e-6)
+			if err != nil {
+				t.Fatal(err)
+			}
+			split.Domains, split.Pool, split.Cache = p, pool, serial.Cache
+			for _, e := range energies {
+				want, wantErr := serial.Solve(e, true)
+				got, gotErr := split.Solve(e, true)
+				if (wantErr != nil) != (gotErr != nil) {
+					t.Fatalf("%s P=%d E=%v: serial error %v, domains error %v", d.Name, p, e, wantErr, gotErr)
+				}
+				if wantErr != nil {
+					t.Logf("%s E=%v skipped: %v", d.Name, e, wantErr)
+					continue
+				}
+				held++
+				far := func(a, b float64) bool { return !(math.Abs(a-b) <= 1e-9*math.Max(1, math.Abs(b))) }
+				if far(got.T, want.T) {
+					t.Errorf("%s P=%d E=%v: T = %.12g, serial %.12g", d.Name, p, e, got.T, want.T)
+				}
+				for i := range want.DOS {
+					if far(got.DOS[i], want.DOS[i]) || far(got.SpectralL[i], want.SpectralL[i]) || far(got.SpectralR[i], want.SpectralR[i]) {
+						t.Errorf("%s P=%d E=%v orbital %d: DOS %.12g A_L %.12g A_R %.12g, serial %.12g %.12g %.12g", d.Name, p, e, i,
+							got.DOS[i], got.SpectralL[i], got.SpectralR[i], want.DOS[i], want.SpectralL[i], want.SpectralR[i])
+						break
+					}
+				}
+			}
+		}
+		if held == 0 {
+			t.Errorf("%s: every energy was skipped; the comparison is vacuous", d.Name)
+		}
+	}
+}

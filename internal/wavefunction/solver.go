@@ -9,7 +9,9 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/negf"
 	"repro/internal/perf"
+	"repro/internal/sched"
 	"repro/internal/sparse"
+	"repro/internal/splitsolve"
 )
 
 // Solver runs ballistic wave-function (QTBM) calculations on a fixed
@@ -27,11 +29,11 @@ type Solver struct {
 	Leads *negf.Leads
 	// Eta is the imaginary energy broadening in eV (typical: 1e-6).
 	Eta float64
-	// SolveStrategy performs the open-boundary block-tridiagonal solve.
-	// Nil selects the serial block-Thomas algorithm; the splitsolve
-	// package provides domain-decomposed strategies. The context carries
-	// cancellation from the enclosing parallel energy sweep.
-	SolveStrategy func(context.Context, *sparse.BlockTridiag, []*linalg.Matrix) ([]*linalg.Matrix, error)
+	// Domains > 1 solves the open-boundary system by SplitSolve over that
+	// many spatial domains instead of one serial block-Thomas solve; the
+	// domain stages borrow workers from Pool (nil: a private one).
+	Domains int
+	Pool    *sched.Pool
 	// Cache optionally memoizes the contact self-energies across solves
 	// (valid while the lead blocks stay fixed).
 	Cache *negf.SelfEnergyCache
@@ -65,8 +67,8 @@ func (s *Solver) Solve(e float64, density bool) (*negf.Result, error) {
 
 // SolveCtx is Solve with cooperative cancellation: the solve aborts
 // between its phases (self-energies, injection, linear solve) when ctx is
-// canceled, and passes ctx on to the SolveStrategy so a domain-decomposed
-// solve can abort between its stages too.
+// canceled, and passes ctx on to SplitSolve so a domain-decomposed solve
+// can abort between its stages too.
 func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -78,8 +80,8 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	}
 	// Per-solve workspace for the broadenings, the injection columns, the
 	// block-Thomas factors and solution, and the transmission contraction;
-	// the shifted system matrix also lives here since the solve strategies
-	// only read it.
+	// the shifted system matrix also lives here since SplitSolve's domains
+	// only read it, while this goroutine waits.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
@@ -142,10 +144,10 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	}
 	var x []*linalg.Matrix
 	stop := perf.StartPhase("wf-solve")
-	if s.SolveStrategy != nil {
-		x, err = s.SolveStrategy(ctx, a, rhs)
+	if s.Domains > 1 {
+		x, err = splitsolve.Solve(ctx, a, rhs, s.Domains, s.Pool)
 	} else {
-		x, err = a.SolveBlocksWS(rhs, ws)
+		x, err = a.SolveBlocks(rhs, ws)
 	}
 	stop()
 	if err != nil {

@@ -1,7 +1,6 @@
 package wavefunction
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/cmplx"
@@ -231,7 +230,9 @@ func TestSolveBlocksMatchesDense(t *testing.T) {
 	for i, n := range sizes {
 		rhs[i] = randM(n, 2)
 	}
-	x, err := btd.SolveBlocks(rhs)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	x, err := btd.SolveBlocks(rhs, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,10 +264,12 @@ func TestSolveBlocksValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := btd.SolveBlocks([]*linalg.Matrix{linalg.New(2, 1)}); err == nil {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	if _, err := btd.SolveBlocks([]*linalg.Matrix{linalg.New(2, 1)}, ws); err == nil {
 		t.Fatal("accepted wrong RHS block count")
 	}
-	if _, err := btd.SolveBlocks([]*linalg.Matrix{linalg.New(2, 1), linalg.New(3, 1)}); err == nil {
+	if _, err := btd.SolveBlocks([]*linalg.Matrix{linalg.New(2, 1), linalg.New(3, 1)}, ws); err == nil {
 		t.Fatal("accepted wrong RHS block shape")
 	}
 }
@@ -522,88 +525,6 @@ func TestFormerNaNEnergySolves(t *testing.T) {
 		}
 		if math.Abs(rg.DOS[i]-dense.DOS[i]) > 1e-7*(1+math.Abs(dense.DOS[i])) {
 			t.Fatalf("DOS[%d] RGF %g vs dense %g", i, rg.DOS[i], dense.DOS[i])
-		}
-	}
-}
-
-// TestWorkspaceSolveMatchesHeapSolve holds the default solve — block
-// Thomas on the solve's own workspace — to the heap-owned reference
-// factorization reached through a SolveStrategy: transmission, density of
-// states, both spectral functions and the flop count must agree bit for
-// bit, with the density on and off, on a disordered wire and on the
-// ribbon; an energy with no channel at all returns zeros before either
-// solve runs, and the energy whose contacts once came back NaN solves
-// alike.
-func TestWorkspaceSolveMatchesHeapSolve(t *testing.T) {
-	s, err := lattice.NewArmchairGNR(7, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ribbon, err := tb.Assemble(s, tb.Graphene(), tb.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const (
-		noChannel = 1e160                       // Γ underflows to exactly zero
-		formerNaN = -2.995625728 + 6*163.0/1499 // TestFormerNaNEnergySolves
-	)
-	devices := []struct {
-		name     string
-		h        *sparse.BlockTridiag
-		energies []float64
-	}{
-		{"wire", buildDisorderedWire(t), []float64{1.1, 1.7, 2.9}},
-		{"ribbon", ribbon, []float64{-1.3, 0.05, 2.2, noChannel, formerNaN}},
-	}
-	for _, d := range devices {
-		ws, err := NewSolver(d.h, 1e-6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap, err := NewSolver(d.h, 1e-6)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heapSolves := 0
-		heap.SolveStrategy = func(_ context.Context, a *sparse.BlockTridiag, rhs []*linalg.Matrix) ([]*linalg.Matrix, error) {
-			heapSolves++
-			return a.SolveBlocks(rhs)
-		}
-		for _, e := range d.energies {
-			for _, density := range []bool{false, true} {
-				heapSolves = 0
-				perf.ResetFlops()
-				want, wantErr := heap.Solve(e, density)
-				wantFlops := perf.ResetFlops()
-				got, gotErr := ws.Solve(e, density)
-				gotFlops := perf.ResetFlops()
-				if gotFlops != wantFlops {
-					t.Errorf("%s E=%g density=%v: %d flops on the workspace, %d on the heap", d.name, e, density, gotFlops, wantFlops)
-				}
-				if gotErr != nil || wantErr != nil {
-					t.Fatalf("%s E=%g density=%v: workspace error %v, heap error %v", d.name, e, density, gotErr, wantErr)
-				}
-				if (heapSolves == 0) != (e == noChannel) {
-					t.Errorf("%s E=%g density=%v: %d open-boundary solves", d.name, e, density, heapSolves)
-				}
-				if math.Float64bits(got.T) != math.Float64bits(want.T) {
-					t.Errorf("%s E=%g density=%v: T %v on the workspace, %v on the heap", d.name, e, density, got.T, want.T)
-				}
-				for name, pair := range map[string][2][]float64{
-					"DOS":       {got.DOS, want.DOS},
-					"SpectralL": {got.SpectralL, want.SpectralL},
-					"SpectralR": {got.SpectralR, want.SpectralR},
-				} {
-					if len(pair[0]) != len(pair[1]) || (density && len(pair[0]) != d.h.N()) {
-						t.Fatalf("%s E=%g density=%v: %s has %d entries, heap %d", d.name, e, density, name, len(pair[0]), len(pair[1]))
-					}
-					for i := range pair[0] {
-						if math.Float64bits(pair[0][i]) != math.Float64bits(pair[1][i]) {
-							t.Fatalf("%s E=%g density=%v: %s[%d] %v on the workspace, %v on the heap", d.name, e, density, name, i, pair[0][i], pair[1][i])
-						}
-					}
-				}
-			}
 		}
 	}
 }
