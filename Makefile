@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The T2 solves and the
 # cold self-energy miss draw their workspaces from sync.Pools, where a P
@@ -39,6 +39,11 @@ spec-check:
 # Refresh the golden spec files after a deliberate encoding change.
 spec-golden:
 	$(GO) test ./internal/spec/ -run Golden -update
+
+# Refresh cmd/scaling's study goldens after a deliberate model change; the
+# test then asks EXPERIMENTS.md to quote each one verbatim.
+scaling-golden:
+	$(GO) test ./cmd/scaling/ -run Golden -update
 
 test:
 	$(GO) test ./...

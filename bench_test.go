@@ -7,8 +7,10 @@ package repro
 //
 //	go test -bench=. -benchmem
 //
-// reproduces the full evaluation. Shapes — who wins, by what factor,
-// where crossovers fall — are the comparison target; see EXPERIMENTS.md.
+// reproduces the full evaluation — except the rows of the machine-model
+// studies F4/F5/T3/F6, which `go run ./cmd/scaling -study X` prints.
+// Shapes — who wins, by what factor, where crossovers fall — are the
+// comparison target; see EXPERIMENTS.md.
 
 import (
 	"context"
@@ -115,7 +117,13 @@ func BenchmarkT2_KernelCost_WF(b *testing.B) {
 	b.StopTimer()
 	fl := float64(perf.ResetFlops()) / float64(b.N)
 	b.ReportMetric(fl, "flops/solve")
-	once("T2wf", func() { fmt.Printf("T2\tWF solve  \t%.3g flops per (E,k) point\n", fl) })
+	// The machine model's flops for the same point: its closed forms charge
+	// dense products and two decimations per energy (ROADMAP item 5).
+	model := float64(machine.Flagship().Resized(h.Layers(), h.LayerSize(0), h.LayerSize(0), 0).TaskFlops())
+	b.ReportMetric(model, "model-flops/solve")
+	once("T2wf", func() {
+		fmt.Printf("T2\tWF solve  \t%.3g flops per (E,k) point (model %.3g, %.0f×)\n", fl, model, model/fl)
+	})
 }
 
 func BenchmarkT2_KernelCost_NEGF(b *testing.B) {
@@ -334,7 +342,9 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	a := sparse.ShiftedFromHermitian(h, complex(6.8, 1e-6))
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	a := sparse.NewShiftedSystem(h).At(complex(6.8, 1e-6), ws)
 	rhs := make([]*linalg.Matrix, a.Layers())
 	rng := rand.New(rand.NewSource(7))
 	for i := range rhs {
@@ -357,12 +367,7 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 			// Modeled parallel wall time of this decomposition (critical
 			// domain path + serial reduced system) on one Jaguar core per
 			// domain — the series whose minimum is the F3 crossover.
-			w := machine.Workload{
-				NBias: 1, NK: 1, NE: 1,
-				NLayers: a.Layers(), BlockSize: a.LayerSize(0), RHSWidth: 8,
-				SelfEnergyIterations: 30,
-				CouplingRank:         splitsolve.InterfaceRank(a),
-			}
+			w := machine.Flagship().Resized(a.Layers(), a.LayerSize(0), 8, splitsolve.InterfaceRank(a))
 			ss, err := w.SplitSolve(p)
 			if err != nil {
 				b.Fatal(err)
@@ -378,153 +383,52 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 	}
 }
 
-// --- F4: strong scaling on the machine model --------------------------------
+// --- F4, F5, T3, F6: the machine model's studies ------------------------------
+//
+// Each study is defined once, in internal/machine; its rows are what
+// `go run ./cmd/scaling -study X` prints (held to cmd/scaling/testdata and
+// quoted in EXPERIMENTS.md). These benchmarks time the same calls and
+// report their headlines.
 
-// flagshipWorkload is the machine model's flagship with the energy grid
-// tuned to divide the energy groups evenly at full machine size.
-func flagshipWorkload() machine.Workload {
-	w := machine.Flagship()
-	w.NE = 1316
-	return w
-}
-
-func BenchmarkF4_StrongScaling(b *testing.B) {
-	m := machine.Jaguar()
-	w := flagshipWorkload()
-	counts := []int{1344, 5376, 21504, 86016, 172032, 221400}
-	var reports []machine.Report
+// study runs one machine-model study b.N times and returns its rows.
+func study[R any](b *testing.B, run func() ([]R, error)) []R {
+	var rows []R
 	var err error
 	for i := 0; i < b.N; i++ {
-		reports, err = m.StrongScaling(w, counts)
-		if err != nil {
+		if rows, err = run(); err != nil {
 			b.Fatal(err)
 		}
 	}
-	last := reports[len(reports)-1]
-	b.ReportMetric(last.SustainedFlops/1e15, "PFlop/s@221k")
-	once("F4", func() {
-		fmt.Println("F4\tstrong scaling (cores, wall s, TFlop/s, efficiency):")
-		for _, r := range reports {
-			fmt.Printf("F4\t%d\t%.1f\t%.1f\t%.3f\n",
-				r.CoresUsed, r.WallTime, r.SustainedFlops/1e12, r.Efficiency)
-		}
-		fmt.Printf("F4\theadline: %.2f PFlop/s sustained on %d cores (paper: 1.44 PFlop/s)\n",
-			last.SustainedFlops/1e15, last.CoresUsed)
-	})
+	return rows
 }
 
-// --- F5: weak scaling with growing cross-section ----------------------------
+func BenchmarkF4_StrongScaling(b *testing.B) {
+	rows := study(b, machine.Jaguar().Strong)
+	last := rows[len(rows)-1]
+	b.ReportMetric(last.SustainedFlops/1e15, "PFlop/s@221k")
+	b.ReportMetric(last.Efficiency, "eff@221k")
+}
 
 func BenchmarkF5_WeakScaling(b *testing.B) {
-	m := machine.Jaguar()
-	type step struct{ cores, block, layers int }
-	steps := []step{
-		{2688, 120, 100}, {10752, 190, 110}, {43008, 300, 120},
-		{120000, 420, 130}, {221400, 480, 140},
-	}
-	var rows []machine.Report
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, s := range steps {
-			w := machine.Workload{
-				NBias: 16, NK: 21, NE: 1316,
-				NLayers: s.layers, BlockSize: s.block, RHSWidth: s.block,
-				SelfEnergyIterations: 30, EnergyCostCV: 0.1,
-				CouplingRank: s.block / 4,
-			}
-			r, err := m.PredictAuto(w, s.cores)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = append(rows, r)
-		}
-	}
-	b.ReportMetric(rows[len(rows)-1].SustainedFlops/1e15, "PFlop/s@221k")
-	once("F5", func() {
-		fmt.Println("F5\tweak scaling (cores, block, PFlop/s, efficiency):")
-		for i, r := range rows {
-			fmt.Printf("F5\t%d\t%d\t%.3f\t%.3f\n",
-				r.CoresUsed, steps[i].block, r.SustainedFlops/1e15, r.Efficiency)
-		}
-	})
+	rows := study(b, machine.Jaguar().Weak)
+	last := rows[len(rows)-1]
+	b.ReportMetric(last.SustainedFlops/1e15, "PFlop/s@221k")
+	b.ReportMetric(last.Efficiency, "eff@221k")
 }
-
-// --- T3: phase breakdown -----------------------------------------------------
 
 func BenchmarkT3_PhaseBreakdown(b *testing.B) {
-	m := machine.Jaguar()
-	w := flagshipWorkload()
-	var rows []machine.Report
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, c := range []int{5376, 43008, 221400} {
-			r, err := m.PredictAuto(w, c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = append(rows, r)
-		}
-	}
-	once("T3", func() {
-		fmt.Println("T3\tphase breakdown (cores: selfE, solve, reduced, comm, imbalance s):")
-		for _, r := range rows {
-			bd := r.Breakdown
-			fmt.Printf("T3\t%d:\t%.1f\t%.1f\t%.2f\t%.2f\t%.2f\n",
-				r.CoresUsed, bd.SelfEnergy, bd.Solve, bd.Reduced, bd.Communication, bd.Imbalance)
-		}
-	})
+	rows := study(b, machine.Jaguar().Phases)
+	last := rows[len(rows)-1].Breakdown
+	b.ReportMetric(last.SelfEnergy, "selfE-s@221k")
+	b.ReportMetric(last.Solve, "solve-s@221k")
 }
 
-// --- F6: per-level parallel efficiency ---------------------------------------
-
 func BenchmarkF6_LevelEfficiency(b *testing.B) {
-	m := machine.Jaguar()
-	w := flagshipWorkload()
-	type row struct {
-		level string
-		n     int
-		eff   float64
-	}
-	var rows []row
-	mk := []struct {
-		name string
-		d    func(n int) machine.Decomposition
-		max  int
-	}{
-		{"bias", func(n int) machine.Decomposition {
-			return machine.Decomposition{Bias: n, Momentum: 1, Energy: 1, Domains: 1}
-		}, w.NBias},
-		{"momentum", func(n int) machine.Decomposition {
-			return machine.Decomposition{Bias: 1, Momentum: n, Energy: 1, Domains: 1}
-		}, w.NK},
-		{"energy", func(n int) machine.Decomposition {
-			return machine.Decomposition{Bias: 1, Momentum: 1, Energy: n, Domains: 1}
-		}, w.NE},
-		{"domains", func(n int) machine.Decomposition {
-			return machine.Decomposition{Bias: 1, Momentum: 1, Energy: 1, Domains: n}
-		}, w.NLayers},
-	}
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, l := range mk {
-			for _, n := range []int{2, 8, 16, 64, 128} {
-				if n > l.max {
-					break
-				}
-				r, err := m.Predict(w, l.d(n))
-				if err != nil {
-					b.Fatal(err)
-				}
-				rows = append(rows, row{l.name, n, r.Efficiency})
-			}
+	for _, r := range study(b, machine.Jaguar().Levels) {
+		if r.Level == "domains" && r.Groups == 2 {
+			b.ReportMetric(r.Efficiency, "domains-eff@2")
 		}
 	}
-	once("F6", func() {
-		fmt.Println("F6\tper-level efficiency (level, groups, efficiency):")
-		for _, r := range rows {
-			fmt.Printf("F6\t%-9s\t%d\t%.3f\n", r.level, r.n, r.eff)
-		}
-	})
 }
 
 // --- F7: GNR engineering figure ----------------------------------------------

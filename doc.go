@@ -9,6 +9,7 @@
 // to reproduce the paper's petascale performance figures.
 //
 // The public API lives in internal/core (Simulator, FET); the benchmark
-// harness in bench_test.go regenerates every table and figure of the
-// reconstructed evaluation (see DESIGN.md and EXPERIMENTS.md).
+// harness in bench_test.go regenerates the tables and figures of the
+// reconstructed evaluation, cmd/scaling the machine-model studies (see
+// DESIGN.md and EXPERIMENTS.md).
 package repro

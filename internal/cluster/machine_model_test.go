@@ -234,16 +234,6 @@ func TestQuickAutoDecomposeBudget(t *testing.T) {
 	}
 }
 
-func TestCalibrateBlockSolve(t *testing.T) {
-	n, err := machine.CalibrateBlockSolve(func() error { return nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 0 {
-		t.Fatalf("no-op calibration measured %d flops", n)
-	}
-}
-
 func TestAutoDecomposeSingleCore(t *testing.T) {
 	w := machine.Workload{NBias: 4, NK: 3, NE: 16, NLayers: 10, BlockSize: 8, RHSWidth: 8, SelfEnergyIterations: 5}
 	d, err := machine.AutoDecompose(1, w)

@@ -14,7 +14,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/device"
-	"repro/internal/machine"
 	"repro/internal/sparse"
 	"repro/internal/tb"
 	"repro/internal/transport"
@@ -133,21 +132,6 @@ func (s *Simulator) LayerVolume() float64 {
 		area = float64(s.Desc.CellsY) * a * float64(s.Desc.CellsZ) * a
 	}
 	return area * s.Built.Structure.LayerPeriod
-}
-
-// PredictScaling exposes the calibrated Jaguar machine model for this
-// device's workload shape: nBias × nK × nE solves over the device's layer
-// structure (see internal/machine and DESIGN.md for the substitution).
-func (s *Simulator) PredictScaling(nBias, nK, nE int, coreCounts []int) ([]machine.Report, error) {
-	st := s.Stats()
-	w := machine.Workload{
-		NBias: nBias, NK: nK, NE: nE,
-		NLayers:              st.Layers,
-		BlockSize:            st.BlockSize,
-		RHSWidth:             st.BlockSize,
-		SelfEnergyIterations: 30,
-	}
-	return machine.Jaguar().StrongScaling(w, coreCounts)
 }
 
 // KT re-exports the thermal energy helper for drivers.

@@ -198,22 +198,6 @@ func TestFETRequiresSemiconductor(t *testing.T) {
 	}
 }
 
-func TestPredictScalingShape(t *testing.T) {
-	sim := gnrSim(t, 10)
-	reports, err := sim.PredictScaling(4, 8, 256, []int{64, 1024, 8192})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(reports) != 3 {
-		t.Fatalf("got %d reports", len(reports))
-	}
-	for i := 1; i < len(reports); i++ {
-		if reports[i].WallTime >= reports[i-1].WallTime {
-			t.Fatal("modeled wall time not decreasing with cores")
-		}
-	}
-}
-
 func TestSubthresholdSlopeValidation(t *testing.T) {
 	if _, err := SubthresholdSlope(IVPoint{Current: 0}, IVPoint{Current: 1}); err == nil {
 		t.Fatal("accepted zero current")

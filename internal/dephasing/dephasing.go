@@ -18,6 +18,7 @@ package dephasing
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/negf"
@@ -45,6 +46,10 @@ type Solver struct {
 	// contacts, so every energy pays the Sancho-Rubio cost at most once
 	// even across D-strength or occupation scans).
 	Cache *negf.SelfEnergyCache
+
+	// open is the z-independent part of z − H, built by the first solve.
+	openOnce sync.Once
+	open     *sparse.ShiftedSystem
 }
 
 // NewSolver builds an SCBA solver with flat-band leads continued from the
@@ -97,11 +102,11 @@ func (s *Solver) Solve(e, fL, fR float64) (*Result, error) {
 	nl := s.H.Layers()
 
 	// Base open-system matrix without the scattering self-energy.
-	base := sparse.NewShiftedSystem(s.H).At(z, ws)
+	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
+	base := s.open.At(z, ws)
 	base.AddScaledToDiagBlock(0, sigL, -1)
 	base.AddScaledToDiagBlock(nl-1, sigR, -1)
-	baseDense := ws.Get(n, n)
-	denseBTDInto(baseDense, base)
+	baseDense := base.Dense()
 
 	// Contact inflow kernel Γ_L·f_L + Γ_R·f_R embedded at the contacts.
 	off := s.H.Offsets()
@@ -188,18 +193,6 @@ func contactCurrent(gam, aSpec, gn *linalg.Matrix, o, nc int, f float64, ws *lin
 		}
 	}
 	return real(linalg.TraceMul(gam, m))
-}
-
-// denseBTDInto expands a block-tridiagonal matrix into the zeroed dense dst.
-func denseBTDInto(dst *linalg.Matrix, m *sparse.BlockTridiag) {
-	off := m.Offsets()
-	for i, blk := range m.Diag {
-		dst.SetSubmatrix(off[i], off[i], blk)
-	}
-	for i := range m.Upper {
-		dst.SetSubmatrix(off[i], off[i+1], m.Upper[i])
-		dst.SetSubmatrix(off[i+1], off[i], m.Lower[i])
-	}
 }
 
 // addScaledSubmatrix accumulates s·src into dst at block offset (r0, c0).

@@ -23,7 +23,7 @@ import (
 
 // binFormat is the payload-format version byte opening every binary
 // payload.
-const binFormat = 1
+const binFormat = 2
 
 // Worker-side wire observability: every frame a worker sends or
 // receives increments the process-global perf counters, so for
@@ -193,8 +193,7 @@ func decodeResultBatchBin(p []byte) ([]resultMsg, error) {
 }
 
 // appendSnapshotBin encodes a perf delta: total flops, then the changed
-// phases (name, calls, wall nanos, flops) and changed counters (name,
-// value).
+// phases (name, calls, wall nanos) and changed counters (name, value).
 func appendSnapshotBin(w *comms.BinWriter, s perf.Snapshot) {
 	w.Varint(s.Flops)
 	w.Uvarint(uint64(len(s.Phases)))
@@ -202,7 +201,6 @@ func appendSnapshotBin(w *comms.BinWriter, s perf.Snapshot) {
 		w.String(name)
 		w.Varint(ps.Calls)
 		w.Varint(int64(ps.Wall))
-		w.Varint(ps.Flops)
 	}
 	w.Uvarint(uint64(len(s.Counters)))
 	for name, v := range s.Counters {
@@ -225,7 +223,6 @@ func readSnapshotBin(r *comms.BinReader) perf.Snapshot {
 			ps := perf.PhaseStats{
 				Calls: r.Varint(),
 				Wall:  time.Duration(r.Varint()),
-				Flops: r.Varint(),
 			}
 			if r.Err() == nil {
 				s.Phases[name] = ps

@@ -46,7 +46,7 @@ func TestWireRoundTrips(t *testing.T) {
 			{Task: 4, Failed: true, Error: "singular matrix", Retries: 2, Epoch: 2},
 			{Task: 5, Payload: []byte("p"), Perf: perf.Snapshot{
 				Flops:    7,
-				Phases:   map[string]perf.PhaseStats{"rgf": {Calls: 3, Wall: time.Millisecond, Flops: 7}},
+				Phases:   map[string]perf.PhaseStats{"rgf": {Calls: 3, Wall: time.Millisecond}},
 				Counters: map[string]int64{"sigma-cache-miss": 1},
 			}},
 			{Task: 6}, // empty payload, empty snapshot

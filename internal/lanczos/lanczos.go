@@ -339,10 +339,11 @@ func NearTarget(h *sparse.BlockTridiag, sigma float64, k int, tol float64, maxIt
 	// The factor and every solve live on one workspace for the whole run.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	op, err := newShiftInvertOp(sparse.ShiftedFromHermitian(h, complex(sigma, 0)), ws) // σ·I − H
+	sys := sparse.NewShiftedSystem(h)
+	op, err := newShiftInvertOp(sys.At(complex(sigma, 0), ws), ws) // σ·I − H
 	if err != nil {
 		// σ sits (numerically) on an eigenvalue; nudge and retry once.
-		op, err = newShiftInvertOp(sparse.ShiftedFromHermitian(h, complex(sigma*(1+1e-9)+1e-12, 0)), ws)
+		op, err = newShiftInvertOp(sys.At(complex(sigma*(1+1e-9)+1e-12, 0), ws), ws)
 		if err != nil {
 			return nil, fmt.Errorf("lanczos: shift-invert factorization: %w", err)
 		}

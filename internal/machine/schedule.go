@@ -93,6 +93,7 @@ func (p PhaseBreakdown) Total() float64 {
 // Report is the outcome of a performance prediction.
 type Report struct {
 	Machine        string
+	Workload       Workload
 	Decomposition  Decomposition
 	CoresUsed      int
 	WallTime       float64 // seconds
@@ -167,6 +168,7 @@ func (m MachineModel) Predict(w Workload, d Decomposition) (Report, error) {
 	eff := sustained / (float64(d.Cores()) * rate)
 	return Report{
 		Machine:        m.Name,
+		Workload:       w,
 		Decomposition:  d,
 		CoresUsed:      d.Cores(),
 		WallTime:       wall,

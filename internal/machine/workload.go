@@ -32,23 +32,6 @@ type Workload struct {
 	EnergyCostCV float64
 }
 
-// Flagship mirrors the paper's production scenario: a full I-V sweep (16
-// bias points) of a large spin-resolved sp3d5s* nanowire FET with 21
-// momentum points and ~1000 energy points per bias.
-func Flagship() Workload {
-	return Workload{
-		NBias: 16, NK: 21, NE: 1024,
-		NLayers: 140, BlockSize: 480, RHSWidth: 480,
-		SelfEnergyIterations: 30,
-		EnergyCostCV:         0.1,
-		CouplingRank:         120,
-	}
-}
-
-// StrongCounts are the core counts of the strong-scaling study — the
-// paper's machine sizes from two racks up to the full system.
-var StrongCounts = []int{672, 1344, 2688, 5376, 10752, 21504, 43008, 86016, 172032, 221400}
-
 // Validate reports parameter errors.
 func (w Workload) Validate() error {
 	if w.NBias < 1 || w.NK < 1 || w.NE < 1 {
@@ -137,23 +120,12 @@ func (w Workload) SplitSolve(p int) (SplitSolveCost, error) {
 	}, nil
 }
 
+// TaskFlops returns the useful flops of one (bias, k, E) point: both
+// contact self-energies and the serial (P = 1) wave-function solve.
+func (w Workload) TaskFlops() int64 { return w.SelfEnergyFlops() + w.WFSolveFlops() }
+
 // UsefulFlops returns the algorithmically necessary flops of the whole
 // workload with the serial (P = 1) solver — the numerator of the sustained
 // performance metric, held fixed across decompositions so that parallel
 // overhead never inflates the reported Flop/s.
-func (w Workload) UsefulFlops() int64 {
-	perTask := w.SelfEnergyFlops() + w.WFSolveFlops()
-	return int64(w.Tasks()) * perTask
-}
-
-// CalibrateBlockSolve measures the actual flops of one solve on the local
-// kernels by running fn under the global flop counter and returns the
-// measured count; the scaling harness uses it to replace the analytic
-// WFSolveFlops with a measured value where a real device is available.
-func CalibrateBlockSolve(fn func() error) (int64, error) {
-	perf.ResetFlops()
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	return perf.ResetFlops(), nil
-}
+func (w Workload) UsefulFlops() int64 { return int64(w.Tasks()) * w.TaskFlops() }

@@ -103,8 +103,7 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	// buffers.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
-	sys := s.open
+	sys := s.system()
 	nl := s.H.Layers()
 	off := s.H.Offsets()
 	cG, rG := sparse.RowSupport(sigL), sparse.RowSupport(sigR)
@@ -285,6 +284,12 @@ func (s *Solver) Transmission(e float64) (float64, error) {
 	return r.T, nil
 }
 
+// system returns the z-independent part of z − H, built by the first solve.
+func (s *Solver) system() *sparse.ShiftedSystem {
+	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
+	return s.open
+}
+
 // DenseReference solves the same open system by brute force: it embeds the
 // self-energies in a dense matrix, inverts it, and applies the Caroli
 // formula; with density the spectral diagonals come from the first and last
@@ -297,12 +302,12 @@ func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	a := sparse.ShiftedFromHermitian(s.H, z)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	a := s.system().At(z, ws)
 	nl := a.Layers()
 	a.AddScaledToDiagBlock(0, sigL, -1)
 	a.AddScaledToDiagBlock(nl-1, sigR, -1)
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
 	n := s.H.N()
 	g := linalg.New(n, n)
 	if err := linalg.InverseInto(g, a.Dense(), ws); err != nil {

@@ -17,20 +17,12 @@ type PhaseStats struct {
 	// exceed elapsed time — it is CPU-occupancy-weighted, which is what
 	// the per-level efficiency accounting needs.
 	Wall time.Duration
-	// Flops is the operation count explicitly attributed to the phase by
-	// the call sites that know it (RecordPhase). Wall time
-	// is measured automatically by the sched layer and the instrumented
-	// solvers; flop attribution is explicit because the kernel-level
-	// counter (AddFlops) is global and cannot know which phase its caller
-	// belongs to.
-	Flops int64
 }
 
 // phaseCell is the lock-free accumulator behind one phase name.
 type phaseCell struct {
 	calls atomic.Int64
 	nanos atomic.Int64
-	flops atomic.Int64
 }
 
 // phases maps phase name → *phaseCell.
@@ -44,15 +36,11 @@ func phase(name string) *phaseCell {
 	return c.(*phaseCell)
 }
 
-// RecordPhase adds one execution of the named phase: its wall time and an
-// optional explicitly-known flop count (0 when only timing is available).
-func RecordPhase(name string, wall time.Duration, flops int64) {
+// RecordPhase adds one execution of the named phase and its wall time.
+func RecordPhase(name string, wall time.Duration) {
 	c := phase(name)
 	c.calls.Add(1)
 	c.nanos.Add(int64(wall))
-	if flops != 0 {
-		c.flops.Add(flops)
-	}
 }
 
 // StartPhase starts timing one execution of the named phase and returns
@@ -61,7 +49,7 @@ func RecordPhase(name string, wall time.Duration, flops int64) {
 //	defer perf.StartPhase("rgf")()
 func StartPhase(name string) func() {
 	start := time.Now()
-	return func() { RecordPhase(name, time.Since(start), 0) }
+	return func() { RecordPhase(name, time.Since(start)) }
 }
 
 // PhaseSnapshot returns a copy of every phase's accumulated statistics.
@@ -72,7 +60,6 @@ func PhaseSnapshot() map[string]PhaseStats {
 		out[k.(string)] = PhaseStats{
 			Calls: c.calls.Load(),
 			Wall:  time.Duration(c.nanos.Load()),
-			Flops: c.flops.Load(),
 		}
 		return true
 	})

@@ -9,15 +9,15 @@ import (
 
 func TestPhaseRecording(t *testing.T) {
 	ResetPhases()
-	RecordPhase("rgf", 3*time.Millisecond, 100)
-	RecordPhase("rgf", 2*time.Millisecond, 50)
-	RecordPhase("poisson", time.Millisecond, 0)
+	RecordPhase("rgf", 3*time.Millisecond)
+	RecordPhase("rgf", 2*time.Millisecond)
+	RecordPhase("poisson", time.Millisecond)
 	snap := PhaseSnapshot()
 	rgf, ok := snap["rgf"]
 	if !ok {
 		t.Fatal("rgf phase missing from snapshot")
 	}
-	if rgf.Calls != 2 || rgf.Wall != 5*time.Millisecond || rgf.Flops != 150 {
+	if rgf.Calls != 2 || rgf.Wall != 5*time.Millisecond {
 		t.Fatalf("rgf stats = %+v", rgf)
 	}
 	if p := snap["poisson"]; p.Calls != 1 || p.Wall != time.Millisecond {
@@ -53,13 +53,13 @@ func TestPhaseConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				RecordPhase("p", time.Microsecond, 2)
+				RecordPhase("p", time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
 	p := PhaseSnapshot()["p"]
-	if p.Calls != workers*per || p.Flops != workers*per*2 {
+	if p.Calls != workers*per || p.Wall != workers*per*time.Microsecond {
 		t.Fatalf("concurrent phase stats = %+v", p)
 	}
 }

@@ -30,10 +30,6 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) {
 		for _, name := range names {
 			fmt.Fprintf(w, "%s_phase_wall_seconds_total{phase=%q} %g\n", prefix, name, s.Phases[name].Wall.Seconds())
 		}
-		fmt.Fprintf(w, "# TYPE %s_phase_flops_total counter\n", prefix)
-		for _, name := range names {
-			fmt.Fprintf(w, "%s_phase_flops_total{phase=%q} %d\n", prefix, name, s.Phases[name].Flops)
-		}
 	}
 
 	if len(s.Counters) > 0 {

@@ -13,8 +13,8 @@ func TestWritePrometheus(t *testing.T) {
 	s := Snapshot{
 		Flops: 12345,
 		Phases: map[string]PhaseStats{
-			"rgf":      {Calls: 2, Wall: 1500 * time.Millisecond, Flops: 100},
-			"assemble": {Calls: 1, Wall: time.Second, Flops: 7},
+			"rgf":      {Calls: 2, Wall: 1500 * time.Millisecond},
+			"assemble": {Calls: 1, Wall: time.Second},
 		},
 		Counters: map[string]int64{
 			"sigma-hits":   9,
@@ -30,13 +30,15 @@ func TestWritePrometheus(t *testing.T) {
 		"omend_flops_total 12345\n",
 		`omend_phase_calls_total{phase="assemble"} 1` + "\n",
 		`omend_phase_wall_seconds_total{phase="rgf"} 1.5` + "\n",
-		`omend_phase_flops_total{phase="rgf"} 100` + "\n",
 		`omend_counter_total{name="lease-grants"} 3` + "\n",
 		`omend_counter_total{name="sigma-hits"} 9` + "\n",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("exposition missing %q:\n%s", want, got)
 		}
+	}
+	if strings.Contains(got, "phase_flops") {
+		t.Errorf("exposition has a per-phase flop family no call site fills:\n%s", got)
 	}
 	// Sorted: "assemble" before "rgf", "lease-grants" before "sigma-hits".
 	if strings.Index(got, `phase="assemble"`) > strings.Index(got, `phase="rgf"`) {

@@ -42,7 +42,6 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 		p := prev.Phases[name]
 		st.Calls -= p.Calls
 		st.Wall -= p.Wall
-		st.Flops -= p.Flops
 		if st == (PhaseStats{}) {
 			continue
 		}
@@ -77,7 +76,6 @@ func (s *Snapshot) Add(o Snapshot) {
 			cur := s.Phases[name]
 			cur.Calls += st.Calls
 			cur.Wall += st.Wall
-			cur.Flops += st.Flops
 			s.Phases[name] = cur
 		}
 	}
@@ -103,7 +101,6 @@ func Merge(s Snapshot) {
 		c := phase(name)
 		c.calls.Add(st.Calls)
 		c.nanos.Add(int64(st.Wall))
-		c.flops.Add(st.Flops)
 	}
 	for name, v := range s.Counters {
 		GetCounter(name).Add(v)

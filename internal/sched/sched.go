@@ -195,7 +195,7 @@ func (p *Pool) ForEach(ctx context.Context, phase string, n int, fn func(context
 			err := resilience.Call(ctx2, func(ctx context.Context) error { return fn(ctx, i) })
 			wall := time.Since(start)
 			if phase != "" {
-				perf.RecordPhase(phase, wall, 0)
+				perf.RecordPhase(phase, wall)
 			}
 			if p.Hook != nil {
 				p.Hook(TaskEvent{Phase: phase, Index: i, Wall: wall, Err: err})

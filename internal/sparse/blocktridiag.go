@@ -187,26 +187,6 @@ func (m *BlockTridiag) IsHermitian(tol float64) bool {
 	return true
 }
 
-// ShiftedFromHermitian builds A = z·I − H for a Hermitian block-tridiagonal
-// H, the open-boundary system matrix before self-energies are subtracted.
-func ShiftedFromHermitian(h *BlockTridiag, z complex128) *BlockTridiag {
-	a := &BlockTridiag{
-		Diag:  make([]*linalg.Matrix, len(h.Diag)),
-		Upper: make([]*linalg.Matrix, len(h.Upper)),
-		Lower: make([]*linalg.Matrix, len(h.Lower)),
-	}
-	for i, d := range h.Diag {
-		blk := linalg.New(d.Rows, d.Cols)
-		linalg.ShiftedNegInto(blk, d, z)
-		a.Diag[i] = blk
-	}
-	for i := range h.Upper {
-		a.Upper[i] = h.Upper[i].Scale(-1)
-		a.Lower[i] = h.Lower[i].Scale(-1)
-	}
-	return a
-}
-
 // Coupling is one nearest-neighbour coupling of a block-tridiagonal matrix
 // in its support space: A_{i,i+1} is nonzero only on Rows × Cols (Rows in
 // layer i, Cols in layer i+1) and A_{i+1,i} only on Cols × Rows; U and L are

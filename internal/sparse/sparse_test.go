@@ -164,17 +164,6 @@ func TestBlockTridiagHermitian(t *testing.T) {
 	}
 }
 
-func TestShiftedFromHermitian(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	h := buildRandomBTD(rng, []int{2, 2})
-	z := complex(0.7, 1e-3)
-	a := ShiftedFromHermitian(h, z)
-	want := linalg.Identity(h.N()).Scale(z).Sub(h.Dense())
-	if !a.Dense().Equal(want, 1e-13) {
-		t.Fatal("ShiftedFromHermitian != zI − H")
-	}
-}
-
 func TestBlockTridiagCSRRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(34))
 	m := buildRandomBTD(rng, []int{2, 4, 3})
@@ -242,8 +231,9 @@ func TestQuickBTDHermitianPreservedByShift(t *testing.T) {
 			sizes[i] = rng.Intn(3) + 1
 		}
 		h := buildRandomBTD(rng, sizes)
-		a := ShiftedFromHermitian(h, complex(rng.NormFloat64(), 0))
-		return a.IsHermitian(1e-12)
+		ws := linalg.GetWorkspace()
+		defer ws.Release()
+		return NewShiftedSystem(h).At(complex(rng.NormFloat64(), 0), ws).IsHermitian(1e-12)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)

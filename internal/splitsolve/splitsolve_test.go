@@ -207,7 +207,9 @@ func TestInterfaceRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := sparse.ShiftedFromHermitian(h, complex(6.8, 1e-6))
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	a := sparse.NewShiftedSystem(h).At(complex(6.8, 1e-6), ws)
 	rank := InterfaceRank(a)
 	block := a.LayerSize(0)
 	if rank <= 0 || rank >= block {
@@ -225,7 +227,7 @@ func TestInterfaceRank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r := InterfaceRank(sparse.ShiftedFromHermitian(ch, complex(0, 1e-6))); r != 1 {
+	if r := InterfaceRank(sparse.NewShiftedSystem(ch).At(complex(0, 1e-6), ws)); r != 1 {
 		t.Fatalf("chain interface rank %d, want 1", r)
 	}
 }
