@@ -117,12 +117,14 @@ func BenchmarkT2_KernelCost_WF(b *testing.B) {
 	b.StopTimer()
 	fl := float64(perf.ResetFlops()) / float64(b.N)
 	b.ReportMetric(fl, "flops/solve")
-	// The machine model's flops for the same point: its closed forms charge
-	// dense products and two decimations per energy (ROADMAP item 5).
-	model := float64(machine.Flagship().Resized(h.Layers(), h.LayerSize(0), h.LayerSize(0), 0).TaskFlops())
+	// The machine model's flops for the same point, read at this device: its
+	// interface rank, and the left contact's Γ support — the columns C its
+	// coupling touches — as injection width.
+	w := machine.Flagship().Resized(h.Layers(), h.LayerSize(0), len(h.Coupling(0).Cols), splitsolve.InterfaceRank(h))
+	model := float64(w.TaskFlops())
 	b.ReportMetric(model, "model-flops/solve")
 	once("T2wf", func() {
-		fmt.Printf("T2\tWF solve  \t%.3g flops per (E,k) point (model %.3g, %.0f×)\n", fl, model, model/fl)
+		fmt.Printf("T2\tWF solve  \t%.3g flops per (E,k) point (model %.3g, %.2f×)\n", fl, model, model/fl)
 	})
 }
 
@@ -374,10 +376,11 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 			}
 			rate := machine.Jaguar().SustainedFlopsPerCore()
 			modeled := (float64(ss.CriticalFlops) + float64(ss.ReducedFlops)) / rate
+			b.ReportMetric(float64(ss.Flops), "model-flops/solve")
 			b.ReportMetric(modeled*1e3, "modeled-ms")
 			once(fmt.Sprintf("F3:%d", p), func() {
-				fmt.Printf("F3\tP=%-3d total flops per solve = %.3g\tmodeled parallel time = %.3f ms\n",
-					p, fl, modeled*1e3)
+				fmt.Printf("F3\tP=%-3d total flops per solve = %.3g (model %.3g)\tmodeled parallel time = %.3f ms\n",
+					p, fl, float64(ss.Flops), modeled*1e3)
 			})
 		})
 	}

@@ -17,10 +17,6 @@
 // appends) with its header and epoch records, and Tail/NewTail, the
 // follower the job service streams from. DESIGN.md §7, "Sweep log",
 // has the format and the reader rules.
-//
-// The analytic model of the paper's machine — what this package was
-// named after — lives in internal/machine; nothing here predicts
-// anything.
 package cluster
 
 // Task identifies one independent work item of the multi-level sweep.

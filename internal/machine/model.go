@@ -6,10 +6,10 @@
 // energy points; goroutine-parallel SplitSolve domains) lives in the
 // physics packages and runs on real cores, and the code that executes,
 // journals and ships a sweep lives in internal/cluster and
-// internal/distrib. This package is only the *projection*: a machine
-// model calibrated against the exact flop counts reported by the
-// numerical kernels, a multi-level decomposition scheduler (bias ×
-// momentum × energy × spatial domains, the paper's four levels), and
+// internal/distrib. This package is only the *projection*: a machine model
+// charging each kernel's own cost function (sparse.BlockThomasFlops,
+// negf.SelfEnergyFlops, splitsolve.Flops), a multi-level decomposition
+// scheduler (bias × momentum × energy × spatial domains, the paper's four levels), and
 // predicted wall times, sustained Flop/s, and parallel efficiencies for
 // core counts up to the full 221,400-core machine. The scaling *shapes* —
 // where each level saturates, where the SplitSolve reduced system bites,

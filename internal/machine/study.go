@@ -12,14 +12,15 @@ import "fmt"
 // bias points) of a large spin-resolved sp3d5s* nanowire FET with 21
 // momentum points and 1316 energy points per bias — two even rounds over
 // the 658 energy groups of the full machine, as a production grid is
-// chosen.
+// chosen. Both contacts inject their whole Γ support: 2 × rank columns.
 func Flagship() Workload {
+	const rank = 120
 	return Workload{
 		NBias: 16, NK: 21, NE: 1316,
-		NLayers: 140, BlockSize: 480, RHSWidth: 480,
+		NLayers: 140, BlockSize: 480, RHSWidth: 2 * rank,
 		SelfEnergyIterations: 30,
 		EnergyCostCV:         0.1,
-		CouplingRank:         120,
+		CouplingRank:         rank,
 	}
 }
 
@@ -59,7 +60,7 @@ func (m MachineModel) Strong() ([]Report, error) { return m.StrongScaling(Flagsh
 func (m MachineModel) Weak() ([]Report, error) {
 	rows := make([]Report, 0, len(weakSteps))
 	for _, st := range weakSteps {
-		r, err := m.PredictAuto(Flagship().Resized(st.layers, st.block, st.block, st.block/4), st.cores)
+		r, err := m.PredictAuto(Flagship().Resized(st.layers, st.block, 2*(st.block/4), st.block/4), st.cores)
 		if err != nil {
 			return nil, fmt.Errorf("machine: %d cores: %w", st.cores, err)
 		}

@@ -3,7 +3,9 @@ package machine
 import (
 	"fmt"
 
-	"repro/internal/perf"
+	"repro/internal/negf"
+	"repro/internal/sparse"
+	"repro/internal/splitsolve"
 )
 
 // Workload describes one self-consistent-iteration sweep of the simulator:
@@ -40,6 +42,9 @@ func (w Workload) Validate() error {
 	if w.NLayers < 2 || w.BlockSize < 1 || w.RHSWidth < 1 {
 		return fmt.Errorf("machine: device dimensions invalid")
 	}
+	if w.RHSWidth > 2*w.rank() { // each contact injects at most its Γ support
+		return fmt.Errorf("machine: %d injection columns exceed twice the coupling rank %d", w.RHSWidth, w.rank())
+	}
 	if w.SelfEnergyIterations < 1 {
 		return fmt.Errorf("machine: self-energy iteration count must be positive")
 	}
@@ -49,25 +54,34 @@ func (w Workload) Validate() error {
 // Tasks returns the number of independent (bias, k, E) points.
 func (w Workload) Tasks() int { return w.NBias * w.NK * w.NE }
 
-// SelfEnergyFlops returns the flops of the two contact self-energies of
-// one solve: each Sancho-Rubio iteration costs one block LU, one solve
-// against two operand groups, and four block products.
+// rank is the coupling rank the model charges; 0 is dense, the paper's case.
+func (w Workload) rank() int {
+	if w.CouplingRank > 0 {
+		return min(w.CouplingRank, w.BlockSize)
+	}
+	return w.BlockSize
+}
+
+// layers is the device as the kernels' cost functions read it.
+func (w Workload) layers() (sizes, ranks []int) {
+	for range w.NLayers {
+		sizes, ranks = append(sizes, w.BlockSize), append(ranks, w.rank())
+	}
+	return sizes, ranks[1:]
+}
+
+// SelfEnergyFlops returns the flops of the contact self-energies of one
+// solve: one paired decimation, r = c = rank.
 func (w Workload) SelfEnergyFlops() int64 {
-	n := w.BlockSize
-	perIter := perf.LUFlops(n) + perf.SolveFlops(n, n) + 4*perf.GemmFlops(n, n, n)
-	return 2 * int64(w.SelfEnergyIterations) * perIter
+	r := w.rank()
+	return negf.SelfEnergyFlops(w.BlockSize, min(w.BlockSize, 2*r), r, r, w.SelfEnergyIterations)
 }
 
 // WFSolveFlops returns the flops of one wave-function (block-Thomas) solve
-// at a single energy with P = 1: per layer one block LU, triangular solves
-// against the coupling block and the RHS, and two block products.
+// at a single energy with P = 1.
 func (w Workload) WFSolveFlops() int64 {
-	n, l, k := w.BlockSize, w.NLayers, w.RHSWidth
-	perLayer := perf.LUFlops(n) +
-		perf.SolveFlops(n, n+k) +
-		perf.GemmFlops(n, n, n) + perf.GemmFlops(n, n, k) +
-		perf.GemmFlops(n, n, k) // back substitution product
-	return int64(l) * perLayer
+	sizes, ranks := w.layers()
+	return sparse.BlockThomasFlops(sizes, ranks, ranks, w.RHSWidth)
 }
 
 // SplitSolveCost describes the parallel cost structure of one SplitSolve
@@ -77,47 +91,30 @@ type SplitSolveCost struct {
 	CriticalFlops int64
 	// ReducedFlops is the serial Schur-complement interface solve.
 	ReducedFlops int64
+	// Flops is every domain's work and the reduced system's.
+	Flops int64
 	// Messages and BytesPerMessage describe the interface exchange.
 	Messages        int
 	BytesPerMessage int64
 }
 
 // SplitSolve returns the cost model of one energy-point solve decomposed
-// over p spatial domains. The spike columns widen the local solves from
-// RHSWidth to RHSWidth + 2·BlockSize; the reduced interface system is
-// block-tridiagonal over domains with 2·BlockSize groups (solved serially
-// on the critical path, O(p·n³) like the implementation in
-// internal/splitsolve); each interface exchanges its boundary blocks.
+// over p spatial domains: splitsolve's own flops, the costliest domain on
+// the critical path, and each interface exchanging its coupling block.
 func (w Workload) SplitSolve(p int) (SplitSolveCost, error) {
 	if p < 1 || p > w.NLayers {
 		return SplitSolveCost{}, fmt.Errorf("machine: %d domains invalid for %d layers", p, w.NLayers)
 	}
-	n := int64(w.BlockSize)
-	if p == 1 {
-		return SplitSolveCost{CriticalFlops: w.WFSolveFlops()}, nil
+	sizes, ranks := w.layers()
+	domains, reduced := splitsolve.Flops(sizes, ranks, ranks, w.RHSWidth, p)
+	cost := SplitSolveCost{ReducedFlops: reduced, Flops: reduced}
+	for _, f := range domains {
+		cost.CriticalFlops, cost.Flops = max(cost.CriticalFlops, f), cost.Flops+f
 	}
-	layersPerDomain := (w.NLayers + p - 1) / p
-	c := w.CouplingRank
-	if c <= 0 || c > w.BlockSize {
-		c = w.BlockSize
+	if p > 1 { // interface blocks (complex128) gathered to the reduced solve and scattered back
+		cost.Messages, cost.BytesPerMessage = 2*(p-1), 16*int64(w.BlockSize)*int64(w.rank())
 	}
-	width := w.RHSWidth + 2*c
-	perLayer := perf.LUFlops(w.BlockSize) +
-		perf.SolveFlops(w.BlockSize, w.BlockSize+width) +
-		perf.GemmFlops(w.BlockSize, w.BlockSize, w.BlockSize) +
-		2*perf.GemmFlops(w.BlockSize, w.BlockSize, width)
-	group := 2 * w.BlockSize
-	perGroup := perf.LUFlops(group) +
-		perf.SolveFlops(group, group+w.RHSWidth) +
-		2*perf.GemmFlops(group, group, group)
-	reduced := int64(p) * perGroup
-	return SplitSolveCost{
-		CriticalFlops: int64(layersPerDomain) * perLayer,
-		ReducedFlops:  reduced,
-		// Gather interface blocks to the reduced solve and scatter back.
-		Messages:        2 * (p - 1),
-		BytesPerMessage: 16 * n * int64(c), // complex128 boundary coupling block
-	}, nil
+	return cost, nil
 }
 
 // TaskFlops returns the useful flops of one (bias, k, E) point: both

@@ -158,6 +158,25 @@ func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.
 	return sig, nil
 }
 
+// SelfEnergyFlops returns the flops of one paired selfEnergies miss, affine
+// in its decimation's iterations, on a lead of n orbitals whose coupling
+// touches r rows and c columns, with an s×s effective layer: s = |R ∪ C|, or
+// n on the dense partition (a fallback also pays for the rejected interior).
+func SelfEnergyFlops(n, s, r, c, iterations int) int64 {
+	gemm, sums := perf.GemmFlops, int64(r*r+c*c)*perf.FlopsCAdd
+	inverse := perf.LUFlops(s) + perf.SolveFlops(s, s)
+	f := int64(s*s) * perf.FlopsCAdd // M(z): z − h00 on S, the interior eliminated
+	if ni := n - s; ni > 0 {
+		f += int64(ni*ni)*perf.FlopsCAdd + perf.LUFlops(ni) + perf.SolveFlops(ni, s) + gemm(s, ni, s)
+	}
+	// −α·g·β, −β·g·α and their sums; the two projections cost the same.
+	pair := gemm(r, c, c) + gemm(c, r, r) + gemm(r, c, r) + gemm(c, r, c) + sums
+	// Unconverged iterations also add to the bulk and square α and β.
+	squared := sums + gemm(r, c, r) + gemm(c, r, c) + gemm(r, r, c) + gemm(c, c, r)
+	// Each finish adds its surface's sum and inverts; then the projections.
+	return f + int64(iterations)*(inverse+pair) + int64(iterations-1)*squared + 2*inverse + sums + pair
+}
+
 // registry resolves leads to block families, kept in registration order —
 // the order adoption searches them in. A SelfEnergyCache keeps one for
 // every lead it is shown; a Leads value keeps a private one for the

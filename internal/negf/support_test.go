@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/device"
 	"repro/internal/linalg"
+	"repro/internal/perf"
 	"repro/internal/sparse"
 	"repro/internal/tb"
 )
@@ -261,6 +262,66 @@ func TestSelfEnergySupport(t *testing.T) {
 						t.Fatalf("%s Σ_%s[%d,%d] = %v outside the coupling's support %v", name, sideNames[s], i, j, v, on)
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSelfEnergyFlopCount is the "flop totals exact" contract of the
+// self-energy kernel: a paired miss counts SelfEnergyFlops at the family's
+// (n, |S|, |R|, |C|) for a whole number of decimation iterations in
+// [1, surfaceMaxIter]. The iteration count is the one input the kernel
+// decides, so it is recovered from the count itself: what is left after the
+// fixed part must be whole iterations. An energy parked on an interior level
+// falls back to the dense partition and also pays for the interior factor
+// it rejected, counted here by running that probe alone.
+func TestSelfEnergyFlopCount(t *testing.T) {
+	suite := suiteLeads(t)
+	agnr := newFamily(0, suite["AGNR-7"].spec(left))
+	levels, err := linalg.EigHValues(&agnr.part.hII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name     string
+		fam      *blockFamily
+		energies []complex128
+		dense    bool // every energy must fall back to the dense partition
+	}{
+		{name: "sinw", fam: newFamily(0, suite["SiNW-sp3s*"].spec(left)), energies: []complex128{complex(6.5, 1e-6), complex(0.5, 1e-6), complex(2.2, 1e-8)}},
+		{name: "agnr7", fam: agnr, energies: []complex128{complex(1.5, 1e-6), complex(0.3, 1e-6)}},
+		{name: "n = 1 chain", fam: newFamily(0, chainLeads(t, -1, 0).spec(left)), energies: []complex128{complex(-1.2, 1e-6), complex(0.3, 1e-8)}},
+		{name: "agnr7 on an interior level", fam: agnr, energies: []complex128{complex(levels[0], 1e-8)}, dense: true},
+	}
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	for _, tc := range cases {
+		fam := tc.fam
+		n, r, c := fam.h00.Rows, len(fam.rows), len(fam.cols)
+		for _, z := range tc.energies {
+			perf.ResetFlops()
+			fellBack := fam.part.effectiveLayer(z, ws) == nil
+			rejected := perf.ResetFlops()
+			if fellBack != tc.dense {
+				t.Fatalf("%s z=%v: fell back to the dense partition: %v, want %v", tc.name, z, fellBack, tc.dense)
+			}
+			s := fam.part.hSS.Rows
+			if fellBack {
+				s = n
+			} else {
+				rejected = 0
+			}
+			if _, err := fam.selfEnergies(z, bothSides); err != nil {
+				t.Fatalf("%s z=%v: %v", tc.name, z, err)
+			}
+			got := perf.ResetFlops()
+			fixed := rejected + SelfEnergyFlops(n, s, r, c, 0)
+			per := SelfEnergyFlops(n, s, r, c, 1) - SelfEnergyFlops(n, s, r, c, 0)
+			if iters := (got - fixed) / per; (got-fixed)%per != 0 || iters < 1 || iters > surfaceMaxIter {
+				t.Errorf("%s z=%v: a paired miss counted %d flops: %d fixed plus %.3f iterations of %d",
+					tc.name, z, got, fixed, float64(got-fixed)/float64(per), per)
+			} else {
+				t.Logf("%-26s z=%v n=%d s=%d r=%d c=%d: %d flops, %d iterations", tc.name, z, n, s, r, c, got, iters)
 			}
 		}
 	}

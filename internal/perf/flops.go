@@ -5,9 +5,9 @@
 //
 // The flop counter is the foundation of the repository's performance model:
 // every dense/sparse kernel in internal/linalg and internal/sparse reports
-// the exact number of real floating-point operations it executed. The
-// simulated cluster (internal/cluster) maps these counts onto a machine
-// model to reproduce the paper's sustained-Flop/s figures.
+// the exact number of real floating-point operations it executed, and the
+// machine model (internal/machine) charges the closed forms those counts
+// are tested against to reproduce the paper's sustained-Flop/s figures.
 package perf
 
 import (

@@ -273,10 +273,9 @@ func TestConcurrentFirstFactor(t *testing.T) {
 
 // TestBlockThomasFlopCount is the "flop totals exact" contract stated for
 // this kernel, the twin of negf's TestRGFFlopCount: the counted flops of one
-// SolveBlocks equal a closed form in the layer sizes n_i, the coupling
-// supports |R_i| × |C_i|, the right-hand-side width k and the layer count —
-// per layer one n×n LU and solves and products with an r-, c- or k-sized
-// dimension, nothing cubic in n beside the LU.
+// SolveBlocks equal BlockThomasFlops — the closed form the machine model
+// charges — in the layer sizes n_i, the coupling supports |R_i| × |C_i| and
+// the right-hand-side width k.
 func TestBlockThomasFlopCount(t *testing.T) {
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
@@ -298,7 +297,10 @@ func TestBlockThomasFlopCount(t *testing.T) {
 	rng := rand.New(rand.NewSource(30))
 	for name, m := range systems {
 		nl := m.Layers()
-		rows, cols := make([]int, nl-1), make([]int, nl-1)
+		sizes, rows, cols := make([]int, nl), make([]int, nl-1), make([]int, nl-1)
+		for i := range sizes {
+			sizes[i] = m.LayerSize(i)
+		}
 		for i := range rows {
 			rows[i] = distinct(sparse.RowSupport(m.Upper[i]), sparse.ColumnSupport(m.Lower[i]))
 			cols[i] = distinct(sparse.ColumnSupport(m.Upper[i]), sparse.RowSupport(m.Lower[i]))
@@ -307,22 +309,7 @@ func TestBlockThomasFlopCount(t *testing.T) {
 			t.Fatalf("sinw couples %d rows to %d columns of %d; the compressed case is vacuous", rows[0], cols[0], m.LayerSize(0))
 		}
 		for _, k := range []int{0, 1, 5} {
-			var want int64
-			for i := 0; i < nl; i++ {
-				n := m.LayerSize(i)
-				// The LU of d̃_i and its solve against the k columns.
-				want += perf.LUFlops(n) + perf.SolveFlops(n, k)
-				if i > 0 {
-					// d̃_{i-1}⁻¹·U[:, C]; the fold onto C × C; the forward
-					// elimination of the right-hand side.
-					r, c := rows[i-1], cols[i-1]
-					want += perf.SolveFlops(m.LayerSize(i-1), c) + perf.GemmFlops(c, r, c) + int64(c*c)*perf.FlopsCAdd +
-						perf.GemmFlops(c, r, k)
-				}
-				if i < nl-1 {
-					want += perf.GemmFlops(n, cols[i], k) // back substitution
-				}
-			}
+			want := sparse.BlockThomasFlops(sizes, rows, cols, k)
 			rhs := rhsOn(rng, m, k, sparse.Range(0, nl)...)
 			perf.ResetFlops()
 			if _, err := m.SolveBlocks(rhs, ws); err != nil {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/linalg"
+	"repro/internal/perf"
 )
 
 // SolveBlocks solves M·X = B for a block right-hand side given per layer
@@ -24,6 +25,23 @@ func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix, ws *linalg.Workspace) (
 		return nil, err
 	}
 	return f.Solve(rhs, ws)
+}
+
+// BlockThomasFlops returns the flops one SolveBlocks counts at width k on
+// layers of sizes sizes whose coupling i has |Rows| = rows[i], |Cols| =
+// cols[i] (a dense coupling: both layers whole).
+func BlockThomasFlops(sizes, rows, cols []int, k int) int64 {
+	var f int64
+	for i, n := range sizes {
+		f += perf.LUFlops(n) + perf.SolveFlops(n, k) // d̃_i's LU, solved against the k columns
+		if i > 0 {
+			// d̃⁻¹·U[:, C], the fold onto C × C, forward elimination, back substitution.
+			m, r, c := sizes[i-1], rows[i-1], cols[i-1]
+			f += perf.SolveFlops(m, c) + perf.GemmFlops(c, r, c) + int64(c*c)*perf.FlopsCAdd +
+				perf.GemmFlops(c, r, k) + perf.GemmFlops(m, c, k)
+		}
+	}
+	return f
 }
 
 // BTDFactor is a reusable block-Thomas factorization of a block-

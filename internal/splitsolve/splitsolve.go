@@ -273,6 +273,41 @@ func unwrapTask(err error) error {
 	return err
 }
 
+// Flops returns each domain's and the reduced system's flops of one Solve
+// over p domains at width k, with sparse.BlockThomasFlops' sizes, rows and
+// cols, for spikes nonzero on every row of a domain's end layers.
+func Flops(sizes, rows, cols []int, k, p int) (domains []int64, reduced int64) {
+	bounds := partition(len(sizes), p)
+	domains = make([]int64, p)
+	// Reduced group d, [ξ_d^f; ξ_d^l], is filled by spikes (a single-layer
+	// domain's: ξ_d^f, and ξ_d^l coupled where domain d+1's spike meets it).
+	group, filled, coupled := make([]int, p), make([]int, p), make([]int, p-1)
+	for d := range domains {
+		lo, hi := bounds[d], bounds[d+1]
+		group[d], filled[d] = sizes[lo]+sizes[hi-1], sizes[lo]
+		if hi-lo > 1 {
+			filled[d] = group[d]
+		}
+		var spikes int // |supV| + |supW|
+		if d > 0 {
+			spikes += rows[lo-1]
+		}
+		if d < p-1 {
+			spikes += cols[hi-1]
+			coupled[d] = min(group[d], filled[d]+rows[hi-1])
+		}
+		domains[d] = sparse.BlockThomasFlops(sizes[lo:hi], rows[lo:hi-1], cols[lo:hi-1], k+spikes)
+		for _, n := range sizes[lo:hi] {
+			domains[d] += perf.GemmFlops(n, spikes, k) // stage 3
+		}
+		reduced += int64(filled[d]*spikes) * perf.FlopsCAdd // its assembly
+	}
+	if p == 1 {
+		return domains, 0
+	}
+	return domains, reduced + sparse.BlockThomasFlops(group, coupled, filled[1:], k)
+}
+
 // InterfaceRank returns the largest coupling-column count between
 // adjacent layers of a — the effective spike width of a split solve, used
 // to parameterize the performance model (machine.Workload.CouplingRank).

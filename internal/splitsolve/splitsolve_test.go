@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/lattice"
 	"repro/internal/linalg"
+	"repro/internal/perf"
+	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/tb"
 )
@@ -178,6 +180,63 @@ func TestQuickSplitSolveEquivalence(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSplitSolveFlopCount is the "flop totals exact" contract of the
+// decomposed solve: the counted flops of one Solve equal Flops — the domains'
+// and the reduced system's, as the machine model charges them — on ragged
+// layers with dense couplings and on a nanowire with compressed ones, from
+// one domain up to single-layer domains.
+func TestSplitSolveFlopCount(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	ragged, raggedRHS := randomSystem(rng, []int{3, 2, 4, 3, 2, 5, 3}, 2)
+	s, err := lattice.NewZincblendeNanowire(0.5431, 6, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := tb.Assemble(s, tb.SiliconSP3S(), tb.Options{PassivationShift: 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	wire := sparse.NewShiftedSystem(h).At(complex(6.8, 1e-6), ws)
+	wireRHS := make([]*linalg.Matrix, wire.Layers())
+	for i := range wireRHS {
+		wireRHS[i] = linalg.New(wire.LayerSize(i), 5)
+		for j := range wireRHS[i].Data {
+			wireRHS[i].Data[j] = complex(rng.NormFloat64(), rng.NormFloat64())
+		}
+	}
+	pool := sched.New(2)
+	for name, sys := range map[string]struct {
+		a   *sparse.BlockTridiag
+		rhs []*linalg.Matrix
+	}{"ragged": {ragged, raggedRHS}, "sinw": {wire, wireRHS}} {
+		a := sys.a
+		nl := a.Layers()
+		sizes, rows, cols := make([]int, nl), make([]int, nl-1), make([]int, nl-1)
+		for i := range sizes {
+			sizes[i] = a.LayerSize(i)
+		}
+		for i := range rows {
+			rows[i], cols[i] = len(a.Coupling(i).Rows), len(a.Coupling(i).Cols)
+		}
+		for _, p := range []int{1, 2, 3, nl} {
+			domains, reduced := Flops(sizes, rows, cols, sys.rhs[0].Cols, p)
+			want := reduced
+			for _, f := range domains {
+				want += f
+			}
+			perf.ResetFlops()
+			if _, err := Solve(context.Background(), a, sys.rhs, p, pool); err != nil {
+				t.Fatal(err)
+			}
+			if got := perf.ResetFlops(); got != want {
+				t.Errorf("%s, P = %d: one solve counted %d flops, Flops gives %d", name, p, got, want)
+			}
+		}
 	}
 }
 
