@@ -2,6 +2,7 @@ package linalg
 
 import (
 	"errors"
+	"math"
 	"math/cmplx"
 
 	"repro/internal/perf"
@@ -66,15 +67,9 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	lu := m.Data
 	sign = 1
 	for k := 0; k < n; k++ {
-		// Partial pivoting: pick the largest-modulus entry in column k.
-		p, maxAbs := k, cmplx.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(lu[i*n+k]); a > maxAbs {
-				p, maxAbs = i, a
-			}
-		}
+		p := pivotSearch(lu, n, k)
 		piv[k] = p
-		if maxAbs == 0 {
+		if lu[p*n+k] == 0 { // the largest modulus is 0; a NaN pivot is not
 			return sign, ErrSingular
 		}
 		if p != k {
@@ -107,6 +102,73 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	}
 	perf.AddFlops(perf.LUFlops(n))
 	return sign, nil
+}
+
+// pivotSearch ranks on re²+im² while its best so far is 0 or has re²+im²
+// in [sqLo, sqHi]: there the sum is within a few ulps of |best|², as Hypot
+// — what cmplx.Abs computes — is of |best|. An entry's re²+im² is as
+// accurate wherever it falls outside the best's band of relative width
+// sqBand (an underflowed sum is off by at most 2⁻¹⁰⁷³, an overflowed one
+// is +Inf only past the float64 range), so outside the band the two
+// rankings agree.
+const (
+	sqLo, sqHi = 1e-280, 1e280
+	sqBand     = 1e-12
+)
+
+// pivotSearch returns the partial-pivoting row of column k of the n×n
+// row-major lu: the row, at or below k, of the largest-modulus entry, the
+// first such row on a tie. It picks exactly the row a scan comparing
+// cmplx.Abs picks, but ranks on |z|² and calls Hypot only where |z|²
+// cannot decide: a NaN entry, a best whose modulus is beyond 1e±140 (Inf
+// and subnormals included), and a near-tie between entries that are not
+// the same pair {|re|, |im|}. Equal pairs have bitwise-equal Hypots, so
+// the first row keeps that tie.
+func pivotSearch(lu []complex128, n, k int) int {
+	p, best := k, lu[k*n+k]
+	bs := real(best)*real(best) + imag(best)*imag(best)
+	fast := best == 0 || bs >= sqLo && bs <= sqHi
+	lo, hi := bs*(1-sqBand), bs*(1+sqBand)
+	for i := k + 1; i < n; i++ {
+		if fast {
+			if i = firstNotBelow(lu, n, k, i, lo); i == n {
+				break
+			}
+		}
+		z := lu[i*n+k]
+		s := real(z)*real(z) + imag(z)*imag(z)
+		if fast && s <= hi && samePair(z, best) {
+			continue // the same modulus (zeros included): the earlier row keeps it
+		}
+		if fast && s > hi || cmplx.Abs(z) > cmplx.Abs(best) {
+			p, best = i, z
+			fast = s >= sqLo && s <= sqHi
+			lo, hi = s*(1-sqBand), s*(1+sqBand)
+		}
+	}
+	return p
+}
+
+// firstNotBelow returns the first row i ≥ from of column k whose re²+im²
+// is not below lo (a NaN is not), or n: pivotSearch's common case, an
+// entry that loses outright, in a loop without calls, so nothing in it
+// spills.
+func firstNotBelow(lu []complex128, n, k, from int, lo float64) int {
+	for i := from; i < n; i++ {
+		z := lu[i*n+k]
+		if !(real(z)*real(z)+imag(z)*imag(z) < lo) {
+			return i
+		}
+	}
+	return n
+}
+
+// samePair reports whether a and b have the same pair {|re|, |im|}, and
+// so the same Hypot to the bit: it takes both moduli and orders them.
+func samePair(a, b complex128) bool {
+	ar, ai := math.Abs(real(a)), math.Abs(imag(a))
+	br, bi := math.Abs(real(b)), math.Abs(imag(b))
+	return ar == br && ai == bi || ar == bi && ai == br
 }
 
 // N returns the order of the factorized matrix.

@@ -24,6 +24,9 @@ type Matrix struct {
 	Rows, Cols int
 	// Data holds the entries; element (i,j) lives at Data[i*Cols+j].
 	Data []complex128
+	// slot is i+1 while the matrix is checked out of a Workspace as its
+	// out[i], and 0 otherwise.
+	slot int
 }
 
 // New returns a zero-initialized rows×cols matrix.

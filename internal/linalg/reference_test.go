@@ -122,18 +122,26 @@ func refMul3Into(dst *Matrix, a *Matrix, opA Op, b *Matrix, opB Op, c *Matrix, o
 	}
 }
 
+// refPivotScan is partial pivoting by cmplx.Abs: the row, at or below k,
+// of column k's largest modulus (the first on a tie), and that modulus.
+// pivotSearch must pick the same row.
+func refPivotScan(lu []complex128, n, k int) (int, float64) {
+	p, maxAbs := k, cmplx.Abs(lu[k*n+k])
+	for i := k + 1; i < n; i++ {
+		if a := cmplx.Abs(lu[i*n+k]); a > maxAbs {
+			p, maxAbs = i, a
+		}
+	}
+	return p, maxAbs
+}
+
 // refFactorInPlace is the partial-pivoting LU loop.
 func refFactorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	n := m.Rows
 	lu := m.Data
 	sign = 1
 	for k := 0; k < n; k++ {
-		p, maxAbs := k, cmplx.Abs(lu[k*n+k])
-		for i := k + 1; i < n; i++ {
-			if a := cmplx.Abs(lu[i*n+k]); a > maxAbs {
-				p, maxAbs = i, a
-			}
-		}
+		p, maxAbs := refPivotScan(lu, n, k)
 		piv[k] = p
 		if maxAbs == 0 {
 			return sign, ErrSingular

@@ -295,3 +295,173 @@ func TestWorkspaceReleaseReclaimsOutstanding(t *testing.T) {
 	ws.Get(5, 5) // deliberately not Put back
 	ws.Release() // must not panic; reclaims the straggler
 }
+
+// panics reports whether fn panics.
+func panics(fn func()) (did bool) {
+	defer func() { did = recover() != nil }()
+	fn()
+	return false
+}
+
+func TestWorkspaceOtherWorkspacesMatrixPanics(t *testing.T) {
+	a, b := GetWorkspace(), GetWorkspace()
+	defer a.Release()
+	defer b.Release()
+	a.Get(2, 2) // a's out[0] and b's out[0] are both taken
+	m := b.Get(3, 3)
+	if !panics(func() { a.Put(m) }) {
+		t.Fatal("Put of another workspace's matrix did not panic")
+	}
+	b.Put(m) // still b's to return
+	if !panics(func() { a.PutInts(b.GetInts(4)) }) {
+		t.Fatal("PutInts of another workspace's slice did not panic")
+	}
+}
+
+func TestWorkspaceStructCopyPanics(t *testing.T) {
+	ws := GetWorkspace()
+	defer ws.Release()
+	m := ws.Get(3, 3)
+	c := *m
+	if !panics(func() { ws.Put(&c) }) {
+		t.Fatal("Put of a struct copy of a checked-out matrix did not panic")
+	}
+	ws.Put(m)
+}
+
+func TestWorkspaceIntsDoubleAndForeignReturnPanic(t *testing.T) {
+	ws := GetWorkspace()
+	defer ws.Release()
+	s := ws.GetInts(5)
+	ws.PutInts(s)
+	if !panics(func() { ws.PutInts(s) }) {
+		t.Fatal("double PutInts did not panic")
+	}
+	if !panics(func() { ws.PutInts(make([]int, 5, 8)) }) {
+		t.Fatal("foreign PutInts did not panic")
+	}
+	if !panics(func() { ws.PutInts(nil) }) {
+		t.Fatal("PutInts(nil) did not panic")
+	}
+}
+
+// TestWorkspaceOwnershipModel drives two workspaces through 10,000 seeded
+// random steps — Get, GetInts, Put and PutInts of a random buffer ever
+// handed out (live here, live in the other workspace, returned, reclaimed
+// by a Release, or a struct copy), and Release — against a reference
+// ownership map kept here. A Put succeeds exactly when the map says the
+// buffer is live in that workspace and panics otherwise; every Get is
+// zeroed, correctly shaped and not already live.
+func TestWorkspaceOwnershipModel(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	var wss [2]*Workspace
+	for i := range wss {
+		wss[i] = GetWorkspace()
+	}
+	defer func() {
+		for _, ws := range wss {
+			ws.Release()
+		}
+	}()
+	// What is checked out, and of which workspace; an int slice is known
+	// by its first element.
+	live := map[*Matrix]int{}
+	liveInts := map[*int]int{}
+	var mats []*Matrix
+	var ints [][]int
+	for step := 0; step < 10000; step++ {
+		w := rng.Intn(2)
+		ws := wss[w]
+		switch op := rng.Intn(20); {
+		case op < 7:
+			r, c := rng.Intn(9), rng.Intn(9)
+			m := ws.Get(r, c)
+			if _, ok := live[m]; ok {
+				t.Fatalf("step %d: Get handed out a live matrix", step)
+			}
+			if m.Rows != r || m.Cols != c || len(m.Data) != r*c {
+				t.Fatalf("step %d: Get(%d, %d) returned %dx%d with %d entries", step, r, c, m.Rows, m.Cols, len(m.Data))
+			}
+			for i, v := range m.Data {
+				if v != 0 {
+					t.Fatalf("step %d: Get returned a dirty buffer (entry %d = %v)", step, i, v)
+				}
+				m.Data[i] = complex(float64(step), 1)
+			}
+			live[m] = w
+			mats = append(mats, m)
+		case op < 9:
+			s := ws.GetInts(rng.Intn(40))
+			if _, ok := liveInts[&s[:1][0]]; ok {
+				t.Fatalf("step %d: GetInts handed out a live slice", step)
+			}
+			liveInts[&s[:1][0]] = w
+			ints = append(ints, s)
+		case op < 15 && len(mats) > 0:
+			m := mats[rng.Intn(len(mats))]
+			o, ok := live[m]
+			owned := ok && o == w
+			if ok && rng.Intn(8) == 0 {
+				c := *m // a copy is never live, whatever its original is
+				m, owned = &c, false
+			}
+			if panicked := panics(func() { ws.Put(m) }); panicked == owned {
+				t.Fatalf("step %d: Put of a matrix live here=%v: panicked=%v", step, owned, panicked)
+			}
+			if owned {
+				delete(live, m)
+			}
+		case op < 18 && len(ints) > 0:
+			s := ints[rng.Intn(len(ints))]
+			w2, ok := liveInts[&s[:1][0]]
+			owned := ok && w2 == w
+			if panicked := panics(func() { ws.PutInts(s) }); panicked == owned {
+				t.Fatalf("step %d: PutInts of a slice live here=%v: panicked=%v", step, owned, panicked)
+			}
+			if owned {
+				delete(liveInts, &s[:1][0])
+			}
+		case op == 19:
+			ws.Release()
+			wss[w] = GetWorkspace()
+			for m, o := range live {
+				if o == w {
+					delete(live, m)
+				}
+			}
+			for p, o := range liveInts {
+				if o == w {
+					delete(liveInts, p)
+				}
+			}
+		}
+	}
+}
+
+// TestWorkspaceWarmGetPutAllocatesNothing: once a size class has a free
+// buffer, a Get/Put pair of it allocates nothing — for matrices and pivot
+// slices alike.
+func TestWorkspaceWarmGetPutAllocatesNothing(t *testing.T) {
+	ws := GetWorkspace()
+	defer ws.Release()
+	if a := testing.AllocsPerRun(100, func() { ws.Put(ws.Get(6, 6)) }); a != 0 {
+		t.Errorf("warm Get/Put pair: %v allocations, want 0", a)
+	}
+	if a := testing.AllocsPerRun(100, func() { ws.PutInts(ws.GetInts(14)) }); a != 0 {
+		t.Errorf("warm GetInts/PutInts pair: %v allocations, want 0", a)
+	}
+}
+
+// BenchmarkWorkspaceGetPut is the bookkeeping around one r-sized product:
+// a Get/Put pair of a 6×6 block with three other blocks outstanding.
+func BenchmarkWorkspaceGetPut(b *testing.B) {
+	ws := GetWorkspace()
+	defer ws.Release()
+	for i := 0; i < 3; i++ {
+		ws.Get(6, 6)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ws.Put(ws.Get(6, 6))
+	}
+}

@@ -108,3 +108,30 @@ func TestSolveBlocksReusesWorkspace(t *testing.T) {
 		}
 	}
 }
+
+// TestFactorPivotsReturnOnRelease: BlockTridiag.Factor keeps its pivots in
+// ws.GetInts scratch that nothing hands back but Release. Release must
+// reclaim them, so a Factor on a warm workspace allocates only its three
+// layer-count slices and the next GetInts of that length allocates nothing.
+func TestFactorPivotsReturnOnRelease(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	m := buildRandomBTD(rng, []int{6, 6, 6})
+	// Best of several trials, as in TestSolveBlocksReusesWorkspace: under
+	// the race detector sync.Pool drops workspaces at random.
+	allocs := math.Inf(1)
+	for trial := 0; trial < 20; trial++ {
+		allocs = math.Min(allocs, testing.AllocsPerRun(1, func() {
+			ws := linalg.GetWorkspace()
+			if _, err := m.Factor(ws); err != nil {
+				t.Fatal(err)
+			}
+			ws.Release()
+			ws = linalg.GetWorkspace()
+			ws.GetInts(m.N())
+			ws.Release()
+		}))
+	}
+	if allocs > 3 {
+		t.Errorf("Factor, Release, GetInts: %.0f allocations on a warm workspace, want ≤ 3", allocs)
+	}
+}
