@@ -63,8 +63,8 @@ race:
 # (|C| = 4 coupling columns, 1–3 injection columns: solves and products of
 # every width from 2 to 5, which the fused kernels take since PR 28), a
 # self-consistent NEGF I-V run (RGF with density, n = 14) and an NEGF
-# transmission sweep at n = 40 — the density-off RGF, where the g_i inverse
-# and the r-sized products beside it both run the fused AVX kernels — and
+# transmission sweep at n = 40 — the density-off RGF, where the g_i column
+# solve and the r-sized products beside it both run the fused AVX kernels — and
 # the same wave-function sweep on three SplitSolve domains (spike solves and
 # the reduced interface system).
 PORTABLE_WF = -device sinw -formalism wf -ne 60

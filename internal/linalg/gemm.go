@@ -95,16 +95,16 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 		// row-segment width is fixed per column block.
 		for jj := 0; jj < p; jj += gemmBlock {
 			jEnd := min(jj+gemmBlock, p)
-			vec := hasAVX && jEnd-jj >= fusedMinWidth
+			vec := hasAVX && n > 0 && jEnd-jj >= fusedMinWidth
 			for kk := 0; kk < k; kk += gemmBlock {
 				kEnd := min(kk+gemmBlock, k)
+				if vec {
+					// One fused call runs the whole tile: every row's
+					// l-loop, pair skips, alpha scaling, updates, tail.
+					avxGemmTileNN(&dst.Data[jj], &a.Data[kk], &b.Data[kk*p+jj], n, k, kEnd-kk, p, jEnd-jj, alpha)
+					continue
+				}
 				for i := 0; i < n; i++ {
-					if vec {
-						// One fused call runs the whole l-loop of this
-						// tile: pair skips, alpha scaling, updates, tail.
-						avxGemmTileNN(&dst.Data[i*p+jj], &a.Data[i*k+kk], &b.Data[kk*p+jj], kEnd-kk, p, jEnd-jj, alpha)
-						continue
-					}
 					dstRow := dst.Data[i*p+jj : i*p+jEnd]
 					aRow := a.Data[i*k : (i+1)*k]
 					l := kk

@@ -13,7 +13,10 @@ import (
 var ErrSingular = errors.New("linalg: matrix is singular")
 
 // LU holds an LU factorization with partial (row) pivoting: P·A = L·U.
-// L is unit lower triangular and U upper triangular, packed together in lu.
+// L is unit lower triangular and U upper triangular, packed together in lu:
+// below the diagonal the multipliers of L, above it U, and on it the
+// reciprocal pivots 1/u_kk — the factor computes each for its column update
+// and stores it, so every solve multiplies by it instead of dividing.
 type LU struct {
 	lu   *Matrix
 	piv  []int // piv[k] is the row swapped with row k at step k
@@ -57,11 +60,12 @@ func FactorInPlace(a *Matrix, piv []int) (LU, error) {
 }
 
 // factorInPlace runs the partial-pivoting LU loop on lu's storage,
-// recording row swaps in piv (len n). It returns the permutation sign.
-// This is the single factorization code path shared by Factor and the
-// workspace variants, so flop accounting lives in one place. Trailing
-// blocks at least fusedMinWidth wide eliminate through avxFactorColUpdate;
-// the scalar loop is the fallback and computes the same bits.
+// recording row swaps in piv (len n) and leaving 1/u_kk on the diagonal. It
+// returns the permutation sign. This is the single factorization code path
+// shared by Factor and the workspace variants, so flop accounting lives in
+// one place. Trailing blocks at least fusedMinWidth wide eliminate through
+// avxFactorColUpdate; the scalar loop is the fallback and computes the same
+// bits.
 func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	n := m.Rows
 	lu := m.Data
@@ -81,6 +85,7 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			sign = -sign
 		}
 		pivInv := 1 / lu[k*n+k]
+		lu[k*n+k] = pivInv // no later step reads u_kk itself
 		if rl := n - k - 1; hasAVX && rl >= fusedMinWidth {
 			// One fused call scales the whole column by pivInv and
 			// applies every surviving row update (zero skips included).
@@ -190,8 +195,11 @@ func (f *LU) SolveInto(dst, b *Matrix) {
 
 // luSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization to a
 // block right-hand side. Right-hand sides at least fusedMinWidth wide
-// substitute through avxLuRowUpdate; the scalar loops below are the
-// fallback and compute the same bits.
+// substitute through avxLuSolve; the scalar loops below are the fallback
+// and compute the same bits. Every column of b goes through the same
+// operations whatever the other columns hold — the zero skips test only
+// the multipliers of L and U — so a solve against some columns of the
+// identity returns those columns of the inverse, bit for bit.
 func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	n := f.Rows
 	if b.Rows != n {
@@ -209,24 +217,11 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 			}
 		}
 	}
-	if hasAVX && nrhs >= fusedMinWidth {
-		// Each row's whole forward or backward update — k paired
-		// two-deep, zero skips included — is one fused assembly call.
-		rEven := nrhs &^ 1
-		for i := 1; i < n; i++ {
-			avxLuRowUpdate(&b.Data[i*nrhs], &b.Data[0], &lu[i*n], i, nrhs)
-		}
-		for i := n - 1; i >= 0; i-- {
-			if cnt := n - i - 1; cnt > 0 {
-				avxLuRowUpdate(&b.Data[i*nrhs], &b.Data[(i+1)*nrhs], &lu[i*n+i+1], cnt, nrhs)
-			}
-			rowI := b.Data[i*nrhs : (i+1)*nrhs]
-			dInv := 1 / lu[i*n+i]
-			avxScale(&rowI[0], rEven, dInv)
-			if rEven < nrhs {
-				rowI[rEven] *= dInv
-			}
-		}
+	if hasAVX && nrhs >= fusedMinWidth && n > 0 {
+		// Both sweeps — every row's update, k paired two-deep with the
+		// zero skips, and the back sweep's reciprocal-pivot scaling — are
+		// one assembly call.
+		avxLuSolve(&b.Data[0], &lu[0], n, nrhs)
 		perf.AddFlops(perf.SolveFlops(n, nrhs))
 		return
 	}
@@ -293,7 +288,7 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 				rowI[j] -= m * rowK[j]
 			}
 		}
-		dInv := 1 / luRow[i]
+		dInv := luRow[i]
 		for j := range rowI {
 			rowI[j] *= dInv
 		}
@@ -301,12 +296,13 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	perf.AddFlops(perf.SolveFlops(n, nrhs))
 }
 
-// Det returns the determinant of the factorized matrix.
+// Det returns the determinant of the factorized matrix: the sign over the
+// product of the stored reciprocal pivots.
 func (f *LU) Det() complex128 {
 	d := complex(float64(f.sign), 0)
 	n := f.lu.Rows
 	for i := 0; i < n; i++ {
-		d *= f.lu.Data[i*n+i]
+		d /= f.lu.Data[i*n+i]
 	}
 	return d
 }

@@ -8,16 +8,19 @@ import (
 )
 
 // TestNarrowOperandsBitwise walks the widths the support-space solvers
-// hand the fused kernels — every right-hand-side and product width 1…8,
-// against factors and left operands of order 1, 2, 6, 14 and 40 — on
-// operands carrying zero multipliers, signed zeros, infinities and NaNs:
-// the zero-skip semantics live inside avxLuRowUpdate and avxGemmTileNN, and
-// from fusedMinWidth up it is they, not the scalar loops, that must
-// reproduce the reference bits.
+// hand the fused kernels — every right-hand-side and product width 1…9,
+// against factors and left operands of order 0, 1, 2, 6, 14 and 40 (GEMM
+// tiles of 0, 1 and 2 rows, substitution sweeps at n = 1) — on operands
+// carrying zero multipliers, signed zeros, infinities and NaNs: the
+// zero-skip semantics live inside avxLuSolve and avxGemmTileNN, and from
+// fusedMinWidth up it is they, not the scalar loops, that must reproduce
+// the reference bits. A second pass runs GEMM tiles past gemmBlock: every
+// last column block of width 1…9 and k-blocks ending one short of, at and
+// one past a gemmBlock boundary, on 0 to 3 rows.
 func TestNarrowOperandsBitwise(t *testing.T) {
 	r := rand.New(rand.NewSource(66))
-	for _, n := range []int{1, 2, 6, 14, 40} {
-		for w := 1; w <= 8; w++ {
+	for _, n := range []int{0, 1, 2, 6, 14, 40} {
+		for w := 1; w <= 9; w++ {
 			for it, class := range operandClasses {
 				what := fmt.Sprintf("n=%d width=%d %s", n, w, class)
 				// A packed factor is any square matrix with a nonzero
@@ -61,6 +64,24 @@ func TestNarrowOperandsBitwise(t *testing.T) {
 					got := seed.Clone()
 					GemmInto(got, alpha, a, NoTrans, c, NoTrans, beta)
 					requireBits(t, engine+" gemm "+what, got.Data, wantP.Data)
+				})
+			}
+		}
+	}
+	for rows := 0; rows <= 3; rows++ {
+		for w := 1; w <= 9; w++ {
+			for _, k := range []int{gemmBlock - 1, gemmBlock, gemmBlock + 1, 2*gemmBlock + 1} {
+				class := operandClasses[(rows+w+k)%len(operandClasses)]
+				p := gemmBlock + w
+				what := fmt.Sprintf("tiles %d×%d·%d×%d %s", rows, k, k, p, class)
+				a, c, seed := specialMat(r, rows, k, class), specialMat(r, k, p, class), specialMat(r, rows, p, class)
+				alpha := complex(r.NormFloat64(), r.NormFloat64())
+				want := seed.Clone()
+				refGemmInto(want, alpha, a, NoTrans, c, NoTrans, 1)
+				eachEngine(t, func(engine string) {
+					got := seed.Clone()
+					GemmInto(got, alpha, a, NoTrans, c, NoTrans, 1)
+					requireBits(t, engine+" gemm "+what, got.Data, want.Data)
 				})
 			}
 		}

@@ -135,7 +135,8 @@ func refPivotScan(lu []complex128, n, k int) (int, float64) {
 	return p, maxAbs
 }
 
-// refFactorInPlace is the partial-pivoting LU loop.
+// refFactorInPlace is the partial-pivoting LU loop, leaving the reciprocal
+// pivots 1/u_kk on the diagonal.
 func refFactorInPlace(m *Matrix, piv []int) (sign int, err error) {
 	n := m.Rows
 	lu := m.Data
@@ -155,6 +156,7 @@ func refFactorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			sign = -sign
 		}
 		pivInv := 1 / lu[k*n+k]
+		lu[k*n+k] = pivInv
 		for i := k + 1; i < n; i++ {
 			m := lu[i*n+k] * pivInv
 			lu[i*n+k] = m
@@ -198,7 +200,8 @@ func refSubstRow(rowI []complex128, ms []complex128, rows []complex128, nrhs int
 	}
 }
 
-// refLuSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization.
+// refLuSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization,
+// scaling by the stored reciprocal pivots.
 func refLuSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	n := f.Rows
 	nrhs := b.Cols
@@ -218,7 +221,7 @@ func refLuSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	for i := n - 1; i >= 0; i-- {
 		rowI := b.Data[i*nrhs : (i+1)*nrhs]
 		refSubstRow(rowI, lu[i*n+i+1:(i+1)*n], b.Data[(i+1)*nrhs:], nrhs)
-		dInv := 1 / lu[i*n+i]
+		dInv := lu[i*n+i]
 		for j := range rowI {
 			rowI[j] *= dInv
 		}

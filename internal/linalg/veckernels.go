@@ -11,8 +11,9 @@ package linalg
 // hasAVX is set once at init by a CPUID probe (amd64 without the purego
 // build tag). The helpers below pay one non-inlinable assembly call per row
 // segment and serve whole-matrix calls; GemmInto, factorInPlace and
-// luSolveInPlace call the fused kernels, which run a whole inner loop per
-// call. Each kind has its own dispatch floor.
+// luSolveInPlace call the fused kernels, which run a whole loop nest per
+// call — a GEMM tile, a pivot's column update, both substitution sweeps.
+// Each kind has its own dispatch floor.
 
 // vecMinLen is the slice length below which the scalar loop beats the
 // assembly call overhead of the helpers below.
@@ -20,22 +21,23 @@ const vecMinLen = 6
 
 // fusedMinWidth is the row-segment width from which luSolveInPlace,
 // GemmInto's NoTrans·NoTrans tile and factorInPlace dispatch to the fused
-// kernels (avxLuRowUpdate, avxGemmTileNN, avxFactorColUpdate): the minimum
-// their assembly documents. A fused call is amortised over count·width work,
-// and since the transport solvers moved into the couplings' support space
-// most operands are 2 to 10 wide. Measured (ns per call, scalar loop → fused
-// kernel, one core; BenchmarkNarrowSolve/Gemm/Factor regenerate it):
+// kernels (avxLuSolve, avxGemmTileNN, avxFactorColUpdate): the minimum
+// their assembly documents. A fused call is amortised over a whole solve,
+// tile or column update, and since the transport solvers moved into the
+// couplings' support space most operands are 2 to 10 wide. Measured (ns per
+// call, scalar loop → fused kernel, median of 3, one core of a shared
+// 2-core x86-64 host; go test -run '^$' -bench Narrow -cpu 1 regenerates
+// it):
 //
 //	LU solve, n×n factor, k columns     k=2          k=3          k=4          k=5
-//	  n = 6                           174 → 120    203 → 144    253 → 150    283 → 182
-//	  n = 14                          659 → 366    819 → 514   1123 → 557   1513 → 675
-//	  n = 40                         5387 → 2132  5982 → 3141  7603 → 3238  9487 → 4391
-//	GEMM n×k·k×w   14×3×4 301 → 167   14×4×2 254 → 156   3×4×4 80 → 52
-//	               40×5×3 1039 → 654  40×10×5 2888 → 1507  40×40×2 5298 → 2670
-//	LU factor, every trailing block narrower than 6:  n = 5  215 → 200   n = 6  300 → 240
+//	  n = 6                           143 → 104    186 → 115    244 → 120    286 → 133
+//	  n = 14                          706 → 384    912 → 429   1037 → 433   1322 → 527
+//	  n = 40                         5963 → 2382  7273 → 2996  9664 → 3051  10546 → 3812
+//	GEMM n×k·k×w   14×3×4 345 → 124   14×4×2 299 → 133   3×4×4 94 → 39
+//	               40×5×3 1328 → 684  40×10×5 3573 → 1658  40×40×2 6772 → 2925
+//	LU factor, every trailing block narrower than 6:  n = 5  189 → 166   n = 6  283 → 213
 //
-// Width 1 and everything at n ≤ 4 are ties; width 1 stays scalar. On n = 14
-// only the factor's last five pivots change hands: 1228 → 1183.
+// Width 1 and everything at n ≤ 4 are ties; width 1 stays scalar.
 const fusedMinWidth = 2
 
 // axpyAddTo computes y[j] += m*x[j]. Note there is deliberately no

@@ -26,19 +26,20 @@ func avxNeg(dst, src *complex128, n int)
 //go:noescape
 func avxSub(dst, a, b *complex128, n int)
 
-// The fused kernels below move a whole solver inner loop — zero checks,
+// The fused kernels below move a whole solver loop nest — zero checks,
 // multiplier scaling, row updates, odd tails — into one assembly call,
-// amortizing the ABI0 call overhead over O(n·nrhs) work instead of one
-// row segment. They require the row length >= fusedMinWidth; odd lengths are
-// handled inside.
+// amortizing the ABI0 call overhead over a whole solve, column update or
+// GEMM tile instead of one row segment. They require the row length >=
+// fusedMinWidth; odd lengths are handled inside.
 
-// avxLuRowUpdate applies y[j] -= Σ_k ms[k]·rows[k·nrhs+j] for k in
-// [0,cnt), j in [0,nrhs) — the forward/backward substitution update of
-// one RHS row against cnt earlier rows — pairing k two-deep with the
-// reference kernel's zero skips.
+// avxLuSolve runs both substitution sweeps of the n×nrhs block b against
+// the packed n×n factor lu (reciprocal pivots on its diagonal), the row
+// permutation already applied: forward b[i] -= Σ_{k<i} lu[i,k]·b[k], then
+// back b[i] -= Σ_{k>i} lu[i,k]·b[k] and b[i] *= lu[i,i], every row update
+// pairing k two-deep with the reference kernel's zero skips. n >= 1.
 //
 //go:noescape
-func avxLuRowUpdate(y, rows, ms *complex128, cnt, nrhs int)
+func avxLuSolve(b, lu *complex128, n, nrhs int)
 
 // avxFactorColUpdate runs the pivot-k elimination: for each of rows
 // trailing rows it scales the column entry by pivInv (storing the
@@ -49,9 +50,10 @@ func avxLuRowUpdate(y, rows, ms *complex128, cnt, nrhs int)
 //go:noescape
 func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex128)
 
-// avxGemmTileNN accumulates dst[j] += Σ_l (alpha·aRow[l])·b[l·p+j] for
-// l in [0,kLen), j in [0,w) — one (i, k-block) tile of the NoTrans GEMM
-// — pairing l two-deep with the reference kernel's unscaled zero skips.
+// avxGemmTileNN accumulates dst[i·p+j] += Σ_l (alpha·a[i·lda+l])·b[l·p+j]
+// for i in [0,rows), l in [0,kLen), j in [0,w) — one (column-block,
+// k-block) tile of the NoTrans GEMM, every row of it — pairing l two-deep
+// with the reference kernel's unscaled zero skips.
 //
 //go:noescape
-func avxGemmTileNN(dst, aRow, b *complex128, kLen, p, w int, alpha complex128)
+func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha complex128)

@@ -213,24 +213,137 @@ vsubdone:
 // ADDSUBPD — identical trees, identical bits.
 // ---------------------------------------------------------------------
 
-// func avxLuRowUpdate(y, rows, ms *complex128, cnt, nrhs int)
-// y[0:nrhs] -= Σ_{k<cnt} ms[k]·rows[k·nrhs : k·nrhs+nrhs], k paired
-// two-deep with the reference zero skips (pair skipped iff both ms are
-// zero; a lone trailing k skipped iff its m is zero). Requires
-// nrhs >= 2; handles odd nrhs via an xmm tail per update.
-TEXT ·avxLuRowUpdate(SB), NOSPLIT, $0-40
-	MOVQ y+0(FP), DI
-	MOVQ rows+8(FP), SI
-	MOVQ ms+16(FP), BX
-	MOVQ cnt+24(FP), CX
-	MOVQ nrhs+32(FP), R10
+// func avxLuSolve(b, lu *complex128, n, nrhs int)
+// Both substitution sweeps of the n×nrhs block b (row-major, the row
+// permutation already applied) against the packed n×n factor lu, whose
+// diagonal holds the reciprocal pivots:
+//
+//	forward, i = 1…n−1:  b[i] -= Σ_{k<i} lu[i,k]·b[k]
+//	back, i = n−1…0:     b[i] -= Σ_{k>i} lu[i,k]·b[k];  b[i] *= lu[i,i]
+//
+// Every row update pairs k two-deep with the reference zero skips (a pair
+// is skipped iff both multipliers are zero, a lone trailing k iff its
+// multiplier is zero) and runs an xmm tail for odd nrhs. The two sweeps
+// share one update block; phase names the sweep it returns to. Requires
+// n >= 1 and nrhs >= 2.
+TEXT ·avxLuSolve(SB), NOSPLIT, $16-32
+	MOVQ nrhs+24(FP), R10
 	MOVQ R10, R11
 	ANDQ $-2, R11 // wEven
 	MOVQ R10, R9
-	SHLQ $4, R9   // row stride in bytes
+	SHLQ $4, R9   // row stride of b in bytes
 	MOVQ R11, R8
 	SHLQ $4, R8   // tail byte offset
+	MOVQ $0, phase-16(SP)
+	MOVQ $1, i-8(SP)
 
+lsfwd:
+	// y = b[i], rows = b[0], ms = lu[i, 0:i], cnt = i
+	MOVQ  i-8(SP), CX
+	CMPQ  CX, n+16(FP)
+	JGE   lsbackinit
+	MOVQ  b+0(FP), SI
+	MOVQ  CX, DI
+	IMULQ R9, DI
+	ADDQ  SI, DI
+	MOVQ  n+16(FP), BX
+	IMULQ CX, BX
+	SHLQ  $4, BX
+	ADDQ  lu+8(FP), BX
+	JMP   lsupdate
+
+lsfwdnext:
+	INCQ i-8(SP)
+	JMP  lsfwd
+
+lsbackinit:
+	MOVQ $1, phase-16(SP)
+	MOVQ n+16(FP), CX
+	DECQ CX
+	MOVQ CX, i-8(SP)
+
+lsback:
+	// y = b[i], rows = b[i+1], ms = lu[i, i+1:n], cnt = n − 1 − i
+	MOVQ  i-8(SP), CX
+	TESTQ CX, CX
+	JL    lsdone
+	MOVQ  CX, DI
+	IMULQ R9, DI
+	ADDQ  b+0(FP), DI
+	LEAQ  (DI)(R9*1), SI
+	MOVQ  n+16(FP), BX
+	IMULQ CX, BX
+	ADDQ  CX, BX
+	INCQ  BX
+	SHLQ  $4, BX
+	ADDQ  lu+8(FP), BX
+	NEGQ  CX
+	ADDQ  n+16(FP), CX
+	DECQ  CX
+	JMP   lsupdate
+
+lsbacknext:
+	// y *= lu[i,i], the stored reciprocal pivot: the exact Go tree of
+	// y·d, as in avxScale. The update left DI at y.
+	MOVQ         i-8(SP), CX
+	MOVQ         n+16(FP), BX
+	IMULQ        CX, BX
+	ADDQ         CX, BX
+	SHLQ         $4, BX
+	ADDQ         lu+8(FP), BX
+	VBROADCASTSD (BX), Y0
+	VBROADCASTSD 8(BX), Y1
+	MOVQ         DI, R12
+	MOVQ         R11, DX
+
+lss4:
+	CMPQ      DX, $4
+	JL        lss2
+	VMOVUPD   (R12), Y2
+	VMOVUPD   32(R12), Y4
+	VPERMILPD $0x5, Y2, Y3
+	VPERMILPD $0x5, Y4, Y5
+	VMULPD    Y0, Y2, Y2
+	VMULPD    Y0, Y4, Y4
+	VMULPD    Y1, Y3, Y3
+	VMULPD    Y1, Y5, Y5
+	VADDSUBPD Y3, Y2, Y2
+	VADDSUBPD Y5, Y4, Y4
+	VMOVUPD   Y2, (R12)
+	VMOVUPD   Y4, 32(R12)
+	ADDQ      $64, R12
+	SUBQ      $4, DX
+	JMP       lss4
+
+lss2:
+	TESTQ     DX, DX
+	JLE       lsstail
+	VMOVUPD   (R12), Y2
+	VPERMILPD $0x5, Y2, Y3
+	VMULPD    Y0, Y2, Y2
+	VMULPD    Y1, Y3, Y3
+	VADDSUBPD Y3, Y2, Y2
+	VMOVUPD   Y2, (R12)
+
+lsstail:
+	CMPQ      R11, R10
+	JE        lsbackstep
+	VMOVUPD   (DI)(R8*1), X4
+	VSHUFPD   $1, X4, X4, X5
+	VMOVDDUP  (BX), X6
+	VMOVDDUP  8(BX), X7
+	VMULPD    X6, X4, X4
+	VMULPD    X7, X5, X5
+	VADDSUBPD X5, X4, X4
+	VMOVUPD   X4, (DI)(R8*1)
+
+lsbackstep:
+	DECQ i-8(SP)
+	JMP  lsback
+
+	// The row update: y[0:nrhs] -= Σ_{k<cnt} ms[k]·rows[k·nrhs : k·nrhs+nrhs]
+	// with DI = y, SI = rows, BX = ms, CX = cnt. DI is left unchanged.
+lsupdate:
 lupair:
 	CMPQ      CX, $2
 	JL        lusingle
@@ -338,13 +451,13 @@ lupskip:
 
 lusingle:
 	TESTQ     CX, CX
-	JLE       ludone
+	JLE       luend
 	VMOVUPD   (BX), X5
 	VXORPD    X4, X4, X4
 	VCMPPD    $0, X4, X5, X4
 	VMOVMSKPD X4, AX
 	CMPL      AX, $3
-	JE        ludone
+	JE        luend
 	VBROADCASTSD (BX), Y0
 	VBROADCASTSD 8(BX), Y1
 	MOVQ         DI, R12
@@ -389,7 +502,7 @@ lus2:
 
 lustail:
 	CMPQ      R11, R10
-	JE        ludone
+	JE        luend
 	VMOVUPD   (SI)(R8*1), X4
 	VSHUFPD   $1, X4, X4, X5
 	VMOVDDUP  (BX), X6
@@ -401,7 +514,12 @@ lustail:
 	VSUBPD    X4, X11, X11
 	VMOVUPD   X11, (DI)(R8*1)
 
-ludone:
+luend:
+	CMPQ phase-16(SP), $0
+	JE   lsfwdnext
+	JMP  lsbacknext
+
+lsdone:
 	VZEROUPPER
 	RET
 
@@ -512,25 +630,36 @@ fcdone:
 	VZEROUPPER
 	RET
 
-// func avxGemmTileNN(dst, aRow, b *complex128, kLen, p, w int, alpha complex128)
-// dst[0:w] += Σ_{l<kLen} (alpha·aRow[l])·b[l·p : l·p+w], l paired
-// two-deep with the reference kernel's skips on the UNSCALED pair.
-// Requires w >= 2; handles odd w via an xmm tail per update.
-TEXT ·avxGemmTileNN(SB), NOSPLIT, $0-64
+// func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha complex128)
+// One (column-block, k-block) tile of the NoTrans GEMM, all its rows: for
+// each row i < rows, dst[i·p : i·p+w] += Σ_{l<kLen} (alpha·a[i·lda+l])·
+// b[l·p : l·p+w], l paired two-deep with the reference kernel's skips on
+// the UNSCALED pair. Each row runs the instruction sequence of its own
+// and nothing carries over between rows. Requires w >= 2; handles odd w
+// via an xmm tail per update.
+TEXT ·avxGemmTileNN(SB), NOSPLIT, $16-80
+	MOVQ    rows+24(FP), AX
+	TESTQ   AX, AX
+	JLE     gtret
+	MOVQ    AX, left-16(SP)
 	MOVQ    dst+0(FP), DI
-	MOVQ    aRow+8(FP), SI
-	MOVQ    b+16(FP), R8
-	MOVQ    kLen+24(FP), CX
-	MOVQ    p+32(FP), R9
+	MOVQ    a+8(FP), SI
+	MOVQ    p+48(FP), R9
 	SHLQ    $4, R9
-	MOVQ    w+40(FP), R10
+	MOVQ    w+56(FP), R10
 	MOVQ    R10, R11
 	ANDQ    $-2, R11 // wEven
 	MOVQ    R11, BX
 	SHLQ    $4, BX   // tail byte offset
-	VMOVSD  alpha_real+48(FP), X14
-	VMOVHPD alpha_imag+56(FP), X14, X14
+	VMOVSD  alpha_real+64(FP), X14
+	VMOVHPD alpha_imag+72(FP), X14, X14
 	VSHUFPD $1, X14, X14, X15
+
+gtrow:
+	// DI = dst row, SI = a row, R8 = b tile, CX = kLen
+	MOVQ SI, arow-8(SP)
+	MOVQ b+16(FP), R8
+	MOVQ kLen+40(FP), CX
 
 gtpair:
 	CMPQ      CX, $2
@@ -668,13 +797,13 @@ gtpskip:
 
 gtsingle:
 	TESTQ     CX, CX
-	JLE       gtdone
+	JLE       gtrowend
 	VMOVUPD   (SI), X5
 	VXORPD    X4, X4, X4
 	VCMPPD    $0, X4, X5, X4
 	VMOVMSKPD X4, AX
 	CMPL      AX, $3
-	JE        gtdone
+	JE        gtrowend
 	// av *= alpha (exact Go tree), broadcast
 	VMOVDDUP    X5, X8
 	VSHUFPD     $3, X5, X5, X9
@@ -727,7 +856,7 @@ gts2:
 
 gtstail:
 	CMPQ      R11, R10
-	JE        gtdone
+	JE        gtrowend
 	VMOVUPD   (R8)(BX*1), X4
 	VSHUFPD   $1, X4, X4, X5
 	VMOVDDUP  X8, X6
@@ -739,6 +868,19 @@ gtstail:
 	VADDPD    X4, X11, X11
 	VMOVUPD   X11, (DI)(BX*1)
 
+
+gtrowend:
+	DECQ left-16(SP)
+	JLE  gtdone
+	ADDQ R9, DI
+	MOVQ lda+32(FP), AX
+	SHLQ $4, AX
+	MOVQ arow-8(SP), SI
+	ADDQ AX, SI
+	JMP  gtrow
+
 gtdone:
 	VZEROUPPER
+
+gtret:
 	RET

@@ -13,10 +13,10 @@ func avxScale(y *complex128, n int, d complex128)      { panic("linalg: no vecto
 func avxNeg(dst, src *complex128, n int)               { panic("linalg: no vector kernel") }
 func avxSub(dst, a, b *complex128, n int)              { panic("linalg: no vector kernel") }
 
-func avxLuRowUpdate(y, rows, ms *complex128, cnt, nrhs int) { panic("linalg: no vector kernel") }
+func avxLuSolve(b, lu *complex128, n, nrhs int) { panic("linalg: no vector kernel") }
 func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex128) {
 	panic("linalg: no vector kernel")
 }
-func avxGemmTileNN(dst, aRow, b *complex128, kLen, p, w int, alpha complex128) {
+func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha complex128) {
 	panic("linalg: no vector kernel")
 }

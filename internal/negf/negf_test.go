@@ -176,16 +176,19 @@ func TestRGFMatchesDenseReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []float64{1.0, 1.6, 2.2} {
-		rgf, err := sol.Solve(e, false)
+		rgf, err := sol.Solve(e, true)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
-		dense, err := sol.DenseReference(e, false)
+		dense, err := sol.DenseReference(e, true)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
 		if math.Abs(rgf.T-dense.T) > 1e-8*(1+dense.T) {
 			t.Fatalf("E=%g: RGF T=%g, dense T=%g", e, rgf.T, dense.T)
+		}
+		if len(rgf.DOS) != h.N() {
+			t.Fatalf("E=%g: %d DOS entries, want %d", e, len(rgf.DOS), h.N())
 		}
 		for i := range rgf.DOS {
 			if math.Abs(rgf.DOS[i]-dense.DOS[i]) > 1e-7*(1+math.Abs(dense.DOS[i])) {
@@ -196,8 +199,9 @@ func TestRGFMatchesDenseReference(t *testing.T) {
 }
 
 // TestBallisticSpectralIdentity checks A = A_L + A_R: the total spectral
-// function must equal the sum of the two contact-injected parts in a
-// ballistic device (here expressed on the diagonal).
+// function −2·Im G_ii, read off the dense inverse, must equal the sum of the
+// two contact-injected parts in a ballistic device up to the broadening's
+// own 2η·[G·G†]_ii — and the DOS is that sum over 2π.
 func TestBallisticSpectralIdentity(t *testing.T) {
 	sol := chainSolver(t, 7, 0, -1, nil, 1e-6)
 	for _, e := range []float64{-1.0, 0.0, 0.8} {
@@ -205,11 +209,16 @@ func TestBallisticSpectralIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		g, _, _, err := sol.denseGreen(e)
+		if err != nil {
+			t.Fatalf("E=%g: %v", e, err)
+		}
 		for i := range r.DOS {
-			total := 2 * math.Pi * r.DOS[i] // A_ii = 2π·DOS
-			if math.Abs(total-(r.SpectralL[i]+r.SpectralR[i])) > 1e-4*(1+total) {
-				t.Fatalf("E=%g site %d: A=%g but A_L+A_R=%g",
-					e, i, total, r.SpectralL[i]+r.SpectralR[i])
+			total := -2 * imag(g.At(i, i))
+			sum := r.SpectralL[i] + r.SpectralR[i]
+			if math.Abs(total-sum) > 1e-4*(1+total) || r.DOS[i] != sum/(2*math.Pi) {
+				t.Fatalf("E=%g site %d: A=%g but A_L+A_R=%g, 2π·DOS=%g",
+					e, i, total, sum, 2*math.Pi*r.DOS[i])
 			}
 		}
 	}
@@ -218,9 +227,12 @@ func TestBallisticSpectralIdentity(t *testing.T) {
 func TestDOSNonNegative(t *testing.T) {
 	sol := chainSolver(t, 6, 0, -1, nil, 1e-6)
 	for e := -2.5; e <= 2.5; e += 0.25 {
-		r, err := sol.Solve(e, false)
+		r, err := sol.Solve(e, true)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if len(r.DOS) != sol.H.N() {
+			t.Fatalf("E=%g: %d DOS entries, want %d", e, len(r.DOS), sol.H.N())
 		}
 		for i, d := range r.DOS {
 			if d < -1e-9 {

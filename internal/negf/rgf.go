@@ -50,7 +50,8 @@ type Result struct {
 	E float64
 	// T is the transmission function from left to right contact.
 	T float64
-	// DOS is the orbital-resolved density of states −Im(diag G)/π (1/eV).
+	// DOS is the orbital-resolved density of states (A_L + A_R)/2π (1/eV),
+	// BallisticDOS of the spectral diagonals below and populated with them.
 	DOS []float64
 	// SpectralL and SpectralR are the contact-resolved spectral function
 	// diagonals [G·Γ_L·G†]_ii and [G·Γ_R·G†]_ii (populated when the solve
@@ -59,10 +60,22 @@ type Result struct {
 	SpectralL, SpectralR []float64
 }
 
+// BallisticDOS returns the density of states (A_L + A_R)/2π of a ballistic
+// device from its contact-resolved spectral diagonals: the one definition
+// both formalisms report. It differs from −Im(diag G)/π by 2η·[G·G†]_ii/2π,
+// the broadening's own absorption, which vanishes with η (DESIGN.md §11).
+func BallisticDOS(aL, aR []float64) []float64 {
+	dos := make([]float64, len(aL))
+	for i := range dos {
+		dos[i] = (aL[i] + aR[i]) / (2 * math.Pi)
+	}
+	return dos
+}
+
 // Solve runs the RGF algorithm at energy e. With density=false only the
-// transmission and DOS are produced (one forward pass plus the boundary
-// column); with density=true the contact-resolved spectral diagonals are
-// also assembled.
+// transmission is produced (one forward pass plus the boundary column);
+// with density=true the contact-resolved spectral diagonals and the DOS
+// are also assembled.
 func (s *Solver) Solve(e float64, density bool) (*Result, error) {
 	return s.SolveCtx(context.Background(), e, density)
 }
@@ -93,10 +106,12 @@ func (s *Solver) selfEnergies(z complex128) (*linalg.Matrix, *linalg.Matrix, err
 }
 
 // solveWithSigma is the RGF kernel. Per layer its one n×n operation is the
-// left-connected inverse g_i; every product runs on the supports of the
-// couplings (sparse.Coupling: U_i on R_i × C_i, L_i on C_i × R_i) and of the
-// contacts (Σ_L on C_Γ × C_Γ, Σ_R on R_Γ × R_Γ, read off Σ itself). A dense
-// coupling is the same code with r = n. DESIGN.md §11 has the recursions.
+// LU of the left-connected block M_i, solved against only the columns S_i
+// of the identity that the recursions read of g_i = M_i⁻¹ (leftConnected);
+// every product runs on the supports of the couplings (sparse.Coupling: U_i
+// on R_i × C_i, L_i on C_i × R_i) and of the contacts (Σ_L on C_Γ × C_Γ, Σ_R
+// on R_Γ × R_Γ, read off Σ itself). A dense coupling is the same code with
+// r = n. DESIGN.md §11 has the recursions.
 func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matrix, density bool) (*Result, error) {
 	// Every temporary of the solve lives in one per-solve workspace, so the
 	// sweeps run allocation-free and parallel energy points never share
@@ -112,8 +127,11 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	// Forward (left-connected) pass: g_i = (D_i − L_{i−1}·g_{i−1}·U_{i−1})⁻¹,
 	// the fold formed on C_{i−1} × C_{i−1}; with density also
 	// lq_i = l_i·g^L_{i,0}[R_i, C_Γ], the left-connected first block column
-	// where the next coupling reads it.
-	g := make([]*linalg.Matrix, nl)
+	// where the next coupling reads it. Of g_i only the columns W_i ∪ R_i
+	// exist (leftConnected), W_i = C_{i−1} (C_Γ at i = 0) and R_i the rows
+	// of coupling i (R_Γ on the last layer); every read of g_i goes through
+	// the positions of W_i and R_i among them.
+	left := make([]leftColumns, nl)
 	var lq []*linalg.Matrix
 	if density {
 		lq = make([]*linalg.Matrix, nl-1)
@@ -126,10 +144,12 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 		if i == nl-1 {
 			m.AddScaled(sigR, -1)
 		}
+		w, r := cG, rG
 		if i > 0 {
 			p := sys.Coupling(i - 1)
+			w = p.Cols
 			grr := ws.Get(len(p.Rows), len(p.Rows))
-			sparse.Gather(grr, g[i-1], p.Rows, p.Rows)
+			sparse.Gather(grr, left[i-1].g, p.Rows, left[i-1].posR)
 			lg := ws.Get(len(p.Cols), len(p.Rows))
 			linalg.MulInto(lg, p.L, linalg.NoTrans, grr, linalg.NoTrans)
 			fold := ws.Get(len(p.Cols), len(p.Cols))
@@ -139,9 +159,11 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 			ws.Put(lg)
 			ws.Put(fold)
 		}
-		ni := s.H.LayerSize(i)
-		g[i] = ws.Get(ni, ni)
-		err := linalg.InverseInto(g[i], m, ws)
+		if i < nl-1 {
+			r = sys.Coupling(i).Rows
+		}
+		var err error
+		left[i], err = leftConnected(m, w, r, ws)
 		ws.Put(m)
 		if err != nil {
 			return nil, fmt.Errorf("negf: RGF forward block %d: %w", i, err)
@@ -150,11 +172,10 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 			c := sys.Coupling(i)
 			q := ws.Get(len(c.Rows), len(cG))
 			if i == 0 {
-				sparse.Gather(q, g[0], c.Rows, cG)
+				sparse.Gather(q, left[0].g, c.Rows, left[0].posW)
 			} else {
-				w := sys.Coupling(i - 1).Cols
 				grw := ws.Get(len(c.Rows), len(w))
-				sparse.Gather(grw, g[i], c.Rows, w)
+				sparse.Gather(grw, left[i].g, c.Rows, left[i].posW)
 				linalg.GemmInto(q, -1, grw, linalg.NoTrans, lq[i-1], linalg.NoTrans, 0)
 				ws.Put(grw)
 			}
@@ -164,7 +185,7 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 		}
 	}
 
-	res := &Result{E: e, DOS: make([]float64, s.H.N())}
+	res := &Result{E: e}
 	if density {
 		res.SpectralL = make([]float64, s.H.N())
 		res.SpectralR = make([]float64, s.H.N())
@@ -176,42 +197,30 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	// and colR = G_{i,N−1}[:, R_Γ].
 	var x, y *linalg.Matrix
 	for i := nl - 1; i >= 0; i-- {
-		ni := g[i].Rows
+		ni := left[i].g.Rows
 		all := sys.Axis(ni)
 		w := cG
 		if i > 0 {
 			w = sys.Coupling(i - 1).Cols
 		}
 		colW := ws.Get(ni, len(w))
-		sparse.Gather(colW, g[i], all, w)
+		sparse.Gather(colW, left[i].g, all, left[i].posW)
 		colR := ws.Get(ni, len(rG))
-		dos := res.DOS[off[i]:off[i+1]]
 		if i == nl-1 {
-			sparse.Gather(colR, g[i], all, rG)
-			for k := range dos {
-				dos[k] = -imag(g[i].Data[k*ni+k]) / math.Pi
-			}
+			sparse.Gather(colR, left[i].g, all, left[i].posR)
 		} else {
-			// G_ii = g_i + g_i·U_i·G_{i+1,i+1}·L_i·g_i = g_i + T₁·g_i[R_i, :],
+			// G_ii[:, W] = g_i[:, W] + T₁·g_i[R_i, W] with
 			// T₁ = g_i[:, R_i]·(u_i·x·l_i); G_{i,N−1} = −g_i·U_i·G_{i+1,N−1}.
 			c := sys.Coupling(i)
 			r := len(c.Rows)
 			k := ws.Get(r, r)
 			linalg.Mul3Into(k, c.U, linalg.NoTrans, x, linalg.NoTrans, c.L, linalg.NoTrans, ws)
 			gR := ws.Get(ni, r)
-			sparse.Gather(gR, g[i], all, c.Rows)
+			sparse.Gather(gR, left[i].g, all, left[i].posR)
 			t1 := ws.Get(ni, r)
 			linalg.MulInto(t1, gR, linalg.NoTrans, k, linalg.NoTrans)
-			for kk := range dos {
-				d := g[i].Data[kk*ni+kk]
-				for j, row := range c.Rows {
-					d += t1.Data[kk*r+j] * g[i].Data[row*ni+kk]
-				}
-				dos[kk] = -imag(d) / math.Pi
-			}
-			perf.AddFlops(int64(ni) * int64(r) * perf.FlopsCMulAdd)
 			gRW := ws.Get(r, len(w))
-			sparse.Gather(gRW, g[i], c.Rows, w)
+			sparse.Gather(gRW, left[i].g, c.Rows, left[i].posW)
 			linalg.GemmInto(colW, 1, t1, linalg.NoTrans, gRW, linalg.NoTrans, 1)
 			uy := ws.Get(r, len(rG))
 			linalg.MulInto(uy, c.U, linalg.NoTrans, y, linalg.NoTrans)
@@ -261,7 +270,65 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	tns := ws.Get(len(cG), len(rG))
 	linalg.Mul3Into(tns, gamL, linalg.NoTrans, y, linalg.NoTrans, gamR, linalg.NoTrans, ws)
 	res.T = real(linalg.TraceMulConj(tns, y))
+	if density {
+		res.DOS = BallisticDOS(res.SpectralL, res.SpectralR)
+	}
 	return res, nil
+}
+
+// leftColumns is what the forward pass keeps of g_i = M_i⁻¹: its columns
+// S = W ∪ R, ascending, and where W and R sit among them.
+type leftColumns struct {
+	g          *linalg.Matrix // g_i[:, S]
+	posW, posR []int
+}
+
+// leftConnected factors the left-connected block m in place and solves it
+// against the identity's columns S = W ∪ R, all ws scratch. Every column
+// of the solve is bit for bit that column of m's whole inverse (linalg's
+// luSolveInPlace), at |S|/n of the solve's cost.
+func leftConnected(m *linalg.Matrix, w, r []int, ws *linalg.Workspace) (leftColumns, error) {
+	n := m.Rows
+	piv := ws.GetInts(n)
+	defer ws.PutInts(piv)
+	fac, err := linalg.FactorInPlace(m, piv)
+	if err != nil {
+		return leftColumns{}, err
+	}
+	// col[o] is orbital o's position in S, or −1 off it: members are marked
+	// 0, then numbered in one ascending pass.
+	col := ws.GetInts(n)
+	defer ws.PutInts(col)
+	for o := range col {
+		col[o] = -1
+	}
+	for _, o := range w {
+		col[o] = 0
+	}
+	for _, o := range r {
+		col[o] = 0
+	}
+	var s int
+	for o, c := range col {
+		if c == 0 {
+			col[o] = s
+			s++
+		}
+	}
+	lc := leftColumns{g: ws.Get(n, s), posW: ws.GetInts(len(w)), posR: ws.GetInts(len(r))}
+	for o, c := range col {
+		if c >= 0 {
+			lc.g.Data[o*s+c] = 1
+		}
+	}
+	fac.SolveInPlace(lc.g)
+	for j, o := range w {
+		lc.posW[j] = col[o]
+	}
+	for j, o := range r {
+		lc.posR[j] = col[o]
+	}
+	return lc, nil
 }
 
 // broadeningOn returns Γ[sup, sup] = i(Σ − Σ†)[sup, sup], the block of the
@@ -288,51 +355,4 @@ func (s *Solver) Transmission(e float64) (float64, error) {
 func (s *Solver) system() *sparse.ShiftedSystem {
 	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
 	return s.open
-}
-
-// DenseReference solves the same open system by brute force: it embeds the
-// self-energies in a dense matrix, inverts it, and applies the Caroli
-// formula; with density the spectral diagonals come from the first and last
-// block columns of that inverse. It is O(N³) in the total device size and
-// exists to validate the RGF and SplitSolve paths in tests and ablation
-// benchmarks.
-func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
-	z := complex(e, s.Eta)
-	sigL, sigR, err := s.selfEnergies(z)
-	if err != nil {
-		return nil, err
-	}
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	a := s.system().At(z, ws)
-	nl := a.Layers()
-	a.AddScaledToDiagBlock(0, sigL, -1)
-	a.AddScaledToDiagBlock(nl-1, sigR, -1)
-	n := s.H.N()
-	g := linalg.New(n, n)
-	if err := linalg.InverseInto(g, a.Dense(), ws); err != nil {
-		return nil, err
-	}
-	off := s.H.Offsets()
-	n0 := s.H.LayerSize(0)
-	nN := s.H.LayerSize(nl - 1)
-	g0N := g.Submatrix(0, off[nl-1], n0, nN)
-	gamL := Broadening(sigL)
-	gamR := Broadening(sigR)
-	tns := ws.Get(n0, nN)
-	linalg.Mul3Into(tns, gamL, linalg.NoTrans, g0N, linalg.NoTrans, gamR, linalg.NoTrans, ws)
-	t := linalg.TraceMulConj(tns, g0N)
-	res := &Result{E: e, T: real(t), DOS: make([]float64, n)}
-	for i := 0; i < n; i++ {
-		res.DOS[i] = -imag(g.At(i, i)) / math.Pi
-	}
-	if density {
-		res.SpectralL, res.SpectralR = make([]float64, n), make([]float64, n)
-		aL := linalg.DiagMulConj(g.Submatrix(0, 0, n, n0), gamL)
-		aR := linalg.DiagMulConj(g.Submatrix(0, off[nl-1], n, nN), gamR)
-		for i := 0; i < n; i++ {
-			res.SpectralL[i], res.SpectralR[i] = real(aL[i]), real(aR[i])
-		}
-	}
-	return res, nil
 }

@@ -94,10 +94,12 @@ func (p *partition) effectiveLayer(z complex128, ws *linalg.Workspace) *linalg.M
 	if err != nil {
 		return nil
 	}
+	// The factor's diagonal holds 1/u_ii, and min|u| ≥ g·max|u| is
+	// min|1/u| ≥ g·max|1/u|: the ratio is read off the reciprocals.
 	lo, hi := math.Inf(1), 0.0
 	for i := 0; i < ni; i++ {
-		u := cmplx.Abs(lu.Data[i*ni+i])
-		lo, hi = min(lo, u), max(hi, u)
+		r := cmplx.Abs(lu.Data[i*ni+i])
+		lo, hi = min(lo, r), max(hi, r)
 	}
 	if !(lo >= interiorGuard*hi) {
 		return nil

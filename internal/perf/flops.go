@@ -11,8 +11,8 @@
 package perf
 
 import (
-	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // shardCount is the number of independent counter cells the global flop
@@ -21,6 +21,10 @@ import (
 // transport integrators run (GOMAXPROCS-sized pools) while the whole
 // array stays a few cache lines.
 const shardCount = 32
+
+// shardShift drops the offset within one 8 KiB span of stack — a fresh
+// goroutine's whole stack — from the address AddFlops picks its shard by.
+const shardShift = 13
 
 // paddedCounter is one counter cell, padded to its own pair of cache
 // lines so concurrent workers hitting different shards never false-share
@@ -37,31 +41,22 @@ type paddedCounter struct {
 // BenchmarkFlopCounter*).
 var flopShards [shardCount]paddedCounter
 
-// shardCursor round-robins freshly requested shards over the fixed array.
-var shardCursor atomic.Uint32
-
-// shardPool hands each processor a sticky shard: sync.Pool's fast path is
-// per-P, so a worker repeatedly hitting AddFlops keeps writing the same
-// already-local cache line instead of bouncing a shared one between cores.
-// The pool only ever holds pointers into flopShards — Flops/ResetFlops sum
-// the fixed array, so no count can be stranded when the pool is drained by
-// the garbage collector.
-var shardPool = sync.Pool{New: func() any {
-	return &flopShards[shardCursor.Add(1)&(shardCount-1)]
-}}
-
 // AddFlops adds n real floating-point operations to the global counter.
 // Kernels count a complex multiply-add as 8 real flops (4 mul + 4 add),
 // a complex add as 2, a complex multiply as 6, and a complex divide as 11
 // (following the LINPACK/LAPACK convention). Callers report at kernel
-// granularity (one call per GEMM/LU/solve). That made the pool round trip
-// noise next to dense kernels, but not next to the r-sized products of
-// the support-space solvers: on the agnr7 NEGF gate sweep AddFlops and
-// the pool's Get/Put/pin take about 6 % of CPU (0.21 s of 3.55 s).
+// granularity (one call per GEMM/LU/solve), which next to the r-sized
+// products of the support-space solvers is hundreds of calls per energy
+// point, so the call must cost one atomic add and nothing else.
+//
+// The shard is picked from the calling goroutine's stack address: a
+// goroutine keeps writing one cache line for as long as its stack stays
+// put, and distinct goroutines, whose stacks are distinct spans, land on
+// different shards. A moved stack only moves later adds to another shard;
+// Flops/ResetFlops sum the fixed array, so no count is ever stranded.
 func AddFlops(n int64) {
-	c := shardPool.Get().(*paddedCounter)
-	c.n.Add(n)
-	shardPool.Put(c)
+	var local byte
+	flopShards[uintptr(unsafe.Pointer(&local))>>shardShift&(shardCount-1)].n.Add(n)
 }
 
 // Flops returns the current value of the global flop counter. The shard

@@ -8,6 +8,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/negf"
 	"repro/internal/sched"
+	"repro/internal/sparse"
 	"repro/internal/tb"
 )
 
@@ -24,19 +25,7 @@ import (
 func TestDomainsMatchSerialEveryFamily(t *testing.T) {
 	pool := sched.New(2)
 	for _, d := range device.BenchmarkSuite() {
-		b, err := d.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		nl := d.CellsX
-		b.Options.Potential = make([]float64, b.Structure.NAtoms())
-		for i, a := range b.Structure.Atoms {
-			b.Options.Potential[i] = 0.15 * math.Sin(2*math.Pi*(float64(a.Layer)+0.5)/float64(nl))
-		}
-		h, err := tb.Assemble(b.Structure, b.Material, b.Options)
-		if err != nil {
-			t.Fatal(err)
-		}
+		h := familyUnderPotential(t, d)
 		serial, err := NewSolver(h, 1e-6)
 		if err != nil {
 			t.Fatal(err)
@@ -84,6 +73,69 @@ func TestDomainsMatchSerialEveryFamily(t *testing.T) {
 		}
 		if held == 0 {
 			t.Errorf("%s: every energy was skipped; the comparison is vacuous", d.Name)
+		}
+	}
+}
+
+// familyUnderPotential assembles a T1 device family under the sinusoidal
+// potential negf's oracle tests use: different contacts at the two ends,
+// every interior layer its own block.
+func familyUnderPotential(t *testing.T, d device.Description) *sparse.BlockTridiag {
+	t.Helper()
+	b, err := d.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nl := d.CellsX
+	b.Options.Potential = make([]float64, b.Structure.NAtoms())
+	for i, a := range b.Structure.Atoms {
+		b.Options.Potential[i] = 0.15 * math.Sin(2*math.Pi*(float64(a.Layer)+0.5)/float64(nl))
+	}
+	h, err := tb.Assemble(b.Structure, b.Material, b.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
+// TestWFMatchesNEGFEveryFamily is the cross-formalism invariant WF ≡ NEGF
+// as a property: every T1 family under familyUnderPotential, at seeded
+// energies through bands and gaps, solved by both formalisms on one Σ
+// cache, returns T within 1e-8·(1 + T) and A_L, A_R and the DOS within the
+// spectral tolerance 1e-6·(1 + x) — the two formalisms report one DOS,
+// (A_L + A_R)/2π.
+func TestWFMatchesNEGFEveryFamily(t *testing.T) {
+	for _, d := range device.BenchmarkSuite() {
+		h := familyUnderPotential(t, d)
+		wf, err := NewSolver(h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gf, err := negf.NewSolver(h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wf.Cache = negf.NewSelfEnergyCache()
+		gf.Cache = wf.Cache
+		rng := rand.New(rand.NewSource(31))
+		for k := 0; k < 6; k++ {
+			e := -2 + 5*rng.Float64()
+			rw, errW := wf.Solve(e, true)
+			rg, errG := gf.Solve(e, true)
+			if errW != nil || errG != nil {
+				t.Fatalf("%s E=%v: WF error %v, NEGF error %v", d.Name, e, errW, errG)
+			}
+			if math.Abs(rw.T-rg.T) > 1e-8*(1+rg.T) {
+				t.Errorf("%s E=%v: WF T = %.12g, NEGF %.12g", d.Name, e, rw.T, rg.T)
+			}
+			far := func(a, b float64) bool { return !(math.Abs(a-b) <= 1e-6*(1+math.Abs(b))) }
+			for i := range rg.DOS {
+				if far(rw.DOS[i], rg.DOS[i]) || far(rw.SpectralL[i], rg.SpectralL[i]) || far(rw.SpectralR[i], rg.SpectralR[i]) {
+					t.Errorf("%s E=%v orbital %d: WF DOS %.12g A_L %.12g A_R %.12g, NEGF %.12g %.12g %.12g", d.Name, e, i,
+						rw.DOS[i], rw.SpectralL[i], rw.SpectralR[i], rg.DOS[i], rg.SpectralL[i], rg.SpectralR[i])
+					break
+				}
+			}
 		}
 	}
 }

@@ -58,9 +58,9 @@ func NewSolver(h *sparse.BlockTridiag, eta float64) (*Solver, error) {
 
 // Solve computes transmission and (optionally) the contact-resolved
 // spectral functions at energy e. The returned Result uses the same type
-// as the NEGF package so downstream integration code is solver-agnostic.
-// In this formalism the density of states is assembled from the ballistic
-// identity A = A_L + A_R rather than from diag(G).
+// as the NEGF package so downstream integration code is solver-agnostic,
+// and the density fields follow its rule: the spectral diagonals and the
+// DOS, negf.BallisticDOS of them, exist exactly when density is asked for.
 func (s *Solver) Solve(e float64, density bool) (*negf.Result, error) {
 	return s.SolveCtx(context.Background(), e, density)
 }
@@ -115,10 +115,13 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	}
 	res := &negf.Result{E: e}
 	if width == 0 {
-		// No open or evanescent channels at this energy: everything is 0.
-		res.DOS = make([]float64, s.H.N())
-		res.SpectralL = make([]float64, s.H.N())
-		res.SpectralR = make([]float64, s.H.N())
+		// No open or evanescent channels at this energy: everything is 0,
+		// and the density fields exist exactly when density was asked for.
+		if density {
+			res.SpectralL = make([]float64, s.H.N())
+			res.SpectralR = make([]float64, s.H.N())
+			res.DOS = negf.BallisticDOS(res.SpectralL, res.SpectralR)
+		}
 		return res, nil
 	}
 	n0 := s.H.LayerSize(0)
@@ -171,7 +174,6 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 		off := s.H.Offsets()
 		res.SpectralL = make([]float64, s.H.N())
 		res.SpectralR = make([]float64, s.H.N())
-		res.DOS = make([]float64, s.H.N())
 		for i := 0; i < nl; i++ {
 			ni := s.H.LayerSize(i)
 			for k := 0; k < ni; k++ {
@@ -186,9 +188,9 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 				}
 				res.SpectralL[off[i]+k] = sl
 				res.SpectralR[off[i]+k] = sr
-				res.DOS[off[i]+k] = (sl + sr) / (2 * math.Pi)
 			}
 		}
+		res.DOS = negf.BallisticDOS(res.SpectralL, res.SpectralR)
 	}
 	return res, nil
 }

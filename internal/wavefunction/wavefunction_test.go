@@ -165,6 +165,9 @@ func TestWFMatchesNEGF(t *testing.T) {
 			if math.Abs(rw.SpectralR[i]-rg.SpectralR[i]) > 1e-6*(1+rg.SpectralR[i]) {
 				t.Fatalf("E=%g: SpectralR[%d] %g vs %g", e, i, rw.SpectralR[i], rg.SpectralR[i])
 			}
+			if math.Abs(rw.DOS[i]-rg.DOS[i]) > 1e-6*(1+rg.DOS[i]) {
+				t.Fatalf("E=%g: DOS[%d] %g vs %g", e, i, rw.DOS[i], rg.DOS[i])
+			}
 		}
 	}
 }
@@ -467,6 +470,47 @@ func TestInjectionOnSupport(t *testing.T) {
 	}
 }
 
+// TestDensityFieldsFollowTheFlag: in both formalisms the density fields —
+// A_L, A_R and the DOS — exist, one entry per orbital, exactly when density
+// is asked for, at an open energy and at a closed one (contacts nothing
+// couples to: Σ = 0 and no channel, the WF solve's early return).
+func TestDensityFieldsFollowTheFlag(t *testing.T) {
+	h := buildDisorderedWire(t)
+	for _, closed := range []bool{false, true} {
+		wf, err := NewSolver(h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gf, err := negf.NewSolver(h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if closed {
+			for _, l := range []*negf.Leads{wf.Leads, gf.Leads} {
+				l.L01 = linalg.New(l.L01.Rows, l.L01.Cols)
+				l.R01 = linalg.New(l.R01.Rows, l.R01.Cols)
+			}
+		}
+		for name, solve := range map[string]func(float64, bool) (*negf.Result, error){"WF": wf.Solve, "NEGF": gf.Solve} {
+			for _, density := range []bool{false, true} {
+				r, err := solve(1.8, density)
+				if err != nil {
+					t.Fatalf("%s closed=%v density=%v: %v", name, closed, density, err)
+				}
+				if closed && r.T != 0 {
+					t.Errorf("%s: T = %g through closed contacts", name, r.T)
+				}
+				for field, v := range map[string][]float64{"A_L": r.SpectralL, "A_R": r.SpectralR, "DOS": r.DOS} {
+					if (v != nil) != density || density && len(v) != h.N() {
+						t.Errorf("%s closed=%v density=%v: %s has %d entries (nil: %v), want %d only with density",
+							name, closed, density, field, len(v), v == nil, h.N())
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestFormerNaNEnergySolves is the regression of the defect the typed
 // error above used to be driven by: AGNR-7 at task 163 of the 1500-point
 // window starting at -2.995625728 eV. The old decimation judged
@@ -503,7 +547,7 @@ func TestFormerNaNEnergySolves(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NEGF: %v", err)
 	}
-	dense, err := gf.DenseReference(e, false)
+	dense, err := gf.DenseReference(e, true)
 	if err != nil {
 		t.Fatalf("dense reference: %v", err)
 	}
@@ -522,6 +566,9 @@ func TestFormerNaNEnergySolves(t *testing.T) {
 		}
 		if math.Abs(rw.SpectralR[i]-rg.SpectralR[i]) > 1e-6*(1+rg.SpectralR[i]) {
 			t.Fatalf("SpectralR[%d] %g vs %g", i, rw.SpectralR[i], rg.SpectralR[i])
+		}
+		if math.Abs(rw.DOS[i]-rg.DOS[i]) > 1e-6*(1+rg.DOS[i]) {
+			t.Fatalf("DOS[%d] WF %g vs NEGF %g", i, rw.DOS[i], rg.DOS[i])
 		}
 		if math.Abs(rg.DOS[i]-dense.DOS[i]) > 1e-7*(1+math.Abs(dense.DOS[i])) {
 			t.Fatalf("DOS[%d] RGF %g vs dense %g", i, rg.DOS[i], dense.DOS[i])
