@@ -62,21 +62,24 @@ race:
 # total byte for byte on a wave-function sweep at n = 40, one at n = 14
 # (|C| = 4 coupling columns, 1–3 injection columns: solves and products of
 # every width from 2 to 5, which the fused kernels take since PR 28), a
-# self-consistent NEGF I-V run (RGF with density, n = 14) and an NEGF
-# transmission sweep at n = 40 — the density-off RGF, where the g_i column
-# solve and the r-sized products beside it both run the fused AVX kernels — and
-# the same wave-function sweep on three SplitSolve domains (spike solves and
-# the reduced interface system).
+# self-consistent NEGF I-V run (RGF with density, n = 14), the same I-V run
+# in the wave-function formalism (density on: every layer's interior
+# recovered from the reduced open system), an NEGF transmission sweep at
+# n = 40 — the density-off RGF, where the g_i column solve and the r-sized
+# products beside it both run the fused AVX kernels — and the same
+# wave-function sweep on three SplitSolve domains (spike solves and the
+# reduced interface system).
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
+PORTABLE_WF_IV = -device agnr7 -mode iv -formalism wf -nvg 2 -cellsx 8
 PORTABLE_RGF = -device sinw -formalism negf -ne 60
 PORTABLE_SPLIT = -device sinw -formalism wf -domains 3 -ne 60
 portable-kernels:
 	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/ ./cmd/omen/
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -tags purego -o bin/omen-purego ./cmd/omen
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_IV)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)"; do \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)"; do \
 		bin/omen $$run | grep -v '^# sigma-cache' > bin/portable.avx.txt || exit 1; \
 		bin/omen-purego $$run | grep -v '^# sigma-cache' > bin/portable.purego.txt || exit 1; \
 		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \

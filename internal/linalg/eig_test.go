@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"repro/internal/perf"
 )
 
 func TestEigHDiagonal(t *testing.T) {
@@ -295,5 +297,63 @@ func TestEigHNoConvergenceIsTyped(t *testing.T) {
 	a := FromRows([][]complex128{{1, complex(math.NaN(), 0)}, {complex(math.NaN(), 0), 2}})
 	if _, err := EigH(a); !errors.Is(err, ErrNoConvergence) {
 		t.Fatalf("EigH returned %v, want ErrNoConvergence", err)
+	}
+}
+
+// TestEigHSymmetricSpectrum is the regression of a QL sweep that completed
+// with its last rotation value (d_l − g)·s + 2cb exactly 0 and was taken
+// for a mid-sweep split: the update of d_l and e_l was skipped and the
+// eigenvalues came back off by O(‖A‖), residual 1.01. The matrix is the
+// interior block of an AGNR-7 cell under a 1e-9 eV potential — a bipartite
+// hopping graph, spectrum symmetric about its diagonal — at the one shift
+// that hit it; its neighbours bracket it.
+func TestEigHSymmetricSpectrum(t *testing.T) {
+	for _, c := range []float64{0, 7.071067811865476e-10, 9.659258262890684e-10, 1e-3, 1} {
+		a := New(7, 7)
+		for i := 0; i < 7; i++ {
+			a.Set(i, i, complex(c, 0))
+		}
+		for _, p := range [][2]int{{0, 4}, {1, 4}, {1, 5}, {2, 5}, {2, 6}, {3, 6}} {
+			a.Set(p[0], p[1], -2.7)
+			a.Set(p[1], p[0], -2.7)
+		}
+		eig, err := EigH(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkEigHResiduals(t, a, eig, 1e-14)
+		for j, l := range eig.Values {
+			if mirror := 2*c - eig.Values[len(eig.Values)-1-j]; math.Abs(l-mirror) > 1e-13 {
+				t.Errorf("c = %g: λ_%d = %.15g, its mirror about c %.15g", c, j, l, mirror)
+			}
+		}
+	}
+}
+
+// TestEigHSetupCountsNothing: the set-up variant returns EigH's bits and
+// adds no flop to the counter.
+func TestEigHSetupCountsNothing(t *testing.T) {
+	a := randHermitian(rand.New(rand.NewSource(41)), 9)
+	before := perf.Flops()
+	setup, err := EigHSetup(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := perf.Flops() - before; d != 0 {
+		t.Fatalf("EigHSetup counted %d flops", d)
+	}
+	eig, err := EigH(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for j, l := range eig.Values {
+		if setup.Values[j] != l {
+			t.Fatalf("eigenvalue %d: EigHSetup %v, EigH %v", j, setup.Values[j], l)
+		}
+	}
+	for i, v := range eig.Vectors.Data {
+		if setup.Vectors.Data[i] != v {
+			t.Fatalf("eigenvector entry %d: EigHSetup %v, EigH %v", i, setup.Vectors.Data[i], v)
+		}
 	}
 }

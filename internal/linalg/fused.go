@@ -79,6 +79,22 @@ func DiagMulConj(x, g *Matrix) []complex128 {
 	return dst
 }
 
+// ScaleRowsInto sets dst = diag(d)·src: row i of src scaled by d[i]. dst
+// and src have the same shape, len(d) = src.Rows, and dst may alias src.
+func ScaleRowsInto(dst *Matrix, d []complex128, src *Matrix) {
+	checkSameShape(dst, src, "ScaleRowsInto")
+	if len(d) != src.Rows {
+		panic("linalg: scale length mismatch in ScaleRowsInto")
+	}
+	c := src.Cols
+	for i, di := range d {
+		row := dst.Data[i*c : (i+1)*c]
+		copy(row, src.Data[i*c:(i+1)*c])
+		scaleTo(row, di)
+	}
+	perf.AddFlops(int64(len(src.Data)) * perf.FlopsCMul)
+}
+
 // AddScaled sets m = m + s·b without materializing the scaled copy.
 // There is no short-circuit on s: 0·x is not a no-op in IEEE arithmetic.
 func (m *Matrix) AddScaled(b *Matrix, s complex128) {

@@ -213,8 +213,30 @@ func (m *Matrix) IsHermitian(tol float64) bool {
 	}
 	for i := 0; i < m.Rows; i++ {
 		for j := i; j < m.Cols; j++ {
-			d := m.Data[i*m.Cols+j] - cmplx.Conj(m.Data[j*m.Cols+i])
-			if cmplx.Abs(d) > tol {
+			if !near(m.Data[i*m.Cols+j], cmplx.Conj(m.Data[j*m.Cols+i]), tol) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// near reports whether |a − b| ≤ tol, on |a − b|² so that no Hypot runs:
+// Hermiticity is checked on every entry of a device Hamiltonian.
+func near(a, b complex128, tol float64) bool {
+	d := a - b
+	return !(real(d)*real(d)+imag(d)*imag(d) > tol*tol)
+}
+
+// IsAdjoint reports whether l is the adjoint of u to within tol entrywise,
+// without materializing either.
+func (l *Matrix) IsAdjoint(u *Matrix, tol float64) bool {
+	if l.Rows != u.Cols || l.Cols != u.Rows {
+		return false
+	}
+	for i := 0; i < u.Rows; i++ {
+		for j, v := range u.Data[i*u.Cols : (i+1)*u.Cols] {
+			if !near(l.Data[j*l.Cols+i], cmplx.Conj(v), tol) {
 				return false
 			}
 		}

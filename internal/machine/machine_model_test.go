@@ -207,11 +207,12 @@ func TestPredictValidation(t *testing.T) {
 
 func TestSplitSolveCostCrossover(t *testing.T) {
 	// The domains' work falls as 1/P while the reduced system — P dense
-	// groups two layers wide, solved serially — grows with P. On the
-	// flagship the per-solve time is minimised at P = 2, below P = 1; by
-	// P = 8 the reduced system has made it slower than the serial solve, and
-	// it keeps rising — the crossover F3 measures.
-	const best = 2
+	// groups two layers wide, solved serially — grows with P, on top of the
+	// layer reduction every P pays ahead of the domains. On the flagship the
+	// per-solve time is minimised at P = 5, below P = 1 and P = 2; by P = 16
+	// the interface system has made it slower than the serial solve, and it
+	// keeps rising — the crossover F3 measures.
+	const best = 5
 	w := machine.Flagship()
 	rate := machine.Jaguar().SustainedFlopsPerCore()
 	timeAt := func(p int) float64 {
@@ -230,24 +231,35 @@ func TestSplitSolveCostCrossover(t *testing.T) {
 	if argmin != best {
 		t.Fatalf("the model's per-solve time is minimised at P = %d, want %d", argmin, best)
 	}
-	if t1, t8 := timeAt(1), timeAt(8); t8 <= t1 {
-		t.Fatalf("no reduced-system crossover: t(8)=%g ≤ t(1)=%g", t8, t1)
+	if t1, t16 := timeAt(1), timeAt(16); t16 <= t1 {
+		t.Fatalf("no reduced-system crossover: t(16)=%g ≤ t(1)=%g", t16, t1)
 	}
-	if t8, t128 := timeAt(8), timeAt(128); t128 <= t8 {
-		t.Fatalf("reduced system stopped growing: t(128)=%g ≤ t(8)=%g", t128, t8)
+	if t16, t128 := timeAt(16), timeAt(128); t128 <= t16 {
+		t.Fatalf("reduced system stopped growing: t(128)=%g ≤ t(16)=%g", t128, t16)
 	}
 }
 
 // TestModelChargesCountedFlops fences the model against drifting from the
-// product: on a uniform device whose couplings have |R| = |C| (SiUTB), the
-// model's WF solve charges exactly the flops one SolveBlocks counts at its
-// width, and its self-energies exactly those of one paired miss once
-// SelfEnergyIterations is the iteration count that miss took — recovered,
-// as the negf kernel test recovers it, from the count alone.
+// product: on a uniform device whose couplings have |R| = |C| (SiUTB) under
+// a gate-like potential — every layer a record of its own, as the model
+// assumes — the model's WF solve charges exactly the flops the wave-function
+// solver's reduced solve counts at its width (the reduced open system at z
+// and one SolveBlocks on it), and its self-energies — on the flat device,
+// whose two contacts share a cell — exactly those of one paired miss once SelfEnergyIterations is the iteration count that miss
+// took — recovered, as the negf kernel test recovers it, from the count
+// alone.
 func TestModelChargesCountedFlops(t *testing.T) {
 	built, err := device.Description{Name: "utb", Kind: device.SiUTB, CellsX: 6, CellsY: 1, CellsZ: 1}.Build()
 	if err != nil {
 		t.Fatal(err)
+	}
+	flat, err := tb.Assemble(built.Structure, built.Material, built.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built.Options.Potential = make([]float64, built.Structure.NAtoms())
+	for i, a := range built.Structure.Atoms {
+		built.Options.Potential[i] = 0.05 * float64(a.Layer)
 	}
 	h, err := tb.Assemble(built.Structure, built.Material, built.Options)
 	if err != nil {
@@ -263,20 +275,30 @@ func TestModelChargesCountedFlops(t *testing.T) {
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	z := complex(0.8, 1e-6)
-	rhs := make([]*linalg.Matrix, h.Layers()) // counted flops depend on the width alone
-	for i := range rhs {
-		rhs[i] = linalg.New(h.LayerSize(i), w.RHSWidth)
+	open, err := sparse.NewReducedSystem(h, sparse.ColumnSupport(h.Upper[0]), sparse.RowSupport(h.Upper[h.Layers()-2]))
+	if err != nil {
+		t.Fatal(err)
 	}
-	a := sparse.NewShiftedSystem(h).At(z, ws)
+	n := h.LayerSize(0)
+	sigma := linalg.New(n, n) // counted flops depend on the supports alone
 	perf.ResetFlops()
-	if _, err := a.SolveBlocks(rhs, ws); err != nil {
+	red := open.At(z, sigma, sigma, ws)
+	rhs := make([]*linalg.Matrix, h.Layers()) // and on the width alone
+	for i := range rhs {
+		if s := red.A.LayerSize(i); s != 2*rank {
+			t.Fatalf("layer %d keeps %d orbitals at z = %v, want 2·rank = %d: the model's reduced layer", i, s, z, 2*rank)
+		}
+		rhs[i] = linalg.New(red.A.LayerSize(i), w.RHSWidth)
+	}
+	if _, err := red.A.SolveBlocks(rhs, ws); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := perf.ResetFlops(), w.WFSolveFlops(); got != want {
-		t.Errorf("one SolveBlocks at width %d counted %d flops, the model charges %d", w.RHSWidth, got, want)
+		t.Errorf("one reduced solve at width %d counted %d flops, the model charges %d", w.RHSWidth, got, want)
 	}
 
-	leads, err := negf.LeadsFromDevice(h)
+	// The flat device's two contacts continue one cell: one paired miss.
+	leads, err := negf.LeadsFromDevice(flat)
 	if err != nil {
 		t.Fatal(err)
 	}

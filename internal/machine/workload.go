@@ -62,12 +62,24 @@ func (w Workload) rank() int {
 	return w.BlockSize
 }
 
-// layers is the device as the kernels' cost functions read it.
-func (w Workload) layers() (sizes, ranks []int) {
+// layers is the device as the kernels' cost functions read it: every layer
+// of BlockSize orbitals keeps sups of them in the reduced open system — the
+// supports of its two couplings, rank each and disjoint — and eliminates
+// the rest; every coupling is rank × rank.
+func (w Workload) layers() (sizes, sups, ranks []int) {
+	s := min(w.BlockSize, 2*w.rank())
 	for range w.NLayers {
-		sizes, ranks = append(sizes, w.BlockSize), append(ranks, w.rank())
+		sizes, sups, ranks = append(sizes, w.BlockSize), append(sups, s), append(ranks, w.rank())
 	}
-	return sizes, ranks[1:]
+	return sizes, sups, ranks[1:]
+}
+
+// reductionFlops returns the flops of one energy's reduced open system:
+// every layer a record of its own (a gated device), both contacts on a
+// rank-wide support.
+func (w Workload) reductionFlops() int64 {
+	sizes, sups, _ := w.layers()
+	return sparse.ReducedFlops(sizes, sups, nil, w.rank(), w.rank(), w.RHSWidth, false)
 }
 
 // SelfEnergyFlops returns the flops of the contact self-energies of one
@@ -77,17 +89,19 @@ func (w Workload) SelfEnergyFlops() int64 {
 	return negf.SelfEnergyFlops(w.BlockSize, min(w.BlockSize, 2*r), r, r, w.SelfEnergyIterations)
 }
 
-// WFSolveFlops returns the flops of one wave-function (block-Thomas) solve
-// at a single energy with P = 1.
+// WFSolveFlops returns the flops of one wave-function solve at a single
+// energy with P = 1: the reduced open system and its block-Thomas solve.
 func (w Workload) WFSolveFlops() int64 {
-	sizes, ranks := w.layers()
-	return sparse.BlockThomasFlops(sizes, ranks, ranks, w.RHSWidth)
+	_, sups, ranks := w.layers()
+	return w.reductionFlops() + sparse.BlockThomasFlops(sups, ranks, ranks, w.RHSWidth)
 }
 
 // SplitSolveCost describes the parallel cost structure of one SplitSolve
 // execution over P spatial domains.
 type SplitSolveCost struct {
-	// CriticalFlops is the per-domain (parallel) work on the critical path.
+	// CriticalFlops is the work on the critical path outside the interface
+	// system: the reduced open system, built serially ahead of the domains,
+	// and the costliest domain.
 	CriticalFlops int64
 	// ReducedFlops is the serial Schur-complement interface solve.
 	ReducedFlops int64
@@ -99,20 +113,24 @@ type SplitSolveCost struct {
 }
 
 // SplitSolve returns the cost model of one energy-point solve decomposed
-// over p spatial domains: splitsolve's own flops, the costliest domain on
-// the critical path, and each interface exchanging its coupling block.
+// over p spatial domains of the reduced open system: its reduction and the
+// costliest domain on the critical path, splitsolve's own flops, and each
+// interface exchanging its coupling block.
 func (w Workload) SplitSolve(p int) (SplitSolveCost, error) {
 	if p < 1 || p > w.NLayers {
 		return SplitSolveCost{}, fmt.Errorf("machine: %d domains invalid for %d layers", p, w.NLayers)
 	}
-	sizes, ranks := w.layers()
-	domains, reduced := splitsolve.Flops(sizes, ranks, ranks, w.RHSWidth, p)
-	cost := SplitSolveCost{ReducedFlops: reduced, Flops: reduced}
+	_, sups, ranks := w.layers()
+	domains, reduced := splitsolve.Flops(sups, ranks, ranks, w.RHSWidth, p)
+	reduction := w.reductionFlops()
+	cost := SplitSolveCost{ReducedFlops: reduced, Flops: reduction + reduced}
+	var costliest int64
 	for _, f := range domains {
-		cost.CriticalFlops, cost.Flops = max(cost.CriticalFlops, f), cost.Flops+f
+		costliest, cost.Flops = max(costliest, f), cost.Flops+f
 	}
+	cost.CriticalFlops = reduction + costliest
 	if p > 1 { // interface blocks (complex128) gathered to the reduced solve and scattered back
-		cost.Messages, cost.BytesPerMessage = 2*(p-1), 16*int64(w.BlockSize)*int64(w.rank())
+		cost.Messages, cost.BytesPerMessage = 2*(p-1), 16*int64(sups[0])*int64(w.rank())
 	}
 	return cost, nil
 }

@@ -122,7 +122,7 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	nl := s.H.Layers()
 	off := s.H.Offsets()
 	cG, rG := sparse.RowSupport(sigL), sparse.RowSupport(sigR)
-	gamL, gamR := broadeningOn(sigL, cG, ws), broadeningOn(sigR, rG, ws)
+	gamL, gamR := BroadeningOn(sigL, cG, ws), BroadeningOn(sigR, rG, ws)
 
 	// Forward (left-connected) pass: g_i = (D_i − L_{i−1}·g_{i−1}·U_{i−1})⁻¹,
 	// the fold formed on C_{i−1} × C_{i−1}; with density also
@@ -331,9 +331,11 @@ func leftConnected(m *linalg.Matrix, w, r []int, ws *linalg.Workspace) (leftColu
 	return lc, nil
 }
 
-// broadeningOn returns Γ[sup, sup] = i(Σ − Σ†)[sup, sup], the block of the
-// broadening outside which Σ — and so Γ — is zero, checked out of ws.
-func broadeningOn(sigma *linalg.Matrix, sup []int, ws *linalg.Workspace) *linalg.Matrix {
+// BroadeningOn returns Γ[sup, sup] = i(Σ − Σ†)[sup, sup], the block of the
+// broadening outside which Σ — and so Γ — is zero, checked out of ws: how
+// both formalisms read a contact, RGF on Σ's own support, the wave-function
+// injection and readout on the lead coupling's.
+func BroadeningOn(sigma *linalg.Matrix, sup []int, ws *linalg.Workspace) *linalg.Matrix {
 	blk := ws.Get(len(sup), len(sup))
 	sparse.Gather(blk, sigma, sup, sup)
 	gam := ws.Get(len(sup), len(sup))

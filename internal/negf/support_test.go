@@ -54,9 +54,11 @@ func closeToDense(t *testing.T, what string, fam *blockFamily, z complex128, wan
 // eliminated block h00[I,I] inside the sweep window, at the broadenings a
 // run may use: the energies at which (z − h00_II)⁻¹ has a pole of size 1/δ
 // and the effective layer an absolute error of ε/δ². Every Σ must stay
-// within 1e-9·max(1, ‖Σ‖) of the empty-interior partition's. This is the
-// test that sets interiorGuard; with the guard a variable it counted, over
-// the six families with an interior, both η and 23 offsets (1250 energies):
+// within 1e-9·max(1, ‖Σ‖) of the empty-interior partition's. With
+// wavefunction's TestReducedAdversarialEnergies this is the test that sets
+// sparse.InteriorGuard, the one guard both eliminations share; with the
+// guard a variable it counted, over the six families with an interior,
+// both η and 23 offsets (1250 energies):
 //
 //	guard 0     206 failures, worst relative error 2e+10 (AGNR-7, η = 1e-8)
 //	guard 1e-6   78 failures, worst 1.9e-7

@@ -54,17 +54,6 @@ func (ss sideSet) has(s side) bool { return ss&(1<<s) != 0 }
 // and an overflowed element reads +Inf.
 func finite(norm float64) bool { return !math.IsNaN(norm) && !math.IsInf(norm, 0) }
 
-// interiorGuard is the smallest pivot ratio min|u_ii| / max|u_ii| of the
-// factored interior block z − h00[I,I] at which an energy still runs on the
-// interior-eliminated layer. Eliminating the interior divides by the
-// distance δ from Re z to an interior level: the effective layer carries a
-// pole of size 1/δ and an absolute error of ε/δ², so within ~√ε of a level
-// the support-space Σ loses the digits the dense recursion keeps. Below the
-// guard that energy runs with an empty interior instead — same kernel, and
-// the choice is a function of (block family, z) alone. The constant is set
-// by TestAdversarialEnergies, which parks Re z on every interior level.
-const interiorGuard = 1e-3
-
 // partition splits a lead's orbitals by what its coupling touches: S = R ∪ C,
 // the rows and columns of h01 that hold a nonzero, and the interior I the
 // coupling never reads. posR and posC are where R and C sit inside S, and
@@ -78,7 +67,7 @@ type partition struct {
 // effectiveLayer returns M(z) = (z − h00)_SS − h00_SI·(z − h00_II)⁻¹·h00_IS
 // as workspace scratch — the layer a recursion that only ever reads g[S,S]
 // sees, built once per energy — or nil when the interior factor is singular
-// or its pivot ratio is below interiorGuard.
+// or its pivot ratio min|u_ii| / max|u_ii| is below sparse.InteriorGuard.
 func (p *partition) effectiveLayer(z complex128, ws *linalg.Workspace) *linalg.Matrix {
 	s, ni := p.hSS.Rows, p.hII.Rows
 	m := ws.Get(s, s)
@@ -101,7 +90,7 @@ func (p *partition) effectiveLayer(z complex128, ws *linalg.Workspace) *linalg.M
 		r := cmplx.Abs(lu.Data[i*ni+i])
 		lo, hi = min(lo, r), max(hi, r)
 	}
-	if !(lo >= interiorGuard*hi) {
+	if !(lo >= sparse.InteriorGuard*hi) {
 		return nil
 	}
 	x := ws.Get(ni, s)

@@ -68,11 +68,11 @@ func build(t *testing.T, s spec.RunSpec) *spec.Built {
 	return b
 }
 
-// serialText is the serial engine's complete report of the test spec:
-// rows, `# flops` and `# sigma-cache`.
-func serialText(t *testing.T) string {
+// serialText is the serial engine's complete report of s: rows, `# flops`
+// and `# sigma-cache`.
+func serialText(t *testing.T, s spec.RunSpec) string {
 	t.Helper()
-	b := build(t, testSpec(1, "", false))
+	b := build(t, s)
 	before := perf.TakeSnapshot()
 	sweep, err := b.Sim.TransmissionResumable(context.Background(), b.Grid, nil, b.SweepOptions())
 	if err != nil {
@@ -129,7 +129,7 @@ func journalState(t *testing.T, path string) (size int64, epoch uint64, perTask 
 // the finished journal replays it — no worker, no write, same sweep and
 // perf.
 func TestCoordinateFreshThenReplay(t *testing.T) {
-	want := serialText(t)
+	want := serialText(t, testSpec(1, "", false))
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	var spawned atomic.Int32
 	hooks := Hooks{Addr: "127.0.0.1:0", Spawn: countingSpawn(&spawned), Logf: t.Logf}
@@ -173,24 +173,31 @@ func TestCoordinateFreshThenReplay(t *testing.T) {
 // distrib.ErrDrained with a resumable journal, and the resumed run
 // finishes to the serial bytes with exactly one record per task.
 func TestCoordinateDrainThenResume(t *testing.T) {
-	want := serialText(t)
+	// The first committed result pulls the drain. A task of this spec takes
+	// about 0.1 ms, and a loaded host can let the workers run dozens of
+	// them before the first group commit lands, so the grid is ten times
+	// the other tests': hundreds of tasks are still unleased then.
+	drained := func(workers int, journal string, resume bool) spec.RunSpec {
+		s := testSpec(workers, journal, resume)
+		s.Grid.NE = 640
+		return s
+	}
+	want := serialText(t, drained(1, "", false))
 	path := filepath.Join(t.TempDir(), "sweep.journal")
 	drain := make(chan struct{})
 	var once sync.Once
-	out, err := Coordinate(context.Background(), build(t, testSpec(2, path, false)), Hooks{
+	out, err := Coordinate(context.Background(), build(t, drained(2, path, false)), Hooks{
 		Addr: "127.0.0.1:0", Spawn: ReExec, Drain: drain, Logf: t.Logf,
-		// The first committed result pulls the drain: 48 or more tasks
-		// are still unleased then.
 		OnResult: func(cluster.Task, []byte) { once.Do(func() { close(drain) }) },
 	})
 	if !errors.Is(err, distrib.ErrDrained) {
 		t.Fatalf("drained run returned %v, want distrib.ErrDrained", err)
 	}
-	if out.Sweep != nil || out.Report == nil || out.Report.Completed == 0 || out.Report.Completed >= 64 {
+	if out.Sweep != nil || out.Report == nil || out.Report.Completed == 0 || out.Report.Completed >= 640 {
 		t.Fatalf("drained outcome %+v (report %+v), want a partial run with no sweep", out, out.Report)
 	}
 
-	out, err = Coordinate(context.Background(), build(t, testSpec(2, path, true)), Hooks{
+	out, err = Coordinate(context.Background(), build(t, drained(2, path, true)), Hooks{
 		Addr: "127.0.0.1:0", Spawn: ReExec, Logf: t.Logf,
 	})
 	if err != nil {
@@ -205,8 +212,8 @@ func TestCoordinateDrainThenResume(t *testing.T) {
 		t.Fatalf("resumed output differs from serial:\n got:\n%s\nwant (after the # resumed line):\n%s", got, want)
 	}
 	_, _, perTask := journalState(t, path)
-	if len(perTask) != 64 {
-		t.Fatalf("journal covers %d tasks, want 64", len(perTask))
+	if len(perTask) != 640 {
+		t.Fatalf("journal covers %d tasks, want 640", len(perTask))
 	}
 	for idx, n := range perTask {
 		if n != 1 {

@@ -20,8 +20,11 @@ import (
 // Diag[i] is n_i×n_i, Upper[i] is n_i×n_{i+1}, Lower[i] is n_{i+1}×n_i.
 //
 // A matrix carries its couplings compressed to their supports (Coupling): a
-// view made by ShiftedSystem.At or Window shares its parent's, any other
-// matrix builds them on first use. Upper and Lower must not change after.
+// view made by ShiftedSystem.At, ReducedSystem.At or Window shares its
+// parent's, any other matrix builds them on first use. Upper and Lower must
+// not change after. A reduced open system (ReducedSystem.At) carries its
+// couplings alone, with nil Upper and Lower entries: it exists to be
+// solved.
 type BlockTridiag struct {
 	Diag  []*linalg.Matrix
 	Upper []*linalg.Matrix
@@ -180,7 +183,7 @@ func (m *BlockTridiag) IsHermitian(tol float64) bool {
 		}
 	}
 	for i := range m.Upper {
-		if !m.Lower[i].Equal(m.Upper[i].ConjTranspose(), tol) {
+		if !m.Lower[i].IsAdjoint(m.Upper[i], tol) {
 			return false
 		}
 	}

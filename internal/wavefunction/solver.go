@@ -18,14 +18,18 @@ import (
 // device Hamiltonian. It shares the contact self-energy machinery with the
 // NEGF package — the two formalisms differ only in how the open-boundary
 // linear system is solved: here a single block-Thomas direct solve for the
-// two contact column blocks, instead of the layer-recursive inversion of
-// the RGF algorithm. Results agree to solver precision; cost does not,
-// which is the point.
+// contact injection columns, instead of the layer-recursive inversion of
+// the RGF algorithm. The system solved is the open system reduced to the
+// couplings' supports (sparse.ReducedSystem): each layer's interior, which
+// no coupling, self-energy or readout touches, is eliminated through its
+// eigenpairs once per solver. Results agree to solver precision; cost does
+// not, which is the point.
 type Solver struct {
 	// H is the Hermitian device Hamiltonian in block-tridiagonal layer form,
 	// fixed once the first energy is solved.
 	H *sparse.BlockTridiag
-	// Leads are the semi-infinite contacts.
+	// Leads are the semi-infinite contacts; their couplings L01 and R01 fix
+	// the contact supports with the first solve.
 	Leads *negf.Leads
 	// Eta is the imaginary energy broadening in eV (typical: 1e-6).
 	Eta float64
@@ -38,16 +42,39 @@ type Solver struct {
 	// (valid while the lead blocks stay fixed).
 	Cache *negf.SelfEnergyCache
 
-	// open is the z-independent part of z − H, built by the first solve.
+	// open is the reduced open system, built by the first solve.
 	openOnce sync.Once
-	open     *sparse.ShiftedSystem
+	open     *sparse.ReducedSystem
+	openErr  error
 }
 
+// hermitianTol is how far, relative to H's largest entry, H may sit from
+// its adjoint: assembly rounding is ~1e-16 of it. The interior elimination
+// reads H[S,I] as H[I,S]†, so a device off it by more is refused rather
+// than solved into a plausible number.
+const hermitianTol = 1e-12
+
 // NewSolver builds a wave-function solver with flat-band leads continued
-// from the device end layers.
+// from the device end layers. H must be Hermitian.
 func NewSolver(h *sparse.BlockTridiag, eta float64) (*Solver, error) {
 	if eta <= 0 {
 		return nil, fmt.Errorf("wavefunction: broadening must be positive, got %g", eta)
+	}
+	var scale float64 // the largest |Re| or |Im| of H: within √2 of its largest entry
+	for _, blocks := range [2][]*linalg.Matrix{h.Diag, h.Upper} {
+		for _, b := range blocks {
+			for _, v := range b.Data {
+				if a := math.Abs(real(v)); a > scale {
+					scale = a
+				}
+				if a := math.Abs(imag(v)); a > scale {
+					scale = a
+				}
+			}
+		}
+	}
+	if !h.IsHermitian(hermitianTol * scale) {
+		return nil, fmt.Errorf("wavefunction: the device Hamiltonian is not Hermitian to %g of its largest entry", hermitianTol)
 	}
 	leads, err := negf.LeadsFromDevice(h)
 	if err != nil {
@@ -78,21 +105,21 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err != nil {
 		return nil, err
 	}
+	s.openOnce.Do(func() {
+		s.open, s.openErr = sparse.NewReducedSystem(s.H, sparse.ColumnSupport(s.Leads.L01), sparse.RowSupport(s.Leads.R01))
+	})
+	if s.openErr != nil {
+		return nil, fmt.Errorf("wavefunction: %w", s.openErr)
+	}
 	// Per-solve workspace for the broadenings, the injection columns, the
-	// block-Thomas factors and solution, and the transmission contraction;
-	// the shifted system matrix also lives here since SplitSolve's domains
-	// only read it, while this goroutine waits.
+	// reduced system, its block-Thomas factors and solution, and the
+	// transmission contraction; SplitSolve's domains only read the reduced
+	// system, while this goroutine waits.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
-	a := s.open.At(z, ws)
-	nl := a.Layers()
-	a.AddScaledToDiagBlock(0, sigL, -1)
-	a.AddScaledToDiagBlock(nl-1, sigR, -1)
-	gamL := ws.Get(sigL.Rows, sigL.Cols)
-	negf.BroadeningInto(gamL, sigL)
-	gamR := ws.Get(sigR.Rows, sigR.Cols)
-	negf.BroadeningInto(gamR, sigR)
+	supL, posL := s.open.LeftContact()
+	supR, posR := s.open.RightContact()
+	gamL, gamR := negf.BroadeningOn(sigL, supL, ws), negf.BroadeningOn(sigR, supR, ws)
 
 	// Injection vectors: the broadening matrices are positive
 	// semidefinite with rank equal to the number of (effectively)
@@ -104,43 +131,38 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: left injection: %w", err)
 	}
-	var wR *linalg.Matrix
-	width := wL.Cols
+	wR := ws.Get(len(supR), 0)
 	if density {
-		wR, err = injectionVectors(gamR, ws)
-		if err != nil {
+		if wR, err = injectionVectors(gamR, ws); err != nil {
 			return nil, fmt.Errorf("wavefunction: right injection: %w", err)
 		}
-		width += wR.Cols
 	}
+	kL, width := wL.Cols, wL.Cols+wR.Cols
 	res := &negf.Result{E: e}
+	if density {
+		res.SpectralL = make([]float64, s.H.N())
+		res.SpectralR = make([]float64, s.H.N())
+	}
 	if width == 0 {
 		// No open or evanescent channels at this energy: everything is 0,
 		// and the density fields exist exactly when density was asked for.
 		if density {
-			res.SpectralL = make([]float64, s.H.N())
-			res.SpectralR = make([]float64, s.H.N())
 			res.DOS = negf.BallisticDOS(res.SpectralL, res.SpectralR)
 		}
 		return res, nil
 	}
-	n0 := s.H.LayerSize(0)
-	nN := s.H.LayerSize(nl - 1)
+	red := s.open.At(z, sigL, sigR, ws)
+	a := red.A
+	nl := a.Layers()
 	rhs := make([]*linalg.Matrix, nl)
-	for i := 0; i < nl; i++ {
-		rhs[i] = ws.Get(s.H.LayerSize(i), width)
+	for i := range rhs {
+		rhs[i] = ws.Get(a.LayerSize(i), width)
 	}
-	for k := 0; k < n0; k++ {
-		for j := 0; j < wL.Cols; j++ {
-			rhs[0].Set(k, j, wL.At(k, j))
-		}
+	for p, row := range posL {
+		copy(rhs[0].Data[row*width:row*width+kL], wL.Data[p*kL:(p+1)*kL])
 	}
-	if density {
-		for k := 0; k < nN; k++ {
-			for j := 0; j < wR.Cols; j++ {
-				rhs[nl-1].Set(k, wL.Cols+j, wR.At(k, j))
-			}
-		}
+	for p, row := range posR {
+		copy(rhs[nl-1].Data[row*width+kL:(row+1)*width], wR.Data[p*wR.Cols:(p+1)*wR.Cols])
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -157,38 +179,34 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 		return nil, fmt.Errorf("wavefunction: open-boundary solve: %w", err)
 	}
 
-	// T = Tr[Γ_R·G·Γ_L·G†] = Σᵢ (G·wᵢ)†_N-1 · Γ_R · (G·wᵢ)_N-1, contracted
-	// as Tr[(Γ_R·gw)·gw†] so the adjoint is never materialized and the
-	// trace costs O(n·rank).
-	gwL := ws.Get(nN, wL.Cols)
-	for k := 0; k < nN; k++ {
-		copy(gwL.Data[k*wL.Cols:(k+1)*wL.Cols], x[nl-1].Data[k*width:k*width+wL.Cols])
+	// T = Tr[Γ_R·G·Γ_L·G†] = Σᵢ (G·wᵢ)†·Γ_R·(G·wᵢ) on the right contact's
+	// support R_Γ, contracted as Tr[(Γ_R·gw)·gw†] so the adjoint is never
+	// materialized: r_Γ-sized.
+	gw := ws.Get(len(posR), kL)
+	for p, row := range posR {
+		copy(gw.Data[p*kL:(p+1)*kL], x[nl-1].Data[row*width:row*width+kL])
 	}
-	ggw := ws.Get(nN, wL.Cols)
-	linalg.MulInto(ggw, gamR, linalg.NoTrans, gwL, linalg.NoTrans)
-	res.T = real(linalg.TraceMulConj(ggw, gwL))
-	ws.Put(ggw)
-	ws.Put(gwL)
+	ggw := ws.Get(len(posR), kL)
+	linalg.MulInto(ggw, gamR, linalg.NoTrans, gw, linalg.NoTrans)
+	res.T = real(linalg.TraceMulConj(ggw, gw))
 
 	if density {
 		off := s.H.Offsets()
-		res.SpectralL = make([]float64, s.H.N())
-		res.SpectralR = make([]float64, s.H.N())
 		for i := 0; i < nl; i++ {
-			ni := s.H.LayerSize(i)
-			for k := 0; k < ni; k++ {
+			xi := red.Orbitals(i, x[i], ws)
+			for k := 0; k < xi.Rows; k++ {
+				row := xi.Data[k*width : (k+1)*width]
 				var sl, sr float64
-				for j := 0; j < wL.Cols; j++ {
-					v := x[i].At(k, j)
+				for _, v := range row[:kL] {
 					sl += real(v)*real(v) + imag(v)*imag(v)
 				}
-				for j := 0; j < wR.Cols; j++ {
-					v := x[i].At(k, wL.Cols+j)
+				for _, v := range row[kL:] {
 					sr += real(v)*real(v) + imag(v)*imag(v)
 				}
 				res.SpectralL[off[i]+k] = sl
 				res.SpectralR[off[i]+k] = sr
 			}
+			ws.Put(xi)
 		}
 		res.DOS = negf.BallisticDOS(res.SpectralL, res.SpectralR)
 	}
@@ -202,18 +220,11 @@ const injectionRankCutoff = 1e-12
 
 // injectionVectors spectrally factorizes a broadening matrix,
 // Γ = Σᵢ λᵢvᵢvᵢ†, and returns the weighted columns wᵢ = √λᵢ·vᵢ above the
-// rank cutoff, so that Γ ≈ W·W†. Γ = i(Σ − Σ†) is nonzero only on the
-// orbitals the contact couples to — the support of Σ — so the eigenproblem
-// is solved on that r×r block and the vectors scattered back into
-// layer-sized columns that are zero elsewhere; a Γ that is zero everywhere
-// injects nothing.
+// rank cutoff, so that Γ ≈ W·W†. It is handed Γ on the contact's support —
+// the r×r block outside which Σ, and so Γ, is zero — and the vectors live
+// there too; a Γ that is zero everywhere injects nothing.
 func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace) (*linalg.Matrix, error) {
-	n := gamma.Rows
-	sup := sparse.RowSupport(gamma) // Γ is Hermitian: its rows and columns share a support
-	block := ws.Get(len(sup), len(sup))
-	defer ws.Put(block)
-	sparse.Gather(block, gamma, sup, sup)
-	eig, err := linalg.EigH(block)
+	eig, err := linalg.EigH(gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -223,17 +234,17 @@ func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace) (*linalg.Matri
 			maxLam = l
 		}
 	}
-	cols := make([]int, 0, len(sup))
+	cols := make([]int, 0, len(eig.Values))
 	for j, l := range eig.Values {
 		if l > injectionRankCutoff*maxLam && l > 0 {
 			cols = append(cols, j)
 		}
 	}
-	w := linalg.New(n, len(cols))
+	w := ws.Get(gamma.Rows, len(cols))
 	for jj, j := range cols {
 		s := complex(math.Sqrt(eig.Values[j]), 0)
-		for i, row := range sup {
-			w.Set(row, jj, s*eig.Vectors.At(i, j))
+		for i := 0; i < gamma.Rows; i++ {
+			w.Set(i, jj, s*eig.Vectors.At(i, j))
 		}
 	}
 	return w, nil
