@@ -3,6 +3,7 @@ package negf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/lattice"
 	"repro/internal/linalg"
+	"repro/internal/sparse"
 	"repro/internal/tb"
 )
 
@@ -413,7 +415,8 @@ func TestLeadsMemoInvalidation(t *testing.T) {
 
 // TestNonFiniteLeadRefused: a NaN or ±Inf anywhere in a contact's blocks is
 // refused by name before anything registers, on the cached and the
-// uncached path, first visit and every visit after.
+// uncached path, first visit and every visit after; so is a non-Hermitian
+// h00.
 func TestNonFiniteLeadRefused(t *testing.T) {
 	z := complex(0.3, 1e-6)
 	for _, block := range []string{"L00", "L01", "R00", "R01"} {
@@ -445,6 +448,14 @@ func TestNonFiniteLeadRefused(t *testing.T) {
 	l.ShiftR = math.NaN()
 	if _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); err == nil || !strings.Contains(err.Error(), "right lead") {
 		t.Errorf("NaN ShiftR: err = %v, want the right lead refused", err)
+	}
+	// The interior is eliminated through h00's eigenpairs, so an h00 off
+	// its adjoint — here a complex on-site energy — is refused too.
+	l = chainLeads(t, -1, 0)
+	l.L00 = l.L00.Clone()
+	l.L00.Data[0] += 0.1i
+	if _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); err == nil || !strings.Contains(err.Error(), "left lead's h00 is not Hermitian") {
+		t.Errorf("complex on-site energy: err = %v, want the left lead refused as not Hermitian", err)
 	}
 }
 
@@ -508,12 +519,60 @@ func suiteLeads(t *testing.T) map[string]*Leads {
 	return out
 }
 
-// denseTwin is fam running every energy on its empty-interior partition: the
-// dense Sancho-Rubio recursion, the reference the support-space kernel is
-// held to. Same kernel, so it moves with it — it is a twin, not a fossil.
+// familyOf registers spec as block family 0 of a registry of its own.
+func familyOf(t *testing.T, spec leadSpec) *blockFamily {
+	t.Helper()
+	fam, err := newFamily(0, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fam
+}
+
+// denseTwin is fam running every energy on its layer's whole partition: the
+// dense Sancho-Rubio recursion with S first, the reference the support-space
+// kernel is held to. Same kernel and the same record, so it moves with it —
+// it is a twin, not a fossil.
 func denseTwin(fam *blockFamily) *blockFamily {
 	d := *fam
-	d.part = d.dense
+	d.layer = fam.layer.Whole()
+	return &d
+}
+
+// partitionOf returns what fam's layer eliminates, read off the canon alone:
+// |S| = |R ∪ C| and the levels of the interior block h00[I,I], ascending —
+// the poles the elimination divides by and the guard measures z against.
+func partitionOf(t *testing.T, fam *blockFamily) (sup int, levels []float64) {
+	t.Helper()
+	s := sparse.Union(fam.rows, fam.cols)
+	var in []int
+	for o := 0; o < fam.h00.Rows; o++ {
+		if !slices.Contains(s, o) {
+			in = append(in, o)
+		}
+	}
+	hII := linalg.New(len(in), len(in))
+	sparse.Gather(hII, fam.h00, in, in)
+	levels, err := linalg.EigHValues(hII)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(s), levels
+}
+
+// naturalTwin is fam on the dense recursion in h00's own orbital order, no
+// interior and S every orbital: the textbook Sancho-Rubio kernel, which
+// shares no layout with the family's layer. It is TestDysonResidual's
+// yardstick for how well a recursion stopped at surfaceTol can do at an
+// energy.
+func naturalTwin(t *testing.T, fam *blockFamily) *blockFamily {
+	t.Helper()
+	d := *fam
+	var err error
+	if d.layer, err = sparse.NewLayer(fam.h00, sparse.Range(0, fam.h00.Rows)); err != nil {
+		t.Fatal(err)
+	}
+	d.posR, d.posC = fam.rows, fam.cols
 	return &d
 }
 
@@ -548,7 +607,7 @@ func dysonResidual(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.M
 // few sweep energies that fall within a meV of one, Σ is a square-root
 // singularity and no recursion stopped at surfaceTol does better than ~1e-4
 // there; those energies must instead score no worse than 4× the residual of
-// the empty-interior partition at the same energy. The two families with
+// the textbook dense recursion (naturalTwin) at the same energy. The two families with
 // blocks beyond 40 orbitals get 200·(40/n)³ energies, the same second as
 // the others.
 func TestDysonResidual(t *testing.T) {
@@ -581,8 +640,8 @@ func TestDysonResidual(t *testing.T) {
 				}
 			}
 		}
-		fam := newFamily(0, leads.spec(left))
-		dense := denseTwin(fam)
+		fam := familyOf(t, leads.spec(left))
+		dense := naturalTwin(t, fam)
 		var worst, worstHard float64
 		var hard int
 		for _, e := range energies {
@@ -604,12 +663,12 @@ func TestDysonResidual(t *testing.T) {
 				hard++
 				worstHard = math.Max(worstHard, res)
 				if ref := dysonResidual(t, fam, z, want[s], s); res > 4*ref {
-					t.Errorf("%s E=%.15g %s: Dyson residual %.3g, the empty-interior partition scores %.3g", name, e, sideNames[s], res, ref)
+					t.Errorf("%s E=%.15g %s: Dyson residual %.3g, the dense recursion scores %.3g", name, e, sideNames[s], res, ref)
 				}
 			}
 		}
 		t.Logf("%-14s n=%-3d s=%-3d %d energies: max residual %.3g; %d ill-conditioned (edge) self-energies, max %.3g",
-			name, n, fam.part.hSS.Rows, len(energies), worst, hard, worstHard)
+			name, n, len(sparse.Union(fam.rows, fam.cols)), len(energies), worst, hard, worstHard)
 	}
 }
 
@@ -673,7 +732,7 @@ func TestMirrorPurity(t *testing.T) {
 		gotL, gotR, err := flat.SelfEnergies(z)
 		check("uncached", gotL, gotR, err)
 
-		canon := newFamily(0, flat.spec(left))
+		canon := familyOf(t, flat.spec(left))
 		oneL, err := canon.selfEnergies(z, 1<<left)
 		check("left finished alone", oneL[left], nil, err)
 		oneR, err := canon.selfEnergies(z, 1<<right)
@@ -745,7 +804,7 @@ func TestMirrorPurity(t *testing.T) {
 // blocks and its own run.
 func TestMirrorAdoption(t *testing.T) {
 	wire := suiteLeads(t)["SiNW-sp3s*"]
-	d := newFamily(0, wire.spec(left)).drift(wire.spec(right))
+	d := familyOf(t, wire.spec(left)).drift(wire.spec(right))
 	if d == 0 || d > 1e-12 {
 		t.Fatalf("sinw's ends differ by %g; the test wants assembly rounding, neither bitwise equality nor a real difference", d)
 	}

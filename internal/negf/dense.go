@@ -20,8 +20,9 @@ func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
 	n0 := s.H.LayerSize(0)
 	nN := s.H.LayerSize(nl - 1)
 	g0N := g.Submatrix(0, off[nl-1], n0, nN)
-	gamL := Broadening(sigL)
-	gamR := Broadening(sigR)
+	gamL, gamR := ws.Get(n0, n0), ws.Get(nN, nN)
+	BroadeningInto(gamL, sigL)
+	BroadeningInto(gamR, sigR)
 	tns := ws.Get(n0, nN)
 	linalg.Mul3Into(tns, gamL, linalg.NoTrans, g0N, linalg.NoTrans, gamR, linalg.NoTrans, ws)
 	t := linalg.TraceMulConj(tns, g0N)

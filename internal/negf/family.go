@@ -29,23 +29,24 @@ const familyTol = 1e-8
 // Everything the kernel needs of the canon is laid out here, once, under the
 // registry's lock: the coupling's row and column supports R and C, the
 // block a = h01[R,C] with its adjoint materialised so both products of a
-// projection run the vector NoTrans·NoTrans kernel, and the two partitions
-// of h00 an energy can run on — part, with S = R ∪ C and the interior
-// eliminated, and dense, with no interior (the same when S is everything).
+// projection run the vector NoTrans·NoTrans kernel, h00 as a sparse.Layer on
+// S = R ∪ C — the interior's eigenpairs, from which every energy's effective
+// layer is one product — and where R and C sit in that layer's M, the same
+// whether an energy eliminates the interior or keeps the layer whole.
 type blockFamily struct {
 	id         int
 	h00, h01   *linalg.Matrix
 	rows, cols []int
+	posR, posC []int
 	a, ad      linalg.Matrix
-	part       partition
-	dense      partition
+	layer      *sparse.Layer
 	// sides is fixed at registration: both when the registering device's
 	// two contacts continue this cell (a mirrored family — one kernel run
 	// serves both surfaces), else the registering lead's side alone.
 	sides sideSet
 }
 
-func newFamily(id int, spec leadSpec) *blockFamily {
+func newFamily(id int, spec leadSpec) (*blockFamily, error) {
 	b := &blockFamily{id: id, sides: 1 << spec.side, h00: spec.h00.Clone(), h01: spec.h01.Clone()}
 	// Remove the registering lead's shift from the diagonal: the canon is
 	// the zero-bias contact the whole family shares.
@@ -56,51 +57,18 @@ func newFamily(id int, spec leadSpec) *blockFamily {
 		}
 	}
 	b.rows, b.cols = sparse.RowSupport(b.h01), sparse.ColumnSupport(b.h01)
+	layer, err := sparse.NewLayer(b.h00, sparse.Union(b.rows, b.cols))
+	if err != nil {
+		return nil, err
+	}
+	b.layer, b.posR, b.posC = layer, layer.Pos(b.rows), layer.Pos(b.cols)
 	r, c := len(b.rows), len(b.cols)
-	// Registration is part of a cache's first miss, so the layout lives in
-	// two slabs, one of indices and one of entries. order lists the orbitals
-	// S first, then I, each ascending; rank[i] is where orbital i sits in it.
-	idx := make([]int, 2*n+r+c)
-	order, rank, posR, posC := idx[:n], idx[n:2*n], idx[2*n:2*n+r], idx[2*n+r:]
-	s := 0
-	for _, touched := range [2][]int{b.rows, b.cols} {
-		for _, i := range touched {
-			if rank[i] == 0 {
-				rank[i], s = -1, s+1
-			}
-		}
-	}
-	next := [2]int{0, s} // the next slot of S, of I
-	for i := range rank {
-		k := 1 + rank[i] // 0 for an orbital of S
-		order[next[k]], rank[i] = i, next[k]
-		next[k]++
-	}
-	for i, o := range b.rows {
-		posR[i] = rank[o]
-	}
-	for j, o := range b.cols {
-		posC[j] = rank[o]
-	}
-	sup, in := order[:s], order[s:]
-	slab := make([]complex128, 2*r*c+n*n)
-	block := func(src *linalg.Matrix, rows, cols []int) linalg.Matrix {
-		m := linalg.Matrix{Rows: len(rows), Cols: len(cols), Data: slab[:len(rows)*len(cols)]}
-		slab = slab[len(m.Data):]
-		sparse.Gather(&m, src, rows, cols)
-		return m
-	}
-	b.a = block(b.h01, b.rows, b.cols)
-	b.ad = linalg.Matrix{Rows: c, Cols: r, Data: slab[:r*c]}
-	slab = slab[r*c:]
+	slab := make([]complex128, 2*r*c)
+	b.a = linalg.Matrix{Rows: r, Cols: c, Data: slab[:r*c]}
+	sparse.Gather(&b.a, b.h01, b.rows, b.cols)
+	b.ad = linalg.Matrix{Rows: c, Cols: r, Data: slab[r*c:]}
 	linalg.ConjTransposeInto(&b.ad, &b.a)
-	b.part = partition{
-		posR: posR, posC: posC,
-		hSS: block(b.h00, sup, sup), hSI: block(b.h00, sup, in),
-		hIS: block(b.h00, in, sup), hII: block(b.h00, in, in),
-	}
-	b.dense = partition{posR: b.rows, posC: b.cols, hSS: *b.h00}
-	return b
+	return b, nil
 }
 
 // drift is the max-abs distance of a lead's blocks from the canon plus the
@@ -161,20 +129,18 @@ func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.
 // SelfEnergyFlops returns the flops of one paired selfEnergies miss, affine
 // in its decimation's iterations, on a lead of n orbitals whose coupling
 // touches r rows and c columns, with an s×s effective layer: s = |R ∪ C|, or
-// n on the dense partition (a fallback also pays for the rejected interior).
+// n where the energy keeps the layer whole. A miss the eliminated layer
+// cannot finish (decimate) adds the flops its abandoned run executed to the
+// whole layer's.
 func SelfEnergyFlops(n, s, r, c, iterations int) int64 {
 	gemm, sums := perf.GemmFlops, int64(r*r+c*c)*perf.FlopsCAdd
 	inverse := perf.LUFlops(s) + perf.SolveFlops(s, s)
-	f := int64(s*s) * perf.FlopsCAdd // M(z): z − h00 on S, the interior eliminated
-	if ni := n - s; ni > 0 {
-		f += int64(ni*ni)*perf.FlopsCAdd + perf.LUFlops(ni) + perf.SolveFlops(ni, s) + gemm(s, ni, s)
-	}
 	// −α·g·β, −β·g·α and their sums; the two projections cost the same.
 	pair := gemm(r, c, c) + gemm(c, r, r) + gemm(r, c, r) + gemm(c, r, c) + sums
 	// Unconverged iterations also add to the bulk and square α and β.
 	squared := sums + gemm(r, c, r) + gemm(c, r, c) + gemm(r, r, c) + gemm(c, c, r)
 	// Each finish adds its surface's sum and inverts; then the projections.
-	return f + int64(iterations)*(inverse+pair) + int64(iterations-1)*squared + 2*inverse + sums + pair
+	return sparse.LayerFlops(n, s) + int64(iterations)*(inverse+pair) + int64(iterations-1)*squared + 2*inverse + sums + pair
 }
 
 // registry resolves leads to block families, kept in registration order —
@@ -208,11 +174,17 @@ func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 		if !finite(spec.shift) || !finite(maxAbs(spec.h00)) || !finite(maxAbs(spec.h01)) {
 			return fams, fmt.Errorf("negf: %s lead has non-finite blocks or shift", sideNames[spec.side])
 		}
+		// The interior is eliminated through h00's eigenpairs (sparse.Layer).
+		if !spec.h00.IsHermitian(1e-12 * maxAbs(spec.h00)) {
+			return fams, fmt.Errorf("negf: %s lead's h00 is not Hermitian", sideNames[spec.side])
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	for _, s := range [2]side{left, right} {
-		fams[s] = r.family(specs[s], specs[1-s])
+		if fams[s], err = r.family(specs[s], specs[1-s]); err != nil {
+			return fams, fmt.Errorf("negf: %s lead: %w", sideNames[s], err)
+		}
 	}
 	l.seenBy, l.seen, l.fams = r, specs, fams
 	return fams, nil
@@ -224,16 +196,19 @@ func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 // mate, the device's other contact, matches them too. A wrongly declared
 // shift needs no guard: removed from h00 here and from z in selfEnergies,
 // it cancels, and the lead merely has a family of its own. Caller holds r.mu.
-func (r *registry) family(spec, mate leadSpec) *blockFamily {
+func (r *registry) family(spec, mate leadSpec) (*blockFamily, error) {
 	for _, b := range r.blocks {
 		if b.sides.has(spec.side) && b.drift(spec) <= familyTol {
-			return b
+			return b, nil
 		}
 	}
-	b := newFamily(len(r.blocks), spec)
+	b, err := newFamily(len(r.blocks), spec)
+	if err != nil {
+		return nil, err
+	}
 	if b.drift(mate) <= familyTol {
 		b.sides = bothSides
 	}
 	r.blocks = append(r.blocks, b)
-	return b
+	return b, nil
 }

@@ -120,7 +120,7 @@ func sigmaSound(t *testing.T, name string, sol *Solver, e float64) bool {
 		t.Fatalf("%s E=%v: %v", name, e, err)
 	}
 	for s, sig := range [2]*linalg.Matrix{left: sigL, right: sigR} {
-		fam := newFamily(0, sol.Leads.spec(side(s)))
+		fam := familyOf(t, sol.Leads.spec(side(s)))
 		if res := dysonResidual(t, fam, z, sig, side(s)); !(res <= 1e-6*math.Max(1, maxAbs(sig))) {
 			t.Logf("%s E=%v: SKIPPED — Σ_%s fails its Dyson precondition: residual %.3g, ‖Σ‖ = %.3g", name, e, sideNames[s], res, maxAbs(sig))
 			return false
@@ -133,7 +133,8 @@ func sigmaSound(t *testing.T, name string, sol *Solver, e float64) bool {
 // upper bound on the channels the contact can feed.
 func gammaRank(t *testing.T, sigma *linalg.Matrix) int {
 	t.Helper()
-	gam := Broadening(sigma)
+	gam := linalg.New(sigma.Rows, sigma.Cols)
+	BroadeningInto(gam, sigma)
 	vals, err := linalg.EigHValues(gam)
 	if err != nil {
 		t.Fatal(err)

@@ -54,53 +54,6 @@ func (ss sideSet) has(s side) bool { return ss&(1<<s) != 0 }
 // and an overflowed element reads +Inf.
 func finite(norm float64) bool { return !math.IsNaN(norm) && !math.IsInf(norm, 0) }
 
-// partition splits a lead's orbitals by what its coupling touches: S = R ∪ C,
-// the rows and columns of h01 that hold a nonzero, and the interior I the
-// coupling never reads. posR and posC are where R and C sit inside S, and
-// the h blocks are h00 gathered on the split (hSS is s×s). With an empty
-// interior the recursion below is the dense Sancho-Rubio recursion.
-type partition struct {
-	posR, posC         []int
-	hSS, hSI, hIS, hII linalg.Matrix
-}
-
-// effectiveLayer returns M(z) = (z − h00)_SS − h00_SI·(z − h00_II)⁻¹·h00_IS
-// as workspace scratch — the layer a recursion that only ever reads g[S,S]
-// sees, built once per energy — or nil when the interior factor is singular
-// or its pivot ratio min|u_ii| / max|u_ii| is below sparse.InteriorGuard.
-func (p *partition) effectiveLayer(z complex128, ws *linalg.Workspace) *linalg.Matrix {
-	s, ni := p.hSS.Rows, p.hII.Rows
-	m := ws.Get(s, s)
-	linalg.ShiftedNegInto(m, &p.hSS, z)
-	if ni == 0 {
-		return m
-	}
-	lu := ws.Get(ni, ni)
-	linalg.ShiftedNegInto(lu, &p.hII, z)
-	piv := ws.GetInts(ni)
-	defer ws.PutInts(piv)
-	fac, err := linalg.FactorInPlace(lu, piv)
-	if err != nil {
-		return nil
-	}
-	// The factor's diagonal holds 1/u_ii, and min|u| ≥ g·max|u| is
-	// min|1/u| ≥ g·max|1/u|: the ratio is read off the reciprocals.
-	lo, hi := math.Inf(1), 0.0
-	for i := 0; i < ni; i++ {
-		r := cmplx.Abs(lu.Data[i*ni+i])
-		lo, hi = min(lo, r), max(hi, r)
-	}
-	if !(lo >= sparse.InteriorGuard*hi) {
-		return nil
-	}
-	x := ws.Get(ni, s)
-	fac.SolveInto(x, &p.hIS)
-	linalg.GemmInto(m, -1, &p.hSI, linalg.NoTrans, x, linalg.NoTrans, 1)
-	ws.Put(x)
-	ws.Put(lu)
-	return m
-}
-
 // decimate runs the Sancho-Rubio recursion of the family's periodic lead at
 // complex energy z in the coupling's support space and returns, as ws
 // scratch, the blocks of the retarded surface Green's functions the
@@ -110,10 +63,19 @@ func (p *partition) effectiveLayer(z complex128, ws *linalg.Workspace) *linalg.M
 // The couplings keep their shape under the recursion — α_i is nonzero only
 // on R×C, β_i on C×R — so every product needs only blocks of g[S,S], every
 // ε-update lives on S×S (the right surface's on R×R, the left's on C×C),
-// and g[S,S] = (M(z) − Δ)⁻¹ with M the effective layer and Δ the
+// and g[S,S] = (M(z) − Δ)⁻¹ with M the family's sparse.Layer at z and Δ the
 // accumulated update: an iteration is one s×s inverse plus r-sized
-// products. An energy whose interior factor fails the guard runs on the
-// family's empty-interior partition — the same loop with s = n.
+// products. An energy the layer's guard keeps whole runs the same loop with
+// s = n, S first; R and C sit at the same positions either way.
+//
+// An energy the eliminated layer cannot finish reruns on the whole layer.
+// Within a few η of a level of the full h00 (not of the interior, which the
+// guard sees) the first inverse is ~1/η large, every layout's rounding is
+// amplified by as much, and whether α and β — transposes of each other for
+// a real lead — stay balanced until both decay is a matter of that
+// rounding: at AGNR-7's E = 1.3976219674 eV, 8.8e-7 eV from such a level,
+// the eliminated layer's α grows by squaring until it overflows at
+// iteration 31, and the whole layer's converges at iteration 25.
 //
 // Both surfaces come out of one recursion: every iteration forms α·g·β and
 // β·g·α for the bulk block anyway, and the two surfaces differ only in which
@@ -129,19 +91,24 @@ func (b *blockFamily) decimate(z complex128, want sideSet, ws *linalg.Workspace)
 	if imag(z) <= 0 {
 		return surf, fmt.Errorf("negf: surface GF needs Im(z) > 0, got %g", imag(z))
 	}
-	p := &b.part
-	layer := p.effectiveLayer(z, ws)
-	if layer == nil {
-		p = &b.dense
-		layer = p.effectiveLayer(z, ws)
+	layer := b.layer.At(z, ws)
+	surf, err = b.recursion(layer, want, ws)
+	if err != nil && layer.Rows < b.h00.Rows {
+		surf, err = b.recursion(b.layer.Whole().At(z, ws), want, ws)
 	}
-	s, r, c := p.hSS.Rows, len(b.rows), len(b.cols)
+	return surf, err
+}
+
+// recursion runs decimate's loop on the effective layer M(z), with R and C
+// at b.posR and b.posC of its rows.
+func (b *blockFamily) recursion(layer *linalg.Matrix, want sideSet, ws *linalg.Workspace) (surf [2]*linalg.Matrix, err error) {
+	s, r, c := layer.Rows, len(b.rows), len(b.cols)
 	bulk := ws.Get(s, s) // z − ε on S
 	bulk.CopyFrom(layer)
 	// The surfaces' own sums of −α·g·β (right, on R×R) and −β·g·α (left, on
 	// C×C), and where each lands in S.
 	upd := [2]*linalg.Matrix{left: ws.Get(c, c), right: ws.Get(r, r)}
-	pos := [2][]int{left: p.posC, right: p.posR}
+	pos := [2][]int{left: b.posC, right: b.posR}
 	alpha, beta, alphaNew, betaNew := ws.Get(r, c), ws.Get(c, r), ws.Get(r, c), ws.Get(c, r)
 	alpha.CopyFrom(&b.a)
 	beta.CopyFrom(&b.ad)
@@ -154,8 +121,8 @@ func (b *blockFamily) decimate(z complex128, want sideSet, ws *linalg.Workspace)
 		if err := linalg.InverseInto(g, bulk, ws); err != nil {
 			return surf, fmt.Errorf("negf: decimation inversion failed: %w", err)
 		}
-		sparse.Gather(gCC, g, p.posC, p.posC)
-		sparse.Gather(gRR, g, p.posR, p.posR)
+		sparse.Gather(gCC, g, b.posC, b.posC)
+		sparse.Gather(gRR, g, b.posR, b.posR)
 		linalg.MulInto(agC, alpha, linalg.NoTrans, gCC, linalg.NoTrans)
 		linalg.MulInto(bgR, beta, linalg.NoTrans, gRR, linalg.NoTrans)
 		linalg.GemmInto(agb, -1, agC, linalg.NoTrans, beta, linalg.NoTrans, 0)
@@ -173,10 +140,10 @@ func (b *blockFamily) decimate(z complex128, want sideSet, ws *linalg.Workspace)
 		if iter == surfaceMaxIter {
 			return surf, fmt.Errorf("%w: %d iterations", ErrNoConvergence, iter)
 		}
-		sparse.ScatterAdd(bulk, agb, p.posR, p.posR)
-		sparse.ScatterAdd(bulk, bga, p.posC, p.posC)
-		sparse.Gather(gCR, g, p.posC, p.posR)
-		sparse.Gather(gRC, g, p.posR, p.posC)
+		sparse.ScatterAdd(bulk, agb, b.posR, b.posR)
+		sparse.ScatterAdd(bulk, bga, b.posC, b.posC)
+		sparse.Gather(gCR, g, b.posC, b.posR)
+		sparse.Gather(gRC, g, b.posR, b.posC)
 		linalg.MulInto(agR, alpha, linalg.NoTrans, gCR, linalg.NoTrans)
 		linalg.MulInto(bgC, beta, linalg.NoTrans, gRC, linalg.NoTrans)
 		linalg.MulInto(alphaNew, agR, linalg.NoTrans, alpha, linalg.NoTrans)
@@ -287,13 +254,6 @@ func (l *Leads) selfEnergies(fams [2]*blockFamily, z complex128, get func(*block
 		sig[s] = one[s]
 	}
 	return sig[left], sig[right], nil
-}
-
-// Broadening returns Γ = i(Σ − Σ†), the contact broadening matrix.
-func Broadening(sigma *linalg.Matrix) *linalg.Matrix {
-	g := linalg.New(sigma.Rows, sigma.Cols)
-	BroadeningInto(g, sigma)
-	return g
 }
 
 // BroadeningInto writes Γ = i(Σ − Σ†) into dst elementwise, without

@@ -202,7 +202,7 @@ type Coupling struct {
 }
 
 func newCoupling(u, l *linalg.Matrix) Coupling {
-	c := Coupling{Rows: union(RowSupport(u), ColumnSupport(l)), Cols: union(ColumnSupport(u), RowSupport(l))}
+	c := Coupling{Rows: Union(RowSupport(u), ColumnSupport(l)), Cols: Union(ColumnSupport(u), RowSupport(l))}
 	c.U = linalg.New(len(c.Rows), len(c.Cols))
 	Gather(c.U, u, c.Rows, c.Cols)
 	c.L = linalg.New(len(c.Cols), len(c.Rows))

@@ -3,25 +3,11 @@ package sparse
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"slices"
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
 )
-
-// InteriorGuard is the one threshold both interior eliminations share.
-// Eliminating a layer's interior I divides by the distance δ from Re z to a
-// level of H[I,I]: the eliminated layer carries a pole of size 1/δ and an
-// absolute error of ε/δ², so within ~√ε of a level it loses the digits a
-// whole-layer solve keeps. An energy whose interior is that close keeps the
-// layer whole instead — the same kernel with an empty interior — and the
-// choice is a function of (block, z) alone. negf's decimation holds its
-// interior factor's pivot ratio min|u_ii| / max|u_ii| to it, ReducedSystem
-// the interior's spectrum, min|z − λ| / max|z − λ|. negf's
-// TestAdversarialEnergies and wavefunction's TestReducedAdversarialEnergies
-// park Re z on every interior level and set it.
-const InteriorGuard = 1e-3
 
 // ReducedSystem is the open system z − H − Σ_L − Σ_R of one fixed Hermitian
 // H on the couplings' supports (DESIGN.md §11 "The open system on the
@@ -29,47 +15,19 @@ const InteriorGuard = 1e-3
 // of the coupling from the left and the rows of the one to the right, the
 // left contact's support on the first layer and the right contact's on the
 // last — and the interior I_i, which no coupling, self-energy, injection or
-// transmission readout touches. The interior is eliminated through the
-// eigenpairs of H_ii[I,I] = V·Λ·V†, computed once here: with W = V†·H_ii[I,S]
-// and d = 1/(z − λ),
-//
-//	M_i(z) = z − H_ii[S,S] − W†·diag(d)·W,   x_I = V·diag(d)·W·x_S
-//
-// are layer i of the reduced block-tridiagonal system and the interior of its
-// solution. Layers whose (H_ii, S_i) are equal bit for bit share one record
-// and, per energy, one M. Building it counts no flop: it is set-up, not the
-// work of the task that happens to trigger it.
+// transmission readout touches and which a Layer eliminates: its M_i(z) is
+// layer i of the reduced block-tridiagonal system. Layers whose (H_ii, S_i)
+// are equal bit for bit share one Layer and, per energy, one M.
 type ReducedSystem struct {
-	sizes []int         // n_i
-	rec   []int         // layer i's record
-	recs  []layerRecord // distinct layers, in order of first appearance
+	sizes []int    // n_i
+	rec   []int    // layer i's record
+	recs  []*Layer // distinct layers, in order of first appearance
 	// cps are the couplings at their positions in the reduced layers, which
 	// a layer kept whole leaves where they are: it appends its interior.
 	cps []Coupling
 	// The contacts' supports on the first and last layers, and where they
 	// sit in the reduced layers.
 	left, right, posL, posR []int
-}
-
-// layerRecord is what equal layers share: S, and the two partitions an
-// energy can run them on.
-type layerRecord struct {
-	h           *linalg.Matrix // H_ii of the first layer with these bits
-	sup         []int          // S_i, ascending
-	part, whole partition
-}
-
-// partition lays a layer out for the reduced system: the orbitals it keeps,
-// in the order of its rows — S ascending, then, when the layer is whole, I —
-// the block of H_ii on them, and the interior it eliminates with its
-// eigenpairs. whole is part with an empty interior.
-type partition struct {
-	keep   []int
-	hKK    linalg.Matrix
-	in     []int
-	lambda []float64
-	v      linalg.Matrix // eigenvectors of H_ii[I,I], |I|×|I|
-	w, wh  linalg.Matrix // W = V†·H_ii[I,keep] and W†
 }
 
 // NewReducedSystem partitions every layer of h, which must be Hermitian,
@@ -83,8 +41,7 @@ func NewReducedSystem(h *BlockTridiag, left, right []int) (*ReducedSystem, error
 		sizes: make([]int, nl), rec: make([]int, nl), cps: make([]Coupling, nl-1),
 		left: left, right: right,
 	}
-	sups, ranks := make([][]int, nl), make([][]int, nl)
-	for i := range sups {
+	for i := range r.rec {
 		lo, hi := left, right
 		if i > 0 {
 			lo = sys.Coupling(i - 1).Cols
@@ -93,99 +50,27 @@ func NewReducedSystem(h *BlockTridiag, left, right []int) (*ReducedSystem, error
 			hi = sys.Coupling(i).Rows
 		}
 		r.sizes[i] = h.LayerSize(i)
-		sups[i] = union(lo, hi)
-		ranks[i] = rankIn(sups[i], r.sizes[i])
-		g := slices.IndexFunc(r.recs, func(rec layerRecord) bool {
-			return slices.Equal(rec.sup, sups[i]) && sameBits(rec.h, h.Diag[i])
+		sup := Union(lo, hi)
+		g := slices.IndexFunc(r.recs, func(l *Layer) bool {
+			return slices.Equal(l.sup, sup) && sameBits(l.h, h.Diag[i])
 		})
 		if g < 0 {
-			rec, err := newRecord(h.Diag[i], sups[i], ranks[i])
+			l, err := NewLayer(h.Diag[i], sup)
 			if err != nil {
 				return nil, fmt.Errorf("sparse: layer %d interior: %w", i, err)
 			}
 			g = len(r.recs)
-			r.recs = append(r.recs, rec)
+			r.recs = append(r.recs, l)
 		}
 		r.rec[i] = g
 	}
-	r.posL, r.posR = pick(ranks[0], left), pick(ranks[nl-1], right)
+	layer := func(i int) *Layer { return r.recs[r.rec[i]] }
+	r.posL, r.posR = layer(0).Pos(left), layer(nl-1).Pos(right)
 	for i := range r.cps {
 		c := sys.Coupling(i)
-		r.cps[i] = Coupling{Rows: pick(ranks[i], c.Rows), Cols: pick(ranks[i+1], c.Cols), U: c.U, L: c.L}
+		r.cps[i] = Coupling{Rows: layer(i).Pos(c.Rows), Cols: layer(i + 1).Pos(c.Cols), U: c.U, L: c.L}
 	}
 	return r, nil
-}
-
-// newRecord partitions a layer block h on its support sup, rank its
-// positions (−1 off S), and eliminates the rest: the eigendecomposition and
-// W are set-up, and count no flop. Every block of the record lives on one
-// slab — a solver is built once per Hamiltonian, every SCF iteration.
-func newRecord(h *linalg.Matrix, sup, rank []int) (layerRecord, error) {
-	n, s := h.Rows, len(sup)
-	keep := append(make([]int, 0, n), sup...)
-	for o, p := range rank {
-		if p < 0 {
-			keep = append(keep, o)
-		}
-	}
-	in := keep[s:]
-	ni := len(in)
-	slab := make([]complex128, s*s+ni*ni+3*ni*s+n*n)
-	take := func(rows, cols int) linalg.Matrix {
-		m := linalg.Matrix{Rows: rows, Cols: cols, Data: slab[: rows*cols : rows*cols]}
-		slab = slab[rows*cols:]
-		return m
-	}
-	gather := func(rows, cols []int) linalg.Matrix {
-		m := take(len(rows), len(cols))
-		Gather(&m, h, rows, cols)
-		return m
-	}
-	rec := layerRecord{h: h, sup: sup}
-	rec.part = partition{keep: keep[:s:s], hKK: gather(sup, sup), in: in}
-	hII := gather(in, in)
-	eig, err := linalg.EigHSetup(&hII)
-	if err != nil {
-		return rec, err
-	}
-	rec.part.lambda, rec.part.v = eig.Values, *eig.Vectors
-	// W = V†·H[I,S], by hand: GemmInto would count it.
-	hIS := gather(in, sup)
-	rec.part.w, rec.part.wh = take(ni, s), take(s, ni)
-	for q := 0; q < ni; q++ {
-		for p := 0; p < s; p++ {
-			var acc complex128
-			for k := 0; k < ni; k++ {
-				acc += cmplx.Conj(eig.Vectors.Data[k*ni+q]) * hIS.Data[k*s+p]
-			}
-			rec.part.w.Data[q*s+p] = acc
-		}
-	}
-	linalg.ConjTransposeInto(&rec.part.wh, &rec.part.w)
-	rec.whole = partition{keep: keep, hKK: gather(keep, keep), w: linalg.Matrix{Cols: n}, wh: linalg.Matrix{Rows: n}}
-	return rec, nil
-}
-
-// rankIn returns where each orbital of an n-orbital layer sits in sup, −1
-// where it is not in it.
-func rankIn(sup []int, n int) []int {
-	rank := make([]int, n)
-	for o := range rank {
-		rank[o] = -1
-	}
-	for p, o := range sup {
-		rank[o] = p
-	}
-	return rank
-}
-
-// pick returns rank[o] for every orbital o of of.
-func pick(rank, of []int) []int {
-	out := make([]int, len(of))
-	for j, o := range of {
-		out[j] = rank[o]
-	}
-	return out
 }
 
 // sameBits reports whether a and b have the same shape and bits.
@@ -225,7 +110,7 @@ type Reduced struct {
 // energyRecord is one record at one energy: the partition its layers run
 // on, M(z) on it and d = 1/(z − λ) over its interior (|I|×1).
 type energyRecord struct {
-	p    *partition
+	p    *Layer
 	m, d *linalg.Matrix
 }
 
@@ -236,7 +121,8 @@ type energyRecord struct {
 func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.Workspace) *Reduced {
 	red := &Reduced{sys: r, recs: make([]energyRecord, len(r.recs))}
 	for g := range r.recs {
-		red.recs[g] = r.recs[g].at(z, ws)
+		e := &red.recs[g]
+		e.p, e.m, e.d = r.recs[g].at(z, ws)
 	}
 	nl := len(r.sizes)
 	// One slice backs the diagonal blocks and the nil upper and lower ones.
@@ -255,40 +141,6 @@ func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.W
 	subtractOn(diag[nl-1], sigR, r.right, r.posR)
 	red.A = view(diag, blocks[nl:2*nl-1], blocks[2*nl-1:], r.cps)
 	return red
-}
-
-// at picks the partition layers of rec run on at z and builds M(z) on it
-// and d over its interior, both ws scratch.
-func (rec *layerRecord) at(z complex128, ws *linalg.Workspace) energyRecord {
-	p := &rec.part
-	if !p.eliminates(z) {
-		p = &rec.whole
-	}
-	ni, s := len(p.in), len(p.keep)
-	e := energyRecord{p: p, m: ws.Get(s, s), d: ws.Get(ni, 1)}
-	linalg.ShiftedNegInto(e.m, &p.hKK, z)
-	for q, l := range p.lambda {
-		e.d.Data[q] = 1 / (z - complex(l, 0))
-	}
-	perf.AddFlops(int64(ni) * (perf.FlopsCAdd + perf.FlopsCDiv))
-	dw := ws.Get(ni, s)
-	linalg.ScaleRowsInto(dw, e.d.Data, &p.w)
-	linalg.GemmInto(e.m, -1, &p.wh, linalg.NoTrans, dw, linalg.NoTrans, 1)
-	ws.Put(dw)
-	return e
-}
-
-// eliminates reports whether z keeps min|z − λ| ≥ InteriorGuard·max|z − λ|
-// over the partition's interior levels — vacuously true without any, and
-// always for a single one, as negf's pivot ratio is for a 1×1 interior.
-func (p *partition) eliminates(z complex128) bool {
-	lo, hi := math.Inf(1), 0.0
-	for _, l := range p.lambda {
-		dz := z - complex(l, 0)
-		a := real(dz)*real(dz) + imag(dz)*imag(dz)
-		lo, hi = min(lo, a), max(hi, a)
-	}
-	return len(p.lambda) == 0 || lo >= InteriorGuard*InteriorGuard*hi
 }
 
 // subtractOn subtracts sigma[sup, sup] from dst[pos, pos].
@@ -340,8 +192,7 @@ func ReducedFlops(sizes, sups []int, shared []bool, rL, rR, k int, density bool)
 	for i, n := range sizes {
 		s, ni := sups[i], n-sups[i]
 		if shared == nil || !shared[i] {
-			f += int64(s*s)*perf.FlopsCAdd + int64(ni)*(perf.FlopsCAdd+perf.FlopsCDiv) +
-				int64(ni*s)*perf.FlopsCMul + perf.GemmFlops(s, ni, s)
+			f += LayerFlops(n, s)
 		}
 		if density {
 			f += perf.GemmFlops(ni, s, k) + int64(ni*k)*perf.FlopsCMul + perf.GemmFlops(ni, ni, k)

@@ -40,9 +40,9 @@ func ColumnSupport(m *linalg.Matrix) []int {
 	return sup
 }
 
-// union merges two ascending index lists into one.
-func union(a, b []int) []int {
-	out := append(slices.Clone(a), b...)
+// Union merges two ascending index lists into one, ascending.
+func Union(a, b []int) []int {
+	out := append(append(make([]int, 0, len(a)+len(b)), a...), b...)
 	slices.Sort(out)
 	return slices.Compact(out)
 }

@@ -101,10 +101,11 @@ func injectionDrops(t *testing.T, s *Solver, e float64) float64 {
 //
 // beside SiNW-2x2's 6.4e-10 at η = 1e-8 under every guard, which the solver
 // without the reduction shows too (6.1e-10 at E = 0.1152 eV): the
-// injection's distance from the dense inverse, not the elimination's. 1e-3
-// is negf's decimation guard, so the one constant holds both, at a cost the
-// sweeps barely see: it keeps 0.5 % of agnr7's layer solves and 6.5 % of
-// sinw's whole (DESIGN.md §11).
+// injection's distance from the dense inverse, not the elimination's. The
+// one constant holds negf's decimation too, whose table also reads 0 from
+// 1e-4 up; at 1e-4 the 400-point sinw sweep keeps 27 of its 3,600 effective
+// layers (each energy's records and lead) whole, the 1,500-point agnr7 sweep
+// none (DESIGN.md §11).
 func TestReducedAdversarialEnergies(t *testing.T) {
 	offsets := []float64{0, 1e-7, -1e-7, 1e-4, -1e-4}
 	for _, d := range device.BenchmarkSuite() {
