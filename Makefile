@@ -62,13 +62,16 @@ race:
 # total byte for byte on a wave-function sweep at n = 40, one at n = 14
 # (|C| = 4 coupling columns, 1–3 injection columns: solves and products of
 # every width from 2 to 5, which the fused kernels take since PR 28), a
-# self-consistent NEGF I-V run (RGF with density, n = 14), the same I-V run
-# in the wave-function formalism (density on: every layer's interior
-# recovered from the reduced open system), an NEGF transmission sweep at
-# n = 40 — the density-off RGF, where the g_i column solve and the r-sized
-# products beside it both run the fused AVX kernels — and the same
-# wave-function sweep on three SplitSolve domains (spike solves and the
-# reduced interface system).
+# self-consistent NEGF I-V run (RGF with density on the reduced layers:
+# s = 7 of n = 14 orbitals, each interior recovered from its eigenpairs),
+# the same I-V run in the wave-function formalism (density on: every
+# layer's interior recovered from the reduced open system), an NEGF
+# transmission sweep at n = 40 — the density-off RGF, where the g_i column
+# solve and the r-sized products beside it both run the fused AVX kernels —
+# and the same wave-function sweep on three SplitSolve domains (spike
+# solves and the reduced interface system). The NEGF I-V run must also
+# print the same bytes at -workers 1 and 2: the nested bias × energy
+# borrowing must not move a bit.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
@@ -87,6 +90,11 @@ portable-kernels:
 			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical across builds"; \
 	done
+	bin/omen $(PORTABLE_IV) -workers 1 | grep -v '^# sigma-cache' > bin/portable.w1.txt
+	bin/omen $(PORTABLE_IV) -workers 2 | grep -v '^# sigma-cache' > bin/portable.w2.txt
+	cmp bin/portable.w1.txt bin/portable.w2.txt \
+		|| { echo "portable-kernels: omen $(PORTABLE_IV) differs between -workers 1 and 2"; exit 1; }
+	@echo "portable-kernels: omen $(PORTABLE_IV) byte-identical at -workers 1 and 2"
 
 # The fault-injection suite: panic isolation, retry/backoff, journal
 # resume, torn group commits, the coordinator's commit pipeline and

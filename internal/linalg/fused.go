@@ -43,39 +43,43 @@ func TraceMul(a, b *Matrix) complex128 {
 	return s
 }
 
-// DiagMulConjInto writes diag(x·g·x†) into dst using one n×m product and
-// n row dots — O(n·m²) instead of the O(n²·m) of materializing x·g·x†.
-// x is n×m, g is m×m, dst has length n. This is the spectral-function
-// assembly kernel: the contact-resolved density needs only [G·Γ·G†]_ii.
-func DiagMulConjInto(dst []complex128, x, g *Matrix, ws *Workspace) {
-	if g.Rows != x.Cols || g.Cols != x.Cols {
+// DiagMulConjInto writes diag(x·g·x†), real for a Hermitian g, into dst
+// from xt = x† (m×n) and g (m×m), using one m×m·m×n product — as wide as x
+// is tall — and a streaming pass of real parts: O(n·m²) instead of the
+// O(n²·m) of materializing x·g·x†. dst has length n. This is the
+// spectral-function assembly kernel: the contact-resolved density needs
+// only [G·Γ·G†]_ii, and entry i is Re Σ_a x[i,a]·(g·x†)[a,i].
+func DiagMulConjInto(dst []float64, xt, g *Matrix, ws *Workspace) {
+	if g.Rows != xt.Rows || g.Cols != xt.Rows {
 		panic("linalg: dimension mismatch in DiagMulConjInto")
 	}
-	if len(dst) != x.Rows {
+	if len(dst) != xt.Cols {
 		panic("linalg: output length mismatch in DiagMulConjInto")
 	}
-	m := x.Cols
-	y := ws.Get(x.Rows, m)
-	GemmInto(y, 1, x, NoTrans, g, NoTrans, 0)
-	for i := 0; i < x.Rows; i++ {
-		yRow := y.Data[i*m : (i+1)*m]
-		xRow := x.Data[i*m : (i+1)*m]
-		var s complex128
-		for j, v := range yRow {
-			s += v * cmplx.Conj(xRow[j])
+	n := xt.Cols
+	yt := ws.Get(xt.Rows, n)
+	GemmInto(yt, 1, g, NoTrans, xt, NoTrans, 0)
+	clear(dst)
+	for a := 0; a < xt.Rows; a++ {
+		x, y := xt.Data[a*n:(a+1)*n], yt.Data[a*n:(a+1)*n]
+		for i, v := range y {
+			dst[i] += real(v)*real(x[i]) + imag(v)*imag(x[i])
 		}
-		dst[i] = s
 	}
-	ws.Put(y)
-	perf.AddFlops(int64(x.Rows) * int64(m) * perf.FlopsCMulAdd)
+	ws.Put(yt)
+	// Two products and two sums per term.
+	perf.AddFlops(int64(len(xt.Data)) * 2 * perf.FlopsCAdd)
 }
 
-// DiagMulConj returns diag(x·g·x†) as a fresh slice; see DiagMulConjInto.
-func DiagMulConj(x, g *Matrix) []complex128 {
+// DiagMulConj returns diag(x·g·x†) as a fresh slice, from x itself; see
+// DiagMulConjInto.
+func DiagMulConj(x, g *Matrix) []float64 {
 	ws := GetWorkspace()
 	defer ws.Release()
-	dst := make([]complex128, x.Rows)
-	DiagMulConjInto(dst, x, g, ws)
+	xt := ws.Get(x.Cols, x.Rows)
+	ConjTransposeInto(xt, x)
+	dst := make([]float64, x.Rows)
+	DiagMulConjInto(dst, xt, g, ws)
 	return dst
 }
 

@@ -1,6 +1,9 @@
 package negf
 
-import "repro/internal/linalg"
+import (
+	"repro/internal/linalg"
+	"repro/internal/sparse"
+)
 
 // DenseReference solves the same open system by brute force: it embeds the
 // self-energies in a dense matrix, inverts it, and applies the Caroli
@@ -28,12 +31,8 @@ func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
 	t := linalg.TraceMulConj(tns, g0N)
 	res := &Result{E: e, T: real(t)}
 	if density {
-		res.SpectralL, res.SpectralR = make([]float64, n), make([]float64, n)
-		aL := linalg.DiagMulConj(g.Submatrix(0, 0, n, n0), gamL)
-		aR := linalg.DiagMulConj(g.Submatrix(0, off[nl-1], n, nN), gamR)
-		for i := 0; i < n; i++ {
-			res.SpectralL[i], res.SpectralR[i] = real(aL[i]), real(aR[i])
-		}
+		res.SpectralL = linalg.DiagMulConj(g.Submatrix(0, 0, n, n0), gamL)
+		res.SpectralR = linalg.DiagMulConj(g.Submatrix(0, off[nl-1], n, nN), gamR)
 		res.DOS = BallisticDOS(res.SpectralL, res.SpectralR)
 	}
 	return res, nil
@@ -49,7 +48,7 @@ func (s *Solver) denseGreen(e float64) (g, sigL, sigR *linalg.Matrix, err error)
 	}
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	a := s.system().At(z, ws)
+	a := sparse.NewShiftedSystem(s.H).At(z, ws)
 	a.AddScaledToDiagBlock(0, sigL, -1)
 	a.AddScaledToDiagBlock(a.Layers()-1, sigR, -1)
 	g = linalg.New(s.H.N(), s.H.N())

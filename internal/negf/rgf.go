@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/cmplx"
 	"sync"
 
 	"repro/internal/linalg"
@@ -26,16 +27,23 @@ type Solver struct {
 	// self-consistent loop with pinned contacts).
 	Cache *SelfEnergyCache
 
-	// open is the z-independent part of z − H, built by the first solve.
+	// open is the open system reduced to the lead couplings' supports and
+	// axis the index list 0, 1, … of an axis gathered whole, both built by
+	// the first solve (reduced).
 	openOnce sync.Once
-	open     *sparse.ShiftedSystem
+	open     *sparse.ReducedSystem
+	openErr  error
+	axis     []int
 }
 
 // NewSolver builds a Solver with flat-band leads continued from the device
-// end layers.
+// end layers. H must be Hermitian (sparse.BlockTridiag.CheckHermitian).
 func NewSolver(h *sparse.BlockTridiag, eta float64) (*Solver, error) {
 	if eta <= 0 {
 		return nil, fmt.Errorf("negf: broadening must be positive, got %g", eta)
+	}
+	if err := h.CheckHermitian(); err != nil {
+		return nil, fmt.Errorf("negf: %w", err)
 	}
 	leads, err := LeadsFromDevice(h)
 	if err != nil {
@@ -105,51 +113,48 @@ func (s *Solver) selfEnergies(z complex128) (*linalg.Matrix, *linalg.Matrix, err
 	return CachedSelfEnergies(s.Cache, s.Leads, z)
 }
 
-// solveWithSigma is the RGF kernel. Per layer its one n×n operation is the
-// LU of the left-connected block M_i, solved against only the columns S_i
-// of the identity that the recursions read of g_i = M_i⁻¹ (leftConnected);
-// every product runs on the supports of the couplings (sparse.Coupling: U_i
-// on R_i × C_i, L_i on C_i × R_i) and of the contacts (Σ_L on C_Γ × C_Γ, Σ_R
-// on R_Γ × R_Γ, read off Σ itself). A dense coupling is the same code with
-// r = n. DESIGN.md §11 has the recursions.
+// solveWithSigma is the RGF kernel on the reduced open system
+// A = ReducedSystem.At(z, Σ_L, Σ_R), whose layer i keeps S_i = C_{i−1} ∪ R_i
+// first (then the interior, where the guard keeps the layer whole). Per
+// layer its one cubic operation is the LU of the left-connected block,
+// solved against the first |S_i| identity columns (leftConnected); every
+// product runs on the supports of A's couplings and of the contacts. With
+// density the columns G[:, C_Γ] and G[:, R_Γ] are formed side by side on the
+// kept rows and put back on every orbital by Reduced.Orbitals. A dense
+// coupling is the same code with r = n. DESIGN.md §11 has the recursions.
 func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matrix, density bool) (*Result, error) {
+	sys, err := s.reduced()
+	if err != nil {
+		return nil, err
+	}
 	// Every temporary of the solve lives in one per-solve workspace, so the
 	// sweeps run allocation-free and parallel energy points never share
 	// buffers.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	sys := s.system()
-	nl := s.H.Layers()
-	off := s.H.Offsets()
-	cG, rG := sparse.RowSupport(sigL), sparse.RowSupport(sigR)
-	gamL, gamR := BroadeningOn(sigL, cG, ws), BroadeningOn(sigR, rG, ws)
+	red := sys.At(z, sigL, sigR, ws)
+	a, nl := red.A, red.A.Layers()
+	supL, posL := sys.LeftContact()
+	supR, posR := sys.RightContact()
+	cG, rG := len(supL), len(supR)
+	gamL, gamR := BroadeningOn(sigL, supL, ws), BroadeningOn(sigR, supR, ws)
 
-	// Forward (left-connected) pass: g_i = (D_i − L_{i−1}·g_{i−1}·U_{i−1})⁻¹,
-	// the fold formed on C_{i−1} × C_{i−1}; with density also
-	// lq_i = l_i·g^L_{i,0}[R_i, C_Γ], the left-connected first block column
-	// where the next coupling reads it. Of g_i only the columns W_i ∪ R_i
-	// exist (leftConnected), W_i = C_{i−1} (C_Γ at i = 0) and R_i the rows
-	// of coupling i (R_Γ on the last layer); every read of g_i goes through
-	// the positions of W_i and R_i among them.
-	left := make([]leftColumns, nl)
-	var lq []*linalg.Matrix
-	if density {
-		lq = make([]*linalg.Matrix, nl-1)
-	}
+	// Forward pass: g_i = (A_ii − l_{i−1}·g_{i−1}·u_{i−1})⁻¹[:, S_i], the fold
+	// formed on C_{i−1} × C_{i−1}; the positions of W_i = C_{i−1} (C_Γ at
+	// i = 0) and R_i index g_i's columns directly. With density also
+	// yl_i = g^L_{i,0}[:, C_Γ] (g_0[:, C_Γ], then −g_i[:, W_i]·lq_{i−1}) and
+	// lq_i = l_i·yl_i[R_i, :], where the next layer reads it.
+	cols := make([]*linalg.Matrix, 3*nl)
+	g, yl, lq := cols[:nl], cols[nl:2*nl], cols[2*nl:]
 	for i := 0; i < nl; i++ {
-		m := sys.Diag(i, z, ws)
-		if i == 0 {
-			m.AddScaled(sigL, -1)
-		}
-		if i == nl-1 {
-			m.AddScaled(sigR, -1)
-		}
-		w, r := cG, rG
+		m := ws.Get(a.LayerSize(i), a.LayerSize(i))
+		m.CopyFrom(a.Diag[i])
+		w := posL
 		if i > 0 {
-			p := sys.Coupling(i - 1)
+			p := a.Coupling(i - 1)
 			w = p.Cols
 			grr := ws.Get(len(p.Rows), len(p.Rows))
-			sparse.Gather(grr, left[i-1].g, p.Rows, left[i-1].posR)
+			sparse.Gather(grr, g[i-1], p.Rows, p.Rows)
 			lg := ws.Get(len(p.Cols), len(p.Rows))
 			linalg.MulInto(lg, p.L, linalg.NoTrans, grr, linalg.NoTrans)
 			fold := ws.Get(len(p.Cols), len(p.Cols))
@@ -159,182 +164,148 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 			ws.Put(lg)
 			ws.Put(fold)
 		}
-		if i < nl-1 {
-			r = sys.Coupling(i).Rows
-		}
-		var err error
-		left[i], err = leftConnected(m, w, r, ws)
+		g[i], err = leftConnected(m, sys.SupportSize(i), ws)
 		ws.Put(m)
 		if err != nil {
 			return nil, fmt.Errorf("negf: RGF forward block %d: %w", i, err)
 		}
-		if density && i < nl-1 {
-			c := sys.Coupling(i)
-			q := ws.Get(len(c.Rows), len(cG))
-			if i == 0 {
-				sparse.Gather(q, left[0].g, c.Rows, left[0].posW)
-			} else {
-				grw := ws.Get(len(c.Rows), len(w))
-				sparse.Gather(grw, left[i].g, c.Rows, left[i].posW)
-				linalg.GemmInto(q, -1, grw, linalg.NoTrans, lq[i-1], linalg.NoTrans, 0)
-				ws.Put(grw)
-			}
-			lq[i] = ws.Get(len(c.Cols), len(cG))
+		if !density {
+			continue
+		}
+		all := s.axis[:g[i].Rows]
+		yl[i] = ws.Get(len(all), cG)
+		if i == 0 {
+			sparse.Gather(yl[0], g[0], all, posL)
+		} else {
+			gw := ws.Get(len(all), len(w))
+			sparse.Gather(gw, g[i], all, w)
+			linalg.GemmInto(yl[i], -1, gw, linalg.NoTrans, lq[i-1], linalg.NoTrans, 0)
+			ws.Put(gw)
+		}
+		if i < nl-1 {
+			c := a.Coupling(i)
+			q := ws.Get(len(c.Rows), cG)
+			sparse.Gather(q, yl[i], c.Rows, s.axis[:cG])
+			lq[i] = ws.Get(len(c.Cols), cG)
 			linalg.MulInto(lq[i], c.L, linalg.NoTrans, q, linalg.NoTrans)
 			ws.Put(q)
 		}
 	}
 
-	res := &Result{E: e}
+	// With density the two column sets on every orbital are stacked as their
+	// adjoints, xL = G[:, C_Γ]† and xR = G[:, R_Γ]†, N columns each.
+	var xL, xR *linalg.Matrix
+	off := s.H.N() // where the layer the backward pass is on ends
 	if density {
-		res.SpectralL = make([]float64, s.H.N())
-		res.SpectralR = make([]float64, s.H.N())
+		xL, xR = ws.Get(cG, off), ws.Get(rG, off)
 	}
 
-	// Backward pass. Layer i+1 hands down x = G_{i+1,i+1}[C_i, C_i] and
-	// y = G_{i+1,N−1}[C_i, R_Γ]; layer i forms, on all its rows, the columns
-	// the next step reads: colW = G_ii[:, W] with W = C_{i−1} (C_Γ at i = 0)
-	// and colR = G_{i,N−1}[:, R_Γ].
-	var x, y *linalg.Matrix
+	// Backward pass, the block back-substitution of the columns on the
+	// contact supports: X_{N−1} = [yl_{N−1} | g_{N−1}[:, R_Γ]] and
+	// X_i = [yl_i | 0] − g_i[:, R_i]·(u_i·X_{i+1}[C_i, :]), so that
+	// X_i = [G_{i,0}[:, C_Γ] | G_{i,N−1}[:, R_Γ]]. Without density only the
+	// R_Γ columns on the rows W_i, all the next layer reads, are formed; at
+	// i = 0 they are G_{0,N−1}[C_Γ, R_Γ], the block of the Caroli trace.
+	var x *linalg.Matrix
 	for i := nl - 1; i >= 0; i-- {
-		ni := left[i].g.Rows
-		all := sys.Axis(ni)
-		w := cG
+		rows, width := posL, rG
 		if i > 0 {
-			w = sys.Coupling(i - 1).Cols
-		}
-		colW := ws.Get(ni, len(w))
-		sparse.Gather(colW, left[i].g, all, left[i].posW)
-		colR := ws.Get(ni, len(rG))
-		if i == nl-1 {
-			sparse.Gather(colR, left[i].g, all, left[i].posR)
-		} else {
-			// G_ii[:, W] = g_i[:, W] + T₁·g_i[R_i, W] with
-			// T₁ = g_i[:, R_i]·(u_i·x·l_i); G_{i,N−1} = −g_i·U_i·G_{i+1,N−1}.
-			c := sys.Coupling(i)
-			r := len(c.Rows)
-			k := ws.Get(r, r)
-			linalg.Mul3Into(k, c.U, linalg.NoTrans, x, linalg.NoTrans, c.L, linalg.NoTrans, ws)
-			gR := ws.Get(ni, r)
-			sparse.Gather(gR, left[i].g, all, left[i].posR)
-			t1 := ws.Get(ni, r)
-			linalg.MulInto(t1, gR, linalg.NoTrans, k, linalg.NoTrans)
-			gRW := ws.Get(r, len(w))
-			sparse.Gather(gRW, left[i].g, c.Rows, left[i].posW)
-			linalg.GemmInto(colW, 1, t1, linalg.NoTrans, gRW, linalg.NoTrans, 1)
-			uy := ws.Get(r, len(rG))
-			linalg.MulInto(uy, c.U, linalg.NoTrans, y, linalg.NoTrans)
-			linalg.GemmInto(colR, -1, gR, linalg.NoTrans, uy, linalg.NoTrans, 0)
-			for _, m := range [...]*linalg.Matrix{k, gR, t1, gRW, uy, x, y} {
-				ws.Put(m)
-			}
+			rows = a.Coupling(i - 1).Cols
 		}
 		if density {
-			// G_{i,0}[:, C_Γ] = −G_ii[:, C_{i−1}]·l_{i−1}·g^L_{i−1,0}[R_{i−1}, C_Γ]:
-			// the first block column from left-connected quantities alone.
-			// Spectral diagonals [G·Γ·G†]_ii are row dots on those columns.
-			colL := colW
-			if i > 0 {
-				colL = ws.Get(ni, len(cG))
-				linalg.GemmInto(colL, -1, colW, linalg.NoTrans, lq[i-1], linalg.NoTrans, 0)
+			rows, width = s.axis[:g[i].Rows], cG+rG
+		}
+		xi := ws.Get(len(rows), width)
+		for q, o := range rows {
+			row := xi.Data[q*width : (q+1)*width]
+			if density {
+				copy(row, yl[i].Data[q*cG:(q+1)*cG])
 			}
-			d := ws.Get(ni, 1)
-			linalg.DiagMulConjInto(d.Data, colL, gamL, ws)
-			for k, v := range d.Data {
-				res.SpectralL[off[i]+k] = real(v)
-			}
-			linalg.DiagMulConjInto(d.Data, colR, gamR, ws)
-			for k, v := range d.Data {
-				res.SpectralR[off[i]+k] = real(v)
-			}
-			ws.Put(d)
-			if i > 0 {
-				ws.Put(colL)
+			if i == nl-1 {
+				for j, p := range posR {
+					row[width-rG+j] = g[i].Data[o*g[i].Cols+p]
+				}
 			}
 		}
-		// Rows W of the two column sets: x and y of the layer below, or at
-		// i = 0 the block G_{0,N−1}[C_Γ, R_Γ] of the Caroli trace.
-		y = ws.Get(len(w), len(rG))
-		sparse.Gather(y, colR, w, sys.Axis(len(rG)))
-		if i > 0 {
-			x = ws.Get(len(w), len(w))
-			sparse.Gather(x, colW, w, sys.Axis(len(w)))
+		if i < nl-1 {
+			c := a.Coupling(i)
+			if density {
+				// X_{i+1}[C_i, :]; without density x holds just those rows.
+				xc := ws.Get(len(c.Cols), width)
+				sparse.Gather(xc, x, c.Cols, s.axis[:width])
+				ws.Put(x)
+				x = xc
+			}
+			ux := ws.Get(len(c.Rows), width)
+			linalg.MulInto(ux, c.U, linalg.NoTrans, x, linalg.NoTrans)
+			gR := ws.Get(len(rows), len(c.Rows))
+			sparse.Gather(gR, g[i], rows, c.Rows)
+			linalg.GemmInto(xi, -1, gR, linalg.NoTrans, ux, linalg.NoTrans, 1)
+			ws.Put(ux)
+			ws.Put(gR)
+			ws.Put(x)
 		}
-		ws.Put(colW)
-		ws.Put(colR)
+		if density {
+			orb := red.Orbitals(i, xi, ws)
+			off -= orb.Rows
+			for q := 0; q < orb.Rows; q++ {
+				for j, v := range orb.Data[q*width : (q+1)*width] {
+					if j < cG {
+						xL.Data[j*xL.Cols+off+q] = cmplx.Conj(v)
+					} else {
+						xR.Data[(j-cG)*xR.Cols+off+q] = cmplx.Conj(v)
+					}
+				}
+			}
+			ws.Put(orb)
+		}
+		x = xi
 	}
 
 	// Caroli transmission T = Tr[Γ_L·G_{0,N-1}·Γ_R·G_{0,N-1}†] on the blocks
 	// where the Γ are nonzero, with the adjoint folded into the O(n²) trace
 	// kernel instead of a fourth product.
-	tns := ws.Get(len(cG), len(rG))
+	y := x
+	if density {
+		y = ws.Get(cG, rG)
+		sparse.Gather(y, x, posL, s.axis[cG:cG+rG])
+	}
+	res := &Result{E: e}
+	tns := ws.Get(cG, rG)
 	linalg.Mul3Into(tns, gamL, linalg.NoTrans, y, linalg.NoTrans, gamR, linalg.NoTrans, ws)
 	res.T = real(linalg.TraceMulConj(tns, y))
 	if density {
+		res.SpectralL, res.SpectralR = make([]float64, xL.Cols), make([]float64, xR.Cols)
+		linalg.DiagMulConjInto(res.SpectralL, xL, gamL, ws)
+		linalg.DiagMulConjInto(res.SpectralR, xR, gamR, ws)
 		res.DOS = BallisticDOS(res.SpectralL, res.SpectralR)
 	}
 	return res, nil
 }
 
-// leftColumns is what the forward pass keeps of g_i = M_i⁻¹: its columns
-// S = W ∪ R, ascending, and where W and R sit among them.
-type leftColumns struct {
-	g          *linalg.Matrix // g_i[:, S]
-	posW, posR []int
-}
-
 // leftConnected factors the left-connected block m in place and solves it
-// against the identity's columns S = W ∪ R, all ws scratch. Every column
-// of the solve is bit for bit that column of m's whole inverse (linalg's
-// luSolveInPlace), at |S|/n of the solve's cost.
-func leftConnected(m *linalg.Matrix, w, r []int, ws *linalg.Workspace) (leftColumns, error) {
-	n := m.Rows
-	piv := ws.GetInts(n)
+// against the identity's first s columns, g_i[:, S_i] with S_i the first s
+// rows of m, as ws scratch. Every column of the solve is bit for bit that
+// column of m's whole inverse (linalg's luSolveInPlace), at s/n of the
+// solve's cost.
+func leftConnected(m *linalg.Matrix, s int, ws *linalg.Workspace) (*linalg.Matrix, error) {
+	piv := ws.GetInts(m.Rows)
 	defer ws.PutInts(piv)
 	fac, err := linalg.FactorInPlace(m, piv)
 	if err != nil {
-		return leftColumns{}, err
+		return nil, err
 	}
-	// col[o] is orbital o's position in S, or −1 off it: members are marked
-	// 0, then numbered in one ascending pass.
-	col := ws.GetInts(n)
-	defer ws.PutInts(col)
-	for o := range col {
-		col[o] = -1
+	g := ws.Get(m.Rows, s)
+	for j := 0; j < s; j++ {
+		g.Data[j*s+j] = 1
 	}
-	for _, o := range w {
-		col[o] = 0
-	}
-	for _, o := range r {
-		col[o] = 0
-	}
-	var s int
-	for o, c := range col {
-		if c == 0 {
-			col[o] = s
-			s++
-		}
-	}
-	lc := leftColumns{g: ws.Get(n, s), posW: ws.GetInts(len(w)), posR: ws.GetInts(len(r))}
-	for o, c := range col {
-		if c >= 0 {
-			lc.g.Data[o*s+c] = 1
-		}
-	}
-	fac.SolveInPlace(lc.g)
-	for j, o := range w {
-		lc.posW[j] = col[o]
-	}
-	for j, o := range r {
-		lc.posR[j] = col[o]
-	}
-	return lc, nil
+	fac.SolveInPlace(g)
+	return g, nil
 }
 
 // BroadeningOn returns Γ[sup, sup] = i(Σ − Σ†)[sup, sup], the block of the
 // broadening outside which Σ — and so Γ — is zero, checked out of ws: how
-// both formalisms read a contact, RGF on Σ's own support, the wave-function
-// injection and readout on the lead coupling's.
+// both formalisms read a contact, on the lead coupling's support.
 func BroadeningOn(sigma *linalg.Matrix, sup []int, ws *linalg.Workspace) *linalg.Matrix {
 	blk := ws.Get(len(sup), len(sup))
 	sparse.Gather(blk, sigma, sup, sup)
@@ -353,8 +324,17 @@ func (s *Solver) Transmission(e float64) (float64, error) {
 	return r.T, nil
 }
 
-// system returns the z-independent part of z − H, built by the first solve.
-func (s *Solver) system() *sparse.ShiftedSystem {
-	s.openOnce.Do(func() { s.open = sparse.NewShiftedSystem(s.H) })
-	return s.open
+// reduced returns the reduced open system, built by the first solve from H
+// and the lead couplings' supports: Σ_L's, the columns of L01, and Σ_R's,
+// the rows of R01.
+func (s *Solver) reduced() (*sparse.ReducedSystem, error) {
+	s.openOnce.Do(func() {
+		left, right := sparse.ColumnSupport(s.Leads.L01), sparse.RowSupport(s.Leads.R01)
+		s.open, s.openErr = sparse.NewReducedSystem(s.H, left, right)
+		s.axis = sparse.Range(0, 2*s.H.N()) // past any layer and c_Γ + r_Γ
+	})
+	if s.openErr != nil {
+		return nil, fmt.Errorf("negf: %w", s.openErr)
+	}
+	return s.open, nil
 }

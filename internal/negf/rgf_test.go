@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -347,7 +349,7 @@ func TestRGFAdversarialShapes(t *testing.T) {
 }
 
 // TestConcurrentFirstSolve (run it under -race): 8 goroutines bring the first
-// energies to one fresh Solver at once. The compressed couplings are built
+// energies to one fresh Solver at once. The reduced open system is built
 // inside openOnce, exactly once, and read without a lock by every solve; each
 // result carries the bits a serial solver of its own returns.
 func TestConcurrentFirstSolve(t *testing.T) {
@@ -385,95 +387,163 @@ func TestConcurrentFirstSolve(t *testing.T) {
 			t.Errorf("goroutine %d: a concurrent first solve moved bits against a serial solver", i)
 		}
 	}
-	if _, err := shared.Solve(1.3, false); err != nil || shared.open != open {
-		t.Errorf("the shifted system was rebuilt after the first solves (err %v)", err)
+	if open == nil {
+		t.Fatal("no reduced system after the first solves")
 	}
+	if _, err := shared.Solve(1.3, false); err != nil || shared.open != open {
+		t.Errorf("the reduced system was rebuilt after the first solves (err %v)", err)
+	}
+}
+
+// layerSupports returns S_i of every layer as the solver's reduced system
+// partitions it — the columns of the coupling from the left and the rows of
+// the one to the right, the contacts' supports on the end layers — and the
+// eigenvalues of each layer's interior block H_ii[I,I].
+func layerSupports(t *testing.T, sol *Solver) (sup [][]int, levels [][]float64) {
+	t.Helper()
+	h, nl := sol.H, sol.H.Layers()
+	sup, levels = make([][]int, nl), make([][]float64, nl)
+	for i := range sup {
+		lo, hi := sparse.ColumnSupport(sol.Leads.L01), sparse.RowSupport(sol.Leads.R01)
+		if i > 0 {
+			lo = sparse.ColumnSupport(h.Upper[i-1])
+		}
+		if i < nl-1 {
+			hi = sparse.RowSupport(h.Upper[i])
+		}
+		sup[i] = sparse.Union(lo, hi)
+		var in []int
+		for o := 0; o < h.LayerSize(i); o++ {
+			if !slices.Contains(sup[i], o) {
+				in = append(in, o)
+			}
+		}
+		blk := linalg.New(len(in), len(in))
+		sparse.Gather(blk, h.Diag[i], in, in)
+		vals, err := linalg.EigHValues(blk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		levels[i] = vals
+	}
+	return sup, levels
+}
+
+// keptSizes returns the order of every layer of the reduced system at e —
+// |S_i| where the interior is eliminated, n_i where the guard keeps the
+// layer whole — with the self-energies it is built from.
+func keptSizes(t *testing.T, sol *Solver, e float64) (sizes []int, sigL, sigR *linalg.Matrix) {
+	t.Helper()
+	sigL, sigR, err := sol.selfEnergies(complex(e, sol.Eta))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := sol.reduced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	red := sys.At(complex(e, sol.Eta), sigL, sigR, ws)
+	sizes = make([]int, sol.H.Layers())
+	for i := range sizes {
+		sizes[i] = red.A.LayerSize(i)
+	}
+	return sizes, sigL, sigR
 }
 
 // TestRGFFlopCount is the "flop totals exact" contract stated for this
 // kernel: the counted flops of one solve, density off and on, equal a closed
-// form in the layer sizes n_i, the coupling supports |R_i| × |C_i|, the
-// contact supports c_Γ, r_Γ and the solved columns |S_i| = |W_i ∪ R_i| —
-// per layer one n×n LU solved against |S_i| columns and products with an
-// r-sized dimension, nothing cubic in n beside the LU. Solving against all
-// n columns, or against W_i ++ R_i with their overlap solved twice, moves
-// the count off the closed form; solving against S_i with one identity
-// column left out keeps the count and fails the oracle tests instead.
+// form — sparse.ReducedFlops for the reduced open system (the lift at width
+// c_Γ + r_Γ with density), plus per layer of order m_i (|S_i|, or n_i where
+// the guard keeps it whole) one m_i×m_i LU solved against the |S_i| support
+// columns and products with an r-sized dimension, plus A_L and A_R on all
+// n_i orbitals. Solving against all m_i columns, or forming the back
+// substitution on every row without density, moves the count off the
+// closed form. The sinw case runs once more with Re z on an interior level,
+// where a layer kept whole is counted.
 func TestRGFFlopCount(t *testing.T) {
 	wire := builtSolver(t, device.Description{Name: "sinw", Kind: device.SiNanowire, CellsX: 5, CellsY: 1, CellsZ: 1}, 0,
 		func(layer int) float64 { return 0.1 * float64(layer%3) })
-	for name, sol := range map[string]*Solver{"sinw": wire, "ragged": raggedSolver(), "one layer": oneLayerSolver()} {
-		const e = 1.8
+	_, levels := layerSupports(t, wire)
+	type energy struct {
+		name string
+		sol  *Solver
+		e    float64
+	}
+	cases := []energy{{"sinw", wire, 1.8}, {"ragged", raggedSolver(), 1.8}, {"one layer", oneLayerSolver(), 1.8},
+		{"sinw on an interior level of layer 2", wire, levels[2][len(levels[2])/2]}}
+	for _, tc := range cases {
+		sol, e := tc.sol, tc.e
 		z := complex(e, sol.Eta)
-		sigL, sigR, err := sol.selfEnergies(z)
+		kept, sigL, sigR := keptSizes(t, sol, e)
+		sys, err := sol.reduced()
 		if err != nil {
 			t.Fatal(err)
 		}
 		h := sol.H
 		nl := h.Layers()
-		supL, supR := sparse.RowSupport(sigL), sparse.RowSupport(sigR)
-		cG, rG := len(supL), len(supR)
-		rowSup, colSup := make([][]int, nl-1), make([][]int, nl-1)
+		sup, _ := layerSupports(t, sol)
+		sizes, sups, shared := make([]int, nl), make([]int, nl), make([]bool, nl)
+		var whole int
+		for i := range sizes {
+			sizes[i], sups[i] = h.LayerSize(i), len(sup[i])
+			if sups[i] != sys.SupportSize(i) {
+				t.Fatalf("%s layer %d: |S| = %d, the reduced system keeps %d", tc.name, i, sups[i], sys.SupportSize(i))
+			}
+			if kept[i] > sups[i] {
+				whole++
+			}
+			for j := 0; j < i; j++ {
+				shared[i] = shared[i] || slices.Equal(sup[i], sup[j]) && sameBits(h.Diag[i], h.Diag[j])
+			}
+		}
+		if strings.Contains(tc.name, "interior level") && whole == 0 {
+			t.Fatalf("%s: no layer kept whole; the case is vacuous", tc.name)
+		}
+		_, posL := sys.LeftContact()
+		_, posR := sys.RightContact()
+		cG, rG := len(posL), len(posR)
 		rows, cols := make([]int, nl-1), make([]int, nl-1)
 		for i := range rows {
-			rowSup[i], colSup[i] = sparse.RowSupport(h.Upper[i]), sparse.ColumnSupport(h.Upper[i])
-			rows[i], cols[i] = len(rowSup[i]), len(colSup[i])
+			rows[i], cols[i] = len(sparse.RowSupport(h.Upper[i])), len(sparse.ColumnSupport(h.Upper[i]))
 		}
 		gemm := func(n, k, p int) int64 { return perf.GemmFlops(n, k, p) }
 		sq := func(n int) int64 { return int64(n) * int64(n) }
-		// |W_i ∪ R_i|: W_i = C_{i−1} (C_Γ at i = 0), R_i = R_i (R_Γ last).
-		solved := func(i int) int {
-			w, r := supL, supR
-			if i > 0 {
-				w = colSup[i-1]
-			}
-			if i < nl-1 {
-				r = rowSup[i]
-			}
-			in := make(map[int]bool)
-			for _, o := range append(append([]int(nil), w...), r...) {
-				in[o] = true
-			}
-			return len(in)
-		}
 		for _, density := range []bool{false, true} {
 			// Contacts: Γ on its support, twice; the Caroli trace.
 			want := (sq(cG)+sq(rG))*(perf.FlopsCAdd+perf.FlopsCMul) +
-				gemm(cG, cG, rG) + gemm(cG, rG, rG) + int64(cG*rG)*perf.FlopsCMulAdd
+				gemm(cG, cG, rG) + gemm(cG, rG, rG) + int64(cG*rG)*perf.FlopsCMulAdd +
+				sparse.ReducedFlops(sizes, kept, shared, cG, rG, cG+rG, density)
 			for i := 0; i < nl; i++ {
-				n := h.LayerSize(i)
-				// Forward: z − H_ii, Σ at the ends, the fold, the LU and its
-				// solve against the columns S_i.
-				want += sq(n)*perf.FlopsCAdd + perf.LUFlops(n) + perf.SolveFlops(n, solved(i))
-				if i == 0 {
-					want += sq(n) * perf.FlopsCMulAdd
-				}
-				if i == nl-1 {
-					want += sq(n) * perf.FlopsCMulAdd
-				}
+				m := kept[i]
+				// Forward: the fold, the LU and its solve against S_i.
+				want += perf.LUFlops(m) + perf.SolveFlops(m, sups[i])
 				w := cG
 				if i > 0 {
 					r, c := rows[i-1], cols[i-1]
 					want += gemm(c, r, r) + gemm(c, r, c) + sq(c)*perf.FlopsCAdd
 					w = c
 				}
+				// Backward: u_i·X_{i+1}[C_i, :] and g_i[rows, R_i]·that, on
+				// the R_Γ columns of rows W_i, or with density on both column
+				// sets of every kept row.
+				height, width := w, rG
+				if density {
+					height, width = m, cG+rG
+				}
 				if i < nl-1 {
-					// Backward: K, T₁, G_ii[:, W], G_{i,N−1}[:, R_Γ].
-					r, c := rows[i], cols[i]
-					want += gemm(r, c, c) + gemm(r, c, r) + gemm(n, r, r) +
-						gemm(n, r, w) + gemm(r, c, rG) + gemm(n, r, rG)
+					want += gemm(rows[i], cols[i], width) + gemm(height, rows[i], width)
 				}
 				if density {
-					if i > 0 && i < nl-1 {
-						want += gemm(rows[i], w, cG) // q_i
+					if i > 0 {
+						want += gemm(m, w, cG) // g^L_{i,0}[:, C_Γ]
 					}
 					if i < nl-1 {
-						want += gemm(cols[i], rows[i], cG) // l_i·q_i
+						want += gemm(cols[i], rows[i], cG) // l_i·g^L_{i,0}[R_i, C_Γ]
 					}
-					if i > 0 {
-						want += gemm(n, w, cG) // G_{i,0}[:, C_Γ]
-					}
-					want += gemm(n, cG, cG) + gemm(n, rG, rG) + int64(n*(cG+rG))*perf.FlopsCMulAdd
+					n := sizes[i]
+					want += gemm(cG, cG, n) + gemm(rG, rG, n) + int64(n*(cG+rG))*2*perf.FlopsCAdd
 				}
 			}
 			perf.ResetFlops()
@@ -481,8 +551,126 @@ func TestRGFFlopCount(t *testing.T) {
 				t.Fatal(err)
 			}
 			if got := perf.ResetFlops(); got != want {
-				t.Errorf("%s, density %v: one solve counted %d flops, the closed form gives %d", name, density, got, want)
+				t.Errorf("%s, density %v: one solve counted %d flops, the closed form gives %d", tc.name, density, got, want)
 			}
+		}
+	}
+}
+
+// TestRGFAdversarialEnergies is wavefunction's TestReducedAdversarialEnergies
+// for RGF: Re z parked on the interior levels of every layer — where the
+// reduced system divides by δ = |z − λ| and, on the level itself, the guard
+// keeps the layer whole — and at ±1e-7 and ±1e-4 from them, at η = 1e-6 and
+// 1e-8, on every T1 family under the sinusoidal potential (every layer its
+// own record). T, A_L, A_R and the DOS of Solve(e, true) must stay within
+// 1e-9·max(1, |x|) of DenseReference, the dense inverse of the whole open
+// system. Skipped and logged, never compared silently: an energy whose Σ
+// fails its Dyson precondition (sigmaSound), and one beside a pole of Σ, a
+// surface state of the lead, where ‖Σ‖ > 1e6 — there any solver and the
+// dense inverse itself carry absolute errors of ~ε·‖Σ‖ on A (AGNR-7 under
+// this potential has such poles at ±0.0388 eV, ‖Σ‖ up to 9e8 at η = 1e-8,
+// on interior levels of its end layers, and the RGF before the reduction
+// missed the oracle there by 5e-9 to 1.1e-8 as well). The families up to
+// N = 170 run every level inside [−3, 8] eV, the larger ones an even stride
+// of them (a quarter of each under -short), as the dense oracle is O(N³).
+// A family whose interior has one level per layer never keeps a layer
+// whole; the suite as a whole must.
+func TestRGFAdversarialEnergies(t *testing.T) {
+	offsets := []float64{0, 1e-7, -1e-7, 1e-4, -1e-4}
+	var wholeAll int
+	for _, d := range device.BenchmarkSuite() {
+		nl := d.CellsX
+		pot := func(layer int) float64 { return 0.15 * math.Sin(2*math.Pi*(float64(layer)+0.5)/float64(nl)) }
+		var worst float64
+		var asked, skipped, whole int
+		for _, eta := range []float64{1e-6, 1e-8} {
+			sol := builtSolver(t, d, 0, pot)
+			sol.Eta = eta
+			_, perLayer := layerSupports(t, sol)
+			var levels []float64
+			for _, ls := range perLayer {
+				for _, l := range ls {
+					if l >= -3 && l <= 8 {
+						levels = append(levels, l)
+					}
+				}
+			}
+			if len(levels) == 0 {
+				t.Fatalf("%s: no interior level inside the window; the test is vacuous", d.Name)
+			}
+			keep := len(levels)
+			if sol.H.N() > 640 {
+				keep = 2
+			} else if sol.H.N() > 170 {
+				keep = 12
+			}
+			if testing.Short() {
+				keep = max(1, keep/4)
+			}
+			stride := max(1, len(levels)/keep)
+			for j := 0; j < len(levels); j += stride {
+				for _, off := range offsets {
+					e := levels[j] + off
+					if !sigmaSound(t, d.Name, sol, e) {
+						skipped++
+						continue
+					}
+					if sigL, sigR, _ := sol.selfEnergies(complex(e, eta)); max(maxAbs(sigL), maxAbs(sigR)) > 1e6 {
+						t.Logf("%s η=%g E=%v: SKIPPED — beside a pole of Σ, ‖Σ‖ = %.3g", d.Name, eta, e, max(maxAbs(sigL), maxAbs(sigR)))
+						skipped++
+						continue
+					}
+					asked++
+					kept, _, _ := keptSizes(t, sol, e)
+					for i, m := range kept {
+						if m == sol.H.LayerSize(i) && m > sol.open.SupportSize(i) {
+							whole++
+							break
+						}
+					}
+					got, err := sol.Solve(e, true)
+					if err != nil {
+						t.Fatalf("%s η=%g E=%v: %v", d.Name, eta, e, err)
+					}
+					want, err := sol.DenseReference(e, true)
+					if err != nil {
+						t.Fatalf("%s η=%g E=%v, dense: %v", d.Name, eta, e, err)
+					}
+					rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(1, math.Abs(b)) }
+					miss := rel(got.T, want.T)
+					for i := range want.DOS {
+						miss = max(miss, rel(got.DOS[i], want.DOS[i]), rel(got.SpectralL[i], want.SpectralL[i]), rel(got.SpectralR[i], want.SpectralR[i]))
+					}
+					worst = max(worst, miss)
+					if !(miss <= 1e-9) {
+						t.Errorf("%s η=%g E=%v: T, A_L, A_R or the DOS %.3g from the dense inverse (T = %.12g, dense %.12g)", d.Name, eta, e, miss, got.T, want.T)
+					}
+				}
+			}
+		}
+		t.Logf("%-14s %4d energies on and around interior levels (%d skipped, %d with a layer kept whole), worst relative error %.2g", d.Name, asked, skipped, whole, worst)
+		if asked == 0 {
+			t.Errorf("%s: every energy was skipped; the comparison is vacuous", d.Name)
+		}
+		wholeAll += whole
+	}
+	if wholeAll == 0 {
+		t.Error("no energy kept a layer whole; the guard was never exercised")
+	}
+}
+
+// TestSolveReportsReductionFailure: a device whose interior eigenproblem
+// fails (a NaN on a layer's diagonal stops the QL iteration) is a wrapped
+// error from every solve, never a panic.
+func TestSolveReportsReductionFailure(t *testing.T) {
+	sol := builtSolver(t, device.Description{Name: "agnr7", Kind: device.ArmchairGNR, CellsX: 5, CellsY: 7}, 0, nil)
+	blk := sol.H.Diag[2]
+	for o := 0; o < blk.Rows; o++ {
+		blk.Set(o, o, complex(math.NaN(), 0))
+	}
+	for _, density := range []bool{true, false} {
+		if _, err := sol.Solve(0.3, density); err == nil || !strings.Contains(err.Error(), "negf: sparse: layer 2 interior") {
+			t.Errorf("density %v: Solve returned %v, want the layer's wrapped eigensolver error", density, err)
 		}
 	}
 }

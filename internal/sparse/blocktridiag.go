@@ -2,6 +2,7 @@ package sparse
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/linalg"
@@ -36,9 +37,15 @@ type BlockTridiag struct {
 
 // view wraps blocks a parent matrix owns, with the parent's couplings.
 func view(diag, upper, lower []*linalg.Matrix, cps []Coupling) *BlockTridiag {
-	v := &BlockTridiag{Diag: diag, Upper: upper, Lower: lower}
-	v.cpOnce.Do(func() { v.cps = cps })
+	v := new(BlockTridiag)
+	v.wrap(diag, upper, lower, cps)
 	return v
+}
+
+// wrap makes the zero matrix v a view of the blocks and couplings.
+func (v *BlockTridiag) wrap(diag, upper, lower []*linalg.Matrix, cps []Coupling) {
+	v.Diag, v.Upper, v.Lower = diag, upper, lower
+	v.cpOnce.Do(func() { v.cps = cps })
 }
 
 // Window returns layers [lo, hi) of m, lo < hi, as a matrix of its own that
@@ -188,6 +195,29 @@ func (m *BlockTridiag) IsHermitian(tol float64) bool {
 		}
 	}
 	return true
+}
+
+// hermitianTol is how far, relative to H's largest entry, a Hamiltonian may
+// sit from its adjoint: assembly rounding is ~1e-16 of it.
+const hermitianTol = 1e-12
+
+// CheckHermitian refuses a Hamiltonian further from its adjoint than
+// hermitianTol of its largest entry. The interior elimination of a
+// ReducedSystem reads H_ii[S,I] as H_ii[I,S]†, so both transport solvers
+// refuse such a device by name rather than solve it into a plausible number.
+func (m *BlockTridiag) CheckHermitian() error {
+	var scale float64 // the largest |Re| or |Im| of m: within √2 of its largest entry
+	for _, blocks := range [2][]*linalg.Matrix{m.Diag, m.Upper} {
+		for _, b := range blocks {
+			for _, v := range b.Data {
+				scale = max(scale, math.Abs(real(v)), math.Abs(imag(v)))
+			}
+		}
+	}
+	if !m.IsHermitian(hermitianTol * scale) {
+		return fmt.Errorf("the device Hamiltonian is not Hermitian to %g of its largest entry", hermitianTol)
+	}
+	return nil
 }
 
 // Coupling is one nearest-neighbour coupling of a block-tridiagonal matrix

@@ -95,6 +95,10 @@ func (r *ReducedSystem) LeftContact() (sup, pos []int) { return r.left, r.posL }
 // its positions in the reduced last layer.
 func (r *ReducedSystem) RightContact() (sup, pos []int) { return r.right, r.posR }
 
+// SupportSize returns |S_i|: the kept orbitals of layer i come first in A's
+// layer i on either partition, so rows [0, |S_i|) of it are S_i.
+func (r *ReducedSystem) SupportSize(i int) int { return len(r.recs[r.rec[i]].sup) }
+
 // Reduced is the reduced open system at one energy: A, layer i of which is
 // M_i(z) on the orbitals its partition keeps — Σ_L and Σ_R subtracted on the
 // first and last — and what Orbitals needs to put a solution of A back on
@@ -103,6 +107,7 @@ func (r *ReducedSystem) RightContact() (sup, pos []int) { return r.right, r.posR
 // SplitSolve read; its Upper and Lower entries are nil.
 type Reduced struct {
 	A    *BlockTridiag
+	a    BlockTridiag // what A points to: one allocation per energy fewer
 	sys  *ReducedSystem
 	recs []energyRecord
 }
@@ -139,7 +144,8 @@ func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.W
 	}
 	subtractOn(diag[0], sigL, r.left, r.posL)
 	subtractOn(diag[nl-1], sigR, r.right, r.posR)
-	red.A = view(diag, blocks[nl:2*nl-1], blocks[2*nl-1:], r.cps)
+	red.a.wrap(diag, blocks[nl:2*nl-1], blocks[2*nl-1:], r.cps)
+	red.A = &red.a
 	return red
 }
 

@@ -3,6 +3,7 @@ package wavefunction
 import (
 	"math"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -180,26 +181,36 @@ func TestReducedAdversarialEnergies(t *testing.T) {
 
 // TestNewSolverRefusesNonHermitian: the interior elimination reads H_ii[S,I]
 // as H_ii[I,S]†, so a device Hamiltonian off its adjoint by more than
-// rounding is refused by name rather than solved into a plausible T. A
+// rounding is refused by name rather than solved into a plausible T — by
+// both formalisms, which run on the one reduced open system. A
 // rounding-sized asymmetry is not refused.
 func TestNewSolverRefusesNonHermitian(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		delta  complex128
-		refuse bool
-	}{{"one diagonal block off by 1e-3", 1e-3, true}, {"one diagonal block off by 1e-15", 1e-15, false}} {
-		h := buildDisorderedWire(t).Clone()
-		d := h.Diag[2]
-		d.Set(0, 1, d.At(0, 1)+tc.delta)
-		_, err := NewSolver(h, 1e-6)
-		if (err != nil) != tc.refuse {
-			t.Errorf("%s: NewSolver returned %v, refused: want %v", tc.name, err, tc.refuse)
-		}
+	constructors := map[string]func(*sparse.BlockTridiag) error{
+		"wavefunction": func(h *sparse.BlockTridiag) error { _, err := NewSolver(h, 1e-6); return err },
+		"negf":         func(h *sparse.BlockTridiag) error { _, err := negf.NewSolver(h, 1e-6); return err },
 	}
-	h := buildDisorderedWire(t).Clone()
-	h.Upper[1].Set(0, 0, h.Upper[1].At(0, 0)+0.25i)
-	if _, err := NewSolver(h, 1e-6); err == nil {
-		t.Error("NewSolver accepted a coupling whose Lower is not its Upper's adjoint")
+	for name, build := range constructors {
+		for _, tc := range []struct {
+			name   string
+			delta  complex128
+			refuse bool
+		}{{"one diagonal block off by 1e-3", 1e-3, true}, {"one diagonal block off by 1e-15", 1e-15, false}} {
+			h := buildDisorderedWire(t).Clone()
+			d := h.Diag[2]
+			d.Set(0, 1, d.At(0, 1)+tc.delta)
+			err := build(h)
+			if (err != nil) != tc.refuse {
+				t.Errorf("%s, %s: NewSolver returned %v, refused: want %v", name, tc.name, err, tc.refuse)
+			}
+			if err != nil && !strings.Contains(err.Error(), "not Hermitian") {
+				t.Errorf("%s, %s: the refusal %q does not name the asymmetry", name, tc.name, err)
+			}
+		}
+		h := buildDisorderedWire(t).Clone()
+		h.Upper[1].Set(0, 0, h.Upper[1].At(0, 0)+0.25i)
+		if err := build(h); err == nil {
+			t.Errorf("%s: NewSolver accepted a coupling whose Lower is not its Upper's adjoint", name)
+		}
 	}
 }
 

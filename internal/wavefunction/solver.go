@@ -48,33 +48,14 @@ type Solver struct {
 	openErr  error
 }
 
-// hermitianTol is how far, relative to H's largest entry, H may sit from
-// its adjoint: assembly rounding is ~1e-16 of it. The interior elimination
-// reads H[S,I] as H[I,S]†, so a device off it by more is refused rather
-// than solved into a plausible number.
-const hermitianTol = 1e-12
-
 // NewSolver builds a wave-function solver with flat-band leads continued
-// from the device end layers. H must be Hermitian.
+// from the device end layers. H must be Hermitian (CheckHermitian).
 func NewSolver(h *sparse.BlockTridiag, eta float64) (*Solver, error) {
 	if eta <= 0 {
 		return nil, fmt.Errorf("wavefunction: broadening must be positive, got %g", eta)
 	}
-	var scale float64 // the largest |Re| or |Im| of H: within √2 of its largest entry
-	for _, blocks := range [2][]*linalg.Matrix{h.Diag, h.Upper} {
-		for _, b := range blocks {
-			for _, v := range b.Data {
-				if a := math.Abs(real(v)); a > scale {
-					scale = a
-				}
-				if a := math.Abs(imag(v)); a > scale {
-					scale = a
-				}
-			}
-		}
-	}
-	if !h.IsHermitian(hermitianTol * scale) {
-		return nil, fmt.Errorf("wavefunction: the device Hamiltonian is not Hermitian to %g of its largest entry", hermitianTol)
+	if err := h.CheckHermitian(); err != nil {
+		return nil, fmt.Errorf("wavefunction: %w", err)
 	}
 	leads, err := negf.LeadsFromDevice(h)
 	if err != nil {
