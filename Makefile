@@ -69,9 +69,10 @@ race:
 # transmission sweep at n = 40 — the density-off RGF, where the g_i column
 # solve and the r-sized products beside it both run the fused AVX kernels —
 # and the same wave-function sweep on three SplitSolve domains (spike
-# solves and the reduced interface system). The NEGF I-V run must also
+# solves and the reduced interface system). Both I-V runs must also
 # print the same bytes at -workers 1 and 2: the nested bias × energy
-# borrowing must not move a bit.
+# borrowing must not move a bit, and each bias point's Anderson history
+# must see the same charges in the same order.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
@@ -90,11 +91,13 @@ portable-kernels:
 			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical across builds"; \
 	done
-	bin/omen $(PORTABLE_IV) -workers 1 | grep -v '^# sigma-cache' > bin/portable.w1.txt
-	bin/omen $(PORTABLE_IV) -workers 2 | grep -v '^# sigma-cache' > bin/portable.w2.txt
-	cmp bin/portable.w1.txt bin/portable.w2.txt \
-		|| { echo "portable-kernels: omen $(PORTABLE_IV) differs between -workers 1 and 2"; exit 1; }
-	@echo "portable-kernels: omen $(PORTABLE_IV) byte-identical at -workers 1 and 2"
+	@for run in "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)"; do \
+		bin/omen $$run -workers 1 | grep -v '^# sigma-cache' > bin/portable.w1.txt || exit 1; \
+		bin/omen $$run -workers 2 | grep -v '^# sigma-cache' > bin/portable.w2.txt || exit 1; \
+		cmp bin/portable.w1.txt bin/portable.w2.txt \
+			|| { echo "portable-kernels: omen $$run differs between -workers 1 and 2"; exit 1; }; \
+		echo "portable-kernels: omen $$run byte-identical at -workers 1 and 2"; \
+	done
 
 # The fault-injection suite: panic isolation, retry/backoff, journal
 # resume, torn group commits, the coordinator's commit pipeline and

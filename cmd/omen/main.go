@@ -24,7 +24,7 @@
 // Examples:
 //
 //	omen -device agnr7 -mode transmission -emin -3 -emax 3 -ne 200
-//	omen -device sinw -mode iv -vd 0.2 -vgmin -0.4 -vgmax 0.6 -nvg 11
+//	omen -device agnr7 -mode iv -vd 0.2 -vgmin -0.4 -vgmax 0.6 -nvg 11
 //	omen -device agnr7 -checkpoint sweep.journal -max-retries 3 -fault-rate 0.1
 //	omen -device agnr7 -checkpoint sweep.journal -resume
 //	omen -spec run.json

@@ -5,9 +5,9 @@
 // the resulting transfer characteristic with the extracted subthreshold
 // slope and on/off ratio.
 //
-// Expect a few minutes of runtime: every bias point runs 10-20
-// self-consistent iterations, each with a full energy-resolved quantum
-// charge integration.
+// Expect well under a minute on two cores: every bias point runs 10-30
+// self-consistent iterations (the off-state point the most), each with a
+// full energy-resolved quantum charge integration.
 package main
 
 import (

@@ -4,6 +4,9 @@ import (
 	"context"
 	"math"
 	"testing"
+
+	"repro/internal/device"
+	"repro/internal/transport"
 )
 
 // cacheFET is a small FET for cache-accounting tests: big enough that the
@@ -128,6 +131,61 @@ func TestGateSweepCachedMatchesPerBias(t *testing.T) {
 		}
 		if points[i].Iterations != rp.Iterations {
 			t.Fatalf("Vg=%g: iteration counts diverged (%d vs %d)", vg, points[i].Iterations, rp.Iterations)
+		}
+	}
+}
+
+// TestSCFIdPathIndependent pins what FET.Tol means: on the device of
+// omen's agnr7_negf_iv golden (agnr7, 8 cells, NEGF, omen's iv
+// electrostatics at Vd = 0.2), on the golden's gate ladder and on the
+// fet_iv check unit's, every point converges at the shipped Tol and
+// prints an Id within 0.5 % of the loop's own fixed point, taken as the
+// same FET run to Tol = 1e-8.
+func TestSCFIdPathIndependent(t *testing.T) {
+	if testing.Short() {
+		t.Skip("self-consistent FET sweeps in -short mode")
+	}
+	const vd = 0.2
+	ivFET := func() *FET {
+		sim, err := New(device.Description{
+			Name: "AGNR7", Kind: device.ArmchairGNR, CellsX: 8, CellsY: 7,
+		}, transport.Config{Formalism: transport.NEGFRGF})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fet, err := NewFET(sim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fet.Lambda = 1.2
+		fet.SourceDoping = 0.1
+		fet.GateStart, fet.GateEnd = 0.3, 0.7
+		return fet
+	}
+	for _, vgs := range [][]float64{{-0.4, 0.6}, {-0.4, -0.3}} {
+		fet := ivFET()
+		shipped, err := fet.GateSweep(context.Background(), vgs, vd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tight := ivFET()
+		tight.Tol, tight.MaxIter = 1e-8, 400
+		ref, err := tight.GateSweep(context.Background(), vgs, vd)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range shipped {
+			if !p.Converged || !ref[i].Converged {
+				t.Fatalf("ladder %v, Vg=%g: converged %v in %d iterations (reference %v in %d)",
+					vgs, p.VGate, p.Converged, p.Iterations, ref[i].Converged, ref[i].Iterations)
+			}
+			rel := math.Abs(p.Current-ref[i].Current) / ref[i].Current
+			t.Logf("ladder %v, Vg=%g: Id %.6e in %d iterations, fixed point %.6e in %d (rel %.2e)",
+				vgs, p.VGate, p.Current, p.Iterations, ref[i].Current, ref[i].Iterations, rel)
+			if rel > 5e-3 {
+				t.Fatalf("ladder %v, Vg=%g: Id %g at Tol %g is %.2f %% off the fixed point %g",
+					vgs, p.VGate, p.Current, fet.Tol, 100*rel, ref[i].Current)
+			}
 		}
 	}
 }

@@ -190,10 +190,11 @@ type GateAllAround1D struct {
 
 // SolveLinearized performs one Gummel-stabilized Poisson update: the
 // charge is linearized around the previous potential u0 as
-// ρ(u) ≈ ρ₀ + ρ'·(u − u0) with ρ' = rhoDeriv ≤ 0 (for electrons,
-// ∂n/∂U = −n/kT), which moves the exponential charge response onto the
-// matrix diagonal and makes the self-consistent iteration robust through
-// the threshold region.
+// ρ(u) ≈ ρ₀ + ρ'·(u − u0) with ρ' = rhoDeriv ≤ 0, the local response of
+// the electron density to a rigid shift of the potential energy (the
+// caller's ∂n/∂U; −n/kT only in the non-degenerate limit). That moves the
+// charge response onto the matrix diagonal and makes the self-consistent
+// iteration robust through the threshold region.
 func (g *GateAllAround1D) SolveLinearized(vg float64, rho, rhoDeriv, u0 []float64) ([]float64, error) {
 	defer perf.StartPhase("poisson")()
 	n := len(g.GateMask)

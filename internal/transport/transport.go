@@ -273,44 +273,59 @@ func Current(energies, transmissions []float64, bias Bias, spinDegeneracy float6
 }
 
 // ChargeDensity integrates the contact-resolved spectral functions into
-// the orbital-resolved electron density (dimensionless occupation per
-// orbital):
+// the orbital-resolved electron density n (dimensionless occupation per
+// orbital) and its response dn = ∂n/∂U to a rigid shift of the orbital's
+// potential energy:
 //
-//	n_i = ∫ dE/(2π) [A_L,ii·f_L + A_R,ii·f_R].
+//	n_i     =  ∫ dE/(2π) [A_L,ii·f_L + A_R,ii·f_R],
+//	∂n_i/∂U = −∫ dE/(2π) [A_L,ii·F_L + A_R,ii·F_R],  F = −∂f/∂E.
 //
+// Shifting U by +δ moves the spectra up by δ, which is the same as moving
+// both contact potentials down by δ, so the response is read off the
+// spectra n is built from: one grid, one set of trapezoid weights, one
+// Spectrum call. Its Boltzmann limit, μ far below the band, is −n/kT.
 // The energy grid must span the occupied conduction window of interest.
-func (e *Engine) ChargeDensity(ctx context.Context, energies []float64, bias Bias) ([]float64, error) {
+func (e *Engine) ChargeDensity(ctx context.Context, energies []float64, bias Bias) (n, dn []float64, err error) {
 	if len(energies) < 2 {
-		return nil, fmt.Errorf("transport: need at least 2 grid points")
+		return nil, nil, fmt.Errorf("transport: need at least 2 grid points")
 	}
 	res, err := e.Spectrum(ctx, energies, true)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	kT := bias.KT()
-	n := make([]float64, len(res[0].SpectralL))
+	n = make([]float64, len(res[0].SpectralL))
+	dn = make([]float64, len(n))
 	for i := 0; i+1 < len(energies); i++ {
 		de := energies[i+1] - energies[i]
 		fL0 := units.Fermi(energies[i], bias.MuL, kT)
 		fR0 := units.Fermi(energies[i], bias.MuR, kT)
 		fL1 := units.Fermi(energies[i+1], bias.MuL, kT)
 		fR1 := units.Fermi(energies[i+1], bias.MuR, kT)
+		dL0 := units.LogisticDerivative(energies[i], bias.MuL, kT)
+		dR0 := units.LogisticDerivative(energies[i], bias.MuR, kT)
+		dL1 := units.LogisticDerivative(energies[i+1], bias.MuL, kT)
+		dR1 := units.LogisticDerivative(energies[i+1], bias.MuR, kT)
 		for k := range n {
 			v0 := res[i].SpectralL[k]*fL0 + res[i].SpectralR[k]*fR0
 			v1 := res[i+1].SpectralL[k]*fL1 + res[i+1].SpectralR[k]*fR1
 			n[k] += 0.5 * de * (v0 + v1)
+			d0 := res[i].SpectralL[k]*dL0 + res[i].SpectralR[k]*dR0
+			d1 := res[i+1].SpectralL[k]*dL1 + res[i+1].SpectralR[k]*dR1
+			dn[k] -= 0.5 * de * (d0 + d1)
 		}
 	}
 	inv2pi := 1 / (2 * 3.141592653589793)
 	for k := range n {
 		n[k] *= inv2pi
-		if math.IsNaN(n[k]) || math.IsInf(n[k], 0) {
+		dn[k] *= inv2pi
+		if math.IsNaN(n[k]) || math.IsInf(n[k], 0) || math.IsNaN(dn[k]) || math.IsInf(dn[k], 0) {
 			// The per-point spectral functions were finite (Spectrum checks
 			// them), so a blow-up here came from the integration weights.
-			return nil, &NonFiniteError{E: energies[0], Quantity: "charge"}
+			return nil, nil, &NonFiniteError{E: energies[0], Quantity: "charge"}
 		}
 	}
-	return n, nil
+	return n, dn, nil
 }
 
 // DropQuarantined filters an energy grid and its per-point values down to

@@ -162,7 +162,7 @@ func TestChargeDensityEquilibrium(t *testing.T) {
 	// poison the trapezoidal rule.
 	grid := UniformGrid(-2.499, 2.499, 1187)
 	bias := Bias{MuL: 0, MuR: 0, Temperature: 100}
-	n, err := eng.ChargeDensity(context.Background(), grid, bias)
+	n, _, err := eng.ChargeDensity(context.Background(), grid, bias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,17 +180,73 @@ func TestChargeDensityBiasDependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := UniformGrid(-2.5, 2.5, 601)
-	nEq, err := eng.ChargeDensity(context.Background(), grid, Bias{MuL: 0, MuR: 0, Temperature: 300})
+	nEq, _, err := eng.ChargeDensity(context.Background(), grid, Bias{MuL: 0, MuR: 0, Temperature: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nHi, err := eng.ChargeDensity(context.Background(), grid, Bias{MuL: 0.5, MuR: 0.5, Temperature: 300})
+	nHi, _, err := eng.ChargeDensity(context.Background(), grid, Bias{MuL: 0.5, MuR: 0.5, Temperature: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range nEq {
 		if nHi[i] <= nEq[i] {
 			t.Fatalf("raising both chemical potentials did not raise occupation at site %d", i)
+		}
+	}
+}
+
+// TestChargeResponseIsRigidShift holds the response ChargeDensity returns
+// to its definition. Shifting U by +δ is the same as shifting both contact
+// potentials by −δ, so on one engine and grid the central difference
+// [n(μ−δ) − n(μ+δ)]/2δ must match ∂n/∂U orbital by orbital; and with μ
+// far below the band it must reach its Boltzmann limit −n/kT.
+func TestChargeResponseIsRigidShift(t *testing.T) {
+	h := chainH(t, 6, 0, -1, []float64{0, 0.05, 0.2, 0.2, 0.1, 0})
+	eng, err := NewEngine(h, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	grid := UniformGrid(-2.5, 2.5, 601)
+	bias := Bias{MuL: -0.1, MuR: -0.3, Temperature: 300}
+	n, dn, err := eng.ChargeDensity(ctx, grid, bias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const delta = 1e-5
+	shifted := func(d float64) []float64 {
+		b := bias
+		b.MuL += d
+		b.MuR += d
+		n, _, err := eng.ChargeDensity(ctx, grid, b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	lo, hi := shifted(-delta), shifted(delta)
+	for k := range n {
+		fd := (lo[k] - hi[k]) / (2 * delta)
+		if dn[k] >= 0 {
+			t.Fatalf("orbital %d: ∂n/∂U = %g, want < 0", k, dn[k])
+		}
+		if rel := math.Abs(fd-dn[k]) / math.Abs(dn[k]); rel > 1e-6 {
+			t.Fatalf("orbital %d: ∂n/∂U = %.12g, central difference %.12g (rel %g)", k, dn[k], fd, rel)
+		}
+	}
+
+	// Boltzmann limit: μ 12 kT below the band edge at −2, the grid from
+	// just above the edge (so every grid point sits ≥ 10 kT above μ).
+	kT := bias.KT()
+	mu := -2 - 12*kT
+	grid = UniformGrid(-1.999, -1, 400)
+	n, dn, err = eng.ChargeDensity(ctx, grid, Bias{MuL: mu, MuR: mu, Temperature: 300})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range n {
+		if rel := math.Abs(dn[k]+n[k]/kT) / (n[k] / kT); rel > 1e-3 {
+			t.Fatalf("orbital %d: ∂n/∂U = %g, Boltzmann limit −n/kT = %g (rel %g)", k, dn[k], -n[k]/kT, rel)
 		}
 	}
 }
