@@ -68,22 +68,25 @@ race:
 # layer's interior recovered from the reduced open system), an NEGF
 # transmission sweep at n = 40 — the density-off RGF, where the g_i column
 # solve and the r-sized products beside it both run the fused AVX kernels —
-# and the same wave-function sweep on three SplitSolve domains (spike
-# solves and the reduced interface system). Both I-V runs must also
-# print the same bytes at -workers 1 and 2: the nested bias × energy
-# borrowing must not move a bit, and each bias point's Anderson history
-# must see the same charges in the same order.
+# the same wave-function sweep on three SplitSolve domains (spike
+# solves and the reduced interface system), and a two-momentum `utb`
+# sweep — the one preset with bonds wrapping y, whose canonical bond
+# key carries the wrap, and with Bloch-phased complex blocks. Both I-V
+# runs must also print the same bytes at -workers 1 and 2: the nested
+# bias × energy borrowing must not move a bit, and each bias point's
+# Anderson history must see the same charges in the same order.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
 PORTABLE_WF_IV = -device agnr7 -mode iv -formalism wf -nvg 2 -cellsx 8
 PORTABLE_RGF = -device sinw -formalism negf -ne 60
 PORTABLE_SPLIT = -device sinw -formalism wf -domains 3 -ne 60
+PORTABLE_UTB = -device utb -nk 2 -ne 30
 portable-kernels:
 	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/ ./cmd/omen/
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -tags purego -o bin/omen-purego ./cmd/omen
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)"; do \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
 		bin/omen $$run | grep -v '^# sigma-cache' > bin/portable.avx.txt || exit 1; \
 		bin/omen-purego $$run | grep -v '^# sigma-cache' > bin/portable.purego.txt || exit 1; \
 		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \

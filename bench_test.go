@@ -347,13 +347,14 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	open, err := sparse.NewReducedSystem(h, sparse.ColumnSupport(h.Upper[0]), sparse.RowSupport(h.Upper[h.Layers()-2]))
+	left, right := sparse.ColumnSupport(h.Upper[0]), sparse.RowSupport(h.Upper[h.Layers()-2])
+	open, err := sparse.NewReducedSystem(h, left, right)
 	if err != nil {
 		b.Fatal(err)
 	}
-	z, sigma := complex(6.8, 1e-6), linalg.New(h.LayerSize(0), h.LayerSize(0))
+	z, sigL, sigR := complex(6.8, 1e-6), linalg.New(len(left), len(left)), linalg.New(len(right), len(right))
 	ws := linalg.GetWorkspace()
-	a := open.At(z, sigma, sigma, ws).A
+	a := open.At(z, sigL, sigR, ws).A
 	rhs := make([]*linalg.Matrix, a.Layers())
 	rng := rand.New(rand.NewSource(7))
 	for i := range rhs {
@@ -369,7 +370,7 @@ func BenchmarkF3_SplitSolve(b *testing.B) {
 			perf.ResetFlops()
 			for i := 0; i < b.N; i++ {
 				ws := linalg.GetWorkspace()
-				if _, err := splitsolve.Solve(context.Background(), open.At(z, sigma, sigma, ws).A, rhs, p, nil); err != nil {
+				if _, err := splitsolve.Solve(context.Background(), open.At(z, sigL, sigR, ws).A, rhs, p, nil); err != nil {
 					b.Fatal(err)
 				}
 				ws.Release()

@@ -92,6 +92,8 @@ func (s *Solver) Solve(e, fL, fR float64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The dense SCBA loop adds the contacts on whole end layers.
+	sigL, sigR = s.Leads.Embed(sigL, sigR)
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	gamL := ws.Get(sigL.Rows, sigL.Cols)

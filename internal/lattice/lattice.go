@@ -95,9 +95,11 @@ func (s *Structure) NAtoms() int { return len(s.Atoms) }
 func (s *Structure) LayerSize(i int) int { return len(s.LayerAtoms[i]) }
 
 // Validate checks the layered-structure invariants: every bond connects
-// layers at distance ≤ 1, every layer is non-empty, and all layers have
-// the same atom count (required for the leads to be periodic continuations
-// of the end layers).
+// layers at distance ≤ 1, every layer is non-empty, all layers have the
+// same atom count (required for the leads to be periodic continuations of
+// the end layers), and every bond is its reference bond's exact copy
+// (referenceBonds) — the periodicity that makes every layer block of a
+// flat device, and with them both leads, the same bits.
 func (s *Structure) Validate() error {
 	if len(s.LayerAtoms) == 0 {
 		return fmt.Errorf("lattice: structure has no layers")
@@ -120,7 +122,52 @@ func (s *Structure) Validate() error {
 			}
 		}
 	}
+	ref, local := s.referenceBonds()
+	for i, nbrs := range s.Neighbors {
+		for _, nb := range nbrs {
+			k := s.bondKey(i, nb, local)
+			if d, ok := ref[k]; !ok || d != nb.Delta {
+				return fmt.Errorf("lattice: bond %d→%d (layer %d, Δlayer %+d, wrap %+d) is no copy of a reference-layer bond; structure is not periodic",
+					i, nb.Index, s.Atoms[i].Layer, k.dLayer, k.wrap)
+			}
+		}
+	}
 	return nil
+}
+
+// bondKey names a bond by where it sits in its layer: the positions of its
+// source and target within their layers (local), the layers it crosses and
+// the transverse periods it wraps. Bonds of a periodic structure with the
+// same key are one bond repeated.
+type bondKey struct{ from, dLayer, to, wrap int }
+
+func (s *Structure) bondKey(i int, nb Neighbor, local []int) bondKey {
+	return bondKey{local[i], s.Atoms[nb.Index].Layer - s.Atoms[i].Layer, local[nb.Index], nb.WrapY}
+}
+
+// referenceBonds returns the vector of every bond key — layer 0's bonds
+// within the layer and to +x, layer 1's to −x, each exactly
+// Pos_target − Pos_source — and every atom's position within its layer.
+// A layer-1 bond to −x is the negation of its layer-0 reverse bit for bit,
+// as IEEE subtraction is sign-symmetric.
+func (s *Structure) referenceBonds() (map[bondKey]Vec3, []int) {
+	local := make([]int, len(s.Atoms))
+	for _, la := range s.LayerAtoms {
+		for p, idx := range la {
+			local[idx] = p
+		}
+	}
+	ref := make(map[bondKey]Vec3)
+	for l, la := range s.LayerAtoms[:min(2, len(s.LayerAtoms))] {
+		for _, i := range la {
+			for _, nb := range s.Neighbors[i] {
+				if k := s.bondKey(i, nb, local); (l == 0) == (k.dLayer >= 0) {
+					ref[k] = nb.Delta
+				}
+			}
+		}
+	}
+	return ref, local
 }
 
 // ApplyStrain deforms the structure homogeneously: positions, periods and
@@ -155,7 +202,8 @@ func (s *Structure) ApplyStrain(exx, eyy, ezz float64) error {
 
 // buildNeighbors fills s.Neighbors with all atom pairs at the ideal bond
 // length (within tol, relative), honoring y-periodicity, using uniform
-// spatial binning so construction stays O(N).
+// spatial binning so construction stays O(N), and makes every bond an
+// exact copy of its reference bond (referenceBonds).
 func (s *Structure) buildNeighbors(tol float64) {
 	n := len(s.Atoms)
 	s.Neighbors = make([][]Neighbor, n)
@@ -200,6 +248,18 @@ func (s *Structure) buildNeighbors(tol float64) {
 						}
 					}
 				}
+			}
+		}
+	}
+	// Every bond takes its reference bond's vector: positions one period
+	// apart differ by rounding, so searched vectors would too, and with
+	// them every layer block. A bond without a reference is left for
+	// Validate to refuse.
+	ref, local := s.referenceBonds()
+	for i, nbrs := range s.Neighbors {
+		for k, nb := range nbrs {
+			if d, ok := ref[s.bondKey(i, nb, local)]; ok {
+				nbrs[k].Delta = d
 			}
 		}
 	}

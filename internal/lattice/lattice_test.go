@@ -2,6 +2,7 @@ package lattice
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -274,6 +275,28 @@ func TestValidateCatchesLongBonds(t *testing.T) {
 	s.Neighbors[0] = append(s.Neighbors[0], Neighbor{Index: 3, Delta: Vec3{1.5, 0, 0}})
 	if err := s.Validate(); err == nil {
 		t.Fatal("Validate missed a bond spanning 3 layers")
+	}
+}
+
+// TestValidateRefusesNonPeriodicBond: a bond of a layer past the reference
+// ones (layers 0 and 1) one ulp off its reference bond, or with no
+// reference at all, is refused by name.
+func TestValidateRefusesNonPeriodicBond(t *testing.T) {
+	for name, corrupt := range map[string]func(s *Structure, i int){
+		"one ulp off": func(s *Structure, i int) {
+			d := &s.Neighbors[i][0].Delta
+			d.X = math.Nextafter(d.X, math.Inf(1))
+		},
+		"no reference": func(s *Structure, i int) { s.Neighbors[i][0].WrapY = 1 },
+	} {
+		s, err := NewZincblendeNanowire(0.5431, 3, 1, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		corrupt(s, s.LayerAtoms[2][0])
+		if err := s.Validate(); err == nil || !strings.Contains(err.Error(), "not periodic") {
+			t.Errorf("%s: Validate returned %v", name, err)
+		}
 	}
 }
 

@@ -279,8 +279,7 @@ func TestModelChargesCountedFlops(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := h.LayerSize(0)
-	sigma := linalg.New(n, n) // counted flops depend on the supports alone
+	sigma := linalg.New(rank, rank) // counted flops depend on the supports alone
 	perf.ResetFlops()
 	red := open.At(z, sigma, sigma, ws)
 	rhs := make([]*linalg.Matrix, h.Layers()) // and on the width alone

@@ -576,11 +576,20 @@ func naturalTwin(t *testing.T, fam *blockFamily) *blockFamily {
 	return &d
 }
 
-// dysonResidual is how far sigma sits from satisfying its own defining
-// equation, ‖Σ − h·(z − h00 − Σ)⁻¹·h†‖ in the max-abs norm, with h the
-// coupling from the device's end layer into the lead — a check that reads
-// nothing of how Σ was computed.
+// dysonResidual is how far sigma, the block on side s's support, sits from
+// satisfying its own defining equation, ‖Σ − h·(z − h00 − Σ)⁻¹·h†‖ in the
+// max-abs norm over the whole layer, with h the coupling from the device's
+// end layer into the lead — a check that reads nothing of how Σ was
+// computed.
 func dysonResidual(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.Matrix, s side) float64 {
+	t.Helper()
+	full := embed(sigma, fam.support(s), fam.h00.Rows)
+	return maxAbsDiffT(t, dysonImage(t, fam, z, full, s), full)
+}
+
+// dysonImage returns h·(z − h00 − Σ)⁻¹·h† on the whole layer, for side s's
+// self-energy sigma embedded on the whole layer.
+func dysonImage(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.Matrix, s side) *linalg.Matrix {
 	t.Helper()
 	n := fam.h00.Rows
 	open := linalg.New(n, n)
@@ -596,7 +605,7 @@ func dysonResidual(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.M
 	}
 	gh := linalg.New(n, n)
 	f.SolveInto(gh, hd)
-	return maxAbsDiffT(t, h.Mul(gh), sigma)
+	return h.Mul(gh)
 }
 
 // TestDysonResidual holds the kernel to the equation it solves rather than
@@ -708,8 +717,10 @@ func TestMirrorPurity(t *testing.T) {
 	// requests address the very keys of the unshifted ones.
 	const e, v, eta = 0.5, 0.25, 1e-6
 	z := complex(e, eta)
-	for _, name := range []string{"AGNR-7", "SiNW-sp3s*"} { // bit-identical ends; ends 7e-15 apart
-		flat := suite[name]
+	for name, flat := range map[string]*Leads{
+		"AGNR-7": suite["AGNR-7"], "SiNW-sp3s*": suite["SiNW-sp3s*"], // bit-identical ends
+		"SiNW-sp3s*, ends a few ulps apart": ulpsApart(suite["SiNW-sp3s*"]),
+	} {
 		biased := shiftRight(flat, v)
 
 		wantL, wantR, err := NewSelfEnergyCache().SelfEnergies(flat, z)
@@ -798,15 +809,20 @@ func TestMirrorPurity(t *testing.T) {
 	}
 }
 
-// TestMirrorAdoption pins who pairs: the two ends of one assembled wire
-// differ by rounding (7e-15 on sinw) and share a canon — one kernel run
-// per energy — while a right lead 1e-6 off the left one keeps its own
-// blocks and its own run.
+// TestMirrorAdoption pins who pairs. The two ends of one assembled wire
+// are the same bits (the lattice's bonds are periodic bit for bit): drift 0,
+// one family, one kernel run per energy. Ends a few ulps apart — the
+// rounding assembly used to leave between them, built here by hand on R00's
+// diagonal — still share the canon and its run, while a right lead 1e-6
+// off the left one keeps its own blocks, family and run.
 func TestMirrorAdoption(t *testing.T) {
 	wire := suiteLeads(t)["SiNW-sp3s*"]
-	d := familyOf(t, wire.spec(left)).drift(wire.spec(right))
-	if d == 0 || d > 1e-12 {
-		t.Fatalf("sinw's ends differ by %g; the test wants assembly rounding, neither bitwise equality nor a real difference", d)
+	if d := familyOf(t, wire.spec(left)).drift(wire.spec(right)); d != 0 {
+		t.Fatalf("sinw's assembled ends differ by %g, want the same bits", d)
+	}
+	ulps := ulpsApart(wire)
+	if d := familyOf(t, ulps.spec(left)).drift(ulps.spec(right)); d == 0 || d > 1e-12 {
+		t.Fatalf("the hand-built ends differ by %g; the arm wants rounding, neither bitwise equality nor a real difference", d)
 	}
 	off := &Leads{L00: wire.L00, L01: wire.L01, R00: wire.R00.Clone(), R01: wire.R01}
 	off.R00.Data[1] += 1e-6
@@ -815,7 +831,7 @@ func TestMirrorAdoption(t *testing.T) {
 	for name, tc := range map[string]struct {
 		leads *Leads
 		runs  int64
-	}{"ends 7e-15 apart": {wire, 1}, "ends 1e-6 apart": {off, 2}} {
+	}{"ends bitwise equal": {wire, 1}, "ends a few ulps apart": {ulps, 1}, "ends 1e-6 apart": {off, 2}} {
 		c := NewSelfEnergyCache()
 		cachedL, cachedR, err := c.SelfEnergies(tc.leads, z)
 		if err != nil {
@@ -824,6 +840,9 @@ func TestMirrorAdoption(t *testing.T) {
 		if st := c.Stats(); st.Decimations != tc.runs || st.Misses != 2 {
 			t.Errorf("%s: stats %+v, want 2 misses served by %d kernel runs", name, st, tc.runs)
 		}
+		if n := len(c.families.blocks); int64(n) != tc.runs {
+			t.Errorf("%s: %d block families, want %d", name, n, tc.runs)
+		}
 		// The uncached path applies the same rule to the same blocks.
 		plainL, plainR, err := tc.leads.SelfEnergies(z)
 		if err != nil {
@@ -831,6 +850,47 @@ func TestMirrorAdoption(t *testing.T) {
 		}
 		if !sameBits(cachedL, plainL) || !sameBits(cachedR, plainR) {
 			t.Errorf("%s: cached and uncached self-energies differ", name)
+		}
+	}
+}
+
+// ulpsApart returns l with its right contact's diagonal moved by one to
+// three ulps per entry: two ends of one cell apart by rounding alone.
+func ulpsApart(l *Leads) *Leads {
+	out := &Leads{L00: l.L00, L01: l.L01, R00: l.R00.Clone(), R01: l.R01}
+	n := out.R00.Rows
+	for i := 0; i < n; i++ {
+		v := real(out.R00.Data[i*n+i])
+		for k := 0; k <= i%3; k++ {
+			v = math.Nextafter(v, math.Inf(1))
+		}
+		out.R00.Data[i*n+i] = complex(v, 0)
+	}
+	return out
+}
+
+// TestSupportMismatchRefused: a right lead within familyTol of the left
+// one's blocks, but coupling one more orbital (an entry of 1e-12 where the
+// canon holds 0), adopts a family whose Σ_R lives on other orbitals than
+// the lead's own support. That is an error naming the lead, cached and
+// uncached, not a silent re-index.
+func TestSupportMismatchRefused(t *testing.T) {
+	wire := suiteLeads(t)["SiNW-sp3s*"]
+	out := sparse.RowSupport(wire.R01)
+	row := 0
+	for slices.Contains(out, row) {
+		row++
+	}
+	r01 := wire.R01.Clone()
+	r01.Data[row*r01.Cols] = 1e-12
+	l := &Leads{L00: wire.L00, L01: wire.L01, R00: wire.R00, R01: r01}
+	z := complex(0.5, 1e-6)
+	for how, get := range map[string]func() error{
+		"cached":   func() error { _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); return err },
+		"uncached": func() error { _, _, err := l.SelfEnergies(z); return err },
+	} {
+		if err := get(); err == nil || !strings.Contains(err.Error(), "right lead") || !strings.Contains(err.Error(), "block family") {
+			t.Errorf("%s: a lead off its family's support returned %v", how, err)
 		}
 	}
 }

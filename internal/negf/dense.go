@@ -40,12 +40,13 @@ func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
 
 // denseGreen returns the retarded Green's function of the whole open
 // device, G = (z − H − Σ_L − Σ_R)⁻¹ as one dense N×N inverse, and the
-// self-energies it embeds.
+// self-energies it embeds, on whole end layers.
 func (s *Solver) denseGreen(e float64) (g, sigL, sigR *linalg.Matrix, err error) {
 	z := complex(e, s.Eta)
 	if sigL, sigR, err = s.selfEnergies(z); err != nil {
 		return nil, nil, nil, err
 	}
+	sigL, sigR = s.Leads.Embed(sigL, sigR)
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	a := sparse.NewShiftedSystem(s.H).At(z, ws)

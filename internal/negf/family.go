@@ -3,6 +3,7 @@ package negf
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -13,10 +14,10 @@ import (
 // familyTol bounds how far a lead's blocks may sit from a block family's
 // canon (after removing the declared shift) and still be the same contact:
 // within it a lead adopts the canon, beyond it the lead is another contact
-// with a canon of its own. Rounding from applying and removing a bias shift
-// is ~1e-16·|H| and the two ends of one assembled wire differ by ~1e-14;
-// anything near this tolerance means the caller's pinned-contact assumption
-// is broken.
+// with a canon of its own. The two ends of one assembled device now differ
+// by 0 (the lattice's bonds are periodic bit for bit); the tolerance stays
+// for removing a bias shift, whose rounding is ~1e-16·|H|. Anything near
+// it means the caller's pinned-contact assumption is broken.
 const familyTol = 1e-8
 
 // blockFamily is the canonical periodic lead every contact continuing the
@@ -71,6 +72,15 @@ func newFamily(id int, spec leadSpec) (*blockFamily, error) {
 	return b, nil
 }
 
+// support returns the orbitals a side's self-energy lives on: the columns
+// of h01 for the left contact, the rows for the right.
+func (b *blockFamily) support(s side) []int {
+	if s == left {
+		return b.cols
+	}
+	return b.rows
+}
+
 // drift is the max-abs distance of a lead's blocks from the canon plus the
 // lead's declared rigid shift; +Inf when the shapes differ.
 func (b *blockFamily) drift(spec leadSpec) float64 {
@@ -95,9 +105,10 @@ func (b *blockFamily) drift(spec leadSpec) float64 {
 
 // selfEnergies runs the kernel at the canonical energy zc and projects the
 // surfaces asked for, Σ = h·g·h† with h the coupling from the device's end
-// layer into the lead: Σ_R = a·g_R[C,C]·a† lands on R×R, Σ_L = a†·g_L[R,R]·a
-// on C×C, each scattered into an n×n block that is zero elsewhere. The one
-// place a self-energy is made, a cache's miss and the uncached path alike.
+// layer into the lead: Σ_R = a·g_R[C,C]·a†, the r×r block on R×R, and
+// Σ_L = a†·g_L[R,R]·a, the c×c block on C×C — the blocks outside which Σ is
+// zero, and all any reader takes of it. The one place a self-energy is
+// made, a cache's miss and the uncached path alike.
 func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.Matrix, err error) {
 	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
 	// dominates per-energy cost when the cache misses, and the phase
@@ -113,15 +124,13 @@ func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.
 		if gs == nil {
 			continue
 		}
-		in, out, on := &b.a, &b.ad, b.rows
+		in, out := &b.a, &b.ad
 		if side(s) == left {
-			in, out, on = &b.ad, &b.a, b.cols
+			in, out = &b.ad, &b.a
 		}
-		block := ws.Get(len(on), len(on))
-		linalg.Mul3Into(block, in, linalg.NoTrans, gs, linalg.NoTrans, out, linalg.NoTrans, ws)
 		// The self-energy escapes (and may be cached): fresh storage.
-		sig[s] = linalg.New(b.h00.Rows, b.h00.Rows)
-		sparse.ScatterAdd(sig[s], block, on, on)
+		sig[s] = linalg.New(in.Rows, in.Rows)
+		linalg.Mul3Into(sig[s], in, linalg.NoTrans, gs, linalg.NoTrans, out, linalg.NoTrans, ws)
 	}
 	return sig, nil
 }
@@ -135,12 +144,13 @@ func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.
 func SelfEnergyFlops(n, s, r, c, iterations int) int64 {
 	gemm, sums := perf.GemmFlops, int64(r*r+c*c)*perf.FlopsCAdd
 	inverse := perf.LUFlops(s) + perf.SolveFlops(s, s)
-	// −α·g·β, −β·g·α and their sums; the two projections cost the same.
-	pair := gemm(r, c, c) + gemm(c, r, r) + gemm(r, c, r) + gemm(c, r, c) + sums
+	// −α·g·β and −β·g·α; the two projections are the same products.
+	pair := gemm(r, c, c) + gemm(c, r, r) + gemm(r, c, r) + gemm(c, r, c)
 	// Unconverged iterations also add to the bulk and square α and β.
 	squared := sums + gemm(r, c, r) + gemm(c, r, c) + gemm(r, r, c) + gemm(c, c, r)
-	// Each finish adds its surface's sum and inverts; then the projections.
-	return sparse.LayerFlops(n, s) + int64(iterations)*(inverse+pair) + int64(iterations-1)*squared + 2*inverse + sums + pair
+	// Each iteration sums its updates; each finish adds its surface's sum and
+	// inverts; then the projections.
+	return sparse.LayerFlops(n, s) + int64(iterations)*(inverse+pair+sums) + int64(iterations-1)*squared + 2*inverse + sums + pair
 }
 
 // registry resolves leads to block families, kept in registration order —
@@ -199,6 +209,11 @@ func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 func (r *registry) family(spec, mate leadSpec) (*blockFamily, error) {
 	for _, b := range r.blocks {
 		if b.sides.has(spec.side) && b.drift(spec) <= familyTol {
+			// Σ lives on the family's support and every solver reads it on
+			// the lead's own (Leads.Supports): they must be one list.
+			if sup := spec.support(); !slices.Equal(sup, b.support(spec.side)) {
+				return nil, fmt.Errorf("couples orbitals %v, its block family %v", sup, b.support(spec.side))
+			}
 			return b, nil
 		}
 	}

@@ -134,10 +134,11 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	defer ws.Release()
 	red := sys.At(z, sigL, sigR, ws)
 	a, nl := red.A, red.A.Layers()
-	supL, posL := sys.LeftContact()
-	supR, posR := sys.RightContact()
-	cG, rG := len(supL), len(supR)
-	gamL, gamR := BroadeningOn(sigL, supL, ws), BroadeningOn(sigR, supR, ws)
+	posL, posR := sys.LeftContact(), sys.RightContact()
+	cG, rG := len(posL), len(posR)
+	gamL, gamR := ws.Get(cG, cG), ws.Get(rG, rG)
+	BroadeningInto(gamL, sigL)
+	BroadeningInto(gamR, sigR)
 
 	// Forward pass: g_i = (A_ii − l_{i−1}·g_{i−1}·u_{i−1})⁻¹[:, S_i], the fold
 	// formed on C_{i−1} × C_{i−1}; the positions of W_i = C_{i−1} (C_Γ at
@@ -303,18 +304,6 @@ func leftConnected(m *linalg.Matrix, s int, ws *linalg.Workspace) (*linalg.Matri
 	return g, nil
 }
 
-// BroadeningOn returns Γ[sup, sup] = i(Σ − Σ†)[sup, sup], the block of the
-// broadening outside which Σ — and so Γ — is zero, checked out of ws: how
-// both formalisms read a contact, on the lead coupling's support.
-func BroadeningOn(sigma *linalg.Matrix, sup []int, ws *linalg.Workspace) *linalg.Matrix {
-	blk := ws.Get(len(sup), len(sup))
-	sparse.Gather(blk, sigma, sup, sup)
-	gam := ws.Get(len(sup), len(sup))
-	BroadeningInto(gam, blk)
-	ws.Put(blk)
-	return gam
-}
-
 // Transmission is a convenience wrapper returning only T(e).
 func (s *Solver) Transmission(e float64) (float64, error) {
 	r, err := s.Solve(e, false)
@@ -325,11 +314,10 @@ func (s *Solver) Transmission(e float64) (float64, error) {
 }
 
 // reduced returns the reduced open system, built by the first solve from H
-// and the lead couplings' supports: Σ_L's, the columns of L01, and Σ_R's,
-// the rows of R01.
+// and the contacts' supports (Leads.Supports).
 func (s *Solver) reduced() (*sparse.ReducedSystem, error) {
 	s.openOnce.Do(func() {
-		left, right := sparse.ColumnSupport(s.Leads.L01), sparse.RowSupport(s.Leads.R01)
+		left, right := s.Leads.Supports()
 		s.open, s.openErr = sparse.NewReducedSystem(s.H, left, right)
 		s.axis = sparse.Range(0, 2*s.H.N()) // past any layer and c_Γ + r_Γ
 	})

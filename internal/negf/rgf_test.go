@@ -501,8 +501,7 @@ func TestRGFFlopCount(t *testing.T) {
 		if strings.Contains(tc.name, "interior level") && whole == 0 {
 			t.Fatalf("%s: no layer kept whole; the case is vacuous", tc.name)
 		}
-		_, posL := sys.LeftContact()
-		_, posR := sys.RightContact()
+		posL, posR := sys.LeftContact(), sys.RightContact()
 		cG, rG := len(posL), len(posR)
 		rows, cols := make([]int, nl-1), make([]int, nl-1)
 		for i := range rows {

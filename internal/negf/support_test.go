@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
+	"slices"
 	"sync"
 	"testing"
 
@@ -280,26 +281,39 @@ func TestAdversarialShapes(t *testing.T) {
 	}
 }
 
-// TestSelfEnergySupport: Σ_R is nonzero only on R×R, Σ_L only on C×C, with R
-// and C the row and column supports of the canon's h01 — what lets the
-// wave-function injection factorise Γ on an r×r block.
+// TestSelfEnergySupport: Σ_R is the r×r block on R×R and Σ_L the c×c block
+// on C×C, with R and C the row and column supports of the canon's h01 — the
+// lead's own supports (Leads.Supports), on which every solver reads it.
+// Outside them h·(z − h00 − Σ)⁻¹·h† is exactly zero, so the block is all of
+// Σ, and Embed puts it where the Dyson equation does.
 func TestSelfEnergySupport(t *testing.T) {
+	z := complex(0.5, 1e-6)
 	for name, leads := range suiteLeads(t) {
 		fam := familyOf(t, leads.spec(left))
-		sig, err := fam.selfEnergies(complex(0.5, 1e-6), bothSides)
+		supL, supR := leads.Supports()
+		if !slices.Equal(supL, fam.cols) || !slices.Equal(supR, fam.rows) {
+			t.Fatalf("%s: the leads' supports %v, %v are not the family's %v, %v", name, supL, supR, fam.cols, fam.rows)
+		}
+		sig, err := fam.selfEnergies(z, bothSides)
 		if err != nil {
 			t.Fatal(err)
 		}
+		full := [2]*linalg.Matrix{}
+		full[left], full[right] = leads.Embed(sig[left], sig[right])
 		for s, on := range [2][]int{left: fam.cols, right: fam.rows} {
-			in := make(map[int]bool, len(on))
-			for _, i := range on {
-				in[i] = true
+			if k := len(on); sig[s].Rows != k || sig[s].Cols != k {
+				t.Fatalf("%s Σ_%s is %d×%d, its support has %d orbitals", name, sideNames[s], sig[s].Rows, sig[s].Cols, k)
 			}
-			n := sig[s].Rows
+			n := fam.h00.Rows
+			dyson := dysonImage(t, fam, z, full[s], side(s))
 			for i := 0; i < n; i++ {
 				for j := 0; j < n; j++ {
-					if v := sig[s].At(i, j); v != 0 && !(in[i] && in[j]) {
-						t.Fatalf("%s Σ_%s[%d,%d] = %v outside the coupling's support %v", name, sideNames[s], i, j, v, on)
+					in := slices.Contains(on, i) && slices.Contains(on, j)
+					if v := dyson.At(i, j); v != 0 && !in {
+						t.Fatalf("%s h·g·h†[%d,%d] = %v outside Σ_%s's support %v", name, i, j, v, sideNames[s], on)
+					}
+					if v := full[s].At(i, j); v != 0 && !in {
+						t.Fatalf("%s embedded Σ_%s[%d,%d] = %v outside its support", name, sideNames[s], i, j, v)
 					}
 				}
 			}

@@ -219,17 +219,47 @@ func LeadsFromDevice(h *sparse.BlockTridiag) (*Leads, error) {
 }
 
 // SelfEnergies computes the retarded contact self-energies at complex
-// energy z, projected onto the first and last device layers:
-// Σ_L = L01†·g_L·L01 with g_L the left surface GF, and
-// Σ_R = R01·g_R·R01† with g_R the right surface GF. It is the cache's miss
-// path without the record store: the same canon rule, kernel and
-// projection, so a fresh SelfEnergyCache returns the same bits.
+// energy z, Σ_L = L01†·g_L·L01 with g_L the left surface GF and
+// Σ_R = R01·g_R·R01† with g_R the right surface GF, each as its block on
+// the contact's support (Supports) — c_Γ×c_Γ and r_Γ×r_Γ; Embed puts them on
+// whole layers. It is the cache's miss path without the record store: the
+// same canon rule, kernel and projection, so a fresh SelfEnergyCache
+// returns the same bits.
 func (l *Leads) SelfEnergies(z complex128) (sigL, sigR *linalg.Matrix, err error) {
 	fams, err := l.own.resolve(l)
 	if err != nil {
 		return nil, nil, err
 	}
 	return l.selfEnergies(fams, z, (*blockFamily).selfEnergies)
+}
+
+// Supports returns the contacts' supports, ascending: Σ_L lives on the
+// columns of L01 (orbitals of the first device layer), Σ_R on the rows of
+// R01 (of the last). It is the one definition of where a contact acts — a
+// lead whose block family couples other orbitals is refused on its first
+// self-energy — and the reduced open system of either formalism is built
+// on it.
+func (l *Leads) Supports() (supL, supR []int) {
+	return l.spec(left).support(), l.spec(right).support()
+}
+
+// Embed returns Σ_L and Σ_R, blocks on the contacts' supports, as whole
+// blocks of the first and last device layers, zero elsewhere: what a dense
+// oracle adds to the open system. It copies and counts no flop.
+func (l *Leads) Embed(sigL, sigR *linalg.Matrix) (fullL, fullR *linalg.Matrix) {
+	supL, supR := l.Supports()
+	return embed(sigL, supL, l.L00.Rows), embed(sigR, supR, l.R00.Rows)
+}
+
+// embed returns the n×n matrix holding sigma on sup × sup.
+func embed(sigma *linalg.Matrix, sup []int, n int) *linalg.Matrix {
+	out := linalg.New(n, n)
+	for a, o := range sup {
+		for b, o2 := range sup {
+			out.Data[o*n+o2] = sigma.Data[a*sigma.Cols+b]
+		}
+	}
+	return out
 }
 
 // selfEnergies routes one request to its units of work: contacts that
@@ -289,6 +319,15 @@ type leadSpec struct {
 	shift float64
 	h00   *linalg.Matrix // principal-layer block, as built (shift included)
 	h01   *linalg.Matrix // coupling to the next layer along +x (L01 or R01)
+}
+
+// support returns the orbitals the lead's self-energy lives on: the columns
+// of the left contact's coupling, the rows of the right's.
+func (s leadSpec) support() []int {
+	if s.side == left {
+		return sparse.ColumnSupport(s.h01)
+	}
+	return sparse.RowSupport(s.h01)
 }
 
 func (l *Leads) spec(s side) leadSpec {

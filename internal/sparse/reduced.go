@@ -25,9 +25,8 @@ type ReducedSystem struct {
 	// cps are the couplings at their positions in the reduced layers, which
 	// a layer kept whole leaves where they are: it appends its interior.
 	cps []Coupling
-	// The contacts' supports on the first and last layers, and where they
-	// sit in the reduced layers.
-	left, right, posL, posR []int
+	// Where the contacts' supports sit in the first and last reduced layers.
+	posL, posR []int
 }
 
 // NewReducedSystem partitions every layer of h, which must be Hermitian,
@@ -39,7 +38,6 @@ func NewReducedSystem(h *BlockTridiag, left, right []int) (*ReducedSystem, error
 	nl := h.Layers()
 	r := &ReducedSystem{
 		sizes: make([]int, nl), rec: make([]int, nl), cps: make([]Coupling, nl-1),
-		left: left, right: right,
 	}
 	for i := range r.rec {
 		lo, hi := left, right
@@ -87,13 +85,17 @@ func sameBits(a, b *linalg.Matrix) bool {
 	return true
 }
 
-// LeftContact returns the left contact's support, orbitals of the first
-// layer, and their positions in the reduced first layer.
-func (r *ReducedSystem) LeftContact() (sup, pos []int) { return r.left, r.posL }
+// Records returns the number of distinct layer records: the Ms one energy
+// builds.
+func (r *ReducedSystem) Records() int { return len(r.recs) }
 
-// RightContact returns the right contact's support on the last layer and
-// its positions in the reduced last layer.
-func (r *ReducedSystem) RightContact() (sup, pos []int) { return r.right, r.posR }
+// LeftContact returns where the left contact's support sits in the reduced
+// first layer: the rows of Σ_L, and of anything else on the support, in A.
+func (r *ReducedSystem) LeftContact() []int { return r.posL }
+
+// RightContact returns where the right contact's support sits in the
+// reduced last layer.
+func (r *ReducedSystem) RightContact() []int { return r.posR }
 
 // SupportSize returns |S_i|: the kept orbitals of layer i come first in A's
 // layer i on either partition, so rows [0, |S_i|) of it are S_i.
@@ -120,8 +122,8 @@ type energyRecord struct {
 }
 
 // At builds the reduced open system at z. sigL and sigR are the contact
-// self-energies on the first and last layers, of which only the blocks on
-// the contact supports are read. A record keeps its layers whole at z when
+// self-energies as their blocks on the contact supports, |left|×|left| and
+// |right|×|right|. A record keeps its layers whole at z when
 // min|z − λ| < InteriorGuard·max|z − λ| over its interior.
 func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.Workspace) *Reduced {
 	red := &Reduced{sys: r, recs: make([]energyRecord, len(r.recs))}
@@ -142,23 +144,28 @@ func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.W
 		own.CopyFrom(diag[end])
 		diag[end] = own
 	}
-	subtractOn(diag[0], sigL, r.left, r.posL)
-	subtractOn(diag[nl-1], sigR, r.right, r.posR)
+	subtractOn(diag[0], sigL, r.posL)
+	subtractOn(diag[nl-1], sigR, r.posR)
 	red.a.wrap(diag, blocks[nl:2*nl-1], blocks[2*nl-1:], r.cps)
 	red.A = &red.a
 	return red
 }
 
-// subtractOn subtracts sigma[sup, sup] from dst[pos, pos].
-func subtractOn(dst, sigma *linalg.Matrix, sup, pos []int) {
-	for a, o := range sup {
-		row := sigma.Data[o*sigma.Cols : (o+1)*sigma.Cols]
-		out := dst.Data[pos[a]*dst.Cols : (pos[a]+1)*dst.Cols]
-		for b, o2 := range sup {
-			out[pos[b]] -= row[o2]
+// subtractOn subtracts sigma, a contact's block on its support, from
+// dst[pos, pos].
+func subtractOn(dst, sigma *linalg.Matrix, pos []int) {
+	k := len(pos)
+	if sigma.Rows != k || sigma.Cols != k {
+		panic("sparse: self-energy is not the contact support's block")
+	}
+	for a, p := range pos {
+		row := sigma.Data[a*k : (a+1)*k]
+		out := dst.Data[p*dst.Cols : (p+1)*dst.Cols]
+		for b, q := range pos {
+			out[q] -= row[b]
 		}
 	}
-	perf.AddFlops(int64(len(sup)*len(sup)) * perf.FlopsCAdd)
+	perf.AddFlops(int64(k*k) * perf.FlopsCAdd)
 }
 
 // Orbitals returns layer i's block x of a solution of A on every orbital of

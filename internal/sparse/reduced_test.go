@@ -133,17 +133,29 @@ func (c openCase) interiorLevels(t *testing.T) []float64 {
 	return levels
 }
 
-// contactBlock returns an n×n self-energy-like block, random on sup × sup
-// with a negative anti-Hermitian part and zero elsewhere.
-func contactBlock(rng *rand.Rand, n int, sup []int) *linalg.Matrix {
-	m := linalg.New(n, n)
-	for _, i := range sup {
-		for _, j := range sup {
+// contactBlock returns a self-energy-like block on a contact support of k
+// orbitals, random with a negative anti-Hermitian part: what At reads.
+func contactBlock(rng *rand.Rand, k int) *linalg.Matrix {
+	m := linalg.New(k, k)
+	for i := 0; i < k; i++ {
+		for j := 0; j < k; j++ {
 			m.Set(i, j, complex(rng.Float64()-0.5, rng.Float64()-0.5))
 		}
 		m.Set(i, i, m.At(i, i)-0.5i)
 	}
 	return m
+}
+
+// embedded returns the n×n matrix holding the support block m on sup × sup,
+// zero elsewhere: the contact as the whole system adds it.
+func embedded(m *linalg.Matrix, n int, sup []int) *linalg.Matrix {
+	out := linalg.New(n, n)
+	for a, i := range sup {
+		for b, j := range sup {
+			out.Set(i, j, m.At(a, b))
+		}
+	}
+	return out
 }
 
 // TestReducedMatchesFull holds the reduced open system to the whole one:
@@ -154,7 +166,7 @@ func contactBlock(rng *rand.Rand, n int, sup []int) *linalg.Matrix {
 // keeps that layer whole. One-line mutations it catches: d = 1/(z̄ − λ)
 // instead of 1/(z − λ); Wᵀ in place of W† (only the complex blocks — the
 // random ones and utb's — see it); the recovery without d; no guard; Σ
-// subtracted at the orbitals' own indices instead of their positions in S;
+// subtracted at its support indices instead of their positions in S;
 // records shared by S alone, without H's bits.
 func TestReducedMatchesFull(t *testing.T) {
 	ws := linalg.GetWorkspace()
@@ -168,7 +180,7 @@ func TestReducedMatchesFull(t *testing.T) {
 			}
 			nl := c.h.Layers()
 			n0, nN := c.h.LayerSize(0), c.h.LayerSize(nl-1)
-			sigL, sigR := contactBlock(rng, n0, c.left), contactBlock(rng, nN, c.right)
+			sigL, sigR := contactBlock(rng, len(c.left)), contactBlock(rng, len(c.right))
 			energies := []complex128{complex(0.37, 1e-3), complex(-0.8, 1e-6)}
 			levels := c.interiorLevels(t)
 			if len(levels) > 0 {
@@ -177,8 +189,8 @@ func TestReducedMatchesFull(t *testing.T) {
 			var whole bool
 			for _, z := range energies {
 				a := sparse.NewShiftedSystem(c.h).At(z, ws)
-				a.AddScaledToDiagBlock(0, sigL, -1)
-				a.AddScaledToDiagBlock(nl-1, sigR, -1)
+				a.AddScaledToDiagBlock(0, embedded(sigL, n0, c.left), -1)
+				a.AddScaledToDiagBlock(nl-1, embedded(sigR, nN, c.right), -1)
 				const k = 3
 				full := rhsOn(rng, a, k)
 				r := red.At(z, sigL, sigR, ws)
@@ -187,16 +199,15 @@ func TestReducedMatchesFull(t *testing.T) {
 					rhs[i] = linalg.New(r.A.LayerSize(i), k)
 					whole = whole || r.A.LayerSize(i) == c.h.LayerSize(i) && r.A.LayerSize(i) > len(c.supports()[i])
 				}
-				supL, posL := red.LeftContact()
-				supR, posR := red.RightContact()
-				for p, o := range supL {
+				posL, posR := red.LeftContact(), red.RightContact()
+				for p, o := range c.left {
 					for j := 0; j < k; j++ {
 						v := complex(rng.Float64(), rng.Float64())
 						full[0].Set(o, j, full[0].At(o, j)+v)
 						rhs[0].Set(posL[p], j, rhs[0].At(posL[p], j)+v)
 					}
 				}
-				for p, o := range supR {
+				for p, o := range c.right {
 					for j := 0; j < k; j++ {
 						v := complex(rng.Float64(), rng.Float64())
 						full[nl-1].Set(o, j, full[nl-1].At(o, j)+v)
@@ -275,7 +286,7 @@ func TestReducedFlopCount(t *testing.T) {
 		if levels := c.interiorLevels(t); len(levels) > 0 {
 			energies = append(energies, complex(levels[0], 1e-8))
 		}
-		sigL, sigR := contactBlock(rng, sizes[0], c.left), contactBlock(rng, sizes[nl-1], c.right)
+		sigL, sigR := contactBlock(rng, len(c.left)), contactBlock(rng, len(c.right))
 		for _, z := range energies {
 			for _, density := range []bool{false, true} {
 				const k = 4

@@ -208,8 +208,9 @@ func addSpinOrbit(blk *linalg.Matrix, base, norb int, lambda float64) {
 // LeadBlocks extracts the periodic-lead Hamiltonian blocks from a device:
 // h00 is the principal-layer block and h01 the coupling to the next layer,
 // taken from the device end specified by right. The device interior must
-// be a uniform repetition of the lead cell for these to be meaningful
-// (guaranteed by the lattice generators).
+// be a uniform repetition of the lead cell for these to be meaningful; on
+// a flat device the lattice generators make every layer's blocks the same
+// bits, so both ends give one lead bit for bit.
 func LeadBlocks(h *sparse.BlockTridiag, right bool) (h00, h01 *linalg.Matrix) {
 	if right {
 		nl := h.Layers()

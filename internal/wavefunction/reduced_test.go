@@ -59,11 +59,9 @@ func injectionDrops(t *testing.T, s *Solver, e float64) float64 {
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	var drop float64
-	for _, c := range []struct {
-		sigma *linalg.Matrix
-		sup   []int
-	}{{sigL, sparse.ColumnSupport(s.Leads.L01)}, {sigR, sparse.RowSupport(s.Leads.R01)}} {
-		gam := negf.BroadeningOn(c.sigma, c.sup, ws)
+	for _, sigma := range []*linalg.Matrix{sigL, sigR} {
+		gam := ws.Get(sigma.Rows, sigma.Cols)
+		negf.BroadeningInto(gam, sigma)
 		w, err := injectionVectors(gam, ws)
 		if err != nil {
 			t.Fatal(err)

@@ -87,7 +87,8 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 		return nil, err
 	}
 	s.openOnce.Do(func() {
-		s.open, s.openErr = sparse.NewReducedSystem(s.H, sparse.ColumnSupport(s.Leads.L01), sparse.RowSupport(s.Leads.R01))
+		left, right := s.Leads.Supports()
+		s.open, s.openErr = sparse.NewReducedSystem(s.H, left, right)
 	})
 	if s.openErr != nil {
 		return nil, fmt.Errorf("wavefunction: %w", s.openErr)
@@ -98,9 +99,10 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	// system, while this goroutine waits.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	supL, posL := s.open.LeftContact()
-	supR, posR := s.open.RightContact()
-	gamL, gamR := negf.BroadeningOn(sigL, supL, ws), negf.BroadeningOn(sigR, supR, ws)
+	posL, posR := s.open.LeftContact(), s.open.RightContact()
+	gamL, gamR := ws.Get(len(posL), len(posL)), ws.Get(len(posR), len(posR))
+	negf.BroadeningInto(gamL, sigL)
+	negf.BroadeningInto(gamR, sigR)
 
 	// Injection vectors: the broadening matrices are positive
 	// semidefinite with rank equal to the number of (effectively)
@@ -112,7 +114,7 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: left injection: %w", err)
 	}
-	wR := ws.Get(len(supR), 0)
+	wR := ws.Get(len(posR), 0)
 	if density {
 		if wR, err = injectionVectors(gamR, ws); err != nil {
 			return nil, fmt.Errorf("wavefunction: right injection: %w", err)
