@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve bench bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached bench bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The T2 solves and the
 # cold self-energy miss draw their workspaces from sync.Pools, where a P
@@ -151,6 +151,12 @@ drill-serve:
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -o bin/journalcheck ./cmd/journalcheck
 	sh scripts/drill_serve.sh bin/omend bin/omen bin/journalcheck
+
+# Report the non-test internal/ functions that no binary links (every
+# cmd/, examples/ and the bench/ ledger, built with inlining off): what
+# only tests reach. Report only — it gates nothing and is not in ci.
+unreached:
+	GO=$(GO) sh scripts/unreached.sh
 
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' ./internal/...

@@ -20,17 +20,13 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/alloy"
 	"repro/internal/core"
-	"repro/internal/dephasing"
 	"repro/internal/device"
-	"repro/internal/lanczos"
 	"repro/internal/lattice"
 	"repro/internal/linalg"
 	"repro/internal/machine"
 	"repro/internal/negf"
 	"repro/internal/perf"
-	"repro/internal/phonon"
 	"repro/internal/sparse"
 	"repro/internal/splitsolve"
 	"repro/internal/tb"
@@ -478,133 +474,6 @@ func BenchmarkF7_GNR(b *testing.B) {
 	b.ReportMetric(gaps[1]/gaps[3], "gap5/gap7")
 }
 
-// --- Extension experiments (beyond the paper's ballistic evaluation) --------
-
-// BenchmarkX1_AlloyDisorder regenerates the random-alloy vs VCA comparison
-// (extension experiment X1 in EXPERIMENTS.md).
-func BenchmarkX1_AlloyDisorder(b *testing.B) {
-	s, err := lattice.NewLinearChain(0.5, 40)
-	if err != nil {
-		b.Fatal(err)
-	}
-	d := alloy.Disorder{Fraction: 0.5, Shift: 0.6}
-	tAt := func(pot []float64) float64 {
-		h, err := tb.Assemble(s, tb.SingleBandChain(0, -1), tb.Options{Potential: pot})
-		if err != nil {
-			b.Fatal(err)
-		}
-		eng, err := transport.NewEngine(h, transport.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ts, err := eng.Transmissions(context.Background(), []float64{-0.3})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return ts[0]
-	}
-	var vcaT, meanT float64
-	for i := 0; i < b.N; i++ {
-		vcaT = tAt(d.VCA(s))
-		m, _, err := alloy.Average(16, 42, func(rng *rand.Rand) (float64, error) {
-			pot, err := d.Sample(s, rng)
-			if err != nil {
-				return 0, err
-			}
-			return tAt(pot), nil
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		meanT = m
-	}
-	b.ReportMetric(vcaT/meanT, "VCA/random")
-	once("X1", func() {
-		fmt.Printf("X1\tVCA T = %.4f, random-alloy ⟨T⟩ = %.4f (ratio %.2f)\n",
-			vcaT, meanT, vcaT/meanT)
-	})
-}
-
-// BenchmarkX2_Dephasing regenerates the SCBA ohmic-scaling series (X2).
-func BenchmarkX2_Dephasing(b *testing.B) {
-	type row struct {
-		n  int
-		te float64
-	}
-	var rows []row
-	for i := 0; i < b.N; i++ {
-		rows = rows[:0]
-		for _, n := range []int{8, 16, 24, 32} {
-			s, err := lattice.NewLinearChain(0.5, n)
-			if err != nil {
-				b.Fatal(err)
-			}
-			h, err := tb.Assemble(s, tb.SingleBandChain(0, -1), tb.Options{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			sol, err := dephasing.NewSolver(h, 1e-6, 0.05)
-			if err != nil {
-				b.Fatal(err)
-			}
-			te, err := sol.EffectiveTransmission(0.2)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rows = append(rows, row{n, te})
-		}
-	}
-	b.ReportMetric(1/rows[len(rows)-1].te-1, "R_excess@32")
-	once("X2", func() {
-		fmt.Println("X2\tSCBA dephasing, D = 0.05 eV² (sites, T_eff, 1/T−1):")
-		for _, r := range rows {
-			fmt.Printf("X2\t%d\t%.4f\t%.4f\n", r.n, r.te, 1/r.te-1)
-		}
-	})
-}
-
-// BenchmarkX3_PhononThermal regenerates the phonon transmission steps and
-// the thermal conductance curve (X3).
-func BenchmarkX3_PhononThermal(b *testing.B) {
-	s, err := lattice.NewLinearChain(0.25, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := phonon.Model{Alpha: 40, Beta: 10, Mass: []float64{28}}
-	d, err := phonon.DynamicalMatrix(s, m)
-	if err != nil {
-		b.Fatal(err)
-	}
-	omegas := make([]float64, 200)
-	for i := range omegas {
-		omegas[i] = 3.0 * float64(i) / float64(len(omegas)-1)
-	}
-	// The 2 K quantum needs a grid resolving the thermally active window
-	// ħω ~ k_B·T (ω ≈ 0.02 natural units).
-	omegasLowT := make([]float64, 400)
-	for i := range omegasLowT {
-		omegasLowT[i] = 0.25 * float64(i) / float64(len(omegasLowT)-1)
-	}
-	var k300 float64
-	var kappa2 float64
-	for i := 0; i < b.N; i++ {
-		k300, err = phonon.ThermalConductance(d, omegas, 300)
-		if err != nil {
-			b.Fatal(err)
-		}
-		kappa2, err = phonon.ThermalConductance(d, omegasLowT, 2)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	quantumRatio := kappa2 / (3 * phonon.ConductanceQuantumThermal(2))
-	b.ReportMetric(quantumRatio, "kappa/3k0@2K")
-	once("X3", func() {
-		fmt.Printf("X3\tphonon chain: κ(2K)/3κ₀ = %.4f (quantized), κ(300K) = %.3g W/K\n",
-			quantumRatio, k300)
-	})
-}
-
 // BenchmarkA1_GemmBlocking is the kernel ablation: the blocked GEMM versus
 // a naive triple loop at a transport-typical block size.
 func BenchmarkA1_GemmBlocked(b *testing.B) {
@@ -750,28 +619,4 @@ func BenchmarkA5_CaroliMaterialized(b *testing.B) {
 	b.StopTimer()
 	b.ReportMetric(float64(perf.ResetFlops())/float64(b.N), "flops/op")
 	once("A5mat", func() { fmt.Printf("A5\tmaterialized Caroli trace = %.6g\n", t) })
-}
-
-// BenchmarkA4 ablates the two interior-eigenstate strategies of the
-// sparse eigensolver on the same quantum dot: the folded spectrum (H−σ)²
-// versus shift-invert through the block-tridiagonal factorization.
-func BenchmarkA4_InteriorFolded(b *testing.B) {
-	h := benchWire(b)
-	csr := h.CSR()
-	rng := rand.New(rand.NewSource(90))
-	for i := 0; i < b.N; i++ {
-		if _, err := lanczos.Interior(lanczos.CSROperator{M: csr}, 5.0, 1, 1e-6, 2000, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkA4_InteriorShiftInvert(b *testing.B) {
-	h := benchWire(b)
-	rng := rand.New(rand.NewSource(90))
-	for i := 0; i < b.N; i++ {
-		if _, err := lanczos.NearTarget(h, 5.0, 1, 1e-9, 150, rng); err != nil {
-			b.Fatal(err)
-		}
-	}
 }

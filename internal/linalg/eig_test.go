@@ -149,147 +149,6 @@ func checkEigHResiduals(t *testing.T, a *Matrix, eig *EigenH, tol float64) {
 	}
 }
 
-func TestEigGeneralDiagonal(t *testing.T) {
-	a := New(3, 3)
-	a.Set(0, 0, 1+1i)
-	a.Set(1, 1, -2)
-	a.Set(2, 2, 3i)
-	eig, err := Eig(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := map[complex128]bool{}
-	for _, v := range eig.Values {
-		for _, w := range []complex128{1 + 1i, -2, 3i} {
-			if cmplx.Abs(v-w) < 1e-10 {
-				found[w] = true
-			}
-		}
-	}
-	if len(found) != 3 {
-		t.Fatalf("diagonal eigenvalues not recovered: %v", eig.Values)
-	}
-}
-
-func TestEigGeneralKnown2x2(t *testing.T) {
-	// [[0,1],[1,0]] has eigenvalues ±1.
-	a := FromRows([][]complex128{{0, 1}, {1, 0}})
-	vals, err := EigValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := []float64{real(vals[0]), real(vals[1])}
-	sort.Float64s(sorted)
-	if math.Abs(sorted[0]+1) > 1e-10 || math.Abs(sorted[1]-1) > 1e-10 {
-		t.Fatalf("eigenvalues = %v", vals)
-	}
-}
-
-func TestEigGeneralNonDiagonalizableSafe(t *testing.T) {
-	// A Jordan block: defective, but the solver must still return finite
-	// output with both eigenvalues ≈ 2.
-	a := FromRows([][]complex128{{2, 1}, {0, 2}})
-	eig, err := Eig(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range eig.Values {
-		if cmplx.Abs(v-2) > 1e-7 {
-			t.Fatalf("Jordan block eigenvalue = %v", v)
-		}
-	}
-	for _, v := range eig.Vectors.Data {
-		if cmplx.IsNaN(v) || cmplx.IsInf(v) {
-			t.Fatal("non-finite eigenvector entries for defective matrix")
-		}
-	}
-}
-
-func TestEigGeneralRandomResiduals(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	for _, n := range []int{2, 3, 6, 15, 30} {
-		a := randMatrix(rng, n, n)
-		eig, err := Eig(a)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		scale := 1 + a.MaxAbs()
-		for j := 0; j < n; j++ {
-			v := make([]complex128, n)
-			var vn float64
-			for i := 0; i < n; i++ {
-				v[i] = eig.Vectors.At(i, j)
-				vn += real(v[i])*real(v[i]) + imag(v[i])*imag(v[i])
-			}
-			if math.Sqrt(vn) < 0.5 {
-				t.Fatalf("n=%d: eigenvector %d not normalized", n, j)
-			}
-			av := a.MulVec(v)
-			var res float64
-			for i := 0; i < n; i++ {
-				res += cmplx.Abs(av[i] - eig.Values[j]*v[i])
-			}
-			if res > 1e-8*scale*float64(n) {
-				t.Fatalf("n=%d: eigenpair %d residual %g", n, j, res)
-			}
-		}
-	}
-}
-
-func TestEigGeneralMatchesHermitian(t *testing.T) {
-	// On a Hermitian input the general solver must reproduce EigH values.
-	rng := rand.New(rand.NewSource(23))
-	n := 10
-	a := randHermitian(rng, n)
-	hv, err := EigH(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gv, err := EigValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := make([]float64, n)
-	for i, v := range gv {
-		if math.Abs(imag(v)) > 1e-8 {
-			t.Fatalf("Hermitian matrix produced complex eigenvalue %v", v)
-		}
-		got[i] = real(v)
-	}
-	sort.Float64s(got)
-	for i := range got {
-		if math.Abs(got[i]-hv.Values[i]) > 1e-8 {
-			t.Fatalf("general vs Hermitian eigenvalue %d: %v vs %v", i, got[i], hv.Values[i])
-		}
-	}
-}
-
-func TestEigGeneralUnitCircle(t *testing.T) {
-	// A circulant shift matrix has eigenvalues that are the n-th roots of
-	// unity — a stress test for complex shifts and deflation.
-	n := 8
-	a := New(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(i, (i+1)%n, 1)
-	}
-	vals, err := EigValues(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vals {
-		if math.Abs(cmplx.Abs(v)-1) > 1e-8 {
-			t.Fatalf("circulant eigenvalue %v not on unit circle", v)
-		}
-	}
-	// They must also be distinct n-th roots of unity.
-	for _, v := range vals {
-		w := cmplx.Pow(v, complex(float64(n), 0))
-		if cmplx.Abs(w-1) > 1e-6 {
-			t.Fatalf("eigenvalue %v is not an %d-th root of unity", v, n)
-		}
-	}
-}
-
 // TestEigHNoConvergenceIsTyped drives the QL iteration past its sweep
 // bound (a NaN off-diagonal never passes the deflation test) and
 // requires the exported sentinel.

@@ -143,8 +143,8 @@ func ConjTransposeInto(dst, m *Matrix) {
 }
 
 // ShiftedNegInto writes dst = z·I − m for a square m. dst may alias m.
-// This is the resolvent assembly step (z − H) of the decimation and SCBA
-// loops, fused so no identity or scaled copy is materialized.
+// This is the resolvent assembly step (z − H) of every open-system layer,
+// fused so no identity or scaled copy is materialized.
 func ShiftedNegInto(dst, m *Matrix, z complex128) {
 	if m.Rows != m.Cols {
 		panic("linalg: ShiftedNegInto requires a square matrix")

@@ -38,13 +38,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 	return out
 }
 
-// MulAddInto sets dst = beta·dst + a·b. Kept as the historical entry
-// point; it forwards to GemmInto, the single kernel every product routine
-// delegates to. beta of 0 overwrites dst, 1 accumulates.
-func (dst *Matrix) MulAddInto(a, b *Matrix, beta complex128) {
-	GemmInto(dst, 1, a, NoTrans, b, NoTrans, beta)
-}
-
 // MulInto sets dst = opA(a)·opB(b), overwriting dst.
 func MulInto(dst *Matrix, a *Matrix, opA Op, b *Matrix, opB Op) {
 	GemmInto(dst, 1, a, opA, b, opB, 0)

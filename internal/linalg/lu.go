@@ -18,9 +18,8 @@ var ErrSingular = errors.New("linalg: matrix is singular")
 // reciprocal pivots 1/u_kk — the factor computes each for its column update
 // and stores it, so every solve multiplies by it instead of dividing.
 type LU struct {
-	lu   *Matrix
-	piv  []int // piv[k] is the row swapped with row k at step k
-	sign int   // parity of the permutation, for determinants
+	lu  *Matrix
+	piv []int // piv[k] is the row swapped with row k at step k
 }
 
 // Factor computes the LU factorization of the square matrix a.
@@ -30,10 +29,8 @@ func Factor(a *Matrix) (*LU, error) {
 		return nil, errors.New("linalg: Factor requires a square matrix")
 	}
 	n := a.Rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n), sign: 1}
-	var err error
-	f.sign, err = factorInPlace(f.lu, f.piv)
-	if err != nil {
+	f := &LU{lu: a.Clone(), piv: make([]int, n)}
+	if err := factorInPlace(f.lu, f.piv); err != nil {
 		return nil, err
 	}
 	return f, nil
@@ -52,29 +49,26 @@ func FactorInPlace(a *Matrix, piv []int) (LU, error) {
 	if len(piv) != a.Rows {
 		return LU{}, errors.New("linalg: FactorInPlace pivot slice length does not match the matrix order")
 	}
-	sign, err := factorInPlace(a, piv)
-	if err != nil {
+	if err := factorInPlace(a, piv); err != nil {
 		return LU{}, err
 	}
-	return LU{lu: a, piv: piv, sign: sign}, nil
+	return LU{lu: a, piv: piv}, nil
 }
 
 // factorInPlace runs the partial-pivoting LU loop on lu's storage,
-// recording row swaps in piv (len n) and leaving 1/u_kk on the diagonal. It
-// returns the permutation sign. This is the single factorization code path
-// shared by Factor and the workspace variants, so flop accounting lives in
-// one place. Trailing blocks at least fusedMinWidth wide eliminate through
-// avxFactorColUpdate; the scalar loop is the fallback and computes the same
-// bits.
-func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
+// recording row swaps in piv (len n) and leaving 1/u_kk on the diagonal.
+// This is the single factorization code path shared by Factor and the
+// workspace variants, so flop accounting lives in one place. Trailing
+// blocks at least fusedMinWidth wide eliminate through avxFactorColUpdate;
+// the scalar loop is the fallback and computes the same bits.
+func factorInPlace(m *Matrix, piv []int) error {
 	n := m.Rows
 	lu := m.Data
-	sign = 1
 	for k := 0; k < n; k++ {
 		p := pivotSearch(lu, n, k)
 		piv[k] = p
 		if lu[p*n+k] == 0 { // the largest modulus is 0; a NaN pivot is not
-			return sign, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rowK := lu[k*n : (k+1)*n]
@@ -82,7 +76,6 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			for j := range rowK {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
-			sign = -sign
 		}
 		pivInv := 1 / lu[k*n+k]
 		lu[k*n+k] = pivInv // no later step reads u_kk itself
@@ -106,7 +99,7 @@ func factorInPlace(m *Matrix, piv []int) (sign int, err error) {
 		}
 	}
 	perf.AddFlops(perf.LUFlops(n))
-	return sign, nil
+	return nil
 }
 
 // pivotSearch ranks on re²+im² while its best so far is 0 or has re²+im²
@@ -296,17 +289,6 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	perf.AddFlops(perf.SolveFlops(n, nrhs))
 }
 
-// Det returns the determinant of the factorized matrix: the sign over the
-// product of the stored reciprocal pivots.
-func (f *LU) Det() complex128 {
-	d := complex(float64(f.sign), 0)
-	n := f.lu.Rows
-	for i := 0; i < n; i++ {
-		d /= f.lu.Data[i*n+i]
-	}
-	return d
-}
-
 // InverseInto writes a⁻¹ into dst, factoring into workspace scratch so
 // the whole inversion allocates nothing. a is not modified; dst must be
 // square like a and must not alias it.
@@ -326,7 +308,7 @@ func InverseInto(dst, a *Matrix, ws *Workspace) error {
 	lu.CopyFrom(a)
 	piv := ws.GetInts(n)
 	defer ws.PutInts(piv)
-	if _, err := factorInPlace(lu, piv); err != nil {
+	if err := factorInPlace(lu, piv); err != nil {
 		return err
 	}
 	dst.Zero()

@@ -1,9 +1,7 @@
 // Package linalg implements the dense complex linear algebra used by the
 // quantum-transport kernels: matrix arithmetic, blocked GEMM, LU
-// factorization with partial pivoting, a Hermitian eigensolver
-// (Householder tridiagonalization + implicit QL), and a general complex
-// eigensolver (Hessenberg reduction + shifted QR) used for lead-mode
-// calculations in the wave-function formalism.
+// factorization with partial pivoting, and a Hermitian eigensolver
+// (Householder tridiagonalization + implicit QL).
 //
 // All kernels report exact real-flop counts to internal/perf so the
 // simulated cluster can reproduce the paper's sustained-performance figures.
@@ -118,15 +116,6 @@ func (m *Matrix) AddInPlace(b *Matrix) {
 	checkSameShape(m, b, "AddInPlace")
 	for i := range m.Data {
 		m.Data[i] += b.Data[i]
-	}
-	perf.AddFlops(int64(len(m.Data)) * perf.FlopsCAdd)
-}
-
-// SubInPlace sets m = m − b.
-func (m *Matrix) SubInPlace(b *Matrix) {
-	checkSameShape(m, b, "SubInPlace")
-	for i := range m.Data {
-		m.Data[i] -= b.Data[i]
 	}
 	perf.AddFlops(int64(len(m.Data)) * perf.FlopsCAdd)
 }

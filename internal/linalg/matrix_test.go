@@ -80,10 +80,6 @@ func TestAddSubScale(t *testing.T) {
 	if !c.Equal(sum, 0) {
 		t.Fatal("AddInPlace != Add")
 	}
-	c.SubInPlace(b)
-	if !c.Equal(a, 1e-14) {
-		t.Fatal("SubInPlace did not invert AddInPlace")
-	}
 }
 
 func TestMulAgainstNaive(t *testing.T) {
@@ -117,25 +113,6 @@ func TestMulLargeBlocked(t *testing.T) {
 	}
 	if !id.Mul(a).Equal(a, 1e-12) {
 		t.Fatal("I·A != A for blocked sizes")
-	}
-}
-
-func TestMulAddIntoBeta(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	a := randMatrix(rng, 3, 3)
-	b := randMatrix(rng, 3, 3)
-	c := randMatrix(rng, 3, 3)
-	acc := c.Clone()
-	acc.MulAddInto(a, b, 1)
-	want := a.Mul(b).Add(c)
-	if !acc.Equal(want, 1e-12) {
-		t.Fatal("MulAddInto with beta=1 disagrees with Mul+Add")
-	}
-	half := c.Clone()
-	half.MulAddInto(a, b, 0.5)
-	want2 := a.Mul(b).Add(c.Scale(0.5))
-	if !half.Equal(want2, 1e-12) {
-		t.Fatal("MulAddInto with beta=0.5 disagrees")
 	}
 }
 

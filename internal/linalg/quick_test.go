@@ -1,7 +1,6 @@
 package linalg
 
 import (
-	"math"
 	"math/cmplx"
 	"math/rand"
 	"testing"
@@ -141,29 +140,6 @@ func TestQuickFlopCounterMonotone(t *testing.T) {
 		return after-before >= perf.GemmFlops(n, n, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickDetOfUnitaryHasUnitModulus(t *testing.T) {
-	// Eigenvectors of a Hermitian matrix form a unitary matrix whose
-	// determinant must have modulus 1.
-	f := func(seed int64, szRaw uint8) bool {
-		n := int(szRaw%6) + 2
-		rng := rand.New(rand.NewSource(seed))
-		a := genMatrix(rng, n)
-		h := a.Add(a.ConjTranspose()).Scale(0.5)
-		eig, err := EigH(h)
-		if err != nil {
-			return false
-		}
-		fac, err := Factor(eig.Vectors)
-		if err != nil {
-			return false
-		}
-		return math.Abs(cmplx.Abs(fac.Det())-1) < 1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }

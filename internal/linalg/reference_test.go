@@ -137,15 +137,14 @@ func refPivotScan(lu []complex128, n, k int) (int, float64) {
 
 // refFactorInPlace is the partial-pivoting LU loop, leaving the reciprocal
 // pivots 1/u_kk on the diagonal.
-func refFactorInPlace(m *Matrix, piv []int) (sign int, err error) {
+func refFactorInPlace(m *Matrix, piv []int) error {
 	n := m.Rows
 	lu := m.Data
-	sign = 1
 	for k := 0; k < n; k++ {
 		p, maxAbs := refPivotScan(lu, n, k)
 		piv[k] = p
 		if maxAbs == 0 {
-			return sign, ErrSingular
+			return ErrSingular
 		}
 		if p != k {
 			rowK := lu[k*n : (k+1)*n]
@@ -153,7 +152,6 @@ func refFactorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			for j := range rowK {
 				rowK[j], rowP[j] = rowP[j], rowK[j]
 			}
-			sign = -sign
 		}
 		pivInv := 1 / lu[k*n+k]
 		lu[k*n+k] = pivInv
@@ -170,7 +168,7 @@ func refFactorInPlace(m *Matrix, piv []int) (sign int, err error) {
 			}
 		}
 	}
-	return sign, nil
+	return nil
 }
 
 // refSubstRow applies rowI[j] -= Σ_k ms[k]·rows[k][j], k paired two-deep
@@ -233,7 +231,7 @@ func refInverseInto(dst, a *Matrix) error {
 	n := a.Rows
 	lu := a.Clone()
 	piv := make([]int, n)
-	if _, err := refFactorInPlace(lu, piv); err != nil {
+	if err := refFactorInPlace(lu, piv); err != nil {
 		return err
 	}
 	dst.Zero()

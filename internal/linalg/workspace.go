@@ -6,7 +6,7 @@ import (
 )
 
 // Workspace is a size-bucketed scratch allocator for the dense kernels.
-// Hot solver loops (RGF sweeps, Sancho-Rubio decimation, SCBA iterations)
+// Hot solver loops (RGF sweeps, Sancho-Rubio decimation, block-Thomas solves)
 // check temporary matrices out with Get and return them with Put, so a
 // whole per-energy-point solve touches the garbage collector only on its
 // first use of each buffer size instead of on every product.

@@ -7,241 +7,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestGridValidation(t *testing.T) {
-	if _, err := NewGrid(0, 1, 1, 1, 1, 1); err == nil {
-		t.Fatal("accepted zero-size grid")
-	}
-	if _, err := NewGrid(2, 2, 2, -1, 1, 1); err == nil {
-		t.Fatal("accepted negative spacing")
-	}
-	g, err := NewGrid(4, 1, 1, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := g.Solve(make([]float64, 3), 1e-10, 100); err == nil {
-		t.Fatal("accepted short charge vector")
-	}
-}
-
-// TestCapacitor1D: two Dirichlet plates, no charge → linear potential.
-func TestCapacitor1D(t *testing.T) {
-	n := 21
-	g, err := NewGrid(n, 1, 1, 0.5, 0.5, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetDirichlet(0, 0, 0, 0)
-	g.SetDirichlet(n-1, 0, 0, 1)
-	v, err := g.Solve(make([]float64, n), 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		want := float64(i) / float64(n-1)
-		if math.Abs(v[i]-want) > 1e-9 {
-			t.Fatalf("node %d: V=%g, want %g", i, v[i], want)
-		}
-	}
-}
-
-// TestUniformCharge1D: uniform ρ between grounded plates → parabola
-// V(x) = ρ/(2ε) · x(L−x), exact on the grid for the 3-point stencil.
-func TestUniformCharge1D(t *testing.T) {
-	n := 41
-	dx := 0.25
-	g, err := NewGrid(n, 1, 1, dx, dx, dx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.SetDirichlet(0, 0, 0, 0)
-	g.SetDirichlet(n-1, 0, 0, 0)
-	rho := make([]float64, n)
-	const rho0 = 1e-3
-	for i := range rho {
-		rho[i] = rho0
-	}
-	v, err := g.Solve(rho, 1e-12, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := float64(n-1) * dx
-	for i := 1; i < n-1; i++ {
-		x := float64(i) * dx
-		want := rho0 / units.Eps0 / 2 * x * (l - x)
-		if math.Abs(v[i]-want) > 1e-8*(1+want) {
-			t.Fatalf("node %d: V=%g, want %g", i, v[i], want)
-		}
-	}
-}
-
-// TestLaplaceMaximumPrinciple: a harmonic function on a 2-D grid attains
-// its extrema on the boundary.
-func TestLaplaceMaximumPrinciple(t *testing.T) {
-	nx, ny := 15, 11
-	g, err := NewGrid(nx, ny, 1, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ix := 0; ix < nx; ix++ {
-		g.SetDirichlet(ix, 0, 0, 0)
-		g.SetDirichlet(ix, ny-1, 0, math.Sin(math.Pi*float64(ix)/float64(nx-1)))
-	}
-	for iy := 0; iy < ny; iy++ {
-		g.SetDirichlet(0, iy, 0, 0)
-		g.SetDirichlet(nx-1, iy, 0, 0)
-	}
-	v, err := g.Solve(make([]float64, g.N()), 1e-11, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for iy := 1; iy < ny-1; iy++ {
-		for ix := 1; ix < nx-1; ix++ {
-			val := v[g.Index(ix, iy, 0)]
-			if val < -1e-9 || val > 1+1e-9 {
-				t.Fatalf("interior value %g violates maximum principle", val)
-			}
-		}
-	}
-	// The solution must be strictly positive inside (boundary data ≥ 0,
-	// not identically 0).
-	if v[g.Index(nx/2, ny/2, 0)] <= 0 {
-		t.Fatal("interior of Laplace solution not positive")
-	}
-}
-
-// TestSeparableLaplace2D compares against the discrete analytic solution
-// of the Laplace equation with sin boundary data, which for the 5-point
-// stencil is sin(kx·x)·sinh-like in y with a modified wavenumber; we use a
-// fine grid and compare with the continuum solution to ~h² accuracy.
-func TestSeparableLaplace2D(t *testing.T) {
-	nx, ny := 33, 33
-	h := 1.0 / float64(nx-1)
-	g, err := NewGrid(nx, ny, 1, h, h, h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ix := 0; ix < nx; ix++ {
-		g.SetDirichlet(ix, ny-1, 0, math.Sin(math.Pi*float64(ix)*h))
-		g.SetDirichlet(ix, 0, 0, 0)
-	}
-	for iy := 0; iy < ny; iy++ {
-		g.SetDirichlet(0, iy, 0, 0)
-		g.SetDirichlet(nx-1, iy, 0, 0)
-	}
-	v, err := g.Solve(make([]float64, g.N()), 1e-11, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var maxErr float64
-	for iy := 1; iy < ny-1; iy++ {
-		for ix := 1; ix < nx-1; ix++ {
-			x := float64(ix) * h
-			y := float64(iy) * h
-			want := math.Sin(math.Pi*x) * math.Sinh(math.Pi*y) / math.Sinh(math.Pi)
-			if e := math.Abs(v[g.Index(ix, iy, 0)] - want); e > maxErr {
-				maxErr = e
-			}
-		}
-	}
-	if maxErr > 5e-3 {
-		t.Fatalf("2-D Laplace max error %g exceeds discretization budget", maxErr)
-	}
-}
-
-// TestPoisson3DPointChargeSymmetry: a point charge at the center of a
-// grounded box produces a potential symmetric under the octahedral group.
-func TestPoisson3DPointChargeSymmetry(t *testing.T) {
-	n := 11
-	g, err := NewGrid(n, n, n, 1, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for a := 0; a < n; a++ {
-		for b := 0; b < n; b++ {
-			g.SetDirichlet(0, a, b, 0)
-			g.SetDirichlet(n-1, a, b, 0)
-			g.SetDirichlet(a, 0, b, 0)
-			g.SetDirichlet(a, n-1, b, 0)
-			g.SetDirichlet(a, b, 0, 0)
-			g.SetDirichlet(a, b, n-1, 0)
-		}
-	}
-	rho := make([]float64, g.N())
-	c := n / 2
-	rho[g.Index(c, c, c)] = 1
-	v, err := g.Solve(rho, 1e-11, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v[g.Index(c, c, c)] <= 0 {
-		t.Fatal("potential at the charge is not positive")
-	}
-	ref := v[g.Index(c+2, c, c)]
-	for _, idx := range []int{
-		g.Index(c-2, c, c), g.Index(c, c+2, c), g.Index(c, c-2, c),
-		g.Index(c, c, c+2), g.Index(c, c, c-2),
-	} {
-		if math.Abs(v[idx]-ref) > 1e-9*(1+math.Abs(ref)) {
-			t.Fatalf("point-charge potential not symmetric: %g vs %g", v[idx], ref)
-		}
-	}
-}
-
-// TestPNJunctionBuiltInPotential is the canonical non-linear Poisson test:
-// the equilibrium potential drop across an abrupt pn junction must equal
-// V_bi = kT·ln(N_A·N_D / n_i²).
-func TestPNJunctionBuiltInPotential(t *testing.T) {
-	mat := SiliconBulk()
-	n := 400
-	const na, nd = 1e-4, 1e-4 // 1e17 cm⁻³ in nm⁻³
-	dev := &Device1D{
-		Dx:     1.0,
-		Doping: make([]float64, n),
-		EpsR:   make([]float64, n),
-		Mat:    mat,
-	}
-	for i := 0; i < n; i++ {
-		dev.EpsR[i] = 11.7
-		if i < n/2 {
-			dev.Doping[i] = -na
-		} else {
-			dev.Doping[i] = nd
-		}
-	}
-	v, err := dev.SolveEquilibrium(1e-10, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kt := units.KT(mat.Temperature)
-	wantVbi := kt * math.Log(na*nd/(mat.Ni()*mat.Ni()))
-	gotVbi := v[n-1] - v[0]
-	if math.Abs(gotVbi-wantVbi) > 0.005 {
-		t.Fatalf("built-in potential %g V, want %g V", gotVbi, wantVbi)
-	}
-	// Far from the junction the material must be neutral: carrier density
-	// equals doping.
-	ne, _ := mat.Carriers(v[n-1])
-	if math.Abs(ne-nd)/nd > 0.01 {
-		t.Fatalf("n-side electron density %g, want %g", ne, nd)
-	}
-}
-
-func TestCarriersMassAction(t *testing.T) {
-	mat := SiliconBulk()
-	ni := mat.Ni()
-	for _, v := range []float64{-0.4, -0.1, 0, 0.2, 0.5} {
-		n, p := mat.Carriers(v)
-		if math.Abs(n*p-ni*ni)/(ni*ni) > 1e-10 {
-			t.Fatalf("np product violated at V=%g: %g vs %g", v, n*p, ni*ni)
-		}
-	}
-	// Si intrinsic density sanity: ~1e10 cm⁻³ = 1e-11 nm⁻³ within a
-	// factor of a few (parameter-set dependent).
-	if ni < 1e-12 || ni > 1e-10 {
-		t.Fatalf("Si intrinsic density %g nm⁻³ outside sanity window", ni)
-	}
-}
-
 func TestGateAllAroundPinchOff(t *testing.T) {
 	n := 61
 	gaa := &GateAllAround1D{
@@ -256,12 +21,13 @@ func TestGateAllAroundPinchOff(t *testing.T) {
 	for i := 20; i < 40; i++ {
 		gaa.GateMask[i] = true
 	}
-	rho := make([]float64, n)
-	vNeg, err := gaa.Solve(-0.5, rho)
+	// A fixed charge: zero response, so the update solves the plain model.
+	rho, zero := make([]float64, n), make([]float64, n)
+	vNeg, err := gaa.SolveLinearized(-0.5, rho, zero, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vPos, err := gaa.Solve(0.5, rho)
+	vPos, err := gaa.SolveLinearized(0.5, rho, zero, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,6 +64,86 @@ func TestTridiagSolver(t *testing.T) {
 		}
 		if math.Abs(r-rhs[i]) > 1e-12 {
 			t.Fatalf("tridiag residual %g at row %d", r-rhs[i], i)
+		}
+	}
+}
+
+// ungated returns a GAA model of n nodes with no gate: the plain 1-D
+// Poisson equation ε_ch·d²V/dx² = −ρ/ε₀ between the two pinned ends.
+func ungated(n int, dx, vs, vd float64) *GateAllAround1D {
+	return &GateAllAround1D{
+		Dx: dx, EpsChannel: 1, EpsOxide: 3.9, Lambda: 3,
+		GateMask: make([]bool, n), VSource: vs, VDrain: vd,
+	}
+}
+
+// TestCapacitor1D: without charge or gate the potential is linear between
+// the contacts.
+func TestCapacitor1D(t *testing.T) {
+	n := 21
+	zero := make([]float64, n)
+	v, err := ungated(n, 0.5, 0, 1).SolveLinearized(0, zero, zero, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		want := float64(i) / float64(n-1)
+		if math.Abs(v[i]-want) > 1e-9 {
+			t.Fatalf("node %d: V=%g, want %g", i, v[i], want)
+		}
+	}
+}
+
+// TestUniformCharge1D: a uniform charge between grounded contacts gives the
+// parabola ρ/(2ε₀ε_ch)·x(L−x), which the three-point stencil reproduces
+// exactly.
+func TestUniformCharge1D(t *testing.T) {
+	n := 41
+	dx := 0.25
+	g := ungated(n, dx, 0, 0)
+	g.EpsChannel = 11.7
+	rho, zero := make([]float64, n), make([]float64, n)
+	const rho0 = 1e-3
+	for i := range rho {
+		rho[i] = rho0
+	}
+	v, err := g.SolveLinearized(0, rho, zero, zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l := float64(n-1) * dx
+	for i := 1; i < n-1; i++ {
+		x := float64(i) * dx
+		want := rho0 / units.Eps0 / g.EpsChannel / 2 * x * (l - x)
+		if math.Abs(v[i]-want) > 1e-8*(1+want) {
+			t.Fatalf("node %d: V=%g, want %g", i, v[i], want)
+		}
+	}
+}
+
+// TestLaplaceMaximumPrinciple: without charge, and with the gate potential
+// inside the range of the contact potentials, no node leaves that range,
+// and the interior is strictly positive when the data are ≥ 0 and not all 0.
+func TestLaplaceMaximumPrinciple(t *testing.T) {
+	n := 31
+	g := ungated(n, 1, 0, 1)
+	g.EpsChannel = 11.7
+	for i := 10; i < 20; i++ {
+		g.GateMask[i] = true
+	}
+	zero := make([]float64, n)
+	for _, vg := range []float64{0, 0.3, 1} {
+		v, err := g.SolveLinearized(vg, zero, zero, zero)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 1; i < n-1; i++ {
+			if v[i] < -1e-9 || v[i] > 1+1e-9 {
+				t.Fatalf("V_G=%g: node %d value %g violates maximum principle", vg, i, v[i])
+			}
+			if v[i] <= 0 {
+				t.Fatalf("V_G=%g: interior node %d not positive: %g", vg, i, v[i])
+			}
 		}
 	}
 }

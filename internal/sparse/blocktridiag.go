@@ -1,3 +1,9 @@
+// Package sparse provides the block-tridiagonal matrix that captures the
+// nearest-neighbor tight-binding structure — a device sliced into principal
+// layers where layer i couples only to layers i±1 — which every
+// open-boundary solver in this repository (RGF, wave-function, SplitSolve)
+// exploits, with its block-Thomas solve and the open system reduced to the
+// couplings' supports.
 package sparse
 
 import (
@@ -247,9 +253,8 @@ func newCoupling(u, l *linalg.Matrix) Coupling {
 // an energy point rebuilds only the diagonal blocks. H must not change once
 // the system is built.
 type ShiftedSystem struct {
-	h    *BlockTridiag
-	neg  *BlockTridiag // −U_i, −L_i and their compressed forms; no diagonal
-	axis []int
+	h   *BlockTridiag
+	neg *BlockTridiag // −U_i, −L_i and their compressed forms; no diagonal
 }
 
 // NewShiftedSystem negates the couplings of h.
@@ -268,21 +273,12 @@ func NewShiftedSystem(h *BlockTridiag) *ShiftedSystem {
 	}
 	s := &ShiftedSystem{h: h, neg: &BlockTridiag{Upper: negate(h.Upper), Lower: negate(h.Lower)}}
 	s.neg.couplings() // compressed here, outside every task's meter
-	var widest int
-	for _, d := range h.Diag {
-		widest = max(widest, d.Rows)
-	}
-	s.axis = Range(0, widest)
 	return s
 }
 
 // Coupling returns the compressed coupling between layers i and i+1. It is
 // shared by every energy: read-only.
 func (s *ShiftedSystem) Coupling(i int) *Coupling { return s.neg.Coupling(i) }
-
-// Axis returns 0, 1, …, n−1 for n up to the widest layer: the index list of
-// an axis Gather takes whole. Shared and read-only, like the couplings.
-func (s *ShiftedSystem) Axis(n int) []int { return s.axis[:n] }
 
 // Diag returns the diagonal block z·I − H_ii checked out of ws. Callers
 // mutate it (self-energy subtraction, the folded-in neighbour layer) but must
@@ -310,29 +306,4 @@ func (s *ShiftedSystem) At(z complex128, ws *linalg.Workspace) *BlockTridiag {
 // AddScaledToDiagBlock(i, sigma, -1) of the open-system assembly.
 func (m *BlockTridiag) AddScaledToDiagBlock(i int, s *linalg.Matrix, scale complex128) {
 	m.Diag[i].AddScaled(s, scale)
-}
-
-// CSR flattens the block-tridiagonal matrix into CSR form.
-func (m *BlockTridiag) CSR() *CSR {
-	off := m.Offsets()
-	n := m.N()
-	b := NewBuilder(n, n)
-	for i, blk := range m.Diag {
-		addDenseBlock(b, off[i], off[i], blk)
-	}
-	for i := range m.Upper {
-		addDenseBlock(b, off[i], off[i+1], m.Upper[i])
-		addDenseBlock(b, off[i+1], off[i], m.Lower[i])
-	}
-	return b.Build()
-}
-
-func addDenseBlock(b *Builder, r0, c0 int, blk *linalg.Matrix) {
-	for i := 0; i < blk.Rows; i++ {
-		for j := 0; j < blk.Cols; j++ {
-			if v := blk.At(i, j); v != 0 {
-				b.Add(r0+i, c0+j, v)
-			}
-		}
-	}
 }

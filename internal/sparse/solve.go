@@ -20,11 +20,11 @@ import (
 func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
 	piv := ws.GetInts(m.N())
 	defer ws.PutInts(piv)
-	var f BTDFactor
+	var f btdFactor
 	if err := f.factor(m, piv, ws); err != nil {
 		return nil, err
 	}
-	return f.Solve(rhs, ws)
+	return f.solve(rhs, ws)
 }
 
 // BlockThomasFlops returns the flops one SolveBlocks counts at width k on
@@ -44,38 +44,25 @@ func BlockThomasFlops(sizes, rows, cols []int, k int) int64 {
 	return f
 }
 
-// BTDFactor is a reusable block-Thomas factorization of a block-
-// tridiagonal matrix: the per-layer pivot factorizations and the
-// eliminated coupling products are computed once, after which every
-// Solve costs only triangular solves and block products — the pattern
-// behind shift-invert eigensolvers.
-// The recurrence runs in the couplings' support space (DESIGN.md §11): the
+// btdFactor is the block-Thomas factorization of a block-tridiagonal
+// matrix: the per-layer pivot factorizations and the eliminated coupling
+// products, after which Solve costs only triangular solves and block
+// products. The recurrence runs in the couplings' support space (DESIGN.md §11): the
 // LU of d̃_i is a layer's one n×n operation, and a dense coupling is the
 // same code with its supports the whole layers.
-type BTDFactor struct {
+type btdFactor struct {
 	m    *BlockTridiag
 	facs []linalg.LU
 	// dU[i] caches d̃_i⁻¹·U_i[:, C_i], n_i × |C_i|, for the back substitution.
 	dU []*linalg.Matrix
 }
 
-// Factor computes the reusable factorization of m on ws: the d̃ᵢ, the
-// d̃ᵢ⁻¹·Uᵢ couplings and the pivots are ws scratch, so the factor is valid
-// until ws is released.
-func (m *BlockTridiag) Factor(ws *linalg.Workspace) (*BTDFactor, error) {
-	f := new(BTDFactor)
-	if err := f.factor(m, ws.GetInts(m.N()), ws); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // factor runs the block-Thomas factorization of m into f. piv, of length
 // m.N(), receives the pivot rows of all layers; every block comes from ws.
-func (f *BTDFactor) factor(m *BlockTridiag, piv []int, ws *linalg.Workspace) error {
+func (f *btdFactor) factor(m *BlockTridiag, piv []int, ws *linalg.Workspace) error {
 	l := m.Layers()
 	cps := m.couplings()
-	*f = BTDFactor{m: m, facs: make([]linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
+	*f = btdFactor{m: m, facs: make([]linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
 	for i := 0; i < l; i++ {
 		n := m.LayerSize(i)
 		d := ws.Get(n, n)
@@ -108,11 +95,11 @@ func (f *BTDFactor) factor(m *BlockTridiag, piv []int, ws *linalg.Workspace) err
 	return nil
 }
 
-// Solve solves M·X = B against the stored factorization. The returned
+// solve solves M·X = B against the stored factorization. The returned
 // blocks are ws scratch, valid until ws is released; forward elimination
 // and back substitution accumulate directly into them through the fused
 // GEMM kernel.
-func (f *BTDFactor) Solve(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
+func (f *btdFactor) solve(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
 	m := f.m
 	l := m.Layers()
 	if len(rhs) != l {

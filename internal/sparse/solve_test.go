@@ -11,9 +11,8 @@ import (
 
 // TestBlockThomasErrors pins every failure of the block-Thomas entries: the
 // literal message, whether it wraps linalg.ErrSingular, and that nothing is
-// returned alongside it. A singular pivot fails Factor and SolveBlocks
-// alike; a right-hand side of the wrong count or shape fails Solve and
-// SolveBlocks alike.
+// returned alongside it: a singular pivot, and a right-hand side of the
+// wrong count or shape.
 func TestBlockThomasErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	sizes := []int{3, 4, 2}
@@ -50,20 +49,6 @@ func TestBlockThomasErrors(t *testing.T) {
 	for _, c := range cases {
 		ws := linalg.GetWorkspace()
 		x, err := c.m.SolveBlocks(c.rhs, ws)
-		f, ferr := c.m.Factor(ws)
-		if c.singular {
-			if f != nil || ferr == nil || ferr.Error() != c.want {
-				t.Errorf("%s: Factor returned %v, %v; want nil, %q", c.name, f, ferr, c.want)
-			}
-		} else {
-			if ferr != nil {
-				t.Fatalf("%s: Factor: %v", c.name, ferr)
-			}
-			y, serr := f.Solve(c.rhs, ws)
-			if y != nil || serr == nil || serr.Error() != c.want {
-				t.Errorf("%s: Solve returned %d blocks, %v; want none, %q", c.name, len(y), serr, c.want)
-			}
-		}
 		ws.Release()
 		if err == nil || err.Error() != c.want {
 			t.Fatalf("%s: SolveBlocks error %v, want %q", c.name, err, c.want)
@@ -109,20 +94,25 @@ func TestSolveBlocksReusesWorkspace(t *testing.T) {
 	}
 }
 
-// TestFactorPivotsReturnOnRelease: BlockTridiag.Factor keeps its pivots in
-// ws.GetInts scratch that nothing hands back but Release. Release must
-// reclaim them, so a Factor on a warm workspace allocates only its three
-// layer-count slices and the next GetInts of that length allocates nothing.
+// TestFactorPivotsReturnOnRelease: the pivot rows SolveBlocks draws for its
+// factorization are back in the workspace once it is released, so a later
+// GetInts of the same length on a warm workspace takes them instead of
+// allocating.
 func TestFactorPivotsReturnOnRelease(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	m := buildRandomBTD(rng, []int{6, 6, 6})
+	sizes := []int{6, 6, 6}
+	m := buildRandomBTD(rng, sizes)
+	rhs := make([]*linalg.Matrix, len(sizes))
+	for i, n := range sizes {
+		rhs[i] = randDense(rng, n, 2)
+	}
 	// Best of several trials, as in TestSolveBlocksReusesWorkspace: under
 	// the race detector sync.Pool drops workspaces at random.
 	allocs := math.Inf(1)
 	for trial := 0; trial < 20; trial++ {
 		allocs = math.Min(allocs, testing.AllocsPerRun(1, func() {
 			ws := linalg.GetWorkspace()
-			if _, err := m.Factor(ws); err != nil {
+			if _, err := m.SolveBlocks(rhs, ws); err != nil {
 				t.Fatal(err)
 			}
 			ws.Release()
@@ -132,6 +122,6 @@ func TestFactorPivotsReturnOnRelease(t *testing.T) {
 		}))
 	}
 	if allocs > 3 {
-		t.Errorf("Factor, Release, GetInts: %.0f allocations on a warm workspace, want ≤ 3", allocs)
+		t.Errorf("SolveBlocks, Release, GetInts: %.0f allocations on a warm workspace, want ≤ 3", allocs)
 	}
 }

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math/cmplx"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -14,82 +15,6 @@ func randDense(rng *rand.Rand, r, c int) *linalg.Matrix {
 		m.Data[i] = complex(rng.Float64()*2-1, rng.Float64()*2-1)
 	}
 	return m
-}
-
-func TestBuilderBuildAndAt(t *testing.T) {
-	b := NewBuilder(3, 3)
-	b.Add(0, 0, 1)
-	b.Add(2, 1, 2i)
-	b.Add(2, 1, 3) // duplicate accumulates
-	b.Add(1, 2, -1)
-	m := b.Build()
-	if m.NNZ() != 3 {
-		t.Fatalf("NNZ = %d, want 3", m.NNZ())
-	}
-	if m.At(0, 0) != 1 || m.At(2, 1) != 3+2i || m.At(1, 2) != -1 {
-		t.Fatal("CSR content mismatch")
-	}
-	if m.At(0, 1) != 0 {
-		t.Fatal("missing entry should read as zero")
-	}
-}
-
-func TestBuilderDropsCancelledEntries(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Add(0, 1, 5)
-	b.Add(0, 1, -5)
-	b.Add(1, 0, 0)
-	m := b.Build()
-	if m.NNZ() != 0 {
-		t.Fatalf("cancelled entries still stored: NNZ = %d", m.NNZ())
-	}
-}
-
-func TestBuilderOutOfRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range Add did not panic")
-		}
-	}()
-	NewBuilder(2, 2).Add(2, 0, 1)
-}
-
-func TestCSRMulVecMatchesDense(t *testing.T) {
-	rng := rand.New(rand.NewSource(30))
-	b := NewBuilder(8, 6)
-	for k := 0; k < 20; k++ {
-		b.Add(rng.Intn(8), rng.Intn(6), complex(rng.Float64(), rng.Float64()))
-	}
-	m := b.Build()
-	d := m.Dense()
-	x := make([]complex128, 6)
-	for i := range x {
-		x[i] = complex(rng.Float64(), rng.Float64())
-	}
-	ys := m.MulVec(x)
-	yd := d.MulVec(x)
-	for i := range ys {
-		if abs2(ys[i]-yd[i]) > 1e-24 {
-			t.Fatalf("SpMV component %d: %v vs %v", i, ys[i], yd[i])
-		}
-	}
-}
-
-func TestCSRIsHermitian(t *testing.T) {
-	b := NewBuilder(2, 2)
-	b.Add(0, 0, 1)
-	b.Add(0, 1, 2+1i)
-	b.Add(1, 0, 2-1i)
-	b.Add(1, 1, 3)
-	if !b.Build().IsHermitian(1e-14) {
-		t.Fatal("Hermitian CSR not detected")
-	}
-	b2 := NewBuilder(2, 2)
-	b2.Add(0, 1, 1i)
-	b2.Add(1, 0, 1i)
-	if b2.Build().IsHermitian(1e-14) {
-		t.Fatal("non-Hermitian CSR reported Hermitian")
-	}
 }
 
 // buildRandomBTD assembles a random Hermitian block-tridiagonal matrix with
@@ -146,7 +71,7 @@ func TestBlockTridiagDenseAndMulVec(t *testing.T) {
 	yb := m.MulVec(x)
 	yd := d.MulVec(x)
 	for i := range yb {
-		if abs2(yb[i]-yd[i]) > 1e-22 {
+		if cmplx.Abs(yb[i]-yd[i]) > 1e-11 {
 			t.Fatalf("BTD MulVec component %d mismatch", i)
 		}
 	}
@@ -161,14 +86,6 @@ func TestBlockTridiagHermitian(t *testing.T) {
 	m.Upper[0].Set(0, 0, m.Upper[0].At(0, 0)+1)
 	if m.IsHermitian(1e-6) {
 		t.Fatal("perturbed BTD still Hermitian")
-	}
-}
-
-func TestBlockTridiagCSRRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	m := buildRandomBTD(rng, []int{2, 4, 3})
-	if !m.CSR().Dense().Equal(m.Dense(), 1e-14) {
-		t.Fatal("CSR flattening disagrees with dense expansion")
 	}
 }
 
@@ -191,32 +108,6 @@ func TestBlockTridiagOffsets(t *testing.T) {
 		if off[i] != want[i] {
 			t.Fatalf("Offsets = %v, want %v", off, want)
 		}
-	}
-}
-
-func TestQuickCSRDenseEquivalence(t *testing.T) {
-	f := func(seed int64, rRaw, cRaw uint8) bool {
-		r := int(rRaw%6) + 1
-		c := int(cRaw%6) + 1
-		rng := rand.New(rand.NewSource(seed))
-		b := NewBuilder(r, c)
-		n := rng.Intn(3 * r * c)
-		for k := 0; k < n; k++ {
-			b.Add(rng.Intn(r), rng.Intn(c), complex(rng.NormFloat64(), rng.NormFloat64()))
-		}
-		m := b.Build()
-		d := m.Dense()
-		for i := 0; i < r; i++ {
-			for j := 0; j < c; j++ {
-				if abs2(m.At(i, j)-d.At(i, j)) > 1e-24 {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

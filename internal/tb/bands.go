@@ -75,27 +75,12 @@ func (b *BandStructure) BandRange(n int) (lo, hi float64) {
 	return lo, hi
 }
 
-// Gap scans for the largest energy gap that separates two consecutive
-// bands at every k-point and returns its edges (top of the lower band,
-// bottom of the upper band). ok is false for gapless (metallic) spectra.
-func (b *BandStructure) Gap() (evTop, ecBottom float64, ok bool) {
-	nb := b.NumBands()
-	best := 0.0
-	for n := 0; n+1 < nb; n++ {
-		_, hiN := b.BandRange(n)
-		loN1, _ := b.BandRange(n + 1)
-		if g := loN1 - hiN; g > best {
-			best = g
-			evTop, ecBottom = hiN, loN1
-			ok = true
-		}
-	}
-	return evTop, ecBottom, ok
-}
-
-// GapAround behaves like Gap but only considers gaps whose midpoint lies
-// within [eLo, eHi] — useful for multi-gap spectra where the transport gap
-// around the Fermi level is wanted, not the widest spectral gap.
+// GapAround scans for the largest energy gap that separates two consecutive
+// bands at every k-point and whose midpoint lies within [eLo, eHi], and
+// returns its edges (top of the lower band, bottom of the upper band); ok
+// is false when there is none. Restricting the midpoint picks, in a
+// multi-gap spectrum, the transport gap around the Fermi level rather than
+// the widest spectral gap.
 func (b *BandStructure) GapAround(eLo, eHi float64) (evTop, ecBottom float64, ok bool) {
 	nb := b.NumBands()
 	best := 0.0

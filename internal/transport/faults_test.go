@@ -76,78 +76,3 @@ func TestTransmissionAtMatchesSpectrum(t *testing.T) {
 		}
 	}
 }
-
-func TestDropQuarantined(t *testing.T) {
-	es := []float64{0, 1, 2, 3, 4}
-	vs := []float64{10, 11, 12, 13, 14}
-	ge, gv := DropQuarantined(es, vs, func(i int) bool { return i == 1 || i == 3 })
-	if len(ge) != 3 || ge[0] != 0 || ge[1] != 2 || ge[2] != 4 {
-		t.Fatalf("energies: %v", ge)
-	}
-	if gv[0] != 10 || gv[1] != 12 || gv[2] != 14 {
-		t.Fatalf("values: %v", gv)
-	}
-	ae, av := DropQuarantined(es, vs, nil)
-	if len(ae) != 5 || len(av) != 5 {
-		t.Fatal("nil predicate must keep everything")
-	}
-}
-
-func TestRenormalizedCurrentBounds(t *testing.T) {
-	// A smooth transmission step across a biased window.
-	n := 201
-	es := UniformGrid(-0.5, 0.5, n)
-	ts := make([]float64, n)
-	for i, e := range es {
-		ts[i] = 1 / (1 + math.Exp(-20*e)) // smooth turn-on at E=0
-	}
-	bias := Bias{MuL: 0.15, MuR: -0.15, Temperature: 300}
-
-	full, err := Current(es, ts, bias, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full <= 0 {
-		t.Fatalf("full current %g not positive", full)
-	}
-
-	// No quarantine: bitwise-identical to the plain integrator.
-	same, err := RenormalizedCurrent(es, ts, nil, bias, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if same != full {
-		t.Fatalf("empty quarantine changed the integral: %v vs %v", same, full)
-	}
-
-	// A few isolated interior losses: the renormalized integral stays
-	// within a small relative band of the truth — each gap contributes
-	// O(de²·T″) trapezoid error, far below 1% here.
-	bad := map[int]bool{31: true, 97: true, 98: true, 150: true}
-	renorm, err := RenormalizedCurrent(es, ts, func(i int) bool { return bad[i] }, bias, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(renorm-full) / full; rel > 0.01 {
-		t.Fatalf("4 quarantined points moved the current by %.2f%%", 100*rel)
-	}
-
-	// Quarantined window edges: the window-ratio rescale keeps the
-	// integral in band because the edges are cold (f_L−f_R ≈ 0 there).
-	edge := map[int]bool{0: true, 1: true, n - 1: true}
-	clipped, err := RenormalizedCurrent(es, ts, func(i int) bool { return edge[i] }, bias, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(clipped-full) / full; rel > 0.02 {
-		t.Fatalf("edge quarantine moved the current by %.2f%%", 100*rel)
-	}
-
-	// Losing nearly everything must fail, not silently extrapolate.
-	if _, err := RenormalizedCurrent(es, ts, func(i int) bool { return i > 0 }, bias, 2); err == nil {
-		t.Fatal("integration over a single survivor accepted")
-	}
-	if _, err := RenormalizedCurrent(es[:3], ts[:4], nil, bias, 2); err == nil {
-		t.Fatal("mismatched slice lengths accepted")
-	}
-}

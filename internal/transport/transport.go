@@ -328,52 +328,6 @@ func (e *Engine) ChargeDensity(ctx context.Context, energies []float64, bias Bia
 	return n, dn, nil
 }
 
-// DropQuarantined filters an energy grid and its per-point values down to
-// the surviving points, removing every index for which bad returns true.
-// It is the renormalization primitive for gracefully degraded sweeps: the
-// trapezoidal integrators (Current, RenormalizedCurrent) then span each
-// gap with a single wider panel, i.e. they linearly interpolate the
-// integrand across the quarantined points.
-func DropQuarantined(energies, values []float64, bad func(i int) bool) (es, vs []float64) {
-	es = make([]float64, 0, len(energies))
-	vs = make([]float64, 0, len(values))
-	for i := range energies {
-		if bad != nil && bad(i) {
-			continue
-		}
-		es = append(es, energies[i])
-		vs = append(vs, values[i])
-	}
-	return es, vs
-}
-
-// RenormalizedCurrent integrates the Landauer current over a grid from
-// which some points were quarantined (lost to numerical blow-ups or
-// exhausted retries). The bad points are dropped; interior gaps are
-// bridged by the trapezoidal rule (linear interpolation of T·[f_L−f_R]
-// across the gap, with error O(gap²·|∂²integrand|)); if quarantine clipped
-// the window edges, the integral is rescaled by the full-to-surviving
-// window ratio — production sweeps put cold window edges well outside the
-// conducting region, so both corrections stay small for isolated losses.
-// At least two points must survive.
-func RenormalizedCurrent(energies, transmissions []float64, bad func(i int) bool, bias Bias, spinDegeneracy float64) (float64, error) {
-	if len(energies) != len(transmissions) {
-		return 0, fmt.Errorf("transport: %d energies vs %d transmissions", len(energies), len(transmissions))
-	}
-	es, ts := DropQuarantined(energies, transmissions, bad)
-	if len(es) < 2 {
-		return 0, fmt.Errorf("transport: only %d of %d grid points survive quarantine", len(es), len(energies))
-	}
-	cur, err := Current(es, ts, bias, spinDegeneracy)
-	if err != nil {
-		return 0, err
-	}
-	if full, kept := energies[len(energies)-1]-energies[0], es[len(es)-1]-es[0]; kept > 0 && kept < full {
-		cur *= full / kept
-	}
-	return cur, nil
-}
-
 // UniformGrid returns n energies spanning [lo, hi] inclusive. n <= 0
 // yields an empty grid; n == 1 yields the single point lo (the degenerate
 // one-point "span" pins to the lower edge).

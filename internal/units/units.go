@@ -14,12 +14,6 @@ const (
 	// KBoltzmann is Boltzmann's constant in eV/K.
 	KBoltzmann = 8.617333262e-5
 
-	// RoomTemperature in kelvin.
-	RoomTemperature = 300.0
-
-	// HBar is the reduced Planck constant in eV·s.
-	HBar = 6.582119569e-16
-
 	// QElectron is the elementary charge in coulomb, used only when
 	// converting currents to amperes.
 	QElectron = 1.602176634e-19
@@ -49,16 +43,6 @@ func Fermi(e, mu, kT float64) float64 {
 	default:
 		return 1 / (1 + math.Exp(x))
 	}
-}
-
-// FermiHalf returns the complete Fermi-Dirac integral of order 1/2,
-// F_{1/2}(η) = (2/√π)∫₀^∞ √x/(1+exp(x−η))dx, using the Bednarczyk &
-// Bednarczyk analytic approximation (accurate to ~0.4% for all η), the
-// standard choice for semiclassical carrier statistics.
-func FermiHalf(eta float64) float64 {
-	a := math.Pow(eta, 4) + 50 + 33.6*eta*(1-0.68*math.Exp(-0.17*(eta+1)*(eta+1)))
-	b := 1.0 / (math.Exp(-eta) + 3*math.SqrtPi/(4*math.Pow(a, 0.375)))
-	return b
 }
 
 // LogisticDerivative returns −∂f/∂E of the Fermi function, the thermal

@@ -46,36 +46,6 @@ func TestFermiMonotone(t *testing.T) {
 	}
 }
 
-func TestFermiHalfLimits(t *testing.T) {
-	// Non-degenerate limit: F½(η) → exp(η) for η ≪ 0.
-	for _, eta := range []float64{-8, -5, -4} {
-		got := FermiHalf(eta)
-		want := math.Exp(eta)
-		if math.Abs(got-want)/want > 0.02 {
-			t.Fatalf("F½(%g) = %g, want ≈ %g", eta, got, want)
-		}
-	}
-	// Degenerate limit: F½(η) → (4/3√π)·η^{3/2} for η ≫ 0.
-	for _, eta := range []float64{10, 20, 40} {
-		got := FermiHalf(eta)
-		want := 4 / (3 * math.SqrtPi) * math.Pow(eta, 1.5)
-		if math.Abs(got-want)/want > 0.05 {
-			t.Fatalf("F½(%g) = %g, want ≈ %g", eta, got, want)
-		}
-	}
-}
-
-func TestFermiHalfMonotone(t *testing.T) {
-	prev := 0.0
-	for eta := -10.0; eta <= 10; eta += 0.25 {
-		v := FermiHalf(eta)
-		if v <= prev {
-			t.Fatalf("F½ not increasing at η=%g", eta)
-		}
-		prev = v
-	}
-}
-
 func TestLogisticDerivative(t *testing.T) {
 	kt := KT(300)
 	// Peak value at E = mu is 1/(4kT).

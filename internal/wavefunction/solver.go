@@ -1,3 +1,9 @@
+// Package wavefunction implements the scattering-state (wave-function /
+// quantum transmitting boundary) formalism for ballistic transport — the
+// production solver of the paper, mathematically equivalent to NEGF but
+// cheaper in the ballistic limit because it solves the open-boundary
+// linear system for the contact column blocks instead of recursively
+// inverting every layer.
 package wavefunction
 
 import (
