@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached bench bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The T2 solves and the
 # cold self-energy miss draw their workspaces from sync.Pools, where a P
@@ -154,9 +154,24 @@ drill-serve:
 
 # Report the non-test internal/ functions that no binary links (every
 # cmd/, examples/ and the bench/ ledger, built with inlining off): what
-# only tests reach. Report only — it gates nothing and is not in ci.
+# only tests reach. Report only — it gates nothing.
 unreached:
 	GO=$(GO) sh scripts/unreached.sh
+
+# Fail when the report names a function that scripts/unreached.txt does
+# not list: new code that only tests reach must be deleted or listed on
+# purpose. Symbols only, so moving a listed function does not trip it; a
+# listed symbol that is no longer reported is fine (prune the list when
+# convenient).
+unreached-check:
+	@mkdir -p bin
+	GO=$(GO) sh scripts/unreached.sh > bin/unreached.report
+	@awk '{ print $$2 }' bin/unreached.report | LC_ALL=C sort -u > bin/unreached.now
+	@grep -v '^#' scripts/unreached.txt | LC_ALL=C sort -u | LC_ALL=C comm -23 bin/unreached.now - > bin/unreached.new
+	@if [ -s bin/unreached.new ]; then \
+		echo "unreached-check: no binary links these, and scripts/unreached.txt does not list them:"; \
+		cat bin/unreached.new; exit 1; fi
+	@echo "unreached-check: every unreached function is listed in scripts/unreached.txt"
 
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' ./internal/...
@@ -180,7 +195,7 @@ bench-vet:
 	$(GO) -C bench vet -tags layertrace ./...
 	$(GO) -C bench test ./...
 
-ci: check build race bench-vet
+ci: check build race bench-vet unreached-check
 
 clean:
 	$(GO) clean ./...

@@ -33,6 +33,9 @@ type journalCase struct {
 	epoch  uint64
 	whole  []int // record indices, file order
 	follow []int
+	// torn is the whole line the file's unterminated last line is a
+	// prefix of, or "" when the file ends at a line boundary.
+	torn string
 }
 
 func journalCases() []journalCase {
@@ -58,18 +61,18 @@ func journalCases() []journalCase {
 		{name: "mixed", data: mixed, header: hdr, epoch: 3,
 			whole: []int{0, 1, 1, 99, 3}, follow: []int{0, 1, 1, 99, 3}},
 		{name: "torn tail", data: mixed + recLine(2, "payload-2")[:20], header: hdr, epoch: 3,
-			whole: []int{0, 1, 1, 99, 3}, follow: []int{0, 1, 1, 99, 3}},
+			whole: []int{0, 1, 1, 99, 3}, follow: []int{0, 1, 1, 99, 3}, torn: recLine(2, "payload-2")},
 		// The writer died between a record and its newline. The record
 		// verifies, so a reader of the file at rest takes it (tail repair
 		// will terminate it); a follower leaves it for the writer.
 		{name: "unterminated record", data: mixed + recLine(2, "payload-2"), header: hdr, epoch: 3,
-			whole: []int{0, 1, 1, 99, 3, 2}, follow: []int{0, 1, 1, 99, 3}},
+			whole: []int{0, 1, 1, 99, 3, 2}, follow: []int{0, 1, 1, 99, 3}, torn: recLine(2, "payload-2")},
 		// A group commit is one write of several lines, so a crash can cut
 		// it between two records or inside one.
 		{name: "batch cut at a record boundary", data: mixed + recLine(2, "payload-2") + "\n" + recLine(4, "payload-4") + "\n", header: hdr, epoch: 3,
 			whole: []int{0, 1, 1, 99, 3, 2, 4}, follow: []int{0, 1, 1, 99, 3, 2, 4}},
 		{name: "batch cut mid-record", data: mixed + recLine(2, "payload-2") + "\n" + recLine(4, "payload-4") + "\n" + recLine(5, "payload-5")[:31], header: hdr, epoch: 3,
-			whole: []int{0, 1, 1, 99, 3, 2, 4}, follow: []int{0, 1, 1, 99, 3, 2, 4}},
+			whole: []int{0, 1, 1, 99, 3, 2, 4}, follow: []int{0, 1, 1, 99, 3, 2, 4}, torn: recLine(5, "payload-5")},
 		{name: "headerless", data: recLine(0, "p") + "\n" + recLine(1, "q") + "\n", epoch: 1,
 			whole: []int{0, 1}, follow: []int{0, 1}},
 	}
@@ -131,8 +134,24 @@ func TestJournalReadersAgree(t *testing.T) {
 				if !reflect.DeepEqual(indices(got), tc.follow) {
 					t.Fatalf("cut %d: tail saw %v, want %v", cut, indices(got), tc.follow)
 				}
-				if want := int64(strings.LastIndexByte(tc.data, '\n') + 1); tail.Offset() != want {
-					t.Fatalf("cut %d: tail offset %d, want %d (the end of the last complete line)", cut, tail.Offset(), want)
+				// Complete the torn last line (or append a whole one): the
+				// next Poll must return exactly that record, so the tail
+				// stopped at the end of the last complete line.
+				line := tc.torn
+				if line == "" {
+					line = recLine(7, "payload-7")
+				}
+				var next TaskRecord
+				if err := json.Unmarshal([]byte(line), &next); err != nil {
+					t.Fatal(err)
+				}
+				frag := tc.data[strings.LastIndexByte(tc.data, '\n')+1:]
+				if err := os.WriteFile(tpath, []byte(tc.data+line[len(frag):]+"\n"), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				recs, err := tail.Poll()
+				if err != nil || !reflect.DeepEqual(indices(recs), []int{next.Index}) {
+					t.Fatalf("cut %d: Poll after completing the last line = %v, %v; want [%d]", cut, indices(recs), err, next.Index)
 				}
 			}
 

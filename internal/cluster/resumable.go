@@ -288,9 +288,3 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 	}
 	return rep, nil
 }
-
-// CompletedTasks returns how many tasks the report accounts for: restored,
-// newly completed, and quarantined.
-func (r *SweepReport) CompletedTasks() int {
-	return r.Restored + r.Completed + len(r.Quarantined)
-}

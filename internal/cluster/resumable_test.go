@@ -207,8 +207,9 @@ func TestQuarantineDegradesGracefully(t *testing.T) {
 			t.Fatalf("faulty task %d missing from quarantine set", i)
 		}
 	}
-	if rep.CompletedTasks() != rep.Total {
-		t.Fatalf("accounting: %d of %d", rep.CompletedTasks(), rep.Total)
+	if n := rep.Restored + rep.Completed + len(rep.Quarantined); n != rep.Total {
+		t.Fatalf("accounting: %d restored + %d completed + %d quarantined = %d of %d",
+			rep.Restored, rep.Completed, len(rep.Quarantined), n, rep.Total)
 	}
 	// Healthy observables are untouched by their quarantined neighbors.
 	for i := range f.results {

@@ -35,9 +35,6 @@ type Tail struct {
 // NewTail returns a tail reader starting at the head of the journal.
 func NewTail(path string) *Tail { return &Tail{path: path} }
 
-// Offset returns the byte offset of the next unread line.
-func (t *Tail) Offset() int64 { return t.off }
-
 // Poll returns the verified task records appended since the last Poll.
 // An empty batch means no complete new records — poll again later.
 func (t *Tail) Poll() ([]TaskRecord, error) {

@@ -12,6 +12,17 @@ import (
 	"repro/internal/transport"
 )
 
+// The FET's fixed electrostatics and contact statistics: the oxide and
+// channel relative permittivities, the source Fermi level relative to the
+// lead conduction-band minimum (eV; positive = degenerate source), and the
+// temperature (K).
+const (
+	epsOx       = 3.9
+	epsCh       = 11.7
+	muOffset    = 0.025
+	temperature = 300.0
+)
+
 // FET couples a Simulator to the gate-all-around electrostatic model for
 // self-consistent ballistic I-V simulation — the paper's flagship
 // "atomistic device engineering" application. All potentials inside the
@@ -22,16 +33,10 @@ type FET struct {
 	// GateStart and GateEnd bound the gated window as fractions of the
 	// transport length.
 	GateStart, GateEnd float64
-	// Lambda is the gate screening length (nm); EpsOx and EpsCh the oxide
-	// and channel relative permittivities.
-	Lambda, EpsOx, EpsCh float64
+	// Lambda is the gate screening length (nm).
+	Lambda float64
 	// SourceDoping is the donor density of the contact extensions (1/nm³).
 	SourceDoping float64
-	// MuOffset places the source Fermi level relative to the lead
-	// conduction-band minimum (eV; positive = degenerate source).
-	MuOffset float64
-	// Temperature in kelvin.
-	Temperature float64
 	// NE is the charge-integration grid size per iteration.
 	NE int
 	// Tol is the self-consistency tolerance (eV) on max|g(u) − u|, the
@@ -73,11 +78,7 @@ func NewFET(sim *Simulator) (*FET, error) {
 		GateStart:    0.35,
 		GateEnd:      0.65,
 		Lambda:       2.5,
-		EpsOx:        3.9,
-		EpsCh:        11.7,
 		SourceDoping: 5e-1, // degenerate extensions (≈ 5e20 cm⁻³)
-		MuOffset:     0.025,
-		Temperature:  300,
 		NE:           180,
 		Tol:          1e-4,
 		MaxIter:      60,
@@ -175,8 +176,8 @@ func (f *FET) latticeFrom(window func() (float64, float64)) {
 // point: from just below the lowest plausible local band minimum to well
 // above the hotter contact, clamped above the (shifted) valence bands.
 func (f *FET) chargeWindow(vg, vd float64) (lo, hi float64) {
-	kT := KT(f.Temperature)
-	muS := f.ec + f.MuOffset
+	kT := KT(temperature)
+	muS := f.ec + muOffset
 	muD := muS - vd
 	uLo := math.Min(0, math.Min(-vd, -vg)) - 0.05
 	uHi := math.Max(0, -vd) + 0.05
@@ -206,8 +207,8 @@ func (f *FET) chargeGrid(vg, vd float64) []float64 {
 // cache entries.
 func (f *FET) currentGrid(vd float64, u []float64) []float64 {
 	f.ensureLattice()
-	kT := KT(f.Temperature)
-	muS := f.ec + f.MuOffset
+	kT := KT(temperature)
+	muS := f.ec + muOffset
 	muD := muS - vd
 	eLo := math.Min(muS, muD) - 12*kT
 	if vb := f.ev + maxOf(u) + 4*kT; eLo < vb {
@@ -256,14 +257,14 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	nl := s.NLayers()
 	atoms := s.NAtoms()
 	layerVol := f.Sim.LayerVolume()
-	muS := f.ec + f.MuOffset
+	muS := f.ec + muOffset
 	muD := muS - vd
-	bias := transport.Bias{MuL: muS, MuR: muD, Temperature: f.Temperature}
+	bias := transport.Bias{MuL: muS, MuR: muD, Temperature: temperature}
 	nd := f.dopingProfile(nl)
 	gaa := &poisson.GateAllAround1D{
 		Dx:         s.LayerPeriod,
-		EpsChannel: f.EpsCh,
-		EpsOxide:   f.EpsOx,
+		EpsChannel: epsCh,
+		EpsOxide:   epsOx,
 		Lambda:     f.Lambda,
 		GateMask:   f.gateMask(nl),
 		VSource:    0,

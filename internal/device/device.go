@@ -195,13 +195,3 @@ func BenchmarkSuite() []Description {
 		{Name: "ZGNR-6", Kind: ZigzagGNR, CellsX: 12, CellsY: 6},
 	}
 }
-
-// PaperScale returns the full-size flagship device of the paper-scale
-// experiments (constructible, but sized for the performance model rather
-// than for a laptop solve).
-func PaperScale() Description {
-	return Description{
-		Name: "SiNW-22nm-class", Kind: SiNanowire,
-		CellsX: 40, CellsY: 6, CellsZ: 6, FullBand: true, Spin: true,
-	}
-}

@@ -102,26 +102,6 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-func TestPaperScaleConstructible(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large structure build")
-	}
-	d := PaperScale()
-	b, err := d.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := b.Stats(d.Name, d.Kind.String())
-	// The flagship device must be meaningfully large: > 10⁴ atoms and a
-	// matrix order in the 10⁵–10⁶ range the paper's solvers target.
-	if st.Atoms < 10000 {
-		t.Fatalf("paper-scale device has only %d atoms", st.Atoms)
-	}
-	if st.MatrixOrder < 200000 {
-		t.Fatalf("paper-scale matrix order %d too small", st.MatrixOrder)
-	}
-}
-
 func TestGeAndInAsKinds(t *testing.T) {
 	for _, k := range []Kind{GeNanowire, InAsNanowire} {
 		d := Description{Name: k.String(), Kind: k, CellsX: 2, CellsY: 1, CellsZ: 1}

@@ -9,8 +9,8 @@ import (
 // This file holds the flop-minimal fused kernels of the transport hot
 // paths: O(n²) replacements for trace/diagonal observables that the naive
 // formulas compute via full O(n³) products, and in-place elementwise
-// helpers that kill scaled temporaries (Scale(-1) copies, materialized
-// adjoints).
+// helpers that kill scaled temporaries (Scale(-1) copies). Adjoints are
+// materialized with ConjTransposeInto where a solver reuses them.
 
 // TraceMulConj returns Tr[a·b†] in O(rows·cols) via
 // Σ_ij a_ij·conj(b_ij), instead of forming the O(n³) product. a and b
@@ -21,23 +21,6 @@ func TraceMulConj(a, b *Matrix) complex128 {
 	var s complex128
 	for i, v := range a.Data {
 		s += v * cmplx.Conj(b.Data[i])
-	}
-	perf.AddFlops(int64(len(a.Data)) * perf.FlopsCMulAdd)
-	return s
-}
-
-// TraceMul returns Tr[a·b] in O(n²) via Σ_ij a_ij·b_ji. a must be m×n and
-// b n×m.
-func TraceMul(a, b *Matrix) complex128 {
-	if a.Cols != b.Rows || a.Rows != b.Cols {
-		panic("linalg: dimension mismatch in TraceMul")
-	}
-	var s complex128
-	for i := 0; i < a.Rows; i++ {
-		aRow := a.Data[i*a.Cols : (i+1)*a.Cols]
-		for j, v := range aRow {
-			s += v * b.Data[j*b.Cols+i]
-		}
 	}
 	perf.AddFlops(int64(len(a.Data)) * perf.FlopsCMulAdd)
 	return s
@@ -99,30 +82,15 @@ func ScaleRowsInto(dst *Matrix, d []complex128, src *Matrix) {
 	perf.AddFlops(int64(len(src.Data)) * perf.FlopsCMul)
 }
 
-// AddScaled sets m = m + s·b without materializing the scaled copy.
+// AddScaled sets m = m + s·b without materializing the scaled copy: the
+// self-energy subtraction of the dense oracle's open-system assembly.
 // There is no short-circuit on s: 0·x is not a no-op in IEEE arithmetic.
 func (m *Matrix) AddScaled(b *Matrix, s complex128) {
 	checkSameShape(m, b, "AddScaled")
-	axpyAddTo(m.Data, b.Data, s)
-	perf.AddFlops(int64(len(m.Data)) * perf.FlopsCMulAdd)
-}
-
-// AddInto sets dst = a + b. dst may alias a or b (pure elementwise).
-func AddInto(dst, a, b *Matrix) {
-	checkSameShape(a, b, "AddInto")
-	checkSameShape(dst, a, "AddInto")
-	for i, v := range a.Data {
-		dst.Data[i] = v + b.Data[i]
+	for i, v := range b.Data {
+		m.Data[i] += s * v
 	}
-	perf.AddFlops(int64(len(a.Data)) * perf.FlopsCAdd)
-}
-
-// SubInto sets dst = a − b. dst may alias a or b (pure elementwise).
-func SubInto(dst, a, b *Matrix) {
-	checkSameShape(a, b, "SubInto")
-	checkSameShape(dst, a, "SubInto")
-	subTo(dst.Data, a.Data, b.Data)
-	perf.AddFlops(int64(len(a.Data)) * perf.FlopsCAdd)
+	perf.AddFlops(int64(len(m.Data)) * perf.FlopsCMulAdd)
 }
 
 // ConjTransposeInto writes m† into dst, which must be m.Cols×m.Rows and

@@ -1,10 +1,6 @@
 package linalg
 
-import (
-	"math/cmplx"
-
-	"repro/internal/perf"
-)
+import "repro/internal/perf"
 
 // gemmBlock is the cache-blocking tile edge used by the matrix-product
 // kernels. 64 complex128 values per row segment keep the working set of a
@@ -17,9 +13,10 @@ type Op int
 const (
 	// NoTrans uses the operand as stored.
 	NoTrans Op = iota
-	// ConjTrans uses the Hermitian adjoint of the operand without
-	// materializing it — products like A·B† and Γ·G·Γ·G† read the
-	// original storage directly.
+	// ConjTrans uses the Hermitian adjoint of the operand, which
+	// GemmInto copies into workspace scratch for the one call. A solver
+	// that reuses an adjoint materializes it once itself and passes
+	// NoTrans.
 	ConjTrans
 )
 
@@ -47,16 +44,15 @@ func MulInto(dst *Matrix, a *Matrix, opA Op, b *Matrix, opB Op) {
 //
 //	dst = alpha·opA(a)·opB(b) + beta·dst
 //
-// ConjTrans operands are read in place — no adjoint is ever materialized.
-// dst must not alias a or b. Flop accounting and cache blocking live here
-// so every product routine reports identically.
+// There is one loop nest, NoTrans·NoTrans: a ConjTrans operand is first
+// copied into workspace scratch with ConjTransposeInto (a transpose counts
+// no flops), so opA(a)·opB(b) computes the bits of the same product on the
+// materialized adjoints. dst must not alias a or b. Flop accounting and
+// cache blocking live here so every product routine reports identically.
 //
-// The elementwise inner loops (opB == NoTrans) run the AVX microkernels
-// where the CPU has them and the row segment is wide enough — fusedMinWidth
-// for the fused NoTrans·NoTrans tile, vecMinLen for the per-segment axpy of
-// ConjTrans·NoTrans; the scalar loop next to each dispatch is the fallback
-// and computes the same bits. The dot-product shapes (opB == ConjTrans)
-// stay scalar: vector lanes would reassociate their partial sums.
+// The inner loop runs the fused AVX tile avxGemmTileNN where the CPU has
+// it and the row segment is at least fusedMinWidth wide; the scalar loop
+// next to the dispatch is the fallback and computes the same bits.
 func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128) {
 	if dst == a || dst == b {
 		panic("linalg: GemmInto output aliases an operand")
@@ -69,6 +65,11 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 	if dst.Rows != ra || dst.Cols != cb {
 		panic("linalg: output dimension mismatch in GemmInto")
 	}
+	var ws *Workspace
+	if opA == ConjTrans || opB == ConjTrans {
+		ws = GetWorkspace()
+		a, b = asStored(a, opA, ws), asStored(b, opB, ws)
+	}
 	if beta == 0 {
 		dst.Zero()
 	} else if beta != 1 {
@@ -76,124 +77,75 @@ func GemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB O
 		perf.AddFlops(int64(len(dst.Data)) * perf.FlopsCMul)
 	}
 	n, k, p := ra, ca, cb
-	switch {
-	case opA == NoTrans && opB == NoTrans:
-		// i-k-j loop order with row-slice inner loops: the innermost loop
-		// streams contiguously through b and dst. Blocked over k and j for
-		// cache reuse on large operands; unrolled two-deep over k so each
-		// dst row segment is read and written half as often. The zero skips
-		// test the unscaled multipliers, before alpha — 0·x is not a no-op
-		// in IEEE arithmetic — and avxGemmTileNN keeps them there. The
-		// vector/scalar choice is hoisted out of the inner loops: the
-		// row-segment width is fixed per column block.
-		for jj := 0; jj < p; jj += gemmBlock {
-			jEnd := min(jj+gemmBlock, p)
-			vec := hasAVX && n > 0 && jEnd-jj >= fusedMinWidth
-			for kk := 0; kk < k; kk += gemmBlock {
-				kEnd := min(kk+gemmBlock, k)
-				if vec {
-					// One fused call runs the whole tile: every row's
-					// l-loop, pair skips, alpha scaling, updates, tail.
-					avxGemmTileNN(&dst.Data[jj], &a.Data[kk], &b.Data[kk*p+jj], n, k, kEnd-kk, p, jEnd-jj, alpha)
-					continue
-				}
-				for i := 0; i < n; i++ {
-					dstRow := dst.Data[i*p+jj : i*p+jEnd]
-					aRow := a.Data[i*k : (i+1)*k]
-					l := kk
-					for ; l+1 < kEnd; l += 2 {
-						av0 := aRow[l]
-						av1 := aRow[l+1]
-						if av0 == 0 && av1 == 0 {
-							continue
-						}
-						av0 *= alpha
-						av1 *= alpha
-						b0 := b.Data[l*p+jj : l*p+jEnd]
-						b1 := b.Data[(l+1)*p+jj : (l+1)*p+jEnd]
-						b1 = b1[:len(dstRow)]
-						b0 = b0[:len(dstRow)]
-						for j := range dstRow {
-							dstRow[j] += av0*b0[j] + av1*b1[j]
-						}
-					}
-					for ; l < kEnd; l++ {
-						av := aRow[l]
-						if av == 0 {
-							continue
-						}
-						av *= alpha
-						bRow := b.Data[l*p+jj : l*p+jEnd]
-						bRow = bRow[:len(dstRow)]
-						for j := range dstRow {
-							dstRow[j] += av * bRow[j]
-						}
-					}
-				}
-			}
-		}
-	case opA == NoTrans && opB == ConjTrans:
-		// dst[i,j] += alpha·Σ_l a[i,l]·conj(b[j,l]): dot products of
-		// contiguous rows of a and b, blocked over l.
+	// i-k-j loop order with row-slice inner loops: the innermost loop
+	// streams contiguously through b and dst. Blocked over k and j for
+	// cache reuse on large operands; unrolled two-deep over k so each
+	// dst row segment is read and written half as often. The zero skips
+	// test the unscaled multipliers, before alpha — 0·x is not a no-op
+	// in IEEE arithmetic — and avxGemmTileNN keeps them there. The
+	// vector/scalar choice is hoisted out of the inner loops: the
+	// row-segment width is fixed per column block.
+	for jj := 0; jj < p; jj += gemmBlock {
+		jEnd := min(jj+gemmBlock, p)
+		vec := hasAVX && n > 0 && jEnd-jj >= fusedMinWidth
 		for kk := 0; kk < k; kk += gemmBlock {
 			kEnd := min(kk+gemmBlock, k)
+			if vec {
+				// One fused call runs the whole tile: every row's
+				// l-loop, pair skips, alpha scaling, updates, tail.
+				avxGemmTileNN(&dst.Data[jj], &a.Data[kk], &b.Data[kk*p+jj], n, k, kEnd-kk, p, jEnd-jj, alpha)
+				continue
+			}
 			for i := 0; i < n; i++ {
+				dstRow := dst.Data[i*p+jj : i*p+jEnd]
 				aRow := a.Data[i*k : (i+1)*k]
-				dstRow := dst.Data[i*p : (i+1)*p]
-				for j := 0; j < p; j++ {
-					bRow := b.Data[j*k : (j+1)*k]
-					var s complex128
-					for l := kk; l < kEnd; l++ {
-						s += aRow[l] * cmplx.Conj(bRow[l])
+				l := kk
+				for ; l+1 < kEnd; l += 2 {
+					av0 := aRow[l]
+					av1 := aRow[l+1]
+					if av0 == 0 && av1 == 0 {
+						continue
 					}
-					dstRow[j] += alpha * s
-				}
-			}
-		}
-	case opA == ConjTrans && opB == NoTrans:
-		// dst[i,j] += alpha·Σ_l conj(a[l,i])·b[l,j]: stream rows of a and
-		// b together (l outer), accumulating rank-1 updates into dst rows.
-		pEven := p &^ 1
-		vec := hasAVX && p >= vecMinLen
-		for l := 0; l < k; l++ {
-			aRow := a.Data[l*n : (l+1)*n]
-			bRow := b.Data[l*p : (l+1)*p]
-			for i := 0; i < n; i++ {
-				av := aRow[i]
-				if av == 0 {
-					continue
-				}
-				av = alpha * cmplx.Conj(av)
-				dstRow := dst.Data[i*p : (i+1)*p]
-				if vec {
-					avxAxpyAdd(&dstRow[0], &bRow[0], pEven, av)
-					if pEven < p {
-						dstRow[pEven] += av * bRow[pEven]
+					av0 *= alpha
+					av1 *= alpha
+					b0 := b.Data[l*p+jj : l*p+jEnd]
+					b1 := b.Data[(l+1)*p+jj : (l+1)*p+jEnd]
+					b1 = b1[:len(dstRow)]
+					b0 = b0[:len(dstRow)]
+					for j := range dstRow {
+						dstRow[j] += av0*b0[j] + av1*b1[j]
 					}
-					continue
 				}
-				for j := 0; j < p; j++ {
-					dstRow[j] += av * bRow[j]
+				for ; l < kEnd; l++ {
+					av := aRow[l]
+					if av == 0 {
+						continue
+					}
+					av *= alpha
+					bRow := b.Data[l*p+jj : l*p+jEnd]
+					bRow = bRow[:len(dstRow)]
+					for j := range dstRow {
+						dstRow[j] += av * bRow[j]
+					}
 				}
-			}
-		}
-	default: // ConjTrans, ConjTrans
-		// dst[i,j] += alpha·conj(Σ_l b[j,l]·a[l,i]) — rare in the solvers
-		// (it equals (b·a)† and the callers reassociate instead), kept for
-		// completeness.
-		for i := 0; i < n; i++ {
-			dstRow := dst.Data[i*p : (i+1)*p]
-			for j := 0; j < p; j++ {
-				bRow := b.Data[j*k : (j+1)*k]
-				var s complex128
-				for l := 0; l < k; l++ {
-					s += bRow[l] * a.Data[l*n+i]
-				}
-				dstRow[j] += alpha * cmplx.Conj(s)
 			}
 		}
 	}
+	if ws != nil {
+		ws.Release()
+	}
 	perf.AddFlops(perf.GemmFlops(n, k, p))
+}
+
+// asStored returns op(m) as a stored matrix: m itself for NoTrans, m† in ws
+// scratch for ConjTrans.
+func asStored(m *Matrix, op Op, ws *Workspace) *Matrix {
+	if op == NoTrans {
+		return m
+	}
+	t := ws.Get(m.Cols, m.Rows)
+	ConjTransposeInto(t, m)
+	return t
 }
 
 // Mul3Into sets dst = opA(a)·opB(b)·opC(c), associating to minimize work.

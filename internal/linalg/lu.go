@@ -22,20 +22,6 @@ type LU struct {
 	piv []int // piv[k] is the row swapped with row k at step k
 }
 
-// Factor computes the LU factorization of the square matrix a.
-// The input is not modified.
-func Factor(a *Matrix) (*LU, error) {
-	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: Factor requires a square matrix")
-	}
-	n := a.Rows
-	f := &LU{lu: a.Clone(), piv: make([]int, n)}
-	if err := factorInPlace(f.lu, f.piv); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // FactorInPlace computes the LU factorization of the square matrix a in
 // caller-owned storage: a becomes the packed factors (it is destroyed) and
 // piv, of length a.Rows, receives the row swaps. Nothing is allocated, so a
@@ -57,8 +43,8 @@ func FactorInPlace(a *Matrix, piv []int) (LU, error) {
 
 // factorInPlace runs the partial-pivoting LU loop on lu's storage,
 // recording row swaps in piv (len n) and leaving 1/u_kk on the diagonal.
-// This is the single factorization code path shared by Factor and the
-// workspace variants, so flop accounting lives in one place. Trailing
+// This is the single factorization code path shared by FactorInPlace and
+// InverseInto, so flop accounting lives in one place. Trailing
 // blocks at least fusedMinWidth wide eliminate through avxFactorColUpdate;
 // the scalar loop is the fallback and computes the same bits.
 func factorInPlace(m *Matrix, piv []int) error {
@@ -169,21 +155,9 @@ func samePair(a, b complex128) bool {
 	return ar == br && ai == bi || ar == bi && ai == br
 }
 
-// N returns the order of the factorized matrix.
-func (f *LU) N() int { return f.lu.Rows }
-
 // SolveInPlace overwrites b with the solution of A·X = B.
 func (f *LU) SolveInPlace(b *Matrix) {
 	luSolveInPlace(f.lu, f.piv, b)
-}
-
-// SolveInto writes the solution of A·X = B into dst without touching b.
-// dst and b must have the same shape; dst may alias b.
-func (f *LU) SolveInto(dst, b *Matrix) {
-	if dst != b {
-		dst.CopyFrom(b)
-	}
-	luSolveInPlace(f.lu, f.piv, dst)
 }
 
 // luSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization to a

@@ -141,11 +141,7 @@ func (m *Matrix) ScaleInPlace(s complex128) {
 // ConjTranspose returns the Hermitian adjoint m† as a new matrix.
 func (m *Matrix) ConjTranspose() *Matrix {
 	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Data[j*out.Cols+i] = cmplx.Conj(m.Data[i*m.Cols+j])
-		}
-	}
+	ConjTransposeInto(out, m)
 	return out
 }
 

@@ -8,10 +8,27 @@ import "math/cmplx"
 // bitwise_test.go holds GemmInto, factorInPlace, luSolveInPlace and the
 // elementwise kernels to these loops bit for bit, with hasAVX on and off.
 
-// refGemmInto computes dst = alpha·opA(a)·opB(b) + beta·dst.
+// refAdjoint returns op(m) as a stored matrix, transposing and conjugating
+// with a loop of its own: GemmInto materializes adjoints with
+// ConjTransposeInto, and a broken ConjTransposeInto must not hide here.
+func refAdjoint(m *Matrix, op Op) *Matrix {
+	if op == NoTrans {
+		return m
+	}
+	t := &Matrix{Rows: m.Cols, Cols: m.Rows, Data: make([]complex128, len(m.Data))}
+	for i := 0; i < m.Rows; i++ {
+		for j := 0; j < m.Cols; j++ {
+			t.Data[j*m.Rows+i] = cmplx.Conj(m.Data[i*m.Cols+j])
+		}
+	}
+	return t
+}
+
+// refGemmInto computes dst = alpha·opA(a)·opB(b) + beta·dst on the stored
+// adjoints.
 func refGemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, opB Op, beta complex128) {
-	n, k := opDims(a, opA)
-	_, p := opDims(b, opB)
+	a, b = refAdjoint(a, opA), refAdjoint(b, opB)
+	n, k, p := a.Rows, a.Cols, b.Cols
 	if beta == 0 {
 		dst.Zero()
 	} else if beta != 1 {
@@ -19,86 +36,39 @@ func refGemmInto(dst *Matrix, alpha complex128, a *Matrix, opA Op, b *Matrix, op
 			dst.Data[i] *= beta
 		}
 	}
-	switch {
-	case opA == NoTrans && opB == NoTrans:
-		for jj := 0; jj < p; jj += gemmBlock {
-			jEnd := min(jj+gemmBlock, p)
-			for kk := 0; kk < k; kk += gemmBlock {
-				kEnd := min(kk+gemmBlock, k)
-				for i := 0; i < n; i++ {
-					dstRow := dst.Data[i*p+jj : i*p+jEnd]
-					aRow := a.Data[i*k : (i+1)*k]
-					l := kk
-					for ; l+1 < kEnd; l += 2 {
-						av0 := aRow[l]
-						av1 := aRow[l+1]
-						if av0 == 0 && av1 == 0 {
-							continue
-						}
-						av0 *= alpha
-						av1 *= alpha
-						b0 := b.Data[l*p+jj : l*p+jEnd]
-						b1 := b.Data[(l+1)*p+jj : (l+1)*p+jEnd]
-						for j := range dstRow {
-							dstRow[j] += av0*b0[j] + av1*b1[j]
-						}
-					}
-					for ; l < kEnd; l++ {
-						av := aRow[l]
-						if av == 0 {
-							continue
-						}
-						av *= alpha
-						bRow := b.Data[l*p+jj : l*p+jEnd]
-						for j := range dstRow {
-							dstRow[j] += av * bRow[j]
-						}
-					}
-				}
-			}
-		}
-	case opA == NoTrans && opB == ConjTrans:
+	for jj := 0; jj < p; jj += gemmBlock {
+		jEnd := min(jj+gemmBlock, p)
 		for kk := 0; kk < k; kk += gemmBlock {
 			kEnd := min(kk+gemmBlock, k)
 			for i := 0; i < n; i++ {
+				dstRow := dst.Data[i*p+jj : i*p+jEnd]
 				aRow := a.Data[i*k : (i+1)*k]
-				dstRow := dst.Data[i*p : (i+1)*p]
-				for j := 0; j < p; j++ {
-					bRow := b.Data[j*k : (j+1)*k]
-					var s complex128
-					for l := kk; l < kEnd; l++ {
-						s += aRow[l] * cmplx.Conj(bRow[l])
+				l := kk
+				for ; l+1 < kEnd; l += 2 {
+					av0 := aRow[l]
+					av1 := aRow[l+1]
+					if av0 == 0 && av1 == 0 {
+						continue
 					}
-					dstRow[j] += alpha * s
+					av0 *= alpha
+					av1 *= alpha
+					b0 := b.Data[l*p+jj : l*p+jEnd]
+					b1 := b.Data[(l+1)*p+jj : (l+1)*p+jEnd]
+					for j := range dstRow {
+						dstRow[j] += av0*b0[j] + av1*b1[j]
+					}
 				}
-			}
-		}
-	case opA == ConjTrans && opB == NoTrans:
-		for l := 0; l < k; l++ {
-			aRow := a.Data[l*n : (l+1)*n]
-			bRow := b.Data[l*p : (l+1)*p]
-			for i := 0; i < n; i++ {
-				av := aRow[i]
-				if av == 0 {
-					continue
+				for ; l < kEnd; l++ {
+					av := aRow[l]
+					if av == 0 {
+						continue
+					}
+					av *= alpha
+					bRow := b.Data[l*p+jj : l*p+jEnd]
+					for j := range dstRow {
+						dstRow[j] += av * bRow[j]
+					}
 				}
-				av = alpha * cmplx.Conj(av)
-				dstRow := dst.Data[i*p : (i+1)*p]
-				for j := 0; j < p; j++ {
-					dstRow[j] += av * bRow[j]
-				}
-			}
-		}
-	default:
-		for i := 0; i < n; i++ {
-			dstRow := dst.Data[i*p : (i+1)*p]
-			for j := 0; j < p; j++ {
-				bRow := b.Data[j*k : (j+1)*k]
-				var s complex128
-				for l := 0; l < k; l++ {
-					s += bRow[l] * a.Data[l*n+i]
-				}
-				dstRow[j] += alpha * cmplx.Conj(s)
 			}
 		}
 	}
@@ -246,13 +216,6 @@ func refInverseInto(dst, a *Matrix) error {
 func refAddScaled(m, b *Matrix, s complex128) {
 	for i, v := range b.Data {
 		m.Data[i] += s * v
-	}
-}
-
-// refSubInto computes dst = a − b.
-func refSubInto(dst, a, b *Matrix) {
-	for i, v := range a.Data {
-		dst.Data[i] = v - b.Data[i]
 	}
 }
 

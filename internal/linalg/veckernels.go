@@ -9,11 +9,13 @@ package linalg
 // hold both engines to the scalar loops of reference_test.go).
 //
 // hasAVX is set once at init by a CPUID probe (amd64 without the purego
-// build tag). The helpers below pay one non-inlinable assembly call per row
-// segment and serve whole-matrix calls; GemmInto, factorInPlace and
-// luSolveInPlace call the fused kernels, which run a whole loop nest per
-// call — a GEMM tile, a pivot's column update, both substitution sweeps.
-// Each kind has its own dispatch floor.
+// build tag). The two helpers below, scaleTo and negTo, pay one
+// non-inlinable assembly call per row segment (avxScale, avxNeg) and serve
+// GemmInto's beta scaling, ScaleRowsInto and ShiftedNegInto; GemmInto,
+// factorInPlace and luSolveInPlace call the fused kernels, which run a
+// whole loop nest per call — a GEMM tile, a pivot's column update, both
+// substitution sweeps. Each kind has its own dispatch floor. These five
+// are the whole assembly set.
 
 // vecMinLen is the slice length below which the scalar loop beats the
 // assembly call overhead of the helpers below.
@@ -39,26 +41,6 @@ const vecMinLen = 6
 //
 // Width 1 and everything at n ≤ 4 are ties; width 1 stays scalar.
 const fusedMinWidth = 2
-
-// axpyAddTo computes y[j] += m*x[j]. Note there is deliberately no
-// m==0 short-circuit here: the reference kernels skip on the *unscaled*
-// multiplier, and 0·x is not a no-op for IEEE signed zeros, infinities
-// and NaNs — so the skip is a semantic that must live at the call site,
-// exactly where the scalar kernel has it.
-func axpyAddTo(y, x []complex128, m complex128) {
-	if hasAVX && len(y) >= vecMinLen {
-		n := len(y) &^ 1
-		avxAxpyAdd(&y[0], &x[0], n, m)
-		if n < len(y) {
-			y[n] += m * x[n]
-		}
-		return
-	}
-	x = x[:len(y)]
-	for j := range y {
-		y[j] += m * x[j]
-	}
-}
 
 // scaleTo computes y[j] *= d.
 func scaleTo(y []complex128, d complex128) {
@@ -89,22 +71,5 @@ func negTo(dst, src []complex128) {
 	src = src[:len(dst)]
 	for j := range dst {
 		dst[j] = -src[j]
-	}
-}
-
-// subTo computes dst[j] = a[j] - b[j].
-func subTo(dst, a, b []complex128) {
-	if hasAVX && len(dst) >= vecMinLen {
-		n := len(dst) &^ 1
-		avxSub(&dst[0], &a[0], &b[0], n)
-		if n < len(dst) {
-			dst[n] = a[n] - b[n]
-		}
-		return
-	}
-	a = a[:len(dst)]
-	b = b[:len(dst)]
-	for j := range dst {
-		dst[j] = a[j] - b[j]
 	}
 }

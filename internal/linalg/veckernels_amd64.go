@@ -15,16 +15,10 @@ func cpuHasAVX() bool
 // in veckernels.go guarantee it and handle the odd tail element.
 
 //go:noescape
-func avxAxpyAdd(y, x *complex128, n int, m complex128)
-
-//go:noescape
 func avxScale(y *complex128, n int, d complex128)
 
 //go:noescape
 func avxNeg(dst, src *complex128, n int)
-
-//go:noescape
-func avxSub(dst, a, b *complex128, n int)
 
 // The fused kernels below move a whole solver loop nest — zero checks,
 // multiplier scaling, row updates, odd tails — into one assembly call,

@@ -40,55 +40,6 @@ novec:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func avxAxpyAdd(y, x *complex128, n int, m complex128)
-// y[0:n] += m*x[0:n]
-TEXT ·avxAxpyAdd(SB), NOSPLIT, $0-40
-	MOVQ         y+0(FP), DI
-	MOVQ         x+8(FP), SI
-	MOVQ         n+16(FP), CX
-	VBROADCASTSD m_real+24(FP), Y0
-	VBROADCASTSD m_imag+32(FP), Y1
-
-add4:
-	CMPQ      CX, $4
-	JL        add2
-	VMOVUPD   (SI), Y2
-	VMOVUPD   32(SI), Y5
-	VPERMILPD $0x5, Y2, Y3
-	VPERMILPD $0x5, Y5, Y6
-	VMULPD    Y0, Y2, Y2
-	VMULPD    Y0, Y5, Y5
-	VMULPD    Y1, Y3, Y3
-	VMULPD    Y1, Y6, Y6
-	VADDSUBPD Y3, Y2, Y2
-	VADDSUBPD Y6, Y5, Y5
-	VMOVUPD   (DI), Y4
-	VMOVUPD   32(DI), Y7
-	VADDPD    Y2, Y4, Y4
-	VADDPD    Y5, Y7, Y7
-	VMOVUPD   Y4, (DI)
-	VMOVUPD   Y7, 32(DI)
-	ADDQ      $64, SI
-	ADDQ      $64, DI
-	SUBQ      $4, CX
-	JMP       add4
-
-add2:
-	TESTQ     CX, CX
-	JLE       adddone
-	VMOVUPD   (SI), Y2
-	VPERMILPD $0x5, Y2, Y3
-	VMULPD    Y0, Y2, Y2
-	VMULPD    Y1, Y3, Y3
-	VADDSUBPD Y3, Y2, Y2
-	VMOVUPD   (DI), Y4
-	VADDPD    Y2, Y4, Y4
-	VMOVUPD   Y4, (DI)
-
-adddone:
-	VZEROUPPER
-	RET
-
 // func avxScale(y *complex128, n int, d complex128)
 // y[0:n] *= d
 TEXT ·avxScale(SB), NOSPLIT, $0-32
@@ -164,43 +115,6 @@ neg2:
 	VMOVUPD Y1, (DI)
 
 negdone:
-	VZEROUPPER
-	RET
-
-// func avxSub(dst, a, b *complex128, n int)
-// dst[0:n] = a[0:n] - b[0:n]
-TEXT ·avxSub(SB), NOSPLIT, $0-32
-	MOVQ dst+0(FP), DI
-	MOVQ a+8(FP), SI
-	MOVQ b+16(FP), R8
-	MOVQ n+24(FP), CX
-
-vsub4:
-	CMPQ    CX, $4
-	JL      vsub2
-	VMOVUPD (SI), Y1
-	VMOVUPD 32(SI), Y3
-	VMOVUPD (R8), Y2
-	VMOVUPD 32(R8), Y4
-	VSUBPD  Y2, Y1, Y1
-	VSUBPD  Y4, Y3, Y3
-	VMOVUPD Y1, (DI)
-	VMOVUPD Y3, 32(DI)
-	ADDQ    $64, SI
-	ADDQ    $64, R8
-	ADDQ    $64, DI
-	SUBQ    $4, CX
-	JMP     vsub4
-
-vsub2:
-	TESTQ   CX, CX
-	JLE     vsubdone
-	VMOVUPD (SI), Y1
-	VMOVUPD (R8), Y2
-	VSUBPD  Y2, Y1, Y1
-	VMOVUPD Y1, (DI)
-
-vsubdone:
 	VZEROUPPER
 	RET
 

@@ -8,10 +8,8 @@ package linalg
 
 var hasAVX = false
 
-func avxAxpyAdd(y, x *complex128, n int, m complex128) { panic("linalg: no vector kernel") }
-func avxScale(y *complex128, n int, d complex128)      { panic("linalg: no vector kernel") }
-func avxNeg(dst, src *complex128, n int)               { panic("linalg: no vector kernel") }
-func avxSub(dst, a, b *complex128, n int)              { panic("linalg: no vector kernel") }
+func avxScale(y *complex128, n int, d complex128) { panic("linalg: no vector kernel") }
+func avxNeg(dst, src *complex128, n int)          { panic("linalg: no vector kernel") }
 
 func avxLuSolve(b, lu *complex128, n, nrhs int) { panic("linalg: no vector kernel") }
 func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex128) {

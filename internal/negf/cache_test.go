@@ -595,7 +595,7 @@ func dysonImage(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.Matr
 	open := linalg.New(n, n)
 	linalg.ShiftedNegInto(open, fam.h00, z)
 	open.AddScaled(sigma, -1)
-	f, err := linalg.Factor(open)
+	f, err := linalg.FactorInPlace(open, make([]int, n))
 	if err != nil {
 		t.Fatalf("z − h00 − Σ at z=%v: %v", z, err)
 	}
@@ -603,8 +603,8 @@ func dysonImage(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.Matr
 	if s == left {
 		h, hd = hd, h
 	}
-	gh := linalg.New(n, n)
-	f.SolveInto(gh, hd)
+	gh := hd.Clone()
+	f.SolveInPlace(gh)
 	return h.Mul(gh)
 }
 

@@ -65,11 +65,3 @@ func PhaseSnapshot() map[string]PhaseStats {
 	})
 	return out
 }
-
-// ResetPhases clears all phase statistics.
-func ResetPhases() {
-	phases.Range(func(k, _ any) bool {
-		phases.Delete(k)
-		return true
-	})
-}

@@ -7,35 +7,34 @@ import (
 	"time"
 )
 
+// The phase registry is process-global and has no reset: each test records
+// under phase names of its own and reads what it added since it began.
+
 func TestPhaseRecording(t *testing.T) {
-	ResetPhases()
-	RecordPhase("rgf", 3*time.Millisecond)
-	RecordPhase("rgf", 2*time.Millisecond)
-	RecordPhase("poisson", time.Millisecond)
-	snap := PhaseSnapshot()
-	rgf, ok := snap["rgf"]
+	before := TakeSnapshot()
+	RecordPhase("phasetest-rgf", 3*time.Millisecond)
+	RecordPhase("phasetest-rgf", 2*time.Millisecond)
+	RecordPhase("phasetest-poisson", time.Millisecond)
+	snap := TakeSnapshot().Diff(before).Phases
+	rgf, ok := snap["phasetest-rgf"]
 	if !ok {
 		t.Fatal("rgf phase missing from snapshot")
 	}
 	if rgf.Calls != 2 || rgf.Wall != 5*time.Millisecond {
 		t.Fatalf("rgf stats = %+v", rgf)
 	}
-	if p := snap["poisson"]; p.Calls != 1 || p.Wall != time.Millisecond {
+	if p := snap["phasetest-poisson"]; p.Calls != 1 || p.Wall != time.Millisecond {
 		t.Fatalf("poisson stats = %+v", p)
-	}
-	ResetPhases()
-	if snap := PhaseSnapshot(); len(snap) != 0 {
-		t.Fatalf("snapshot not empty after reset: %v", snap)
 	}
 }
 
 func TestStartPhaseMeasuresWall(t *testing.T) {
-	ResetPhases()
+	before := TakeSnapshot()
 	func() {
-		defer StartPhase("timed")()
+		defer StartPhase("phasetest-timed")()
 		time.Sleep(5 * time.Millisecond)
 	}()
-	p := PhaseSnapshot()["timed"]
+	p := TakeSnapshot().Diff(before).Phases["phasetest-timed"]
 	if p.Calls != 1 {
 		t.Fatalf("calls = %d", p.Calls)
 	}
@@ -45,7 +44,7 @@ func TestStartPhaseMeasuresWall(t *testing.T) {
 }
 
 func TestPhaseConcurrent(t *testing.T) {
-	ResetPhases()
+	before := TakeSnapshot()
 	const workers, per = 8, 500
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -53,12 +52,12 @@ func TestPhaseConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				RecordPhase("p", time.Microsecond)
+				RecordPhase("phasetest-concurrent", time.Microsecond)
 			}
 		}()
 	}
 	wg.Wait()
-	p := PhaseSnapshot()["p"]
+	p := TakeSnapshot().Diff(before).Phases["phasetest-concurrent"]
 	if p.Calls != workers*per || p.Wall != workers*per*time.Microsecond {
 		t.Fatalf("concurrent phase stats = %+v", p)
 	}

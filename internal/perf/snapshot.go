@@ -88,21 +88,3 @@ func (s *Snapshot) Add(o Snapshot) {
 		}
 	}
 }
-
-// Merge folds a snapshot into this process's global counters — the
-// coordinator-side counterpart of Add for callers that want the merged
-// cluster totals visible through the ordinary Flops()/PhaseSnapshot()
-// reads (e.g. so a driver's final report includes work done remotely).
-func Merge(s Snapshot) {
-	if s.Flops != 0 {
-		AddFlops(s.Flops)
-	}
-	for name, st := range s.Phases {
-		c := phase(name)
-		c.calls.Add(st.Calls)
-		c.nanos.Add(int64(st.Wall))
-	}
-	for name, v := range s.Counters {
-		GetCounter(name).Add(v)
-	}
-}

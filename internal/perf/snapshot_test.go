@@ -48,23 +48,6 @@ func TestSnapshotDiffPartitions(t *testing.T) {
 	}
 }
 
-func TestSnapshotMergeFoldsIntoGlobals(t *testing.T) {
-	before := TakeSnapshot()
-	Merge(Snapshot{
-		Flops: 77,
-		Phases: map[string]PhaseStats{
-			"snaptest-merge": {Calls: 3, Wall: 9 * time.Millisecond},
-		},
-	})
-	d := TakeSnapshot().Diff(before)
-	if d.Flops != 77 {
-		t.Fatalf("merged flop delta = %d, want 77", d.Flops)
-	}
-	if st := d.Phases["snaptest-merge"]; st.Calls != 3 || st.Wall != 9*time.Millisecond {
-		t.Fatalf("merged phase = %+v", st)
-	}
-}
-
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	in := Snapshot{
 		Flops: 12,
@@ -130,14 +113,6 @@ func TestCounterSnapshotDiffMerge(t *testing.T) {
 		if sum.Counters[name] != v {
 			t.Fatalf("counter %s: delta sum %d, total %d", name, sum.Counters[name], v)
 		}
-	}
-
-	// Merge folds counters back into the process globals.
-	before := TakeSnapshot()
-	Merge(Snapshot{Counters: map[string]int64{"ctrtest-merge": 9}})
-	dm := TakeSnapshot().Diff(before)
-	if dm.Counters["ctrtest-merge"] != 9 {
-		t.Fatalf("merged counter delta = %v, want 9", dm.Counters)
 	}
 }
 

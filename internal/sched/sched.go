@@ -114,12 +114,6 @@ func AsTaskError(err error) (*TaskError, bool) {
 	return te, ok
 }
 
-// Panicked reports whether err carries a recovered worker panic, returning
-// the *resilience.PanicError (panic value + captured stack) when it does.
-func Panicked(err error) (*resilience.PanicError, bool) {
-	return resilience.AsPanicError(err)
-}
-
 // tracker keeps the best (lowest-index, preferring non-cancellation)
 // error seen across workers.
 type tracker struct {
@@ -159,8 +153,8 @@ func (t *tracker) get() (int, error, bool) {
 // canceled externally, ForEach drains and returns ctx.Err(). When phase is
 // non-empty, every task's wall time is recorded under that phase name in
 // internal/perf. A panicking task does not unwind ForEach: the panic is
-// recovered into a *resilience.PanicError (see Panicked) and handled as a
-// task error.
+// recovered into a *resilience.PanicError (panic value + captured stack)
+// and handled as a task error.
 //
 // Nested calls — fn itself calling ForEach/Map on the same pool — are safe
 // and share the worker budget: the inner call runs on the calling worker's

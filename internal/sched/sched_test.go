@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/resilience"
 )
 
 // gauge tracks the peak number of concurrent holders.
@@ -275,9 +277,9 @@ func TestPanicBecomesTaskError(t *testing.T) {
 	if te.Index != 3 || te.Phase != "sweep" {
 		t.Fatalf("panic attributed to (%q, %d), want (sweep, 3)", te.Phase, te.Index)
 	}
-	pe, ok := Panicked(err)
-	if !ok {
-		t.Fatalf("Panicked() did not find the recovered panic in %v", err)
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
+		t.Fatalf("no *resilience.PanicError carries the recovered panic in %v", err)
 	}
 	if pe.Value != "bad energy point 3" || len(pe.Stack) == 0 {
 		t.Fatalf("panic value/stack lost: %+v", pe)
@@ -297,7 +299,8 @@ func TestPanicInNestedLevelContained(t *testing.T) {
 			return nil
 		})
 	})
-	if _, ok := Panicked(err); !ok {
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
 		t.Fatalf("nested panic not recovered: %v", err)
 	}
 	te, ok := AsTaskError(err)

@@ -110,7 +110,7 @@ func denseSolve(t *testing.T, m *sparse.BlockTridiag, rhs []*linalg.Matrix) []*l
 	for i, blk := range rhs {
 		b.SetSubmatrix(off[i], 0, blk)
 	}
-	f, err := linalg.Factor(m.Dense())
+	f, err := linalg.FactorInPlace(m.Dense(), make([]int, m.N()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,7 @@ func randHamiltonian(seed int64, sizes []int, up []window) *sparse.BlockTridiag 
 	upper, lower := make([]*linalg.Matrix, nl-1), make([]*linalg.Matrix, nl-1)
 	for i, n := range sizes {
 		a := randBlock(rng, n, n, window{})
-		diag[i] = linalg.New(n, n)
-		linalg.AddInto(diag[i], a, a.ConjTranspose())
+		diag[i] = a.Add(a.ConjTranspose())
 	}
 	for i := range upper {
 		upper[i] = randBlock(rng, sizes[i], sizes[i+1], up[i])

@@ -96,12 +96,12 @@ func pencilEig(h00, h01 *linalg.Matrix, e float64) (*Eigen, complex128, error) {
 	// are fixed for reproducibility, with one retry on collision.
 	for _, sigma := range []complex128{0.5718 + 0.8391i, 1.3141 - 0.2718i} {
 		shifted := bigA.Sub(bigB.Scale(sigma))
-		f, err := linalg.Factor(shifted)
+		f, err := linalg.FactorInPlace(shifted, make([]int, shifted.Rows))
 		if err != nil {
 			continue
 		}
-		sb := linalg.New(bigB.Rows, bigB.Cols)
-		f.SolveInto(sb, bigB)
+		sb := bigB.Clone()
+		f.SolveInPlace(sb)
 		eig, err := Eig(sb)
 		if err != nil {
 			return nil, 0, fmt.Errorf("wavefunction: mode eigenproblem failed: %w", err)

@@ -246,7 +246,7 @@ func TestSolveBlocksMatchesDense(t *testing.T) {
 	for i := range rhs {
 		bAll.SetSubmatrix(off[i], 0, rhs[i])
 	}
-	f, err := linalg.Factor(dense)
+	f, err := linalg.FactorInPlace(dense, make([]int, dense.Rows))
 	if err != nil {
 		t.Fatal(err)
 	}

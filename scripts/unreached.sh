@@ -12,7 +12,11 @@
 #
 # Report only: the exit status is 0 whatever it finds. A method reached
 # only through an interface the binaries never call can still be linked,
-# so an entry missing from the report is not proof of use.
+# so an entry missing from the report is not proof of use. It sees
+# functions, not call-site-selected branches: a branch that no caller
+# selects (an option value every call site leaves unused) stays invisible
+# while its function is linked. `make unreached-check` holds the symbol
+# column to scripts/unreached.txt.
 #
 # Usage: scripts/unreached.sh   (from anywhere inside the repository)
 set -eu
