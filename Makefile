@@ -74,7 +74,9 @@ race:
 # key carries the wrap, and with Bloch-phased complex blocks. Both I-V
 # runs must also print the same bytes at -workers 1 and 2: the nested
 # bias × energy borrowing must not move a bit, and each bias point's
-# Anderson history must see the same charges in the same order.
+# Anderson history must see the same charges in the same order. The five
+# transmission sweeps run uncached and are compared in full; the I-V runs
+# drop their `# sigma-cache` line, whose hit/coalesced split is timing.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
@@ -86,15 +88,21 @@ portable-kernels:
 	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/ ./cmd/omen/
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -tags purego -o bin/omen-purego ./cmd/omen
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
-		bin/omen $$run | grep -v '^# sigma-cache' > bin/portable.avx.txt || exit 1; \
-		bin/omen-purego $$run | grep -v '^# sigma-cache' > bin/portable.purego.txt || exit 1; \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
+		bin/omen $$run > bin/portable.avx.txt || exit 1; \
+		bin/omen-purego $$run > bin/portable.purego.txt || exit 1; \
 		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \
 		cmp bin/portable.avx.txt bin/portable.purego.txt \
 			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical across builds"; \
 	done
 	@for run in "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)"; do \
+		bin/omen $$run | grep -v '^# sigma-cache' > bin/portable.avx.txt || exit 1; \
+		bin/omen-purego $$run | grep -v '^# sigma-cache' > bin/portable.purego.txt || exit 1; \
+		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \
+		cmp bin/portable.avx.txt bin/portable.purego.txt \
+			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
+		echo "portable-kernels: omen $$run byte-identical across builds"; \
 		bin/omen $$run -workers 1 | grep -v '^# sigma-cache' > bin/portable.w1.txt || exit 1; \
 		bin/omen $$run -workers 2 | grep -v '^# sigma-cache' > bin/portable.w2.txt || exit 1; \
 		cmp bin/portable.w1.txt bin/portable.w2.txt \

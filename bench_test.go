@@ -255,9 +255,6 @@ func BenchmarkF2_IdVg(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fet.Lambda = 1.2
-	fet.SourceDoping = 0.1
-	fet.GateStart, fet.GateEnd = 0.3, 0.7
 	fet.NE = 100
 	vgs := []float64{-0.4, -0.1, 0.2, 0.5}
 	b.ResetTimer()
@@ -299,9 +296,6 @@ func BenchmarkF1_GateSweep_CacheReuse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	fet.Lambda = 1.2
-	fet.SourceDoping = 0.1
-	fet.GateStart, fet.GateEnd = 0.3, 0.7
 	fet.NE = 64
 	vgs := []float64{-0.4, -0.1, 0.2, 0.5}
 	b.ReportAllocs()

@@ -141,8 +141,6 @@ func bindSpecFlags(fs *flag.FlagSet) *specFlags {
 	bind(sf, "quarantine", func(s *spec.RunSpec) *bool { return &s.Resilience.Quarantine }, "after retries are exhausted, drop the failed point and renormalize instead of failing the sweep")
 	bind(sf, "fault-rate", func(s *spec.RunSpec) *float64 { return &s.Resilience.FaultRate }, "fault-injection drill: fraction of tasks that fail (mixed errors and panics) on their first attempt")
 	bind(sf, "fault-seed", func(s *spec.RunSpec) *uint64 { return &s.Resilience.FaultSeed }, "seed for deterministic fault injection and retry jitter")
-
-	bind(sf, "sigma-cache-cap", func(s *spec.RunSpec) *int { return &s.Exec.SigmaCacheCap }, "self-energy cache capacity in records, one per (block family, shifted energy); 0: unbounded (a memory bound, outside the content hash)")
 	return sf
 }
 
@@ -277,10 +275,6 @@ func main() {
 		if err != nil {
 			fatal(ctx, &prog, err)
 		}
-		// GNR-friendly electrostatics defaults for the CLI devices.
-		fet.Lambda = 1.2
-		fet.SourceDoping = 0.1
-		fet.GateStart, fet.GateEnd = 0.3, 0.7
 		// One cache spans the whole sweep: the FET's pinned contacts and
 		// declared bias shifts make every gate point address the same
 		// entries.

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/spec"
 )
 
@@ -134,8 +135,8 @@ func twoValues(t *testing.T, f *flag.Flag) (base, line string) {
 func TestEveryBoundFlagSetsItsField(t *testing.T) {
 	fs := flag.NewFlagSet("omen", flag.ContinueOnError)
 	sf := bindSpecFlags(fs)
-	if len(sf.apply) != 27 {
-		t.Errorf("%d spec-backed flags bound, want 27", len(sf.apply))
+	if len(sf.apply) != 26 {
+		t.Errorf("%d spec-backed flags bound, want 26", len(sf.apply))
 	}
 
 	var baseArgs []string
@@ -291,5 +292,35 @@ func TestGoldenObservables(t *testing.T) {
 		if got.String() != string(want) {
 			t.Errorf("omen %s moved off %s:\n--- got\n%s--- want\n%s", line, golden, got.String(), want)
 		}
+	}
+}
+
+// TestTransmissionRunsUncached: a transmission sweep solves each (k, E)
+// once, so it runs without the self-energy cache — no `# sigma-cache`
+// line — and still counts one kernel run per point: the journal's per-task
+// perf deltas of `utb -nk 2 -ne 6` hold sigma-decimations = 2·6.
+func TestTransmissionRunsUncached(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "utb.journal")
+	exit, stdout, stderr := omen(t, "-device", "utb", "-nk", "2", "-ne", "6", "-workers", "1", "-checkpoint", journal)
+	if exit != 0 {
+		t.Fatalf("omen: exit %d: %s", exit, stderr)
+	}
+	if strings.Contains(stdout, "# sigma-cache") {
+		t.Errorf("a transmission sweep printed a σ-cache line:\n%s", stdout)
+	}
+	c, err := cluster.ReadJournal(journal)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var decimations, lookups int64
+	for _, r := range c.Records {
+		if r.Perf == nil {
+			t.Fatalf("task %d journaled no perf delta", r.Index)
+		}
+		decimations += r.Perf.Counters["sigma-decimations"]
+		lookups += r.Perf.Counters["sigma-hits"] + r.Perf.Counters["sigma-misses"] + r.Perf.Counters["sigma-coalesced"]
+	}
+	if len(c.Records) != 12 || decimations != 12 || lookups != 0 {
+		t.Errorf("%d records, sigma-decimations %d, cache lookups %d; want 12, 12, 0", len(c.Records), decimations, lookups)
 	}
 }

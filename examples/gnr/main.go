@@ -71,9 +71,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fet.Lambda = 1.2
-	fet.SourceDoping = 0.1
-	fet.GateStart, fet.GateEnd = 0.3, 0.7
 	fet.NE = 120
 	fmt.Println("\ngated 7-AGNR at Vd = 0.2 V:")
 	fmt.Println("  Vg(V)    Id(A)")

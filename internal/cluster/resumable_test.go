@@ -252,7 +252,8 @@ func TestResumableWithoutRetriesSurfacesPanicError(t *testing.T) {
 	if err == nil {
 		t.Fatal("panicking sweep reported success")
 	}
-	if _, ok := resilience.AsPanicError(err); !ok {
+	var pe *resilience.PanicError
+	if !errors.As(err, &pe) {
 		t.Fatalf("panic not preserved in %v", err)
 	}
 }

@@ -138,9 +138,6 @@ func fetForTest(t *testing.T) *FET {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fet.Lambda = 1.2
-	fet.SourceDoping = 0.1
-	fet.GateStart, fet.GateEnd = 0.3, 0.7
 	fet.NE = 120
 	return fet
 }

@@ -53,8 +53,8 @@ type FET struct {
 	// pure function of (block family, z − qV_lead) — one decimation per
 	// such pair serves the entire sweep, and FETs handed one cache share
 	// records exactly where their contacts' blocks match. NewFET installs
-	// an unbounded cache; replace it via NewSelfEnergyCacheCap to bound
-	// memory, or set nil to disable.
+	// a fresh cache; set nil to disable. It is the one cache of the
+	// engine: this FET's simulator solves transmission sweeps uncached.
 	Cache *negf.SelfEnergyCache
 	// EStep is the spacing (eV) of the shared energy lattice every grid of
 	// this FET snaps to, so the SCF grids and the final dense current grid
@@ -70,15 +70,18 @@ type FET struct {
 	stepOnce sync.Once
 }
 
-// NewFET builds a self-consistent FET driver around a simulator with
-// production-style defaults. The device must be semiconducting.
+// NewFET builds a self-consistent FET driver around a simulator with the
+// GNR-friendly electrostatics that cmd/omen and every example but
+// examples/nanowirefet run with: a gate over the middle 40 % of the
+// channel, a 1.2 nm screening length and doped extensions. The device
+// must be semiconducting.
 func NewFET(sim *Simulator) (*FET, error) {
 	f := &FET{
 		Sim:          sim,
-		GateStart:    0.35,
-		GateEnd:      0.65,
-		Lambda:       2.5,
-		SourceDoping: 5e-1, // degenerate extensions (≈ 5e20 cm⁻³)
+		GateStart:    0.3,
+		GateEnd:      0.7,
+		Lambda:       1.2,
+		SourceDoping: 0.1, // ≈ 1e20 cm⁻³
 		NE:           180,
 		Tol:          1e-4,
 		MaxIter:      60,

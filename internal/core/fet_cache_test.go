@@ -18,9 +18,6 @@ func cacheFET(t *testing.T) *FET {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fet.Lambda = 1.2
-	fet.SourceDoping = 0.1
-	fet.GateStart, fet.GateEnd = 0.3, 0.7
 	fet.NE = 48
 	return fet
 }
@@ -157,9 +154,6 @@ func TestSCFIdPathIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fet.Lambda = 1.2
-		fet.SourceDoping = 0.1
-		fet.GateStart, fet.GateEnd = 0.3, 0.7
 		return fet
 	}
 	for _, vgs := range [][]float64{{-0.4, 0.6}, {-0.4, -0.3}} {

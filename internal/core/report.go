@@ -36,24 +36,22 @@ func WriteSweepComments(w io.Writer, rep *cluster.SweepReport) {
 }
 
 // WriteCounters emits the flop total and the sigma-cache counter comment
-// lines for one run's perf delta. A run whose cache never engaged prints
-// no line for it, keeping its output byte-identical to runs from before
-// the cache existed.
+// lines for one run's perf delta. A run that looked nothing up in a cache
+// — every transmission sweep — prints no sigma-cache line.
 func WriteCounters(w io.Writer, d perf.Snapshot) {
 	fmt.Fprintf(w, "# flops\t%d\n", d.Flops)
 	writeSigmaCache(w, d.Counters)
 }
 
 // writeSigmaCache emits the self-energy cache counters as a comment
-// line alongside the flop count, in both serial and distributed output
-// (a coordinator prints the exact merge of its workers' deltas).
+// line alongside the flop count.
 func writeSigmaCache(w io.Writer, counters map[string]int64) {
 	if counters["sigma-hits"] == 0 && counters["sigma-misses"] == 0 {
 		return
 	}
-	fmt.Fprintf(w, "# sigma-cache\thits=%d misses=%d coalesced=%d evictions=%d decimations=%d\n",
+	fmt.Fprintf(w, "# sigma-cache\thits=%d misses=%d coalesced=%d decimations=%d\n",
 		counters["sigma-hits"], counters["sigma-misses"], counters["sigma-coalesced"],
-		counters["sigma-evictions"], counters["sigma-decimations"])
+		counters["sigma-decimations"])
 }
 
 // WriteSweep renders the complete text report of a finished transmission

@@ -8,7 +8,6 @@ import (
 	"net"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"testing"
 	"time"
@@ -123,7 +122,6 @@ func TestWorkerRejoinAcrossRestart(t *testing.T) {
 		},
 	})
 
-	var rejoins atomic.Int64
 	var logMu sync.Mutex
 	var logs []string
 	meter := &flopMeter{}
@@ -140,7 +138,6 @@ func TestWorkerRejoinAcrossRestart(t *testing.T) {
 			Dial: func(ctx context.Context) (net.Conn, error) {
 				return comms.DialRetry(ctx, lb, "coord", 15*time.Second)
 			},
-			OnRejoin: func() { rejoins.Add(1) },
 			Logf: func(format string, args ...any) {
 				logMu.Lock()
 				logs = append(logs, fmt.Sprintf(format, args...))
@@ -174,9 +171,8 @@ func TestWorkerRejoinAcrossRestart(t *testing.T) {
 		t.Fatalf("worker did not survive the coordinator restart: %v", err)
 	}
 
-	if rejoins.Load() < 1 {
-		t.Fatal("worker never entered the rejoin path")
-	}
+	// The epoch-2 log line is the rejoin path's: a worker logs the epoch
+	// it adopts only after re-dialing and re-handshaking.
 	logMu.Lock()
 	var sawEpoch bool
 	for _, l := range logs {

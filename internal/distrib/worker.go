@@ -78,12 +78,6 @@ type WorkerOptions struct {
 	// backoff is what keeps a rejoining fleet from thundering-herding
 	// the restarting coordinator.
 	Dial func(ctx context.Context) (net.Conn, error)
-	// OnRejoin, when non-nil, runs after a connection loss before the
-	// re-handshake. CLIs use it to reset the worker's self-energy cache:
-	// work executed under the dead epoch is discarded by the fence, and
-	// a warm cache would otherwise let its re-dispatched twin skip the
-	// decimation flops the serial run counts, breaking exact accounting.
-	OnRejoin func()
 	// Logf reports worker lifecycle events — connection loss, rejoin
 	// attempts, epoch changes (default: standard error). Set to a no-op
 	// to silence.
@@ -152,9 +146,6 @@ func RunWorker(ctx context.Context, conn net.Conn, nBias, nK, nE int, opts Worke
 			return fmt.Errorf("distrib: lost coordinator before the sweep was done: %w", err)
 		}
 		logf("worker %s: lost coordinator (%v); rejoining for up to %v", w.name(), err, opts.RejoinWindow)
-		if opts.OnRejoin != nil {
-			opts.OnRejoin()
-		}
 		rejoinCtx, cancel := context.WithTimeout(ctx, opts.RejoinWindow)
 		nc, derr := opts.Dial(rejoinCtx)
 		cancel()

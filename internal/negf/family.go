@@ -108,7 +108,8 @@ func (b *blockFamily) drift(spec leadSpec) float64 {
 // layer into the lead: Σ_R = a·g_R[C,C]·a†, the r×r block on R×R, and
 // Σ_L = a†·g_L[R,R]·a, the c×c block on C×C — the blocks outside which Σ is
 // zero, and all any reader takes of it. The one place a self-energy is
-// made, a cache's miss and the uncached path alike.
+// made, a cache's miss and the uncached path alike, and the one place a
+// finished kernel run is counted (sigma-decimations).
 func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.Matrix, err error) {
 	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
 	// dominates per-energy cost when the cache misses, and the phase
@@ -132,8 +133,12 @@ func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.
 		sig[s] = linalg.New(in.Rows, in.Rows)
 		linalg.Mul3Into(sig[s], in, linalg.NoTrans, gs, linalg.NoTrans, out, linalg.NoTrans, ws)
 	}
+	ctrDecimations.Add(1)
 	return sig, nil
 }
+
+// ctrDecimations counts finished kernel runs process-wide, cached or not.
+var ctrDecimations = perf.GetCounter("sigma-decimations")
 
 // SelfEnergyFlops returns the flops of one paired selfEnergies miss, affine
 // in its decimation's iterations, on a lead of n orbitals whose coupling

@@ -6,10 +6,9 @@ import (
 )
 
 // Counter is a named monotonically-increasing event counter (cache hits,
-// evictions, decimations, …). Unlike the flop counter it is not
-// sharded: counter increments sit on slow paths (a cache miss costs a
-// Sancho-Rubio decimation, an eviction a map delete), so a single atomic
-// is plenty. Counters travel with Snapshot the same way phases do, which
+// decimations, wire frames, …). Unlike the flop counter it is not
+// sharded: counter increments sit on slow paths (a decimation is a
+// Sancho-Rubio run, a frame a write), so a single atomic is plenty. Counters travel with Snapshot the same way phases do, which
 // is what lets distributed runs merge them exactly.
 type Counter struct {
 	v atomic.Int64

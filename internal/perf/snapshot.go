@@ -14,7 +14,7 @@ type Snapshot struct {
 	// Phases maps phase name to its accumulated (or delta) statistics.
 	// Nil when no phase has been recorded.
 	Phases map[string]PhaseStats `json:"phases,omitempty"`
-	// Counters maps named event counters (cache hits, evictions, …) to
+	// Counters maps named event counters (cache hits, decimations, …) to
 	// their accumulated (or delta) values. Nil when every counter is zero.
 	Counters map[string]int64 `json:"counters,omitempty"`
 }

@@ -126,13 +126,6 @@ func (e *PanicError) Error() string { return fmt.Sprintf("panic: %v", e.Value) }
 // TransientError implements the self-classification interface.
 func (e *PanicError) TransientError() bool { return true }
 
-// AsPanicError unwraps err to a *PanicError if one is in its chain.
-func AsPanicError(err error) (*PanicError, bool) {
-	var pe *PanicError
-	ok := errors.As(err, &pe)
-	return pe, ok
-}
-
 // ExhaustedError reports that a retry policy ran out of attempts. It
 // unwraps to the last attempt's error and classifies as Permanent — the
 // policy has already spent its transient budget.

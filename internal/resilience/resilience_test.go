@@ -101,8 +101,8 @@ func TestDoRecoversPanics(t *testing.T) {
 	err = fastPolicy(1).Do(context.Background(), func(context.Context) error {
 		panic("hard")
 	})
-	pe, ok := AsPanicError(err)
-	if !ok {
+	var pe *PanicError
+	if !errors.As(err, &pe) {
 		t.Fatalf("expected PanicError, got %v", err)
 	}
 	if pe.Value != "hard" || len(pe.Stack) == 0 {

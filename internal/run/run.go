@@ -351,11 +351,6 @@ func Work(ctx context.Context, s spec.RunSpec, addr string) error {
 		Dial: func(ctx context.Context) (net.Conn, error) {
 			return comms.DialRetry(ctx, comms.TCP{}, addr, rejoin)
 		},
-		// Everything computed under the dead epoch is fenced out by the
-		// new coordinator, and a warm σ-cache would let the re-dispatched
-		// twins of that work skip the decimation flops the serial run
-		// counts — reset so the merged flop total stays exact.
-		OnRejoin: b.Cache.Reset,
 	}, plan.Run)
 }
 

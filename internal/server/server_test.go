@@ -322,17 +322,17 @@ func TestDedupAndReplay(t *testing.T) {
 	}
 }
 
-// TestCacheCapIsOneJob: two POSTs that differ only in exec.sigmaCacheCap
-// describe the same physics, so they are the same job — the second is a
-// 200 dedup hit on the first, not a second run.
-func TestCacheCapIsOneJob(t *testing.T) {
+// TestLeaseTimeoutIsOneJob: two POSTs that differ only in
+// exec.leaseTimeout describe the same physics, so they are the same job —
+// the second is a 200 dedup hit on the first, not a second run.
+func TestLeaseTimeoutIsOneJob(t *testing.T) {
 	m := newTestManager(t, t.TempDir(), nil)
 	ts := httptest.NewServer((&API{M: m}).Handler())
 	defer ts.Close()
 
-	post := func(cacheCap int) (int, JobView) {
+	post := func(lease time.Duration) (int, JobView) {
 		s := testSpec(8)
-		s.Exec.SigmaCacheCap = cacheCap
+		s.Exec.LeaseTimeout = spec.Duration(lease)
 		body, err := s.Canonical()
 		if err != nil {
 			t.Fatal(err)
@@ -348,13 +348,13 @@ func TestCacheCapIsOneJob(t *testing.T) {
 		}
 		return resp.StatusCode, v
 	}
-	code1, v1 := post(4096)
+	code1, v1 := post(30 * time.Second)
 	if code1 != http.StatusAccepted {
 		t.Fatalf("first submit status = %d, want 202 (%+v)", code1, v1)
 	}
-	code2, v2 := post(16)
+	code2, v2 := post(time.Minute)
 	if code2 != http.StatusOK || v2.ID != v1.ID {
-		t.Fatalf("submit with another cache bound: status %d, job %s; want 200 and job %s", code2, v2.ID, v1.ID)
+		t.Fatalf("submit with another lease timeout: status %d, job %s; want 200 and job %s", code2, v2.ID, v1.ID)
 	}
 	if n := len(m.Jobs()); n != 1 {
 		t.Fatalf("%d jobs after two submissions of one physics, want 1", n)

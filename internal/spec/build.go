@@ -21,8 +21,9 @@ type Built struct {
 	Spec RunSpec
 	// Sim is the device simulator.
 	Sim *core.Simulator
-	// Cache is the contact self-energy cache shared by every engine of
-	// the run.
+	// Cache is the I-V sweep's contact self-energy cache (iv mode; nil
+	// otherwise): the one place a shifted energy comes back. A
+	// transmission sweep solves each (k, E) once and runs uncached.
 	Cache *negf.SelfEnergyCache
 	// Pool is the worker pool every parallel level draws from.
 	Pool *sched.Pool
@@ -57,11 +58,9 @@ func Build(s RunSpec) (*Built, error) {
 		desc.CellsZ = s.Device.CellsZ
 	}
 
-	b.Cache = negf.NewSelfEnergyCacheCap(s.Exec.SigmaCacheCap)
 	cfg := transport.Config{
 		Domains: s.Solver.Domains,
 		Pool:    b.Pool,
-		Cache:   b.Cache,
 	}
 	switch s.Solver.Formalism {
 	case "wf":
@@ -81,6 +80,7 @@ func Build(s RunSpec) (*Built, error) {
 		b.Grid = s.EnergyGrid()
 	case ModeIV:
 		b.GateGrid = transport.UniformGrid(s.Grid.VGMin, s.Grid.VGMax, s.Grid.NVG)
+		b.Cache = negf.NewSelfEnergyCache()
 	}
 	return b, nil
 }

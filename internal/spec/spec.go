@@ -176,18 +176,14 @@ type ResilienceSpec struct {
 	FaultSeed uint64  `json:"faultSeed"`
 }
 
-// ExecSpec shapes execution: how wide, how much memory, and (distributed)
-// how patient. Like everything here it is outside the content hashes —
-// a cache bound or failover patience changes how a run executes and
-// survives, never what it computes.
+// ExecSpec shapes execution: how wide and (distributed) how patient. Like
+// everything here it is outside the content hashes — a worker count or
+// failover patience changes how a run executes and survives, never what
+// it computes.
 type ExecSpec struct {
 	// Workers is the worker budget: pool width locally, self-spawned
 	// worker processes for a coordinator (0: GOMAXPROCS / external only).
 	Workers int `json:"workers"`
-	// SigmaCacheCap bounds the self-energy cache (records; 0 unbounded).
-	// An evicted record recomputes to the same bits, so the bound moves
-	// memory and flop totals, never observables.
-	SigmaCacheCap int `json:"sigmaCacheCap"`
 	// LeaseTimeout is how long a distributed worker may hold a task.
 	LeaseTimeout Duration `json:"leaseTimeout"`
 	// RejoinWindow is how long a worker keeps re-dialing a crashed
@@ -245,9 +241,8 @@ func Default() RunSpec {
 		Solver:     SolverSpec{Formalism: "wf", Domains: 1},
 		Resilience: ResilienceSpec{FaultSeed: 1},
 		Exec: ExecSpec{
-			SigmaCacheCap: 4096,
-			LeaseTimeout:  Duration(30 * time.Second),
-			DrainTimeout:  Duration(10 * time.Second),
+			LeaseTimeout: Duration(30 * time.Second),
+			DrainTimeout: Duration(10 * time.Second),
 		},
 	}
 }
@@ -551,9 +546,6 @@ func (s RunSpec) Validate() error {
 	}
 	if s.Exec.Workers < 0 {
 		return fmt.Errorf("spec: -workers must be ≥ 0, got %d", s.Exec.Workers)
-	}
-	if s.Exec.SigmaCacheCap < 0 {
-		return fmt.Errorf("spec: -sigma-cache-cap must be ≥ 0, got %d", s.Exec.SigmaCacheCap)
 	}
 	if s.Exec.LeaseTimeout < 0 {
 		return fmt.Errorf("spec: -lease-timeout must be ≥ 0, got %s", s.Exec.LeaseTimeout.Std())

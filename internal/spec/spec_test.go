@@ -86,7 +86,7 @@ func fullyNonDefault() RunSpec {
 			FaultRate: 0.25, FaultSeed: 99,
 		},
 		Exec: ExecSpec{
-			Workers: 7, SigmaCacheCap: 128, LeaseTimeout: Duration(90 * time.Second),
+			Workers: 7, LeaseTimeout: Duration(90 * time.Second),
 			RejoinWindow: Duration(2 * time.Minute), DrainTimeout: Duration(20 * time.Second),
 			Priority: "high", Shards: 2, WireFormat: "binary",
 		},
@@ -155,17 +155,19 @@ func TestParseLayersOverDefaults(t *testing.T) {
 
 // TestRemovedSolveBatchField is the removed-field contract, one row per
 // field a spec no longer has: exec.solveBatch went with the batched
-// solvers, solver.seedRefine with neighbour-seeded refinement, and
-// solver.sigmaCacheCap moved to exec. A spec handed to Parse — a -spec
-// file, a POST body — that still sets one is refused by name, never
-// silently ignored. A spec already stored with one (journal headers, omend
-// store entries) is re-read with plain json.Unmarshal and still loads as
-// the spec without it; whether it hashes as filed depends on whether the
-// field sat in a hashed section. solveBatch never did, so those artefacts
-// stay addressable. The two solver fields did: the hash moved with them, so
-// an artefact that carries either is filed under a name this build never
-// computes — -resume reports a spec-hash mismatch and omend's store skips
-// the file (TestStoreNeverWritesToJournals) instead of adopting it.
+// solvers, solver.seedRefine with neighbour-seeded refinement,
+// solver.sigmaCacheCap moved to exec, and exec.sigmaCacheCap went with the
+// σ-cache's bound (its row runs as sigmaCacheCap#01). A spec handed to
+// Parse — a -spec file, a POST body — that still sets one is refused by
+// name, never silently ignored. A spec already stored with one (journal
+// headers, omend store entries) is re-read with plain json.Unmarshal and
+// still loads as the spec without it; whether it hashes as filed depends
+// on whether the field sat in a hashed section. solveBatch and
+// exec.sigmaCacheCap never did, so those artefacts stay addressable. The
+// two solver fields did: the hash moved with them, so an artefact that
+// carries either is filed under a name this build never computes —
+// -resume reports a spec-hash mismatch and omend's store skips the file
+// (TestStoreNeverWritesToJournals) instead of adopting it.
 func TestRemovedSolveBatchField(t *testing.T) {
 	want := Default()
 	want.Device.Name = "sinw"
@@ -188,6 +190,8 @@ func TestRemovedSolveBatchField(t *testing.T) {
 			`"domains":1`, `"domains":1,"seedRefine":0`, true},
 		{"sigmaCacheCap", `{"device":{"name":"sinw"},"solver":{"sigmaCacheCap":128}}`,
 			`"domains":1`, `"domains":1,"sigmaCacheCap":4096`, true},
+		{"sigmaCacheCap", `{"device":{"name":"sinw"},"exec":{"sigmaCacheCap":128}}`,
+			`"workers":3,`, `"workers":3,"sigmaCacheCap":4096,`, false},
 	} {
 		t.Run(tc.field, func(t *testing.T) {
 			if _, err := Parse([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.field) {
@@ -257,7 +261,6 @@ func TestHashSensitivity(t *testing.T) {
 		{"Resilience.FaultSeed", "", false, func(s *RunSpec) { s.Resilience.FaultSeed++ }},
 
 		{"Exec.Workers", "", false, func(s *RunSpec) { s.Exec.Workers++ }},
-		{"Exec.SigmaCacheCap", "", false, func(s *RunSpec) { s.Exec.SigmaCacheCap++ }},
 		{"Exec.LeaseTimeout", "", false, func(s *RunSpec) { s.Exec.LeaseTimeout += Duration(time.Second) }},
 		{"Exec.RejoinWindow", "", false, func(s *RunSpec) { s.Exec.RejoinWindow += Duration(time.Second) }},
 		{"Exec.DrainTimeout", "", false, func(s *RunSpec) { s.Exec.DrainTimeout += Duration(time.Second) }},

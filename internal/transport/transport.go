@@ -105,6 +105,8 @@ type Config struct {
 	// Cache optionally shares memoized contact self-energies across
 	// engines: contacts whose blocks match once the shifts below are
 	// removed share records, within an SCF loop and across bias points.
+	// Only core.FET sets it; a transmission sweep asks for each energy
+	// once and runs uncached (nil).
 	Cache *negf.SelfEnergyCache
 	// ShiftL and ShiftR declare each pinned flat-band contact's rigid
 	// potential-energy shift (eV) from its zero-bias band structure; they
