@@ -168,18 +168,24 @@ unreached:
 
 # Fail when the report names a function that scripts/unreached.txt does
 # not list: new code that only tests reach must be deleted or listed on
-# purpose. Symbols only, so moving a listed function does not trip it; a
-# listed symbol that is no longer reported is fine (prune the list when
-# convenient).
+# purpose. Fail too when the list names a symbol the report no longer
+# does, so deleted or newly linked code takes its line with it. Symbols
+# only, so moving a listed function does not trip it.
 unreached-check:
 	@mkdir -p bin
 	GO=$(GO) sh scripts/unreached.sh > bin/unreached.report
 	@awk '{ print $$2 }' bin/unreached.report | LC_ALL=C sort -u > bin/unreached.now
-	@grep -v '^#' scripts/unreached.txt | LC_ALL=C sort -u | LC_ALL=C comm -23 bin/unreached.now - > bin/unreached.new
+	@grep -v '^#' scripts/unreached.txt | LC_ALL=C sort -u > bin/unreached.listed
+	@LC_ALL=C comm -23 bin/unreached.now bin/unreached.listed > bin/unreached.new
+	@LC_ALL=C comm -13 bin/unreached.now bin/unreached.listed > bin/unreached.stale
 	@if [ -s bin/unreached.new ]; then \
 		echo "unreached-check: no binary links these, and scripts/unreached.txt does not list them:"; \
-		cat bin/unreached.new; exit 1; fi
-	@echo "unreached-check: every unreached function is listed in scripts/unreached.txt"
+		cat bin/unreached.new; fi
+	@if [ -s bin/unreached.stale ]; then \
+		echo "unreached-check: scripts/unreached.txt lists these, and the report no longer names them:"; \
+		cat bin/unreached.stale; fi
+	@if [ -s bin/unreached.new ] || [ -s bin/unreached.stale ]; then exit 1; fi
+	@echo "unreached-check: scripts/unreached.txt lists exactly the unreached functions"
 
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' ./internal/...

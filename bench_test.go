@@ -282,9 +282,10 @@ func BenchmarkF2_IdVg(b *testing.B) {
 // BenchmarkF1_GateSweep_CacheReuse is the headline number for the
 // sweep-scale self-energy cache (DESIGN.md §11): one cold gate sweep per
 // iteration, with every grid point of every SCF iteration and final
-// current pass sharing a single shift-invariant cache. The hits/op and
-// misses/op metrics pin the reuse ratio the speedup comes from; a fresh
-// cache per iteration keeps iterations independent and cold-start honest.
+// current pass sharing a single cache, keyed by (block family, energy).
+// The hits/op and misses/op metrics pin the reuse ratio the speedup comes
+// from; a fresh cache per iteration keeps iterations independent and
+// cold-start honest.
 func BenchmarkF1_GateSweep_CacheReuse(b *testing.B) {
 	sim, err := core.New(device.Description{
 		Name: "AGNR-7 FET", Kind: device.ArmchairGNR, CellsX: 12, CellsY: 7,

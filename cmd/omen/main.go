@@ -275,9 +275,8 @@ func main() {
 		if err != nil {
 			fatal(ctx, &prog, err)
 		}
-		// One cache spans the whole sweep: the FET's pinned contacts and
-		// declared bias shifts make every gate point address the same
-		// entries.
+		// One cache spans the whole sweep: the FET's pinned contacts keep
+		// their blocks, so every gate point addresses the same entries.
 		fet.Cache = b.Cache
 		vgs := b.GateGrid
 		// Count finished bias points so an interrupt can report progress.

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/negf"
 	"repro/internal/poisson"
@@ -47,27 +46,25 @@ type FET struct {
 	// MaxIter bounds the self-consistent loop.
 	MaxIter int
 	// Cache memoizes contact self-energies across the whole I-V surface:
-	// every gate/drain point, every SCF iteration, and the final dense
-	// current grid share it. The FET's contacts are flat-band and pinned
-	// (source at 0, drain at −Vd), so each lead's surface physics is a
-	// pure function of (block family, z − qV_lead) — one decimation per
-	// such pair serves the entire sweep, and FETs handed one cache share
-	// records exactly where their contacts' blocks match. NewFET installs
-	// a fresh cache; set nil to disable. It is the one cache of the
-	// engine: this FET's simulator solves transmission sweeps uncached.
+	// every gate point, every SCF iteration, and the final dense current
+	// grid share it. The FET's contacts are pinned (source at 0, drain at
+	// −Vd), so each lead's blocks are the same bits at every iterate and
+	// gate point, and its self-energy is a pure function of (block family,
+	// z) — one decimation per such pair serves the entire sweep, and FETs
+	// handed one cache share records exactly where their contacts' blocks
+	// are equal. NewFET installs a fresh cache; set nil to disable. It is
+	// the one cache of the engine: this FET's simulator solves
+	// transmission sweeps uncached.
 	Cache *negf.SelfEnergyCache
 	// EStep is the spacing (eV) of the shared energy lattice every grid of
 	// this FET snaps to, so the SCF grids and the final dense current grid
 	// (which runs on the half lattice EStep/2) reuse each other's cached
-	// self-energies. 0 derives it on first solve: a GateSweep uses its
-	// union charge window divided into NE−1 steps, a standalone SolveBias
-	// the zero-bias window.
+	// self-energies. 0 lets the first GateSweep derive it from its union
+	// charge window divided into NE−1 steps.
 	EStep float64
 	// gapWindow is fixed at construction: the energy window the transport
 	// gap was located in.
 	ev, ec float64
-
-	stepOnce sync.Once
 }
 
 // NewFET builds a self-consistent FET driver around a simulator with the
@@ -131,48 +128,20 @@ func (f *FET) gateMask(nl int) []bool {
 	return mask
 }
 
-// ensureLattice fixes the shared energy-lattice spacing on first use:
-// the zero-bias charge window divided into NE−1 steps, matching the grid
-// resolution solveBias used before the lattice existed. All grids of the
-// FET are then integer multiples of EStep (half multiples for the final
-// current grid), which is what lets different bias windows overlap on
-// identical — bitwise identical — cache keys. GateSweep pre-empts this
-// with sweepLattice so the spacing reflects the sweep's widest window.
-func (f *FET) ensureLattice() {
-	f.latticeFrom(func() (float64, float64) { return f.chargeWindow(0, 0) })
-}
-
-// sweepLattice fixes the lattice spacing from the union charge window of
-// a whole gate sweep: the widest window divided into NE−1 steps. Each
-// bias point's grid then holds at most NE points — the same per-window
-// budget the pre-lattice code spent — while every grid of the sweep still
-// lands on one shared lattice.
-func (f *FET) sweepLattice(vgs []float64, vd float64) {
-	f.latticeFrom(func() (float64, float64) {
-		lo, hi := f.chargeWindow(0, 0)
-		for _, vg := range vgs {
-			l, h := f.chargeWindow(vg, vd)
-			lo = math.Min(lo, l)
-			hi = math.Max(hi, h)
-		}
-		return lo, hi
-	})
-}
-
-// latticeFrom derives EStep from a reference window exactly once; an
-// explicitly pre-set EStep always wins.
-func (f *FET) latticeFrom(window func() (float64, float64)) {
-	f.stepOnce.Do(func() {
-		if f.EStep > 0 {
-			return
-		}
-		lo, hi := window()
-		ne := f.NE
-		if ne < 2 {
-			ne = 2
-		}
-		f.EStep = (hi - lo) / float64(ne-1)
-	})
+// sweepStep is the lattice spacing of a gate sweep: its union charge
+// window, the zero-bias one included, divided into NE−1 steps. Each bias
+// point's grid then holds at most NE points while every grid of the sweep
+// lands on one shared lattice — all of them integer multiples of the step
+// (half multiples for the final current grid), which is what lets
+// different bias windows overlap on bitwise identical cache keys.
+func (f *FET) sweepStep(vgs []float64, vd float64) float64 {
+	lo, hi := f.chargeWindow(0, 0)
+	for _, vg := range vgs {
+		l, h := f.chargeWindow(vg, vd)
+		lo = math.Min(lo, l)
+		hi = math.Max(hi, h)
+	}
+	return (hi - lo) / float64(max(f.NE, 2)-1)
 }
 
 // chargeWindow is the conduction-electron integration window at one bias
@@ -198,7 +167,6 @@ func (f *FET) chargeWindow(vg, vd float64) (lo, hi float64) {
 // chargeGrid is the SCF charge-integration grid: the bias point's window
 // snapped inward onto the shared lattice.
 func (f *FET) chargeGrid(vg, vd float64) []float64 {
-	f.ensureLattice()
 	lo, hi := f.chargeWindow(vg, vd)
 	return latticeGrid(lo, hi, f.EStep)
 }
@@ -209,7 +177,6 @@ func (f *FET) chargeGrid(vg, vd float64) []float64 {
 // half of the dense pass is served straight from the SCF iterations'
 // cache entries.
 func (f *FET) currentGrid(vd float64, u []float64) []float64 {
-	f.ensureLattice()
 	kT := KT(temperature)
 	muS := f.ec + muOffset
 	muD := muS - vd
@@ -250,11 +217,7 @@ func (f *FET) pool() *sched.Pool {
 	return sched.New(0)
 }
 
-// SolveBias runs the self-consistent loop at one (VGate, VDrain) point.
-func (f *FET) SolveBias(ctx context.Context, vg, vd float64) (*IVPoint, error) {
-	return f.solveBias(ctx, vg, vd, f.pool())
-}
-
+// solveBias runs the self-consistent loop at one (VGate, VDrain) point.
 func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (*IVPoint, error) {
 	s := f.Sim.Built.Structure
 	nl := s.NLayers()
@@ -283,15 +246,13 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	var mix anderson
 	point := &IVPoint{VGate: vg, VDrain: vd}
 
-	// The contacts are flat-band and pinned (source at 0, drain at −vd),
-	// so the expensive Sancho-Rubio surface functions depend only on the
-	// shifted energy: share the FET's sweep-wide cache across all
-	// iterations and bias points, declaring the drain's rigid shift so the
-	// cache can key shift-invariantly (the production optimization of the
-	// paper's code, extended to the whole I-V surface).
+	// The contacts are pinned (source at 0, drain at −vd), so the
+	// expensive Sancho-Rubio surface functions depend only on the energy:
+	// share the FET's sweep-wide cache across all iterations and bias
+	// points (the production optimization of the paper's code, extended to
+	// the whole I-V surface).
 	cfg := f.Sim.Transport
 	cfg.Cache = f.Cache
-	cfg.ShiftL, cfg.ShiftR = 0, -vd
 	// All iterations (and, in a GateSweep, all bias points) draw their
 	// energy- and domain-level helpers from the same pool.
 	cfg.Pool = pool
@@ -301,11 +262,14 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	// bias point whose window overlaps — reuses the same cached energies.
 	grid := f.chargeGrid(vg, vd)
 
-	for iter := 1; iter <= f.MaxIter; iter++ {
+	// One Hamiltonian and engine per iterate. The loop leaves eng on the
+	// iterate whose residual passed or, past MaxIter, on the last mixed
+	// one: the potential the current is reported at.
+	var eng *transport.Engine
+	for iter := 1; ; iter++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		point.Iterations = iter
 		// Spread the layer potential onto atoms.
 		for i, a := range s.Atoms {
 			pot[i] = u[a.Layer]
@@ -314,10 +278,13 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 		if err != nil {
 			return nil, err
 		}
-		eng, err := transport.NewEngine(h, cfg)
-		if err != nil {
+		if eng, err = transport.NewEngine(h, cfg); err != nil {
 			return nil, err
 		}
+		if iter > f.MaxIter {
+			break
+		}
+		point.Iterations = iter
 		occ, dOcc, err := eng.ChargeDensity(ctx, grid, bias)
 		if err != nil {
 			return nil, err
@@ -357,18 +324,7 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	// Final current from a denser transmission grid over the bias window —
 	// the half lattice, so its even points are served straight from the
 	// SCF iterations' cache entries.
-	for i, a := range s.Atoms {
-		pot[i] = u[a.Layer]
-	}
 	iGrid := f.currentGrid(vd, u)
-	h, err := f.Sim.Hamiltonian(pot, 0)
-	if err != nil {
-		return nil, err
-	}
-	eng, err := transport.NewEngine(h, cfg)
-	if err != nil {
-		return nil, err
-	}
 	ts, err := eng.Transmissions(ctx, iGrid)
 	if err != nil {
 		return nil, err
@@ -382,14 +338,17 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	return point, nil
 }
 
-// GateSweep runs SolveBias over a gate-voltage ladder at fixed drain bias.
+// GateSweep runs the self-consistent loop over a gate-voltage ladder at
+// fixed drain bias, on the lattice EStep (sweepStep unless preset).
 // The points are independent — this is the outermost (bias) level of the
 // paper's parallel scheme — so they run concurrently, sharing one worker
 // pool with the momentum/energy/domain levels nested inside each point.
 // Results come back in ladder order; the first failing gate voltage (by
 // ladder order) cancels the in-flight siblings and is reported.
 func (f *FET) GateSweep(ctx context.Context, vgs []float64, vd float64) ([]IVPoint, error) {
-	f.sweepLattice(vgs, vd)
+	if f.EStep <= 0 {
+		f.EStep = f.sweepStep(vgs, vd)
+	}
 	out := make([]IVPoint, len(vgs))
 	pool := f.pool()
 	err := pool.ForEach(ctx, "bias", len(vgs), func(ctx context.Context, i int) error {

@@ -24,13 +24,13 @@ func cacheFET(t *testing.T) *FET {
 
 // TestGateSweepOneDecimationPerKey is the acceptance criterion of the
 // sweep-scale cache: a 5-point gate sweep at fixed Vd runs the
-// Sancho-Rubio kernel at most once per (block family, shifted-energy)
-// key — across all gate points, SCF iterations, AND the dense final
-// current grids — because every grid snaps to one shared lattice and the
-// drain lead's keys are bias-shifted onto the source's canonical axis.
-// Source and drain continue the same ribbon cell, so they are one block
-// family; at Vd ≠ 0 they ask for it at different canonical energies, one
-// side per lookup, and each record is computed once with both surfaces.
+// Sancho-Rubio kernel at most once per (block family, energy) key —
+// across all gate points, SCF iterations, AND the dense final current
+// grids — because every grid snaps to one shared lattice and the pinned
+// contacts' blocks are the same bits at every iterate. At Vd ≠ 0 the
+// drain's blocks sit −Vd from the source's, so source and drain are two
+// one-sided block families, each record computed once with its own
+// surface.
 func TestGateSweepOneDecimationPerKey(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-consistent FET sweep in -short mode")
@@ -58,10 +58,7 @@ func TestGateSweepOneDecimationPerKey(t *testing.T) {
 	}
 
 	// Pin the key population exactly: the union of every grid the sweep
-	// evaluated, × 2 leads (the right lead's keys are shifted by +vd onto
-	// the canonical axis — a pure relabeling that cannot create or merge
-	// energies at fixed vd, and in floating point lands on no key of the
-	// left lead's).
+	// evaluated, × 2 block families.
 	lattice := make(map[float64]bool)
 	scfOnly := make(map[float64]bool)
 	var finalPts, finalShared int
@@ -117,10 +114,11 @@ func TestGateSweepCachedMatchesPerBias(t *testing.T) {
 		// Pin the reference to the sweep's lattice so both runs solve the
 		// exact same grids and only the cache scope differs.
 		ref.EStep = shared.EStep
-		rp, err := ref.SolveBias(context.Background(), vg, vd)
+		rps, err := ref.GateSweep(context.Background(), []float64{vg}, vd)
 		if err != nil {
 			t.Fatalf("reference Vg=%g: %v", vg, err)
 		}
+		rp := rps[0]
 		denom := math.Max(math.Abs(rp.Current), 1e-300)
 		if rel := math.Abs(points[i].Current-rp.Current) / denom; rel > 1e-10 {
 			t.Fatalf("Vg=%g: shared-cache current %g vs per-bias %g (rel %g)",

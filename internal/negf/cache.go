@@ -22,10 +22,9 @@ type CacheStats struct {
 }
 
 // sigmaKey identifies one cached record — the unit of work of the cache,
-// one kernel run: a block family at a shifted complex energy. Keying on
-// z − shift is the shift-invariance optimization: a pinned flat-band
-// contact at bias V satisfies Σ(z; V) = Σ(z − qV; 0), so every bias point
-// of a sweep addresses the same canonical record.
+// one kernel run: a block family at a complex energy. A pinned contact's
+// blocks are the same bits at every SCF iterate and bias point, so all of
+// them address the same record.
 type sigmaKey struct {
 	fam int
 	z   complex128
@@ -42,15 +41,14 @@ type sigmaRecord struct {
 }
 
 // SelfEnergyCache memoizes contact self-energies across an I-V surface,
-// keyed by (block family, z − qV_lead). Because a pinned flat-band
-// contact's surface physics is invariant under a rigid potential shift,
-// one cache instance spans all gate/drain points, all SCF iterations, and
-// every energy grid of the surface; because the two surfaces of one
-// periodic lead fall out of one recursion, a miss on a family both
-// contacts continue runs the kernel once for both. Concurrent misses on
-// one key are coalesced: exactly one decimation runs, the rest wait. A
-// sweep that asks for each energy once gains nothing from it and runs
-// uncached. Safe for concurrent use.
+// keyed by (block family, z). Because a contact is its blocks, and a
+// pinned contact's blocks do not change, one cache instance spans all gate
+// points, all SCF iterations, and every energy grid of the surface;
+// because the two surfaces of one periodic lead fall out of one recursion,
+// a miss on a family both contacts continue runs the kernel once for
+// both. Concurrent misses on one key are coalesced: exactly one decimation
+// runs, the rest wait. A sweep that asks for each energy once gains
+// nothing from it and runs uncached. Safe for concurrent use.
 type SelfEnergyCache struct {
 	mu      sync.Mutex
 	records map[sigmaKey]*sigmaRecord
@@ -81,9 +79,9 @@ func CachedSelfEnergies(c *SelfEnergyCache, l *Leads, z complex128) (sigL, sigR 
 }
 
 // SelfEnergies returns Σ_L, Σ_R at complex energy z, each served from the
-// shift-invariant cache: two lookups, which are one unit of work when both
-// contacts continue the same cell at the same shifted energy. The returned
-// matrices are shared — callers must not modify them.
+// cache: two lookups, which are one unit of work when both contacts
+// continue the same cell. The returned matrices are shared — callers must
+// not modify them.
 func (c *SelfEnergyCache) SelfEnergies(leads *Leads, z complex128) (sigL, sigR *linalg.Matrix, err error) {
 	fams, err := c.families.resolve(leads)
 	if err != nil {
@@ -103,7 +101,7 @@ func (c *SelfEnergyCache) Stats() CacheStats {
 }
 
 // Len reports the number of records held or being computed (one per block
-// family per shifted energy; a mirrored family's record holds both sides).
+// family per energy; a mirrored family's record holds both sides).
 func (c *SelfEnergyCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -113,12 +111,12 @@ func (c *SelfEnergyCache) Len() int {
 // lookup serves the wanted sides of one record through the cache, counting
 // one lookup per side. A failed computation leaves no record, so the next
 // lookup of its key computes again.
-func (c *SelfEnergyCache) lookup(fam *blockFamily, zc complex128, want sideSet) ([2]*linalg.Matrix, error) {
+func (c *SelfEnergyCache) lookup(fam *blockFamily, z complex128, want sideSet) ([2]*linalg.Matrix, error) {
 	lookups := int64(1)
 	if want == bothSides {
 		lookups = 2
 	}
-	key := sigmaKey{fam: fam.id, z: zc}
+	key := sigmaKey{fam: fam.id, z: z}
 
 	c.mu.Lock()
 	if r := c.records[key]; r != nil {
@@ -142,7 +140,7 @@ func (c *SelfEnergyCache) lookup(fam *blockFamily, zc complex128, want sideSet) 
 
 	// All block inputs come from the family canon, so the record does not
 	// depend on which caller missed, nor on which side it wanted.
-	r.sigma, r.err = fam.selfEnergies(zc, fam.sides)
+	r.sigma, r.err = fam.selfEnergies(z, fam.sides)
 	if r.err == nil {
 		c.decimations.Add(1)
 	} else {
@@ -156,7 +154,7 @@ func (c *SelfEnergyCache) lookup(fam *blockFamily, zc complex128, want sideSet) 
 
 // maxAbs returns max over elements of max(|re|, |im|) — the norm of this
 // package's convergence tests, a hypot per element cheaper than the
-// modulus — and maxAbsDiff the same of a − b. Both propagate NaN.
+// modulus. It propagates NaN.
 func maxAbs(a *linalg.Matrix) float64 {
 	var mx float64
 	for _, v := range a.Data {
@@ -171,15 +169,6 @@ func maxAbs(a *linalg.Matrix) float64 {
 				mx = p
 			}
 		}
-	}
-	return mx
-}
-
-func maxAbsDiff(a, b *linalg.Matrix) float64 {
-	var mx float64
-	for i, v := range a.Data {
-		d := v - b.Data[i]
-		mx = max(mx, math.Abs(real(d)), math.Abs(imag(d)))
 	}
 	return mx
 }

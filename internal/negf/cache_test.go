@@ -18,7 +18,7 @@ import (
 
 // chainLeads builds the leads of a uniform single-band chain whose every
 // site sits at potential energy shift (a rigid contact shift, as a pinned
-// bias produces), declared on both contacts.
+// bias produces).
 func chainLeads(t *testing.T, hop, shift float64) *Leads {
 	t.Helper()
 	s, err := lattice.NewLinearChain(0.5, 4)
@@ -40,22 +40,26 @@ func chainLeads(t *testing.T, hop, shift float64) *Leads {
 	if err != nil {
 		t.Fatal(err)
 	}
-	leads.ShiftL, leads.ShiftR = shift, shift
 	return leads
 }
 
+// maxAbsDiffT is max over elements of max(|re|, |im|) of a − b.
 func maxAbsDiffT(t *testing.T, a, b *linalg.Matrix) float64 {
 	t.Helper()
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		t.Fatalf("shape mismatch: %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols)
 	}
-	return maxAbsDiff(a, b)
+	var mx float64
+	for i, v := range a.Data {
+		d := v - b.Data[i]
+		mx = max(mx, math.Abs(real(d)), math.Abs(imag(d)))
+	}
+	return mx
 }
 
-// TestShiftInvariantSigma pins the physics the whole cache design rests
-// on: a flat-band contact rigidly shifted by qV satisfies
-// Σ(z; V) = Σ(z − qV; 0) — first directly through the decimation, then
-// through the cache, where the two requests must resolve to one entry.
+// TestShiftInvariantSigma pins the physics of a biased contact: a
+// flat-band contact rigidly shifted by qV satisfies Σ(z; V) = Σ(z − qV; 0)
+// through the decimation, to rounding.
 func TestShiftInvariantSigma(t *testing.T) {
 	const hop, v = -1.0, 0.35
 	base := chainLeads(t, hop, 0)
@@ -78,43 +82,17 @@ func TestShiftInvariantSigma(t *testing.T) {
 			t.Fatalf("E=%g: |Σ_R(z;V) − Σ_R(z−qV;0)| = %g > 1e-12", e, d)
 		}
 	}
-
-	// Through the cache the shifted and unshifted requests share one
-	// record — the chain's two contacts continue the same cell, so one
-	// kernel run serves both: the second call must be all hits, returning
-	// the very same matrices.
-	c := NewSelfEnergyCache()
-	z := complex(0.4, 1e-6)
-	s1L, s1R, err := c.SelfEnergies(shifted, z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2L, s2R, err := c.SelfEnergies(base, z-complex(v, 0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1L != s2L || s1R != s2R {
-		t.Fatal("shifted and canonical requests did not share cache entries")
-	}
-	st := c.Stats()
-	if st.Misses != 2 || st.Hits != 2 || st.Decimations != 1 {
-		t.Fatalf("stats = %+v; want 2 misses, 2 hits, 1 decimation", st)
-	}
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d records, want 1", c.Len())
-	}
 }
 
 // TestDecimationCounterCountsKernelRuns: the process-wide
 // sigma-decimations counter counts kernel runs, not lookups, and the
 // uncached Leads.SelfEnergies counts them as a cache's miss does — one per
-// energy where both contacts continue one cell at one shifted energy, one
-// per side where their declared shifts differ — while a hit runs nothing.
+// energy where both contacts continue one cell, one per side where the
+// right contact is lifted off the left — while a hit runs nothing.
 func TestDecimationCounterCountsKernelRuns(t *testing.T) {
 	ctr := perf.GetCounter("sigma-decimations")
 	paired := chainLeads(t, -1, 0)
-	split := chainLeads(t, -1, 0)
-	split.ShiftR = 0.2
+	split := shiftRight(chainLeads(t, -1, 0), 0.2)
 	cache := NewSelfEnergyCache()
 	z := complex(0.3, 1e-6)
 	for _, tc := range []struct {
@@ -184,10 +162,8 @@ func TestCacheCoalescing(t *testing.T) {
 }
 
 // TestCacheFamilyVerification: the blocks are the identity. Leads whose
-// blocks differ beyond a rigid shift never share a record — each gets the Σ
-// its own uncached Leads.SelfEnergies returns, bit for bit, whatever the
-// cache saw first — while a rigidly shifted twin with the matching
-// declaration shares the very pointers.
+// blocks differ never share a record — each gets the Σ its own uncached
+// Leads.SelfEnergies returns, bit for bit, whatever the cache saw first.
 func TestCacheFamilyVerification(t *testing.T) {
 	a := chainLeads(t, -1.0, 0)
 	b := chainLeads(t, -1.3, 0) // different hopping
@@ -212,23 +188,9 @@ func TestCacheFamilyVerification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(tc.gotL, wantL) || !sameBits(tc.gotR, wantR) {
+		if !sparse.SameBits(tc.gotL, wantL) || !sparse.SameBits(tc.gotR, wantR) {
 			t.Errorf("%s: cached Σ differs from its own uncached Σ", name)
 		}
-	}
-
-	// A rigid shift with the matching declaration is the same contact: the
-	// dyadic shift is removed exactly, so z + shift addresses z's record.
-	shifted := chainLeads(t, -1.0, 0.25)
-	sL, sR, err := c.SelfEnergies(shifted, z+0.25)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sL != aL || sR != aR {
-		t.Fatal("rigidly shifted twin did not share its family's record")
-	}
-	if st := c.Stats(); st.Decimations != 2 || c.Len() != 2 {
-		t.Fatalf("stats %+v, %d records; want 2 kernel runs for 2 families", st, c.Len())
 	}
 }
 
@@ -311,46 +273,14 @@ func TestManyLeadsOneFamily(t *testing.T) {
 	}
 }
 
-// TestRegistrationOrderIndependence: which lead a cache sees first decides
-// whose blocks become the canon, and must decide nothing else. A and its
-// shifted twin B have bitwise-equal shift-removed blocks (the shift is
-// dyadic on a zero onsite), so A-then-B and B-then-A serve the same bits.
-func TestRegistrationOrderIndependence(t *testing.T) {
-	const v = 0.25
-	z := complex(0.5, 1e-6)
-	run := func(order [2]int) (out [4]*linalg.Matrix) {
-		c := NewSelfEnergyCache()
-		asks := [2]struct {
-			leads *Leads
-			z     complex128
-		}{{chainLeads(t, -1, 0), z}, {chainLeads(t, -1, v), z + v + 0.5}} // two records of one family
-		for _, i := range order {
-			var err error
-			if out[2*i], out[2*i+1], err = c.SelfEnergies(asks[i].leads, asks[i].z); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if n := len(c.families.blocks); n != 1 {
-			t.Fatalf("%d block families registered, want 1", n)
-		}
-		return out
-	}
-	ab, ba := run([2]int{0, 1}), run([2]int{1, 0})
-	for i := range ab {
-		if !sameBits(ab[i], ba[i]) {
-			t.Errorf("Σ %d differs between A-then-B and B-then-A by %g", i, maxAbsDiffT(t, ab[i], ba[i]))
-		}
-	}
-}
-
 // TestLeadsMemoInvalidation: a Leads value remembers its last resolution
-// only for the blocks and shifts it showed. Swapping a block pointer or a
-// shift resolves again, to what a fresh value of the same fields gets.
+// only for the blocks it showed. Swapping a block pointer resolves again,
+// to what a fresh value of the same fields gets.
 func TestLeadsMemoInvalidation(t *testing.T) {
 	z := complex(0.3, 1e-6)
 	fresh := func(l *Leads) (*linalg.Matrix, *linalg.Matrix) {
 		t.Helper()
-		twin := &Leads{L00: l.L00, L01: l.L01, R00: l.R00, R01: l.R01, ShiftL: l.ShiftL, ShiftR: l.ShiftR}
+		twin := &Leads{L00: l.L00, L01: l.L01, R00: l.R00, R01: l.R01}
 		sL, sR, err := twin.SelfEnergies(z)
 		if err != nil {
 			t.Fatal(err)
@@ -367,7 +297,7 @@ func TestLeadsMemoInvalidation(t *testing.T) {
 				t.Fatal(err)
 			}
 			wantL, wantR := fresh(l)
-			if !sameBits(gotL, wantL) || !sameBits(gotR, wantR) {
+			if !sparse.SameBits(gotL, wantL) || !sparse.SameBits(gotR, wantR) {
 				t.Fatalf("%s, pass %d: Σ is not that of the fields as they stand", how, pass)
 			}
 		}
@@ -381,20 +311,14 @@ func TestLeadsMemoInvalidation(t *testing.T) {
 	l.R01 = l.R01.Scale(1.25)
 	step("R01 swapped", 2)
 
-	// A right contact lifted by 0.25 eV, declared: the first family again,
-	// asked at z − 0.25.
+	// The coupling restored with the right contact lifted by 0.25 eV: the
+	// lift is part of the contact, a third canon.
 	l.R01 = l.L01
 	l.R00 = l.R00.Clone()
 	for i := 0; i < l.R00.Rows; i++ {
 		l.R00.Data[i*l.R00.Rows+i] += 0.25
 	}
-	l.ShiftR = 0.25
-	step("R00 lifted, shift declared", 2)
-
-	// The declaration withdrawn while the blocks stay lifted: the lift is
-	// now part of the contact, a third canon.
-	l.ShiftR = 0
-	step("shift withdrawn", 3)
+	step("R00 lifted", 3)
 }
 
 // TestNonFiniteLeadRefused: a NaN or ±Inf anywhere in a contact's blocks is
@@ -427,15 +351,9 @@ func TestNonFiniteLeadRefused(t *testing.T) {
 			}
 		}
 	}
-	// A non-finite declared shift would poison the canon the same way.
-	l := chainLeads(t, -1, 0)
-	l.ShiftR = math.NaN()
-	if _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); err == nil || !strings.Contains(err.Error(), "right lead") {
-		t.Errorf("NaN ShiftR: err = %v, want the right lead refused", err)
-	}
 	// The interior is eliminated through h00's eigenpairs, so an h00 off
 	// its adjoint — here a complex on-site energy — is refused too.
-	l = chainLeads(t, -1, 0)
+	l := chainLeads(t, -1, 0)
 	l.L00 = l.L00.Clone()
 	l.L00.Data[0] += 0.1i
 	if _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); err == nil || !strings.Contains(err.Error(), "left lead's h00 is not Hermitian") {
@@ -527,7 +445,7 @@ func naturalTwin(t *testing.T, fam *blockFamily) *blockFamily {
 // computed.
 func dysonResidual(t *testing.T, fam *blockFamily, z complex128, sigma *linalg.Matrix, s side) float64 {
 	t.Helper()
-	full := embed(sigma, fam.support(s), fam.h00.Rows)
+	full := embed(sigma, leadSpec{side: s, h01: fam.h01}.support(), fam.h00.Rows)
 	return maxAbsDiffT(t, dysonImage(t, fam, z, full, s), full)
 }
 
@@ -626,46 +544,34 @@ func TestDysonResidual(t *testing.T) {
 }
 
 // shiftRight returns leads whose right contact sits at potential energy v:
-// the same blocks with v on R00's diagonal and the shift declared.
+// the same blocks with v on R00's diagonal.
 func shiftRight(l *Leads, v float64) *Leads {
-	out := &Leads{L00: l.L00, L01: l.L01, R00: l.R00.Clone(), R01: l.R01, ShiftR: v}
+	out := &Leads{L00: l.L00, L01: l.L01, R00: l.R00.Clone(), R01: l.R01}
 	for i := 0; i < out.R00.Rows; i++ {
 		out.R00.Data[i*out.R00.Rows+i] += complex(v, 0)
 	}
 	return out
 }
 
-func sameBits(a, b *linalg.Matrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		if math.Float64bits(real(v)) != math.Float64bits(real(b.Data[i])) || math.Float64bits(imag(v)) != math.Float64bits(imag(b.Data[i])) {
-			return false
-		}
-	}
-	return true
-}
-
 // TestMirrorPurity is the contract of the paired kernel: the Σ_L and Σ_R
-// of a mirrored block family are a pure function of (canon, z − qV). They
-// come out bit-identical from a paired miss, from two one-sided finishes
-// of the kernel, through Leads at equal shifts and at different ones —
-// where the two sides are separate lookups, asked left first or right
-// first — and from 32 goroutines mixing all of those on one cache (run it
-// under -race). Along the way: one kernel run per distinct (block family,
-// z − qV) ever requested, and two lookups per SelfEnergies call.
+// of a block family are a pure function of (canon, z). They come out
+// bit-identical from a paired miss, from two one-sided finishes of the
+// kernel, uncached, and from 32 goroutines bringing the leads or a twin of
+// equal blocks to one cache (run it under -race). Along the way: one kernel
+// run per block family, and two lookups per SelfEnergies call. Ends a few
+// ulps apart are two one-sided families and are held to the same.
 func TestMirrorPurity(t *testing.T) {
 	suite := suiteLeads(t)
-	// e and v are dyadic, so (e + v) − v == e exactly and the shifted
-	// requests address the very keys of the unshifted ones.
-	const e, v, eta = 0.5, 0.25, 1e-6
-	z := complex(e, eta)
-	for name, flat := range map[string]*Leads{
-		"AGNR-7": suite["AGNR-7"], "SiNW-sp3s*": suite["SiNW-sp3s*"], // bit-identical ends
-		"SiNW-sp3s*, ends a few ulps apart": ulpsApart(suite["SiNW-sp3s*"]),
+	z := complex(0.5, 1e-6)
+	for name, tc := range map[string]struct {
+		leads    *Leads
+		families int
+	}{
+		"AGNR-7": {suite["AGNR-7"], 1}, "SiNW-sp3s*": {suite["SiNW-sp3s*"], 1}, // bit-identical ends
+		"SiNW-sp3s*, ends a few ulps apart": {ulpsApart(suite["SiNW-sp3s*"]), 2},
 	} {
-		biased := shiftRight(flat, v)
+		flat := tc.leads
+		twin := &Leads{L00: flat.L00.Clone(), L01: flat.L01.Clone(), R00: flat.R00.Clone(), R01: flat.R01.Clone()}
 
 		wantL, wantR, err := NewSelfEnergyCache().SelfEnergies(flat, z)
 		if err != nil {
@@ -676,10 +582,10 @@ func TestMirrorPurity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, how, err)
 			}
-			if gotL != nil && !sameBits(gotL, wantL) {
+			if gotL != nil && !sparse.SameBits(gotL, wantL) {
 				t.Errorf("%s %s: Σ_L differs from the paired miss by %g", name, how, maxAbsDiffT(t, gotL, wantL))
 			}
-			if gotR != nil && !sameBits(gotR, wantR) {
+			if gotR != nil && !sparse.SameBits(gotR, wantR) {
 				t.Errorf("%s %s: Σ_R differs from the paired miss by %g", name, how, maxAbsDiffT(t, gotR, wantR))
 			}
 		}
@@ -687,30 +593,10 @@ func TestMirrorPurity(t *testing.T) {
 		gotL, gotR, err := flat.SelfEnergies(z)
 		check("uncached", gotL, gotR, err)
 
-		canon := familyOf(t, flat.spec(left))
-		oneL, err := canon.selfEnergies(z, 1<<left)
+		oneL, err := familyOf(t, flat.spec(left)).selfEnergies(z, 1<<left)
 		check("left finished alone", oneL[left], nil, err)
-		oneR, err := canon.selfEnergies(z, 1<<right)
+		oneR, err := familyOf(t, flat.spec(right)).selfEnergies(z, 1<<right)
 		check("right finished alone", nil, oneR[right], err)
-
-		// Different shifts: biased at z asks (left, e) and (right, e − v);
-		// at z + v it asks (left, e + v) and (right, e).
-		leftFirst := NewSelfEnergyCache()
-		gotL, _, err = leftFirst.SelfEnergies(biased, z)
-		check("left first", gotL, nil, err)
-		_, gotR, err = leftFirst.SelfEnergies(biased, z+complex(v, 0))
-		check("left first, then right", nil, gotR, err)
-		rightFirst := NewSelfEnergyCache()
-		_, gotR, err = rightFirst.SelfEnergies(biased, z+complex(v, 0))
-		check("right first", nil, gotR, err)
-		gotL, _, err = rightFirst.SelfEnergies(biased, z)
-		check("right first, then left", gotL, nil, err)
-		for how, c := range map[string]*SelfEnergyCache{"left first": leftFirst, "right first": rightFirst} {
-			// Keys e − v, e, e + v: the second call hit e for one side.
-			if st := c.Stats(); st.Decimations != 3 || st.Misses != 3 || st.Hits != 1 || c.Len() != 3 {
-				t.Errorf("%s %s: stats %+v, %d records; want 3 kernel runs for 3 keys, 3 misses, 1 hit", name, how, st, c.Len())
-			}
-		}
 
 		// Everything at once.
 		shared := NewSelfEnergyCache()
@@ -728,14 +614,11 @@ func TestMirrorPurity(t *testing.T) {
 				defer wg.Done()
 				<-start
 				r := &results[i]
-				switch i % 3 {
-				case 0:
-					r.l, r.r, r.err = shared.SelfEnergies(flat, z)
-				case 1:
-					r.l, _, r.err = shared.SelfEnergies(biased, z)
-				case 2:
-					_, r.r, r.err = shared.SelfEnergies(biased, z+complex(v, 0))
+				leads := flat
+				if i%2 == 1 {
+					leads = twin
 				}
+				r.l, r.r, r.err = shared.SelfEnergies(leads, z)
 			}(i)
 		}
 		close(start)
@@ -744,8 +627,8 @@ func TestMirrorPurity(t *testing.T) {
 			check(fmt.Sprintf("goroutine %d of %d", i, workers), r.l, r.r, r.err)
 		}
 		st := shared.Stats()
-		if n := int64(shared.Len()); st.Decimations != n || n != 3 {
-			t.Errorf("%s: %d kernel runs for %d records, want 3 and 3 (keys e − v, e, e + v)", name, st.Decimations, n)
+		if n := shared.Len(); st.Decimations != int64(n) || n != tc.families || len(shared.families.blocks) != tc.families {
+			t.Errorf("%s: %d kernel runs for %d records of %d families, want %d of each", name, st.Decimations, n, len(shared.families.blocks), tc.families)
 		}
 		if got := st.Hits + st.Misses + st.CoalescedWaits; got != 2*workers {
 			t.Errorf("%s: hits+misses+coalesced = %d after %d calls, want %d", name, got, workers, 2*workers)
@@ -753,19 +636,19 @@ func TestMirrorPurity(t *testing.T) {
 	}
 }
 
-// TestMirrorAdoption pins who pairs. The two ends of one assembled wire
-// are the same bits (the lattice's bonds are periodic bit for bit): drift 0,
-// one family, one kernel run per energy. Ends a few ulps apart — the
-// rounding assembly used to leave between them, built here by hand on R00's
-// diagonal — still share the canon and its run, while a right lead 1e-6
-// off the left one keeps its own blocks, family and run.
+// TestMirrorAdoption pins who pairs: a contact is its blocks, bit for bit.
+// The two ends of one assembled wire are the same bits (the lattice's
+// bonds are periodic bit for bit): one family, one kernel run per energy.
+// Ends a few ulps apart — built here by hand on R00's diagonal — are two
+// contacts with two families and two runs, as is a right lead 1e-6 off the
+// left one.
 func TestMirrorAdoption(t *testing.T) {
 	wire := suiteLeads(t)["SiNW-sp3s*"]
-	if d := familyOf(t, wire.spec(left)).drift(wire.spec(right)); d != 0 {
-		t.Fatalf("sinw's assembled ends differ by %g, want the same bits", d)
+	if !familyOf(t, wire.spec(left)).matches(wire.spec(right)) {
+		t.Fatalf("sinw's assembled ends differ by %g, want the same bits", maxAbsDiffT(t, wire.L00, wire.R00))
 	}
 	ulps := ulpsApart(wire)
-	if d := familyOf(t, ulps.spec(left)).drift(ulps.spec(right)); d == 0 || d > 1e-12 {
+	if d := maxAbsDiffT(t, ulps.R00, wire.L00); d == 0 || d > 1e-12 {
 		t.Fatalf("the hand-built ends differ by %g; the arm wants rounding, neither bitwise equality nor a real difference", d)
 	}
 	off := &Leads{L00: wire.L00, L01: wire.L01, R00: wire.R00.Clone(), R01: wire.R01}
@@ -775,7 +658,7 @@ func TestMirrorAdoption(t *testing.T) {
 	for name, tc := range map[string]struct {
 		leads *Leads
 		runs  int64
-	}{"ends bitwise equal": {wire, 1}, "ends a few ulps apart": {ulps, 1}, "ends 1e-6 apart": {off, 2}} {
+	}{"ends bitwise equal": {wire, 1}, "ends a few ulps apart": {ulps, 2}, "ends 1e-6 apart": {off, 2}} {
 		c := NewSelfEnergyCache()
 		cachedL, cachedR, err := c.SelfEnergies(tc.leads, z)
 		if err != nil {
@@ -792,7 +675,7 @@ func TestMirrorAdoption(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBits(cachedL, plainL) || !sameBits(cachedR, plainR) {
+		if !sparse.SameBits(cachedL, plainL) || !sparse.SameBits(cachedR, plainR) {
 			t.Errorf("%s: cached and uncached self-energies differ", name)
 		}
 	}
@@ -813,12 +696,12 @@ func ulpsApart(l *Leads) *Leads {
 	return out
 }
 
-// TestSupportMismatchRefused: a right lead within familyTol of the left
-// one's blocks, but coupling one more orbital (an entry of 1e-12 where the
-// canon holds 0), adopts a family whose Σ_R lives on other orbitals than
-// the lead's own support. That is an error naming the lead, cached and
-// uncached, not a silent re-index.
-func TestSupportMismatchRefused(t *testing.T) {
+// TestSupportMismatchIsOwnFamily: a right lead one entry off the left
+// one's blocks — coupling one more orbital, an entry of 1e-12 where the
+// left coupling holds 0 — is a contact of its own: a family of its own, a
+// Σ_R on its own support, one row larger than the left family's, and the
+// same bits cached and uncached.
+func TestSupportMismatchIsOwnFamily(t *testing.T) {
 	wire := suiteLeads(t)["SiNW-sp3s*"]
 	out := sparse.RowSupport(wire.R01)
 	row := 0
@@ -828,13 +711,27 @@ func TestSupportMismatchRefused(t *testing.T) {
 	r01 := wire.R01.Clone()
 	r01.Data[row*r01.Cols] = 1e-12
 	l := &Leads{L00: wire.L00, L01: wire.L01, R00: wire.R00, R01: r01}
+	_, supR := l.Supports()
+	if len(supR) != len(out)+1 || !slices.Contains(supR, row) {
+		t.Fatalf("the lead's support %v does not add orbital %d to %v", supR, row, out)
+	}
 	z := complex(0.5, 1e-6)
-	for how, get := range map[string]func() error{
-		"cached":   func() error { _, _, err := NewSelfEnergyCache().SelfEnergies(l, z); return err },
-		"uncached": func() error { _, _, err := l.SelfEnergies(z); return err },
-	} {
-		if err := get(); err == nil || !strings.Contains(err.Error(), "right lead") || !strings.Contains(err.Error(), "block family") {
-			t.Errorf("%s: a lead off its family's support returned %v", how, err)
-		}
+	c := NewSelfEnergyCache()
+	cachedL, cachedR, err := c.SelfEnergies(l, z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(c.families.blocks); n != 2 {
+		t.Errorf("%d block families, want 2: the right lead is its own", n)
+	}
+	if cachedR.Rows != len(supR) || cachedR.Cols != len(supR) {
+		t.Errorf("Σ_R is %d×%d, want its own support's %d×%d", cachedR.Rows, cachedR.Cols, len(supR), len(supR))
+	}
+	plainL, plainR, err := l.SelfEnergies(z)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sparse.SameBits(cachedL, plainL) || !sparse.SameBits(cachedR, plainR) {
+		t.Error("cached and uncached self-energies differ")
 	}
 }

@@ -2,8 +2,6 @@ package negf
 
 import (
 	"fmt"
-	"math"
-	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -11,21 +9,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// familyTol bounds how far a lead's blocks may sit from a block family's
-// canon (after removing the declared shift) and still be the same contact:
-// within it a lead adopts the canon, beyond it the lead is another contact
-// with a canon of its own. The two ends of one assembled device now differ
-// by 0 (the lattice's bonds are periodic bit for bit); the tolerance stays
-// for removing a bias shift, whose rounding is ~1e-16·|H|. Anything near
-// it means the caller's pinned-contact assumption is broken.
-const familyTol = 1e-8
-
 // blockFamily is the canonical periodic lead every contact continuing the
-// same cell shares: the principal-layer block with the registering lead's
-// shift removed and the coupling h01 to the next layer along +x. Computing
-// from the canon — never from the requesting caller's own blocks — makes a
-// self-energy a pure function of (block family, shifted energy),
-// independent of which side, bias point or distributed worker asked first.
+// same cell shares: the principal-layer block h00 and the coupling h01 to
+// the next layer along +x, the registering lead's own bits. A lead joins a
+// family only when its blocks are those bits (matches), so a self-energy
+// is a pure function of (block family, energy), independent of which side
+// or distributed worker asked first.
 //
 // Everything the kernel needs of the canon is laid out here, once, under the
 // registry's lock: the coupling's row and column supports R and C, the
@@ -49,14 +38,6 @@ type blockFamily struct {
 
 func newFamily(id int, spec leadSpec) (*blockFamily, error) {
 	b := &blockFamily{id: id, sides: 1 << spec.side, h00: spec.h00.Clone(), h01: spec.h01.Clone()}
-	// Remove the registering lead's shift from the diagonal: the canon is
-	// the zero-bias contact the whole family shares.
-	n := b.h00.Rows
-	if sh := complex(spec.shift, 0); sh != 0 {
-		for i := 0; i < n; i++ {
-			b.h00.Data[i*n+i] -= sh
-		}
-	}
 	b.rows, b.cols = sparse.RowSupport(b.h01), sparse.ColumnSupport(b.h01)
 	layer, err := sparse.NewLayer(b.h00, sparse.Union(b.rows, b.cols))
 	if err != nil {
@@ -72,52 +53,26 @@ func newFamily(id int, spec leadSpec) (*blockFamily, error) {
 	return b, nil
 }
 
-// support returns the orbitals a side's self-energy lives on: the columns
-// of h01 for the left contact, the rows for the right.
-func (b *blockFamily) support(s side) []int {
-	if s == left {
-		return b.cols
-	}
-	return b.rows
+// matches reports whether a lead's blocks are the canon's, bit for bit.
+func (b *blockFamily) matches(spec leadSpec) bool {
+	return sparse.SameBits(spec.h00, b.h00) && sparse.SameBits(spec.h01, b.h01)
 }
 
-// drift is the max-abs distance of a lead's blocks from the canon plus the
-// lead's declared rigid shift; +Inf when the shapes differ.
-func (b *blockFamily) drift(spec leadSpec) float64 {
-	n := b.h00.Rows
-	if spec.h00.Rows != n || spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
-		return math.Inf(1)
-	}
-	mx := maxAbsDiff(spec.h01, b.h01)
-	sh := complex(spec.shift, 0)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			want := b.h00.Data[i*n+j]
-			if i == j {
-				want += sh
-			}
-			d := spec.h00.Data[i*n+j] - want
-			mx = max(mx, math.Abs(real(d)), math.Abs(imag(d)))
-		}
-	}
-	return mx
-}
-
-// selfEnergies runs the kernel at the canonical energy zc and projects the
+// selfEnergies runs the kernel at complex energy z and projects the
 // surfaces asked for, Σ = h·g·h† with h the coupling from the device's end
 // layer into the lead: Σ_R = a·g_R[C,C]·a†, the r×r block on R×R, and
 // Σ_L = a†·g_L[R,R]·a, the c×c block on C×C — the blocks outside which Σ is
 // zero, and all any reader takes of it. The one place a self-energy is
 // made, a cache's miss and the uncached path alike, and the one place a
 // finished kernel run is counted (sigma-decimations).
-func (b *blockFamily) selfEnergies(zc complex128, want sideSet) (sig [2]*linalg.Matrix, err error) {
+func (b *blockFamily) selfEnergies(z complex128, want sideSet) (sig [2]*linalg.Matrix, err error) {
 	// Instrumented as the "self-energy" phase: the Sancho-Rubio decimation
 	// dominates per-energy cost when the cache misses, and the phase
 	// breakdown of the paper's Table is reconstructed from this timer.
 	defer perf.StartPhase("self-energy")()
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	g, err := b.decimate(zc, want, ws)
+	g, err := b.decimate(z, want, ws)
 	if err != nil {
 		return sig, err
 	}
@@ -167,12 +122,10 @@ type registry struct {
 	blocks []*blockFamily
 }
 
-// resolve maps both contacts to their block families from their blocks and
-// declared shifts alone. The Leads value remembers the answer, so only a
-// first visit — or a swapped block or shift — reaches the registry. There
-// the left lead registers before the right under one lock hold, so when a
-// device's two contacts continue the same cell it is the left one's blocks
-// that become the canon — a fixed rule, not a race.
+// resolve maps both contacts to their block families from their blocks
+// alone. The Leads value remembers the answer, so only a first visit — or
+// a swapped block — reaches the registry. There the left lead registers
+// before the right under one lock hold: a fixed rule, not a race.
 func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -180,14 +133,13 @@ func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 	if l.seenBy == r && l.seen == specs {
 		return l.fams, nil
 	}
-	// Both contacts are vetted before either registers. A NaN matches no
-	// family, its own included: every visit would register one more canon.
+	// Both contacts are vetted before either registers.
 	for _, spec := range specs {
 		if n := spec.h00.Rows; spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
 			return fams, fmt.Errorf("negf: %s lead blocks must be square and same-sized", sideNames[spec.side])
 		}
-		if !finite(spec.shift) || !finite(maxAbs(spec.h00)) || !finite(maxAbs(spec.h01)) {
-			return fams, fmt.Errorf("negf: %s lead has non-finite blocks or shift", sideNames[spec.side])
+		if !finite(maxAbs(spec.h00)) || !finite(maxAbs(spec.h01)) {
+			return fams, fmt.Errorf("negf: %s lead has non-finite blocks", sideNames[spec.side])
 		}
 		// The interior is eliminated through h00's eigenpairs (sparse.Layer).
 		if !spec.h00.IsHermitian(1e-12 * maxAbs(spec.h00)) {
@@ -206,19 +158,14 @@ func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 }
 
 // family returns a lead's block family: the first registered one that has
-// the lead's side and matches its shift-removed blocks within familyTol —
-// or, when none does, a new one with those blocks as canon, mirrored if
-// mate, the device's other contact, matches them too. A wrongly declared
-// shift needs no guard: removed from h00 here and from z in selfEnergies,
-// it cancels, and the lead merely has a family of its own. Caller holds r.mu.
+// the lead's side and whose canon is the lead's blocks — or, when none is,
+// a new one with those blocks as canon, mirrored if mate, the device's
+// other contact, repeats them too. A lead whose blocks are the canon's has
+// the canon's supports, so Σ needs no check to live where every solver
+// reads it (Leads.Supports). Caller holds r.mu.
 func (r *registry) family(spec, mate leadSpec) (*blockFamily, error) {
 	for _, b := range r.blocks {
-		if b.sides.has(spec.side) && b.drift(spec) <= familyTol {
-			// Σ lives on the family's support and every solver reads it on
-			// the lead's own (Leads.Supports): they must be one list.
-			if sup := spec.support(); !slices.Equal(sup, b.support(spec.side)) {
-				return nil, fmt.Errorf("couples orbitals %v, its block family %v", sup, b.support(spec.side))
-			}
+		if b.sides.has(spec.side) && b.matches(spec) {
 			return b, nil
 		}
 	}
@@ -226,7 +173,7 @@ func (r *registry) family(spec, mate leadSpec) (*blockFamily, error) {
 	if err != nil {
 		return nil, err
 	}
-	if b.drift(mate) <= familyTol {
+	if b.matches(mate) {
 		b.sides = bothSides
 	}
 	r.blocks = append(r.blocks, b)

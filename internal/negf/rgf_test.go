@@ -495,7 +495,7 @@ func TestRGFFlopCount(t *testing.T) {
 				whole++
 			}
 			for j := 0; j < i; j++ {
-				shared[i] = shared[i] || slices.Equal(sup[i], sup[j]) && sameBits(h.Diag[i], h.Diag[j])
+				shared[i] = shared[i] || slices.Equal(sup[i], sup[j]) && sparse.SameBits(h.Diag[i], h.Diag[j])
 			}
 		}
 		if strings.Contains(tc.name, "interior level") && whole == 0 {

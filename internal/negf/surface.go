@@ -175,24 +175,17 @@ func (b *blockFamily) recursion(layer *linalg.Matrix, want sideSet, ws *linalg.W
 // Leads bundles the two semi-infinite contacts of a device. L01 and R01
 // are oriented along +x: L01 couples a left-lead layer to the next layer
 // toward the device; R01 couples a right-lead layer to the next layer away
-// from the device. A contact's only identity is the block family its
-// blocks match once the declared shift is removed (family.go): two Leads
-// values share self-energies exactly when their blocks say they may.
+// from the device. A contact is its blocks: its only identity is the
+// block family whose blocks it repeats bit for bit (family.go), so two
+// Leads values share self-energies exactly when their blocks are equal.
 type Leads struct {
 	L00, L01 *linalg.Matrix
 	R00, R01 *linalg.Matrix
 
-	// ShiftL and ShiftR declare the rigid diagonal potential-energy shift
-	// (eV) of each contact relative to its family's canonical band
-	// structure — qV of the pinned flat-band contact. A shifted lead
-	// satisfies Σ(z; V) = Σ(z − qV; 0), which is what lets one cache span
-	// every bias point of an I-V surface.
-	ShiftL, ShiftR float64
-
 	// mu guards the memo of the last resolution — the registry that asked,
-	// the blocks and shifts it was shown, the families they resolved to —
-	// so a solver presenting the same value every energy pays a pointer
-	// compare, not an O(n²) block compare.
+	// the blocks it was shown, the families they resolved to — so a solver
+	// presenting the same value every energy pays a pointer compare, not an
+	// O(n²) block compare.
 	mu     sync.Mutex
 	seenBy *registry
 	seen   [2]leadSpec
@@ -235,10 +228,9 @@ func (l *Leads) SelfEnergies(z complex128) (sigL, sigR *linalg.Matrix, err error
 
 // Supports returns the contacts' supports, ascending: Σ_L lives on the
 // columns of L01 (orbitals of the first device layer), Σ_R on the rows of
-// R01 (of the last). It is the one definition of where a contact acts — a
-// lead whose block family couples other orbitals is refused on its first
-// self-energy — and the reduced open system of either formalism is built
-// on it.
+// R01 (of the last). It is the one definition of where a contact acts —
+// a lead's block family repeats its blocks, so Σ lives on the same list —
+// and the reduced open system of either formalism is built on it.
 func (l *Leads) Supports() (supL, supR []int) {
 	return l.spec(left).support(), l.spec(right).support()
 }
@@ -263,13 +255,12 @@ func embed(sigma *linalg.Matrix, sup []int, n int) *linalg.Matrix {
 }
 
 // selfEnergies routes one request to its units of work: contacts that
-// continue the same cell at the same canonical energy z − qV are one
-// request for both sides, anything else is one request per side. get is
-// the cache lookup or, uncached, the kernel itself.
+// continue the same cell are one request for both sides, anything else is
+// one request per side. get is the cache lookup or, uncached, the kernel
+// itself.
 func (l *Leads) selfEnergies(fams [2]*blockFamily, z complex128, get func(*blockFamily, complex128, sideSet) ([2]*linalg.Matrix, error)) (sigL, sigR *linalg.Matrix, err error) {
-	zc := [2]complex128{z - complex(l.ShiftL, 0), z - complex(l.ShiftR, 0)}
-	if fams[left] == fams[right] && zc[left] == zc[right] {
-		sig, err := get(fams[left], zc[left], bothSides)
+	if fams[left] == fams[right] {
+		sig, err := get(fams[left], z, bothSides)
 		if err != nil {
 			return nil, nil, fmt.Errorf("negf: leads: %w", err)
 		}
@@ -277,7 +268,7 @@ func (l *Leads) selfEnergies(fams [2]*blockFamily, z complex128, get func(*block
 	}
 	var sig [2]*linalg.Matrix
 	for _, s := range [2]side{left, right} {
-		one, err := get(fams[s], zc[s], 1<<s)
+		one, err := get(fams[s], z, 1<<s)
 		if err != nil {
 			return nil, nil, fmt.Errorf("negf: %s lead: %w", sideNames[s], err)
 		}
@@ -312,13 +303,12 @@ func BroadeningInto(dst, sigma *linalg.Matrix) {
 }
 
 // leadSpec is one contact viewed through the cache's eyes: the raw blocks
-// as built (both couplings are oriented along +x), the declared shift, and
-// which side they sit on.
+// as built (both couplings are oriented along +x) and which side they sit
+// on.
 type leadSpec struct {
-	side  side
-	shift float64
-	h00   *linalg.Matrix // principal-layer block, as built (shift included)
-	h01   *linalg.Matrix // coupling to the next layer along +x (L01 or R01)
+	side side
+	h00  *linalg.Matrix // principal-layer block
+	h01  *linalg.Matrix // coupling to the next layer along +x (L01 or R01)
 }
 
 // support returns the orbitals the lead's self-energy lives on: the columns
@@ -332,7 +322,7 @@ func (s leadSpec) support() []int {
 
 func (l *Leads) spec(s side) leadSpec {
 	if s == left {
-		return leadSpec{side: left, shift: l.ShiftL, h00: l.L00, h01: l.L01}
+		return leadSpec{side: left, h00: l.L00, h01: l.L01}
 	}
-	return leadSpec{side: right, shift: l.ShiftR, h00: l.R00, h01: l.R01}
+	return leadSpec{side: right, h00: l.R00, h01: l.R01}
 }

@@ -50,7 +50,7 @@ func NewReducedSystem(h *BlockTridiag, left, right []int) (*ReducedSystem, error
 		r.sizes[i] = h.LayerSize(i)
 		sup := Union(lo, hi)
 		g := slices.IndexFunc(r.recs, func(l *Layer) bool {
-			return slices.Equal(l.sup, sup) && sameBits(l.h, h.Diag[i])
+			return slices.Equal(l.sup, sup) && SameBits(l.h, h.Diag[i])
 		})
 		if g < 0 {
 			l, err := NewLayer(h.Diag[i], sup)
@@ -71,8 +71,8 @@ func NewReducedSystem(h *BlockTridiag, left, right []int) (*ReducedSystem, error
 	return r, nil
 }
 
-// sameBits reports whether a and b have the same shape and bits.
-func sameBits(a, b *linalg.Matrix) bool {
+// SameBits reports whether a and b have the same shape and bits.
+func SameBits(a, b *linalg.Matrix) bool {
 	if a.Rows != b.Rows || a.Cols != b.Cols {
 		return false
 	}

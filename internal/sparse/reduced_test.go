@@ -275,7 +275,7 @@ func TestReducedFlopCount(t *testing.T) {
 		for i := range sizes {
 			sizes[i] = c.h.LayerSize(i)
 			for j := 0; j < i; j++ {
-				shared[i] = shared[i] || slices.Equal(sup[i], sup[j]) && sameBits(c.h.Diag[i], c.h.Diag[j])
+				shared[i] = shared[i] || slices.Equal(sup[i], sup[j]) && sparse.SameBits(c.h.Diag[i], c.h.Diag[j])
 			}
 		}
 		if c.name == "agnr7, every layer one record" && slices.Contains(shared[1:], false) {
@@ -316,18 +316,4 @@ func TestReducedFlopCount(t *testing.T) {
 			}
 		}
 	}
-}
-
-// sameBits reports whether a and b hold the same bits.
-func sameBits(a, b *linalg.Matrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		w := b.Data[i]
-		if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
-			return false
-		}
-	}
-	return true
 }

@@ -22,7 +22,7 @@ type Built struct {
 	// Sim is the device simulator.
 	Sim *core.Simulator
 	// Cache is the I-V sweep's contact self-energy cache (iv mode; nil
-	// otherwise): the one place a shifted energy comes back. A
+	// otherwise): the one place an energy comes back. A
 	// transmission sweep solves each (k, E) once and runs uncached.
 	Cache *negf.SelfEnergyCache
 	// Pool is the worker pool every parallel level draws from.

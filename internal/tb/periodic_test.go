@@ -1,12 +1,10 @@
 package tb_test
 
 import (
-	"math"
 	"testing"
 
 	"repro/internal/device"
 	"repro/internal/lattice"
-	"repro/internal/linalg"
 	"repro/internal/sparse"
 	"repro/internal/tb"
 )
@@ -54,10 +52,10 @@ func TestLayersBitwisePeriodic(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 1; i < h.Layers(); i++ {
-			if !sameBits(h.Diag[i], h.Diag[0]) {
+			if !sparse.SameBits(h.Diag[i], h.Diag[0]) {
 				t.Errorf("%s: Diag[%d] differs from Diag[0]", tc.label, i)
 			}
-			if i < h.Layers()-1 && (!sameBits(h.Upper[i], h.Upper[0]) || !sameBits(h.Lower[i], h.Lower[0])) {
+			if i < h.Layers()-1 && (!sparse.SameBits(h.Upper[i], h.Upper[0]) || !sparse.SameBits(h.Lower[i], h.Lower[0])) {
 				t.Errorf("%s: Upper or Lower[%d] differs from layer 0's", tc.label, i)
 			}
 		}
@@ -85,17 +83,4 @@ func checkSearchedBonds(t *testing.T, name string, s *lattice.Structure) {
 			}
 		}
 	}
-}
-
-func sameBits(a, b *linalg.Matrix) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	for i, v := range a.Data {
-		w := b.Data[i]
-		if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
-			return false
-		}
-	}
-	return true
 }

@@ -103,16 +103,10 @@ type Config struct {
 	// GOMAXPROCS-sized pool.
 	Pool *sched.Pool
 	// Cache optionally shares memoized contact self-energies across
-	// engines: contacts whose blocks match once the shifts below are
-	// removed share records, within an SCF loop and across bias points.
-	// Only core.FET sets it; a transmission sweep asks for each energy
-	// once and runs uncached (nil).
+	// engines: contacts whose blocks are equal bit for bit share records,
+	// within an SCF loop and across bias points. Only core.FET sets it; a
+	// transmission sweep asks for each energy once and runs uncached (nil).
 	Cache *negf.SelfEnergyCache
-	// ShiftL and ShiftR declare each pinned flat-band contact's rigid
-	// potential-energy shift (eV) from its zero-bias band structure; they
-	// become negf.Leads.ShiftL/ShiftR. Undeclared (0) is always correct —
-	// a biased contact then just has records of its own.
-	ShiftL, ShiftR float64
 }
 
 func (c Config) withDefaults() Config {
@@ -152,7 +146,6 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 		// energy level, so nested parallelism stays within one budget.
 		wf.Domains, wf.Pool = cfg.Domains, pool
 		wf.Cache = cfg.Cache
-		wf.Leads.ShiftL, wf.Leads.ShiftR = cfg.ShiftL, cfg.ShiftR
 		solver = wf
 	case NEGFRGF:
 		gf, err := negf.NewSolver(h, cfg.Eta)
@@ -160,7 +153,6 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 			return nil, err
 		}
 		gf.Cache = cfg.Cache
-		gf.Leads.ShiftL, gf.Leads.ShiftR = cfg.ShiftL, cfg.ShiftR
 		solver = gf
 	default:
 		return nil, fmt.Errorf("transport: unknown formalism %d", cfg.Formalism)
