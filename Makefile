@@ -115,7 +115,7 @@ portable-kernels:
 # quarantine drills, under the race detector.
 faults:
 	$(GO) test -race -run 'Fault|Drill|Resum|Quarantine|Panic|Journal|Injector|Retr|Backoff|Classify|Timeout|Commit|Torn|Drain' \
-		./internal/resilience/ ./internal/sched/ ./internal/cluster/ ./internal/transport/ ./internal/core/ ./internal/distrib/
+		./internal/resilience/ ./internal/sched/ ./internal/cluster/ ./internal/transport/ ./internal/core/ ./internal/distrib/ ./internal/run/
 
 # Every fuzz target in the repo, five seconds each. `go test -fuzz`
 # accepts one target of one package per run, so the targets are

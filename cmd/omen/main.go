@@ -304,8 +304,9 @@ func main() {
 
 // coordinate runs the transmission sweep as the coordinator of a
 // distributed run through the shared harness (internal/run), which owns
-// the journal, the run identity, the worker fleet and the crash
-// supervisor. What is omen's own: SIGTERM as the graceful-drain signal
+// the journal, the run identity and the worker fleet; a failed run exits
+// with the journal resumable, and -resume is its recovery. What is omen's
+// own: SIGTERM as the graceful-drain signal
 // (SIGINT stays the hard cooperative cancel), workers re-exec'ed from
 // this binary, stderr as the log, and exit status 143 for a drained —
 // deliberately resumable — run.

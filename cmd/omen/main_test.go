@@ -185,8 +185,9 @@ func TestEveryBoundFlagSetsItsField(t *testing.T) {
 
 // TestRefusedCommandLines: what the command line gets wrong is refused by
 // name — never a panic, never a run. A non-finite float parses as a flag
-// value but no spec can hold it, and a removed flag is an unknown flag:
-// usage errors, exit 2. A journal written under the previous hash contract
+// value but no spec can hold it, an energy-grid flag is one the I-V mode
+// would ignore, and a removed flag is an unknown flag: usage errors, exit
+// 2. A journal written under the previous hash contract
 // is another spec's journal: exit 1, file untouched.
 func TestRefusedCommandLines(t *testing.T) {
 	old, err := os.ReadFile(filepath.Join("..", "..", "internal", "spec", "testdata", "pr23.journal"))
@@ -205,6 +206,7 @@ func TestRefusedCommandLines(t *testing.T) {
 		{[]string{"-device", "agnr7", "-ne", "4", "-emin", "NaN"}, 2, "-emin must be finite"},
 		{[]string{"-device", "agnr7", "-ne", "4", "-emax", "+Inf"}, 2, "-emax must be finite"},
 		{[]string{"-mode", "iv", "-vd", "NaN"}, 2, "-vd must be finite"},
+		{[]string{"-device", "agnr7", "-mode", "iv", "-ne", "50"}, 2, "-ne is not applicable to mode \"iv\""},
 		{[]string{"-dump-spec", "-fault-rate", "NaN"}, 2, "-fault-rate must be finite"},
 		{[]string{"-seed-refine", "0.01"}, 2, "flag provided but not defined: -seed-refine"},
 		// The fixture's own command line, resumed: same flags, other hash.

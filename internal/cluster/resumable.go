@@ -45,11 +45,10 @@ type SweepOptions struct {
 	// retry budget (or permanently, e.g. a non-finite observable) is set
 	// aside and the sweep continues; the quarantined set is reported so
 	// the caller can renormalize its integrals over the surviving points.
+	// At most QuarantineBudget tasks are set aside; one more fails the
+	// run (a sweep that loses that much of its grid is not salvageable
+	// by renormalization).
 	Quarantine bool
-	// MaxQuarantineFrac caps the quarantined fraction of the sweep;
-	// exceeding it fails the run (a sweep that loses that much of its
-	// grid is not salvageable by renormalization). <= 0 means 0.25.
-	MaxQuarantineFrac float64
 	// OnProgress, when non-nil, observes completion: done counts both
 	// restored and newly finished tasks. It must be cheap and
 	// thread-safe; quarantined tasks count as done.
@@ -138,7 +137,7 @@ func Attempt(ctx context.Context, retry resilience.Policy, inj *resilience.Injec
 	err = retry.Do(ctx, func(actx context.Context) error {
 		a := attempts
 		attempts++
-		if err := inj.Trip(actx, idx, a); err != nil {
+		if err := inj.Trip(idx, a); err != nil {
 			return err
 		}
 		b, err := fn(actx, t)
@@ -155,23 +154,14 @@ func Attempt(ctx context.Context, retry resilience.Policy, inj *resilience.Injec
 }
 
 // QuarantineBudget returns how many tasks of a sweep may be quarantined
-// before the run fails: frac of total (<= 0 means 0.25; at least one
-// task; >= 1 means all of them). Without quarantine nothing is ever set
-// aside, and the budget is the whole sweep.
-func QuarantineBudget(quarantine bool, frac float64, total int) int {
+// before the run fails: a quarter of total, at least one task. Without
+// quarantine nothing is ever set aside, and the budget is the whole
+// sweep.
+func QuarantineBudget(quarantine bool, total int) int {
 	if !quarantine {
 		return total
 	}
-	if frac <= 0 {
-		frac = 0.25
-	}
-	if frac >= 1 {
-		return total
-	}
-	if n := int(frac * float64(total)); n >= 1 {
-		return n
-	}
-	return 1
+	return max(total/4, 1)
 }
 
 // RunTasksResumable is the local sweep engine: it executes fn for every
@@ -218,7 +208,7 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 	if err != nil {
 		return rep, fmt.Errorf("cluster: restore %w", err)
 	}
-	maxQuarantine := QuarantineBudget(opts.Quarantine, opts.MaxQuarantineFrac, total)
+	maxQuarantine := QuarantineBudget(opts.Quarantine, total)
 
 	pool := opts.Pool
 	if pool == nil {

@@ -222,20 +222,19 @@ func TestQuarantineDegradesGracefully(t *testing.T) {
 	}
 }
 
-// TestQuarantineBudgetCapsLoss: a sweep losing more than the configured
-// fraction must fail rather than silently renormalize away its grid.
+// TestQuarantineBudgetCapsLoss: a sweep losing more than a quarter of its
+// tasks must fail rather than silently renormalize away its grid.
 func TestQuarantineBudgetCapsLoss(t *testing.T) {
 	inj := &resilience.Injector{Seed: 5, Rate: 1, FailuresPerTask: 1 << 20, Modes: []resilience.Fault{resilience.FaultError}}
 	f := newFixture(1, 1, 40)
 	_, err := RunTasksResumable(context.Background(), 1, 1, 40, SweepOptions{
-		Pool:              sched.New(2),
-		Retry:             fastRetry(2),
-		Injector:          inj,
-		Quarantine:        true,
-		MaxQuarantineFrac: 0.1,
+		Pool:       sched.New(2),
+		Retry:      fastRetry(2),
+		Injector:   inj,
+		Quarantine: true,
 	}, f.fn)
 	if err == nil {
-		t.Fatal("sweep losing 100% of its tasks passed a 10% quarantine budget")
+		t.Fatal("sweep losing 100% of its tasks passed a 25% quarantine budget")
 	}
 }
 

@@ -21,14 +21,6 @@ import (
 // the journal, and a later -resume finishes the remainder.
 var ErrDrained = errors.New("distrib: sweep drained before completion")
 
-// ErrTaskFailed is wrapped by the error Serve returns when the sweep was
-// given up because of a task, not because of the coordinator: a worker
-// reported a task failed past its retry budget and quarantine is off, or
-// the quarantine budget is spent. The failure is the task's own, so a
-// restarted coordinator would only meet it again; supervisors pass it
-// through instead of restarting.
-var ErrTaskFailed = errors.New("distrib: task failed")
-
 // Options configures Serve. The zero value is usable: 30 s leases,
 // heartbeats at a quarter of that, no journal, fail on the first
 // unsalvageable task.
@@ -53,11 +45,10 @@ type Options struct {
 	// Restore reinstates payloads into the caller's accumulators, both
 	// for journaled records at startup and for results as they arrive.
 	Restore cluster.RestoreFunc
-	// Quarantine, MaxQuarantineFrac: as in cluster.SweepOptions — a task
-	// whose worker-side retry budget is exhausted is set aside instead of
-	// failing the sweep, up to the budget (default 25% of the grid).
-	Quarantine        bool
-	MaxQuarantineFrac float64
+	// Quarantine: as in cluster.SweepOptions — a task whose worker-side
+	// retry budget is exhausted is set aside instead of failing the sweep,
+	// up to cluster.QuarantineBudget (25% of the grid).
+	Quarantine bool
 	// OnProgress observes completion (restored + completed + quarantined,
 	// total). Must be cheap and thread-safe.
 	OnProgress func(done, total int)
@@ -80,7 +71,7 @@ type Options struct {
 	// means a different run reused the address. Empty disables fencing.
 	RunID string
 	// Epoch is this coordinator incarnation's number within the run (1
-	// for a first start, bumped by the supervisor on every restart —
+	// for a first start, bumped by every -resume —
 	// cluster.FileJournal.BumpEpoch persists it). Results tagged with an
 	// older epoch are discarded: their tasks were already re-dispatched
 	// from the journal-seeded lease table. Zero disables fencing.
@@ -290,7 +281,7 @@ func Serve(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts Option
 		opts:  opts,
 		nBias: nBias, nK: nK, nE: nE,
 		total:         total,
-		maxQuarantine: cluster.QuarantineBudget(opts.Quarantine, opts.MaxQuarantineFrac, total),
+		maxQuarantine: cluster.QuarantineBudget(opts.Quarantine, total),
 		st:            make([]taskState, total),
 		shards:        make([][]int, nShards),
 		workers:       make(map[string]*workerState),
@@ -984,13 +975,13 @@ func (c *coordinator) claimLocked(w *workerState, res resultMsg) bool {
 	}
 	if !c.opts.Quarantine {
 		task := cluster.TaskAt(res.Task, c.nK, c.nE)
-		c.failLocked(fmt.Errorf("%w: task %d (bias %d, k %d, E %d) on worker %s: %s",
-			ErrTaskFailed, res.Task, task.Bias, task.K, task.E, w.id, res.Error))
+		c.failLocked(fmt.Errorf("distrib: task failed: task %d (bias %d, k %d, E %d) on worker %s: %s",
+			res.Task, task.Bias, task.K, task.E, w.id, res.Error))
 		return false
 	}
 	if len(c.quarantined) >= c.maxQuarantine {
-		c.failLocked(fmt.Errorf("%w: quarantine budget (%d tasks) exceeded by task %d on worker %s: %s",
-			ErrTaskFailed, c.maxQuarantine, res.Task, w.id, res.Error))
+		c.failLocked(fmt.Errorf("distrib: task failed: quarantine budget (%d tasks) exceeded by task %d on worker %s: %s",
+			c.maxQuarantine, res.Task, w.id, res.Error))
 		return false
 	}
 	s.phase = stateQuarantined

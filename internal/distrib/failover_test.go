@@ -4,11 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"strings"
 	"sync"
-	"syscall"
 	"testing"
 	"time"
 
@@ -16,36 +14,6 @@ import (
 	"repro/internal/comms"
 	"repro/internal/sched"
 )
-
-// TestIsHangupTable pins the error classes that mean "the peer's process
-// is gone" — the set that sends a worker into its rejoin loop. Getting a
-// member wrong in either direction is costly: a missed hangup turns a
-// coordinator crash into an opaque worker error, a false positive turns
-// an app-level failure into a futile rejoin spin.
-func TestIsHangupTable(t *testing.T) {
-	cases := []struct {
-		name string
-		err  error
-		want bool
-	}{
-		{"EOF", io.EOF, true},
-		{"closed pipe", io.ErrClosedPipe, true},
-		{"net closed", net.ErrClosed, true},
-		{"ECONNRESET", syscall.ECONNRESET, true},
-		{"EPIPE", syscall.EPIPE, true},
-		{"wrapped EOF", fmt.Errorf("distrib: awaiting lease: %w", io.EOF), true},
-		{"wrapped reset in op error", &net.OpError{Op: "read", Err: syscall.ECONNRESET}, true},
-		{"nil", nil, false},
-		{"deadline", context.DeadlineExceeded, false},
-		{"app error", errors.New("non-finite observable"), false},
-		{"bad checksum", &comms.BadChecksumError{Want: 1, Got: 2}, false},
-	}
-	for _, tc := range cases {
-		if got := isHangup(tc.err); got != tc.want {
-			t.Errorf("isHangup(%s) = %v, want %v", tc.name, got, tc.want)
-		}
-	}
-}
 
 // TestPreDoneHangupIsCrash pins the semantic the done message
 // exists for: a coordinator that hangs up before sending done crashed,

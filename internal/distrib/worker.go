@@ -4,12 +4,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"os"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -472,16 +470,4 @@ func (u *uploader) flushLocked() error {
 		})
 	}
 	return u.cd.Send(msgResultBatch, resultBatchMsg{Results: batch})
-}
-
-// isHangup reports whether err means the peer closed the connection.
-// That is never a clean dismissal — done is explicit — so a hangup
-// classifies the session as crashed and (when a rejoin window is
-// configured) re-joinable.
-func isHangup(err error) bool {
-	return errors.Is(err, io.EOF) ||
-		errors.Is(err, io.ErrClosedPipe) ||
-		errors.Is(err, net.ErrClosed) ||
-		errors.Is(err, syscall.ECONNRESET) ||
-		errors.Is(err, syscall.EPIPE)
 }

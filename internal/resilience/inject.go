@@ -1,11 +1,9 @@
 package resilience
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"runtime"
-	"time"
 )
 
 // ErrInjected is the sentinel wrapped by every error the Injector
@@ -22,8 +20,6 @@ const (
 	FaultError
 	// FaultPanic makes the task panic.
 	FaultPanic
-	// FaultDelay stalls the task by Injector.Delay without failing it.
-	FaultDelay
 )
 
 // String implements fmt.Stringer.
@@ -35,8 +31,6 @@ func (f Fault) String() string {
 		return "error"
 	case FaultPanic:
 		return "panic"
-	case FaultDelay:
-		return "delay"
 	default:
 		return fmt.Sprintf("Fault(%d)", int(f))
 	}
@@ -64,8 +58,6 @@ type Injector struct {
 	// retry). Set it at or above the retry budget to model a hard fault
 	// that must be quarantined.
 	FailuresPerTask int
-	// Delay is the stall applied by FaultDelay (default 1ms).
-	Delay time.Duration
 }
 
 func (inj *Injector) modes() []Fault {
@@ -90,29 +82,15 @@ func (inj *Injector) FaultFor(i int) Fault {
 }
 
 // Trip applies task i's fault to the given attempt (0-based): it returns a
-// transient error, panics, or sleeps, according to FaultFor. Attempts past
+// transient error or panics, according to FaultFor. Attempts past
 // FailuresPerTask pass clean, which is what lets a retry policy drive a
 // faulty sweep to completion. A nil Injector never trips.
-func (inj *Injector) Trip(ctx context.Context, i, attempt int) error {
+func (inj *Injector) Trip(i, attempt int) error {
 	if inj == nil {
 		return nil
 	}
 	f := inj.FaultFor(i)
 	if f == FaultNone {
-		return nil
-	}
-	if f == FaultDelay {
-		d := inj.Delay
-		if d <= 0 {
-			d = time.Millisecond
-		}
-		t := time.NewTimer(d)
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return ctx.Err()
-		case <-t.C:
-		}
 		return nil
 	}
 	failures := inj.FailuresPerTask

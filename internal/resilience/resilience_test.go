@@ -42,7 +42,7 @@ func TestDoRetriesTransientUntilSuccess(t *testing.T) {
 	err := fastPolicy(4).Do(context.Background(), func(ctx context.Context) error {
 		a := calls
 		calls++
-		return inj.Trip(ctx, 0, a)
+		return inj.Trip(0, a)
 	})
 	if err != nil {
 		t.Fatalf("Do: %v", err)
@@ -218,29 +218,24 @@ func TestInjectorDeterministicAssignment(t *testing.T) {
 }
 
 func TestInjectorTripModes(t *testing.T) {
-	ctx := context.Background()
 	errInj := &Injector{Seed: 5, Rate: 1, Modes: []Fault{FaultError}}
-	if err := errInj.Trip(ctx, 3, 0); !errors.Is(err, ErrInjected) {
+	if err := errInj.Trip(3, 0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("error mode: %v", err)
 	}
-	if err := errInj.Trip(ctx, 3, 1); err != nil {
+	if err := errInj.Trip(3, 1); err != nil {
 		t.Fatalf("attempt past FailuresPerTask must pass: %v", err)
 	}
 	panicked := func() (p bool) {
 		defer func() { p = recover() != nil }()
 		pi := &Injector{Seed: 5, Rate: 1, Modes: []Fault{FaultPanic}}
-		_ = pi.Trip(ctx, 0, 0)
+		_ = pi.Trip(0, 0)
 		return false
 	}()
 	if !panicked {
 		t.Fatalf("panic mode did not panic")
 	}
-	di := &Injector{Seed: 5, Rate: 1, Modes: []Fault{FaultDelay}, Delay: time.Microsecond}
-	if err := di.Trip(ctx, 0, 0); err != nil {
-		t.Fatalf("delay mode must not fail: %v", err)
-	}
 	var nilInj *Injector
-	if err := nilInj.Trip(ctx, 0, 0); err != nil {
+	if err := nilInj.Trip(0, 0); err != nil {
 		t.Fatalf("nil injector tripped: %v", err)
 	}
 }

@@ -3,9 +3,8 @@
 // `omen -worker`, the `omend` job manager and its worker processes all
 // share. It owns the composition around distrib.Serve and
 // distrib.RunWorker — journal, run identity, replay, epoch, listener,
-// worker fleet, crash supervision, assembly — exactly once; callers
-// supply only what differs between them, through Hooks (DESIGN.md, "Run
-// lifecycle").
+// worker fleet, assembly — exactly once; callers supply only what
+// differs between them, through Hooks (DESIGN.md, "Run lifecycle").
 package run
 
 import (
@@ -88,12 +87,6 @@ func (o *Outcome) ClusterLines() []string {
 	return lines
 }
 
-// serve is distrib.Serve, behind a seam the supervisor's tests replace.
-var serve = distrib.Serve
-
-// maxRestarts bounds the in-place restarts of one Coordinate call.
-const maxRestarts = 3
-
 // Coordinate runs the built spec's transmission sweep as the coordinator
 // of a distributed run, start to finish:
 //
@@ -107,7 +100,9 @@ const maxRestarts = 3
 //     fenced out, not double-counted;
 //  5. listen;
 //  6. spawn the self-spawned workers;
-//  7. serve under the crash supervisor (see supervise);
+//  7. serve, once: a Serve error (or a panic on its goroutine) ends the
+//     run with the journal resumable at its epoch, and recovery is a
+//     later -resume, which bumps it;
 //  8. wait for the spawned workers;
 //  9. assemble.
 func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
@@ -185,9 +180,7 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 	if err != nil {
 		return out, err
 	}
-	// The concrete dialable address is captured once: a restarted
-	// incarnation must come back on the address the workers' rejoin
-	// loops are re-dialing (Addr may carry port 0).
+	// The workers dial the concrete address (Addr may carry port 0).
 	addr := comms.DialableAddr(lis.Addr())
 	logf("%s — coordinating %d tasks on %s", s.Summary(), total, lis.Addr())
 	if s.Exec.Workers == 0 {
@@ -211,18 +204,14 @@ func Coordinate(ctx context.Context, b *spec.Built, h Hooks) (*Outcome, error) {
 		}(i)
 	}
 
-	// In-place restarts need a fleet that comes back: external workers
-	// are the operator's to restart, self-spawned ones return only if
-	// they rejoin. With -rejoin-window 0 they have already exited with
-	// "lost coordinator", and a new incarnation would wait for ever.
-	restartable := j != nil && (s.Exec.Workers == 0 || s.Exec.RejoinWindow > 0)
-	rep, err := supervise(ctx, lis, addr, nBias, nK, nE, j, &opts, restartable, logf)
-	if opts.Epoch != out.Epoch {
-		out.Epoch = opts.Epoch // restarted in place
-		if h.OnIdentity != nil {
-			h.OnIdentity(out.RunID, out.Epoch)
-		}
-	}
+	// resilience.Call turns a panic on the serve path into this run's
+	// error, so it ends one omend job, not the daemon.
+	var rep *distrib.Report
+	err = resilience.Call(ctx, func(ctx context.Context) error {
+		var serr error
+		rep, serr = distrib.Serve(ctx, lis, nBias, nK, nE, opts)
+		return serr
+	})
 	if err != nil && !errors.Is(err, distrib.ErrDrained) {
 		// Nobody dismissed the fleet; do not sit out its dial and
 		// rejoin patience.
@@ -263,50 +252,6 @@ func replay(recs []cluster.TaskRecord, plan *core.TransmissionPlan, out *Outcome
 	out.Perf = sum
 	out.Replayed = true
 	return nil
-}
-
-// supervise runs the serve seam under a crash supervisor. With a journal
-// on disk a coordinator failure — a panic in the serve path or an
-// unexpected error — is survivable: every committed result is already
-// journaled, so a restartable run comes back in place (same address,
-// epoch bumped by one) and continues with whatever workers rejoin.
-// Context cancellation, graceful drains, and journal-less runs pass
-// straight through: without a journal a restart would silently redo
-// work. So does a failed task (distrib.ErrTaskFailed): it is the sweep's
-// verdict, the workers have been dismissed, and a restart would wait on
-// them for ever.
-func supervise(ctx context.Context, lis net.Listener, addr string, nBias, nK, nE int, j *cluster.FileJournal, opts *distrib.Options, restartable bool, logf func(string, ...any)) (*distrib.Report, error) {
-	for attempt := 0; ; attempt++ {
-		var rep *distrib.Report
-		err := resilience.Call(ctx, func(ctx context.Context) error {
-			var serr error
-			rep, serr = serve(ctx, lis, nBias, nK, nE, *opts)
-			return serr
-		})
-		if err == nil || errors.Is(err, distrib.ErrDrained) || errors.Is(err, distrib.ErrTaskFailed) ||
-			ctx.Err() != nil || !restartable || attempt >= maxRestarts {
-			return rep, err
-		}
-		logf("coordinator failed (%v); restarting in place (%d/%d)", err, attempt+1, maxRestarts)
-		// Serve closed the listener on its way down; reopen the captured
-		// address so the workers' rejoin dials land on the incarnation
-		// replacing the one that died, and bump the epoch so any result
-		// still in flight from the dead incarnation is fenced out. The
-		// restarted Serve re-seeds its done set (and re-sums the flop
-		// deltas) from the journal.
-		lis.Close()
-		nl, lerr := comms.TCP{}.Listen(addr)
-		if lerr != nil {
-			return rep, fmt.Errorf("restart after %v: %w", err, lerr)
-		}
-		lis = nl
-		epoch, eerr := j.BumpEpoch()
-		if eerr != nil {
-			lis.Close()
-			return rep, fmt.Errorf("restart after %v: %w", err, eerr)
-		}
-		opts.Epoch = epoch
-	}
 }
 
 // Work runs one worker of a distributed run: build the spec, dial the

@@ -6,14 +6,13 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"net"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -222,151 +221,43 @@ func TestCoordinateDrainThenResume(t *testing.T) {
 	}
 }
 
-// serveCall is what one invocation of the serve seam saw.
-type serveCall struct {
-	addr  string
-	epoch uint64
-}
+// TestCoordinateFailsThenResumes: a coordinator fails one way. A failed
+// task ends the run with Serve's error, once, naming the task, and leaves
+// the journal resumable at its epoch; the same spec resumed with the
+// fault drill off (fault settings are unhashed) finishes at epoch 2 to
+// the serial engine's bytes, `# flops` included.
+func TestCoordinateFailsThenResumes(t *testing.T) {
+	want := serialText(t, testSpec(1, "", false))
+	path := filepath.Join(t.TempDir(), "sweep.journal")
+	hooks := Hooks{Addr: "127.0.0.1:0", Spawn: ReExec, Logf: t.Logf}
 
-// scriptServe replaces the serve seam with one that fails per script
-// (nil = finish the sweep) and records each call. Like distrib.Serve it
-// closes the listener before returning.
-func scriptServe(t *testing.T, script ...func() error) *[]serveCall {
-	t.Helper()
-	calls := new([]serveCall)
-	real := serve
-	t.Cleanup(func() { serve = real })
-	serve = func(ctx context.Context, lis net.Listener, nBias, nK, nE int, opts distrib.Options) (*distrib.Report, error) {
-		n := len(*calls)
-		*calls = append(*calls, serveCall{lis.Addr().String(), opts.Epoch})
-		lis.Close()
-		total := nBias * nK * nE
-		if n >= len(script) {
-			t.Errorf("serve called %d times, script has %d", n+1, len(script))
-			return nil, errors.New("unscripted serve call")
-		}
-		if err := script[n](); err != nil {
-			return &distrib.Report{Sweep: &cluster.SweepReport{Total: total}}, err
-		}
-		return &distrib.Report{Sweep: &cluster.SweepReport{Total: total, Completed: total}}, nil
+	// Every task fails its first attempt, with no retry and no quarantine.
+	failing := testSpec(2, path, false)
+	failing.Resilience.FaultRate = 1
+	failing.Resilience.MaxRetries = 0
+	failing.Resilience.Quarantine = false
+	out, err := Coordinate(context.Background(), build(t, failing), hooks)
+	if err == nil || !regexp.MustCompile(`^distrib: task failed: task \d+ \(`).MatchString(err.Error()) {
+		t.Fatalf("failing run returned %v, want a task failure naming the task", err)
 	}
-	return calls
-}
-
-var errBoom = errors.New("boom")
-
-func boom() error { return errBoom }
-
-// stubFleet stands in for worker processes: each stays until the
-// coordinator dismisses the fleet (the returned func, for a script's
-// successful step) or the harness stops it.
-func stubFleet() (SpawnFunc, func() error) {
-	dismissed := make(chan struct{})
-	spawn := func(ctx context.Context, addr string, ws spec.RunSpec) error {
-		select {
-		case <-dismissed:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
+	if out.Sweep != nil || out.Epoch != 1 {
+		t.Fatalf("failed outcome %+v, want no sweep at epoch 1", out)
 	}
-	return spawn, func() error { close(dismissed); return nil }
-}
-
-// TestSuperviseRestartsInPlace: with a journal and a fleet that can come
-// back — external workers, or self-spawned ones with a rejoin window — one
-// serve failure restarts the coordinator on the same address with the
-// epoch bumped by exactly one.
-func TestSuperviseRestartsInPlace(t *testing.T) {
-	for _, tc := range []struct {
-		name    string
-		workers int
-		rejoin  time.Duration
-	}{
-		{"external fleet", 0, 0},
-		{"self-spawned with a rejoin window", 1, time.Minute},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := filepath.Join(t.TempDir(), "sweep.journal")
-			s := testSpec(tc.workers, path, false)
-			s.Exec.RejoinWindow = spec.Duration(tc.rejoin)
-			spawn, dismiss := stubFleet()
-			calls := scriptServe(t, boom, dismiss)
-			var epochs []uint64
-			out, err := Coordinate(context.Background(), build(t, s), Hooks{
-				Addr: "127.0.0.1:0", Spawn: spawn, Logf: t.Logf,
-				OnIdentity: func(_ string, epoch uint64) { epochs = append(epochs, epoch) },
-			})
-			if err != nil {
-				t.Fatalf("supervised run: %v", err)
-			}
-			c := *calls
-			if len(c) != 2 || c[0].addr != c[1].addr || c[0].epoch != 1 || c[1].epoch != 2 {
-				t.Fatalf("serve calls %+v, want two on one address at epochs 1 and 2", c)
-			}
-			if _, epoch, _ := journalState(t, path); epoch != 2 || out.Epoch != 2 {
-				t.Errorf("journal epoch %d, outcome epoch %d, want 2 and 2", epoch, out.Epoch)
-			}
-			if len(epochs) != 2 || epochs[0] != 1 || epochs[1] != 2 {
-				t.Errorf("OnIdentity saw epochs %v, want [1 2]", epochs)
-			}
-		})
+	if _, epoch, _ := journalState(t, path); epoch != 1 {
+		t.Fatalf("journal epoch %d after the failure, want 1", epoch)
 	}
-}
 
-// TestSupervisePassesThrough: a drain, a failed task, a cancelled context
-// and a journal-less run are never restarted; neither is a journaled run
-// whose self-spawned workers cannot rejoin (-rejoin-window 0) — it
-// returns the error with the journal resumable at its epoch instead of
-// waiting for a fleet that has exited.
-func TestSupervisePassesThrough(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	taskFailed := fmt.Errorf("%w: task 3", distrib.ErrTaskFailed)
-	for _, tc := range []struct {
-		name    string
-		journal bool
-		workers int
-		fail    func() error
-		want    error
-	}{
-		{"drained", true, 0, func() error { return distrib.ErrDrained }, distrib.ErrDrained},
-		{"task failed", true, 0, func() error { return taskFailed }, distrib.ErrTaskFailed},
-		{"no journal", false, 0, boom, errBoom},
-		{"self-spawned workers, no rejoin window", true, 1, boom, errBoom},
-		{"cancelled", true, 0, func() error { cancel(); return ctx.Err() }, context.Canceled},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			path := ""
-			if tc.journal {
-				path = filepath.Join(t.TempDir(), "sweep.journal")
-			}
-			calls := scriptServe(t, tc.fail)
-			spawn, _ := stubFleet()
-			b := build(t, testSpec(tc.workers, path, false))
-			done := make(chan error, 1)
-			go func() {
-				_, err := Coordinate(ctx, b, Hooks{
-					Addr: "127.0.0.1:0", Spawn: spawn, Logf: t.Logf,
-				})
-				done <- err
-			}()
-			select {
-			case err := <-done:
-				if !errors.Is(err, tc.want) {
-					t.Fatalf("Coordinate returned %v, want %v", err, tc.want)
-				}
-			case <-time.After(30 * time.Second):
-				t.Fatal("Coordinate hangs instead of returning the serve error")
-			}
-			if len(*calls) != 1 {
-				t.Fatalf("serve ran %d times, want once", len(*calls))
-			}
-			if tc.journal {
-				if _, epoch, _ := journalState(t, path); epoch != 1 {
-					t.Errorf("journal epoch %d after a pass-through, want 1", epoch)
-				}
-			}
-		})
+	out, err = Coordinate(context.Background(), build(t, testSpec(2, path, true)), hooks)
+	if err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if out.Replayed || out.Epoch != 2 {
+		t.Fatalf("resumed outcome %+v, want a live run at epoch 2", out)
+	}
+	if _, epoch, _ := journalState(t, path); epoch != 2 {
+		t.Errorf("journal epoch %d after the resume, want 2", epoch)
+	}
+	if got := outcomeText(out); got != want {
+		t.Fatalf("resumed output differs from serial:\n got:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -470,6 +470,21 @@ func (s RunSpec) Validate() error {
 		if s.Grid.NVG > 1 && s.Grid.VGMax <= s.Grid.VGMin {
 			return fmt.Errorf("spec: empty gate window [-vgmin %g, -vgmax %g]", s.Grid.VGMin, s.Grid.VGMax)
 		}
+		// The FET integrates on its own per-bias energy grid at Γ: these
+		// grid fields would change the SpecHash and nothing it prints.
+		d := Default().Grid
+		for _, f := range []struct {
+			flag string
+			set  bool
+		}{
+			{"-ne", s.Grid.NE != d.NE}, {"-emin", s.Grid.EMin != d.EMin},
+			{"-emax", s.Grid.EMax != d.EMax}, {"-nk", s.Grid.NK > 1},
+		} {
+			if f.set {
+				return fmt.Errorf("spec: %s is not applicable to mode %q (the FET integrates on its own energy grid at Γ); it would have been silently ignored",
+					f.flag, s.Mode)
+			}
+		}
 	}
 	if s.Mode != ModeStats {
 		if s.Grid.NE < 1 {

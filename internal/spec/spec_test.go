@@ -337,6 +337,14 @@ func TestValidateRejections(t *testing.T) {
 			[]string{"-max-retries", `"stats"`}},
 		{"task timeout in iv mode", func(s *RunSpec) { s.Mode = ModeIV; s.Resilience.TaskTimeout = Duration(time.Second) }, RoleLocal,
 			[]string{"-task-timeout", `"iv"`}},
+		{"energy points in iv mode", func(s *RunSpec) { s.Mode = ModeIV; s.Grid.NE = 7 }, RoleLocal,
+			[]string{"-ne ", `"iv"`, "silently ignored"}},
+		{"energy floor in iv mode", func(s *RunSpec) { s.Mode = ModeIV; s.Grid.EMin = -1 }, RoleLocal,
+			[]string{"-emin ", `"iv"`, "silently ignored"}},
+		{"energy ceiling in iv mode", func(s *RunSpec) { s.Mode = ModeIV; s.Grid.EMax = 1 }, RoleLocal,
+			[]string{"-emax ", `"iv"`, "silently ignored"}},
+		{"momentum grid in iv mode", func(s *RunSpec) { s.Mode = ModeIV; s.Device.Name = "utb"; s.Grid.NK = 3 }, RoleLocal,
+			[]string{"-nk ", `"iv"`, "silently ignored"}},
 		{"worker with checkpoint", func(s *RunSpec) { s.Resilience.Checkpoint = "x" }, RoleWorker,
 			[]string{"-checkpoint", "coordinator"}},
 		{"worker with resume", func(s *RunSpec) { s.Resilience.Checkpoint = "x"; s.Resilience.Resume = true }, RoleWorker,
