@@ -292,18 +292,12 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 		// Poisson in potential-energy convention: charge term n − N_D and
 		// gate energy −Vg (see type comment), with the charge's own
 		// response ∂n/∂U (spin degeneracy included, 1/nm³/eV) on the
-		// diagonal of the linearization.
+		// diagonal of the linearization. occ and dOcc are per layer.
 		rho := make([]float64, nl)
 		dRho := make([]float64, nl)
-		off := h.Offsets()
-		for li := 0; li < nl; li++ {
-			var sum, dSum float64
-			for k := off[li]; k < off[li+1]; k++ {
-				sum += occ[k]
-				dSum += dOcc[k]
-			}
-			rho[li] = f.Sim.SpinDegeneracy()*sum/layerVol - nd[li]
-			dRho[li] = f.Sim.SpinDegeneracy() * dSum / layerVol
+		for li := range rho {
+			rho[li] = f.Sim.SpinDegeneracy()*occ[li]/layerVol - nd[li]
+			dRho[li] = f.Sim.SpinDegeneracy() * dOcc[li] / layerVol
 		}
 		uNew, err := gaa.SolveLinearized(-vg, rho, dRho, u)
 		if err != nil {

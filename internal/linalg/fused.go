@@ -26,43 +26,30 @@ func TraceMulConj(a, b *Matrix) complex128 {
 	return s
 }
 
-// DiagMulConjInto writes diag(x·g·x†), real for a Hermitian g, into dst
-// from xt = x† (m×n) and g (m×m), using one m×m·m×n product — as wide as x
+// DiagMulConj returns diag(x·g·x†), real for a Hermitian g (m×m), of an
+// n×m x as a fresh slice, using one m×m·m×n product with x† — as wide as x
 // is tall — and a streaming pass of real parts: O(n·m²) instead of the
-// O(n²·m) of materializing x·g·x†. dst has length n. This is the
-// spectral-function assembly kernel: the contact-resolved density needs
-// only [G·Γ·G†]_ii, and entry i is Re Σ_a x[i,a]·(g·x†)[a,i].
-func DiagMulConjInto(dst []float64, xt, g *Matrix, ws *Workspace) {
-	if g.Rows != xt.Rows || g.Cols != xt.Rows {
-		panic("linalg: dimension mismatch in DiagMulConjInto")
-	}
-	if len(dst) != xt.Cols {
-		panic("linalg: output length mismatch in DiagMulConjInto")
-	}
-	n := xt.Cols
-	yt := ws.Get(xt.Rows, n)
-	GemmInto(yt, 1, g, NoTrans, xt, NoTrans, 0)
-	clear(dst)
-	for a := 0; a < xt.Rows; a++ {
-		x, y := xt.Data[a*n:(a+1)*n], yt.Data[a*n:(a+1)*n]
-		for i, v := range y {
-			dst[i] += real(v)*real(x[i]) + imag(v)*imag(x[i])
-		}
-	}
-	ws.Put(yt)
-	// Two products and two sums per term.
-	perf.AddFlops(int64(len(xt.Data)) * 2 * perf.FlopsCAdd)
-}
-
-// DiagMulConj returns diag(x·g·x†) as a fresh slice, from x itself; see
-// DiagMulConjInto.
+// O(n²·m) of materializing x·g·x†. Entry i is Re Σ_a x[i,a]·(g·x†)[a,i].
+// This is the dense oracle's spectral diagonal [G·Γ·G†]_ii.
 func DiagMulConj(x, g *Matrix) []float64 {
+	if g.Rows != x.Cols || g.Cols != x.Cols {
+		panic("linalg: dimension mismatch in DiagMulConj")
+	}
 	ws := GetWorkspace()
 	defer ws.Release()
-	xt := ws.Get(x.Cols, x.Rows)
+	m, n := x.Cols, x.Rows
+	xt, yt := ws.Get(m, n), ws.Get(m, n)
 	ConjTransposeInto(xt, x)
-	dst := make([]float64, x.Rows)
-	DiagMulConjInto(dst, xt, g, ws)
+	GemmInto(yt, 1, g, NoTrans, xt, NoTrans, 0)
+	dst := make([]float64, n)
+	for a := 0; a < m; a++ {
+		xa, ya := xt.Data[a*n:(a+1)*n], yt.Data[a*n:(a+1)*n]
+		for i, v := range ya {
+			dst[i] += real(v)*real(xa[i]) + imag(v)*imag(xa[i])
+		}
+	}
+	// Two products and two sums per term.
+	perf.AddFlops(int64(len(xt.Data)) * 2 * perf.FlopsCAdd)
 	return dst
 }
 

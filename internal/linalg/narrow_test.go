@@ -145,10 +145,14 @@ func BenchmarkNarrowFactor(b *testing.B) {
 }
 
 // BenchmarkNarrowGemm is the same for GemmInto's NoTrans·NoTrans tile, on
-// the n×k·k×w shapes of the r-sized coupling products.
+// the n×k·k×w shapes the benchmark workloads run: 7×7×7 on `fet_iv` (55 %
+// of its GEMM multiply-adds: agnr7's W†·(d∘W) at s = |I| = 7, and W·x at
+// the density width c_Γ + r_Γ = 7); 15×25×15, 5×10×5, 10×5×10 and 15×5×5
+// on `wire_serial` (sinw: s = 15, |I| = 25, couplings 10×5); 4×3×4, 7×4×3
+// and 3×4×3 on `ribbon_fabric` (agnr7's transmission pass, couplings 3×4).
 func BenchmarkNarrowGemm(b *testing.B) {
 	r := rand.New(rand.NewSource(68))
-	for _, s := range [][3]int{{14, 3, 4}, {14, 4, 4}, {3, 4, 4}, {14, 4, 2}, {40, 5, 3}, {40, 10, 5}, {40, 40, 2}, {40, 40, 5}} {
+	for _, s := range [][3]int{{7, 7, 7}, {15, 25, 15}, {5, 10, 5}, {10, 5, 10}, {15, 5, 5}, {4, 3, 4}, {7, 4, 3}, {3, 4, 3}} {
 		a, c, dst := randMatrix(r, s[0], s[1]), randMatrix(r, s[1], s[2]), New(s[0], s[2])
 		b.Run(fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2]), func(b *testing.B) {
 			benchEngines(b, func(b *testing.B) {

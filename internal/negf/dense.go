@@ -8,7 +8,7 @@ import (
 // DenseReference solves the same open system by brute force: it embeds the
 // self-energies in a dense matrix, inverts it, and applies the Caroli
 // formula; with density the spectral diagonals come from the first and last
-// block columns of that inverse, and the DOS from them as in the kernel.
+// block columns of that inverse, summed over each layer's orbitals.
 // It is O(N³) in the total device size and exists to validate the RGF and
 // SplitSolve paths in tests and ablation benchmarks.
 func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
@@ -31,9 +31,15 @@ func (s *Solver) DenseReference(e float64, density bool) (*Result, error) {
 	t := linalg.TraceMulConj(tns, g0N)
 	res := &Result{E: e, T: real(t)}
 	if density {
-		res.SpectralL = linalg.DiagMulConj(g.Submatrix(0, 0, n, n0), gamL)
-		res.SpectralR = linalg.DiagMulConj(g.Submatrix(0, off[nl-1], n, nN), gamR)
-		res.DOS = BallisticDOS(res.SpectralL, res.SpectralR)
+		aL := linalg.DiagMulConj(g.Submatrix(0, 0, n, n0), gamL)
+		aR := linalg.DiagMulConj(g.Submatrix(0, off[nl-1], n, nN), gamR)
+		res.SpectralL, res.SpectralR = make([]float64, nl), make([]float64, nl)
+		for i := range res.SpectralL {
+			for o := off[i]; o < off[i+1]; o++ {
+				res.SpectralL[i] += aL[o]
+				res.SpectralR[i] += aR[o]
+			}
+		}
 	}
 	return res, nil
 }

@@ -6,8 +6,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/lattice"
 	"repro/internal/linalg"
+	"repro/internal/sparse"
 	"repro/internal/tb"
 )
 
@@ -151,7 +153,9 @@ func TestChainBarrierAgainstAnalytic(t *testing.T) {
 }
 
 // TestRGFMatchesDenseReference cross-validates the recursive algorithm
-// against brute-force inversion on a disordered multi-orbital device.
+// against brute-force inversion on a disordered multi-orbital device: T,
+// and A_L and A_R on every layer. Swapping Γ_L and Γ_R in the kernel's
+// forms moves the layer spectra off the dense inverse's.
 func TestRGFMatchesDenseReference(t *testing.T) {
 	s, err := lattice.NewZincblendeNanowire(0.5431, 4, 1, 1)
 	if err != nil {
@@ -187,56 +191,77 @@ func TestRGFMatchesDenseReference(t *testing.T) {
 		if math.Abs(rgf.T-dense.T) > 1e-8*(1+dense.T) {
 			t.Fatalf("E=%g: RGF T=%g, dense T=%g", e, rgf.T, dense.T)
 		}
-		if len(rgf.DOS) != h.N() {
-			t.Fatalf("E=%g: %d DOS entries, want %d", e, len(rgf.DOS), h.N())
+		if len(rgf.SpectralL) != h.Layers() || len(rgf.SpectralR) != h.Layers() {
+			t.Fatalf("E=%g: %d and %d layer spectra, want %d", e, len(rgf.SpectralL), len(rgf.SpectralR), h.Layers())
 		}
-		for i := range rgf.DOS {
-			if math.Abs(rgf.DOS[i]-dense.DOS[i]) > 1e-7*(1+math.Abs(dense.DOS[i])) {
-				t.Fatalf("E=%g: DOS[%d] RGF %g vs dense %g", e, i, rgf.DOS[i], dense.DOS[i])
+		for i := range rgf.SpectralL {
+			if math.Abs(rgf.SpectralL[i]-dense.SpectralL[i]) > 1e-7*(1+math.Abs(dense.SpectralL[i])) ||
+				math.Abs(rgf.SpectralR[i]-dense.SpectralR[i]) > 1e-7*(1+math.Abs(dense.SpectralR[i])) {
+				t.Fatalf("E=%g layer %d: RGF A_L %g A_R %g vs dense %g %g", e, i,
+					rgf.SpectralL[i], rgf.SpectralR[i], dense.SpectralL[i], dense.SpectralR[i])
 			}
 		}
 	}
 }
 
-// TestBallisticSpectralIdentity checks A = A_L + A_R: the total spectral
-// function −2·Im G_ii, read off the dense inverse, must equal the sum of the
-// two contact-injected parts in a ballistic device up to the broadening's
-// own 2η·[G·G†]_ii — and the DOS is that sum over 2π.
+// layerSums returns the sums of f(o) over each layer's orbitals o.
+func layerSums(h *sparse.BlockTridiag, f func(o int) float64) []float64 {
+	off := h.Offsets()
+	out := make([]float64, h.Layers())
+	for i := range out {
+		for o := off[i]; o < off[i+1]; o++ {
+			out[i] += f(o)
+		}
+	}
+	return out
+}
+
+// TestBallisticSpectralIdentity checks A = A_L + A_R layer by layer: the
+// total spectral function −2·Im G_oo, read off the dense inverse and summed
+// over the layer, must equal that layer's two contact-injected parts in a
+// ballistic device up to the broadening's own 2η·[G·G†]_oo — on a chain
+// (one orbital per layer: the per-site identity) and on AGNR-7, whose layers
+// have an interior. Dropping the interior term of the kernel's layer sums
+// breaks it on AGNR-7.
 func TestBallisticSpectralIdentity(t *testing.T) {
-	sol := chainSolver(t, 7, 0, -1, nil, 1e-6)
-	for _, e := range []float64{-1.0, 0.0, 0.8} {
-		r, err := sol.Solve(e, true)
-		if err != nil {
-			t.Fatalf("E=%g: %v", e, err)
-		}
-		g, _, _, err := sol.denseGreen(e)
-		if err != nil {
-			t.Fatalf("E=%g: %v", e, err)
-		}
-		for i := range r.DOS {
-			total := -2 * imag(g.At(i, i))
-			sum := r.SpectralL[i] + r.SpectralR[i]
-			if math.Abs(total-sum) > 1e-4*(1+total) || r.DOS[i] != sum/(2*math.Pi) {
-				t.Fatalf("E=%g site %d: A=%g but A_L+A_R=%g, 2π·DOS=%g",
-					e, i, total, sum, 2*math.Pi*r.DOS[i])
+	ribbon := builtSolver(t, device.Description{Name: "agnr7", Kind: device.ArmchairGNR, CellsX: 5, CellsY: 7}, 0, nil)
+	for _, sol := range []*Solver{chainSolver(t, 7, 0, -1, nil, 1e-6), ribbon} {
+		for _, e := range []float64{-1.0, 0.0, 0.8} {
+			r, err := sol.Solve(e, true)
+			if err != nil {
+				t.Fatalf("E=%g: %v", e, err)
+			}
+			g, _, _, err := sol.denseGreen(e)
+			if err != nil {
+				t.Fatalf("E=%g: %v", e, err)
+			}
+			for i, total := range layerSums(sol.H, func(o int) float64 { return -2 * imag(g.At(o, o)) }) {
+				if sum := r.SpectralL[i] + r.SpectralR[i]; math.Abs(total-sum) > 1e-4*(1+total) {
+					t.Fatalf("N=%d E=%g layer %d: A=%g but A_L+A_R=%g", sol.H.N(), e, i, total, sum)
+				}
 			}
 		}
 	}
 }
 
+// TestDOSNonNegative: the DOS (A_L + A_R)/2π of every layer is
+// non-negative through bands and gaps, on a chain and on AGNR-7, whose
+// layer sums run over interior rows and the forms' cross terms.
 func TestDOSNonNegative(t *testing.T) {
-	sol := chainSolver(t, 6, 0, -1, nil, 1e-6)
-	for e := -2.5; e <= 2.5; e += 0.25 {
-		r, err := sol.Solve(e, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(r.DOS) != sol.H.N() {
-			t.Fatalf("E=%g: %d DOS entries, want %d", e, len(r.DOS), sol.H.N())
-		}
-		for i, d := range r.DOS {
-			if d < -1e-9 {
-				t.Fatalf("negative DOS %g at site %d, E=%g", d, i, e)
+	ribbon := builtSolver(t, device.Description{Name: "agnr7", Kind: device.ArmchairGNR, CellsX: 5, CellsY: 7}, 0, nil)
+	for _, sol := range []*Solver{chainSolver(t, 6, 0, -1, nil, 1e-6), ribbon} {
+		for e := -2.5; e <= 2.5; e += 0.25 {
+			r, err := sol.Solve(e, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(r.SpectralL) != sol.H.Layers() {
+				t.Fatalf("E=%g: %d layer spectra, want %d", e, len(r.SpectralL), sol.H.Layers())
+			}
+			for i := range r.SpectralL {
+				if d := (r.SpectralL[i] + r.SpectralR[i]) / (2 * math.Pi); d < -1e-9 {
+					t.Fatalf("N=%d: negative DOS %g at layer %d, E=%g", sol.H.N(), d, i, e)
+				}
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package negf
 import (
 	"context"
 	"fmt"
-	"math"
 	"math/cmplx"
 	"sync"
 
@@ -58,32 +57,20 @@ type Result struct {
 	E float64
 	// T is the transmission function from left to right contact.
 	T float64
-	// DOS is the orbital-resolved density of states (A_L + A_R)/2π (1/eV),
-	// BallisticDOS of the spectral diagonals below and populated with them.
-	DOS []float64
-	// SpectralL and SpectralR are the contact-resolved spectral function
-	// diagonals [G·Γ_L·G†]_ii and [G·Γ_R·G†]_ii (populated when the solve
-	// is run with density output). Electron density follows as
-	// n_i = ∫ dE/(2π) [SpectralL·f_L + SpectralR·f_R].
+	// SpectralL and SpectralR are the contact-resolved spectral functions
+	// summed over each layer's orbitals, Σ_{o∈layer i} [G·Γ_L·G†]_oo and the
+	// same with Γ_R: layer-resolved, nl entries each, populated when the
+	// solve is run with density output. Layer i's electron count follows as
+	// n_i = ∫ dE/(2π) [SpectralL·f_L + SpectralR·f_R], and its density of
+	// states, the one both formalisms report, as (SpectralL + SpectralR)/2π;
+	// it differs from −Im Tr_i G/π by the broadening's own absorption
+	// 2η·Tr_i[G·G†]/2π, which vanishes with η (DESIGN.md §11).
 	SpectralL, SpectralR []float64
-}
-
-// BallisticDOS returns the density of states (A_L + A_R)/2π of a ballistic
-// device from its contact-resolved spectral diagonals: the one definition
-// both formalisms report. It differs from −Im(diag G)/π by 2η·[G·G†]_ii/2π,
-// the broadening's own absorption, which vanishes with η (DESIGN.md §11).
-func BallisticDOS(aL, aR []float64) []float64 {
-	dos := make([]float64, len(aL))
-	for i := range dos {
-		dos[i] = (aL[i] + aR[i]) / (2 * math.Pi)
-	}
-	return dos
 }
 
 // Solve runs the RGF algorithm at energy e. With density=false only the
 // transmission is produced (one forward pass plus the boundary column);
-// with density=true the contact-resolved spectral diagonals and the DOS
-// are also assembled.
+// with density=true the layer-resolved contact spectra are also assembled.
 func (s *Solver) Solve(e float64, density bool) (*Result, error) {
 	return s.SolveCtx(context.Background(), e, density)
 }
@@ -120,8 +107,10 @@ func (s *Solver) selfEnergies(z complex128) (*linalg.Matrix, *linalg.Matrix, err
 // solved against the first |S_i| identity columns (leftConnected); every
 // product runs on the supports of A's couplings and of the contacts. With
 // density the columns G[:, C_Γ] and G[:, R_Γ] are formed side by side on the
-// kept rows and put back on every orbital by Reduced.Orbitals. A dense
-// coupling is the same code with r = n. DESIGN.md §11 has the recursions.
+// kept rows x_i, and each layer's spectra are the forms v·Γ·v† summed over
+// the rows v of x_i and of y_i = Reduced.Interior(x_i), the interior in its
+// eigenbasis: no orbital is recovered. A dense coupling is the same code with
+// r = n. DESIGN.md §11 has the recursions.
 func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matrix, density bool) (*Result, error) {
 	sys, err := s.reduced()
 	if err != nil {
@@ -193,12 +182,9 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 		}
 	}
 
-	// With density the two column sets on every orbital are stacked as their
-	// adjoints, xL = G[:, C_Γ]† and xR = G[:, R_Γ]†, N columns each.
-	var xL, xR *linalg.Matrix
-	off := s.H.N() // where the layer the backward pass is on ends
+	res := &Result{E: e}
 	if density {
-		xL, xR = ws.Get(cG, off), ws.Get(rG, off)
+		res.SpectralL, res.SpectralR = make([]float64, nl), make([]float64, nl)
 	}
 
 	// Backward pass, the block back-substitution of the columns on the
@@ -247,18 +233,16 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 			ws.Put(x)
 		}
 		if density {
-			orb := red.Orbitals(i, xi, ws)
-			off -= orb.Rows
-			for q := 0; q < orb.Rows; q++ {
-				for j, v := range orb.Data[q*width : (q+1)*width] {
-					if j < cG {
-						xL.Data[j*xL.Cols+off+q] = cmplx.Conj(v)
-					} else {
-						xR.Data[(j-cG)*xR.Cols+off+q] = cmplx.Conj(v)
-					}
+			y := red.Interior(i, xi, ws)
+			for _, m := range []*linalg.Matrix{xi, y} {
+				for q := 0; q < m.Rows; q++ {
+					row := m.Data[q*width : (q+1)*width]
+					res.SpectralL[i] += form(row[:cG], gamL)
+					res.SpectralR[i] += form(row[cG:], gamR)
 				}
 			}
-			ws.Put(orb)
+			perf.AddFlops(int64(xi.Rows+y.Rows) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd)
+			ws.Put(y)
 		}
 		x = xi
 	}
@@ -271,17 +255,26 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 		y = ws.Get(cG, rG)
 		sparse.Gather(y, x, posL, s.axis[cG:cG+rG])
 	}
-	res := &Result{E: e}
 	tns := ws.Get(cG, rG)
 	linalg.Mul3Into(tns, gamL, linalg.NoTrans, y, linalg.NoTrans, gamR, linalg.NoTrans, ws)
 	res.T = real(linalg.TraceMulConj(tns, y))
-	if density {
-		res.SpectralL, res.SpectralR = make([]float64, xL.Cols), make([]float64, xR.Cols)
-		linalg.DiagMulConjInto(res.SpectralL, xL, gamL, ws)
-		linalg.DiagMulConjInto(res.SpectralR, xR, gamR, ws)
-		res.DOS = BallisticDOS(res.SpectralL, res.SpectralR)
-	}
 	return res, nil
+}
+
+// form returns v·g·v†, real for a Hermitian g, from g's upper triangle:
+// Σ_a g_aa·|v_a|² + 2·Re Σ_{a<b} v_a·g_ab·v̄_b, c(c+1)/2 multiply-adds for
+// c = len(v).
+func form(v []complex128, g *linalg.Matrix) float64 {
+	var s float64
+	for a, va := range v {
+		row := g.Data[a*g.Cols : (a+1)*g.Cols]
+		var t complex128
+		for b := a + 1; b < len(v); b++ {
+			t += row[b] * cmplx.Conj(v[b])
+		}
+		s += real(row[a])*(real(va)*real(va)+imag(va)*imag(va)) + 2*real(va*t)
+	}
+	return s
 }
 
 // leftConnected factors the left-connected block m in place and solves it

@@ -150,12 +150,13 @@ func gammaRank(t *testing.T, sigma *linalg.Matrix) int {
 	return rank
 }
 
-// holdToDense solves e with the RGF kernel, density on, and holds T, DOS,
-// A_L and A_R to the dense inverse of the same open system — an oracle that
-// shares no recursion with the kernel — within 1e-9·max(1, |x|), then to the
-// bounds any retarded Green's function obeys, G read off the dense inverse
-// here: A_L,ii ≥ 0, A_R,ii ≥ 0, A_L,ii + A_R,ii ≤ −2·Im G_ii (what is left
-// is 2η·(G·G†)_ii ≥ 0, the part of −Im(diag G)/π the DOS leaves out) and
+// holdToDense solves e with the RGF kernel, density on, and holds T, and
+// A_L and A_R on every layer, to the dense inverse of the same open system —
+// an oracle that shares no recursion with the kernel — within
+// 1e-9·max(1, |x|), then to the bounds any retarded Green's function obeys,
+// G read off the dense inverse here and summed over each layer i:
+// A_L,i ≥ 0, A_R,i ≥ 0, A_L,i + A_R,i ≤ Σ_{o∈i} −2·Im G_oo (what is left is
+// 2η·Tr_i(G·G†) ≥ 0, the part of −Im Tr_i G/π the DOS leaves out) and
 // 0 ≤ T ≤ min(rank Γ_L, rank Γ_R). The density-off pass must return the
 // density-on pass's T bit for bit — it is the same kernel — and no density
 // field. It returns nil when the energy was skipped.
@@ -178,11 +179,11 @@ func holdToDense(t *testing.T, name string, sol *Solver, e float64) *Result {
 		t.Errorf("%s E=%v: T = %.12g, dense %.12g", name, e, got.T, want.T)
 	}
 	var scale float64
-	for i := range want.DOS {
+	for i := range want.SpectralL {
 		scale = math.Max(scale, math.Max(want.SpectralL[i], want.SpectralR[i]))
-		if far(got.DOS[i], want.DOS[i]) || far(got.SpectralL[i], want.SpectralL[i]) || far(got.SpectralR[i], want.SpectralR[i]) {
-			t.Errorf("%s E=%v orbital %d: DOS %.12g A_L %.12g A_R %.12g, dense %.12g %.12g %.12g", name, e, i,
-				got.DOS[i], got.SpectralL[i], got.SpectralR[i], want.DOS[i], want.SpectralL[i], want.SpectralR[i])
+		if far(got.SpectralL[i], want.SpectralL[i]) || far(got.SpectralR[i], want.SpectralR[i]) {
+			t.Errorf("%s E=%v layer %d: A_L %.12g A_R %.12g, dense %.12g %.12g", name, e, i,
+				got.SpectralL[i], got.SpectralR[i], want.SpectralL[i], want.SpectralR[i])
 			break
 		}
 	}
@@ -191,10 +192,9 @@ func holdToDense(t *testing.T, name string, sol *Solver, e float64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range got.DOS {
-		a := -2 * imag(g.At(i, i))
+	for i, a := range layerSums(sol.H, func(o int) float64 { return -2 * imag(g.At(o, o)) }) {
 		if al, ar := got.SpectralL[i], got.SpectralR[i]; al < -eps || ar < -eps || al+ar > a+eps {
-			t.Errorf("%s E=%v orbital %d: A_L = %g, A_R = %g, −2·Im G_ii = %g break 0 ≤ A_L, 0 ≤ A_R, A_L + A_R ≤ A", name, e, i, al, ar, a)
+			t.Errorf("%s E=%v layer %d: A_L = %g, A_R = %g, Σ −2·Im G_oo = %g break 0 ≤ A_L, 0 ≤ A_R, A_L + A_R ≤ A", name, e, i, al, ar, a)
 			break
 		}
 	}
@@ -205,9 +205,9 @@ func holdToDense(t *testing.T, name string, sol *Solver, e float64) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.T != got.T || off.SpectralL != nil || off.SpectralR != nil || off.DOS != nil {
-		t.Errorf("%s E=%v: the density-off pass returns T = %v (density fields set: %v %v %v), density-on %v",
-			name, e, off.T, off.SpectralL != nil, off.SpectralR != nil, off.DOS != nil, got.T)
+	if off.T != got.T || off.SpectralL != nil || off.SpectralR != nil {
+		t.Errorf("%s E=%v: the density-off pass returns T = %v (density fields set: %v %v), density-on %v",
+			name, e, off.T, off.SpectralL != nil, off.SpectralR != nil, got.T)
 	}
 	return got
 }
@@ -281,14 +281,14 @@ func TestRGFAdversarialShapes(t *testing.T) {
 				if r.T != 0 {
 					t.Errorf("T = %g across a cut device, want exactly 0", r.T)
 				}
-				for i := range r.DOS {
-					// Orbitals 0–5 sit left of the cut, 6–11 right of it.
+				for i := range r.SpectralL {
+					// Layers 0 and 1 sit left of the cut, 2 and 3 right of it.
 					beyond := r.SpectralL[i]
-					if i < 6 {
+					if i < 2 {
 						beyond = r.SpectralR[i]
 					}
 					if beyond != 0 {
-						t.Errorf("orbital %d carries %g from the contact across the cut", i, beyond)
+						t.Errorf("layer %d carries %g from the contact across the cut", i, beyond)
 					}
 				}
 			}},
@@ -328,8 +328,11 @@ func TestRGFAdversarialShapes(t *testing.T) {
 	}
 
 	// 80 cells of AGNR-7 at midgap: thirty decades of decay through the
-	// r-column recursions, too long for the dense oracle, held instead to the
-	// n×n kernel this one replaced (T = 1.291683e-49, A_L[last] = 1.141068e-44).
+	// r-column recursions, too long for the dense oracle, held instead to
+	// earlier kernels: T = 1.291683e-49 from the n×n kernel the reduced one
+	// replaced, and the last layer's A_L = 1.235477e-43 from the reduced
+	// kernel's orbital-resolved spectra summed over that layer (its last
+	// orbital read 1.141096e-44, the n×n kernel's 1.141068e-44).
 	t.Run("80-cell AGNR-7 in the gap", func(t *testing.T) {
 		sol := builtSolver(t, device.Description{Name: "agnr7-80", Kind: device.ArmchairGNR, CellsX: 80, CellsY: 7}, 0, nil)
 		r, err := sol.Solve(0, true)
@@ -337,12 +340,12 @@ func TestRGFAdversarialShapes(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := r.SpectralL[len(r.SpectralL)-1]
-		if !(r.T >= 0 && r.T < 1e-40) || math.Abs(last/1.141068e-44-1) > 1e-3 {
-			t.Errorf("T = %g, A_L[last] = %g; want 0 ≤ T < 1e-40 and A_L[last] = 1.141068e-44 to 1e-3", r.T, last)
+		if !(r.T >= 0 && r.T < 1e-40) || math.Abs(last/1.235477e-43-1) > 1e-3 {
+			t.Errorf("T = %g, A_L[last] = %g; want 0 ≤ T < 1e-40 and A_L[last] = 1.235477e-43 to 1e-3", r.T, last)
 		}
-		for i := range r.DOS {
-			if !finite(r.DOS[i]) || !finite(r.SpectralL[i]) || !finite(r.SpectralR[i]) {
-				t.Fatalf("orbital %d: non-finite DOS/A_L/A_R %g %g %g", i, r.DOS[i], r.SpectralL[i], r.SpectralR[i])
+		for i := range r.SpectralL {
+			if !finite(r.SpectralL[i]) || !finite(r.SpectralR[i]) {
+				t.Fatalf("layer %d: non-finite A_L/A_R %g %g", i, r.SpectralL[i], r.SpectralR[i])
 			}
 		}
 	})
@@ -380,8 +383,8 @@ func TestConcurrentFirstSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		same := r.T == want.T
-		for k := range want.DOS {
-			same = same && r.DOS[k] == want.DOS[k] && r.SpectralL[k] == want.SpectralL[k] && r.SpectralR[k] == want.SpectralR[k]
+		for k := range want.SpectralL {
+			same = same && r.SpectralL[k] == want.SpectralL[k] && r.SpectralR[k] == want.SpectralR[k]
 		}
 		if !same {
 			t.Errorf("goroutine %d: a concurrent first solve moved bits against a serial solver", i)
@@ -454,11 +457,13 @@ func keptSizes(t *testing.T, sol *Solver, e float64) (sizes []int, sigL, sigR *l
 
 // TestRGFFlopCount is the "flop totals exact" contract stated for this
 // kernel: the counted flops of one solve, density off and on, equal a closed
-// form — sparse.ReducedFlops for the reduced open system (the lift at width
-// c_Γ + r_Γ with density), plus per layer of order m_i (|S_i|, or n_i where
-// the guard keeps it whole) one m_i×m_i LU solved against the |S_i| support
-// columns and products with an r-sized dimension, plus A_L and A_R on all
-// n_i orbitals. Solving against all m_i columns, or forming the back
+// form — sparse.ReducedFlops for the reduced open system (the interior at
+// width c_Γ + r_Γ with density), plus per layer of order m_i (|S_i|, or n_i
+// where the guard keeps it whole) one m_i×m_i LU solved against the |S_i|
+// support columns and products with an r-sized dimension, plus the forms
+// v·Γ_L·v† and v·Γ_R·v† on the rows v of [x_i; y_i] — m_i kept rows and
+// n_i − m_i interior ones, n_i either way — at c_Γ(c_Γ+1)/2 + r_Γ(r_Γ+1)/2
+// multiply-adds each. Solving against all m_i columns, or forming the back
 // substitution on every row without density, moves the count off the
 // closed form. The sinw case runs once more with Re z on an interior level,
 // where a layer kept whole is counted.
@@ -541,8 +546,7 @@ func TestRGFFlopCount(t *testing.T) {
 					if i < nl-1 {
 						want += gemm(cols[i], rows[i], cG) // l_i·g^L_{i,0}[R_i, C_Γ]
 					}
-					n := sizes[i]
-					want += gemm(cG, cG, n) + gemm(rG, rG, n) + int64(n*(cG+rG))*2*perf.FlopsCAdd
+					want += int64(sizes[i]) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd
 				}
 			}
 			perf.ResetFlops()
@@ -561,9 +565,9 @@ func TestRGFFlopCount(t *testing.T) {
 // reduced system divides by δ = |z − λ| and, on the level itself, the guard
 // keeps the layer whole — and at ±1e-7 and ±1e-4 from them, at η = 1e-6 and
 // 1e-8, on every T1 family under the sinusoidal potential (every layer its
-// own record). T, A_L, A_R and the DOS of Solve(e, true) must stay within
-// 1e-9·max(1, |x|) of DenseReference, the dense inverse of the whole open
-// system. Skipped and logged, never compared silently: an energy whose Σ
+// own record). T, and A_L and A_R of every layer, of Solve(e, true) must
+// stay within 1e-9·max(1, |x|) of DenseReference, the dense inverse of the
+// whole open system. Skipped and logged, never compared silently: an energy whose Σ
 // fails its Dyson precondition (sigmaSound), and one beside a pole of Σ, a
 // surface state of the lead, where ‖Σ‖ > 1e6 — there any solver and the
 // dense inverse itself carry absolute errors of ~ε·‖Σ‖ on A (AGNR-7 under
@@ -637,12 +641,12 @@ func TestRGFAdversarialEnergies(t *testing.T) {
 					}
 					rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(1, math.Abs(b)) }
 					miss := rel(got.T, want.T)
-					for i := range want.DOS {
-						miss = max(miss, rel(got.DOS[i], want.DOS[i]), rel(got.SpectralL[i], want.SpectralL[i]), rel(got.SpectralR[i], want.SpectralR[i]))
+					for i := range want.SpectralL {
+						miss = max(miss, rel(got.SpectralL[i], want.SpectralL[i]), rel(got.SpectralR[i], want.SpectralR[i]))
 					}
 					worst = max(worst, miss)
 					if !(miss <= 1e-9) {
-						t.Errorf("%s η=%g E=%v: T, A_L, A_R or the DOS %.3g from the dense inverse (T = %.12g, dense %.12g)", d.Name, eta, e, miss, got.T, want.T)
+						t.Errorf("%s η=%g E=%v: T or a layer's A_L or A_R %.3g from the dense inverse (T = %.12g, dense %.12g)", d.Name, eta, e, miss, got.T, want.T)
 					}
 				}
 			}

@@ -29,7 +29,9 @@ const InteriorGuard = 1e-4
 //	M(z) = z − h[S,S] − W†·diag(d)·W,   x_I = V·diag(d)·W·x_S
 //
 // are the layer as a solve that reads only S sees it and the interior of a
-// solution. An energy the guard (InteriorGuard) rejects keeps the layer
+// solution; V is unitary, so a sum over the interior's orbitals of a form in
+// x_I reads y = diag(d)·W·x_S instead (Reduced.Interior), and only W is
+// kept. An energy the guard (InteriorGuard) rejects keeps the layer
 // whole: M = z − h on S, then I — Whole's M. Either way S comes first, so
 // Pos has one answer for both. Building a Layer counts no flop: it is
 // set-up, not the work of the task that happens to trigger it.
@@ -41,8 +43,7 @@ type Layer struct {
 	hKK    linalg.Matrix
 	in     []int
 	lambda []float64
-	v      linalg.Matrix // eigenvectors of h[I,I], |I|×|I|
-	w, wh  linalg.Matrix // W = V†·h[I,keep] and W†
+	w, wh  linalg.Matrix // W = V†·h[I,keep] and W†, V the eigenvectors of h[I,I]
 	whole  *Layer        // this layer with an empty interior; itself when I is empty
 }
 
@@ -89,7 +90,7 @@ func NewLayer(h *linalg.Matrix, sup []int) (*Layer, error) {
 	if err != nil {
 		return nil, err
 	}
-	l.lambda, l.v = eig.Values, *eig.Vectors
+	l.lambda = eig.Values
 	// W = V†·H[I,S], by hand: GemmInto would count it.
 	hIS := gather(in, sup)
 	l.w, l.wh = take(ni, s), take(s, ni)

@@ -103,10 +103,10 @@ func (r *ReducedSystem) SupportSize(i int) int { return len(r.recs[r.rec[i]].sup
 
 // Reduced is the reduced open system at one energy: A, layer i of which is
 // M_i(z) on the orbitals its partition keeps — Σ_L and Σ_R subtracted on the
-// first and last — and what Orbitals needs to put a solution of A back on
-// every orbital. Its blocks are ws scratch, valid until ws is released. A
-// carries its couplings compressed, which is all SolveBlocks, Window and
-// SplitSolve read; its Upper and Lower entries are nil.
+// first and last — and what Interior needs to carry a solution of A into
+// each layer's interior. Its blocks are ws scratch, valid until ws is
+// released. A carries its couplings compressed, which is all SolveBlocks,
+// Window and SplitSolve read; its Upper and Lower entries are nil.
 type Reduced struct {
 	A    *BlockTridiag
 	a    BlockTridiag // what A points to: one allocation per energy fewer
@@ -168,36 +168,28 @@ func subtractOn(dst, sigma *linalg.Matrix, pos []int) {
 	perf.AddFlops(int64(k*k) * perf.FlopsCAdd)
 }
 
-// Orbitals returns layer i's block x of a solution of A on every orbital of
-// the layer, in the layer's own order, as ws scratch: the kept rows moved
-// back, the interior recovered as x_I = V·diag(d)·W·x_S.
-func (r *Reduced) Orbitals(i int, x *linalg.Matrix, ws *linalg.Workspace) *linalg.Matrix {
+// Interior returns the interior of layer i's block x of a solution of A in
+// the eigenbasis of H_ii[I,I], y = diag(d)·W·x_S (|I|×k), as ws scratch. The
+// interior's orbitals are x_I = V·y with V unitary, so Σ_{o∈I} x̄_{o,a}·x_{o,b}
+// is y's Gram Σ_q ȳ_{q,a}·y_{q,b}: a sum over the layer's orbitals of a form
+// in x — a layer-resolved spectral function — reads the rows of x and y and
+// never recovers an orbital. A layer kept whole at this energy has no
+// interior: y is 0×k, and x already covers every orbital.
+func (r *Reduced) Interior(i int, x *linalg.Matrix, ws *linalg.Workspace) *linalg.Matrix {
 	e := r.recs[r.sys.rec[i]]
-	p, k := e.p, x.Cols
-	out := ws.Get(r.sys.sizes[i], k)
-	for q, o := range p.keep {
-		copy(out.Data[o*k:(o+1)*k], x.Data[q*k:(q+1)*k])
-	}
-	y := ws.Get(len(p.in), k)
-	linalg.GemmInto(y, 1, &p.w, linalg.NoTrans, x, linalg.NoTrans, 0)
+	y := ws.Get(len(e.p.in), x.Cols)
+	linalg.GemmInto(y, 1, &e.p.w, linalg.NoTrans, x, linalg.NoTrans, 0)
 	linalg.ScaleRowsInto(y, e.d.Data, y)
-	xi := ws.Get(len(p.in), k)
-	linalg.GemmInto(xi, 1, &p.v, linalg.NoTrans, y, linalg.NoTrans, 0)
-	for q, o := range p.in {
-		copy(out.Data[o*k:(o+1)*k], xi.Data[q*k:(q+1)*k])
-	}
-	ws.Put(xi)
-	ws.Put(y)
-	return out
+	return y
 }
 
 // ReducedFlops returns the flops ReducedSystem.At counts at one energy and,
-// with density, Orbitals on every layer at width k. Layer i has sizes[i]
+// with density, Interior on every layer at width k. Layer i has sizes[i]
 // orbitals of which its partition keeps sups[i] (sizes[i] when the energy
 // keeps it whole); shared[i] marks a layer whose record an earlier layer
 // already built M for (nil: none). Each record pays z − H on its kept block,
 // d over its interior, d∘W and W†·(d∘W); the contacts pay Σ_L and Σ_R on
-// their rL×rL and rR×rR supports; each layer's recovery pays W·x_S, d and V.
+// their rL×rL and rR×rR supports; each layer's interior pays W·x_S and d.
 // Solving the reduced system is the solver's own count on layers of sups:
 // BlockThomasFlops, or splitsolve.Flops.
 func ReducedFlops(sizes, sups []int, shared []bool, rL, rR, k int, density bool) int64 {
@@ -208,7 +200,7 @@ func ReducedFlops(sizes, sups []int, shared []bool, rL, rR, k int, density bool)
 			f += LayerFlops(n, s)
 		}
 		if density {
-			f += perf.GemmFlops(ni, s, k) + int64(ni*k)*perf.FlopsCMul + perf.GemmFlops(ni, ni, k)
+			f += perf.GemmFlops(ni, s, k) + int64(ni*k)*perf.FlopsCMul
 		}
 	}
 	return f

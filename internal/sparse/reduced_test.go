@@ -251,7 +251,7 @@ func TestReducedSetupCountsNothing(t *testing.T) {
 
 // TestReducedFlopCount is the "flop totals exact" contract of the reduced
 // solve: the flops At, one SolveBlocks on the reduced system and — with
-// density — Orbitals on every layer count equal ReducedFlops plus
+// density — Interior on every layer count equal ReducedFlops plus
 // BlockThomasFlops on the reduced layers, the closed forms the machine
 // model charges. Layers whose (H_ii, S_i) repeat an earlier layer's bits
 // share its M (agnr7: every layer one record); an energy on an interior
@@ -306,7 +306,7 @@ func TestReducedFlopCount(t *testing.T) {
 				}
 				if density {
 					for i := range x {
-						ws.Put(r.Orbitals(i, x[i], ws))
+						ws.Put(r.Interior(i, x[i], ws))
 					}
 				}
 				want := sparse.ReducedFlops(sizes, sups, shared, len(c.left), len(c.right), k, density) + sparse.BlockThomasFlops(sups, rows, cols, k)
@@ -315,5 +315,124 @@ func TestReducedFlopCount(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// gram returns the k×k Gram Σ_rows x̄_{o,a}·x_{o,b} of the rows of the
+// blocks, all k columns wide.
+func gram(k int, blocks ...*linalg.Matrix) *linalg.Matrix {
+	g := linalg.New(k, k)
+	for _, m := range blocks {
+		for o := 0; o < m.Rows; o++ {
+			row := m.Data[o*k : (o+1)*k]
+			for a, va := range row {
+				for b, vb := range row {
+					g.Data[a*k+b] += cmplx.Conj(va) * vb
+				}
+			}
+		}
+	}
+	return g
+}
+
+// TestInteriorGramIsTheOrbitals is the identity the layer-resolved spectra
+// rest on: V is unitary, so on every layer the Gram of [x_S; Interior(x_S)]
+// equals the Gram of the recovered orbitals (Orbitals, its own products) to
+// 1e-12 relative — every T1 family under a sinusoidal potential (every
+// layer its own record), random x on the kept rows, at a generic energy and
+// with Re z on, 1e-7 from and 1e-4 from interior levels, so that both
+// partitions run: the interior eliminated, and the layer kept whole, where
+// Interior is 0×k. The recovered interior must also solve the layer's
+// interior rows, (z − H[I,I])·x_I = H[I,S]·x_S, against a dense inverse
+// (1e-9, the inverse's own conditioning): with W read off wrongly in
+// NewLayer the Gram identity still holds, and this is what fails. One-line
+// mutations it catches: Interior without d; the Gram without the interior
+// term (Interior returning 0 rows); W = H[I,S] where V†·H[I,S] is meant.
+func TestInteriorGramIsTheOrbitals(t *testing.T) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	rng := rand.New(rand.NewSource(46))
+	var elim, whole int
+	for _, d := range device.BenchmarkSuite() {
+		nl := d.CellsX
+		h := deviceHamiltonian(t, d, 0, func(layer int) float64 {
+			return 0.15 * math.Sin(2*math.Pi*(float64(layer)+0.5)/float64(nl))
+		})
+		c := openCase{d.Name, h, sparse.ColumnSupport(h.Upper[0]), sparse.RowSupport(h.Upper[nl-2])}
+		red, err := sparse.NewReducedSystem(h, c.left, c.right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sup := c.supports()
+		sigL, sigR := contactBlock(rng, len(c.left)), contactBlock(rng, len(c.right))
+		levels := c.interiorLevels(t)
+		energies := []complex128{complex(0.37, 1e-6)}
+		for j := 0; j < len(levels); j += max(1, len(levels)/3) {
+			for _, off := range []float64{0, 1e-7, 1e-4} {
+				energies = append(energies, complex(levels[j]+off, 1e-8))
+			}
+		}
+		var worst float64
+		for _, z := range energies {
+			r := red.At(z, sigL, sigR, ws)
+			for i := 0; i < nl; i++ {
+				const k = 3
+				x := linalg.New(r.A.LayerSize(i), k)
+				for e := range x.Data {
+					x.Data[e] = complex(rng.Float64()-0.5, rng.Float64()-0.5)
+				}
+				y := r.Interior(i, x, ws)
+				orb := r.Orbitals(i, x, ws)
+				want := gram(k, orb)
+				miss := gram(k, x, y).Sub(want).MaxAbs() / want.MaxAbs()
+				if !(miss <= 1e-12) {
+					t.Fatalf("%s z=%v layer %d: the Gram of [x_S; Interior] is %.3g from the orbitals'", d.Name, z, i, miss)
+				}
+				worst = max(worst, miss)
+				in := len(orb.Data)/k - len(sup[i])
+				if y.Rows == 0 {
+					whole += min(1, in)
+				} else {
+					elim++
+					holdInterior(t, z, h.Diag[i], sup[i], orb, k, ws)
+				}
+				ws.Put(y)
+				ws.Put(orb)
+			}
+		}
+		t.Logf("%-14s %d energies, worst relative Gram error %.2g", d.Name, len(energies), worst)
+	}
+	if elim == 0 || whole == 0 {
+		t.Errorf("%d layers ran eliminated and %d whole with an interior; both partitions must run", elim, whole)
+	}
+}
+
+// holdInterior checks that the interior rows of the layer's orbitals x
+// (block h, support sup, every orbital in the layer's order) solve
+// (z − h[I,I])·x_I = h[I,S]·x_S, read off a dense inverse of z − h[I,I].
+func holdInterior(t *testing.T, z complex128, h *linalg.Matrix, sup []int, x *linalg.Matrix, k int, ws *linalg.Workspace) {
+	t.Helper()
+	var in []int
+	for o := 0; o < h.Rows; o++ {
+		if !slices.Contains(sup, o) {
+			in = append(in, o)
+		}
+	}
+	cols := sparse.Range(0, k)
+	hII, hIS := linalg.New(len(in), len(in)), linalg.New(len(in), len(sup))
+	sparse.Gather(hII, h, in, in)
+	sparse.Gather(hIS, h, in, sup)
+	xS, xI := linalg.New(len(sup), k), linalg.New(len(in), k)
+	sparse.Gather(xS, x, sup, cols)
+	sparse.Gather(xI, x, in, cols)
+	a := linalg.New(len(in), len(in))
+	linalg.ShiftedNegInto(a, hII, z)
+	inv := linalg.New(len(in), len(in))
+	if err := linalg.InverseInto(inv, a, ws); err != nil {
+		t.Fatal(err)
+	}
+	want := inv.Mul(hIS.Mul(xS))
+	if miss := xI.Sub(want).MaxAbs() / want.MaxAbs(); !(miss <= 1e-9) {
+		t.Fatalf("z=%v: the recovered interior is %.3g from (z − H[I,I])⁻¹·H[I,S]·x_S", z, miss)
 	}
 }

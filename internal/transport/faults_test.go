@@ -17,10 +17,9 @@ func TestCheckFiniteNamesQuantityAndEnergy(t *testing.T) {
 		res  negf.Result
 		want string // "" means finite
 	}{
-		{"clean", negf.Result{T: 1, DOS: []float64{0.1}, SpectralL: []float64{0.2}, SpectralR: []float64{0.3}}, ""},
+		{"clean", negf.Result{T: 1, SpectralL: []float64{0.2}, SpectralR: []float64{0.3}}, ""},
 		{"nan T", negf.Result{T: math.NaN()}, "T"},
 		{"inf T", negf.Result{T: math.Inf(1)}, "T"},
-		{"nan DOS", negf.Result{T: 1, DOS: []float64{0, math.NaN()}}, "DOS"},
 		{"inf spectralL", negf.Result{T: 1, SpectralL: []float64{math.Inf(-1)}}, "spectral"},
 		{"nan spectralR", negf.Result{T: 1, SpectralR: []float64{math.NaN()}}, "spectral"},
 	}

@@ -31,8 +31,8 @@ import (
 type NonFiniteError struct {
 	// E is the energy (eV) whose solve blew up.
 	E float64
-	// Quantity names the non-finite observable (e.g. "T", "DOS",
-	// "spectral", "charge").
+	// Quantity names the non-finite observable ("T", "spectral",
+	// "charge").
 	Quantity string
 }
 
@@ -49,11 +49,6 @@ func (e *NonFiniteError) TransientError() bool { return false }
 func checkFinite(e float64, r *negf.Result) error {
 	if math.IsNaN(r.T) || math.IsInf(r.T, 0) {
 		return &NonFiniteError{E: e, Quantity: "T"}
-	}
-	for _, v := range r.DOS {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return &NonFiniteError{E: e, Quantity: "DOS"}
-		}
 	}
 	for _, s := range [][]float64{r.SpectralL, r.SpectralR} {
 		for _, v := range s {
@@ -266,13 +261,16 @@ func Current(energies, transmissions []float64, bias Bias, spinDegeneracy float6
 	return spinDegeneracy * units.CurrentQuantum * integral, nil
 }
 
-// ChargeDensity integrates the contact-resolved spectral functions into
-// the orbital-resolved electron density n (dimensionless occupation per
-// orbital) and its response dn = ∂n/∂U to a rigid shift of the orbital's
-// potential energy:
+// ChargeDensity integrates the layer-resolved contact spectra into the
+// layer-resolved electron density n (dimensionless occupation of each
+// layer's orbitals, summed) and its response dn = ∂n/∂U to a rigid shift of
+// the layer's potential energy:
 //
-//	n_i     =  ∫ dE/(2π) [A_L,ii·f_L + A_R,ii·f_R],
-//	∂n_i/∂U = −∫ dE/(2π) [A_L,ii·F_L + A_R,ii·F_R],  F = −∂f/∂E.
+//	n_i     =  ∫ dE/(2π) [A_L,i·f_L + A_R,i·f_R],
+//	∂n_i/∂U = −∫ dE/(2π) [A_L,i·F_L + A_R,i·F_R],  F = −∂f/∂E,
+//
+// with A_L,i = Σ_{o∈layer i} [G·Γ_L·G†]_oo (negf.Result), nl values per
+// energy: what Poisson reads, and nothing finer.
 //
 // Shifting U by +δ moves the spectra up by δ, which is the same as moving
 // both contact potentials down by δ, so the response is read off the

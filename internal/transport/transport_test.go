@@ -198,7 +198,7 @@ func TestChargeDensityBiasDependence(t *testing.T) {
 // TestChargeResponseIsRigidShift holds the response ChargeDensity returns
 // to its definition. Shifting U by +δ is the same as shifting both contact
 // potentials by −δ, so on one engine and grid the central difference
-// [n(μ−δ) − n(μ+δ)]/2δ must match ∂n/∂U orbital by orbital; and with μ
+// [n(μ−δ) − n(μ+δ)]/2δ must match ∂n/∂U layer by layer; and with μ
 // far below the band it must reach its Boltzmann limit −n/kT.
 func TestChargeResponseIsRigidShift(t *testing.T) {
 	h := chainH(t, 6, 0, -1, []float64{0, 0.05, 0.2, 0.2, 0.1, 0})
@@ -228,10 +228,10 @@ func TestChargeResponseIsRigidShift(t *testing.T) {
 	for k := range n {
 		fd := (lo[k] - hi[k]) / (2 * delta)
 		if dn[k] >= 0 {
-			t.Fatalf("orbital %d: ∂n/∂U = %g, want < 0", k, dn[k])
+			t.Fatalf("layer %d: ∂n/∂U = %g, want < 0", k, dn[k])
 		}
 		if rel := math.Abs(fd-dn[k]) / math.Abs(dn[k]); rel > 1e-6 {
-			t.Fatalf("orbital %d: ∂n/∂U = %.12g, central difference %.12g (rel %g)", k, dn[k], fd, rel)
+			t.Fatalf("layer %d: ∂n/∂U = %.12g, central difference %.12g (rel %g)", k, dn[k], fd, rel)
 		}
 	}
 
@@ -246,7 +246,7 @@ func TestChargeResponseIsRigidShift(t *testing.T) {
 	}
 	for k := range n {
 		if rel := math.Abs(dn[k]+n[k]/kT) / (n[k] / kT); rel > 1e-3 {
-			t.Fatalf("orbital %d: ∂n/∂U = %g, Boltzmann limit −n/kT = %g (rel %g)", k, dn[k], -n[k]/kT, rel)
+			t.Fatalf("layer %d: ∂n/∂U = %g, Boltzmann limit −n/kT = %g (rel %g)", k, dn[k], -n[k]/kT, rel)
 		}
 	}
 }

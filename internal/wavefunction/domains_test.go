@@ -16,8 +16,8 @@ import (
 // `-domains P ≡ P = 1`: every T1 device family, under the sinusoidal
 // potential negf's oracle tests use (different contacts at the two ends,
 // every interior layer its own block), solved at seeded energies with P ∈
-// {2, 3, nl} domains returns T, DOS, A_L and A_R within 1e-9·max(1, |x|) of
-// the serial solve. The domain solvers share the serial one's Σ cache, so
+// {2, 3, nl} domains returns T, and the DOS, A_L and A_R of every layer,
+// within 1e-9·max(1, |x|) of the serial solve. The domain solvers share the serial one's Σ cache, so
 // the comparison isolates the open-boundary solve. It catches, for example,
 // supW indexing ξ_{d-1}^l without the offset of ξ_{d-1}^f in its interface
 // group: every family fails at P = 2 and 3 (at P = nl the constraint rows
@@ -62,10 +62,10 @@ func TestDomainsMatchSerialEveryFamily(t *testing.T) {
 				if far(got.T, want.T) {
 					t.Errorf("%s P=%d E=%v: T = %.12g, serial %.12g", d.Name, p, e, got.T, want.T)
 				}
-				for i := range want.DOS {
-					if far(got.DOS[i], want.DOS[i]) || far(got.SpectralL[i], want.SpectralL[i]) || far(got.SpectralR[i], want.SpectralR[i]) {
-						t.Errorf("%s P=%d E=%v orbital %d: DOS %.12g A_L %.12g A_R %.12g, serial %.12g %.12g %.12g", d.Name, p, e, i,
-							got.DOS[i], got.SpectralL[i], got.SpectralR[i], want.DOS[i], want.SpectralL[i], want.SpectralR[i])
+				for i := range want.SpectralL {
+					if far(dos(got, i), dos(want, i)) || far(got.SpectralL[i], want.SpectralL[i]) || far(got.SpectralR[i], want.SpectralR[i]) {
+						t.Errorf("%s P=%d E=%v layer %d: DOS %.12g A_L %.12g A_R %.12g, serial %.12g %.12g %.12g", d.Name, p, e, i,
+							dos(got, i), got.SpectralL[i], got.SpectralR[i], dos(want, i), want.SpectralL[i], want.SpectralR[i])
 						break
 					}
 				}
@@ -101,9 +101,9 @@ func familyUnderPotential(t *testing.T, d device.Description) *sparse.BlockTridi
 // TestWFMatchesNEGFEveryFamily is the cross-formalism invariant WF ≡ NEGF
 // as a property: every T1 family under familyUnderPotential, at seeded
 // energies through bands and gaps, solved by both formalisms on one Σ
-// cache, returns T within 1e-8·(1 + T) and A_L, A_R and the DOS within the
-// spectral tolerance 1e-6·(1 + x) — the two formalisms report one DOS,
-// (A_L + A_R)/2π.
+// cache, returns T within 1e-8·(1 + T) and every layer's A_L, A_R and DOS
+// within the spectral tolerance 1e-6·(1 + x) — the two formalisms report
+// one DOS, (A_L + A_R)/2π.
 func TestWFMatchesNEGFEveryFamily(t *testing.T) {
 	for _, d := range device.BenchmarkSuite() {
 		h := familyUnderPotential(t, d)
@@ -129,10 +129,10 @@ func TestWFMatchesNEGFEveryFamily(t *testing.T) {
 				t.Errorf("%s E=%v: WF T = %.12g, NEGF %.12g", d.Name, e, rw.T, rg.T)
 			}
 			far := func(a, b float64) bool { return !(math.Abs(a-b) <= 1e-6*(1+math.Abs(b))) }
-			for i := range rg.DOS {
-				if far(rw.DOS[i], rg.DOS[i]) || far(rw.SpectralL[i], rg.SpectralL[i]) || far(rw.SpectralR[i], rg.SpectralR[i]) {
-					t.Errorf("%s E=%v orbital %d: WF DOS %.12g A_L %.12g A_R %.12g, NEGF %.12g %.12g %.12g", d.Name, e, i,
-						rw.DOS[i], rw.SpectralL[i], rw.SpectralR[i], rg.DOS[i], rg.SpectralL[i], rg.SpectralR[i])
+			for i := range rg.SpectralL {
+				if far(dos(rw, i), dos(rg, i)) || far(rw.SpectralL[i], rg.SpectralL[i]) || far(rw.SpectralR[i], rg.SpectralR[i]) {
+					t.Errorf("%s E=%v layer %d: WF DOS %.12g A_L %.12g A_R %.12g, NEGF %.12g %.12g %.12g", d.Name, e, i,
+						dos(rw, i), rw.SpectralL[i], rw.SpectralR[i], dos(rg, i), rg.SpectralL[i], rg.SpectralR[i])
 					break
 				}
 			}

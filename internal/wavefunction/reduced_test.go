@@ -10,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/linalg"
 	"repro/internal/negf"
+	"repro/internal/perf"
 	"repro/internal/sparse"
 )
 
@@ -19,19 +20,13 @@ import (
 // right, the contacts' supports on the end layers.
 func interiorLevels(t *testing.T, s *Solver) []float64 {
 	t.Helper()
-	h, nl := s.H, s.H.Layers()
+	h := s.H
 	var levels []float64
-	for i := 0; i < nl; i++ {
-		lo, hi := sparse.ColumnSupport(s.Leads.L01), sparse.RowSupport(s.Leads.R01)
-		if i > 0 {
-			lo = sparse.ColumnSupport(h.Upper[i-1])
-		}
-		if i < nl-1 {
-			hi = sparse.RowSupport(h.Upper[i])
-		}
+	for i := 0; i < h.Layers(); i++ {
+		sup := layerSupport(s, i)
 		var in []int
 		for o := 0; o < h.LayerSize(i); o++ {
-			if !slices.Contains(lo, o) && !slices.Contains(hi, o) {
+			if !slices.Contains(sup, o) {
 				in = append(in, o)
 			}
 		}
@@ -44,6 +39,19 @@ func interiorLevels(t *testing.T, s *Solver) []float64 {
 		levels = append(levels, vals...)
 	}
 	return levels
+}
+
+// layerSupport returns S_i, the kept orbitals of layer i.
+func layerSupport(s *Solver, i int) []int {
+	h, nl := s.H, s.H.Layers()
+	lo, hi := sparse.ColumnSupport(s.Leads.L01), sparse.RowSupport(s.Leads.R01)
+	if i > 0 {
+		lo = sparse.ColumnSupport(h.Upper[i-1])
+	}
+	if i < nl-1 {
+		hi = sparse.RowSupport(h.Upper[i])
+	}
+	return sparse.Union(lo, hi)
 }
 
 // injectionDrops returns how far the injection vectors of the two contacts
@@ -77,8 +85,9 @@ func injectionDrops(t *testing.T, s *Solver, e float64) float64 {
 // layers — where the reduced system divides by δ = |z − λ| and carries a
 // pole of size 1/δ — and at ±1e-7 and ±1e-4 from them, at η = 1e-6 and
 // 1e-8, on every T1 family under familyUnderPotential (every layer its own
-// record). T, A_L, A_R and the DOS must stay within 1e-9·max(1, |x|) of
-// negf.DenseReference, the dense inverse of the whole open system. An energy
+// record). T, and A_L, A_R and the DOS of every layer, must stay within
+// 1e-9·max(1, |x|) of negf.DenseReference, the dense inverse of the whole
+// open system. An energy
 // whose injection does not rebuild Γ to 1e-9 is skipped and logged, never
 // compared silently: next to a pole of Σ (a surface state of the lead, |Σ|
 // up to 1e9) Γ spans more decades than the injection's rank cutoff keeps,
@@ -160,12 +169,12 @@ func TestReducedAdversarialEnergies(t *testing.T) {
 					}
 					rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(1, math.Abs(b)) }
 					miss := rel(got.T, want.T)
-					for i := range want.DOS {
-						miss = max(miss, rel(got.DOS[i], want.DOS[i]), rel(got.SpectralL[i], want.SpectralL[i]), rel(got.SpectralR[i], want.SpectralR[i]))
+					for i := range want.SpectralL {
+						miss = max(miss, rel(dos(got, i), dos(want, i)), rel(got.SpectralL[i], want.SpectralL[i]), rel(got.SpectralR[i], want.SpectralR[i]))
 					}
 					worst = max(worst, miss)
 					if !(miss <= 1e-9) {
-						t.Errorf("%s η=%g E=%v: T, A_L, A_R or the DOS %.3g from the dense inverse (T = %.12g, dense %.12g)", d.Name, eta, e, miss, got.T, want.T)
+						t.Errorf("%s η=%g E=%v: T, or a layer's A_L, A_R or DOS, %.3g from the dense inverse (T = %.12g, dense %.12g)", d.Name, eta, e, miss, got.T, want.T)
 					}
 				}
 			}
@@ -252,8 +261,8 @@ func TestConcurrentFirstSolve(t *testing.T) {
 			t.Fatal(err)
 		}
 		same := r.T == want.T
-		for k := range want.DOS {
-			same = same && r.DOS[k] == want.DOS[k] && r.SpectralL[k] == want.SpectralL[k] && r.SpectralR[k] == want.SpectralR[k]
+		for k := range want.SpectralL {
+			same = same && r.SpectralL[k] == want.SpectralL[k] && r.SpectralR[k] == want.SpectralR[k]
 		}
 		if !same {
 			t.Errorf("goroutine %d: a concurrent first solve moved bits against a serial solver", i)
@@ -261,5 +270,83 @@ func TestConcurrentFirstSolve(t *testing.T) {
 	}
 	if _, err := shared.Solve(1.3, false); err != nil || shared.open != open {
 		t.Errorf("the reduced system was rebuilt after the first solves (err %v)", err)
+	}
+}
+
+// TestWFDensityFlopCount is the "flop totals exact" contract of the
+// wave-function solve with density: one solve, its Σ a cache hit, counts
+// the two broadenings and injection eigensolves (run here, as their QL
+// iterations depend on the data), sparse.ReducedFlops for the reduced open
+// system with the interior at width k_L + k_R, BlockThomasFlops on the
+// reduced layers, the Caroli contraction on R_Γ, and the |·|² sums on the
+// n_i rows of [x_i; y_i] of every layer — m_i kept rows and n_i − m_i
+// interior ones — at 4 flops per element. AGNR-7 under the sinusoidal
+// potential (records shared where layers repeat) runs at a generic energy
+// and with Re z on an interior level, where a layer kept whole is counted.
+func TestWFDensityFlopCount(t *testing.T) {
+	d := device.BenchmarkSuite()[5] // AGNR-7
+	h := familyUnderPotential(t, d)
+	s, err := NewSolver(h, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cache = negf.NewSelfEnergyCache()
+	levels := interiorLevels(t, s)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	nl := h.Layers()
+	for _, e := range []float64{0.9, levels[len(levels)/2]} {
+		if _, err := s.Solve(e, true); err != nil { // warms Σ and builds the reduced system
+			t.Fatal(err)
+		}
+		z := complex(e, s.Eta)
+		sigL, sigR, err := negf.CachedSelfEnergies(s.Cache, s.Leads, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red := s.open.At(z, sigL, sigR, ws)
+		cG, rG := len(s.open.LeftContact()), len(s.open.RightContact())
+		sizes, kept, shared := make([]int, nl), make([]int, nl), make([]bool, nl)
+		rows, cols := make([]int, nl-1), make([]int, nl-1)
+		var whole int
+		for i := range sizes {
+			sizes[i], kept[i] = h.LayerSize(i), red.A.LayerSize(i)
+			if kept[i] > s.open.SupportSize(i) {
+				whole++
+			}
+			for j := 0; j < i; j++ {
+				shared[i] = shared[i] || slices.Equal(layerSupport(s, i), layerSupport(s, j)) && sparse.SameBits(h.Diag[i], h.Diag[j])
+			}
+			if i < nl-1 {
+				rows[i], cols[i] = len(red.A.Coupling(i).Rows), len(red.A.Coupling(i).Cols)
+			}
+		}
+		if e != 0.9 && whole == 0 {
+			t.Fatalf("E=%v on an interior level kept no layer whole; the case is vacuous", e)
+		}
+		perf.ResetFlops()
+		var k [2]int
+		for c, sigma := range []*linalg.Matrix{sigL, sigR} {
+			gam := ws.Get(sigma.Rows, sigma.Cols)
+			negf.BroadeningInto(gam, sigma)
+			w, err := injectionVectors(gam, ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k[c] = w.Cols
+		}
+		width := k[0] + k[1]
+		want := perf.ResetFlops() + sparse.ReducedFlops(sizes, kept, shared, cG, rG, width, true) +
+			sparse.BlockThomasFlops(kept, rows, cols, width) +
+			perf.GemmFlops(rG, rG, k[0]) + int64(rG*k[0])*perf.FlopsCMulAdd
+		for _, n := range sizes {
+			want += int64(n*width) * 2 * perf.FlopsCAdd
+		}
+		if _, err := s.Solve(e, true); err != nil {
+			t.Fatal(err)
+		}
+		if got := perf.ResetFlops(); got != want {
+			t.Errorf("E=%v: one density solve counted %d flops, the closed form gives %d", e, got, want)
+		}
 	}
 }

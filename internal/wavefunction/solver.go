@@ -70,11 +70,11 @@ func NewSolver(h *sparse.BlockTridiag, eta float64) (*Solver, error) {
 	return &Solver{H: h, Leads: leads, Eta: eta}, nil
 }
 
-// Solve computes transmission and (optionally) the contact-resolved
-// spectral functions at energy e. The returned Result uses the same type
-// as the NEGF package so downstream integration code is solver-agnostic,
-// and the density fields follow its rule: the spectral diagonals and the
-// DOS, negf.BallisticDOS of them, exist exactly when density is asked for.
+// Solve computes transmission and (optionally) the layer-resolved contact
+// spectra at energy e. The returned Result uses the same type as the NEGF
+// package so downstream integration code is solver-agnostic, and the
+// density fields follow its rule: SpectralL and SpectralR, one entry per
+// layer, exist exactly when density is asked for.
 func (s *Solver) Solve(e float64, density bool) (*negf.Result, error) {
 	return s.SolveCtx(context.Background(), e, density)
 }
@@ -129,15 +129,12 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	kL, width := wL.Cols, wL.Cols+wR.Cols
 	res := &negf.Result{E: e}
 	if density {
-		res.SpectralL = make([]float64, s.H.N())
-		res.SpectralR = make([]float64, s.H.N())
+		res.SpectralL = make([]float64, s.H.Layers())
+		res.SpectralR = make([]float64, s.H.Layers())
 	}
 	if width == 0 {
 		// No open or evanescent channels at this energy: everything is 0,
 		// and the density fields exist exactly when density was asked for.
-		if density {
-			res.DOS = negf.BallisticDOS(res.SpectralL, res.SpectralR)
-		}
 		return res, nil
 	}
 	red := s.open.At(z, sigL, sigR, ws)
@@ -179,25 +176,29 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	linalg.MulInto(ggw, gamR, linalg.NoTrans, gw, linalg.NoTrans)
 	res.T = real(linalg.TraceMulConj(ggw, gw))
 
+	// A_L and A_R of layer i are |G·wᵢ|² summed over its orbitals and the
+	// kL left (kR right) injection columns: the rows of x_i and of its
+	// interior in the eigenbasis, y_i = Reduced.Interior(x_i), whose Gram
+	// is the interior orbitals'.
 	if density {
-		off := s.H.Offsets()
 		for i := 0; i < nl; i++ {
-			xi := red.Orbitals(i, x[i], ws)
-			for k := 0; k < xi.Rows; k++ {
-				row := xi.Data[k*width : (k+1)*width]
-				var sl, sr float64
-				for _, v := range row[:kL] {
-					sl += real(v)*real(v) + imag(v)*imag(v)
+			y := red.Interior(i, x[i], ws)
+			var sl, sr float64
+			for _, m := range []*linalg.Matrix{x[i], y} {
+				for k := 0; k < m.Rows; k++ {
+					row := m.Data[k*width : (k+1)*width]
+					for _, v := range row[:kL] {
+						sl += real(v)*real(v) + imag(v)*imag(v)
+					}
+					for _, v := range row[kL:] {
+						sr += real(v)*real(v) + imag(v)*imag(v)
+					}
 				}
-				for _, v := range row[kL:] {
-					sr += real(v)*real(v) + imag(v)*imag(v)
-				}
-				res.SpectralL[off[i]+k] = sl
-				res.SpectralR[off[i]+k] = sr
 			}
-			ws.Put(xi)
+			res.SpectralL[i], res.SpectralR[i] = sl, sr
+			perf.AddFlops(int64((x[i].Rows+y.Rows)*width) * 2 * perf.FlopsCAdd)
+			ws.Put(y)
 		}
-		res.DOS = negf.BallisticDOS(res.SpectralL, res.SpectralR)
 	}
 	return res, nil
 }

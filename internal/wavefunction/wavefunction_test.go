@@ -133,9 +133,14 @@ func buildDisorderedWire(t *testing.T) *sparse.BlockTridiag {
 	return h
 }
 
+// dos returns the DOS of layer i, (A_L + A_R)/2π, the one both formalisms
+// report.
+func dos(r *negf.Result, i int) float64 { return (r.SpectralL[i] + r.SpectralR[i]) / (2 * math.Pi) }
+
 // TestWFMatchesNEGF is the central cross-formalism validation: the
 // wave-function solver and the RGF NEGF solver must produce identical
-// transmission, DOS, and spectral functions on a disordered device.
+// transmission, and layer spectra and DOS, on a disordered device. The
+// wave-function sums without the interior rows y_i fail it.
 func TestWFMatchesNEGF(t *testing.T) {
 	h := buildDisorderedWire(t)
 	wf, err := NewSolver(h, 1e-6)
@@ -158,6 +163,9 @@ func TestWFMatchesNEGF(t *testing.T) {
 		if math.Abs(rw.T-rg.T) > 1e-8*(1+rg.T) {
 			t.Fatalf("E=%g: WF T=%g vs NEGF T=%g", e, rw.T, rg.T)
 		}
+		if len(rw.SpectralL) != h.Layers() || len(rg.SpectralL) != h.Layers() {
+			t.Fatalf("E=%g: WF %d and NEGF %d layer spectra, want %d", e, len(rw.SpectralL), len(rg.SpectralL), h.Layers())
+		}
 		for i := range rw.SpectralL {
 			if math.Abs(rw.SpectralL[i]-rg.SpectralL[i]) > 1e-6*(1+rg.SpectralL[i]) {
 				t.Fatalf("E=%g: SpectralL[%d] %g vs %g", e, i, rw.SpectralL[i], rg.SpectralL[i])
@@ -165,8 +173,8 @@ func TestWFMatchesNEGF(t *testing.T) {
 			if math.Abs(rw.SpectralR[i]-rg.SpectralR[i]) > 1e-6*(1+rg.SpectralR[i]) {
 				t.Fatalf("E=%g: SpectralR[%d] %g vs %g", e, i, rw.SpectralR[i], rg.SpectralR[i])
 			}
-			if math.Abs(rw.DOS[i]-rg.DOS[i]) > 1e-6*(1+rg.DOS[i]) {
-				t.Fatalf("E=%g: DOS[%d] %g vs %g", e, i, rw.DOS[i], rg.DOS[i])
+			if math.Abs(dos(rw, i)-dos(rg, i)) > 1e-6*(1+dos(rg, i)) {
+				t.Fatalf("E=%g: DOS of layer %d %g vs %g", e, i, dos(rw, i), dos(rg, i))
 			}
 		}
 	}
@@ -455,14 +463,14 @@ func TestInjectionOnSupport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.T != 0 || len(res.DOS) != h.N() || len(res.SpectralL) != h.N() {
-		t.Fatalf("closed device: T = %g with %d DOS entries, want 0 and %d", res.T, len(res.DOS), h.N())
+	if res.T != 0 || len(res.SpectralL) != h.Layers() || len(res.SpectralR) != h.Layers() {
+		t.Fatalf("closed device: T = %g with %d and %d layer spectra, want 0 and %d", res.T, len(res.SpectralL), len(res.SpectralR), h.Layers())
 	}
 }
 
 // TestDensityFieldsFollowTheFlag: in both formalisms the density fields —
-// A_L, A_R and the DOS — exist, one entry per orbital, exactly when density
-// is asked for, at an open energy and at a closed one (contacts nothing
+// A_L and A_R — exist, one entry per layer, exactly when density is asked
+// for, at an open energy and at a closed one (contacts nothing
 // couples to: Σ = 0 and no channel, the WF solve's early return).
 func TestDensityFieldsFollowTheFlag(t *testing.T) {
 	h := buildDisorderedWire(t)
@@ -490,10 +498,10 @@ func TestDensityFieldsFollowTheFlag(t *testing.T) {
 				if closed && r.T != 0 {
 					t.Errorf("%s: T = %g through closed contacts", name, r.T)
 				}
-				for field, v := range map[string][]float64{"A_L": r.SpectralL, "A_R": r.SpectralR, "DOS": r.DOS} {
-					if (v != nil) != density || density && len(v) != h.N() {
+				for field, v := range map[string][]float64{"A_L": r.SpectralL, "A_R": r.SpectralR} {
+					if (v != nil) != density || density && len(v) != h.Layers() {
 						t.Errorf("%s closed=%v density=%v: %s has %d entries (nil: %v), want %d only with density",
-							name, closed, density, field, len(v), v == nil, h.N())
+							name, closed, density, field, len(v), v == nil, h.Layers())
 					}
 				}
 			}
@@ -557,11 +565,11 @@ func TestFormerNaNEnergySolves(t *testing.T) {
 		if math.Abs(rw.SpectralR[i]-rg.SpectralR[i]) > 1e-6*(1+rg.SpectralR[i]) {
 			t.Fatalf("SpectralR[%d] %g vs %g", i, rw.SpectralR[i], rg.SpectralR[i])
 		}
-		if math.Abs(rw.DOS[i]-rg.DOS[i]) > 1e-6*(1+rg.DOS[i]) {
-			t.Fatalf("DOS[%d] WF %g vs NEGF %g", i, rw.DOS[i], rg.DOS[i])
+		if math.Abs(dos(rw, i)-dos(rg, i)) > 1e-6*(1+dos(rg, i)) {
+			t.Fatalf("DOS of layer %d WF %g vs NEGF %g", i, dos(rw, i), dos(rg, i))
 		}
-		if math.Abs(rg.DOS[i]-dense.DOS[i]) > 1e-7*(1+math.Abs(dense.DOS[i])) {
-			t.Fatalf("DOS[%d] RGF %g vs dense %g", i, rg.DOS[i], dense.DOS[i])
+		if math.Abs(dos(rg, i)-dos(dense, i)) > 1e-7*(1+math.Abs(dos(dense, i))) {
+			t.Fatalf("DOS of layer %d RGF %g vs dense %g", i, dos(rg, i), dos(dense, i))
 		}
 	}
 }
