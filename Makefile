@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-pairs bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The T2 solves and the
 # cold self-energy miss draw their workspaces from sync.Pools, where a P
@@ -189,6 +189,16 @@ unreached-check:
 
 bench:
 	$(GO) test -bench . -benchtime 0.5s -run '^$$' ./internal/...
+
+# Alternating same-seed pairs of end-to-end runs of a parent checkout and
+# this tree on one workload, then -compare (bench/README.md, "Comparing a
+# change with its parent"): make bench-pairs PARENT=/path/to/parent-clone
+# [WORKLOAD=wire_serial] [N=10].
+WORKLOAD ?= wire_serial
+N ?= 10
+bench-pairs:
+	@if [ -z "$(PARENT)" ]; then echo "bench-pairs: set PARENT to a checkout of the parent commit" >&2; exit 2; fi
+	sh scripts/bench_pairs.sh "$(PARENT)" . $(WORKLOAD) $(N)
 
 # Refresh the committed allocation baseline for the guarded benchmarks.
 bench-baseline:

@@ -240,7 +240,7 @@ func TestKernelsBitwiseAcrossEngines(t *testing.T) {
 			wantX := b.Clone()
 			wantInv := New(n, n)
 			if wantErr == nil {
-				refLuSolveInPlace(lu, piv, wantX)
+				refLuSolveInPlace(lu, piv, wantX, 0)
 				if err := refInverseInto(wantInv, a); err != nil {
 					t.Fatal(err)
 				}
@@ -254,7 +254,7 @@ func TestKernelsBitwiseAcrossEngines(t *testing.T) {
 					return
 				}
 				x := b.Clone()
-				luSolveInPlace(lu, piv, x)
+				luSolveInPlace(lu, piv, x, 0)
 				requireBits(t, engine+" solve", x.Data, wantX.Data)
 				requireBits(t, engine+" inverse", inv.Data, wantInv.Data)
 			})

@@ -157,20 +157,32 @@ func samePair(a, b complex128) bool {
 
 // SolveInPlace overwrites b with the solution of A·X = B.
 func (f *LU) SolveInPlace(b *Matrix) {
-	luSolveInPlace(f.lu, f.piv, b)
+	luSolveInPlace(f.lu, f.piv, b, 0)
+}
+
+// SolveFromRow overwrites rows r0…n−1 of b with those of the solution of
+// A·X = B, 0 ≤ r0 ≤ n, bit for bit what SolveInPlace leaves there: the
+// forward sweep runs whole and the back sweep, whose row i reads only rows
+// i+1…n−1, stops after row r0. Rows 0…r0−1 keep the forward sweep's values,
+// so a caller passes the first row it reads.
+func (f *LU) SolveFromRow(b *Matrix, r0 int) {
+	luSolveInPlace(f.lu, f.piv, b, r0)
 }
 
 // luSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization to a
-// block right-hand side. Right-hand sides at least fusedMinWidth wide
-// substitute through avxLuSolve; the scalar loops below are the fallback
-// and compute the same bits. Every column of b goes through the same
-// operations whatever the other columns hold — the zero skips test only
-// the multipliers of L and U — so a solve against some columns of the
-// identity returns those columns of the inverse, bit for bit.
-func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
+// block right-hand side, U⁻¹ on rows r0…n−1 only. Right-hand sides at
+// least fusedMinWidth wide substitute through avxLuSolve; the scalar loops
+// below are the fallback and compute the same bits. Every column of b goes
+// through the same operations whatever the other columns hold — the zero
+// skips test only the multipliers of L and U — so a solve against some
+// columns of the identity returns those columns of the inverse, bit for bit.
+func luSolveInPlace(f *Matrix, piv []int, b *Matrix, r0 int) {
 	n := f.Rows
 	if b.Rows != n {
 		panic("linalg: RHS row count mismatch in Solve")
+	}
+	if r0 < 0 || r0 > n {
+		panic("linalg: solve floor outside [0, n]")
 	}
 	nrhs := b.Cols
 	lu := f.Data
@@ -188,8 +200,8 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 		// Both sweeps — every row's update, k paired two-deep with the
 		// zero skips, and the back sweep's reciprocal-pivot scaling — are
 		// one assembly call.
-		avxLuSolve(&b.Data[0], &lu[0], n, nrhs)
-		perf.AddFlops(perf.SolveFlops(n, nrhs))
+		avxLuSolve(&b.Data[0], &lu[0], n, nrhs, r0)
+		perf.AddFlops(perf.SolveFromRowFlops(n, r0, nrhs))
 		return
 	}
 	// Forward substitution with unit lower triangular L, i-outer so the
@@ -226,7 +238,7 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 		}
 	}
 	// Back substitution with U, same access pattern from the bottom up.
-	for i := n - 1; i >= 0; i-- {
+	for i := n - 1; i >= r0; i-- {
 		luRow := lu[i*n : (i+1)*n]
 		rowI := b.Data[i*nrhs : (i+1)*nrhs]
 		k := i + 1
@@ -260,7 +272,7 @@ func luSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 			rowI[j] *= dInv
 		}
 	}
-	perf.AddFlops(perf.SolveFlops(n, nrhs))
+	perf.AddFlops(perf.SolveFromRowFlops(n, r0, nrhs))
 }
 
 // InverseInto writes a⁻¹ into dst, factoring into workspace scratch so
@@ -289,6 +301,6 @@ func InverseInto(dst, a *Matrix, ws *Workspace) error {
 	for i := 0; i < n; i++ {
 		dst.Data[i*n+i] = 1
 	}
-	luSolveInPlace(lu, piv, dst)
+	luSolveInPlace(lu, piv, dst, 0)
 	return nil
 }

@@ -148,7 +148,7 @@ func TestFactorInPlaceOnWorkspaceStorage(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantX := b.Clone()
-		refLuSolveInPlace(wantLU, wantPiv, wantX)
+		refLuSolveInPlace(wantLU, wantPiv, wantX, 0)
 
 		lu := ws.Get(n, n)
 		lu.CopyFrom(a)

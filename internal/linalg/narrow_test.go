@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"repro/internal/perf"
 )
 
 // TestNarrowOperandsBitwise walks the widths the support-space solvers
@@ -34,7 +36,7 @@ func TestNarrowOperandsBitwise(t *testing.T) {
 				}
 				b := specialMat(r, n, w, class)
 				wantX := b.Clone()
-				refLuSolveInPlace(lu, piv, wantX)
+				refLuSolveInPlace(lu, piv, wantX, 0)
 				// The product shapes of the block-Thomas and RGF kernels:
 				// n×k·k×w with k narrow too, accumulated (beta = 1) and
 				// overwritten (beta = 0), alpha = ±1.
@@ -59,7 +61,7 @@ func TestNarrowOperandsBitwise(t *testing.T) {
 						requireBits(t, engine+" factor "+what, gotLU.Data, wantLU.Data)
 					}
 					x := b.Clone()
-					luSolveInPlace(lu, piv, x)
+					luSolveInPlace(lu, piv, x, 0)
 					requireBits(t, engine+" solve "+what, x.Data, wantX.Data)
 					got := seed.Clone()
 					GemmInto(got, alpha, a, NoTrans, c, NoTrans, beta)
@@ -88,6 +90,48 @@ func TestNarrowOperandsBitwise(t *testing.T) {
 	}
 }
 
+// TestSolveFromRowBitwise holds SolveFromRow(b, r0), for every r0 in
+// [0, n], to the reference substitution with its back sweep stopped at r0:
+// rows r0…n−1 carry SolveInPlace's bits and rows below r0 the forward
+// sweep's, on TestNarrowOperandsBitwise's orders, widths and operand
+// classes, on both engines (the purego build has the fallback alone), and
+// the solve counts perf.SolveFromRowFlops. Holding the rows below r0 too is
+// what catches a floor off by one in either direction.
+func TestSolveFromRowBitwise(t *testing.T) {
+	r := rand.New(rand.NewSource(71))
+	for _, n := range []int{0, 1, 2, 6, 14, 40} {
+		for w := 1; w <= 9; w++ {
+			for _, class := range operandClasses {
+				lu := specialMat(r, n, n, class)
+				piv := make([]int, n)
+				for i := range piv {
+					lu.Data[i*n+i] += complex(float64(n), 0.5)
+					piv[i] = i + r.Intn(n-i)
+				}
+				f := LU{lu: lu, piv: piv}
+				b := specialMat(r, n, w, class)
+				for r0 := 0; r0 <= n; r0++ {
+					what := fmt.Sprintf("n=%d width=%d floor=%d %s", n, w, r0, class)
+					want := b.Clone()
+					refLuSolveInPlace(lu, piv, want, r0)
+					eachEngine(t, func(engine string) {
+						full := b.Clone()
+						f.SolveInPlace(full)
+						got := b.Clone()
+						perf.ResetFlops()
+						f.SolveFromRow(got, r0)
+						if c, want := perf.Flops(), perf.SolveFromRowFlops(n, r0, w); c != want {
+							t.Fatalf("%s %s: counted %d flops, want %d", engine, what, c, want)
+						}
+						requireBits(t, engine+" floored solve "+what, got.Data, want.Data)
+						requireBits(t, engine+" rows from the floor "+what, got.Data[r0*w:], full.Data[r0*w:])
+					})
+				}
+			}
+		}
+	}
+}
+
 // benchEngines runs fn once per engine this build has, as sub-benchmarks.
 func benchEngines(b *testing.B, fn func(b *testing.B)) {
 	defer func(old bool) { hasAVX = old }(hasAVX)
@@ -101,24 +145,40 @@ func benchEngines(b *testing.B, fn func(b *testing.B)) {
 
 // BenchmarkNarrowSolve regenerates the evidence behind fusedMinWidth for
 // luSolveInPlace: factors of the layer orders the devices have, against the
-// right-hand-side widths the support-space solvers produce.
+// right-hand-side widths the support-space solvers produce. Its second half
+// is the transmission sweep's solve, [b̃_i | U_i[:, C_i]] against a
+// reduced layer, whole and from the floor min(R_i) the next layer reads:
+// n = 15, widths 6–10, floor 5 on sinw (`wire_serial`); n = 7, widths 4–7,
+// floor 4 on agnr7; n = 20, widths 11–15, floor 10 on utb.
 func BenchmarkNarrowSolve(b *testing.B) {
 	r := rand.New(rand.NewSource(67))
-	for _, n := range []int{2, 6, 14, 40} {
+	run := func(n, r0 int, ks []int, tag string) {
 		f, err := FactorInPlace(randMatrix(r, n, n), make([]int, n))
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, k := range []int{1, 2, 3, 4, 5, 6} {
+		for _, k := range ks {
 			rhs, dst := randMatrix(r, n, k), New(n, k)
-			b.Run(fmt.Sprintf("n=%d/k=%d", n, k), func(b *testing.B) {
+			b.Run(fmt.Sprintf("n=%d/k=%d%s", n, k, tag), func(b *testing.B) {
 				benchEngines(b, func(b *testing.B) {
 					for i := 0; i < b.N; i++ {
 						dst.CopyFrom(rhs)
-						f.SolveInPlace(dst)
+						f.SolveFromRow(dst, r0)
 					}
 				})
 			})
+		}
+	}
+	for _, n := range []int{2, 6, 14, 40} {
+		run(n, 0, []int{1, 2, 3, 4, 5, 6}, "")
+	}
+	for _, s := range []struct{ n, floor, lo, hi int }{{15, 5, 6, 10}, {7, 4, 4, 7}, {20, 10, 11, 15}} {
+		var ks []int
+		for k := s.lo; k <= s.hi; k++ {
+			ks = append(ks, k)
+		}
+		for _, r0 := range []int{0, s.floor} {
+			run(s.n, r0, ks, fmt.Sprintf("/floor=%d", r0))
 		}
 	}
 }

@@ -169,8 +169,9 @@ func refSubstRow(rowI []complex128, ms []complex128, rows []complex128, nrhs int
 }
 
 // refLuSolveInPlace applies P, L⁻¹, then U⁻¹ of a packed factorization,
-// scaling by the stored reciprocal pivots.
-func refLuSolveInPlace(f *Matrix, piv []int, b *Matrix) {
+// scaling by the stored reciprocal pivots; U⁻¹'s sweep runs on rows
+// floor…n−1 only.
+func refLuSolveInPlace(f *Matrix, piv []int, b *Matrix, floor int) {
 	n := f.Rows
 	nrhs := b.Cols
 	lu := f.Data
@@ -186,7 +187,7 @@ func refLuSolveInPlace(f *Matrix, piv []int, b *Matrix) {
 	for i := 1; i < n; i++ {
 		refSubstRow(b.Data[i*nrhs:(i+1)*nrhs], lu[i*n:i*n+i], b.Data, nrhs)
 	}
-	for i := n - 1; i >= 0; i-- {
+	for i := n - 1; i >= floor; i-- {
 		rowI := b.Data[i*nrhs : (i+1)*nrhs]
 		refSubstRow(rowI, lu[i*n+i+1:(i+1)*n], b.Data[(i+1)*nrhs:], nrhs)
 		dInv := lu[i*n+i]
@@ -208,7 +209,7 @@ func refInverseInto(dst, a *Matrix) error {
 	for i := 0; i < n; i++ {
 		dst.Data[i*n+i] = 1
 	}
-	refLuSolveInPlace(lu, piv, dst)
+	refLuSolveInPlace(lu, piv, dst, 0)
 	return nil
 }
 

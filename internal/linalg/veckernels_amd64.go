@@ -29,11 +29,12 @@ func avxNeg(dst, src *complex128, n int)
 // avxLuSolve runs both substitution sweeps of the n×nrhs block b against
 // the packed n×n factor lu (reciprocal pivots on its diagonal), the row
 // permutation already applied: forward b[i] -= Σ_{k<i} lu[i,k]·b[k], then
-// back b[i] -= Σ_{k>i} lu[i,k]·b[k] and b[i] *= lu[i,i], every row update
-// pairing k two-deep with the reference kernel's zero skips. n >= 1.
+// back, for i = n−1 down to floor, b[i] -= Σ_{k>i} lu[i,k]·b[k] and
+// b[i] *= lu[i,i], every row update pairing k two-deep with the reference
+// kernel's zero skips. n >= 1, 0 <= floor <= n.
 //
 //go:noescape
-func avxLuSolve(b, lu *complex128, n, nrhs int)
+func avxLuSolve(b, lu *complex128, n, nrhs, floor int)
 
 // avxFactorColUpdate runs the pivot-k elimination: for each of rows
 // trailing rows it scales the column entry by pivInv (storing the

@@ -127,20 +127,20 @@ negdone:
 // ADDSUBPD — identical trees, identical bits.
 // ---------------------------------------------------------------------
 
-// func avxLuSolve(b, lu *complex128, n, nrhs int)
+// func avxLuSolve(b, lu *complex128, n, nrhs, floor int)
 // Both substitution sweeps of the n×nrhs block b (row-major, the row
 // permutation already applied) against the packed n×n factor lu, whose
 // diagonal holds the reciprocal pivots:
 //
-//	forward, i = 1…n−1:  b[i] -= Σ_{k<i} lu[i,k]·b[k]
-//	back, i = n−1…0:     b[i] -= Σ_{k>i} lu[i,k]·b[k];  b[i] *= lu[i,i]
+//	forward, i = 1…n−1:      b[i] -= Σ_{k<i} lu[i,k]·b[k]
+//	back, i = n−1…floor:     b[i] -= Σ_{k>i} lu[i,k]·b[k];  b[i] *= lu[i,i]
 //
 // Every row update pairs k two-deep with the reference zero skips (a pair
 // is skipped iff both multipliers are zero, a lone trailing k iff its
 // multiplier is zero) and runs an xmm tail for odd nrhs. The two sweeps
 // share one update block; phase names the sweep it returns to. Requires
-// n >= 1 and nrhs >= 2.
-TEXT ·avxLuSolve(SB), NOSPLIT, $16-32
+// n >= 1, nrhs >= 2 and 0 <= floor <= n.
+TEXT ·avxLuSolve(SB), NOSPLIT, $16-40
 	MOVQ nrhs+24(FP), R10
 	MOVQ R10, R11
 	ANDQ $-2, R11 // wEven
@@ -179,7 +179,7 @@ lsbackinit:
 lsback:
 	// y = b[i], rows = b[i+1], ms = lu[i, i+1:n], cnt = n − 1 − i
 	MOVQ  i-8(SP), CX
-	TESTQ CX, CX
+	CMPQ  CX, floor+32(FP)
 	JL    lsdone
 	MOVQ  CX, DI
 	IMULQ R9, DI

@@ -11,7 +11,7 @@ var hasAVX = false
 func avxScale(y *complex128, n int, d complex128) { panic("linalg: no vector kernel") }
 func avxNeg(dst, src *complex128, n int)          { panic("linalg: no vector kernel") }
 
-func avxLuSolve(b, lu *complex128, n, nrhs int) { panic("linalg: no vector kernel") }
+func avxLuSolve(b, lu *complex128, n, nrhs, floor int) { panic("linalg: no vector kernel") }
 func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex128) {
 	panic("linalg: no vector kernel")
 }

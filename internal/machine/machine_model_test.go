@@ -243,8 +243,9 @@ func TestSplitSolveCostCrossover(t *testing.T) {
 // product: on a uniform device whose couplings have |R| = |C| (SiUTB) under
 // a gate-like potential — every layer a record of its own, as the model
 // assumes — the model's WF solve charges exactly the flops the wave-function
-// solver's reduced solve counts at its width (the reduced open system at z
-// and one SolveBlocks on it), and its self-energies — on the flat device,
+// solver's transmission solve counts at its width (the reduced open system at
+// z and one SolveLast on it, every R_i the last rows of its layer), and its
+// self-energies — on the flat device,
 // whose two contacts share a cell — exactly those of one paired miss once SelfEnergyIterations is the iteration count that miss
 // took — recovered, as the negf kernel test recovers it, from the count
 // alone.
@@ -289,7 +290,7 @@ func TestModelChargesCountedFlops(t *testing.T) {
 		}
 		rhs[i] = linalg.New(red.A.LayerSize(i), w.RHSWidth)
 	}
-	if _, err := red.A.SolveBlocks(rhs, ws); err != nil {
+	if _, err := red.A.SolveLast(rhs, ws); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := perf.ResetFlops(), w.WFSolveFlops(); got != want {

@@ -141,6 +141,9 @@ func (m MachineModel) Predict(w Workload, d Decomposition) (Report, error) {
 	if err != nil {
 		return Report{}, err
 	}
+	if d.Domains == 1 { // one domain runs the serial solve, not SplitSolve
+		ss = SplitSolveCost{CriticalFlops: w.WFSolveFlops()}
+	}
 	tSE := float64(w.SelfEnergyFlops()) / rate
 	tSolve := float64(ss.CriticalFlops) / rate
 	tReduced := float64(ss.ReducedFlops) / rate

@@ -89,11 +89,18 @@ func (w Workload) SelfEnergyFlops() int64 {
 	return negf.SelfEnergyFlops(w.BlockSize, min(w.BlockSize, 2*r), r, r, w.SelfEnergyIterations)
 }
 
-// WFSolveFlops returns the flops of one wave-function solve at a single
-// energy with P = 1: the reduced open system and its block-Thomas solve.
+// WFSolveFlops returns the flops of one wave-function transmission solve at
+// a single energy with P = 1: the reduced open system and SolveLast on it,
+// each layer's solve stopped at the first row of R_i, which a layer keeps
+// last — its orbitals run from the face C_{i−1} lands on to the one R_i
+// leaves from.
 func (w Workload) WFSolveFlops() int64 {
 	_, sups, ranks := w.layers()
-	return w.reductionFlops() + sparse.BlockThomasFlops(sups, ranks, ranks, w.RHSWidth)
+	floors := make([]int, len(ranks))
+	for i, r := range ranks {
+		floors[i] = sups[i] - r
+	}
+	return w.reductionFlops() + sparse.BlockThomasFlops(sups, ranks, ranks, floors, w.RHSWidth)
 }
 
 // SplitSolveCost describes the parallel cost structure of one SplitSolve

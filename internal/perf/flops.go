@@ -111,3 +111,12 @@ func GemmFlops(m, k, n int) int64 {
 func SolveFlops(n, nrhs int) int64 {
 	return 8 * int64(n) * int64(n) * int64(nrhs)
 }
+
+// SolveFromRowFlops returns the flop count of the same solves with the back
+// sweep stopped at row r0 (linalg's SolveFromRow): the forward sweep's half
+// of SolveFlops, 4n²·nrhs, and the back sweep of the trailing n − r0 rows,
+// 4(n − r0)²·nrhs. r0 = 0 is SolveFlops.
+func SolveFromRowFlops(n, r0, nrhs int) int64 {
+	m := int64(n - r0)
+	return 4 * (int64(n)*int64(n) + m*m) * int64(nrhs)
+}

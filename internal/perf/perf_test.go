@@ -50,6 +50,15 @@ func TestFlopFormulas(t *testing.T) {
 	if SolveFlops(5, 2) != 8*25*2 {
 		t.Fatalf("SolveFlops = %d", SolveFlops(5, 2))
 	}
+	// The forward sweep's half always, the back sweep's on the rows from r0.
+	for _, c := range []struct {
+		r0   int
+		want int64
+	}{{0, SolveFlops(5, 2)}, {1, 4 * (25 + 16) * 2}, {5, 4 * 25 * 2}} {
+		if got := SolveFromRowFlops(5, c.r0, 2); got != c.want {
+			t.Fatalf("SolveFromRowFlops(5, %d, 2) = %d, want %d", c.r0, got, c.want)
+		}
+	}
 }
 
 func TestQuickFormulasScale(t *testing.T) {

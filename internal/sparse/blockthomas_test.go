@@ -1,9 +1,11 @@
 package sparse_test
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 
@@ -212,6 +214,144 @@ func TestBlockThomasAdversarialShapes(t *testing.T) {
 	}
 }
 
+// blockResidual returns max |M·X − B| relative to max|M|·max|X| + max|B|,
+// M applied through its diagonal blocks and compressed couplings (all a
+// reduced system has): a backward-stable solve leaves it at rounding.
+func blockResidual(m *sparse.BlockTridiag, x, b []*linalg.Matrix) float64 {
+	var res, mm, xm, bm float64
+	for i := range x {
+		r := linalg.New(x[i].Rows, x[i].Cols)
+		linalg.GemmInto(r, 1, m.Diag[i], linalg.NoTrans, x[i], linalg.NoTrans, 0)
+		mm = max(mm, m.Diag[i].MaxAbs())
+		// r[rows] += c·from[src]
+		add := func(c *linalg.Matrix, rows, src []int, from *linalg.Matrix) {
+			in, out := linalg.New(len(src), from.Cols), linalg.New(len(rows), from.Cols)
+			sparse.GatherRows(in, from, src)
+			linalg.GemmInto(out, 1, c, linalg.NoTrans, in, linalg.NoTrans, 0)
+			sparse.ScatterAdd(r, out, rows, sparse.Range(0, from.Cols))
+			mm = max(mm, c.MaxAbs())
+		}
+		if i < len(x)-1 {
+			c := m.Coupling(i)
+			add(c.U, c.Rows, c.Cols, x[i+1])
+		}
+		if i > 0 {
+			c := m.Coupling(i - 1)
+			add(c.L, c.Cols, c.Rows, x[i-1])
+		}
+		res, xm, bm = max(res, r.Sub(b[i]).MaxAbs()), max(xm, x[i].MaxAbs()), max(bm, b[i].MaxAbs())
+	}
+	return res / (mm*xm + bm)
+}
+
+// TestSolveLastBitwise holds SolveLast — one forward sweep, each layer's
+// solve stopped at min R_i — to the last block of SolveBlocks bit for bit,
+// and its counted flops to BlockThomasFlops with those floors, on the
+// reduced open system of every T1 family under a gate-like potential (every
+// layer its own record) and on the corner shapes of
+// TestBlockThomasAdversarialShapes, at right-hand-side widths 1–6 random in
+// every layer. The families run at a generic energy and with Re z on
+// interior levels, where the guard keeps a layer whole and its interior
+// rows sit below S, under the floor's rows. SolveBlocks itself is held to
+// a rounding-sized residual, so a sweep both share cannot go wrong
+// unseen. One-line mutations it catches: the floor one row high (rows
+// differ) or low (flops differ), a forward-substitution row skipped, and
+// the last layer's solve dropped.
+func TestSolveLastBitwise(t *testing.T) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	rng := rand.New(rand.NewSource(31))
+	type system struct {
+		name string
+		m    *sparse.BlockTridiag
+	}
+	ragged := []window{{[]int{0, 2}, []int{1}}, {}, {[]int{1, 2, 3}, []int{0, 2}}}
+	cut := []window{{}, {rows: []int{}, cols: []int{}}, {}}
+	systems := []system{
+		{"nl = 1", randSystem(1, []int{5}, nil, nil)},
+		{"n = 1 chain", randSystem(3, []int{1, 1, 1, 1, 1, 1}, make([]window, 5), make([]window, 5))},
+		{"unequal layers, rectangular couplings", randSystem(4, []int{3, 2, 4, 3}, ragged, transposed(ragged))},
+		{"all-zero interior coupling", randSystem(6, []int{3, 3, 3, 3}, cut, cut)},
+	}
+	var whole int
+	for _, d := range device.BenchmarkSuite() {
+		h := deviceHamiltonian(t, d, 0, func(layer int) float64 { return 0.05 * float64(layer) })
+		c := openCase{d.Name, h, sparse.ColumnSupport(h.Upper[0]), sparse.RowSupport(h.Upper[h.Layers()-2])}
+		open, err := sparse.NewReducedSystem(h, c.left, c.right)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sigL, sigR := contactBlock(rng, len(c.left)), contactBlock(rng, len(c.right))
+		energies := []complex128{complex(0.41, 1e-6)}
+		levels := c.interiorLevels(t)
+		for j := 0; j < len(levels); j += max(1, len(levels)/4) {
+			energies = append(energies, complex(levels[j], 1e-8))
+		}
+		for _, z := range energies {
+			r := open.At(z, sigL, sigR, ws)
+			for i := 0; i < h.Layers(); i++ {
+				if r.A.LayerSize(i) > open.SupportSize(i) {
+					whole++
+				}
+			}
+			systems = append(systems, system{d.Name + " at " + fmt.Sprint(z), r.A})
+		}
+	}
+	if whole == 0 {
+		t.Fatal("no energy kept a layer whole; the adversarial case is vacuous")
+	}
+	var floored int
+	for _, s := range systems {
+		m, nl := s.m, s.m.Layers()
+		sizes, rows, cols, floors := make([]int, nl), make([]int, nl-1), make([]int, nl-1), make([]int, nl-1)
+		for i := range sizes {
+			sizes[i] = m.LayerSize(i)
+		}
+		for i := range rows {
+			c := m.Coupling(i)
+			rows[i], cols[i], floors[i] = len(c.Rows), len(c.Cols), m.LayerSize(i)
+			for _, r := range c.Rows {
+				floors[i] = min(floors[i], r)
+			}
+			if floors[i] > 0 {
+				floored++
+			}
+		}
+		for k := 1; k <= 6; k++ {
+			rhs := rhsOn(rng, m, k, sparse.Range(0, nl)...)
+			x, err := m.SolveBlocks(rhs, ws)
+			if err != nil {
+				t.Fatalf("%s: SolveBlocks: %v", s.name, err)
+			}
+			if res := blockResidual(m, x, rhs); !(res < 1e-12) {
+				t.Fatalf("%s, k = %d: SolveBlocks leaves a relative residual of %.3g", s.name, k, res)
+			}
+			perf.ResetFlops()
+			last, err := m.SolveLast(rhs, ws)
+			if err != nil {
+				t.Fatalf("%s: SolveLast: %v", s.name, err)
+			}
+			if got, want := perf.ResetFlops(), sparse.BlockThomasFlops(sizes, rows, cols, floors, k); got != want {
+				t.Errorf("%s, k = %d: SolveLast counted %d flops, the closed form with floors %v gives %d", s.name, k, got, floors, want)
+			}
+			want := x[nl-1]
+			if last.Rows != want.Rows || last.Cols != want.Cols {
+				t.Fatalf("%s, k = %d: SolveLast returned %d×%d, want %d×%d", s.name, k, last.Rows, last.Cols, want.Rows, want.Cols)
+			}
+			for j, w := range want.Data {
+				v := last.Data[j]
+				if math.Float64bits(real(v)) != math.Float64bits(real(w)) || math.Float64bits(imag(v)) != math.Float64bits(imag(w)) {
+					t.Fatalf("%s, k = %d: SolveLast element %d = %v, SolveBlocks' last block holds %v", s.name, k, j, v, w)
+				}
+			}
+		}
+	}
+	t.Logf("%d systems, %d layers kept whole, %d solves stopped above row 0", len(systems), whole, floored)
+	if floored == 0 {
+		t.Fatal("every floor is row 0; the floored solve is vacuous")
+	}
+}
+
 // TestConcurrentFirstFactor (run it under -race): 8 goroutines bring the
 // first factorizations to one fresh matrix at once. Its compressed couplings
 // are built exactly once — every goroutine reads the same ones — and each
@@ -270,9 +410,10 @@ func TestConcurrentFirstFactor(t *testing.T) {
 
 // TestBlockThomasFlopCount is the "flop totals exact" contract stated for
 // this kernel, the twin of negf's TestRGFFlopCount: the counted flops of one
-// SolveBlocks equal BlockThomasFlops — the closed form the machine model
-// charges — in the layer sizes n_i, the coupling supports |R_i| × |C_i| and
-// the right-hand-side width k.
+// SolveBlocks, and of one SolveLast, equal BlockThomasFlops — the closed form
+// the machine model charges — in the layer sizes n_i, the coupling supports
+// |R_i| × |C_i|, the right-hand-side width k and, for SolveLast, the floors
+// min R_i its solves stop at.
 func TestBlockThomasFlopCount(t *testing.T) {
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
@@ -305,15 +446,34 @@ func TestBlockThomasFlopCount(t *testing.T) {
 		if name == "sinw" && !(rows[0] > 0 && rows[0] < m.LayerSize(0) && cols[0] > 0 && cols[0] < rows[0]) {
 			t.Fatalf("sinw couples %d rows to %d columns of %d; the compressed case is vacuous", rows[0], cols[0], m.LayerSize(0))
 		}
-		for _, k := range []int{0, 1, 5} {
-			want := sparse.BlockThomasFlops(sizes, rows, cols, k)
-			rhs := rhsOn(rng, m, k, sparse.Range(0, nl)...)
-			perf.ResetFlops()
-			if _, err := m.SolveBlocks(rhs, ws); err != nil {
-				t.Fatal(err)
+		floors := make([]int, nl-1)
+		for i := range floors {
+			floors[i] = m.LayerSize(i)
+			if r := m.Coupling(i).Rows; len(r) > 0 {
+				floors[i] = slices.Min(r)
 			}
-			if got := perf.ResetFlops(); got != want {
-				t.Errorf("%s, k = %d: one solve counted %d flops, the closed form gives %d", name, k, got, want)
+		}
+		if name == "sinw" && !(floors[0] > 0) {
+			t.Fatalf("sinw's first coupling reads row %d on: the floored solve is vacuous", floors[0])
+		}
+		for _, k := range []int{0, 1, 5} {
+			rhs := rhsOn(rng, m, k, sparse.Range(0, nl)...)
+			for _, form := range []struct {
+				name   string
+				floors []int
+				solve  func() error
+			}{
+				{"SolveBlocks", nil, func() error { _, err := m.SolveBlocks(rhs, ws); return err }},
+				{"SolveLast", floors, func() error { _, err := m.SolveLast(rhs, ws); return err }},
+			} {
+				want := sparse.BlockThomasFlops(sizes, rows, cols, form.floors, k)
+				perf.ResetFlops()
+				if err := form.solve(); err != nil {
+					t.Fatal(err)
+				}
+				if got := perf.ResetFlops(); got != want {
+					t.Errorf("%s, k = %d: one %s counted %d flops, the closed form gives %d", name, k, form.name, got, want)
+				}
 			}
 		}
 	}

@@ -309,7 +309,7 @@ func TestReducedFlopCount(t *testing.T) {
 						ws.Put(r.Interior(i, x[i], ws))
 					}
 				}
-				want := sparse.ReducedFlops(sizes, sups, shared, len(c.left), len(c.right), k, density) + sparse.BlockThomasFlops(sups, rows, cols, k)
+				want := sparse.ReducedFlops(sizes, sups, shared, len(c.left), len(c.right), k, density) + sparse.BlockThomasFlops(sups, rows, cols, nil, k)
 				if got := perf.ResetFlops(); got != want {
 					t.Errorf("%s z=%v density %v: one reduced solve counted %d flops, the closed form gives %d", c.name, z, density, got, want)
 				}

@@ -8,99 +8,62 @@ import (
 )
 
 // SolveBlocks solves M·X = B for a block right-hand side given per layer
-// (rhs[i] is LayerSize(i)×k, possibly zero-filled), using the block Thomas
-// algorithm: one forward elimination over the layer stack and one back
-// substitution. This is the serial direct solver at the heart of the
-// wave-function formalism; its cost is one block LU plus a handful of
-// block products per layer, against the several products per layer of the
-// full RGF pass. The factorization is used once and thrown away: its
-// pivots, the d̃ᵢ factors, the d̃ᵢ⁻¹·Uᵢ couplings and the solution blocks
-// are all ws scratch, and the solve allocates only three layer-count
-// slices. The returned blocks are valid until ws is released.
+// (rhs[i] is LayerSize(i)×k, possibly zero-filled): SolveLast's forward
+// sweep with every layer solved whole, then the back substitution
+// x_i = y_i − d̃_i⁻¹·U_i[:, C]·x_{i+1}[C, :]. The blocks are ws scratch,
+// valid until ws is released.
 func (m *BlockTridiag) SolveBlocks(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
-	piv := ws.GetInts(m.N())
-	defer ws.PutInts(piv)
-	var f btdFactor
-	if err := f.factor(m, piv, ws); err != nil {
+	l := m.Layers()
+	x, dU := make([]*linalg.Matrix, l), make([]*linalg.Matrix, l-1)
+	last, err := m.sweep(rhs, ws, x, dU)
+	if err != nil {
 		return nil, err
 	}
-	return f.solve(rhs, ws)
+	x[l-1] = last
+	cps := m.couplings()
+	for i := l - 2; i >= 0; i-- {
+		xC := ws.Get(len(cps[i].Cols), x[i].Cols)
+		GatherRows(xC, x[i+1], cps[i].Cols)
+		linalg.GemmInto(x[i], -1, dU[i], linalg.NoTrans, xC, linalg.NoTrans, 1)
+		ws.Put(xC)
+	}
+	return x, nil
+}
+
+// SolveLast returns SolveBlocks' last block, bit for bit — all a
+// transmission reads: forward elimination leaves it final, and each earlier
+// layer's solve stops at the first row the next reads. ws scratch, as there.
+func (m *BlockTridiag) SolveLast(rhs []*linalg.Matrix, ws *linalg.Workspace) (*linalg.Matrix, error) {
+	return m.sweep(rhs, ws, nil, nil)
 }
 
 // BlockThomasFlops returns the flops one SolveBlocks counts at width k on
 // layers of sizes sizes whose coupling i has |Rows| = rows[i], |Cols| =
-// cols[i] (a dense coupling: both layers whole).
-func BlockThomasFlops(sizes, rows, cols []int, k int) int64 {
-	var f int64
-	for i, n := range sizes {
-		f += perf.LUFlops(n) + perf.SolveFlops(n, k) // d̃_i's LU, solved against the k columns
-		if i > 0 {
-			// d̃⁻¹·U[:, C], the fold onto C × C, forward elimination, back substitution.
-			m, r, c := sizes[i-1], rows[i-1], cols[i-1]
-			f += perf.SolveFlops(m, c) + perf.GemmFlops(c, r, c) + int64(c*c)*perf.FlopsCAdd +
-				perf.GemmFlops(c, r, k) + perf.GemmFlops(m, c, k)
+// cols[i] (a dense coupling: both layers whole); non-nil floors gives
+// SolveLast's, layer i's solve stopped at row floors[i] = min R_i.
+func BlockThomasFlops(sizes, rows, cols, floors []int, k int) int64 {
+	l := len(sizes)
+	f := perf.LUFlops(sizes[l-1]) + perf.SolveFlops(sizes[l-1], k)
+	for i, n := range sizes[:l-1] {
+		// LU, the solve of [b̃_i | U_i[:, C]], fold, elimination, back substitution.
+		r, c := rows[i], cols[i]
+		f += perf.LUFlops(n) + perf.GemmFlops(c, r, c) + int64(c*c)*perf.FlopsCAdd + perf.GemmFlops(c, r, k)
+		if floors != nil {
+			f += perf.SolveFromRowFlops(n, floors[i], k+c)
+		} else {
+			f += perf.SolveFlops(n, k+c) + perf.GemmFlops(n, c, k)
 		}
 	}
 	return f
 }
 
-// btdFactor is the block-Thomas factorization of a block-tridiagonal
-// matrix: the per-layer pivot factorizations and the eliminated coupling
-// products, after which Solve costs only triangular solves and block
-// products. The recurrence runs in the couplings' support space (DESIGN.md §11): the
-// LU of d̃_i is a layer's one n×n operation, and a dense coupling is the
-// same code with its supports the whole layers.
-type btdFactor struct {
-	m    *BlockTridiag
-	facs []linalg.LU
-	// dU[i] caches d̃_i⁻¹·U_i[:, C_i], n_i × |C_i|, for the back substitution.
-	dU []*linalg.Matrix
-}
-
-// factor runs the block-Thomas factorization of m into f. piv, of length
-// m.N(), receives the pivot rows of all layers; every block comes from ws.
-func (f *btdFactor) factor(m *BlockTridiag, piv []int, ws *linalg.Workspace) error {
-	l := m.Layers()
-	cps := m.couplings()
-	*f = btdFactor{m: m, facs: make([]linalg.LU, l), dU: make([]*linalg.Matrix, l-1)}
-	for i := 0; i < l; i++ {
-		n := m.LayerSize(i)
-		d := ws.Get(n, n)
-		d.CopyFrom(m.Diag[i])
-		if i > 0 {
-			// dU_{i-1} = d̃_{i-1}⁻¹·U_{i-1}[:, C]: the nonzero columns of
-			// the coupling, laid out in the block that is solved in place.
-			c := &cps[i-1]
-			dU := ws.Get(m.LayerSize(i-1), len(c.Cols))
-			ScatterRows(dU, c.U, c.Rows)
-			f.facs[i-1].SolveInPlace(dU)
-			f.dU[i-1] = dU
-			// d̃_i = D_i − L_{i-1}·d̃_{i-1}⁻¹·U_{i-1}, whose second term
-			// lives on C × C and reads only the rows R of dU.
-			dUR := ws.Get(len(c.Rows), len(c.Cols))
-			GatherRows(dUR, dU, c.Rows)
-			fold := ws.Get(len(c.Cols), len(c.Cols))
-			linalg.GemmInto(fold, -1, c.L, linalg.NoTrans, dUR, linalg.NoTrans, 0)
-			ScatterAdd(d, fold, c.Cols, c.Cols)
-			ws.Put(fold)
-			ws.Put(dUR)
-		}
-		var err error
-		f.facs[i], err = linalg.FactorInPlace(d, piv[:n])
-		if err != nil {
-			return fmt.Errorf("sparse: block Thomas pivot %d: %w", i, err)
-		}
-		piv = piv[n:]
-	}
-	return nil
-}
-
-// solve solves M·X = B against the stored factorization. The returned
-// blocks are ws scratch, valid until ws is released; forward elimination
-// and back substitution accumulate directly into them through the fused
-// GEMM kernel.
-func (f *btdFactor) solve(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg.Matrix, error) {
-	m := f.m
+// sweep runs the forward block-Thomas elimination in the couplings' support
+// space (DESIGN.md §11) and returns x_{l−1}. Layer i folds L·d̃⁻¹·U of the
+// layer before into d̃_i on C × C, factors it and solves [b̃_i | U_i[:, C]]
+// in one LU solve, columns independent bit for bit. The next layer reads
+// rows R_i alone: with x nil the back sweep stops at min R_i, wherever they
+// sit; otherwise it runs whole and x[i], dU[i] keep both blocks.
+func (m *BlockTridiag) sweep(rhs []*linalg.Matrix, ws *linalg.Workspace, x, dU []*linalg.Matrix) (*linalg.Matrix, error) {
 	l := m.Layers()
 	if len(rhs) != l {
 		return nil, fmt.Errorf("sparse: SolveBlocks got %d RHS blocks for %d layers", len(rhs), l)
@@ -108,37 +71,74 @@ func (f *btdFactor) solve(rhs []*linalg.Matrix, ws *linalg.Workspace) ([]*linalg
 	k := rhs[0].Cols
 	for i, b := range rhs {
 		if b.Rows != m.LayerSize(i) || b.Cols != k {
-			return nil, fmt.Errorf("sparse: RHS block %d is %dx%d, want %dx%d",
-				i, b.Rows, b.Cols, m.LayerSize(i), k)
+			return nil, fmt.Errorf("sparse: RHS block %d is %dx%d, want %dx%d", i, b.Rows, b.Cols, m.LayerSize(i), k)
 		}
 	}
+	piv := ws.GetInts(m.N())
+	defer ws.PutInts(piv)
 	cps := m.couplings()
-	// Forward elimination, with the eliminated RHS solved layer by layer:
-	// y_i = d̃_i⁻¹·(b_i − L_{i-1}·y_{i-1}), held in the output slot; the
-	// product touches rows C of b_i and reads rows R of y_{i-1}.
-	x := make([]*linalg.Matrix, l)
-	for i := 0; i < l; i++ {
-		x[i] = ws.Get(m.LayerSize(i), k)
-		x[i].CopyFrom(rhs[i])
-		if i > 0 {
-			c := &cps[i-1]
-			yR := ws.Get(len(c.Rows), k)
-			GatherRows(yR, x[i-1], c.Rows)
-			bC := ws.Get(len(c.Cols), k)
-			GatherRows(bC, x[i], c.Cols)
-			linalg.GemmInto(bC, -1, c.L, linalg.NoTrans, yR, linalg.NoTrans, 1)
-			ScatterRows(x[i], bC, c.Cols)
-			ws.Put(bC)
-			ws.Put(yR)
+	var yR, dUR *linalg.Matrix // rows R_{i−1} of y_{i−1} and d̃_{i−1}⁻¹·U_{i−1}[:, C]
+	for i := 0; ; i++ {
+		n, w := m.LayerSize(i), k
+		if i < l-1 {
+			w += len(cps[i].Cols)
 		}
-		f.facs[i].SolveInPlace(x[i])
+		d, blk := ws.Get(n, n), ws.Get(n, w)
+		d.CopyFrom(m.Diag[i])
+		moveCols(blk, rhs[i], nil, 0, true)
+		if i > 0 {
+			p := &cps[i-1]
+			fold, bC := ws.Get(len(p.Cols), len(p.Cols)), ws.Get(len(p.Cols), k)
+			linalg.GemmInto(fold, -1, p.L, linalg.NoTrans, dUR, linalg.NoTrans, 0)
+			ScatterAdd(d, fold, p.Cols, p.Cols)
+			moveCols(blk, bC, p.Cols, 0, false)
+			linalg.GemmInto(bC, -1, p.L, linalg.NoTrans, yR, linalg.NoTrans, 1)
+			moveCols(blk, bC, p.Cols, 0, true)
+			for _, b := range []*linalg.Matrix{bC, fold, dUR, yR} {
+				ws.Put(b)
+			}
+		}
+		lu, err := linalg.FactorInPlace(d, piv[:n])
+		if err != nil {
+			return nil, fmt.Errorf("sparse: block Thomas pivot %d: %w", i, err)
+		}
+		if i == l-1 {
+			lu.SolveInPlace(blk)
+			return blk, nil
+		}
+		c, r0 := &cps[i], 0
+		moveCols(blk, c.U, c.Rows, k, true)
+		if x == nil {
+			r0 = n
+			for _, r := range c.Rows {
+				r0 = min(r0, r)
+			}
+		}
+		lu.SolveFromRow(blk, r0)
+		ws.Put(d)
+		yR, dUR = ws.Get(len(c.Rows), k), ws.Get(len(c.Rows), len(c.Cols))
+		moveCols(blk, yR, c.Rows, 0, false)
+		moveCols(blk, dUR, c.Rows, k, false)
+		if x != nil {
+			x[i], dU[i] = ws.Get(n, k), ws.Get(n, len(c.Cols))
+			moveCols(blk, x[i], nil, 0, false)
+			moveCols(blk, dU[i], nil, k, false)
+		}
+		ws.Put(blk)
 	}
-	// Back substitution: x_i = y_i − d̃_i⁻¹·U_i[:, C]·x_{i+1}[C, :].
-	for i := l - 2; i >= 0; i-- {
-		xC := ws.Get(len(cps[i].Cols), k)
-		GatherRows(xC, x[i+1], cps[i].Cols)
-		linalg.GemmInto(x[i], -1, f.dU[i], linalg.NoTrans, xC, linalg.NoTrans, 1)
-		ws.Put(xC)
+}
+
+// moveCols copies b into blk[rows, j0:] when put, out of it otherwise.
+func moveCols(blk, b *linalg.Matrix, rows []int, j0 int, put bool) {
+	for a := 0; a < b.Rows; a++ {
+		r := a
+		if rows != nil {
+			r = rows[a]
+		}
+		dst, src := b.Data[a*b.Cols:(a+1)*b.Cols], blk.Data[r*blk.Cols+j0:]
+		if put {
+			dst, src = src[:b.Cols], dst
+		}
+		copy(dst, src)
 	}
-	return x, nil
 }

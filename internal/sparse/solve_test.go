@@ -49,12 +49,16 @@ func TestBlockThomasErrors(t *testing.T) {
 	for _, c := range cases {
 		ws := linalg.GetWorkspace()
 		x, err := c.m.SolveBlocks(c.rhs, ws)
+		last, lastErr := c.m.SolveLast(c.rhs, ws)
 		ws.Release()
 		if err == nil || err.Error() != c.want {
 			t.Fatalf("%s: SolveBlocks error %v, want %q", c.name, err, c.want)
 		}
-		if x != nil {
-			t.Errorf("%s: SolveBlocks returned blocks alongside an error", c.name)
+		if lastErr == nil || lastErr.Error() != c.want {
+			t.Fatalf("%s: SolveLast error %v, want %q", c.name, lastErr, c.want)
+		}
+		if x != nil || last != nil {
+			t.Errorf("%s: a solve returned blocks alongside an error", c.name)
 		}
 		if errors.Is(err, linalg.ErrSingular) != c.singular {
 			t.Errorf("%s: errors.Is(err, ErrSingular) = %v, want %v", c.name, !c.singular, c.singular)

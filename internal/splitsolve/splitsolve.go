@@ -296,7 +296,7 @@ func Flops(sizes, rows, cols []int, k, p int) (domains []int64, reduced int64) {
 			spikes += cols[hi-1]
 			coupled[d] = min(group[d], filled[d]+rows[hi-1])
 		}
-		domains[d] = sparse.BlockThomasFlops(sizes[lo:hi], rows[lo:hi-1], cols[lo:hi-1], k+spikes)
+		domains[d] = sparse.BlockThomasFlops(sizes[lo:hi], rows[lo:hi-1], cols[lo:hi-1], nil, k+spikes)
 		for _, n := range sizes[lo:hi] {
 			domains[d] += perf.GemmFlops(n, spikes, k) // stage 3
 		}
@@ -305,7 +305,7 @@ func Flops(sizes, rows, cols []int, k, p int) (domains []int64, reduced int64) {
 	if p == 1 {
 		return domains, 0
 	}
-	return domains, reduced + sparse.BlockThomasFlops(group, coupled, filled[1:], k)
+	return domains, reduced + sparse.BlockThomasFlops(group, coupled, filled[1:], nil, k)
 }
 
 // InterfaceRank returns the largest coupling-column count between

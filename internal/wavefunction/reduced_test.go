@@ -337,7 +337,7 @@ func TestWFDensityFlopCount(t *testing.T) {
 		}
 		width := k[0] + k[1]
 		want := perf.ResetFlops() + sparse.ReducedFlops(sizes, kept, shared, cG, rG, width, true) +
-			sparse.BlockThomasFlops(kept, rows, cols, width) +
+			sparse.BlockThomasFlops(kept, rows, cols, nil, width) +
 			perf.GemmFlops(rG, rG, k[0]) + int64(rG*k[0])*perf.FlopsCMulAdd
 		for _, n := range sizes {
 			want += int64(n*width) * 2 * perf.FlopsCAdd
@@ -347,6 +347,83 @@ func TestWFDensityFlopCount(t *testing.T) {
 		}
 		if got := perf.ResetFlops(); got != want {
 			t.Errorf("E=%v: one density solve counted %d flops, the closed form gives %d", e, got, want)
+		}
+	}
+}
+
+// TestWFTransmissionFlopCount is the twin of TestWFDensityFlopCount for the
+// transmission solve: one solve without density, its Σ a cache hit, counts
+// both broadenings and the left injection's eigensolve (run here),
+// sparse.ReducedFlops without the interior at width k_L, BlockThomasFlops on
+// the reduced layers with every layer's solve stopped at the first row the
+// next reads (min R_i) and no back substitution, and the Caroli contraction
+// on R_Γ. AGNR-7 under the sinusoidal potential runs at a generic energy and
+// with Re z on an interior level, where a layer kept whole is counted.
+func TestWFTransmissionFlopCount(t *testing.T) {
+	d := device.BenchmarkSuite()[5] // AGNR-7
+	h := familyUnderPotential(t, d)
+	s, err := NewSolver(h, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cache = negf.NewSelfEnergyCache()
+	levels := interiorLevels(t, s)
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	nl := h.Layers()
+	for _, e := range []float64{0.9, levels[len(levels)/2]} {
+		if _, err := s.Solve(e, false); err != nil { // warms Σ and builds the reduced system
+			t.Fatal(err)
+		}
+		z := complex(e, s.Eta)
+		sigL, sigR, err := negf.CachedSelfEnergies(s.Cache, s.Leads, z)
+		if err != nil {
+			t.Fatal(err)
+		}
+		red := s.open.At(z, sigL, sigR, ws)
+		cG, rG := len(s.open.LeftContact()), len(s.open.RightContact())
+		sizes, kept, shared := make([]int, nl), make([]int, nl), make([]bool, nl)
+		rows, cols, floors := make([]int, nl-1), make([]int, nl-1), make([]int, nl-1)
+		var whole, floored int
+		for i := range sizes {
+			sizes[i], kept[i] = h.LayerSize(i), red.A.LayerSize(i)
+			if kept[i] > s.open.SupportSize(i) {
+				whole++
+			}
+			for j := 0; j < i; j++ {
+				shared[i] = shared[i] || slices.Equal(layerSupport(s, i), layerSupport(s, j)) && sparse.SameBits(h.Diag[i], h.Diag[j])
+			}
+			if i < nl-1 {
+				c := red.A.Coupling(i)
+				rows[i], cols[i], floors[i] = len(c.Rows), len(c.Cols), slices.Min(c.Rows)
+				if floors[i] > 0 {
+					floored++
+				}
+			}
+		}
+		if e != 0.9 && whole == 0 {
+			t.Fatalf("E=%v on an interior level kept no layer whole; the case is vacuous", e)
+		}
+		if floored == 0 {
+			t.Fatalf("E=%v: every layer's solve runs from row 0; the floored case is vacuous", e)
+		}
+		perf.ResetFlops()
+		gamL, gamR := ws.Get(sigL.Rows, sigL.Cols), ws.Get(sigR.Rows, sigR.Cols)
+		negf.BroadeningInto(gamL, sigL)
+		negf.BroadeningInto(gamR, sigR)
+		w, err := injectionVectors(gamL, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kL := w.Cols
+		want := perf.ResetFlops() + sparse.ReducedFlops(sizes, kept, shared, cG, rG, kL, false) +
+			sparse.BlockThomasFlops(kept, rows, cols, floors, kL) +
+			perf.GemmFlops(rG, rG, kL) + int64(rG*kL)*perf.FlopsCMulAdd
+		if _, err := s.Solve(e, false); err != nil {
+			t.Fatal(err)
+		}
+		if got := perf.ResetFlops(); got != want {
+			t.Errorf("E=%v: one transmission solve counted %d flops, the closed form gives %d", e, got, want)
 		}
 	}
 }

@@ -153,16 +153,25 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	// Transmission reads the last layer's block alone: one forward sweep.
+	// Density reads every layer, and SplitSolve solves every layer anyway.
 	var x []*linalg.Matrix
+	var last *linalg.Matrix
 	stop := perf.StartPhase("wf-solve")
-	if s.Domains > 1 {
+	switch {
+	case s.Domains > 1:
 		x, err = splitsolve.Solve(ctx, a, rhs, s.Domains, s.Pool)
-	} else {
+	case density:
 		x, err = a.SolveBlocks(rhs, ws)
+	default:
+		last, err = a.SolveLast(rhs, ws)
 	}
 	stop()
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: open-boundary solve: %w", err)
+	}
+	if x != nil {
+		last = x[nl-1]
 	}
 
 	// T = Tr[Γ_R·G·Γ_L·G†] = Σᵢ (G·wᵢ)†·Γ_R·(G·wᵢ) on the right contact's
@@ -170,7 +179,7 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	// materialized: r_Γ-sized.
 	gw := ws.Get(len(posR), kL)
 	for p, row := range posR {
-		copy(gw.Data[p*kL:(p+1)*kL], x[nl-1].Data[row*width:row*width+kL])
+		copy(gw.Data[p*kL:(p+1)*kL], last.Data[row*width:row*width+kL])
 	}
 	ggw := ws.Get(len(posR), kL)
 	linalg.MulInto(ggw, gamR, linalg.NoTrans, gw, linalg.NoTrans)
