@@ -114,7 +114,7 @@ portable-kernels:
 # resume, torn group commits, the coordinator's commit pipeline and
 # quarantine drills, under the race detector.
 faults:
-	$(GO) test -race -run 'Fault|Drill|Resum|Quarantine|Panic|Journal|Injector|Retr|Backoff|Classify|Timeout|Commit|Torn|Drain' \
+	$(GO) test -race -run 'Fault|Drill|Resum|Quarantine|Panic|Journal|Injector|Retr|Backoff|Classify|Timeout|Commit|Torn|Drain|LeaseTable' \
 		./internal/resilience/ ./internal/sched/ ./internal/cluster/ ./internal/transport/ ./internal/core/ ./internal/distrib/ ./internal/run/
 
 # Every fuzz target in the repo, five seconds each. `go test -fuzz`

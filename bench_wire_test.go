@@ -38,9 +38,8 @@ func runWireSweep(b *testing.B, coord distrib.Options, work distrib.WorkerOption
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Heartbeats out of the measurement window: the comparison is pure
-	// lease/result protocol.
-	coord.HeartbeatEvery = time.Minute
+	// A minute's lease puts the heartbeats (every 5 s) out of the
+	// measurement window: the comparison is pure lease/result protocol.
 	coord.LeaseTimeout = time.Minute
 	type serveRes struct {
 		rep *distrib.Report

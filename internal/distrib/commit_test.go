@@ -327,34 +327,20 @@ func TestCommitJournalErrorFailsRun(t *testing.T) {
 func TestCommitEchoInWinnersGroup(t *testing.T) {
 	const total = 2
 	journal := &cluster.MemJournal{}
-	c := &coordinator{
-		opts:  Options{Journal: journal}.withDefaults(),
-		nBias: 1, nK: 1, nE: total,
-		total:     total,
-		st:        make([]taskState, total),
-		shards:    [][]int{{0, 1}},
-		remaining: total,
-		workers:   make(map[string]*workerState),
-		done:      make(chan struct{}),
-	}
-	slow := &workerState{id: "slow", leased: make(map[int]bool)}
-	fast := &workerState{id: "fast", leased: make(map[int]bool)}
-	c.workers[slow.id], c.workers[fast.id] = slow, fast
-	c.grant(slow, 1)
-	c.mu.Lock()
-	c.reclaimExpiredLocked(time.Now().Add(2 * c.opts.LeaseTimeout))
-	c.mu.Unlock()
-	if lease, _, _ := c.grant(fast, 1); !reflect.DeepEqual(lease.Tasks, []int{1}) {
-		t.Fatalf("fast leased %v, want task 1 (task 0 is requeued behind it)", lease.Tasks)
+	c := newCoordinator(1, 1, total, Options{Journal: journal}.withDefaults(), make([]bool, total))
+	slow, fast := c.table.join("slow"), c.table.join("fast")
+	now := time.Unix(0, 0)
+	c.table.grant(slow, 1, now)
+	c.table.expire(now.Add(2 * c.opts.LeaseTimeout))
+	if tasks, _, _ := c.table.grant(fast, 1, now); !reflect.DeepEqual(tasks, []int{1}) {
+		t.Fatalf("fast leased %v, want task 1 (task 0 is requeued behind it)", tasks)
 	}
 	c.commit([]upload{
-		{w: fast, results: []resultMsg{{Task: 0, Payload: encodeVal(valFor(0)), Perf: perf.Snapshot{Flops: 5}}}},
-		{w: slow, results: []resultMsg{{Task: 0, Payload: encodeVal(valFor(0)), Perf: perf.Snapshot{Flops: 7}}}},
+		{worker: fast.id, results: []resultMsg{{Task: 0, Payload: encodeVal(valFor(0)), Perf: perf.Snapshot{Flops: 5}}}},
+		{worker: slow.id, results: []resultMsg{{Task: 0, Payload: encodeVal(valFor(0)), Perf: perf.Snapshot{Flops: 7}}}},
 	})
 	rep := &Report{Sweep: &cluster.SweepReport{Total: total}}
-	c.mu.Lock()
 	c.fill(rep)
-	c.mu.Unlock()
 	if journal.Len() != 1 || rep.Sweep.Completed != 1 || rep.Perf.Flops != 5 {
 		t.Fatalf("winner and echo in one group: %d records, %d completed, %d flops; want 1, 1 and the winner's 5",
 			journal.Len(), rep.Sweep.Completed, rep.Perf.Flops)
@@ -366,11 +352,10 @@ func TestCommitEchoInWinnersGroup(t *testing.T) {
 
 // TestCommitSweepEndsWithoutSleeping: the end of a sweep is signaled, not
 // polled for. One worker is still inside the last task when the other runs
-// dry, so the idle one's lease request parks; with RetryAfter at 2 s the
-// run can only return promptly if the park is answered by the last commit
-// and Serve's wait for the goodbyes by the workers' leaving. One result
-// per frame makes the counters' bound exact: a group holds at least one
-// frame.
+// dry, so the idle one's lease request parks until the last commit
+// answers it (TestLeaseTableWakesParkedGrants pins that wake without a
+// clock). One result per frame makes the counters' bound exact: a group
+// holds at least one frame.
 func TestCommitSweepEndsWithoutSleeping(t *testing.T) {
 	const nBias, nK, nE = 1, 1, 64
 	total := nBias * nK * nE
@@ -381,10 +366,7 @@ func TestCommitSweepEndsWithoutSleeping(t *testing.T) {
 	}
 	res := newResults(nBias, nK, nE)
 	journal := &cluster.MemJournal{}
-	start := time.Now()
-	ch := serveAsync(context.Background(), lis, nBias, nK, nE, Options{
-		Journal: journal, Restore: res.restore, RetryAfter: 2 * time.Second,
-	})
+	ch := serveAsync(context.Background(), lis, nBias, nK, nE, Options{Journal: journal, Restore: res.restore})
 	lastTask := func(idx int) error {
 		if idx == total-1 {
 			time.Sleep(50 * time.Millisecond)
@@ -404,9 +386,6 @@ func TestCommitSweepEndsWithoutSleeping(t *testing.T) {
 	}
 	rep := waitServe(t, ch)
 	wg.Wait()
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("a no-op sweep took %v with RetryAfter at 2 s: the run's end was slept through", elapsed)
-	}
 	checkValues(t, res, nil)
 	records, syncs := rep.Perf.Counters["journal-records"], rep.Perf.Counters["journal-syncs"]
 	if records != int64(total) || records != int64(rep.Sweep.Completed) {
@@ -418,8 +397,11 @@ func TestCommitSweepEndsWithoutSleeping(t *testing.T) {
 }
 
 // TestCommitParkedLeaseWokenByRequeue: a lease request that finds every
-// task leased elsewhere waits on the coordinator and is granted the moment
-// the holder's death requeues its tasks — not after the 2 s RetryAfter.
+// task leased elsewhere parks on the coordinator, and the holder's death
+// requeues its tasks to it. The parked request may time out into an empty
+// lease first, which the peer answers by asking again at once, as
+// RunWorker does; that the wake itself is immediate is
+// TestLeaseTableWakesParkedGrants' to pin.
 func TestCommitParkedLeaseWokenByRequeue(t *testing.T) {
 	const nBias, nK, nE = 1, 1, 4
 	total := nBias * nK * nE
@@ -429,23 +411,20 @@ func TestCommitParkedLeaseWokenByRequeue(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := newResults(nBias, nK, nE)
-	ch := serveAsync(context.Background(), lis, nBias, nK, nE, Options{
-		Restore: res.restore, RetryAfter: 2 * time.Second,
-	})
+	ch := serveAsync(context.Background(), lis, nBias, nK, nE, Options{Restore: res.restore})
 	holder := dialRaw(t, lb, "coord", "holder", nBias, nK, nE)
 	if lease, _ := holder.lease(total); len(lease.Tasks) != total {
 		t.Fatalf("holder leased %v, want all %d tasks", lease.Tasks, total)
 	}
 	parked := dialRaw(t, lb, "coord", "parked", nBias, nK, nE)
 	parked.request(total)
-	start := time.Now()
 	holder.cd.Close()
 	lease, done := parked.reply()
+	for !done && len(lease.Tasks) == 0 {
+		lease, done = parked.lease(total)
+	}
 	if done || len(lease.Tasks) != total {
 		t.Fatalf("parked request answered with %v (done=%v), want the %d requeued tasks", lease.Tasks, done, total)
-	}
-	if waited := time.Since(start); waited > time.Second {
-		t.Fatalf("parked request waited %v for requeued tasks; RetryAfter is 2 s", waited)
 	}
 	parked.upload(lease.Tasks...)
 	parked.finish(total)

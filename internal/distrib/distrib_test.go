@@ -162,11 +162,11 @@ func serialFlops(total int, skip map[int]bool) int64 {
 
 // commitOne runs one result through the committer as a group of its own
 // and returns the failure it recorded, if any.
-func commitOne(c *coordinator, w *workerState, res resultMsg) error {
-	c.commit([]upload{{w: w, results: []resultMsg{res}}})
+func commitOne(c *coordinator, worker string, res resultMsg) error {
+	c.commit([]upload{{worker: worker, results: []resultMsg{res}}})
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.failure
+	return c.table.failure
 }
 
 // TestDistributedMatchesLocal is the baseline: a fault-free 3-worker run
@@ -347,7 +347,6 @@ func TestStragglerRedispatch(t *testing.T) {
 		Journal:      journal,
 		Restore:      res.restore,
 		LeaseTimeout: 50 * time.Millisecond,
-		RetryAfter:   10 * time.Millisecond,
 	})
 
 	started := make(chan struct{})
@@ -405,73 +404,56 @@ func TestStragglerRedispatch(t *testing.T) {
 func TestStaleQueueEntryNotRegranted(t *testing.T) {
 	const total = 3
 	journal := &cluster.MemJournal{}
-	c := &coordinator{
-		opts:  Options{}.withDefaults(),
-		nBias: 1, nK: 1, nE: total,
-		total:     total,
-		st:        make([]taskState, total),
-		shards:    [][]int{{0, 1, 2}},
-		remaining: total,
-		workers:   make(map[string]*workerState),
-		done:      make(chan struct{}),
-	}
-	c.opts.Journal = journal
-	straggler := &workerState{id: "straggler", leased: make(map[int]bool)}
-	fresh := &workerState{id: "fresh", leased: make(map[int]bool)}
-	c.workers[straggler.id] = straggler
-	c.workers[fresh.id] = fresh
+	c := newCoordinator(1, 1, total, Options{Journal: journal}.withDefaults(), make([]bool, total))
+	tb := c.table
+	straggler, fresh := tb.join("straggler"), tb.join("fresh")
+	now := time.Unix(0, 0)
 
-	lease, over, _ := c.grant(straggler, 2)
+	tasks, over, _ := tb.grant(straggler, 2, now)
 	if over {
 		t.Fatal("grant dismissed the straggler with tasks still pending")
 	}
-	if len(lease.Tasks) != 2 {
-		t.Fatalf("granted %v, want 2 tasks", lease.Tasks)
+	if len(tasks) != 2 {
+		t.Fatalf("granted %v, want 2 tasks", tasks)
 	}
 	// The lease expires: tasks 0 and 1 go back to the queue behind task 2.
-	c.mu.Lock()
-	c.reclaimExpiredLocked(time.Now().Add(2 * c.opts.LeaseTimeout))
-	c.mu.Unlock()
+	tb.expire(now.Add(2 * c.opts.LeaseTimeout))
 	// The straggler reports task 0 anyway, and its result wins.
-	if err := commitOne(c, straggler, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
+	if err := commitOne(c, straggler.id, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
 		t.Fatalf("straggler result: %v", err)
 	}
 	// A fresh worker asks for everything: it must get tasks 2 and 1, never
 	// the finished task 0 whose queue entry is now stale.
-	lease, over, _ = c.grant(fresh, total)
+	tasks, over, _ = tb.grant(fresh, total, now)
 	if over {
 		t.Fatal("grant dismissed the fresh worker with tasks still pending")
 	}
-	for _, idx := range lease.Tasks {
+	for _, idx := range tasks {
 		if idx == 0 {
-			t.Fatalf("grant re-leased finished task 0 (lease %v)", lease.Tasks)
+			t.Fatalf("grant re-leased finished task 0 (lease %v)", tasks)
 		}
 	}
-	if len(lease.Tasks) != 2 {
-		t.Fatalf("granted %v, want the 2 unfinished tasks", lease.Tasks)
+	if len(tasks) != 2 {
+		t.Fatalf("granted %v, want the 2 unfinished tasks", tasks)
 	}
-	c.mu.Lock()
-	if c.st[0].phase != stateDone {
-		t.Fatalf("task 0 phase = %d, want stateDone", c.st[0].phase)
+	if tb.st[0].phase != stateDone {
+		t.Fatalf("task 0 phase = %d, want stateDone", tb.st[0].phase)
 	}
-	if c.remaining != total-1 {
-		t.Fatalf("remaining = %d, want %d", c.remaining, total-1)
+	if tb.remaining != total-1 {
+		t.Fatalf("remaining = %d, want %d", tb.remaining, total-1)
 	}
-	c.mu.Unlock()
 	// A late duplicate for task 0 (say the re-dispatch raced after all)
 	// must be a no-op: no extra journal record, no remaining decrement.
-	if err := commitOne(c, fresh, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
+	if err := commitOne(c, fresh.id, resultMsg{Task: 0, Payload: encodeVal(valFor(0))}); err != nil {
 		t.Fatalf("duplicate result: %v", err)
 	}
 	if journal.Len() != 1 {
 		t.Fatalf("journal has %d records for task 0, want exactly 1", journal.Len())
 	}
-	c.mu.Lock()
-	if c.remaining != total-1 || c.completed != 1 {
+	if tb.remaining != total-1 || tb.completed != 1 {
 		t.Fatalf("remaining = %d, completed = %d after duplicate, want %d and 1",
-			c.remaining, c.completed, total-1)
+			tb.remaining, tb.completed, total-1)
 	}
-	c.mu.Unlock()
 }
 
 // TestQuarantineDistributed routes a permanently failing task through the

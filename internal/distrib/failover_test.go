@@ -253,41 +253,28 @@ func TestGracefulDrain(t *testing.T) {
 func TestEpochFenceDiscardsStaleResults(t *testing.T) {
 	const total = 2
 	journal := &cluster.MemJournal{}
-	c := &coordinator{
-		opts:  Options{Epoch: 2}.withDefaults(),
-		nBias: 1, nK: 1, nE: total,
-		total:     total,
-		st:        make([]taskState, total),
-		shards:    [][]int{{0, 1}},
-		remaining: total,
-		workers:   make(map[string]*workerState),
-		done:      make(chan struct{}),
-	}
-	c.opts.Journal = journal
-	w := &workerState{id: "ghost", leased: make(map[int]bool)}
-	c.workers[w.id] = w
-	lease, over, _ := c.grant(w, total)
-	if over || len(lease.Tasks) != total {
-		t.Fatalf("grant = %v over=%v, want both tasks", lease.Tasks, over)
+	c := newCoordinator(1, 1, total, Options{Epoch: 2, Journal: journal}.withDefaults(), make([]bool, total))
+	w := c.table.join("ghost")
+	tasks, over, _ := c.table.grant(w, total, time.Now())
+	if over || len(tasks) != total {
+		t.Fatalf("grant = %v over=%v, want both tasks", tasks, over)
 	}
 
 	// Stale: tagged with the dead incarnation.
-	if err := commitOne(c, w, resultMsg{Task: 0, Payload: encodeVal(valFor(0)), Epoch: 1}); err != nil {
+	if err := commitOne(c, w.id, resultMsg{Task: 0, Payload: encodeVal(valFor(0)), Epoch: 1}); err != nil {
 		t.Fatalf("stale result: %v", err)
 	}
 	if journal.Len() != 0 {
 		t.Fatal("stale-epoch result reached the journal")
 	}
-	c.mu.Lock()
-	if c.staleEpoch != 1 || c.remaining != total || c.st[0].phase != stateLeased {
+	if tb := c.table; tb.staleEpoch != 1 || tb.remaining != total || tb.st[0].phase != stateLeased {
 		t.Fatalf("after stale result: staleEpoch=%d remaining=%d phase=%d, want 1/%d/leased",
-			c.staleEpoch, c.remaining, c.st[0].phase, total)
+			tb.staleEpoch, tb.remaining, tb.st[0].phase, total)
 	}
-	c.mu.Unlock()
 
 	// Current-epoch results are accepted as usual.
 	for idx := 0; idx < total; idx++ {
-		if err := commitOne(c, w, resultMsg{Task: idx, Payload: encodeVal(valFor(idx)), Epoch: 2}); err != nil {
+		if err := commitOne(c, w.id, resultMsg{Task: idx, Payload: encodeVal(valFor(idx)), Epoch: 2}); err != nil {
 			t.Fatalf("current result %d: %v", idx, err)
 		}
 	}
@@ -295,9 +282,7 @@ func TestEpochFenceDiscardsStaleResults(t *testing.T) {
 		t.Fatalf("journal has %d records, want %d", journal.Len(), total)
 	}
 	rep := &Report{Sweep: &cluster.SweepReport{Total: total}}
-	c.mu.Lock()
 	c.fill(rep)
-	c.mu.Unlock()
 	if rep.StaleEpoch != 1 || rep.Sweep.Completed != total {
 		t.Fatalf("report StaleEpoch=%d Completed=%d, want 1/%d", rep.StaleEpoch, rep.Sweep.Completed, total)
 	}
@@ -333,7 +318,6 @@ func TestChaosSweepStillExact(t *testing.T) {
 		RunID:        "run-chaos",
 		Epoch:        1,
 		LeaseTimeout: 500 * time.Millisecond,
-		RetryAfter:   10 * time.Millisecond,
 	})
 
 	var wg sync.WaitGroup

@@ -38,7 +38,7 @@ import (
 // lower-level version byte). Every worker is started from the
 // coordinator's own binary or checkout, so there is one version and no
 // compatibility range; DESIGN.md §10 has the frame table.
-const ProtoVersion = 5
+const ProtoVersion = 6
 
 // Negotiated wire formats. The handshake (hello/welcome) is always
 // JSON — negotiation must precede the thing it negotiates — and every
@@ -127,14 +127,14 @@ type leaseRequestMsg struct {
 }
 
 // leaseMsg answers a lease request. Either a batch of tasks with a TTL,
-// or an empty batch with a RetryAfter back-off (tasks exist but are all
-// leased elsewhere). Sweep completion is not a leaseMsg shape: it is the
-// explicit msgDone frame, so "no tasks for you" and "the run is over"
-// can never be confused with each other or with a dead coordinator.
+// or an empty batch (tasks exist but are all leased elsewhere; the
+// request already waited on the coordinator, so the worker asks again at
+// once). Sweep completion is not a leaseMsg shape: it is the explicit
+// msgDone frame, so "no tasks for you" and "the run is over" can never
+// be confused with each other or with a dead coordinator.
 type leaseMsg struct {
-	Tasks      []int         `json:"tasks,omitempty"`
-	TTL        time.Duration `json:"ttl,omitempty"`
-	RetryAfter time.Duration `json:"retryAfter,omitempty"`
+	Tasks []int         `json:"tasks,omitempty"`
+	TTL   time.Duration `json:"ttl,omitempty"`
 }
 
 // doneMsg dismisses a worker: the sweep is complete (or the coordinator

@@ -23,7 +23,7 @@ import (
 
 // binFormat is the payload-format version byte opening every binary
 // payload.
-const binFormat = 2
+const binFormat = 3
 
 // Worker-side wire observability: every frame a worker sends or
 // receives increments the process-global perf counters, so for
@@ -58,14 +58,13 @@ func checkBinFormat(r *comms.BinReader, what string) error {
 	return nil
 }
 
-// appendLeaseBin encodes a lease grant: TTL and back-off as uvarint
-// nanoseconds, then the task batch as a first absolute index plus
-// zigzag deltas — lease batches are runs of consecutive grid indices in
-// the common case, so each subsequent task costs one byte.
+// appendLeaseBin encodes a lease grant: the TTL as uvarint nanoseconds,
+// then the task batch as a first absolute index plus zigzag deltas —
+// lease batches are runs of consecutive grid indices in the common case,
+// so each subsequent task costs one byte.
 func appendLeaseBin(w *comms.BinWriter, l leaseMsg) {
 	w.Byte(binFormat)
 	w.Uvarint(uint64(l.TTL))
-	w.Uvarint(uint64(l.RetryAfter))
 	w.Uvarint(uint64(len(l.Tasks)))
 	prev := 0
 	for i, task := range l.Tasks {
@@ -84,10 +83,7 @@ func decodeLeaseBin(p []byte) (leaseMsg, error) {
 	if err := checkBinFormat(r, "lease"); err != nil {
 		return leaseMsg{}, err
 	}
-	l := leaseMsg{
-		TTL:        time.Duration(r.Uvarint()),
-		RetryAfter: time.Duration(r.Uvarint()),
-	}
+	l := leaseMsg{TTL: time.Duration(r.Uvarint())}
 	n := r.Int()
 	if r.Err() == nil && n > r.Remaining()+1 {
 		// Each task costs at least one byte (the first may cost zero only

@@ -22,7 +22,6 @@ func TestWireRoundTrips(t *testing.T) {
 	t.Run("lease", func(t *testing.T) {
 		cases := []leaseMsg{
 			{},
-			{RetryAfter: 50 * time.Millisecond},
 			{Tasks: []int{7}, TTL: 30 * time.Second},
 			{Tasks: []int{100, 101, 102, 103, 104, 105, 106, 107}, TTL: 30 * time.Second},
 			{Tasks: []int{9, 3, 250, 0}, TTL: time.Minute}, // non-monotonic: zigzag deltas go negative
@@ -70,7 +69,6 @@ func TestWireDecodeRejectsHostileCounts(t *testing.T) {
 	var w comms.BinWriter
 	w.Byte(binFormat)
 	w.Uvarint(0)       // TTL
-	w.Uvarint(0)       // RetryAfter
 	w.Uvarint(1 << 40) // task count with no tasks behind it
 	if _, err := decodeLeaseBin(w.Bytes()); err == nil {
 		t.Fatal("lease with hostile count decoded")
@@ -94,7 +92,7 @@ func FuzzDecodeLeaseBin(f *testing.F) {
 	appendLeaseBin(&w, leaseMsg{Tasks: []int{10, 11, 12}, TTL: 30 * time.Second})
 	f.Add(append([]byte(nil), w.Bytes()...))
 	f.Add([]byte{binFormat})
-	f.Add([]byte{binFormat, 0, 0, 0xff, 0xff, 0xff, 0xff, 0x7f})
+	f.Add([]byte{binFormat, 0, 0xff, 0xff, 0xff, 0xff, 0x7f}) // hostile task count
 	f.Fuzz(func(t *testing.T, p []byte) {
 		l, err := decodeLeaseBin(p)
 		if err == nil {
@@ -286,10 +284,10 @@ func TestShardedStealCompletes(t *testing.T) {
 // balanced blocks covering the grid exactly, deterministic for the life
 // of a run.
 func TestShardOfPartition(t *testing.T) {
-	c := &coordinator{total: 10, shards: make([][]int, 3)}
+	c := newLeaseTable(1, 10, Options{Shards: 3}, make([]bool, 10))
 	counts := make([]int, 3)
 	prev := 0
-	for i := 0; i < c.total; i++ {
+	for i := range c.st {
 		sh := c.shardOf(i)
 		if sh < prev || sh >= 3 {
 			t.Fatalf("shardOf(%d) = %d (prev %d)", i, sh, prev)
@@ -312,12 +310,13 @@ func wireBytes(rep *Report) int64 {
 // TestWireBytesPerTaskRatio is the headline economy claim: the lean
 // fabric (binary wire, capacity-8 lease batches, coalesced uploads) must
 // move at least 4× fewer bytes per task than the per-frame shape (JSON
-// wire, one task per lease, one result per frame). Heartbeats are pushed out
-// of the window so the comparison is pure protocol.
+// wire, one task per lease, one result per frame). A minute's lease puts
+// the heartbeats (every 5 s) out of the window, so the comparison is pure
+// protocol.
 func TestWireBytesPerTaskRatio(t *testing.T) {
 	const nBias, nK, nE = 1, 4, 16
 	total := nBias * nK * nE
-	quiet := Options{HeartbeatEvery: time.Minute, LeaseTimeout: time.Minute}
+	quiet := Options{LeaseTimeout: time.Minute}
 
 	legacy := quiet
 	legacy.WireFormat = "json"

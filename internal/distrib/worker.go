@@ -354,18 +354,7 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 			return fmt.Errorf("distrib: unexpected message type %d awaiting lease", t)
 		}
 		if len(lease.Tasks) == 0 {
-			wait := lease.RetryAfter
-			if wait <= 0 {
-				wait = 50 * time.Millisecond
-			}
-			timer := time.NewTimer(wait)
-			select {
-			case <-sctx.Done():
-				timer.Stop()
-				return failed(sctx.Err())
-			case <-timer.C:
-			}
-			continue
+			continue // the request already waited out the coordinator's park
 		}
 		if err := w.runLease(sctx, cd, lease); err != nil {
 			return failed(err)

@@ -19,10 +19,10 @@
 // The hashes deliberately cover only the result-determining sections
 // (version, mode, device, grid, solver). Resilience and execution
 // fields — checkpoint paths, retry budgets, fault drills, worker
-// counts, lease timeouts, the self-energy cache's memory bound — change
-// how a run executes, not what it computes: the engine's determinism
-// guarantees (see DESIGN.md §7, §10, §11) make observables independent of
-// them, so two runs with equal SpecHash produce bitwise-identical results.
+// counts, lease timeouts, wire formats — change how a run executes, not
+// what it computes: the engine's determinism guarantees (see DESIGN.md
+// §7, §10, §11) make observables independent of them, so two runs with
+// equal SpecHash produce bitwise-identical results.
 package spec
 
 import (
