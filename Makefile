@@ -77,6 +77,10 @@ race:
 # Anderson history must see the same charges in the same order. The five
 # transmission sweeps run uncached and are compared in full; the I-V runs
 # drop their `# sigma-cache` line, whose hit/coalesced split is timing.
+# The two wave-function transmission sweeps (sinw and agnr7) must also
+# print the same bytes at -workers 1 and 2: a pool job is a lane group of
+# up to four energies whose self-energies run in lockstep, and neither the
+# groups nor the pool width may move a bit or a counted flop.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
@@ -95,6 +99,13 @@ portable-kernels:
 		cmp bin/portable.avx.txt bin/portable.purego.txt \
 			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical across builds"; \
+	done
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)"; do \
+		bin/omen $$run -workers 1 > bin/portable.w1.txt || exit 1; \
+		bin/omen $$run -workers 2 > bin/portable.w2.txt || exit 1; \
+		cmp bin/portable.w1.txt bin/portable.w2.txt \
+			|| { echo "portable-kernels: omen $$run differs between -workers 1 and 2"; exit 1; }; \
+		echo "portable-kernels: omen $$run byte-identical at -workers 1 and 2"; \
 	done
 	@for run in "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)"; do \
 		bin/omen $$run | grep -v '^# sigma-cache' > bin/portable.avx.txt || exit 1; \

@@ -190,6 +190,68 @@ func BenchmarkT2_SigmaMiss(b *testing.B) {
 	}
 }
 
+// BenchmarkSigmaLanes is the self-energy of a transmission sweep's lane
+// group: four consecutive in-band energies of the benchmark grids (AGNR-7:
+// ribbon_fabric's 4 meV step at 1.5 eV; the Si nanowire: wire_serial's
+// 10 meV step at 1.54 eV, in its conduction band) as one negf.SigmaGroup and its four takes, against
+// four solo calls at the same energies. Both count the same flops; ns and
+// flops are reported per energy.
+func BenchmarkSigmaLanes(b *testing.B) {
+	for _, tc := range []struct {
+		device   string
+		e0, step float64
+	}{{"agnr7", 1.5, 0.004}, {"sinw", 1.54, 0.01}} {
+		desc, _ := device.Lookup(tc.device)
+		built, err := desc.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := tb.Assemble(built.Structure, built.Material, built.Options)
+		if err != nil {
+			b.Fatal(err)
+		}
+		leads, err := negf.LeadsFromDevice(h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zs := make([]complex128, linalg.Lanes)
+		for i := range zs {
+			zs[i] = complex(tc.e0+float64(i)*tc.step, 1e-6)
+		}
+		run := map[string]func(){
+			"group": func() {
+				g := leads.SelfEnergyGroup(zs)
+				for i := range zs {
+					if _, _, err := g.Take(i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			"solo": func() {
+				for _, z := range zs {
+					if _, _, err := leads.SelfEnergies(z); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		}
+		for _, mode := range []string{"group", "solo"} {
+			b.Run(tc.device+"/"+mode, func(b *testing.B) {
+				run[mode]()
+				perf.ResetFlops()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run[mode]()
+				}
+				b.StopTimer()
+				per := float64(b.N * len(zs))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/energy")
+				b.ReportMetric(float64(perf.ResetFlops())/per, "flops/energy")
+			})
+		}
+	}
+}
+
 // --- F1: transmission/DOS spectrum with cross-formalism validation ---------
 
 func BenchmarkF1_Transmission(b *testing.B) {

@@ -231,10 +231,8 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 		}
 	}
 
-	err = pool.ForEach(ctx, "sweep", total, func(ctx context.Context, idx int) error {
-		if done[idx] {
-			return nil
-		}
+	// run executes one task to its verdict and its journal append.
+	run := func(ctx context.Context, idx int) error {
 		payload, r, runErr := Attempt(ctx, opts.Retry, opts.Injector, idx, TaskAt(idx, nK, nE), fn)
 		retries.Add(int64(r))
 		if runErr == nil {
@@ -265,7 +263,25 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 			return nil
 		}
 		return runErr
+	}
+	pending := make([]int, 0, total-restored)
+	for idx, d := range done {
+		if !d {
+			pending = append(pending, idx)
+		}
+	}
+	// A pool job is a lane group (Group), its tasks run in index order; a
+	// failing task ends its group and is named by its own index.
+	groups := Groups(pending, nK, nE)
+	err = pool.ForEach(ctx, "sweep", len(groups), func(ctx context.Context, gi int) error {
+		if idx, err := groups[gi].Run(ctx, run); err != nil {
+			return &sched.TaskError{Phase: "sweep", Index: idx, Err: err}
+		}
+		return nil
 	})
+	if te, ok := sched.AsTaskError(err); ok {
+		err = te.Err // the group's: it wraps its failing task's
+	}
 
 	rep.Completed = int(completed.Load())
 	rep.Retries = int(retries.Load())

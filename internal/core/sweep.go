@@ -8,6 +8,7 @@ import (
 	"sync"
 
 	"repro/internal/cluster"
+	"repro/internal/negf"
 	"repro/internal/resilience"
 	"repro/internal/sched"
 	"repro/internal/transport"
@@ -114,7 +115,7 @@ func (p *TransmissionPlan) Run(ctx context.Context, t cluster.Task) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	tv, err := eng.TransmissionAt(ctx, p.energies[t.E])
+	tv, err := p.transmission(ctx, eng, t)
 	if err != nil {
 		return nil, err
 	}
@@ -122,6 +123,26 @@ func (p *TransmissionPlan) Run(ctx context.Context, t cluster.Task) ([]byte, err
 	var b [8]byte
 	binary.LittleEndian.PutUint64(b[:], math.Float64bits(tv))
 	return b[:], nil
+}
+
+// transmission solves task t — with Σ from the lane group ctx carries
+// (cluster.GroupFrom) where t is one of its tasks: the group's first task
+// computes the self-energies of all its energies in lockstep, and each
+// task takes its own.
+func (p *TransmissionPlan) transmission(ctx context.Context, eng *transport.Engine, t cluster.Task) (float64, error) {
+	grp := cluster.GroupFrom(ctx)
+	lane := grp.Lane(t)
+	if lane < 0 {
+		return eng.TransmissionAt(ctx, p.energies[t.E])
+	}
+	sig, _ := grp.Lanes(func(tasks []cluster.Task) any {
+		energies := make([]float64, len(tasks))
+		for i, u := range tasks {
+			energies[i] = p.energies[u.E]
+		}
+		return eng.SigmaGroup(energies)
+	}).(*negf.SigmaGroup)
+	return eng.TransmissionFrom(ctx, sig, lane, p.energies[t.E])
 }
 
 // TransmissionValue decodes a task payload — Run's encoding, which

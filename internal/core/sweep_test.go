@@ -221,3 +221,52 @@ func TestSerialResumeFlopsExact(t *testing.T) {
 		t.Fatalf("replay reports %d flops, the uninterrupted run %d", got, want)
 	}
 }
+
+// TestTransmissionLaneGroupsCountPerTask: a transmission sweep run through
+// the lane groups of the local engine on a 1-wide pool journals, for every
+// task, the flops its solo solve counts, and the T its solo solve returns,
+// bit for bit — in both formalisms, over an AGNR-7 grid whose energies
+// finish their decimations at different iterations, including the one
+// whose eliminated decimation overflows and reruns whole.
+func TestTransmissionLaneGroupsCountPerTask(t *testing.T) {
+	desc, _ := device.Lookup("agnr7")
+	desc.CellsX = 6
+	grid := append(transport.UniformGrid(-3, 3, 21), 1.3976219674314385, 1.3976, 0.25)
+	for _, f := range []transport.Formalism{transport.WaveFunction, transport.NEGFRGF} {
+		sim, err := New(desc, transport.Config{Formalism: f, Pool: sched.New(1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		journal := &cluster.MemJournal{}
+		sweep, err := sim.TransmissionResumable(context.Background(), grid, nil, cluster.SweepOptions{Journal: journal})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, err := journal.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := sim.Hamiltonian(nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := transport.NewEngine(h, sim.Transport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, rec := range recs {
+			e := grid[rec.Index]
+			perf.ResetFlops()
+			tv, err := eng.TransmissionAt(context.Background(), e)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if solo := perf.ResetFlops(); rec.Perf.Flops != solo {
+				t.Fatalf("%v E=%g: the sweep journaled %d flops, the solo solve counts %d", f, e, rec.Perf.Flops, solo)
+			}
+			if tv != sweep.T[rec.Index] {
+				t.Fatalf("%v E=%g: the sweep's T %v, the solo solve's %v", f, e, sweep.T[rec.Index], tv)
+			}
+		}
+	}
+}

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/comms"
+	"repro/internal/linalg"
 	"repro/internal/perf"
 	"repro/internal/resilience"
 	"repro/internal/sched"
@@ -879,4 +880,56 @@ func TestSpecHashUncheckedWhenAbsent(t *testing.T) {
 	waitServe(t, ch)
 	wg.Wait()
 	checkValues(t, res, nil)
+}
+
+// TestWorkerRunsLaneGroups: a worker cuts each lease into lane groups
+// (cluster.Groups) and hands every task function its group through ctx;
+// no group straddles a (bias, k) row or skips a task, every task is
+// uploaded and journaled exactly once, and the merged flops are the
+// serial total.
+func TestWorkerRunsLaneGroups(t *testing.T) {
+	const nBias, nK, nE = 2, 2, 9
+	total := nBias * nK * nE
+	lb := comms.NewLoopback()
+	lis, err := lb.Listen("coord")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := newResults(nBias, nK, nE)
+	journal := &cluster.MemJournal{}
+	ch := serveAsync(context.Background(), lis, nBias, nK, nE, Options{Journal: journal, Restore: res.restore})
+	meter := &flopMeter{}
+	inner := workerFn(nK, nE, meter, nil)
+	var mu sync.Mutex
+	bad := ""
+	fn := func(ctx context.Context, task cluster.Task) ([]byte, error) {
+		g := cluster.GroupFrom(ctx)
+		mu.Lock()
+		switch {
+		case g.Lane(task) < 0:
+			bad = fmt.Sprintf("task %+v ran outside a group holding it", task)
+		case len(g.Index) > linalg.Lanes || g.Index[len(g.Index)-1]-g.Index[0] != len(g.Index)-1 ||
+			g.Index[0]/nE != g.Index[len(g.Index)-1]/nE:
+			bad = fmt.Sprintf("group %v skips a task or straddles a row", g.Index)
+		}
+		mu.Unlock()
+		return inner(ctx, task)
+	}
+	conn := dial(t, lb, "coord")
+	if err := RunWorker(context.Background(), conn, nBias, nK, nE, WorkerOptions{
+		ID: "w0", Pool: sched.New(2), PerfNow: meter.now,
+	}, fn); err != nil {
+		t.Fatal(err)
+	}
+	rep := waitServe(t, ch)
+	if bad != "" {
+		t.Fatal(bad)
+	}
+	checkValues(t, res, nil)
+	if journal.Len() != total || rep.Sweep.Completed != total {
+		t.Fatalf("journal has %d records, %d completed, want %d", journal.Len(), rep.Sweep.Completed, total)
+	}
+	if want := serialFlops(total, nil); rep.Perf.Flops != want {
+		t.Fatalf("merged flops = %d, serial total = %d", rep.Perf.Flops, want)
+	}
 }

@@ -368,21 +368,25 @@ func (w *worker) session(ctx context.Context, conn net.Conn) error {
 // Only transport-level send failures end the lease early.
 func (w *worker) runLease(ctx context.Context, cd *comms.Codec, lease leaseMsg) error {
 	up := newUploader(cd, w.bin, w.uploadBatch, lease.TTL)
-	tasks := lease.Tasks
-	err := w.pool.ForEach(ctx, "distrib-lease", len(tasks), func(ctx context.Context, i int) error {
-		idx := tasks[i]
-		payload, retries, runErr := cluster.Attempt(ctx, w.opts.Retry, w.opts.Injector, idx, cluster.TaskAt(idx, w.nK, w.nE), w.fn)
-		if runErr != nil && ctx.Err() != nil {
-			return runErr // canceled mid-task: nothing to report
-		}
-		res := resultMsg{Task: idx, Retries: retries, Perf: w.meter.Delta(), Epoch: w.epoch}
-		if runErr != nil {
-			res.Failed = true
-			res.Error = runErr.Error()
-		} else {
-			res.Payload = payload
-		}
-		return up.add(res)
+	// A pool job is a lane group (cluster.Group) of the lease's tasks, run
+	// in index order, each task uploaded as its own result.
+	groups := cluster.Groups(lease.Tasks, w.nK, w.nE)
+	err := w.pool.ForEach(ctx, "distrib-lease", len(groups), func(ctx context.Context, gi int) error {
+		_, err := groups[gi].Run(ctx, func(gctx context.Context, idx int) error {
+			payload, retries, runErr := cluster.Attempt(gctx, w.opts.Retry, w.opts.Injector, idx, cluster.TaskAt(idx, w.nK, w.nE), w.fn)
+			if runErr != nil && ctx.Err() != nil {
+				return runErr // canceled mid-task: nothing to report
+			}
+			res := resultMsg{Task: idx, Retries: retries, Perf: w.meter.Delta(), Epoch: w.epoch}
+			if runErr != nil {
+				res.Failed = true
+				res.Error = runErr.Error()
+			} else {
+				res.Payload = payload
+			}
+			return up.add(res)
+		})
+		return err
 	})
 	if err != nil {
 		if te, ok := sched.AsTaskError(err); ok {

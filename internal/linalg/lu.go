@@ -102,27 +102,33 @@ const (
 
 // pivotSearch returns the partial-pivoting row of column k of the n×n
 // row-major lu: the row, at or below k, of the largest-modulus entry, the
-// first such row on a tie. It picks exactly the row a scan comparing
-// cmplx.Abs picks, but ranks on |z|² and calls Hypot only where |z|²
-// cannot decide: a NaN entry, a best whose modulus is beyond 1e±140 (Inf
-// and subnormals included), and a near-tie between entries that are not
-// the same pair {|re|, |im|}. Equal pairs have bitwise-equal Hypots, so
-// the first row keeps that tie.
+// first such row on a tie (pivotScan).
 func pivotSearch(lu []complex128, n, k int) int {
-	p, best := k, lu[k*n+k]
+	return k + pivotScan(lu[k*n+k:], n, n-k)
+}
+
+// pivotScan returns the index i < count of the largest-modulus entry
+// x[i·stride], the first such index on a tie. It picks exactly the entry a
+// scan comparing cmplx.Abs picks, but ranks on |z|² and calls Hypot only
+// where |z|² cannot decide: a NaN entry, a best whose modulus is beyond
+// 1e±140 (Inf and subnormals included), and a near-tie between entries that
+// are not the same pair {|re|, |im|}. Equal pairs have bitwise-equal Hypots,
+// so the first index keeps that tie.
+func pivotScan(x []complex128, stride, count int) int {
+	p, best := 0, x[0]
 	bs := real(best)*real(best) + imag(best)*imag(best)
 	fast := best == 0 || bs >= sqLo && bs <= sqHi
 	lo, hi := bs*(1-sqBand), bs*(1+sqBand)
-	for i := k + 1; i < n; i++ {
+	for i := 1; i < count; i++ {
 		if fast {
-			if i = firstNotBelow(lu, n, k, i, lo); i == n {
+			if i = firstNotBelow(x, stride, i, count, lo); i == count {
 				break
 			}
 		}
-		z := lu[i*n+k]
+		z := x[i*stride]
 		s := real(z)*real(z) + imag(z)*imag(z)
 		if fast && s <= hi && samePair(z, best) {
-			continue // the same modulus (zeros included): the earlier row keeps it
+			continue // the same modulus (zeros included): the earlier index keeps it
 		}
 		if fast && s > hi || cmplx.Abs(z) > cmplx.Abs(best) {
 			p, best = i, z
@@ -133,18 +139,18 @@ func pivotSearch(lu []complex128, n, k int) int {
 	return p
 }
 
-// firstNotBelow returns the first row i ≥ from of column k whose re²+im²
-// is not below lo (a NaN is not), or n: pivotSearch's common case, an
-// entry that loses outright, in a loop without calls, so nothing in it
-// spills.
-func firstNotBelow(lu []complex128, n, k, from int, lo float64) int {
-	for i := from; i < n; i++ {
-		z := lu[i*n+k]
+// firstNotBelow returns the first index i ≥ from whose entry x[i·stride]
+// has re²+im² not below lo (a NaN is not), or count: pivotScan's common
+// case, an entry that loses outright, in a loop without calls, so nothing
+// in it spills.
+func firstNotBelow(x []complex128, stride, from, count int, lo float64) int {
+	for i := from; i < count; i++ {
+		z := x[i*stride]
 		if !(real(z)*real(z)+imag(z)*imag(z) < lo) {
 			return i
 		}
 	}
-	return n
+	return count
 }
 
 // samePair reports whether a and b have the same pair {|re|, |im|}, and

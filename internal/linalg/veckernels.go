@@ -14,8 +14,8 @@ package linalg
 // GemmInto's beta scaling, ScaleRowsInto and ShiftedNegInto; GemmInto,
 // factorInPlace and luSolveInPlace call the fused kernels, which run a
 // whole loop nest per call — a GEMM tile, a pivot's column update, both
-// substitution sweeps. Each kind has its own dispatch floor. These five
-// are the whole assembly set.
+// substitution sweeps. Each kind has its own dispatch floor. These five,
+// and the three lane kernels of lanes.go, are the whole assembly set.
 
 // vecMinLen is the slice length below which the scalar loop beats the
 // assembly call overhead of the helpers below.

@@ -52,3 +52,34 @@ func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex1
 //
 //go:noescape
 func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha complex128)
+
+// The lane kernels (lanes.go) run one loop nest for Lanes operand sets,
+// a LaneMatrix element being its lanes' real parts in one ymm vector and
+// their imaginary parts in the next. Where the solo loop skips a row
+// update, a lane keeps its old value through VBLENDVPD.
+
+// avxLaneGemmTile is avxGemmTileNN on lane matrices: for each row i <
+// rows, dst[i·p : i·p+w] += Σ_{l<kLen} (alpha·a[i·lda+l])·b[l·p : l·p+w]
+// in every lane, l paired two-deep, a lane keeping its row where both
+// unscaled multipliers of a pair (or the odd tail's one) are zero.
+// Strides are in elements.
+//
+//go:noescape
+func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha complex128)
+
+// avxLaneFactorCol is avxFactorColUpdate on a lane matrix: for each of
+// rows trailing rows, m = col·pivInv (pivInv: Lanes real parts, then Lanes
+// imaginary parts) stored back, and the row's segment of length rows one
+// element past the column −= m·rowK in the lanes where m ≠ 0. col
+// advances by stride elements per row.
+//
+//go:noescape
+func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64)
+
+// avxLaneLuSolve is avxLuSolve (floor 0) on lane matrices: both
+// substitution sweeps of the n×nrhs b against the packed n×n factor lu,
+// the row swaps already applied, k paired two-deep with the reference's
+// zero skips per lane.
+//
+//go:noescape
+func avxLaneLuSolve(b, lu *float64, n, nrhs int)

@@ -798,3 +798,427 @@ gtdone:
 
 gtret:
 	RET
+
+// Lane kernels. A lane-matrix element is 64 bytes: the Lanes real parts,
+// then the Lanes imaginary parts, one ymm vector each. A complex product
+// x·y is four VMULPDs and a VSUBPD/VADDPD pair — xr·yr − xi·yi and
+// xr·yi + xi·yr, the Go tree in every lane — with no shuffle. A lane whose
+// multiplier (pair) is zero keeps its row through VBLENDVPD on the mask
+// VCMPPD $4 (not-equal, unordered: a NaN is nonzero) builds; a row whose
+// mask is empty in every lane is skipped outright.
+
+// func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha complex128)
+TEXT ·avxLaneGemmTile(SB), NOSPLIT, $0-80
+	MOVQ         rows+24(FP), R11
+	TESTQ        R11, R11
+	JLE          lgret
+	MOVQ         dst+0(FP), DI
+	MOVQ         a+8(FP), BX
+	MOVQ         p+48(FP), R9
+	SHLQ         $6, R9
+	MOVQ         w+56(FP), R10
+	VBROADCASTSD alpha_real+64(FP), Y14
+	VBROADCASTSD alpha_imag+72(FP), Y15
+	VXORPD       Y13, Y13, Y13
+
+lgrow:
+	// DI = dst row, SI = a[i, l], R8 = b row l, CX = l left
+	MOVQ BX, SI
+	MOVQ b+16(FP), R8
+	MOVQ kLen+40(FP), CX
+
+lgpair:
+	CMPQ      CX, $2
+	JL        lgsingle
+	VMOVUPD   (SI), Y4
+	VMOVUPD   32(SI), Y5
+	VMOVUPD   64(SI), Y6
+	VMOVUPD   96(SI), Y7
+	VCMPPD    $4, Y13, Y4, Y8
+	VCMPPD    $4, Y13, Y5, Y9
+	VORPD     Y9, Y8, Y8
+	VCMPPD    $4, Y13, Y6, Y9
+	VORPD     Y9, Y8, Y8
+	VCMPPD    $4, Y13, Y7, Y9
+	VORPD     Y9, Y8, Y12
+	VMOVMSKPD Y12, AX
+	TESTL     AX, AX
+	JE        lgpskip
+
+	// s0 = a0·alpha, s1 = a1·alpha
+	VMULPD Y14, Y4, Y0
+	VMULPD Y15, Y5, Y8
+	VSUBPD Y8, Y0, Y0
+	VMULPD Y15, Y4, Y1
+	VMULPD Y14, Y5, Y8
+	VADDPD Y8, Y1, Y1
+	VMULPD Y14, Y6, Y2
+	VMULPD Y15, Y7, Y8
+	VSUBPD Y8, Y2, Y2
+	VMULPD Y15, Y6, Y3
+	VMULPD Y14, Y7, Y8
+	VADDPD Y8, Y3, Y3
+	MOVQ   DI, R12
+	MOVQ   R8, R13
+	LEAQ   (R8)(R9*1), R14
+	MOVQ   R10, DX
+
+lgpj:
+	TESTQ     DX, DX
+	JLE       lgpskip
+	VMOVUPD   (R13), Y4
+	VMOVUPD   32(R13), Y5
+	VMOVUPD   (R14), Y6
+	VMOVUPD   32(R14), Y7
+	VMULPD    Y0, Y4, Y8
+	VMULPD    Y1, Y5, Y9
+	VSUBPD    Y9, Y8, Y8    // s0·b0, real
+	VMULPD    Y0, Y5, Y9
+	VMULPD    Y1, Y4, Y10
+	VADDPD    Y10, Y9, Y9   // s0·b0, imaginary
+	VMULPD    Y2, Y6, Y10
+	VMULPD    Y3, Y7, Y11
+	VSUBPD    Y11, Y10, Y10 // s1·b1, real
+	VMULPD    Y2, Y7, Y11
+	VMULPD    Y3, Y6, Y4
+	VADDPD    Y4, Y11, Y11  // s1·b1, imaginary
+	VADDPD    Y10, Y8, Y8
+	VADDPD    Y11, Y9, Y9
+	VMOVUPD   (R12), Y4
+	VMOVUPD   32(R12), Y5
+	VADDPD    Y8, Y4, Y8
+	VADDPD    Y9, Y5, Y9
+	VBLENDVPD Y12, Y8, Y4, Y4
+	VBLENDVPD Y12, Y9, Y5, Y5
+	VMOVUPD   Y4, (R12)
+	VMOVUPD   Y5, 32(R12)
+	ADDQ      $64, R12
+	ADDQ      $64, R13
+	ADDQ      $64, R14
+	DECQ      DX
+	JMP       lgpj
+
+lgpskip:
+	ADDQ $128, SI
+	LEAQ (R8)(R9*2), R8
+	SUBQ $2, CX
+	JMP  lgpair
+
+lgsingle:
+	TESTQ     CX, CX
+	JLE       lgrowend
+	VMOVUPD   (SI), Y4
+	VMOVUPD   32(SI), Y5
+	VCMPPD    $4, Y13, Y4, Y8
+	VCMPPD    $4, Y13, Y5, Y9
+	VORPD     Y9, Y8, Y12
+	VMOVMSKPD Y12, AX
+	TESTL     AX, AX
+	JE        lgrowend
+	VMULPD    Y14, Y4, Y0
+	VMULPD    Y15, Y5, Y8
+	VSUBPD    Y8, Y0, Y0
+	VMULPD    Y15, Y4, Y1
+	VMULPD    Y14, Y5, Y8
+	VADDPD    Y8, Y1, Y1
+	MOVQ      DI, R12
+	MOVQ      R8, R13
+	MOVQ      R10, DX
+
+lgsj:
+	TESTQ     DX, DX
+	JLE       lgrowend
+	VMOVUPD   (R13), Y4
+	VMOVUPD   32(R13), Y5
+	VMULPD    Y0, Y4, Y8
+	VMULPD    Y1, Y5, Y9
+	VSUBPD    Y9, Y8, Y8
+	VMULPD    Y0, Y5, Y9
+	VMULPD    Y1, Y4, Y10
+	VADDPD    Y10, Y9, Y9
+	VMOVUPD   (R12), Y4
+	VMOVUPD   32(R12), Y5
+	VADDPD    Y8, Y4, Y8
+	VADDPD    Y9, Y5, Y9
+	VBLENDVPD Y12, Y8, Y4, Y4
+	VBLENDVPD Y12, Y9, Y5, Y5
+	VMOVUPD   Y4, (R12)
+	VMOVUPD   Y5, 32(R12)
+	ADDQ      $64, R12
+	ADDQ      $64, R13
+	DECQ      DX
+	JMP       lgsj
+
+lgrowend:
+	DECQ R11
+	JLE  lgdone
+	ADDQ R9, DI
+	MOVQ lda+32(FP), AX
+	SHLQ $6, AX
+	ADDQ AX, BX
+	JMP  lgrow
+
+lgdone:
+	VZEROUPPER
+
+lgret:
+	RET
+
+// func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64)
+TEXT ·avxLaneFactorCol(SB), NOSPLIT, $0-40
+	MOVQ    col+0(FP), DI
+	MOVQ    rowK+8(FP), SI
+	MOVQ    rows+16(FP), CX
+	MOVQ    stride+24(FP), R9
+	SHLQ    $6, R9
+	MOVQ    pivInv+32(FP), AX
+	VMOVUPD (AX), Y14
+	VMOVUPD 32(AX), Y15
+	VXORPD  Y13, Y13, Y13
+	MOVQ    CX, R10 // the row segment is as long as the column
+
+lfrow:
+	TESTQ     CX, CX
+	JLE       lfdone
+	// m = col·pivInv, stored back whatever it is
+	VMOVUPD   (DI), Y4
+	VMOVUPD   32(DI), Y5
+	VMULPD    Y14, Y4, Y0
+	VMULPD    Y15, Y5, Y8
+	VSUBPD    Y8, Y0, Y0
+	VMULPD    Y15, Y4, Y1
+	VMULPD    Y14, Y5, Y8
+	VADDPD    Y8, Y1, Y1
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, 32(DI)
+	VCMPPD    $4, Y13, Y0, Y8
+	VCMPPD    $4, Y13, Y1, Y9
+	VORPD     Y9, Y8, Y12
+	VMOVMSKPD Y12, AX
+	TESTL     AX, AX
+	JE        lfskip
+	LEAQ      64(DI), R12
+	MOVQ      SI, R13
+	MOVQ      R10, DX
+
+lfj:
+	TESTQ     DX, DX
+	JLE       lfskip
+	VMOVUPD   (R13), Y4
+	VMOVUPD   32(R13), Y5
+	VMULPD    Y0, Y4, Y8
+	VMULPD    Y1, Y5, Y9
+	VSUBPD    Y9, Y8, Y8
+	VMULPD    Y0, Y5, Y9
+	VMULPD    Y1, Y4, Y10
+	VADDPD    Y10, Y9, Y9
+	VMOVUPD   (R12), Y6
+	VMOVUPD   32(R12), Y7
+	VSUBPD    Y8, Y6, Y8
+	VSUBPD    Y9, Y7, Y9
+	VBLENDVPD Y12, Y8, Y6, Y6
+	VBLENDVPD Y12, Y9, Y7, Y7
+	VMOVUPD   Y6, (R12)
+	VMOVUPD   Y7, 32(R12)
+	ADDQ      $64, R12
+	ADDQ      $64, R13
+	DECQ      DX
+	JMP       lfj
+
+lfskip:
+	ADDQ R9, DI
+	DECQ CX
+	JMP  lfrow
+
+lfdone:
+	VZEROUPPER
+	RET
+
+// func avxLaneLuSolve(b, lu *float64, n, nrhs int)
+// Forward, i = 1 … n−1: row i −= Σ_{k<i} lu[i,k]·row k. Back, i = n−1 … 0:
+// row i −= Σ_{k>i} lu[i,k]·row k, then row i ·= lu[i,i]. Both sweeps run
+// one update loop (lsupd): R12 row i, R8 its first multiplier, R13 the
+// first row it reads, DX the multipliers left; phase picks the way back.
+TEXT ·avxLaneLuSolve(SB), NOSPLIT, $8-32
+	MOVQ   b+0(FP), DI
+	MOVQ   lu+8(FP), SI
+	MOVQ   n+16(FP), R11
+	MOVQ   nrhs+24(FP), R9
+	SHLQ   $6, R9  // bytes per row of b
+	MOVQ   R11, BX
+	SHLQ   $6, BX  // bytes per row of lu
+	VXORPD Y13, Y13, Y13
+	MOVQ   $0, phase-8(SP)
+	MOVQ   $1, CX
+
+lsnextf:
+	CMPQ  CX, R11
+	JGE   lsback
+	MOVQ  CX, AX
+	IMULQ R9, AX
+	LEAQ  (DI)(AX*1), R12
+	MOVQ  CX, AX
+	IMULQ BX, AX
+	LEAQ  (SI)(AX*1), R8
+	MOVQ  DI, R13
+	MOVQ  CX, DX
+	JMP   lsupd
+
+lsback:
+	MOVQ $1, phase-8(SP)
+	MOVQ R11, CX
+	DECQ CX
+
+lsnextb:
+	TESTQ CX, CX
+	JL    lsdone
+	MOVQ  CX, AX
+	IMULQ R9, AX
+	LEAQ  (DI)(AX*1), R12
+	MOVQ  CX, AX
+	IMULQ BX, AX
+	LEAQ  (SI)(AX*1), R8
+	LEAQ  1(CX), AX
+	SHLQ  $6, AX
+	ADDQ  AX, R8
+	LEAQ  1(CX), AX
+	IMULQ R9, AX
+	LEAQ  (DI)(AX*1), R13
+	MOVQ  R11, DX
+	SUBQ  CX, DX
+	DECQ  DX
+
+lsupd:
+	CMPQ      DX, $2
+	JL        lssingle
+	VMOVUPD   (R8), Y0
+	VMOVUPD   32(R8), Y1
+	VMOVUPD   64(R8), Y2
+	VMOVUPD   96(R8), Y3
+	VCMPPD    $4, Y13, Y0, Y8
+	VCMPPD    $4, Y13, Y1, Y9
+	VORPD     Y9, Y8, Y8
+	VCMPPD    $4, Y13, Y2, Y9
+	VORPD     Y9, Y8, Y8
+	VCMPPD    $4, Y13, Y3, Y9
+	VORPD     Y9, Y8, Y12
+	VMOVMSKPD Y12, AX
+	TESTL     AX, AX
+	JE        lspskip
+	LEAQ      (R13)(R9*1), R14
+	XORQ      AX, AX
+
+lspj:
+	CMPQ      AX, R9
+	JGE       lspskip
+	VMOVUPD   (R13)(AX*1), Y4
+	VMOVUPD   32(R13)(AX*1), Y5
+	VMOVUPD   (R14)(AX*1), Y6
+	VMOVUPD   32(R14)(AX*1), Y7
+	VMULPD    Y0, Y4, Y8
+	VMULPD    Y1, Y5, Y9
+	VSUBPD    Y9, Y8, Y8    // m0·r0, real
+	VMULPD    Y0, Y5, Y9
+	VMULPD    Y1, Y4, Y10
+	VADDPD    Y10, Y9, Y9   // m0·r0, imaginary
+	VMULPD    Y2, Y6, Y10
+	VMULPD    Y3, Y7, Y11
+	VSUBPD    Y11, Y10, Y10 // m1·r1, real
+	VMULPD    Y2, Y7, Y11
+	VMULPD    Y3, Y6, Y4
+	VADDPD    Y4, Y11, Y11  // m1·r1, imaginary
+	VADDPD    Y10, Y8, Y8
+	VADDPD    Y11, Y9, Y9
+	VMOVUPD   (R12)(AX*1), Y4
+	VMOVUPD   32(R12)(AX*1), Y5
+	VSUBPD    Y8, Y4, Y8
+	VSUBPD    Y9, Y5, Y9
+	VBLENDVPD Y12, Y8, Y4, Y4
+	VBLENDVPD Y12, Y9, Y5, Y5
+	VMOVUPD   Y4, (R12)(AX*1)
+	VMOVUPD   Y5, 32(R12)(AX*1)
+	ADDQ      $64, AX
+	JMP       lspj
+
+lspskip:
+	ADDQ $128, R8
+	LEAQ (R13)(R9*2), R13
+	SUBQ $2, DX
+	JMP  lsupd
+
+lssingle:
+	TESTQ     DX, DX
+	JLE       lsupddone
+	VMOVUPD   (R8), Y0
+	VMOVUPD   32(R8), Y1
+	VCMPPD    $4, Y13, Y0, Y8
+	VCMPPD    $4, Y13, Y1, Y9
+	VORPD     Y9, Y8, Y12
+	VMOVMSKPD Y12, AX
+	TESTL     AX, AX
+	JE        lsupddone
+	XORQ      AX, AX
+
+lssj:
+	CMPQ      AX, R9
+	JGE       lsupddone
+	VMOVUPD   (R13)(AX*1), Y4
+	VMOVUPD   32(R13)(AX*1), Y5
+	VMULPD    Y0, Y4, Y8
+	VMULPD    Y1, Y5, Y9
+	VSUBPD    Y9, Y8, Y8
+	VMULPD    Y0, Y5, Y9
+	VMULPD    Y1, Y4, Y10
+	VADDPD    Y10, Y9, Y9
+	VMOVUPD   (R12)(AX*1), Y4
+	VMOVUPD   32(R12)(AX*1), Y5
+	VSUBPD    Y8, Y4, Y8
+	VSUBPD    Y9, Y5, Y9
+	VBLENDVPD Y12, Y8, Y4, Y4
+	VBLENDVPD Y12, Y9, Y5, Y5
+	VMOVUPD   Y4, (R12)(AX*1)
+	VMOVUPD   Y5, 32(R12)(AX*1)
+	ADDQ      $64, AX
+	JMP       lssj
+
+lsupddone:
+	CMPQ phase-8(SP), $0
+	JNE  lsscale
+	INCQ CX
+	JMP  lsnextf
+
+lsscale:
+	// row i ·= lu[i,i], the reciprocal pivot
+	MOVQ    CX, AX
+	IMULQ   BX, AX
+	ADDQ    SI, AX
+	MOVQ    CX, DX
+	SHLQ    $6, DX
+	ADDQ    DX, AX
+	VMOVUPD (AX), Y0
+	VMOVUPD 32(AX), Y1
+	XORQ    AX, AX
+
+lsscj:
+	CMPQ    AX, R9
+	JGE     lsscdone
+	VMOVUPD (R12)(AX*1), Y4
+	VMOVUPD 32(R12)(AX*1), Y5
+	VMULPD  Y0, Y4, Y8
+	VMULPD  Y1, Y5, Y9
+	VSUBPD  Y9, Y8, Y8
+	VMULPD  Y1, Y4, Y9
+	VMULPD  Y0, Y5, Y10
+	VADDPD  Y10, Y9, Y9
+	VMOVUPD Y8, (R12)(AX*1)
+	VMOVUPD Y9, 32(R12)(AX*1)
+	ADDQ    $64, AX
+	JMP     lsscj
+
+lsscdone:
+	DECQ CX
+	JMP  lsnextb
+
+lsdone:
+	VZEROUPPER
+	RET

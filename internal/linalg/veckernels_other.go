@@ -18,3 +18,11 @@ func avxFactorColUpdate(col, rowK *complex128, rows, stride int, pivInv complex1
 func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha complex128) {
 	panic("linalg: no vector kernel")
 }
+
+func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha complex128) {
+	panic("linalg: no vector kernel")
+}
+func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64) {
+	panic("linalg: no vector kernel")
+}
+func avxLaneLuSolve(b, lu *float64, n, nrhs int) { panic("linalg: no vector kernel") }

@@ -102,15 +102,30 @@ var ctrDecimations = perf.GetCounter("sigma-decimations")
 // cannot finish (decimate) adds the flops its abandoned run executed to the
 // whole layer's.
 func SelfEnergyFlops(n, s, r, c, iterations int) int64 {
+	return decimationFlops(n, s, r, c, iterations, bothSides)
+}
+
+// decimationFlops returns what one selfEnergies call for the sides of want
+// counts when its decimation finishes in iterations on the s×s layer: the
+// count a lane group's Take adds for it.
+func decimationFlops(n, s, r, c, iterations int, want sideSet) int64 {
 	gemm, sums := perf.GemmFlops, int64(r*r+c*c)*perf.FlopsCAdd
 	inverse := perf.LUFlops(s) + perf.SolveFlops(s, s)
-	// −α·g·β and −β·g·α; the two projections are the same products.
+	// −α·g·β and −β·g·α.
 	pair := gemm(r, c, c) + gemm(c, r, r) + gemm(r, c, r) + gemm(c, r, c)
 	// Unconverged iterations also add to the bulk and square α and β.
 	squared := sums + gemm(r, c, r) + gemm(c, r, c) + gemm(r, r, c) + gemm(c, c, r)
-	// Each iteration sums its updates; each finish adds its surface's sum and
-	// inverts; then the projections.
-	return sparse.LayerFlops(n, s) + int64(iterations)*(inverse+pair+sums) + int64(iterations-1)*squared + 2*inverse + sums + pair
+	// Each iteration sums its updates.
+	f := sparse.LayerFlops(n, s) + int64(iterations)*(inverse+pair+sums) + int64(iterations-1)*squared
+	// Each finish adds its surface's sum and inverts; then its projection,
+	// the same products as its half of the pair.
+	if want.has(right) {
+		f += inverse + int64(r*r)*perf.FlopsCAdd + gemm(r, c, c) + gemm(r, c, r)
+	}
+	if want.has(left) {
+		f += inverse + int64(c*c)*perf.FlopsCAdd + gemm(c, r, r) + gemm(c, r, c)
+	}
+	return f
 }
 
 // registry resolves leads to block families, kept in registration order —

@@ -83,16 +83,23 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*Result
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	z := complex(e, s.Eta)
-	sigL, sigR, err := s.selfEnergies(z)
+	sigL, sigR, err := s.selfEnergies(complex(e, s.Eta))
 	if err != nil {
 		return nil, err
 	}
+	return s.SolveWithSigma(ctx, e, sigL, sigR, density)
+}
+
+// SolveWithSigma is SolveCtx with the contact self-energies at e + iη
+// given — Σ_L and Σ_R as Leads.SelfEnergies returns them — instead of
+// computed: what a transmission sweep runs with Σ taken from a lane group
+// (SigmaGroup).
+func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	defer perf.StartPhase("rgf")()
-	return s.solveWithSigma(e, z, sigL, sigR, density)
+	return s.solveWithSigma(e, complex(e, s.Eta), sigL, sigR, density)
 }
 
 // selfEnergies routes through the cache when one is attached.

@@ -134,8 +134,8 @@ func TestEliminationFailureRerunsWhole(t *testing.T) {
 	if layer.Rows == fam.h00.Rows {
 		t.Fatal("the guard keeps the layer whole here; the rerun is not exercised")
 	}
-	if _, err := fam.recursion(layer, bothSides, ws); !errors.Is(err, ErrNoConvergence) {
-		t.Fatalf("the eliminated recursion alone returned %v, want ErrNoConvergence; the rerun is not exercised", err)
+	if _, _, errs := fam.recursion(&laneSet{ws: ws}, block{m: layer}, bothSides, 1); !errors.Is(errs[0], ErrNoConvergence) {
+		t.Fatalf("the eliminated recursion alone returned %v, want ErrNoConvergence; the rerun is not exercised", errs[0])
 	}
 	got, err := fam.selfEnergies(z, bothSides)
 	if err != nil {

@@ -91,85 +91,130 @@ func (b *blockFamily) decimate(z complex128, want sideSet, ws *linalg.Workspace)
 	if imag(z) <= 0 {
 		return surf, fmt.Errorf("negf: surface GF needs Im(z) > 0, got %g", imag(z))
 	}
+	set := laneSet{ws: ws}
 	layer := b.layer.At(z, ws)
-	surf, err = b.recursion(layer, want, ws)
-	if err != nil && layer.Rows < b.h00.Rows {
-		surf, err = b.recursion(b.layer.Whole().At(z, ws), want, ws)
+	blocks, _, errs := b.recursion(&set, block{m: layer}, want, 1)
+	if errs[0] != nil && layer.Rows < b.h00.Rows {
+		blocks, _, errs = b.recursion(&set, block{m: b.layer.Whole().At(z, ws)}, want, 1)
 	}
-	return surf, err
+	return [2]*linalg.Matrix{blocks[left].m, blocks[right].m}, errs[0]
 }
 
 // recursion runs decimate's loop on the effective layer M(z), with R and C
-// at b.posR and b.posC of its rows.
-func (b *blockFamily) recursion(layer *linalg.Matrix, want sideSet, ws *linalg.Workspace) (surf [2]*linalg.Matrix, err error) {
-	s, r, c := layer.Rows, len(b.rows), len(b.cols)
-	bulk := ws.Get(s, s) // z − ε on S
-	bulk.CopyFrom(layer)
+// at b.posR and b.posC of its rows, for every lane of live: one energy on
+// the solo kernels, or up to linalg.Lanes in lockstep (laneSet). Each lane
+// retires at its own iteration — its updates then stop — or fails with its
+// own error, after which nothing of it is read; either way its couplings
+// are zeroed, so its storage stays tame while the others run on. The
+// finish runs for the retired lanes together. It returns each lane's
+// iteration count and error.
+func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live linalg.LaneMask) (surf [2]block, iters [linalg.Lanes]int, errs [linalg.Lanes]error) {
+	s, r, c := layer.rows(), len(b.rows), len(b.cols)
+	bulk := set.get(s, s) // z − ε on S
+	set.copy(bulk, layer)
 	// The surfaces' own sums of −α·g·β (right, on R×R) and −β·g·α (left, on
 	// C×C), and where each lands in S.
-	upd := [2]*linalg.Matrix{left: ws.Get(c, c), right: ws.Get(r, r)}
+	upd := [2]block{left: set.zeroed(c, c), right: set.zeroed(r, r)}
 	pos := [2][]int{left: b.posC, right: b.posR}
-	alpha, beta, alphaNew, betaNew := ws.Get(r, c), ws.Get(c, r), ws.Get(r, c), ws.Get(c, r)
-	alpha.CopyFrom(&b.a)
-	beta.CopyFrom(&b.ad)
-	g := ws.Get(s, s)
-	gCC, gCR, gRR, gRC := ws.Get(c, c), ws.Get(c, r), ws.Get(r, r), ws.Get(r, c)
-	agC, agR, bgR, bgC := ws.Get(r, c), ws.Get(r, r), ws.Get(c, r), ws.Get(c, c)
-	agb, bga := ws.Get(r, r), ws.Get(c, c) // −α·g·β and −β·g·α
+	alpha, beta, alphaNew, betaNew := set.get(r, c), set.get(c, r), set.get(r, c), set.get(c, r)
+	set.load(alpha, &b.a)
+	set.load(beta, &b.ad)
+	g := set.get(s, s)
+	gCC, gCR, gRR, gRC := set.get(c, c), set.get(c, r), set.get(r, r), set.get(r, c)
+	agC, agR, bgR, bgC := set.get(r, c), set.get(r, r), set.get(c, r), set.get(c, c)
+	agb, bga := set.get(r, r), set.get(c, c) // −α·g·β and −β·g·α
 
-	for iter := 1; ; iter++ {
-		if err := linalg.InverseInto(g, bulk, ws); err != nil {
-			return surf, fmt.Errorf("negf: decimation inversion failed: %w", err)
+	var done linalg.LaneMask
+	for iter := 1; live != 0; iter++ {
+		running := live
+		failed, err := set.inverse(g, bulk, live)
+		for l := range errs {
+			if failed.Has(l) {
+				errs[l] = fmt.Errorf("negf: decimation inversion failed: %w", err)
+			}
 		}
-		sparse.Gather(gCC, g, b.posC, b.posC)
-		sparse.Gather(gRR, g, b.posR, b.posR)
-		linalg.MulInto(agC, alpha, linalg.NoTrans, gCC, linalg.NoTrans)
-		linalg.MulInto(bgR, beta, linalg.NoTrans, gRR, linalg.NoTrans)
-		linalg.GemmInto(agb, -1, agC, linalg.NoTrans, beta, linalg.NoTrans, 0)
-		linalg.GemmInto(bga, -1, bgR, linalg.NoTrans, alpha, linalg.NoTrans, 0)
-		// A non-finite g shows in the updates it enters: no scan of its own.
-		update := max(maxAbs(agb), maxAbs(bga))
-		if !finite(update) {
-			return surf, fmt.Errorf("%w: non-finite block at iteration %d", ErrNoConvergence, iter)
-		}
-		upd[right].AddInPlace(agb)
-		upd[left].AddInPlace(bga)
-		if update < surfaceTol {
+		if live &^= failed; live == 0 {
 			break
 		}
-		if iter == surfaceMaxIter {
-			return surf, fmt.Errorf("%w: %d iterations", ErrNoConvergence, iter)
+		set.gather(gCC, g, b.posC, b.posC)
+		set.gather(gRR, g, b.posR, b.posR)
+		set.gemm(agC, 1, alpha, gCC)
+		set.gemm(bgR, 1, beta, gRR)
+		set.gemm(agb, -1, agC, beta)
+		set.gemm(bga, -1, bgR, alpha)
+		// A non-finite g shows in the updates it enters: no scan of its own.
+		update, ub := set.maxAbs(agb), set.maxAbs(bga)
+		for l, u := range ub {
+			update[l] = max(update[l], u)
 		}
-		sparse.ScatterAdd(bulk, agb, b.posR, b.posR)
-		sparse.ScatterAdd(bulk, bga, b.posC, b.posC)
-		sparse.Gather(gCR, g, b.posC, b.posR)
-		sparse.Gather(gRC, g, b.posR, b.posC)
-		linalg.MulInto(agR, alpha, linalg.NoTrans, gCR, linalg.NoTrans)
-		linalg.MulInto(bgC, beta, linalg.NoTrans, gRC, linalg.NoTrans)
-		linalg.MulInto(alphaNew, agR, linalg.NoTrans, alpha, linalg.NoTrans)
-		linalg.MulInto(betaNew, bgC, linalg.NoTrans, beta, linalg.NoTrans)
+		for l, u := range update {
+			if live.Has(l) && !finite(u) {
+				errs[l] = fmt.Errorf("%w: non-finite block at iteration %d", ErrNoConvergence, iter)
+				live &^= 1 << l
+			}
+		}
+		if live == 0 {
+			break
+		}
+		set.add(upd[right], agb, live)
+		set.add(upd[left], bga, live)
+		var retired linalg.LaneMask
+		for l, u := range update {
+			switch {
+			case !live.Has(l):
+			case u < surfaceTol:
+				iters[l] = iter
+				retired |= 1 << l
+			case iter == surfaceMaxIter:
+				errs[l] = fmt.Errorf("%w: %d iterations", ErrNoConvergence, iter)
+				live &^= 1 << l
+			}
+		}
+		done |= retired
+		if live &^= retired; live == 0 {
+			break
+		}
+		set.zero(alpha, running&^live)
+		set.zero(beta, running&^live)
+		set.scatterAdd(bulk, agb, b.posR, b.posR)
+		set.scatterAdd(bulk, bga, b.posC, b.posC)
+		set.gather(gCR, g, b.posC, b.posR)
+		set.gather(gRC, g, b.posR, b.posC)
+		set.gemm(agR, 1, alpha, gCR)
+		set.gemm(bgC, 1, beta, gRC)
+		set.gemm(alphaNew, 1, agR, alpha)
+		set.gemm(betaNew, 1, bgC, beta)
 		alpha, alphaNew = alphaNew, alpha
 		beta, betaNew = betaNew, beta
 	}
 	for _, sd := range [2]side{left, right} {
-		if !want.has(sd) {
+		if !want.has(sd) || done == 0 {
 			continue
 		}
-		bulk.CopyFrom(layer) // the loop is done with it: z − ε_s of this surface
-		sparse.ScatterAdd(bulk, upd[sd], pos[sd], pos[sd])
-		if err := linalg.InverseInto(g, bulk, ws); err != nil {
-			return surf, fmt.Errorf("negf: surface inversion failed: %w", err)
+		set.copy(bulk, layer) // the loop is done with it: z − ε_s of this surface
+		set.scatterAdd(bulk, upd[sd], pos[sd], pos[sd])
+		failed, err := set.inverse(g, bulk, done)
+		for l := range errs {
+			if failed.Has(l) {
+				errs[l] = fmt.Errorf("negf: surface inversion failed: %w", err)
+			}
+		}
+		if done &^= failed; done == 0 {
+			break
 		}
 		// Σ reads the surface function on the other support: the right
 		// contact's through h01's columns, the left's through its rows.
 		read := pos[1-sd]
-		surf[sd] = ws.Get(len(read), len(read))
-		sparse.Gather(surf[sd], g, read, read)
-		if !finite(maxAbs(surf[sd])) {
-			return surf, fmt.Errorf("%w: non-finite %s surface function", ErrNoConvergence, sideNames[sd])
+		surf[sd] = set.get(len(read), len(read))
+		set.gather(surf[sd], g, read, read)
+		for l, u := range set.maxAbs(surf[sd]) {
+			if done.Has(l) && !finite(u) {
+				errs[l] = fmt.Errorf("%w: non-finite %s surface function", ErrNoConvergence, sideNames[sd])
+				done &^= 1 << l
+			}
 		}
 	}
-	return surf, nil
+	return surf, iters, errs
 }
 
 // Leads bundles the two semi-infinite contacts of a device. L01 and R01

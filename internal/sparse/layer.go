@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/cmplx"
+	"sync"
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
@@ -45,6 +46,10 @@ type Layer struct {
 	lambda []float64
 	w, wh  linalg.Matrix // W = V†·h[I,keep] and W†, V the eigenvectors of h[I,I]
 	whole  *Layer        // this layer with an empty interior; itself when I is empty
+
+	// whLanes is W† in every lane, built by the first LanesAt.
+	whOnce  sync.Once
+	whLanes *linalg.LaneMatrix
 }
 
 // NewLayer splits the Hermitian block h on sup, ascending orbitals of h, and
@@ -153,6 +158,49 @@ func (l *Layer) at(z complex128, ws *linalg.Workspace) (p *Layer, m, d *linalg.M
 	linalg.GemmInto(m, -1, &p.wh, linalg.NoTrans, dw, linalg.NoTrans, 1)
 	ws.Put(dw)
 	return p, m, d
+}
+
+// Size returns s = |S|, the order of M where the interior is eliminated.
+func (l *Layer) Size() int { return len(l.sup) }
+
+// Eliminates reports whether At eliminates the interior at z — false where
+// the guard keeps the layer whole.
+func (l *Layer) Eliminates(z complex128) bool { return l.eliminates(z) }
+
+// LanesAt writes into lane i of m, for each lane of live, the M(z[i]) At
+// returns — bit for bit, s×s: every z[i] must be one the layer eliminates
+// at (Eliminates). dw is (n − s)×s scratch. It counts no flop (LayerFlops
+// is what At counts, which the caller counts for each lane it keeps), and
+// the lanes outside live hold garbage.
+func (l *Layer) LanesAt(m, dw *linalg.LaneMatrix, z *[linalg.Lanes]complex128, live linalg.LaneMask) {
+	ni, s := len(l.in), len(l.keep)
+	if m.Rows != s || m.Cols != s || dw.Rows != ni || dw.Cols != s {
+		panic("sparse: dimension mismatch in Layer.LanesAt")
+	}
+	l.whOnce.Do(func() {
+		l.whLanes = linalg.NewLaneMatrix(s, ni)
+		l.whLanes.Broadcast(&l.wh)
+	})
+	for i, zi := range z {
+		if !live.Has(i) {
+			continue
+		}
+		// ShiftedNegInto, ScaleRowsInto and the reciprocals, one lane at a
+		// time: the trees at runs on a single z.
+		for e, v := range l.hKK.Data {
+			m.Set(i, e/s, e%s, -v)
+		}
+		for j := 0; j < s; j++ {
+			m.Set(i, j, j, m.At(i, j, j)+zi)
+		}
+		for q, lv := range l.lambda {
+			d := 1 / (zi - complex(lv, 0))
+			for p, v := range l.w.Data[q*s : (q+1)*s] {
+				dw.Set(i, q, p, v*d)
+			}
+		}
+	}
+	linalg.LaneGemmInto(m, -1, l.whLanes, dw, 1)
 }
 
 // eliminates reports whether z keeps min|z − λ| ≥ InteriorGuard·max|z − λ|

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/linalg"
 	"repro/internal/negf"
 	"repro/internal/sched"
 )
@@ -43,6 +44,10 @@ func (s *stubSolver) SolveCtx(ctx context.Context, e float64, density bool) (*ne
 		}
 	}
 	return &negf.Result{E: e, T: 2 * e}, nil
+}
+
+func (s *stubSolver) SolveWithSigma(ctx context.Context, e float64, _, _ *linalg.Matrix, density bool) (*negf.Result, error) {
+	return s.SolveCtx(ctx, e, density)
 }
 
 func stubEngine(workers int, s *stubSolver) *Engine {

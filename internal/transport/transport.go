@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/linalg"
 	"repro/internal/negf"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -114,6 +115,7 @@ func (c Config) withDefaults() Config {
 // pointSolver is the common surface of the two formalisms.
 type pointSolver interface {
 	SolveCtx(ctx context.Context, e float64, density bool) (*negf.Result, error)
+	SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*negf.Result, error)
 }
 
 // Engine evaluates energy-resolved transport quantities for one device
@@ -121,6 +123,11 @@ type pointSolver interface {
 type Engine struct {
 	solver pointSolver
 	pool   *sched.Pool
+	// leads and eta are the solver's; cached is whether it reads Σ from a
+	// self-energy cache, which a lane group (SigmaGroup) would bypass.
+	leads  *negf.Leads
+	eta    float64
+	cached bool
 }
 
 // NewEngine builds an engine for the given device Hamiltonian.
@@ -131,6 +138,7 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 		pool = sched.New(0)
 	}
 	var solver pointSolver
+	var leads *negf.Leads
 	switch cfg.Formalism {
 	case WaveFunction:
 		wf, err := wavefunction.NewSolver(h, cfg.Eta)
@@ -141,18 +149,18 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 		// energy level, so nested parallelism stays within one budget.
 		wf.Domains, wf.Pool = cfg.Domains, pool
 		wf.Cache = cfg.Cache
-		solver = wf
+		solver, leads = wf, wf.Leads
 	case NEGFRGF:
 		gf, err := negf.NewSolver(h, cfg.Eta)
 		if err != nil {
 			return nil, err
 		}
 		gf.Cache = cfg.Cache
-		solver = gf
+		solver, leads = gf, gf.Leads
 	default:
 		return nil, fmt.Errorf("transport: unknown formalism %d", cfg.Formalism)
 	}
-	return &Engine{solver: solver, pool: pool}, nil
+	return &Engine{solver: solver, pool: pool, leads: leads, eta: cfg.Eta, cached: cfg.Cache != nil}, nil
 }
 
 // Pool returns the worker pool the engine schedules on, for callers that
@@ -180,6 +188,44 @@ func (e *Engine) SolveAt(ctx context.Context, energy float64, density bool) (*ne
 func (e *Engine) TransmissionAt(ctx context.Context, energy float64) (float64, error) {
 	r, err := e.SolveAt(ctx, energy, false)
 	if err != nil {
+		return 0, err
+	}
+	return r.T, nil
+}
+
+// SigmaGroup computes the contact self-energies of up to linalg.Lanes
+// energies in lockstep (negf.Leads.SelfEnergyGroup), for TransmissionFrom.
+// An engine that reads Σ from a self-energy cache returns nil.
+func (e *Engine) SigmaGroup(energies []float64) *negf.SigmaGroup {
+	if e.cached {
+		return nil
+	}
+	zs := make([]complex128, len(energies))
+	for i, en := range energies {
+		zs[i] = complex(en, e.eta)
+	}
+	return e.leads.SelfEnergyGroup(zs)
+}
+
+// TransmissionFrom is TransmissionAt at energy, which is the i-th energy of
+// g, with Σ taken from g: the same value, bit for bit, and the same count.
+// A nil g is TransmissionAt.
+func (e *Engine) TransmissionFrom(ctx context.Context, g *negf.SigmaGroup, i int, energy float64) (float64, error) {
+	if g == nil {
+		return e.TransmissionAt(ctx, energy)
+	}
+	if err := ctx.Err(); err != nil {
+		return 0, err
+	}
+	sigL, sigR, err := g.Take(i)
+	if err != nil {
+		return 0, err
+	}
+	r, err := e.solver.SolveWithSigma(ctx, energy, sigL, sigR, false)
+	if err != nil {
+		return 0, err
+	}
+	if err := checkFinite(energy, r); err != nil {
 		return 0, err
 	}
 	return r.T, nil

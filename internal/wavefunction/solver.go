@@ -87,11 +87,22 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	z := complex(e, s.Eta)
-	sigL, sigR, err := negf.CachedSelfEnergies(s.Cache, s.Leads, z)
+	sigL, sigR, err := negf.CachedSelfEnergies(s.Cache, s.Leads, complex(e, s.Eta))
 	if err != nil {
 		return nil, err
 	}
+	return s.SolveWithSigma(ctx, e, sigL, sigR, density)
+}
+
+// SolveWithSigma is SolveCtx with the contact self-energies at e + iη
+// given — Σ_L and Σ_R as Leads.SelfEnergies returns them — instead of
+// computed: what a transmission sweep runs with Σ taken from a lane group
+// (negf.SigmaGroup).
+func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*negf.Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	z := complex(e, s.Eta)
 	s.openOnce.Do(func() {
 		left, right := s.Leads.Supports()
 		s.open, s.openErr = sparse.NewReducedSystem(s.H, left, right)
