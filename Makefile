@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-pairs bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check designrefs spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-pairs bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The T2 solves and the
 # cold self-energy miss draw their workspaces from sync.Pools, where a P
@@ -25,7 +25,14 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-check: fmt-check vet spec-check
+check: fmt-check vet spec-check designrefs
+
+# Every Test, Benchmark or Fuzz name (a trailing * cites a prefix) and
+# every make target that DESIGN.md, README.md, EXPERIMENTS.md or the
+# verify skill cites must exist, so a rename or deletion takes its
+# citations with it.
+designrefs:
+	sh scripts/designrefs.sh
 
 # The -dump-spec output of omen is pinned to the spec package's golden
 # files: canonical JSON plus all four content hashes. A diff here means

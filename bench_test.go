@@ -20,6 +20,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/device"
 	"repro/internal/lattice"
@@ -252,6 +253,19 @@ func BenchmarkSigmaLanes(b *testing.B) {
 	}
 }
 
+// transmissions is T over grid on the sweep runner, one task per energy
+// on a GOMAXPROCS-wide pool: the energy loop every sweep of the engine
+// runs on.
+func transmissions(eng *transport.Engine, grid []float64) ([]float64, error) {
+	ts := make([]float64, len(grid))
+	_, err := cluster.RunTasksResumable(context.Background(), 1, 1, len(grid), cluster.SweepOptions{},
+		func(ctx context.Context, t cluster.Task) (_ []byte, err error) {
+			ts[t.E], err = eng.TransmissionAt(ctx, grid[t.E])
+			return nil, err
+		})
+	return ts, err
+}
+
 // --- F1: transmission/DOS spectrum with cross-formalism validation ---------
 
 func BenchmarkF1_Transmission(b *testing.B) {
@@ -276,13 +290,13 @@ func BenchmarkF1_Transmission(b *testing.B) {
 	b.ResetTimer()
 	var tw, tg []float64
 	for i := 0; i < b.N; i++ {
-		tw, err = wf.Transmissions(context.Background(), grid)
+		tw, err = transmissions(wf, grid)
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	tg, err = gf.Transmissions(context.Background(), grid)
+	tg, err = transmissions(gf, grid)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -595,7 +609,7 @@ func BenchmarkA2_SelfEnergyCache(b *testing.B) {
 					if err != nil {
 						b.Fatal(err)
 					}
-					if _, err := eng.Transmissions(context.Background(), grid); err != nil {
+					if _, err := transmissions(eng, grid); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -169,9 +169,10 @@ func QuarantineBudget(quarantine bool, total int) int {
 // checkpoint/restart, per-task retry with backoff, panic isolation,
 // deterministic fault injection, and optional quarantine of unsalvageable
 // points. Each task must write only to its own output slot. Without
-// quarantine the first error (by task order, so failures are
-// deterministic) cancels the in-flight siblings through ctx and is
-// returned after all running tasks have drained.
+// quarantine the first error (by task order) cancels the in-flight
+// siblings through ctx and is returned after all running tasks have
+// drained. Under a single-attempt Retry every task that started runs to
+// its own verdict (resilience.Policy.Do), so the error is deterministic.
 //
 // Execution of one task: Attempt, then the journal append (the payload
 // and the task's perf delta, see Meter); a panic
@@ -273,9 +274,9 @@ func RunTasksResumable(ctx context.Context, nBias, nK, nE int, opts SweepOptions
 	// A pool job is a lane group (Group), its tasks run in index order; a
 	// failing task ends its group and is named by its own index.
 	groups := Groups(pending, nK, nE)
-	err = pool.ForEach(ctx, "sweep", len(groups), func(ctx context.Context, gi int) error {
+	err = pool.ForEach(ctx, "energy", len(groups), func(ctx context.Context, gi int) error {
 		if idx, err := groups[gi].Run(ctx, run); err != nil {
-			return &sched.TaskError{Phase: "sweep", Index: idx, Err: err}
+			return &sched.TaskError{Phase: "energy", Index: idx, Err: err}
 		}
 		return nil
 	})

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/cluster"
 	"repro/internal/negf"
 	"repro/internal/poisson"
 	"repro/internal/sched"
@@ -217,6 +218,25 @@ func (f *FET) pool() *sched.Pool {
 	return sched.New(0)
 }
 
+// energyPass runs solve(ctx, i) for every energy of grid as one task of
+// the sweep runner on pool, the loop every sweep of the engine runs on: a
+// pool job is a lane group of consecutive energies, solved in grid order
+// on one goroutine. Each solve writes its own slot, so the caller reduces
+// the slots in grid order and the bits do not depend on the schedule. No
+// journal reads the tasks, so they return no payload. A failure names its
+// energy; the first failing energy by grid order among those that ran
+// wins, and it cancels the rest of the pass.
+func energyPass(ctx context.Context, pool *sched.Pool, grid []float64, solve func(ctx context.Context, i int) error) error {
+	_, err := cluster.RunTasksResumable(ctx, 1, 1, len(grid), cluster.SweepOptions{Pool: pool},
+		func(ctx context.Context, t cluster.Task) ([]byte, error) {
+			if err := solve(ctx, t.E); err != nil {
+				return nil, fmt.Errorf("E=%g eV: %w", grid[t.E], err)
+			}
+			return nil, nil
+		})
+	return err
+}
+
 // solveBias runs the self-consistent loop at one (VGate, VDrain) point.
 func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (*IVPoint, error) {
 	s := f.Sim.Built.Structure
@@ -261,6 +281,7 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	// FET's shared energy lattice so every iteration — and every other
 	// bias point whose window overlaps — reuses the same cached energies.
 	grid := f.chargeGrid(vg, vd)
+	spectra := make([]*negf.Result, len(grid))
 
 	// One Hamiltonian and engine per iterate. The loop leaves eng on the
 	// iterate whose residual passed or, past MaxIter, on the last mixed
@@ -285,7 +306,13 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 			break
 		}
 		point.Iterations = iter
-		occ, dOcc, err := eng.ChargeDensity(ctx, grid, bias)
+		if err := energyPass(ctx, pool, grid, func(ctx context.Context, i int) (err error) {
+			spectra[i], err = eng.SolveAt(ctx, grid[i], true)
+			return err
+		}); err != nil {
+			return nil, err
+		}
+		occ, dOcc, err := transport.ChargeDensity(grid, spectra, bias)
 		if err != nil {
 			return nil, err
 		}
@@ -319,8 +346,11 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	// the half lattice, so its even points are served straight from the
 	// SCF iterations' cache entries.
 	iGrid := f.currentGrid(vd, u)
-	ts, err := eng.Transmissions(ctx, iGrid)
-	if err != nil {
+	ts := make([]float64, len(iGrid))
+	if err := energyPass(ctx, pool, iGrid, func(ctx context.Context, i int) (err error) {
+		ts[i], err = eng.TransmissionAt(ctx, iGrid[i])
+		return err
+	}); err != nil {
 		return nil, err
 	}
 	i, err := f.Sim.CurrentFromSpectrum(iGrid, ts, bias)

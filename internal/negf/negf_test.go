@@ -110,19 +110,21 @@ func TestChainTransmissionPerfect(t *testing.T) {
 	const eps0, hop = 0.2, -1.0
 	sol := chainSolver(t, 8, eps0, hop, nil, 1e-6)
 	for _, e := range []float64{eps0 - 1.9, eps0 - 1.0, eps0, eps0 + 0.5, eps0 + 1.9} {
-		T, err := sol.Transmission(e)
+		r, err := sol.Solve(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		T := r.T
 		if math.Abs(T-1) > 1e-4 {
 			t.Fatalf("in-band T(%g) = %g, want 1", e, T)
 		}
 	}
 	for _, e := range []float64{eps0 - 2.5, eps0 + 2.5, eps0 + 4} {
-		T, err := sol.Transmission(e)
+		r, err := sol.Solve(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		T := r.T
 		if T > 1e-5 {
 			t.Fatalf("out-of-band T(%g) = %g, want ~0", e, T)
 		}
@@ -142,10 +144,11 @@ func TestChainBarrierAgainstAnalytic(t *testing.T) {
 		// Dispersion E = 2t·cos(ka) → sin(ka) = √(1 − (E/2t)²).
 		sinka := math.Sqrt(1 - e*e/(4*hop*hop))
 		want := 1 / (1 + math.Pow(v0/(2*math.Abs(hop)*sinka), 2))
-		T, err := sol.Transmission(e)
+		r, err := sol.Solve(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		T := r.T
 		if math.Abs(T-want) > 1e-4 {
 			t.Fatalf("delta-barrier T(%g) = %g, want %g", e, T, want)
 		}
@@ -303,10 +306,11 @@ func TestTransmissionMatchesModeCount(t *testing.T) {
 			}
 			modes += crossings / 2 // each mode crosses E going up and down over the BZ
 		}
-		T, err := sol.Transmission(e)
+		r, err := sol.Solve(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		T := r.T
 		if math.Abs(T-float64(modes)) > 1e-3 {
 			t.Fatalf("E=%g: T=%g but lead has %d modes", e, T, modes)
 		}
@@ -340,14 +344,16 @@ func TestTransmissionReciprocity(t *testing.T) {
 	}
 	solR := chainSolver(t, n, 0, hop, rpot, 1e-6)
 	for _, e := range []float64{-1.1, 0.2, 0.9} {
-		t1, err := sol.Transmission(e)
+		r1, err := sol.Solve(e, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t2, err := solR.Transmission(e)
+		t1 := r1.T
+		r2, err := solR.Solve(e, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		t2 := r2.T
 		if math.Abs(t1-t2) > 1e-8 {
 			t.Fatalf("E=%g: T=%g but mirrored T=%g", e, t1, t2)
 		}

@@ -304,15 +304,6 @@ func leftConnected(m *linalg.Matrix, s int, ws *linalg.Workspace) (*linalg.Matri
 	return g, nil
 }
 
-// Transmission is a convenience wrapper returning only T(e).
-func (s *Solver) Transmission(e float64) (float64, error) {
-	r, err := s.Solve(e, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.T, nil
-}
-
 // reduced returns the reduced open system, built by the first solve from H
 // and the contacts' supports (Leads.Supports).
 func (s *Solver) reduced() (*sparse.ReducedSystem, error) {

@@ -220,9 +220,17 @@ func (p Policy) Backoff(a int) time.Duration {
 // Permanent errors (see Classify) short-circuit immediately; cancellation
 // of ctx aborts between and during attempts and returns ctx.Err(). When
 // the attempt budget is exhausted the last error is wrapped in
-// *ExhaustedError.
+// *ExhaustedError. A single-attempt policy is none of this: its one
+// attempt runs even under a canceled ctx, and its error comes back as is.
 func (p Policy) Do(ctx context.Context, fn func(context.Context) error) error {
 	n := p.attempts()
+	if n == 1 {
+		// A single-attempt policy is a plain guarded call: fn runs, and its
+		// error is the verdict, unwrapped, whatever ctx did meanwhile. So a
+		// runner, like sched.Pool.ForEach, ranks every claimed task by its
+		// own verdict and never by a sibling's cancellation.
+		return p.attempt(ctx, fn)
+	}
 	var last error
 	for a := 0; a < n; a++ {
 		if err := ctx.Err(); err != nil {
@@ -250,10 +258,6 @@ func (p Policy) Do(ctx context.Context, fn func(context.Context) error) error {
 			case <-t.C:
 			}
 		}
-	}
-	if n == 1 {
-		// A single-attempt policy is a plain guarded call; don't wrap.
-		return last
 	}
 	return &ExhaustedError{Attempts: n, Err: last}
 }

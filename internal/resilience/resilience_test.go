@@ -151,6 +151,31 @@ func TestDoParentCancellationWins(t *testing.T) {
 	}
 }
 
+// TestDoSingleAttemptIsAPlainCall: a single-attempt policy runs its one
+// attempt and returns the attempt's own error, even when ctx is canceled
+// before or during it — the sweep runner's first error by task order
+// rests on it — and still contains a panic.
+func TestDoSingleAttemptIsAPlainCall(t *testing.T) {
+	own := errors.New("own failure")
+	ctx, cancel := context.WithCancel(context.Background())
+	err := Policy{}.Do(ctx, func(context.Context) error {
+		cancel()
+		return own
+	})
+	if err != own {
+		t.Fatalf("mid-attempt cancel: got %v, want the attempt's own error", err)
+	}
+	calls := 0
+	err = Policy{}.Do(ctx, func(context.Context) error { calls++; return own })
+	if err != own || calls != 1 {
+		t.Fatalf("canceled before the attempt: got %v after %d calls, want the attempt's own error after 1", err, calls)
+	}
+	var pe *PanicError
+	if err := (Policy{}).Do(context.Background(), func(context.Context) error { panic("boom") }); !errors.As(err, &pe) {
+		t.Fatalf("panic: got %v, want a *PanicError", err)
+	}
+}
+
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	p := Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
 		Multiplier: 2, JitterFrac: 0.5, Seed: 42}

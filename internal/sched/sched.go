@@ -1,9 +1,9 @@
 // Package sched is the shared bounded-parallelism execution layer of the
 // simulator. Every concurrent site — the bias sweep of core.FET, the
-// momentum fan-out of core.Simulator, the energy grids of
-// transport.Engine, and the spatial-domain stages of splitsolve — runs on
-// a sched.Pool instead of an ad-hoc goroutine-per-item loop, which gives
-// all of them uniformly:
+// energy loop of the sweep runner (cluster.RunTasksResumable, which every
+// transmission sweep and every SCF pass of core.FET runs on), and the
+// spatial-domain stages of splitsolve — runs on a sched.Pool instead of an
+// ad-hoc goroutine-per-item loop, which gives all of them uniformly:
 //
 //   - a hard bound on live goroutines: work is pulled from a shared index
 //     counter by at most Workers goroutines, never spawned per item;
@@ -47,7 +47,7 @@ import (
 
 // Pool is a bounded-parallelism executor. The zero value is not usable;
 // construct with New. A Pool is safe for concurrent and nested use: all
-// ForEach/Map calls on the same pool share one worker budget.
+// ForEach calls on the same pool share one worker budget.
 type Pool struct {
 	workers int
 	// tokens is the helper budget: capacity Workers−1, because the caller
@@ -61,7 +61,7 @@ type Pool struct {
 
 // TaskEvent describes one completed (or failed) task for the Hook.
 type TaskEvent struct {
-	// Phase is the name the ForEach/Map call ran under ("" if unnamed).
+	// Phase is the name the ForEach call ran under ("" if unnamed).
 	Phase string
 	// Index is the task's input index.
 	Index int
@@ -87,7 +87,7 @@ func (p *Pool) Workers() int { return p.workers }
 // failed so callers can reconstruct domain-specific messages (energy value,
 // gate voltage, domain number). It unwraps to the task's own error.
 type TaskError struct {
-	// Phase is the phase name of the failing ForEach/Map call.
+	// Phase is the phase name of the failing ForEach call.
 	Phase string
 	// Index is the input index of the failing task — the first failing
 	// index in input order among the tasks that ran.
@@ -156,7 +156,7 @@ func (t *tracker) get() (int, error, bool) {
 // recovered into a *resilience.PanicError (panic value + captured stack)
 // and handled as a task error.
 //
-// Nested calls — fn itself calling ForEach/Map on the same pool — are safe
+// Nested calls — fn itself calling ForEach on the same pool — are safe
 // and share the worker budget: the inner call runs on the calling worker's
 // goroutine plus however many helper tokens remain, degrading to an inline
 // serial loop when the budget is exhausted. ForEach never blocks waiting
@@ -245,23 +245,4 @@ acquire:
 		return err
 	}
 	return context.Canceled
-}
-
-// Map runs fn(ctx, i) for i in [0, n) on the pool and collects the results
-// in input order. Error and cancellation semantics match Pool.ForEach; on
-// any error the partial results are discarded and nil is returned.
-func Map[T any](ctx context.Context, p *Pool, phase string, n int, fn func(context.Context, int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := p.ForEach(ctx, phase, n, func(ctx context.Context, i int) error {
-		v, err := fn(ctx, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -30,24 +30,6 @@ func (g *gauge) enter() {
 
 func (g *gauge) exit() { g.cur.Add(-1) }
 
-func TestMapPreservesOrder(t *testing.T) {
-	p := New(8)
-	got, err := Map(context.Background(), p, "", 100, func(_ context.Context, i int) (int, error) {
-		return i * i, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 100 {
-		t.Fatalf("got %d results, want 100", len(got))
-	}
-	for i, v := range got {
-		if v != i*i {
-			t.Fatalf("result %d = %d, want %d", i, v, i*i)
-		}
-	}
-}
-
 func TestForEachBoundsConcurrency(t *testing.T) {
 	const workers = 4
 	p := New(workers)
@@ -236,22 +218,6 @@ func TestWorkersDefault(t *testing.T) {
 	}
 	if w := New(5).Workers(); w != 5 {
 		t.Fatalf("New(5).Workers() = %d", w)
-	}
-}
-
-func TestMapEmptyAndSingle(t *testing.T) {
-	p := New(4)
-	got, err := Map(context.Background(), p, "", 0, func(_ context.Context, i int) (string, error) {
-		return "x", nil
-	})
-	if err != nil || len(got) != 0 {
-		t.Fatalf("empty map: %v, %v", got, err)
-	}
-	one, err := Map(context.Background(), p, "", 1, func(_ context.Context, i int) (string, error) {
-		return "only", nil
-	})
-	if err != nil || len(one) != 1 || one[0] != "only" {
-		t.Fatalf("single map: %v, %v", one, err)
 	}
 }
 

@@ -39,14 +39,16 @@ func TestSplitSolveInsideWFSolver(t *testing.T) {
 	}
 	wf.Domains, wf.Pool = 4, sched.New(2)
 	for _, e := range []float64{1.2, 1.9, 2.6} {
-		tWF, err := wf.Transmission(e)
+		rWF, err := wf.Solve(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
-		tRef, err := ref.Transmission(e)
+		tWF := rWF.T
+		rRef, err := ref.Solve(e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		tRef := rRef.T
 		if math.Abs(tWF-tRef) > 1e-7*(1+tRef) {
 			t.Fatalf("E=%g: SplitSolve T=%g vs NEGF T=%g", e, tWF, tRef)
 		}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/negf"
 	"repro/internal/resilience"
-	"repro/internal/sched"
 )
 
 func TestCheckFiniteNamesQuantityAndEnergy(t *testing.T) {
@@ -54,24 +53,36 @@ func TestNonFiniteErrorIsPermanent(t *testing.T) {
 	}
 }
 
+// TestTransmissionAtMatchesSpectrum: T at one energy on a fresh engine is
+// the bits of a density-off SolveAt at that energy in the middle of a grid
+// solved in order on another engine — a solve depends on its energy alone,
+// not on the engine's history.
 func TestTransmissionAtMatchesSpectrum(t *testing.T) {
 	h := chainH(t, 6, 0, -1, nil)
-	eng, err := NewEngine(h, Config{Pool: sched.New(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
 	grid := UniformGrid(-1.5, 1.5, 9)
-	ts, err := eng.Transmissions(context.Background(), grid)
+	ref, err := NewEngine(h, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	ts := make([]float64, len(grid))
 	for i, e := range grid {
-		v, err := eng.TransmissionAt(context.Background(), e)
+		r, err := ref.SolveAt(context.Background(), e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
+		ts[i] = r.T
+	}
+	for i := len(grid) - 1; i >= 0; i-- {
+		eng, err := NewEngine(h, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := eng.TransmissionAt(context.Background(), grid[i])
+		if err != nil {
+			t.Fatalf("E=%g: %v", grid[i], err)
+		}
 		if v != ts[i] {
-			t.Fatalf("E=%g: point solve %g != grid solve %g", e, v, ts[i])
+			t.Fatalf("E=%g: point solve %g != grid solve %g", grid[i], v, ts[i])
 		}
 	}
 }

@@ -1,13 +1,14 @@
 // Package transport turns single-energy quantum solvers into device
-// observables: transmission spectra evaluated in parallel over energy
-// grids (the "energy" level of the paper's four-level parallelism),
-// Landauer currents, and energy-integrated electron densities for the
-// self-consistent Poisson coupling.
+// observables: an Engine solves one energy of one device Hamiltonian (one
+// bias/momentum point) — the granule of the "energy" level of the paper's
+// four-level parallelism — and Current and ChargeDensity reduce a grid of
+// such solves to Landauer currents and to the energy-integrated electron
+// densities the self-consistent Poisson coupling reads.
 //
-// All grid-level entry points take a context.Context and run on a
-// sched.Pool, so energy parallelism composes with the spatial-domain
-// (SplitSolve) level below it and the bias/momentum levels above it
-// under one shared worker budget.
+// The engine does not loop over energies. Every energy loop runs on the
+// sweep runner (cluster.RunTasksResumable locally, the distributed
+// worker's runLease in the fabric): each task solves one energy into its
+// own slot, and the caller reduces the slots in grid order.
 package transport
 
 import (
@@ -93,9 +94,9 @@ type Config struct {
 	// Domains selects SplitSolve spatial decomposition for the WF
 	// formalism (≤ 1 means the serial block-Thomas solve).
 	Domains int
-	// Pool bounds the engine's total concurrency across the energy and
-	// spatial-domain levels combined, shared with whatever other engines
-	// hold it (e.g. all bias points of an I-V sweep). Nil: a private
+	// Pool is the budget a SplitSolve domain decomposition borrows its
+	// helpers from — the pool the energy tasks calling the engine run on,
+	// so the two levels share one budget. Nil: SplitSolve's private
 	// GOMAXPROCS-sized pool.
 	Pool *sched.Pool
 	// Cache optionally shares memoized contact self-energies across
@@ -122,7 +123,6 @@ type pointSolver interface {
 // Hamiltonian (one bias/momentum point).
 type Engine struct {
 	solver pointSolver
-	pool   *sched.Pool
 	// leads and eta are the solver's; cached is whether it reads Σ from a
 	// self-energy cache, which a lane group (SigmaGroup) would bypass.
 	leads  *negf.Leads
@@ -133,10 +133,6 @@ type Engine struct {
 // NewEngine builds an engine for the given device Hamiltonian.
 func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
-	pool := cfg.Pool
-	if pool == nil {
-		pool = sched.New(0)
-	}
 	var solver pointSolver
 	var leads *negf.Leads
 	switch cfg.Formalism {
@@ -147,7 +143,7 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 		}
 		// SplitSolve borrows helpers from the same pool that runs the
 		// energy level, so nested parallelism stays within one budget.
-		wf.Domains, wf.Pool = cfg.Domains, pool
+		wf.Domains, wf.Pool = cfg.Domains, cfg.Pool
 		wf.Cache = cfg.Cache
 		solver, leads = wf, wf.Leads
 	case NEGFRGF:
@@ -160,13 +156,8 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("transport: unknown formalism %d", cfg.Formalism)
 	}
-	return &Engine{solver: solver, pool: pool, leads: leads, eta: cfg.Eta, cached: cfg.Cache != nil}, nil
+	return &Engine{solver: solver, leads: leads, eta: cfg.Eta, cached: cfg.Cache != nil}, nil
 }
-
-// Pool returns the worker pool the engine schedules on, for callers that
-// want to run surrounding parallelism (bias or momentum sweeps) within
-// the same budget.
-func (e *Engine) Pool() *sched.Pool { return e.pool }
 
 // SolveAt exposes the single-energy solve of the configured formalism,
 // quarantine-checked: a solve whose observables come back NaN/Inf fails
@@ -183,8 +174,7 @@ func (e *Engine) SolveAt(ctx context.Context, energy float64, density bool) (*ne
 }
 
 // TransmissionAt evaluates T at a single energy — the per-(bias,k,E) task
-// granule of a resumable sweep — with the same NaN/Inf quarantine check
-// as Spectrum.
+// granule of a resumable sweep — with SolveAt's NaN/Inf quarantine check.
 func (e *Engine) TransmissionAt(ctx context.Context, energy float64) (float64, error) {
 	r, err := e.SolveAt(ctx, energy, false)
 	if err != nil {
@@ -231,45 +221,6 @@ func (e *Engine) TransmissionFrom(ctx context.Context, g *negf.SigmaGroup, i int
 	return r.T, nil
 }
 
-// Spectrum evaluates the solver at every grid energy on the engine's pool
-// and returns the results in grid order (deterministic regardless of
-// scheduling). density controls whether spectral functions are assembled.
-// On failure the in-flight sibling energies are canceled and the error of
-// the lowest-index failing grid point is returned.
-func (e *Engine) Spectrum(ctx context.Context, energies []float64, density bool) ([]*negf.Result, error) {
-	results, err := sched.Map(ctx, e.pool, "energy", len(energies),
-		func(ctx context.Context, i int) (*negf.Result, error) {
-			r, err := e.solver.SolveCtx(ctx, energies[i], density)
-			if err != nil {
-				return nil, err
-			}
-			if err := checkFinite(energies[i], r); err != nil {
-				return nil, err
-			}
-			return r, nil
-		})
-	if err != nil {
-		if te, ok := sched.AsTaskError(err); ok {
-			return nil, fmt.Errorf("transport: E=%g: %w", energies[te.Index], te.Err)
-		}
-		return nil, err
-	}
-	return results, nil
-}
-
-// Transmissions is a convenience wrapper returning only T(E) over a grid.
-func (e *Engine) Transmissions(ctx context.Context, energies []float64) ([]float64, error) {
-	res, err := e.Spectrum(ctx, energies, false)
-	if err != nil {
-		return nil, err
-	}
-	t := make([]float64, len(res))
-	for i, r := range res {
-		t[i] = r.T
-	}
-	return t, nil
-}
-
 // Bias describes the two contact reservoirs.
 type Bias struct {
 	// MuL and MuR are the contact electrochemical potentials in eV.
@@ -307,7 +258,8 @@ func Current(energies, transmissions []float64, bias Bias, spinDegeneracy float6
 	return spinDegeneracy * units.CurrentQuantum * integral, nil
 }
 
-// ChargeDensity integrates the layer-resolved contact spectra into the
+// ChargeDensity integrates the layer-resolved contact spectra of a grid of
+// density solves (spectra[i] is SolveAt(energies[i], true)) into the
 // layer-resolved electron density n (dimensionless occupation of each
 // layer's orbitals, summed) and its response dn = ∂n/∂U to a rigid shift of
 // the layer's potential energy:
@@ -321,18 +273,19 @@ func Current(energies, transmissions []float64, bias Bias, spinDegeneracy float6
 // Shifting U by +δ moves the spectra up by δ, which is the same as moving
 // both contact potentials down by δ, so the response is read off the
 // spectra n is built from: one grid, one set of trapezoid weights, one
-// Spectrum call. Its Boltzmann limit, μ far below the band, is −n/kT.
+// pass of solves. Its Boltzmann limit, μ far below the band, is −n/kT.
 // The energy grid must span the occupied conduction window of interest.
-func (e *Engine) ChargeDensity(ctx context.Context, energies []float64, bias Bias) (n, dn []float64, err error) {
+// The reduction runs in grid order, so its bits do not depend on which
+// goroutine solved which energy.
+func ChargeDensity(energies []float64, spectra []*negf.Result, bias Bias) (n, dn []float64, err error) {
+	if len(energies) != len(spectra) {
+		return nil, nil, fmt.Errorf("transport: %d energies vs %d spectra", len(energies), len(spectra))
+	}
 	if len(energies) < 2 {
 		return nil, nil, fmt.Errorf("transport: need at least 2 grid points")
 	}
-	res, err := e.Spectrum(ctx, energies, true)
-	if err != nil {
-		return nil, nil, err
-	}
 	kT := bias.KT()
-	n = make([]float64, len(res[0].SpectralL))
+	n = make([]float64, len(spectra[0].SpectralL))
 	dn = make([]float64, len(n))
 	for i := 0; i+1 < len(energies); i++ {
 		de := energies[i+1] - energies[i]
@@ -344,12 +297,13 @@ func (e *Engine) ChargeDensity(ctx context.Context, energies []float64, bias Bia
 		dR0 := units.LogisticDerivative(energies[i], bias.MuR, kT)
 		dL1 := units.LogisticDerivative(energies[i+1], bias.MuL, kT)
 		dR1 := units.LogisticDerivative(energies[i+1], bias.MuR, kT)
+		r0, r1 := spectra[i], spectra[i+1]
 		for k := range n {
-			v0 := res[i].SpectralL[k]*fL0 + res[i].SpectralR[k]*fR0
-			v1 := res[i+1].SpectralL[k]*fL1 + res[i+1].SpectralR[k]*fR1
+			v0 := r0.SpectralL[k]*fL0 + r0.SpectralR[k]*fR0
+			v1 := r1.SpectralL[k]*fL1 + r1.SpectralR[k]*fR1
 			n[k] += 0.5 * de * (v0 + v1)
-			d0 := res[i].SpectralL[k]*dL0 + res[i].SpectralR[k]*dR0
-			d1 := res[i+1].SpectralL[k]*dL1 + res[i+1].SpectralR[k]*dR1
+			d0 := r0.SpectralL[k]*dL0 + r0.SpectralR[k]*dR0
+			d1 := r1.SpectralL[k]*dL1 + r1.SpectralR[k]*dR1
 			dn[k] -= 0.5 * de * (d0 + d1)
 		}
 	}
@@ -358,7 +312,7 @@ func (e *Engine) ChargeDensity(ctx context.Context, energies []float64, bias Bia
 		n[k] *= inv2pi
 		dn[k] *= inv2pi
 		if math.IsNaN(n[k]) || math.IsInf(n[k], 0) || math.IsNaN(dn[k]) || math.IsInf(dn[k], 0) {
-			// The per-point spectral functions were finite (Spectrum checks
+			// The per-point spectral functions were finite (SolveAt checks
 			// them), so a blow-up here came from the integration weights.
 			return nil, nil, &NonFiniteError{E: energies[0], Quantity: "charge"}
 		}

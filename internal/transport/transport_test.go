@@ -3,9 +3,11 @@ package transport
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/lattice"
+	"repro/internal/negf"
 	"repro/internal/sched"
 	"repro/internal/sparse"
 	"repro/internal/tb"
@@ -25,6 +27,35 @@ func chainH(t *testing.T, n int, eps0, hop float64, pot []float64) *sparse.Block
 	return h
 }
 
+// transmissions is T over grid, one TransmissionAt per energy in grid order.
+func transmissions(t *testing.T, eng *Engine, grid []float64) []float64 {
+	t.Helper()
+	ts := make([]float64, len(grid))
+	for i, e := range grid {
+		v, err := eng.TransmissionAt(context.Background(), e)
+		if err != nil {
+			t.Fatalf("E=%g: %v", e, err)
+		}
+		ts[i] = v
+	}
+	return ts
+}
+
+// spectra is the density solve at every energy of grid, in grid order:
+// what ChargeDensity reduces.
+func spectra(t *testing.T, eng *Engine, grid []float64) []*negf.Result {
+	t.Helper()
+	res := make([]*negf.Result, len(grid))
+	for i, e := range grid {
+		r, err := eng.SolveAt(context.Background(), e, true)
+		if err != nil {
+			t.Fatalf("E=%g: %v", e, err)
+		}
+		res[i] = r
+	}
+	return res
+}
+
 func TestEngineFormalismsAgree(t *testing.T) {
 	pot := []float64{0, 0, 0.4, 0.4, 0, 0}
 	h := chainH(t, 6, 0, -1, pot)
@@ -37,14 +68,8 @@ func TestEngineFormalismsAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tw, err := wf.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := gf.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tw := transmissions(t, wf, grid)
+	tg := transmissions(t, gf, grid)
 	for i := range tw {
 		if math.Abs(tw[i]-tg[i]) > 1e-8*(1+tg[i]) {
 			t.Fatalf("formalisms disagree at E=%g: %g vs %g", grid[i], tw[i], tg[i])
@@ -52,28 +77,31 @@ func TestEngineFormalismsAgree(t *testing.T) {
 	}
 }
 
+// TestSpectrumDeterministicUnderParallelism: one engine solved at every
+// energy of a grid by eight goroutines at once — as the sweep runner's
+// lane groups share it — gives the bits of a serial loop, density on and
+// off: a solve keeps nothing across energies that another could touch.
 func TestSpectrumDeterministicUnderParallelism(t *testing.T) {
 	h := chainH(t, 8, 0, -1, []float64{0, 0.1, 0.2, 0.3, 0.3, 0.2, 0.1, 0})
 	grid := UniformGrid(-1.8, 1.8, 33)
-	e1, err := NewEngine(h, Config{Pool: sched.New(1)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e8, err := NewEngine(h, Config{Pool: sched.New(8)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t1, err := e1.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t8, err := e8.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range t1 {
-		if t1[i] != t8[i] {
-			t.Fatalf("parallel evaluation changed result at %d: %g vs %g", i, t1[i], t8[i])
+	for _, f := range []Formalism{WaveFunction, NEGFRGF} {
+		eng, err := NewEngine(h, Config{Formalism: f})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := spectra(t, eng, grid)
+		got := make([]*negf.Result, len(grid))
+		err = sched.New(8).ForEach(context.Background(), "", len(grid), func(ctx context.Context, i int) (err error) {
+			got[i], err = eng.SolveAt(ctx, grid[i], true)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i].T != want[i].T || !slices.Equal(got[i].SpectralL, want[i].SpectralL) || !slices.Equal(got[i].SpectralR, want[i].SpectralR) {
+				t.Fatalf("%v: parallel evaluation changed the solve at E=%g", f, grid[i])
+			}
 		}
 	}
 }
@@ -88,10 +116,7 @@ func TestLandauerCurrentQuantized(t *testing.T) {
 	}
 	const vb = 0.01 // 10 mV window centered at E=0, deep inside the band
 	grid := UniformGrid(-0.1, 0.1, 401)
-	ts, err := eng.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := transmissions(t, eng, grid)
 	bias := Bias{MuL: vb / 2, MuR: -vb / 2, Temperature: 1} // ~0.1 meV kT
 	i, err := Current(grid, ts, bias, 2)
 	if err != nil {
@@ -110,10 +135,7 @@ func TestCurrentSignAndZeroBias(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := UniformGrid(-1, 1, 101)
-	ts, err := eng.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ts := transmissions(t, eng, grid)
 	i0, err := Current(grid, ts, Bias{MuL: 0.1, MuR: 0.1, Temperature: 300}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +184,7 @@ func TestChargeDensityEquilibrium(t *testing.T) {
 	// poison the trapezoidal rule.
 	grid := UniformGrid(-2.499, 2.499, 1187)
 	bias := Bias{MuL: 0, MuR: 0, Temperature: 100}
-	n, _, err := eng.ChargeDensity(context.Background(), grid, bias)
+	n, _, err := ChargeDensity(grid, spectra(t, eng, grid), bias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,11 +202,12 @@ func TestChargeDensityBiasDependence(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := UniformGrid(-2.5, 2.5, 601)
-	nEq, _, err := eng.ChargeDensity(context.Background(), grid, Bias{MuL: 0, MuR: 0, Temperature: 300})
+	res := spectra(t, eng, grid)
+	nEq, _, err := ChargeDensity(grid, res, Bias{MuL: 0, MuR: 0, Temperature: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nHi, _, err := eng.ChargeDensity(context.Background(), grid, Bias{MuL: 0.5, MuR: 0.5, Temperature: 300})
+	nHi, _, err := ChargeDensity(grid, res, Bias{MuL: 0.5, MuR: 0.5, Temperature: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,10 +229,10 @@ func TestChargeResponseIsRigidShift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := context.Background()
 	grid := UniformGrid(-2.5, 2.5, 601)
 	bias := Bias{MuL: -0.1, MuR: -0.3, Temperature: 300}
-	n, dn, err := eng.ChargeDensity(ctx, grid, bias)
+	res := spectra(t, eng, grid)
+	n, dn, err := ChargeDensity(grid, res, bias)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +241,7 @@ func TestChargeResponseIsRigidShift(t *testing.T) {
 		b := bias
 		b.MuL += d
 		b.MuR += d
-		n, _, err := eng.ChargeDensity(ctx, grid, b)
+		n, _, err := ChargeDensity(grid, res, b)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -240,7 +263,7 @@ func TestChargeResponseIsRigidShift(t *testing.T) {
 	kT := bias.KT()
 	mu := -2 - 12*kT
 	grid = UniformGrid(-1.999, -1, 400)
-	n, dn, err = eng.ChargeDensity(ctx, grid, Bias{MuL: mu, MuR: mu, Temperature: 300})
+	n, dn, err = ChargeDensity(grid, spectra(t, eng, grid), Bias{MuL: mu, MuR: mu, Temperature: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,6 +281,18 @@ func TestUniformGrid(t *testing.T) {
 		if math.Abs(g[i]-want[i]) > 1e-15 {
 			t.Fatalf("UniformGrid = %v", g)
 		}
+	}
+}
+
+func TestUniformGridDegenerate(t *testing.T) {
+	if g := UniformGrid(-1, 1, 0); len(g) != 0 {
+		t.Fatalf("UniformGrid(n=0) = %v, want empty", g)
+	}
+	if g := UniformGrid(-1, 1, -7); len(g) != 0 {
+		t.Fatalf("UniformGrid(n=-7) = %v, want empty", g)
+	}
+	if g := UniformGrid(-1, 1, 1); len(g) != 1 || g[0] != -1 {
+		t.Fatalf("UniformGrid(n=1) = %v, want [-1]", g)
 	}
 }
 
@@ -279,14 +314,8 @@ func TestSplitSolveFormalismInEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := UniformGrid(-1.5, 1.5, 11)
-	tr, err := ref.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tsp, err := split.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := transmissions(t, ref, grid)
+	tsp := transmissions(t, split, grid)
 	for i := range tr {
 		if math.Abs(tr[i]-tsp[i]) > 1e-8*(1+tr[i]) {
 			t.Fatalf("SplitSolve engine disagrees at E=%g: %g vs %g", grid[i], tsp[i], tr[i])
@@ -325,14 +354,8 @@ func TestStrainedWireTransportConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 	grid := UniformGrid(6.0, 7.5, 7)
-	tw, err := wf.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tg, err := gf.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tw := transmissions(t, wf, grid)
+	tg := transmissions(t, gf, grid)
 	for i := range tw {
 		if math.Abs(tw[i]-tg[i]) > 1e-7*(1+tg[i]) {
 			t.Fatalf("strained formalism mismatch at E=%g: %g vs %g", grid[i], tw[i], tg[i])
@@ -345,10 +368,7 @@ func TestStrainedWireTransportConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t0, err := ref.Transmissions(context.Background(), grid)
-	if err != nil {
-		t.Fatal(err)
-	}
+	t0 := transmissions(t, ref, grid)
 	same := true
 	for i := range t0 {
 		if math.Abs(t0[i]-tw[i]) > 1e-6 {

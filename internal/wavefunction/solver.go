@@ -259,12 +259,3 @@ func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace) (*linalg.Matri
 	}
 	return w, nil
 }
-
-// Transmission is a convenience wrapper returning only T(e).
-func (s *Solver) Transmission(e float64) (float64, error) {
-	r, err := s.Solve(e, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.T, nil
-}

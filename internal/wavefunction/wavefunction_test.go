@@ -299,10 +299,11 @@ func TestWFTransmissionCleanChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, e := range []float64{-1.5, 0, 1.2} {
-		T, err := wf.Transmission(e)
+		r, err := wf.Solve(e, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		T := r.T
 		if math.Abs(T-1) > 1e-4 {
 			t.Fatalf("clean chain WF T(%g) = %g", e, T)
 		}
@@ -388,10 +389,11 @@ func TestComplexBandsGNRGapMatchesTunneling(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		T, err := sol.Transmission(e)
+		r, err := sol.Solve(e, false)
 		if err != nil {
 			t.Fatal(err)
 		}
+		T := r.T
 		return T
 	}
 	h12, _ := build(12)
