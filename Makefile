@@ -87,10 +87,15 @@ race:
 # The two wave-function transmission sweeps (sinw and agnr7) must also
 # print the same bytes at -workers 1 and 2: a pool job is a lane group of
 # up to four energies whose self-energies run in lockstep, and neither the
-# groups nor the pool width may move a bit or a counted flop.
+# groups nor the pool width may move a bit or a counted flop. The NEGF I-V
+# runs once more at the benchmark's full 20 cells and three gate points:
+# there the AVX build solves each group's RGF in lanes and the purego
+# build, which forms no lanes, solves every energy solo, so the two
+# compare lanes against solo end to end.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
+PORTABLE_IV_LANES = -device agnr7 -mode iv -formalism negf -nvg 3
 PORTABLE_WF_IV = -device agnr7 -mode iv -formalism wf -nvg 2 -cellsx 8
 PORTABLE_RGF = -device sinw -formalism negf -ne 60
 PORTABLE_SPLIT = -device sinw -formalism wf -domains 3 -ne 60
@@ -114,7 +119,7 @@ portable-kernels:
 			|| { echo "portable-kernels: omen $$run differs between -workers 1 and 2"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical at -workers 1 and 2"; \
 	done
-	@for run in "$(PORTABLE_IV)" "$(PORTABLE_WF_IV)"; do \
+	@for run in "$(PORTABLE_IV)" "$(PORTABLE_IV_LANES)" "$(PORTABLE_WF_IV)"; do \
 		bin/omen $$run | grep -v '^# sigma-cache' > bin/portable.avx.txt || exit 1; \
 		bin/omen-purego $$run | grep -v '^# sigma-cache' > bin/portable.purego.txt || exit 1; \
 		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \

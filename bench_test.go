@@ -253,6 +253,74 @@ func BenchmarkSigmaLanes(b *testing.B) {
 	}
 }
 
+// BenchmarkRGFLanes is the RGF solve of an I-V charge or current pass's
+// lane group: four consecutive energies of AGNR-7 (20 cells, n = 14 per
+// layer reduced to s = 7) under a potential that makes every layer its own
+// record, as in an SCF iterate, at the fet_iv lattice's 4 meV step in the
+// conduction band, with density (charge pass) and without (current pass).
+// One negf.RGFGroup and its four takes against four solo solves, both with
+// Σ from a warm σ-cache, as the FET's hit ratio near 1 has it. Both count
+// the same flops; ns and flops are reported per energy.
+func BenchmarkRGFLanes(b *testing.B) {
+	desc, _ := device.Lookup("agnr7")
+	built, err := desc.Build()
+	if err != nil {
+		b.Fatal(err)
+	}
+	nl := built.Structure.NLayers()
+	built.Options.Potential = make([]float64, built.Structure.NAtoms())
+	for i, a := range built.Structure.Atoms {
+		built.Options.Potential[i] = -0.3 * float64(a.Layer) / float64(nl)
+	}
+	h, err := tb.Assemble(built.Structure, built.Material, built.Options)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol, err := negf.NewSolver(h, 1e-6)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sol.Cache = negf.NewSelfEnergyCache()
+	es := make([]float64, linalg.Lanes)
+	for i := range es {
+		es[i] = 1.2 + float64(i)*0.004
+	}
+	ctx := context.Background()
+	for _, density := range []bool{true, false} {
+		run := map[string]func(){
+			"group": func() {
+				g := sol.SolveGroup(es, density)
+				for i := range es {
+					if _, err := g.Take(ctx, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			"solo": func() {
+				for _, e := range es {
+					if _, err := sol.SolveCtx(ctx, e, density); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		}
+		for _, mode := range []string{"group", "solo"} {
+			b.Run(fmt.Sprintf("density=%v/%s", density, mode), func(b *testing.B) {
+				run[mode]()
+				perf.ResetFlops()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run[mode]()
+				}
+				b.StopTimer()
+				per := float64(b.N * len(es))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/energy")
+				b.ReportMetric(float64(perf.ResetFlops())/per, "flops/energy")
+			})
+		}
+	}
+}
+
 // transmissions is T over grid on the sweep runner, one task per energy
 // on a GOMAXPROCS-wide pool: the energy loop every sweep of the engine
 // runs on.

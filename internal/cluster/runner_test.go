@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/resilience"
 	"repro/internal/sched"
 )
 
@@ -87,6 +88,29 @@ func TestRunnerFirstErrorByTaskOrder(t *testing.T) {
 		_, err := RunTasksResumable(context.Background(), 1, 1, 101, SweepOptions{Pool: sched.New(6)}, func(_ context.Context, task Task) ([]byte, error) {
 			if task.E >= 40 {
 				return nil, fmt.Errorf("E %d: %w", task.E, boom)
+			}
+			return nil, nil
+		})
+		if !errors.Is(err, boom) {
+			t.Fatalf("trial %d: cause lost: %v", trial, err)
+		}
+		if want := "cluster: task 40 (bias 0, k 0, E 40): E 40: "; !strings.Contains(err.Error(), want) {
+			t.Fatalf("trial %d: error %q does not name the first failing task %q", trial, err, want)
+		}
+	}
+}
+
+// TestRunnerFirstErrorByTaskOrderRetried is TestRunnerFirstErrorByTaskOrder
+// under a retried policy: a task's own permanent failure is its verdict
+// even after a sibling's failure has canceled the run, so the runner names
+// task 40 every time.
+func TestRunnerFirstErrorByTaskOrderRetried(t *testing.T) {
+	boom := errors.New("solver blew up")
+	opts := SweepOptions{Pool: sched.New(6), Retry: resilience.Policy{MaxAttempts: 2}}
+	for trial := 0; trial < 20; trial++ {
+		_, err := RunTasksResumable(context.Background(), 1, 1, 101, opts, func(_ context.Context, task Task) ([]byte, error) {
+			if task.E >= 40 {
+				return nil, resilience.MarkPermanent(fmt.Errorf("E %d: %w", task.E, boom))
 			}
 			return nil, nil
 		})

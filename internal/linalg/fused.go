@@ -18,11 +18,17 @@ import (
 // transmission kernel: T = Tr[(Γ_L·G·Γ_R)·G†].
 func TraceMulConj(a, b *Matrix) complex128 {
 	checkSameShape(a, b, "TraceMulConj")
-	var s complex128
-	for i, v := range a.Data {
-		s += v * cmplx.Conj(b.Data[i])
-	}
 	perf.AddFlops(int64(len(a.Data)) * perf.FlopsCMulAdd)
+	return traceMulConj(a.Data, b.Data)
+}
+
+// traceMulConj is TraceMulConj on the elements, without the count: a lane
+// kernel (LaneTraceMulConj) counts none.
+func traceMulConj(a, b []complex128) complex128 {
+	var s complex128
+	for i, v := range a {
+		s += v * cmplx.Conj(b[i])
+	}
 	return s
 }
 

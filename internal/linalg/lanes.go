@@ -183,6 +183,21 @@ func laneSet(d []float64, e, l int, v complex128) {
 	d[o], d[o+Lanes] = real(v), imag(v)
 }
 
+// LaneTraceMulConj returns TraceMulConj(a_l, b_l) for every lane l, each
+// lane copied out and summed by TraceMulConj's own loop. It counts no flop.
+func LaneTraceMulConj(a, b *LaneMatrix) (t [Lanes]complex128) {
+	checkLaneShape(a, b.Rows, b.Cols, "TraceMulConj")
+	ws := GetWorkspace()
+	defer ws.Release()
+	x, y := ws.Get(a.Rows, a.Cols), ws.Get(a.Rows, a.Cols)
+	for l := range t {
+		a.LaneInto(x, l)
+		b.LaneInto(y, l)
+		t[l] = traceMulConj(x.Data, y.Data)
+	}
+	return t
+}
+
 // LaneLU is the scratch LaneInverseInto factors in: the packed lanes, each
 // lane's row swaps, one lane's column for the pivot search and one lane's
 // row permutation. The zero value is ready; it grows to the largest order

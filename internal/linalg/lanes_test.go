@@ -207,6 +207,25 @@ func TestLaneKernelsBitwise(t *testing.T) {
 			})
 		}
 	})
+
+	t.Run("trace", func(t *testing.T) {
+		r := rand.New(rand.NewSource(86))
+		for it := 0; it < 100; it++ {
+			class := operandClasses[it%len(operandClasses)]
+			n, w := laneOrder(r), 1+r.Intn(9)
+			a, as := laneOperands(r, n, w, class)
+			b, bs := laneOperands(r, n, w, class)
+			before := perf.Flops()
+			got := LaneTraceMulConj(a, b)
+			if d := perf.Flops() - before; d != 0 {
+				t.Fatalf("LaneTraceMulConj counted %d flops", d)
+			}
+			for l, v := range got {
+				want := TraceMulConj(as[l], bs[l])
+				requireBits(t, fmt.Sprintf("trace lane %d", l), []complex128{v}, []complex128{want})
+			}
+		}
+	})
 }
 
 // BenchmarkLaneKernels times one Lanes-wide inverse and the decimation's

@@ -17,11 +17,13 @@ import (
 // of the lane kernels per energy: the same recursion (blockFamily.recursion)
 // on a lane set instead of a solo one, so both share one convergence rule,
 // one finish and one error text. Every lane holds the bits of its own solo
-// call. DESIGN.md §11, "Lanes as energies".
+// call. An RGFGroup does the same for whole solves (Solver.rgf on a lane
+// set). DESIGN.md §11, "Lanes as energies".
 
-// laneGroups reports whether SelfEnergyGroup runs lanes at all: only where
-// the lane kernels have AVX. Elsewhere a group's lanes run solo, one at a
-// time, at take. Tests set it to run the lane path on the scalar loops.
+// laneGroups reports whether SelfEnergyGroup and SolveGroup run lanes at
+// all: only where the lane kernels have AVX. Elsewhere a group's lanes run
+// solo, one at a time, at take. Tests set it to run the lane path on the
+// scalar loops.
 var laneGroups = linalg.LaneKernels()
 
 // block is one matrix of a lane set: m on a solo set, v on a lane set.
@@ -37,11 +39,11 @@ func (b block) rows() int {
 	return b.v.Rows
 }
 
-// laneSet is what the decimation runs on. A solo set (lw nil) is one
-// energy on today's kernels out of ws, each counting its flops; a lane
-// set is up to linalg.Lanes energies on the lane kernels out of lw,
-// counting none — a SigmaGroup counts at take what each lane's solo call
-// would have.
+// laneSet is what the decimation and the RGF run on. A solo set (lw nil)
+// is one energy on today's kernels out of ws, each counting its flops; a
+// lane set is up to linalg.Lanes energies on the lane kernels out of lw
+// (and per-lane matrices out of ws), counting none — a SigmaGroup or an
+// RGFGroup counts at take what each lane's solo call would have.
 type laneSet struct {
 	ws *linalg.Workspace
 	lw *laneWork
@@ -92,13 +94,149 @@ func (set *laneSet) inverse(dst, src block, live linalg.LaneMask) (failed linalg
 	return linalg.LaneInverseInto(dst.v, src.v, live, &set.lw.lu), linalg.ErrSingular
 }
 
-// gemm sets dst = alpha·a·b.
-func (set *laneSet) gemm(dst block, alpha complex128, a, b block) {
+// gemm sets dst = alpha·a·b + beta·dst, beta 0 or 1.
+func (set *laneSet) gemm(dst block, alpha complex128, a, b block, beta complex128) {
 	if dst.m != nil {
-		linalg.GemmInto(dst.m, alpha, a.m, linalg.NoTrans, b.m, linalg.NoTrans, 0)
+		linalg.GemmInto(dst.m, alpha, a.m, linalg.NoTrans, b.m, linalg.NoTrans, beta)
 		return
 	}
-	linalg.LaneGemmInto(dst.v, alpha, a.v, b.v, 0)
+	linalg.LaneGemmInto(dst.v, alpha, a.v, b.v, beta)
+}
+
+// put hands a block back to the set's scratch; a lane set keeps it until
+// the group is done.
+func (set *laneSet) put(b block) {
+	if b.m != nil {
+		set.ws.Put(b.m)
+	}
+}
+
+// common returns a matrix common to every energy as a block of the set:
+// src itself on a solo set, read-only.
+func (set *laneSet) common(src *linalg.Matrix) block {
+	if set.lw == nil {
+		return block{m: src}
+	}
+	b := set.get(src.Rows, src.Cols)
+	set.load(b, src)
+	return b
+}
+
+// count adds a solo set's flops; a lane set counts at take.
+func (set *laneSet) count(n int64) {
+	if set.lw == nil {
+		perf.AddFlops(n)
+	}
+}
+
+// leftConnected factors the left-connected block m, which it may destroy,
+// and solves it against the identity's first s columns in the lanes of
+// live: g_i[:, S_i] with S_i the first s rows of m. Every column of the
+// solve is bit for bit that column of m's whole inverse (linalg's
+// luSolveInPlace), at s/n of the solve's cost; on a lane set, where every
+// layer is eliminated and S_i is all of m, it is the inverse
+// (LaneInverseInto). It returns the lanes whose factor met a zero pivot,
+// with the error they failed with.
+func (set *laneSet) leftConnected(m block, s int, live linalg.LaneMask) (g block, failed linalg.LaneMask, err error) {
+	if set.lw != nil {
+		if s != m.v.Rows {
+			panic("negf: a lane set's left-connected block keeps an interior")
+		}
+		g = set.get(s, s)
+		return g, linalg.LaneInverseInto(g.v, m.v, live, &set.lw.lu), linalg.ErrSingular
+	}
+	piv := set.ws.GetInts(m.m.Rows)
+	defer set.ws.PutInts(piv)
+	fac, err := linalg.FactorInPlace(m.m, piv)
+	if err != nil {
+		return g, 1, err
+	}
+	g.m = set.ws.Get(m.m.Rows, s)
+	for j := 0; j < s; j++ {
+		g.m.Data[j*s+j] = 1
+	}
+	fac.SolveInPlace(g.m)
+	return g, 0, nil
+}
+
+// place sets dst[q, col0+j] = src[rows[q], cols[j]]: gather into a column
+// range of dst.
+func (set *laneSet) place(dst block, col0 int, src block, rows, cols []int) {
+	if dst.m != nil {
+		d, s := dst.m, src.m
+		for q, r := range rows {
+			out, in := d.Data[q*d.Cols+col0:], s.Data[r*s.Cols:]
+			for j, c := range cols {
+				out[j] = in[c]
+			}
+		}
+		return
+	}
+	d, s := dst.v, src.v
+	for q, r := range rows {
+		for j, c := range cols {
+			do, so := (q*d.Cols+col0+j)*laneElem, (r*s.Cols+c)*laneElem
+			*(*[laneElem]float64)(d.Data[do : do+laneElem]) = *(*[laneElem]float64)(s.Data[so : so+laneElem])
+		}
+	}
+}
+
+// lanes returns the matrices ms[l], one per lane of live, as a block of
+// the set: ms[0] itself on a solo set, read-only.
+func (set *laneSet) lanes(ms *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) block {
+	if set.lw == nil {
+		return block{m: ms[0]}
+	}
+	var b block
+	for l, m := range ms {
+		if !live.Has(l) {
+			continue
+		}
+		if b.v == nil {
+			b = set.zeroed(m.Rows, m.Cols)
+		}
+		for e, v := range m.Data {
+			b.v.Set(l, e/m.Cols, e%m.Cols, v)
+		}
+	}
+	return b
+}
+
+// addForms adds to each live lane's spectra at layer i the forms
+// v·Γ_L·v† and v·Γ_R·v† (form) of every row v = [v_L | v_R] of m, c entries
+// in v_L, in row order, against that lane's gamma[left] and gamma[right].
+// A lane set copies each lane out (LaneMatrix.LaneInto) and runs form on
+// it, so every lane holds the solo sums bit for bit.
+func (set *laneSet) addForms(res *[linalg.Lanes]*Result, i int, m block, c int, gamma *[2][linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) {
+	for l := 0; l < linalg.Lanes; l++ {
+		if !live.Has(l) {
+			continue
+		}
+		x := m.m
+		if x == nil {
+			x = set.ws.Get(m.v.Rows, m.v.Cols)
+			m.v.LaneInto(x, l)
+		}
+		r := res[l]
+		for q := 0; q < x.Rows; q++ {
+			row := x.Data[q*x.Cols : (q+1)*x.Cols]
+			r.SpectralL[i] += form(row[:c], gamma[left][l])
+			r.SpectralR[i] += form(row[c:], gamma[right][l])
+		}
+		if m.m == nil {
+			set.ws.Put(x)
+		}
+	}
+}
+
+// traceMulConj returns each lane's Tr[a·b†] (linalg.TraceMulConj), counting
+// no flop on a lane set.
+func (set *laneSet) traceMulConj(a, b block) (t [linalg.Lanes]complex128) {
+	if a.m != nil {
+		t[0] = linalg.TraceMulConj(a.m, b.m)
+		return t
+	}
+	return linalg.LaneTraceMulConj(a.v, b.v)
 }
 
 // maxAbs returns each lane's maxAbs.
@@ -329,7 +467,7 @@ func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.
 	n, s, r, c := b.h00.Rows, b.layer.Size(), len(b.rows), len(b.cols)
 	// Lanes outside live start at +0 and stay tame through the run.
 	layer := set.zeroed(s, s)
-	b.layer.LanesAt(layer.v, set.zeroed(n-s, s).v, z, live)
+	b.layer.LanesAt(layer.v, set.zeroed(n-s, s).v, nil, z, live)
 	surf, iters, errs := b.recursion(&set, layer, want, live)
 	for i, err := range errs {
 		if live.Has(i) && err == nil {
@@ -351,8 +489,8 @@ func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.
 		set.load(inL, in)
 		set.load(outL, out)
 		tmp, sig := set.get(in.Rows, gs.v.Cols), set.get(in.Rows, out.Cols)
-		set.gemm(tmp, 1, inL, gs)
-		set.gemm(sig, 1, tmp, outL)
+		set.gemm(tmp, 1, inL, gs, 0)
+		set.gemm(sig, 1, tmp, outL, 0)
 		for i := 0; i < linalg.Lanes; i++ {
 			if done.Has(i) {
 				g.sig[i][sd] = linalg.New(in.Rows, out.Cols)

@@ -1,9 +1,12 @@
 package negf
 
 import (
+	"context"
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/device"
 	"repro/internal/linalg"
 	"repro/internal/perf"
 	"repro/internal/sparse"
@@ -141,5 +144,223 @@ func TestSigmaLanesRunInLanes(t *testing.T) {
 	g := agnr.SelfEnergyGroup([]complex128{complex(1.39, 1e-6), complex(1.3976219674314385, 1e-6), complex(-2.5, 1e-6), complex(0.8, 1e-30)})
 	if want := linalg.LaneMask(1<<0 | 1<<2); g.ready != want {
 		t.Fatalf("lanes finished in lockstep %04b, want %04b", g.ready, want)
+	}
+}
+
+// soloSolve is one energy's solve: its result, its error and what it
+// counted.
+type soloSolve struct {
+	res   *Result
+	err   error
+	flops int64
+}
+
+func solveCounted(fn func() (*Result, error)) soloSolve {
+	perf.ResetFlops()
+	res, err := fn()
+	return soloSolve{res: res, err: err, flops: perf.ResetFlops()}
+}
+
+// sameBits reports whether a and b hold the same float64s bit for bit, nil
+// and empty apart.
+func sameBits(a, b []float64) bool {
+	if (a == nil) != (b == nil) || len(a) != len(b) {
+		return false
+	}
+	for i, v := range a {
+		if math.Float64bits(v) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func sameSolve(t *testing.T, what string, got, want soloSolve) {
+	t.Helper()
+	if fmt.Sprint(got.err) != fmt.Sprint(want.err) {
+		t.Fatalf("%s: error %v, solo %v", what, got.err, want.err)
+	}
+	if got.flops != want.flops {
+		t.Fatalf("%s: counted %d flops, solo %d", what, got.flops, want.flops)
+	}
+	if want.res == nil {
+		return
+	}
+	g, w := got.res, want.res
+	if g.E != w.E || !sameBits([]float64{g.T}, []float64{w.T}) || !sameBits(g.SpectralL, w.SpectralL) || !sameBits(g.SpectralR, w.SpectralR) {
+		t.Fatalf("%s: T %v or the spectra differ from the solo solve's (T %v)", what, g.T, w.T)
+	}
+}
+
+// TestRGFLanesBitwise holds every lane of an RGFGroup to the solo solve
+// SolveCtx at its energy, on every T1 family under a potential (every layer
+// its own record) and on the corner shapes (one layer, ragged layers), with
+// density on and off: the same T and spectra bit for bit, the same error
+// text, and at Take the same flops — with nothing
+// counted while the group runs (its self-energies are cache hits, as in an
+// SCF loop), and a second Take of one energy solved and counted again. The
+// groups mix band and gap energies; one holds a level of a layer's
+// interior, where the guard keeps that layer whole and the lane is solved
+// solo; AGNR-7's holds its 8.8e-7 eV overflow energy, whose Σ reruns on the
+// whole lead layer; and at η = 1e-30 in band the decimation cannot finish
+// and solo's error must come back. A lane whose left-connected block is
+// singular fails alone, with solo's error, and leaves the others' bits. It
+// runs the lane path whatever the build: on the AVX lane kernels where they
+// exist, on their scalar loops elsewhere.
+func TestRGFLanesBitwise(t *testing.T) {
+	defer func(old bool) { laneGroups = old }(laneGroups)
+	laneGroups = true
+	ctx := context.Background()
+	var inLanes, soloLanes, errLanes int
+	type family struct {
+		name      string
+		sol, cold *Solver // cold: η = 1e-30, run on the first group only
+		groups    [][]float64
+	}
+	var families []family
+	for _, d := range device.BenchmarkSuite() {
+		nl := d.CellsX
+		pot := func(layer int) float64 { return 0.15 * math.Sin(2*math.Pi*(float64(layer)+0.5)/float64(nl)) }
+		sol := builtSolver(t, d, 0, pot)
+		_, levels := layerSupports(t, sol)
+		mid := levels[nl/2]
+		groups := [][]float64{
+			{0.9, -1.1},
+			{1.2, -3.1, 0.01, 0.6},
+			{2.5, mid[len(mid)/2], -0.7},
+		}
+		if d.Name == "AGNR-7" {
+			groups = append(groups, []float64{1.39, 1.3976219674314385, 1.40, 1.41})
+		}
+		cold := builtSolver(t, d, 0, pot)
+		cold.Eta = 1e-30
+		families = append(families, family{d.Name, sol, cold, groups})
+	}
+	// The corner shapes: one layer carrying both self-energies, and ragged
+	// layers with rectangular couplings and a dense one.
+	for name, sol := range map[string]*Solver{"one layer": oneLayerSolver(), "ragged": raggedSolver()} {
+		sol.Cache = NewSelfEnergyCache()
+		families = append(families, family{name, sol, nil, [][]float64{{0.1, 0.3, -0.2, 0.45}, {-0.6, 0.7}}})
+	}
+	for _, fam := range families {
+		sol, cold, groups := fam.sol, fam.cold, fam.groups
+		for _, density := range []bool{false, true} {
+			for gi, es := range groups {
+				for _, s := range []*Solver{sol, cold} {
+					if s == nil || s == cold && gi > 0 {
+						continue
+					}
+					want := make([]soloSolve, len(es))
+					for i, e := range es {
+						s.SolveCtx(ctx, e, density) // warm the cache: the group's lookups hit
+						want[i] = solveCounted(func() (*Result, error) { return s.SolveCtx(ctx, e, density) })
+						if want[i].err != nil {
+							errLanes++
+						}
+					}
+					// A failed Σ leaves no cache record: the group's lookup
+					// decimates again, and its take returns the error.
+					var lookups int64
+					for i, w := range want {
+						if w.err != nil {
+							lookups += w.flops
+							want[i].flops = 0
+						}
+					}
+					perf.ResetFlops()
+					g := s.SolveGroup(es, density)
+					if f := perf.ResetFlops(); f != lookups {
+						t.Fatalf("%s η=%g group %d: %d flops counted while the group ran, its failed lookups %d", fam.name, s.Eta, gi, f, lookups)
+					}
+					var first soloSolve
+					for i := range es {
+						if g.ready.Has(i) {
+							inLanes++
+						} else {
+							soloLanes++
+						}
+						what := fmt.Sprintf("%s η=%g density %v group %d lane %d (E = %v)", fam.name, s.Eta, density, gi, i, es[i])
+						got := solveCounted(func() (*Result, error) { return g.Take(ctx, i) })
+						sameSolve(t, what, got, want[i])
+						if i == 0 {
+							first = got
+						}
+					}
+					what := fmt.Sprintf("%s η=%g density %v group %d lane 0 taken again", fam.name, s.Eta, density, gi)
+					again := solveCounted(func() (*Result, error) { return g.Take(ctx, 0) })
+					if want[0].err != nil {
+						want[0].flops = again.flops // solved from the start
+					}
+					sameSolve(t, what, again, want[0])
+					if again.res != nil && again.res == first.res {
+						t.Fatalf("%s: the second take handed out the first take's result", what)
+					}
+				}
+			}
+		}
+	}
+	if inLanes == 0 || soloLanes == 0 || errLanes == 0 {
+		t.Fatalf("%d energies solved in lanes, %d solo, %d solo errors: the comparison is vacuous", inLanes, soloLanes, errLanes)
+	}
+	t.Logf("%d energies solved in lanes, %d solo at take, %d solo errors", inLanes, soloLanes, errLanes)
+
+	// A singular left-connected block: column 0 of the first layer zeroed
+	// in lane 1 and in that energy's solo system.
+	sol := builtSolver(t, device.Description{Name: "agnr7", Kind: device.ArmchairGNR, CellsX: 6, CellsY: 7}, 0, nil)
+	es := []float64{1.39, 1.40, 1.41, 1.42}
+	sys, err := sol.reduced()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, density := range []bool{false, true} {
+		ws := linalg.GetWorkspace()
+		lw := new(laneWork)
+		var z [linalg.Lanes]complex128
+		var sigL, sigR [linalg.Lanes]*linalg.Matrix
+		var gam [2][linalg.Lanes]*linalg.Matrix
+		var want, got [linalg.Lanes]*Result
+		var wantErr [linalg.Lanes]error
+		for l, e := range es {
+			z[l] = complex(e, sol.Eta)
+			if sigL[l], sigR[l], err = sol.selfEnergies(z[l]); err != nil {
+				t.Fatal(err)
+			}
+			red := sys.At(z[l], sigL[l], sigR[l], ws)
+			if l == 1 {
+				zeroColumn(red.A.Diag[0])
+			}
+			gam[left][l], gam[right][l] = linalg.New(sigL[l].Rows, sigL[l].Rows), linalg.New(sigR[l].Rows, sigR[l].Rows)
+			BroadeningInto(gam[left][l], sigL[l])
+			BroadeningInto(gam[right][l], sigR[l])
+			solo := [2][linalg.Lanes]*linalg.Matrix{{gam[left][l]}, {gam[right][l]}}
+			res := [linalg.Lanes]*Result{newResult(e, sol.H.Layers(), density)}
+			_, wantErr[l] = sol.rgf(&laneSet{ws: ws}, reducedAt{solo: red}, &solo, &res, density, 1)
+			want[l], got[l] = res[0], newResult(e, sol.H.Layers(), density)
+		}
+		set := laneSet{ws: ws, lw: lw}
+		red := sys.LanesAt(&z, &sigL, &sigR, 1<<linalg.Lanes-1, func(rows, cols int) *linalg.LaneMatrix { return lw.get(rows, cols, true) })
+		one := linalg.New(red.Diag[0].Rows, red.Diag[0].Cols)
+		red.Diag[0].LaneInto(one, 1)
+		zeroColumn(one)
+		for e, v := range one.Data {
+			red.Diag[0].Set(1, e/one.Cols, e%one.Cols, v)
+		}
+		failed, err := sol.rgf(&set, reducedAt{lanes: red}, &gam, &got, density, 1<<linalg.Lanes-1)
+		if failed != 1<<1 || fmt.Sprint(err) != fmt.Sprint(wantErr[1]) || wantErr[1] == nil {
+			t.Fatalf("density %v: lanes %04b failed with %v; want lane 1 with the solo error %v", density, failed, err, wantErr[1])
+		}
+		for l, w := range want {
+			if l != 1 {
+				sameSolve(t, fmt.Sprintf("density %v: lane %d beside the singular lane", density, l), soloSolve{res: got[l]}, soloSolve{res: w})
+			}
+		}
+		ws.Release()
+	}
+}
+
+// zeroColumn zeroes column 0 of m.
+func zeroColumn(m *linalg.Matrix) {
+	for r := 0; r < m.Rows; r++ {
+		m.Data[r*m.Cols] = 0
 	}
 }

@@ -3,6 +3,7 @@ package negf
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"math/cmplx"
 	"sync"
 
@@ -33,6 +34,11 @@ type Solver struct {
 	open     *sparse.ReducedSystem
 	openErr  error
 	axis     []int
+
+	// flops is what a lane group counts per lane at take, density off and
+	// on, built by the first group (laneFlops).
+	flopsOnce sync.Once
+	flops     [2]int64
 }
 
 // NewSolver builds a Solver with flat-band leads continued from the device
@@ -102,96 +108,287 @@ func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *lina
 	return s.solveWithSigma(e, complex(e, s.Eta), sigL, sigR, density)
 }
 
+// RGFGroup holds the solves of up to linalg.Lanes energies of one Solver,
+// run in lockstep when the group is made — one lane of the lane kernels per
+// energy, the RGF kernel (rgf) on a lane set — and handed out one energy
+// at a time by Take. The group looks up each energy's self-energies once,
+// in order, through the solver's cache when it has one: the keys and the
+// decimations of the solo solves. Nothing else is counted while the group
+// runs: Take counts what the solo solve of its energy counts. An energy
+// the group could not finish in lanes is solved solo at Take, on the Σ the
+// group looked up: one a record's guard keeps whole, one whose factor met
+// a zero pivot (the solo path returns its error), and any energy asked for
+// a second time, which the solo path solves from the start. Safe for
+// concurrent use.
+type RGFGroup struct {
+	s       *Solver
+	es      []float64
+	density bool
+
+	mu     sync.Mutex
+	ready  linalg.LaneMask // lanes holding a result not yet taken
+	looked linalg.LaneMask // lanes holding a Σ not yet taken
+	res    [linalg.Lanes]*Result
+	sig    [linalg.Lanes][2]*linalg.Matrix
+	sigErr [linalg.Lanes]error
+	flops  int64 // what each lane's solo solve counts
+}
+
+// Lane groups solved in lockstep, and energies of a group solved solo at
+// take (RGFGroup).
+var ctrLaneGroups, ctrLanesSolo = perf.GetCounter("rgf-lane-groups"), perf.GetCounter("rgf-lanes-solo")
+
+// SolveGroup solves the energies es — at most linalg.Lanes of them — in
+// lanes (RGFGroup), with density output or without. Where lanes cannot pay
+// (a single energy, or no AVX lane kernels) it computes nothing, and every
+// Take runs solo.
+func (s *Solver) SolveGroup(es []float64, density bool) *RGFGroup {
+	if len(es) > linalg.Lanes {
+		panic("negf: an RGF group holds at most linalg.Lanes energies")
+	}
+	g := &RGFGroup{s: s, es: es, density: density}
+	if len(es) < 2 || !laneGroups {
+		return g
+	}
+	sys, err := s.reduced()
+	if err != nil {
+		return g // every Take returns the solo path's error
+	}
+	var z [linalg.Lanes]complex128
+	var sigL, sigR [linalg.Lanes]*linalg.Matrix
+	var live linalg.LaneMask
+	for i, e := range es {
+		z[i] = complex(e, s.Eta)
+		sigL[i], sigR[i], g.sigErr[i] = s.selfEnergies(z[i])
+		g.sig[i] = [2]*linalg.Matrix{sigL[i], sigR[i]}
+		g.looked |= 1 << i
+		if g.sigErr[i] == nil && sys.Eliminates(z[i]) {
+			live |= 1 << i
+		}
+	}
+	if bits.OnesCount8(uint8(live)) < 2 {
+		return g
+	}
+	defer perf.StartPhase("rgf")()
+	lw := laneWorkPool.Get().(*laneWork)
+	defer func() { lw.next = 0; laneWorkPool.Put(lw) }()
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	set := laneSet{ws: ws, lw: lw}
+	get := func(rows, cols int) *linalg.LaneMatrix { return lw.get(rows, cols, true) }
+	red := sys.LanesAt(&z, &sigL, &sigR, live, get)
+	var gamma [2][linalg.Lanes]*linalg.Matrix
+	nl := s.H.Layers()
+	for l := 0; l < linalg.Lanes; l++ {
+		if !live.Has(l) {
+			continue
+		}
+		for sd, sig := range g.sig[l] {
+			gamma[sd][l] = ws.Get(sig.Rows, sig.Rows)
+			broadening(gamma[sd][l], sig)
+		}
+		g.res[l] = newResult(es[l], nl, density)
+	}
+	failed, _ := s.rgf(&set, reducedAt{lanes: red}, &gamma, &g.res, density, live)
+	g.ready = live &^ failed
+	g.flops = s.laneFlops(density)
+	ctrLaneGroups.Add(1)
+	return g
+}
+
+// Take returns the result at the group's energy i — what SolveCtx returns
+// there, bit for bit — and counts what it counts.
+func (g *RGFGroup) Take(ctx context.Context, i int) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g.mu.Lock()
+	ready, looked := g.ready.Has(i), g.looked.Has(i)
+	g.ready &^= 1 << i
+	g.looked &^= 1 << i
+	g.mu.Unlock()
+	switch {
+	case ready:
+		perf.AddFlops(g.flops)
+		return g.res[i], nil
+	case looked && g.sigErr[i] != nil:
+		ctrLanesSolo.Add(1)
+		return nil, g.sigErr[i]
+	case looked:
+		ctrLanesSolo.Add(1)
+		return g.s.SolveWithSigma(ctx, g.es[i], g.sig[i][left], g.sig[i][right], g.density)
+	}
+	ctrLanesSolo.Add(1)
+	return g.s.SolveCtx(ctx, g.es[i], g.density)
+}
+
+// laneFlops returns rgfFlops of a lane, every layer eliminated, on the
+// solver's reduced system.
+func (s *Solver) laneFlops(density bool) int64 {
+	s.flopsOnce.Do(func() {
+		sys := s.open
+		sizes, sups, shared := sys.Shape()
+		rows, cols := make([]int, len(sizes)-1), make([]int, len(sizes)-1)
+		for i := range rows {
+			c := sys.Coupling(i)
+			rows[i], cols[i] = len(c.Rows), len(c.Cols)
+		}
+		cG, rG := len(sys.LeftContact()), len(sys.RightContact())
+		for d, on := range []bool{false, true} {
+			s.flops[d] = rgfFlops(sizes, sups, sups, shared, rows, cols, cG, rG, on)
+		}
+	})
+	if density {
+		return s.flops[1]
+	}
+	return s.flops[0]
+}
+
 // selfEnergies routes through the cache when one is attached.
 func (s *Solver) selfEnergies(z complex128) (*linalg.Matrix, *linalg.Matrix, error) {
 	return CachedSelfEnergies(s.Cache, s.Leads, z)
 }
 
-// solveWithSigma is the RGF kernel on the reduced open system
-// A = ReducedSystem.At(z, Σ_L, Σ_R), whose layer i keeps S_i = C_{i−1} ∪ R_i
-// first (then the interior, where the guard keeps the layer whole). Per
-// layer its one cubic operation is the LU of the left-connected block,
-// solved against the first |S_i| identity columns (leftConnected); every
-// product runs on the supports of A's couplings and of the contacts. With
-// density the columns G[:, C_Γ] and G[:, R_Γ] are formed side by side on the
-// kept rows x_i, and each layer's spectra are the forms v·Γ·v† summed over
-// the rows v of x_i and of y_i = Reduced.Interior(x_i), the interior in its
-// eigenbasis: no orbital is recovered. A dense coupling is the same code with
-// r = n. DESIGN.md §11 has the recursions.
+// solveWithSigma is the RGF kernel (rgf) at one energy on a solo set: the
+// reduced open system A = ReducedSystem.At(z, Σ_L, Σ_R) and the
+// broadenings, as per-solve workspace scratch, so the sweeps run
+// allocation-free and parallel energy points never share buffers.
 func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matrix, density bool) (*Result, error) {
 	sys, err := s.reduced()
 	if err != nil {
 		return nil, err
 	}
-	// Every temporary of the solve lives in one per-solve workspace, so the
-	// sweeps run allocation-free and parallel energy points never share
-	// buffers.
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
 	red := sys.At(z, sigL, sigR, ws)
-	a, nl := red.A, red.A.Layers()
+	var gamma [2][linalg.Lanes]*linalg.Matrix
+	gamma[left][0], gamma[right][0] = ws.Get(sigL.Rows, sigL.Rows), ws.Get(sigR.Rows, sigR.Rows)
+	BroadeningInto(gamma[left][0], sigL)
+	BroadeningInto(gamma[right][0], sigR)
+	res := [linalg.Lanes]*Result{newResult(e, s.H.Layers(), density)}
+	set := laneSet{ws: ws}
+	if _, err := s.rgf(&set, reducedAt{solo: red}, &gamma, &res, density, 1); err != nil {
+		return nil, err
+	}
+	return res[0], nil
+}
+
+// newResult returns the result at e an RGF solve fills in: with density,
+// zeroed spectra of nl layers.
+func newResult(e float64, nl int, density bool) *Result {
+	r := &Result{E: e}
+	if density {
+		r.SpectralL, r.SpectralR = make([]float64, nl), make([]float64, nl)
+	}
+	return r
+}
+
+// reducedAt is the reduced open system at the energies of a lane set: one
+// energy's sparse.Reduced on a solo set, a sparse.LaneReduced on a lane set.
+type reducedAt struct {
+	solo  *sparse.Reduced
+	lanes *sparse.LaneReduced
+}
+
+// diag returns layer i's block of A.
+func (r reducedAt) diag(i int) block {
+	if r.lanes != nil {
+		return block{v: r.lanes.Diag[i]}
+	}
+	return block{m: r.solo.A.Diag[i]}
+}
+
+// interior returns the interior of layer i's block x of a solution of A in
+// the eigenbasis of H_ii[I,I] (sparse.Reduced.Interior).
+func (r reducedAt) interior(set *laneSet, i int, x block) block {
+	if r.lanes != nil {
+		return block{v: r.lanes.Interior(i, x.v)}
+	}
+	return block{m: r.solo.Interior(i, x.m, set.ws)}
+}
+
+// rgf is the RGF kernel on the reduced open system A, red, whose layer i
+// keeps S_i = C_{i−1} ∪ R_i first (then the interior, where the guard keeps
+// the layer whole), for every lane of live: one energy on the solo kernels,
+// or up to linalg.Lanes in lockstep, where every layer is eliminated and
+// has the same shape in every lane (laneSet). gamma holds each lane's Γ_L
+// and Γ_R, gamma[left][l] and gamma[right][l]. Lane l's T and, with
+// density, its spectra (newResult's SpectralL and SpectralR) land in
+// res[l]. Per layer the one cubic
+// operation is the LU of the left-connected block, solved against the
+// first |S_i| identity columns (laneSet.leftConnected); every product runs
+// on the supports of A's couplings and of the contacts. With density the
+// columns G[:, C_Γ] and G[:, R_Γ] are formed side by side on the kept rows
+// x_i, and each layer's spectra are the forms v·Γ·v† summed over the rows v
+// of x_i and of y_i = Reduced.Interior(x_i), the interior in its
+// eigenbasis: no orbital is recovered. A dense coupling is the same code
+// with r = n. DESIGN.md §11 has the recursions. It returns the lanes whose
+// left-connected block was singular, with the error of the last of them;
+// nothing is formed for those lanes.
+func (s *Solver) rgf(set *laneSet, red reducedAt, gamma *[2][linalg.Lanes]*linalg.Matrix, res *[linalg.Lanes]*Result, density bool, live linalg.LaneMask) (failed linalg.LaneMask, err error) {
+	sys := s.open
+	nl := s.H.Layers()
 	posL, posR := sys.LeftContact(), sys.RightContact()
 	cG, rG := len(posL), len(posR)
-	gamL, gamR := ws.Get(cG, cG), ws.Get(rG, rG)
-	BroadeningInto(gamL, sigL)
-	BroadeningInto(gamR, sigR)
 
 	// Forward pass: g_i = (A_ii − l_{i−1}·g_{i−1}·u_{i−1})⁻¹[:, S_i], the fold
 	// formed on C_{i−1} × C_{i−1}; the positions of W_i = C_{i−1} (C_Γ at
 	// i = 0) and R_i index g_i's columns directly. With density also
 	// yl_i = g^L_{i,0}[:, C_Γ] (g_0[:, C_Γ], then −g_i[:, W_i]·lq_{i−1}) and
 	// lq_i = l_i·yl_i[R_i, :], where the next layer reads it.
-	cols := make([]*linalg.Matrix, 3*nl)
+	cols := make([]block, 3*nl)
 	g, yl, lq := cols[:nl], cols[nl:2*nl], cols[2*nl:]
 	for i := 0; i < nl; i++ {
-		m := ws.Get(a.LayerSize(i), a.LayerSize(i))
-		m.CopyFrom(a.Diag[i])
+		d := red.diag(i)
+		m := set.get(d.rows(), d.rows())
+		set.copy(m, d)
 		w := posL
 		if i > 0 {
-			p := a.Coupling(i - 1)
+			p := sys.Coupling(i - 1)
 			w = p.Cols
-			grr := ws.Get(len(p.Rows), len(p.Rows))
-			sparse.Gather(grr, g[i-1], p.Rows, p.Rows)
-			lg := ws.Get(len(p.Cols), len(p.Rows))
-			linalg.MulInto(lg, p.L, linalg.NoTrans, grr, linalg.NoTrans)
-			fold := ws.Get(len(p.Cols), len(p.Cols))
-			linalg.GemmInto(fold, -1, lg, linalg.NoTrans, p.U, linalg.NoTrans, 0)
-			sparse.ScatterAdd(m, fold, p.Cols, p.Cols)
-			ws.Put(grr)
-			ws.Put(lg)
-			ws.Put(fold)
+			grr := set.get(len(p.Rows), len(p.Rows))
+			set.gather(grr, g[i-1], p.Rows, p.Rows)
+			lg := set.get(len(p.Cols), len(p.Rows))
+			set.gemm(lg, 1, set.common(p.L), grr, 0)
+			fold := set.get(len(p.Cols), len(p.Cols))
+			set.gemm(fold, -1, lg, set.common(p.U), 0)
+			set.scatterAdd(m, fold, p.Cols, p.Cols)
+			set.put(grr)
+			set.put(lg)
+			set.put(fold)
 		}
-		g[i], err = leftConnected(m, sys.SupportSize(i), ws)
-		ws.Put(m)
-		if err != nil {
-			return nil, fmt.Errorf("negf: RGF forward block %d: %w", i, err)
+		gi, bad, lerr := set.leftConnected(m, sys.SupportSize(i), live)
+		g[i] = gi
+		set.put(m)
+		if bad != 0 {
+			failed |= bad
+			err = fmt.Errorf("negf: RGF forward block %d: %w", i, lerr)
+			if live &^= bad; live == 0 {
+				return failed, err
+			}
+			set.zero(g[i], bad)
 		}
 		if !density {
 			continue
 		}
-		all := s.axis[:g[i].Rows]
-		yl[i] = ws.Get(len(all), cG)
+		all := s.axis[:g[i].rows()]
+		yl[i] = set.get(len(all), cG)
 		if i == 0 {
-			sparse.Gather(yl[0], g[0], all, posL)
+			set.gather(yl[0], g[0], all, posL)
 		} else {
-			gw := ws.Get(len(all), len(w))
-			sparse.Gather(gw, g[i], all, w)
-			linalg.GemmInto(yl[i], -1, gw, linalg.NoTrans, lq[i-1], linalg.NoTrans, 0)
-			ws.Put(gw)
+			gw := set.get(len(all), len(w))
+			set.gather(gw, g[i], all, w)
+			set.gemm(yl[i], -1, gw, lq[i-1], 0)
+			set.put(gw)
 		}
 		if i < nl-1 {
-			c := a.Coupling(i)
-			q := ws.Get(len(c.Rows), cG)
-			sparse.Gather(q, yl[i], c.Rows, s.axis[:cG])
-			lq[i] = ws.Get(len(c.Cols), cG)
-			linalg.MulInto(lq[i], c.L, linalg.NoTrans, q, linalg.NoTrans)
-			ws.Put(q)
+			c := sys.Coupling(i)
+			q := set.get(len(c.Rows), cG)
+			set.gather(q, yl[i], c.Rows, s.axis[:cG])
+			lq[i] = set.get(len(c.Cols), cG)
+			set.gemm(lq[i], 1, set.common(c.L), q, 0)
+			set.put(q)
 		}
-	}
-
-	res := &Result{E: e}
-	if density {
-		res.SpectralL, res.SpectralR = make([]float64, nl), make([]float64, nl)
 	}
 
 	// Backward pass, the block back-substitution of the columns on the
@@ -200,72 +397,121 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	// X_i = [G_{i,0}[:, C_Γ] | G_{i,N−1}[:, R_Γ]]. Without density only the
 	// R_Γ columns on the rows W_i, all the next layer reads, are formed; at
 	// i = 0 they are G_{0,N−1}[C_Γ, R_Γ], the block of the Caroli trace.
-	var x *linalg.Matrix
+	var x block
 	for i := nl - 1; i >= 0; i-- {
 		rows, width := posL, rG
 		if i > 0 {
-			rows = a.Coupling(i - 1).Cols
+			rows = sys.Coupling(i - 1).Cols
 		}
 		if density {
-			rows, width = s.axis[:g[i].Rows], cG+rG
+			rows, width = s.axis[:g[i].rows()], cG+rG
 		}
-		xi := ws.Get(len(rows), width)
-		for q, o := range rows {
-			row := xi.Data[q*width : (q+1)*width]
-			if density {
-				copy(row, yl[i].Data[q*cG:(q+1)*cG])
-			}
-			if i == nl-1 {
-				for j, p := range posR {
-					row[width-rG+j] = g[i].Data[o*g[i].Cols+p]
-				}
-			}
+		xi := set.zeroed(len(rows), width)
+		if density {
+			set.place(xi, 0, yl[i], rows, s.axis[:cG])
+		}
+		if i == nl-1 {
+			set.place(xi, width-rG, g[i], rows, posR)
 		}
 		if i < nl-1 {
-			c := a.Coupling(i)
+			c := sys.Coupling(i)
 			if density {
 				// X_{i+1}[C_i, :]; without density x holds just those rows.
-				xc := ws.Get(len(c.Cols), width)
-				sparse.Gather(xc, x, c.Cols, s.axis[:width])
-				ws.Put(x)
+				xc := set.get(len(c.Cols), width)
+				set.gather(xc, x, c.Cols, s.axis[:width])
+				set.put(x)
 				x = xc
 			}
-			ux := ws.Get(len(c.Rows), width)
-			linalg.MulInto(ux, c.U, linalg.NoTrans, x, linalg.NoTrans)
-			gR := ws.Get(len(rows), len(c.Rows))
-			sparse.Gather(gR, g[i], rows, c.Rows)
-			linalg.GemmInto(xi, -1, gR, linalg.NoTrans, ux, linalg.NoTrans, 1)
-			ws.Put(ux)
-			ws.Put(gR)
-			ws.Put(x)
+			ux := set.get(len(c.Rows), width)
+			set.gemm(ux, 1, set.common(c.U), x, 0)
+			gR := set.get(len(rows), len(c.Rows))
+			set.gather(gR, g[i], rows, c.Rows)
+			set.gemm(xi, -1, gR, ux, 1)
+			set.put(ux)
+			set.put(gR)
+			set.put(x)
 		}
 		if density {
-			y := red.Interior(i, xi, ws)
-			for _, m := range []*linalg.Matrix{xi, y} {
-				for q := 0; q < m.Rows; q++ {
-					row := m.Data[q*width : (q+1)*width]
-					res.SpectralL[i] += form(row[:cG], gamL)
-					res.SpectralR[i] += form(row[cG:], gamR)
-				}
-			}
-			perf.AddFlops(int64(xi.Rows+y.Rows) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd)
-			ws.Put(y)
+			y := red.interior(set, i, xi)
+			set.addForms(res, i, xi, cG, gamma, live)
+			set.addForms(res, i, y, cG, gamma, live)
+			set.count(int64(xi.rows()+y.rows()) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd)
+			set.put(y)
 		}
 		x = xi
 	}
 
 	// Caroli transmission T = Tr[Γ_L·G_{0,N-1}·Γ_R·G_{0,N-1}†] on the blocks
 	// where the Γ are nonzero, with the adjoint folded into the O(n²) trace
-	// kernel instead of a fourth product.
+	// kernel instead of a fourth product. The product is associated as
+	// (Γ_L·G)·Γ_R, which Mul3Into picks: the two orders cost the same here.
 	y := x
 	if density {
-		y = ws.Get(cG, rG)
-		sparse.Gather(y, x, posL, s.axis[cG:cG+rG])
+		y = set.get(cG, rG)
+		set.gather(y, x, posL, s.axis[cG:cG+rG])
 	}
-	tns := ws.Get(cG, rG)
-	linalg.Mul3Into(tns, gamL, linalg.NoTrans, y, linalg.NoTrans, gamR, linalg.NoTrans, ws)
-	res.T = real(linalg.TraceMulConj(tns, y))
-	return res, nil
+	gy, tns := set.get(cG, rG), set.get(cG, rG)
+	set.gemm(gy, 1, set.lanes(&gamma[left], live), y, 0)
+	set.gemm(tns, 1, gy, set.lanes(&gamma[right], live), 0)
+	for l, t := range set.traceMulConj(tns, y) {
+		if live.Has(l) {
+			res[l].T = real(t)
+		}
+	}
+	return failed, err
+}
+
+// rgfFlops returns the flops one solo solve at given self-energies
+// (solveWithSigma) counts, density off or on: sparse.ReducedFlops for the
+// reduced open system (the interior at width c_Γ + r_Γ with density), plus
+// per layer of order m_i = kept[i] (|S_i| = sups[i], or n_i = sizes[i] where
+// the guard keeps it whole) one m_i×m_i LU solved against the |S_i| support
+// columns and products with an r-sized dimension, plus the forms v·Γ_L·v†
+// and v·Γ_R·v† on the rows v of [x_i; y_i] — m_i kept rows and n_i − m_i
+// interior ones, n_i either way — at c_Γ(c_Γ+1)/2 + r_Γ(r_Γ+1)/2
+// multiply-adds each. shared is ReducedFlops'; coupling i has rows[i] rows
+// and cols[i] columns, and the contacts' supports c_Γ and r_Γ orbitals. A
+// lane group counts it at take for each lane, and TestRGFFlopCount holds
+// the kernel to it.
+func rgfFlops(sizes, sups, kept []int, shared []bool, rows, cols []int, cG, rG int, density bool) int64 {
+	gemm := func(n, k, p int) int64 { return perf.GemmFlops(n, k, p) }
+	sq := func(n int) int64 { return int64(n) * int64(n) }
+	// Contacts: Γ on its support, twice; the Caroli trace.
+	f := (sq(cG)+sq(rG))*(perf.FlopsCAdd+perf.FlopsCMul) +
+		gemm(cG, cG, rG) + gemm(cG, rG, rG) + int64(cG*rG)*perf.FlopsCMulAdd +
+		sparse.ReducedFlops(sizes, kept, shared, cG, rG, cG+rG, density)
+	nl := len(sizes)
+	for i := 0; i < nl; i++ {
+		m := kept[i]
+		// Forward: the fold, the LU and its solve against S_i.
+		f += perf.LUFlops(m) + perf.SolveFlops(m, sups[i])
+		w := cG
+		if i > 0 {
+			r, c := rows[i-1], cols[i-1]
+			f += gemm(c, r, r) + gemm(c, r, c) + sq(c)*perf.FlopsCAdd
+			w = c
+		}
+		// Backward: u_i·X_{i+1}[C_i, :] and g_i[rows, R_i]·that, on the R_Γ
+		// columns of rows W_i, or with density on both column sets of every
+		// kept row.
+		height, width := w, rG
+		if density {
+			height, width = m, cG+rG
+		}
+		if i < nl-1 {
+			f += gemm(rows[i], cols[i], width) + gemm(height, rows[i], width)
+		}
+		if density {
+			if i > 0 {
+				f += gemm(m, w, cG) // g^L_{i,0}[:, C_Γ]
+			}
+			if i < nl-1 {
+				f += gemm(cols[i], rows[i], cG) // l_i·g^L_{i,0}[R_i, C_Γ]
+			}
+			f += int64(sizes[i]) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd
+		}
+	}
+	return f
 }
 
 // form returns v·g·v†, real for a Hermitian g, from g's upper triangle:
@@ -282,26 +528,6 @@ func form(v []complex128, g *linalg.Matrix) float64 {
 		s += real(row[a])*(real(va)*real(va)+imag(va)*imag(va)) + 2*real(va*t)
 	}
 	return s
-}
-
-// leftConnected factors the left-connected block m in place and solves it
-// against the identity's first s columns, g_i[:, S_i] with S_i the first s
-// rows of m, as ws scratch. Every column of the solve is bit for bit that
-// column of m's whole inverse (linalg's luSolveInPlace), at s/n of the
-// solve's cost.
-func leftConnected(m *linalg.Matrix, s int, ws *linalg.Workspace) (*linalg.Matrix, error) {
-	piv := ws.GetInts(m.Rows)
-	defer ws.PutInts(piv)
-	fac, err := linalg.FactorInPlace(m, piv)
-	if err != nil {
-		return nil, err
-	}
-	g := ws.Get(m.Rows, s)
-	for j := 0; j < s; j++ {
-		g.Data[j*s+j] = 1
-	}
-	fac.SolveInPlace(g)
-	return g, nil
 }
 
 // reduced returns the reduced open system, built by the first solve from H

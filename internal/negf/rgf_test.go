@@ -456,17 +456,14 @@ func keptSizes(t *testing.T, sol *Solver, e float64) (sizes []int, sigL, sigR *l
 }
 
 // TestRGFFlopCount is the "flop totals exact" contract stated for this
-// kernel: the counted flops of one solve, density off and on, equal a closed
-// form — sparse.ReducedFlops for the reduced open system (the interior at
-// width c_Γ + r_Γ with density), plus per layer of order m_i (|S_i|, or n_i
-// where the guard keeps it whole) one m_i×m_i LU solved against the |S_i|
-// support columns and products with an r-sized dimension, plus the forms
-// v·Γ_L·v† and v·Γ_R·v† on the rows v of [x_i; y_i] — m_i kept rows and
-// n_i − m_i interior ones, n_i either way — at c_Γ(c_Γ+1)/2 + r_Γ(r_Γ+1)/2
-// multiply-adds each. Solving against all m_i columns, or forming the back
-// substitution on every row without density, moves the count off the
-// closed form. The sinw case runs once more with Re z on an interior level,
-// where a layer kept whole is counted.
+// kernel: the counted flops of one solve, density off and on, equal the
+// closed form rgfFlops — what a lane group counts at take — read off the
+// Hamiltonian here, not off the reduced system: the supports, the records
+// layers share, and the order the energy keeps each layer at. Solving
+// against all m_i columns, or forming the back substitution on every row
+// without density, moves the count off the closed form. The sinw case runs
+// once more with Re z on an interior level, where a layer kept whole is
+// counted.
 func TestRGFFlopCount(t *testing.T) {
 	wire := builtSolver(t, device.Description{Name: "sinw", Kind: device.SiNanowire, CellsX: 5, CellsY: 1, CellsZ: 1}, 0,
 		func(layer int) float64 { return 0.1 * float64(layer%3) })
@@ -512,43 +509,8 @@ func TestRGFFlopCount(t *testing.T) {
 		for i := range rows {
 			rows[i], cols[i] = len(sparse.RowSupport(h.Upper[i])), len(sparse.ColumnSupport(h.Upper[i]))
 		}
-		gemm := func(n, k, p int) int64 { return perf.GemmFlops(n, k, p) }
-		sq := func(n int) int64 { return int64(n) * int64(n) }
 		for _, density := range []bool{false, true} {
-			// Contacts: Γ on its support, twice; the Caroli trace.
-			want := (sq(cG)+sq(rG))*(perf.FlopsCAdd+perf.FlopsCMul) +
-				gemm(cG, cG, rG) + gemm(cG, rG, rG) + int64(cG*rG)*perf.FlopsCMulAdd +
-				sparse.ReducedFlops(sizes, kept, shared, cG, rG, cG+rG, density)
-			for i := 0; i < nl; i++ {
-				m := kept[i]
-				// Forward: the fold, the LU and its solve against S_i.
-				want += perf.LUFlops(m) + perf.SolveFlops(m, sups[i])
-				w := cG
-				if i > 0 {
-					r, c := rows[i-1], cols[i-1]
-					want += gemm(c, r, r) + gemm(c, r, c) + sq(c)*perf.FlopsCAdd
-					w = c
-				}
-				// Backward: u_i·X_{i+1}[C_i, :] and g_i[rows, R_i]·that, on
-				// the R_Γ columns of rows W_i, or with density on both column
-				// sets of every kept row.
-				height, width := w, rG
-				if density {
-					height, width = m, cG+rG
-				}
-				if i < nl-1 {
-					want += gemm(rows[i], cols[i], width) + gemm(height, rows[i], width)
-				}
-				if density {
-					if i > 0 {
-						want += gemm(m, w, cG) // g^L_{i,0}[:, C_Γ]
-					}
-					if i < nl-1 {
-						want += gemm(cols[i], rows[i], cG) // l_i·g^L_{i,0}[R_i, C_Γ]
-					}
-					want += int64(sizes[i]) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd
-				}
-			}
+			want := rgfFlops(sizes, sups, kept, shared, rows, cols, cG, rG, density)
 			perf.ResetFlops()
 			if _, err := sol.solveWithSigma(e, z, sigL, sigR, density); err != nil {
 				t.Fatal(err)

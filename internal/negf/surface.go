@@ -138,10 +138,10 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		}
 		set.gather(gCC, g, b.posC, b.posC)
 		set.gather(gRR, g, b.posR, b.posR)
-		set.gemm(agC, 1, alpha, gCC)
-		set.gemm(bgR, 1, beta, gRR)
-		set.gemm(agb, -1, agC, beta)
-		set.gemm(bga, -1, bgR, alpha)
+		set.gemm(agC, 1, alpha, gCC, 0)
+		set.gemm(bgR, 1, beta, gRR, 0)
+		set.gemm(agb, -1, agC, beta, 0)
+		set.gemm(bga, -1, bgR, alpha, 0)
 		// A non-finite g shows in the updates it enters: no scan of its own.
 		update, ub := set.maxAbs(agb), set.maxAbs(bga)
 		for l, u := range ub {
@@ -180,10 +180,10 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		set.scatterAdd(bulk, bga, b.posC, b.posC)
 		set.gather(gCR, g, b.posC, b.posR)
 		set.gather(gRC, g, b.posR, b.posC)
-		set.gemm(agR, 1, alpha, gCR)
-		set.gemm(bgC, 1, beta, gRC)
-		set.gemm(alphaNew, 1, agR, alpha)
-		set.gemm(betaNew, 1, bgC, beta)
+		set.gemm(agR, 1, alpha, gCR, 0)
+		set.gemm(bgC, 1, beta, gRC, 0)
+		set.gemm(alphaNew, 1, agR, alpha, 0)
+		set.gemm(betaNew, 1, bgC, beta, 0)
 		alpha, alphaNew = alphaNew, alpha
 		beta, betaNew = betaNew, beta
 	}
@@ -336,6 +336,14 @@ func BroadeningInto(dst, sigma *linalg.Matrix) {
 	if dst.Rows != n || dst.Cols != n {
 		panic("negf: dimension mismatch in BroadeningInto")
 	}
+	broadening(dst, sigma)
+	perf.AddFlops(int64(n) * int64(n) * (perf.FlopsCAdd + perf.FlopsCMul))
+}
+
+// broadening is BroadeningInto without the count: a lane group counts at
+// take.
+func broadening(dst, sigma *linalg.Matrix) {
+	n := sigma.Rows
 	for i := 0; i < n; i++ {
 		dstRow := dst.Data[i*n : (i+1)*n]
 		sigRow := sigma.Data[i*n : (i+1)*n]
@@ -344,7 +352,6 @@ func BroadeningInto(dst, sigma *linalg.Matrix) {
 			dstRow[j] = complex(-imag(d), real(d)) // i·d
 		}
 	}
-	perf.AddFlops(int64(n) * int64(n) * (perf.FlopsCAdd + perf.FlopsCMul))
 }
 
 // leadSpec is one contact viewed through the cache's eyes: the raw blocks

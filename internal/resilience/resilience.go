@@ -217,38 +217,42 @@ func (p Policy) Backoff(a int) time.Duration {
 // Do runs fn under the policy: up to MaxAttempts attempts, each bounded by
 // AttemptTimeout, with Backoff sleeps between attempts. Panics inside fn
 // are recovered into *PanicError and treated like any other attempt error.
-// Permanent errors (see Classify) short-circuit immediately; cancellation
-// of ctx aborts between and during attempts and returns ctx.Err(). When
-// the attempt budget is exhausted the last error is wrapped in
-// *ExhaustedError. A single-attempt policy is none of this: its one
-// attempt runs even under a canceled ctx, and its error comes back as is.
+// The first attempt runs even under a canceled ctx. A Permanent error of
+// the attempt's own (see Classify; not a context error) comes back as is at
+// once, whatever ctx did meanwhile; any other failure under a canceled ctx
+// reports ctx.Err(), and cancellation aborts the backoff between attempts.
+// So a runner ranks every claimed task by its own verdict and never by a
+// sibling's cancellation, as sched.Pool.ForEach does. When the attempt
+// budget is exhausted the last error is wrapped in *ExhaustedError. A
+// single-attempt policy is a plain guarded call: its error comes back as
+// is.
 func (p Policy) Do(ctx context.Context, fn func(context.Context) error) error {
 	n := p.attempts()
 	if n == 1 {
-		// A single-attempt policy is a plain guarded call: fn runs, and its
-		// error is the verdict, unwrapped, whatever ctx did meanwhile. So a
-		// runner, like sched.Pool.ForEach, ranks every claimed task by its
-		// own verdict and never by a sibling's cancellation.
 		return p.attempt(ctx, fn)
 	}
 	var last error
 	for a := 0; a < n; a++ {
-		if err := ctx.Err(); err != nil {
-			return err
+		if a > 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		err := p.attempt(ctx, fn)
 		if err == nil {
 			return nil
 		}
+		// An attempt's own Permanent verdict stands whatever ctx did; a
+		// context error is the attempt's own only while ctx is live.
+		if Classify(err) == Permanent && (ctx.Err() == nil || !isContextError(err)) {
+			return err
+		}
 		if ctx.Err() != nil {
 			// The caller canceled mid-attempt: report the cancellation, not
-			// whatever partial failure it induced.
+			// whatever retryable failure it induced.
 			return ctx.Err()
 		}
 		last = err
-		if Classify(err) == Permanent {
-			return err
-		}
 		if a < n-1 {
 			t := time.NewTimer(p.Backoff(a))
 			select {
@@ -260,6 +264,11 @@ func (p Policy) Do(ctx context.Context, fn func(context.Context) error) error {
 		}
 	}
 	return &ExhaustedError{Attempts: n, Err: last}
+}
+
+// isContextError reports whether err is, or wraps, a context's own error.
+func isContextError(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // attempt runs one bounded, panic-contained invocation of fn.

@@ -176,6 +176,32 @@ func TestDoSingleAttemptIsAPlainCall(t *testing.T) {
 	}
 }
 
+// TestDoRetriedOwnPermanentErrorWins: under a retried policy a task's own
+// Permanent error is its verdict even when ctx is canceled before or during
+// the attempt — the first attempt runs either way — while a transient one
+// under cancellation still reports ctx.Err() (TestDoParentCancellationWins).
+func TestDoRetriedOwnPermanentErrorWins(t *testing.T) {
+	own := MarkPermanent(errors.New("own failure"))
+	ctx, cancel := context.WithCancel(context.Background())
+	err := fastPolicy(3).Do(ctx, func(context.Context) error {
+		cancel()
+		return own
+	})
+	if err != own {
+		t.Fatalf("mid-attempt cancel: got %v, want the attempt's own error", err)
+	}
+	calls := 0
+	err = fastPolicy(3).Do(ctx, func(context.Context) error { calls++; return own })
+	if err != own || calls != 1 {
+		t.Fatalf("canceled before the attempt: got %v after %d calls, want the attempt's own error after 1", err, calls)
+	}
+	// An attempt that returns its ctx's own error reports the cancellation.
+	err = fastPolicy(3).Do(ctx, func(c context.Context) error { return MarkPermanent(c.Err()) })
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("context error: got %v, want context.Canceled", err)
+	}
+}
+
 func TestBackoffDeterministicAndBounded(t *testing.T) {
 	p := Policy{MaxAttempts: 8, BaseDelay: time.Millisecond, MaxDelay: 20 * time.Millisecond,
 		Multiplier: 2, JitterFrac: 0.5, Seed: 42}

@@ -47,9 +47,10 @@ type Layer struct {
 	w, wh  linalg.Matrix // W = V†·h[I,keep] and W†, V the eigenvectors of h[I,I]
 	whole  *Layer        // this layer with an empty interior; itself when I is empty
 
-	// whLanes is W† in every lane, built by the first LanesAt.
-	whOnce  sync.Once
-	whLanes *linalg.LaneMatrix
+	// whLanes and wLanes are W† and W in every lane, built by the first
+	// lane call.
+	lanesOnce       sync.Once
+	whLanes, wLanes *linalg.LaneMatrix
 }
 
 // NewLayer splits the Hermitian block h on sup, ascending orbitals of h, and
@@ -169,38 +170,72 @@ func (l *Layer) Eliminates(z complex128) bool { return l.eliminates(z) }
 
 // LanesAt writes into lane i of m, for each lane of live, the M(z[i]) At
 // returns — bit for bit, s×s: every z[i] must be one the layer eliminates
-// at (Eliminates). dw is (n − s)×s scratch. It counts no flop (LayerFlops
+// at (Eliminates). dw is (n − s)×s scratch; d, if not nil, receives d over
+// the interior, (n − s)×1, as at builds it. It counts no flop (LayerFlops
 // is what At counts, which the caller counts for each lane it keeps), and
 // the lanes outside live hold garbage.
-func (l *Layer) LanesAt(m, dw *linalg.LaneMatrix, z *[linalg.Lanes]complex128, live linalg.LaneMask) {
+func (l *Layer) LanesAt(m, dw, d *linalg.LaneMatrix, z *[linalg.Lanes]complex128, live linalg.LaneMask) {
 	ni, s := len(l.in), len(l.keep)
-	if m.Rows != s || m.Cols != s || dw.Rows != ni || dw.Cols != s {
+	if m.Rows != s || m.Cols != s || dw.Rows != ni || dw.Cols != s || d != nil && (d.Rows != ni || d.Cols != 1) {
 		panic("sparse: dimension mismatch in Layer.LanesAt")
 	}
-	l.whOnce.Do(func() {
-		l.whLanes = linalg.NewLaneMatrix(s, ni)
-		l.whLanes.Broadcast(&l.wh)
-	})
-	for i, zi := range z {
-		if !live.Has(i) {
-			continue
+	l.lanes()
+	// ShiftedNegInto, the reciprocals and ScaleRowsInto, in each lane the
+	// trees at runs on a single z.
+	const L = linalg.Lanes
+	for e, v := range l.hKK.Data {
+		lane := m.Data[e*2*L : (e+1)*2*L]
+		for i := 0; i < L; i++ {
+			if live.Has(i) {
+				lane[i], lane[L+i] = -real(v), -imag(v)
+			}
 		}
-		// ShiftedNegInto, ScaleRowsInto and the reciprocals, one lane at a
-		// time: the trees at runs on a single z.
-		for e, v := range l.hKK.Data {
-			m.Set(i, e/s, e%s, -v)
+	}
+	for j := 0; j < s; j++ {
+		lane := m.Data[(j*s+j)*2*L : (j*s+j+1)*2*L]
+		for i, zi := range z {
+			if live.Has(i) {
+				lane[i] += real(zi)
+				lane[L+i] += imag(zi)
+			}
 		}
-		for j := 0; j < s; j++ {
-			m.Set(i, j, j, m.At(i, j, j)+zi)
+	}
+	var dq [L]complex128
+	for q, lv := range l.lambda {
+		for i, zi := range z {
+			if live.Has(i) {
+				dq[i] = 1 / (zi - complex(lv, 0))
+			}
 		}
-		for q, lv := range l.lambda {
-			d := 1 / (zi - complex(lv, 0))
-			for p, v := range l.w.Data[q*s : (q+1)*s] {
-				dw.Set(i, q, p, v*d)
+		if d != nil {
+			lane := d.Data[q*2*L : (q+1)*2*L]
+			for i, v := range dq {
+				if live.Has(i) {
+					lane[i], lane[L+i] = real(v), imag(v)
+				}
+			}
+		}
+		for p, v := range l.w.Data[q*s : (q+1)*s] {
+			lane := dw.Data[(q*s+p)*2*L : (q*s+p+1)*2*L]
+			for i, di := range dq {
+				if live.Has(i) {
+					w := v * di
+					lane[i], lane[L+i] = real(w), imag(w)
+				}
 			}
 		}
 	}
 	linalg.LaneGemmInto(m, -1, l.whLanes, dw, 1)
+}
+
+// lanes builds W† and W in every lane once.
+func (l *Layer) lanes() {
+	l.lanesOnce.Do(func() {
+		l.whLanes = linalg.NewLaneMatrix(l.wh.Rows, l.wh.Cols)
+		l.whLanes.Broadcast(&l.wh)
+		l.wLanes = linalg.NewLaneMatrix(l.w.Rows, l.w.Cols)
+		l.wLanes.Broadcast(&l.w)
+	})
 }
 
 // eliminates reports whether z keeps min|z − λ| ≥ InteriorGuard·max|z − λ|

@@ -101,6 +101,31 @@ func (r *ReducedSystem) RightContact() []int { return r.posR }
 // layer i on either partition, so rows [0, |S_i|) of it are S_i.
 func (r *ReducedSystem) SupportSize(i int) int { return len(r.recs[r.rec[i]].sup) }
 
+// Coupling returns coupling i of the reduced system: A's at every energy.
+func (r *ReducedSystem) Coupling(i int) *Coupling { return &r.cps[i] }
+
+// Eliminates reports whether every record eliminates its interior at z: A's
+// layers are then s_i×s_i, the same shapes at every such energy.
+func (r *ReducedSystem) Eliminates(z complex128) bool {
+	for _, l := range r.recs {
+		if !l.eliminates(z) {
+			return false
+		}
+	}
+	return true
+}
+
+// Shape returns what ReducedFlops reads of the system: every layer's n_i
+// and |S_i|, and whether an earlier layer shares its record.
+func (r *ReducedSystem) Shape() (sizes, sups []int, shared []bool) {
+	sups, shared = make([]int, len(r.rec)), make([]bool, len(r.rec))
+	for i, g := range r.rec {
+		sups[i] = len(r.recs[g].sup)
+		shared[i] = slices.Index(r.rec, g) < i
+	}
+	return slices.Clone(r.sizes), sups, shared
+}
+
 // Reduced is the reduced open system at one energy: A, layer i of which is
 // M_i(z) on the orbitals its partition keeps — Σ_L and Σ_R subtracted on the
 // first and last — and what Interior needs to carry a solution of A into
@@ -149,6 +174,90 @@ func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.W
 	red.a.wrap(diag, blocks[nl:2*nl-1], blocks[2*nl-1:], r.cps)
 	red.A = &red.a
 	return red
+}
+
+// LaneReduced is Reduced at up to linalg.Lanes energies, one lane of the
+// lane kernels each (ReducedSystem.LanesAt): Diag[i] is layer i's block of
+// A in every lane. Its blocks come from the caller's scratch.
+type LaneReduced struct {
+	Diag []*linalg.LaneMatrix
+	sys  *ReducedSystem
+	d    []*linalg.LaneMatrix // per record, d over its interior (|I|×1)
+	get  func(rows, cols int) *linalg.LaneMatrix
+}
+
+// LanesAt is At at z[l] for every lane l of live, with lane l's
+// self-energies sigL[l] and sigR[l]: lane l of Diag[i] holds A.Diag[i] of
+// At(z[l], sigL[l], sigR[l]) bit for bit. Every record must eliminate at
+// every z[l] (Eliminates), so layer i is s_i×s_i in every lane. get hands
+// out zeroed lane scratch, and the lanes outside live stay zero in Diag. It
+// counts no flop: ReducedFlops is what At counts for each lane.
+func (r *ReducedSystem) LanesAt(z *[linalg.Lanes]complex128, sigL, sigR *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask, get func(rows, cols int) *linalg.LaneMatrix) *LaneReduced {
+	nl := len(r.sizes)
+	red := &LaneReduced{Diag: make([]*linalg.LaneMatrix, nl), sys: r, d: make([]*linalg.LaneMatrix, len(r.recs)), get: get}
+	ms := make([]*linalg.LaneMatrix, len(r.recs))
+	for g, l := range r.recs {
+		s, ni := len(l.sup), len(l.in)
+		ms[g], red.d[g] = get(s, s), get(ni, 1)
+		l.LanesAt(ms[g], get(ni, s), red.d[g], z, live)
+	}
+	for i, g := range r.rec {
+		red.Diag[i] = ms[g]
+	}
+	for _, end := range []int{0, nl - 1}[:min(nl, 2)] {
+		own := get(red.Diag[end].Rows, red.Diag[end].Cols)
+		own.CopyFrom(red.Diag[end])
+		red.Diag[end] = own
+	}
+	for l := 0; l < linalg.Lanes; l++ {
+		if live.Has(l) {
+			subtractLane(red.Diag[0], l, sigL[l], r.posL)
+			subtractLane(red.Diag[nl-1], l, sigR[l], r.posR)
+		}
+	}
+	return red
+}
+
+// subtractLane is subtractOn in lane l of dst.
+func subtractLane(dst *linalg.LaneMatrix, l int, sigma *linalg.Matrix, pos []int) {
+	k := len(pos)
+	if sigma.Rows != k || sigma.Cols != k {
+		panic("sparse: self-energy is not the contact support's block")
+	}
+	const L = linalg.Lanes
+	for a, p := range pos {
+		for b, q := range pos {
+			o, v := (p*dst.Cols+q)*2*L+l, sigma.Data[a*k+b]
+			dst.Data[o] -= real(v)
+			dst.Data[o+L] -= imag(v)
+		}
+	}
+}
+
+// Interior is Reduced.Interior in every lane: y = diag(d)·W·x_S, lane l
+// holding what Interior returns at lane l's energy bit for bit — one lane
+// GEMM with W, then ScaleRowsInto's row scale per lane — as scratch from
+// get. It counts no flop.
+func (r *LaneReduced) Interior(i int, x *linalg.LaneMatrix) *linalg.LaneMatrix {
+	g := r.sys.rec[i]
+	p, d := r.sys.recs[g], r.d[g]
+	y := r.get(len(p.in), x.Cols)
+	linalg.LaneGemmInto(y, 1, p.wLanes, x, 0)
+	const L = linalg.Lanes
+	for q := 0; q < y.Rows; q++ {
+		var dq [L]complex128
+		for l := range dq {
+			dq[l] = d.At(l, q, 0)
+		}
+		row := y.Data[q*y.Cols*2*L : (q+1)*y.Cols*2*L]
+		for o := 0; o < len(row); o += 2 * L {
+			for l, dl := range dq {
+				v := complex(row[o+l], row[o+L+l]) * dl
+				row[o+l], row[o+L+l] = real(v), imag(v)
+			}
+		}
+	}
+	return y
 }
 
 // subtractOn subtracts sigma, a contact's block on its support, from

@@ -124,7 +124,9 @@ type pointSolver interface {
 type Engine struct {
 	solver pointSolver
 	// leads and eta are the solver's; cached is whether it reads Σ from a
-	// self-energy cache, which a lane group (SigmaGroup) would bypass.
+	// self-energy cache, which a self-energy group (SigmaGroup) would
+	// bypass: a cached engine's lane groups are whole solves instead
+	// (SolveGroup), which look Σ up in the cache.
 	leads  *negf.Leads
 	eta    float64
 	cached bool
@@ -219,6 +221,30 @@ func (e *Engine) TransmissionFrom(ctx context.Context, g *negf.SigmaGroup, i int
 		return 0, err
 	}
 	return r.T, nil
+}
+
+// SolveGroup solves up to linalg.Lanes energies in lockstep
+// (negf.Solver.SolveGroup), with density output or without, for SolveFrom.
+// Only the NEGF formalism forms groups: an engine of another returns nil.
+func (e *Engine) SolveGroup(energies []float64, density bool) *negf.RGFGroup {
+	gf, ok := e.solver.(*negf.Solver)
+	if !ok {
+		return nil
+	}
+	return gf.SolveGroup(energies, density)
+}
+
+// SolveFrom is SolveAt at the i-th energy of g, taken from g: the same
+// result, bit for bit, the same count and the same NaN/Inf check.
+func (e *Engine) SolveFrom(ctx context.Context, g *negf.RGFGroup, i int) (*negf.Result, error) {
+	r, err := g.Take(ctx, i)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkFinite(r.E, r); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
 // Bias describes the two contact reservoirs.
