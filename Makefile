@@ -84,16 +84,19 @@ race:
 # Anderson history must see the same charges in the same order. The five
 # transmission sweeps run uncached and are compared in full; the I-V runs
 # drop their `# sigma-cache` line, whose hit/coalesced split is timing.
-# The two wave-function transmission sweeps (sinw and agnr7) must also
-# print the same bytes at -workers 1 and 2: a pool job is a lane group of
-# up to four energies whose self-energies run in lockstep, and neither the
-# groups nor the pool width may move a bit or a counted flop. The NEGF I-V
+# The wave-function transmission sweeps (sinw, agnr7 and ribbon_fabric's
+# agnr7 grid) must also print the same bytes at -workers 1 and 2: a pool
+# job is a lane group of up to four energies whose self-energies and
+# block-Thomas sweep run in lockstep, and neither the groups nor the pool
+# width may move a bit or a counted flop; against purego, which forms no
+# lanes, they compare lanes against solo end to end. The NEGF I-V
 # runs once more at the benchmark's full 20 cells and three gate points:
 # there the AVX build solves each group's RGF in lanes and the purego
 # build, which forms no lanes, solves every energy solo, so the two
 # compare lanes against solo end to end.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
+PORTABLE_WF_RIBBON = -device agnr7 -formalism wf -ne 1500
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
 PORTABLE_IV_LANES = -device agnr7 -mode iv -formalism negf -nvg 3
 PORTABLE_WF_IV = -device agnr7 -mode iv -formalism wf -nvg 2 -cellsx 8
@@ -104,7 +107,7 @@ portable-kernels:
 	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/ ./cmd/omen/
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -tags purego -o bin/omen-purego ./cmd/omen
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_WF_RIBBON)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
 		bin/omen $$run > bin/portable.avx.txt || exit 1; \
 		bin/omen-purego $$run > bin/portable.purego.txt || exit 1; \
 		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \
@@ -112,7 +115,7 @@ portable-kernels:
 			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical across builds"; \
 	done
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)"; do \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_WF_RIBBON)"; do \
 		bin/omen $$run -workers 1 > bin/portable.w1.txt || exit 1; \
 		bin/omen $$run -workers 2 > bin/portable.w2.txt || exit 1; \
 		cmp bin/portable.w1.txt bin/portable.w2.txt \

@@ -258,7 +258,7 @@ func BenchmarkSigmaLanes(b *testing.B) {
 // layer reduced to s = 7) under a potential that makes every layer its own
 // record, as in an SCF iterate, at the fet_iv lattice's 4 meV step in the
 // conduction band, with density (charge pass) and without (current pass).
-// One negf.RGFGroup and its four takes against four solo solves, both with
+// One negf.Group and its four takes against four solo solves, both with
 // Σ from a warm σ-cache, as the FET's hit ratio near 1 has it. Both count
 // the same flops; ns and flops are reported per energy.
 func BenchmarkRGFLanes(b *testing.B) {
@@ -290,6 +290,9 @@ func BenchmarkRGFLanes(b *testing.B) {
 		run := map[string]func(){
 			"group": func() {
 				g := sol.SolveGroup(es, density)
+				if g == nil {
+					b.Skip("no AVX lane kernels: the energies share nothing")
+				}
 				for i := range es {
 					if _, err := g.Take(ctx, i); err != nil {
 						b.Fatal(err)
@@ -321,14 +324,85 @@ func BenchmarkRGFLanes(b *testing.B) {
 	}
 }
 
+// BenchmarkWFLanes is the wave-function transmission solve of a sweep's
+// lane group: four consecutive energies of the benchmark grids (AGNR-7:
+// ribbon_fabric's 4 meV step at 1.5 eV; the Si nanowire: wire_serial's
+// 10 meV step at 1.54 eV) as one wavefunction.Solver.SolveGroup and its
+// four takes — Σ and the block-Thomas sweep in lanes — against four solo
+// SolveCtx calls at the same energies, both uncached as a transmission
+// sweep runs. Both count the same flops; ns and flops are reported per
+// energy.
+func BenchmarkWFLanes(b *testing.B) {
+	for _, tc := range []struct {
+		device   string
+		e0, step float64
+	}{{"agnr7", 1.5, 0.004}, {"sinw", 1.54, 0.01}} {
+		desc, _ := device.Lookup(tc.device)
+		built, err := desc.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := tb.Assemble(built.Structure, built.Material, built.Options)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sol, err := wavefunction.NewSolver(h, 1e-6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		es := make([]float64, linalg.Lanes)
+		for i := range es {
+			es[i] = tc.e0 + float64(i)*tc.step
+		}
+		ctx := context.Background()
+		run := map[string]func(){
+			"group": func() {
+				g := sol.SolveGroup(es, false)
+				if g == nil {
+					b.Skip("no AVX lane kernels: the energies share nothing")
+				}
+				for i := range es {
+					if _, err := g.Take(ctx, i); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			"solo": func() {
+				for _, e := range es {
+					if _, err := sol.SolveCtx(ctx, e, false); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		}
+		for _, mode := range []string{"group", "solo"} {
+			b.Run(tc.device+"/"+mode, func(b *testing.B) {
+				run[mode]()
+				perf.ResetFlops()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run[mode]()
+				}
+				b.StopTimer()
+				per := float64(b.N * len(es))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/energy")
+				b.ReportMetric(float64(perf.ResetFlops())/per, "flops/energy")
+			})
+		}
+	}
+}
+
 // transmissions is T over grid on the sweep runner, one task per energy
 // on a GOMAXPROCS-wide pool: the energy loop every sweep of the engine
 // runs on.
 func transmissions(eng *transport.Engine, grid []float64) ([]float64, error) {
 	ts := make([]float64, len(grid))
 	_, err := cluster.RunTasksResumable(context.Background(), 1, 1, len(grid), cluster.SweepOptions{},
-		func(ctx context.Context, t cluster.Task) (_ []byte, err error) {
-			ts[t.E], err = eng.TransmissionAt(ctx, grid[t.E])
+		func(ctx context.Context, t cluster.Task) ([]byte, error) {
+			r, err := eng.SolveAt(ctx, grid[t.E], false)
+			if err == nil {
+				ts[t.E] = r.T
+			}
 			return nil, err
 		})
 	return ts, err

@@ -12,9 +12,9 @@ import (
 // own task — its own Attempt, injector trip, journal record or upload, and
 // Meter delta — and passes the group to them through their ctx
 // (GroupFrom), so a task function can compute what the group's tasks
-// share once, for all of them (Lanes): a transmission plan computes the
-// contact self-energies of the group's energies in lockstep, one kernel
-// lane per energy. What the group holds goes with it when the worker is
+// share once, for all of them (Lanes): a transmission plan or an I-V's
+// energy pass solves the group's energies in lockstep, one kernel lane per
+// energy. What the group holds goes with it when the worker is
 // done with it. A group is used by one goroutine at a time.
 type Group struct {
 	// Index holds the flat task indices, ascending and consecutive.
@@ -37,15 +37,12 @@ func (g *Group) Lane(t Task) int {
 	return -1
 }
 
-// Lanes returns what fill made of the group's tasks, in index order,
-// calling fill until a call returns.
-func (g *Group) Lanes(fill func(tasks []Task) any) any {
+// Lanes returns what fill made of the group's tasks — the first of them
+// and their count n, the rest following it by one energy each — calling
+// fill until a call returns.
+func (g *Group) Lanes(fill func(first Task, n int) any) any {
 	if !g.filled {
-		tasks := make([]Task, len(g.Index))
-		for i, x := range g.Index {
-			tasks[i] = TaskAt(x, g.nK, g.nE)
-		}
-		g.lanes, g.filled = fill(tasks), true
+		g.lanes, g.filled = fill(TaskAt(g.Index[0], g.nK, g.nE), len(g.Index)), true
 	}
 	return g.lanes
 }

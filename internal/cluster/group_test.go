@@ -105,12 +105,12 @@ func TestRunnerRunsLaneGroups(t *testing.T) {
 		if g.Lane(task) < 0 {
 			return nil, fmt.Errorf("task %+v runs outside its group", task)
 		}
-		g.Lanes(func(tasks []Task) any {
+		g.Lanes(func(first Task, n int) any {
 			mu.Lock()
 			defer mu.Unlock()
 			fills[g]++
-			if tasks[0] != task {
-				t.Errorf("group %v filled by task %+v, not its first", g.Index, task)
+			if first != task || n != len(g.Index) {
+				t.Errorf("group %v filled by task %+v with %d tasks, not its first with its count", g.Index, task, n)
 			}
 			return nil
 		})
@@ -173,7 +173,7 @@ func TestRunnerGroupDeltasArePerTask(t *testing.T) {
 	_, err := RunTasksResumable(context.Background(), nBias, nK, nE, SweepOptions{
 		Pool: sched.New(1), Journal: journal,
 	}, func(ctx context.Context, task Task) ([]byte, error) {
-		GroupFrom(ctx).Lanes(func([]Task) any { return nil })
+		GroupFrom(ctx).Lanes(func(Task, int) any { return nil })
 		perf.AddFlops(cost((task.Bias*nK+task.K)*nE + task.E))
 		return []byte{1}, nil
 	})

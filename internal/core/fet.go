@@ -237,30 +237,6 @@ func energyPass(ctx context.Context, pool *sched.Pool, grid []float64, solve fun
 	return err
 }
 
-// solveInGroup solves grid[i] on eng, with density output or without. On
-// an NEGF engine it takes the solve from the lane group of energyPass's
-// ctx: the group's first task solves all its energies in lockstep
-// (transport.Engine.SolveGroup) unless ctx is already done, and each task
-// takes its own. Other engines form no groups and solve alone.
-func (f *FET) solveInGroup(ctx context.Context, eng *transport.Engine, grid []float64, i int, density bool) (*negf.Result, error) {
-	grp := cluster.GroupFrom(ctx)
-	lane := grp.Lane(cluster.Task{E: i})
-	if lane < 0 || f.Sim.Transport.Formalism != transport.NEGFRGF {
-		return eng.SolveAt(ctx, grid[i], density)
-	}
-	g, _ := grp.Lanes(func(tasks []cluster.Task) any {
-		if ctx.Err() != nil {
-			return (*negf.RGFGroup)(nil)
-		}
-		// A group's tasks are consecutive energies of the grid.
-		return eng.SolveGroup(grid[tasks[0].E:tasks[0].E+len(tasks)], density)
-	}).(*negf.RGFGroup)
-	if g == nil {
-		return eng.SolveAt(ctx, grid[i], density)
-	}
-	return eng.SolveFrom(ctx, g, lane)
-}
-
 // solveBias runs the self-consistent loop at one (VGate, VDrain) point.
 func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (*IVPoint, error) {
 	s := f.Sim.Built.Structure
@@ -331,7 +307,7 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 		}
 		point.Iterations = iter
 		if err := energyPass(ctx, pool, grid, func(ctx context.Context, i int) (err error) {
-			spectra[i], err = f.solveInGroup(ctx, eng, grid, i, true)
+			spectra[i], err = solveInGroup(ctx, eng, grid, cluster.Task{E: i}, true)
 			return err
 		}); err != nil {
 			return nil, err
@@ -372,7 +348,7 @@ func (f *FET) solveBias(ctx context.Context, vg, vd float64, pool *sched.Pool) (
 	iGrid := f.currentGrid(vd, u)
 	ts := make([]float64, len(iGrid))
 	if err := energyPass(ctx, pool, iGrid, func(ctx context.Context, i int) error {
-		r, err := f.solveInGroup(ctx, eng, iGrid, i, false)
+		r, err := solveInGroup(ctx, eng, iGrid, cluster.Task{E: i}, false)
 		if err != nil {
 			return err
 		}

@@ -115,34 +115,39 @@ func (p *TransmissionPlan) Run(ctx context.Context, t cluster.Task) ([]byte, err
 	if err != nil {
 		return nil, err
 	}
-	tv, err := p.transmission(ctx, eng, t)
+	r, err := solveInGroup(ctx, eng, p.energies, t, false)
 	if err != nil {
 		return nil, err
 	}
-	p.perK[t.K][t.E] = tv
+	p.perK[t.K][t.E] = r.T
 	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], math.Float64bits(tv))
+	binary.LittleEndian.PutUint64(b[:], math.Float64bits(r.T))
 	return b[:], nil
 }
 
-// transmission solves task t — with Σ from the lane group ctx carries
-// (cluster.GroupFrom) where t is one of its tasks: the group's first task
-// computes the self-energies of all its energies in lockstep, and each
-// task takes its own.
-func (p *TransmissionPlan) transmission(ctx context.Context, eng *transport.Engine, t cluster.Task) (float64, error) {
+// solveInGroup solves grid[t.E] on eng, with density output or without,
+// where t is a task of the lane group ctx carries (cluster.GroupFrom): the
+// group's first task solves all its energies in lockstep
+// (transport.Engine.SolveGroup) unless ctx is already done, and each task
+// takes its own (SolveFrom). A group's tasks are consecutive energies of
+// one grid. Outside a group, and where its energies share nothing, t is
+// solved alone.
+func solveInGroup(ctx context.Context, eng *transport.Engine, grid []float64, t cluster.Task, density bool) (*negf.Result, error) {
 	grp := cluster.GroupFrom(ctx)
 	lane := grp.Lane(t)
 	if lane < 0 {
-		return eng.TransmissionAt(ctx, p.energies[t.E])
+		return eng.SolveAt(ctx, grid[t.E], density)
 	}
-	sig, _ := grp.Lanes(func(tasks []cluster.Task) any {
-		energies := make([]float64, len(tasks))
-		for i, u := range tasks {
-			energies[i] = p.energies[u.E]
+	g, _ := grp.Lanes(func(first cluster.Task, n int) any {
+		if ctx.Err() != nil {
+			return (*negf.Group)(nil)
 		}
-		return eng.SigmaGroup(energies)
-	}).(*negf.SigmaGroup)
-	return eng.TransmissionFrom(ctx, sig, lane, p.energies[t.E])
+		return eng.SolveGroup(grid[first.E:first.E+n], density)
+	}).(*negf.Group)
+	if g == nil {
+		return eng.SolveAt(ctx, grid[t.E], density)
+	}
+	return eng.SolveFrom(ctx, g, lane)
 }
 
 // TransmissionValue decodes a task payload — Run's encoding, which

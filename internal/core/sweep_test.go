@@ -257,15 +257,15 @@ func TestTransmissionLaneGroupsCountPerTask(t *testing.T) {
 		for _, rec := range recs {
 			e := grid[rec.Index]
 			perf.ResetFlops()
-			tv, err := eng.TransmissionAt(context.Background(), e)
+			r, err := eng.SolveAt(context.Background(), e, false)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if solo := perf.ResetFlops(); rec.Perf.Flops != solo {
 				t.Fatalf("%v E=%g: the sweep journaled %d flops, the solo solve counts %d", f, e, rec.Perf.Flops, solo)
 			}
-			if tv != sweep.T[rec.Index] {
-				t.Fatalf("%v E=%g: the sweep's T %v, the solo solve's %v", f, e, sweep.T[rec.Index], tv)
+			if r.T != sweep.T[rec.Index] {
+				t.Fatalf("%v E=%g: the sweep's T %v, the solo solve's %v", f, e, sweep.T[rec.Index], r.T)
 			}
 		}
 	}

@@ -34,6 +34,15 @@ var ErrNoConvergence = errors.New("linalg: QL iteration failed to converge")
 // fused with the eigenvalue sort, produces the column eigenvectors.
 func EigH(a *Matrix) (*EigenH, error) { return eigH(a, perf.AddFlops) }
 
+// EigHFlops returns the flops EigH counts on an n×n matrix that converges:
+// the Householder reduction and its accumulation, then the QL vector
+// accumulation, each at leading order.
+func EigHFlops(n int) int64 {
+	return eigReductionFlops(n) + 6*int64(n)*int64(n)*int64(n)
+}
+
+func eigReductionFlops(n int) int64 { return 16 * int64(n) * int64(n) * int64(n) / 3 }
+
 // EigHSetup is EigH for a solver's one-time set-up: the same bits, and no
 // flop counted. The flop counter measures the work of the tasks a sweep
 // journals; set-up that every process repeats once, inside whichever task
@@ -142,7 +151,7 @@ func eigH(a *Matrix, count func(int64)) (*EigenH, error) {
 			}
 		}
 	}
-	count(16 * int64(n) * int64(n) * int64(n) / 3) // reduction + accumulation, leading order
+	count(eigReductionFlops(n))
 
 	// Extract the tridiagonal and phase-rotate it real.
 	d := make([]float64, n)
@@ -175,7 +184,7 @@ func eigH(a *Matrix, count func(int64)) (*EigenH, error) {
 	if err := tql2(d, e, qt); err != nil {
 		return nil, err
 	}
-	count(6 * int64(n) * int64(n) * int64(n)) // QL vector accumulation, leading order
+	count(EigHFlops(n) - eigReductionFlops(n))
 
 	// Sort ascending; row p of qt becomes eigenvector column j.
 	idx := make([]int, n)

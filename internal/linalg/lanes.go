@@ -198,26 +198,70 @@ func LaneTraceMulConj(a, b *LaneMatrix) (t [Lanes]complex128) {
 	return t
 }
 
-// LaneLU is the scratch LaneInverseInto factors in: the packed lanes, each
-// lane's row swaps, one lane's column for the pivot search and one lane's
-// row permutation. The zero value is ready; it grows to the largest order
-// it is asked for.
+// LaneLU is the scratch the lane factor runs in: each lane's row swaps,
+// one lane's column for the pivot search and one lane's row permutation,
+// and the packed lanes LaneInverseInto factors. FactorInPlace makes it a
+// factor of its own. The zero value is ready; it grows to the largest
+// order it is asked for.
 type LaneLU struct {
 	lu   LaneMatrix
 	piv  []int // lane l's swaps at piv[l·n : (l+1)·n]
 	col  []complex128
 	perm []int
+
+	fac  *LaneMatrix // what FactorInPlace factored
+	live LaneMask    // its lanes that hold a factor
 }
 
 func (f *LaneLU) reserve(n int) {
-	if cap(f.lu.Data) < n*n*laneStride {
-		f.lu.Data = make([]float64, n*n*laneStride)
-	}
 	if cap(f.piv) < Lanes*n {
 		f.piv, f.col, f.perm = make([]int, Lanes*n), make([]complex128, n), make([]int, n)
 	}
-	f.lu = LaneMatrix{Rows: n, Cols: n, Data: f.lu.Data[:n*n*laneStride]}
 	f.piv, f.col, f.perm = f.piv[:Lanes*n], f.col[:n], f.perm[:n]
+}
+
+// FactorInPlace is FactorInPlace in every lane of live: m becomes each
+// lane's packed factors, bit for bit, and f keeps each lane's swaps. It
+// returns the lanes of live whose factor met a zero pivot — FactorInPlace's
+// ErrSingular — and leaves garbage in them. m is f's factor until the next
+// call. It counts no flop.
+func (f *LaneLU) FactorInPlace(m *LaneMatrix, live LaneMask) (singular LaneMask) {
+	if m.Rows != m.Cols {
+		panic("linalg: LaneLU.FactorInPlace requires square lanes")
+	}
+	f.reserve(m.Rows)
+	singular = laneFactorInPlace(m, f.piv, f.col, live)
+	f.fac, f.live = m, live&^singular
+	return singular
+}
+
+// SolveFromRow is (*LU).SolveFromRow in every lane FactorInPlace factored:
+// each lane's row swaps applied to b, the forward sweep whole and the back
+// sweep stopped after row r0, 0 ≤ r0 ≤ n. Rows r0…n−1 of lane l hold what
+// the solo solve leaves on lane l's operands, bit for bit, and rows below
+// r0 the forward sweep's values; every other lane holds garbage. It counts
+// no flop.
+func (f *LaneLU) SolveFromRow(b *LaneMatrix, r0 int) {
+	n := f.fac.Rows
+	if b.Rows != n {
+		panic("linalg: RHS row count mismatch in LaneLU.SolveFromRow")
+	}
+	if r0 < 0 || r0 > n {
+		panic("linalg: solve floor outside [0, n]")
+	}
+	for l := 0; l < Lanes; l++ {
+		if !f.live.Has(l) {
+			continue
+		}
+		for k, p := range f.piv[l*n : (l+1)*n] {
+			if p != k {
+				swapLaneRows(b.Data, b.Cols, k, p, l)
+			}
+		}
+	}
+	if n > 0 && b.Cols > 0 {
+		laneSweeps(f.fac, b, r0)
+	}
 }
 
 // LaneInverseInto writes a⁻¹ into dst in every lane of live: lane l holds
@@ -234,6 +278,10 @@ func LaneInverseInto(dst, a *LaneMatrix, live LaneMask, f *LaneLU) (singular Lan
 	}
 	n := a.Rows
 	f.reserve(n)
+	if cap(f.lu.Data) < n*n*laneStride {
+		f.lu.Data = make([]float64, n*n*laneStride)
+	}
+	f.lu = LaneMatrix{Rows: n, Cols: n, Data: f.lu.Data[:n*n*laneStride]}
 	f.lu.CopyFrom(a)
 	singular = laneFactorInPlace(&f.lu, f.piv, f.col, live)
 	// The solve's row swaps move the identity's 1s and 0s: set the
@@ -254,7 +302,7 @@ func LaneInverseInto(dst, a *LaneMatrix, live LaneMask, f *LaneLU) (singular Lan
 		}
 	}
 	if n > 0 {
-		laneSweeps(&f.lu, dst)
+		laneSweeps(&f.lu, dst, 0)
 	}
 	return singular
 }
@@ -373,18 +421,20 @@ func laneFactorCol(col, rowK []float64, rows, stride int, pivInv *[laneStride]fl
 }
 
 // laneSweeps runs both substitution sweeps of a nonempty b against the
-// factor f in every lane, the row swaps already applied.
-func laneSweeps(f, b *LaneMatrix) {
+// factor f in every lane, the row swaps already applied, the back sweep
+// stopped after row r0.
+func laneSweeps(f, b *LaneMatrix, r0 int) {
 	if hasAVX {
-		avxLaneLuSolve(&b.Data[0], &f.Data[0], f.Rows, b.Cols)
+		avxLaneLuSolve(&b.Data[0], &f.Data[0], f.Rows, b.Cols, r0)
 		return
 	}
-	laneLuSolve(b.Data, f.Data, f.Rows, b.Cols)
+	laneLuSolve(b.Data, f.Data, f.Rows, b.Cols, r0)
 }
 
 // laneLuSolve is avxLaneLuSolve's scalar loop: luSolveInPlace's sweeps,
-// k paired two-deep with its zero skips, in every lane.
-func laneLuSolve(b, lu []float64, n, nrhs int) {
+// k paired two-deep with its zero skips, the back sweep stopped after row
+// r0, in every lane.
+func laneLuSolve(b, lu []float64, n, nrhs, r0 int) {
 	// update sets row i −= Σ_k lu[i,k]·row k over k in [from, to).
 	update := func(i, from, to, ln int) {
 		rowI := b[i*nrhs*laneStride:]
@@ -414,7 +464,7 @@ func laneLuSolve(b, lu []float64, n, nrhs int) {
 		for i := 1; i < n; i++ {
 			update(i, 0, i, ln)
 		}
-		for i := n - 1; i >= 0; i-- {
+		for i := n - 1; i >= r0; i-- {
 			update(i, i+1, n, ln)
 			dInv := laneAt(lu, i*n+i, ln)
 			rowI := b[i*nrhs*laneStride:]

@@ -137,11 +137,32 @@ func TestLaneKernelsBitwise(t *testing.T) {
 		}
 	})
 
+	// The solve runs at floors r0 in [0, n]: rows r0… of every lane must be
+	// the floored reference solve's, rows below it the forward sweep's (the
+	// reference at floor n), as SolveFromRow leaves them.
+	floor := func(r *rand.Rand, it, n int) int {
+		if it%3 == 0 {
+			return 0
+		}
+		return r.Intn(n + 1)
+	}
+	requireFloored := func(t *testing.T, what string, got *LaneMatrix, l int, f *Matrix, piv []int, b *Matrix, r0 int) {
+		t.Helper()
+		want, fwd := b.Clone(), b.Clone()
+		refLuSolveInPlace(f, piv, want, r0)
+		refLuSolveInPlace(f, piv, fwd, f.Rows)
+		requireLane(t, fmt.Sprintf("%s r0=%d", what, r0), got, l, want)
+		m := New(got.Rows, got.Cols)
+		got.LaneInto(m, l)
+		requireBits(t, fmt.Sprintf("%s r0=%d lane %d rows below the floor", what, r0, l), m.Data[:r0*m.Cols], fwd.Data[:r0*m.Cols])
+	}
+
 	t.Run("solve", func(t *testing.T) {
 		r := rand.New(rand.NewSource(83))
 		for it := 0; it < 300; it++ {
 			class := operandClasses[it%len(operandClasses)]
 			n, w := laneOrder(r), 1+r.Intn(9)
+			r0 := floor(r, it, n)
 			// Factors from the reference, each lane its own, and right-hand
 			// sides with their own zeros and specials.
 			f := NewLaneMatrix(n, n)
@@ -170,11 +191,50 @@ func TestLaneKernelsBitwise(t *testing.T) {
 						}
 					}
 				}
-				laneSweeps(f, got)
+				laneSweeps(f, got, r0)
 				for l := 0; l < Lanes; l++ {
-					want := bs[l].Clone()
-					refLuSolveInPlace(fs[l], pivs[l], want, 0)
-					requireLane(t, engine+" solve", got, l, want)
+					requireFloored(t, engine+" solve", got, l, fs[l], pivs[l], bs[l], r0)
+				}
+			})
+		}
+	})
+
+	// The lane factor and its floored solve as the block-Thomas sweep runs
+	// them: LaneLU.FactorInPlace, then SolveFromRow, whose lane row
+	// permutation applies each lane's own swaps. A lane that meets a zero
+	// pivot is reported and the others keep their bits.
+	t.Run("factor-solve", func(t *testing.T) {
+		r := rand.New(rand.NewSource(87))
+		var f LaneLU
+		for it := 0; it < 300; it++ {
+			class := operandClasses[it%len(operandClasses)]
+			n, w := laneOrder(r), 1+r.Intn(9)
+			r0 := floor(r, it, n)
+			a, as := square(r, it, n, class)
+			b, bs := laneOperands(r, n, w, class)
+			live := LaneMask(r.Intn(16)) | 1
+			eachEngine(t, func(engine string) {
+				m, got := NewLaneMatrix(n, n), NewLaneMatrix(n, w)
+				m.CopyFrom(a)
+				got.CopyFrom(b)
+				before := perf.Flops()
+				singular := f.FactorInPlace(m, live)
+				f.SolveFromRow(got, r0)
+				if d := perf.Flops() - before; d != 0 {
+					t.Fatalf("LaneLU counted %d flops", d)
+				}
+				for l := 0; l < Lanes; l++ {
+					if !live.Has(l) {
+						continue
+					}
+					fac, piv := as[l].Clone(), make([]int, n)
+					err := refFactorInPlace(fac, piv)
+					if (err != nil) != singular.Has(l) {
+						t.Fatalf("%s factor-solve n=%d lane %d: singular %v, reference error %v", engine, n, l, singular.Has(l), err)
+					}
+					if err == nil {
+						requireFloored(t, engine+" factor-solve", got, l, fac, piv, bs[l], r0)
+					}
 				}
 			})
 		}

@@ -76,10 +76,10 @@ func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha comple
 //go:noescape
 func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64)
 
-// avxLaneLuSolve is avxLuSolve (floor 0) on lane matrices: both
-// substitution sweeps of the n×nrhs b against the packed n×n factor lu,
-// the row swaps already applied, k paired two-deep with the reference's
-// zero skips per lane.
+// avxLaneLuSolve is avxLuSolve on lane matrices: both substitution sweeps
+// of the n×nrhs b against the packed n×n factor lu, the row swaps already
+// applied, the back sweep stopped after row floor, k paired two-deep with
+// the reference's zero skips per lane. 0 <= floor <= n.
 //
 //go:noescape
-func avxLaneLuSolve(b, lu *float64, n, nrhs int)
+func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int)

@@ -1034,16 +1034,18 @@ lfdone:
 	VZEROUPPER
 	RET
 
-// func avxLaneLuSolve(b, lu *float64, n, nrhs int)
-// Forward, i = 1 … n−1: row i −= Σ_{k<i} lu[i,k]·row k. Back, i = n−1 … 0:
-// row i −= Σ_{k>i} lu[i,k]·row k, then row i ·= lu[i,i]. Both sweeps run
-// one update loop (lsupd): R12 row i, R8 its first multiplier, R13 the
+// func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int)
+// Forward, i = 1 … n−1: row i −= Σ_{k<i} lu[i,k]·row k. Back, i = n−1 …
+// floor: row i −= Σ_{k>i} lu[i,k]·row k, then row i ·= lu[i,i]. Both sweeps
+// run one update loop (lsupd): R12 row i, R8 its first multiplier, R13 the
 // first row it reads, DX the multipliers left; phase picks the way back.
-TEXT ·avxLaneLuSolve(SB), NOSPLIT, $8-32
+// R10 holds the floor.
+TEXT ·avxLaneLuSolve(SB), NOSPLIT, $8-40
 	MOVQ   b+0(FP), DI
 	MOVQ   lu+8(FP), SI
 	MOVQ   n+16(FP), R11
 	MOVQ   nrhs+24(FP), R9
+	MOVQ   floor+32(FP), R10
 	SHLQ   $6, R9  // bytes per row of b
 	MOVQ   R11, BX
 	SHLQ   $6, BX  // bytes per row of lu
@@ -1070,7 +1072,7 @@ lsback:
 	DECQ CX
 
 lsnextb:
-	TESTQ CX, CX
+	CMPQ  CX, R10
 	JL    lsdone
 	MOVQ  CX, AX
 	IMULQ R9, AX

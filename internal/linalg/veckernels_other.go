@@ -25,4 +25,4 @@ func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha comple
 func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64) {
 	panic("linalg: no vector kernel")
 }
-func avxLaneLuSolve(b, lu *float64, n, nrhs int) { panic("linalg: no vector kernel") }
+func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int) { panic("linalg: no vector kernel") }

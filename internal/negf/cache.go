@@ -1,7 +1,6 @@
 package negf
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -150,25 +149,4 @@ func (c *SelfEnergyCache) lookup(fam *blockFamily, z complex128, want sideSet) (
 	}
 	close(r.done)
 	return r.sigma, r.err
-}
-
-// maxAbs returns max over elements of max(|re|, |im|) — the norm of this
-// package's convergence tests, a hypot per element cheaper than the
-// modulus. It propagates NaN.
-func maxAbs(a *linalg.Matrix) float64 {
-	var mx float64
-	for _, v := range a.Data {
-		// The decimation's hot loop: two predictable compares per element
-		// (the builtin max costs three times as much), NaN leaving through
-		// the rare update branch.
-		for _, p := range [2]float64{math.Abs(real(v)), math.Abs(imag(v))} {
-			if !(p <= mx) {
-				if p != p {
-					return p
-				}
-				mx = p
-			}
-		}
-	}
-	return mx
 }

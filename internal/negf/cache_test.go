@@ -523,7 +523,7 @@ func TestDysonResidual(t *testing.T) {
 			}
 			for _, s := range [2]side{left, right} {
 				res := dysonResidual(t, fam, z, got[s], s)
-				if res <= 1e-9*math.Max(1, maxAbs(got[s])) {
+				if res <= 1e-9*math.Max(1, sparse.MaxAbs(got[s])) {
 					worst = math.Max(worst, res)
 					continue
 				}

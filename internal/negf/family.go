@@ -153,11 +153,11 @@ func (r *registry) resolve(l *Leads) (fams [2]*blockFamily, err error) {
 		if n := spec.h00.Rows; spec.h00.Cols != n || spec.h01.Rows != n || spec.h01.Cols != n {
 			return fams, fmt.Errorf("negf: %s lead blocks must be square and same-sized", sideNames[spec.side])
 		}
-		if !finite(maxAbs(spec.h00)) || !finite(maxAbs(spec.h01)) {
+		if !finite(sparse.MaxAbs(spec.h00)) || !finite(sparse.MaxAbs(spec.h01)) {
 			return fams, fmt.Errorf("negf: %s lead has non-finite blocks", sideNames[spec.side])
 		}
 		// The interior is eliminated through h00's eigenpairs (sparse.Layer).
-		if !spec.h00.IsHermitian(1e-12 * maxAbs(spec.h00)) {
+		if !spec.h00.IsHermitian(1e-12 * sparse.MaxAbs(spec.h00)) {
 			return fams, fmt.Errorf("negf: %s lead's h00 is not Hermitian", sideNames[spec.side])
 		}
 	}

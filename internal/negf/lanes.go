@@ -1,7 +1,8 @@
 package negf
 
 import (
-	"math"
+	"context"
+	"math/bits"
 	"sync"
 
 	"repro/internal/linalg"
@@ -17,356 +18,15 @@ import (
 // of the lane kernels per energy: the same recursion (blockFamily.recursion)
 // on a lane set instead of a solo one, so both share one convergence rule,
 // one finish and one error text. Every lane holds the bits of its own solo
-// call. An RGFGroup does the same for whole solves (Solver.rgf on a lane
-// set). DESIGN.md §11, "Lanes as energies".
+// call. A Group does the same for whole solves of either formalism, on
+// its solver's lane kernel (LaneSolver). DESIGN.md §11, "Lanes as
+// energies".
 
-// laneGroups reports whether SelfEnergyGroup and SolveGroup run lanes at
+// LaneGroups reports whether SelfEnergyGroup and a Group run lanes at
 // all: only where the lane kernels have AVX. Elsewhere a group's lanes run
-// solo, one at a time, at take. Tests set it to run the lane path on the
-// scalar loops.
-var laneGroups = linalg.LaneKernels()
-
-// block is one matrix of a lane set: m on a solo set, v on a lane set.
-type block struct {
-	m *linalg.Matrix
-	v *linalg.LaneMatrix
-}
-
-func (b block) rows() int {
-	if b.m != nil {
-		return b.m.Rows
-	}
-	return b.v.Rows
-}
-
-// laneSet is what the decimation and the RGF run on. A solo set (lw nil)
-// is one energy on today's kernels out of ws, each counting its flops; a
-// lane set is up to linalg.Lanes energies on the lane kernels out of lw
-// (and per-lane matrices out of ws), counting none — a SigmaGroup or an
-// RGFGroup counts at take what each lane's solo call would have.
-type laneSet struct {
-	ws *linalg.Workspace
-	lw *laneWork
-}
-
-// get returns a scratch block its first use overwrites whole; zeroed
-// returns one that starts at +0.
-func (set *laneSet) get(rows, cols int) block {
-	if set.lw == nil {
-		return block{m: set.ws.Get(rows, cols)}
-	}
-	return block{v: set.lw.get(rows, cols, false)}
-}
-
-func (set *laneSet) zeroed(rows, cols int) block {
-	if set.lw == nil {
-		return block{m: set.ws.Get(rows, cols)}
-	}
-	return block{v: set.lw.get(rows, cols, true)}
-}
-
-func (set *laneSet) copy(dst, src block) {
-	if dst.m != nil {
-		dst.m.CopyFrom(src.m)
-		return
-	}
-	dst.v.CopyFrom(src.v)
-}
-
-// load copies a matrix common to every energy into dst.
-func (set *laneSet) load(dst block, src *linalg.Matrix) {
-	if dst.m != nil {
-		dst.m.CopyFrom(src)
-		return
-	}
-	dst.v.Broadcast(src)
-}
-
-// inverse sets dst = src⁻¹ in the lanes of live and returns the lanes
-// whose inversion failed, with the error they failed with.
-func (set *laneSet) inverse(dst, src block, live linalg.LaneMask) (failed linalg.LaneMask, err error) {
-	if dst.m != nil {
-		if err := linalg.InverseInto(dst.m, src.m, set.ws); err != nil {
-			return 1, err
-		}
-		return 0, nil
-	}
-	return linalg.LaneInverseInto(dst.v, src.v, live, &set.lw.lu), linalg.ErrSingular
-}
-
-// gemm sets dst = alpha·a·b + beta·dst, beta 0 or 1.
-func (set *laneSet) gemm(dst block, alpha complex128, a, b block, beta complex128) {
-	if dst.m != nil {
-		linalg.GemmInto(dst.m, alpha, a.m, linalg.NoTrans, b.m, linalg.NoTrans, beta)
-		return
-	}
-	linalg.LaneGemmInto(dst.v, alpha, a.v, b.v, beta)
-}
-
-// put hands a block back to the set's scratch; a lane set keeps it until
-// the group is done.
-func (set *laneSet) put(b block) {
-	if b.m != nil {
-		set.ws.Put(b.m)
-	}
-}
-
-// common returns a matrix common to every energy as a block of the set:
-// src itself on a solo set, read-only.
-func (set *laneSet) common(src *linalg.Matrix) block {
-	if set.lw == nil {
-		return block{m: src}
-	}
-	b := set.get(src.Rows, src.Cols)
-	set.load(b, src)
-	return b
-}
-
-// count adds a solo set's flops; a lane set counts at take.
-func (set *laneSet) count(n int64) {
-	if set.lw == nil {
-		perf.AddFlops(n)
-	}
-}
-
-// leftConnected factors the left-connected block m, which it may destroy,
-// and solves it against the identity's first s columns in the lanes of
-// live: g_i[:, S_i] with S_i the first s rows of m. Every column of the
-// solve is bit for bit that column of m's whole inverse (linalg's
-// luSolveInPlace), at s/n of the solve's cost; on a lane set, where every
-// layer is eliminated and S_i is all of m, it is the inverse
-// (LaneInverseInto). It returns the lanes whose factor met a zero pivot,
-// with the error they failed with.
-func (set *laneSet) leftConnected(m block, s int, live linalg.LaneMask) (g block, failed linalg.LaneMask, err error) {
-	if set.lw != nil {
-		if s != m.v.Rows {
-			panic("negf: a lane set's left-connected block keeps an interior")
-		}
-		g = set.get(s, s)
-		return g, linalg.LaneInverseInto(g.v, m.v, live, &set.lw.lu), linalg.ErrSingular
-	}
-	piv := set.ws.GetInts(m.m.Rows)
-	defer set.ws.PutInts(piv)
-	fac, err := linalg.FactorInPlace(m.m, piv)
-	if err != nil {
-		return g, 1, err
-	}
-	g.m = set.ws.Get(m.m.Rows, s)
-	for j := 0; j < s; j++ {
-		g.m.Data[j*s+j] = 1
-	}
-	fac.SolveInPlace(g.m)
-	return g, 0, nil
-}
-
-// place sets dst[q, col0+j] = src[rows[q], cols[j]]: gather into a column
-// range of dst.
-func (set *laneSet) place(dst block, col0 int, src block, rows, cols []int) {
-	if dst.m != nil {
-		d, s := dst.m, src.m
-		for q, r := range rows {
-			out, in := d.Data[q*d.Cols+col0:], s.Data[r*s.Cols:]
-			for j, c := range cols {
-				out[j] = in[c]
-			}
-		}
-		return
-	}
-	d, s := dst.v, src.v
-	for q, r := range rows {
-		for j, c := range cols {
-			do, so := (q*d.Cols+col0+j)*laneElem, (r*s.Cols+c)*laneElem
-			*(*[laneElem]float64)(d.Data[do : do+laneElem]) = *(*[laneElem]float64)(s.Data[so : so+laneElem])
-		}
-	}
-}
-
-// lanes returns the matrices ms[l], one per lane of live, as a block of
-// the set: ms[0] itself on a solo set, read-only.
-func (set *laneSet) lanes(ms *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) block {
-	if set.lw == nil {
-		return block{m: ms[0]}
-	}
-	var b block
-	for l, m := range ms {
-		if !live.Has(l) {
-			continue
-		}
-		if b.v == nil {
-			b = set.zeroed(m.Rows, m.Cols)
-		}
-		for e, v := range m.Data {
-			b.v.Set(l, e/m.Cols, e%m.Cols, v)
-		}
-	}
-	return b
-}
-
-// addForms adds to each live lane's spectra at layer i the forms
-// v·Γ_L·v† and v·Γ_R·v† (form) of every row v = [v_L | v_R] of m, c entries
-// in v_L, in row order, against that lane's gamma[left] and gamma[right].
-// A lane set copies each lane out (LaneMatrix.LaneInto) and runs form on
-// it, so every lane holds the solo sums bit for bit.
-func (set *laneSet) addForms(res *[linalg.Lanes]*Result, i int, m block, c int, gamma *[2][linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) {
-	for l := 0; l < linalg.Lanes; l++ {
-		if !live.Has(l) {
-			continue
-		}
-		x := m.m
-		if x == nil {
-			x = set.ws.Get(m.v.Rows, m.v.Cols)
-			m.v.LaneInto(x, l)
-		}
-		r := res[l]
-		for q := 0; q < x.Rows; q++ {
-			row := x.Data[q*x.Cols : (q+1)*x.Cols]
-			r.SpectralL[i] += form(row[:c], gamma[left][l])
-			r.SpectralR[i] += form(row[c:], gamma[right][l])
-		}
-		if m.m == nil {
-			set.ws.Put(x)
-		}
-	}
-}
-
-// traceMulConj returns each lane's Tr[a·b†] (linalg.TraceMulConj), counting
-// no flop on a lane set.
-func (set *laneSet) traceMulConj(a, b block) (t [linalg.Lanes]complex128) {
-	if a.m != nil {
-		t[0] = linalg.TraceMulConj(a.m, b.m)
-		return t
-	}
-	return linalg.LaneTraceMulConj(a.v, b.v)
-}
-
-// maxAbs returns each lane's maxAbs.
-func (set *laneSet) maxAbs(a block) (mx [linalg.Lanes]float64) {
-	if a.m != nil {
-		mx[0] = maxAbs(a.m)
-		return mx
-	}
-	var nan [linalg.Lanes]bool
-	d := a.v.Data
-	for o := 0; o+laneElem <= len(d); o += laneElem {
-		e := (*[laneElem]float64)(d[o : o+laneElem])
-		for l := range mx {
-			re, im := math.Abs(e[l]), math.Abs(e[l+linalg.Lanes])
-			if re > mx[l] {
-				mx[l] = re
-			}
-			if im > mx[l] {
-				mx[l] = im
-			}
-			nan[l] = nan[l] || re != re || im != im
-		}
-	}
-	for l, n := range nan {
-		if n { // maxAbs propagates a NaN
-			mx[l] = math.NaN()
-		}
-	}
-	return mx
-}
-
-// add sets dst += src in the lanes of live.
-func (set *laneSet) add(dst, src block, live linalg.LaneMask) {
-	if dst.m != nil {
-		dst.m.AddInPlace(src.m)
-		return
-	}
-	const L = linalg.Lanes
-	d, s := dst.v.Data, src.v.Data
-	for o := 0; o+laneElem <= len(d); o += laneElem {
-		de, se := (*[laneElem]float64)(d[o:o+laneElem]), (*[laneElem]float64)(s[o:o+laneElem])
-		for l := 0; l < L; l++ {
-			if live.Has(l) {
-				de[l] += se[l]
-				de[L+l] += se[L+l]
-			}
-		}
-	}
-}
-
-// zero sets the lanes of which in dst to +0; a solo set has none to zero.
-func (set *laneSet) zero(dst block, which linalg.LaneMask) {
-	if which == 0 {
-		return
-	}
-	const L = linalg.Lanes
-	d := dst.v.Data
-	for o := 0; o+laneElem <= len(d); o += laneElem {
-		e := (*[laneElem]float64)(d[o : o+laneElem])
-		for l := 0; l < L; l++ {
-			if which.Has(l) {
-				e[l], e[L+l] = 0, 0
-			}
-		}
-	}
-}
-
-// laneElem is the float64s one element of a lane matrix occupies.
-const laneElem = 2 * linalg.Lanes
-
-// gather sets dst = src[rows, cols] (sparse.Gather).
-func (set *laneSet) gather(dst, src block, rows, cols []int) {
-	if dst.m != nil {
-		sparse.Gather(dst.m, src.m, rows, cols)
-		return
-	}
-	d, s, sc := dst.v.Data, src.v.Data, src.v.Cols
-	for i, r := range rows {
-		for j, c := range cols {
-			do, so := (i*len(cols)+j)*laneElem, (r*sc+c)*laneElem
-			*(*[laneElem]float64)(d[do : do+laneElem]) = *(*[laneElem]float64)(s[so : so+laneElem])
-		}
-	}
-}
-
-// scatterAdd sets dst[rows, cols] += src (sparse.ScatterAdd).
-func (set *laneSet) scatterAdd(dst, src block, rows, cols []int) {
-	if dst.m != nil {
-		sparse.ScatterAdd(dst.m, src.m, rows, cols)
-		return
-	}
-	d, s, dc := dst.v.Data, src.v.Data, dst.v.Cols
-	for i, r := range rows {
-		for j, c := range cols {
-			do, so := (r*dc+c)*laneElem, (i*len(cols)+j)*laneElem
-			de, se := (*[laneElem]float64)(d[do:do+laneElem]), (*[laneElem]float64)(s[so:so+laneElem])
-			for k := range de {
-				de[k] += se[k]
-			}
-		}
-	}
-}
-
-// laneWork is the scratch of a lane set: lane matrices handed out in
-// order and reused by the next group, and the inverse's factor scratch.
-type laneWork struct {
-	mats []*linalg.LaneMatrix
-	next int
-	lu   linalg.LaneLU
-}
-
-var laneWorkPool = sync.Pool{New: func() any { return new(laneWork) }}
-
-// get returns a rows×cols lane matrix, zeroed if zero, valid until the
-// work is put back in the pool.
-func (w *laneWork) get(rows, cols int, zero bool) *linalg.LaneMatrix {
-	if w.next == len(w.mats) {
-		w.mats = append(w.mats, new(linalg.LaneMatrix))
-	}
-	m := w.mats[w.next]
-	w.next++
-	n := rows * cols * 2 * linalg.Lanes
-	if cap(m.Data) < n {
-		m.Data = make([]float64, n)
-	} else if m.Data = m.Data[:n]; zero {
-		clear(m.Data)
-	}
-	m.Rows, m.Cols = rows, cols
-	return m
-}
+// solo, one at a time, at take. Tests — here and in the packages whose
+// kernels a Group runs — set it to run the lane path on the scalar loops.
+var LaneGroups = linalg.LaneKernels()
 
 // SigmaGroup holds the contact self-energies of up to linalg.Lanes
 // energies of one Leads value, computed in lockstep when the group is made
@@ -399,7 +59,7 @@ func (l *Leads) SelfEnergyGroup(zs []complex128) *SigmaGroup {
 		panic("negf: a self-energy group holds at most linalg.Lanes energies")
 	}
 	g := &SigmaGroup{leads: l, zs: zs}
-	if len(zs) < 2 || !laneGroups {
+	if len(zs) < 2 || !LaneGroups {
 		return g
 	}
 	fams, err := l.own.resolve(l)
@@ -443,16 +103,30 @@ func (l *Leads) SelfEnergyGroup(zs []complex128) *SigmaGroup {
 // Take returns Σ_L and Σ_R at the group's energy i, as Leads.SelfEnergies
 // returns them at that energy, bit for bit, and counts what it counts.
 func (g *SigmaGroup) Take(i int) (sigL, sigR *linalg.Matrix, err error) {
-	g.mu.Lock()
-	ready := g.ready.Has(i)
-	g.ready &^= 1 << i
-	g.mu.Unlock()
-	if !ready {
+	sig, ok := g.take(i)
+	if !ok {
 		return g.leads.SelfEnergies(g.zs[i])
 	}
+	g.count(i)
+	return sig[left], sig[right], nil
+}
+
+// take hands out energy i's Σ_L and Σ_R without counting them; ok is false
+// where the group holds none for it.
+func (g *SigmaGroup) take(i int) (sig [2]*linalg.Matrix, ok bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if ok = g.ready.Has(i); ok {
+		g.ready &^= 1 << i
+		sig = g.sig[i]
+	}
+	return sig, ok
+}
+
+// count counts what the solo call at energy i counts.
+func (g *SigmaGroup) count(i int) {
 	perf.AddFlops(g.flops[i])
 	ctrDecimations.Add(g.runs)
-	return g.sig[i][left], g.sig[i][right], nil
 }
 
 // laneSelfEnergies is selfEnergies for the energies z[i], i in live, in
@@ -461,13 +135,12 @@ func (g *SigmaGroup) Take(i int) (sigL, sigR *linalg.Matrix, err error) {
 // Every z[i] is one the layer eliminates at.
 func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.LaneMask, want sideSet, g *SigmaGroup) (done linalg.LaneMask) {
 	defer perf.StartPhase("self-energy")()
-	lw := laneWorkPool.Get().(*laneWork)
-	defer func() { lw.next = 0; laneWorkPool.Put(lw) }()
-	set := laneSet{lw: lw}
+	set := sparse.LaneSet(nil)
+	defer set.Release()
 	n, s, r, c := b.h00.Rows, b.layer.Size(), len(b.rows), len(b.cols)
 	// Lanes outside live start at +0 and stay tame through the run.
-	layer := set.zeroed(s, s)
-	b.layer.LanesAt(layer.v, set.zeroed(n-s, s).v, nil, z, live)
+	layer := set.Zeroed(s, s)
+	b.layer.LanesAt(layer.V, set.Zeroed(n-s, s).V, nil, z, live)
 	surf, iters, errs := b.recursion(&set, layer, want, live)
 	for i, err := range errs {
 		if live.Has(i) && err == nil {
@@ -485,16 +158,16 @@ func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.
 		if side(sd) == left {
 			in, out = &b.ad, &b.a
 		}
-		inL, outL := set.get(in.Rows, in.Cols), set.get(out.Rows, out.Cols)
-		set.load(inL, in)
-		set.load(outL, out)
-		tmp, sig := set.get(in.Rows, gs.v.Cols), set.get(in.Rows, out.Cols)
-		set.gemm(tmp, 1, inL, gs, 0)
-		set.gemm(sig, 1, tmp, outL, 0)
+		inL, outL := set.Get(in.Rows, in.Cols), set.Get(out.Rows, out.Cols)
+		set.Load(inL, in)
+		set.Load(outL, out)
+		tmp, sig := set.Get(in.Rows, gs.V.Cols), set.Get(in.Rows, out.Cols)
+		set.Gemm(tmp, 1, inL, gs, 0)
+		set.Gemm(sig, 1, tmp, outL, 0)
 		for i := 0; i < linalg.Lanes; i++ {
 			if done.Has(i) {
 				g.sig[i][sd] = linalg.New(in.Rows, out.Cols)
-				sig.v.LaneInto(g.sig[i][sd], i)
+				sig.V.LaneInto(g.sig[i][sd], i)
 			}
 		}
 	}
@@ -504,4 +177,170 @@ func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.
 		}
 	}
 	return done
+}
+
+// A LaneSolver is one transport solver's side of a Group: its solo solves,
+// the contacts, broadening and σ-cache its self-energies come from, its
+// reduced open system and its kernel on a lane set.
+type LaneSolver struct {
+	Solo interface {
+		SolveCtx(ctx context.Context, e float64, density bool) (*Result, error)
+		SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*Result, error)
+	}
+	Leads *Leads
+	Eta   float64
+	Cache *SelfEnergyCache
+	// Sys is the solver's reduced open system; nil forms no lanes.
+	Sys *sparse.ReducedSystem
+	// Kernel solves a group's lanes in lockstep; nil solves them solo on
+	// the self-energies the group looked up.
+	Kernel LaneKernel
+}
+
+// LaneKernel solves the lanes of in.Live in lockstep on a lane set, every
+// record of the solver's reduced system eliminating at each lane's energy.
+// It writes lane l's result — what the solo solve returns at its energy,
+// bit for bit — into in.Res[l] and returns the lanes it could not finish
+// (each is solved solo at take) and what each finished lane's solo solve
+// counts beyond its self-energies. It counts nothing itself.
+type LaneKernel func(set *sparse.Set, in *LaneInput) (failed linalg.LaneMask, flops int64)
+
+// LaneInput is a group's lanes as a kernel reads them: lane l's energy
+// z = E + iη, its self-energies and broadenings on the contact supports
+// (side 0 the left contact, 1 the right), and its result slot.
+type LaneInput struct {
+	Z       [linalg.Lanes]complex128
+	Sigma   [2][linalg.Lanes]*linalg.Matrix
+	Gamma   [2][linalg.Lanes]*linalg.Matrix
+	Res     [linalg.Lanes]*Result
+	Live    linalg.LaneMask
+	Density bool
+}
+
+// Group holds the solves of up to linalg.Lanes energies of one solver, run
+// in lockstep when the group is made — one lane of the lane kernels per
+// energy, on the solver's kernel — and handed out one energy at a time by
+// Take. The group looks up each energy's self-energies once, in order:
+// through the solver's cache when it has one (the keys and the decimations
+// of the solo solves, counted as they run), else in lanes
+// (SelfEnergyGroup), counted at take. Nothing else is counted while the
+// group runs: Take counts what the solo solve of its energy counts. An
+// energy the group could not finish in lanes is solved solo at Take, on
+// the Σ the group looked up where it has one — one a record's guard keeps
+// whole, one the kernel could not finish (the solo path returns its
+// error), and every lane where fewer than two are left, or the solver has
+// no lane kernel — and any energy asked for a second time is solved from
+// the start. Safe for concurrent use.
+type Group struct {
+	ls      LaneSolver
+	es      []float64
+	density bool
+	sg      *SigmaGroup // where the looked-up Σ came from uncached: counted at take
+
+	mu     sync.Mutex
+	ready  linalg.LaneMask // lanes holding a result not yet taken
+	looked linalg.LaneMask // lanes holding a Σ not yet taken
+	res    [linalg.Lanes]*Result
+	sig    [linalg.Lanes][2]*linalg.Matrix
+	sigErr [linalg.Lanes]error
+	flops  int64 // what each ready lane's solve counts beyond Σ
+}
+
+// Lane groups solved in lockstep, and energies of a group solved solo at
+// take (Group), of both formalisms.
+var ctrLaneGroups, ctrLanesSolo = perf.GetCounter("lane-groups"), perf.GetCounter("lanes-solo")
+
+// Group solves the energies es — at most linalg.Lanes of them — in lanes,
+// with density output or without. Where the energies share nothing — a
+// single energy, no AVX lane kernels, no reduced system, or a σ-cached
+// solver without a lane kernel, whose lookups cost the same one at a time
+// — it returns nil, and each energy is solved alone.
+func (ls LaneSolver) Group(es []float64, density bool) *Group {
+	if len(es) > linalg.Lanes {
+		panic("negf: a lane group holds at most linalg.Lanes energies")
+	}
+	if len(es) < 2 || !LaneGroups || ls.Sys == nil || ls.Kernel == nil && ls.Cache != nil {
+		return nil
+	}
+	g := &Group{ls: ls, es: es, density: density}
+	in := LaneInput{Density: density}
+	for i, e := range es {
+		in.Z[i] = complex(e, ls.Eta)
+	}
+	if ls.Cache != nil {
+		for i := range es {
+			sigL, sigR, err := CachedSelfEnergies(ls.Cache, ls.Leads, in.Z[i])
+			g.sig[i], g.sigErr[i] = [2]*linalg.Matrix{sigL, sigR}, err
+			g.looked |= 1 << i
+		}
+	} else {
+		g.sg = ls.Leads.SelfEnergyGroup(in.Z[:len(es):len(es)])
+		for i := range es {
+			var ok bool
+			if g.sig[i], ok = g.sg.take(i); ok {
+				g.looked |= 1 << i
+			}
+		}
+	}
+	if ls.Kernel == nil {
+		return g
+	}
+	for i := range es {
+		if g.looked.Has(i) && g.sigErr[i] == nil && ls.Sys.Eliminates(in.Z[i]) {
+			in.Live |= 1 << i
+		}
+	}
+	if bits.OnesCount8(uint8(in.Live)) < 2 {
+		return g
+	}
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	set := sparse.LaneSet(ws)
+	defer set.Release()
+	for l := 0; l < linalg.Lanes; l++ {
+		if !in.Live.Has(l) {
+			continue
+		}
+		for sd, sig := range g.sig[l] {
+			in.Sigma[sd][l] = sig
+			in.Gamma[sd][l] = ws.Get(sig.Rows, sig.Rows)
+			broadening(in.Gamma[sd][l], sig)
+		}
+	}
+	failed, flops := ls.Kernel(&set, &in)
+	g.ready, g.res, g.flops = in.Live&^failed, in.Res, flops
+	if g.ready != 0 {
+		ctrLaneGroups.Add(1)
+	}
+	return g
+}
+
+// Take returns the result at the group's energy i — what the solver's
+// SolveCtx returns there, bit for bit — and counts what it counts.
+func (g *Group) Take(ctx context.Context, i int) (*Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	g.mu.Lock()
+	ready, looked := g.ready.Has(i), g.looked.Has(i)
+	g.ready &^= 1 << i
+	g.looked &^= 1 << i
+	g.mu.Unlock()
+	if !ready {
+		ctrLanesSolo.Add(1)
+	}
+	switch {
+	case !looked:
+		return g.ls.Solo.SolveCtx(ctx, g.es[i], g.density)
+	case g.sigErr[i] != nil:
+		return nil, g.sigErr[i]
+	}
+	if g.sg != nil {
+		g.sg.count(i)
+	}
+	if ready {
+		perf.AddFlops(g.flops)
+		return g.res[i], nil
+	}
+	return g.ls.Solo.SolveWithSigma(ctx, g.es[i], g.sig[i][left], g.sig[i][right], g.density)
 }

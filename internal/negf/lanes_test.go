@@ -58,8 +58,8 @@ func sameSolo(t *testing.T, what string, got, want soloSigma) {
 // recursion whatever the build: on the AVX lane kernels where they exist,
 // on their scalar loops elsewhere.
 func TestSigmaLanesBitwise(t *testing.T) {
-	defer func(old bool) { laneGroups = old }(laneGroups)
-	laneGroups = true
+	defer func(old bool) { LaneGroups = old }(LaneGroups)
+	LaneGroups = true
 	suite := suiteLeads(t)
 	agnr := suite["AGNR-7"]
 	biased := &Leads{L00: agnr.L00, L01: agnr.L01, R00: agnr.R00.Clone(), R01: agnr.R01}
@@ -138,8 +138,8 @@ func TestSigmaLanesBitwise(t *testing.T) {
 // holds it ready for Take), the overflow energy's lane is not, and a
 // failing lane leaves its neighbours finished.
 func TestSigmaLanesRunInLanes(t *testing.T) {
-	defer func(old bool) { laneGroups = old }(laneGroups)
-	laneGroups = true
+	defer func(old bool) { LaneGroups = old }(LaneGroups)
+	LaneGroups = true
 	agnr := suiteLeads(t)["AGNR-7"]
 	g := agnr.SelfEnergyGroup([]complex128{complex(1.39, 1e-6), complex(1.3976219674314385, 1e-6), complex(-2.5, 1e-6), complex(0.8, 1e-30)})
 	if want := linalg.LaneMask(1<<0 | 1<<2); g.ready != want {
@@ -208,8 +208,8 @@ func sameSolve(t *testing.T, what string, got, want soloSolve) {
 // runs the lane path whatever the build: on the AVX lane kernels where they
 // exist, on their scalar loops elsewhere.
 func TestRGFLanesBitwise(t *testing.T) {
-	defer func(old bool) { laneGroups = old }(laneGroups)
-	laneGroups = true
+	defer func(old bool) { LaneGroups = old }(LaneGroups)
+	LaneGroups = true
 	ctx := context.Background()
 	var inLanes, soloLanes, errLanes int
 	type family struct {
@@ -314,7 +314,6 @@ func TestRGFLanesBitwise(t *testing.T) {
 	}
 	for _, density := range []bool{false, true} {
 		ws := linalg.GetWorkspace()
-		lw := new(laneWork)
 		var z [linalg.Lanes]complex128
 		var sigL, sigR [linalg.Lanes]*linalg.Matrix
 		var gam [2][linalg.Lanes]*linalg.Matrix
@@ -334,11 +333,12 @@ func TestRGFLanesBitwise(t *testing.T) {
 			BroadeningInto(gam[right][l], sigR[l])
 			solo := [2][linalg.Lanes]*linalg.Matrix{{gam[left][l]}, {gam[right][l]}}
 			res := [linalg.Lanes]*Result{newResult(e, sol.H.Layers(), density)}
-			_, wantErr[l] = sol.rgf(&laneSet{ws: ws}, reducedAt{solo: red}, &solo, &res, density, 1)
+			soloSet := sparse.SoloSet(ws)
+			_, wantErr[l] = sol.rgf(&soloSet, reducedAt{solo: red}, &solo, &res, density, 1)
 			want[l], got[l] = res[0], newResult(e, sol.H.Layers(), density)
 		}
-		set := laneSet{ws: ws, lw: lw}
-		red := sys.LanesAt(&z, &sigL, &sigR, 1<<linalg.Lanes-1, func(rows, cols int) *linalg.LaneMatrix { return lw.get(rows, cols, true) })
+		set := sparse.LaneSet(ws)
+		red := sys.LanesAt(&set, &z, &sigL, &sigR, 1<<linalg.Lanes-1)
 		one := linalg.New(red.Diag[0].Rows, red.Diag[0].Cols)
 		red.Diag[0].LaneInto(one, 1)
 		zeroColumn(one)
@@ -354,6 +354,7 @@ func TestRGFLanesBitwise(t *testing.T) {
 				sameSolve(t, fmt.Sprintf("density %v: lane %d beside the singular lane", density, l), soloSolve{res: got[l]}, soloSolve{res: w})
 			}
 		}
+		set.Release()
 		ws.Release()
 	}
 }

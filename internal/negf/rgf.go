@@ -3,7 +3,6 @@ package negf
 import (
 	"context"
 	"fmt"
-	"math/bits"
 	"math/cmplx"
 	"sync"
 
@@ -99,7 +98,7 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*Result
 // SolveWithSigma is SolveCtx with the contact self-energies at e + iη
 // given — Σ_L and Σ_R as Leads.SelfEnergies returns them — instead of
 // computed: what a transmission sweep runs with Σ taken from a lane group
-// (SigmaGroup).
+// (Group).
 func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -108,118 +107,29 @@ func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *lina
 	return s.solveWithSigma(e, complex(e, s.Eta), sigL, sigR, density)
 }
 
-// RGFGroup holds the solves of up to linalg.Lanes energies of one Solver,
-// run in lockstep when the group is made — one lane of the lane kernels per
-// energy, the RGF kernel (rgf) on a lane set — and handed out one energy
-// at a time by Take. The group looks up each energy's self-energies once,
-// in order, through the solver's cache when it has one: the keys and the
-// decimations of the solo solves. Nothing else is counted while the group
-// runs: Take counts what the solo solve of its energy counts. An energy
-// the group could not finish in lanes is solved solo at Take, on the Σ the
-// group looked up: one a record's guard keeps whole, one whose factor met
-// a zero pivot (the solo path returns its error), and any energy asked for
-// a second time, which the solo path solves from the start. Safe for
-// concurrent use.
-type RGFGroup struct {
-	s       *Solver
-	es      []float64
-	density bool
-
-	mu     sync.Mutex
-	ready  linalg.LaneMask // lanes holding a result not yet taken
-	looked linalg.LaneMask // lanes holding a Σ not yet taken
-	res    [linalg.Lanes]*Result
-	sig    [linalg.Lanes][2]*linalg.Matrix
-	sigErr [linalg.Lanes]error
-	flops  int64 // what each lane's solo solve counts
+// SolveGroup solves the energies es — at most linalg.Lanes of them — in
+// lanes (Group), with density output or without: the RGF kernel (rgf) on a
+// lane set, Σ from the cache when the solver has one and in lanes
+// otherwise. It returns nil where the energies share nothing
+// (LaneSolver.Group).
+func (s *Solver) SolveGroup(es []float64, density bool) *Group {
+	ls := LaneSolver{Solo: s, Leads: s.Leads, Eta: s.Eta, Cache: s.Cache, Kernel: s.laneKernel}
+	ls.Sys, _ = s.reduced() // a failure makes no group: each solo solve returns it
+	return ls.Group(es, density)
 }
 
-// Lane groups solved in lockstep, and energies of a group solved solo at
-// take (RGFGroup).
-var ctrLaneGroups, ctrLanesSolo = perf.GetCounter("rgf-lane-groups"), perf.GetCounter("rgf-lanes-solo")
-
-// SolveGroup solves the energies es — at most linalg.Lanes of them — in
-// lanes (RGFGroup), with density output or without. Where lanes cannot pay
-// (a single energy, or no AVX lane kernels) it computes nothing, and every
-// Take runs solo.
-func (s *Solver) SolveGroup(es []float64, density bool) *RGFGroup {
-	if len(es) > linalg.Lanes {
-		panic("negf: an RGF group holds at most linalg.Lanes energies")
-	}
-	g := &RGFGroup{s: s, es: es, density: density}
-	if len(es) < 2 || !laneGroups {
-		return g
-	}
-	sys, err := s.reduced()
-	if err != nil {
-		return g // every Take returns the solo path's error
-	}
-	var z [linalg.Lanes]complex128
-	var sigL, sigR [linalg.Lanes]*linalg.Matrix
-	var live linalg.LaneMask
-	for i, e := range es {
-		z[i] = complex(e, s.Eta)
-		sigL[i], sigR[i], g.sigErr[i] = s.selfEnergies(z[i])
-		g.sig[i] = [2]*linalg.Matrix{sigL[i], sigR[i]}
-		g.looked |= 1 << i
-		if g.sigErr[i] == nil && sys.Eliminates(z[i]) {
-			live |= 1 << i
-		}
-	}
-	if bits.OnesCount8(uint8(live)) < 2 {
-		return g
-	}
+// laneKernel is the RGF kernel (rgf) on a lane group's lanes.
+func (s *Solver) laneKernel(set *sparse.Set, in *LaneInput) (linalg.LaneMask, int64) {
 	defer perf.StartPhase("rgf")()
-	lw := laneWorkPool.Get().(*laneWork)
-	defer func() { lw.next = 0; laneWorkPool.Put(lw) }()
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
-	set := laneSet{ws: ws, lw: lw}
-	get := func(rows, cols int) *linalg.LaneMatrix { return lw.get(rows, cols, true) }
-	red := sys.LanesAt(&z, &sigL, &sigR, live, get)
-	var gamma [2][linalg.Lanes]*linalg.Matrix
+	red := s.open.LanesAt(set, &in.Z, &in.Sigma[left], &in.Sigma[right], in.Live)
 	nl := s.H.Layers()
 	for l := 0; l < linalg.Lanes; l++ {
-		if !live.Has(l) {
-			continue
+		if in.Live.Has(l) {
+			in.Res[l] = newResult(real(in.Z[l]), nl, in.Density)
 		}
-		for sd, sig := range g.sig[l] {
-			gamma[sd][l] = ws.Get(sig.Rows, sig.Rows)
-			broadening(gamma[sd][l], sig)
-		}
-		g.res[l] = newResult(es[l], nl, density)
 	}
-	failed, _ := s.rgf(&set, reducedAt{lanes: red}, &gamma, &g.res, density, live)
-	g.ready = live &^ failed
-	g.flops = s.laneFlops(density)
-	ctrLaneGroups.Add(1)
-	return g
-}
-
-// Take returns the result at the group's energy i — what SolveCtx returns
-// there, bit for bit — and counts what it counts.
-func (g *RGFGroup) Take(ctx context.Context, i int) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	g.mu.Lock()
-	ready, looked := g.ready.Has(i), g.looked.Has(i)
-	g.ready &^= 1 << i
-	g.looked &^= 1 << i
-	g.mu.Unlock()
-	switch {
-	case ready:
-		perf.AddFlops(g.flops)
-		return g.res[i], nil
-	case looked && g.sigErr[i] != nil:
-		ctrLanesSolo.Add(1)
-		return nil, g.sigErr[i]
-	case looked:
-		ctrLanesSolo.Add(1)
-		return g.s.SolveWithSigma(ctx, g.es[i], g.sig[i][left], g.sig[i][right], g.density)
-	}
-	ctrLanesSolo.Add(1)
-	return g.s.SolveCtx(ctx, g.es[i], g.density)
+	failed, _ := s.rgf(set, reducedAt{lanes: red}, &in.Gamma, &in.Res, in.Density, in.Live)
+	return failed, s.laneFlops(in.Density)
 }
 
 // laneFlops returns rgfFlops of a lane, every layer eliminated, on the
@@ -266,7 +176,7 @@ func (s *Solver) solveWithSigma(e float64, z complex128, sigL, sigR *linalg.Matr
 	BroadeningInto(gamma[left][0], sigL)
 	BroadeningInto(gamma[right][0], sigR)
 	res := [linalg.Lanes]*Result{newResult(e, s.H.Layers(), density)}
-	set := laneSet{ws: ws}
+	set := sparse.SoloSet(ws)
 	if _, err := s.rgf(&set, reducedAt{solo: red}, &gamma, &res, density, 1); err != nil {
 		return nil, err
 	}
@@ -291,32 +201,32 @@ type reducedAt struct {
 }
 
 // diag returns layer i's block of A.
-func (r reducedAt) diag(i int) block {
+func (r reducedAt) diag(i int) sparse.Block {
 	if r.lanes != nil {
-		return block{v: r.lanes.Diag[i]}
+		return sparse.Block{V: r.lanes.Diag[i]}
 	}
-	return block{m: r.solo.A.Diag[i]}
+	return sparse.Block{M: r.solo.A.Diag[i]}
 }
 
 // interior returns the interior of layer i's block x of a solution of A in
 // the eigenbasis of H_ii[I,I] (sparse.Reduced.Interior).
-func (r reducedAt) interior(set *laneSet, i int, x block) block {
+func (r reducedAt) interior(set *sparse.Set, i int, x sparse.Block) sparse.Block {
 	if r.lanes != nil {
-		return block{v: r.lanes.Interior(i, x.v)}
+		return sparse.Block{V: r.lanes.Interior(i, x.V)}
 	}
-	return block{m: r.solo.Interior(i, x.m, set.ws)}
+	return sparse.Block{M: r.solo.Interior(i, x.M, set.Workspace())}
 }
 
 // rgf is the RGF kernel on the reduced open system A, red, whose layer i
 // keeps S_i = C_{i−1} ∪ R_i first (then the interior, where the guard keeps
 // the layer whole), for every lane of live: one energy on the solo kernels,
 // or up to linalg.Lanes in lockstep, where every layer is eliminated and
-// has the same shape in every lane (laneSet). gamma holds each lane's Γ_L
+// has the same shape in every lane (sparse.Set). gamma holds each lane's Γ_L
 // and Γ_R, gamma[left][l] and gamma[right][l]. Lane l's T and, with
 // density, its spectra (newResult's SpectralL and SpectralR) land in
 // res[l]. Per layer the one cubic
-// operation is the LU of the left-connected block, solved against the
-// first |S_i| identity columns (laneSet.leftConnected); every product runs
+// operation is the LU of the left-connected sparse.Block, solved against the
+// first |S_i| identity columns (sparse.Set.InverseColumns); every product runs
 // on the supports of A's couplings and of the contacts. With density the
 // columns G[:, C_Γ] and G[:, R_Γ] are formed side by side on the kept rows
 // x_i, and each layer's spectra are the forms v·Γ·v† summed over the rows v
@@ -325,7 +235,7 @@ func (r reducedAt) interior(set *laneSet, i int, x block) block {
 // with r = n. DESIGN.md §11 has the recursions. It returns the lanes whose
 // left-connected block was singular, with the error of the last of them;
 // nothing is formed for those lanes.
-func (s *Solver) rgf(set *laneSet, red reducedAt, gamma *[2][linalg.Lanes]*linalg.Matrix, res *[linalg.Lanes]*Result, density bool, live linalg.LaneMask) (failed linalg.LaneMask, err error) {
+func (s *Solver) rgf(set *sparse.Set, red reducedAt, gamma *[2][linalg.Lanes]*linalg.Matrix, res *[linalg.Lanes]*Result, density bool, live linalg.LaneMask) (failed linalg.LaneMask, err error) {
 	sys := s.open
 	nl := s.H.Layers()
 	posL, posR := sys.LeftContact(), sys.RightContact()
@@ -336,58 +246,58 @@ func (s *Solver) rgf(set *laneSet, red reducedAt, gamma *[2][linalg.Lanes]*linal
 	// i = 0) and R_i index g_i's columns directly. With density also
 	// yl_i = g^L_{i,0}[:, C_Γ] (g_0[:, C_Γ], then −g_i[:, W_i]·lq_{i−1}) and
 	// lq_i = l_i·yl_i[R_i, :], where the next layer reads it.
-	cols := make([]block, 3*nl)
+	cols := make([]sparse.Block, 3*nl)
 	g, yl, lq := cols[:nl], cols[nl:2*nl], cols[2*nl:]
 	for i := 0; i < nl; i++ {
 		d := red.diag(i)
-		m := set.get(d.rows(), d.rows())
-		set.copy(m, d)
+		m := set.Get(d.Rows(), d.Rows())
+		set.Copy(m, d)
 		w := posL
 		if i > 0 {
 			p := sys.Coupling(i - 1)
 			w = p.Cols
-			grr := set.get(len(p.Rows), len(p.Rows))
-			set.gather(grr, g[i-1], p.Rows, p.Rows)
-			lg := set.get(len(p.Cols), len(p.Rows))
-			set.gemm(lg, 1, set.common(p.L), grr, 0)
-			fold := set.get(len(p.Cols), len(p.Cols))
-			set.gemm(fold, -1, lg, set.common(p.U), 0)
-			set.scatterAdd(m, fold, p.Cols, p.Cols)
-			set.put(grr)
-			set.put(lg)
-			set.put(fold)
+			grr := set.Get(len(p.Rows), len(p.Rows))
+			set.Gather(grr, g[i-1], p.Rows, p.Rows)
+			lg := set.Get(len(p.Cols), len(p.Rows))
+			set.Gemm(lg, 1, set.Common(p.L), grr, 0)
+			fold := set.Get(len(p.Cols), len(p.Cols))
+			set.Gemm(fold, -1, lg, set.Common(p.U), 0)
+			set.ScatterAdd(m, fold, p.Cols, p.Cols)
+			set.Put(grr)
+			set.Put(lg)
+			set.Put(fold)
 		}
-		gi, bad, lerr := set.leftConnected(m, sys.SupportSize(i), live)
+		gi, bad, lerr := set.InverseColumns(m, sys.SupportSize(i), live)
 		g[i] = gi
-		set.put(m)
+		set.Put(m)
 		if bad != 0 {
 			failed |= bad
 			err = fmt.Errorf("negf: RGF forward block %d: %w", i, lerr)
 			if live &^= bad; live == 0 {
 				return failed, err
 			}
-			set.zero(g[i], bad)
+			set.Zero(g[i], bad)
 		}
 		if !density {
 			continue
 		}
-		all := s.axis[:g[i].rows()]
-		yl[i] = set.get(len(all), cG)
+		all := s.axis[:g[i].Rows()]
+		yl[i] = set.Get(len(all), cG)
 		if i == 0 {
-			set.gather(yl[0], g[0], all, posL)
+			set.Gather(yl[0], g[0], all, posL)
 		} else {
-			gw := set.get(len(all), len(w))
-			set.gather(gw, g[i], all, w)
-			set.gemm(yl[i], -1, gw, lq[i-1], 0)
-			set.put(gw)
+			gw := set.Get(len(all), len(w))
+			set.Gather(gw, g[i], all, w)
+			set.Gemm(yl[i], -1, gw, lq[i-1], 0)
+			set.Put(gw)
 		}
 		if i < nl-1 {
 			c := sys.Coupling(i)
-			q := set.get(len(c.Rows), cG)
-			set.gather(q, yl[i], c.Rows, s.axis[:cG])
-			lq[i] = set.get(len(c.Cols), cG)
-			set.gemm(lq[i], 1, set.common(c.L), q, 0)
-			set.put(q)
+			q := set.Get(len(c.Rows), cG)
+			set.Gather(q, yl[i], c.Rows, s.axis[:cG])
+			lq[i] = set.Get(len(c.Cols), cG)
+			set.Gemm(lq[i], 1, set.Common(c.L), q, 0)
+			set.Put(q)
 		}
 	}
 
@@ -397,46 +307,46 @@ func (s *Solver) rgf(set *laneSet, red reducedAt, gamma *[2][linalg.Lanes]*linal
 	// X_i = [G_{i,0}[:, C_Γ] | G_{i,N−1}[:, R_Γ]]. Without density only the
 	// R_Γ columns on the rows W_i, all the next layer reads, are formed; at
 	// i = 0 they are G_{0,N−1}[C_Γ, R_Γ], the block of the Caroli trace.
-	var x block
+	var x sparse.Block
 	for i := nl - 1; i >= 0; i-- {
 		rows, width := posL, rG
 		if i > 0 {
 			rows = sys.Coupling(i - 1).Cols
 		}
 		if density {
-			rows, width = s.axis[:g[i].rows()], cG+rG
+			rows, width = s.axis[:g[i].Rows()], cG+rG
 		}
-		xi := set.zeroed(len(rows), width)
+		xi := set.Zeroed(len(rows), width)
 		if density {
-			set.place(xi, 0, yl[i], rows, s.axis[:cG])
+			set.Place(xi, 0, yl[i], rows, s.axis[:cG])
 		}
 		if i == nl-1 {
-			set.place(xi, width-rG, g[i], rows, posR)
+			set.Place(xi, width-rG, g[i], rows, posR)
 		}
 		if i < nl-1 {
 			c := sys.Coupling(i)
 			if density {
 				// X_{i+1}[C_i, :]; without density x holds just those rows.
-				xc := set.get(len(c.Cols), width)
-				set.gather(xc, x, c.Cols, s.axis[:width])
-				set.put(x)
+				xc := set.Get(len(c.Cols), width)
+				set.Gather(xc, x, c.Cols, s.axis[:width])
+				set.Put(x)
 				x = xc
 			}
-			ux := set.get(len(c.Rows), width)
-			set.gemm(ux, 1, set.common(c.U), x, 0)
-			gR := set.get(len(rows), len(c.Rows))
-			set.gather(gR, g[i], rows, c.Rows)
-			set.gemm(xi, -1, gR, ux, 1)
-			set.put(ux)
-			set.put(gR)
-			set.put(x)
+			ux := set.Get(len(c.Rows), width)
+			set.Gemm(ux, 1, set.Common(c.U), x, 0)
+			gR := set.Get(len(rows), len(c.Rows))
+			set.Gather(gR, g[i], rows, c.Rows)
+			set.Gemm(xi, -1, gR, ux, 1)
+			set.Put(ux)
+			set.Put(gR)
+			set.Put(x)
 		}
 		if density {
 			y := red.interior(set, i, xi)
-			set.addForms(res, i, xi, cG, gamma, live)
-			set.addForms(res, i, y, cG, gamma, live)
-			set.count(int64(xi.rows()+y.rows()) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd)
-			set.put(y)
+			addForms(set, res, i, xi, cG, gamma, live)
+			addForms(set, res, i, y, cG, gamma, live)
+			set.Count(int64(xi.Rows()+y.Rows()) * int64(cG*(cG+1)/2+rG*(rG+1)/2) * perf.FlopsCMulAdd)
+			set.Put(y)
 		}
 		x = xi
 	}
@@ -447,13 +357,13 @@ func (s *Solver) rgf(set *laneSet, red reducedAt, gamma *[2][linalg.Lanes]*linal
 	// (Γ_L·G)·Γ_R, which Mul3Into picks: the two orders cost the same here.
 	y := x
 	if density {
-		y = set.get(cG, rG)
-		set.gather(y, x, posL, s.axis[cG:cG+rG])
+		y = set.Get(cG, rG)
+		set.Gather(y, x, posL, s.axis[cG:cG+rG])
 	}
-	gy, tns := set.get(cG, rG), set.get(cG, rG)
-	set.gemm(gy, 1, set.lanes(&gamma[left], live), y, 0)
-	set.gemm(tns, 1, gy, set.lanes(&gamma[right], live), 0)
-	for l, t := range set.traceMulConj(tns, y) {
+	gy, tns := set.Get(cG, rG), set.Get(cG, rG)
+	set.Gemm(gy, 1, set.PerLane(&gamma[left], live), y, 0)
+	set.Gemm(tns, 1, gy, set.PerLane(&gamma[right], live), 0)
+	for l, t := range set.TraceMulConj(tns, y) {
 		if live.Has(l) {
 			res[l].T = real(t)
 		}
@@ -512,6 +422,34 @@ func rgfFlops(sizes, sups, kept []int, shared []bool, rows, cols []int, cG, rG i
 		}
 	}
 	return f
+}
+
+// addForms adds to each live lane's spectra at layer i the forms
+// v·Γ_L·v† and v·Γ_R·v† (form) of every row v = [v_L | v_R] of m, c entries
+// in v_L, in row order, against that lane's gamma[left] and gamma[right].
+// A lane set copies each lane out (LaneMatrix.LaneInto) and runs form on
+// it, so every lane holds the solo sums bit for bit.
+func addForms(set *sparse.Set, res *[linalg.Lanes]*Result, i int, m sparse.Block, c int, gamma *[2][linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) {
+	ws := set.Workspace()
+	for l := 0; l < linalg.Lanes; l++ {
+		if !live.Has(l) {
+			continue
+		}
+		x := m.M
+		if x == nil {
+			x = ws.Get(m.V.Rows, m.V.Cols)
+			m.V.LaneInto(x, l)
+		}
+		r := res[l]
+		for q := 0; q < x.Rows; q++ {
+			row := x.Data[q*x.Cols : (q+1)*x.Cols]
+			r.SpectralL[i] += form(row[:c], gamma[left][l])
+			r.SpectralR[i] += form(row[c:], gamma[right][l])
+		}
+		if m.M == nil {
+			ws.Put(x)
+		}
+	}
 }
 
 // form returns v·g·v†, real for a Hermitian g, from g's upper triangle:

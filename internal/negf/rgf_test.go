@@ -123,8 +123,8 @@ func sigmaSound(t *testing.T, name string, sol *Solver, e float64) bool {
 	}
 	for s, sig := range [2]*linalg.Matrix{left: sigL, right: sigR} {
 		fam := familyOf(t, sol.Leads.spec(side(s)))
-		if res := dysonResidual(t, fam, z, sig, side(s)); !(res <= 1e-6*math.Max(1, maxAbs(sig))) {
-			t.Logf("%s E=%v: SKIPPED — Σ_%s fails its Dyson precondition: residual %.3g, ‖Σ‖ = %.3g", name, e, sideNames[s], res, maxAbs(sig))
+		if res := dysonResidual(t, fam, z, sig, side(s)); !(res <= 1e-6*math.Max(1, sparse.MaxAbs(sig))) {
+			t.Logf("%s E=%v: SKIPPED — Σ_%s fails its Dyson precondition: residual %.3g, ‖Σ‖ = %.3g", name, e, sideNames[s], res, sparse.MaxAbs(sig))
 			return false
 		}
 	}
@@ -143,7 +143,7 @@ func gammaRank(t *testing.T, sigma *linalg.Matrix) int {
 	}
 	var rank int
 	for _, v := range vals {
-		if v > 1e-12*math.Max(1, maxAbs(gam)) {
+		if v > 1e-12*math.Max(1, sparse.MaxAbs(gam)) {
 			rank++
 		}
 	}
@@ -580,8 +580,8 @@ func TestRGFAdversarialEnergies(t *testing.T) {
 						skipped++
 						continue
 					}
-					if sigL, sigR, _ := sol.selfEnergies(complex(e, eta)); max(maxAbs(sigL), maxAbs(sigR)) > 1e6 {
-						t.Logf("%s η=%g E=%v: SKIPPED — beside a pole of Σ, ‖Σ‖ = %.3g", d.Name, eta, e, max(maxAbs(sigL), maxAbs(sigR)))
+					if sigL, sigR, _ := sol.selfEnergies(complex(e, eta)); max(sparse.MaxAbs(sigL), sparse.MaxAbs(sigR)) > 1e6 {
+						t.Logf("%s η=%g E=%v: SKIPPED — beside a pole of Σ, ‖Σ‖ = %.3g", d.Name, eta, e, max(sparse.MaxAbs(sigL), sparse.MaxAbs(sigR)))
 						skipped++
 						continue
 					}

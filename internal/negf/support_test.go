@@ -41,11 +41,11 @@ func closeToDense(t *testing.T, what string, fam *blockFamily, z complex128, wan
 			continue
 		}
 		compressed = true
-		if d := maxAbsDiffT(t, got[s], ref[s]); d > 1e-9*math.Max(1, maxAbs(ref[s])) {
+		if d := maxAbsDiffT(t, got[s], ref[s]); d > 1e-9*math.Max(1, sparse.MaxAbs(ref[s])) {
 			res, resRef := dysonResidual(t, fam, z, got[s], s), dysonResidual(t, fam, z, ref[s], s)
 			if res > 4*resRef {
 				t.Errorf("%s z=%v %s: %.3g from the whole layer's Σ (‖Σ‖ = %.3g), Dyson residual %.3g against its %.3g",
-					what, z, sideNames[s], d, maxAbs(ref[s]), res, resRef)
+					what, z, sideNames[s], d, sparse.MaxAbs(ref[s]), res, resRef)
 			}
 		}
 	}
@@ -134,7 +134,8 @@ func TestEliminationFailureRerunsWhole(t *testing.T) {
 	if layer.Rows == fam.h00.Rows {
 		t.Fatal("the guard keeps the layer whole here; the rerun is not exercised")
 	}
-	if _, _, errs := fam.recursion(&laneSet{ws: ws}, block{m: layer}, bothSides, 1); !errors.Is(errs[0], ErrNoConvergence) {
+	set := sparse.SoloSet(ws)
+	if _, _, errs := fam.recursion(&set, sparse.Block{M: layer}, bothSides, 1); !errors.Is(errs[0], ErrNoConvergence) {
 		t.Fatalf("the eliminated recursion alone returned %v, want ErrNoConvergence; the rerun is not exercised", errs[0])
 	}
 	got, err := fam.selfEnergies(z, bothSides)
@@ -149,8 +150,8 @@ func TestEliminationFailureRerunsWhole(t *testing.T) {
 		if !sparse.SameBits(got[s], want[s]) {
 			t.Errorf("%s: Σ differs from the whole layer's by %.3g", sideNames[s], maxAbsDiffT(t, got[s], want[s]))
 		}
-		if res := dysonResidual(t, fam, z, got[s], s); res > 1e-4*math.Max(1, maxAbs(got[s])) {
-			t.Errorf("%s: Dyson residual %.3g (‖Σ‖ = %.3g)", sideNames[s], res, maxAbs(got[s]))
+		if res := dysonResidual(t, fam, z, got[s], s); res > 1e-4*math.Max(1, sparse.MaxAbs(got[s])) {
+			t.Errorf("%s: Dyson residual %.3g (‖Σ‖ = %.3g)", sideNames[s], res, sparse.MaxAbs(got[s]))
 		}
 	}
 }
@@ -249,10 +250,10 @@ func TestAdversarialShapes(t *testing.T) {
 						if sig[s] == nil {
 							continue
 						}
-						if tc.wantZero && maxAbs(sig[s]) != 0 {
-							t.Errorf("z=%v: a lead nothing couples to has ‖Σ‖ = %g, want 0", z, maxAbs(sig[s]))
+						if tc.wantZero && sparse.MaxAbs(sig[s]) != 0 {
+							t.Errorf("z=%v: a lead nothing couples to has ‖Σ‖ = %g, want 0", z, sparse.MaxAbs(sig[s]))
 						}
-						if res := dysonResidual(t, fam, z, sig[s], s); res > 1e-9*math.Max(1, maxAbs(sig[s])) {
+						if res := dysonResidual(t, fam, z, sig[s], s); res > 1e-9*math.Max(1, sparse.MaxAbs(sig[s])) {
 							t.Errorf("z=%v %s: Dyson residual %.3g", z, sideNames[s], res)
 						}
 					}

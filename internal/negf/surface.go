@@ -91,43 +91,43 @@ func (b *blockFamily) decimate(z complex128, want sideSet, ws *linalg.Workspace)
 	if imag(z) <= 0 {
 		return surf, fmt.Errorf("negf: surface GF needs Im(z) > 0, got %g", imag(z))
 	}
-	set := laneSet{ws: ws}
+	set := sparse.SoloSet(ws)
 	layer := b.layer.At(z, ws)
-	blocks, _, errs := b.recursion(&set, block{m: layer}, want, 1)
+	blocks, _, errs := b.recursion(&set, sparse.Block{M: layer}, want, 1)
 	if errs[0] != nil && layer.Rows < b.h00.Rows {
-		blocks, _, errs = b.recursion(&set, block{m: b.layer.Whole().At(z, ws)}, want, 1)
+		blocks, _, errs = b.recursion(&set, sparse.Block{M: b.layer.Whole().At(z, ws)}, want, 1)
 	}
-	return [2]*linalg.Matrix{blocks[left].m, blocks[right].m}, errs[0]
+	return [2]*linalg.Matrix{blocks[left].M, blocks[right].M}, errs[0]
 }
 
 // recursion runs decimate's loop on the effective layer M(z), with R and C
 // at b.posR and b.posC of its rows, for every lane of live: one energy on
-// the solo kernels, or up to linalg.Lanes in lockstep (laneSet). Each lane
+// the solo kernels, or up to linalg.Lanes in lockstep (sparse.Set). Each lane
 // retires at its own iteration — its updates then stop — or fails with its
 // own error, after which nothing of it is read; either way its couplings
 // are zeroed, so its storage stays tame while the others run on. The
 // finish runs for the retired lanes together. It returns each lane's
 // iteration count and error.
-func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live linalg.LaneMask) (surf [2]block, iters [linalg.Lanes]int, errs [linalg.Lanes]error) {
-	s, r, c := layer.rows(), len(b.rows), len(b.cols)
-	bulk := set.get(s, s) // z − ε on S
-	set.copy(bulk, layer)
+func (b *blockFamily) recursion(set *sparse.Set, layer sparse.Block, want sideSet, live linalg.LaneMask) (surf [2]sparse.Block, iters [linalg.Lanes]int, errs [linalg.Lanes]error) {
+	s, r, c := layer.Rows(), len(b.rows), len(b.cols)
+	bulk := set.Get(s, s) // z − ε on S
+	set.Copy(bulk, layer)
 	// The surfaces' own sums of −α·g·β (right, on R×R) and −β·g·α (left, on
 	// C×C), and where each lands in S.
-	upd := [2]block{left: set.zeroed(c, c), right: set.zeroed(r, r)}
+	upd := [2]sparse.Block{left: set.Zeroed(c, c), right: set.Zeroed(r, r)}
 	pos := [2][]int{left: b.posC, right: b.posR}
-	alpha, beta, alphaNew, betaNew := set.get(r, c), set.get(c, r), set.get(r, c), set.get(c, r)
-	set.load(alpha, &b.a)
-	set.load(beta, &b.ad)
-	g := set.get(s, s)
-	gCC, gCR, gRR, gRC := set.get(c, c), set.get(c, r), set.get(r, r), set.get(r, c)
-	agC, agR, bgR, bgC := set.get(r, c), set.get(r, r), set.get(c, r), set.get(c, c)
-	agb, bga := set.get(r, r), set.get(c, c) // −α·g·β and −β·g·α
+	alpha, beta, alphaNew, betaNew := set.Get(r, c), set.Get(c, r), set.Get(r, c), set.Get(c, r)
+	set.Load(alpha, &b.a)
+	set.Load(beta, &b.ad)
+	g := set.Get(s, s)
+	gCC, gCR, gRR, gRC := set.Get(c, c), set.Get(c, r), set.Get(r, r), set.Get(r, c)
+	agC, agR, bgR, bgC := set.Get(r, c), set.Get(r, r), set.Get(c, r), set.Get(c, c)
+	agb, bga := set.Get(r, r), set.Get(c, c) // −α·g·β and −β·g·α
 
 	var done linalg.LaneMask
 	for iter := 1; live != 0; iter++ {
 		running := live
-		failed, err := set.inverse(g, bulk, live)
+		failed, err := set.Inverse(g, bulk, live)
 		for l := range errs {
 			if failed.Has(l) {
 				errs[l] = fmt.Errorf("negf: decimation inversion failed: %w", err)
@@ -136,14 +136,14 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		if live &^= failed; live == 0 {
 			break
 		}
-		set.gather(gCC, g, b.posC, b.posC)
-		set.gather(gRR, g, b.posR, b.posR)
-		set.gemm(agC, 1, alpha, gCC, 0)
-		set.gemm(bgR, 1, beta, gRR, 0)
-		set.gemm(agb, -1, agC, beta, 0)
-		set.gemm(bga, -1, bgR, alpha, 0)
+		set.Gather(gCC, g, b.posC, b.posC)
+		set.Gather(gRR, g, b.posR, b.posR)
+		set.Gemm(agC, 1, alpha, gCC, 0)
+		set.Gemm(bgR, 1, beta, gRR, 0)
+		set.Gemm(agb, -1, agC, beta, 0)
+		set.Gemm(bga, -1, bgR, alpha, 0)
 		// A non-finite g shows in the updates it enters: no scan of its own.
-		update, ub := set.maxAbs(agb), set.maxAbs(bga)
+		update, ub := set.MaxAbs(agb), set.MaxAbs(bga)
 		for l, u := range ub {
 			update[l] = max(update[l], u)
 		}
@@ -156,8 +156,8 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		if live == 0 {
 			break
 		}
-		set.add(upd[right], agb, live)
-		set.add(upd[left], bga, live)
+		set.Add(upd[right], agb, live)
+		set.Add(upd[left], bga, live)
 		var retired linalg.LaneMask
 		for l, u := range update {
 			switch {
@@ -174,16 +174,16 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		if live &^= retired; live == 0 {
 			break
 		}
-		set.zero(alpha, running&^live)
-		set.zero(beta, running&^live)
-		set.scatterAdd(bulk, agb, b.posR, b.posR)
-		set.scatterAdd(bulk, bga, b.posC, b.posC)
-		set.gather(gCR, g, b.posC, b.posR)
-		set.gather(gRC, g, b.posR, b.posC)
-		set.gemm(agR, 1, alpha, gCR, 0)
-		set.gemm(bgC, 1, beta, gRC, 0)
-		set.gemm(alphaNew, 1, agR, alpha, 0)
-		set.gemm(betaNew, 1, bgC, beta, 0)
+		set.Zero(alpha, running&^live)
+		set.Zero(beta, running&^live)
+		set.ScatterAdd(bulk, agb, b.posR, b.posR)
+		set.ScatterAdd(bulk, bga, b.posC, b.posC)
+		set.Gather(gCR, g, b.posC, b.posR)
+		set.Gather(gRC, g, b.posR, b.posC)
+		set.Gemm(agR, 1, alpha, gCR, 0)
+		set.Gemm(bgC, 1, beta, gRC, 0)
+		set.Gemm(alphaNew, 1, agR, alpha, 0)
+		set.Gemm(betaNew, 1, bgC, beta, 0)
 		alpha, alphaNew = alphaNew, alpha
 		beta, betaNew = betaNew, beta
 	}
@@ -191,9 +191,9 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		if !want.has(sd) || done == 0 {
 			continue
 		}
-		set.copy(bulk, layer) // the loop is done with it: z − ε_s of this surface
-		set.scatterAdd(bulk, upd[sd], pos[sd], pos[sd])
-		failed, err := set.inverse(g, bulk, done)
+		set.Copy(bulk, layer) // the loop is done with it: z − ε_s of this surface
+		set.ScatterAdd(bulk, upd[sd], pos[sd], pos[sd])
+		failed, err := set.Inverse(g, bulk, done)
 		for l := range errs {
 			if failed.Has(l) {
 				errs[l] = fmt.Errorf("negf: surface inversion failed: %w", err)
@@ -205,9 +205,9 @@ func (b *blockFamily) recursion(set *laneSet, layer block, want sideSet, live li
 		// Σ reads the surface function on the other support: the right
 		// contact's through h01's columns, the left's through its rows.
 		read := pos[1-sd]
-		surf[sd] = set.get(len(read), len(read))
-		set.gather(surf[sd], g, read, read)
-		for l, u := range set.maxAbs(surf[sd]) {
+		surf[sd] = set.Get(len(read), len(read))
+		set.Gather(surf[sd], g, read, read)
+		for l, u := range set.MaxAbs(surf[sd]) {
 			if done.Has(l) && !finite(u) {
 				errs[l] = fmt.Errorf("%w: non-finite %s surface function", ErrNoConvergence, sideNames[sd])
 				done &^= 1 << l

@@ -478,3 +478,105 @@ func TestBlockThomasFlopCount(t *testing.T) {
 		}
 	}
 }
+
+// TestSolveLastLanesBitwise holds the block-Thomas sweep on a lane set
+// (LaneReduced.SolveLast) to the solo SolveLast of each lane's reduced
+// system, bit for bit, on the partition's corner shapes — ragged layers
+// with rectangular couplings, a layer whose S is empty, one layer carrying
+// both contacts, a closed contact, utb's Bloch-phased blocks and AGNR-7
+// with every layer its own record: four energies, each lane its own Σ and
+// right-hand side on every layer, the lane set counting nothing. Lanes
+// outside live are left alone, and a lane whose first block is singular
+// fails alone with the solo error while the others keep their bits.
+func TestSolveLastLanesBitwise(t *testing.T) {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	rng := rand.New(rand.NewSource(53))
+	const k = 3
+	for _, c := range reducedCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			red, err := sparse.NewReducedSystem(c.h, c.left, c.right)
+			if err != nil {
+				t.Fatal(err)
+			}
+			nl := c.h.Layers()
+			var z [linalg.Lanes]complex128
+			var sigL, sigR [linalg.Lanes]*linalg.Matrix
+			for l := range z {
+				z[l] = complex(-0.9+0.55*float64(l), 1e-3)
+				if !red.Eliminates(z[l]) {
+					t.Fatalf("z=%v keeps a layer whole; pick another energy", z[l])
+				}
+				sigL[l], sigR[l] = contactBlock(rng, len(c.left)), contactBlock(rng, len(c.right))
+			}
+			for _, tc := range []struct {
+				live     linalg.LaneMask
+				singular int // lane whose first block loses column 0, or −1
+			}{{1<<linalg.Lanes - 1, -1}, {0b1011, -1}, {1<<linalg.Lanes - 1, 1}} {
+				var want [linalg.Lanes]*linalg.Matrix
+				var wantErr error
+				rhsV := make([]*linalg.LaneMatrix, nl)
+				solo := make([][]*linalg.Matrix, linalg.Lanes)
+				for l := range solo {
+					r := red.At(z[l], sigL[l], sigR[l], ws)
+					solo[l] = rhsOn(rng, r.A, k, sparse.Range(0, nl)...)
+					if l == tc.singular {
+						for q := 0; q < r.A.Diag[0].Rows; q++ {
+							r.A.Diag[0].Data[q*r.A.Diag[0].Cols] = 0
+						}
+					}
+					last, err := r.A.SolveLast(solo[l], ws)
+					if l == tc.singular {
+						wantErr = err
+					} else if err != nil {
+						t.Fatal(err)
+					} else {
+						want[l] = last.Clone()
+					}
+				}
+				for i := range rhsV {
+					rhsV[i] = linalg.NewLaneMatrix(solo[0][i].Rows, k)
+					for l := range solo {
+						for e, v := range solo[l][i].Data {
+							rhsV[i].Set(l, e/k, e%k, v)
+						}
+					}
+				}
+				set := sparse.LaneSet(ws)
+				lanes := red.LanesAt(&set, &z, &sigL, &sigR, tc.live)
+				if tc.singular >= 0 {
+					d := lanes.Diag[0]
+					for q := 0; q < d.Rows; q++ {
+						d.Set(tc.singular, q, 0, 0)
+					}
+				}
+				perf.ResetFlops()
+				last, failed, err := lanes.SolveLast(rhsV, tc.live)
+				if f := perf.ResetFlops(); f != 0 {
+					t.Fatalf("live %04b: the lane sweep counted %d flops", tc.live, f)
+				}
+				wantFailed := linalg.LaneMask(0)
+				if tc.singular >= 0 {
+					wantFailed = 1 << tc.singular
+					if wantErr == nil || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+						t.Fatalf("singular lane %d: lane error %v, solo %v", tc.singular, err, wantErr)
+					}
+				}
+				if failed != wantFailed {
+					t.Fatalf("live %04b: lanes %04b failed, want %04b", tc.live, failed, wantFailed)
+				}
+				for l, w := range want {
+					if !tc.live.Has(l) || failed.Has(l) {
+						continue
+					}
+					got := linalg.New(w.Rows, w.Cols)
+					last.LaneInto(got, l)
+					if !sparse.SameBits(got, w) {
+						t.Fatalf("live %04b lane %d: the last block differs from the solo SolveLast's", tc.live, l)
+					}
+				}
+				set.Release()
+			}
+		})
+	}
+}

@@ -178,23 +178,24 @@ func (r *ReducedSystem) At(z complex128, sigL, sigR *linalg.Matrix, ws *linalg.W
 
 // LaneReduced is Reduced at up to linalg.Lanes energies, one lane of the
 // lane kernels each (ReducedSystem.LanesAt): Diag[i] is layer i's block of
-// A in every lane. Its blocks come from the caller's scratch.
+// A in every lane. Its blocks are its lane set's scratch.
 type LaneReduced struct {
 	Diag []*linalg.LaneMatrix
 	sys  *ReducedSystem
 	d    []*linalg.LaneMatrix // per record, d over its interior (|I|×1)
-	get  func(rows, cols int) *linalg.LaneMatrix
+	set  *Set
 }
 
 // LanesAt is At at z[l] for every lane l of live, with lane l's
 // self-energies sigL[l] and sigR[l]: lane l of Diag[i] holds A.Diag[i] of
 // At(z[l], sigL[l], sigR[l]) bit for bit. Every record must eliminate at
-// every z[l] (Eliminates), so layer i is s_i×s_i in every lane. get hands
-// out zeroed lane scratch, and the lanes outside live stay zero in Diag. It
+// every z[l] (Eliminates), so layer i is s_i×s_i in every lane. Its blocks
+// come from the lane set, and the lanes outside live stay zero in Diag. It
 // counts no flop: ReducedFlops is what At counts for each lane.
-func (r *ReducedSystem) LanesAt(z *[linalg.Lanes]complex128, sigL, sigR *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask, get func(rows, cols int) *linalg.LaneMatrix) *LaneReduced {
+func (r *ReducedSystem) LanesAt(set *Set, z *[linalg.Lanes]complex128, sigL, sigR *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) *LaneReduced {
 	nl := len(r.sizes)
-	red := &LaneReduced{Diag: make([]*linalg.LaneMatrix, nl), sys: r, d: make([]*linalg.LaneMatrix, len(r.recs)), get: get}
+	red := &LaneReduced{Diag: make([]*linalg.LaneMatrix, nl), sys: r, d: make([]*linalg.LaneMatrix, len(r.recs)), set: set}
+	get := func(rows, cols int) *linalg.LaneMatrix { return set.Zeroed(rows, cols).V }
 	ms := make([]*linalg.LaneMatrix, len(r.recs))
 	for g, l := range r.recs {
 		s, ni := len(l.sup), len(l.in)
@@ -236,12 +237,12 @@ func subtractLane(dst *linalg.LaneMatrix, l int, sigma *linalg.Matrix, pos []int
 
 // Interior is Reduced.Interior in every lane: y = diag(d)·W·x_S, lane l
 // holding what Interior returns at lane l's energy bit for bit — one lane
-// GEMM with W, then ScaleRowsInto's row scale per lane — as scratch from
-// get. It counts no flop.
+// GEMM with W, then ScaleRowsInto's row scale per lane — as its set's
+// scratch. It counts no flop.
 func (r *LaneReduced) Interior(i int, x *linalg.LaneMatrix) *linalg.LaneMatrix {
 	g := r.sys.rec[i]
 	p, d := r.sys.recs[g], r.d[g]
-	y := r.get(len(p.in), x.Cols)
+	y := r.set.Zeroed(len(p.in), x.Cols).V
 	linalg.LaneGemmInto(y, 1, p.wLanes, x, 0)
 	const L = linalg.Lanes
 	for q := 0; q < y.Rows; q++ {

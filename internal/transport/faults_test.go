@@ -53,11 +53,11 @@ func TestNonFiniteErrorIsPermanent(t *testing.T) {
 	}
 }
 
-// TestTransmissionAtMatchesSpectrum: T at one energy on a fresh engine is
+// TestTransmissionMatchesSpectrum: T at one energy on a fresh engine is
 // the bits of a density-off SolveAt at that energy in the middle of a grid
 // solved in order on another engine — a solve depends on its energy alone,
 // not on the engine's history.
-func TestTransmissionAtMatchesSpectrum(t *testing.T) {
+func TestTransmissionMatchesSpectrum(t *testing.T) {
 	h := chainH(t, 6, 0, -1, nil)
 	grid := UniformGrid(-1.5, 1.5, 9)
 	ref, err := NewEngine(h, Config{})
@@ -77,12 +77,12 @@ func TestTransmissionAtMatchesSpectrum(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := eng.TransmissionAt(context.Background(), grid[i])
+		r, err := eng.SolveAt(context.Background(), grid[i], false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", grid[i], err)
 		}
-		if v != ts[i] {
-			t.Fatalf("E=%g: point solve %g != grid solve %g", grid[i], v, ts[i])
+		if r.T != ts[i] {
+			t.Fatalf("E=%g: point solve %g != grid solve %g", grid[i], r.T, ts[i])
 		}
 	}
 }

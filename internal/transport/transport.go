@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/linalg"
 	"repro/internal/negf"
 	"repro/internal/sched"
 	"repro/internal/sparse"
@@ -116,27 +115,19 @@ func (c Config) withDefaults() Config {
 // pointSolver is the common surface of the two formalisms.
 type pointSolver interface {
 	SolveCtx(ctx context.Context, e float64, density bool) (*negf.Result, error)
-	SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*negf.Result, error)
+	SolveGroup(es []float64, density bool) *negf.Group
 }
 
 // Engine evaluates energy-resolved transport quantities for one device
 // Hamiltonian (one bias/momentum point).
 type Engine struct {
 	solver pointSolver
-	// leads and eta are the solver's; cached is whether it reads Σ from a
-	// self-energy cache, which a self-energy group (SigmaGroup) would
-	// bypass: a cached engine's lane groups are whole solves instead
-	// (SolveGroup), which look Σ up in the cache.
-	leads  *negf.Leads
-	eta    float64
-	cached bool
 }
 
 // NewEngine builds an engine for the given device Hamiltonian.
 func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 	cfg = cfg.withDefaults()
 	var solver pointSolver
-	var leads *negf.Leads
 	switch cfg.Formalism {
 	case WaveFunction:
 		wf, err := wavefunction.NewSolver(h, cfg.Eta)
@@ -147,18 +138,18 @@ func NewEngine(h *sparse.BlockTridiag, cfg Config) (*Engine, error) {
 		// energy level, so nested parallelism stays within one budget.
 		wf.Domains, wf.Pool = cfg.Domains, cfg.Pool
 		wf.Cache = cfg.Cache
-		solver, leads = wf, wf.Leads
+		solver = wf
 	case NEGFRGF:
 		gf, err := negf.NewSolver(h, cfg.Eta)
 		if err != nil {
 			return nil, err
 		}
 		gf.Cache = cfg.Cache
-		solver, leads = gf, gf.Leads
+		solver = gf
 	default:
 		return nil, fmt.Errorf("transport: unknown formalism %d", cfg.Formalism)
 	}
-	return &Engine{solver: solver, leads: leads, eta: cfg.Eta, cached: cfg.Cache != nil}, nil
+	return &Engine{solver: solver}, nil
 }
 
 // SolveAt exposes the single-energy solve of the configured formalism,
@@ -175,68 +166,18 @@ func (e *Engine) SolveAt(ctx context.Context, energy float64, density bool) (*ne
 	return r, nil
 }
 
-// TransmissionAt evaluates T at a single energy — the per-(bias,k,E) task
-// granule of a resumable sweep — with SolveAt's NaN/Inf quarantine check.
-func (e *Engine) TransmissionAt(ctx context.Context, energy float64) (float64, error) {
-	r, err := e.SolveAt(ctx, energy, false)
-	if err != nil {
-		return 0, err
-	}
-	return r.T, nil
-}
-
-// SigmaGroup computes the contact self-energies of up to linalg.Lanes
-// energies in lockstep (negf.Leads.SelfEnergyGroup), for TransmissionFrom.
-// An engine that reads Σ from a self-energy cache returns nil.
-func (e *Engine) SigmaGroup(energies []float64) *negf.SigmaGroup {
-	if e.cached {
-		return nil
-	}
-	zs := make([]complex128, len(energies))
-	for i, en := range energies {
-		zs[i] = complex(en, e.eta)
-	}
-	return e.leads.SelfEnergyGroup(zs)
-}
-
-// TransmissionFrom is TransmissionAt at energy, which is the i-th energy of
-// g, with Σ taken from g: the same value, bit for bit, and the same count.
-// A nil g is TransmissionAt.
-func (e *Engine) TransmissionFrom(ctx context.Context, g *negf.SigmaGroup, i int, energy float64) (float64, error) {
-	if g == nil {
-		return e.TransmissionAt(ctx, energy)
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	sigL, sigR, err := g.Take(i)
-	if err != nil {
-		return 0, err
-	}
-	r, err := e.solver.SolveWithSigma(ctx, energy, sigL, sigR, false)
-	if err != nil {
-		return 0, err
-	}
-	if err := checkFinite(energy, r); err != nil {
-		return 0, err
-	}
-	return r.T, nil
-}
-
-// SolveGroup solves up to linalg.Lanes energies in lockstep
-// (negf.Solver.SolveGroup), with density output or without, for SolveFrom.
-// Only the NEGF formalism forms groups: an engine of another returns nil.
-func (e *Engine) SolveGroup(energies []float64, density bool) *negf.RGFGroup {
-	gf, ok := e.solver.(*negf.Solver)
-	if !ok {
-		return nil
-	}
-	return gf.SolveGroup(energies, density)
+// SolveGroup solves up to linalg.Lanes energies in lockstep, one lane group
+// of either formalism (negf.Group: wavefunction.Solver.SolveGroup or
+// negf.Solver.SolveGroup), with density output or without, for SolveFrom.
+// It returns nil where the energies share nothing: solve each with
+// SolveAt.
+func (e *Engine) SolveGroup(energies []float64, density bool) *negf.Group {
+	return e.solver.SolveGroup(energies, density)
 }
 
 // SolveFrom is SolveAt at the i-th energy of g, taken from g: the same
 // result, bit for bit, the same count and the same NaN/Inf check.
-func (e *Engine) SolveFrom(ctx context.Context, g *negf.RGFGroup, i int) (*negf.Result, error) {
+func (e *Engine) SolveFrom(ctx context.Context, g *negf.Group, i int) (*negf.Result, error) {
 	r, err := g.Take(ctx, i)
 	if err != nil {
 		return nil, err

@@ -27,16 +27,17 @@ func chainH(t *testing.T, n int, eps0, hop float64, pot []float64) *sparse.Block
 	return h
 }
 
-// transmissions is T over grid, one TransmissionAt per energy in grid order.
+// transmissions is T over grid, one density-off SolveAt per energy in grid
+// order.
 func transmissions(t *testing.T, eng *Engine, grid []float64) []float64 {
 	t.Helper()
 	ts := make([]float64, len(grid))
 	for i, e := range grid {
-		v, err := eng.TransmissionAt(context.Background(), e)
+		r, err := eng.SolveAt(context.Background(), e, false)
 		if err != nil {
 			t.Fatalf("E=%g: %v", e, err)
 		}
-		ts[i] = v
+		ts[i] = r.T
 	}
 	return ts
 }

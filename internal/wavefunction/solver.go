@@ -10,6 +10,8 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 
 	"repro/internal/linalg"
@@ -52,6 +54,11 @@ type Solver struct {
 	openOnce sync.Once
 	open     *sparse.ReducedSystem
 	openErr  error
+
+	// shape is what transmissionFlops reads of open, every record
+	// eliminating, built by the first lane group.
+	shapeOnce sync.Once
+	shape     flopShape
 }
 
 // NewSolver builds a wave-function solver with flat-band leads continued
@@ -97,18 +104,14 @@ func (s *Solver) SolveCtx(ctx context.Context, e float64, density bool) (*negf.R
 // SolveWithSigma is SolveCtx with the contact self-energies at e + iη
 // given — Σ_L and Σ_R as Leads.SelfEnergies returns them — instead of
 // computed: what a transmission sweep runs with Σ taken from a lane group
-// (negf.SigmaGroup).
+// (negf.Group).
 func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *linalg.Matrix, density bool) (*negf.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	z := complex(e, s.Eta)
-	s.openOnce.Do(func() {
-		left, right := s.Leads.Supports()
-		s.open, s.openErr = sparse.NewReducedSystem(s.H, left, right)
-	})
-	if s.openErr != nil {
-		return nil, fmt.Errorf("wavefunction: %w", s.openErr)
+	if _, err := s.reduced(); err != nil {
+		return nil, err
 	}
 	// Per-solve workspace for the broadenings, the injection columns, the
 	// reduced system, its block-Thomas factors and solution, and the
@@ -127,13 +130,13 @@ func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *lina
 	// significant wᵢ. Solving the open system against those few columns —
 	// instead of full contact blocks — is the cost advantage of the
 	// wave-function formalism that the paper exploits.
-	wL, err := injectionVectors(gamL, ws)
+	wL, err := injectionVectors(gamL, ws, linalg.EigH)
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: left injection: %w", err)
 	}
 	wR := ws.Get(len(posR), 0)
 	if density {
-		if wR, err = injectionVectors(gamR, ws); err != nil {
+		if wR, err = injectionVectors(gamR, ws, linalg.EigH); err != nil {
 			return nil, fmt.Errorf("wavefunction: right injection: %w", err)
 		}
 	}
@@ -232,9 +235,10 @@ const injectionRankCutoff = 1e-12
 // Γ = Σᵢ λᵢvᵢvᵢ†, and returns the weighted columns wᵢ = √λᵢ·vᵢ above the
 // rank cutoff, so that Γ ≈ W·W†. It is handed Γ on the contact's support —
 // the r×r block outside which Σ, and so Γ, is zero — and the vectors live
-// there too; a Γ that is zero everywhere injects nothing.
-func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace) (*linalg.Matrix, error) {
-	eig, err := linalg.EigH(gamma)
+// there too; a Γ that is zero everywhere injects nothing. eigH is the
+// eigensolver: linalg.EigH, or EigHSetup where a lane group counts at take.
+func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace, eigH func(*linalg.Matrix) (*linalg.EigenH, error)) (*linalg.Matrix, error) {
+	eig, err := eigH(gamma)
 	if err != nil {
 		return nil, err
 	}
@@ -258,4 +262,156 @@ func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace) (*linalg.Matri
 		}
 	}
 	return w, nil
+}
+
+// reduced returns the reduced open system, built by the first solve from H
+// and the contacts' supports (Leads.Supports).
+func (s *Solver) reduced() (*sparse.ReducedSystem, error) {
+	s.openOnce.Do(func() {
+		left, right := s.Leads.Supports()
+		s.open, s.openErr = sparse.NewReducedSystem(s.H, left, right)
+	})
+	if s.openErr != nil {
+		return nil, fmt.Errorf("wavefunction: %w", s.openErr)
+	}
+	return s.open, nil
+}
+
+// SolveGroup solves the energies es — at most linalg.Lanes of them — in
+// lanes (negf.Group), with density output or without: the transmission
+// solve on one domain runs in lockstep (laneKernel), Σ from the cache when
+// the solver has one and in lanes otherwise. Density and SplitSolve
+// (Domains > 1) solve each energy solo at take, on the Σ the group looked
+// up — or alone where the solver's σ-cache has it: nil, as wherever the
+// energies share nothing (negf.LaneSolver.Group).
+func (s *Solver) SolveGroup(es []float64, density bool) *negf.Group {
+	ls := negf.LaneSolver{Solo: s, Leads: s.Leads, Eta: s.Eta, Cache: s.Cache}
+	ls.Sys, _ = s.reduced() // a failure makes no group: each solo solve returns it
+	if !density && s.Domains <= 1 {
+		ls.Kernel = s.laneKernel
+	}
+	return ls.Group(es, density)
+}
+
+// laneKernel is the transmission solve (SolveWithSigma, density off, one
+// domain) on a lane group's lanes: per lane the injection vectors, on the
+// solo kernels; then the reduced system, the right-hand side and the
+// block-Thomas sweep in lockstep (sparse.LaneReduced.SolveLast); then T
+// from each lane's last block. The group's injection width is the one most
+// of its lanes have (the first lane's on a tie); a lane whose injection
+// fails, or whose width is 0 or another, is left to solo, and so is every
+// lane where fewer than two remain. It counts nothing: a finished lane's
+// take counts transmissionFlops at that width.
+func (s *Solver) laneKernel(set *sparse.Set, in *negf.LaneInput) (failed linalg.LaneMask, flops int64) {
+	ws := set.Workspace()
+	var w [linalg.Lanes]*linalg.Matrix
+	for l := 0; l < linalg.Lanes; l++ {
+		if !in.Live.Has(l) {
+			continue
+		}
+		wl, err := injectionVectors(in.Gamma[0][l], ws, linalg.EigHSetup)
+		if err != nil || wl.Cols == 0 {
+			failed |= 1 << l
+			continue
+		}
+		w[l] = wl
+	}
+	live := in.Live &^ failed
+	k, most := 0, 0
+	for l := 0; l < linalg.Lanes; l++ {
+		n := 0
+		for m := 0; m < linalg.Lanes; m++ {
+			if live.Has(l) && live.Has(m) && w[m].Cols == w[l].Cols {
+				n++
+			}
+		}
+		if n > most {
+			k, most = w[l].Cols, n
+		}
+	}
+	for l := 0; l < linalg.Lanes; l++ {
+		if live.Has(l) && w[l].Cols != k {
+			live &^= 1 << l
+		}
+	}
+	if bits.OnesCount8(uint8(live)) < 2 {
+		return in.Live, 0
+	}
+	red := s.open.LanesAt(set, &in.Z, &in.Sigma[0], &in.Sigma[1], live)
+	rhs := make([]*linalg.LaneMatrix, len(red.Diag))
+	for i, d := range red.Diag {
+		rhs[i] = set.Zeroed(d.Rows, k).V
+	}
+	posL, posR := s.open.LeftContact(), s.open.RightContact()
+	for l := 0; l < linalg.Lanes; l++ {
+		if !live.Has(l) {
+			continue
+		}
+		for p, row := range posL {
+			for j, v := range w[l].Data[p*k : (p+1)*k] {
+				rhs[0].Set(l, row, j, v)
+			}
+		}
+	}
+	stop := perf.StartPhase("wf-solve")
+	last, bad, _ := red.SolveLast(rhs, live)
+	stop()
+	if live &^= bad; live == 0 {
+		return in.Live, 0
+	}
+	// T as the solo solve contracts it, Tr[(Γ_R·gw)·gw†], in every lane.
+	gw, ggw := set.Get(len(posR), k), set.Get(len(posR), k)
+	set.Gather(gw, sparse.Block{V: last}, posR, sparse.Range(0, k))
+	set.Gemm(ggw, 1, set.PerLane(&in.Gamma[1], live), gw, 0)
+	for l, t := range set.TraceMulConj(ggw, gw) {
+		if live.Has(l) {
+			in.Res[l] = &negf.Result{E: real(in.Z[l]), T: real(t)}
+		}
+	}
+	return in.Live &^ live, s.transmissionFlops(k)
+}
+
+// flopShape is what transmissionFlops reads of the reduced system.
+type flopShape struct {
+	sizes, kept        []int
+	shared             []bool
+	rows, cols, floors []int
+	cG, rG             int
+}
+
+// transmissionFlops returns transmissionFlops at width k on the solver's
+// reduced system, every record eliminating: what a lane group counts at
+// take for each finished lane.
+func (s *Solver) transmissionFlops(k int) int64 {
+	s.shapeOnce.Do(func() {
+		sys := s.open
+		sh := &s.shape
+		sh.sizes, sh.kept, sh.shared = sys.Shape()
+		nc := len(sh.sizes) - 1
+		sh.rows, sh.cols, sh.floors = make([]int, nc), make([]int, nc), make([]int, nc)
+		for i := range sh.rows {
+			c := sys.Coupling(i)
+			sh.rows[i], sh.cols[i], sh.floors[i] = len(c.Rows), len(c.Cols), slices.Min(c.Rows)
+		}
+		sh.cG, sh.rG = len(sys.LeftContact()), len(sys.RightContact())
+	})
+	sh := &s.shape
+	return transmissionFlops(sh.sizes, sh.kept, sh.shared, sh.rows, sh.cols, sh.floors, sh.cG, sh.rG, k)
+}
+
+// transmissionFlops returns the flops one transmission solve
+// (SolveWithSigma, density off, one domain) counts past its self-energies
+// at injection width k > 0: Γ_L and Γ_R on their c_Γ×c_Γ and r_Γ×r_Γ
+// supports, Γ_L's eigendecomposition (linalg.EigHFlops), the reduced
+// system (sparse.ReducedFlops) and its forward sweep
+// (sparse.BlockThomasFlops on the kept layers, layer i's solve stopped at
+// floors[i] = min R_i), and T = Tr[(Γ_R·gw)·gw†]. Layer i has sizes[i]
+// orbitals of which kept[i] stay; coupling i has rows[i] rows and cols[i]
+// columns; shared is ReducedFlops'. TestWFTransmissionFlopCount holds the
+// solo solve to it.
+func transmissionFlops(sizes, kept []int, shared []bool, rows, cols, floors []int, cG, rG, k int) int64 {
+	return int64(cG*cG+rG*rG)*(perf.FlopsCAdd+perf.FlopsCMul) + linalg.EigHFlops(cG) +
+		sparse.ReducedFlops(sizes, kept, shared, cG, rG, k, false) +
+		sparse.BlockThomasFlops(kept, rows, cols, floors, k) +
+		perf.GemmFlops(rG, rG, k) + int64(rG*k)*perf.FlopsCMulAdd
 }
