@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build fmt-check vet check designrefs spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-pairs bench-baseline bench-check bench-vet ci clean
+.PHONY: build fmt-check vet check designrefs avx1only spec-check spec-golden scaling-golden test race portable-kernels faults fuzz-smoke drill-dist drill-failover drill-serve unreached unreached-check bench bench-pairs bench-baseline bench-check bench-vet ci clean
 
 # The benchmarks gated by the allocation baseline. The T2 solves and the
 # cold self-energy miss draw their workspaces from sync.Pools, where a P
@@ -25,7 +25,7 @@ fmt-check:
 vet:
 	$(GO) vet ./...
 
-check: fmt-check vet spec-check designrefs
+check: fmt-check vet spec-check designrefs avx1only
 
 # Every Test, Benchmark or Fuzz name (a trailing * cites a prefix) and
 # every make target that DESIGN.md, README.md, EXPERIMENTS.md or the
@@ -33,6 +33,12 @@ check: fmt-check vet spec-check designrefs
 # citations with it.
 designrefs:
 	sh scripts/designrefs.sh
+
+# The amd64 kernels run wherever cpuHasAVX admits the CPU (AVX and OS ymm
+# state), so their assembly may use base x86-64 and AVX1 only: no FMA, no
+# AVX2 integer op, no VBROADCASTSD from a register.
+avx1only:
+	sh scripts/avx1only.sh
 
 # The -dump-spec output of omen is pinned to the spec package's golden
 # files: canonical JSON plus all four content hashes. A diff here means

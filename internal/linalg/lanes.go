@@ -1,5 +1,7 @@
 package linalg
 
+import "math"
+
 // Lane kernels: one complex kernel run for Lanes independent operand sets
 // at once, one float64 lane of a ymm register per set. A LaneMatrix keeps
 // the real parts of one element's Lanes values in one vector and the
@@ -9,8 +11,14 @@ package linalg
 // leaves in lane l the bits its solo counterpart (GemmInto, factorInPlace,
 // luSolveInPlace) leaves on lane l's operands:
 //
-//   - pivot search, row swaps and the reciprocal pivot 1/u_kk run per lane
-//     in Go, as the solo factor runs them;
+//   - the factor runs whole columns in one kernel call — the pivot search
+//     on re²+im², the row swaps through blends and 1/u_kk as Go's complex
+//     division forms it — for as long as |z|² alone decides every live
+//     lane's pivot (lanePivots' rule); a column where it does not (a tie
+//     inside the band, a modulus out of range, a NaN, a zero column) runs
+//     in Go as the solo factor runs it, lane by lane, and the kernel takes
+//     over again at that column's update;
+//   - the solve applies each lane's row swaps itself, before its sweeps;
 //   - wherever the solo loop skips an update (a zero multiplier, a zero
 //     pair, a zero unscaled GEMM pair), that lane keeps its old value
 //     through a blend — it never adds a computed 0·x, which is not a no-op
@@ -19,7 +27,8 @@ package linalg
 // The lane kernels count no flop: their caller counts what the solo runs
 // of each lane would have (the self-energy lanes of internal/negf count
 // at take). Without AVX (purego, or a CPU without it) the scalar loops
-// below run the same trees lane by lane.
+// below run the same trees lane by lane; they are also the factor's slow
+// columns on AVX.
 
 // Lanes is the width of the lane kernels: float64 lanes of a ymm register.
 const Lanes = 4
@@ -249,18 +258,8 @@ func (f *LaneLU) SolveFromRow(b *LaneMatrix, r0 int) {
 	if r0 < 0 || r0 > n {
 		panic("linalg: solve floor outside [0, n]")
 	}
-	for l := 0; l < Lanes; l++ {
-		if !f.live.Has(l) {
-			continue
-		}
-		for k, p := range f.piv[l*n : (l+1)*n] {
-			if p != k {
-				swapLaneRows(b.Data, b.Cols, k, p, l)
-			}
-		}
-	}
 	if n > 0 && b.Cols > 0 {
-		laneSweeps(f.fac, b, r0)
+		laneSolve(f.fac, f.piv, f.live, b, r0)
 	}
 }
 
@@ -302,21 +301,33 @@ func LaneInverseInto(dst, a *LaneMatrix, live LaneMask, f *LaneLU) (singular Lan
 		}
 	}
 	if n > 0 {
-		laneSweeps(&f.lu, dst, 0)
+		laneSolve(&f.lu, f.piv, 0, dst, 0)
 	}
 	return singular
 }
 
+// laneFactorConsts is what avxLaneFactor reads of lanePivots' rule — sqLo,
+// sqHi and 1−sqBand, rounded once here as lanePivots' own expression rounds
+// it — and the constants 1 and −1.
+var laneFactorConsts = [5]float64{sqLo, sqHi, 1 - sqBand, 1, -1}
+
 // laneFactorInPlace is factorInPlace in every lane of live: per lane the
 // pivot search, the row swap, ErrSingular and 1/u_kk, then one column
-// update for all lanes. A lane that meets a zero pivot stops there, as the
-// solo factor returns there; it and every lane outside live take a zero
-// reciprocal pivot, so their updates skip and their storage stays tame.
-// piv holds lane l's swaps at piv[l·n : (l+1)·n]; col is n long.
+// update for all lanes. On AVX the kernel runs every column in which
+// lanePivots decides each live lane's pivot, and the loop below runs the
+// others up to their update, which the kernel runs. A lane that meets a
+// zero pivot stops there, as the solo factor returns there; it and every
+// lane outside live take a zero reciprocal pivot, so their updates skip
+// and their storage stays tame. piv holds lane l's swaps at piv[l·n :
+// (l+1)·n]; col is n long.
 func laneFactorInPlace(m *LaneMatrix, piv []int, col []complex128, live LaneMask) (singular LaneMask) {
 	n, d := m.Rows, m.Data
+	k := 0
+	if hasAVX && n > 0 {
+		k = avxLaneFactor(&d[0], n, 0, &piv[0], int(live), &laneFactorConsts[0], nil)
+	}
 	var pivInv [laneStride]float64 // real parts, then imaginary parts
-	for k := 0; k < n; k++ {
+	for k < n {
 		fast := lanePivots(d, n, k)
 		for ln, p := range fast {
 			pivInv[ln], pivInv[ln+Lanes] = 0, 0
@@ -344,13 +355,14 @@ func laneFactorInPlace(m *LaneMatrix, piv []int, col []complex128, live LaneMask
 			laneSet(d, k*n+k, ln, inv) // no later step reads u_kk itself
 			pivInv[ln], pivInv[ln+Lanes] = real(inv), imag(inv)
 		}
+		if hasAVX {
+			k = avxLaneFactor(&d[0], n, k, &piv[0], int(live), &laneFactorConsts[0], &pivInv[0])
+			continue
+		}
 		if rl := n - k - 1; rl > 0 {
-			if hasAVX {
-				avxLaneFactorCol(&d[((k+1)*n+k)*laneStride], &d[(k*n+k+1)*laneStride], rl, n, &pivInv[0])
-				continue
-			}
 			laneFactorCol(d[((k+1)*n+k)*laneStride:], d[(k*n+k+1)*laneStride:], rl, n, &pivInv)
 		}
+		k++
 	}
 	return singular
 }
@@ -400,7 +412,7 @@ func swapLaneRows(d []float64, cols, a, b, l int) {
 	}
 }
 
-// laneFactorCol is avxLaneFactorCol's scalar loop: for each of rows
+// laneFactorCol is avxLaneFactor's column update as a scalar loop: for each of rows
 // trailing rows, m = col·pivInv stored back, and where m ≠ 0 the row's
 // segment of length rows one element past the column gets −= m·rowK.
 // col advances by stride elements per row.
@@ -420,18 +432,29 @@ func laneFactorCol(col, rowK []float64, rows, stride int, pivInv *[laneStride]fl
 	}
 }
 
-// laneSweeps runs both substitution sweeps of a nonempty b against the
-// factor f in every lane, the row swaps already applied, the back sweep
-// stopped after row r0.
-func laneSweeps(f, b *LaneMatrix, r0 int) {
+// laneSolve applies the row swaps of each lane of live to a nonempty b
+// and runs both substitution sweeps against the factor f in every lane,
+// the back sweep stopped after row r0.
+func laneSolve(f *LaneMatrix, piv []int, live LaneMask, b *LaneMatrix, r0 int) {
+	n := f.Rows
 	if hasAVX {
-		avxLaneLuSolve(&b.Data[0], &f.Data[0], f.Rows, b.Cols, r0)
+		avxLaneLuSolve(&b.Data[0], &f.Data[0], n, b.Cols, r0, &piv[0], int(live))
 		return
 	}
-	laneLuSolve(b.Data, f.Data, f.Rows, b.Cols, r0)
+	for l := 0; l < Lanes; l++ {
+		if !live.Has(l) {
+			continue
+		}
+		for k, p := range piv[l*n : (l+1)*n] {
+			if p != k {
+				swapLaneRows(b.Data, b.Cols, k, p, l)
+			}
+		}
+	}
+	laneLuSolve(b.Data, f.Data, n, b.Cols, r0)
 }
 
-// laneLuSolve is avxLaneLuSolve's scalar loop: luSolveInPlace's sweeps,
+// laneLuSolve is avxLaneLuSolve's sweeps as a scalar loop: luSolveInPlace's,
 // k paired two-deep with its zero skips, the back sweep stopped after row
 // r0, in every lane.
 func laneLuSolve(b, lu []float64, n, nrhs, r0 int) {
@@ -473,4 +496,31 @@ func laneLuSolve(b, lu []float64, n, nrhs, r0 int) {
 			}
 		}
 	}
+}
+
+// LaneMaxAbs returns each lane's largest |re| or |im| over m's elements —
+// the decimation's convergence norm (sparse.MaxAbs) in every lane — and
+// math.NaN() in a lane where some part is NaN.
+func LaneMaxAbs(m *LaneMatrix) (mx [Lanes]float64) {
+	var nan LaneMask
+	if elems := len(m.Data) / laneStride; hasAVX && elems > 0 {
+		nan = LaneMask(avxLaneMaxAbs(&m.Data[0], elems, &mx[0]))
+	} else {
+		for o := 0; o < elems; o++ {
+			e := (*[laneStride]float64)(m.Data[o*laneStride : (o+1)*laneStride])
+			for l := range mx {
+				re, im := math.Abs(e[l]), math.Abs(e[l+Lanes])
+				mx[l] = max(mx[l], re, im)
+				if re != re || im != im {
+					nan |= 1 << l
+				}
+			}
+		}
+	}
+	for l := range mx {
+		if nan.Has(l) {
+			mx[l] = math.NaN()
+		}
+	}
+	return mx
 }

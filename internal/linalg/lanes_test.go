@@ -3,7 +3,10 @@ package linalg
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/cmplx"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/perf"
@@ -36,6 +39,139 @@ func requireLane(t *testing.T, what string, got *LaneMatrix, l int, want *Matrix
 	m := New(got.Rows, got.Cols)
 	got.LaneInto(m, l)
 	requireBits(t, fmt.Sprintf("%s lane %d", what, l), m.Data, want.Data)
+}
+
+// everyMask lists every live mask.
+var everyMask = func() (m []LaneMask) {
+	for live := LaneMask(0); live <= allLanes; live++ {
+		m = append(m, live)
+	}
+	return m
+}()
+
+// engineBits holds the AVX engine's lane factor to the fallback's whole
+// result — every lane, live or not, and every pivot. Lanes outside live
+// and lanes gone singular hold no factor, but the one loop both engines
+// share for those lanes must leave them the same, so the kernel's live
+// mask and its hand-off to that loop are held too.
+type engineBits struct {
+	m   *LaneMatrix
+	piv []int
+}
+
+func (e *engineBits) check(t *testing.T, what, engine string, m *LaneMatrix, piv []int) {
+	t.Helper()
+	if engine == "fallback" {
+		e.m, e.piv = NewLaneMatrix(m.Rows, m.Cols), slices.Clone(piv)
+		e.m.CopyFrom(m)
+		return
+	}
+	if !slices.Equal(piv, e.piv) {
+		t.Fatalf("%s %s: pivots %v, fallback %v", engine, what, piv, e.piv)
+	}
+	for l := 0; l < Lanes; l++ {
+		want := New(m.Rows, m.Cols)
+		e.m.LaneInto(want, l)
+		requireLane(t, engine+" "+what+" against the fallback", m, l, want)
+	}
+}
+
+// nearBand lists relative row scalings δ about the pivot band: |z|²
+// scales by (1+δ)², so 2δ inside sqBand, just past it, and a few ulps.
+var nearBand = []float64{1.5e-13, -1.5e-13, 4e-13, -4e-13, 1e-12, -1e-12, 3e-12, 0x1p-52, -0x1p-52, 0x1p-50}
+
+// pivotSpecials are pivots on Smith's branches: |re| = |im|, |re| < |im|,
+// |re| > |im|, and ±0 parts, where 0·ratio and 0 − ratio are signed.
+var pivotSpecials = func() []complex128 {
+	nz := math.Copysign(0, -1)
+	return []complex128{
+		complex(1.5, 1.5), complex(-0.75, 0.75), complex(2, -2), complex(0.3, 2.5),
+		complex(-0.4, -3), complex(2.5, 0.3), complex(0, 2), complex(nz, 2),
+		complex(0, -2), complex(nz, -2), complex(2, 0), complex(2, nz),
+		complex(-2, 0), complex(-2, nz), complex(1, 0),
+	}
+}()
+
+// pivotEdges draws Lanes n×n operands at the lane factor's pivot edges,
+// each lane one of six kinds, the first drawn and the rest in turn:
+//   - raw: unboosted, so rows swap at most columns;
+//   - tie: two rows scaled to hold column 0's largest modulus, the second
+//     −i times the first, so their |z|² tie exactly in column 0 and, while
+//     neither is the pivot, through the elimination;
+//   - near: the second row (1+δ) times the first, δ from nearBand;
+//   - diag: a row-permuted diagonal of pivotSpecials, one nonzero per
+//     column, so every column brings its special up and inverts it;
+//   - singular: a zero column c, so the lane turns singular at step c
+//     while the others go on — fast and slow columns alternate;
+//   - range: scaled so the largest modulus sits just inside or just
+//     outside sqLo or sqHi.
+func pivotEdges(r *rand.Rand, n int) (*LaneMatrix, [Lanes]*Matrix) {
+	lm := NewLaneMatrix(n, n)
+	var solo [Lanes]*Matrix
+	kind0 := r.Intn(6)
+	for l := range solo {
+		a := specialMat(r, n, n, "plain")
+		switch kind := (kind0 + l) % 6; kind {
+		case 1, 2:
+			if n == 1 {
+				break
+			}
+			i, j := r.Intn(n), r.Intn(n-1)
+			if j >= i {
+				j++
+			}
+			scale := complex(1+nearBand[r.Intn(len(nearBand))], 0)
+			for c := 0; c < n; c++ {
+				v := 8 * a.Data[i*n+c]
+				a.Data[i*n+c] = v
+				if kind == 1 {
+					a.Data[j*n+c] = complex(imag(v), -real(v))
+				} else {
+					a.Data[j*n+c] = v * scale
+				}
+			}
+		case 3:
+			clear(a.Data)
+			for c, i := range r.Perm(n) {
+				a.Data[i*n+c] = pivotSpecials[r.Intn(len(pivotSpecials))]
+			}
+		case 4:
+			c := r.Intn(n)
+			for i := 0; i < n; i++ {
+				a.Data[i*n+c] = 0
+			}
+		case 5:
+			var top float64
+			for i := 0; i < n; i++ {
+				top = max(top, cmplx.Abs(a.Data[i*n]))
+			}
+			if top == 0 {
+				break
+			}
+			bound := []float64{1e-140, 1e140}[r.Intn(2)]
+			scale := bound * (1 + []float64{-1e-9, 1e-9}[r.Intn(2)]) / top
+			for e, v := range a.Data {
+				a.Data[e] = complex(real(v)*scale, imag(v)*scale)
+			}
+		}
+		solo[l] = a
+		setLane(lm, l, a)
+	}
+	return lm, solo
+}
+
+// refMaxAbs is sparse.MaxAbs, the decimation's convergence norm: the
+// largest |re| or |im|, NaN if any part is NaN.
+func refMaxAbs(m *Matrix) float64 {
+	var mx float64
+	for _, v := range m.Data {
+		re, im := math.Abs(real(v)), math.Abs(imag(v))
+		if math.IsNaN(re) || math.IsNaN(im) {
+			return math.NaN()
+		}
+		mx = max(mx, re, im)
+	}
+	return mx
 }
 
 // laneOrder draws an order in 1…40, weighted toward the narrow end the
@@ -102,38 +238,64 @@ func TestLaneKernelsBitwise(t *testing.T) {
 		return lm, solo
 	}
 
+	// draw returns square lane operands and the live masks to run them at:
+	// one random mask, or on every third iteration pivotEdges' operands at
+	// every mask.
+	draw := func(r *rand.Rand, it, n int, class string) (*LaneMatrix, [Lanes]*Matrix, []LaneMask) {
+		if it%3 == 2 {
+			a, as := pivotEdges(r, n)
+			return a, as, everyMask
+		}
+		a, as := square(r, it, n, class)
+		return a, as, []LaneMask{LaneMask(r.Intn(16)) | 1}
+	}
+
 	t.Run("factor", func(t *testing.T) {
 		r := rand.New(rand.NewSource(82))
 		for it := 0; it < 300; it++ {
 			class := operandClasses[it%len(operandClasses)]
 			n := laneOrder(r)
-			a, as := square(r, it, n, class)
-			live := LaneMask(r.Intn(16)) | 1
-			eachEngine(t, func(engine string) {
-				lu := NewLaneMatrix(n, n)
-				lu.CopyFrom(a)
-				piv, col := make([]int, Lanes*n), make([]complex128, n)
-				singular := laneFactorInPlace(lu, piv, col, live)
-				for l := 0; l < Lanes; l++ {
-					if !live.Has(l) {
-						continue
-					}
-					want, wantPiv := as[l].Clone(), make([]int, n)
-					err := refFactorInPlace(want, wantPiv)
-					if (err != nil) != singular.Has(l) {
-						t.Fatalf("%s factor n=%d lane %d: singular %v, reference error %v", engine, n, l, singular.Has(l), err)
-					}
-					if err != nil {
-						continue // the solo factor stopped mid-way: nothing to compare
-					}
-					for k, p := range wantPiv {
-						if piv[l*n+k] != p {
-							t.Fatalf("%s factor n=%d lane %d: pivot %d is %d, want %d", engine, n, l, k, piv[l*n+k], p)
+			a, as, masks := draw(r, it, n, class)
+			var wants [Lanes]*Matrix
+			var wantPivs [Lanes][]int
+			var wantErrs [Lanes]error
+			for l := range wants {
+				wants[l], wantPivs[l] = as[l].Clone(), make([]int, n)
+				wantErrs[l] = refFactorInPlace(wants[l], wantPivs[l])
+			}
+			var sameEngines engineBits
+			for _, live := range masks {
+				eachEngine(t, func(engine string) {
+					lu := NewLaneMatrix(n, n)
+					lu.CopyFrom(a)
+					piv, col := make([]int, Lanes*n), make([]complex128, n)
+					singular := laneFactorInPlace(lu, piv, col, live)
+					sameEngines.check(t, fmt.Sprintf("factor n=%d live=%04b", n, live), engine, lu, piv)
+					for l := 0; l < Lanes; l++ {
+						if !live.Has(l) {
+							for k, p := range piv[l*n : (l+1)*n] {
+								if p != k {
+									t.Fatalf("%s factor n=%d live=%04b: lane %d outside live has pivot %d at %d", engine, n, live, l, p, k)
+								}
+							}
+							continue
 						}
+						err := wantErrs[l]
+						if (err != nil) != singular.Has(l) {
+							t.Fatalf("%s factor n=%d live=%04b lane %d: singular %v, reference error %v", engine, n, live, l, singular.Has(l), err)
+						}
+						if err != nil {
+							continue // the solo factor stopped mid-way: nothing to compare
+						}
+						for k, p := range wantPivs[l] {
+							if piv[l*n+k] != p {
+								t.Fatalf("%s factor n=%d live=%04b lane %d: pivot %d is %d, want %d", engine, n, live, l, k, piv[l*n+k], p)
+							}
+						}
+						requireLane(t, engine+" factor", lu, l, wants[l])
 					}
-					requireLane(t, engine+" factor", lu, l, want)
-				}
-			})
+				})
+			}
 		}
 	})
 
@@ -184,14 +346,7 @@ func TestLaneKernelsBitwise(t *testing.T) {
 			eachEngine(t, func(engine string) {
 				got := NewLaneMatrix(n, w)
 				got.CopyFrom(b)
-				for l := 0; l < Lanes; l++ {
-					for k, p := range pivs[l] {
-						if p != k {
-							swapLaneRows(got.Data, w, k, p, l)
-						}
-					}
-				}
-				laneSweeps(f, got, r0)
+				laneSolve(f, slices.Concat(pivs[:]...), allLanes, got, r0)
 				for l := 0; l < Lanes; l++ {
 					requireFloored(t, engine+" solve", got, l, fs[l], pivs[l], bs[l], r0)
 				}
@@ -210,33 +365,34 @@ func TestLaneKernelsBitwise(t *testing.T) {
 			class := operandClasses[it%len(operandClasses)]
 			n, w := laneOrder(r), 1+r.Intn(9)
 			r0 := floor(r, it, n)
-			a, as := square(r, it, n, class)
+			a, as, masks := draw(r, it, n, class)
 			b, bs := laneOperands(r, n, w, class)
-			live := LaneMask(r.Intn(16)) | 1
-			eachEngine(t, func(engine string) {
-				m, got := NewLaneMatrix(n, n), NewLaneMatrix(n, w)
-				m.CopyFrom(a)
-				got.CopyFrom(b)
-				before := perf.Flops()
-				singular := f.FactorInPlace(m, live)
-				f.SolveFromRow(got, r0)
-				if d := perf.Flops() - before; d != 0 {
-					t.Fatalf("LaneLU counted %d flops", d)
-				}
-				for l := 0; l < Lanes; l++ {
-					if !live.Has(l) {
-						continue
+			for _, live := range masks {
+				eachEngine(t, func(engine string) {
+					m, got := NewLaneMatrix(n, n), NewLaneMatrix(n, w)
+					m.CopyFrom(a)
+					got.CopyFrom(b)
+					before := perf.Flops()
+					singular := f.FactorInPlace(m, live)
+					f.SolveFromRow(got, r0)
+					if d := perf.Flops() - before; d != 0 {
+						t.Fatalf("LaneLU counted %d flops", d)
 					}
-					fac, piv := as[l].Clone(), make([]int, n)
-					err := refFactorInPlace(fac, piv)
-					if (err != nil) != singular.Has(l) {
-						t.Fatalf("%s factor-solve n=%d lane %d: singular %v, reference error %v", engine, n, l, singular.Has(l), err)
+					for l := 0; l < Lanes; l++ {
+						if !live.Has(l) {
+							continue
+						}
+						fac, piv := as[l].Clone(), make([]int, n)
+						err := refFactorInPlace(fac, piv)
+						if (err != nil) != singular.Has(l) {
+							t.Fatalf("%s factor-solve n=%d live=%04b lane %d: singular %v, reference error %v", engine, n, live, l, singular.Has(l), err)
+						}
+						if err == nil {
+							requireFloored(t, engine+" factor-solve", got, l, fac, piv, bs[l], r0)
+						}
 					}
-					if err == nil {
-						requireFloored(t, engine+" factor-solve", got, l, fac, piv, bs[l], r0)
-					}
-				}
-			})
+				})
+			}
 		}
 	})
 
@@ -246,22 +402,47 @@ func TestLaneKernelsBitwise(t *testing.T) {
 		for it := 0; it < 200; it++ {
 			class := operandClasses[it%len(operandClasses)]
 			n := laneOrder(r)
-			a, as := square(r, it, n, class)
-			eachEngine(t, func(engine string) {
-				inv := NewLaneMatrix(n, n)
-				before := perf.Flops()
-				singular := LaneInverseInto(inv, a, allLanes, &f)
-				if d := perf.Flops() - before; d != 0 {
-					t.Fatalf("LaneInverseInto counted %d flops", d)
-				}
-				for l := 0; l < Lanes; l++ {
-					want := New(n, n)
-					err := refInverseInto(want, as[l])
-					if (err != nil) != singular.Has(l) || err != nil && !errors.Is(err, ErrSingular) {
-						t.Fatalf("%s inverse n=%d lane %d: singular %v, reference error %v", engine, n, l, singular.Has(l), err)
+			a, as, masks := draw(r, it, n, class)
+			if it%3 != 2 {
+				masks = []LaneMask{allLanes}
+			}
+			for _, live := range masks {
+				eachEngine(t, func(engine string) {
+					inv := NewLaneMatrix(n, n)
+					before := perf.Flops()
+					singular := LaneInverseInto(inv, a, live, &f)
+					if d := perf.Flops() - before; d != 0 {
+						t.Fatalf("LaneInverseInto counted %d flops", d)
 					}
-					if err == nil {
-						requireLane(t, engine+" inverse", inv, l, want)
+					for l := 0; l < Lanes; l++ {
+						if !live.Has(l) {
+							continue
+						}
+						want := New(n, n)
+						err := refInverseInto(want, as[l])
+						if (err != nil) != singular.Has(l) || err != nil && !errors.Is(err, ErrSingular) {
+							t.Fatalf("%s inverse n=%d live=%04b lane %d: singular %v, reference error %v", engine, n, live, l, singular.Has(l), err)
+						}
+						if err == nil {
+							requireLane(t, engine+" inverse", inv, l, want)
+						}
+					}
+				})
+			}
+		}
+	})
+
+	t.Run("maxabs", func(t *testing.T) {
+		r := rand.New(rand.NewSource(88))
+		for it := 0; it < 200; it++ {
+			class := operandClasses[it%len(operandClasses)]
+			rows, cols := r.Intn(12), 1+r.Intn(9)
+			a, as := laneOperands(r, rows, cols, class)
+			eachEngine(t, func(engine string) {
+				for l, got := range LaneMaxAbs(a) {
+					want := refMaxAbs(as[l])
+					if math.IsNaN(want) != math.IsNaN(got) || !math.IsNaN(want) && math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s maxabs %d×%d %s lane %d: %v, want %v", engine, rows, cols, class, l, got, want)
 					}
 				}
 			})
@@ -288,10 +469,107 @@ func TestLaneKernelsBitwise(t *testing.T) {
 	})
 }
 
+// withSquare returns a z whose re²+im², rounded as lanePivots rounds it,
+// is t.
+func withSquare(t float64) complex128 {
+	a := math.Sqrt(t)
+	for i := 0; i < 64; i, a = i+1, math.Nextafter(a, 0) {
+		if a*a == t {
+			return complex(a, 0)
+		}
+		b := math.Sqrt(t - a*a)
+		for _, b := range []float64{b, math.Nextafter(b, 0), math.Nextafter(b, t)} {
+			if a*a+b*b == t {
+				return complex(a, b)
+			}
+		}
+	}
+	panic("linalg: no z with the requested |z|²")
+}
+
+// TestLaneFactorHandOff holds avxLaneFactor's hand-off to lanePivots' rule
+// at the rule's edges: the kernel must stop at a column exactly when some
+// live lane's verdict there is Go's. Each case is a three-row column 0
+// whose verdict is known — a clear winner, an exact tie, the second
+// exactly at and just under best·(1−sqBand), the best exactly at and just
+// past sqLo and sqHi, a NaN, an Inf, a zero column — set in one lane with
+// clear winners in the others, at every live mask. Bits are
+// TestLaneKernelsBitwise's; this is the choice of path.
+func TestLaneFactorHandOff(t *testing.T) {
+	if !avxAvailable {
+		t.Skip("no AVX lane kernels in this build")
+	}
+	keep := laneFactorConsts[2]
+	down := func(x float64) float64 { return math.Nextafter(x, 0) }
+	up := func(x float64) float64 { return math.Nextafter(x, math.Inf(1)) }
+	cases := []struct {
+		name string
+		col  [3]complex128
+		fast bool
+	}{
+		{"winner", [3]complex128{0.5, complex(0, -3), 1}, true},
+		{"tie", [3]complex128{complex(0.5, 2), complex(2, -0.5), 1}, false},
+		{"second at the band", [3]complex128{1, withSquare(keep), 0.25}, false},
+		{"second under the band", [3]complex128{withSquare(down(keep)), 1, 0.25}, true},
+		{"best at sqLo", [3]complex128{0, withSquare(sqLo), 0}, true},
+		{"best under sqLo", [3]complex128{0, withSquare(down(sqLo)), 0}, false},
+		{"best at sqHi", [3]complex128{withSquare(sqHi), 1, 0}, true},
+		{"best past sqHi", [3]complex128{withSquare(up(sqHi)), 1, 0}, false},
+		{"NaN", [3]complex128{4, complex(math.NaN(), 0), 1}, false},
+		{"Inf", [3]complex128{4, complex(0, math.Inf(-1)), 1}, false},
+		{"zero column", [3]complex128{0, complex(math.Copysign(0, -1), 0), 0}, false},
+	}
+	const n = 3
+	for _, c := range cases {
+		if fast := lanePivotsOf(c.col)[0] >= 0; fast != c.fast {
+			t.Fatalf("%s: lanePivots decides fast %v, the case says %v", c.name, fast, c.fast)
+		}
+		for l := 0; l < Lanes; l++ {
+			m := NewLaneMatrix(n, n)
+			for ln := 0; ln < Lanes; ln++ {
+				col := cases[0].col
+				if ln == l {
+					col = c.col
+				}
+				for i := 0; i < n; i++ {
+					m.Set(ln, i, i, 1)
+					m.Set(ln, i, 0, col[i])
+				}
+			}
+			for _, live := range everyMask {
+				d := NewLaneMatrix(n, n)
+				d.CopyFrom(m)
+				piv := make([]int, Lanes*n)
+				stop := avxLaneFactor(&d.Data[0], n, 0, &piv[0], int(live), &laneFactorConsts[0], nil)
+				if want := c.fast || !live.Has(l); (stop > 0) != want {
+					t.Fatalf("%s in lane %d, live %04b: the kernel stopped at column %d, want fast %v", c.name, l, live, stop, want)
+				}
+			}
+		}
+	}
+}
+
+// lanePivotsOf runs lanePivots on column 0 of a 3×3 lane matrix holding
+// col in lane 0.
+func lanePivotsOf(col [3]complex128) [Lanes]int {
+	m := NewLaneMatrix(3, 3)
+	for i, v := range col {
+		m.Set(0, i, 0, v)
+	}
+	return lanePivots(m.Data, 3, 0)
+}
+
+// maxAbsSink keeps BenchmarkLaneKernels' norm from being optimised away.
+var maxAbsSink [Lanes]float64
+
 // BenchmarkLaneKernels times one Lanes-wide inverse and the decimation's
 // products at its two shapes — AGNR-7's s = 7 layer with 3×4 couplings and
 // the Si nanowire's s = 15 with 10×5 — against Lanes solo calls of the same
-// kernels on the same operands.
+// kernels on the same operands. The inverse runs twice: on diagonally
+// boosted operands, whose factors never swap a row, and on raw ones, whose
+// factors swap at most columns as the decimation's do. maxabs is the
+// decimation's convergence norm over one s×s lane block, the kernel
+// against its scalar loop.
 func BenchmarkLaneKernels(b *testing.B) {
 	shapes := []struct {
 		name    string
@@ -299,8 +577,10 @@ func BenchmarkLaneKernels(b *testing.B) {
 	}{{"s7_r3_c4", 7, 3, 4}, {"s15_r10_c5", 15, 10, 5}}
 	for _, sh := range shapes {
 		r := rand.New(rand.NewSource(85))
-		bulk, bulks := laneOperands(r, sh.s, sh.s, "plain")
+		raw, raws := laneOperands(r, sh.s, sh.s, "plain")
+		bulk, bulks := NewLaneMatrix(sh.s, sh.s), [Lanes]*Matrix{}
 		for l := range bulks {
+			bulks[l] = raws[l].Clone()
 			for i := 0; i < sh.s; i++ {
 				bulks[l].Data[i*sh.s+i] += complex(float64(sh.s), 0.5)
 			}
@@ -308,23 +588,29 @@ func BenchmarkLaneKernels(b *testing.B) {
 		}
 		alpha, alphas := laneOperands(r, sh.r, sh.c, "plain")
 		g, gs := laneOperands(r, sh.c, sh.c, "plain")
-		b.Run(sh.name+"/inverse/lanes", func(b *testing.B) {
-			inv := NewLaneMatrix(sh.s, sh.s)
-			var f LaneLU
-			for i := 0; i < b.N; i++ {
-				LaneInverseInto(inv, bulk, allLanes, &f)
-			}
-		})
-		b.Run(sh.name+"/inverse/solo", func(b *testing.B) {
-			ws := GetWorkspace()
-			defer ws.Release()
-			inv := New(sh.s, sh.s)
-			for i := 0; i < b.N; i++ {
-				for _, a := range bulks {
-					_ = InverseInto(inv, a, ws)
+		for _, op := range []struct {
+			name  string
+			lanes *LaneMatrix
+			solo  [Lanes]*Matrix
+		}{{"inverse", bulk, bulks}, {"inverse-pivoting", raw, raws}} {
+			b.Run(sh.name+"/"+op.name+"/lanes", func(b *testing.B) {
+				inv := NewLaneMatrix(sh.s, sh.s)
+				var f LaneLU
+				for i := 0; i < b.N; i++ {
+					LaneInverseInto(inv, op.lanes, allLanes, &f)
 				}
-			}
-		})
+			})
+			b.Run(sh.name+"/"+op.name+"/solo", func(b *testing.B) {
+				ws := GetWorkspace()
+				defer ws.Release()
+				inv := New(sh.s, sh.s)
+				for i := 0; i < b.N; i++ {
+					for _, a := range op.solo {
+						_ = InverseInto(inv, a, ws)
+					}
+				}
+			})
+		}
 		b.Run(sh.name+"/gemm/lanes", func(b *testing.B) {
 			dst := NewLaneMatrix(sh.r, sh.c)
 			for i := 0; i < b.N; i++ {
@@ -339,5 +625,18 @@ func BenchmarkLaneKernels(b *testing.B) {
 				}
 			}
 		})
+		for _, avx := range []bool{true, false} {
+			name := sh.name + "/maxabs/lanes"
+			if !avx {
+				name = sh.name + "/maxabs/scalar"
+			}
+			b.Run(name, func(b *testing.B) {
+				defer func(old bool) { hasAVX = old }(hasAVX)
+				hasAVX = hasAVX && avx
+				for i := 0; i < b.N; i++ {
+					maxAbsSink = LaneMaxAbs(raw)
+				}
+			})
+		}
 	}
 }

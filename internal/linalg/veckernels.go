@@ -15,7 +15,8 @@ package linalg
 // factorInPlace and luSolveInPlace call the fused kernels, which run a
 // whole loop nest per call — a GEMM tile, a pivot's column update, both
 // substitution sweeps. Each kind has its own dispatch floor. These five,
-// and the three lane kernels of lanes.go, are the whole assembly set.
+// and the four lane kernels of lanes.go, are the whole assembly set, AVX1
+// only (scripts/avx1only.sh).
 
 // vecMinLen is the slice length below which the scalar loop beats the
 // assembly call overhead of the helpers below.

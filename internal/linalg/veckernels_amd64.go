@@ -67,19 +67,29 @@ func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha compl
 //go:noescape
 func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha complex128)
 
-// avxLaneFactorCol is avxFactorColUpdate on a lane matrix: for each of
-// rows trailing rows, m = col·pivInv (pivInv: Lanes real parts, then Lanes
-// imaginary parts) stored back, and the row's segment of length rows one
-// element past the column −= m·rowK in the lanes where m ≠ 0. col
-// advances by stride elements per row.
+// avxLaneFactor runs laneFactorInPlace's columns from k on while |z|²
+// decides the pivot of every lane of live: per column and live lane the
+// pivot search into piv, the row swap, 1/u_kk as runtime.complex128div
+// forms it, and the column update; a lane outside live takes piv = k and
+// a zero reciprocal pivot. c is laneFactorConsts. It returns the first
+// column whose pivot is Go's — or n. A non-nil pivInv (Lanes real parts,
+// then Lanes imaginary parts) starts it at the update of column k, whose
+// pivots Go has set.
 //
 //go:noescape
-func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64)
+func avxLaneFactor(d *float64, n, k int, piv *int, live int, c, pivInv *float64) int
 
-// avxLaneLuSolve is avxLuSolve on lane matrices: both substitution sweeps
-// of the n×nrhs b against the packed n×n factor lu, the row swaps already
-// applied, the back sweep stopped after row floor, k paired two-deep with
-// the reference's zero skips per lane. 0 <= floor <= n.
+// avxLaneLuSolve is luSolveInPlace on lane matrices: each lane of live
+// swaps its rows of b as piv[l·n : (l+1)·n] says, then both substitution
+// sweeps of the n×nrhs b against the packed n×n factor lu run, the back
+// sweep stopped after row floor, k paired two-deep with the reference's
+// zero skips per lane. n, nrhs >= 1, 0 <= floor <= n.
 //
 //go:noescape
-func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int)
+func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int, piv *int, live int)
+
+// avxLaneMaxAbs sets mx[l] to lane l's largest |re| or |im| over elems
+// lane-matrix elements and returns the mask of lanes where a part is NaN.
+//
+//go:noescape
+func avxLaneMaxAbs(d *float64, elems int, mx *float64) int

@@ -964,89 +964,393 @@ lgdone:
 lgret:
 	RET
 
-// func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64)
-TEXT ·avxLaneFactorCol(SB), NOSPLIT, $0-40
-	MOVQ    col+0(FP), DI
-	MOVQ    rowK+8(FP), SI
-	MOVQ    rows+16(FP), CX
-	MOVQ    stride+24(FP), R9
-	SHLQ    $6, R9
-	MOVQ    pivInv+32(FP), AX
-	VMOVUPD (AX), Y14
-	VMOVUPD 32(AX), Y15
-	VXORPD  Y13, Y13, Y13
-	MOVQ    CX, R10 // the row segment is as long as the column
+// func avxLaneFactor(d *float64, n, k int, piv *int, live int, c, pivInv *float64) int
+// The lane factor (laneFactorInPlace) from column k on, for as long as |z|²
+// decides the pivot of every lane of live (lanePivots' rule; c holds sqLo,
+// sqHi, 1−sqBand, 1 and −1). Each such column, in every live lane: the
+// argmax of re²+im² over rows k…n−1 into piv[l·n+k], that row swapped with
+// row k across the whole row, 1/u_kk as runtime.complex128div forms 1/z
+// (Smith's branch on |re| ≥ |im| through a blend, the 0·ratio and 0 − ratio
+// terms computed as written) stored on the diagonal, and then the column
+// update of avxFactorColUpdate. A lane outside live takes piv = k and a
+// zero reciprocal pivot, and keeps its diagonal. It returns the first
+// column where some live lane's pivot is Go's — a tie inside the band, a
+// modulus out of range, a NaN, a zero column — or n. A non-nil pivInv (the
+// Lanes real parts, then the Lanes imaginary parts) means Go has already
+// pivoted column k: the kernel starts at its update.
+//
+// GPRs: DI d, R11 n, CX k, R8 piv, BX live, SI c, R9 bytes per row, R12
+// the diagonal element (row k past the column in the update).
+// Y15 the live lanes' mask, Y14/Y13 the reciprocal pivots, Y12 zero, Y10 1.
+TEXT ·avxLaneFactor(SB), NOSPLIT, $64-64
+	MOVQ d+0(FP), DI
+	MOVQ n+8(FP), R11
+	MOVQ k+16(FP), CX
+	MOVQ piv+24(FP), R8
+	MOVQ live+32(FP), BX
+	MOVQ c+40(FP), SI
+	MOVQ R11, R9
+	SHLQ $6, R9
+
+	// Y15: all ones in the lanes of live
+	MOVQ    BX, AX
+	ANDQ    $1, AX
+	NEGQ    AX
+	MOVQ    AX, lm0-64(SP)
+	MOVQ    BX, AX
+	SHRQ    $1, AX
+	ANDQ    $1, AX
+	NEGQ    AX
+	MOVQ    AX, lm1-56(SP)
+	MOVQ    BX, AX
+	SHRQ    $2, AX
+	ANDQ    $1, AX
+	NEGQ    AX
+	MOVQ    AX, lm2-48(SP)
+	MOVQ    BX, AX
+	SHRQ    $3, AX
+	ANDQ    $1, AX
+	NEGQ    AX
+	MOVQ    AX, lm3-40(SP)
+	VMOVUPD lm0-64(SP), Y15
+	ANDQ    $15, BX
+
+	VXORPD       Y12, Y12, Y12
+	VBROADCASTSD 24(SI), Y10
+	MOVQ         pivInv+48(FP), AX
+	TESTQ        AX, AX
+	JE           lfcol
+	VMOVUPD      (AX), Y14
+	VMOVUPD      32(AX), Y13
+	MOVQ         CX, AX
+	IMULQ        R9, AX
+	LEAQ         (DI)(AX*1), R12
+	MOVQ         CX, AX
+	SHLQ         $6, AX
+	ADDQ         AX, R12
+	JMP          lfupdate
+
+lfcol:
+	CMPQ  CX, R11
+	JGE   lfdone
+	MOVQ  CX, AX
+	IMULQ R9, AX
+	LEAQ  (DI)(AX*1), R14 // row k
+	MOVQ  CX, AX
+	SHLQ  $6, AX
+	LEAQ  (R14)(AX*1), R12 // the diagonal element
+
+	// Pivot search over rows k…n−1: Y0 the best re²+im², Y1 the second,
+	// Y2 the best's row offset, Y3 this row's, Y4 a NaN seen.
+	VBROADCASTSD 32(SI), Y0
+	VMOVAPD      Y0, Y1
+	VXORPD       Y2, Y2, Y2
+	VXORPD       Y3, Y3, Y3
+	VXORPD       Y4, Y4, Y4
+	MOVQ         R12, R13
+	MOVQ         R11, DX
+	SUBQ         CX, DX
+
+lfscan:
+	VMOVUPD   (R13), Y5
+	VMOVUPD   32(R13), Y6
+	VMULPD    Y5, Y5, Y5
+	VMULPD    Y6, Y6, Y6
+	VADDPD    Y6, Y5, Y5 // s = re² + im²
+	VCMPPD    $3, Y5, Y5, Y6
+	VORPD     Y6, Y4, Y4
+	VCMPPD    $1, Y5, Y1, Y7 // second < s
+	VCMPPD    $1, Y5, Y0, Y6 // best < s
+	VBLENDVPD Y7, Y5, Y1, Y1
+	VBLENDVPD Y6, Y0, Y1, Y1
+	VBLENDVPD Y6, Y5, Y0, Y0
+	VBLENDVPD Y6, Y3, Y2, Y2
+	VADDPD    Y10, Y3, Y3
+	ADDQ      R9, R13
+	DECQ      DX
+	JNZ       lfscan
+
+	// |z|² decides where sqLo ≤ best ≤ sqHi, second < best·(1−sqBand)
+	// and no NaN was seen; every live lane must be decided.
+	VBROADCASTSD (SI), Y5
+	VCMPPD       $2, Y0, Y5, Y5
+	VBROADCASTSD 8(SI), Y6
+	VCMPPD       $2, Y6, Y0, Y6
+	VANDPD       Y6, Y5, Y5
+	VBROADCASTSD 16(SI), Y6
+	VMULPD       Y6, Y0, Y6
+	VCMPPD       $1, Y6, Y1, Y6
+	VANDPD       Y6, Y5, Y5
+	VANDNPD      Y5, Y4, Y5
+	VMOVMSKPD    Y5, AX
+	NOTQ         AX
+	ANDQ         BX, AX
+	JNZ          lfdone
+
+	// piv[l·n+k] = k + offset, offset 0 outside live
+	VANDPD      Y15, Y2, Y2
+	VCVTTPD2DQY Y2, X6
+	VMOVDQU     X6, pv-32(SP)
+	MOVQ        R11, DX
+	SHLQ        $3, DX
+	LEAQ        (R8)(CX*8), R13
+	MOVLQSX     pv-32(SP), AX
+	ADDQ        CX, AX
+	MOVQ        AX, (R13)
+	ADDQ        DX, R13
+	MOVLQSX     pv-28(SP), AX
+	ADDQ        CX, AX
+	MOVQ        AX, (R13)
+	ADDQ        DX, R13
+	MOVLQSX     pv-24(SP), AX
+	ADDQ        CX, AX
+	MOVQ        AX, (R13)
+	ADDQ        DX, R13
+	MOVLQSX     pv-20(SP), AX
+	ADDQ        CX, AX
+	MOVQ        AX, (R13)
+
+	// Row swaps: row k+i trades places with row k, whole, in the lanes
+	// whose offset is i.
+	VCMPPD    $4, Y12, Y2, Y6
+	VMOVMSKPD Y6, AX
+	TESTL     AX, AX
+	JE        lfrecip
+	VMOVAPD   Y10, Y3
+	LEAQ      (R14)(R9*1), R13
+	MOVQ      R11, DX
+	SUBQ      CX, DX
+	DECQ      DX
+
+lfswrow:
+	VCMPPD    $0, Y3, Y2, Y7
+	VMOVMSKPD Y7, AX
+	TESTL     AX, AX
+	JE        lfswnext
+	XORQ      AX, AX
+
+lfswj:
+	VMOVUPD   (R14)(AX*1), Y4
+	VMOVUPD   32(R14)(AX*1), Y5
+	VMOVUPD   (R13)(AX*1), Y6
+	VMOVUPD   32(R13)(AX*1), Y8
+	VBLENDVPD Y7, Y6, Y4, Y9
+	VMOVUPD   Y9, (R14)(AX*1)
+	VBLENDVPD Y7, Y8, Y5, Y9
+	VMOVUPD   Y9, 32(R14)(AX*1)
+	VBLENDVPD Y7, Y4, Y6, Y9
+	VMOVUPD   Y9, (R13)(AX*1)
+	VBLENDVPD Y7, Y5, Y8, Y9
+	VMOVUPD   Y9, 32(R13)(AX*1)
+	ADDQ      $64, AX
+	CMPQ      AX, R9
+	JL        lfswj
+
+lfswnext:
+	VADDPD Y10, Y3, Y3
+	ADDQ   R9, R13
+	DECQ   DX
+	JNZ    lfswrow
+
+lfrecip:
+	// 1/u_kk as complex128div(1, u): with x, y = re, im where |re| ≥ |im|
+	// and im, re elsewhere, ratio = y/x and denom = x + ratio·y; then
+	// e = (1 + 0·ratio)/denom, f = (0 − ratio)/denom on the first branch
+	// and e = (ratio + 0)/denom, f = (0·ratio − 1)/denom on the second.
+	VMOVUPD      (R12), Y5
+	VMOVUPD      32(R12), Y6
+	VBROADCASTSD negZero<>(SB), Y11
+	VANDNPD      Y5, Y11, Y7
+	VANDNPD      Y6, Y11, Y8
+	VCMPPD       $2, Y7, Y8, Y9 // |im| ≤ |re|
+	VBLENDVPD    Y9, Y5, Y6, Y7
+	VBLENDVPD    Y9, Y6, Y5, Y8
+	VDIVPD       Y7, Y8, Y0     // ratio
+	VMULPD       Y8, Y0, Y1
+	VADDPD       Y1, Y7, Y1     // denom
+	VMULPD       Y0, Y12, Y2    // 0·ratio
+	VADDPD       Y2, Y10, Y3    // 1 + 0·ratio
+	VADDPD       Y12, Y0, Y4    // ratio + 0
+	VBLENDVPD    Y9, Y3, Y4, Y3
+	VSUBPD       Y0, Y12, Y4    // 0 − ratio
+	VSUBPD       Y10, Y2, Y2    // 0·ratio − 1
+	VBLENDVPD    Y9, Y4, Y2, Y4
+	VDIVPD       Y1, Y3, Y14
+	VDIVPD       Y1, Y4, Y13
+	VANDPD       Y15, Y14, Y14
+	VANDPD       Y15, Y13, Y13
+	VBLENDVPD    Y15, Y14, Y5, Y5
+	VBLENDVPD    Y15, Y13, Y6, Y6
+	VMOVUPD      Y5, (R12)
+	VMOVUPD      Y6, 32(R12)
+
+lfupdate:
+	// For each row below k: m = col·pivInv stored back, and the row past
+	// the column −= m·row k in the lanes where m ≠ 0.
+	LEAQ (R12)(R9*1), R13
+	ADDQ $64, R12
+	MOVQ R11, DX
+	SUBQ CX, DX
+	DECQ DX
+	MOVQ DX, R10
+	SHLQ $6, R10
 
 lfrow:
-	TESTQ     CX, CX
-	JLE       lfdone
-	// m = col·pivInv, stored back whatever it is
-	VMOVUPD   (DI), Y4
-	VMOVUPD   32(DI), Y5
-	VMULPD    Y14, Y4, Y0
-	VMULPD    Y15, Y5, Y8
-	VSUBPD    Y8, Y0, Y0
-	VMULPD    Y15, Y4, Y1
-	VMULPD    Y14, Y5, Y8
-	VADDPD    Y8, Y1, Y1
-	VMOVUPD   Y0, (DI)
-	VMOVUPD   Y1, 32(DI)
-	VCMPPD    $4, Y13, Y0, Y8
-	VCMPPD    $4, Y13, Y1, Y9
-	VORPD     Y9, Y8, Y12
-	VMOVMSKPD Y12, AX
-	TESTL     AX, AX
-	JE        lfskip
-	LEAQ      64(DI), R12
-	MOVQ      SI, R13
-	MOVQ      R10, DX
-
-lfj:
 	TESTQ     DX, DX
-	JLE       lfskip
+	JLE       lfnext
 	VMOVUPD   (R13), Y4
 	VMOVUPD   32(R13), Y5
+	VMULPD    Y14, Y4, Y0
+	VMULPD    Y13, Y5, Y8
+	VSUBPD    Y8, Y0, Y0
+	VMULPD    Y13, Y4, Y1
+	VMULPD    Y14, Y5, Y8
+	VADDPD    Y8, Y1, Y1
+	VMOVUPD   Y0, (R13)
+	VMOVUPD   Y1, 32(R13)
+	VCMPPD    $4, Y12, Y0, Y8
+	VCMPPD    $4, Y12, Y1, Y9
+	VORPD     Y9, Y8, Y11
+	VMOVMSKPD Y11, AX
+	TESTL     AX, AX
+	JE        lfskip
+	XORQ      AX, AX
+
+lfj:
+	VMOVUPD   (R12)(AX*1), Y4
+	VMOVUPD   32(R12)(AX*1), Y5
 	VMULPD    Y0, Y4, Y8
 	VMULPD    Y1, Y5, Y9
 	VSUBPD    Y9, Y8, Y8
 	VMULPD    Y0, Y5, Y9
-	VMULPD    Y1, Y4, Y10
-	VADDPD    Y10, Y9, Y9
-	VMOVUPD   (R12), Y6
-	VMOVUPD   32(R12), Y7
+	VMULPD    Y1, Y4, Y2
+	VADDPD    Y2, Y9, Y9
+	VMOVUPD   64(R13)(AX*1), Y6
+	VMOVUPD   96(R13)(AX*1), Y7
 	VSUBPD    Y8, Y6, Y8
 	VSUBPD    Y9, Y7, Y9
-	VBLENDVPD Y12, Y8, Y6, Y6
-	VBLENDVPD Y12, Y9, Y7, Y7
-	VMOVUPD   Y6, (R12)
-	VMOVUPD   Y7, 32(R12)
-	ADDQ      $64, R12
-	ADDQ      $64, R13
-	DECQ      DX
-	JMP       lfj
+	VBLENDVPD Y11, Y8, Y6, Y6
+	VBLENDVPD Y11, Y9, Y7, Y7
+	VMOVUPD   Y6, 64(R13)(AX*1)
+	VMOVUPD   Y7, 96(R13)(AX*1)
+	ADDQ      $64, AX
+	CMPQ      AX, R10
+	JL        lfj
 
 lfskip:
-	ADDQ R9, DI
-	DECQ CX
+	ADDQ R9, R13
+	DECQ DX
 	JMP  lfrow
 
+lfnext:
+	INCQ CX
+	JMP  lfcol
+
 lfdone:
+	MOVQ CX, ret+56(FP)
 	VZEROUPPER
 	RET
 
-// func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int)
-// Forward, i = 1 … n−1: row i −= Σ_{k<i} lu[i,k]·row k. Back, i = n−1 …
-// floor: row i −= Σ_{k>i} lu[i,k]·row k, then row i ·= lu[i,i]. Both sweeps
-// run one update loop (lsupd): R12 row i, R8 its first multiplier, R13 the
-// first row it reads, DX the multipliers left; phase picks the way back.
-// R10 holds the floor.
-TEXT ·avxLaneLuSolve(SB), NOSPLIT, $8-40
-	MOVQ   b+0(FP), DI
+// func avxLaneMaxAbs(d *float64, elems int, mx *float64) int
+// mx[l] = the largest |re| or |im| of lane l over elems elements (+0 when
+// there are none), the sign cleared by an and-not with the sign mask; it
+// returns the mask of lanes in which some part was NaN, whose mx is
+// whatever VMAXPD kept.
+TEXT ·avxLaneMaxAbs(SB), NOSPLIT, $0-32
+	MOVQ         d+0(FP), DI
+	MOVQ         elems+8(FP), CX
+	VBROADCASTSD negZero<>(SB), Y15
+	VXORPD       Y0, Y0, Y0
+	VXORPD       Y1, Y1, Y1
+	VXORPD       Y2, Y2, Y2
+	TESTQ        CX, CX
+	JLE          lmdone
+
+lmloop:
+	VANDNPD (DI), Y15, Y4
+	VANDNPD 32(DI), Y15, Y5
+	VCMPPD  $3, Y5, Y4, Y6
+	VORPD   Y6, Y2, Y2
+	VMAXPD  Y4, Y0, Y0
+	VMAXPD  Y5, Y1, Y1
+	ADDQ    $64, DI
+	DECQ    CX
+	JNZ     lmloop
+
+lmdone:
+	VMAXPD    Y1, Y0, Y0
+	MOVQ      mx+16(FP), AX
+	VMOVUPD   Y0, (AX)
+	VMOVMSKPD Y2, AX
+	MOVQ      AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int, piv *int, live int)
+// First each lane of live swaps its rows of b as piv[l·n : (l+1)·n] says,
+// k ascending. Then, forward, i = 1 … n−1: row i −= Σ_{k<i} lu[i,k]·row k.
+// Back, i = n−1 … floor: row i −= Σ_{k>i} lu[i,k]·row k, then row i ·=
+// lu[i,i]. Both sweeps run one update loop (lsupd): R12 row i, R8 its first
+// multiplier, R13 the first row it reads, DX the multipliers left; phase
+// picks the way back. R10 holds the floor.
+TEXT ·avxLaneLuSolve(SB), NOSPLIT, $8-56
+	MOVQ b+0(FP), DI
+	MOVQ n+16(FP), R11
+	MOVQ nrhs+24(FP), R9
+	SHLQ $6, R9        // bytes per row of b
+	MOVQ piv+40(FP), R8
+	MOVQ live+48(FP), BX
+	XORQ DX, DX        // lane l's byte offset in an element
+
+lsswl:
+	CMPQ  DX, $32
+	JGE   lsswdone
+	TESTQ $1, BX
+	JE    lsswnext
+	XORQ  CX, CX
+
+lsswk:
+	CMPQ  CX, R11
+	JGE   lsswnext
+	MOVQ  (R8)(CX*8), AX
+	CMPQ  AX, CX
+	JE    lsswkn
+	IMULQ R9, AX
+	LEAQ  (DI)(AX*1), R12
+	ADDQ  DX, R12
+	MOVQ  CX, AX
+	IMULQ R9, AX
+	LEAQ  (DI)(AX*1), R13
+	ADDQ  DX, R13
+	MOVQ  nrhs+24(FP), R14
+
+lsswj:
+	MOVQ (R12), AX
+	MOVQ (R13), SI
+	MOVQ SI, (R12)
+	MOVQ AX, (R13)
+	MOVQ 32(R12), AX
+	MOVQ 32(R13), SI
+	MOVQ SI, 32(R12)
+	MOVQ AX, 32(R13)
+	ADDQ $64, R12
+	ADDQ $64, R13
+	DECQ R14
+	JNZ  lsswj
+
+lsswkn:
+	INCQ CX
+	JMP  lsswk
+
+lsswnext:
+	SHRQ $1, BX
+	LEAQ (R8)(R11*8), R8
+	ADDQ $8, DX
+	JMP  lsswl
+
+lsswdone:
 	MOVQ   lu+8(FP), SI
-	MOVQ   n+16(FP), R11
-	MOVQ   nrhs+24(FP), R9
 	MOVQ   floor+32(FP), R10
-	SHLQ   $6, R9  // bytes per row of b
 	MOVQ   R11, BX
 	SHLQ   $6, BX  // bytes per row of lu
 	VXORPD Y13, Y13, Y13

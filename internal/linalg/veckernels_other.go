@@ -22,7 +22,10 @@ func avxGemmTileNN(dst, a, b *complex128, rows, lda, kLen, p, w int, alpha compl
 func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha complex128) {
 	panic("linalg: no vector kernel")
 }
-func avxLaneFactorCol(col, rowK *float64, rows, stride int, pivInv *float64) {
+func avxLaneFactor(d *float64, n, k int, piv *int, live int, c, pivInv *float64) int {
 	panic("linalg: no vector kernel")
 }
-func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int) { panic("linalg: no vector kernel") }
+func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int, piv *int, live int) {
+	panic("linalg: no vector kernel")
+}
+func avxLaneMaxAbs(d *float64, elems int, mx *float64) int { panic("linalg: no vector kernel") }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
@@ -48,7 +49,7 @@ func LaneSet(ws *linalg.Workspace) Set {
 // invalid after. A solo set's blocks are its workspace's.
 func (set *Set) Release() {
 	if set.lw != nil {
-		set.lw.next = 0
+		set.lw.reset()
 		laneWorkPool.Put(set.lw)
 		set.lw = nil
 	}
@@ -248,32 +249,14 @@ func MaxAbs(a *linalg.Matrix) float64 {
 	return mx
 }
 
-// MaxAbs returns each lane's MaxAbs.
+// MaxAbs returns each lane's MaxAbs (linalg.LaneMaxAbs: math.NaN() in a
+// lane with a NaN part).
 func (set *Set) MaxAbs(a Block) (mx [linalg.Lanes]float64) {
 	if a.M != nil {
 		mx[0] = MaxAbs(a.M)
 		return mx
 	}
-	var nan [linalg.Lanes]bool
-	for o := 0; o < len(a.V.Data)/laneElem; o++ {
-		e := elem(a.V.Data, o)
-		for l := range mx {
-			re, im := math.Abs(e[l]), math.Abs(e[l+linalg.Lanes])
-			if re > mx[l] {
-				mx[l] = re
-			}
-			if im > mx[l] {
-				mx[l] = im
-			}
-			nan[l] = nan[l] || re != re || im != im
-		}
-	}
-	for l, n := range nan {
-		if n { // MaxAbs propagates a NaN
-			mx[l] = math.NaN()
-		}
-	}
-	return mx
+	return linalg.LaneMaxAbs(a.V)
 }
 
 // Add sets dst += src in the lanes of live.
@@ -394,29 +377,68 @@ func moveCols(blk, b *linalg.Matrix, rows []int, j0 int, put bool) {
 }
 
 // laneWork is the scratch of a lane set: lane matrices handed out in
-// order and reused by the next set, and the lane factor's scratch.
+// order, their headers in one slice and their data in one slab, reused by
+// the next set, and the lane factor's scratch. A set that outgrows them
+// takes each block past them from the heap, and its release grows them to
+// what it used; a work the pool makes after a GC dropped its last starts
+// at the largest size any set has used, so that refill costs a handful of
+// allocations, not two per block.
 type laneWork struct {
-	mats []*linalg.LaneMatrix
-	next int
-	lu   linalg.LaneLU
+	mats       []linalg.LaneMatrix
+	slab       []float64
+	next, used int // headers and slab float64s handed out
+	lu         linalg.LaneLU
 }
 
-var laneWorkPool = sync.Pool{New: func() any { return new(laneWork) }}
+// laneWorkSize is the most headers and slab float64s one lane set has used.
+var laneWorkSize struct{ mats, slab atomic.Int64 }
+
+var laneWorkPool = sync.Pool{New: func() any {
+	return &laneWork{
+		mats: make([]linalg.LaneMatrix, laneWorkSize.mats.Load()),
+		slab: make([]float64, laneWorkSize.slab.Load()),
+	}
+}}
 
 // get returns a rows×cols lane matrix, zeroed if zero, valid until the
 // work is put back in the pool.
 func (w *laneWork) get(rows, cols int, zero bool) *linalg.LaneMatrix {
-	if w.next == len(w.mats) {
-		w.mats = append(w.mats, new(linalg.LaneMatrix))
+	var m *linalg.LaneMatrix
+	if w.next < len(w.mats) {
+		m = &w.mats[w.next]
+	} else {
+		m = new(linalg.LaneMatrix)
 	}
-	m := w.mats[w.next]
 	w.next++
 	n := rows * cols * laneElem
-	if cap(m.Data) < n {
+	if w.used+n <= len(w.slab) {
+		m.Data = w.slab[w.used : w.used+n : w.used+n]
+		if zero {
+			clear(m.Data)
+		}
+	} else {
 		m.Data = make([]float64, n)
-	} else if m.Data = m.Data[:n]; zero {
-		clear(m.Data)
 	}
+	w.used += n
 	m.Rows, m.Cols = rows, cols
 	return m
+}
+
+// reset readies w for the next set, grown to what this one used.
+func (w *laneWork) reset() {
+	if w.next > len(w.mats) {
+		w.mats = make([]linalg.LaneMatrix, w.next)
+		growTo(&laneWorkSize.mats, w.next)
+	}
+	if w.used > len(w.slab) {
+		w.slab = make([]float64, w.used)
+		growTo(&laneWorkSize.slab, w.used)
+	}
+	w.next, w.used = 0, 0
+}
+
+// growTo raises a to v if it is below.
+func growTo(a *atomic.Int64, v int) {
+	for o := a.Load(); o < int64(v) && !a.CompareAndSwap(o, int64(v)); o = a.Load() {
+	}
 }
