@@ -99,8 +99,13 @@ race:
 # runs once more at the benchmark's full 20 cells and three gate points:
 # there the AVX build solves each group's RGF in lanes and the purego
 # build, which forms no lanes, solves every energy solo, so the two
-# compare lanes against solo end to end.
+# compare lanes against solo end to end. wire_serial's own grid (sinw,
+# 400 energies on [-2, 2] eV) runs in both loops too: 3 of its lanes are
+# solved solo where a record's guard keeps a layer whole, and 6–18 % of
+# its lane-kernel updates meet a partial mask (a lane retired early, its
+# couplings zeroed) and run the blend loops, the rest the blend-free ones.
 PORTABLE_WF = -device sinw -formalism wf -ne 60
+PORTABLE_WIRE = -device sinw -formalism wf -ne 400 -emin -2 -emax 2
 PORTABLE_WF_NARROW = -device agnr7 -formalism wf -ne 120
 PORTABLE_WF_RIBBON = -device agnr7 -formalism wf -ne 1500
 PORTABLE_IV = -device agnr7 -formalism negf -mode iv -nvg 2 -cellsx 8
@@ -113,7 +118,7 @@ portable-kernels:
 	$(GO) test -tags purego ./internal/linalg/ ./internal/sparse/ ./internal/negf/ ./internal/wavefunction/ ./internal/splitsolve/ ./cmd/omen/
 	$(GO) build -o bin/omen ./cmd/omen
 	$(GO) build -tags purego -o bin/omen-purego ./cmd/omen
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_WF_RIBBON)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WIRE)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_WF_RIBBON)" "$(PORTABLE_RGF)" "$(PORTABLE_SPLIT)" "$(PORTABLE_UTB)"; do \
 		bin/omen $$run > bin/portable.avx.txt || exit 1; \
 		bin/omen-purego $$run > bin/portable.purego.txt || exit 1; \
 		grep -q '^# flops' bin/portable.avx.txt || { echo "portable-kernels: no # flops line from omen $$run"; exit 1; }; \
@@ -121,7 +126,7 @@ portable-kernels:
 			|| { echo "portable-kernels: purego output differs from the AVX build on: omen $$run"; exit 1; }; \
 		echo "portable-kernels: omen $$run byte-identical across builds"; \
 	done
-	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_WF_RIBBON)"; do \
+	@for run in "$(PORTABLE_WF)" "$(PORTABLE_WIRE)" "$(PORTABLE_WF_NARROW)" "$(PORTABLE_WF_RIBBON)"; do \
 		bin/omen $$run -workers 1 > bin/portable.w1.txt || exit 1; \
 		bin/omen $$run -workers 2 > bin/portable.w2.txt || exit 1; \
 		cmp bin/portable.w1.txt bin/portable.w2.txt \

@@ -20,9 +20,12 @@ import "math"
 //     over again at that column's update;
 //   - the solve applies each lane's row swaps itself, before its sweeps;
 //   - wherever the solo loop skips an update (a zero multiplier, a zero
-//     pair, a zero unscaled GEMM pair), that lane keeps its old value
-//     through a blend — it never adds a computed 0·x, which is not a no-op
-//     in IEEE arithmetic.
+//     pair, a zero unscaled GEMM pair), that lane keeps its old value — it
+//     never adds a computed 0·x, which is not a no-op in IEEE arithmetic.
+//     An update every lane skips is skipped, and one every lane makes
+//     (nearly all: only a lane that retired early or met a zero coupling
+//     skips) stores its sums; only where the lanes disagree does a
+//     skipping lane keep its row through a blend.
 //
 // The lane kernels count no flop: their caller counts what the solo runs
 // of each lane would have (the self-energy lanes of internal/negf count
@@ -193,12 +196,13 @@ func laneSet(d []float64, e, l int, v complex128) {
 }
 
 // LaneTraceMulConj returns TraceMulConj(a_l, b_l) for every lane l, each
-// lane copied out and summed by TraceMulConj's own loop. It counts no flop.
-func LaneTraceMulConj(a, b *LaneMatrix) (t [Lanes]complex128) {
+// lane copied out into two scratch matrices of ws and summed by
+// TraceMulConj's own loop. It counts no flop.
+func LaneTraceMulConj(a, b *LaneMatrix, ws *Workspace) (t [Lanes]complex128) {
 	checkLaneShape(a, b.Rows, b.Cols, "TraceMulConj")
-	ws := GetWorkspace()
-	defer ws.Release()
 	x, y := ws.Get(a.Rows, a.Cols), ws.Get(a.Rows, a.Cols)
+	defer ws.Put(x)
+	defer ws.Put(y)
 	for l := range t {
 		a.LaneInto(x, l)
 		b.LaneInto(y, l)

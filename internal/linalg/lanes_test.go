@@ -432,6 +432,125 @@ func TestLaneKernelsBitwise(t *testing.T) {
 		}
 	})
 
+	// Partial masks on purpose: in every update lane z's multipliers are
+	// ±0 and every other lane's are nonzero, and the rows lane z reads and
+	// writes hold ±0 and ±Inf, where an update applied anyway would show —
+	// 0·Inf is NaN, and −0 − (−0) is +0. So each GEMM pair and single, each
+	// update of both solve sweeps and each row of the factor's first column
+	// runs with a partial mask: a kernel that took its blend-free loop there
+	// moves lane z's bits.
+	t.Run("partial", func(t *testing.T) {
+		r := rand.New(rand.NewSource(89))
+		nz := math.Copysign(0, -1)
+		// edge[:4] are the signed zeros.
+		edge := []complex128{0, complex(nz, 0), complex(0, nz), complex(nz, nz), complex(math.Inf(1), 0), complex(nz, math.Inf(-1))}
+		fill := func(rows, cols int, at func() complex128) *Matrix {
+			m := New(rows, cols)
+			for e := range m.Data {
+				m.Data[e] = at()
+			}
+			return m
+		}
+		edges := func(rows, cols int) *Matrix {
+			return fill(rows, cols, func() complex128 { return edge[r.Intn(len(edge))] })
+		}
+		zeros := func(rows, cols int) *Matrix { return fill(rows, cols, func() complex128 { return edge[r.Intn(4)] }) }
+		dense := func(rows, cols int) *Matrix {
+			return fill(rows, cols, func() complex128 { return complex(r.NormFloat64(), r.NormFloat64()) })
+		}
+		boost := func(m *Matrix) *Matrix {
+			for i := 0; i < m.Rows; i++ {
+				m.Data[i*m.Cols+i] += complex(float64(m.Rows), 0.5)
+			}
+			return m
+		}
+		// lanes returns a lane matrix of lane z from at and every other
+		// lane from other, with the solo operands.
+		type draw func(rows, cols int) *Matrix
+		lanes := func(z, rows, cols int, at, other draw) (*LaneMatrix, [Lanes]*Matrix) {
+			lm := NewLaneMatrix(rows, cols)
+			var solo [Lanes]*Matrix
+			for l := range solo {
+				if solo[l] = other(rows, cols); l == z {
+					solo[l] = at(rows, cols)
+				}
+				setLane(lm, l, solo[l])
+			}
+			return lm, solo
+		}
+		for it := 0; it < 48; it++ {
+			z, n, w := it%Lanes, 3+it%6, 1+r.Intn(5)
+			k := 2 + it%7 // pairs, and a single when odd
+
+			a, as := lanes(z, n, k, zeros, dense)
+			b, bs := lanes(z, k, w, edges, dense)
+			seed, seeds := lanes(z, n, w, edges, dense)
+			eachEngine(t, func(engine string) {
+				got := NewLaneMatrix(n, w)
+				got.CopyFrom(seed)
+				LaneGemmInto(got, complex(0.5, -2), a, b, 1)
+				for l := 0; l < Lanes; l++ {
+					want := seeds[l].Clone()
+					refGemmInto(want, complex(0.5, -2), as[l], NoTrans, bs[l], NoTrans, 1)
+					requireLane(t, fmt.Sprintf("%s partial gemm z=%d", engine, z), got, l, want)
+				}
+			})
+
+			// Lane z's factor is diagonal with ±0 elsewhere: every multiplier
+			// of both sweeps is ±0 in lane z alone.
+			f := NewLaneMatrix(n, n)
+			var fs [Lanes]*Matrix
+			var pivs [Lanes][]int
+			for l := range fs {
+				if fs[l], pivs[l] = boost(dense(n, n)), make([]int, n); l == z {
+					fs[l] = boost(zeros(n, n))
+				}
+				if err := refFactorInPlace(fs[l], pivs[l]); err != nil {
+					t.Fatalf("partial solve lane %d: %v", l, err)
+				}
+				setLane(f, l, fs[l])
+			}
+			rhs, rhss := lanes(z, n, w, edges, dense)
+			eachEngine(t, func(engine string) {
+				got := NewLaneMatrix(n, w)
+				got.CopyFrom(rhs)
+				laneSolve(f, slices.Concat(pivs[:]...), allLanes, got, 0)
+				for l := 0; l < Lanes; l++ {
+					requireFloored(t, fmt.Sprintf("%s partial solve z=%d", engine, z), got, l, fs[l], pivs[l], rhss[l], 0)
+				}
+			})
+
+			// Lane z's column 0 is ±0 below a dense pivot row that holds ±0
+			// and ±Inf past it: its multipliers there are ±0.
+			sq, sqs := lanes(z, n, n, func(rows, cols int) *Matrix {
+				m := boost(dense(rows, cols))
+				copy(m.Data[1:cols], edges(1, cols-1).Data)
+				for i := 1; i < rows; i++ {
+					m.Data[i*cols] = edge[r.Intn(4)]
+				}
+				return m
+			}, func(rows, cols int) *Matrix { return boost(dense(rows, cols)) })
+			var sameEngines engineBits
+			eachEngine(t, func(engine string) {
+				lu := NewLaneMatrix(n, n)
+				lu.CopyFrom(sq)
+				piv := make([]int, Lanes*n)
+				singular := laneFactorInPlace(lu, piv, make([]complex128, n), allLanes)
+				sameEngines.check(t, fmt.Sprintf("partial factor z=%d", z), engine, lu, piv)
+				for l := 0; l < Lanes; l++ {
+					want, wantPiv := sqs[l].Clone(), make([]int, n)
+					err := refFactorInPlace(want, wantPiv)
+					if (err != nil) != singular.Has(l) {
+						t.Fatalf("%s partial factor z=%d lane %d: singular %v, reference error %v", engine, z, l, singular.Has(l), err)
+					}
+					if err == nil {
+						requireLane(t, fmt.Sprintf("%s partial factor z=%d", engine, z), lu, l, want)
+					}
+				}
+			})
+		}
+	})
+
 	t.Run("maxabs", func(t *testing.T) {
 		r := rand.New(rand.NewSource(88))
 		for it := 0; it < 200; it++ {
@@ -457,7 +576,9 @@ func TestLaneKernelsBitwise(t *testing.T) {
 			a, as := laneOperands(r, n, w, class)
 			b, bs := laneOperands(r, n, w, class)
 			before := perf.Flops()
-			got := LaneTraceMulConj(a, b)
+			ws := GetWorkspace()
+			got := LaneTraceMulConj(a, b, ws)
+			ws.Release()
 			if d := perf.Flops() - before; d != 0 {
 				t.Fatalf("LaneTraceMulConj counted %d flops", d)
 			}
@@ -563,18 +684,26 @@ func lanePivotsOf(col [3]complex128) [Lanes]int {
 var maxAbsSink [Lanes]float64
 
 // BenchmarkLaneKernels times one Lanes-wide inverse and the decimation's
-// products at its two shapes — AGNR-7's s = 7 layer with 3×4 couplings and
-// the Si nanowire's s = 15 with 10×5 — against Lanes solo calls of the same
-// kernels on the same operands. The inverse runs twice: on diagonally
-// boosted operands, whose factors never swap a row, and on raw ones, whose
-// factors swap at most columns as the decimation's do. maxabs is the
-// decimation's convergence norm over one s×s lane block, the kernel
-// against its scalar loop.
+// products at three shapes — AGNR-7's s = 7 layer with 3×4 couplings, the
+// Si nanowire's s = 15 with 10×5 and the UTB film's s = 20 with 10×10 —
+// against Lanes solo calls of the same kernels on the same operands. The
+// inverse runs on diagonally boosted operands, whose factors never swap a
+// row, and on raw ones, whose factors swap at most columns as the
+// decimation's do. The partial variants zero lane Lanes−1 (the inverse
+// leaves it out of live, as a retired lane is), so every update's lane
+// mask is partial and the kernels run their blend loops; their solo side
+// runs the other lanes. GFlop/s counts what the solo calls of the lanes
+// served count. maxabs is the decimation's convergence norm over one s×s
+// lane block, the kernel against its scalar loop.
 func BenchmarkLaneKernels(b *testing.B) {
 	shapes := []struct {
 		name    string
 		s, r, c int
-	}{{"s7_r3_c4", 7, 3, 4}, {"s15_r10_c5", 15, 10, 5}}
+	}{{"s7_r3_c4", 7, 3, 4}, {"s15_r10_c5", 15, 10, 5}, {"s20_r10_c10", 20, 10, 10}}
+	const dead = Lanes - 1
+	gflops := func(b *testing.B, flops int64) {
+		b.ReportMetric(float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFlop/s")
+	}
 	for _, sh := range shapes {
 		r := rand.New(rand.NewSource(85))
 		raw, raws := laneOperands(r, sh.s, sh.s, "plain")
@@ -586,19 +715,33 @@ func BenchmarkLaneKernels(b *testing.B) {
 			}
 			setLane(bulk, l, bulks[l])
 		}
+		part := NewLaneMatrix(sh.s, sh.s)
+		part.CopyFrom(bulk)
+		setLane(part, dead, New(sh.s, sh.s))
 		alpha, alphas := laneOperands(r, sh.r, sh.c, "plain")
+		alphaPart := NewLaneMatrix(sh.r, sh.c)
+		alphaPart.CopyFrom(alpha)
+		setLane(alphaPart, dead, New(sh.r, sh.c))
 		g, gs := laneOperands(r, sh.c, sh.c, "plain")
+		invFlops := perf.LUFlops(sh.s) + perf.SolveFromRowFlops(sh.s, 0, sh.s)
 		for _, op := range []struct {
 			name  string
 			lanes *LaneMatrix
-			solo  [Lanes]*Matrix
-		}{{"inverse", bulk, bulks}, {"inverse-pivoting", raw, raws}} {
+			live  LaneMask
+			solo  []*Matrix
+		}{
+			{"inverse", bulk, allLanes, bulks[:]},
+			{"inverse-pivoting", raw, allLanes, raws[:]},
+			{"inverse-partial", part, allLanes &^ (1 << dead), bulks[:dead]},
+		} {
+			flops := int64(len(op.solo)) * invFlops
 			b.Run(sh.name+"/"+op.name+"/lanes", func(b *testing.B) {
 				inv := NewLaneMatrix(sh.s, sh.s)
 				var f LaneLU
 				for i := 0; i < b.N; i++ {
-					LaneInverseInto(inv, op.lanes, allLanes, &f)
+					LaneInverseInto(inv, op.lanes, op.live, &f)
 				}
+				gflops(b, flops)
 			})
 			b.Run(sh.name+"/"+op.name+"/solo", func(b *testing.B) {
 				ws := GetWorkspace()
@@ -609,22 +752,32 @@ func BenchmarkLaneKernels(b *testing.B) {
 						_ = InverseInto(inv, a, ws)
 					}
 				}
+				gflops(b, flops)
 			})
 		}
-		b.Run(sh.name+"/gemm/lanes", func(b *testing.B) {
-			dst := NewLaneMatrix(sh.r, sh.c)
-			for i := 0; i < b.N; i++ {
-				LaneGemmInto(dst, 1, alpha, g, 0)
-			}
-		})
-		b.Run(sh.name+"/gemm/solo", func(b *testing.B) {
-			dst := New(sh.r, sh.c)
-			for i := 0; i < b.N; i++ {
-				for l := range alphas {
-					MulInto(dst, alphas[l], NoTrans, gs[l], NoTrans)
+		for _, op := range []struct {
+			name  string
+			lanes *LaneMatrix
+			solo  []*Matrix
+		}{{"gemm", alpha, alphas[:]}, {"gemm-partial", alphaPart, alphas[:dead]}} {
+			flops := int64(len(op.solo)) * perf.GemmFlops(sh.r, sh.c, sh.c)
+			b.Run(sh.name+"/"+op.name+"/lanes", func(b *testing.B) {
+				dst := NewLaneMatrix(sh.r, sh.c)
+				for i := 0; i < b.N; i++ {
+					LaneGemmInto(dst, 1, op.lanes, g, 0)
 				}
-			}
-		})
+				gflops(b, flops)
+			})
+			b.Run(sh.name+"/"+op.name+"/solo", func(b *testing.B) {
+				dst := New(sh.r, sh.c)
+				for i := 0; i < b.N; i++ {
+					for l, a := range op.solo {
+						MulInto(dst, a, NoTrans, gs[l], NoTrans)
+					}
+				}
+				gflops(b, flops)
+			})
+		}
 		for _, avx := range []bool{true, false} {
 			name := sh.name + "/maxabs/lanes"
 			if !avx {

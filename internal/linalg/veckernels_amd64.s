@@ -802,10 +802,61 @@ gtret:
 // Lane kernels. A lane-matrix element is 64 bytes: the Lanes real parts,
 // then the Lanes imaginary parts, one ymm vector each. A complex product
 // x·y is four VMULPDs and a VSUBPD/VADDPD pair — xr·yr − xi·yi and
-// xr·yi + xi·yr, the Go tree in every lane — with no shuffle. A lane whose
-// multiplier (pair) is zero keeps its row through VBLENDVPD on the mask
-// VCMPPD $4 (not-equal, unordered: a NaN is nonzero) builds; a row whose
-// mask is empty in every lane is skipped outright.
+// xr·yi + xi·yr, the Go tree in every lane — with no shuffle. An update's
+// lane mask is VCMPPD $4 (not-equal, unordered: a NaN is nonzero) of its
+// multipliers against zero. An empty mask skips the update; a full one,
+// nearly every update, runs a loop that stores each sum as is; only a
+// partial one runs the loop that keeps an unselected lane's old row
+// through VBLENDVPD. Both loops run one element body, a #define. A loop
+// index the full-mask branch needs zeroed is zeroed by XORQ after the
+// branch, whose flags XORQ would clobber (Go's compiler turns MOV $0 into
+// XOR where flags are dead; this assembler keeps MOVL $0 a MOV).
+
+// LANEMUL(tmp): Y8 + i·Y9 = (Y0 + i·Y1)·(Y4 + i·Y5); tmp is clobbered.
+#define LANEMUL(tmp) \
+	VMULPD Y0, Y4, Y8; \
+	VMULPD Y1, Y5, Y9; \
+	VSUBPD Y9, Y8, Y8; \
+	VMULPD Y0, Y5, Y9; \
+	VMULPD Y1, Y4, tmp; \
+	VADDPD tmp, Y9, Y9
+
+// LANEMUL2: Y8 + i·Y9 = (Y0 + i·Y1)·(Y4 + i·Y5) + (Y2 + i·Y3)·(Y6 + i·Y7),
+// the two products summed as the reference sums a pair; Y4, Y10 and Y11
+// are clobbered.
+#define LANEMUL2 \
+	LANEMUL(Y10); \
+	VMULPD Y2, Y6, Y10; \
+	VMULPD Y3, Y7, Y11; \
+	VSUBPD Y11, Y10, Y10; \
+	VMULPD Y2, Y7, Y11; \
+	VMULPD Y3, Y6, Y4; \
+	VADDPD Y4, Y11, Y11; \
+	VADDPD Y10, Y8, Y8; \
+	VADDPD Y11, Y9, Y9
+
+// LGPAIR: one element of a GEMM pair update, dst + s0·b0 + s1·b1 into Y8,
+// Y9 and the old dst into Y4, Y5.
+#define LGPAIR \
+	VMOVUPD (R13), Y4; \
+	VMOVUPD 32(R13), Y5; \
+	VMOVUPD (R14), Y6; \
+	VMOVUPD 32(R14), Y7; \
+	LANEMUL2; \
+	VMOVUPD (R12), Y4; \
+	VMOVUPD 32(R12), Y5; \
+	VADDPD  Y8, Y4, Y8; \
+	VADDPD  Y9, Y5, Y9
+
+// LGSINGLE: one element of the odd k's update, dst + s0·b0 likewise.
+#define LGSINGLE \
+	VMOVUPD (R13), Y4; \
+	VMOVUPD 32(R13), Y5; \
+	LANEMUL(Y10); \
+	VMOVUPD (R12), Y4; \
+	VMOVUPD 32(R12), Y5; \
+	VADDPD  Y8, Y4, Y8; \
+	VADDPD  Y9, Y5, Y9
 
 // func avxLaneGemmTile(dst, a, b *float64, rows, lda, kLen, p, w int, alpha complex128)
 TEXT ·avxLaneGemmTile(SB), NOSPLIT, $0-80
@@ -862,41 +913,34 @@ lgpair:
 	MOVQ   R8, R13
 	LEAQ   (R8)(R9*1), R14
 	MOVQ   R10, DX
+	CMPL   AX, $15
+	JE     lgpf
 
 lgpj:
 	TESTQ     DX, DX
 	JLE       lgpskip
-	VMOVUPD   (R13), Y4
-	VMOVUPD   32(R13), Y5
-	VMOVUPD   (R14), Y6
-	VMOVUPD   32(R14), Y7
-	VMULPD    Y0, Y4, Y8
-	VMULPD    Y1, Y5, Y9
-	VSUBPD    Y9, Y8, Y8    // s0·b0, real
-	VMULPD    Y0, Y5, Y9
-	VMULPD    Y1, Y4, Y10
-	VADDPD    Y10, Y9, Y9   // s0·b0, imaginary
-	VMULPD    Y2, Y6, Y10
-	VMULPD    Y3, Y7, Y11
-	VSUBPD    Y11, Y10, Y10 // s1·b1, real
-	VMULPD    Y2, Y7, Y11
-	VMULPD    Y3, Y6, Y4
-	VADDPD    Y4, Y11, Y11  // s1·b1, imaginary
-	VADDPD    Y10, Y8, Y8
-	VADDPD    Y11, Y9, Y9
-	VMOVUPD   (R12), Y4
-	VMOVUPD   32(R12), Y5
-	VADDPD    Y8, Y4, Y8
-	VADDPD    Y9, Y5, Y9
-	VBLENDVPD Y12, Y8, Y4, Y4
-	VBLENDVPD Y12, Y9, Y5, Y5
-	VMOVUPD   Y4, (R12)
-	VMOVUPD   Y5, 32(R12)
+	LGPAIR
+	VBLENDVPD Y12, Y8, Y4, Y8
+	VBLENDVPD Y12, Y9, Y5, Y9
+	VMOVUPD   Y8, (R12)
+	VMOVUPD   Y9, 32(R12)
 	ADDQ      $64, R12
 	ADDQ      $64, R13
 	ADDQ      $64, R14
 	DECQ      DX
 	JMP       lgpj
+
+lgpf:
+	TESTQ   DX, DX
+	JLE     lgpskip
+	LGPAIR
+	VMOVUPD Y8, (R12)
+	VMOVUPD Y9, 32(R12)
+	ADDQ    $64, R12
+	ADDQ    $64, R13
+	ADDQ    $64, R14
+	DECQ    DX
+	JMP     lgpf
 
 lgpskip:
 	ADDQ $128, SI
@@ -924,30 +968,32 @@ lgsingle:
 	MOVQ      DI, R12
 	MOVQ      R8, R13
 	MOVQ      R10, DX
+	CMPL      AX, $15
+	JE        lgsf
 
 lgsj:
 	TESTQ     DX, DX
 	JLE       lgrowend
-	VMOVUPD   (R13), Y4
-	VMOVUPD   32(R13), Y5
-	VMULPD    Y0, Y4, Y8
-	VMULPD    Y1, Y5, Y9
-	VSUBPD    Y9, Y8, Y8
-	VMULPD    Y0, Y5, Y9
-	VMULPD    Y1, Y4, Y10
-	VADDPD    Y10, Y9, Y9
-	VMOVUPD   (R12), Y4
-	VMOVUPD   32(R12), Y5
-	VADDPD    Y8, Y4, Y8
-	VADDPD    Y9, Y5, Y9
-	VBLENDVPD Y12, Y8, Y4, Y4
-	VBLENDVPD Y12, Y9, Y5, Y5
-	VMOVUPD   Y4, (R12)
-	VMOVUPD   Y5, 32(R12)
+	LGSINGLE
+	VBLENDVPD Y12, Y8, Y4, Y8
+	VBLENDVPD Y12, Y9, Y5, Y9
+	VMOVUPD   Y8, (R12)
+	VMOVUPD   Y9, 32(R12)
 	ADDQ      $64, R12
 	ADDQ      $64, R13
 	DECQ      DX
 	JMP       lgsj
+
+lgsf:
+	TESTQ   DX, DX
+	JLE     lgrowend
+	LGSINGLE
+	VMOVUPD Y8, (R12)
+	VMOVUPD Y9, 32(R12)
+	ADDQ    $64, R12
+	ADDQ    $64, R13
+	DECQ    DX
+	JMP     lgsf
 
 lgrowend:
 	DECQ R11
@@ -963,6 +1009,17 @@ lgdone:
 
 lgret:
 	RET
+
+// LFROW: one element of a factor row update at byte AX past the column,
+// row − m·row k into Y8, Y9 and the old row into Y6, Y7.
+#define LFROW \
+	VMOVUPD (R12)(AX*1), Y4; \
+	VMOVUPD 32(R12)(AX*1), Y5; \
+	LANEMUL(Y2); \
+	VMOVUPD 64(R13)(AX*1), Y6; \
+	VMOVUPD 96(R13)(AX*1), Y7; \
+	VSUBPD  Y8, Y6, Y8; \
+	VSUBPD  Y9, Y7, Y9
 
 // func avxLaneFactor(d *float64, n, k int, piv *int, live int, c, pivInv *float64) int
 // The lane factor (laneFactorInPlace) from column k on, for as long as |z|²
@@ -1214,28 +1271,31 @@ lfrow:
 	VMOVMSKPD Y11, AX
 	TESTL     AX, AX
 	JE        lfskip
-	XORQ      AX, AX
+	CMPL      AX, $15
+	JE        lffull
+	XORQ      AX, AX // after the JE: XORQ clobbers the flags it reads
 
 lfj:
-	VMOVUPD   (R12)(AX*1), Y4
-	VMOVUPD   32(R12)(AX*1), Y5
-	VMULPD    Y0, Y4, Y8
-	VMULPD    Y1, Y5, Y9
-	VSUBPD    Y9, Y8, Y8
-	VMULPD    Y0, Y5, Y9
-	VMULPD    Y1, Y4, Y2
-	VADDPD    Y2, Y9, Y9
-	VMOVUPD   64(R13)(AX*1), Y6
-	VMOVUPD   96(R13)(AX*1), Y7
-	VSUBPD    Y8, Y6, Y8
-	VSUBPD    Y9, Y7, Y9
-	VBLENDVPD Y11, Y8, Y6, Y6
-	VBLENDVPD Y11, Y9, Y7, Y7
-	VMOVUPD   Y6, 64(R13)(AX*1)
-	VMOVUPD   Y7, 96(R13)(AX*1)
+	LFROW
+	VBLENDVPD Y11, Y8, Y6, Y8
+	VBLENDVPD Y11, Y9, Y7, Y9
+	VMOVUPD   Y8, 64(R13)(AX*1)
+	VMOVUPD   Y9, 96(R13)(AX*1)
 	ADDQ      $64, AX
 	CMPQ      AX, R10
 	JL        lfj
+	JMP       lfskip // lfj is a do-while: do not fall into lff
+
+lffull:
+	XORQ AX, AX
+
+lff:
+	LFROW
+	VMOVUPD Y8, 64(R13)(AX*1)
+	VMOVUPD Y9, 96(R13)(AX*1)
+	ADDQ    $64, AX
+	CMPQ    AX, R10
+	JL      lff
 
 lfskip:
 	ADDQ R9, R13
@@ -1285,6 +1345,29 @@ lmdone:
 	MOVQ      AX, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// LSPAIR: one element of a solve pair update at byte AX of the rows, row
+// i − (m0·r0 + m1·r1) into Y8, Y9 and the old row i into Y4, Y5.
+#define LSPAIR \
+	VMOVUPD (R13)(AX*1), Y4; \
+	VMOVUPD 32(R13)(AX*1), Y5; \
+	VMOVUPD (R14)(AX*1), Y6; \
+	VMOVUPD 32(R14)(AX*1), Y7; \
+	LANEMUL2; \
+	VMOVUPD (R12)(AX*1), Y4; \
+	VMOVUPD 32(R12)(AX*1), Y5; \
+	VSUBPD  Y8, Y4, Y8; \
+	VSUBPD  Y9, Y5, Y9
+
+// LSSINGLE: one element of the lone trailing k's update likewise.
+#define LSSINGLE \
+	VMOVUPD (R13)(AX*1), Y4; \
+	VMOVUPD 32(R13)(AX*1), Y5; \
+	LANEMUL(Y10); \
+	VMOVUPD (R12)(AX*1), Y4; \
+	VMOVUPD 32(R12)(AX*1), Y5; \
+	VSUBPD  Y8, Y4, Y8; \
+	VSUBPD  Y9, Y5, Y9
 
 // func avxLaneLuSolve(b, lu *float64, n, nrhs, floor int, piv *int, live int)
 // First each lane of live swaps its rows of b as piv[l·n : (l+1)·n] says,
@@ -1412,39 +1495,32 @@ lsupd:
 	TESTL     AX, AX
 	JE        lspskip
 	LEAQ      (R13)(R9*1), R14
-	XORQ      AX, AX
+	CMPL      AX, $15
+	JE        lspfull
+	XORQ      AX, AX // after the JE: XORQ clobbers the flags it reads
 
 lspj:
 	CMPQ      AX, R9
 	JGE       lspskip
-	VMOVUPD   (R13)(AX*1), Y4
-	VMOVUPD   32(R13)(AX*1), Y5
-	VMOVUPD   (R14)(AX*1), Y6
-	VMOVUPD   32(R14)(AX*1), Y7
-	VMULPD    Y0, Y4, Y8
-	VMULPD    Y1, Y5, Y9
-	VSUBPD    Y9, Y8, Y8    // m0·r0, real
-	VMULPD    Y0, Y5, Y9
-	VMULPD    Y1, Y4, Y10
-	VADDPD    Y10, Y9, Y9   // m0·r0, imaginary
-	VMULPD    Y2, Y6, Y10
-	VMULPD    Y3, Y7, Y11
-	VSUBPD    Y11, Y10, Y10 // m1·r1, real
-	VMULPD    Y2, Y7, Y11
-	VMULPD    Y3, Y6, Y4
-	VADDPD    Y4, Y11, Y11  // m1·r1, imaginary
-	VADDPD    Y10, Y8, Y8
-	VADDPD    Y11, Y9, Y9
-	VMOVUPD   (R12)(AX*1), Y4
-	VMOVUPD   32(R12)(AX*1), Y5
-	VSUBPD    Y8, Y4, Y8
-	VSUBPD    Y9, Y5, Y9
-	VBLENDVPD Y12, Y8, Y4, Y4
-	VBLENDVPD Y12, Y9, Y5, Y5
-	VMOVUPD   Y4, (R12)(AX*1)
-	VMOVUPD   Y5, 32(R12)(AX*1)
+	LSPAIR
+	VBLENDVPD Y12, Y8, Y4, Y8
+	VBLENDVPD Y12, Y9, Y5, Y9
+	VMOVUPD   Y8, (R12)(AX*1)
+	VMOVUPD   Y9, 32(R12)(AX*1)
 	ADDQ      $64, AX
 	JMP       lspj
+
+lspfull:
+	XORQ AX, AX
+
+lspf:
+	CMPQ    AX, R9
+	JGE     lspskip
+	LSPAIR
+	VMOVUPD Y8, (R12)(AX*1)
+	VMOVUPD Y9, 32(R12)(AX*1)
+	ADDQ    $64, AX
+	JMP     lspf
 
 lspskip:
 	ADDQ $128, R8
@@ -1463,29 +1539,32 @@ lssingle:
 	VMOVMSKPD Y12, AX
 	TESTL     AX, AX
 	JE        lsupddone
-	XORQ      AX, AX
+	CMPL      AX, $15
+	JE        lssfull
+	XORQ      AX, AX // after the JE: XORQ clobbers the flags it reads
 
 lssj:
 	CMPQ      AX, R9
 	JGE       lsupddone
-	VMOVUPD   (R13)(AX*1), Y4
-	VMOVUPD   32(R13)(AX*1), Y5
-	VMULPD    Y0, Y4, Y8
-	VMULPD    Y1, Y5, Y9
-	VSUBPD    Y9, Y8, Y8
-	VMULPD    Y0, Y5, Y9
-	VMULPD    Y1, Y4, Y10
-	VADDPD    Y10, Y9, Y9
-	VMOVUPD   (R12)(AX*1), Y4
-	VMOVUPD   32(R12)(AX*1), Y5
-	VSUBPD    Y8, Y4, Y8
-	VSUBPD    Y9, Y5, Y9
-	VBLENDVPD Y12, Y8, Y4, Y4
-	VBLENDVPD Y12, Y9, Y5, Y5
-	VMOVUPD   Y4, (R12)(AX*1)
-	VMOVUPD   Y5, 32(R12)(AX*1)
+	LSSINGLE
+	VBLENDVPD Y12, Y8, Y4, Y8
+	VBLENDVPD Y12, Y9, Y5, Y9
+	VMOVUPD   Y8, (R12)(AX*1)
+	VMOVUPD   Y9, 32(R12)(AX*1)
 	ADDQ      $64, AX
 	JMP       lssj
+
+lssfull:
+	XORQ AX, AX
+
+lssf:
+	CMPQ    AX, R9
+	JGE     lsupddone
+	LSSINGLE
+	VMOVUPD Y8, (R12)(AX*1)
+	VMOVUPD Y9, 32(R12)(AX*1)
+	ADDQ    $64, AX
+	JMP     lssf
 
 lsupddone:
 	CMPQ phase-8(SP), $0

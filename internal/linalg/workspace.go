@@ -3,6 +3,7 @@ package linalg
 import (
 	"math/bits"
 	"sync"
+	"sync/atomic"
 )
 
 // Workspace is a size-bucketed scratch allocator for the dense kernels.
@@ -35,6 +36,12 @@ import (
 // which Get always makes a power of two. Int slices carry no slot; the
 // few a solve holds at once sit in outInts and PutInts finds its slice by
 // a scan from the most recent.
+//
+// A workspace the pool makes after a GC dropped the pooled ones starts
+// with as many buffers of each class as any workspace has held: their
+// headers in one slice and their data in one slab (int slices likewise),
+// each buffer a three-index slice whose capacity ends where its
+// neighbour's begins. Its first solve then allocates nothing per buffer.
 type Workspace struct {
 	// free holds returned matrices by the exponent of their capacity (in
 	// complex128 elements); freeInts likewise for int slices.
@@ -43,12 +50,61 @@ type Workspace struct {
 	// out and outInts hold what is checked out.
 	out     []*Matrix
 	outInts [][]int
+	// grown is set when Get or GetInts allocated; Release then raises
+	// workspaceSize to what the workspace holds.
+	grown bool
 }
+
+// workspaceSize is, per size class, the most matrices and int slices one
+// workspace has held.
+var workspaceSize [bits.UintSize]struct{ mats, ints atomic.Int64 }
 
 // workspacePool recycles whole Workspaces across solves. sync.Pool's
 // per-P fast path means a worker goroutine pinned to a processor keeps
 // reusing the same warm buffers for consecutive energy points.
-var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
+var workspacePool = sync.Pool{New: func() any { return newWorkspace() }}
+
+// newWorkspace returns a workspace holding workspaceSize's buffers.
+func newWorkspace() *Workspace {
+	var mats, ints [bits.UintSize]int
+	var nMats, nInts, elems, intElems int
+	for c := range workspaceSize {
+		mats[c], ints[c] = int(workspaceSize[c].mats.Load()), int(workspaceSize[c].ints.Load())
+		nMats, elems = nMats+mats[c], elems+mats[c]<<c
+		nInts, intElems = nInts+ints[c], intElems+ints[c]<<c
+	}
+	w := new(Workspace)
+	if nMats > 0 {
+		hdrs, slab := make([]Matrix, nMats), make([]complex128, elems)
+		lists := make([]*Matrix, 2*nMats) // the free lists, then out
+		w.out = lists[nMats:nMats:len(lists)]
+		i, at := 0, 0
+		for c, n := range mats {
+			w.free[c] = lists[i : i+n : i+n]
+			for j := range w.free[c] {
+				hdrs[i+j].Data = slab[at : at : at+1<<c]
+				w.free[c][j] = &hdrs[i+j]
+				at += 1 << c
+			}
+			i += n
+		}
+	}
+	if nInts > 0 {
+		slab := make([]int, intElems)
+		lists := make([][]int, 2*nInts) // the free lists, then outInts
+		w.outInts = lists[nInts:nInts:len(lists)]
+		i, at := 0, 0
+		for c, n := range ints {
+			w.freeInts[c] = lists[i : i+n : i+n]
+			for j := range w.freeInts[c] {
+				w.freeInts[c][j] = slab[at : at+1<<c : at+1<<c]
+				at += 1 << c
+			}
+			i += n
+		}
+	}
+	return w
+}
 
 // GetWorkspace checks a Workspace out of the shared pool.
 func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
@@ -68,7 +124,20 @@ func (w *Workspace) Release() {
 		w.freeInts[class] = append(w.freeInts[class], s)
 	}
 	w.outInts = w.outInts[:0]
+	if w.grown {
+		for c := range workspaceSize {
+			growTo(&workspaceSize[c].mats, len(w.free[c]))
+			growTo(&workspaceSize[c].ints, len(w.freeInts[c]))
+		}
+		w.grown = false
+	}
 	workspacePool.Put(w)
+}
+
+// growTo raises a to v if it is below.
+func growTo(a *atomic.Int64, v int) {
+	for o := a.Load(); o < int64(v) && !a.CompareAndSwap(o, int64(v)); o = a.Load() {
+	}
 }
 
 // classExp returns the exponent of the smallest power of two ≥ n (minimum
@@ -97,6 +166,7 @@ func (w *Workspace) Get(rows, cols int) *Matrix {
 		m.Zero()
 	} else {
 		m = &Matrix{Rows: rows, Cols: cols, Data: make([]complex128, n, 1<<class)}
+		w.grown = true
 	}
 	w.out = append(w.out, m)
 	m.slot = len(w.out)
@@ -133,6 +203,7 @@ func (w *Workspace) GetInts(n int) []int {
 		w.freeInts[class] = list[:len(list)-1]
 	} else {
 		s = make([]int, 1<<class)
+		w.grown = true
 	}
 	w.outInts = append(w.outInts, s)
 	return s[:n]

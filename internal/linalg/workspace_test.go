@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 )
 
@@ -433,6 +435,102 @@ func TestWorkspaceWarmGetPutAllocatesNothing(t *testing.T) {
 	if a := testing.AllocsPerRun(100, func() { ws.PutInts(ws.GetInts(14)) }); a != 0 {
 		t.Errorf("warm GetInts/PutInts pair: %v allocations, want 0", a)
 	}
+}
+
+// TestWorkspaceSlab: a workspace the pool makes after a GC holds as many
+// buffers of each class as a workspace has held, carved from one slab per
+// kind, so a solve's first checkouts allocate nothing past the workspace's
+// own six allocations; and a buffer filled to its capacity reaches no
+// other buffer.
+func TestWorkspaceSlab(t *testing.T) {
+	checkout := func(w *Workspace) ([]*Matrix, [][]int) {
+		ms, is := make([]*Matrix, 0, 40), make([][]int, 0, 40)
+		for i := 0; i < 40; i++ {
+			ms = append(ms, w.Get(1+i%9, 1+i%5))
+			is = append(is, w.GetInts(1+i%13))
+		}
+		return ms, is
+	}
+	ws := GetWorkspace()
+	checkout(ws)
+	ws.Release() // workspaceSize now covers a checkout
+	if a := testing.AllocsPerRun(10, func() { checkout(newWorkspace()) }); a > 6+2 {
+		t.Errorf("a fresh workspace and its first checkout allocated %v times, want at most 8 (the workspace and the checkout's own slices)", a)
+	}
+	ms, is := checkout(newWorkspace())
+	for k, m := range ms {
+		full := m.Data[:cap(m.Data)]
+		for e := range full {
+			full[e] = complex(float64(k), 0)
+		}
+	}
+	for k, s := range is {
+		full := s[:cap(s)]
+		for e := range full {
+			full[e] = k
+		}
+	}
+	for k, m := range ms {
+		for _, v := range m.Data[:cap(m.Data)] {
+			if v != complex(float64(k), 0) {
+				t.Fatalf("matrix %d holds %v: another buffer reaches into it", k, v)
+			}
+		}
+	}
+	for k, s := range is {
+		for _, v := range s[:cap(s)] {
+			if v != k {
+				t.Fatalf("int slice %d holds %d: another buffer reaches into it", k, v)
+			}
+		}
+	}
+}
+
+// TestWorkspacesConcurrent runs workspaces of different sizes from several
+// goroutines at once, with GCs emptying the pool so that refills carve new
+// slabs while other workspaces raise the sizes they are carved to. Every
+// buffer is filled with its own tag and read back before release: no two
+// buffers share an element, whatever the pool hands out.
+func TestWorkspacesConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for round := 0; round < 40; round++ {
+				if round%10 == g {
+					runtime.GC()
+				}
+				ws := GetWorkspace()
+				var ms []*Matrix
+				var is [][]int
+				for i := 0; i < 4+round%5*g; i++ {
+					m, s := ws.Get(1+(i+g)%7, 1+round%6), ws.GetInts(1+(i*g)%11)
+					for e := range m.Data {
+						m.Data[e] = complex(float64(g), float64(i))
+					}
+					for e := range s {
+						s[e] = g<<16 | i
+					}
+					ms, is = append(ms, m), append(is, s)
+				}
+				for i, m := range ms {
+					for _, v := range m.Data {
+						if v != complex(float64(g), float64(i)) {
+							t.Errorf("goroutine %d round %d: matrix %d reads %v", g, round, i, v)
+						}
+					}
+					for _, v := range is[i] {
+						if v != g<<16|i {
+							t.Errorf("goroutine %d round %d: int slice %d reads %d", g, round, i, v)
+						}
+					}
+				}
+				ws.Release()
+			}
+		}(g)
+	}
+	wg.Wait()
 }
 
 // BenchmarkWorkspaceGetPut is the bookkeeping around one r-sized product:

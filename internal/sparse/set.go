@@ -211,13 +211,13 @@ func (set *Set) FactorSolve(m, b Block, r0 int, live linalg.LaneMask) (failed li
 }
 
 // TraceMulConj returns each lane's Tr[a·b†] (linalg.TraceMulConj),
-// counting no flop on a lane set.
+// counting no flop on a lane set, whose scratch comes from its workspace.
 func (set *Set) TraceMulConj(a, b Block) (t [linalg.Lanes]complex128) {
 	if a.M != nil {
 		t[0] = linalg.TraceMulConj(a.M, b.M)
 		return t
 	}
-	return linalg.LaneTraceMulConj(a.V, b.V)
+	return linalg.LaneTraceMulConj(a.V, b.V, set.ws)
 }
 
 // laneElem is the float64s one element of a lane matrix occupies.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/device"
@@ -266,5 +267,39 @@ func laneKernelRefusals(t *testing.T) {
 		}
 		set.Release()
 		ws.Release()
+	}
+}
+
+// TestWorkspaceRefill holds the scratch a cached WF group draws from its
+// pools to a fixed number of allocations when a GC has emptied them — two
+// GCs empty a sync.Pool — on every T1 family: linalg's workspace and
+// sparse's lane set start at the largest size seen, carved from one slab
+// each, so a refill does not allocate once per buffer. What a refill costs
+// is fixed: the workspace 6 allocations, the lane set's work and its lane
+// factor 6, and each of the two pools re-pins 2–3.
+func TestWorkspaceRefill(t *testing.T) {
+	defer func(old bool) { negf.LaneGroups = old }(negf.LaneGroups)
+	negf.LaneGroups = true
+	ctx := context.Background()
+	es := []float64{1.2, -3.1, 0.01, 0.6}
+	for _, d := range device.BenchmarkSuite() {
+		s, err := NewSolver(familyUnderPotential(t, d), 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Cache = negf.NewSelfEnergyCache()
+		group := func() {
+			g := s.SolveGroup(es, false)
+			for i := range es {
+				g.Take(ctx, i)
+			}
+		}
+		group() // warms the σ-cache and the pools
+		warm := testing.AllocsPerRun(10, group)
+		cold := testing.AllocsPerRun(10, func() { runtime.GC(); runtime.GC(); group() })
+		t.Logf("%s: %.0f allocations warm, %.0f after two GCs", d.Name, warm, cold)
+		if cold > warm+24 {
+			t.Errorf("%s: a cached WF group allocates %.0f times after two GCs, %.0f warm: its scratch refills per buffer", d.Name, cold, warm)
+		}
 	}
 }

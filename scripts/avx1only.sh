@@ -38,18 +38,25 @@ status=0
 for f in "$@"; do
 	# An instruction line starts with white space; labels and the TEXT,
 	# DATA and GLOBL directives start in column 0. Comments are dropped,
-	# and `;` separates instructions on one line.
+	# and `;` separates instructions on one line. A #define's body lines
+	# (each continued by a trailing `\`) are checked as instructions, so
+	# an invocation of the macro, which the assembler must see after its
+	# #define, is only a name here and is skipped.
 	bad=$(awk -v allow="$ALLOW" -v file="$f" '
 		BEGIN { n = split(allow, a, /[ \t\n]+/); for (i = 1; i <= n; i++) if (a[i] != "") ok[a[i]] = 1 }
+		/^#define[ \t]/ { name = $2; sub(/\(.*/, "", name); macro[name] = 1; next }
 		{
 			line = $0
 			sub(/\/\/.*/, "", line)
+			sub(/\\[ \t]*$/, "", line)
 			if (line !~ /^[ \t]/) next
 			m = split(line, ins, ";")
 			for (i = 1; i <= m; i++) {
 				s = ins[i]
 				sub(/^[ \t]+/, "", s)
 				if (s == "") continue
+				split(s, w, /[ \t(]+/)
+				if (w[1] in macro) continue
 				split(s, w, /[ \t]+/)
 				if (!(w[1] in ok)) printf "%s:%d: %s is not in the AVX1 allowlist\n", file, NR, w[1]
 				else if (w[1] == "VBROADCASTSD" && s ~ /^VBROADCASTSD[ \t]+[XY][0-9]+/)
