@@ -4,7 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/cmplx"
-	"sort"
+	"slices"
 
 	"repro/internal/perf"
 )
@@ -32,7 +32,7 @@ var ErrNoConvergence = errors.New("linalg: QL iteration failed to converge")
 // transposed (row j of qt is column j of Q), so every Householder update
 // and every QL plane rotation streams contiguous rows; one transpose,
 // fused with the eigenvalue sort, produces the column eigenvectors.
-func EigH(a *Matrix) (*EigenH, error) { return eigH(a, perf.AddFlops) }
+func EigH(a *Matrix) (*EigenH, error) { return eigHeap(a, true) }
 
 // EigHFlops returns the flops EigH counts on an n×n matrix that converges:
 // the Householder reduction and its accumulation, then the QL vector
@@ -48,25 +48,46 @@ func eigReductionFlops(n int) int64 { return 16 * int64(n) * int64(n) * int64(n)
 // journals; set-up that every process repeats once, inside whichever task
 // first builds its solver, would otherwise make a run's total depend on how
 // many processes ran it.
-func EigHSetup(a *Matrix) (*EigenH, error) { return eigH(a, func(int64) {}) }
+func EigHSetup(a *Matrix) (*EigenH, error) { return eigHeap(a, false) }
 
-// eigH is EigH reporting its flops to count.
-func eigH(a *Matrix, count func(int64)) (*EigenH, error) {
+// eigHeap is EigHIn with its results copied out of a pooled workspace.
+func eigHeap(a *Matrix, count bool) (*EigenH, error) {
+	ws := GetWorkspace()
+	defer ws.Release()
+	eig, err := EigHIn(a, ws, count)
+	if err != nil {
+		return nil, err
+	}
+	return &EigenH{Values: slices.Clone(eig.Values), Vectors: eig.Vectors.Clone()}, nil
+}
+
+// EigHIn is EigH, or EigHSetup where count is false, with every buffer
+// checked out of ws: the same bits, and the returned Values and Vectors
+// are ws's scratch, valid until its Release (Vectors may be Put back
+// earlier).
+func EigHIn(a *Matrix, ws *Workspace, count bool) (EigenH, error) {
 	if a.Rows != a.Cols {
-		return nil, errors.New("linalg: EigH requires a square matrix")
+		return EigenH{}, errors.New("linalg: EigH requires a square matrix")
 	}
 	n := a.Rows
 	if n == 0 {
-		return &EigenH{Values: nil, Vectors: New(0, 0)}, nil
+		return EigenH{Vectors: ws.Get(0, 0)}, nil
 	}
-	w := a.Clone() // working copy, reduced in place
+	w := ws.Get(n, n) // working copy, reduced in place
+	defer ws.Put(w)
+	copy(w.Data, a.Data)
 	wd := w.Data
-	qt := Identity(n)
+	qt := ws.Get(n, n)
+	defer ws.Put(qt)
+	for i := 0; i < n; i++ {
+		qt.Data[i*n+i] = 1
+	}
+	tmp := ws.Get(4, n) // v, hv, qv and phase
+	defer ws.Put(tmp)
 
 	// Householder reduction to Hermitian tridiagonal form.
-	v := make([]complex128, n)
-	hv := make([]complex128, n)
-	qv := make([]complex128, n) // Q·v of the accumulation step
+	v, hv := tmp.Data[:n], tmp.Data[n:2*n]
+	qv := tmp.Data[2*n : 3*n] // Q·v of the accumulation step
 	for k := 0; k < n-2; k++ {
 		// Vector to eliminate: w[k+1:n, k].
 		var norm float64
@@ -151,12 +172,14 @@ func eigH(a *Matrix, count func(int64)) (*EigenH, error) {
 			}
 		}
 	}
-	count(eigReductionFlops(n))
+	if count {
+		perf.AddFlops(eigReductionFlops(n))
+	}
 
 	// Extract the tridiagonal and phase-rotate it real.
-	d := make([]float64, n)
-	e := make([]float64, n)
-	phase := make([]complex128, n)
+	de := ws.floats(3 * n)
+	d, e, vals := de[:n], de[n:2*n], de[2*n:]
+	phase := tmp.Data[3*n:]
 	phase[0] = 1
 	for i := 0; i < n; i++ {
 		d[i] = real(wd[i*n+i])
@@ -182,25 +205,41 @@ func eigH(a *Matrix, count func(int64)) (*EigenH, error) {
 	}
 
 	if err := tql2(d, e, qt); err != nil {
-		return nil, err
+		return EigenH{}, err
 	}
-	count(EigHFlops(n) - eigReductionFlops(n))
+	if count {
+		perf.AddFlops(EigHFlops(n) - eigReductionFlops(n))
+	}
 
 	// Sort ascending; row p of qt becomes eigenvector column j.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return d[idx[a]] < d[idx[b]] })
-	vals := make([]float64, n)
-	vecs := New(n, n)
+	idx := ws.GetInts(n)
+	defer ws.PutInts(idx)
+	sortAscending(idx, d)
+	z := ws.Get(n, n)
 	for j, p := range idx {
 		vals[j] = d[p]
 		for i, x := range qt.Data[p*n : (p+1)*n] {
-			vecs.Data[i*n+j] = x
+			z.Data[i*n+j] = x
 		}
 	}
-	return &EigenH{Values: vals, Vectors: vecs}, nil
+	return EigenH{Values: vals, Vectors: z}, nil
+}
+
+// sortAscending sets idx to the permutation that sorts d ascending, ties
+// and NaNs ordered as sort.Slice(idx, d[idx[a]] < d[idx[b]]) orders them —
+// degenerate Γ modes make that order observable in T. slices.SortFunc
+// runs the same pattern-defeating quicksort, reading cmp only as cmp < 0,
+// and allocates nothing.
+func sortAscending(idx []int, d []float64) {
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		if d[a] < d[b] {
+			return -1
+		}
+		return 0
+	})
 }
 
 // EigHValues computes only the eigenvalues of the Hermitian matrix a.

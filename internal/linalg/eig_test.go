@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -213,6 +214,86 @@ func TestEigHSetupCountsNothing(t *testing.T) {
 	for i, v := range eig.Vectors.Data {
 		if setup.Vectors.Data[i] != v {
 			t.Fatalf("eigenvector entry %d: EigHSetup %v, EigH %v", i, setup.Vectors.Data[i], v)
+		}
+	}
+}
+
+// TestEigHInOnWorkspace: EigHIn returns EigH's bits and counts its flops
+// (none where count is false) with every buffer, its results included,
+// checked out of the workspace — on a workspace whose slab holds the
+// real vectors of its eigensolves, it allocates nothing — on a matrix with
+// degenerate eigenvalues, where the sort's order on ties shows.
+func TestEigHInOnWorkspace(t *testing.T) {
+	r := rand.New(rand.NewSource(43))
+	for _, n := range []int{0, 1, 2, 7, 16} {
+		a := randHermitian(r, n)
+		for i := 0; i < n/2; i++ { // pairs of equal eigenvalues
+			a.Data[(n-1-i)*n+(n-1-i)] = a.Data[i*n+i]
+		}
+		before := perf.Flops()
+		want, err := EigH(a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		flops := perf.Flops() - before
+		// Thirteen eigensolves between releases set the slab a fresh
+		// workspace is carved to: the two below, AllocsPerRun's warm-up
+		// and the ten it measures.
+		ws := GetWorkspace()
+		for i := 0; i < 13; i++ {
+			EigHIn(a, ws, false)
+		}
+		ws.Release()
+		ws = newWorkspace()
+		for _, count := range []bool{true, false} {
+			before = perf.Flops()
+			got, err := EigHIn(a, ws, count)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d := perf.Flops() - before; count && d != flops || !count && d != 0 {
+				t.Fatalf("n=%d count %v: EigHIn counted %d flops, EigH %d", n, count, d, flops)
+			}
+			if !slices.Equal(got.Values, want.Values) || !slices.Equal(got.Vectors.Data, want.Vectors.Data) {
+				t.Fatalf("n=%d count %v: EigHIn's eigenpairs differ from EigH's", n, count)
+			}
+			ws.Put(got.Vectors)
+		}
+		if a := testing.AllocsPerRun(10, func() {
+			eig, _ := EigHIn(a, ws, false)
+			ws.Put(eig.Vectors)
+		}); a != 0 {
+			t.Errorf("n=%d: a warm EigHIn allocated %v times", n, a)
+		}
+	}
+}
+
+// TestSortAscendingOrdersAsSortSlice holds EigH's eigenvalue sort to the
+// permutation sort.Slice gives, on keys with many ties and NaNs, at sizes
+// past the insertion sort's and the pattern breaker's thresholds: tied
+// degenerate modes must come out in the order they always did.
+func TestSortAscendingOrdersAsSortSlice(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	for it := 0; it < 3000; it++ {
+		n := r.Intn(300)
+		d := make([]float64, n)
+		for i := range d {
+			if d[i] = float64(r.Intn(1 + n/(1+r.Intn(8)))); r.Intn(20) == 0 {
+				d[i] = math.NaN()
+			}
+		}
+		if it%5 == 0 {
+			slices.Sort(d[:n/2]) // presorted runs take the partial insertion sort
+		}
+		want := make([]int, n)
+		for i := range want {
+			want[i] = i
+		}
+		sort.Slice(want, func(a, b int) bool { return d[want[a]] < d[want[b]] })
+		got := make([]int, n)
+		sortAscending(got, d)
+		if !slices.Equal(got, want) {
+			t.Fatalf("n=%d: sortAscending %v, sort.Slice %v", n, got, want)
 		}
 	}
 }

@@ -211,49 +211,58 @@ func LaneTraceMulConj(a, b *LaneMatrix, ws *Workspace) (t [Lanes]complex128) {
 	return t
 }
 
-// LaneLU is the scratch the lane factor runs in: each lane's row swaps,
-// one lane's column for the pivot search and one lane's row permutation,
-// and the packed lanes LaneInverseInto factors. FactorInPlace makes it a
-// factor of its own. The zero value is ready; it grows to the largest
-// order it is asked for.
+// LaneLU is a workspace's lane factor and the scratch it runs in: each
+// lane's row swaps, one lane's column for the pivot search and one lane's
+// row permutation, checked out of the workspace and grown to the largest
+// order asked for, and the packed lanes LaneInverseInto factors, a block of
+// its slab. A workspace holds one, valid until its Release.
 type LaneLU struct {
 	lu   LaneMatrix
 	piv  []int // lane l's swaps at piv[l·n : (l+1)·n]
-	col  []complex128
+	col  *Matrix
 	perm []int
 
-	fac  *LaneMatrix // what FactorInPlace factored
+	fac  *LaneMatrix // what LaneFactorInPlace factored
 	live LaneMask    // its lanes that hold a factor
 }
 
-func (f *LaneLU) reserve(n int) {
-	if cap(f.piv) < Lanes*n {
-		f.piv, f.col, f.perm = make([]int, Lanes*n), make([]complex128, n), make([]int, n)
+// laneLU returns w's lane factor with its scratch readied for order n.
+func (w *Workspace) laneLU(n int) *LaneLU {
+	f := &w.lu
+	if f.col == nil || cap(f.perm) < n {
+		if f.col != nil {
+			w.PutInts(f.piv)
+			w.PutInts(f.perm)
+			w.Put(f.col)
+		}
+		f.piv, f.perm, f.col = w.GetInts(Lanes*n), w.GetInts(n), w.Get(1, n)
 	}
-	f.piv, f.col, f.perm = f.piv[:Lanes*n], f.col[:n], f.perm[:n]
+	f.piv, f.perm = f.piv[:Lanes*n], f.perm[:n]
+	return f
 }
 
-// FactorInPlace is FactorInPlace in every lane of live: m becomes each
-// lane's packed factors, bit for bit, and f keeps each lane's swaps. It
-// returns the lanes of live whose factor met a zero pivot — FactorInPlace's
-// ErrSingular — and leaves garbage in them. m is f's factor until the next
-// call. It counts no flop.
-func (f *LaneLU) FactorInPlace(m *LaneMatrix, live LaneMask) (singular LaneMask) {
+// LaneFactorInPlace is FactorInPlace in every lane of live: m becomes each
+// lane's packed factors, bit for bit, and the returned factor, ws's, keeps
+// each lane's swaps. It returns the lanes of live whose factor met a zero
+// pivot — FactorInPlace's ErrSingular — and leaves garbage in them. The
+// factor holds m until ws's next lane factor or its Release. It counts no
+// flop.
+func LaneFactorInPlace(m *LaneMatrix, live LaneMask, ws *Workspace) (f *LaneLU, singular LaneMask) {
 	if m.Rows != m.Cols {
-		panic("linalg: LaneLU.FactorInPlace requires square lanes")
+		panic("linalg: LaneFactorInPlace requires square lanes")
 	}
-	f.reserve(m.Rows)
-	singular = laneFactorInPlace(m, f.piv, f.col, live)
+	f = ws.laneLU(m.Rows)
+	singular = laneFactorInPlace(m, f.piv, f.col.Data[:m.Rows], live)
 	f.fac, f.live = m, live&^singular
-	return singular
+	return f, singular
 }
 
-// SolveFromRow is (*LU).SolveFromRow in every lane FactorInPlace factored:
-// each lane's row swaps applied to b, the forward sweep whole and the back
-// sweep stopped after row r0, 0 ≤ r0 ≤ n. Rows r0…n−1 of lane l hold what
-// the solo solve leaves on lane l's operands, bit for bit, and rows below
-// r0 the forward sweep's values; every other lane holds garbage. It counts
-// no flop.
+// SolveFromRow is (*LU).SolveFromRow in every lane LaneFactorInPlace
+// factored: each lane's row swaps applied to b, the forward sweep whole and
+// the back sweep stopped after row r0, 0 ≤ r0 ≤ n. Rows r0…n−1 of lane l
+// hold what the solo solve leaves on lane l's operands, bit for bit, and
+// rows below r0 the forward sweep's values; every other lane holds
+// garbage. It counts no flop.
 func (f *LaneLU) SolveFromRow(b *LaneMatrix, r0 int) {
 	n := f.fac.Rows
 	if b.Rows != n {
@@ -272,7 +281,7 @@ func (f *LaneLU) SolveFromRow(b *LaneMatrix, r0 int) {
 // whose factorization met a zero pivot — InverseInto's ErrSingular — and
 // leaves garbage in them and in every lane outside live. It counts no
 // flop; a is not modified, and dst must be a's shape and not alias it.
-func LaneInverseInto(dst, a *LaneMatrix, live LaneMask, f *LaneLU) (singular LaneMask) {
+func LaneInverseInto(dst, a *LaneMatrix, live LaneMask, ws *Workspace) (singular LaneMask) {
 	if a.Rows != a.Cols || dst.Rows != a.Rows || dst.Cols != a.Cols {
 		panic("linalg: dimension mismatch in LaneInverseInto")
 	}
@@ -280,13 +289,13 @@ func LaneInverseInto(dst, a *LaneMatrix, live LaneMask, f *LaneLU) (singular Lan
 		panic("linalg: LaneInverseInto output aliases its input")
 	}
 	n := a.Rows
-	f.reserve(n)
+	f := ws.laneLU(n)
 	if cap(f.lu.Data) < n*n*laneStride {
-		f.lu.Data = make([]float64, n*n*laneStride)
+		f.lu.Data = ws.floats(n * n * laneStride)
 	}
 	f.lu = LaneMatrix{Rows: n, Cols: n, Data: f.lu.Data[:n*n*laneStride]}
 	f.lu.CopyFrom(a)
-	singular = laneFactorInPlace(&f.lu, f.piv, f.col, live)
+	singular = laneFactorInPlace(&f.lu, f.piv, f.col.Data[:n], live)
 	// The solve's row swaps move the identity's 1s and 0s: set the
 	// permuted identity directly.
 	dst.Zero()

@@ -355,12 +355,13 @@ func TestLaneKernelsBitwise(t *testing.T) {
 	})
 
 	// The lane factor and its floored solve as the block-Thomas sweep runs
-	// them: LaneLU.FactorInPlace, then SolveFromRow, whose lane row
+	// them: LaneFactorInPlace, then SolveFromRow, whose lane row
 	// permutation applies each lane's own swaps. A lane that meets a zero
 	// pivot is reported and the others keep their bits.
 	t.Run("factor-solve", func(t *testing.T) {
 		r := rand.New(rand.NewSource(87))
-		var f LaneLU
+		ws := GetWorkspace()
+		defer ws.Release()
 		for it := 0; it < 300; it++ {
 			class := operandClasses[it%len(operandClasses)]
 			n, w := laneOrder(r), 1+r.Intn(9)
@@ -373,7 +374,7 @@ func TestLaneKernelsBitwise(t *testing.T) {
 					m.CopyFrom(a)
 					got.CopyFrom(b)
 					before := perf.Flops()
-					singular := f.FactorInPlace(m, live)
+					f, singular := LaneFactorInPlace(m, live, ws)
 					f.SolveFromRow(got, r0)
 					if d := perf.Flops() - before; d != 0 {
 						t.Fatalf("LaneLU counted %d flops", d)
@@ -398,7 +399,8 @@ func TestLaneKernelsBitwise(t *testing.T) {
 
 	t.Run("inverse", func(t *testing.T) {
 		r := rand.New(rand.NewSource(84))
-		var f LaneLU
+		ws := GetWorkspace()
+		defer ws.Release()
 		for it := 0; it < 200; it++ {
 			class := operandClasses[it%len(operandClasses)]
 			n := laneOrder(r)
@@ -410,7 +412,7 @@ func TestLaneKernelsBitwise(t *testing.T) {
 				eachEngine(t, func(engine string) {
 					inv := NewLaneMatrix(n, n)
 					before := perf.Flops()
-					singular := LaneInverseInto(inv, a, live, &f)
+					singular := LaneInverseInto(inv, a, live, ws)
 					if d := perf.Flops() - before; d != 0 {
 						t.Fatalf("LaneInverseInto counted %d flops", d)
 					}
@@ -736,10 +738,11 @@ func BenchmarkLaneKernels(b *testing.B) {
 		} {
 			flops := int64(len(op.solo)) * invFlops
 			b.Run(sh.name+"/"+op.name+"/lanes", func(b *testing.B) {
+				ws := GetWorkspace()
+				defer ws.Release()
 				inv := NewLaneMatrix(sh.s, sh.s)
-				var f LaneLU
 				for i := 0; i < b.N; i++ {
-					LaneInverseInto(inv, op.lanes, op.live, &f)
+					LaneInverseInto(inv, op.lanes, op.live, ws)
 				}
 				gflops(b, flops)
 			})

@@ -18,11 +18,12 @@ import (
 //     GetWorkspace and hand it back with Release when the solve is done.
 //     Never store a Workspace on a long-lived Solver — parallel energy
 //     points would race on it.
-//   - Matrices obtained from Get and int slices obtained from GetInts are
-//     scratch. They must never escape the solve that checked them out (not
-//     into results, caches, or other goroutines); Release recycles every
-//     outstanding buffer of both kinds. A per-energy solve keeps every
-//     temporary here, block-Thomas factors and their pivots included.
+//   - Matrices obtained from Get, int slices obtained from GetInts and
+//     lane blocks obtained from GetLanes are scratch. They must never
+//     escape the solve that checked them out (not into results, caches, or
+//     other goroutines); Release recycles every outstanding buffer of every
+//     kind. A per-energy solve keeps every temporary here, block-Thomas
+//     factors and their pivots included, and so does a lane group.
 //   - Put panics on a double return, on a matrix the workspace did not
 //     hand out (another workspace's included) and on a struct copy of one
 //     it did; PutInts panics on a double or foreign return. Ownership bugs
@@ -42,6 +43,16 @@ import (
 // headers in one slice and their data in one slab (int slices likewise),
 // each buffer a three-index slice whose capacity ends where its
 // neighbour's begins. Its first solve then allocates nothing per buffer.
+//
+// Lane blocks (GetLanes) and EigHIn's real vectors are handed out in order
+// from one float64 slab, the lane headers from one slice, and are not
+// returned one by one: Release reclaims them all at once. The slab and the
+// header slice are made at their first use, as large as any workspace has
+// used, so a workspace that runs no lanes carries no lane headers, and one
+// that runs no lanes or eigensolves no slab. A solve that outgrows them
+// takes each block past them from the heap, and its Release makes the
+// next ones as large as it used. The lane factor (LaneLU) lives in the
+// workspace, its scratch checked out of it.
 type Workspace struct {
 	// free holds returned matrices by the exponent of their capacity (in
 	// complex128 elements); freeInts likewise for int slices.
@@ -50,14 +61,24 @@ type Workspace struct {
 	// out and outInts hold what is checked out.
 	out     []*Matrix
 	outInts [][]int
-	// grown is set when Get or GetInts allocated; Release then raises
-	// workspaceSize to what the workspace holds.
+	// slab and lanes hold the float64s and lane headers handed out since
+	// Release: used and next of them.
+	slab       []float64
+	lanes      []LaneMatrix
+	used, next int
+	// lu is the lane factor, its scratch checked out of the workspace.
+	lu LaneLU
+	// grown is set when the workspace allocated a buffer; Release then
+	// raises workspaceSize to what the workspace holds.
 	grown bool
 }
 
-// workspaceSize is, per size class, the most matrices and int slices one
-// workspace has held.
-var workspaceSize [bits.UintSize]struct{ mats, ints atomic.Int64 }
+// workspaceSize is the most one workspace has held: per size class, of
+// matrices and int slices; of slab float64s and lane headers.
+var workspaceSize struct {
+	mats, ints  [bits.UintSize]atomic.Int64
+	slab, lanes atomic.Int64
+}
 
 // workspacePool recycles whole Workspaces across solves. sync.Pool's
 // per-P fast path means a worker goroutine pinned to a processor keeps
@@ -68,8 +89,8 @@ var workspacePool = sync.Pool{New: func() any { return newWorkspace() }}
 func newWorkspace() *Workspace {
 	var mats, ints [bits.UintSize]int
 	var nMats, nInts, elems, intElems int
-	for c := range workspaceSize {
-		mats[c], ints[c] = int(workspaceSize[c].mats.Load()), int(workspaceSize[c].ints.Load())
+	for c := range mats {
+		mats[c], ints[c] = int(workspaceSize.mats[c].Load()), int(workspaceSize.ints[c].Load())
 		nMats, elems = nMats+mats[c], elems+mats[c]<<c
 		nInts, intElems = nInts+ints[c], intElems+ints[c]<<c
 	}
@@ -109,9 +130,10 @@ func newWorkspace() *Workspace {
 // GetWorkspace checks a Workspace out of the shared pool.
 func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }
 
-// Release reclaims every matrix and int slice still checked out and
-// returns the workspace to the shared pool. After Release the workspace,
-// and every buffer it ever handed out, must not be used.
+// Release reclaims every matrix and int slice still checked out and every
+// lane block and vector handed out, and returns the workspace to the
+// shared pool. After Release the workspace, and every buffer it ever
+// handed out, must not be used.
 func (w *Workspace) Release() {
 	for _, m := range w.out {
 		m.slot = 0
@@ -125,12 +147,21 @@ func (w *Workspace) Release() {
 	}
 	w.outInts = w.outInts[:0]
 	if w.grown {
-		for c := range workspaceSize {
-			growTo(&workspaceSize[c].mats, len(w.free[c]))
-			growTo(&workspaceSize[c].ints, len(w.freeInts[c]))
+		for c := range w.free {
+			growTo(&workspaceSize.mats[c], len(w.free[c]))
+			growTo(&workspaceSize.ints[c], len(w.freeInts[c]))
+		}
+		if w.used > len(w.slab) {
+			growTo(&workspaceSize.slab, w.used)
+			w.slab = nil
+		}
+		if w.next > len(w.lanes) {
+			growTo(&workspaceSize.lanes, w.next)
+			w.lanes = nil
 		}
 		w.grown = false
 	}
+	w.used, w.next, w.lu = 0, 0, LaneLU{}
 	workspacePool.Put(w)
 }
 
@@ -226,4 +257,39 @@ func (w *Workspace) PutInts(s []int) {
 		}
 	}
 	panic("linalg: Workspace.PutInts of a slice it did not hand out (double or foreign return)")
+}
+
+// GetLanes hands out a rows×cols lane matrix, zeroed if zero, valid until
+// Release; nothing hands it back earlier.
+func (w *Workspace) GetLanes(rows, cols int, zero bool) *LaneMatrix {
+	if w.lanes == nil {
+		w.lanes = make([]LaneMatrix, workspaceSize.lanes.Load())
+	}
+	var m *LaneMatrix
+	if w.next < len(w.lanes) {
+		m = &w.lanes[w.next]
+	} else {
+		m, w.grown = new(LaneMatrix), true
+	}
+	w.next++
+	m.Rows, m.Cols, m.Data = rows, cols, w.floats(rows*cols*laneStride)
+	if zero {
+		clear(m.Data)
+	}
+	return m
+}
+
+// floats hands out n float64s of the slab, not zeroed, valid until
+// Release.
+func (w *Workspace) floats(n int) []float64 {
+	if w.slab == nil {
+		w.slab = make([]float64, workspaceSize.slab.Load())
+	}
+	at := w.used
+	w.used += n
+	if w.used > len(w.slab) {
+		w.grown = true
+		return make([]float64, n)
+	}
+	return w.slab[at:w.used:w.used]
 }

@@ -5,6 +5,7 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -439,49 +440,110 @@ func TestWorkspaceWarmGetPutAllocatesNothing(t *testing.T) {
 
 // TestWorkspaceSlab: a workspace the pool makes after a GC holds as many
 // buffers of each class as a workspace has held, carved from one slab per
-// kind, so a solve's first checkouts allocate nothing past the workspace's
-// own six allocations; and a buffer filled to its capacity reaches no
-// other buffer.
+// kind, and its first lane block carves the lane blocks of a checkout from
+// one float64 slab and one header slice, as large as a workspace has used;
+// so a solve's first checkouts allocate nothing past the workspace's own
+// eight allocations, however many buffers and lane blocks it takes — also
+// when two GCs have emptied the pool — and one that takes no lane block
+// allocates no slab. A buffer or lane block filled to its capacity reaches
+// no other, and a zeroed lane block starts at +0 on a slab the previous
+// checkout dirtied.
 func TestWorkspaceSlab(t *testing.T) {
-	checkout := func(w *Workspace) ([]*Matrix, [][]int) {
-		ms, is := make([]*Matrix, 0, 40), make([][]int, 0, 40)
+	type checkout struct {
+		ms    []*Matrix
+		is    [][]int
+		lanes []*LaneMatrix
+	}
+	take := func(w *Workspace) (c checkout) {
+		c.ms, c.is, c.lanes = make([]*Matrix, 0, 40), make([][]int, 0, 40), make([]*LaneMatrix, 0, 200)
 		for i := 0; i < 40; i++ {
-			ms = append(ms, w.Get(1+i%9, 1+i%5))
-			is = append(is, w.GetInts(1+i%13))
+			c.ms = append(c.ms, w.Get(1+i%9, 1+i%5))
+			c.is = append(c.is, w.GetInts(1+i%13))
 		}
-		return ms, is
+		for i := 0; i < 100; i++ {
+			c.lanes = append(c.lanes, w.GetLanes(1+i%7, 1+i%5, false), w.GetLanes(3, 4, true))
+		}
+		return c
 	}
 	ws := GetWorkspace()
-	checkout(ws)
+	take(ws)
 	ws.Release() // workspaceSize now covers a checkout
-	if a := testing.AllocsPerRun(10, func() { checkout(newWorkspace()) }); a > 6+2 {
-		t.Errorf("a fresh workspace and its first checkout allocated %v times, want at most 8 (the workspace and the checkout's own slices)", a)
+	if a := testing.AllocsPerRun(10, func() {
+		w := newWorkspace()
+		w.Get(3, 3)
+		w.GetInts(3)
+	}); a > 6 {
+		t.Errorf("a fresh workspace that hands out no lane block allocated %v times, want at most its own 6: no lane slab", a)
 	}
-	ms, is := checkout(newWorkspace())
-	for k, m := range ms {
+	if a := testing.AllocsPerRun(10, func() { take(newWorkspace()) }); a > 8+3 {
+		t.Errorf("a fresh workspace and its first checkout allocated %v times, want at most 11 (the workspace, its lane slab and headers, and the checkout's own slices)", a)
+	}
+	if a := testing.AllocsPerRun(10, func() {
+		runtime.GC()
+		runtime.GC()
+		w := GetWorkspace()
+		take(w)
+		w.Release()
+	}); a > 8+3+3 {
+		t.Errorf("a workspace refilled after two GCs allocated %v times with its first checkout, want at most 14 (the pool's re-pin besides)", a)
+	}
+	w := newWorkspace()
+	c := take(w)
+	for k, m := range c.ms {
 		full := m.Data[:cap(m.Data)]
 		for e := range full {
 			full[e] = complex(float64(k), 0)
 		}
 	}
-	for k, s := range is {
+	for k, s := range c.is {
 		full := s[:cap(s)]
 		for e := range full {
 			full[e] = k
 		}
 	}
-	for k, m := range ms {
+	for k, m := range c.lanes {
+		full := m.Data[:cap(m.Data)]
+		for e := range full {
+			full[e] = float64(k)
+		}
+	}
+	for k, m := range c.ms {
 		for _, v := range m.Data[:cap(m.Data)] {
 			if v != complex(float64(k), 0) {
 				t.Fatalf("matrix %d holds %v: another buffer reaches into it", k, v)
 			}
 		}
 	}
-	for k, s := range is {
+	for k, s := range c.is {
 		for _, v := range s[:cap(s)] {
 			if v != k {
 				t.Fatalf("int slice %d holds %d: another buffer reaches into it", k, v)
 			}
+		}
+	}
+	for k, m := range c.lanes {
+		if m.Rows*m.Cols*laneStride != len(m.Data) {
+			t.Fatalf("lane block %d is %d×%d with %d float64s", k, m.Rows, m.Cols, len(m.Data))
+		}
+		for _, v := range m.Data[:cap(m.Data)] {
+			if v != float64(k) {
+				t.Fatalf("lane block %d holds %v: another block reaches into it", k, v)
+			}
+		}
+	}
+	// Released into the pool's emptied private slot, w comes straight back
+	// (unless the race detector's pool drops it), its slab dirty.
+	held := GetWorkspace()
+	w.Release()
+	again := GetWorkspace()
+	held.Release()
+	defer again.Release()
+	if again != w {
+		t.Log("the pool handed out another workspace: no dirty slab to zero")
+	}
+	for k, m := range take(again).lanes {
+		if k%2 == 1 && slices.ContainsFunc(m.Data, func(v float64) bool { return v != 0 }) {
+			t.Fatalf("zeroed lane block %d of a reused slab is not +0", k)
 		}
 	}
 }
@@ -489,8 +551,9 @@ func TestWorkspaceSlab(t *testing.T) {
 // TestWorkspacesConcurrent runs workspaces of different sizes from several
 // goroutines at once, with GCs emptying the pool so that refills carve new
 // slabs while other workspaces raise the sizes they are carved to. Every
-// buffer is filled with its own tag and read back before release: no two
-// buffers share an element, whatever the pool hands out.
+// buffer and lane block is filled with its own tag and read back before
+// release: no two share an element, whatever the pool hands out and
+// however the lane slab grows.
 func TestWorkspacesConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -504,6 +567,7 @@ func TestWorkspacesConcurrent(t *testing.T) {
 				ws := GetWorkspace()
 				var ms []*Matrix
 				var is [][]int
+				var lanes []*LaneMatrix
 				for i := 0; i < 4+round%5*g; i++ {
 					m, s := ws.Get(1+(i+g)%7, 1+round%6), ws.GetInts(1+(i*g)%11)
 					for e := range m.Data {
@@ -514,6 +578,13 @@ func TestWorkspacesConcurrent(t *testing.T) {
 					}
 					ms, is = append(ms, m), append(is, s)
 				}
+				for i := 0; i < 10+round%7*g; i++ {
+					m := ws.GetLanes(1+(i+g)%6, 1+round%4, i%2 == 0)
+					for e := range m.Data {
+						m.Data[e] = float64(g*1e6 + i)
+					}
+					lanes = append(lanes, m)
+				}
 				for i, m := range ms {
 					for _, v := range m.Data {
 						if v != complex(float64(g), float64(i)) {
@@ -523,6 +594,13 @@ func TestWorkspacesConcurrent(t *testing.T) {
 					for _, v := range is[i] {
 						if v != g<<16|i {
 							t.Errorf("goroutine %d round %d: int slice %d reads %d", g, round, i, v)
+						}
+					}
+				}
+				for i, m := range lanes {
+					for _, v := range m.Data {
+						if v != float64(g*1e6+i) {
+							t.Errorf("goroutine %d round %d: lane block %d reads %v", g, round, i, v)
 						}
 					}
 				}

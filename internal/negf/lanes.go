@@ -13,58 +13,33 @@ import (
 // Self-energies in lanes. A transmission sweep asks for the self-energies
 // of consecutive energies of one contact pair, and on the narrow layers of
 // the decimation most of a solo run is per-call work — dispatch, pivot
-// bookkeeping, gathers — paid once per energy. A SigmaGroup runs the
-// decimations of up to linalg.Lanes energies in lockstep instead, one lane
-// of the lane kernels per energy: the same recursion (blockFamily.recursion)
-// on a lane set instead of a solo one, so both share one convergence rule,
-// one finish and one error text. Every lane holds the bits of its own solo
-// call. A Group does the same for whole solves of either formalism, on
-// its solver's lane kernel (LaneSolver). DESIGN.md §11, "Lanes as
-// energies".
+// bookkeeping, gathers — paid once per energy. An uncached Group runs the
+// decimations of its energies in lockstep instead, one lane of the lane
+// kernels per energy: the same recursion (blockFamily.recursion) on a lane
+// set instead of a solo one, so both share one convergence rule, one
+// finish and one error text. Every lane holds the bits of its own solo
+// call. The Group then runs the whole solves the same way, on its solver's
+// lane kernel (LaneSolver). DESIGN.md §11, "Lanes as energies".
 
-// LaneGroups reports whether SelfEnergyGroup and a Group run lanes at
-// all: only where the lane kernels have AVX. Elsewhere a group's lanes run
-// solo, one at a time, at take. Tests — here and in the packages whose
-// kernels a Group runs — set it to run the lane path on the scalar loops.
+// LaneGroups reports whether a Group runs lanes at all: only where the
+// lane kernels have AVX. Elsewhere each energy is solved alone. Tests —
+// here and in the packages whose kernels a Group runs — set it to run the
+// lane path on the scalar loops.
 var LaneGroups = linalg.LaneKernels()
 
-// SigmaGroup holds the contact self-energies of up to linalg.Lanes
-// energies of one Leads value, computed in lockstep when the group is made
-// and handed out one energy at a time by Take. Nothing is counted while
-// the group runs: Take counts what the solo call (Leads.SelfEnergies)
-// counts for its energy — the effective layer's LayerFlops, the
-// decimation, the projections and one sigma-decimations per block family
-// — so a per-task delta of a sweep reads as it does without groups. An
-// energy the group could not finish in lanes is recomputed solo at Take:
-// one the layer's guard keeps whole (s = n), one whose lane failed (the
-// solo path reruns it on the whole layer, or returns its error), and any
-// energy asked for a second time. Safe for concurrent use.
-type SigmaGroup struct {
-	leads *Leads
-	zs    []complex128
-
-	mu    sync.Mutex
-	ready linalg.LaneMask // lanes holding a Σ not yet taken
-	sig   [linalg.Lanes][2]*linalg.Matrix
-	flops [linalg.Lanes]int64
-	runs  int64 // kernel runs per energy: one per block family asked
-}
-
-// SelfEnergyGroup computes the self-energies of the energies zs — at most
-// linalg.Lanes of them — in lanes (SigmaGroup). Where lanes cannot pay
-// (a single energy, or no AVX lane kernels) it computes nothing, and every
-// Take runs solo.
-func (l *Leads) SelfEnergyGroup(zs []complex128) *SigmaGroup {
-	if len(zs) > linalg.Lanes {
-		panic("negf: a self-energy group holds at most linalg.Lanes energies")
-	}
-	g := &SigmaGroup{leads: l, zs: zs}
-	if len(zs) < 2 || !LaneGroups {
-		return g
-	}
+// fillSigma computes the self-energies of the energies zs of g's lanes —
+// at most linalg.Lanes of them — in lockstep on ws. It marks the lanes it
+// finished looked, with their Σ_L and Σ_R in g.sig — Leads.SelfEnergies'
+// bits at each energy — and what that solo call counts in g.sigFlops and
+// g.runs: the effective layer's LayerFlops, the decimation and the
+// projections, and one sigma-decimations per block family. It counts
+// nothing. A lane it leaves is one the layer's guard keeps whole (s = n)
+// or one whose lane failed; the solo path reruns it on the whole layer, or
+// returns its error.
+func (g *Group) fillSigma(l *Leads, zs []complex128, ws *linalg.Workspace) {
 	fams, err := l.own.resolve(l)
 	if err != nil {
-		return g // every Take returns the solo path's error
+		return // each solo solve returns the error
 	}
 	// The units of work of Leads.selfEnergies: one request for a pair of
 	// contacts continuing one cell, else one per side.
@@ -94,49 +69,25 @@ func (l *Leads) SelfEnergyGroup(zs []complex128) *SigmaGroup {
 		if live == 0 {
 			break
 		}
-		live &= u.fam.laneSelfEnergies(&z, live, u.want, g)
+		live &= u.fam.laneSelfEnergies(&z, live, u.want, g, ws)
 	}
-	g.ready, g.runs = live, int64(len(units))
-	return g
+	g.looked, g.runs = live, int64(len(units))
 }
 
-// Take returns Σ_L and Σ_R at the group's energy i, as Leads.SelfEnergies
-// returns them at that energy, bit for bit, and counts what it counts.
-func (g *SigmaGroup) Take(i int) (sigL, sigR *linalg.Matrix, err error) {
-	sig, ok := g.take(i)
-	if !ok {
-		return g.leads.SelfEnergies(g.zs[i])
-	}
-	g.count(i)
-	return sig[left], sig[right], nil
-}
-
-// take hands out energy i's Σ_L and Σ_R without counting them; ok is false
-// where the group holds none for it.
-func (g *SigmaGroup) take(i int) (sig [2]*linalg.Matrix, ok bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if ok = g.ready.Has(i); ok {
-		g.ready &^= 1 << i
-		sig = g.sig[i]
-	}
-	return sig, ok
-}
-
-// count counts what the solo call at energy i counts.
-func (g *SigmaGroup) count(i int) {
-	perf.AddFlops(g.flops[i])
+// countSigma counts what the solo self-energy call of lane i counts where
+// fillSigma looked its Σ up; a σ-cached group's lookups counted as they ran.
+func (g *Group) countSigma(i int) {
+	perf.AddFlops(g.sigFlops[i])
 	ctrDecimations.Add(g.runs)
 }
 
 // laneSelfEnergies is selfEnergies for the energies z[i], i in live, in
-// lockstep: it stores each finished lane's sides of want in g, adds the
-// flops its solo run counts to g.flops, and returns the lanes it finished.
-// Every z[i] is one the layer eliminates at.
-func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.LaneMask, want sideSet, g *SigmaGroup) (done linalg.LaneMask) {
+// lockstep on ws: it stores each finished lane's sides of want in g.sig,
+// adds the flops its solo run counts to g.sigFlops, and returns the lanes
+// it finished. Every z[i] is one the layer eliminates at.
+func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.LaneMask, want sideSet, g *Group, ws *linalg.Workspace) (done linalg.LaneMask) {
 	defer perf.StartPhase("self-energy")()
-	set := sparse.LaneSet(nil)
-	defer set.Release()
+	set := sparse.LaneSet(ws)
 	n, s, r, c := b.h00.Rows, b.layer.Size(), len(b.rows), len(b.cols)
 	// Lanes outside live start at +0 and stay tame through the run.
 	layer := set.Zeroed(s, s)
@@ -173,7 +124,7 @@ func (b *blockFamily) laneSelfEnergies(z *[linalg.Lanes]complex128, live linalg.
 	}
 	for i, it := range iters {
 		if done.Has(i) {
-			g.flops[i] += decimationFlops(n, s, r, c, it, want)
+			g.sigFlops[i] += decimationFlops(n, s, r, c, it, want)
 		}
 	}
 	return done
@@ -222,8 +173,8 @@ type LaneInput struct {
 // energy, on the solver's kernel — and handed out one energy at a time by
 // Take. The group looks up each energy's self-energies once, in order:
 // through the solver's cache when it has one (the keys and the decimations
-// of the solo solves, counted as they run), else in lanes
-// (SelfEnergyGroup), counted at take. Nothing else is counted while the
+// of the solo solves, counted as they run), else in lanes (fillSigma),
+// counted at take. Nothing else is counted while the
 // group runs: Take counts what the solo solve of its energy counts. An
 // energy the group could not finish in lanes is solved solo at Take, on
 // the Σ the group looked up where it has one — one a record's guard keeps
@@ -235,7 +186,6 @@ type Group struct {
 	ls      LaneSolver
 	es      []float64
 	density bool
-	sg      *SigmaGroup // where the looked-up Σ came from uncached: counted at take
 
 	mu     sync.Mutex
 	ready  linalg.LaneMask // lanes holding a result not yet taken
@@ -243,7 +193,11 @@ type Group struct {
 	res    [linalg.Lanes]*Result
 	sig    [linalg.Lanes][2]*linalg.Matrix
 	sigErr [linalg.Lanes]error
-	flops  int64 // what each ready lane's solve counts beyond Σ
+	// sigFlops and runs are what each lane's solo Σ call counts where the
+	// group looked Σ up in lanes (fillSigma), counted at take.
+	sigFlops [linalg.Lanes]int64
+	runs     int64
+	flops    int64 // what each ready lane's solve counts beyond Σ
 }
 
 // Lane groups solved in lockstep, and energies of a group solved solo at
@@ -267,6 +221,8 @@ func (ls LaneSolver) Group(es []float64, density bool) *Group {
 	for i, e := range es {
 		in.Z[i] = complex(e, ls.Eta)
 	}
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
 	if ls.Cache != nil {
 		for i := range es {
 			sigL, sigR, err := CachedSelfEnergies(ls.Cache, ls.Leads, in.Z[i])
@@ -274,13 +230,7 @@ func (ls LaneSolver) Group(es []float64, density bool) *Group {
 			g.looked |= 1 << i
 		}
 	} else {
-		g.sg = ls.Leads.SelfEnergyGroup(in.Z[:len(es):len(es)])
-		for i := range es {
-			var ok bool
-			if g.sig[i], ok = g.sg.take(i); ok {
-				g.looked |= 1 << i
-			}
-		}
+		g.fillSigma(ls.Leads, in.Z[:len(es)], ws)
 	}
 	if ls.Kernel == nil {
 		return g
@@ -293,10 +243,7 @@ func (ls LaneSolver) Group(es []float64, density bool) *Group {
 	if bits.OnesCount8(uint8(in.Live)) < 2 {
 		return g
 	}
-	ws := linalg.GetWorkspace()
-	defer ws.Release()
 	set := sparse.LaneSet(ws)
-	defer set.Release()
 	for l := 0; l < linalg.Lanes; l++ {
 		if !in.Live.Has(l) {
 			continue
@@ -335,9 +282,7 @@ func (g *Group) Take(ctx context.Context, i int) (*Result, error) {
 	case g.sigErr[i] != nil:
 		return nil, g.sigErr[i]
 	}
-	if g.sg != nil {
-		g.sg.count(i)
-	}
+	g.countSigma(i)
 	if ready {
 		perf.AddFlops(g.flops)
 		return g.res[i], nil

@@ -10,6 +10,7 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/perf"
 	"repro/internal/sparse"
+	"repro/internal/tb"
 )
 
 // soloSigma is one energy's solo call: Σ_L, Σ_R, the error, and what it
@@ -44,22 +45,20 @@ func sameSolo(t *testing.T, what string, got, want soloSigma) {
 	}
 }
 
-// TestSigmaLanesBitwise holds every lane of a SigmaGroup to the solo call
-// Leads.SelfEnergies at its energy, on every T1 family and on a pair of
-// contacts that are two block families (a biased drain): the same Σ bit
-// for bit, the same error text, and at Take the same flops and
-// sigma-decimations — with nothing counted while the group runs, and a
-// second Take of one energy recomputed and counted again. The groups hold
-// 1–4 energies mixing band and gap, so their lanes retire at different
+// TestSigmaLanesBitwise holds every lane of a Group's self-energy fill
+// (fillSigma) to the solo call Leads.SelfEnergies at its energy, on every
+// T1 family and on a pair of contacts that are two block families (a
+// biased drain): the same Σ bit for bit, and at take the same flops and
+// sigma-decimations — with nothing counted while the fill runs — and a
+// lane whose solo call fails is never handed a Σ. The groups hold 1–4
+// energies mixing band and gap, so their lanes retire at different
 // iterations; η = 1e-8; an interior level, where the guard keeps the layer
 // whole; AGNR-7's 8.8e-7 eV overflow energy, whose eliminated lane fails
-// and reruns whole; and η = 1e-30 in band, where the decimation cannot
-// finish and solo's ErrNoConvergence must come back. It runs the lane
-// recursion whatever the build: on the AVX lane kernels where they exist,
-// on their scalar loops elsewhere.
+// and is left to solo, which reruns it whole; and η = 1e-30 in band, where
+// the decimation cannot finish and solo returns ErrNoConvergence. It runs
+// the lane recursion whatever the build: on the AVX lane kernels where
+// they exist, on their scalar loops elsewhere.
 func TestSigmaLanesBitwise(t *testing.T) {
-	defer func(old bool) { LaneGroups = old }(LaneGroups)
-	LaneGroups = true
 	suite := suiteLeads(t)
 	agnr := suite["AGNR-7"]
 	biased := &Leads{L00: agnr.L00, L01: agnr.L01, R00: agnr.R00.Clone(), R01: agnr.R01}
@@ -99,31 +98,24 @@ func TestSigmaLanesBitwise(t *testing.T) {
 				}
 			}
 			perf.ResetFlops()
-			g := l.SelfEnergyGroup(zs)
+			g := sigmaLanes(l, zs)
 			if f := perf.ResetFlops(); f != 0 {
-				t.Fatalf("%s group %d: %d flops counted while the group ran", name, gi, f)
+				t.Fatalf("%s group %d: %d flops counted while the fill ran", name, gi, f)
 			}
-			var first soloSigma
 			for i := range zs {
-				if g.ready.Has(i) {
-					inLanes++
-				}
 				what := fmt.Sprintf("%s group %d lane %d (z = %v)", name, gi, i, zs[i])
-				got := callCounted(t, func() (*linalg.Matrix, *linalg.Matrix, error) { return g.Take(i) })
+				if !g.looked.Has(i) {
+					continue
+				}
+				if want[i].err != nil {
+					t.Fatalf("%s: handed a Σ where the solo call fails with %v", what, want[i].err)
+				}
+				inLanes++
+				got := callCounted(t, func() (*linalg.Matrix, *linalg.Matrix, error) {
+					g.countSigma(i)
+					return g.sig[i][left], g.sig[i][right], nil
+				})
 				sameSolo(t, what, got, want[i])
-				if i == 0 {
-					first = got
-				}
-			}
-			// Taken again, lane 0 is recomputed: solo's count, and fresh
-			// storage, not the Σ the first take handed out.
-			what := fmt.Sprintf("%s group %d lane 0 taken again", name, gi)
-			again := callCounted(t, func() (*linalg.Matrix, *linalg.Matrix, error) { return g.Take(0) })
-			sameSolo(t, what, again, want[0])
-			for s, m := range again.sig {
-				if m != nil && m == first.sig[s] {
-					t.Fatalf("%s: the second take handed out the first take's Σ_%s", what, sideNames[s])
-				}
 			}
 		}
 	}
@@ -133,17 +125,89 @@ func TestSigmaLanesBitwise(t *testing.T) {
 	t.Logf("%d energies finished in lanes, %d failed solo", inLanes, soloErrs)
 }
 
+// sigmaLanes runs a Group's self-energy fill on the energies zs alone.
+func sigmaLanes(l *Leads, zs []complex128) *Group {
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	g := new(Group)
+	g.fillSigma(l, zs, ws)
+	return g
+}
+
+// BenchmarkSigmaLanes is the self-energy of a transmission sweep's lane
+// group: four consecutive in-band energies of the benchmark grids (AGNR-7:
+// ribbon_fabric's 4 meV step at 1.5 eV; the Si nanowire: wire_serial's
+// 10 meV step at 1.54 eV, in its conduction band) as one Group's Σ fill
+// and its four takes — each lane's count, or its solo call where the fill
+// left it — against four solo calls at the same energies. Both count the
+// same flops; ns and flops are reported per energy.
+func BenchmarkSigmaLanes(b *testing.B) {
+	for _, tc := range []struct {
+		device   string
+		e0, step float64
+	}{{"agnr7", 1.5, 0.004}, {"sinw", 1.54, 0.01}} {
+		desc, _ := device.Lookup(tc.device)
+		built, err := desc.Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		h, err := tb.Assemble(built.Structure, built.Material, built.Options)
+		if err != nil {
+			b.Fatal(err)
+		}
+		leads, err := LeadsFromDevice(h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		zs := make([]complex128, linalg.Lanes)
+		for i := range zs {
+			zs[i] = complex(tc.e0+float64(i)*tc.step, 1e-6)
+		}
+		run := map[string]func(){
+			"group": func() {
+				g := sigmaLanes(leads, zs)
+				for i, z := range zs {
+					if g.looked.Has(i) {
+						g.countSigma(i)
+					} else if _, _, err := leads.SelfEnergies(z); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+			"solo": func() {
+				for _, z := range zs {
+					if _, _, err := leads.SelfEnergies(z); err != nil {
+						b.Fatal(err)
+					}
+				}
+			},
+		}
+		for _, mode := range []string{"group", "solo"} {
+			b.Run(tc.device+"/"+mode, func(b *testing.B) {
+				run[mode]()
+				perf.ResetFlops()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					run[mode]()
+				}
+				b.StopTimer()
+				per := float64(b.N * len(zs))
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/per, "ns/energy")
+				b.ReportMetric(float64(perf.ResetFlops())/per, "flops/energy")
+			})
+		}
+	}
+}
+
 // TestSigmaLanesRunInLanes guards the test above from passing vacuously:
 // on AGNR-7 every lane of an in-band group is finished in lanes (the group
-// holds it ready for Take), the overflow energy's lane is not, and a
-// failing lane leaves its neighbours finished.
+// holds its Σ for Take), the overflow energy's lane is not, and a failing
+// lane leaves its neighbours finished.
 func TestSigmaLanesRunInLanes(t *testing.T) {
-	defer func(old bool) { LaneGroups = old }(LaneGroups)
-	LaneGroups = true
 	agnr := suiteLeads(t)["AGNR-7"]
-	g := agnr.SelfEnergyGroup([]complex128{complex(1.39, 1e-6), complex(1.3976219674314385, 1e-6), complex(-2.5, 1e-6), complex(0.8, 1e-30)})
-	if want := linalg.LaneMask(1<<0 | 1<<2); g.ready != want {
-		t.Fatalf("lanes finished in lockstep %04b, want %04b", g.ready, want)
+	g := sigmaLanes(agnr, []complex128{complex(1.39, 1e-6), complex(1.3976219674314385, 1e-6), complex(-2.5, 1e-6), complex(0.8, 1e-30)})
+	if want := linalg.LaneMask(1<<0 | 1<<2); g.looked != want {
+		t.Fatalf("lanes finished in lockstep %04b, want %04b", g.looked, want)
 	}
 }
 
@@ -192,7 +256,7 @@ func sameSolve(t *testing.T, what string, got, want soloSolve) {
 	}
 }
 
-// TestRGFLanesBitwise holds every lane of an RGFGroup to the solo solve
+// TestRGFLanesBitwise holds every lane of a Group to the solo solve
 // SolveCtx at its energy, on every T1 family under a potential (every layer
 // its own record) and on the corner shapes (one layer, ragged layers), with
 // density on and off: the same T and spectra bit for bit, the same error
@@ -354,7 +418,6 @@ func TestRGFLanesBitwise(t *testing.T) {
 				sameSolve(t, fmt.Sprintf("density %v: lane %d beside the singular lane", density, l), soloSolve{res: got[l]}, soloSolve{res: w})
 			}
 		}
-		set.Release()
 		ws.Release()
 	}
 }

@@ -542,7 +542,8 @@ func TestSolveLastLanesBitwise(t *testing.T) {
 						}
 					}
 				}
-				set := sparse.LaneSet(ws)
+				lws := linalg.GetWorkspace() // the lane set's, released per case
+				set := sparse.LaneSet(lws)
 				lanes := red.LanesAt(&set, &z, &sigL, &sigR, tc.live)
 				if tc.singular >= 0 {
 					d := lanes.Diag[0]
@@ -575,7 +576,7 @@ func TestSolveLastLanesBitwise(t *testing.T) {
 						t.Fatalf("live %04b lane %d: the last block differs from the solo SolveLast's", tc.live, l)
 					}
 				}
-				set.Release()
+				lws.Release()
 			}
 		})
 	}

@@ -2,8 +2,6 @@ package sparse
 
 import (
 	"math"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/linalg"
 	"repro/internal/perf"
@@ -18,8 +16,8 @@ import (
 // counting none: its caller counts at take what each lane's solo run would
 // have. Each lane holds the bits of its own solo run.
 type Set struct {
-	ws *linalg.Workspace
-	lw *laneWork
+	ws    *linalg.Workspace
+	lanes bool
 }
 
 // Block is one matrix of a set: M on a solo set, V on a lane set.
@@ -39,43 +37,32 @@ func (b Block) Rows() int {
 // SoloSet returns a solo set on ws.
 func SoloSet(ws *linalg.Workspace) Set { return Set{ws: ws} }
 
-// LaneSet returns a lane set whose per-lane matrices come from ws (nil
-// where its kernel checks out none); Release hands its lane scratch back.
-func LaneSet(ws *linalg.Workspace) Set {
-	return Set{ws: ws, lw: laneWorkPool.Get().(*laneWork)}
-}
-
-// Release hands a lane set's scratch back; every block it handed out is
-// invalid after. A solo set's blocks are its workspace's.
-func (set *Set) Release() {
-	if set.lw != nil {
-		set.lw.reset()
-		laneWorkPool.Put(set.lw)
-		set.lw = nil
-	}
-}
+// LaneSet returns a lane set on ws: its blocks are ws's lane blocks, and
+// its per-lane matrices and the lane factor's scratch come from ws too, all
+// valid until ws's Release.
+func LaneSet(ws *linalg.Workspace) Set { return Set{ws: ws, lanes: true} }
 
 // Workspace returns the workspace the set's per-lane matrices come from.
 func (set *Set) Workspace() *linalg.Workspace { return set.ws }
 
 // Get returns a scratch block its first use overwrites whole.
 func (set *Set) Get(rows, cols int) Block {
-	if set.lw == nil {
+	if !set.lanes {
 		return Block{M: set.ws.Get(rows, cols)}
 	}
-	return Block{V: set.lw.get(rows, cols, false)}
+	return Block{V: set.ws.GetLanes(rows, cols, false)}
 }
 
 // Zeroed returns a scratch block that starts at +0.
 func (set *Set) Zeroed(rows, cols int) Block {
-	if set.lw == nil {
+	if !set.lanes {
 		return Block{M: set.ws.Get(rows, cols)}
 	}
-	return Block{V: set.lw.get(rows, cols, true)}
+	return Block{V: set.ws.GetLanes(rows, cols, true)}
 }
 
 // Put hands a block back to the set's scratch; a lane set keeps it until
-// it is released.
+// its workspace is released.
 func (set *Set) Put(b Block) {
 	if b.M != nil {
 		set.ws.Put(b.M)
@@ -103,7 +90,7 @@ func (set *Set) Load(dst Block, src *linalg.Matrix) {
 // Common returns a matrix common to every energy as a block of the set:
 // src itself on a solo set, read-only.
 func (set *Set) Common(src *linalg.Matrix) Block {
-	if set.lw == nil {
+	if !set.lanes {
 		return Block{M: src}
 	}
 	b := set.Get(src.Rows, src.Cols)
@@ -114,7 +101,7 @@ func (set *Set) Common(src *linalg.Matrix) Block {
 // PerLane returns the matrices ms[l], one per lane of live, as a block of
 // the set: ms[0] itself on a solo set, read-only.
 func (set *Set) PerLane(ms *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) Block {
-	if set.lw == nil {
+	if !set.lanes {
 		return Block{M: ms[0]}
 	}
 	var b Block
@@ -134,7 +121,7 @@ func (set *Set) PerLane(ms *[linalg.Lanes]*linalg.Matrix, live linalg.LaneMask) 
 
 // Count adds a solo set's flops; a lane set counts at take.
 func (set *Set) Count(n int64) {
-	if set.lw == nil {
+	if !set.lanes {
 		perf.AddFlops(n)
 	}
 }
@@ -157,7 +144,7 @@ func (set *Set) Inverse(dst, src Block, live linalg.LaneMask) (failed linalg.Lan
 		}
 		return 0, nil
 	}
-	return linalg.LaneInverseInto(dst.V, src.V, live, &set.lw.lu), linalg.ErrSingular
+	return linalg.LaneInverseInto(dst.V, src.V, live, set.ws), linalg.ErrSingular
 }
 
 // InverseColumns factors m, which it may destroy, and solves it against
@@ -167,12 +154,12 @@ func (set *Set) Inverse(dst, src Block, live linalg.LaneMask) (failed linalg.Lan
 // (LaneInverseInto). It returns the lanes whose factor met a zero pivot,
 // with the error they failed with.
 func (set *Set) InverseColumns(m Block, s int, live linalg.LaneMask) (g Block, failed linalg.LaneMask, err error) {
-	if set.lw != nil {
+	if set.lanes {
 		if s != m.V.Rows {
 			panic("sparse: a lane set inverts whole blocks")
 		}
 		g = set.Get(s, s)
-		return g, linalg.LaneInverseInto(g.V, m.V, live, &set.lw.lu), linalg.ErrSingular
+		return g, linalg.LaneInverseInto(g.V, m.V, live, set.ws), linalg.ErrSingular
 	}
 	piv := set.ws.GetInts(m.M.Rows)
 	defer set.ws.PutInts(piv)
@@ -194,9 +181,8 @@ func (set *Set) InverseColumns(m Block, s int, live linalg.LaneMask) (g Block, f
 // whose factor met a zero pivot, with the error they failed with; their b
 // holds garbage.
 func (set *Set) FactorSolve(m, b Block, r0 int, live linalg.LaneMask) (failed linalg.LaneMask, err error) {
-	if set.lw != nil {
-		f := &set.lw.lu
-		failed = f.FactorInPlace(m.V, live)
+	if set.lanes {
+		f, failed := linalg.LaneFactorInPlace(m.V, live, set.ws)
 		f.SolveFromRow(b.V, r0)
 		return failed, linalg.ErrSingular
 	}
@@ -373,72 +359,5 @@ func moveCols(blk, b *linalg.Matrix, rows []int, j0 int, put bool) {
 			dst, src = src[:b.Cols], dst
 		}
 		copy(dst, src)
-	}
-}
-
-// laneWork is the scratch of a lane set: lane matrices handed out in
-// order, their headers in one slice and their data in one slab, reused by
-// the next set, and the lane factor's scratch. A set that outgrows them
-// takes each block past them from the heap, and its release grows them to
-// what it used; a work the pool makes after a GC dropped its last starts
-// at the largest size any set has used, so that refill costs a handful of
-// allocations, not two per block.
-type laneWork struct {
-	mats       []linalg.LaneMatrix
-	slab       []float64
-	next, used int // headers and slab float64s handed out
-	lu         linalg.LaneLU
-}
-
-// laneWorkSize is the most headers and slab float64s one lane set has used.
-var laneWorkSize struct{ mats, slab atomic.Int64 }
-
-var laneWorkPool = sync.Pool{New: func() any {
-	return &laneWork{
-		mats: make([]linalg.LaneMatrix, laneWorkSize.mats.Load()),
-		slab: make([]float64, laneWorkSize.slab.Load()),
-	}
-}}
-
-// get returns a rows×cols lane matrix, zeroed if zero, valid until the
-// work is put back in the pool.
-func (w *laneWork) get(rows, cols int, zero bool) *linalg.LaneMatrix {
-	var m *linalg.LaneMatrix
-	if w.next < len(w.mats) {
-		m = &w.mats[w.next]
-	} else {
-		m = new(linalg.LaneMatrix)
-	}
-	w.next++
-	n := rows * cols * laneElem
-	if w.used+n <= len(w.slab) {
-		m.Data = w.slab[w.used : w.used+n : w.used+n]
-		if zero {
-			clear(m.Data)
-		}
-	} else {
-		m.Data = make([]float64, n)
-	}
-	w.used += n
-	m.Rows, m.Cols = rows, cols
-	return m
-}
-
-// reset readies w for the next set, grown to what this one used.
-func (w *laneWork) reset() {
-	if w.next > len(w.mats) {
-		w.mats = make([]linalg.LaneMatrix, w.next)
-		growTo(&laneWorkSize.mats, w.next)
-	}
-	if w.used > len(w.slab) {
-		w.slab = make([]float64, w.used)
-		growTo(&laneWorkSize.slab, w.used)
-	}
-	w.next, w.used = 0, 0
-}
-
-// growTo raises a to v if it is below.
-func growTo(a *atomic.Int64, v int) {
-	for o := a.Load(); o < int64(v) && !a.CompareAndSwap(o, int64(v)); o = a.Load() {
 	}
 }

@@ -28,8 +28,9 @@ func TestSetMaxAbsLanes(t *testing.T) {
 		}
 		return r.NormFloat64() * math.Pow(10, float64(r.Intn(20)-10))
 	}
-	set := LaneSet(nil)
-	defer set.Release()
+	ws := linalg.GetWorkspace()
+	defer ws.Release()
+	set := LaneSet(ws)
 	for it := 0; it < 300; it++ {
 		rows, cols := r.Intn(9), 1+r.Intn(9)
 		b := set.Get(rows, cols)
@@ -51,30 +52,37 @@ func TestSetMaxAbsLanes(t *testing.T) {
 	}
 }
 
-// TestLaneSetRefill holds a lane set's scratch to a handful of
-// allocations when the pool has lost its work — two GCs empty a
-// sync.Pool — however many blocks the set hands out: the work, its header
-// slice and its slab, sized by the largest set seen, not two per block.
+// TestLaneSetRefill holds a lane set's scratch to two allocations past
+// its workspace's own when the pool has lost its workspaces — two GCs
+// empty a sync.Pool — however many blocks the set hands out: the lane
+// header slice and the slab, sized by the largest set seen, not two per
+// block.
 func TestLaneSetRefill(t *testing.T) {
-	round := func() {
-		set := LaneSet(nil)
-		for i := 0; i < 100; i++ {
-			set.Get(1+i%7, 1+i%5)
-			set.Zeroed(3, 4)
+	round := func(blocks int) func() {
+		return func() {
+			runtime.GC()
+			runtime.GC()
+			ws := linalg.GetWorkspace()
+			set := LaneSet(ws)
+			for i := 0; i < blocks; i++ {
+				set.Get(1+i%7, 1+i%5)
+				set.Zeroed(3, 4)
+			}
+			ws.Release()
 		}
-		set.Release()
 	}
-	round()
-	if a := testing.AllocsPerRun(10, func() { runtime.GC(); runtime.GC(); round() }); a > 5 {
-		t.Fatalf("a lane set of 200 blocks refilled in %.1f allocations, want at most 5", a)
+	round(100)()
+	bare := testing.AllocsPerRun(10, round(0))
+	if a := testing.AllocsPerRun(10, round(100)); a > bare+2 {
+		t.Fatalf("a lane set of 200 blocks refilled in %.1f allocations, want at most its workspace's %.1f + 2", a, bare)
 	}
 }
 
 // TestLaneSetsConcurrent runs lane sets of different sizes from several
-// goroutines at once, each filling every block it holds with its own tag
-// and reading the tags back before release: no two blocks of a set, and
-// no two sets, share a float64, whatever the pool hands out and however
-// the scratch grows.
+// goroutines at once, each on its own workspace, each filling every block
+// it holds with its own tag and reading the tags back before release: no
+// two blocks of a set, and no two sets, share a float64, whatever the pool
+// hands out and however the scratch grows.
 func TestLaneSetsConcurrent(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -82,7 +90,8 @@ func TestLaneSetsConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for round := 0; round < 50; round++ {
-				set := LaneSet(nil)
+				ws := linalg.GetWorkspace()
+				set := LaneSet(ws)
 				var blocks []Block
 				for i := 0; i < 10+round%7*g; i++ {
 					b := set.Get(1+(i+g)%6, 1+round%4)
@@ -95,12 +104,12 @@ func TestLaneSetsConcurrent(t *testing.T) {
 					for _, v := range b.V.Data {
 						if v != float64(g*1e6+i) {
 							t.Errorf("goroutine %d round %d: block %d reads %v", g, round, i, v)
-							set.Release()
+							ws.Release()
 							return
 						}
 					}
 				}
-				set.Release()
+				ws.Release()
 			}
 		}(g)
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/device"
@@ -265,41 +266,54 @@ func laneKernelRefusals(t *testing.T) {
 				sameSolve(t, fmt.Sprintf("%s lane %d", tc.name, l), soloSolve{res: in.Res[l], flops: flops}, want[l])
 			}
 		}
-		set.Release()
 		ws.Release()
 	}
 }
 
-// TestWorkspaceRefill holds the scratch a cached WF group draws from its
-// pools to a fixed number of allocations when a GC has emptied them — two
-// GCs empty a sync.Pool — on every T1 family: linalg's workspace and
-// sparse's lane set start at the largest size seen, carved from one slab
-// each, so a refill does not allocate once per buffer. What a refill costs
-// is fixed: the workspace 6 allocations, the lane set's work and its lane
-// factor 6, and each of the two pools re-pins 2–3.
+// TestWorkspaceRefill holds the scratch a cached lane group draws from
+// its pool to a fixed number of allocations when a GC has emptied it — two
+// GCs empty a sync.Pool — on every T1 family, in both formalisms: linalg's
+// workspace starts at the largest size seen, its buffers carved from one
+// slab per kind and its lane blocks from one more, so a refill does not
+// allocate once per buffer. What a refill costs is fixed: the workspace 6
+// allocations, its lane slab and headers 2, and the pool re-pins 2.
+// Automatic collections are off while it counts: a cycle that the refill's
+// own slab starts would empty the pool again mid-group.
 func TestWorkspaceRefill(t *testing.T) {
 	defer func(old bool) { negf.LaneGroups = old }(negf.LaneGroups)
 	negf.LaneGroups = true
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ctx := context.Background()
 	es := []float64{1.2, -3.1, 0.01, 0.6}
 	for _, d := range device.BenchmarkSuite() {
-		s, err := NewSolver(familyUnderPotential(t, d), 1e-6)
+		h := familyUnderPotential(t, d)
+		wf, err := NewSolver(h, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.Cache = negf.NewSelfEnergyCache()
-		group := func() {
-			g := s.SolveGroup(es, false)
-			for i := range es {
-				g.Take(ctx, i)
-			}
+		wf.Cache = negf.NewSelfEnergyCache()
+		rgf, err := negf.NewSolver(h, 1e-6)
+		if err != nil {
+			t.Fatal(err)
 		}
-		group() // warms the σ-cache and the pools
-		warm := testing.AllocsPerRun(10, group)
-		cold := testing.AllocsPerRun(10, func() { runtime.GC(); runtime.GC(); group() })
-		t.Logf("%s: %.0f allocations warm, %.0f after two GCs", d.Name, warm, cold)
-		if cold > warm+24 {
-			t.Errorf("%s: a cached WF group allocates %.0f times after two GCs, %.0f warm: its scratch refills per buffer", d.Name, cold, warm)
+		rgf.Cache = negf.NewSelfEnergyCache()
+		for _, s := range []struct {
+			name  string
+			group func([]float64, bool) *negf.Group
+		}{{"WF", wf.SolveGroup}, {"NEGF", rgf.SolveGroup}} {
+			group := func() {
+				g := s.group(es, false)
+				for i := range es {
+					g.Take(ctx, i)
+				}
+			}
+			group() // warms the σ-cache and the pool
+			warm := testing.AllocsPerRun(10, group)
+			cold := testing.AllocsPerRun(10, func() { runtime.GC(); runtime.GC(); group() })
+			t.Logf("%s %s: %.0f allocations warm, %.0f after two GCs", d.Name, s.name, warm, cold)
+			if cold > warm+10 {
+				t.Errorf("%s: a cached %s group allocates %.0f times after two GCs, %.0f warm: its scratch refills per buffer", d.Name, s.name, cold, warm)
+			}
 		}
 	}
 }

@@ -70,7 +70,7 @@ func injectionDrops(t *testing.T, s *Solver, e float64) float64 {
 	for _, sigma := range []*linalg.Matrix{sigL, sigR} {
 		gam := ws.Get(sigma.Rows, sigma.Cols)
 		negf.BroadeningInto(gam, sigma)
-		w, err := injectionVectors(gam, ws, linalg.EigH)
+		w, err := injectionVectors(gam, ws, true)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,7 +329,7 @@ func TestWFDensityFlopCount(t *testing.T) {
 		for c, sigma := range []*linalg.Matrix{sigL, sigR} {
 			gam := ws.Get(sigma.Rows, sigma.Cols)
 			negf.BroadeningInto(gam, sigma)
-			w, err := injectionVectors(gam, ws, linalg.EigH)
+			w, err := injectionVectors(gam, ws, true)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -409,7 +409,7 @@ func TestWFTransmissionFlopCount(t *testing.T) {
 		}
 		gamL := ws.Get(sigL.Rows, sigL.Cols)
 		negf.BroadeningInto(gamL, sigL)
-		w, err := injectionVectors(gamL, ws, linalg.EigH)
+		w, err := injectionVectors(gamL, ws, true)
 		if err != nil {
 			t.Fatal(err)
 		}

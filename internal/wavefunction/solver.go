@@ -130,13 +130,13 @@ func (s *Solver) SolveWithSigma(ctx context.Context, e float64, sigL, sigR *lina
 	// significant wᵢ. Solving the open system against those few columns —
 	// instead of full contact blocks — is the cost advantage of the
 	// wave-function formalism that the paper exploits.
-	wL, err := injectionVectors(gamL, ws, linalg.EigH)
+	wL, err := injectionVectors(gamL, ws, true)
 	if err != nil {
 		return nil, fmt.Errorf("wavefunction: left injection: %w", err)
 	}
 	wR := ws.Get(len(posR), 0)
 	if density {
-		if wR, err = injectionVectors(gamR, ws, linalg.EigH); err != nil {
+		if wR, err = injectionVectors(gamR, ws, true); err != nil {
 			return nil, fmt.Errorf("wavefunction: right injection: %w", err)
 		}
 	}
@@ -235,20 +235,24 @@ const injectionRankCutoff = 1e-12
 // Γ = Σᵢ λᵢvᵢvᵢ†, and returns the weighted columns wᵢ = √λᵢ·vᵢ above the
 // rank cutoff, so that Γ ≈ W·W†. It is handed Γ on the contact's support —
 // the r×r block outside which Σ, and so Γ, is zero — and the vectors live
-// there too; a Γ that is zero everywhere injects nothing. eigH is the
-// eigensolver: linalg.EigH, or EigHSetup where a lane group counts at take.
-func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace, eigH func(*linalg.Matrix) (*linalg.EigenH, error)) (*linalg.Matrix, error) {
-	eig, err := eigH(gamma)
+// there too; a Γ that is zero everywhere injects nothing. The eigensolve
+// counts its flops where count is set (linalg.EigH) and none where a lane
+// group counts at take (EigHSetup); its scratch, and the returned columns,
+// are ws's.
+func injectionVectors(gamma *linalg.Matrix, ws *linalg.Workspace, count bool) (*linalg.Matrix, error) {
+	eig, err := linalg.EigHIn(gamma, ws, count)
 	if err != nil {
 		return nil, err
 	}
+	defer ws.Put(eig.Vectors)
 	var maxLam float64
 	for _, l := range eig.Values {
 		if l > maxLam {
 			maxLam = l
 		}
 	}
-	cols := make([]int, 0, len(eig.Values))
+	cols := ws.GetInts(len(eig.Values))[:0]
+	defer ws.PutInts(cols)
 	for j, l := range eig.Values {
 		if l > injectionRankCutoff*maxLam && l > 0 {
 			cols = append(cols, j)
@@ -309,7 +313,7 @@ func (s *Solver) laneKernel(set *sparse.Set, in *negf.LaneInput) (failed linalg.
 		if !in.Live.Has(l) {
 			continue
 		}
-		wl, err := injectionVectors(in.Gamma[0][l], ws, linalg.EigHSetup)
+		wl, err := injectionVectors(in.Gamma[0][l], ws, false)
 		if err != nil || wl.Cols == 0 {
 			failed |= 1 << l
 			continue

@@ -417,7 +417,7 @@ func TestInjectionNonConvergenceIsTyped(t *testing.T) {
 	nan := complex(math.NaN(), 0)
 	ws := linalg.GetWorkspace()
 	defer ws.Release()
-	_, err := injectionVectors(linalg.FromRows([][]complex128{{1, nan}, {nan, 2}}), ws, linalg.EigH)
+	_, err := injectionVectors(linalg.FromRows([][]complex128{{1, nan}, {nan, 2}}), ws, true)
 	if !errors.Is(err, linalg.ErrNoConvergence) {
 		t.Fatalf("injectionVectors returned %v, want an error wrapping linalg.ErrNoConvergence", err)
 	}
@@ -435,7 +435,7 @@ func TestInjectionOnSupport(t *testing.T) {
 	v := linalg.FromRows([][]complex128{{1, 0.5i}, {-0.25, 1}, {0.5 + 0.5i, -1i}})
 	gamma := linalg.New(3, 3)
 	linalg.GemmInto(gamma, 1, v, linalg.NoTrans, v, linalg.ConjTrans, 0)
-	w, err := injectionVectors(gamma, ws, linalg.EigH)
+	w, err := injectionVectors(gamma, ws, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -448,7 +448,7 @@ func TestInjectionOnSupport(t *testing.T) {
 		t.Errorf("W·W† does not rebuild Γ:\n%v\nvs\n%v", back, gamma)
 	}
 
-	w, err = injectionVectors(linalg.New(0, 0), ws, linalg.EigH)
+	w, err = injectionVectors(linalg.New(0, 0), ws, true)
 	if err != nil || w.Rows != 0 || w.Cols != 0 {
 		t.Fatalf("empty support: got %v, %v; want a 0×0 injection", w, err)
 	}
